@@ -122,7 +122,7 @@ def run_benchmark(
     }
     # Steady-state with the production default window (64): the seed path
     # re-decodes the full window per alert, the streaming path only pays
-    # the rebuild on eviction.
+    # the amortised two-stack eviction.
     windowed_stream = build_stream(windowed_alerts)
     for engine in ("streaming", "naive"):
         rate, _ = measure_alerts_per_second(windowed_stream, engine=engine, max_window=64)

@@ -21,6 +21,7 @@ attack was *preempted* (see :mod:`repro.core.preemption`).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from collections import deque
 from typing import Dict, Iterable, List, Mapping, MutableSequence, Optional, Sequence
 
@@ -38,6 +39,27 @@ from .factors import FactorParameters, default_parameters, observation_log_for_s
 from .sequences import AlertSequence, matched_prefix_length
 from .states import NUM_STATES, HiddenState
 from .streaming import StreamingDecoder, WeightedPattern
+
+#: The production engine and the executable spec, in that order.
+ENGINES = ("streaming", "naive")
+
+
+class UnknownEngineError(ValueError):
+    """An engine name that is not one of :data:`ENGINES`.
+
+    Raised at every edge a name can arrive through: the constructor, an
+    unpickled or restored tagger state (old checkpoints and shard
+    snapshots may carry the removed ``rebuild`` / ``batched`` engines),
+    the oracle's config specs and the service CLI.
+    """
+
+    def __init__(self, engine: object) -> None:
+        super().__init__(engine)
+        self.engine = engine
+
+    def __str__(self) -> str:
+        valid = " and ".join(repr(name) for name in ENGINES)
+        return f"unknown engine {self.engine!r}: valid engines are {valid}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,26 +170,25 @@ class AttackTagger:
         Weight used for catalogue patterns when the trained parameters
         carry no pattern weights (the untrained/prior-only deployment).
     engine:
-        ``"streaming"`` (default) maintains incremental per-entity
-        decoder state (:class:`repro.core.streaming.StreamingDecoder`)
-        so one alert costs O(K^2 + pattern advances) while the window
-        fills and O(K^3) amortised once it saturates (the two-stack
-        sliding aggregation of :mod:`repro.core.sliding_window` makes
-        the ``max_window`` slide an eviction instead of a rebuild).
-        ``"rebuild"`` keeps the previous slide behaviour -- incremental
-        appends, but a full O(W * K^2) decoder rebuild on every window
-        slide -- as the regression/benchmark reference for the
-        amortised path.  ``"naive"`` keeps the seed behaviour of
-        re-decoding the whole chain per alert.  ``"batched"`` keeps the
-        exact per-entity state of ``"streaming"`` but advances every
-        entity touched by a sub-batch together through the vectorised
-        cross-entity kernel (:class:`repro.core.batch_kernel
-        .BatchedDecodeKernel`): one ``(N, K, K)`` stacked semiring
-        reduce per driver step instead of N small-matrix calls.  All
-        engines produce bit-identical detections; pattern weights are
-        resolved when an entity's decoder is created, so mutate
+        ``"streaming"`` (default, production) maintains incremental
+        per-entity decoder state
+        (:class:`repro.core.streaming.StreamingDecoder`) so one alert
+        costs O(K^2 + pattern advances) while the window fills and
+        O(K^3) amortised once it saturates (the two-stack sliding
+        aggregation of :mod:`repro.core.sliding_window` makes the
+        ``max_window`` slide an eviction instead of a re-decode).  The
+        batch entry points advance every entity touched by a sub-batch
+        together through the vectorised cross-entity kernel
+        (:class:`repro.core.batch_kernel.BatchedDecodeKernel`): one
+        ``(N, K, K)`` stacked semiring reduce per driver step instead
+        of N small-matrix calls; :meth:`observe` is the same
+        arithmetic for one alert.  ``"naive"`` is the executable spec:
+        the seed behaviour of re-decoding the whole chain per alert.
+        Both produce bit-identical detections; any other name raises
+        :class:`UnknownEngineError`.  Pattern weights are resolved when
+        an entity's decoder is created, so mutate
         ``parameters.pattern_weights`` only between ``run_sequence``
-        calls (which reset the entity) when using a decoder engine.
+        calls (which reset the entity) under ``"streaming"``.
     """
 
     def __init__(
@@ -190,19 +211,17 @@ class AttackTagger:
             raise ValueError("detection_threshold must be in (0, 1)")
         if max_window < 2:
             raise ValueError("max_window must be at least 2")
-        if engine not in ("streaming", "rebuild", "naive", "batched"):
-            raise ValueError(
-                "engine must be 'streaming', 'rebuild', 'naive', or 'batched'"
-            )
+        if engine not in ENGINES:
+            raise UnknownEngineError(engine)
         self.detection_threshold = float(detection_threshold)
         self.max_window = int(max_window)
         self.default_pattern_weight = float(default_pattern_weight)
         self.engine = engine
         self._tracks: Dict[str, EntityTrack] = {}
         self._detections: List[Detection] = []
-        # Cumulative seconds spent inside the batched decode kernel
-        # (0.0 for the per-alert engines); surfaced per stage through
-        # the pipeline's ``detect_kernel_seconds`` summary counter.
+        # Cumulative seconds spent inside the stacked decode kernel
+        # (0.0 under ``naive``); surfaced per stage through the
+        # pipeline's ``detect_kernel_seconds`` summary counter.
         self.kernel_seconds: float = 0.0
         self._batch_kernel = None
 
@@ -354,7 +373,7 @@ class AttackTagger:
     def _observe_impl(self, alert: Alert) -> Optional[Detection]:
         """Single-alert inference without the global detection-log append.
 
-        The batched kernel reuses this per-alert path for sub-batch
+        The stacked kernel reuses this per-alert path for sub-batch
         rounds too small to be worth stacking, then appends all of a
         sub-batch's detections to ``_detections`` in stream order; the
         public :meth:`observe` is this plus the log append.
@@ -375,17 +394,11 @@ class AttackTagger:
         sliding = len(track.alerts) >= self.max_window
         track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
         self._trim_track(track)
-        if decoder is None:
-            pass
-        elif sliding and self.engine == "rebuild":
-            # Legacy slide: re-anchor with a full O(W * K^2) re-decode.
-            decoder.rebuild([a.name for a in track.alerts])
-        else:
+        if decoder is not None:
             decoder.append(alert.name)
             if sliding:
                 # Amortised slide: O(K^3) two-stack eviction.
                 decoder.evict_front()
-        if decoder is not None:
             if decoder.windowed and not decoder.may_fire(self.detection_threshold):
                 # The guard-banded aggregate decision is authoritative
                 # for "cannot fire"; no exact decode is materialised.
@@ -417,7 +430,7 @@ class AttackTagger:
     ) -> Optional[Detection]:
         """Exact threshold decision + detection materialisation for a decoder.
 
-        Shared tail of the per-alert path and the batched kernel: both
+        Shared tail of the per-alert path and the stacked kernel: both
         arrive here only after their (guard-banded or stacked)
         pre-filter could not rule the entity out, and the exact decoder
         read-outs decide — and materialise — the detection
@@ -449,14 +462,7 @@ class AttackTagger:
 
     def observe_many(self, alerts: Iterable[Alert]) -> list[Detection]:
         """Consume a batch of alerts, returning any detections emitted."""
-        if self.engine == "batched":
-            return [detection for _, detection in self.observe_batch_indexed(alerts)]
-        detections: list[Detection] = []
-        for alert in alerts:
-            detection = self.observe(alert)
-            if detection is not None:
-                detections.append(detection)
-        return detections
+        return [detection for _, detection in self.observe_batch_indexed(alerts)]
 
     def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
         """Batch stage entry point of the :class:`repro.core.detector.Detector` protocol."""
@@ -469,25 +475,24 @@ class AttackTagger:
 
         Positions index into the sub-batch and are strictly increasing;
         they let sharded drivers reconstruct global stream order without
-        assuming one-detection-per-alert.  Under ``engine="batched"``
-        the whole sub-batch is advanced by the stacked cross-entity
-        kernel; the other engines fall back to the per-alert loop with
-        identical results.
+        assuming one-detection-per-alert.  Under ``"streaming"`` the
+        whole sub-batch is advanced by the stacked cross-entity kernel;
+        ``"naive"`` walks it per alert, with identical results.
         """
         alerts = list(alerts)
-        if self.engine == "batched":
+        if self.engine == "naive":
+            hits = [
+                (position, detection)
+                for position, alert in enumerate(alerts)
+                if (detection := self._observe_impl(alert)) is not None
+            ]
+        else:
             if self._batch_kernel is None:
                 from .batch_kernel import BatchedDecodeKernel
 
                 self._batch_kernel = BatchedDecodeKernel(self)
             hits = self._batch_kernel.observe_rounds(alerts)
-            self._detections.extend(detection for _, detection in hits)
-            return hits
-        hits = []
-        for position, alert in enumerate(alerts):
-            detection = self.observe(alert)
-            if detection is not None:
-                hits.append((position, detection))
+        self._detections.extend(detection for _, detection in hits)
         return hits
 
     def clone(self) -> "AttackTagger":
@@ -524,9 +529,22 @@ class AttackTagger:
             for entity, track in self._tracks.items()
         }
         # The kernel is pure scratch (stacked work buffers); recreated
-        # lazily on the first batched observe after unpickling.
+        # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore shard state, refusing an engine this build cannot run.
+
+        Checkpoints and shard snapshots written before the ``rebuild``
+        and ``batched`` engines were removed carry their names; running
+        them silently as ``streaming`` would hide the change.
+        """
+        if state.get("engine") not in ENGINES:
+            raise UnknownEngineError(state.get("engine"))
+        # Interned keys, as default unpickling does: key identity feeds
+        # pickle's memo, and re-pickled bytes must stay canonical.
+        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
 
     # -- live reshard migration --------------------------------------------
     # The optional Detector migration extension (see
@@ -576,23 +594,11 @@ class AttackTagger:
     def _replay_decoder(self, sequence: AlertSequence):
         """Yield the synced decoder after each alert of an offline replay.
 
-        Mirrors :meth:`observe` exactly (including the window slide --
-        amortised eviction by default, the full rebuild under
-        ``engine="rebuild"``) without touching any per-entity track or
+        Mirrors :meth:`observe` exactly (including the amortised
+        window slide) without touching any per-entity track or
         detection bookkeeping.
         """
         decoder = self._make_decoder()
-        if self.engine == "rebuild":
-            names: list[str] = []
-            for alert in sequence:
-                names.append(alert.name)
-                if len(names) > self.max_window:
-                    del names[: len(names) - self.max_window]
-                    decoder.rebuild(names)
-                else:
-                    decoder.append(alert.name)
-                yield decoder
-            return
         for alert in sequence:
             decoder.append(alert.name)
             if decoder.length > self.max_window:
@@ -731,6 +737,8 @@ class AttackTagger:
 
 
 __all__ = [
+    "ENGINES",
+    "UnknownEngineError",
     "PatternSpec",
     "Detection",
     "DetectionTrace",

@@ -1,7 +1,10 @@
-"""Vectorised cross-entity semiring decode kernel (``engine="batched"``).
+"""Vectorised cross-entity semiring decode kernel.
 
-The per-alert engines advance one entity at a time: every K×K
-``transition ⊗ unary`` step-matrix composition, every Viterbi/(max, +)
+``AttackTagger(engine="streaming")`` runs every sub-batch
+(``observe_batch_indexed`` / ``observe_batch`` / ``observe_many``)
+through this kernel.  The per-alert path advances one entity at a
+time: every K×K ``transition ⊗ unary`` step-matrix composition, every
+Viterbi/(max, +)
 and forward/(logsumexp, +) head advance, and every guard-banded
 ``may_fire`` pre-filter is its own small-matrix numpy call, so a
 sub-batch touching N entities pays N× the interpreter/dispatch overhead
@@ -23,10 +26,10 @@ entities touched by a sub-batch as stacked tensor operations:
   one ``(N, K, K) x (N, K)`` reduce per semiring advances the filling
   -phase Viterbi/forward heads — no Python loop over entities in the
   arithmetic;
-* **scatter** — results are written back into each decoder's buffers /
-  window stacks (as views of the freshly allocated per-round arrays, so
-  nothing aliases reusable scratch), after which the ordinary
-  per-entity structures carry on.
+* **scatter** — results are copied back into each decoder's buffers /
+  window stacks (the structures keep private copies, so nothing aliases
+  reusable scratch and no entity pins another's round), after which
+  the ordinary per-entity structures carry on.
 
 Entities with heterogeneous pattern bonuses need no branching in the
 stacked arithmetic: their effective unary rows are materialised into
@@ -39,10 +42,11 @@ r, so within a round all entities are distinct and independent.
 Every stacked operation replays the scalar engine's float operations
 bit-for-bit (elementwise adds/exp/log are elementwise; max/argmax are
 order-independent; at K = 3 numpy's pairwise summation degenerates to
-the same left-to-right sum), so ``engine="batched"`` is *bit-identical*
-to ``engine="streaming"`` — detections, confidences, trajectories, and
-checkpointed state.  The differential oracle replays the full
-engine × shards × backend × driver matrix to prove it.
+the same left-to-right sum), so a sub-batch is *bit-identical* to a
+per-alert ``observe`` loop over the same alerts — detections,
+confidences, trajectories, and checkpointed state.  The differential
+oracle replays the full engine × shards × backend × driver matrix
+against ``engine="naive"`` to prove it.
 
 The kernel object itself is pure scratch: it holds no decode state, is
 dropped on pickling, and is recreated lazily after restore.
@@ -51,7 +55,7 @@ dropped on pickling, and is recreated lazily after restore.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,22 +73,16 @@ _K = NUM_STATES
 
 # Rounds smaller than this are not worth the gather/scatter round-trip;
 # they run through the tagger's per-alert path (which is also what makes
-# the single-entity case match streaming throughput trivially).
+# the single-entity case match per-alert throughput trivially).
 _MIN_BATCH = 4
-
-# Stack segments shorter than this refold with the scalar helpers: the
-# doubling scan's per-level dispatch overhead only pays off past it.
-_MIN_SCAN = 8
 
 
 class _ScratchArena:
     """Grow-only pool of reusable stacked work buffers, keyed by role.
 
     Buffers are sized to the largest round seen (doubling growth) and
-    sliced per use.  Only *true temporaries* live here: anything a
-    decoder or window retains (step matrices, prefix aggregates) is
-    allocated fresh each round, because the structures keep views of
-    those arrays alive across rounds.
+    sliced per use.  Decoders and windows copy what they retain out of
+    these stacks, so every buffer is free again after the round.
     """
 
     __slots__ = ("_buffers",)
@@ -183,14 +181,13 @@ class BatchedDecodeKernel:
             step, dirty, invalid_from = decoder.append_plan(alert.name)
             entry = (position, alert, track, decoder)
             if decoder.windowed:
-                if len(dirty) == 1:
-                    # dirty == {step}: the common case the stacked
-                    # window push handles.
-                    windowed.append((entry, step, sliding))
-                elif self._patch_dirty(decoder, dirty, skip=step):
-                    # Bonus relocation touched older queued steps:
-                    # partial-replace patching with tree-scanned
-                    # refolds, then the stacked push as usual.
+                # dirty == {step} is the common case the stacked window
+                # push handles alone; a bonus relocation also touched
+                # older queued steps, which are patched in place first.
+                for touched in dirty:
+                    if touched != step:
+                        decoder._refresh_unary(touched)
+                if len(dirty) == 1 or decoder._patch_window(dirty, skip=step):
                     windowed.append((entry, step, sliding))
                 else:
                     # Defensive fallback, as in _apply_dirty_to_window:
@@ -225,25 +222,6 @@ class BatchedDecodeKernel:
             hits.extend(self._decide_windowed(decide_windowed))
         return hits
 
-    # -- stacked unary materialisation --------------------------------------
-    def _materialise_unary(
-        self, rows: np.ndarray, i: int, decoder, step: int
-    ) -> None:
-        """Build one effective unary row into ``rows[i]`` and scatter it.
-
-        Replays :meth:`StreamingDecoder._refresh_unary` for a non-head
-        step: base-row copy plus catalogue-ordered scalar bonus adds on
-        the malicious entry.
-        """
-        rows[i] = decoder._base[step]
-        bonuses = decoder._bonus_at.get(step)
-        if bonuses:
-            value = rows[i, _MALICIOUS]
-            for bonus in bonuses.values():
-                value = value + bonus
-            rows[i, _MALICIOUS] = value
-        decoder._unary[step] = rows[i]
-
     # -- filling phase: stacked forward/Viterbi extension --------------------
     def _advance_fill(
         self, entries: List[Tuple[tuple, int]], pairwise: np.ndarray
@@ -261,7 +239,8 @@ class BatchedDecodeKernel:
         prev_score = scratch.rows("fill_prev_score", n, (_K,))
         prev_alpha = scratch.rows("fill_prev_alpha", n, (_K,))
         for i, ((_, _, _, decoder), step) in enumerate(entries):
-            self._materialise_unary(unary_t, i, decoder, step)
+            decoder._refresh_unary(step)
+            unary_t[i] = decoder._unary[step]
             prev_score[i] = decoder._score[step - 1]
             prev_alpha[i] = decoder._alpha[step - 1]
         # Viterbi: candidate[n, a, b] = score[n, a] + pairwise[a, b].
@@ -296,23 +275,19 @@ class BatchedDecodeKernel:
         n = len(windowed)
         unary_t = scratch.rows("wind_unary", n, (_K,))
         for i, ((_, _, _, decoder), step, _) in enumerate(windowed):
-            self._materialise_unary(unary_t, i, decoder, step)
-        # All N step matrices in one broadcast add.  Freshly allocated:
-        # the windows retain views of this array across rounds.
-        matrices = pairwise[None, :, :] + unary_t[:, None, :]
-        empty_back: List[int] = []
+            decoder._refresh_unary(step)
+            unary_t[i] = decoder._unary[step]
+        # All N step matrices in one broadcast add.  The windows keep
+        # private copies, so every stack here is reusable scratch.
+        matrices = scratch.rows("wind_matrices", n, (_K, _K))
+        np.add(pairwise[None, :, :], unary_t[:, None, :], out=matrices)
         nonempty_back: List[int] = []
-        for i, ((_, _, _, decoder), _, _) in enumerate(windowed):
+        for i, ((_, _, _, decoder), step, _) in enumerate(windowed):
             if decoder._window._back_indices:
                 nonempty_back.append(i)
             else:
-                empty_back.append(i)
-        for i in empty_back:
-            (_, _, _, decoder), step, _ = windowed[i]
-            matrix = matrices[i]
-            # Same object in the matrix and both aggregate slots, as
-            # push() does on an empty back stack.
-            decoder._window.push_aggregated(step, matrix, matrix, matrix)
+                # No product to fold: push() stores the matrix itself.
+                decoder._window.push(step, matrices[i].copy())
         if nonempty_back:
             m = len(nonempty_back)
             prev_max = scratch.rows("wind_prev_max", m, (_K, _K))
@@ -324,219 +299,28 @@ class BatchedDecodeKernel:
                 prev_lse[j] = window._back_lse[-1]
                 step_stack[j] = matrices[i]
             stacked = scratch.rows("wind_stacked", m, (_K, _K, _K))
-            # Retained by the window stacks: fresh allocations.
             new_max = maxplus_matmul_batch(
-                prev_max, step_stack, stacked_out=stacked, out=np.empty((m, _K, _K))
+                prev_max,
+                step_stack,
+                stacked_out=stacked,
+                out=scratch.rows("wind_new_max", m, (_K, _K)),
             )
             new_lse = logsumexp_matmul_batch(
-                prev_lse, step_stack, stacked_out=stacked, out=np.empty((m, _K, _K))
+                prev_lse,
+                step_stack,
+                stacked_out=stacked,
+                out=scratch.rows("wind_new_lse", m, (_K, _K)),
             )
             for j, i in enumerate(nonempty_back):
                 (_, _, _, decoder), step, _ = windowed[i]
                 decoder._window.push_aggregated(
                     step, matrices[i], new_max[j], new_lse[j]
                 )
-        # Eviction: per-entity bookkeeping (amortised pop/flip, cursor
-        # rescans), with the new head rows refreshed as one stack below.
-        evicted: List[tuple] = []
-        for (entry, _, sliding) in windowed:
-            if not sliding:
-                continue
-            decoder = entry[3]
-            self._flip_batched(decoder._window)
-            transition, dirty = decoder.evict_plan()
-            evicted.append((decoder, dirty))
-        if evicted:
-            heads = scratch.rows("wind_heads", len(evicted), (_K,))
-            initial_log = self._tagger.parameters.initial_log
-            for i, (decoder, _) in enumerate(evicted):
-                heads[i] = decoder._base[decoder._start]
-            heads += initial_log[None, :]
-            for i, (decoder, dirty) in enumerate(evicted):
-                start = decoder._start
-                bonuses = decoder._bonus_at.get(start)
-                if bonuses:
-                    value = heads[i, _MALICIOUS]
-                    for bonus in bonuses.values():
-                        value = value + bonus
-                    heads[i, _MALICIOUS] = value
-                decoder._unary[start] = heads[i]
-                if dirty and not self._patch_dirty(decoder, dirty):
-                    decoder._rebuild_window_aggregates()
-
-    # -- tree-structured flip ------------------------------------------------
-    def _flip_batched(self, window) -> None:
-        """Pre-empt an imminent scalar flip with a doubling suffix scan.
-
-        When a window's front stack is empty, the next ``pop_front``
-        flips the whole back stack into front *suffix products* — W
-        sequential scalar semiring matmuls per semiring.  This computes
-        the same suffix products with a Hillis-Steele inclusive scan:
-        ``ceil(log2 W)`` *stacked* matmuls per semiring, each over up to
-        W slices.  The scan reassociates the float products (tree order
-        instead of the sequential left fold), which the guard-banded
-        decision contract explicitly absorbs: window aggregates feed
-        only ``may_fire`` pre-filters whose assumed error bound
-        (64·eps·length·magnitude) dominates the scan's *shallower*
-        rounding depth, and every emitted number still comes from the
-        exact sequential decode.  Structurally the result is exactly
-        what ``_flip`` produces: same objects in ``_front_matrices``,
-        same indices, back stack cleared.
-        """
-        if window._front_indices or len(window._back_indices) < _MIN_SCAN:
-            # Non-empty front (no flip due) or a stack too small to be
-            # worth the scan: the scalar flip handles it.
-            return
-        matrices = window._back_matrices
-        n = len(matrices)
-        # Front order: list end = oldest, so F[q] = back[n - 1 - q];
-        # suffix[q] = F[q] ⊗ suffix[q - 1] (older factor on the left).
-        suffix_max = np.stack(matrices[::-1])
-        suffix_lse = suffix_max.copy()
-        self._suffix_scan(suffix_max, suffix_lse)
-        window._front_indices = window._back_indices[::-1]
-        window._front_matrices = matrices[::-1]
-        window._front_max = [suffix_max[q] for q in range(n)]
-        window._front_lse = [suffix_lse[q] for q in range(n)]
-        window._back_indices = []
-        window._back_matrices = []
-        window._back_max = []
-        window._back_lse = []
-
-    def _suffix_scan(self, stack_max: np.ndarray, stack_lse: np.ndarray) -> None:
-        """In-place doubling scan: ``y[q] = M[q] ⊗ M[q-1] ⊗ ... ⊗ M[0]``.
-
-        Older factors (higher index) compose on the left, matching the
-        front stack's suffix recursion.  Each level's batched ops read
-        both operands fully before the in-place assignment lands.
-        """
-        n = len(stack_max)
-        span = 1
-        while span < n:
-            stacked = self._scratch.rows("scan_stacked", n - span, (_K, _K, _K))
-            stack_max[span:] = maxplus_matmul_batch(
-                stack_max[span:], stack_max[:-span], stacked_out=stacked
-            )
-            stack_lse[span:] = logsumexp_matmul_batch(
-                stack_lse[span:], stack_lse[:-span], stacked_out=stacked
-            )
-            span *= 2
-
-    def _prefix_scan(self, stack_max: np.ndarray, stack_lse: np.ndarray) -> None:
-        """In-place doubling scan: ``y[q] = M[0] ⊗ M[1] ⊗ ... ⊗ M[q]``.
-
-        Newer factors (higher index) compose on the right, matching the
-        back stack's prefix recursion.
-        """
-        n = len(stack_max)
-        span = 1
-        while span < n:
-            stacked = self._scratch.rows("scan_stacked", n - span, (_K, _K, _K))
-            stack_max[span:] = maxplus_matmul_batch(
-                stack_max[:-span], stack_max[span:], stacked_out=stacked
-            )
-            stack_lse[span:] = logsumexp_matmul_batch(
-                stack_lse[:-span], stack_lse[span:], stacked_out=stacked
-            )
-            span *= 2
-
-    # -- tree-scanned bonus-relocation patching ------------------------------
-    def _patch_dirty(self, decoder, dirty, skip: Optional[int] = None) -> bool:
-        """Replay ``_apply_dirty_to_window``'s replace loop with tree refolds.
-
-        Refreshes the dirty unary rows (except ``skip``, the appended
-        step whose row the stacked phase materialises) and patches each
-        queued dirty step, recomputing the invalidated prefix/suffix
-        aggregates with a doubling scan instead of W sequential scalar
-        products.  Returns ``False`` if any step is not held by the
-        structure (caller falls back to the exact re-aggregation, as the
-        scalar path does).
-        """
-        for step in dirty:
-            if step != skip:
-                decoder._refresh_unary(step)
-        window = decoder._window
-        start = decoder._start
-        for step in dirty:
-            if step <= start or step == skip:
-                continue
-            if not self._replace_treescan(window, step, decoder._step_matrix(step)):
-                return False
-        return True
-
-    def _replace_treescan(self, window, index: int, matrix: np.ndarray) -> bool:
-        """``SlidingProductWindow.replace`` with scan-based refolds.
-
-        Same structure walk and same resulting aggregates-modulo-
-        reassociation; short refold tails stay on the scalar helpers
-        (the scan's per-level call overhead only pays off past
-        ``_MIN_SCAN`` elements).
-        """
-        back = window._back_indices
-        if back and back[0] <= index <= back[-1]:
-            position = index - back[0]
-            window._back_matrices[position] = matrix
-            if len(back) - position < _MIN_SCAN:
-                window._refold_back(position)
-            else:
-                self._refold_back_scan(window, position)
-            return True
-        front = window._front_indices
-        if front and front[-1] <= index <= front[0]:
-            position = front[0] - index
-            window._front_matrices[position] = matrix
-            if len(front) - position < _MIN_SCAN:
-                window._recompute_front(position)
-            else:
-                self._recompute_front_scan(window, position)
-            return True
-        return False
-
-    def _refold_back_scan(self, window, position: int) -> None:
-        """Scan-based ``_refold_back``: prefixes from ``position`` rightwards."""
-        segment_max = np.stack(window._back_matrices[position:])
-        segment_lse = segment_max.copy()
-        self._prefix_scan(segment_max, segment_lse)
-        if position > 0:
-            m = len(segment_max)
-            stacked = self._scratch.rows("scan_stacked", m, (_K, _K, _K))
-            segment_max = maxplus_matmul_batch(
-                np.broadcast_to(window._back_max[position - 1], (m, _K, _K)),
-                segment_max,
-                stacked_out=stacked,
-            )
-            segment_lse = logsumexp_matmul_batch(
-                np.broadcast_to(window._back_lse[position - 1], (m, _K, _K)),
-                segment_lse,
-                stacked_out=stacked,
-            )
-        del window._back_max[position:]
-        del window._back_lse[position:]
-        window._back_max.extend(segment_max)
-        window._back_lse.extend(segment_lse)
-
-    def _recompute_front_scan(self, window, position: int) -> None:
-        """Scan-based ``_recompute_front``: suffixes from ``position`` up."""
-        segment_max = np.stack(window._front_matrices[position:])
-        segment_lse = segment_max.copy()
-        self._suffix_scan(segment_max, segment_lse)
-        if position > 0:
-            m = len(segment_max)
-            stacked = self._scratch.rows("scan_stacked", m, (_K, _K, _K))
-            segment_max = maxplus_matmul_batch(
-                segment_max,
-                np.broadcast_to(window._front_max[position - 1], (m, _K, _K)),
-                stacked_out=stacked,
-            )
-            segment_lse = logsumexp_matmul_batch(
-                segment_lse,
-                np.broadcast_to(window._front_lse[position - 1], (m, _K, _K)),
-                stacked_out=stacked,
-            )
-        del window._front_max[position:]
-        del window._front_lse[position:]
-        window._front_max.extend(segment_max)
-        window._front_lse.extend(segment_lse)
+        # Eviction stays per entity: amortised pop/flip, cursor rescans
+        # and the new head row are bookkeeping, not stackable arithmetic.
+        for (_, _, _, decoder), _, sliding in windowed:
+            if sliding:
+                decoder.evict_front()
 
     # -- stacked decisions ---------------------------------------------------
     def _decide_fill(self, entries: List[tuple]) -> List[Tuple[int, object]]:

@@ -58,7 +58,7 @@ class Detector(Protocol):
           position of its triggering alert inside the sub-batch, and the
           implementation is free to advance the whole sub-batch at once
           (the :class:`~repro.core.attack_tagger.AttackTagger`'s
-          ``engine="batched"`` stacked cross-entity kernel).  Results
+          stacked cross-entity kernel).  Results
           must be identical to calling :meth:`observe` per alert.
         * ``kernel_seconds: float`` — cumulative wall-clock seconds
           spent inside such a vectorised kernel, for stage timing

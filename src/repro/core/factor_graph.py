@@ -569,7 +569,7 @@ def logsumexp_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 # Stacked (cross-entity) semiring products
 # ---------------------------------------------------------------------------
 #
-# The batched decode kernel (:mod:`repro.core.batch_kernel`) advances N
+# The stacked decode kernel (:mod:`repro.core.batch_kernel`) advances N
 # independent entities at once: it gathers each entity's operands into
 # one contiguous ``(N, K, K)``/``(N, K)`` stack and runs a single
 # broadcast + reduce over the stacked axis.  Slice ``n`` of every result

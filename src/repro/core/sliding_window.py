@@ -44,9 +44,16 @@ with an O(W * K^3) worst case -- the exact re-aggregation
 (:meth:`rebuild`) remains the fallback for indices the structure does
 not hold.
 
+Refolds of ``_MIN_SCAN`` or more elements (a flip of a full back stack,
+a patch far from the stack top) run as a Hillis-Steele doubling scan:
+``ceil(log2 n)`` *stacked* semiring products per semiring instead of
+``n`` sequential small ones.  Shorter refolds keep the sequential fold,
+whose per-call overhead is lower.
+
 The aggregate is mathematically exact but floating-point *reassociated*
-relative to the sequential recursion, so its values can differ from the
-rebuild path in the last few ulps.  Callers that need bit-identical
+relative to the sequential recursion (by the two-stack split, and again
+by the scan's tree order), so its values can differ from a sequential
+decode in the last few ulps.  Callers that need bit-identical
 results (the detector's emitted detections must match the seed path
 bit-for-bit) use the aggregate only for guard-banded *decisions* and
 fall back to the exact sequential decode when a decision is within the
@@ -61,8 +68,53 @@ import numpy as np
 
 from .factor_graph import (
     logsumexp_matmul,
+    logsumexp_matmul_batch,
     maxplus_matmul,
+    maxplus_matmul_batch,
 )
+
+# Refolds shorter than this use the sequential fold: the doubling scan's
+# per-level dispatch overhead only pays off past it.
+_MIN_SCAN = 8
+
+
+def _scan_refold(
+    matrices: List[np.ndarray],
+    aggregates_max: List[np.ndarray],
+    aggregates_lse: List[np.ndarray],
+    *,
+    suffix: bool,
+) -> None:
+    """Extend truncated aggregate stacks over ``matrices`` with a doubling scan.
+
+    The aggregate lists hold the entries below the refolded segment;
+    the last of them (none at the stack bottom) is the carry.
+    ``suffix=False`` appends back-stack prefixes ``carry ⊗ M[p] ⊗ ... ⊗
+    M[q]`` (newer factors compose on the right), ``suffix=True``
+    front-stack suffixes ``M[q] ⊗ ... ⊗ M[p] ⊗ carry`` (older factors
+    compose on the left), for ``p = len(aggregates)``.  The tree order
+    reassociates the float products relative to the sequential fold;
+    the guard band of ``StreamingDecoder.may_fire`` (64 * eps * length
+    * magnitude) dominates the scan's *shallower* rounding depth.  Each
+    aggregate is stored as its own array, not a view of the scan's
+    stack: the window frees them one by one as it slides, and a view
+    would pin the whole stack until the last one.
+    """
+    for matmul, aggregates in (
+        (maxplus_matmul_batch, aggregates_max),
+        (logsumexp_matmul_batch, aggregates_lse),
+    ):
+        stack = np.stack(matrices[len(aggregates) :])
+        span = 1
+        while span < len(stack):
+            # Both operands are read in full before the assignment lands.
+            older, newer = stack[:-span], stack[span:]
+            stack[span:] = matmul(newer, older) if suffix else matmul(older, newer)
+            span *= 2
+        if aggregates:
+            carry = np.broadcast_to(aggregates[-1], stack.shape)
+            stack = matmul(stack, carry) if suffix else matmul(carry, stack)
+        aggregates.extend(aggregate.copy() for aggregate in stack)
 
 
 class SlidingProductWindow:
@@ -141,18 +193,18 @@ class SlidingProductWindow:
     ) -> None:
         """Append a step whose prefix products were computed externally.
 
-        The batched decode kernel folds the back-prefix products for
+        The stacked decode kernel folds the back-prefix products for
         many windows in one stacked call and scatters the results here.
-        The caller guarantees the aggregates equal what :meth:`push`
-        would have produced (bit-for-bit when the back stack is
-        non-empty; ``matrix`` itself — the same object in both aggregate
-        slots, as :meth:`push` does — when it is empty).  None of the
-        three arrays may be mutated afterwards.
+        The caller guarantees a non-empty back stack and aggregates
+        bit-equal to what :meth:`push` would have produced.  The window
+        keeps private copies, so the arguments may be views of blocks
+        the caller reuses -- and no window pins a block another
+        window's slower entity still reads.
         """
         self._back_indices.append(index)
-        self._back_matrices.append(matrix)
-        self._back_max.append(aggregate_max)
-        self._back_lse.append(aggregate_lse)
+        self._back_matrices.append(matrix.copy())
+        self._back_max.append(aggregate_max.copy())
+        self._back_lse.append(aggregate_lse.copy())
 
     def pop_front(self) -> int:
         """Evict the oldest step: O(K^3) amortised.  Returns its index."""
@@ -282,6 +334,9 @@ class SlidingProductWindow:
         suffix_lse = self._front_lse
         del suffix_max[position:]
         del suffix_lse[position:]
+        if len(matrices) - position >= _MIN_SCAN:
+            _scan_refold(matrices, suffix_max, suffix_lse, suffix=True)
+            return
         for q in range(position, len(matrices)):
             matrix = matrices[q]
             if q == 0:
@@ -298,6 +353,9 @@ class SlidingProductWindow:
         prefix_lse = self._back_lse
         del prefix_max[position:]
         del prefix_lse[position:]
+        if len(matrices) - position >= _MIN_SCAN:
+            _scan_refold(matrices, prefix_max, prefix_lse, suffix=False)
+            return
         for q in range(position, len(matrices)):
             matrix = matrices[q]
             if q == 0:

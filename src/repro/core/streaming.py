@@ -20,17 +20,17 @@ state that makes each new alert cheap:
   recursion.
 
 **Window eviction (the ``max_window`` slide).**  Once an entity
-saturates its window, every new alert evicts the oldest step.  The
-rebuild path (kept as ``AttackTagger(engine="rebuild")``) re-anchors the
-recursions with a full O(W * K^2) re-decode per alert -- the seed
-constant all over again, and the production steady state for long-lived
-entities.  :meth:`StreamingDecoder.evict_front` instead switches the
-decoder into *windowed* mode: per-step transition⊗unary matrices are
-aggregated by a two-stack :class:`repro.core.sliding_window
-.SlidingProductWindow` under the ``(max, +)`` and ``(logsumexp, +)``
-semirings, so appending costs O(K^3) (two small matrix products),
-evicting the front costs O(K^3) *amortised*, and the firing decision
-reads the window's Viterbi score vector and forward message in O(K^2).
+saturates its window, every new alert evicts the oldest step.
+Re-anchoring the recursions with a full O(W * K^2) re-decode per alert
+would be the seed constant all over again, and the production steady
+state for long-lived entities.  :meth:`StreamingDecoder.evict_front`
+instead switches the decoder into *windowed* mode: per-step
+transition⊗unary matrices are aggregated by a two-stack
+:class:`repro.core.sliding_window.SlidingProductWindow` under the
+``(max, +)`` and ``(logsumexp, +)`` semirings, so appending costs
+O(K^3) (two small matrix products), evicting the front costs O(K^3)
+*amortised*, and the firing decision reads the window's Viterbi score
+vector and forward message in O(K^2).
 
 The aggregate is floating-point *reassociated* relative to the
 sequential recursion, so windowed mode never lets it near an emitted
@@ -168,7 +168,7 @@ class StreamingDecoder:
     patterns:
         Active patterns with their resolved positive weights, in
         catalogue order (the order bonuses are summed in, to keep
-        floating-point results identical to the batch rebuild).
+        floating-point results identical to the naive re-decode).
     """
 
     def __init__(
@@ -287,16 +287,6 @@ class StreamingDecoder:
             cursor.reset()
         self._seed_waiting()
 
-    def rebuild(self, names: Sequence[str]) -> None:
-        """Re-anchor on a new window with a full sequential re-decode.
-
-        This is the seed-constant O(W * K^2) slide path, kept as the
-        regression reference for the amortised :meth:`evict_front`.
-        """
-        self.reset()
-        for name in names:
-            self.append(name)
-
     # -- incremental update -------------------------------------------------
     def append(self, name: str) -> None:
         """Fold one alert into the chain: O(K^2 + pattern advances)."""
@@ -310,8 +300,8 @@ class StreamingDecoder:
         advances pattern cursors (relocating bonuses), and bumps the
         version — but leaves the dirty unary rows and the forward/window
         aggregates stale.  Returns ``(step, dirty, invalid_from)`` for
-        :meth:`_complete_append`, which the batched decode kernel
-        replaces with stacked cross-entity numerics; ``append`` is
+        :meth:`_complete_append`, which the stacked decode kernel
+        replaces with cross-entity numerics; ``append`` is
         exactly ``append_plan`` + ``_complete_append``.
         """
         t = self._length
@@ -376,31 +366,6 @@ class StreamingDecoder:
         products) and rescans only the patterns whose greedy match
         touched the evicted step.
         """
-        transition, dirty = self.evict_plan()
-        # The new head row gains the initial-state prior.
-        self._refresh_unary(self._start)
-        for step in dirty:
-            self._refresh_unary(step)
-        if transition:
-            self._rebuild_window_aggregates()
-        else:
-            self._apply_dirty_to_window(dirty)
-
-    def evict_plan(self) -> Tuple[bool, Set[int]]:
-        """Bookkeeping half of :meth:`evict_front`.
-
-        Advances the window start, pops the front stack (or creates the
-        window on the filling→windowed transition), rescans the cursors
-        that touched the evicted step, and bumps the version — leaving
-        the new head row and any relocated-bonus rows stale.  Returns
-        ``(transition, dirty)``; the caller must refresh the head unary
-        (and each dirty step) and then rebuild (``transition``) or patch
-        the aggregates.  Refreshing the head *after* the rescan is
-        equivalent to the interleaved order ``evict_front`` historically
-        used: ``_refresh_unary`` is a pure function of the base/bonus
-        state, and every head-bonus change the rescan makes lands in
-        ``dirty``.
-        """
         if self.length < 2:
             raise ValueError("cannot evict from a window of fewer than 2 steps")
         evicted = self._start
@@ -414,7 +379,17 @@ class StreamingDecoder:
         dirty = self._evict_cursor_state(evicted)
         self._version += 1
         self._decode_cache = None
-        return transition, dirty
+        # The new head row gains the initial-state prior.  Refreshing it
+        # after the rescan is safe: _refresh_unary is a pure function of
+        # the base/bonus state, and every head-bonus change the rescan
+        # makes lands in ``dirty``.
+        self._refresh_unary(self._start)
+        for step in dirty:
+            self._refresh_unary(step)
+        if transition:
+            self._rebuild_window_aggregates()
+        else:
+            self._apply_dirty_to_window(dirty)
 
     def _evict_cursor_state(self, evicted: int) -> Set[int]:
         """Rescan patterns whose greedy match used the evicted step.
@@ -535,16 +510,25 @@ class StreamingDecoder:
         full re-aggregation below is a defensive fallback.  The head
         row is read fresh at query time and needs no patch.
         """
+        if not self._patch_window(dirty, skip=appended):
+            # Fallback: exact re-aggregation (already covers the
+            # appended step, if any).
+            self._rebuild_window_aggregates()
+        elif appended is not None:
+            self._window.push(appended, self._step_matrix(appended))
+
+    def _patch_window(self, dirty: Set[int], skip: Optional[int] = None) -> bool:
+        """Replace every queued dirty step's matrix (rows already fresh).
+
+        ``skip`` is a just-appended step the caller pushes itself.
+        Returns ``False`` as soon as the structure does not hold a step.
+        """
         for step in dirty:
-            if step <= self._start or step == appended:
+            if step <= self._start or step == skip:
                 continue
             if not self._window.replace(step, self._step_matrix(step)):
-                # Fallback: exact re-aggregation (already covers the
-                # appended step, if any).
-                self._rebuild_window_aggregates()
-                return
-        if appended is not None:
-            self._window.push(appended, self._step_matrix(appended))
+                return False
+        return True
 
     def _recompute_forward(self, start: int) -> None:
         """Extend/repair the forward recursions from ``start`` to the end.

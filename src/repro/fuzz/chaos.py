@@ -122,10 +122,6 @@ class FaultPlan:
     kind: str
     n_shards: int = 2
     backend: str = "process"
-    #: Decode engine the faulted pipeline runs (crash semantics must be
-    #: engine-independent; ``batched`` exercises the stacked kernel's
-    #: state under checkpoint/restore and supervised replay).
-    engine: str = "streaming"
     #: ``kill``/``heal``: SIGKILL the worker after this batch collects.
     kill_batch: int = 0
     #: ``kill``/``heal``/``poison``: the shard the fault targets.
@@ -165,7 +161,7 @@ class FaultPlan:
             "shed": f"batch={self.fault_event}",
             "shm-kill": f"batch={self.kill_batch} shard={self.shard}",
         }[self.kind]
-        return f"{self.kind}[{self.engine}:{self.n_shards}:{self.backend} {detail}]"
+        return f"{self.kind}[{self.n_shards}:{self.backend} {detail}]"
 
 
 class ChaosPoisonDetector:
@@ -329,7 +325,6 @@ class ChaosComposer:
                     kind="split",
                     n_shards=int(rng.choice([1, 2, 4])),
                     backend=str(rng.choice(["serial", "process"])),
-                    engine=str(rng.choice(["streaming", "batched"])),
                     split_points=tuple(cuts),
                 )
             )
@@ -338,7 +333,6 @@ class ChaosComposer:
         # compared on the same fault.
         n_shards = int(rng.choice([2, 4]))
         target = _kill_target(campaign, n_shards, rng)
-        engine = str(rng.choice(["streaming", "batched"]))
         if target is not None:
             kill_batch, shard = target
             for kind in ("kill", "heal"):
@@ -347,7 +341,6 @@ class ChaosComposer:
                         kind=kind,
                         n_shards=n_shards,
                         backend="process",
-                        engine=engine,
                         kill_batch=kill_batch,
                         shard=shard,
                     )
@@ -395,7 +388,6 @@ class ChaosComposer:
                     kind="shm-kill",
                     n_shards=shm_shards,
                     backend="process",
-                    engine=str(shm_rng.choice(["streaming", "batched"])),
                     kill_batch=kill_batch,
                     shard=shard,
                     transport="shm",
@@ -440,7 +432,6 @@ class ChaosComposer:
                     kind="disconnect",
                     n_shards=int(rng.choice([1, 2])),
                     backend="serial",
-                    engine=str(rng.choice(["streaming", "batched"])),
                     fault_event=int(rng.integers(1, n_events)),
                 )
             )
@@ -452,7 +443,6 @@ class ChaosComposer:
                     kind="reshard-kill",
                     n_shards=n_shards,
                     backend="process",
-                    engine=str(rng.choice(["streaming", "batched"])),
                     kill_batch=int(rng.integers(0, n_batches - 1)),
                     shard=int(rng.integers(0, n_shards)),
                     reshard_to=reshard_to,
@@ -464,7 +454,6 @@ class ChaosComposer:
                     kind="shed",
                     n_shards=2,
                     backend="serial",
-                    engine="streaming",
                     fault_event=int(rng.integers(0, n_batches)),
                 )
             )
@@ -549,7 +538,6 @@ class ChaosOracle:
     ) -> TestbedPipeline:
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE),
-            engine=plan.engine,
             max_window=campaign.max_window,
             detection_threshold=campaign.detection_threshold,
         )
@@ -600,9 +588,7 @@ class ChaosOracle:
 
     # -- split: checkpoint / kill / restore / replay ---------------------
     def _run_split(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        config = OracleConfig(
-            engine=plan.engine, n_shards=plan.n_shards, backend=plan.backend
-        )
+        config = OracleConfig(n_shards=plan.n_shards, backend=plan.backend)
         reference = self._reference(campaign, config)
         cuts = [c for c in plan.split_points if 0 < c < len(campaign.events)]
         segments: list = []
@@ -725,7 +711,7 @@ class ChaosOracle:
         stripped = _batches_only(campaign)
         reference = self._reference(
             stripped,
-            OracleConfig(engine=plan.engine, n_shards=plan.n_shards, backend="serial"),
+            OracleConfig(n_shards=plan.n_shards, backend="serial"),
         )
         pipeline = self._build_pipeline(campaign, plan, restart_policy="restore")
         pool = pipeline.detector_pools["factor_graph"]
@@ -746,9 +732,7 @@ class ChaosOracle:
                 if batch_index == plan.kill_batch:
                     self._kill_shard(pipeline, plan.shard)
             result = ReplayResult(
-                config=OracleConfig(
-                    engine=plan.engine, n_shards=plan.n_shards, backend=plan.backend
-                ),
+                config=OracleConfig(n_shards=plan.n_shards, backend=plan.backend),
                 detections=detections,
                 detection_log=list(pipeline.detections),
                 notifications=list(pipeline.responder.notifications),
@@ -803,7 +787,7 @@ class ChaosOracle:
         stripped = _batches_only(campaign)
         reference = self._reference(
             stripped,
-            OracleConfig(engine=plan.engine, n_shards=plan.n_shards, backend="serial"),
+            OracleConfig(n_shards=plan.n_shards, backend="serial"),
         )
         pipeline = self._build_pipeline(campaign, plan, restart_policy="restore")
         pool = pipeline.detector_pools["factor_graph"]
@@ -840,7 +824,6 @@ class ChaosOracle:
                 return failures
             result = ReplayResult(
                 config=OracleConfig(
-                    engine=plan.engine,
                     n_shards=plan.n_shards,
                     backend=plan.backend,
                     transport=plan.transport,
@@ -933,7 +916,6 @@ class ChaosOracle:
         handle = start_service_in_thread(
             lambda: build_service_pipeline(
                 campaign,
-                engine=plan.engine,
                 n_shards=plan.n_shards,
                 backend=plan.backend,
             ),
@@ -980,7 +962,6 @@ class ChaosOracle:
         handle = start_service_in_thread(
             lambda: build_service_pipeline(
                 campaign,
-                engine=plan.engine,
                 n_shards=plan.n_shards,
                 backend="process",
                 restart_policy="restore",
@@ -1051,7 +1032,6 @@ class ChaosOracle:
         handle = start_service_in_thread(
             lambda: build_service_pipeline(
                 campaign,
-                engine=plan.engine,
                 n_shards=plan.n_shards,
                 backend=plan.backend,
             ),
@@ -1113,7 +1093,6 @@ class ChaosOracle:
         failures: List[ChaosFailure] = []
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE),
-            engine=plan.engine,
             max_window=campaign.max_window,
             detection_threshold=campaign.detection_threshold,
         )

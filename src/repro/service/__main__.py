@@ -18,7 +18,7 @@ import asyncio
 import sys
 from pathlib import Path
 
-from ..core.attack_tagger import AttackTagger
+from ..core.attack_tagger import ENGINES, AttackTagger
 from ..incidents import DEFAULT_CATALOGUE
 from ..testbed.pipeline import TestbedPipeline
 from .admission import AdmissionLimits
@@ -36,11 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", choices=("serial", "process"), default="process"
     )
-    parser.add_argument(
-        "--engine",
-        choices=("streaming", "rebuild", "naive", "batched"),
-        default="streaming",
-    )
+    parser.add_argument("--engine", choices=ENGINES, default="streaming")
     parser.add_argument(
         "--restart-policy", choices=("raise", "restore"), default="restore"
     )

@@ -237,12 +237,21 @@ class DetectionService:
         await self._stopped.wait()
 
     def request_shutdown(self, reason: str = "") -> None:
-        """Trigger graceful shutdown; safe from signal handlers/threads."""
+        """Trigger graceful shutdown; safe from signal handlers/threads.
+
+        A no-op once the service has stopped and its loop is closed.
+        """
         if self._loop is None:
             return
-        self._loop.call_soon_threadsafe(
-            lambda: self._loop.create_task(self.shutdown(reason))
-        )
+        try:
+            self._loop.call_soon_threadsafe(
+                lambda: self._loop.create_task(self.shutdown(reason))
+            )
+        except RuntimeError:
+            # call_soon_threadsafe refuses a closed loop; checking
+            # is_closed() first would race the service thread.
+            if not self._loop.is_closed():
+                raise
 
     async def shutdown(self, reason: str = "") -> None:
         """Drain everything admitted, final-checkpoint, stop serving."""

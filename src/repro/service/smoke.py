@@ -172,10 +172,10 @@ def run_service_smoke(*, target_alerts: int = 120, verbose: bool = True) -> int:
             {"engine": "streaming", "n_shards": 2, "backend": "process"},
         ),
         (
-            "alerts+reshard[batched:2->3:process]",
+            "alerts+reshard[streaming:2->3:process]",
             composer.compose(1),
             {
-                "engine": "batched",
+                "engine": "streaming",
                 "n_shards": 2,
                 "backend": "process",
                 "reshard_to": 3,

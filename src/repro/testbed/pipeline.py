@@ -692,8 +692,8 @@ class TestbedPipeline:
             "detection_throughput": self.stats.detection_throughput,
             "detection_seconds": self.stats.detection_seconds,
             # The slice of detection time spent inside vectorised decode
-            # kernels (engine="batched"), summed across pools and shards;
-            # 0.0 for per-alert engines.  Timing, so excluded from the
+            # kernels, summed across pools and shards; 0.0 for per-alert
+            # detectors.  Timing, so excluded from the
             # differential oracle's compared counters.
             "detect_kernel_seconds": sum(
                 sum(pool.kernel_seconds) + pool.kernel_seconds_retired

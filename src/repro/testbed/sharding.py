@@ -301,7 +301,7 @@ def _shard_worker_main(factory, connection, ring_name: Optional[str] = None) -> 
     descriptor is an error, never a silently wrong batch).  A detector
     exposing the optional ``observe_batch_indexed`` extension (see
     :class:`repro.core.detector.Detector`) gets the whole sub-batch in
-    one call — the ``engine="batched"`` stacked cross-entity kernel —
+    one call — the ``AttackTagger``'s stacked cross-entity kernel —
     instead of the per-alert loop.  ``snapshot`` replies with the
     pickled detector replica; ``restore`` replaces the replica with an
     unpickled snapshot (clearing any recorded factory failure, so a
@@ -1771,7 +1771,7 @@ class ShardedDetectorPool:
         self._detections[:] = list(state["detections"])
         self.alerts_routed = list(state["alerts_routed"])
         self.busy_seconds = list(state["busy_seconds"])
-        # Absent in checkpoints taken before the batched decode kernel.
+        # Absent in checkpoints taken before the stacked decode kernel.
         self.kernel_seconds = list(
             state.get("kernel_seconds", [0.0] * self.n_shards)
         )

@@ -1,14 +1,21 @@
-"""Bit-identity suite for the vectorised cross-entity decode kernel.
+"""Differential suite for the stacked cross-entity decode kernel.
 
-``engine="batched"`` must be a pure performance optimisation: for every
-stream, every sub-batch shape, and every window size it must emit
-exactly the detections -- same trigger positions, states, confidences,
-matched patterns, and trajectories -- that the per-alert ``streaming``
-engine (and through PR 3's equivalence suite, the seed ``naive``
-re-decode path) emits, and leave every decoder's logical state (unary
-tables, names, bonuses, window span) bitwise identical.  The window
-*aggregates* are exempt from bitwise comparison: the kernel folds them
-with log-depth tree scans, which reassociate floating point relative to
+``AttackTagger(engine="streaming")`` runs every sub-batch through
+``core/batch_kernel.py``.  That must be a pure performance
+optimisation: for every stream, every sub-batch shape, and every window
+size, three drives of the same stream must agree --
+
+* the **batch API** (``observe_batch_indexed`` in chunks: the stacked
+  kernel, with its scalar fallback for rounds below ``_MIN_BATCH``),
+* a **per-alert** ``observe()`` loop on the same engine, and
+* the ``engine="naive"`` executable spec --
+
+on every detection (trigger position, state, confidence, matched
+patterns, trajectory), and the two ``streaming`` drives must leave every
+decoder's logical state (unary tables, names, bonuses, window span)
+bitwise identical.  The window *aggregates* are exempt from bitwise
+comparison: which refolds run as log-depth tree scans depends on when
+each window flips, and the scans reassociate floating point relative to
 the sequential recursion -- by design, the aggregates only feed the
 guard-banded ``may_fire`` pre-filter, and every firing decision is
 re-derived from the exact cached decode (see
@@ -24,6 +31,10 @@ import pytest
 
 from repro.core import AttackTagger
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
+from repro.core.attack_tagger import PatternSpec
+from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
+from repro.core.sliding_window import _MIN_SCAN
+from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.sharding import ShardedDetectorPool
 
@@ -38,10 +49,9 @@ BENIGN_NAMES = [
 ENTITIES = ["host:α-web", "サーバ:db", "host:c", "10.0.0.7", "host:e"]
 
 
-def _tagger(engine, max_window=8, **kwargs):
-    return AttackTagger(
-        patterns=list(DEFAULT_CATALOGUE), max_window=max_window, engine=engine, **kwargs
-    )
+def _tagger(engine="streaming", max_window=8, **kwargs):
+    kwargs.setdefault("patterns", list(DEFAULT_CATALOGUE))
+    return AttackTagger(max_window=max_window, engine=engine, **kwargs)
 
 
 def _random_stream(rng, length, entities=ENTITIES, names=ALL_NAMES):
@@ -89,9 +99,6 @@ def _assert_same_logical_state(reference, batched, entities):
     """Decoder state equal where bit-identity is promised."""
     for entity in entities:
         track_r, track_b = reference.track(entity), batched.track(entity)
-        assert (track_r is None) == (track_b is None)
-        if track_r is None:
-            continue
         assert [a.name for a in track_r.alerts] == [a.name for a in track_b.alerts]
         assert (track_r.detected is None) == (track_b.detected is None)
         if track_r.detected is not None:
@@ -111,6 +118,59 @@ def _assert_same_logical_state(reference, batched, entities):
         assert np.array_equal(decoder_r._base[:n], decoder_b._base[:n])
         assert np.array_equal(decoder_r._unary[:n], decoder_b._unary[:n])
         assert decoder_r._names[:n] == decoder_b._names[:n]
+        assert decoder_r._bonus_at == decoder_b._bonus_at
+
+
+def _assert_matches_spec(naive, tagger, entities):
+    """Every read-out of a decoder-backed tagger equals the naive re-decode."""
+    for entity in entities:
+        states_n, marginal_n, matched_n = naive.infer(entity)
+        states_t, marginal_t, matched_t = tagger.infer(entity)
+        assert np.array_equal(states_n, states_t)
+        assert np.array_equal(marginal_n, marginal_t)
+        assert matched_n == matched_t
+
+
+def _three_way(stream, chunk, entities, **tagger_kwargs):
+    """Drive batch API, per-alert loop and naive; assert they agree.
+
+    Returns ``(hits, batched, scalar, naive)`` for further probing.
+    """
+    batched = _tagger(**tagger_kwargs)
+    scalar = _tagger(**tagger_kwargs)
+    naive = _tagger("naive", **tagger_kwargs)
+    hits = _drive_batched(batched, stream, chunk)
+    assert hits == _drive_scalar(scalar, stream)
+    assert hits == _drive_scalar(naive, stream)
+    _assert_same_logical_state(scalar, batched, entities)
+    _assert_matches_spec(naive, batched, entities)
+    for tagger in (scalar, naive):
+        assert [_detection_key(d) for d in tagger.detections] == [
+            _detection_key(d) for d in batched.detections
+        ]
+    return hits, batched, scalar, naive
+
+
+class _DispatchCounter:
+    """Counts which side of the kernel's size-based selection alerts took."""
+
+    def __init__(self, monkeypatch, tagger):
+        self.scalar = 0
+        self.stacked_rounds = []
+        observe_impl = tagger._observe_impl
+        observe_round = BatchedDecodeKernel._observe_round
+
+        def counted_impl(alert):
+            self.scalar += 1
+            return observe_impl(alert)
+
+        def counted_round(kernel, items):
+            if len(items) >= _MIN_BATCH:
+                self.stacked_rounds.append(len(items))
+            return observe_round(kernel, items)
+
+        monkeypatch.setattr(tagger, "_observe_impl", counted_impl)
+        monkeypatch.setattr(BatchedDecodeKernel, "_observe_round", counted_round)
 
 
 class TestBatchedEngineEquivalence:
@@ -118,37 +178,132 @@ class TestBatchedEngineEquivalence:
     def test_bit_identical_detections_across_windows(self, max_window):
         rng = np.random.default_rng(max_window)
         stream = _random_stream(rng, 8 * max_window + 11)
-        streaming = _tagger("streaming", max_window)
-        batched = _tagger("batched", max_window)
-        assert _drive_scalar(streaming, stream) == _drive_batched(batched, stream, 32)
-        _assert_same_logical_state(streaming, batched, ENTITIES)
+        _three_way(stream, 32, ENTITIES, max_window=max_window)
 
     @pytest.mark.parametrize("chunk", [1, 3, 17, 64])
     def test_sub_batch_shape_is_invisible(self, chunk):
         """Ragged chunking (duplicate entities per call) never shows."""
         rng = np.random.default_rng(chunk)
         stream = _random_stream(rng, 150, entities=ENTITIES[:3])
-        streaming = _tagger("streaming")
-        batched = _tagger("batched")
-        assert _drive_scalar(streaming, stream) == _drive_batched(batched, stream, chunk)
-        _assert_same_logical_state(streaming, batched, ENTITIES[:3])
+        _three_way(stream, chunk, ENTITIES[:3])
 
-    def test_matches_rebuild_and_naive_references(self):
+    def test_matches_naive_reference(self):
         rng = np.random.default_rng(7)
         stream = _random_stream(rng, 90)
-        expected = None
-        for engine in ("naive", "rebuild", "streaming", "batched"):
-            tagger = _tagger(engine)
-            hits = (
-                _drive_batched(tagger, stream, 16)
-                if engine == "batched"
-                else _drive_scalar(tagger, stream)
-            )
-            if expected is None:
-                expected = hits
-            else:
-                assert hits == expected, engine
-        assert expected  # the stream must actually fire detections
+        hits, _, _, _ = _three_way(stream, 16, ENTITIES)
+        assert hits  # the stream must actually fire detections
+
+    def test_ragged_rounds_and_rounds_below_min_batch(self, monkeypatch):
+        """Both sides of ``_MIN_BATCH``, in one sub-batch and across them.
+
+        Six entities with skewed volumes: round 0 of a sub-batch stacks
+        all six, later rounds thin out below ``_MIN_BATCH`` and take the
+        per-round scalar fallback; sub-batches touching fewer than
+        ``_MIN_BATCH`` entities skip the layering altogether.
+        """
+        rng = np.random.default_rng(17)
+        entities = [f"skew:{i}" for i in range(6)]
+        weights = np.array([8, 6, 3, 1, 1, 1], dtype=float)
+        picks = rng.choice(len(entities), size=400, p=weights / weights.sum())
+        stream = [
+            Alert(float(i), BENIGN_NAMES[rng.integers(len(BENIGN_NAMES))], entities[e])
+            for i, e in enumerate(picks)
+        ]
+        # A tail that only the two heavy hitters appear in.
+        stream += [
+            Alert(400.0 + i, BENIGN_NAMES[i % len(BENIGN_NAMES)], entities[i % 2])
+            for i in range(40)
+        ]
+        batched = _tagger()
+        counter = _DispatchCounter(monkeypatch, batched)
+        hits = _drive_batched(batched, stream, 40)
+        assert counter.stacked_rounds and counter.scalar  # both sides ran
+        assert sum(counter.stacked_rounds) + counter.scalar == len(stream)
+        assert min(counter.stacked_rounds) >= _MIN_BATCH
+        scalar, naive = _tagger(), _tagger("naive")
+        assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream)
+        _assert_same_logical_state(scalar, batched, entities)
+        _assert_matches_spec(naive, batched, entities)
+
+    def test_sub_batch_below_min_batch_never_stacks(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        entities = ENTITIES[: _MIN_BATCH - 1]
+        stream = _random_stream(rng, 120, entities=entities)
+        batched = _tagger()
+        counter = _DispatchCounter(monkeypatch, batched)
+        hits = _drive_batched(batched, stream, 30)
+        assert counter.stacked_rounds == [] and counter.scalar == len(stream)
+        assert batched.kernel_seconds > 0.0  # still attributed to the kernel
+        naive = _tagger("naive")
+        assert hits == _drive_scalar(naive, stream)
+        _assert_matches_spec(naive, batched, entities)
+
+    @pytest.mark.parametrize("max_window", [_MIN_SCAN - 2, 3 * _MIN_SCAN])
+    def test_window_slide_with_bonus_relocation(self, max_window, monkeypatch):
+        """Pattern bonuses relocate inside saturated, sliding windows.
+
+        Two-symbol patterns over a small symbol pool keep partial
+        matches advancing (the bonus moves off an older queued step:
+        the in-place window patch) and their first matched steps
+        evicting (cursor rescans relocating bonuses again) while every
+        window slides; windows straddle ``_MIN_SCAN`` so the patches and
+        flips refold both sequentially and through the scan.
+        """
+        x, y, z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
+        patterns = [
+            PatternSpec(name="P0", names=(x, y)),
+            PatternSpec(name="P1", names=(z, y)),
+            PatternSpec(name="P2", names=(x, z)),
+        ]
+        pool = [x, y, z] + ["alert_login_normal"] * 5
+        rng = np.random.default_rng(max_window)
+        entities = [f"slide:{i}" for i in range(2 * _MIN_BATCH)]
+        stream = [
+            Alert(float(i), pool[rng.integers(len(pool))], entities[i % len(entities)])
+            for i in range(len(entities) * 6 * max_window)
+        ]
+        patched = []
+        patch_window = StreamingDecoder._patch_window
+
+        def counted_patch(decoder, dirty, skip=None):
+            if any(step > decoder._start and step != skip for step in dirty):
+                patched.append(decoder.windowed)
+            return patch_window(decoder, dirty, skip)
+
+        monkeypatch.setattr(StreamingDecoder, "_patch_window", counted_patch)
+        hits, batched, _, _ = _three_way(
+            stream,
+            4 * len(entities),
+            entities,
+            max_window=max_window,
+            patterns=patterns,
+            detection_threshold=0.999,
+        )
+        assert hits == []  # every entity stays live, so every window slides
+        assert any(patched)  # queued steps really were patched in place
+        assert all(batched.track(e).decoder.windowed for e in entities)
+
+    def test_already_detected_entities_keep_recording(self):
+        """Detected entities ride along in stacked rounds, timeline only."""
+        rng = np.random.default_rng(23)
+        entities = [f"mix:{i}" for i in range(2 * _MIN_BATCH)]
+        # Odd entities draw from the whole vocabulary and get detected;
+        # even ones stay benign, so rounds mix detected and live entities.
+        stream = [
+            Alert(float(i), names[rng.integers(len(names))], entities[e])
+            for i, e in enumerate(rng.integers(len(entities), size=600))
+            for names in ((ALL_NAMES if e % 2 else BENIGN_NAMES),)
+        ]
+        hits, batched, scalar, naive = _three_way(stream, 48, entities)
+        detected = {key[0] for _, key in hits}
+        assert detected == set(entities[1::2])
+        last_hit = max(position for position, _ in hits)
+        assert last_hit < len(stream) - 48  # detected entities kept receiving
+        for entity in detected:
+            track = batched.track(entity)
+            assert list(track.alerts) == list(naive.track(entity).alerts)
+            assert list(track.alerts) == list(scalar.track(entity).alerts)
+            assert track.alerts[-1].timestamp > track.detected.timestamp
 
     def test_saturated_windows_heavy_eviction(self):
         """Long undetected streams keep every entity in eviction mode."""
@@ -158,38 +313,35 @@ class TestBatchedEngineEquivalence:
             Alert(float(i), BENIGN_NAMES[rng.integers(len(BENIGN_NAMES))], entities[i % 16])
             for i in range(3000)
         ]
-        streaming = _tagger("streaming", max_window=16)
-        batched = _tagger("batched", max_window=16)
-        assert _drive_scalar(streaming, stream) == []
-        assert _drive_batched(batched, stream, 64) == []
-        _assert_same_logical_state(streaming, batched, entities)
+        hits, batched, scalar, _ = _three_way(stream, 64, entities, max_window=16)
+        assert hits == []
         assert batched.kernel_seconds > 0.0
-        assert streaming.kernel_seconds == 0.0
+        assert scalar.kernel_seconds == 0.0  # observe() never enters the kernel
 
     def test_mid_stream_reset_entity(self):
         rng = np.random.default_rng(3)
         stream = _random_stream(rng, 240)
-        streaming = _tagger("streaming")
-        batched = _tagger("batched")
-        hits_s, hits_b = [], []
+        scalar, batched, naive = _tagger(), _tagger(), _tagger("naive")
+        hits_s, hits_b, hits_n = [], [], []
         for base in range(0, len(stream), 30):
             sub = stream[base : base + 30]
-            hits_s.extend((base + p, k) for p, k in enumerate_hits(streaming, sub))
+            hits_s.extend((base + p, k) for p, k in _drive_scalar(scalar, sub))
+            hits_n.extend((base + p, k) for p, k in _drive_scalar(naive, sub))
             for position, detection in batched.observe_batch_indexed(sub):
                 hits_b.append((base + position, _detection_key(detection)))
             if base == 90:
-                streaming.reset_entity(ENTITIES[0])
-                batched.reset_entity(ENTITIES[0])
-        assert hits_s == hits_b
-        _assert_same_logical_state(streaming, batched, ENTITIES)
+                for tagger in (scalar, batched, naive):
+                    tagger.reset_entity(ENTITIES[0])
+        assert hits_s == hits_b == hits_n
+        _assert_same_logical_state(scalar, batched, ENTITIES)
+        _assert_matches_spec(naive, batched, ENTITIES)
 
     def test_checkpoint_restore_replay(self):
         """Pickle mid-stream, replay the rest: identical to unbroken run."""
         rng = np.random.default_rng(5)
         stream = _random_stream(rng, 200)
-        unbroken = _tagger("batched")
-        expected = _drive_batched(unbroken, stream, 25)
-        restored = _tagger("batched")
+        expected, _, scalar, _ = _three_way(stream, 25, ENTITIES)
+        restored = _tagger()
         hits = _drive_batched(restored, stream[:100], 25)
         blob = pickle.dumps(restored)
         restored = pickle.loads(blob)
@@ -197,33 +349,26 @@ class TestBatchedEngineEquivalence:
         for position, detection in restored.observe_batch_indexed(stream[100:]):
             hits.append((100 + position, _detection_key(detection)))
         assert hits == expected
-        # And against the scalar engine, for good measure.
-        streaming = _tagger("streaming")
-        assert _drive_scalar(streaming, stream) == expected
-        _assert_same_logical_state(streaming, restored, ENTITIES)
+        _assert_same_logical_state(scalar, restored, ENTITIES)
 
     def test_observe_returns_single_detections(self):
-        """The per-alert entry point works under the batched engine too."""
+        """Per-alert and batch entry points interleave on one tagger."""
         rng = np.random.default_rng(13)
-        stream = _random_stream(rng, 80)
-        streaming = _tagger("streaming")
-        batched = _tagger("batched")
-        for alert in stream:
-            ds = streaming.observe(alert)
-            db = batched.observe(alert)
-            assert (ds is None) == (db is None)
-            if ds is not None:
-                assert _detection_key(ds) == _detection_key(db)
-        assert [_detection_key(d) for d in streaming.detections] == [
-            _detection_key(d) for d in batched.detections
+        stream = _random_stream(rng, 160)
+        mixed, naive = _tagger(), _tagger("naive")
+        hits = []
+        for base in range(0, len(stream), 20):
+            sub = stream[base : base + 20]
+            if (base // 20) % 2:
+                found = _drive_scalar(mixed, sub)
+            else:
+                found = _drive_batched(mixed, sub, 20)
+            hits.extend((base + position, key) for position, key in found)
+        assert hits == _drive_scalar(naive, stream)
+        assert [_detection_key(d) for d in mixed.detections] == [
+            _detection_key(d) for d in naive.detections
         ]
-
-
-def enumerate_hits(tagger, alerts):
-    for position, alert in enumerate(alerts):
-        detection = tagger.observe(alert)
-        if detection is not None:
-            yield position, _detection_key(detection)
+        _assert_matches_spec(naive, mixed, ENTITIES)
 
 
 class TestBatchedThroughSharding:
@@ -231,10 +376,9 @@ class TestBatchedThroughSharding:
     def test_pool_merges_identically(self, n_shards, backend):
         rng = np.random.default_rng(n_shards)
         stream = _random_stream(rng, 160)
-        reference = _tagger("streaming")
-        expected = [key for _, key in _drive_scalar(reference, stream)]
+        expected = [key for _, key in _drive_scalar(_tagger("naive"), stream)]
         pool = ShardedDetectorPool.from_template(
-            _tagger("batched"), n_shards=n_shards, backend=backend
+            _tagger(), n_shards=n_shards, backend=backend
         )
         try:
             merged = []
@@ -249,11 +393,11 @@ class TestBatchedThroughSharding:
     def test_pool_kernel_seconds_checkpoint_roundtrip(self):
         rng = np.random.default_rng(21)
         stream = _random_stream(rng, 120)
-        pool = ShardedDetectorPool.from_template(_tagger("batched"), n_shards=2)
+        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
         pool.observe_batch(stream)
         assert sum(pool.kernel_seconds) > 0.0
         state = pool.snapshot_state()
-        other = ShardedDetectorPool.from_template(_tagger("batched"), n_shards=2)
+        other = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
         other.restore_state(state)
         assert other.kernel_seconds == pool.kernel_seconds
         # Pre-kernel checkpoints restore with zeroed kernel telemetry.

@@ -17,6 +17,7 @@ import zlib
 import pytest
 
 from repro.core.alerts import Alert
+from repro.core.attack_tagger import UnknownEngineError
 from repro.fuzz import (
     Campaign,
     CampaignComposer,
@@ -121,15 +122,24 @@ class TestDifferentialOracle:
         assert verdict.reference.counters["filtered_alerts"] > 0
 
     def test_matrix_shapes(self):
-        # 72 pickle configs + the shm variant of every process config.
+        # 36 pickle configs + the shm variant of every process config.
         matrix = full_matrix()
-        assert len(matrix) == 108
+        assert len(matrix) == 54
         labels = {config.label for config in matrix}
-        assert len(labels) == 108
+        assert len(labels) == 54
+        assert {config.engine for config in matrix} == {"streaming", "naive"}
         assert OracleConfig.parse("naive:4:process:raw_stream") in matrix
         assert OracleConfig.parse("naive:4:process:raw_stream:shm") in matrix
-        assert sum(1 for c in matrix if c.transport == "shm") == 36
+        assert sum(1 for c in matrix if c.transport == "shm") == 18
         assert all(c.backend == "process" for c in matrix if c.transport == "shm")
+
+    @pytest.mark.parametrize("spec", ["rebuild:1:serial:sync", "batched:2:process:sync:shm"])
+    def test_removed_engines_are_rejected_by_name(self, spec):
+        with pytest.raises(UnknownEngineError) as caught:
+            OracleConfig.parse(spec)
+        message = str(caught.value)
+        assert repr(spec.split(":")[0]) in message
+        assert "'streaming'" in message and "'naive'" in message
 
     def test_oracle_flags_a_seeded_fault(self):
         """A detector-visible fault must surface as a divergence.

@@ -10,7 +10,7 @@ it pins three properties:
   mid-stream state (Hypothesis drives bursty unicode streams into the
   stateful detectors);
 * **drop-lists are honoured** — attributes ``__getstate__`` excludes
-  (track decoder caches, the batched kernel, the sliding window's
+  (track decoder caches, the stacked kernel, the sliding window's
   scratch buffer) really are absent/reset after unpickling;
 * **behavioural equivalence** — the restored object continues the
   stream exactly as the original would have (and re-pickling is
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core import AttackTagger
 from repro.core.alerts import Alert
-from repro.core.attack_tagger import EntityTrack
+from repro.core.attack_tagger import EntityTrack, UnknownEngineError
 from repro.core.baselines import CriticalAlertDetector, NaiveBayesDetector
 from repro.core.rule_based import RuleBasedDetector
 from repro.core.sequences import AlertSequence
@@ -36,7 +36,8 @@ from repro.core.sliding_window import SlidingProductWindow
 from repro.core.streaming import StreamingDecoder
 from repro.core.training import LabeledSequence
 from repro.incidents import DEFAULT_CATALOGUE
-from repro.testbed.sharding import DetectorTemplate
+from repro.testbed.pipeline import TestbedPipeline
+from repro.testbed.sharding import DetectorTemplate, ShardedDetectorPool, ShardWorkerError
 
 _PATTERNS = list(DEFAULT_CATALOGUE)
 _ALL_NAMES = sorted({name for pattern in _PATTERNS for name in pattern.names})
@@ -97,7 +98,7 @@ def _round_trip(obj):
 # ---------------------------------------------------------------------------
 class TestAttackTaggerRoundTrip:
     @_SETTINGS
-    @given(parts=_split_stream(), engine=st.sampled_from(("streaming", "batched")))
+    @given(parts=_split_stream(), engine=st.sampled_from(("naive", "streaming")))
     def test_drop_list_honoured_and_continuation_identical(self, parts, engine):
         prefix, suffix = parts
         # max_window=4 saturates the sliding window on bursty entities —
@@ -107,7 +108,7 @@ class TestAttackTaggerRoundTrip:
 
         restored, blob = _round_trip(original)
 
-        # __getstate__ drop-list: decoder caches and the batched kernel
+        # __getstate__ drop-list: decoder caches and the stacked kernel
         # never cross the pickle boundary.
         for track in restored._tracks.values():
             assert track.decoder is None
@@ -149,6 +150,81 @@ class TestAttackTaggerRoundTrip:
             restored_track.decoder.final_marginal(),
             track.decoder.final_marginal(),
         )
+
+
+#: Engine names old checkpoints may carry; the engines themselves are gone.
+_REMOVED_ENGINES = ("rebuild", "batched")
+
+
+class TestRemovedEngineStateIsRejected:
+    """State written under a removed engine must not load silently."""
+
+    @staticmethod
+    def _tagger():
+        tagger = AttackTagger(patterns=_PATTERNS, max_window=4)
+        tagger.observe_many(
+            Alert(float(i + 1), _ALL_NAMES[i % len(_ALL_NAMES)], f"user:{i % 3}")
+            for i in range(10)
+        )
+        return tagger
+
+    @classmethod
+    def _old_pool_state(cls, engine):
+        # Byte-for-byte what a pre-removal build snapshotted: the same
+        # state dicts with the old engine name in them.
+        pool = ShardedDetectorPool.from_template(cls._tagger(), n_shards=2)
+        for shard in pool.shards:
+            shard.engine = engine
+        return pool.snapshot_state()
+
+    @pytest.mark.parametrize("engine", _REMOVED_ENGINES)
+    def test_unpickle_raises_typed_error_naming_the_engine(self, engine):
+        tagger = self._tagger()
+        tagger.engine = engine
+        blob = pickle.dumps(tagger)
+        with pytest.raises(UnknownEngineError) as caught:
+            pickle.loads(blob)
+        assert caught.value.engine == engine
+        message = str(caught.value)
+        assert repr(engine) in message
+        assert "'streaming'" in message and "'naive'" in message
+        # Constructor edge: same type, and still a ValueError for callers
+        # that caught the old untyped rejection.
+        with pytest.raises(ValueError, match=engine) as constructed:
+            AttackTagger(engine=engine)
+        assert isinstance(constructed.value, UnknownEngineError)
+
+    @pytest.mark.parametrize("engine", _REMOVED_ENGINES)
+    def test_serial_pool_refuses_old_shard_snapshot(self, engine):
+        pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=2)
+        with pytest.raises(UnknownEngineError, match=engine):
+            pool.restore_state(self._old_pool_state(engine))
+
+    def test_process_pool_refuses_old_shard_snapshot(self):
+        engine = _REMOVED_ENGINES[1]
+        state = dict(self._old_pool_state(engine), backend="process")
+        pool = ShardedDetectorPool.from_template(
+            AttackTagger(), n_shards=2, backend="process"
+        )
+        try:
+            with pytest.raises(ShardWorkerError, match=f"unknown engine '{engine}'"):
+                pool.restore_state(state)
+        finally:
+            pool.close()
+
+    def test_pipeline_refuses_old_checkpoint(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        with TestbedPipeline(
+            detectors={"factor_graph": self._tagger()}, n_shards=2
+        ) as old:
+            for shard in old.detector_pools["factor_graph"].shards:
+                shard.engine = _REMOVED_ENGINES[0]
+            old.checkpoint(path)
+        with TestbedPipeline(
+            detectors={"factor_graph": self._tagger()}, n_shards=2
+        ) as pipeline:
+            with pytest.raises(UnknownEngineError, match=_REMOVED_ENGINES[0]):
+                pipeline.restore(path)
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,45 @@ class TestServiceSocket:
                 time.sleep(0.01)
             assert rejected
 
+    def test_shutdown_after_the_service_stopped_is_a_noop(self):
+        """stop() twice, and request_shutdown once the thread has joined.
+
+        The service thread closes its event loop as it exits; a late
+        shutdown request used to raise ``RuntimeError: Event loop is
+        closed`` out of ``ServiceHandle.stop()`` / ``__exit__``.
+        """
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        with handle.client() as client:
+            client.ping()
+        handle.stop()
+        assert not handle.thread.is_alive()
+        assert handle.service._loop.is_closed()
+        handle.stop()
+        handle.service.request_shutdown("late")
+        with handle:
+            pass  # __exit__ stops a third time
+        assert handle.error is None
+        assert handle.service.shutdown_reason == "handle.stop"
+
+
+class TestServiceCli:
+    @pytest.mark.parametrize("engine", ["batched", "rebuild"])
+    def test_cli_rejects_removed_engines_listing_the_valid_ones(self, engine):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--engine", engine],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"invalid choice: '{engine}'" in proc.stderr
+        assert "'streaming', 'naive'" in proc.stderr
+
 
 # ----------------------------------------------------------------------
 # Lifecycle: a real subprocess, a real SIGTERM
