@@ -12,14 +12,20 @@ point).  Because the seed engine's alerts/sec only *drops* as the
 stream grows, comparing the streaming rate at 10k alerts against the
 seed rate on a shorter prefix understates the true speedup.
 
+Those rows all reuse one long-lived entity.  The ``churn`` rows measure
+the other regime the testbed lives in: a fresh entity every 2 alerts
+(scanner sources, one-off logins), where *opening* a per-entity decoder
+is the cost, through per-alert ``observe()`` and through
+``observe_batch`` sub-batches (the stacked kernel).
+
 Run as a script to (re)record ``BENCH_streaming.json`` at the repo
 root::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py
 
 CI runs the quick regression gate, which re-measures the streaming
-rate on a short stream and fails if it regressed more than 2x against
-the committed baseline::
+rate on a short stream, and both churn rates, and fails if any
+regressed more than 2x against the committed baseline::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -31,6 +37,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -79,16 +88,88 @@ def measure_alerts_per_second(
     return len(stream) / elapsed, len(tagger.detections)
 
 
+#: Alerts per ``observe_batch`` call in the churn rows (the service's
+#: and ``benchmarks/e2e``'s batch size): 128 new entities per sub-batch.
+CHURN_BATCH = 256
+
+
+def build_churn_stream(entities: int, *, seed: int = 7) -> list[Alert]:
+    """Every entity sends 2 benign alerts inside one sub-batch, then never returns."""
+    rng = np.random.default_rng(seed)
+    per_batch = CHURN_BATCH // 2
+    stream: list[Alert] = []
+    for base in range(0, entities, per_batch):
+        members = range(base, min(base + per_batch, entities))
+        for _visit in range(2):
+            for index in members:
+                name = BENIGN_NAMES[rng.integers(len(BENIGN_NAMES))]
+                stream.append(Alert(float(len(stream)), name, f"user:churn-{index}"))
+    return stream
+
+
+def measure_churn_rates(entities: int) -> dict[str, float]:
+    """Churn alerts/sec through per-alert ``observe`` and through ``observe_batch``."""
+    stream = build_churn_stream(entities)
+    rates = {}
+    for path in ("observe", "observe_batch"):
+        tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE), max_window=64)
+        started = time.perf_counter()
+        if path == "observe":
+            for alert in stream:
+                tagger.observe(alert)
+        else:
+            for base in range(0, len(stream), CHURN_BATCH):
+                tagger.observe_batch(stream[base : base + CHURN_BATCH])
+        elapsed = time.perf_counter() - started
+        assert not tagger.detections, "benchmark stream must stay undetected"
+        assert len(tagger.entities()) == entities
+        rates[path] = len(stream) / elapsed
+    return rates
+
+
+def host_fingerprint() -> dict:
+    """Where a recorded file's numbers came from."""
+    cpu_model = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True,
+            check=True, timeout=10,
+        ).stdout.strip()
+
+    try:
+        # "+dirty": measured on uncommitted changes on top of that commit.
+        commit = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_commit": commit,
+    }
+
+
 def run_benchmark(
     *,
     streaming_sizes: tuple[int, ...] = (1_000, 10_000, 100_000),
     baseline_alerts: int = 600,
     windowed_alerts: int = 2_000,
+    churn_entities: int = 20_000,
 ) -> dict:
     """Full measurement set behind ``BENCH_streaming.json``."""
     results: dict = {
         "benchmark": "streaming_throughput",
         "units": "alerts_per_second",
+        "host": host_fingerprint(),
         "notes": (
             "Unbounded-window runs measure the O(T^2)->O(T) scaling claim; "
             "the seed baseline is measured on a short prefix because its "
@@ -128,6 +209,15 @@ def run_benchmark(
         rate, _ = measure_alerts_per_second(windowed_stream, engine=engine, max_window=64)
         results["windowed"][engine] = round(rate, 1)
     results["windowed"]["alerts"] = windowed_alerts
+    results["churn"] = {
+        "entities": churn_entities,
+        "alerts_per_entity": 2,
+        "batch_size": CHURN_BATCH,
+        **{
+            path: round(rate, 1)
+            for path, rate in measure_churn_rates(churn_entities).items()
+        },
+    }
     return results
 
 
@@ -156,8 +246,12 @@ def quick_streaming_rate(size: int = 2_000) -> float:
     return rate
 
 
+#: Entities in the quick churn measurement of the CI regression gate.
+QUICK_CHURN_ENTITIES = 2_000
+
+
 def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
-    """Fail (non-zero) if streaming throughput regressed more than ``factor``x.
+    """Fail (non-zero) if a streaming or churn rate regressed more than ``factor``x.
 
     The committed baseline was recorded on a different machine, so the
     absolute committed rate is first rescaled by a hardware factor: the
@@ -166,26 +260,35 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     against ``scaled_baseline / factor`` -- CI runners that are simply
     slower across the board do not trip it, while a genuine slowdown of
     the streaming engine (which leaves the naive path untouched) does.
+    The two churn rows are gated by the same rule.
     """
     if not baseline_path.exists():
         print(f"FAIL: no committed baseline at {baseline_path}; "
               "run this script without --check to record one")
         return 1
     baseline = json.loads(baseline_path.read_text())
-    committed = float(baseline["streaming"]["10000"])
     committed_calibration = float(baseline["calibration"]["naive_alerts_per_second"])
     measured_calibration = measure_calibration_rate()
     hardware_factor = measured_calibration / committed_calibration
-    measured = quick_streaming_rate()
-    floor = committed * hardware_factor / factor
-    print(f"committed streaming rate (10k):   {committed:.0f} alerts/s")
-    print(f"hardware factor (naive calib):    {hardware_factor:.2f}x "
+    print(f"hardware factor (naive calib): {hardware_factor:.2f}x "
           f"({measured_calibration:.0f} / {committed_calibration:.0f} alerts/s)")
-    print(f"measured quick rate (2k):         {measured:.0f} alerts/s")
-    print(f"regression floor ({factor}x, scaled): {floor:.0f} alerts/s")
-    if measured < floor:
-        print("FAIL: streaming throughput regressed more than "
-              f"{factor}x vs the hardware-scaled committed baseline")
+    measure_churn_rates(200)  # warm-up, as in quick_streaming_rate
+    churn = measure_churn_rates(QUICK_CHURN_ENTITIES)
+    rows = [("streaming 10k", float(baseline["streaming"]["10000"]), quick_streaming_rate())]
+    rows += [
+        (f"churn {path}", float(baseline["churn"][path]), churn[path])
+        for path in ("observe", "observe_batch")
+    ]
+    failed = False
+    for label, committed, measured in rows:
+        floor = committed * hardware_factor / factor
+        ok = measured >= floor
+        failed |= not ok
+        print(f"{label:<20} committed {committed:>8.0f}  quick {measured:>8.0f}  "
+              f"floor ({factor}x, scaled) {floor:>8.0f} alerts/s  {'ok' if ok else 'FAIL'}")
+    if failed:
+        print(f"FAIL: throughput regressed more than {factor}x vs the "
+              "hardware-scaled committed baseline")
         return 1
     print("OK")
     return 0

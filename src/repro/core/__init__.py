@@ -70,7 +70,7 @@ from .sequences import (
     similarity_cdf,
     subsequence_positions,
 )
-from .streaming import PatternCursor, StreamingDecoder, WeightedPattern
+from .streaming import PatternCursor, PatternTable, StreamingDecoder, WeightedPattern
 from .states import AttackStage, HiddenState, NUM_STATES
 from .training import (
     LabeledSequence,
@@ -138,6 +138,7 @@ __all__ = [
     "PatternSpec",
     "StreamingDecoder",
     "PatternCursor",
+    "PatternTable",
     "WeightedPattern",
     "RuleBasedDetector",
     "Rule",

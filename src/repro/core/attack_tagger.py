@@ -38,7 +38,7 @@ from .factor_graph import (
 from .factors import FactorParameters, default_parameters, observation_log_for_sequence
 from .sequences import AlertSequence, matched_prefix_length
 from .states import NUM_STATES, HiddenState
-from .streaming import StreamingDecoder, WeightedPattern
+from .streaming import PatternTable, StreamingDecoder, WeightedPattern
 
 #: The production engine and the executable spec, in that order.
 ENGINES = ("streaming", "naive")
@@ -186,9 +186,13 @@ class AttackTagger:
         the seed behaviour of re-decoding the whole chain per alert.
         Both produce bit-identical detections; any other name raises
         :class:`UnknownEngineError`.  Pattern weights are resolved when
-        an entity's decoder is created, so mutate
-        ``parameters.pattern_weights`` only between ``run_sequence``
-        calls (which reset the entity) under ``"streaming"``.
+        an entity's decoder is created: decoders share one immutable
+        :class:`repro.core.streaming.PatternTable`, re-resolved for the
+        next new entity once ``parameters.pattern_weights`` (rebound or
+        mutated in place), ``default_pattern_weight`` or ``patterns``
+        differ from the values it was built from.  Live decoders keep
+        theirs, so change those only between ``run_sequence`` calls
+        (which reset the entity) under ``"streaming"``.
     """
 
     def __init__(
@@ -224,6 +228,8 @@ class AttackTagger:
         # pipeline's ``detect_kernel_seconds`` summary counter.
         self.kernel_seconds: float = 0.0
         self._batch_kernel = None
+        # (values resolved from, table): scratch, dropped on pickling.
+        self._pattern_table: Optional[tuple[tuple, PatternTable]] = None
 
     # -- public state ------------------------------------------------------
     @property
@@ -233,12 +239,13 @@ class AttackTagger:
 
     def track(self, entity: str) -> EntityTrack:
         """The per-entity track (created on first use)."""
-        if entity not in self._tracks:
+        track = self._tracks.get(entity)
+        if track is None:
             # deque(maxlen) keeps the per-alert window trim O(1).
-            self._tracks[entity] = EntityTrack(
+            track = self._tracks[entity] = EntityTrack(
                 entity=entity, alerts=deque(maxlen=self.max_window)
             )
-        return self._tracks[entity]
+        return track
 
     def entities(self) -> list[str]:
         """All entities observed so far."""
@@ -259,18 +266,30 @@ class AttackTagger:
             return self.parameters.pattern_weights.get(name, 0.0)
         return self.default_pattern_weight
 
-    def _active_patterns(self) -> list[WeightedPattern]:
-        """Catalogue patterns with a positive resolved weight, in order."""
-        active: list[WeightedPattern] = []
-        for pattern in self.patterns:
-            weight = self._pattern_weight(pattern.name)
-            if weight > 0.0:
-                active.append(WeightedPattern(pattern.name, pattern.names, weight))
-        return active
+    def _shared_table(self) -> PatternTable:
+        """Catalogue patterns with a positive resolved weight, in order.
+
+        One table serves every decoder until a value it was resolved
+        from changes (a dict and a list compare per new entity).
+        """
+        weights, default, catalogue = (
+            self.parameters.pattern_weights, self.default_pattern_weight, self.patterns
+        )
+        cached = self._pattern_table
+        if cached is not None and cached[0] == (weights, default, catalogue):
+            return cached[1]
+        table = PatternTable(
+            WeightedPattern(pattern.name, pattern.names, weight)
+            for pattern in self.patterns
+            if (weight := self._pattern_weight(pattern.name)) > 0.0
+        )
+        # Snapshot copies: the live dict/list may be mutated in place.
+        self._pattern_table = ((dict(weights), default, list(catalogue)), table)
+        return table
 
     def _make_decoder(self) -> StreamingDecoder:
         """Fresh incremental decoder bound to the current parameters."""
-        return StreamingDecoder(self.parameters, self._active_patterns())
+        return StreamingDecoder(self.parameters, self._shared_table())
 
     def _trim_track(self, track: EntityTrack) -> None:
         """Defensive window trim for tracks not backed by a maxlen deque.
@@ -531,6 +550,8 @@ class AttackTagger:
         # The kernel is pure scratch (stacked work buffers); recreated
         # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
+        # So is the pattern table; dropping the key keeps old bytes.
+        state.pop("_pattern_table", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -545,6 +566,7 @@ class AttackTagger:
         # Interned keys, as default unpickling does: key identity feeds
         # pickle's memo, and re-pickled bytes must stay canonical.
         self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+        self._pattern_table = None
 
     # -- live reshard migration --------------------------------------------
     # The optional Detector migration extension (see
@@ -635,7 +657,9 @@ class AttackTagger:
         decoder instead.
         """
         sequences = list(sequences)
-        if self._active_patterns() or any(len(s) > self.max_window for s in sequences):
+        if self._shared_table().patterns or any(
+            len(s) > self.max_window for s in sequences
+        ):
             return [self.detection_trace(sequence) for sequence in sequences]
         unaries = []
         for sequence in sequences:

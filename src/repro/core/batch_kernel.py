@@ -162,6 +162,7 @@ class BatchedDecodeKernel:
         max_window = tagger.max_window
         pairwise = tagger.parameters.transition_log
         # Entries: (position, alert, track, decoder).
+        fill_first: List[tuple] = []
         fill_simple: List[Tuple[tuple, int]] = []
         windowed: List[Tuple[tuple, int, bool]] = []
         decide_fill: List[tuple] = []
@@ -203,13 +204,18 @@ class BatchedDecodeKernel:
                 decoder._complete_append(step, dirty, invalid_from)
                 decoder.evict_front()
                 decide_windowed.append(entry)
-            elif invalid_from == step and step > 0:
-                fill_simple.append((entry, step))
+            elif invalid_from == step:
+                if step:
+                    fill_simple.append((entry, step))
+                else:
+                    fill_first.append(entry)
                 decide_fill.append(entry)
             else:
-                # step == 0, or a bonus relocation invalidated history.
+                # A bonus relocation invalidated history.
                 decoder._complete_append(step, dirty, invalid_from)
                 decide_fill.append(entry)
+        if fill_first:
+            self._start_fill(fill_first)
         if fill_simple:
             self._advance_fill(fill_simple, pairwise)
         if windowed:
@@ -223,6 +229,20 @@ class BatchedDecodeKernel:
         return hits
 
     # -- filling phase: stacked forward/Viterbi extension --------------------
+    def _start_fill(self, entries: List[tuple]) -> None:
+        """Stacked ``t == 0`` branch of ``_recompute_forward`` for new
+        entities' first alerts: ``score = unary``, ``backpointers = 0``,
+        ``alpha = normalise(unary)`` in one normalisation for all."""
+        unary_0 = self._scratch.rows("first_unary", len(entries), (_K,))
+        for i, (_, _, _, decoder) in enumerate(entries):
+            decoder._refresh_unary(0)
+            unary_0[i] = decoder._unary[0]
+        alpha_0 = unary_0 - _logsumexp(unary_0, axis=1, keepdims=True)
+        for i, (_, _, _, decoder) in enumerate(entries):
+            decoder._score[0] = unary_0[i]
+            decoder._backpointers[0] = 0
+            decoder._alpha[0] = alpha_0[i]
+
     def _advance_fill(
         self, entries: List[Tuple[tuple, int]], pairwise: np.ndarray
     ) -> None:

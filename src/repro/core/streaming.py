@@ -90,7 +90,7 @@ suites in ``tests/test_streaming.py`` and
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -151,10 +151,25 @@ class PatternCursor:
         self.end_index = -1
         self.positions: List[int] = []
 
-    def reset(self) -> None:
-        self.matched = 0
-        self.end_index = -1
-        self.positions.clear()
+
+class PatternTable:
+    """Immutable pattern state shared by every decoder built from it.
+
+    ``patterns`` are the active weighted patterns in catalogue order;
+    ``seed`` maps a first symbol to the ascending indices of the
+    patterns starting with it -- the waiting lists of a decoder that
+    has matched nothing yet.
+    """
+
+    __slots__ = ("patterns", "seed")
+
+    def __init__(self, patterns: Sequence[WeightedPattern] = ()) -> None:
+        self.patterns: tuple[WeightedPattern, ...] = tuple(patterns)
+        self.seed: Dict[str, Tuple[int, ...]] = {}
+        for index, pattern in enumerate(self.patterns):
+            if pattern.names:
+                first = pattern.names[0]
+                self.seed[first] = self.seed.get(first, ()) + (index,)
 
 
 class StreamingDecoder:
@@ -168,21 +183,35 @@ class StreamingDecoder:
     patterns:
         Active patterns with their resolved positive weights, in
         catalogue order (the order bonuses are summed in, to keep
-        floating-point results identical to the naive re-decode).
+        floating-point results identical to the naive re-decode), as a
+        :class:`PatternTable` or a sequence to build a private one from.
+
+    Opening a decoder is O(1) in the catalogue size.  The table's
+    ``patterns`` and seed index are aliased, not copied: every decoder
+    of a tagger shares them, so never mutate ``decoder.patterns`` or a
+    waiting bucket in place.  ``_cursors`` holds a cursor only while
+    its pattern has a non-empty match, and ``_waiting`` starts as a
+    shallow copy of the seed index whose tuple buckets are replaced,
+    never edited.  The tagger re-resolves the table for the next new
+    entity once the pattern weights, the default weight or the
+    catalogue change value; a live decoder keeps the one it opened with.
     """
 
     def __init__(
         self,
         parameters: FactorParameters,
-        patterns: Sequence[WeightedPattern] = (),
+        patterns: Union[PatternTable, Sequence[WeightedPattern]] = (),
     ) -> None:
+        table = patterns if isinstance(patterns, PatternTable) else PatternTable(patterns)
         self.parameters = parameters
-        self.patterns: tuple[WeightedPattern, ...] = tuple(patterns)
+        self.patterns = table.patterns
+        self._seed = table.seed
         self._pairwise = parameters.transition_log
         self._arange_k = np.arange(NUM_STATES)
-        self._cursors: List[PatternCursor] = [PatternCursor() for _ in self.patterns]
+        # pattern index -> cursor, only for patterns with matched > 0
+        self._cursors: Dict[int, PatternCursor] = {}
         # symbol -> indices of patterns whose next expected symbol is it
-        self._waiting: Dict[str, List[int]] = {}
+        self._waiting: Dict[str, Tuple[int, ...]] = dict(table.seed)
         self._complete: Set[int] = set()
         # step index -> {pattern index -> bonus} for bonuses landing
         # there, kept in ascending pattern-index order (the catalogue
@@ -201,22 +230,21 @@ class StreamingDecoder:
         self._alpha = np.zeros((capacity, NUM_STATES))
         self._backpointers = np.zeros((capacity, NUM_STATES), dtype=np.int64)
         self._names: List[str] = []
-        self._seed_waiting()
 
     # -- bookkeeping -------------------------------------------------------
-    def _seed_waiting(self) -> None:
-        self._waiting.clear()
-        for index, pattern in enumerate(self.patterns):
-            if pattern.names:
-                self._waiting.setdefault(pattern.names[0], []).append(index)
-
     def _rebuild_waiting(self) -> None:
-        """Recompute the waiting lists from the cursors (after rescans)."""
-        self._waiting.clear()
-        for index, pattern in enumerate(self.patterns):
+        """Recompute the waiting lists from the cursors (after rescans):
+        the seed index, with each live cursor's pattern moved from its
+        first symbol's bucket to that of the symbol it expects next."""
+        waiting = dict(self._seed)
+        for index in sorted(self._cursors):
+            names = self.patterns[index].names
+            waiting[names[0]] = tuple(i for i in waiting[names[0]] if i != index)
             matched = self._cursors[index].matched
-            if matched < len(pattern.names):
-                self._waiting.setdefault(pattern.names[matched], []).append(index)
+            if matched < len(names):
+                symbol = names[matched]
+                waiting[symbol] = waiting.get(symbol, ()) + (index,)
+        self._waiting = waiting
 
     def _grow(self, needed: int) -> None:
         capacity = self._base.shape[0]
@@ -248,10 +276,9 @@ class StreamingDecoder:
             array[:width] = array[shift : self._length].copy()
         del self._names[:shift]
         self._bonus_at = {step - shift: bucket for step, bucket in self._bonus_at.items()}
-        for cursor in self._cursors:
-            if cursor.matched:
-                cursor.positions = [p - shift for p in cursor.positions]
-                cursor.end_index -= shift
+        for cursor in self._cursors.values():
+            cursor.positions = [p - shift for p in cursor.positions]
+            cursor.end_index -= shift
         if self._window is not None:
             self._window.shift(shift)
         self._start = 0
@@ -283,9 +310,8 @@ class StreamingDecoder:
         self._names.clear()
         self._bonus_at.clear()
         self._complete.clear()
-        for cursor in self._cursors:
-            cursor.reset()
-        self._seed_waiting()
+        self._cursors.clear()
+        self._waiting = dict(self._seed)
 
     # -- incremental update -------------------------------------------------
     def append(self, name: str) -> None:
@@ -318,11 +344,12 @@ class StreamingDecoder:
         if advancing:
             # Ascending pattern index keeps same-step bonus insertion in
             # catalogue order (see _refresh_unary).
-            advancing.sort()
-            for index in advancing:
-                cursor = self._cursors[index]
+            for index in sorted(advancing):
+                cursor = self._cursors.get(index)
                 pattern = self.patterns[index]
-                if cursor.matched > 0:
+                if cursor is None:
+                    cursor = self._cursors[index] = PatternCursor()
+                else:
                     old = self._bonus_at.get(cursor.end_index)
                     if old is not None and index in old:
                         del old[index]
@@ -340,7 +367,8 @@ class StreamingDecoder:
                 if bonus > 0.0:
                     self._insert_bonus(t, index, bonus)
                 if cursor.matched < len(pattern.names):
-                    self._waiting.setdefault(pattern.names[cursor.matched], []).append(index)
+                    symbol = pattern.names[cursor.matched]
+                    self._waiting[symbol] = self._waiting.get(symbol, ()) + (index,)
                 else:
                     self._complete.add(index)
         self._length = t + 1
@@ -401,16 +429,14 @@ class StreamingDecoder:
         row changed (bonus removed/relocated).
         """
         dirty: Set[int] = set()
-        rescan = [
-            index
-            for index, cursor in enumerate(self._cursors)
-            if cursor.matched > 0 and cursor.positions[0] <= evicted
-        ]
+        cursors = self._cursors
+        # Ascending pattern index: the catalogue order bonus buckets sum in.
+        rescan = [index for index in sorted(cursors) if cursors[index].positions[0] <= evicted]
         if not rescan:
             self._bonus_at.pop(evicted, None)
             return dirty
         for index in rescan:
-            cursor = self._cursors[index]
+            cursor = cursors[index]
             pattern = self.patterns[index]
             bucket = self._bonus_at.get(cursor.end_index)
             if bucket is not None and index in bucket:
@@ -421,10 +447,12 @@ class StreamingDecoder:
                     dirty.add(cursor.end_index)
             self._complete.discard(index)
             matched, positions = self._greedy_match(pattern.names)
-            cursor.matched = matched
-            cursor.positions = positions
-            cursor.end_index = positions[-1] if positions else -1
-            if matched:
+            if not matched:
+                del cursors[index]
+            else:
+                cursor.matched = matched
+                cursor.positions = positions
+                cursor.end_index = positions[-1]
                 bonus = self.parameters.pattern_bonus(
                     matched, len(pattern.names), pattern.weight
                 )
@@ -672,7 +700,10 @@ class StreamingDecoder:
 
     def matched_prefix_lengths(self) -> list[int]:
         """Current matched-prefix length of every tracked pattern."""
-        return [cursor.matched for cursor in self._cursors]
+        lengths = [0] * len(self.patterns)
+        for index, cursor in self._cursors.items():
+            lengths[index] = cursor.matched
+        return lengths
 
     def unary_table(self) -> np.ndarray:
         """Copy of the window's effective unary log potentials (T, K)."""
@@ -689,4 +720,4 @@ class StreamingDecoder:
         return chain_marginals(self._unary[self._start : self._length], self._pairwise)
 
 
-__all__ = ["PatternCursor", "StreamingDecoder", "WeightedPattern"]
+__all__ = ["PatternCursor", "PatternTable", "StreamingDecoder", "WeightedPattern"]

@@ -305,6 +305,62 @@ class TestBatchedEngineEquivalence:
             assert list(track.alerts) == list(scalar.track(entity).alerts)
             assert track.alerts[-1].timestamp > track.detected.timestamp
 
+    def test_first_alerts_of_new_entities_are_stacked(self, monkeypatch):
+        """Entity churn: a sub-batch of brand-new entities never goes scalar.
+
+        One sub-batch, laid out visit-major like the churn workload:
+        attackers send download -> privilege escalation and detect on
+        their second alert, starters open a catalogue pattern so a
+        bonus lands on step 0, the rest send one or two benign alerts,
+        and one entity was detected by an earlier sub-batch.
+        """
+        chain = ("alert_download_sensitive", "alert_privilege_escalation")
+        starter = next(
+            pattern.names[0] for pattern in DEFAULT_CATALOGUE if pattern.names[0] in BENIGN_NAMES
+        )
+        attackers = [f"churn:attacker-{i}" for i in range(_MIN_BATCH)]
+        twice = [f"churn:twice-{i}" for i in range(_MIN_BATCH)]
+        once = [f"churn:once-{i}" for i in range(_MIN_BATCH)]
+        starters = [f"churn:starter-{i}" for i in range(2)]
+        old = "churn:old"
+        earlier = [Alert(float(i), name, old) for i, name in enumerate(chain)]
+        batch = []
+        for visit in range(2):
+            for entity in attackers:
+                batch.append(Alert(10.0 + len(batch), chain[visit], entity))
+            for i, entity in enumerate(twice):
+                batch.append(Alert(10.0 + len(batch), BENIGN_NAMES[(i + visit) % 3], entity))
+            if visit == 0:
+                batch += [Alert(10.0 + len(batch) + i, BENIGN_NAMES[i % 3], e) for i, e in enumerate(once)]
+                batch += [Alert(40.0 + i, starter, e) for i, e in enumerate(starters)]
+                batch.append(Alert(50.0, BENIGN_NAMES[0], old))
+        entities = attackers + twice + once + starters + [old]
+
+        batched, scalar, naive = _tagger(), _tagger(), _tagger("naive")
+        assert batched.observe_batch_indexed(earlier)  # `old` is detected
+        recomputes = []
+        recompute_forward = StreamingDecoder._recompute_forward
+
+        def counted(decoder, start):
+            recomputes.append(start)
+            return recompute_forward(decoder, start)
+
+        monkeypatch.setattr(StreamingDecoder, "_recompute_forward", counted)
+        hits = _drive_batched(batched, batch, len(batch))
+        monkeypatch.undo()
+        # Neither round fell back to the scalar recursion: step 0 is
+        # stacked, and nothing here relocates a bonus.
+        assert recomputes == []
+
+        assert {key[0] for _, key in hits} == set(attackers)
+        assert all(key[1] == 1 for _, key in hits)  # detected on alert 2
+        for entity in starters:
+            assert 0 in batched.track(entity).decoder._bonus_at
+        _drive_scalar(scalar, earlier), _drive_scalar(naive, earlier)
+        assert hits == _drive_scalar(scalar, batch) == _drive_scalar(naive, batch)
+        _assert_same_logical_state(scalar, batched, entities)
+        _assert_matches_spec(naive, batched, entities)
+
     def test_saturated_windows_heavy_eviction(self):
         """Long undetected streams keep every entity in eviction mode."""
         rng = np.random.default_rng(11)

@@ -189,6 +189,38 @@ class TestAxisAwareLogsumexp:
         assert np.isscalar(_logsumexp(values)) or _logsumexp(values).ndim == 0
 
 
+    @pytest.mark.parametrize("axis", [None, 0, 1, (0, 1)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_ufunc_reduce_matches_np_max_and_np_sum(self, axis, keepdims):
+        """Calling the ufunc reductions directly changes no bit, also on
+        ``-inf`` / ``+inf`` / NaN rows."""
+
+        def reference(array):
+            maximum = np.max(array, axis=axis, keepdims=True)
+            finite = np.isfinite(maximum)
+            safe_max = np.where(finite, maximum, 0.0)
+            with np.errstate(divide="ignore"):
+                summed = np.log(np.sum(np.exp(array - safe_max), axis=axis, keepdims=True))
+            result = np.where(finite, safe_max + summed, maximum)
+            if keepdims:
+                return result
+            return np.squeeze(result, axis=axis) if axis is not None else result.reshape(())
+
+        rng = np.random.default_rng(3)
+        stacked = rng.normal(size=(8, 3)) * 40.0
+        stacked[1, :] = -np.inf
+        stacked[2, 0] = -np.inf
+        stacked[3, 1] = np.inf
+        stacked[4, 2] = np.nan
+        stacked[5] = [np.inf, -np.inf, 0.0]
+        for array in (stacked, stacked[[0, 2, 6, 7]]):
+            with np.errstate(invalid="ignore"):
+                got, expected = _logsumexp(array, axis=axis, keepdims=keepdims), reference(array)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class TestBatchedSemiringOps:
     """Stacked (N, K, K) ops must equal per-slice scalar ops bitwise."""
 

@@ -152,6 +152,47 @@ class TestAttackTaggerRoundTrip:
         )
 
 
+    def test_shared_pattern_table_never_reaches_the_bytes(self, tmp_path):
+        """Same bytes before and after decoders (and the table) exist."""
+        stream = [
+            Alert(float(i + 1), _ALL_NAMES[i % len(_ALL_NAMES)], f"user:{i % 5}")
+            for i in range(40)
+        ]
+
+        def tagger():
+            return AttackTagger(
+                patterns=_PATTERNS, max_window=4, detection_threshold=1 - 1e-9
+            )
+
+        def open_every_decoder(detector):
+            for entity in detector.entities():
+                detector.infer(entity)
+            assert detector._pattern_table is not None
+            assert all(track.decoder is not None for track in detector._tracks.values())
+
+        original = tagger()
+        original.observe_many(stream)
+        assert original._pattern_table is not None
+        assert "_pattern_table" not in original.__getstate__()
+        restored, blob = _round_trip(original)
+        assert restored._pattern_table is None
+        assert pickle.dumps(restored) == blob  # no decoder, no table yet
+        open_every_decoder(restored)
+        assert pickle.dumps(restored) == blob
+
+        paths = [tmp_path / name for name in ("live.ckpt", "cold.ckpt", "warm.ckpt")]
+        with TestbedPipeline(detectors={"factor_graph": tagger()}, n_shards=2) as live:
+            live.ingest_alerts(stream)
+            live.checkpoint(paths[0])
+        with TestbedPipeline(detectors={"factor_graph": tagger()}, n_shards=2) as again:
+            again.restore(paths[0])
+            again.checkpoint(paths[1])
+            for shard in again.detector_pools["factor_graph"].shards:
+                open_every_decoder(shard)
+            again.checkpoint(paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
 #: Engine names old checkpoints may carry; the engines themselves are gone.
 _REMOVED_ENGINES = ("rebuild", "batched")
 

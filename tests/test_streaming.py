@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AttackTagger,
@@ -25,6 +27,7 @@ from repro.core import (
     window_sweep,
 )
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
+from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import (
     _logsumexp,
     chain_map_decode,
@@ -33,7 +36,7 @@ from repro.core.factor_graph import (
     chain_marginals_batch,
     chain_stream_trace_batch,
 )
-from repro.core.sequences import AlertSequence
+from repro.core.sequences import AlertSequence, matched_prefix_length
 from repro.core.states import NUM_STATES, HiddenState
 from repro.incidents import DEFAULT_CATALOGUE
 
@@ -332,3 +335,196 @@ class TestSweepFastPaths:
                 atol=1e-9,
             )
             assert np.array_equal(trace.map_is_malicious, replayed.map_is_malicious)
+
+
+# ---------------------------------------------------------------------------
+# Shared pattern table, lazy cursors
+# ---------------------------------------------------------------------------
+_FILLER = "alert_login_normal"
+_SYMBOLS = [
+    "alert_port_scan",
+    "alert_ssh_key_enumeration",
+    "alert_vuln_scan",
+    "alert_download_sensitive",
+]
+_ENTITY = "entity:x"
+
+
+def _detection_fields(detection):
+    if detection is None:
+        return None
+    return (
+        detection.alert_index,
+        detection.state,
+        detection.confidence,
+        detection.matched_patterns,
+        detection.state_trajectory,
+    )
+
+
+def _weighted_parameters(weights):
+    parameters = default_parameters()
+    parameters.pattern_weights = dict(weights)
+    return parameters
+
+
+def _assert_decoder_is_the_spec(streaming, naive):
+    """The entity's decoder state equals what ``naive`` rebuilds from scratch."""
+    decoder = streaming._decoder_for(streaming.track(_ENTITY))
+    window = [alert.name for alert in naive.track(_ENTITY).alerts]
+    unary, matched = naive._build_unary(window)
+    assert np.array_equal(decoder.unary_table(), unary)
+    assert decoder.matched_pattern_names() == matched
+    assert decoder.matched_prefix_lengths() == [
+        matched_prefix_length(pattern.names, window) for pattern in decoder.patterns
+    ]
+    return unary
+
+
+@st.composite
+def _catalogue_and_stream(draw):
+    """Small adversarial catalogue plus a stream that slides well past it.
+
+    Four symbols and up to six patterns of length 0..4 make shared
+    first symbols, repeated symbols inside a pattern and the empty
+    pattern all common; windows of 2..6 against up to 80 alerts evict
+    matches' first steps, and cross the 16-row buffer so ``_compact()``
+    runs.
+    """
+    shapes = draw(
+        st.lists(
+            st.lists(st.sampled_from(_SYMBOLS), max_size=4).map(tuple),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    patterns = [PatternSpec(f"P{i}", names) for i, names in enumerate(shapes)]
+    weights = {p.name: draw(st.sampled_from((0.0, 0.5, 2.0))) for p in patterns}
+    max_window = draw(st.integers(min_value=2, max_value=6))
+    threshold = draw(st.sampled_from((0.5, 1 - 1e-9)))
+    names = draw(st.lists(st.sampled_from(_SYMBOLS + [_FILLER]), min_size=24, max_size=80))
+    reset_at = draw(st.integers(min_value=0, max_value=len(names)))
+    return patterns, weights, max_window, threshold, names, reset_at
+
+
+class TestLazyCursorsAreEagerCursors:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_catalogue_and_stream())
+    def test_every_readout_matches_naive_after_every_alert(self, case):
+        patterns, weights, max_window, threshold, names, reset_at = case
+        streaming, naive = (
+            AttackTagger(
+                _weighted_parameters(weights),
+                patterns=patterns,
+                max_window=max_window,
+                detection_threshold=threshold,
+                engine=engine,
+            )
+            for engine in ("streaming", "naive")
+        )
+        for step, name in enumerate(names):
+            if step == reset_at:
+                naive.reset_entity(_ENTITY)
+                track = streaming.track(_ENTITY)
+                track.alerts.clear()
+                track.detected = None
+                if track.decoder is not None:
+                    track.decoder.reset()
+            alert = Alert(float(step), name, _ENTITY)
+            assert _detection_fields(streaming.observe(alert)) == _detection_fields(
+                naive.observe(alert)
+            )
+            _assert_decoder_is_the_spec(streaming, naive)
+
+    def test_decoders_share_one_table_and_never_write_through_it(self):
+        tagger = AttackTagger(
+            patterns=list(DEFAULT_CATALOGUE), detection_threshold=1 - 1e-9
+        )
+        tagger.observe(Alert(0.0, _FILLER, "entity:idle"))
+        idle = tagger.track("entity:idle").decoder
+        idle_waiting = dict(idle._waiting)
+        table = tagger._shared_table()
+        seed = dict(table.seed)  # buckets are tuples: a shallow copy pins them
+        longest = max(table.patterns, key=lambda pattern: len(pattern.names))
+        for step, name in enumerate(longest.names):
+            tagger.observe(Alert(1.0 + step, name, "entity:busy"))
+        busy = tagger.track("entity:busy").decoder
+        assert longest.name in busy.matched_pattern_names()
+        assert busy._cursors and busy._waiting != seed
+
+        assert busy.patterns is idle.patterns is table.patterns
+        assert tagger._shared_table() is table
+        assert table.seed == seed
+        assert idle._waiting == idle_waiting and idle._cursors == {}
+        for waiting in (table.seed, idle._waiting, busy._waiting):
+            assert all(type(bucket) is tuple for bucket in waiting.values())
+        # A third entity opens on the untouched seed index.
+        assert tagger._make_decoder()._waiting == seed
+
+
+_CHOSEN = list(DEFAULT_CATALOGUE)[0]
+_EXTRA = PatternSpec("EXTRA", (_CHOSEN.names[0], _FILLER))
+
+
+def _mutate_weights_in_place(tagger):
+    tagger.parameters.pattern_weights[_CHOSEN.name] = 7.5
+
+
+def _rebind_to_ablated_parameters(tagger):
+    tagger.parameters = tagger.parameters.without_patterns()
+
+
+def _append_to_catalogue(tagger):
+    tagger.patterns.append(_EXTRA)
+
+
+def _change_default_weight(tagger):
+    tagger.default_pattern_weight = 5.0
+
+
+class TestPatternTableInvalidation:
+    """The contract "weights are resolved when a decoder is created" holds
+    with a table shared across decoders: every way the resolved values
+    can change is seen by the next entity, exactly as ``naive`` sees it."""
+
+    SEQUENCE = AlertSequence.from_names(list(_CHOSEN.names) + [_FILLER])
+
+    @pytest.mark.parametrize(
+        "edit, weighted",
+        [
+            (_mutate_weights_in_place, True),
+            (_rebind_to_ablated_parameters, True),
+            (_append_to_catalogue, True),
+            (_change_default_weight, False),
+        ],
+    )
+    def test_next_entity_decodes_with_the_edited_values(self, edit, weighted):
+        # Without explicit weights every pattern takes the default one.
+        weights = {}
+        if weighted:
+            weights = {p.name: 3.0 for p in DEFAULT_CATALOGUE} | {_EXTRA.name: 4.0}
+        streaming, naive = (
+            AttackTagger(
+                _weighted_parameters(weights),
+                patterns=list(DEFAULT_CATALOGUE),
+                detection_threshold=1 - 1e-9,
+                engine=engine,
+            )
+            for engine in ("streaming", "naive")
+        )
+
+        def run_both():
+            assert _detection_fields(
+                streaming.run_sequence(self.SEQUENCE, entity=_ENTITY)
+            ) == _detection_fields(naive.run_sequence(self.SEQUENCE, entity=_ENTITY))
+            return _assert_decoder_is_the_spec(streaming, naive)
+
+        before = run_both()
+        table = streaming._shared_table()
+        assert np.array_equal(run_both(), before)
+        assert streaming._shared_table() is table  # unchanged values: same table
+        for tagger in (streaming, naive):
+            edit(tagger)
+        after = run_both()
+        assert not np.array_equal(after, before)  # the edit really moved the decode
+        assert streaming._shared_table() is not table
