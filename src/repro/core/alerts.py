@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import struct
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -453,15 +454,26 @@ class Alert:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Alert":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises ``ValueError`` for a non-finite ``timestamp`` (JSON
+        decoders accept ``NaN``/``Infinity``; the scan filter sorts and
+        subtracts timestamps) and for ``attributes`` that is not a dict.
+        """
+        timestamp = float(data["timestamp"])
+        attributes = data.get("attributes", {})
+        if not math.isfinite(timestamp):
+            raise ValueError(f"non-finite alert timestamp {timestamp!r}")
+        if not isinstance(attributes, dict):
+            raise ValueError("alert 'attributes' must be a dict")
         return cls(
-            timestamp=float(data["timestamp"]),
-            name=str(data["name"]),
-            entity=str(data["entity"]),
-            source_ip=str(data.get("source_ip", "")),
-            host=str(data.get("host", "")),
-            monitor=str(data.get("monitor", "")),
-            attributes=dict(data.get("attributes", {})),
+            timestamp,
+            str(data["name"]),
+            str(data["entity"]),
+            str(data.get("source_ip", "")),
+            str(data.get("host", "")),
+            str(data.get("monitor", "")),
+            dict(attributes),
         )
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from ..core.alerts import Alert
@@ -135,13 +136,13 @@ def parse_request(data: Mapping[str, Any]) -> Request:
             alerts = data.get("alerts")
             if not isinstance(alerts, list):
                 raise ProtocolError("batch needs an 'alerts' list")
-            return Request(op=op, alerts=tuple(Alert.from_dict(a) for a in alerts))
+            return Request(op=op, alerts=tuple([Alert.from_dict(a) for a in alerts]))
         if op == "raw":
             records = data.get("records")
             if not isinstance(records, list):
                 raise ProtocolError("raw needs a 'records' list")
             return Request(
-                op=op, records=tuple(raw_record_from_dict(r) for r in records)
+                op=op, records=tuple([raw_record_from_dict(r) for r in records])
             )
         if op == "control":
             verb = data.get("verb")
@@ -210,14 +211,32 @@ def raw_record_to_dict(record: RawLogRecord) -> dict:
     }
 
 
+#: ``MonitorKind`` members by wire value: a dict hit instead of a trip
+#: through ``enum.__call__`` for every record.
+_MONITOR_BY_VALUE = {kind.value: kind for kind in MonitorKind}
+
+
 def raw_record_from_dict(data: Mapping[str, Any]) -> RawLogRecord:
-    """Inverse of :func:`raw_record_to_dict`."""
+    """Inverse of :func:`raw_record_to_dict`.
+
+    A non-finite ``timestamp`` (``json.loads`` accepts ``NaN`` and
+    ``Infinity``) or a ``fields`` value that is not an object is a
+    :class:`ProtocolError`; so is an unknown ``monitor``, through the
+    enum's own ``ValueError``.
+    """
+    timestamp = float(data["timestamp"])
+    fields = data.get("fields", {})
+    if not math.isfinite(timestamp):
+        raise ProtocolError(f"non-finite timestamp {timestamp!r}")
+    if not isinstance(fields, dict):
+        raise ProtocolError("'fields' must be an object")
+    monitor = str(data["monitor"])
     return RawLogRecord(
-        timestamp=float(data["timestamp"]),
-        monitor=MonitorKind(str(data["monitor"])),
-        host=str(data["host"]),
-        message=str(data.get("message", "")),
-        fields=dict(data.get("fields", {})),
+        timestamp,
+        _MONITOR_BY_VALUE.get(monitor) or MonitorKind(monitor),
+        str(data["host"]),
+        str(data.get("message", "")),
+        dict(fields),
     )
 
 

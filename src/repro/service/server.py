@@ -51,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import gc
 import signal
 import threading
 import time
@@ -367,7 +368,7 @@ class DetectionService:
                 if item.kind == "alerts":
                     self.pipeline.submit_alerts(list(item.alerts))
                 else:
-                    self.pipeline.submit_raw(list(item.records))
+                    self.pipeline.submit_raw(item.records)
             except Exception as exc:
                 self._dead_letter_batch(item, exc)
                 self._drain_stale_tickets()
@@ -732,6 +733,17 @@ class DetectionService:
                 if key != "stage_seconds"
             },
             "stage_seconds": summary["stage_seconds"],
+            "normalizer": {
+                "dropped": self.pipeline.normalizer.dropped,
+                "malformed": self.pipeline.normalizer.malformed,
+            },
+            # This process's collector: ``python -m repro.service`` sets
+            # a policy, an embedded service reports the interpreter's.
+            "gc": {
+                "threshold": list(gc.get_threshold()),
+                "frozen": gc.get_freeze_count(),
+                "collections": [gen["collections"] for gen in gc.get_stats()],
+            },
             "latency": {
                 "e2e": percentile_summary(self._e2e_latency),
                 "stages": {

@@ -65,6 +65,29 @@ ZEEK_NOTICE_MAP: dict[str, str] = {
 #: emulated ransomware family (see the case-study log excerpt).
 KNOWN_C2_PREFIXES: tuple[str, ...] = ("194.145.", "111.200.", "45.9.")
 
+_SSH_LOGIN_RE = re.compile(r"for (\S+) from (\S+)")
+_WGET_URL_RE = re.compile(r"http://|(\d+\.\d+\.[\w.]+/\S+\.(c|sh|tar|tgz))")
+_WGET_SOURCE_RE = re.compile(r"(\d+\.\d+\.[\w\d.]+)/")
+_USER_RE = re.compile(r"user=(\S+)")
+_COMMAND_RE = re.compile(r'cmd="([^"]*)"')
+_KERNEL_BUILD_RE = re.compile(r"\bgcc\b.*-o|\bmake\b")
+#: Shell-command patterns -> alert names, first match wins.
+_BASH_COMMAND_ALERTS: tuple[tuple[re.Pattern[str], str], ...] = (
+    (re.compile(r"\bgcc\b|\bcc\b|\bmake\b"), "alert_suspicious_compile"),
+    (re.compile(r"find .*id_rsa|grep -vw\s+pub"), "alert_ssh_key_enumeration"),
+    (re.compile(r"known_hosts|\.ssh/config|bash_history.*Host"), "alert_known_hosts_enumeration"),
+    (re.compile(r"ssh .*BatchMode=yes"), "alert_lateral_ssh_batch"),
+    (re.compile(r">\s*/var/log/(wtmp|secure|cron)|>\s*/var/spool/mail"), "alert_erase_forensic_trace"),
+    (re.compile(r"history -c|rm .*\.bash_history"), "alert_erase_forensic_trace"),
+)
+#: osquery ``process_events`` command lines -> alert names, first match wins.
+_PROCESS_EVENT_ALERTS: tuple[tuple[re.Pattern[str], str], ...] = (
+    (re.compile(r"find .*id_rsa"), "alert_ssh_key_enumeration"),
+    (re.compile(r"known_hosts|\.ssh/config"), "alert_known_hosts_enumeration"),
+    (re.compile(r"ssh .*BatchMode=yes"), "alert_lateral_ssh_batch"),
+    (re.compile(r"xmrig|minerd|stratum\+tcp"), "alert_cryptomining"),
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class NormalizationRule:
@@ -76,7 +99,21 @@ class NormalizationRule:
 
 
 class AlertNormalizer:
-    """Turns raw monitor records into symbolic, sanitised alerts."""
+    """Turns raw monitor records into symbolic, sanitised alerts.
+
+    :attr:`rules` is the rule table in priority order; ``extra_rules``
+    extends it and it may be edited in place.  :meth:`normalize_stream`
+    regroups it by monitor at the top of every call (five entries:
+    nothing is cached, so nothing needs invalidating) and runs one loop
+    over the batch: a record meets only its own monitor's matchers, and
+    the first result whose name the vocabulary knows is sanitised and
+    becomes the alert.  :meth:`normalize_record` is a one-element call.
+
+    A record no rule matches is counted in :attr:`dropped`.  One whose
+    field values make a matcher raise ``ValueError``/``TypeError``
+    (``resp_p: "http"``) is dropped alone, counted there and in
+    :attr:`malformed`; the records around it are unaffected.
+    """
 
     def __init__(
         self,
@@ -90,6 +127,7 @@ class AlertNormalizer:
         self.rules: list[NormalizationRule] = list(self._default_rules())
         self.rules.extend(extra_rules)
         self.dropped = 0
+        self.malformed = 0
 
     # ------------------------------------------------------------------
     # Rule definitions
@@ -105,30 +143,29 @@ class AlertNormalizer:
 
     @staticmethod
     def _match_zeek_notice(record: RawLogRecord) -> Optional[tuple[str, dict]]:
-        if record.field("stream") != "notice":
+        fields = record.fields
+        if fields.get("stream") != "notice":
             return None
-        note = str(record.field("note", ""))
+        note = str(fields.get("note", ""))
         alert_name = ZEEK_NOTICE_MAP.get(note)
         if alert_name is None:
             return None
-        return alert_name, {
-            "source_ip": str(record.field("orig_h", "")),
-            "note": note,
-        }
+        return alert_name, {"source_ip": str(fields.get("orig_h", "")), "note": note}
 
     @staticmethod
     def _match_zeek_conn(record: RawLogRecord) -> Optional[tuple[str, dict]]:
-        if record.field("stream") != "conn":
+        fields = record.fields
+        if fields.get("stream") != "conn":
             return None
-        resp_p = int(record.field("resp_p", 0))
-        state = str(record.field("conn_state", ""))
-        orig_h = str(record.field("orig_h", ""))
-        resp_h = str(record.field("resp_h", ""))
+        resp_p = int(fields.get("resp_p", 0))
+        state = str(fields.get("conn_state", ""))
+        orig_h = str(fields.get("orig_h", ""))
+        resp_h = str(fields.get("resp_h", ""))
         # Unanswered / rejected probes against database ports.
         if resp_p == 5432 and state in ("S0", "REJ", "RSTO"):
             return "alert_db_port_probe", {"source_ip": orig_h, "port": resp_p}
         # Outbound connections to known C2 infrastructure.
-        if any(resp_h.startswith(prefix) for prefix in KNOWN_C2_PREFIXES):
+        if resp_h.startswith(KNOWN_C2_PREFIXES):
             return "alert_outbound_c2", {"source_ip": orig_h, "destination_ip": resp_h}
         # Generic unanswered probes (port scanning).
         if state in ("S0", "REJ"):
@@ -137,52 +174,41 @@ class AlertNormalizer:
 
     @staticmethod
     def _match_syslog(record: RawLogRecord) -> Optional[tuple[str, dict]]:
-        program = str(record.field("program", ""))
-        body = str(record.field("body", ""))
+        fields = record.fields
+        program = str(fields.get("program", ""))
+        body = str(fields.get("body", ""))
         meta = {"program": program}
-        if program == "sshd" and body.startswith("Accepted"):
-            match = re.search(r"for (\S+) from (\S+)", body)
+        if program == "sshd" and body.startswith(("Accepted", "Failed")):
+            match = _SSH_LOGIN_RE.search(body)
             if match:
                 meta.update(user=match.group(1), source_ip=match.group(2))
-            return "alert_login_normal", meta
-        if program == "sshd" and body.startswith("Failed"):
-            match = re.search(r"for (\S+) from (\S+)", body)
-            if match:
-                meta.update(user=match.group(1), source_ip=match.group(2))
+            if body.startswith("Accepted"):
+                return "alert_login_normal", meta
             return "alert_bruteforce_ssh", meta
         if program == "sudo" and "COMMAND=" in body:
             user = body.split(" :", 1)[0].strip()
             meta.update(user=user)
             return "alert_sudo_policy_violation", meta
-        if program == "wget" and re.search(r"http://|(\d+\.\d+\.[\w.]+/\S+\.(c|sh|tar|tgz))", body):
-            match = re.search(r"user=(\S+)", body)
+        if program == "wget" and _WGET_URL_RE.search(body):
+            match = _USER_RE.search(body)
             if match:
                 meta.update(user=match.group(1))
-            source = re.search(r"(\d+\.\d+\.[\w\d.]+)/", body)
+            source = _WGET_SOURCE_RE.search(body)
             if source:
                 meta.update(source_ip=source.group(1))
             return "alert_download_sensitive", meta
         if program == "bash":
-            command_match = re.search(r'cmd="([^"]*)"', body)
+            command_match = _COMMAND_RE.search(body)
             command = command_match.group(1) if command_match else ""
-            user_match = re.search(r"user=(\S+)", body)
+            user_match = _USER_RE.search(body)
             if user_match:
                 meta.update(user=user_match.group(1))
             meta.update(command=command)
-            if re.search(r"\bgcc\b.*-o|\bmake\b", command) and "module" in command:
+            if _KERNEL_BUILD_RE.search(command) and "module" in command:
                 return "alert_compile_kernel_module", meta
-            if re.search(r"\bgcc\b|\bcc\b|\bmake\b", command):
-                return "alert_suspicious_compile", meta
-            if re.search(r"find .*id_rsa|grep -vw\s+pub", command):
-                return "alert_ssh_key_enumeration", meta
-            if re.search(r"known_hosts|\.ssh/config|bash_history.*Host", command):
-                return "alert_known_hosts_enumeration", meta
-            if re.search(r"ssh .*BatchMode=yes", command):
-                return "alert_lateral_ssh_batch", meta
-            if re.search(r">\s*/var/log/(wtmp|secure|cron)|>\s*/var/spool/mail", command):
-                return "alert_erase_forensic_trace", meta
-            if re.search(r"history -c|rm .*\.bash_history", command):
-                return "alert_erase_forensic_trace", meta
+            for pattern, alert_name in _BASH_COMMAND_ALERTS:
+                if pattern.search(command):
+                    return alert_name, meta
             return None
         if program == "kernel" and "truncated to 0 bytes" in body:
             return "alert_erase_forensic_trace", meta
@@ -190,63 +216,54 @@ class AlertNormalizer:
 
     @staticmethod
     def _match_auditd(record: RawLogRecord) -> Optional[tuple[str, dict]]:
-        record_type = str(record.field("record_type", ""))
-        if record_type != "SYSCALL":
+        fields = record.fields
+        if str(fields.get("record_type", "")) != "SYSCALL":
             return None
-        syscall = str(record.field("syscall", ""))
-        user = str(record.field("acct", ""))
-        meta = {"user": user, "syscall": syscall}
-        if syscall == "setuid" and str(record.field("uid")) == "0" and str(record.field("auid")) not in ("0", ""):
+        syscall = str(fields.get("syscall", ""))
+        meta = {"user": str(fields.get("acct", "")), "syscall": syscall}
+        if syscall == "setuid" and str(fields.get("uid")) == "0" and str(fields.get("auid")) not in ("0", ""):
             return "alert_privilege_escalation", meta
         if syscall == "init_module":
-            meta["module"] = str(record.field("name", ""))
+            meta["module"] = str(fields.get("name", ""))
             return "alert_kernel_module_loaded", meta
         if syscall == "execve":
-            exe = str(record.field("exe", ""))
+            exe = str(fields.get("exe", ""))
             meta["exe"] = exe
             if exe.startswith("/tmp/"):
                 return "alert_tmp_executable_created", meta
         if syscall == "openat":
-            path = str(record.field("name", ""))
+            path = str(fields.get("name", ""))
             meta["path"] = path
-            if path.startswith("/tmp/") :
+            if path.startswith("/tmp/"):
                 return "alert_tmp_executable_created", meta
         return None
 
     @staticmethod
     def _match_osquery(record: RawLogRecord) -> Optional[tuple[str, dict]]:
-        query = str(record.field("query_name", ""))
+        fields = record.fields
+        query = str(fields.get("query_name", ""))
         if query == "authorized_keys":
-            return "alert_new_ssh_key_added", {"user": str(record.field("username", ""))}
+            return "alert_new_ssh_key_added", {"user": str(fields.get("username", ""))}
         if query == "kernel_modules":
-            return "alert_kernel_module_loaded", {"module": str(record.field("name", ""))}
+            return "alert_kernel_module_loaded", {"module": str(fields.get("name", ""))}
         if query == "file_events":
-            path = str(record.field("target_path", ""))
+            path = str(fields.get("target_path", ""))
             if path.startswith("/tmp/"):
                 return "alert_tmp_executable_created", {"path": path}
             if path.endswith(("README_FOR_DECRYPT.txt", "HOW_TO_RECOVER.txt")):
                 return "alert_ransom_note_created", {"path": path}
             return None
         if query == "process_events":
-            cmdline = str(record.field("cmdline", ""))
-            user = str(record.field("username", ""))
-            meta = {"user": user, "command": cmdline}
-            if re.search(r"find .*id_rsa", cmdline):
-                return "alert_ssh_key_enumeration", meta
-            if re.search(r"known_hosts|\.ssh/config", cmdline):
-                return "alert_known_hosts_enumeration", meta
-            if re.search(r"ssh .*BatchMode=yes", cmdline):
-                return "alert_lateral_ssh_batch", meta
-            if re.search(r"xmrig|minerd|stratum\+tcp", cmdline):
-                return "alert_cryptomining", meta
+            cmdline = str(fields.get("cmdline", ""))
+            meta = {"user": str(fields.get("username", "")), "command": cmdline}
+            for pattern, alert_name in _PROCESS_EVENT_ALERTS:
+                if pattern.search(cmdline):
+                    return alert_name, meta
             return None
         if query == "process_open_sockets":
-            remote = str(record.field("remote_address", ""))
-            if any(remote.startswith(prefix) for prefix in KNOWN_C2_PREFIXES):
+            remote = str(fields.get("remote_address", ""))
+            if remote.startswith(KNOWN_C2_PREFIXES):
                 return "alert_outbound_c2", {"destination_ip": remote}
-            return None
-        if query == "listening_ports":
-            return None
         return None
 
     # ------------------------------------------------------------------
@@ -254,37 +271,50 @@ class AlertNormalizer:
     # ------------------------------------------------------------------
     def normalize_record(self, record: RawLogRecord) -> Optional[Alert]:
         """Normalise one raw record into an alert, or ``None`` to drop it."""
-        for rule in self.rules:
-            if rule.monitor is not record.monitor:
-                continue
-            result = rule.matcher(record)
-            if result is None:
-                continue
-            alert_name, metadata = result
-            if alert_name not in self.vocabulary:
-                continue
-            clean = self.sanitizer.sanitize_metadata(metadata)
-            user = clean.pop("user", "")
-            entity = f"user:{user}" if user else f"host:{record.host}"
-            return Alert(
-                timestamp=record.timestamp,
-                name=alert_name,
-                entity=entity,
-                source_ip=str(clean.get("source_ip", "")),
-                host=record.host,
-                monitor=record.monitor.value,
-                attributes=clean,
-            )
-        self.dropped += 1
-        return None
+        alerts = self.normalize_stream((record,))
+        return alerts[0] if alerts else None
 
     def normalize_stream(self, records: Iterable[RawLogRecord]) -> list[Alert]:
         """Normalise a stream of raw records, dropping unmatched ones."""
+        table: dict[MonitorKind, tuple[str, list]] = {}
+        for rule in self.rules:
+            table.setdefault(rule.monitor, (rule.monitor.value, []))[1].append(rule.matcher)
+        vocabulary = self.vocabulary
+        sanitize = self.sanitizer.sanitize_metadata
         alerts: list[Alert] = []
+        seen = malformed = 0
+        monitor, monitor_name, matchers = None, "", ()
         for record in records:
-            alert = self.normalize_record(record)
-            if alert is not None:
-                alerts.append(alert)
+            seen += 1
+            if record.monitor is not monitor:  # enum members hash in Python: look up on change
+                monitor = record.monitor
+                monitor_name, matchers = table.get(monitor, ("", ()))
+            try:
+                for matcher in matchers:
+                    result = matcher(record)
+                    if result is not None and result[0] in vocabulary:
+                        break
+                else:
+                    continue
+            except (ValueError, TypeError):
+                malformed += 1
+                continue
+            clean = sanitize(result[1])
+            user = clean.pop("user", "")
+            host = record.host
+            alerts.append(
+                Alert(
+                    record.timestamp,
+                    result[0],
+                    f"user:{user}" if user else f"host:{host}",
+                    str(clean.get("source_ip", "")),
+                    host,
+                    monitor_name,
+                    clean,
+                )
+            )
+        self.dropped += seen - len(alerts)
+        self.malformed += malformed
         return alerts
 
 

@@ -78,27 +78,39 @@ class TrafficMirror:
     # -- publication ----------------------------------------------------------
     def publish_raw(self, record: RawLogRecord) -> None:
         """Mirror one raw monitor record."""
-        self.stats.raw_records += 1
-        self.stats.dropped_raw += self._buffer(self.raw_buffer, record)
-        for subscriber in self._raw_subscribers:
-            subscriber(record)
+        self.publish_raw_many((record,))
 
     def publish_raw_many(self, records: Iterable[RawLogRecord]) -> None:
-        """Mirror many raw records."""
+        """Mirror many raw records as one bulk publish.
+
+        The counters move once per call and the retention buffer takes
+        one ``deque.extend``.  For a bounded buffer holding ``L`` of
+        ``max_buffer`` entries, publishing ``n`` records one at a time
+        evicts on every append after the first ``max_buffer - L``, so
+        ``dropped_raw`` grows by ``max(0, L + n - max_buffer)`` -- the
+        figure computed here.  Subscribers are then called record by
+        record, each record reaching every subscriber before the next
+        record reaches any (the single-publish order).
+        """
+        records = tuple(records)
+        self.stats.raw_records += len(records)
+        self.stats.dropped_raw += self._retain(self.raw_buffer, records)
         for record in records:
-            self.publish_raw(record)
+            for subscriber in self._raw_subscribers:
+                subscriber(record)
 
     def publish_alert(self, alert: Alert) -> None:
         """Forward one normalised alert to the detection models."""
-        self.stats.alerts += 1
-        self.stats.dropped_alerts += self._buffer(self.alert_buffer, alert)
-        for subscriber in self._alert_subscribers:
-            subscriber(alert)
+        self.publish_alerts((alert,))
 
     def publish_alerts(self, alerts: Iterable[Alert]) -> None:
-        """Forward many alerts."""
+        """Forward many alerts (bulk, see :meth:`publish_raw_many`)."""
+        alerts = tuple(alerts)
+        self.stats.alerts += len(alerts)
+        self.stats.dropped_alerts += self._retain(self.alert_buffer, alerts)
         for alert in alerts:
-            self.publish_alert(alert)
+            for subscriber in self._alert_subscribers:
+                subscriber(alert)
 
     # -- checkpointing -----------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -129,10 +141,13 @@ class TrafficMirror:
         self.stats = dataclasses.replace(state["stats"])
 
     # -- internals ----------------------------------------------------------------
-    def _buffer(self, buffer: Deque, item) -> int:
-        """Append ``item``; return how many entries the append evicted."""
-        dropped = 1 if buffer.maxlen is not None and len(buffer) == buffer.maxlen else 0
-        buffer.append(item)
+    @staticmethod
+    def _retain(buffer: Deque, items: tuple) -> int:
+        """Append ``items``; return how many entries that evicted."""
+        dropped = 0
+        if buffer.maxlen is not None:
+            dropped = max(0, len(buffer) + len(items) - buffer.maxlen)
+        buffer.extend(items)
         return dropped
 
 

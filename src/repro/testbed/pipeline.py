@@ -282,8 +282,7 @@ class TestbedPipeline:
         that processed it.
         """
         detections = self._drain_pending() if self._pending_raw else []
-        for record in records:
-            self.mirror.publish_raw(record)
+        self.mirror.publish_raw_many(records)
         detections.extend(self._drain_pending())
         return detections
 
@@ -329,8 +328,7 @@ class TestbedPipeline:
         """Filter one normalised batch and publish the survivors."""
         filtered = self._run_stage(self.filter_stage, alerts)
         self.stats.filtered_alerts += len(filtered)
-        for alert in filtered:
-            self.mirror.publish_alert(alert)
+        self.mirror.publish_alerts(filtered)
         return filtered
 
     # ------------------------------------------------------------------
@@ -373,8 +371,7 @@ class TestbedPipeline:
     def _prep_raw_batches(self, batches):
         """Mirror, normalise, and filter raw batches one at a time."""
         for records in batches:
-            for record in records:
-                self.mirror.publish_raw(record)
+            self.mirror.publish_raw_many(records)
             yield self._prep_filtered(self._take_pending_normalized())
 
     def _prep_alert_batches(self, batches):
@@ -623,8 +620,7 @@ class TestbedPipeline:
         service is the only publisher in the service topology, so the
         pending list is normally empty).
         """
-        for record in records:
-            self.mirror.publish_raw(record)
+        self.mirror.publish_raw_many(records)
         self._submit_detection(self._prep_filtered(self._take_pending_normalized()))
 
     def collect_detections(self) -> list[Detection]:

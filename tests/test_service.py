@@ -139,6 +139,38 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_request(payload)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("op", ["raw", "batch"])
+    def test_non_finite_timestamps_are_rejected_at_the_edge(self, op, literal):
+        # json.loads accepts these literals; the scan filter sorts and
+        # subtracts timestamps.
+        if op == "raw":
+            body = '"records":[{"timestamp":%s,"monitor":"zeek","host":"h"}]' % literal
+        else:
+            body = '"alerts":[{"timestamp":%s,"name":"login","entity":"user:u1"}]' % literal
+        line = ('{"op":"%s",%s}\n' % (op, body)).encode()
+        with pytest.raises(ProtocolError, match="non-finite"):
+            parse_request(decode_line(line))
+
+    @pytest.mark.parametrize("value", [[["stream", "conn"]], [], "conn", 3, None])
+    def test_non_object_fields_and_attributes_are_rejected(self, value):
+        # dict() takes pair lists, so [["stream","conn"]] used to pass.
+        record = {"timestamp": 1.0, "monitor": "zeek", "host": "h", "fields": value}
+        with pytest.raises(ProtocolError, match="fields"):
+            parse_request({"op": "raw", "records": [record]})
+        alert = {"timestamp": 1.0, "name": "login", "entity": "user:u1", "attributes": value}
+        with pytest.raises(ProtocolError, match="attributes"):
+            parse_request({"op": "batch", "alerts": [alert]})
+
+    def test_unknown_monitor_and_non_object_record_stay_protocol_errors(self):
+        record = {"timestamp": 1.0, "monitor": "netflow", "host": "h"}
+        with pytest.raises(ProtocolError, match="netflow"):
+            parse_request({"op": "raw", "records": [record]})
+        with pytest.raises(ProtocolError):
+            parse_request({"op": "raw", "records": [["timestamp", 1.0]]})
+        with pytest.raises(ProtocolError):
+            parse_request({"op": "raw", "records": [{"monitor": "zeek", "host": "h"}]})
+
     def test_parse_request_accepts_canonical_ops(self):
         request = parse_request({"op": "reshard", "n_shards": 3})
         assert request.op == "reshard" and request.n_shards == 3
@@ -552,6 +584,51 @@ class TestServiceSocket:
         entries = handle.service.dead_letter.entries
         assert any(e["reason"] == "consumer-error" for e in entries)
 
+    def test_one_malformed_record_does_not_cost_its_batch(self):
+        # Regression: int("http") in the conn matcher raised out of
+        # normalize_stream and the whole batch was dead-lettered, after
+        # the mirror and stats.raw_records had already counted it.
+        from repro.telemetry import ZeekMonitor
+
+        zeek = ZeekMonitor()
+        zeek.record_connection(1.0, "1.2.3.4", 5555, "141.142.230.1", 5432, conn_state="S0")
+        zeek.record_connection(3.0, "5.6.7.8", 5556, "141.142.230.2", 5432, conn_state="REJ")
+        good_a, good_b = zeek.records
+        malformed = RawLogRecord(
+            2.0, MonitorKind.ZEEK, "zeek-manager", "", {"stream": "conn", "resp_p": "http"}
+        )
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        with handle, handle.client() as client:
+            ack = client.send_raw([good_a, malformed, good_b])
+            assert ack["tier"] == "admit" and ack["admitted"] == 3
+            client.drain()
+            stats = client.stats()
+            alerts = list(handle.pipeline.mirror.alert_buffer)
+        assert [(a.name, a.source_ip) for a in alerts] == [
+            ("alert_db_port_probe", "1.2.3.4"),
+            ("alert_db_port_probe", "5.6.7.8"),
+        ]
+        assert stats["normalizer"] == {"dropped": 1, "malformed": 1}
+        assert stats["pipeline"]["raw_records"] == 3
+        assert stats["pipeline"]["normalized_alerts"] == 2
+        assert stats["failed_batches"] == 0 and stats["dead_letter_records"] == 0
+        assert handle.service.dead_letter.entries == []
+
+    def test_stats_reports_the_collector_outside_the_compared_surface(self):
+        import gc
+
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        with handle, handle.client() as client:
+            stats, results = client.stats(), client.results()
+        # An embedded service sets no policy: it reports this process's.
+        assert stats["gc"]["threshold"] == list(gc.get_threshold())
+        assert stats["gc"]["frozen"] == gc.get_freeze_count()
+        assert len(stats["gc"]["collections"]) == 3
+        assert "gc" not in COMPARED_COUNTERS and "gc" not in results
+        assert "gc" not in results["counters"]
+
     def test_fully_shed_raw_batch_consumes_no_queue_slot(self):
         # Regression: a whole-batch shed still enqueued an empty work
         # item, marching the connection toward its reject threshold
@@ -671,6 +748,40 @@ class TestGracefulShutdown:
             stderr=subprocess.PIPE,
             text=True,
         )
+
+    def test_collector_policy_belongs_to_the_service_process(self, tmp_path):
+        from repro.service import ServiceClient
+        from repro.service.__main__ import GC_GEN0_THRESHOLD
+
+        # The library sets no process policy ...
+        probe = (
+            "import gc; before = gc.get_threshold(); import repro, repro.service;"
+            "from repro.testbed import TestbedPipeline; TestbedPipeline().close();"
+            "assert gc.get_threshold() == before == (700, 10, 10), gc.get_threshold();"
+            "assert gc.get_freeze_count() == 0"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)
+        # ... the service process does, and says so.
+        proc = self._spawn(tmp_path)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("LISTENING "), (line, proc.stderr.read())
+            with ServiceClient("127.0.0.1", int(line.split()[1]), timeout=120.0) as client:
+                client.send_alerts([Alert(1.0, "login", "user:u001")])
+                client.drain()
+                report = client.stats()["gc"]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=120) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert report["threshold"] == [GC_GEN0_THRESHOLD, 10, 10]
+        assert report["frozen"] > 10_000  # the import-time heap
+        assert len(report["collections"]) == 3 and all(c >= 0 for c in report["collections"])
 
     def test_sigterm_drains_checkpoints_and_resumes_exactly(self, tmp_path):
         campaign = CampaignComposer(2, target_alerts=120).compose(

@@ -28,7 +28,13 @@ from repro.telemetry import (
     parse_conn_log,
     write_conn_log,
 )
+from repro.telemetry import sanitizer as sanitizer_module
 from repro.telemetry.annotator import AnnotationLabel, AnnotationMethod
+from repro.telemetry.logsource import RawLogRecord
+from repro.telemetry.normalizer import ZEEK_NOTICE_MAP, NormalizationRule
+from repro.telemetry.sanitizer import SanitizationReport
+
+import ingest_corpus
 
 
 class TestZeek:
@@ -166,7 +172,166 @@ class TestNormalizer:
         assert alerts[0].name == "alert_erase_forensic_trace"
 
 
+class TestNormalizerFastPath:
+    """The table-driven loop is the rule walk it replaced."""
+
+    #: ``ingest_corpus.corpus_digest()`` recorded on the tree of commit
+    #: 8b6d838 (PR 13), before ``telemetry/`` or ``service/protocol.py``
+    #: were edited: sha256 over the alerts' ``to_dict()`` forms, the
+    #: drop count and the sanitisation report.
+    PARENT_DIGEST = "fd8d8217a9fd13b7f98d8343cb201520223b659991180b609eec1637633c7137"
+
+    def test_corpus_digest_is_the_one_recorded_at_the_parent(self):
+        digest, n_alerts, n_records = ingest_corpus.corpus_digest()
+        assert (n_alerts, n_records) == (451, 493)
+        assert digest == self.PARENT_DIGEST
+
+    def test_corpus_reaches_every_default_alert_name(self):
+        normalizer = AlertNormalizer()
+        names = {a.name for a in normalizer.normalize_stream(ingest_corpus.build_corpus())}
+        assert names >= set(ZEEK_NOTICE_MAP.values())
+        assert names >= {
+            "alert_login_normal", "alert_bruteforce_ssh", "alert_sudo_policy_violation",
+            "alert_download_sensitive", "alert_compile_kernel_module",
+            "alert_suspicious_compile", "alert_ssh_key_enumeration",
+            "alert_known_hosts_enumeration", "alert_erase_forensic_trace",
+            "alert_privilege_escalation", "alert_kernel_module_loaded",
+            "alert_tmp_executable_created", "alert_new_ssh_key_added",
+            "alert_ransom_note_created", "alert_cryptomining",
+        }  # fmt: skip
+        report = normalizer.sanitizer.report
+        assert min(report.emails, report.ssns, report.phones, report.ips_truncated, report.home_paths) > 0
+        assert normalizer.malformed == 0
+
+    @staticmethod
+    def _one_by_one(normalizer, records):
+        # to_dict(): Alert equality ignores ``attributes``.
+        alerts = [normalizer.normalize_record(record) for record in records]
+        forms = [a.to_dict() for a in alerts if a is not None]
+        return forms, normalizer.dropped, normalizer.malformed
+
+    @staticmethod
+    def _batched(normalizer, records):
+        forms = [a.to_dict() for a in normalizer.normalize_stream(records)]
+        return forms, normalizer.dropped, normalizer.malformed
+
+    def test_normalize_record_is_a_one_element_stream(self):
+        records = ingest_corpus.build_corpus()[::3]
+        records.append(RawLogRecord(9.0, MonitorKind.ZEEK, "z", "", {"stream": "conn", "resp_p": "http"}))
+        cron = SyslogMonitor("login1")
+        cron.cron_job(10.0, "root", "/tmp/x.sh")  # no default rule matches CRON
+        records.extend(cron.records)
+
+        def tmp_anywhere(record):
+            if "/tmp/" in record.message:
+                return "alert_tmp_executable_created", {"path": record.message, "api_token": "x"}
+            return None
+
+        extra = NormalizationRule("tmp_anywhere", MonitorKind.SYSLOG, tmp_anywhere)
+        single, batched = AlertNormalizer(extra_rules=[extra]), AlertNormalizer(extra_rules=[extra])
+        expected = self._batched(batched, records)
+        assert self._one_by_one(single, records) == expected
+        assert batched.malformed == 1 and batched.dropped == len(records) - len(expected[0])
+        assert expected[0][-1]["attributes"] == {"path": cron.records[0].message}
+        assert single.sanitizer.report == batched.sanitizer.report
+        assert batched.sanitizer.report.secrets == 1
+
+    def test_rules_edited_in_place_take_effect_on_the_next_call(self):
+        records = ingest_corpus.build_corpus()[::5]
+        single, batched = AlertNormalizer(), AlertNormalizer()
+        before = self._batched(batched, records)
+        assert self._one_by_one(single, records) == before
+        for normalizer in (single, batched):
+            # Drop the conn rule, and let an extra rule shadow syslog.
+            del normalizer.rules[1]
+            normalizer.rules.insert(
+                0,
+                NormalizationRule(
+                    "every_syslog", MonitorKind.SYSLOG, lambda r: ("alert_login_normal", {})
+                ),
+            )
+        single.dropped = batched.dropped = 0
+        after = self._batched(batched, records)
+        assert self._one_by_one(single, records) == after
+        assert after[0] != before[0]
+        assert any("port" in a["attributes"] for a in before[0])  # only the conn rule sets it
+        assert not any("port" in a["attributes"] for a in after[0])
+        assert {a["name"] for a in after[0] if a["monitor"] == "syslog"} == {"alert_login_normal"}
+
+    def test_a_name_outside_the_vocabulary_falls_through_to_the_next_rule(self):
+        zeek = ZeekMonitor()
+        zeek.record_connection(1.0, "1.2.3.4", 5555, "141.142.230.1", 22, conn_state="S0")
+        shadow = NormalizationRule("shadow", MonitorKind.ZEEK, lambda r: ("not_in_vocabulary", {}))
+        normalizer = AlertNormalizer()
+        normalizer.rules.insert(0, shadow)
+        assert [a.name for a in normalizer.normalize_stream(zeek.records)] == ["alert_port_scan"]
+
+    def test_record_of_no_known_monitor_is_dropped_not_malformed(self):
+        normalizer = AlertNormalizer()
+        assert normalizer.normalize_stream([RawLogRecord(1.0, None, "h", "", {})]) == []
+        assert (normalizer.dropped, normalizer.malformed) == (1, 0)
+
+    @pytest.mark.parametrize("resp_p", ["http", None, [5432]])
+    def test_malformed_field_drops_that_record_only(self, resp_p):
+        zeek = ZeekMonitor()
+        zeek.record_connection(1.0, "1.2.3.4", 5555, "141.142.230.1", 5432, conn_state="S0")
+        zeek.record_connection(3.0, "1.2.3.4", 5556, "141.142.230.2", 22, conn_state="S0")
+        bad = RawLogRecord(2.0, MonitorKind.ZEEK, "z", "", {"stream": "conn", "resp_p": resp_p})
+        normalizer = AlertNormalizer()
+        alerts = normalizer.normalize_stream([zeek.records[0], bad, zeek.records[1]])
+        assert [a.name for a in alerts] == ["alert_db_port_probe", "alert_port_scan"]
+        assert (normalizer.dropped, normalizer.malformed) == (1, 1)
+        assert normalizer.normalize_record(bad) is None
+        assert (normalizer.dropped, normalizer.malformed) == (2, 2)
+
+
+def _sanitize_unguarded(text: str) -> tuple[str, SanitizationReport]:
+    """The five module-level patterns, applied unconditionally in order."""
+    report = SanitizationReport()
+    out, report.emails = sanitizer_module._EMAIL_RE.subn("<email>", text)
+    out, report.ssns = sanitizer_module._SSN_RE.subn("<ssn>", out)
+    out, report.phones = sanitizer_module._PHONE_RE.subn("<phone>", out)
+    out, report.home_paths = sanitizer_module._HOME_PATH_RE.subn(
+        lambda m: f"/home/<user>{m.group(2) or ''}", out
+    )
+    out, report.ips_truncated = sanitizer_module._IP_RE.subn(
+        lambda m: anonymize_ip(m.group(0), 2), out
+    )
+    return out, report
+
+
 class TestSanitizer:
+    @given(
+        st.lists(
+            st.sampled_from(list("abz019@.-/()+ ") + ["/home/", "٣", "12", "555"]), max_size=40
+        ).map("".join)
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_guarded_passes_equal_the_unguarded_five(self, text):
+        sanitizer = Sanitizer()
+        assert (sanitizer.sanitize_text(text), sanitizer.report) == _sanitize_unguarded(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a1@b.c 123-45-6789", "x@y.z", "123-45-6789", "(217) 555-0142", "+1 217.555.0142",
+            "/home/u1/a.b", "/home/", "10.20.30.40", "1.2.3.4.5", "٣٣٣-٣٣-٣٣٣٣", "٣.٣.٣.٣",
+            "a@b.c/home/x 1.2.3.4 217-555-0142 078-05-1120", "", "sshd", "user07",
+        ],
+    )  # fmt: skip
+    def test_guarded_passes_on_named_cases(self, text):
+        sanitizer = Sanitizer()
+        assert (sanitizer.sanitize_text(text), sanitizer.report) == _sanitize_unguarded(text)
+
+    def test_key_classification_is_case_insensitive_and_memoised(self):
+        sanitizer = Sanitizer()
+        metadata = {"API_Token": "x", "Source_IP": "1.2.3.4", "peer": "1.2.3.4", "port": 22}
+        for _ in range(2):
+            assert sanitizer.sanitize_metadata(metadata) == {
+                "Source_IP": "1.2.3.4", "peer": "1.2.xxx.yyy", "port": 22,
+            }  # fmt: skip
+        assert sanitizer.report.secrets == 2 and sanitizer.report.ips_truncated == 2
+
     def test_email_and_ssn_scrubbed(self):
         sanitizer = Sanitizer()
         text = sanitizer.sanitize_text("mail alice@example.org ssn 123-45-6789")

@@ -3,6 +3,7 @@ services, honeypot, isolation, VRT, BHR, responder, pipeline."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -525,6 +526,47 @@ class TestTrafficMirrorBuffers:
         # Bounding the retention buffer never affects delivery.
         assert seen == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert len(mirror.alert_buffer) == 2
+
+    @pytest.mark.parametrize("kind", ["raw", "alerts"])
+    @pytest.mark.parametrize("bound", ["none", 0, 1, "n-1", "n", "n+1"])
+    def test_bulk_publish_equals_a_single_publish_loop(self, kind, bound):
+        from repro.testbed import TrafficMirror
+
+        n = 7
+        max_buffer = {"none": None, "n-1": n - 1, "n": n, "n+1": n + 1}.get(bound, bound)
+        if kind == "raw":
+            items = [self._raw_record(float(i)) for i in range(2 * n + 3)]
+        else:
+            items = [Alert(float(i), "alert_port_scan", f"host:h{i}") for i in range(2 * n + 3)]
+
+        def drive(bulk: bool):
+            mirror = TrafficMirror(max_buffer=max_buffer)
+            one, many, subscribe, buffer = (
+                (mirror.publish_raw, mirror.publish_raw_many, mirror.subscribe_raw, mirror.raw_buffer)
+                if kind == "raw"
+                else (mirror.publish_alert, mirror.publish_alerts, mirror.subscribe_alerts, mirror.alert_buffer)
+            )
+            calls: list[tuple[str, float]] = []
+            subscribe(lambda item: calls.append(("first", item.timestamp)))
+            subscribe(lambda item: calls.append(("second", item.timestamp)))
+            # Three publishes: into an empty buffer, into a part-full
+            # one (an iterator, not a sequence), and an empty batch.
+            for chunk in (items[:n], iter(items[n:]), []):
+                if bulk:
+                    many(chunk)
+                else:
+                    for item in chunk:
+                        one(item)
+            return list(buffer), dataclasses.asdict(mirror.stats), calls
+
+        looped, bulk = drive(bulk=False), drive(bulk=True)
+        assert bulk == looped
+        assert looped[2][:4] == [("first", 0.0), ("second", 0.0), ("first", 1.0), ("second", 1.0)]
+        published = looped[1]["raw_records" if kind == "raw" else "alerts"]
+        assert published == len(items)
+        if max_buffer is not None:
+            dropped = looped[1]["dropped_raw" if kind == "raw" else "dropped_alerts"]
+            assert dropped == len(items) - min(len(items), max_buffer)
 
     def test_max_buffer_is_read_only(self):
         from repro.testbed import TrafficMirror
