@@ -18,14 +18,21 @@ the other regime the testbed lives in: a fresh entity every 2 alerts
 is the cost, through per-alert ``observe()`` and through
 ``observe_batch`` sub-batches (the stacked kernel).
 
+The ``steady`` rows are the steady state of a long-lived population:
+256 round-robin entities whose W = 32 windows are all sliding
+(operational noise only; flip phases spread evenly, so a round of N
+entities holds about N / W flips), through per-alert ``observe()`` --
+the N = 1 scalar path -- and through ``observe_batch`` at round sizes
+32 and 256.
+
 Run as a script to (re)record ``BENCH_streaming.json`` at the repo
 root::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py
 
 CI runs the quick regression gate, which re-measures the streaming
-rate on a short stream, and both churn rates, and fails if any
-regressed more than 2x against the committed baseline::
+rate on a short stream, both churn rates and the three steady rates,
+and fails if any regressed more than 2x against the committed baseline::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -127,6 +134,54 @@ def measure_churn_rates(entities: int) -> dict[str, float]:
     return rates
 
 
+#: The steady rows: entities, sliding-window length, and the
+#: ``observe_batch`` round sizes measured next to per-alert ``observe()``.
+STEADY_ENTITIES = 256
+STEADY_WINDOW = 32
+STEADY_ROUND_SIZES = (32, 256)
+
+#: Operational noise only (the benign entities of ``benchmarks/e2e``'s
+#: ``steady_alerts``): no pattern cursor advances, so the rows time the
+#: window arithmetic and not bonus relocation.
+STEADY_NAMES = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
+
+
+def measure_steady_rates(rounds: int, *, seed: int = 7) -> dict[str, float]:
+    """Sliding-window alerts/sec over ``rounds`` round-robin passes of the population.
+
+    Entity ``e`` is warmed (untimed) with ``W + e % W`` alerts, so every
+    window slides from the first timed alert on and the two-stack flips
+    fall evenly across the rounds instead of all in the same one.
+    """
+    rng = np.random.default_rng(seed)
+
+    def alert(entity: int) -> Alert:
+        name = STEADY_NAMES[rng.integers(len(STEADY_NAMES))]
+        return Alert(0.0, name, f"host:steady-{entity}")
+
+    warm_up = [
+        alert(entity)
+        for entity in range(STEADY_ENTITIES)
+        for _ in range(STEADY_WINDOW + entity % STEADY_WINDOW)
+    ]
+    stream = [alert(entity) for _ in range(rounds) for entity in range(STEADY_ENTITIES)]
+    rates = {}
+    for size in (None, *STEADY_ROUND_SIZES):
+        tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE), max_window=STEADY_WINDOW)
+        tagger.observe_batch(warm_up)
+        started = time.perf_counter()
+        if size is None:
+            for item in stream:
+                tagger.observe(item)
+        else:
+            for base in range(0, len(stream), size):
+                tagger.observe_batch(stream[base : base + size])
+        elapsed = time.perf_counter() - started
+        assert not tagger.detections, "benchmark stream must stay undetected"
+        rates["observe" if size is None else f"observe_batch_{size}"] = len(stream) / elapsed
+    return rates
+
+
 def host_fingerprint() -> dict:
     """Where a recorded file's numbers came from."""
     cpu_model = "unknown"
@@ -164,6 +219,7 @@ def run_benchmark(
     baseline_alerts: int = 600,
     windowed_alerts: int = 2_000,
     churn_entities: int = 20_000,
+    steady_rounds: int = 80,
 ) -> dict:
     """Full measurement set behind ``BENCH_streaming.json``."""
     results: dict = {
@@ -218,6 +274,15 @@ def run_benchmark(
             for path, rate in measure_churn_rates(churn_entities).items()
         },
     }
+    results["steady"] = {
+        "entities": STEADY_ENTITIES,
+        "max_window": STEADY_WINDOW,
+        "alerts": steady_rounds * STEADY_ENTITIES,
+        **{
+            path: round(rate, 1)
+            for path, rate in measure_steady_rates(steady_rounds).items()
+        },
+    }
     return results
 
 
@@ -246,8 +311,10 @@ def quick_streaming_rate(size: int = 2_000) -> float:
     return rate
 
 
-#: Entities in the quick churn measurement of the CI regression gate.
+#: Entities in the quick churn measurement of the CI regression gate,
+#: and round-robin passes in its quick steady measurement.
 QUICK_CHURN_ENTITIES = 2_000
+QUICK_STEADY_ROUNDS = 8
 
 
 def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
@@ -260,7 +327,8 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     against ``scaled_baseline / factor`` -- CI runners that are simply
     slower across the board do not trip it, while a genuine slowdown of
     the streaming engine (which leaves the naive path untouched) does.
-    The two churn rows are gated by the same rule.
+    The two churn rows and the three steady rows are gated by the same
+    rule.
     """
     if not baseline_path.exists():
         print(f"FAIL: no committed baseline at {baseline_path}; "
@@ -279,12 +347,17 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         (f"churn {path}", float(baseline["churn"][path]), churn[path])
         for path in ("observe", "observe_batch")
     ]
+    steady = measure_steady_rates(QUICK_STEADY_ROUNDS)
+    rows += [
+        (f"steady {path}", float(baseline["steady"][path]), rate)
+        for path, rate in steady.items()
+    ]
     failed = False
     for label, committed, measured in rows:
         floor = committed * hardware_factor / factor
         ok = measured >= floor
         failed |= not ok
-        print(f"{label:<20} committed {committed:>8.0f}  quick {measured:>8.0f}  "
+        print(f"{label:<24} committed {committed:>8.0f}  quick {measured:>8.0f}  "
               f"floor ({factor}x, scaled) {floor:>8.0f} alerts/s  {'ok' if ok else 'FAIL'}")
     if failed:
         print(f"FAIL: throughput regressed more than {factor}x vs the "

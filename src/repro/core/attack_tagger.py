@@ -180,7 +180,7 @@ class AttackTagger:
         batch entry points advance every entity touched by a sub-batch
         together through the vectorised cross-entity kernel
         (:class:`repro.core.batch_kernel.BatchedDecodeKernel`): one
-        ``(N, K, K)`` stacked semiring reduce per driver step instead
+        ``(K, K, N)`` stacked semiring reduce per driver step instead
         of N small-matrix calls; :meth:`observe` is the same
         arithmetic for one alert.  ``"naive"`` is the executable spec:
         the seed behaviour of re-decoding the whole chain per alert.

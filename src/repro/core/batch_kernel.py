@@ -18,14 +18,21 @@ the identical amortised-O(K³) eviction, bonus-relocation patching, and
 entities touched by a sub-batch as stacked tensor operations:
 
 * **gather** — each entity's operands (previous head vectors, back-stack
-  prefix aggregates, effective unary rows) are copied into contiguous
-  ``(N, K)`` / ``(N, K, K)`` stacks;
+  prefix aggregates, effective unary rows) are copied into *entity-minor*
+  stacks, ``(K, N)`` / ``(K, K, N)`` with entity ``n`` in ``[..., n]``
+  (see the stacked primitives in :mod:`~repro.core.factor_graph`), so
+  every inner loop numpy runs is contiguous over the N entities;
 * **stacked update** — one broadcast add builds all N step matrices
-  (``transition[None] + unary[:, None, :]``), one ``(N, K, K, K)``
-  reduce per semiring folds them into the back-prefix aggregates, and
-  one ``(N, K, K) x (N, K)`` reduce per semiring advances the filling
-  -phase Viterbi/forward heads — no Python loop over entities in the
-  arithmetic;
+  (``transition[:, :, None] + unary[None, :, :]``), one ``(K, K, K, N)``
+  add + leading-axis reduce per semiring folds them into the
+  back-prefix aggregates, one ``(K, N) x (K, K, N)`` reduce per semiring
+  advances the filling-phase Viterbi/forward heads, and the round's due
+  two-stack flips run as one doubling scan per back length
+  (:func:`~repro.core.sliding_window.flip_together`) — no Python loop
+  over entities in the arithmetic;
+* **stacked decide** — the ``may_fire`` pre-filter in its own two
+  stages: the ``(max, +)`` score for every row, the ``(logsumexp, +)``
+  forward message only for the rows the score test lets through;
 * **scatter** — results are copied back into each decoder's buffers /
   window stacks (the structures keep private copies, so nothing aliases
   reusable scratch and no entity pins another's round), after which
@@ -41,8 +48,8 @@ r, so within a round all entities are distinct and independent.
 
 Every stacked operation replays the scalar engine's float operations
 bit-for-bit (elementwise adds/exp/log are elementwise; max/argmax are
-order-independent; at K = 3 numpy's pairwise summation degenerates to
-the same left-to-right sum), so a sub-batch is *bit-identical* to a
+order-independent; a K = 3 reduce over a leading axis sums left to
+right, as the scalar ops do), so a sub-batch is *bit-identical* to a
 per-alert ``observe`` loop over the same alerts — detections,
 confidences, trajectories, and checkpointed state.  The differential
 oracle replays the full engine × shards × backend × driver matrix
@@ -66,10 +73,14 @@ from .factor_graph import (
     maxplus_matmul_batch,
     maxplus_vecmat_batch,
 )
+from .sliding_window import flip_together
 from .states import NUM_STATES
 from .streaming import _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS
 
 _K = NUM_STATES
+
+# Stand-in aggregate for a window stack that is empty this round.
+_NO_STACK = np.zeros((_K, _K))
 
 # Rounds smaller than this are not worth the gather/scatter round-trip;
 # they run through the tagger's per-alert path (which is also what makes
@@ -78,10 +89,12 @@ _MIN_BATCH = 4
 
 
 class _ScratchArena:
-    """Grow-only pool of reusable stacked work buffers, keyed by role.
+    """Grow-only pool of reusable entity-minor work buffers, keyed by role.
 
-    Buffers are sized to the largest round seen (doubling growth) and
-    sliced per use.  Decoders and windows copy what they retain out of
+    A buffer has shape ``lead + (capacity,)``: the entity axis is the
+    last one, sized to the largest round seen (doubling growth) and
+    sliced per use, so a round narrower than the capacity works on
+    strided slices.  Decoders and windows copy what they retain out of
     these stacks, so every buffer is free again after the round.
     """
 
@@ -90,15 +103,20 @@ class _ScratchArena:
     def __init__(self) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
 
-    def rows(
-        self, key: str, count: int, tail: Tuple[int, ...], dtype=np.float64
-    ) -> np.ndarray:
+    def cols(self, key: str, lead: Tuple[int, ...], count: int) -> np.ndarray:
         buffer = self._buffers.get(key)
-        if buffer is None or buffer.shape[0] < count:
-            capacity = count if buffer is None else max(count, 2 * buffer.shape[0])
-            buffer = np.empty((capacity,) + tail, dtype=dtype)
+        if buffer is None or buffer.shape[-1] < count:
+            capacity = count if buffer is None else max(count, 2 * buffer.shape[-1])
+            buffer = np.empty(lead + (capacity,))
             self._buffers[key] = buffer
-        return buffer[:count]
+        return buffer[..., :count]
+
+    def stack(self, key: str, arrays: List[np.ndarray]) -> np.ndarray:
+        """Gather equal-shape per-entity arrays: ``result[..., i] = arrays[i]``."""
+        staged = np.array(arrays)
+        block = self.cols(key, staged.shape[1:], len(arrays))
+        np.copyto(block, staged.transpose(*range(1, staged.ndim), 0))
+        return block
 
 
 class BatchedDecodeKernel:
@@ -233,15 +251,16 @@ class BatchedDecodeKernel:
         """Stacked ``t == 0`` branch of ``_recompute_forward`` for new
         entities' first alerts: ``score = unary``, ``backpointers = 0``,
         ``alpha = normalise(unary)`` in one normalisation for all."""
-        unary_0 = self._scratch.rows("first_unary", len(entries), (_K,))
-        for i, (_, _, _, decoder) in enumerate(entries):
+        for _, _, _, decoder in entries:
             decoder._refresh_unary(0)
-            unary_0[i] = decoder._unary[0]
-        alpha_0 = unary_0 - _logsumexp(unary_0, axis=1, keepdims=True)
+        unary_0 = self._scratch.stack(
+            "first_unary", [decoder._unary[0] for _, _, _, decoder in entries]
+        )
+        alpha_0 = unary_0 - _logsumexp(unary_0, axis=0, keepdims=True)
         for i, (_, _, _, decoder) in enumerate(entries):
-            decoder._score[0] = unary_0[i]
+            decoder._score[0] = decoder._unary[0]
             decoder._backpointers[0] = 0
-            decoder._alpha[0] = alpha_0[i]
+            decoder._alpha[0] = alpha_0[:, i]
 
     def _advance_fill(
         self, entries: List[Tuple[tuple, int]], pairwise: np.ndarray
@@ -255,36 +274,41 @@ class BatchedDecodeKernel:
         """
         scratch = self._scratch
         n = len(entries)
-        unary_t = scratch.rows("fill_unary", n, (_K,))
-        prev_score = scratch.rows("fill_prev_score", n, (_K,))
-        prev_alpha = scratch.rows("fill_prev_alpha", n, (_K,))
-        for i, ((_, _, _, decoder), step) in enumerate(entries):
+        for (_, _, _, decoder), step in entries:
             decoder._refresh_unary(step)
-            unary_t[i] = decoder._unary[step]
-            prev_score[i] = decoder._score[step - 1]
-            prev_alpha[i] = decoder._alpha[step - 1]
-        # Viterbi: candidate[n, a, b] = score[n, a] + pairwise[a, b].
-        candidate = scratch.rows("fill_candidate", n, (_K, _K))
-        np.add(prev_score[:, :, None], pairwise[None, :, :], out=candidate)
-        backpointers = np.argmax(candidate, axis=1)
-        rows = np.arange(n)[:, None]
-        cols = np.arange(_K)[None, :]
-        new_score = candidate[rows, backpointers, cols] + unary_t
+        unary_t = scratch.stack(
+            "fill_unary", [decoder._unary[step] for (_, _, _, decoder), step in entries]
+        )
+        prev_score = scratch.stack(
+            "fill_prev_score",
+            [decoder._score[step - 1] for (_, _, _, decoder), step in entries],
+        )
+        prev_alpha = scratch.stack(
+            "fill_prev_alpha",
+            [decoder._alpha[step - 1] for (_, _, _, decoder), step in entries],
+        )
+        # Viterbi: candidate[a, b, n] = score[a, n] + pairwise[a, b].
+        candidate = scratch.cols("fill_candidate", (_K, _K), n)
+        np.add(prev_score[:, None, :], pairwise[:, :, None], out=candidate)
+        backpointers = np.argmax(candidate, axis=0)
+        cols = np.arange(_K)[:, None]
+        rows = np.arange(n)[None, :]
+        new_score = candidate[backpointers, cols, rows] + unary_t
         # Forward: alpha' = normalise(lse_a(alpha[a] + pairwise[a, :]) + unary).
-        prev = scratch.rows("fill_prev", n, (_K, _K))
-        np.add(prev_alpha[:, :, None], pairwise[None, :, :], out=prev)
-        message = _logsumexp(prev, axis=1) + unary_t
-        new_alpha = message - _logsumexp(message, axis=1, keepdims=True)
+        prev = scratch.cols("fill_prev", (_K, _K), n)
+        np.add(prev_alpha[:, None, :], pairwise[:, :, None], out=prev)
+        message = _logsumexp(prev, axis=0) + unary_t
+        new_alpha = message - _logsumexp(message, axis=0, keepdims=True)
         for i, ((_, _, _, decoder), step) in enumerate(entries):
-            decoder._score[step] = new_score[i]
-            decoder._alpha[step] = new_alpha[i]
-            decoder._backpointers[step] = backpointers[i]
+            decoder._score[step] = new_score[:, i]
+            decoder._alpha[step] = new_alpha[:, i]
+            decoder._backpointers[step] = backpointers[:, i]
 
     # -- windowed phase: stacked push + eviction -----------------------------
     def _advance_windowed(
         self, windowed: List[Tuple[tuple, int, bool]], pairwise: np.ndarray
     ) -> None:
-        """Stacked step-matrix build + back-prefix fold, then eviction.
+        """Stacked step-matrix build + back-prefix fold, then flips, then eviction.
 
         The push must precede the eviction (matching the scalar order:
         ``append`` then ``evict_front``) because a flip triggered by the
@@ -293,51 +317,55 @@ class BatchedDecodeKernel:
         """
         scratch = self._scratch
         n = len(windowed)
-        unary_t = scratch.rows("wind_unary", n, (_K,))
-        for i, ((_, _, _, decoder), step, _) in enumerate(windowed):
+        for (_, _, _, decoder), step, _ in windowed:
             decoder._refresh_unary(step)
-            unary_t[i] = decoder._unary[step]
+        unary_t = scratch.stack(
+            "wind_unary",
+            [decoder._unary[step] for (_, _, _, decoder), step, _ in windowed],
+        )
         # All N step matrices in one broadcast add.  The windows keep
         # private copies, so every stack here is reusable scratch.
-        matrices = scratch.rows("wind_matrices", n, (_K, _K))
-        np.add(pairwise[None, :, :], unary_t[:, None, :], out=matrices)
+        matrices = scratch.cols("wind_matrices", (_K, _K), n)
+        np.add(pairwise[:, :, None], unary_t[None, :, :], out=matrices)
         nonempty_back: List[int] = []
         for i, ((_, _, _, decoder), step, _) in enumerate(windowed):
             if decoder._window._back_indices:
                 nonempty_back.append(i)
             else:
                 # No product to fold: push() stores the matrix itself.
-                decoder._window.push(step, matrices[i].copy())
+                decoder._window.push(step, matrices[:, :, i].copy())
         if nonempty_back:
             m = len(nonempty_back)
-            prev_max = scratch.rows("wind_prev_max", m, (_K, _K))
-            prev_lse = scratch.rows("wind_prev_lse", m, (_K, _K))
-            step_stack = scratch.rows("wind_step", m, (_K, _K))
-            for j, i in enumerate(nonempty_back):
-                window = windowed[i][0][3]._window
-                prev_max[j] = window._back_max[-1]
-                prev_lse[j] = window._back_lse[-1]
-                step_stack[j] = matrices[i]
-            stacked = scratch.rows("wind_stacked", m, (_K, _K, _K))
+            windows = [windowed[i][0][3]._window for i in nonempty_back]
+            prev_max = scratch.stack("wind_prev_max", [w._back_max[-1] for w in windows])
+            prev_lse = scratch.stack("wind_prev_lse", [w._back_lse[-1] for w in windows])
+            step_stack = matrices if m == n else matrices[:, :, nonempty_back]
+            stacked = scratch.cols("wind_stacked", (_K, _K, _K), m)
             new_max = maxplus_matmul_batch(
                 prev_max,
                 step_stack,
                 stacked_out=stacked,
-                out=scratch.rows("wind_new_max", m, (_K, _K)),
+                out=scratch.cols("wind_new_max", (_K, _K), m),
             )
             new_lse = logsumexp_matmul_batch(
                 prev_lse,
                 step_stack,
                 stacked_out=stacked,
-                out=scratch.rows("wind_new_lse", m, (_K, _K)),
+                out=scratch.cols("wind_new_lse", (_K, _K), m),
             )
             for j, i in enumerate(nonempty_back):
-                (_, _, _, decoder), step, _ = windowed[i]
-                decoder._window.push_aggregated(
-                    step, matrices[i], new_max[j], new_lse[j]
+                windows[j].push_aggregated(
+                    windowed[i][1], matrices[:, :, i], new_max[:, :, j], new_lse[:, :, j]
                 )
-        # Eviction stays per entity: amortised pop/flip, cursor rescans
-        # and the new head row are bookkeeping, not stackable arithmetic.
+        # The round's due flips share one scan per back length; after
+        # them every eviction below finds a populated front stack.
+        flip_together(
+            decoder._window
+            for (_, _, _, decoder), _, sliding in windowed
+            if sliding and not decoder._window._front_indices
+        )
+        # Eviction stays per entity: the pop, cursor rescans and the new
+        # head row are bookkeeping, not stackable arithmetic.
         for (_, _, _, decoder), _, sliding in windowed:
             if sliding:
                 decoder.evict_front()
@@ -353,94 +381,82 @@ class BatchedDecodeKernel:
         """
         tagger = self._tagger
         scratch = self._scratch
-        n = len(entries)
-        score = scratch.rows("df_score", n, (_K,))
-        alpha = scratch.rows("df_alpha", n, (_K,))
-        for i, (_, _, _, decoder) in enumerate(entries):
-            last = decoder._length - 1
-            score[i] = decoder._score[last]
-            alpha[i] = decoder._alpha[last]
-        final_state = np.argmax(score, axis=1)
-        marginal = np.exp(alpha - _logsumexp(alpha, axis=1, keepdims=True))
+        decoders = [decoder for _, _, _, decoder in entries]
+        score = scratch.stack("df_score", [d._score[d._length - 1] for d in decoders])
+        alpha = scratch.stack("df_alpha", [d._alpha[d._length - 1] for d in decoders])
+        final_state = np.argmax(score, axis=0)
+        marginal = np.exp(alpha[_MALICIOUS] - _logsumexp(alpha, axis=0))
         # ~(p < threshold), not (p >= threshold): a NaN posterior (hard
         # zeros in user parameters) fails the scalar path's `<` test and
         # therefore fires there — keep the stacked mask a faithful
         # replay, and let _finalize_decision re-decide exactly.
-        fire = (final_state == _MALICIOUS) & ~(
-            marginal[:, _MALICIOUS] < tagger.detection_threshold
-        )
-        hits: List[Tuple[int, object]] = []
-        for i in np.flatnonzero(fire):
-            position, alert, track, decoder = entries[i]
-            detection = tagger._finalize_decision(track, alert, decoder)
-            if detection is not None:
-                hits.append((position, detection))
-        return hits
+        fire = (final_state == _MALICIOUS) & ~(marginal < tagger.detection_threshold)
+        return self._finalize(entries, np.flatnonzero(fire))
 
     def _decide_windowed(self, entries: List[tuple]) -> List[Tuple[int, object]]:
         """Stacked guard-banded ``may_fire`` pre-filter, then exact decide.
 
-        The aggregate window products are folded for all entities in
-        (at most) two stacked vec-mat reduces per semiring, grouped by
-        which stacks each window currently populates; the guard-band
-        arithmetic then replays ``StreamingDecoder.may_fire``
-        elementwise.  ``False`` is authoritative exactly as in the
-        scalar path; survivors consult the exact cached window decode.
+        Same two stages, in the same order, as
+        ``StreamingDecoder.may_fire``: the ``(max, +)`` window score is
+        folded for every row (head through the front-top suffix, then
+        the last back prefix; a row lacking one of the stacks keeps its
+        vector through that fold), and only rows whose malicious score
+        is within the guard band of the best state gather and fold the
+        ``(logsumexp, +)`` forward message for the probability test.
+        ``False`` is authoritative exactly as in the scalar path;
+        survivors consult the exact cached window decode.
         """
-        tagger = self._tagger
         scratch = self._scratch
-        threshold = tagger.detection_threshold
-        n = len(entries)
-        heads = scratch.rows("dw_heads", n, (_K,))
-        lengths = scratch.rows("dw_lengths", n, ())
-        for i, (_, _, _, decoder) in enumerate(entries):
-            heads[i] = decoder._unary[decoder._start]
-            lengths[i] = decoder.length
-        score = scratch.rows("dw_score", n, (_K,))
-        forward = scratch.rows("dw_forward", n, (_K,))
-        groups: Dict[Tuple[bool, bool], List[int]] = {}
-        for i, (_, _, _, decoder) in enumerate(entries):
-            window = decoder._window
-            key = (bool(window._front_indices), bool(window._back_indices))
-            groups.setdefault(key, []).append(i)
-        for (has_front, has_back), indices in groups.items():
-            idx = np.array(indices)
-            sub_score = heads[idx]
-            sub_forward = sub_score
-            g = len(indices)
-            stacked = scratch.rows("dw_stacked", g, (_K, _K))
-            for front in (True, False):
-                present = has_front if front else has_back
-                if not present:
-                    continue
-                fold_max = scratch.rows("dw_fold_max", g, (_K, _K))
-                fold_lse = scratch.rows("dw_fold_lse", g, (_K, _K))
-                for j, i in enumerate(indices):
-                    window = entries[i][3]._window
-                    if front:
-                        fold_max[j] = window._front_max[-1]
-                        fold_lse[j] = window._front_lse[-1]
-                    else:
-                        fold_max[j] = window._back_max[-1]
-                        fold_lse[j] = window._back_lse[-1]
-                sub_score = maxplus_vecmat_batch(
-                    sub_score, fold_max, stacked_out=stacked
-                )
-                sub_forward = logsumexp_vecmat_batch(
-                    sub_forward, fold_lse, stacked_out=stacked
-                )
-            score[idx] = sub_score
-            forward[idx] = sub_forward
-        # Guard-banded pre-filter, elementwise identical to may_fire().
-        magnitude = np.max(np.abs(score), axis=1)
-        guard = np.maximum(_DECISION_GUARD, (_GUARD_SLACK * lengths) * magnitude)
-        cannot_fire = score[:, _MALICIOUS] < np.max(score, axis=1) - guard
-        probability = np.exp(forward[:, _MALICIOUS] - _logsumexp(forward, axis=1))
-        candidates = ~cannot_fire & (
-            np.isnan(probability) | (probability >= threshold - guard)
+        threshold = self._tagger.detection_threshold
+        decoders = [decoder for _, _, _, decoder in entries]
+        windows = [decoder._window for decoder in decoders]
+        heads = scratch.stack("dw_heads", [d._unary[d._start] for d in decoders])
+        lengths = np.array([d._length - d._start for d in decoders], dtype=np.float64)
+        score = self._fold_windows(
+            maxplus_vecmat_batch, heads, [(w._front_max, w._back_max) for w in windows]
         )
+        # Guard-banded pre-filter, elementwise identical to may_fire().
+        magnitude = np.maximum.reduce(np.abs(score), axis=0)
+        guard = np.maximum(_DECISION_GUARD, (_GUARD_SLACK * lengths) * magnitude)
+        cannot_fire = score[_MALICIOUS] < np.maximum.reduce(score, axis=0) - guard
+        survivors = np.flatnonzero(~cannot_fire)
+        if not survivors.size:
+            return []
+        forward = self._fold_windows(
+            logsumexp_vecmat_batch,
+            heads[:, survivors],
+            [(windows[i]._front_lse, windows[i]._back_lse) for i in survivors],
+        )
+        probability = np.exp(forward[_MALICIOUS] - _logsumexp(forward, axis=0))
+        candidates = np.isnan(probability) | (probability >= threshold - guard[survivors])
+        return self._finalize(entries, survivors[candidates])
+
+    def _fold_windows(
+        self, vecmat, vectors: np.ndarray, stacks: List[Tuple[list, list]]
+    ) -> np.ndarray:
+        """``vectors[:, i] ⊗ top of stacks[i][0] ⊗ top of stacks[i][1]`` per row.
+
+        ``stacks[i]`` is window ``i``'s ``(front, back)`` aggregate
+        lists of the semiring ``vecmat`` folds in.  One gather and one
+        stacked vec-mat per side; a row whose stack on that side is
+        empty folds a zero matrix and has its column restored.
+        """
+        scratch = self._scratch
+        stacked = scratch.cols("dw_stacked", (_K, _K), len(stacks))
+        for side in zip(*stacks):
+            missing = [i for i, aggregates in enumerate(side) if not aggregates]
+            tops = [aggregates[-1] if aggregates else _NO_STACK for aggregates in side]
+            folded = vecmat(vectors, scratch.stack("dw_tops", tops), stacked_out=stacked)
+            if missing:
+                folded[:, missing] = vectors[:, missing]
+            vectors = folded
+        return vectors
+
+    def _finalize(self, entries: List[tuple], rows: np.ndarray) -> List[Tuple[int, object]]:
+        """Exact per-entity decision for the rows a stacked filter let through."""
+        tagger = self._tagger
         hits: List[Tuple[int, object]] = []
-        for i in np.flatnonzero(candidates):
+        for i in rows:
             position, alert, track, decoder = entries[i]
             detection = tagger._finalize_decision(track, alert, decoder)
             if detection is not None:

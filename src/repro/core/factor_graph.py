@@ -530,7 +530,7 @@ def chain_step_matrix(pairwise_log: np.ndarray, unary_row: np.ndarray) -> np.nda
 
 def maxplus_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(max, +) matrix product: ``C[i, j] = max_k A[i, k] + B[k, j]``."""
-    return (a[:, :, None] + b[None, :, :]).max(axis=1)
+    return np.maximum.reduce(a[:, :, None] + b[None, :, :], axis=1)
 
 
 def logsumexp_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -545,14 +545,14 @@ def logsumexp_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exact decode".
     """
     stacked = a[:, :, None] + b[None, :, :]
-    shift = stacked.max(axis=1)
+    shift = np.maximum.reduce(stacked, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return shift + np.log(np.exp(stacked - shift[:, None, :]).sum(axis=1))
+        return shift + np.log(np.add.reduce(np.exp(stacked - shift[:, None, :]), axis=1))
 
 
 def maxplus_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(max, +) vector-matrix product: ``r[b] = max_a v[a] + M[a, b]``."""
-    return (v[:, None] + m).max(axis=0)
+    return np.maximum.reduce(v[:, None] + m, axis=0)
 
 
 def logsumexp_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -562,25 +562,30 @@ def logsumexp_vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     :func:`logsumexp_matmul`.
     """
     stacked = v[:, None] + m
-    shift = stacked.max(axis=0)
+    shift = np.maximum.reduce(stacked, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return shift + np.log(np.exp(stacked - shift[None, :]).sum(axis=0))
+        return shift + np.log(np.add.reduce(np.exp(stacked - shift[None, :]), axis=0))
 
 
 # ---------------------------------------------------------------------------
 # Stacked (cross-entity) semiring products
 # ---------------------------------------------------------------------------
 #
-# The stacked decode kernel (:mod:`repro.core.batch_kernel`) advances N
-# independent entities at once: it gathers each entity's operands into
-# one contiguous ``(N, K, K)``/``(N, K)`` stack and runs a single
-# broadcast + reduce over the stacked axis.  Slice ``n`` of every result
-# is bit-identical to calling the scalar op on slice ``n`` alone: the
-# adds, exps, logs, and (order-independent) max reductions are the same
-# scalar operations, and at K = 3 numpy's pairwise summation degenerates
-# to the same left-to-right 3-term sum either way.  The optional
-# ``stacked_out``/``out`` buffers let the kernel reuse per-round scratch
-# instead of allocating fresh ``(N, K, K, K)`` temporaries per alert.
+# The stacked decode kernel (:mod:`repro.core.batch_kernel`) and the
+# window flip (:mod:`repro.core.sliding_window`) advance N independent
+# products at once.  Stacks are *entity-minor*: N matrices are one
+# ``(K, K, N)`` array, N vectors one ``(K, N)`` array, entity ``n`` in
+# ``[..., n]``.  A product is one broadcast add into ``(K, K, K, N)``
+# and one ``ufunc.reduce`` over a leading axis, so every inner loop
+# numpy runs is contiguous over N instead of a length-K = 3 loop per
+# entity.  Slice ``[..., n]`` of every result is bit-identical to the
+# scalar op on that slice alone: the adds, exps, logs and
+# (order-independent) max reductions are the same scalar operations,
+# and a reduce over a leading axis accumulates its K = 3 terms left to
+# right exactly as the scalar op's does.  The optional
+# ``stacked_out``/``out`` buffers (any strides: the kernel passes
+# slices of grow-only arena buffers) let a caller reuse scratch instead
+# of allocating a fresh ``(K, K, K, N)`` temporary per product.
 #
 # CAUTION: ``stacked_out`` is clobbered; ``out`` must not alias an input.
 
@@ -592,9 +597,9 @@ def maxplus_matmul_batch(
     stacked_out: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Stacked (max, +) products: ``C[n] = maxplus_matmul(A[n], B[n])``."""
-    stacked = np.add(a[:, :, :, None], b[:, None, :, :], out=stacked_out)
-    return np.max(stacked, axis=2, out=out)
+    """Stacked (max, +) products: ``C[..., n] = maxplus_matmul(A[..., n], B[..., n])``."""
+    stacked = np.add(a[:, :, None, :], b[None, :, :, :], out=stacked_out)
+    return np.maximum.reduce(stacked, axis=1, out=out)
 
 
 def logsumexp_matmul_batch(
@@ -604,18 +609,18 @@ def logsumexp_matmul_batch(
     stacked_out: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Stacked (logsumexp, +) products: ``C[n] = logsumexp_matmul(A[n], B[n])``.
+    """Stacked (logsumexp, +) products: ``C[..., n] = logsumexp_matmul(A[..., n], B[..., n])``.
 
     Same finite-input fast path (and NaN propagation on hard zeros) as
     the scalar op; the shift/exp/sum/log sequence is replayed verbatim
     over the stacked axis.
     """
-    stacked = np.add(a[:, :, :, None], b[:, None, :, :], out=stacked_out)
-    shift = stacked.max(axis=2)
+    stacked = np.add(a[:, :, None, :], b[None, :, :, :], out=stacked_out)
+    shift = np.maximum.reduce(stacked, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.subtract(stacked, shift[:, :, None, :], out=stacked)
+        np.subtract(stacked, shift[:, None, :, :], out=stacked)
         np.exp(stacked, out=stacked)
-        summed = stacked.sum(axis=2, out=out)
+        summed = np.add.reduce(stacked, axis=1, out=out)
         np.log(summed, out=summed)
         np.add(shift, summed, out=summed)
     return summed
@@ -628,9 +633,9 @@ def maxplus_vecmat_batch(
     stacked_out: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Stacked (max, +) vec-mat products: ``R[n] = maxplus_vecmat(V[n], M[n])``."""
-    stacked = np.add(v[:, :, None], m, out=stacked_out)
-    return np.max(stacked, axis=1, out=out)
+    """Stacked (max, +) vec-mat products: ``R[:, n] = maxplus_vecmat(V[:, n], M[..., n])``."""
+    stacked = np.add(v[:, None, :], m, out=stacked_out)
+    return np.maximum.reduce(stacked, axis=0, out=out)
 
 
 def logsumexp_vecmat_batch(
@@ -640,13 +645,13 @@ def logsumexp_vecmat_batch(
     stacked_out: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Stacked (logsumexp, +) vec-mat products: ``R[n] = logsumexp_vecmat(V[n], M[n])``."""
-    stacked = np.add(v[:, :, None], m, out=stacked_out)
-    shift = stacked.max(axis=1)
+    """Stacked (logsumexp, +) vec-mat products: ``R[:, n] = logsumexp_vecmat(V[:, n], M[..., n])``."""
+    stacked = np.add(v[:, None, :], m, out=stacked_out)
+    shift = np.maximum.reduce(stacked, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.subtract(stacked, shift[:, None, :], out=stacked)
+        np.subtract(stacked, shift, out=stacked)
         np.exp(stacked, out=stacked)
-        summed = stacked.sum(axis=1, out=out)
+        summed = np.add.reduce(stacked, axis=0, out=out)
         np.log(summed, out=summed)
         np.add(shift, summed, out=summed)
     return summed

@@ -48,7 +48,17 @@ Refolds of ``_MIN_SCAN`` or more elements (a flip of a full back stack,
 a patch far from the stack top) run as a Hillis-Steele doubling scan:
 ``ceil(log2 n)`` *stacked* semiring products per semiring instead of
 ``n`` sequential small ones.  Shorter refolds keep the sequential fold,
-whose per-call overhead is lower.
+whose per-call overhead is lower.  The scan is one function over ``m``
+windows (an entity-minor ``(K, K, n, m)`` block): :func:`flip_together`
+flips every window of a decode round whose back stacks have the same
+length in a single scan, and :meth:`SlidingProductWindow.pop_front`
+flips its own window through the same code with ``m = 1`` -- the same
+tree order, so a window's aggregates and its pickle do not depend on
+who flipped it.  A scan hands each window its aggregates as views of
+one private ``(n, K, K)`` block per semiring (at most ``W * K * K``
+floats, released with its last view); everything else a window stores
+is one ``(K, K)`` array per entry, and no window keeps a view into a
+block that spans windows.
 
 The aggregate is mathematically exact but floating-point *reassociated*
 relative to the sequential recursion (by the two-stack split, and again
@@ -62,7 +72,8 @@ guard band -- see ``StreamingDecoder.may_fire``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,42 +90,81 @@ _MIN_SCAN = 8
 
 
 def _scan_refold(
-    matrices: List[np.ndarray],
-    aggregates_max: List[np.ndarray],
-    aggregates_lse: List[np.ndarray],
-    *,
-    suffix: bool,
+    windows: Sequence["SlidingProductWindow"], position: int, *, suffix: bool
 ) -> None:
-    """Extend truncated aggregate stacks over ``matrices`` with a doubling scan.
+    """Refold one stack of ``m`` windows from ``position`` up, in one doubling scan.
 
-    The aggregate lists hold the entries below the refolded segment;
-    the last of them (none at the stack bottom) is the carry.
-    ``suffix=False`` appends back-stack prefixes ``carry ⊗ M[p] ⊗ ... ⊗
-    M[q]`` (newer factors compose on the right), ``suffix=True``
-    front-stack suffixes ``M[q] ⊗ ... ⊗ M[p] ⊗ carry`` (older factors
-    compose on the left), for ``p = len(aggregates)``.  The tree order
-    reassociates the float products relative to the sequential fold;
-    the guard band of ``StreamingDecoder.may_fire`` (64 * eps * length
-    * magnitude) dominates the scan's *shallower* rounding depth.  Each
-    aggregate is stored as its own array, not a view of the scan's
-    stack: the window frees them one by one as it slides, and a view
-    would pin the whole stack until the last one.
+    ``suffix=True`` rewrites front-stack suffixes ``M[q] ⊗ ... ⊗ M[p] ⊗
+    carry`` (older factors compose on the left), ``suffix=False``
+    back-stack prefixes ``carry ⊗ M[p] ⊗ ... ⊗ M[q]`` (newer factors
+    compose on the right), for ``p = position``; the aggregate below
+    ``position`` (none at the stack bottom) is the carry.  Every window
+    holds the same number ``n`` of matrices above ``position``: the
+    scan runs on one ``(K, K, n, m)`` block, flattened to ``(K, K, n *
+    m)`` so that a shift by ``span`` elements is a contiguous slice.
+    The tree order reassociates the float products relative to the
+    sequential fold; the guard band of ``StreamingDecoder.may_fire``
+    (64 * eps * length * magnitude) dominates the scan's *shallower*
+    rounding depth.  Each window gets its aggregates as views of a
+    private ``(n, K, K)`` copy, which pins ``n * K * K`` floats until
+    its last view is evicted; a view of the scan's own block would pin
+    every window of the group until the slowest one slid past.
     """
-    for matmul, aggregates in (
-        (maxplus_matmul_batch, aggregates_max),
-        (logsumexp_matmul_batch, aggregates_lse),
+    m = len(windows)
+    segments = [
+        (window._front_matrices if suffix else window._back_matrices)[position:]
+        for window in windows
+    ]
+    n = len(segments[0])
+    k = segments[0][0].shape[0]
+    # block[:, :, q * m + j] is matrix ``position + q`` of window ``j``.
+    block = np.array(list(chain.from_iterable(zip(*segments)))).transpose(1, 2, 0)
+    for matmul, name in (
+        (maxplus_matmul_batch, "_front_max" if suffix else "_back_max"),
+        (logsumexp_matmul_batch, "_front_lse" if suffix else "_back_lse"),
     ):
-        stack = np.stack(matrices[len(aggregates) :])
-        span = 1
-        while span < len(stack):
+        stack = np.ascontiguousarray(block)
+        width = m
+        while width < n * m:
             # Both operands are read in full before the assignment lands.
-            older, newer = stack[:-span], stack[span:]
-            stack[span:] = matmul(newer, older) if suffix else matmul(older, newer)
-            span *= 2
-        if aggregates:
-            carry = np.broadcast_to(aggregates[-1], stack.shape)
+            older, newer = stack[:, :, :-width], stack[:, :, width:]
+            stack[:, :, width:] = matmul(newer, older) if suffix else matmul(older, newer)
+            width *= 2
+        if position:
+            carry = np.stack(
+                [getattr(window, name)[position - 1] for window in windows], axis=-1
+            )
+            carry = np.tile(carry, n)
             stack = matmul(stack, carry) if suffix else matmul(carry, stack)
-        aggregates.extend(aggregate.copy() for aggregate in stack)
+        per_window = stack.reshape(k, k, n, m).transpose(3, 2, 0, 1)
+        for window, aggregates in zip(windows, per_window):
+            getattr(window, name)[position:] = np.ascontiguousarray(aggregates)
+
+
+def flip_together(windows: Iterable["SlidingProductWindow"]) -> None:
+    """Move each window's back stack into its (empty) front as suffix products.
+
+    Windows whose back stacks have the same length share one scan, so a
+    round of the stacked decode kernel pays one flip per length instead
+    of one per entity; :meth:`SlidingProductWindow.pop_front` flips its
+    own window through the same code, so a window's aggregates do not
+    depend on which driver advanced it.
+    """
+    by_length: Dict[int, List["SlidingProductWindow"]] = {}
+    for window in windows:
+        window._back_indices.reverse()
+        window._back_matrices.reverse()
+        window._front_indices, window._back_indices = window._back_indices, []
+        window._front_matrices, window._back_matrices = window._back_matrices, []
+        window._back_max.clear()
+        window._back_lse.clear()
+        by_length.setdefault(len(window._front_indices), []).append(window)
+    for length, group in by_length.items():
+        if length >= _MIN_SCAN:
+            _scan_refold(group, 0, suffix=True)
+        else:
+            for window in group:
+                window._recompute_front(0)
 
 
 class SlidingProductWindow:
@@ -209,7 +259,7 @@ class SlidingProductWindow:
     def pop_front(self) -> int:
         """Evict the oldest step: O(K^3) amortised.  Returns its index."""
         if not self._front_indices:
-            self._flip()
+            flip_together((self,))
         if not self._front_indices:
             raise IndexError("pop from an empty SlidingProductWindow")
         self._front_matrices.pop()
@@ -301,42 +351,29 @@ class SlidingProductWindow:
             buffer = self._scratch = np.empty_like(matrix_max)
         # (max, +): max_a score[a] + M[a, b], same ops as maxplus_vecmat.
         np.add(score[:, None], matrix_max, out=buffer)
-        score = buffer.max(axis=0)
+        score = np.maximum.reduce(buffer, axis=0)
         # (logsumexp, +): shift/exp/sum/log, same ops as logsumexp_vecmat.
         np.add(forward[:, None], matrix_lse, out=buffer)
-        shift = buffer.max(axis=0)
+        shift = np.maximum.reduce(buffer, axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             np.subtract(buffer, shift[None, :], out=buffer)
             np.exp(buffer, out=buffer)
-            summed = buffer.sum(axis=0)
+            summed = np.add.reduce(buffer, axis=0)
             np.log(summed, out=summed)
             np.add(shift, summed, out=summed)
         return score, summed
 
     # -- internals ---------------------------------------------------------
-    def _flip(self) -> None:
-        """Move the back stack into the front as suffix products."""
-        for index, matrix in zip(
-            reversed(self._back_indices), reversed(self._back_matrices)
-        ):
-            self._front_indices.append(index)
-            self._front_matrices.append(matrix)
-        self._back_indices.clear()
-        self._back_matrices.clear()
-        self._back_max.clear()
-        self._back_lse.clear()
-        self._recompute_front(0)
-
     def _recompute_front(self, position: int) -> None:
         """Recompute front suffixes from ``position`` to the stack top."""
         matrices = self._front_matrices
+        if len(matrices) - position >= _MIN_SCAN:
+            _scan_refold((self,), position, suffix=True)
+            return
         suffix_max = self._front_max
         suffix_lse = self._front_lse
         del suffix_max[position:]
         del suffix_lse[position:]
-        if len(matrices) - position >= _MIN_SCAN:
-            _scan_refold(matrices, suffix_max, suffix_lse, suffix=True)
-            return
         for q in range(position, len(matrices)):
             matrix = matrices[q]
             if q == 0:
@@ -349,13 +386,13 @@ class SlidingProductWindow:
     def _refold_back(self, position: int) -> None:
         """Recompute back prefixes from ``position`` to the newest element."""
         matrices = self._back_matrices
+        if len(matrices) - position >= _MIN_SCAN:
+            _scan_refold((self,), position, suffix=False)
+            return
         prefix_max = self._back_max
         prefix_lse = self._back_lse
         del prefix_max[position:]
         del prefix_lse[position:]
-        if len(matrices) - position >= _MIN_SCAN:
-            _scan_refold(matrices, prefix_max, prefix_lse, suffix=False)
-            return
         for q in range(position, len(matrices)):
             matrix = matrices[q]
             if q == 0:

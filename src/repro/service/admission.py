@@ -328,8 +328,13 @@ class ServiceClient:
     def request(self, payload: Mapping[str, Any]) -> dict:
         """Send one request and return its decoded success reply."""
         self._seq += 1
-        self._sock.sendall(encode_message(payload))
-        line = self._file.readline()
+        try:
+            self._sock.sendall(encode_message(payload))
+            line = self._file.readline()
+        except (ConnectionResetError, BrokenPipeError):
+            # A server that closes with this request unread resets the
+            # connection instead of ending it cleanly; same outcome.
+            line = b""
         if not line:
             raise ServiceError("disconnected", "server closed the connection")
         try:

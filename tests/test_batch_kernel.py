@@ -19,7 +19,10 @@ each window flips, and the scans reassociate floating point relative to
 the sequential recursion -- by design, the aggregates only feed the
 guard-banded ``may_fire`` pre-filter, and every firing decision is
 re-derived from the exact cached decode (see
-``sliding_window.SlidingProductWindow``'s module docstring).
+``sliding_window.SlidingProductWindow``'s module docstring).  Flips are
+the exception that is pinned: a window's stacks (and pickle) after a
+flip are the same whether ``pop_front`` flipped it alone or the kernel
+flipped it in a group.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import AttackTagger
+from repro.core import AttackTagger, batch_kernel
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
@@ -282,6 +285,141 @@ class TestBatchedEngineEquivalence:
         assert hits == []  # every entity stays live, so every window slides
         assert any(patched)  # queued steps really were patched in place
         assert all(batched.track(e).decoder.windowed for e in entities)
+
+    def test_round_mixing_flip_phases_and_relocations(self, monkeypatch):
+        """One round holds every window shape the stacked push, the group
+        flip and the masked decide fold branch on.
+
+        A staggering pre-roll spreads the flip phases, so each round of
+        48 entities has windows with an empty front (they flip this
+        round, together), windows with an empty back (they flipped last
+        round: plain ``push``), and windows with both stacks populated
+        that do not flip; the symbol pool keeps pattern bonuses
+        relocating, some of them inside a window that flips in the same
+        round.
+        """
+        max_window = 3 * _MIN_SCAN
+        x, y, z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
+        patterns = [
+            PatternSpec(name="P0", names=(x, y)),
+            PatternSpec(name="P1", names=(z, y)),
+            PatternSpec(name="P2", names=(x, z)),
+        ]
+        pool = [x, y, z] + ["alert_login_normal"] * 3
+        rng = np.random.default_rng(29)
+        entities = [f"phase:{i}" for i in range(2 * max_window)]
+        visits = [
+            i
+            for extra in range(max_window - 1)
+            for i in range(len(entities))
+            if i % max_window > extra
+        ] + list(range(len(entities))) * (2 * max_window)
+        stream = [
+            Alert(float(t), pool[rng.integers(len(pool))], entities[i])
+            for t, i in enumerate(visits)
+        ]
+        kwargs = dict(max_window=max_window, patterns=patterns, detection_threshold=0.999)
+
+        shapes, flips, patched = [], [], set()
+        advance = BatchedDecodeKernel._advance_windowed
+        patch_window = StreamingDecoder._patch_window
+        flip_together = batch_kernel.flip_together
+
+        def counted_advance(kernel, windowed, pairwise):
+            shapes.append({
+                (bool(d._window._front_indices), bool(d._window._back_indices))
+                for (_, _, _, d), _, _ in windowed
+            })
+            advance(kernel, windowed, pairwise)
+            patched.clear()  # eviction-time patches belong to no flip
+
+        def counted_patch(decoder, dirty, skip=None):
+            if decoder.windowed and any(s > decoder._start and s != skip for s in dirty):
+                patched.add(id(decoder._window))
+            return patch_window(decoder, dirty, skip)
+
+        def counted_flip(windows):
+            windows = list(windows)
+            flips.append((len(windows), sum(id(w) in patched for w in windows)))
+            flip_together(windows)
+
+        batched = _tagger(**kwargs)
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_windowed", counted_advance)
+        monkeypatch.setattr(StreamingDecoder, "_patch_window", counted_patch)
+        monkeypatch.setattr(batch_kernel, "flip_together", counted_flip)
+        hits = _drive_batched(batched, stream, len(entities))
+        monkeypatch.undo()
+
+        front_empty, back_empty, both = (False, True), (True, False), (True, True)
+        assert any({front_empty, back_empty, both} <= round_shapes for round_shapes in shapes)
+        assert max(size for size, _ in flips) >= 2  # flips really were grouped
+        assert any(relocated for _, relocated in flips)  # a patched window flipped
+
+        scalar, naive = _tagger(**kwargs), _tagger("naive", **kwargs)
+        assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream) == []
+        _assert_same_logical_state(scalar, batched, entities)
+        _assert_matches_spec(naive, batched, entities)
+        # The drivers flipped the same windows in different company.
+        for entity in entities:
+            window_b = batched.track(entity).decoder._window
+            window_s = scalar.track(entity).decoder._window
+            for slot in ("_front_max", "_front_lse", "_back_max", "_back_lse"):
+                for got, expected in zip(getattr(window_b, slot), getattr(window_s, slot), strict=True):
+                    assert np.array_equal(got, expected), slot
+            assert pickle.dumps(window_b) == pickle.dumps(window_s)
+
+    def test_probability_stage_runs_only_for_score_survivors(self, monkeypatch):
+        """``_decide_windowed`` folds the forward message for the rows the
+        score test lets through, and only for those.
+
+        At ``detection_threshold=0.99`` the mixed-vocabulary entities
+        often have a malicious MAP state under a posterior short of the
+        bar: they pass stage one, run stage two, and most stop there.
+        """
+        rng = np.random.default_rng(31)
+        entities = [f"stage:{i}" for i in range(3 * _MIN_BATCH)]
+        stream = [
+            Alert(float(i), names[rng.integers(len(names))], entities[i % len(entities)])
+            for i in range(len(entities) * 60)
+            for names in ((ALL_NAMES if (i % len(entities)) % 3 else BENIGN_NAMES),)
+        ]
+        kwargs = dict(max_window=6, detection_threshold=0.99)
+        rows = {"maxplus_vecmat_batch": 0, "logsumexp_vecmat_batch": 0, "finalized": 0}
+        fold_windows = BatchedDecodeKernel._fold_windows
+        decide_windowed = BatchedDecodeKernel._decide_windowed
+        finalize = BatchedDecodeKernel._finalize
+        in_windowed = []
+
+        def counted_fold(kernel, vecmat, vectors, stacks):
+            rows[vecmat.__name__] += vectors.shape[1]
+            return fold_windows(kernel, vecmat, vectors, stacks)
+
+        def counted_decide(kernel, entries):
+            in_windowed.append(True)
+            try:
+                return decide_windowed(kernel, entries)
+            finally:
+                in_windowed.pop()
+
+        def counted_finalize(kernel, entries, chosen):
+            if in_windowed:
+                rows["finalized"] += len(chosen)
+            return finalize(kernel, entries, chosen)
+
+        batched = _tagger(**kwargs)
+        monkeypatch.setattr(BatchedDecodeKernel, "_fold_windows", counted_fold)
+        monkeypatch.setattr(BatchedDecodeKernel, "_decide_windowed", counted_decide)
+        monkeypatch.setattr(BatchedDecodeKernel, "_finalize", counted_finalize)
+        hits = _drive_batched(batched, stream, len(entities))
+        monkeypatch.undo()
+
+        stage_one, stage_two = rows["maxplus_vecmat_batch"], rows["logsumexp_vecmat_batch"]
+        assert 0 < stage_two < stage_one  # stage two ran, on survivors only
+        assert rows["finalized"] < stage_two  # ... and itself filtered some out
+        scalar, naive = _tagger(**kwargs), _tagger("naive", **kwargs)
+        assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream)
+        assert hits
+        _assert_same_logical_state(scalar, batched, entities)
 
     def test_already_detected_entities_keep_recording(self):
         """Detected entities ride along in stacked rounds, timeline only."""

@@ -221,47 +221,140 @@ class TestAxisAwareLogsumexp:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-class TestBatchedSemiringOps:
-    """Stacked (N, K, K) ops must equal per-slice scalar ops bitwise."""
+class TestScalarSemiringOps:
+    """The scalar ops call ``ufunc.reduce`` directly; no bit may move
+    relative to the ``.max(axis=...)`` / ``.sum(axis=...)`` wrappers,
+    also on ``-inf`` / ``+inf`` / NaN rows."""
 
-    def _stacks(self, seed, n=7, k=3):
+    def test_ufunc_reduce_matches_method_reductions(self):
+        def matmul_reference(a, b, lse):
+            stacked = a[:, :, None] + b[None, :, :]
+            if not lse:
+                return stacked.max(axis=1)
+            shift = stacked.max(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return shift + np.log(np.exp(stacked - shift[:, None, :]).sum(axis=1))
+
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            a = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-2, 3)
+            b = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-2, 3)
+            if trial % 4 == 1:
+                a[1, :] = -np.inf
+            if trial % 4 == 2:
+                b[0, 2] = np.inf
+                a[2, 1] = -np.inf
+            if trial % 4 == 3:
+                b[1, 1] = np.nan
+            with np.errstate(invalid="ignore"):
+                pairs = [
+                    (maxplus_matmul(a, b), matmul_reference(a, b, lse=False)),
+                    (logsumexp_matmul(a, b), matmul_reference(a, b, lse=True)),
+                    # A vec-mat is row 0 of the product with a one-row matrix.
+                    (maxplus_vecmat(a[0], b), matmul_reference(a[:1], b, lse=False)[0]),
+                    (logsumexp_vecmat(a[0], b), matmul_reference(a[:1], b, lse=True)[0]),
+                ]
+            for got, expected in pairs:
+                assert np.array_equal(got, expected, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestBatchedSemiringOps:
+    """Entity-minor ``(K, K, N)`` / ``(K, N)`` stacks: slice ``[..., n]``
+    of every result equals the scalar op on that slice, bitwise."""
+
+    SIZES = (1, 2, 7, 256)
+
+    def _stacks(self, seed, n, k=3):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, k, k)) * 30.0
-        b = rng.normal(size=(n, k, k)) * 30.0
-        a[1, :, 0] = -np.inf  # impossible transitions survive stacking
-        b[3, 2, :] = -np.inf
-        return a, b
+        a = rng.normal(size=(k, k, n)) * 30.0
+        b = rng.normal(size=(k, k, n)) * 30.0
+        v = rng.normal(size=(k, n)) * 30.0
+        # Impossible transitions and NaNs survive stacking, per entity.
+        a[:, 0, n // 2] = -np.inf
+        b[2, :, n - 1] = -np.inf
+        b[1, 1, 0] = np.nan
+        v[1, n // 3] = -np.inf
+        return a, b, v
+
+    @staticmethod
+    def _arena_slice(shape):
+        """A non-contiguous ``[..., :n]`` slice of a wider buffer, as the
+        kernel's grow-only arena hands out."""
+        return np.full(shape[:-1] + (shape[-1] + 5,), np.nan)[..., : shape[-1]]
 
     def test_maxplus_matmul_batch_matches_scalar(self):
-        a, b = self._stacks(0)
-        out = maxplus_matmul_batch(a, b)
-        for n in range(a.shape[0]):
-            assert np.array_equal(out[n], maxplus_matmul(a[n], b[n]))
+        for n in self.SIZES:
+            a, b, _ = self._stacks(n, n)
+            with np.errstate(invalid="ignore"):
+                out = maxplus_matmul_batch(a, b)
+                assert out.shape == a.shape
+                for i in range(n):
+                    scalar = maxplus_matmul(a[..., i], b[..., i])
+                    assert np.array_equal(out[..., i], scalar, equal_nan=True)
 
     def test_logsumexp_matmul_batch_matches_scalar(self):
-        a, b = self._stacks(1)
-        out = logsumexp_matmul_batch(a, b)
-        for n in range(a.shape[0]):
-            scalar = logsumexp_matmul(a[n], b[n])
-            assert np.array_equal(out[n], scalar, equal_nan=True)
+        for n in self.SIZES:
+            a, b, _ = self._stacks(50 + n, n)
+            with np.errstate(invalid="ignore"):
+                out = logsumexp_matmul_batch(a, b)
+                assert out.shape == a.shape
+                for i in range(n):
+                    scalar = logsumexp_matmul(a[..., i], b[..., i])
+                    assert np.array_equal(out[..., i], scalar, equal_nan=True)
 
     def test_vecmat_batch_ops_match_scalar(self):
-        rng = np.random.default_rng(2)
-        v = rng.normal(size=(6, 3)) * 30.0
-        m = rng.normal(size=(6, 3, 3)) * 30.0
-        v[4, 1] = -np.inf
-        out_max = maxplus_vecmat_batch(v, m)
-        out_lse = logsumexp_vecmat_batch(v, m)
-        for n in range(6):
-            assert np.array_equal(out_max[n], maxplus_vecmat(v[n], m[n]))
-            assert np.array_equal(out_lse[n], logsumexp_vecmat(v[n], m[n]), equal_nan=True)
+        for n in self.SIZES:
+            _, m, v = self._stacks(100 + n, n)
+            with np.errstate(invalid="ignore"):
+                out_max = maxplus_vecmat_batch(v, m)
+                out_lse = logsumexp_vecmat_batch(v, m)
+                assert out_max.shape == out_lse.shape == v.shape
+                for i in range(n):
+                    assert np.array_equal(
+                        out_max[:, i], maxplus_vecmat(v[:, i], m[..., i]), equal_nan=True
+                    )
+                    assert np.array_equal(
+                        out_lse[:, i], logsumexp_vecmat(v[:, i], m[..., i]), equal_nan=True
+                    )
 
     def test_scratch_out_buffers_do_not_change_results(self):
-        a, b = self._stacks(3)
-        n, k = a.shape[0], a.shape[1]
-        stacked = np.empty((n, k, k, k))
-        out = np.empty((n, k, k))
-        plain = logsumexp_matmul_batch(a, b)
-        buffered = logsumexp_matmul_batch(a, b, stacked_out=stacked, out=out)
-        assert buffered is out
-        assert np.array_equal(plain, buffered, equal_nan=True)
+        """Operands, ``stacked_out`` and ``out`` as non-contiguous arena slices."""
+        for n in self.SIZES:
+            a, b, v = self._stacks(200 + n, n)
+            k = a.shape[0]
+            a_slice, b_slice, v_slice = (self._arena_slice(x.shape) for x in (a, b, v))
+            a_slice[...], b_slice[...], v_slice[...] = a, b, v
+            assert n == 1 or not a_slice.flags.c_contiguous
+            with np.errstate(invalid="ignore"):
+                for batch, plain_operands, sliced_operands, stacked_shape in (
+                    (maxplus_matmul_batch, (a, b), (a_slice, b_slice), (k, k, k, n)),
+                    (logsumexp_matmul_batch, (a, b), (a_slice, b_slice), (k, k, k, n)),
+                    (maxplus_vecmat_batch, (v, b), (v_slice, b_slice), (k, k, n)),
+                    (logsumexp_vecmat_batch, (v, b), (v_slice, b_slice), (k, k, n)),
+                ):
+                    plain = batch(*plain_operands)
+                    out = self._arena_slice(plain.shape)
+                    buffered = batch(
+                        *sliced_operands, stacked_out=self._arena_slice(stacked_shape), out=out
+                    )
+                    assert buffered is out
+                    assert np.array_equal(plain, buffered, equal_nan=True)
+
+    def test_aliasing_contract(self):
+        """``stacked_out`` is clobbered, the operands are not; a second
+        product may reuse ``stacked_out`` while the first result lives."""
+        a, b, v = self._stacks(9, 7)
+        a_before, b_before, v_before = a.copy(), b.copy(), v.copy()
+        stacked = np.empty((3, 3, 3, 7))
+        with np.errstate(invalid="ignore"):
+            first = logsumexp_matmul_batch(a, b, stacked_out=stacked)
+            kept = first.copy()
+            second = maxplus_matmul_batch(a, b, stacked_out=stacked)
+            third = logsumexp_vecmat_batch(v, b, stacked_out=stacked[0])
+        assert np.array_equal(first, kept, equal_nan=True)
+        assert not np.shares_memory(first, stacked)
+        assert not np.shares_memory(second, stacked)
+        assert not np.shares_memory(third, stacked)
+        for before, after in ((a_before, a), (b_before, b), (v_before, v)):
+            assert np.array_equal(before, after, equal_nan=True)

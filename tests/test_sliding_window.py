@@ -14,6 +14,7 @@ sort-free bonus ordering).
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.core.factor_graph import (
     logsumexp_vecmat,
     maxplus_vecmat,
 )
-from repro.core.sliding_window import _MIN_SCAN
+from repro.core.sliding_window import _MIN_SCAN, flip_together
 from repro.core.states import NUM_STATES, HiddenState
 from repro.core.streaming import (
     _DECISION_GUARD,
@@ -187,6 +188,112 @@ class TestSlidingProductWindow:
             guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
             np.testing.assert_allclose(score, ref_score, rtol=0, atol=guard)
             np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=guard)
+
+
+class TestGroupFlip:
+    """Flipping windows together must not be observable per window."""
+
+    _STACKS = (
+        "_front_indices", "_front_matrices", "_front_max", "_front_lse",
+        "_back_indices", "_back_matrices", "_back_max", "_back_lse",
+    )
+
+    @staticmethod
+    def _filled(matrices):
+        window = SlidingProductWindow()
+        for index, matrix in enumerate(matrices):
+            window.push(index, matrix.copy())
+        return window
+
+    def _assert_same_window(self, got, expected):
+        for slot in self._STACKS:
+            ours, theirs = getattr(got, slot), getattr(expected, slot)
+            assert len(ours) == len(theirs), slot
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(a, b), slot
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from((1, 2, 8)),
+        # Back lengths on both sides of _MIN_SCAN, repeated and unique,
+        # so one call holds scanned groups, sequential ones and loners.
+        lengths=st.lists(
+            st.sampled_from((1, 2, _MIN_SCAN - 1, _MIN_SCAN, _MIN_SCAN + 3, 4 * _MIN_SCAN - 1)),
+            min_size=8,
+            max_size=8,
+        ),
+        ops=st.lists(
+            st.tuples(st.sampled_from(("push", "pop", "replace")), st.floats(0, 1)),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_group_flip_equals_lone_flip_then_tracks_brute_force(self, seed, m, lengths, ops):
+        rng = np.random.default_rng(seed)
+        contents = [
+            [rng.normal(size=(NUM_STATES, NUM_STATES)) for _ in range(length)]
+            for length in lengths[:m]
+        ]
+        together = [self._filled(matrices) for matrices in contents]
+        flip_together(together)
+        head = rng.normal(size=NUM_STATES)
+        for window, matrices in zip(together, contents):
+            alone = self._filled(matrices)
+            flip_together((alone,))
+            assert not window._back_indices and len(window._front_indices) == len(matrices)
+            self._assert_same_window(window, alone)
+            # No aggregate is a view into a block another window can reach.
+            bases = {id(a.base) for a in window._front_max + window._front_lse if a.base is not None}
+            for other in together:
+                if other is not window:
+                    assert not bases & {
+                        id(a.base) for a in other._front_max + other._front_lse
+                    }
+            # The flipped window keeps working: the same op sequence on
+            # it tracks a brute-force fold within the guard band.
+            live = deque([index, matrix] for index, matrix in enumerate(matrices))
+            next_index = len(matrices)
+            for op, where in ops:
+                if op == "push" or len(live) < 2:
+                    matrix = rng.normal(size=(NUM_STATES, NUM_STATES))
+                    window.push(next_index, matrix)
+                    live.append([next_index, matrix])
+                    next_index += 1
+                elif op == "pop":
+                    assert window.pop_front() == live.popleft()[0]
+                else:
+                    slot = live[int(where * (len(live) - 1))]
+                    slot[1] = rng.normal(size=(NUM_STATES, NUM_STATES))
+                    assert window.replace(slot[0], slot[1])
+                score, forward = window.apply(head)
+                ref_score, ref_forward = head, head
+                for _, matrix in live:
+                    ref_score = maxplus_vecmat(ref_score, matrix)
+                    ref_forward = logsumexp_vecmat(ref_forward, matrix)
+                magnitude = float(np.max(np.abs(ref_score)))
+                guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
+                np.testing.assert_allclose(score, ref_score, rtol=0, atol=guard)
+                np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=guard)
+
+    @pytest.mark.parametrize("length", [_MIN_SCAN - 1, 4 * _MIN_SCAN - 1])
+    def test_pickle_bytes_do_not_depend_on_the_group(self, length):
+        """A checkpoint must not record which driver flipped a window:
+        ``pop_front`` alone, or the stacked kernel next to seven others."""
+        rng = np.random.default_rng(length)
+        contents = [
+            [rng.normal(size=(NUM_STATES, NUM_STATES)) for _ in range(length)]
+            for _ in range(8)
+        ]
+        together = [self._filled(matrices) for matrices in contents]
+        flip_together(together)
+        for window, matrices in zip(together, contents):
+            window.pop_front()
+            alone = self._filled(matrices)
+            alone.pop_front()
+            assert pickle.dumps(window) == pickle.dumps(alone)
+            restored = pickle.loads(pickle.dumps(window))
+            self._assert_same_window(restored, alone)
 
 
 class TestEvictionEquivalence:
