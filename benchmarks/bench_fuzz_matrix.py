@@ -1,11 +1,11 @@
 """Differential-oracle replay throughput over the configuration matrix.
 
 The quick-fuzz CI gate replays 25 seed-pinned campaigns through the
-full engine x shards x backend x driver x transport matrix; its
+full engine x shards x backend x driver matrix; its
 wall-clock budget (~1 minute) only holds if campaign replay stays fast.
 This benchmark records what that budget buys:
 
-* ``campaigns_per_minute`` through the **full** 54-config matrix,
+* ``campaigns_per_minute`` through the **full** 36-config matrix,
 * ``alert_config_rate``: alert-observations per second summed over
   every replayed configuration (each campaign alert is decoded once
   per configuration), the quantity that actually scales with campaign
@@ -77,7 +77,7 @@ def record() -> dict:
         "notes": (
             f"Seed-pinned campaigns replayed through the full "
             f"{len(full_matrix())}-config engine x shards x backend x "
-            "driver x transport matrix by the "
+            "driver matrix by the "
             "differential oracle. alert_config_rate counts each "
             "campaign alert once per replayed configuration."
         ),

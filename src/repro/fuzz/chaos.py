@@ -31,8 +31,8 @@ Each chaos campaign is a regular fuzzer campaign plus a seeded
     a death: both backends surface the same typed error with the
     worker-side traceback preserved, and the pipeline stays drivable.
 ``shm-kill``
-    The zero-copy transport's supervised-heal contract: a pipeline on
-    ``transport="shm"`` with two batches pipelined per shard has a
+    The ring hop's supervised-heal contract: a process-backed pipeline
+    with two batches pipelined per shard has a
     worker SIGKILLed while shared-memory ring descriptors are genuinely
     in flight; the heal must replay the ring payloads FIFO so output is
     bit-identical to an uninterrupted serial run, and no ``/dev/shm``
@@ -87,7 +87,7 @@ from .oracle import DifferentialOracle, OracleConfig, ReplayResult
 #: Fault leg kinds a plan may request.  The first four target the
 #: pipeline directly; the service kinds (PR 8) drive the same faults
 #: through a live :mod:`repro.service` socket front-end; ``shm-kill``
-#: targets the zero-copy shared-memory transport's heal-replay path.
+#: targets the shared-memory rings' heal-replay path.
 FAULT_KINDS = (
     "split",
     "kill",
@@ -137,10 +137,6 @@ class FaultPlan:
     fault_event: int = 0
     #: ``reshard-kill``: the live reshard's target shard count.
     reshard_to: int = 0
-    #: Sub-batch transport the faulted pipeline runs on.  The default
-    #: keeps every pinned pre-shm plan byte-identical; ``shm-kill``
-    #: plans set ``"shm"`` to target the ring heal-replay path.
-    transport: str = "pickle"
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -390,7 +386,6 @@ class ChaosComposer:
                     backend="process",
                     kill_batch=kill_batch,
                     shard=shard,
-                    transport="shm",
                 )
             )
         return campaign, plans
@@ -545,8 +540,8 @@ class ChaosOracle:
             detectors={"factor_graph": tagger},
             n_shards=plan.n_shards,
             shard_backend=plan.backend,
-            transport=plan.transport,
-            max_inflight=2 if plan.transport == "shm" else 1,
+            # shm-kill needs a second batch in flight at the kill.
+            max_inflight=2 if plan.kind == "shm-kill" else 1,
             restart_policy=restart_policy,
             max_restarts=plan.max_restarts,
             backoff_base=plan.backoff_base,
@@ -774,7 +769,7 @@ class ChaosOracle:
     def _run_shm_kill(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
         """SIGKILL with uncollected shared-memory descriptors in flight.
 
-        The pipeline runs on ``transport="shm"`` with a depth-2 window
+        The pipeline runs process shards with a depth-2 window
         driven two-phase (submit, then collect lagging one batch), and
         the worker is frozen (SIGSTOP) just before batch ``kill_batch``
         is submitted and SIGKILLed right after -- before its collect --
@@ -823,11 +818,7 @@ class ChaosOracle:
                 )
                 return failures
             result = ReplayResult(
-                config=OracleConfig(
-                    n_shards=plan.n_shards,
-                    backend=plan.backend,
-                    transport=plan.transport,
-                ),
+                config=OracleConfig(n_shards=plan.n_shards, backend=plan.backend),
                 detections=detections,
                 detection_log=list(pipeline.detections),
                 notifications=list(pipeline.responder.notifications),
@@ -844,7 +835,7 @@ class ChaosOracle:
                 failures.append(
                     ChaosFailure(
                         plan.label,
-                        "shm transport was never exercised "
+                        "the rings were never exercised "
                         f"(shm_batches=0, shm_fallbacks={pool.shm_fallbacks})",
                     )
                 )

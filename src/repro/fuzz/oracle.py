@@ -1,19 +1,18 @@
 """Cross-configuration differential replay oracle.
 
-The repo's central correctness claim is that five independent execution
+The repo's central correctness claim is that four independent execution
 axes never change a detection:
 
 * decode **engine** -- ``streaming`` (production: incremental decoders
   advanced by the stacked cross-entity kernel) / ``naive`` (the
   executable spec),
 * shard count -- entity-partitioned detector replicas,
-* shard **backend** -- ``serial`` / ``process`` workers,
+* shard **backend** -- ``serial`` (in-process shards, depth 1) /
+  ``process`` (worker processes behind shared-memory rings, two
+  batches in flight per shard),
 * pipeline **driver** -- batch-synchronous ``ingest_alerts``, the
   overlapped ``ingest_alert_batches``, and the raw-record
-  ``ingest_raw_stream`` path,
-* shard **transport** -- ``pickle`` (pipe-pickled columns) / ``shm``
-  (zero-copy shared-memory rings with deep pipelining; process backend
-  only -- serial pools move nothing between processes).
+  ``ingest_raw_stream`` path.
 
 :class:`DifferentialOracle` turns that claim into a checked property:
 it replays one :class:`~repro.fuzz.campaign.Campaign` through every
@@ -52,9 +51,6 @@ SHARD_COUNTS = (1, 2, 4)
 BACKENDS = ("serial", "process")
 #: Pipeline drivers under differential test.
 DRIVERS = ("sync", "alert_stream", "raw_stream")
-#: Shard transports under differential test (``shm`` is exercised only
-#: with the process backend; a serial pool has no transport).
-TRANSPORTS = ("pickle", "shm")
 
 #: ``PipelineStats``-derived summary keys that must match bit-for-bit
 #: (timing-valued keys are excluded: wall time is not deterministic).
@@ -83,13 +79,12 @@ for _note, _alert_name in ZEEK_NOTICE_MAP.items():
 
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
-    """One point of the engine x shards x backend x driver x transport matrix."""
+    """One point of the engine x shards x backend x driver matrix."""
 
     engine: str = "streaming"
     n_shards: int = 1
     backend: str = "serial"
     driver: str = "sync"
-    transport: str = "pickle"
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -98,42 +93,22 @@ class OracleConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.driver not in DRIVERS:
             raise ValueError(f"unknown driver {self.driver!r}")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.transport!r}")
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
 
     @property
     def label(self) -> str:
-        """Compact ``engine:shards:backend:driver[:transport]`` spec string.
-
-        The transport field is emitted only when it differs from the
-        default ``pickle``, so every pre-existing pinned label (and the
-        committed benchmark baselines that embed them) is unchanged.
-        """
-        base = f"{self.engine}:{self.n_shards}:{self.backend}:{self.driver}"
-        if self.transport != "pickle":
-            return f"{base}:{self.transport}"
-        return base
+        """Compact ``engine:shards:backend:driver`` spec string."""
+        return f"{self.engine}:{self.n_shards}:{self.backend}:{self.driver}"
 
     @classmethod
     def parse(cls, spec: str) -> "OracleConfig":
-        """Inverse of :attr:`label` (``streaming:4:process:sync[:shm]``)."""
+        """Inverse of :attr:`label` (``streaming:4:process:sync``)."""
         fields = spec.split(":")
-        if len(fields) == 4:
-            engine, shards, backend, driver = fields
-            transport = "pickle"
-        elif len(fields) == 5:
-            engine, shards, backend, driver, transport = fields
-        else:
+        if len(fields) != 4:
             raise ValueError(f"malformed oracle config spec {spec!r}")
-        return cls(
-            engine=engine,
-            n_shards=int(shards),
-            backend=backend,
-            driver=driver,
-            transport=transport,
-        )
+        engine, shards, backend, driver = fields
+        return cls(engine=engine, n_shards=int(shards), backend=backend, driver=driver)
 
 
 #: The reference configuration: the seed execution path.
@@ -141,31 +116,11 @@ REFERENCE_CONFIG = OracleConfig(engine="naive", n_shards=1, backend="serial", dr
 
 
 def full_matrix() -> list[OracleConfig]:
-    """The complete engine x shards x backend x driver x transport matrix.
-
-    36 pickle-transport configs plus the ``shm`` variant of every
-    process-backend config (transport is a property of the worker
-    boundary, so serial configs have no shm counterpart) -- 54 total.
-    """
-    configs = [
+    """The complete engine x shards x backend x driver matrix (36 configs)."""
+    return [
         OracleConfig(engine=e, n_shards=s, backend=b, driver=d)
         for e, s, b, d in itertools.product(ENGINES, SHARD_COUNTS, BACKENDS, DRIVERS)
     ]
-    # Materialise before extending: a lazy generator over ``configs``
-    # would also iterate the shm configs it appends (every one of them
-    # process-backend) and never terminate.
-    shm_variants = [
-        OracleConfig(
-            engine=c.engine,
-            n_shards=c.n_shards,
-            backend=c.backend,
-            driver=c.driver,
-            transport="shm",
-        )
-        for c in configs
-        if c.backend == "process"
-    ]
-    return configs + shm_variants
 
 
 def quick_matrix() -> list[OracleConfig]:
@@ -179,9 +134,8 @@ def quick_matrix() -> list[OracleConfig]:
         OracleConfig("naive", 2, "process", "raw_stream"),
         OracleConfig("naive", 1, "serial", "alert_stream"),
         OracleConfig("streaming", 4, "process", "raw_stream"),
-        OracleConfig("streaming", 4, "process", "alert_stream", "shm"),
-        OracleConfig("streaming", 2, "process", "sync", "shm"),
-        OracleConfig("naive", 4, "process", "raw_stream", "shm"),
+        OracleConfig("streaming", 2, "process", "sync"),
+        OracleConfig("naive", 4, "process", "raw_stream"),
     ]
 
 
@@ -290,10 +244,9 @@ class DifferentialOracle:
             detectors={"factor_graph": tagger},
             n_shards=config.n_shards,
             shard_backend=config.backend,
-            transport=config.transport,
-            # shm replays also exercise the deeper pipeline the zero-copy
-            # transport exists for: two batches in flight per shard.
-            max_inflight=2 if config.transport == "shm" else 1,
+            # Process replays also exercise the deeper pipeline the
+            # rings exist for: two batches in flight per shard.
+            max_inflight=2 if config.backend == "process" else 1,
         ) as pipeline:
             if config.driver == "sync":
                 for event in campaign.events:
@@ -435,7 +388,6 @@ __all__ = [
     "SHARD_COUNTS",
     "BACKENDS",
     "DRIVERS",
-    "TRANSPORTS",
     "COMPARED_COUNTERS",
     "OracleConfig",
     "REFERENCE_CONFIG",

@@ -20,6 +20,9 @@ The detection stage is a :class:`repro.testbed.sharding
 partitioned by entity across independent shards (``n_shards``) and,
 with the ``process`` backend, across worker processes -- bit-identical
 to the unsharded path because detector state is strictly per-entity.
+The two backends are two carriers of one shard protocol; how a
+sub-batch reaches a worker is the pool's business and not an option
+here.
 
 The pre-stage constructor and methods are kept as a thin facade: the
 examples and the Fig. 4 / Fig. 5 benchmarks drive raw records (or
@@ -126,14 +129,6 @@ class TestbedPipeline:
         through to :class:`~repro.testbed.sharding.ShardedDetectorPool`
         -- ``"raise"`` (default) surfaces deaths as typed errors;
         ``"restore"`` self-heals them from per-shard snapshots.
-    transport:
-        Sub-batch transport for process-backed pools: ``"pickle"``
-        (default, pipe-pickled columns) or ``"shm"`` (zero-copy
-        shared-memory rings with descriptor pipes; see
-        :data:`repro.testbed.sharding.TRANSPORTS`).  Serial pools have
-        no transport and ignore it.  Transport choice never changes
-        detections -- the fuzz oracle's transport axis holds both
-        bit-identical.
     max_inflight:
         Pipelining depth of the overlapped drivers: how many detection
         batches may be submitted-but-uncollected at once (default 1,
@@ -142,11 +137,11 @@ class TestbedPipeline:
         apply at fully-quiesced submission boundaries, so detections
         and counters stay bit-identical at any depth.
     ring_capacity:
-        Per-shard shared-memory ring size in bytes for the ``"shm"``
-        transport (default: the pool's
+        Per-shard shared-memory ring size in bytes for process-backed
+        pools (default: the pool's
         :data:`~repro.testbed.shm_ring.DEFAULT_RING_CAPACITY`).  Size
         it to hold ``max_inflight`` encoded sub-batches; batches that
-        do not fit fall back to the pickle path (counted in
+        do not fit travel on the worker pipe instead (counted in
         ``shm_fallbacks``), so undersizing costs throughput, never
         correctness.
     """
@@ -171,10 +166,16 @@ class TestbedPipeline:
         max_restarts: int = 3,
         backoff_base: float = 0.05,
         snapshot_every: int = 1,
-        transport: str = "pickle",
+        transport: str = "shm",
         max_inflight: int = 1,
         ring_capacity: Optional[int] = None,
     ) -> None:
+        if transport != "shm":
+            # Accepted only because benchmarks/e2e still spells it out.
+            raise ValueError(
+                f"transport={transport!r}: the pickle transport was removed; "
+                "process shards always ship sub-batches through their rings"
+            )
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.vocabulary = vocabulary or DEFAULT_VOCABULARY
@@ -190,7 +191,6 @@ class TestbedPipeline:
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
         self.snapshot_every = int(snapshot_every)
-        self.transport = transport
         self.max_inflight = int(max_inflight)
         self.ring_capacity = ring_capacity
         templates: dict[str, Detector] = detectors or {
@@ -252,7 +252,6 @@ class TestbedPipeline:
             max_restarts=self.max_restarts,
             backoff_base=self.backoff_base,
             snapshot_every=self.snapshot_every,
-            transport=self.transport,
             max_inflight=self.max_inflight,
             **extra,
         )
@@ -271,20 +270,29 @@ class TestbedPipeline:
         return out
 
     # ------------------------------------------------------------------
-    # Ingestion (batch-synchronous reference path)
+    # Ingestion (batch-synchronous: the overlapped schedule, one batch)
     # ------------------------------------------------------------------
     def ingest_raw(self, records: Iterable[RawLogRecord]) -> list[Detection]:
         """Mirror raw monitor records and process them through every stage.
 
-        Records published directly via ``pipeline.mirror.publish_raw``
-        since the last ingestion are drained first, as their own batch,
-        so the per-call statistics attribute every record to the call
-        that processed it.
+        A one-batch :meth:`ingest_raw_stream`: the overlapped schedule
+        with nothing to overlap -- submit, then immediately collect and
+        respond -- so the two paths' accounting and failure unwind are
+        identical by construction.  Records published directly via
+        ``pipeline.mirror.publish_raw`` since the last ingestion are
+        drained first, as their own batch, so the per-call statistics
+        attribute every record to the call that processed it.
         """
-        detections = self._drain_pending() if self._pending_raw else []
-        self.mirror.publish_raw_many(records)
-        detections.extend(self._drain_pending())
-        return detections
+        return self.ingest_raw_stream([records])
+
+    def ingest_alerts(self, alerts: Iterable[Alert]) -> list[Detection]:
+        """Ingest pre-normalised alerts (replayed incidents skip monitors).
+
+        A one-batch :meth:`ingest_alert_batches`.  Raw records pending
+        on the mirror are drained first (see :meth:`ingest_raw`)
+        instead of silently waiting for a later ``ingest_raw`` call.
+        """
+        return self.ingest_alert_batches([alerts])
 
     def _take_pending_normalized(self) -> list[Alert]:
         """Swap out the pending raw records and normalise them (counted)."""
@@ -294,35 +302,12 @@ class TestbedPipeline:
         self.stats.normalized_alerts += len(alerts)
         return alerts
 
-    def _drain_pending(self) -> list[Detection]:
-        return self._process_alerts(self._take_pending_normalized())
-
-    def ingest_alerts(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Ingest pre-normalised alerts (replayed incidents skip monitors).
-
-        Raw records pending on the mirror are drained first (see
-        :meth:`ingest_raw`) instead of silently waiting for a later
-        ``ingest_raw`` call.
-        """
-        detections = self._drain_pending() if self._pending_raw else []
-        alerts = list(alerts)
-        self.stats.raw_records += len(alerts)
-        self.stats.normalized_alerts += len(alerts)
-        detections.extend(self._process_alerts(alerts))
-        return detections
-
-    # ------------------------------------------------------------------
-    def _process_alerts(self, alerts: Sequence[Alert]) -> list[Detection]:
-        # The batch-synchronous path is the overlapped schedule with
-        # zero overlap: submit, then immediately collect and respond.
-        # Sharing the tail (and the failure unwind) keeps the two
-        # paths' accounting identical by construction.
-        try:
-            self._submit_detection(self._prep_filtered(alerts))
-            return self._collect_and_respond()
-        except BaseException:
-            self._drain_inflight_detections()
-            raise
+    def _drain_pending_raw(self) -> list[Detection]:
+        """Records already pending on the mirror, as their own batch."""
+        if not self._pending_raw:
+            return []
+        # One empty publish: the batch is exactly what was already pending.
+        return self._drive_overlapped(self._prep_raw_batches([()]))
 
     def _prep_filtered(self, alerts: Sequence[Alert]) -> list[Alert]:
         """Filter one normalised batch and publish the survivors."""
@@ -351,7 +336,7 @@ class TestbedPipeline:
         parent's wait inside ``collect`` counts as detection time, the
         overlapped prep counts as normalize/filter time.
         """
-        detections = self._drain_pending() if self._pending_raw else []
+        detections = self._drain_pending_raw()
         detections.extend(self._drive_overlapped(self._prep_raw_batches(batches)))
         return detections
 
@@ -364,7 +349,7 @@ class TestbedPipeline:
         :meth:`ingest_alerts` (see :meth:`ingest_raw_stream`), with
         bit-identical detections, responses, and counters.
         """
-        detections = self._drain_pending() if self._pending_raw else []
+        detections = self._drain_pending_raw()
         detections.extend(self._drive_overlapped(self._prep_alert_batches(batches)))
         return detections
 
@@ -716,9 +701,9 @@ class TestbedPipeline:
             "reshard_events": float(
                 sum(len(pool.reshard_log) for pool in self.detector_pools.values())
             ),
-            # Zero-copy transport accounting: sub-batches shipped via
-            # the shared-memory rings vs. batches that fell back to the
-            # pipe (codec miss or ring full).  Run-dependent plumbing
+            # Shard-hop accounting: sub-batches shipped via the
+            # shared-memory rings vs. batches that went over the worker
+            # pipe instead (codec miss or ring full).  Run-dependent plumbing
             # telemetry (ring occupancy varies with scheduling), so
             # excluded from the oracle's compared counters.
             "shm_batches": float(

@@ -17,45 +17,58 @@ reproducible benchmarks.  Because routing is a pure function of the
 entity, every alert of an entity lands on the same shard in stream
 order, which is all the exactness argument needs.
 
-Two execution backends share the same routing and merge logic:
+**One protocol, two carriers.**  A shard is a detector replica behind
+:class:`_ShardHandler`, which maps ``(verb, payload)`` to exactly one
+status-tagged reply -- ``("ok", result)`` or ``("error", traceback)``.
+The verbs are ``observe`` (a sub-batch in, ``(hits, busy_seconds,
+kernel_seconds)`` out), ``reset_entity``, ``reset``, ``snapshot`` (the
+pickled replica out) and ``restore`` (a pickled replica in); each is
+implemented once, in the handler.  The two backends are two *carriers*
+of that protocol and nothing more:
 
-* ``serial`` (default) -- ``n_shards`` detector replicas in the calling
-  process, processed shard-by-shard.  Deterministic, dependency-free,
-  and the reference the process backend is tested against.
-* ``process`` -- one persistent worker process per shard.  Workers
-  hold their detector replica for the lifetime of the pool (detector
-  state must persist across batches), so the per-batch cost is moving
-  the sub-batches, not detector state.  Two transports (see
-  :data:`TRANSPORTS`): ``pickle`` sends the columnar representation of
-  :func:`repro.core.alerts.pack_alert_columns` (parallel tuples of
-  primitive fields instead of per-``Alert`` objects) over the worker
-  pipe; ``shm`` writes its flat binary encoding
-  (:func:`repro.core.alerts.encode_alert_columns`) into a per-shard
-  shared-memory ring and sends only an ``(offset, length, seq)``
-  descriptor, so the payload crosses zero pipe buffers and the worker
-  decodes straight out of the mapped segment.  Either way the batch is
-  rebuilt into ``Alert`` instances worker-side.
+* ``serial`` (default) -- :class:`_LocalShard`: the handler lives in
+  the calling process and runs synchronously inside ``send``; the
+  reply waits in a queue for ``receive``.  Deterministic,
+  dependency-free, and the reference the process backend is tested
+  against.
+* ``process`` -- :class:`_ProcessShard`: one persistent worker process
+  per shard whose loop is ``recv -> handle -> send``.  Workers hold
+  their replica for the lifetime of the carrier, so the per-batch cost
+  is moving the sub-batch, not detector state.
+
+The pool drives both through the same ``send``/``receive`` pair and
+never asks which kind it holds; what differs between the backends is
+which carrier gets built, that only a process can die (supervision),
+and that ``close()`` leaves a serial pool usable.
+
+**One wire.**  How a sub-batch crosses the process boundary is private
+to :meth:`_ProcessShard.send`: the batch is packed into columns and
+flat-encoded (:func:`repro.core.alerts.encode_alert_columns`), the
+bytes go into the shard's shared-memory ring and only an ``(offset,
+length, seq)`` descriptor crosses the pipe.  Bytes that do not fit the
+ring travel on the pipe instead, and a batch the codec cannot express
+travels as pickled columns -- each the only path for some input, both
+counted in ``shm_fallbacks``.  There is no transport option.
 
 **Non-blocking fan-out.**  ``observe_batch`` is sugar over the
 two-phase :meth:`ShardedDetectorPool.submit_batch` /
 :meth:`ShardedDetectorPool.collect` API: ``submit_batch`` ships the
-sub-batches to the workers and returns immediately with a ticket, so
-the caller can do other work (normalise and filter the *next* batch --
-see :meth:`repro.testbed.pipeline.TestbedPipeline.ingest_raw_stream`)
-while the workers compute; ``collect`` blocks for the replies, merges,
-and returns the detections.  Tickets collect in submission (FIFO)
-order.
+sub-batches to the shards and returns a ticket, so the caller can do
+other work (normalise and filter the *next* batch -- see
+:meth:`repro.testbed.pipeline.TestbedPipeline.ingest_raw_stream`)
+while process shards compute; ``collect`` blocks for the replies,
+merges, and returns the detections.  Tickets collect in submission
+(FIFO) order.
 
-**Crash propagation.**  A detector exception inside a worker does not
-kill the worker loop: the worker catches it and replies
-``("error", formatted_traceback)``; the parent drains the remaining
-shards' replies for that batch (so the pool is never left with unread
-replies) and re-raises a typed :class:`ShardWorkerError` naming the
-shard and carrying the worker-side traceback.  The serial backend
-wraps detector exceptions the same way, so both backends surface the
-same typed error.  Either way the pool stays drivable afterwards --
-the failing sub-batch is applied up to the poisoned alert on that
-shard -- and ``close()`` shuts down cleanly.
+**Crash propagation.**  A detector exception does not kill a shard:
+the handler catches it and replies ``("error", traceback)``; the pool
+drains the remaining shards' replies for that batch (so it is never
+left with unread replies) and raises a typed :class:`ShardWorkerError`
+naming the shard and carrying the traceback -- the same on both
+backends (an in-process shard additionally sets ``__cause__``).  The
+pool stays drivable afterwards -- the failing sub-batch is applied up
+to the poisoned alert on that shard -- and ``close()`` shuts down
+cleanly.
 
 Detections from all shards are merged back into the position order of
 the input stream (equal to timestamp order for the time-sorted batches
@@ -87,21 +100,11 @@ from ..core.attack_tagger import Detection
 from ..core.detector import Detector
 from .shm_ring import DEFAULT_RING_CAPACITY, ShardRing
 
-#: Supported execution backends.
+#: Supported execution backends (the two carriers of the shard protocol).
 BACKENDS = ("serial", "process")
 
 #: Supported worker-death policies (process backend).
 RESTART_POLICIES = ("raise", "restore")
-
-#: Supported sub-batch transports (process backend; serial has no
-#: transport).  ``pickle``: columnar sub-batches pickled onto the
-#: worker pipes (the original path).  ``shm``: the flat binary encoding
-#: of :func:`repro.core.alerts.encode_alert_columns` written into a
-#: per-shard shared-memory ring, with only ``(offset, length, seq)``
-#: descriptors crossing the pipe; batches the codec cannot express and
-#: ring-full conditions fall back to the pipe transparently (counted in
-#: ``shm_fallbacks``).
-TRANSPORTS = ("pickle", "shm")
 
 
 class ShardWorkerError(RuntimeError):
@@ -277,116 +280,206 @@ class DetectorTemplate:
         return copy.deepcopy(self.template)
 
 
-def _shard_worker_main(factory, connection, ring_name: Optional[str] = None) -> None:
-    """Worker loop of one process shard: owns a detector replica.
+class _WorkerTraceback(str):
+    """A formatted traceback that, in-process, still knows its exception.
 
-    Commands arrive as ``(verb, payload)`` tuples; every command is
-    answered with exactly one status-tagged reply -- ``("ok", result)``
-    or ``("error", formatted_traceback)`` -- so the parent can run a
-    simple send-all / receive-all round per batch and a detector
-    exception can never wedge the parent or lose its traceback.
-    ``observe`` receives a columnar sub-batch
-    (:func:`repro.core.alerts.pack_alert_columns`), or its flat binary
-    encoding as raw bytes (the shm transport's pipe fallback), and
-    replies with ``(hits, busy_seconds, kernel_seconds)`` where
-    ``hits`` are ``(position, detection)`` pairs indexed into the
-    sub-batch, ``busy_seconds`` is the CPU time the unpack+observe
-    loop consumed (used by the sharding benchmark's critical-path
-    metric), and ``kernel_seconds`` is the wall-clock slice of that
-    spent inside the detector's vectorised decode kernel (0.0 for
-    detectors without one).  ``observe_shm`` is the zero-copy variant:
-    its payload is a ``(ring_offset, length, seq)`` descriptor and the
-    batch bytes are read straight out of the attached shared-memory
-    ring (``seq`` must be strictly increasing -- a stale or reordered
-    descriptor is an error, never a silently wrong batch).  A detector
-    exposing the optional ``observe_batch_indexed`` extension (see
-    :class:`repro.core.detector.Detector`) gets the whole sub-batch in
-    one call — the ``AttackTagger``'s stacked cross-entity kernel —
-    instead of the per-alert loop.  ``snapshot`` replies with the
-    pickled detector replica; ``restore`` replaces the replica with an
-    unpickled snapshot (clearing any recorded factory failure, so a
-    supervisor can restore into a worker whose factory crashed at
-    spawn).
+    Error replies are text: a traceback object cannot cross a pipe.  An
+    in-process shard has the exception itself, so the text carries it
+    along as ``cause`` for ``ShardWorkerError.__cause__``; pickling
+    reduces to the plain string, which is what a worker's parent sees.
+    """
+
+    cause: Optional[BaseException] = None
+
+    @classmethod
+    def capture(cls, exc: BaseException) -> "_WorkerTraceback":
+        """The traceback of the exception being handled, tagged with it."""
+        text = cls(traceback.format_exc())
+        text.cause = exc
+        return text
+
+    def __reduce__(self):
+        return (str, (str(self),))
+
+
+class _ShardHandler:
+    """One shard's end of the protocol: a detector replica answering verbs.
+
+    :meth:`handle` maps every ``(verb, payload)`` to exactly one
+    status-tagged reply -- ``("ok", result)`` or ``("error",
+    traceback)`` -- so a driver can run a simple send-all / receive-all
+    round and a detector exception can neither wedge it nor lose its
+    traceback.  A factory that raises is recorded and replayed as the
+    reply to every verb except ``restore`` (which installs a replica
+    and so clears it): a supervisor can restore into a shard whose
+    factory crashed.
+
+    ``unwire`` turns an ``observe`` payload into the list of alerts;
+    ``None`` means the payload already is that list.  It runs inside
+    the timed region, so ``busy_seconds`` covers a carrier's decode.
+    """
+
+    def __init__(self, factory, unwire=None) -> None:
+        self._unwire = unwire
+        self.failure: Optional[_WorkerTraceback] = None
+        try:
+            self.detector: Optional[Detector] = factory()
+        except Exception as exc:  # reported per command, not lost
+            self.detector = None
+            self.failure = _WorkerTraceback.capture(exc)
+
+    def handle(self, verb: str, payload=None) -> Tuple[str, object]:
+        """Answer one command; never raises for a detector failure."""
+        if self.failure is not None and verb != "restore":
+            return ("error", self.failure)
+        try:
+            method = self._VERBS.get(verb)
+            if method is None:
+                raise ValueError(f"unknown shard verb {verb!r}")
+            return ("ok", method(self, payload))
+        except Exception as exc:
+            return ("error", _WorkerTraceback.capture(exc))
+
+    def _observe(self, payload):
+        """``(hits, busy_seconds, kernel_seconds)`` for one sub-batch.
+
+        ``hits`` are ``(position, detection)`` pairs indexed into the
+        sub-batch, ``busy_seconds`` the CPU time unwire + observe
+        consumed in the hosting process, and ``kernel_seconds`` the
+        wall-clock slice of that spent inside the detector's vectorised
+        decode kernel (0.0 for detectors without one).  A detector
+        exposing the optional ``observe_batch_indexed`` extension (see
+        :class:`repro.core.detector.Detector`) gets the whole sub-batch
+        in one call -- the ``AttackTagger``'s stacked cross-entity
+        kernel -- instead of the per-alert loop.
+        """
+        started = time.process_time()
+        alerts = payload if self._unwire is None else self._unwire(payload)
+        detector = self.detector
+        kernel_before = getattr(detector, "kernel_seconds", 0.0)
+        indexed = getattr(detector, "observe_batch_indexed", None)
+        if indexed is not None:
+            hits: List[Tuple[int, Detection]] = indexed(alerts)
+        else:
+            hits = []
+            for position, alert in enumerate(alerts):
+                detection = detector.observe(alert)
+                if detection is not None:
+                    hits.append((position, detection))
+        kernel = getattr(detector, "kernel_seconds", 0.0) - kernel_before
+        return hits, time.process_time() - started, kernel
+
+    def _reset_entity(self, entity: str) -> None:
+        self.detector.reset_entity(entity)
+
+    def _reset(self, _payload) -> None:
+        self.detector.reset()
+
+    def _snapshot(self, _payload) -> bytes:
+        return pickle.dumps(self.detector, pickle.HIGHEST_PROTOCOL)
+
+    def _restore(self, blob: bytes) -> None:
+        """Install a pickled replica, *in place* when the types match.
+
+        The ``__dict__`` swap keeps the detector object's identity, so
+        a :meth:`ShardedDetectorPool.wrap` facade keeps handing out the
+        caller's own instance after a checkpoint restore.
+        """
+        restored = pickle.loads(blob)
+        current = self.detector
+        if current is not None and type(restored) is type(current):
+            current.__dict__.clear()
+            current.__dict__.update(restored.__dict__)
+        else:
+            self.detector = restored
+        self.failure = None
+
+    _VERBS = {
+        "observe": _observe,
+        "reset_entity": _reset_entity,
+        "reset": _reset,
+        "snapshot": _snapshot,
+        "restore": _restore,
+    }
+
+
+class _LocalShard:
+    """In-process carrier: the handler runs synchronously inside ``send``.
+
+    The serial backend has nobody to overlap with, so the work happens
+    at send time and the reply waits (FIFO) for ``receive`` -- the same
+    two calls, in the same order, a process shard answers.  ``observe``
+    takes the ``Alert`` list as-is: nothing crosses a process boundary,
+    so nothing is packed, encoded, or counted as shipped.
+    """
+
+    def __init__(self, index: int, factory) -> None:
+        self.index = index
+        self._handler = _ShardHandler(factory)
+        self._replies: Deque[Tuple[str, object]] = collections.deque()
+
+    @property
+    def detector(self) -> Optional[Detector]:
+        """The replica itself (``None`` if the factory raised)."""
+        return self._handler.detector
+
+    def send(self, verb: str, payload=None) -> bool:
+        self._replies.append(self._handler.handle(verb, payload))
+        return True
+
+    def receive(self, timeout: Optional[float] = None) -> Tuple[str, object]:
+        return self._replies.popleft()
+
+    def close(self, timeout: float = 5.0) -> str:
+        return "clean"
+
+
+def _shard_worker_main(factory, connection, ring_name: str) -> None:
+    """Worker loop of one process shard: ``recv -> handle -> send``.
+
+    The protocol lives in :class:`_ShardHandler`; this loop adds only
+    what the process hop needs: the ``close`` handshake and undoing
+    :meth:`_ProcessShard.send`'s wire forms for ``observe`` -- a ring
+    descriptor (``seq`` must be strictly increasing: a stale or
+    reordered descriptor is an error, never a silently wrong batch),
+    the encoded bytes on the pipe, or packed columns.
     """
     ring: Optional[ShardRing] = None
-    ring_failure: Optional[str] = None
+    ring_failure = ""
     last_seq = -1
-    if ring_name is not None:
-        try:
-            ring = ShardRing.attach(ring_name)
-        except Exception:
-            ring_failure = traceback.format_exc()
     try:
-        failure: Optional[str] = None
-        try:
-            detector = factory()
-        except Exception:  # factory crash: report it per-command, not EOF
-            detector, failure = None, traceback.format_exc()
+        ring = ShardRing.attach(ring_name)
+    except Exception:
+        ring_failure = ":\n" + traceback.format_exc()
+
+    def unwire(message) -> List[Alert]:
+        nonlocal last_seq
+        form, body = message
+        if form == "ring":
+            if ring is None:
+                raise RuntimeError(
+                    "ring descriptor without an attached ring" + ring_failure
+                )
+            offset, length, seq = body
+            if seq <= last_seq:
+                raise RuntimeError(f"ring descriptor seq {seq} not after {last_seq}")
+            last_seq = seq
+            body = ring.view(offset, length)
+        if form != "columns":
+            body = decode_alert_columns(body)
+        return unpack_alert_columns(body)
+
+    try:
+        handler = _ShardHandler(factory, unwire)
         while True:
-            command, payload = connection.recv()
-            if command == "close":
+            verb, payload = connection.recv()
+            if verb == "close":
                 connection.send(("ok", None))
                 return
-            if command == "restore":
-                try:
-                    detector = pickle.loads(payload)
-                    failure = None
-                    connection.send(("ok", None))
-                except Exception:
-                    connection.send(("error", traceback.format_exc()))
-                continue
-            if failure is not None:
-                connection.send(("error", failure))
-                continue
+            reply = handler.handle(verb, payload)
             try:
-                if command in ("observe", "observe_shm"):
-                    started = time.process_time()
-                    if command == "observe_shm":
-                        if ring is None:
-                            raise RuntimeError(
-                                "observe_shm without an attached ring"
-                                + (f":\n{ring_failure}" if ring_failure else "")
-                            )
-                        offset, length, seq = payload
-                        if seq <= last_seq:
-                            raise RuntimeError(
-                                f"shm descriptor seq {seq} not after {last_seq}"
-                            )
-                        last_seq = seq
-                        columns = decode_alert_columns(ring.view(offset, length))
-                    elif isinstance(payload, (bytes, bytearray, memoryview)):
-                        columns = decode_alert_columns(payload)
-                    else:
-                        columns = payload
-                    kernel_before = getattr(detector, "kernel_seconds", 0.0)
-                    indexed = getattr(detector, "observe_batch_indexed", None)
-                    if indexed is not None:
-                        hits: List[Tuple[int, Detection]] = indexed(
-                            unpack_alert_columns(columns)
-                        )
-                    else:
-                        hits = []
-                        for position, alert in enumerate(
-                            unpack_alert_columns(columns)
-                        ):
-                            detection = detector.observe(alert)
-                            if detection is not None:
-                                hits.append((position, detection))
-                    kernel = getattr(detector, "kernel_seconds", 0.0) - kernel_before
-                    connection.send(
-                        ("ok", (hits, time.process_time() - started, kernel))
-                    )
-                elif command == "reset_entity":
-                    detector.reset_entity(payload)
-                    connection.send(("ok", None))
-                elif command == "reset":
-                    detector.reset()
-                    connection.send(("ok", None))
-                elif command == "snapshot":
-                    connection.send(("ok", pickle.dumps(detector)))
-                else:  # defensive: unknown verbs must not wedge the parent
-                    connection.send(("ok", None))
-            except Exception:
+                connection.send(reply)
+            except Exception:  # a result that will not pickle is an error reply
                 connection.send(("error", traceback.format_exc()))
     except (EOFError, KeyboardInterrupt):  # parent went away
         pass
@@ -396,36 +489,88 @@ def _shard_worker_main(factory, connection, ring_name: Optional[str] = None) -> 
 
 
 class _ProcessShard:
-    """Parent-side handle of one worker process."""
+    """Process carrier: one worker process, its pipe, and its ring.
+
+    Owns everything the hop needs -- the shared-memory ring (created
+    here, unlinked by :meth:`close`), the FIFO of ring regions still in
+    transit and the descriptor sequence -- so "ring or pipe" is a
+    private decision of :meth:`send`, tallied into ``counts`` (keys
+    ``shm_batches``/``shm_fallbacks``; the pool passes its own).  Every
+    ``send`` is answered by exactly one ``receive``, including a send a
+    dead worker swallowed (its receive reports the death).
+    """
+
+    #: The replica lives in the worker process.
+    detector = None
 
     def __init__(
         self,
         index: int,
-        factory: DetectorTemplate,
-        ring_name: Optional[str] = None,
+        factory,
+        ring_capacity: int = DEFAULT_RING_CAPACITY,
+        counts: Optional[collections.Counter] = None,
     ) -> None:
         self.index = index
+        self._factory = factory
+        self._counts = collections.Counter() if counts is None else counts
+        self._seq = 0
+        #: One entry per unanswered message, oldest first: the ring
+        #: region it occupies, or ``None`` for a pipe-only message.
+        self._transit: Deque[Optional[Tuple[int, int]]] = collections.deque()
+        self.ring = ShardRing.create(ring_capacity)
+        try:
+            self._start()
+        except Exception:
+            self.ring.close()
+            raise
+
+    def _start(self) -> None:
         context = multiprocessing.get_context()
         self.connection, child_connection = context.Pipe()
         self.process = context.Process(
             target=_shard_worker_main,
-            args=(factory, child_connection, ring_name),
+            args=(self._factory, child_connection, self.ring.name),
             daemon=True,
         )
         self.process.start()
         child_connection.close()
 
-    def send(self, command: str, payload=None) -> bool:
+    def _wire(self, alerts: Sequence[Alert]):
+        """``(wire payload, ring region or None)`` for one sub-batch.
+
+        The flat encoding goes into the ring when it fits; the same
+        bytes go on the pipe when it does not, and packed columns go on
+        the pipe for a batch outside the codec's type set.
+        """
+        packed = pack_alert_columns(alerts)
+        try:
+            encoded = encode_alert_columns(packed)
+        except AlertColumnsCodecError:
+            self._counts["shm_fallbacks"] += 1
+            return ("columns", packed), None
+        offset = self.ring.write(encoded)
+        if offset is None:
+            self._counts["shm_fallbacks"] += 1
+            return ("bytes", encoded), None
+        self._seq += 1
+        self._counts["shm_batches"] += 1
+        region = (offset, len(encoded))
+        return ("ring", region + (self._seq,)), region
+
+    def send(self, verb: str, payload=None) -> bool:
         """Queue one command; returns whether it was actually delivered.
 
         If the worker process is gone the pipe write fails -- the
         failure is swallowed (``False`` returned) so the caller's
         send-all loop completes, and the matching :meth:`receive`
-        reports the death as an ``("error", ...)`` reply instead.
+        reports the death as a ``("dead", ...)`` reply instead.
         """
+        region = None
+        if verb == "observe":
+            payload, region = self._wire(payload)
         try:
-            self.connection.send((command, payload))
-            return True
+            self.connection.send((verb, payload))
+            delivered = True
         except OSError:
             # Only a *dead* worker may be swallowed -- its recv side
             # reports the death.  A failed send to a live worker would
@@ -434,7 +579,9 @@ class _ProcessShard:
             self.process.join(timeout=1.0)
             if self.process.is_alive():
                 raise
-            return False
+            delivered = False
+        self._transit.append(region)
+        return delivered
 
     def receive(self, timeout: Optional[float] = None) -> Tuple[str, object]:
         """One status-tagged reply; a dead worker becomes a ``dead`` reply.
@@ -447,7 +594,11 @@ class _ProcessShard:
         :class:`ShardWorkerError` (or heal the shard, under a
         ``restore`` restart policy).  With ``timeout`` set the wait is
         bounded: a wedged (alive but unresponsive) worker produces a
-        ``("timeout", detail)`` reply instead of blocking forever.
+        ``("timeout", detail)`` reply instead of blocking forever --
+        and releases nothing, since it may still read its ring region
+        later.  Any other reply means the worker has read (or will
+        never read) the oldest unanswered message, so the ring region
+        that message occupied is free again.
         """
         try:
             if timeout is not None and not self.connection.poll(timeout):
@@ -455,16 +606,33 @@ class _ProcessShard:
                     "timeout",
                     f"shard worker did not reply within {timeout:.1f}s",
                 )
-            return self.connection.recv()
+            reply = self.connection.recv()
         except (EOFError, OSError):
             self.process.join(timeout=1.0)
-            return (
+            reply = (
                 "dead",
                 f"shard worker process died without replying "
                 f"(exitcode {self.process.exitcode})",
             )
+        if self._transit:
+            region = self._transit.popleft()
+            if region is not None:
+                self.ring.release(*region)
+        return reply
 
-    def reap(self) -> None:
+    def restart(self) -> None:
+        """Replace a dead worker with a fresh one on the same ring.
+
+        The ring is reset wholesale (the dead worker consumed nothing
+        that matters any more) and nothing is in transit to the new
+        process; the segment and its name carry over.
+        """
+        self._reap()
+        self.ring.reset()
+        self._transit.clear()
+        self._start()
+
+    def _reap(self) -> None:
         """Dispose of a dead (or dying) worker without a close handshake."""
         try:
             self.process.join(timeout=1.0)
@@ -487,12 +655,14 @@ class _ProcessShard:
         bounded handshake is what makes pool shutdown deadlock-free: a
         wedged worker (stuck inside a detector) can stall ``close()``
         by at most a few multiples of ``timeout``, never forever.
+        Whatever the outcome the worker is gone afterwards, so the ring
+        segment is unlinked: nothing survives in ``/dev/shm``.
         """
         outcome = "clean"
         try:
             if self.process.is_alive():
-                delivered = self.send("close")
-                if delivered and self.connection.poll(timeout):
+                self.connection.send(("close", None))
+                if self.connection.poll(timeout):
                     self.connection.recv()
             self.process.join(timeout=timeout)
         except (BrokenPipeError, EOFError, OSError):
@@ -509,31 +679,23 @@ class _ProcessShard:
             self.connection.close()
         except OSError:  # pragma: no cover - defensive
             pass
+        self.ring.close()
         return outcome
 
 
 class _PendingBatch:
     """Ticket for one submitted batch awaiting :meth:`~ShardedDetectorPool.collect`.
 
-    For the process backend the ticket remembers which shards were sent
-    a sub-batch (``active``) and each routed alert's position in the
-    original batch; the hits arrive at collect time.  The serial
-    backend computes eagerly at submit time, so the ticket already
-    holds the hits (or the wrapped error) and collect just finishes the
-    merge.
+    Remembers which shards were sent a sub-batch (``active``) and each
+    routed alert's position in the original batch; the hits arrive at
+    collect time.
     """
 
-    __slots__ = ("positions", "active", "hits", "error")
+    __slots__ = ("positions", "active")
 
-    def __init__(
-        self,
-        positions: List[List[int]],
-        active: List[int],
-    ) -> None:
+    def __init__(self, positions: List[List[int]], active: List[int]) -> None:
         self.positions = positions
         self.active = active
-        self.hits: List[Tuple[int, Detection]] = []
-        self.error: Optional[ShardWorkerError] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -566,11 +728,15 @@ class ShardedDetectorPool:
     detector_factory:
         Zero-argument callable producing one pristine detector replica
         per shard.  Must be picklable for the process backend
-        (:class:`DetectorTemplate` wraps an existing instance).
+        (:class:`DetectorTemplate` wraps an existing instance).  A
+        factory that raises does not fail construction: the shard
+        answers every command with the failure (see
+        :class:`_ShardHandler`), on both backends.
     n_shards:
         Number of independent shards (>= 1).
     backend:
-        ``"serial"`` or ``"process"`` (see module docstring).
+        ``"serial"`` or ``"process"``: which carrier runs the shards
+        (see module docstring).
     restart_policy:
         What worker death does to the pool (process backend only).
         ``"raise"`` (default): the death surfaces as a typed
@@ -594,17 +760,6 @@ class ShardedDetectorPool:
         sub-batches since the last snapshot (``1`` = after every
         collected batch; larger values trade snapshot cost for a
         longer FIFO replay after a death).
-    transport:
-        How sub-batches reach the workers (process backend only;
-        ignored by ``serial``).  ``"pickle"`` (default): columnar
-        tuples pickled onto the pipe.  ``"shm"``: the flat binary
-        encoding written into a per-shard shared-memory ring with only
-        ``(offset, length, seq)`` descriptors on the pipe; batches the
-        codec cannot express, or that do not fit the ring, transparently
-        fall back to the pipe (``shm_fallbacks`` counts them).  Rings
-        are transient plumbing: excluded from snapshots/checkpoints,
-        torn down and rebuilt across :meth:`reshard`/:meth:`reopen`,
-        and unlinked by :meth:`close`.
     max_inflight:
         Declared pipelining depth: how many submitted-but-uncollected
         batches the driving layer should keep in flight per shard
@@ -612,7 +767,13 @@ class ShardedDetectorPool:
         freely -- but overlapped drivers size their submission window
         from it, and ring capacity planning assumes it.
     ring_capacity:
-        Per-shard ring size in bytes for ``transport="shm"``.
+        Per-shard shared-memory ring size in bytes (process backend).
+        Size it to hold ``max_inflight`` encoded sub-batches; a batch
+        that does not fit travels on the pipe instead (counted in
+        ``shm_fallbacks``), so undersizing costs throughput, never
+        correctness.  Rings are transient plumbing: excluded from
+        snapshots/checkpoints, replaced with their carriers across
+        :meth:`reshard`/:meth:`reopen`, and unlinked by :meth:`close`.
 
     The pool accumulates the merged detection stream itself, so
     ``pool.detections`` is equivalent to the unsharded detector's
@@ -629,7 +790,6 @@ class ShardedDetectorPool:
         max_restarts: int = 3,
         backoff_base: float = 0.05,
         snapshot_every: int = 1,
-        transport: str = "pickle",
         max_inflight: int = 1,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
@@ -645,8 +805,6 @@ class ShardedDetectorPool:
             raise ValueError("backoff_base must be >= 0")
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if ring_capacity < 1:
@@ -657,7 +815,6 @@ class ShardedDetectorPool:
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
         self.snapshot_every = int(snapshot_every)
-        self.transport = transport
         self.max_inflight = int(max_inflight)
         self.ring_capacity = int(ring_capacity)
         #: Every supervised worker recovery ever performed (survives
@@ -674,8 +831,8 @@ class ShardedDetectorPool:
         self._shard_cache: Dict[str, int] = {}
         #: Alerts routed to each shard (routing balance introspection).
         self.alerts_routed: List[int] = [0] * self.n_shards
-        #: Cumulative seconds each shard spent observing (serial: wall
-        #: time in the caller; process: worker CPU time).
+        #: Cumulative CPU seconds each shard spent observing, as
+        #: measured in the process hosting it.
         self.busy_seconds: List[float] = [0.0] * self.n_shards
         #: The slice of ``busy_seconds`` each shard's detector spent
         #: inside its vectorised decode kernel (always 0.0 for
@@ -688,40 +845,19 @@ class ShardedDetectorPool:
         self.busy_seconds_retired = 0.0
         self.kernel_seconds_retired = 0.0
         self.alerts_routed_retired = 0
-        self.shards: List[Detector] = []
-        self._workers: List[_ProcessShard] = []
+        #: One carrier per shard (both backends; the name predates the
+        #: serial carrier).
+        self._workers: list = []
         self._pending: Deque[_PendingBatch] = collections.deque()
         #: Most batches ever simultaneously in flight (submitted,
         #: uncollected) -- checkpointed as service telemetry.
         self.inflight_high_water = 0
-        #: Sub-batches shipped zero-copy through the shared-memory
-        #: rings / via the pipe fallback (codec miss or ring full).
-        #: Runtime telemetry, not checkpointed (rings are transient).
-        self.shm_batches = 0
-        self.shm_fallbacks = 0
-        #: Per-shard rings (shm transport), parent-owned; ``_transit``
-        #: mirrors every outstanding observe message per shard in FIFO
-        #: order -- the ring region it occupies, or ``None`` for a
-        #: pipe-sent payload -- and ``_ring_seq`` stamps descriptors.
-        self._rings: List[ShardRing] = []
-        self._transit: List[Deque[Optional[Tuple[int, int]]]] = []
-        self._ring_seq = 0
+        # What the process carriers shipped by ring / sent by pipe
+        # instead, across every carrier generation (see shm_batches).
+        self._wire_counts: collections.Counter = collections.Counter()
         self._closed = False
         self._reset_supervision()
-        if backend == "serial":
-            self.shards = [detector_factory() for _ in range(self.n_shards)]
-        else:
-            try:
-                self._build_rings()
-                self._workers = [
-                    self._spawn_worker(shard) for shard in range(self.n_shards)
-                ]
-            except Exception:
-                for worker in self._workers:
-                    worker.close()
-                self._workers = []
-                self._teardown_rings()
-                raise
+        self._replace_workers(self.n_shards)
 
     @classmethod
     def wrap(cls, detector: Detector) -> "ShardedDetectorPool":
@@ -735,33 +871,12 @@ class ShardedDetectorPool:
         return cls(_IdentityFactory(detector), n_shards=1, backend="serial")
 
     @classmethod
-    def from_template(
-        cls,
-        detector: Detector,
-        *,
-        n_shards: int = 1,
-        backend: str = "serial",
-        restart_policy: str = "raise",
-        max_restarts: int = 3,
-        backoff_base: float = 0.05,
-        snapshot_every: int = 1,
-        transport: str = "pickle",
-        max_inflight: int = 1,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ) -> "ShardedDetectorPool":
-        """Pool whose shards are clones of a pristine template detector."""
-        return cls(
-            DetectorTemplate(detector),
-            n_shards=n_shards,
-            backend=backend,
-            restart_policy=restart_policy,
-            max_restarts=max_restarts,
-            backoff_base=backoff_base,
-            snapshot_every=snapshot_every,
-            transport=transport,
-            max_inflight=max_inflight,
-            ring_capacity=ring_capacity,
-        )
+    def from_template(cls, detector: Detector, **options) -> "ShardedDetectorPool":
+        """Pool whose shards are clones of a pristine template detector.
+
+        ``options`` are the constructor's keyword arguments.
+        """
+        return cls(DetectorTemplate(detector), **options)
 
     @property
     def _supervised(self) -> bool:
@@ -773,112 +888,75 @@ class ShardedDetectorPool:
 
         ``_shard_snapshots[s]`` is the pickled detector state to
         restore a respawned worker from (``None`` = pristine factory
-        state); ``_replay_log[s]`` holds the packed sub-batch payloads
-        observed since that snapshot (acked and unacked), in FIFO
-        order; ``_unacked[s]`` counts replies the worker still owes.
+        state); ``_replay_log[s]`` holds the sub-batches observed since
+        that snapshot (acked and unacked), in FIFO order;
+        ``_unacked[s]`` counts replies the worker still owes.
         """
         self._shard_snapshots: List[Optional[bytes]] = [None] * self.n_shards
-        self._replay_log: List[Deque] = [
+        self._replay_log: List[Deque[List[Alert]]] = [
             collections.deque() for _ in range(self.n_shards)
         ]
         self._unacked: List[int] = [0] * self.n_shards
         self._restarts_used: List[int] = [0] * self.n_shards
 
-    # -- shared-memory transport plumbing ----------------------------------
-    @property
-    def _shm(self) -> bool:
-        """Whether sub-batches travel through shared-memory rings."""
-        return self.backend == "process" and self.transport == "shm"
-
-    def _build_rings(self, n_shards: Optional[int] = None) -> None:
-        """Create one parent-owned ring per shard (shm transport only).
-
-        ``n_shards`` overrides the pool's current width during a live
-        reshard, where the rings for the *new* layout are built before
-        ``self.n_shards`` is updated.
-        """
-        if not self._shm:
-            return
-        count = self.n_shards if n_shards is None else n_shards
-        try:
-            self._rings = [
-                ShardRing.create(self.ring_capacity) for _ in range(count)
-            ]
-        except Exception:
-            self._teardown_rings()
-            raise
-        self._transit = [collections.deque() for _ in range(count)]
-
-    def _teardown_rings(self) -> None:
-        """Unmap and unlink every ring segment (idempotent)."""
-        rings, self._rings = self._rings, []
-        for ring in rings:
-            ring.close()
-        self._transit = []
-
-    def _spawn_worker(self, shard: int) -> _ProcessShard:
-        """One worker process, attached to its shard's ring if any."""
-        if self._rings:
-            return _ProcessShard(
-                shard, self.detector_factory, ring_name=self._rings[shard].name
-            )
-        return _ProcessShard(shard, self.detector_factory)
-
-    def _finish_transit(self, shard: int, status: str) -> None:
-        """Retire the oldest in-transit observe payload after its reply.
-
-        Consuming a reply with status ``ok``/``error``/``dead`` means
-        the worker has read (or will never read) the oldest outstanding
-        message, so its ring region -- if it used one -- is released
-        for reuse.  A ``timeout`` reply releases nothing: the worker is
-        alive and may still read the region later.
-        """
-        if not self._transit or status == "timeout":
-            return
-        queue = self._transit[shard]
-        if not queue:
-            return
-        region = queue.popleft()
-        if region is not None:
-            self._rings[shard].release(*region)
-
-    def _send_observe(self, shard: int, sub_batch: List[Alert]):
-        """Ship one sub-batch to a worker; returns ``(payload, delivered)``.
-
-        ``payload`` is what a supervised heal must re-drive (the flat
-        binary encoding when the codec succeeded, else the packed
-        columns) and ``delivered`` whether the message reached a live
-        worker.  With ``transport="shm"`` the encoded bytes are written
-        into the shard's ring and only an ``(offset, length, seq)``
-        descriptor crosses the pipe; a batch outside the codec's type
-        set falls back to the legacy pickled-columns path and a full
-        (or too-small) ring falls back to sending the already-encoded
-        bytes over the pipe -- both transparent to the caller and
-        counted in ``shm_fallbacks``.
-        """
-        packed = pack_alert_columns(sub_batch)
-        if not self._shm:
-            return packed, self._workers[shard].send("observe", packed)
-        try:
-            encoded = encode_alert_columns(packed)
-        except AlertColumnsCodecError:
-            self.shm_fallbacks += 1
-            delivered = self._workers[shard].send("observe", packed)
-            self._transit[shard].append(None)
-            return packed, delivered
-        offset = self._rings[shard].write(encoded)
-        if offset is None:
-            self.shm_fallbacks += 1
-            delivered = self._workers[shard].send("observe", encoded)
-            self._transit[shard].append(None)
-            return encoded, delivered
-        self._ring_seq += 1
-        delivered = self._workers[shard].send(
-            "observe_shm", (offset, len(encoded), self._ring_seq)
+    # -- carriers ------------------------------------------------------------
+    def _build_worker(self, shard: int):
+        """One carrier for ``shard``: the place the backend is decided."""
+        if self.backend == "serial":
+            return _LocalShard(shard, self.detector_factory)
+        return _ProcessShard(
+            shard, self.detector_factory, self.ring_capacity, self._wire_counts
         )
-        self._transit[shard].append((offset, len(encoded)))
-        self.shm_batches += 1
-        return encoded, delivered
+
+    def _retire_workers(self, timeout: float = 5.0) -> Tuple[str, ...]:
+        """Shut every carrier down; the pool reads as closed without any."""
+        workers, self._workers = self._workers, []
+        self._closed = True
+        return tuple(worker.close(timeout) for worker in workers)
+
+    def _replace_workers(self, n_shards: int) -> None:
+        """Retire the current carriers and build ``n_shards`` fresh ones.
+
+        The pool is marked closed first and reopened only once every
+        carrier exists: if a spawn fails, the partial set is shut down
+        and the pool rejects batches as closed instead of posing as
+        open with a half-built worker set.
+        """
+        self._retire_workers()
+        fresh: list = []
+        try:
+            for shard in range(n_shards):
+                fresh.append(self._build_worker(shard))
+        except Exception:
+            for worker in fresh:
+                worker.close()
+            raise
+        self._workers = fresh
+        self._closed = False
+
+    @property
+    def shards(self) -> List[Detector]:
+        """The in-process detector replicas (serial backend).
+
+        A process shard's replica lives in its worker, so a process
+        pool has none to hand out.
+        """
+        return [
+            worker.detector for worker in self._workers if worker.detector is not None
+        ]
+
+    @property
+    def shm_batches(self) -> int:
+        """Sub-batches shipped through the shared-memory rings so far.
+
+        Runtime telemetry, not checkpointed (rings are transient).
+        """
+        return self._wire_counts["shm_batches"]
+
+    @property
+    def shm_fallbacks(self) -> int:
+        """Sub-batches sent on the pipe instead (codec miss or ring full)."""
+        return self._wire_counts["shm_fallbacks"]
 
     #: Entity->shard memo entries kept (LRU): bounds parent-process
     #: memory on the unbounded-cardinality entity streams a long-lived
@@ -978,99 +1056,55 @@ class ShardedDetectorPool:
     def submit_batch(self, alerts: Iterable[Alert]) -> _PendingBatch:
         """Ship one batch to the shards without waiting for the results.
 
-        Returns a ticket for :meth:`collect`.  With the process backend
-        the sub-batches are shipped to the workers (see ``transport``)
-        and the call returns immediately, so the caller can overlap
-        other work with the workers' compute.  The serial backend has
-        nobody to overlap with and computes eagerly here; a detector
-        exception is captured in the ticket and raised at collect time,
-        mirroring the process backend's semantics.  Tickets must be
-        collected in submission order.
-
-        .. note:: With the ``pickle`` transport, "non-blocking" is
-           bounded by OS pipe capacity (typically ~64 KiB): a send
-           larger than the worker can buffer blocks until the worker
-           drains it, so keeping *many* large batches in flight can
-           stall the submit.  The ``shm`` transport puts the payload in
-           a shared-memory ring and only a tiny descriptor on the pipe,
-           so pipelining ``max_inflight`` batches deep is always safe
-           (a full ring degrades to the pipe path, it never blocks on
-           worker progress).
+        Returns a ticket for :meth:`collect`.  Process shards start
+        computing as soon as their sub-batch lands, so the caller can
+        overlap other work with them; the payload sits in a ring and
+        only a tiny descriptor on the pipe, so pipelining
+        ``max_inflight`` batches deep never blocks on worker progress
+        (a full ring degrades to the pipe, which can).  In-process
+        shards compute here, inside the send.  Either way a detector
+        exception is a reply like any other and is raised at collect
+        time.  Tickets must be collected in submission order.
         """
         if self._closed:
             raise RuntimeError("ShardedDetectorPool is closed")
-        batch = list(alerts)
-        sub_batches, positions = self._partition(batch)
+        sub_batches, positions = self._partition(list(alerts))
         active = [shard for shard, sub_batch in enumerate(sub_batches) if sub_batch]
-        ticket = _PendingBatch(positions, active)
-        if self.backend == "process":
-            # Send everything first so all workers compute concurrently.
-            # `alerts_routed` counts a shard only once its sub-batch is
-            # actually on the pipe, so the telemetry stays truthful if
-            # the send loop fails part-way.
-            sent: List[int] = []
-            try:
-                for shard in active:
-                    payload, delivered = self._send_observe(
-                        shard, sub_batches[shard]
-                    )
-                    sent.append(shard)
-                    if self._supervised:
-                        # Remember the payload whether or not the send
-                        # reached a live worker: a swallowed send to a
-                        # dead worker is exactly what the heal replays.
-                        self._replay_log[shard].append(payload)
-                        self._unacked[shard] += 1
-                    if delivered:
-                        self.alerts_routed[shard] += len(sub_batches[shard])
-            except Exception:
-                # A failure part-way through the send loop (e.g. an
-                # unpicklable alert attribute) must not leave the
-                # already-sent shards with unread replies for the next
-                # collect() to mistake for its own batch: drain them
-                # here (keeping the busy telemetry the workers report),
-                # then surface the original error.
-                for shard in sent:
-                    status, reply = self._workers[shard].receive()
-                    self._finish_transit(shard, status)
-                    if self._supervised and self._unacked[shard] > 0:
-                        self._unacked[shard] -= 1
-                    if status == "ok":
-                        self.busy_seconds[shard] += reply[1]
-                        self.kernel_seconds[shard] += reply[2]
-                raise
-        else:
+        # Send everything first so all workers compute concurrently.
+        # `alerts_routed` counts a shard only once its sub-batch is
+        # actually on its way, so the telemetry stays truthful if the
+        # send loop fails part-way.
+        sent: List[int] = []
+        supervised = self._supervised
+        try:
             for shard in active:
-                self.alerts_routed[shard] += len(sub_batches[shard])
-                started = time.perf_counter()
-                detector = self.shards[shard]
-                kernel_before = getattr(detector, "kernel_seconds", 0.0)
-                try:
-                    indexed = getattr(detector, "observe_batch_indexed", None)
-                    if indexed is not None:
-                        shard_positions = positions[shard]
-                        ticket.hits.extend(
-                            (shard_positions[local], detection)
-                            for local, detection in indexed(sub_batches[shard])
-                        )
-                    else:
-                        for local, alert in enumerate(sub_batches[shard]):
-                            detection = detector.observe(alert)
-                            if detection is not None:
-                                ticket.hits.append(
-                                    (positions[shard][local], detection)
-                                )
-                except Exception as exc:
-                    if ticket.error is None:
-                        ticket.error = ShardWorkerError(
-                            shard, traceback.format_exc()
-                        )
-                        ticket.error.__cause__ = exc
-                finally:
-                    self.busy_seconds[shard] += time.perf_counter() - started
-                    self.kernel_seconds[shard] += (
-                        getattr(detector, "kernel_seconds", 0.0) - kernel_before
-                    )
+                sub_batch = sub_batches[shard]
+                delivered = self._workers[shard].send("observe", sub_batch)
+                sent.append(shard)
+                if supervised:
+                    # Remember the sub-batch whether or not the send
+                    # reached a live worker: a swallowed send to a
+                    # dead worker is exactly what the heal replays.
+                    self._replay_log[shard].append(sub_batch)
+                    self._unacked[shard] += 1
+                if delivered:
+                    self.alerts_routed[shard] += len(sub_batch)
+        except BaseException:
+            # A failure part-way through the send loop (e.g. an
+            # unpicklable alert attribute) must not leave the
+            # already-sent shards with unread replies for the next
+            # collect() to mistake for its own batch: drain them here
+            # (keeping the busy telemetry they report), then surface
+            # the original error.
+            for shard in sent:
+                status, reply = self._workers[shard].receive()
+                if supervised and self._unacked[shard] > 0:
+                    self._unacked[shard] -= 1
+                if status == "ok":
+                    self.busy_seconds[shard] += reply[1]
+                    self.kernel_seconds[shard] += reply[2]
+            raise
+        ticket = _PendingBatch(positions, active)
         self._pending.append(ticket)
         if len(self._pending) > self.inflight_high_water:
             self.inflight_high_water = len(self._pending)
@@ -1080,13 +1114,13 @@ class ShardedDetectorPool:
         """Wait for one submitted batch and merge its detections.
 
         Collects the oldest uncollected ticket (replies come back in
-        FIFO order per worker pipe, so collection must follow
-        submission order; passing a newer ticket raises
-        ``ValueError``).  If any shard reports an error, the remaining
-        shards' replies for this batch are still drained -- the pool is
-        never left with unread replies -- and a
-        :class:`ShardWorkerError` for the first failing shard is
-        raised; the batch's partial detections are discarded.
+        FIFO order per shard, so collection must follow submission
+        order; passing a newer ticket raises ``ValueError``).  If any
+        shard reports an error, the remaining shards' replies for this
+        batch are still drained -- the pool is never left with unread
+        replies -- and a :class:`ShardWorkerError` for the first
+        failing shard is raised; the batch's partial detections are
+        discarded.
         """
         if self._closed:
             raise RuntimeError("ShardedDetectorPool is closed")
@@ -1095,40 +1129,66 @@ class ShardedDetectorPool:
         if ticket is not None and ticket is not self._pending[0]:
             raise ValueError("batches must be collected in submission order")
         ticket = self._pending.popleft()
-        if self.backend == "process":
+        hits: List[Tuple[int, Detection]] = []
+        error: Optional[ShardWorkerError] = None
+        for shard in ticket.active:
+            status, result = self._receive_reply(shard)
+            if status != "ok":
+                error = error or self._shard_error(shard, status, result)
+                continue
+            shard_hits, busy, kernel = result
+            self.busy_seconds[shard] += busy
+            self.kernel_seconds[shard] += kernel
+            shard_positions = ticket.positions[shard]
+            hits.extend(
+                (shard_positions[local], detection) for local, detection in shard_hits
+            )
+        if error is not None:
+            raise error
+        if self._supervised:
             for shard in ticket.active:
-                status, payload = self._receive_reply(shard)
-                if status != "ok":
-                    if ticket.error is None:
-                        if status == "unrecovered":
-                            ticket.error = ShardRecoveryError(
-                                shard, str(payload), self._restarts_used[shard]
-                            )
-                        else:
-                            ticket.error = ShardWorkerError(shard, str(payload))
-                    continue
-                shard_hits, busy, kernel = payload
-                self.busy_seconds[shard] += busy
-                self.kernel_seconds[shard] += kernel
-                ticket.hits.extend(
-                    (ticket.positions[shard][local], detection)
-                    for local, detection in shard_hits
-                )
-            if self._supervised and ticket.error is None:
-                for shard in ticket.active:
-                    self._maybe_refresh_snapshot(shard)
-        if ticket.error is not None:
-            raise ticket.error
-        ticket.hits.sort(key=lambda item: item[0])
-        merged = [detection for _, detection in ticket.hits]
+                self._maybe_refresh_snapshot(shard)
+        hits.sort(key=lambda item: item[0])
+        merged = [detection for _, detection in hits]
         self._detections.extend(merged)
         return merged
+
+    def _shard_error(self, shard: int, status: str, detail) -> ShardWorkerError:
+        """The typed error for one non-``ok`` reply, whatever the carrier."""
+        if status == "unrecovered":
+            return ShardRecoveryError(shard, str(detail), self._restarts_used[shard])
+        error = ShardWorkerError(shard, str(detail))
+        error.__cause__ = getattr(detail, "cause", None)
+        return error
+
+    def _round(self, verb: str, payloads: Optional[Sequence] = None) -> list:
+        """One command to every shard: send all, receive all, first error wins.
+
+        Returns the per-shard results.  Every reply is read even when
+        an earlier shard failed (the pool is never left with unread
+        replies); the first failure is raised afterwards, typed the
+        same way on both backends.
+        """
+        if payloads is None:
+            payloads = [None] * len(self._workers)
+        for worker, payload in zip(self._workers, payloads):
+            worker.send(verb, payload)
+        results = []
+        error: Optional[ShardWorkerError] = None
+        for worker in self._workers:
+            status, result = worker.receive()
+            if status != "ok":
+                error = error or self._shard_error(worker.index, status, result)
+            results.append(result)
+        if error is not None:
+            raise error
+        return results
 
     # -- supervised recovery ----------------------------------------------
     def _receive_reply(self, shard: int) -> Tuple[str, object]:
         """One observe reply for a shard, healing dead workers if supervised.
 
-        Returns the worker's status-tagged reply; under
+        Returns the shard's status-tagged reply; under
         ``restart_policy="restore"`` a ``dead`` reply triggers the
         respawn/restore/replay loop and the returned reply is the
         healed worker's answer for the same sub-batch.  ``unrecovered``
@@ -1137,23 +1197,23 @@ class ShardedDetectorPool:
         every exit path stays consistent.
         """
         status, payload = self._workers[shard].receive()
-        self._finish_transit(shard, status)
-        if status == "dead" and self._supervised:
+        if not self._supervised:
+            return status, payload
+        if status == "dead":
             status, payload = self._heal_shard(shard, str(payload))
-        if self._supervised:
-            if status in ("ok", "error"):
-                # The worker replied: the oldest in-flight payload is
-                # acknowledged (it stays in the replay log until the
-                # next snapshot refresh).
-                if self._unacked[shard] > 0:
-                    self._unacked[shard] -= 1
-            else:
-                # Unrecovered death: nobody owes replies any more, and
-                # replaying this log can never succeed -- drop it so a
-                # caller that keeps driving the pool is not charged
-                # for it again.
-                self._replay_log[shard].clear()
-                self._unacked[shard] = 0
+        if status in ("ok", "error"):
+            # The worker replied: the oldest in-flight sub-batch is
+            # acknowledged (it stays in the replay log until the next
+            # snapshot refresh).
+            if self._unacked[shard] > 0:
+                self._unacked[shard] -= 1
+        else:
+            # Unrecovered death: nobody owes replies any more, and
+            # replaying this log can never succeed -- drop it so a
+            # caller that keeps driving the pool is not charged for it
+            # again.
+            self._replay_log[shard].clear()
+            self._unacked[shard] = 0
         return status, payload
 
     def _heal_shard(self, shard: int, death_detail: str) -> Tuple[str, object]:
@@ -1168,6 +1228,7 @@ class ShardedDetectorPool:
         truthfully accumulated twice).  Returns ``("unrecovered",
         detail)`` once the budget is exhausted.
         """
+        worker = self._workers[shard]
         while self._restarts_used[shard] < self.max_restarts:
             attempt = self._restarts_used[shard] + 1
             self._restarts_used[shard] = attempt
@@ -1175,16 +1236,13 @@ class ShardedDetectorPool:
             if backoff > 0:
                 time.sleep(backoff)
             started = time.perf_counter()
-            self._workers[shard].reap()
-            healed = False
             reply: Optional[Tuple[str, object]] = None
             try:
-                worker: Optional[_ProcessShard] = self._spawn_worker(shard)
+                worker.restart()
             except Exception:  # pragma: no cover - spawn failure
-                worker = None
-            if worker is not None:
-                self._workers[shard] = worker
-                reply, healed = self._replay_into(worker, shard)
+                pass
+            else:
+                reply = self._replay_into(worker, shard)
             self.recovery_log.record(
                 RecoveryEvent(
                     shard=shard,
@@ -1192,82 +1250,49 @@ class ShardedDetectorPool:
                     backoff_seconds=backoff,
                     resubmitted_batches=len(self._replay_log[shard]),
                     death_detail=death_detail,
-                    healed=healed,
+                    healed=reply is not None,
                     recovery_seconds=time.perf_counter() - started,
                 )
             )
-            if healed:
-                assert reply is not None
+            if reply is not None:
                 return reply
         return ("unrecovered", death_detail)
 
-    def _replay_into(
-        self, worker: _ProcessShard, shard: int
-    ) -> Tuple[Optional[Tuple[str, object]], bool]:
+    def _replay_into(self, worker, shard: int) -> Optional[Tuple[str, object]]:
         """Restore a respawned worker and re-drive the shard's replay log.
 
         Restores the last snapshot (pristine factory state if none was
-        taken yet), re-submits every logged payload in FIFO order, and
-        consumes replies up to and including the oldest unacknowledged
-        one -- replies for *newer* unacknowledged payloads are left on
-        the pipe for the collects that own them.  With the shm
-        transport the shard's ring is reset wholesale first (the dead
-        worker consumed nothing that matters any more) and the logged
-        encodings are re-written into it FIFO with fresh descriptor
-        sequence numbers, so the healed worker replays the exact bytes
-        the dead one was sent.  Returns ``(reply, True)`` on success,
-        ``(None, False)`` if the fresh worker died too (the caller
-        retries within the restart budget).
+        taken yet), re-submits every logged sub-batch in FIFO order --
+        through the same ``send`` as the original submission, so the
+        healed worker decodes the exact bytes the dead one was sent --
+        and consumes replies up to and including the oldest
+        unacknowledged one; replies for *newer* unacknowledged
+        sub-batches are left with the carrier for the collects that own
+        them.  Returns that reply, or ``None`` if the fresh worker died
+        too (the caller retries within the restart budget).
         """
-        if self._rings:
-            self._rings[shard].reset()
-            self._transit[shard].clear()
-        if self._shard_snapshots[shard] is not None:
-            if not worker.send("restore", self._shard_snapshots[shard]):
-                return None, False
-            status, _ = worker.receive()
-            if status != "ok":
-                return None, False
+        snapshot = self._shard_snapshots[shard]
+        if snapshot is not None:
+            if not worker.send("restore", snapshot):
+                return None
+            if worker.receive()[0] != "ok":
+                return None
         log = self._replay_log[shard]
-        for payload in log:
-            if not self._resend_payload(worker, shard, payload):
-                return None, False
+        for sub_batch in log:
+            if not worker.send("observe", sub_batch):
+                return None
         acked_replays = len(log) - self._unacked[shard]
-        reply: Optional[Tuple[str, object]] = None
-        for position in range(acked_replays + 1):
+        for _ in range(acked_replays):
             status, payload = worker.receive()
             if status in ("dead", "timeout"):
-                return None, False
-            self._finish_transit(shard, status)
-            if position < acked_replays:
-                if status == "ok":
-                    self.busy_seconds[shard] += payload[1]
-                    self.kernel_seconds[shard] += payload[2]
-            else:
-                reply = (status, payload)
-        return reply, True
-
-    def _resend_payload(self, worker: _ProcessShard, shard: int, payload) -> bool:
-        """Re-drive one replay-log payload into a healed worker.
-
-        Encoded-bytes payloads go back through the ring when they fit
-        (fresh seq, same FIFO order) and over the pipe otherwise;
-        packed-columns payloads (codec fallbacks) always take the pipe,
-        exactly as the original submission did.
-        """
-        if isinstance(payload, (bytes, bytearray)) and self._rings:
-            offset = self._rings[shard].write(payload)
-            if offset is not None:
-                self._ring_seq += 1
-                delivered = worker.send(
-                    "observe_shm", (offset, len(payload), self._ring_seq)
-                )
-                self._transit[shard].append((offset, len(payload)))
-                return delivered
-        delivered = worker.send("observe", payload)
-        if self._transit:
-            self._transit[shard].append(None)
-        return delivered
+                return None
+            if status == "ok":
+                self.busy_seconds[shard] += payload[1]
+                self.kernel_seconds[shard] += payload[2]
+        status, payload = worker.receive()
+        if status in ("dead", "timeout"):
+            return None
+        return status, payload
 
     def _maybe_refresh_snapshot(self, shard: int) -> None:
         """Refresh a shard's recovery snapshot once it is safe and due.
@@ -1291,8 +1316,7 @@ class ShardedDetectorPool:
         they still reconstruct the same state, just more slowly.
         """
         worker = self._workers[shard]
-        if not worker.send("snapshot"):
-            return
+        worker.send("snapshot")
         status, payload = worker.receive()
         if status == "ok":
             self._shard_snapshots[shard] = payload
@@ -1309,11 +1333,8 @@ class ShardedDetectorPool:
         """
         drained = len(self._pending)
         while self._pending:
-            ticket = self._pending.popleft()
-            if self.backend == "process":
-                for shard in ticket.active:
-                    status, _ = self._workers[shard].receive(timeout=timeout)
-                    self._finish_transit(shard, status)
+            for shard in self._pending.popleft().active:
+                self._workers[shard].receive(timeout=timeout)
         return drained
 
     def _require_idle(self, operation: str) -> None:
@@ -1344,53 +1365,25 @@ class ShardedDetectorPool:
         """Forget all shard state and past detections."""
         self._require_idle("reset")
         self._clear_pool_state()
-        error: Optional[ShardWorkerError] = None
-        if self.backend == "serial":
-            # Drive every shard even if one fails, mirroring the
-            # process backend (which always receives all replies), and
-            # wrap the first failure in the same typed error.
-            for shard, detector in enumerate(self.shards):
-                try:
-                    detector.reset()
-                except Exception as exc:
-                    if error is None:
-                        error = ShardWorkerError(shard, traceback.format_exc())
-                        error.__cause__ = exc
-        else:
-            for worker in self._workers:
-                worker.send("reset")
-            for worker in self._workers:
-                status, payload = worker.receive()
-                if status != "ok" and error is None:
-                    error = ShardWorkerError(worker.index, str(payload))
-        if error is not None:
-            raise error
-        if self._supervised:
-            # Every shard is back to factory-pristine state: discard the
-            # snapshots (None means "pristine factory" to the healer) so
-            # a later heal cannot resurrect pre-reset entity state.
-            self._reset_supervision()
+        self._round("reset")
+        # Every shard is back to factory-pristine state: discard the
+        # snapshots (None means "pristine factory" to the healer) so
+        # a later heal cannot resurrect pre-reset entity state.
+        self._reset_supervision()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity on the shard that owns it."""
         self._require_idle("reset_entity")
         shard = self.shard_of(entity)
-        if self.backend == "serial":
-            try:
-                self.shards[shard].reset_entity(entity)
-            except Exception as exc:
-                error = ShardWorkerError(shard, traceback.format_exc())
-                error.__cause__ = exc
-                raise error
-        else:
-            self._workers[shard].send("reset_entity", entity)
-            status, payload = self._workers[shard].receive()
-            if status != "ok":
-                raise ShardWorkerError(shard, str(payload))
-            if self._supervised:
-                # The old snapshot still contains the entity; refresh it
-                # so a later heal cannot resurrect the forgotten state.
-                self._refresh_snapshot_now(shard)
+        worker = self._workers[shard]
+        worker.send("reset_entity", entity)
+        status, result = worker.receive()
+        if status != "ok":
+            raise self._shard_error(shard, status, result)
+        if self._supervised:
+            # The old snapshot still contains the entity; refresh it
+            # so a later heal cannot resurrect the forgotten state.
+            self._refresh_snapshot_now(shard)
 
     # -- live resharding ---------------------------------------------------
     def _migration_factory(self) -> DetectorTemplate:
@@ -1417,69 +1410,51 @@ class ShardedDetectorPool:
             self.detector_factory = factory
         return factory
 
-    def _rebuild_replica(self, shard: int) -> Detector:
+    def _rebuild_replica(self, shard: int) -> Optional[Detector]:
         """Reconstruct a dead shard's replica parent-side.
 
         The supervised bookkeeping already holds everything needed:
         the last recovery snapshot (pristine factory state if none was
-        taken yet) plus the FIFO replay log of packed sub-batches
-        observed since it.  Unlike :meth:`_heal_shard` no worker is
-        respawned -- the caller (reshard) is about to tear the worker
-        layout down anyway, so the replica is rebuilt in the parent.
+        taken yet) plus the FIFO replay log of sub-batches observed
+        since it, driven through the same handler a worker runs (so a
+        sub-batch that made the worker reply ``error`` is applied up to
+        the same alert here).  Unlike :meth:`_heal_shard` no worker is
+        respawned -- the caller (reshard) is about to replace every
+        carrier anyway.
         """
-        snapshot = self._shard_snapshots[shard]
-        if snapshot is not None:
-            detector = pickle.loads(snapshot)
-        else:
-            detector = self.detector_factory()
-        for payload in self._replay_log[shard]:
-            if isinstance(payload, (bytes, bytearray)):
-                payload = decode_alert_columns(payload)
-            batch = unpack_alert_columns(payload)
-            observe_batch = getattr(detector, "observe_batch", None)
-            if observe_batch is not None:
-                observe_batch(batch)
-            else:
-                for alert in batch:
-                    detector.observe(alert)
-        return detector
+        handler = _ShardHandler(self.detector_factory)
+        if self._shard_snapshots[shard] is not None:
+            handler.handle("restore", self._shard_snapshots[shard])
+        for sub_batch in self._replay_log[shard]:
+            handler.handle("observe", sub_batch)
+        return handler.detector
 
     def _harvest_replicas(self) -> Tuple[List[Detector], List[int]]:
         """Current per-shard replicas as parent-side detector objects.
 
-        Serial shards are already in the parent.  Process shards answer
-        the ``snapshot`` verb; a shard whose worker died (e.g.
-        SIGKILLed mid-stream) is -- under ``restart_policy="restore"``
-        and within the restart budget -- rebuilt parent-side from its
-        recovery snapshot + replay log instead of failing the whole
-        reshard.  Returns ``(replicas, rebuilt_shard_indices)``.
+        Every shard answers the ``snapshot`` verb; a shard whose worker
+        died (e.g. SIGKILLed mid-stream) is -- under
+        ``restart_policy="restore"`` and within the restart budget --
+        rebuilt parent-side from its recovery snapshot + replay log
+        instead of failing the whole reshard.  Returns ``(replicas,
+        rebuilt_shard_indices)``.
         """
-        if self.backend == "serial":
-            return list(self.shards), []
         replicas: List[Detector] = []
         rebuilt: List[int] = []
         for shard, worker in enumerate(self._workers):
-            blob: Optional[bytes] = None
-            detail = "shard worker pipe closed before reshard snapshot"
-            if worker.send("snapshot"):
-                status, payload = worker.receive()
-                if status == "ok":
-                    blob = payload
-                elif status == "error":
-                    # The worker is alive but its replica would not
-                    # pickle -- rebuilding from the supervision log
-                    # cannot help, surface it.
-                    raise ShardWorkerError(shard, str(payload))
-                else:  # dead / timeout
-                    detail = str(payload)
-            if blob is not None:
-                replicas.append(pickle.loads(blob))
+            worker.send("snapshot")
+            status, result = worker.receive()
+            if status == "ok":
+                replicas.append(pickle.loads(result))
                 continue
-            if not self._supervised:
-                raise ShardWorkerError(shard, detail)
+            # An ``error`` means the shard is alive but its replica
+            # would not pickle -- rebuilding from the supervision log
+            # cannot help, surface it.
+            if status == "error" or not self._supervised:
+                raise self._shard_error(shard, status, result)
             if self._restarts_used[shard] >= self.max_restarts:
                 raise ShardRecoveryError(
-                    shard, detail, self._restarts_used[shard]
+                    shard, str(result), self._restarts_used[shard]
                 )
             started = time.perf_counter()
             self._restarts_used[shard] += 1
@@ -1491,7 +1466,7 @@ class ShardedDetectorPool:
                     attempt=self._restarts_used[shard],
                     backoff_seconds=0.0,
                     resubmitted_batches=len(self._replay_log[shard]),
-                    death_detail=detail,
+                    death_detail=str(result),
                     healed=True,
                     recovery_seconds=time.perf_counter() - started,
                 )
@@ -1511,18 +1486,17 @@ class ShardedDetectorPool:
         bit-identical across the transition.
 
         Mechanics: every current replica is harvested into the parent
-        (serial: the live objects; process: the ``snapshot`` verb, with
-        a supervised parent-side rebuild for SIGKILLed workers), the
-        per-entity tracks are exported via the detectors' optional
-        migration extension (``export_entity_tracks`` /
-        ``adopt_entity_track`` / ``replace_detections`` -- see
+        (the ``snapshot`` verb, with a supervised parent-side rebuild
+        for SIGKILLed workers), the per-entity tracks are exported via
+        the detectors' optional migration extension
+        (``export_entity_tracks`` / ``adopt_entity_track`` /
+        ``replace_detections`` -- see
         :class:`repro.core.detector.Detector`) and re-routed into M
-        fresh replicas, and -- for the process backend -- the old
-        workers are shut down and M new ones spawned and restored from
-        the migrated replicas.  Requires an idle pool: callers must
-        collect in-flight tickets first (the pipeline's ``reshard``
-        control defers to a submission boundary for exactly this
-        reason).
+        fresh replicas, the old carriers are retired, and M new ones
+        are built and ``restore``\\ d from the migrated replicas.
+        Requires an idle pool: callers must collect in-flight tickets
+        first (the pipeline's ``reshard`` control defers to a
+        submission boundary for exactly this reason).
 
         Telemetry arrays (``alerts_routed``/``busy_seconds``/
         ``kernel_seconds``) are re-zeroed at the new width; their
@@ -1579,55 +1553,16 @@ class ShardedDetectorPool:
                         if shard_of(detection.entity, new_n) == index
                     ]
                 )
-        blobs: List[bytes] = []
-        if self.backend == "process":
-            blobs = [
-                pickle.dumps(replica, pickle.HIGHEST_PROTOCOL)
-                for replica in fresh
-            ]
-            # Mark closed before touching workers (mirrors reopen()):
-            # if a respawn below fails the pool must reject batches as
-            # closed, not pose as open with a half-built worker set.
-            self._closed = True
-            for worker in self._workers:
-                worker.close()
-            self._workers = []
-            # Rings are per-shard-slot plumbing: tear the old layout's
-            # segments down (unlink) and build fresh ones at the new
-            # width before the workers that attach to them spawn.
-            self._teardown_rings()
-            spawned: List[_ProcessShard] = []
-            try:
-                self._build_rings(new_n)
-                for shard in range(new_n):
-                    spawned.append(self._spawn_worker(shard))
-                delivered = [
-                    worker.send("restore", blob)
-                    for worker, blob in zip(spawned, blobs)
-                ]
-                error: Optional[ShardWorkerError] = None
-                for worker, sent in zip(spawned, delivered):
-                    if not sent:
-                        if error is None:
-                            error = ShardWorkerError(
-                                worker.index,
-                                "shard worker pipe closed before reshard restore",
-                            )
-                        continue
-                    status, payload = worker.receive()
-                    if status != "ok" and error is None:
-                        error = ShardWorkerError(worker.index, str(payload))
-                if error is not None:
-                    raise error
-            except Exception:
-                for worker in spawned:
-                    worker.close()
-                self._teardown_rings()
-                raise
-            self._workers = spawned
-            self._closed = False
-        else:
-            self.shards = fresh
+        blobs = [pickle.dumps(replica, pickle.HIGHEST_PROTOCOL) for replica in fresh]
+        # New carriers (and, for process shards, new rings: they are
+        # per-shard-slot plumbing) at the new width, restored from the
+        # migrated replicas.  A failure leaves the pool closed.
+        self._replace_workers(new_n)
+        try:
+            self._round("restore", blobs)
+        except Exception:
+            self._retire_workers()
+            raise
         routed_before = sum(self.alerts_routed)
         busy_before = sum(self.busy_seconds)
         kernel_before = sum(self.kernel_seconds)
@@ -1674,44 +1609,16 @@ class ShardedDetectorPool:
         """Capture the pool's full state for a pipeline checkpoint.
 
         Returns a picklable mapping: one pickled detector blob per
-        shard (serial shards are pickled in place; process shards
-        answer the ``snapshot`` verb) plus the pool-level records
+        shard (the ``snapshot`` verb) plus the pool-level records
         (recorded detections, routing memo, busy telemetry).  Requires
         an idle pool -- a snapshot with submitted batches in flight
         would be neither before nor after them.
         """
         self._require_idle("snapshot_state")
-        blobs: List[bytes] = []
-        if self.backend == "serial":
-            for shard, detector in enumerate(self.shards):
-                try:
-                    blobs.append(pickle.dumps(detector, pickle.HIGHEST_PROTOCOL))
-                except Exception as exc:
-                    error = ShardWorkerError(shard, traceback.format_exc())
-                    error.__cause__ = exc
-                    raise error
-        else:
-            delivered = [worker.send("snapshot") for worker in self._workers]
-            error = None
-            for worker, sent in zip(self._workers, delivered):
-                if not sent:
-                    if error is None:
-                        error = ShardWorkerError(
-                            worker.index, "shard worker pipe closed before snapshot"
-                        )
-                    continue
-                status, payload = worker.receive()
-                if status != "ok":
-                    if error is None:
-                        error = ShardWorkerError(worker.index, str(payload))
-                    continue
-                blobs.append(payload)
-            if error is not None:
-                raise error
         return {
             "n_shards": self.n_shards,
             "backend": self.backend,
-            "shards": blobs,
+            "shards": self._round("snapshot"),
             "detections": list(self._detections),
             "alerts_routed": list(self.alerts_routed),
             "busy_seconds": list(self.busy_seconds),
@@ -1726,12 +1633,14 @@ class ShardedDetectorPool:
         """Load a :meth:`snapshot_state` mapping back into this pool.
 
         The pool must be idle and configured identically (same shard
-        count and backend) to the snapshotted one.  Serial shards are
-        restored *in place* (``__dict__`` swap) so facade pools built
-        with :meth:`wrap` keep handing out the caller's original
-        detector object; process shards receive the ``restore`` verb.
-        Under supervision the restored blobs become the recovery
-        snapshots.
+        count and backend) to the snapshotted one, and the mapping must
+        carry exactly one blob per shard; a mismatch is refused with
+        ``ValueError`` before any shard is touched.  Every shard
+        receives the ``restore`` verb, which swaps state in *in place*
+        (see :meth:`_ShardHandler._restore`) so facade pools built with
+        :meth:`wrap` keep handing out the caller's original detector
+        object.  Under supervision the restored blobs become the
+        recovery snapshots.
         """
         self._require_idle("restore_state")
         if state["n_shards"] != self.n_shards or state["backend"] != self.backend:
@@ -1740,34 +1649,13 @@ class ShardedDetectorPool:
                 f"{state['n_shards']} backend={state['backend']!r}; this pool "
                 f"has n_shards={self.n_shards} backend={self.backend!r}"
             )
-        blobs = list(state["shards"])
-        if self.backend == "serial":
-            for shard, blob in enumerate(blobs):
-                restored = pickle.loads(blob)
-                current = self.shards[shard]
-                if type(restored) is type(current):
-                    current.__dict__.clear()
-                    current.__dict__.update(restored.__dict__)
-                else:  # pragma: no cover - heterogeneous replica swap
-                    self.shards[shard] = restored
-        else:
-            delivered = [
-                worker.send("restore", blob)
-                for worker, blob in zip(self._workers, blobs)
-            ]
-            error = None
-            for worker, sent in zip(self._workers, delivered):
-                if not sent:
-                    if error is None:
-                        error = ShardWorkerError(
-                            worker.index, "shard worker pipe closed before restore"
-                        )
-                    continue
-                status, payload = worker.receive()
-                if status != "ok" and error is None:
-                    error = ShardWorkerError(worker.index, str(payload))
-            if error is not None:
-                raise error
+        blobs = [bytes(blob) for blob in state["shards"]]
+        if len(blobs) != self.n_shards:
+            raise ValueError(
+                f"checkpoint carries {len(blobs)} shard blob(s) for "
+                f"n_shards={self.n_shards}"
+            )
+        self._round("restore", blobs)
         self._detections[:] = list(state["detections"])
         self.alerts_routed = list(state["alerts_routed"])
         self.busy_seconds = list(state["busy_seconds"])
@@ -1782,55 +1670,34 @@ class ShardedDetectorPool:
         )
         self.alerts_routed_retired = int(state.get("alerts_routed_retired", 0))
         self.inflight_high_water = int(state["inflight_high_water"])
+        self._reset_supervision()
         if self._supervised:
-            self._reset_supervision()
-            self._shard_snapshots = [bytes(blob) for blob in blobs]
+            self._shard_snapshots = blobs
 
     # -- lifecycle ---------------------------------------------------------
     def reopen(self) -> None:
-        """Restart the detection tier: pristine state, fresh workers.
+        """Restart the detection tier: pristine state, fresh carriers.
 
-        Backend-uniform semantics: after ``reopen()`` the pool behaves
-        like a freshly constructed one -- no per-entity detector state,
-        no recorded detections, zeroed routing/busy telemetry, and (for
-        the process backend) brand-new worker processes spawned from
-        the factory.  Uncollected submitted batches are drained first
-        (their results discarded), mirroring :meth:`close`.
+        After ``reopen()`` the pool behaves like a freshly constructed
+        one -- no per-entity detector state, no recorded detections,
+        zeroed routing/busy telemetry, every carrier rebuilt from the
+        factory (brand-new worker processes and rings on the process
+        backend) and then ``reset``, so a :meth:`wrap` facade, whose
+        factory hands the caller's own detector instance back, comes
+        out pristine too -- which is exactly what "the detection tier
+        restarted" means there.  Uncollected submitted batches are
+        drained first (their results discarded), mirroring
+        :meth:`close`.
 
         Reopening a *closed* process pool is allowed -- this is the
         ``close()``/reopen lifecycle the campaign fuzzer exercises --
-        and reopening an open pool recycles its workers.  The serial
-        backend resets its replicas in place (for a :meth:`wrap` facade
-        pool that resets the caller's own detector instance, which is
-        exactly what "the detection tier restarted" means there).
+        and reopening an open pool recycles its workers.
         """
         self._drain_pending(timeout=5.0)
-        if self.backend == "process":
-            # Mark closed before touching the workers: if a respawn
-            # below fails, the pool must reject batches as closed, not
-            # pose as open with dead worker handles.
-            if not self._closed:
-                self._closed = True
-                for worker in self._workers:
-                    worker.close()
-            self._workers = []
-            self._teardown_rings()
-            fresh: List[_ProcessShard] = []
-            try:
-                self._build_rings()
-                for shard in range(self.n_shards):
-                    fresh.append(self._spawn_worker(shard))
-            except Exception:
-                for worker in fresh:
-                    worker.close()
-                self._teardown_rings()
-                raise
-            self._workers = fresh
-            self._closed = False
-            self._clear_pool_state()
-            self._reset_supervision()
-        else:
-            self.reset()
+        self._replace_workers(self.n_shards)
+        self._clear_pool_state()
+        self._reset_supervision()
+        self._round("reset")
 
     def close(self, *, timeout: float = 5.0) -> PoolCloseResult:
         """Shut down worker processes (idempotent).
@@ -1845,25 +1712,18 @@ class ShardedDetectorPool:
         join -- is bounded by ``timeout`` seconds, and a worker that
         does not exit cooperatively is escalated ``terminate`` then
         ``kill``, so a hung or wedged worker can never deadlock
-        shutdown.  The returned :class:`PoolCloseResult` records the
-        per-shard escalation outcomes.
+        shutdown; whatever the outcome its ring segment is unlinked.
+        The returned :class:`PoolCloseResult` records the per-shard
+        escalation outcomes.
         """
         if self.backend != "process":
-            return PoolCloseResult(backend=self.backend, escalations=())
+            return PoolCloseResult(backend=self.backend)
         if self._closed:
-            return PoolCloseResult(
-                backend=self.backend, escalations=(), already_closed=True
-            )
+            return PoolCloseResult(backend=self.backend, already_closed=True)
         drained = self._drain_pending(timeout=timeout)
-        self._closed = True
-        escalations = tuple(worker.close(timeout=timeout) for worker in self._workers)
-        self._workers = []
-        # Workers are gone (clean, terminated, or killed): the owner
-        # unlinks every ring segment so nothing survives in /dev/shm.
-        self._teardown_rings()
         return PoolCloseResult(
             backend=self.backend,
-            escalations=escalations,
+            escalations=self._retire_workers(timeout),
             drained_batches=drained,
         )
 
@@ -1893,5 +1753,4 @@ __all__ = [
     "ShardRecoveryError",
     "ShardWorkerError",
     "shard_of",
-    "TRANSPORTS",
 ]

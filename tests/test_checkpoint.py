@@ -256,6 +256,52 @@ class TestRestoreMisuse:
                 pipeline.restore(path)
 
 
+class TestPoolRestoreMisuse:
+    """``ShardedDetectorPool.restore_state`` refuses before touching a shard."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_missing_shard_blob_is_refused_not_prefix_restored(self, backend):
+        from repro.testbed import ShardedDetectorPool
+
+        def pool():
+            return ShardedDetectorPool.from_template(
+                AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+                n_shards=3,
+                backend=backend,
+            )
+
+        stream = _mixed_stream(length=120)
+        with pool() as source, pool() as target:
+            source.observe_batch(stream)
+            state = source.snapshot_state()
+            assert len(state["shards"]) == 3
+            pristine = target.snapshot_state()
+            # A blob short: zip() would silently restore shards 0 and 1
+            # and leave shard 2 pristine under a full detection log.
+            for shards in (state["shards"][:2], state["shards"] + state["shards"][:1]):
+                with pytest.raises(ValueError, match="shard blob"):
+                    target.restore_state(dict(state, shards=shards))
+                assert target.detections == []
+                assert target.snapshot_state() == pristine
+            target.restore_state(state)
+            assert target.detections == source.detections
+            assert target.snapshot_state()["shards"] == state["shards"]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_shape_mismatch_is_still_refused(self, backend):
+        from repro.testbed import ShardedDetectorPool
+
+        other = "process" if backend == "serial" else "serial"
+        with ShardedDetectorPool.from_template(
+            AttackTagger(), n_shards=2, backend=backend
+        ) as pool:
+            state = pool.snapshot_state()
+            with pytest.raises(ValueError, match="n_shards=3"):
+                pool.restore_state(dict(state, n_shards=3))
+            with pytest.raises(ValueError, match=f"backend='{other}'"):
+                pool.restore_state(dict(state, backend=other))
+
+
 @st.composite
 def _hypothesis_stream(draw) -> list[Alert]:
     """Short adversarial streams: unicode entities, bursty repeats.

@@ -122,18 +122,26 @@ class TestDifferentialOracle:
         assert verdict.reference.counters["filtered_alerts"] > 0
 
     def test_matrix_shapes(self):
-        # 36 pickle configs + the shm variant of every process config.
+        # engines (2) x shard counts (3) x backends (2) x drivers (3).
         matrix = full_matrix()
-        assert len(matrix) == 54
+        assert len(matrix) == 36
         labels = {config.label for config in matrix}
-        assert len(labels) == 54
+        assert len(labels) == 36
         assert {config.engine for config in matrix} == {"streaming", "naive"}
         assert OracleConfig.parse("naive:4:process:raw_stream") in matrix
-        assert OracleConfig.parse("naive:4:process:raw_stream:shm") in matrix
-        assert sum(1 for c in matrix if c.transport == "shm") == 18
-        assert all(c.backend == "process" for c in matrix if c.transport == "shm")
+        assert sum(1 for c in matrix if c.backend == "process") == 18
+        assert all(OracleConfig.parse(config.label) == config for config in matrix)
 
-    @pytest.mark.parametrize("spec", ["rebuild:1:serial:sync", "batched:2:process:sync:shm"])
+    @pytest.mark.parametrize(
+        "spec", ["naive:4:process:raw_stream:shm", "streaming:2:process:sync:pickle"]
+    )
+    def test_the_transport_field_is_gone(self, spec):
+        with pytest.raises(ValueError, match="malformed"):
+            OracleConfig.parse(spec)
+        with pytest.raises(TypeError):
+            OracleConfig("streaming", 2, "process", "sync", "shm")
+
+    @pytest.mark.parametrize("spec", ["rebuild:1:serial:sync", "batched:2:process:sync"])
     def test_removed_engines_are_rejected_by_name(self, spec):
         with pytest.raises(UnknownEngineError) as caught:
             OracleConfig.parse(spec)

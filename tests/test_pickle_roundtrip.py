@@ -237,9 +237,13 @@ class TestRemovedEngineStateIsRejected:
 
     @pytest.mark.parametrize("engine", _REMOVED_ENGINES)
     def test_serial_pool_refuses_old_shard_snapshot(self, engine):
+        # Typed like the process backend's refusal below; in-process the
+        # shard error still carries the exception itself.
         pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=2)
-        with pytest.raises(UnknownEngineError, match=engine):
+        with pytest.raises(ShardWorkerError, match=f"unknown engine '{engine}'") as caught:
             pool.restore_state(self._old_pool_state(engine))
+        assert isinstance(caught.value.__cause__, UnknownEngineError)
+        assert caught.value.__cause__.engine == engine
 
     def test_process_pool_refuses_old_shard_snapshot(self):
         engine = _REMOVED_ENGINES[1]
@@ -264,8 +268,9 @@ class TestRemovedEngineStateIsRejected:
         with TestbedPipeline(
             detectors={"factor_graph": self._tagger()}, n_shards=2
         ) as pipeline:
-            with pytest.raises(UnknownEngineError, match=_REMOVED_ENGINES[0]):
+            with pytest.raises(ShardWorkerError, match=_REMOVED_ENGINES[0]) as caught:
                 pipeline.restore(path)
+            assert isinstance(caught.value.__cause__, UnknownEngineError)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,28 @@ def _detection_key(detections):
     ]
 
 
+class _Opaque:
+    """A detector without the migration extension (module-level: a
+    reshard snapshots every replica, so it must pickle)."""
+
+    detections: list = []
+
+    def observe(self, alert):
+        return None
+
+    def observe_batch(self, alerts):
+        return []
+
+    def reset(self):
+        pass
+
+    def reset_entity(self, entity):
+        pass
+
+    def clone(self):
+        return _Opaque()
+
+
 class TestPoolReshard:
     """ShardedDetectorPool.reshard at the pool level."""
 
@@ -149,38 +171,26 @@ class TestPoolReshard:
         reference.close()
 
     def test_reshard_requires_migration_capable_detector(self):
-        class Opaque:
-            detections: list = []
-
-            def observe(self, alert):
-                return None
-
-            def observe_batch(self, alerts):
-                return []
-
-            def reset(self):
-                pass
-
-            def reset_entity(self, entity):
-                pass
-
-            def clone(self):
-                return Opaque()
-
-        pool = ShardedDetectorPool.from_template(Opaque(), n_shards=2)
+        pool = ShardedDetectorPool.from_template(_Opaque(), n_shards=2)
         with pytest.raises(TypeError):
             pool.reshard(3)
         pool.close()
 
-    def test_reshard_rejects_bad_count_and_inflight(self):
-        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
-        with pytest.raises(ValueError):
-            pool.reshard(0)
-        pool.submit_batch(build_stream(length=10))
-        with pytest.raises(RuntimeError):
-            pool.reshard(3)
-        pool.collect()
-        pool.close()
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_reshard_rejects_bad_count_and_inflight(self, backend):
+        pool = ShardedDetectorPool.from_template(
+            _tagger(), n_shards=2, backend=backend
+        )
+        try:
+            with pytest.raises(ValueError):
+                pool.reshard(0)
+            pool.submit_batch(build_stream(length=10))
+            with pytest.raises(RuntimeError):
+                pool.reshard(3)
+            pool.collect()
+            assert pool.n_shards == 2 and not pool.closed  # refusals changed nothing
+        finally:
+            pool.close()
 
 
 def _pin_memory_stream():

@@ -230,18 +230,19 @@ class TestShardedDetectorPool:
         fired = [r for r in results if r is not None]
         assert len(fired) == 1 and fired == pool.detections
 
-    def test_reset_entity_forgets_only_that_entity(self):
-        pool = ShardedDetectorPool.from_template(
-            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=4
-        )
-        pool.observe_batch(self._chain_alerts("user:eve"))
-        pool.observe_batch(self._chain_alerts("user:mallory"))
-        assert len(pool.detections) == 2
-        pool.reset_entity("user:eve")
-        # Eve detects again after the reset; Mallory stays detected
-        # (her shard still remembers her).
-        assert len(pool.observe_batch(self._chain_alerts("user:eve"))) == 1
-        assert len(pool.observe_batch(self._chain_alerts("user:mallory"))) == 0
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_reset_entity_forgets_only_that_entity(self, backend):
+        with ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=4, backend=backend
+        ) as pool:
+            pool.observe_batch(self._chain_alerts("user:eve"))
+            pool.observe_batch(self._chain_alerts("user:mallory"))
+            assert len(pool.detections) == 2
+            pool.reset_entity("user:eve")
+            # Eve detects again after the reset; Mallory stays detected
+            # (her shard still remembers her).
+            assert len(pool.observe_batch(self._chain_alerts("user:eve"))) == 1
+            assert len(pool.observe_batch(self._chain_alerts("user:mallory"))) == 0
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_pool_reset_clears_all_shards(self, backend):
@@ -449,6 +450,200 @@ class TestWorkerCrashPropagation:
             pool.close()
 
 
+def _poisonable_tagger():
+    """Module-level (picklable) factory: a tagger that raises on port scans."""
+    from repro.fuzz.chaos import ChaosPoisonDetector
+
+    return ChaosPoisonDetector(
+        AttackTagger(patterns=list(DEFAULT_CATALOGUE)), "alert_port_scan"
+    )
+
+
+class TestCarrierConformance:
+    """The two carriers answer one scripted verb sequence identically."""
+
+    CHAIN = (
+        "alert_db_default_password_login",
+        "alert_service_version_probe",
+        "alert_db_largeobject_payload",
+        "alert_tmp_executable_created",
+        "alert_outbound_c2",
+    )
+
+    def _chain(self, start: float, entity: str = "user:eve") -> list[Alert]:
+        return [
+            Alert(start + i * 300.0, name, entity, source_ip="203.0.113.9")
+            for i, name in enumerate(self.CHAIN)
+        ]
+
+    def _script(self, carrier_class) -> list:
+        """Drive the script; return every reply in comparable form."""
+        transcript = []
+
+        def ask(carrier, verb, payload=None):
+            assert carrier.send(verb, payload) is True
+            status, result = carrier.receive()
+            if status == "error":
+                # Same exception, same message; frames may differ.
+                shown = str(result).strip().splitlines()[-1]
+            elif verb == "observe":
+                hits, busy, kernel = result
+                assert busy >= 0.0 and kernel >= 0.0
+                shown = hits
+            elif verb == "snapshot":
+                assert result[:2] == bytes([0x80, pickle.HIGHEST_PROTOCOL])
+                shown = pickle.loads(result).detections
+            else:
+                shown = result
+            transcript.append((verb, status, shown))
+            return status, result
+
+        carrier = carrier_class(0, _poisonable_tagger)
+        fresh = carrier_class(1, _poisonable_tagger)
+        broken = carrier_class(2, _exploding_factory)
+        try:
+            ask(carrier, "observe", self._chain(0.0)[:2])  # no hit yet
+            ask(carrier, "observe", self._chain(0.0)[2:])  # the chain fires
+            ask(
+                carrier,
+                "observe",
+                [
+                    Alert(5000.0, "alert_login_normal", "user:bob"),
+                    Alert(5001.0, "alert_port_scan", "user:bob"),  # raises
+                    Alert(5002.0, "alert_login_normal", "user:bob"),
+                ],
+            )
+            ask(carrier, "reset_entity", "user:eve")
+            ask(carrier, "observe", self._chain(10_000.0))  # fires again
+            _, blob = ask(carrier, "snapshot")
+            ask(fresh, "restore", blob)
+            ask(fresh, "observe", self._chain(20_000.0))  # eve already detected
+            ask(fresh, "observe", self._chain(20_000.0, "user:mallory"))
+            ask(carrier, "reset")
+            ask(carrier, "snapshot")  # pristine again
+            ask(carrier, "frobnicate", 7)  # unknown verbs are errors
+            ask(carrier, "observe", self._chain(30_000.0))  # still drivable
+            ask(broken, "observe", self._chain(0.0))  # factory failure,
+            ask(broken, "snapshot")  # replayed per command,
+            ask(broken, "restore", blob)  # until a restore installs a replica
+            ask(broken, "observe", self._chain(40_000.0, "user:mallory"))
+        finally:
+            outcomes = [c.close() for c in (carrier, fresh, broken)]
+        assert outcomes == ["clean"] * 3
+        return transcript
+
+    def test_local_and_process_carriers_reply_alike(self):
+        from repro.testbed.sharding import _LocalShard, _ProcessShard
+
+        local = self._script(_LocalShard)
+        process = self._script(_ProcessShard)
+        assert local == process
+        by_verb = [(verb, status) for verb, status, _ in local]
+        assert by_verb == [
+            ("observe", "ok"),
+            ("observe", "ok"),
+            ("observe", "error"),
+            ("reset_entity", "ok"),
+            ("observe", "ok"),
+            ("snapshot", "ok"),
+            ("restore", "ok"),
+            ("observe", "ok"),
+            ("observe", "ok"),
+            ("reset", "ok"),
+            ("snapshot", "ok"),
+            ("frobnicate", "error"),
+            ("observe", "ok"),
+            ("observe", "error"),
+            ("snapshot", "error"),
+            ("restore", "ok"),
+            ("observe", "ok"),
+        ]
+        shown = [entry[2] for entry in local]
+        assert shown[0] == [] and [position for position, _ in shown[1]] == [0]
+        assert "chaos poison" in shown[2]
+        assert len(shown[4]) == 1  # reset_entity let eve fire again
+        assert len(shown[5]) == 2 and shown[7] == []  # snapshot carried her over
+        assert len(shown[8]) == 1 and shown[10] == []
+        assert shown[11] == "ValueError: unknown shard verb 'frobnicate'"
+        assert shown[13] == shown[14] == "RuntimeError: factory exploded"
+        assert len(shown[16]) == 1
+
+    def test_error_replies_keep_the_exception_in_process_only(self):
+        from repro.testbed.sharding import _LocalShard, _ProcessShard
+
+        poison = [Alert(1.0, "alert_port_scan", "user:bob")]
+        causes = {}
+        for carrier_class in (_LocalShard, _ProcessShard):
+            carrier = carrier_class(0, _poisonable_tagger)
+            try:
+                carrier.send("observe", poison)
+                status, detail = carrier.receive()
+            finally:
+                carrier.close()
+            assert status == "error" and "chaos poison" in detail
+            causes[carrier_class] = getattr(detail, "cause", None)
+        assert isinstance(causes[_LocalShard], RuntimeError)
+        assert causes[_ProcessShard] is None  # text only crosses the pipe
+
+
+class TestBackendUniformity:
+    """What the serial pool used to do its own way now goes one way."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_factory_failure_is_replayed_per_command(self, backend):
+        with ShardedDetectorPool(_exploding_factory, n_shards=2, backend=backend) as pool:
+            for _ in range(2):
+                with pytest.raises(ShardWorkerError) as excinfo:
+                    pool.observe_batch(_benign_alerts(4))
+                assert "factory exploded" in excinfo.value.worker_traceback
+            with pytest.raises(ShardWorkerError, match="factory exploded"):
+                pool.snapshot_state()
+            assert pool.pending_batches == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_shard_errors_chain_the_exception_only_in_process(self, backend):
+        poisoned = [Alert(0.0, "alert_outbound_c2", "host:h0")]
+        with ShardedDetectorPool(PoisonDetector, n_shards=2, backend=backend) as pool:
+            with pytest.raises(ShardWorkerError) as excinfo:
+                pool.observe_batch(poisoned)
+        cause = excinfo.value.__cause__
+        if backend == "serial":
+            assert isinstance(cause, ValueError) and "poisoned alert" in str(cause)
+        else:
+            assert cause is None
+        pickle.loads(pickle.dumps(excinfo.value))  # either way it pickles
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_reopen_hands_back_pristine_replicas(self, backend):
+        chain = TestShardedDetectorPool()._chain_alerts()
+        with ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=2, backend=backend
+        ) as pool:
+            assert len(pool.observe_batch(chain)) == 1
+            pool.reopen()
+            assert pool.detections == [] and pool.alerts_routed == [0, 0]
+            assert len(pool.observe_batch(chain)) == 1
+
+    def test_reopen_resets_the_wrapped_instance_itself(self):
+        detector = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
+        pool = ShardedDetectorPool.wrap(detector)
+        chain = TestShardedDetectorPool()._chain_alerts()
+        assert len(pool.observe_batch(chain)) == 1
+        pool.reopen()
+        assert pool.shards == [detector] and detector.detections == []
+        assert len(pool.observe_batch(chain)) == 1
+        assert detector.detections == pool.detections
+
+    def test_the_transport_option_is_gone(self):
+        with pytest.raises(TypeError):
+            ShardedDetectorPool(PoisonDetector, transport="shm")
+        with pytest.raises(TypeError):
+            ShardedDetectorPool.from_template(AttackTagger(), transport="pickle")
+        with pytest.raises(ValueError, match="pickle transport was removed"):
+            TestbedPipeline(transport="pickle")
+        assert not hasattr(TestbedPipeline(transport="shm"), "transport")
+
+
 class TestClosedPoolLifecycle:
     """Every operation on a closed process pool raises the same error."""
 
@@ -494,10 +689,10 @@ class TestClosedPoolLifecycle:
         spawned = []
         real_shard = sharding_module._ProcessShard
 
-        def failing_spawn(index, factory):
+        def failing_spawn(index, factory, *ring):
             if index == 1:
                 raise OSError("spawn failed")
-            shard = real_shard(index, factory)
+            shard = real_shard(index, factory, *ring)
             spawned.append(shard)
             return shard
 

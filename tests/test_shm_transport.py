@@ -1,13 +1,13 @@
 """Property tests for the flat shm codec and the per-shard ring buffer.
 
-The zero-copy transport has two halves with independently checkable
+The process carrier's wire has two halves with independently checkable
 contracts:
 
 * :func:`repro.core.alerts.encode_alert_columns` /
   :func:`~repro.core.alerts.decode_alert_columns` must round-trip any
   packable batch byte-exactly -- the decoded columns must rebuild (via
   :func:`~repro.core.alerts.unpack_alert_columns`) exactly the alerts
-  the pickle path would have delivered, for arbitrary unicode field
+  an in-process shard would have been handed, for arbitrary unicode field
   values and arbitrarily nested attribute payloads.
 * :class:`repro.testbed.shm_ring.ShardRing` must honour its SPSC
   allocation contract at exact-capacity boundaries: wraparound reuses
@@ -364,12 +364,11 @@ class TestLifecycleLeakHunting:
 
         kwargs.setdefault("n_shards", 2)
         kwargs.setdefault("backend", "process")
-        kwargs.setdefault("transport", "shm")
         kwargs.setdefault("max_inflight", 2)
         return ShardedDetectorPool(factory or _LeakPoisonDetector, **kwargs)
 
     def _ring_names(self, pool) -> set:
-        return {ring.name for ring in pool._rings}
+        return {worker.ring.name for worker in pool._workers}
 
     def test_close_unlinks_every_ring(self):
         pool = self._shm_pool()
@@ -398,7 +397,6 @@ class TestLifecycleLeakHunting:
             AttackTagger(),
             n_shards=2,
             backend="process",
-            transport="shm",
             max_inflight=2,
             restart_policy="restore",
         )
@@ -435,7 +433,6 @@ class TestLifecycleLeakHunting:
                 detectors={"poison": _LeakPoisonDetector()},
                 n_shards=2,
                 shard_backend="process",
-                transport="shm",
                 max_inflight=2,
             ) as pipeline:
                 names = self._ring_names(pipeline.detector_pools["poison"])
@@ -445,6 +442,52 @@ class TestLifecycleLeakHunting:
 
 
 class TestPoolFallback:
+    """Both counted fallbacks are the only path for some input."""
+
+    def _serial_reference(self, tagger, *batches):
+        from repro.testbed import ShardedDetectorPool
+
+        pool = ShardedDetectorPool.from_template(tagger, n_shards=2)
+        detections = [d for batch in batches for d in pool.observe_batch(batch)]
+        assert pool.shm_batches == pool.shm_fallbacks == 0  # nothing is shipped
+        return detections
+
+    def test_codec_miss_travels_as_pickled_columns_bit_identically(self):
+        """An attribute outside the codec's type set takes the pipe."""
+        from repro.core import AttackTagger
+        from repro.incidents import DEFAULT_CATALOGUE
+        from repro.testbed import ShardedDetectorPool
+
+        names = list(DEFAULT_CATALOGUE)[0].names
+        alerts = [
+            Alert(
+                float(i) * 300.0,
+                name,
+                "user:eve",
+                # complex pickles, but the flat codec has no tag for it
+                attributes={"odd": complex(i, 1)} if i == 1 else {},
+            )
+            for i, name in enumerate(names)
+        ]
+        with pytest.raises(AlertColumnsCodecError):
+            encode_alert_columns(pack_alert_columns(alerts))
+        expected = self._serial_reference(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), alerts
+        )
+        assert expected, "the chain must fire"
+        pool = ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=2, backend="process"
+        )
+        try:
+            found = pool.observe_batch(alerts)
+            assert (pool.shm_batches, pool.shm_fallbacks) == (0, 1)
+        finally:
+            pool.close()
+        assert found == expected
+        assert [dict(d.trigger.attributes) for d in found] == [
+            dict(d.trigger.attributes) for d in expected
+        ]
+
     def test_tiny_ring_forces_pickle_fallback_bit_identically(self):
         """A ring too small for any batch must not change results."""
         from repro.core import AttackTagger
@@ -460,7 +503,6 @@ class TestPoolFallback:
                 AttackTagger(),
                 n_shards=2,
                 backend="process",
-                transport="shm",
                 max_inflight=2,
                 ring_capacity=capacity,
             )
@@ -475,3 +517,6 @@ class TestPoolFallback:
         assert full_shm > 0 and full_fallbacks == 0
         assert tiny_shm == 0 and tiny_fallbacks > 0
         assert tiny_detections == full_detections
+        assert full_detections == self._serial_reference(
+            AttackTagger(), alerts[:10], alerts[10:]
+        )
