@@ -10,9 +10,13 @@ into a generative, checked property:
   hash-adjacent entity churn, window-saturating bursts, out-of-order /
   duplicate timestamps, near-miss pattern prefixes, mid-stream
   reset/reopen events),
-* :mod:`repro.fuzz.oracle` -- :class:`DifferentialOracle` replays each
-  campaign through the engine x shards x backend x driver matrix and
-  asserts bit-identical detections, responses, and counters,
+* :mod:`repro.fuzz.oracle` -- the campaign runner (``build_pipeline``
+  / ``drive`` / ``snapshot``) every proof replays through, and
+  :class:`DifferentialOracle`, which replays each campaign through the
+  engine x shards x backend x driver matrix and asserts bit-identical
+  detections, responses, and counters,
+* :mod:`repro.fuzz.chaos` -- :class:`ChaosOracle`, a table of fault
+  rows over the same runner, checking the crash-safety contract,
 * :mod:`repro.fuzz.shrinker` -- delta-debugging reduction of failing
   campaigns to minimal repros,
 * :mod:`repro.fuzz.regressions` -- the ``tests/regressions/`` replay
@@ -42,8 +46,11 @@ from .oracle import (
     SHARD_COUNTS,
     alert_to_zeek_record,
     alerts_to_zeek_records,
+    build_pipeline,
+    drive,
     full_matrix,
     quick_matrix,
+    snapshot,
 )
 from .chaos import (
     ChaosComposer,
@@ -82,6 +89,9 @@ __all__ = [
     "alert_to_zeek_record",
     "alerts_to_zeek_records",
     "ReplayResult",
+    "build_pipeline",
+    "drive",
+    "snapshot",
     "Divergence",
     "CampaignVerdict",
     "DifferentialOracle",

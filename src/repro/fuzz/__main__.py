@@ -2,8 +2,8 @@
 
 Examples::
 
-    # 25 seed-pinned campaigns through the full 72-config matrix
-    # (the CI quick-fuzz gate):
+    # 25 seed-pinned campaigns through the full matrix (the CI
+    # quick-fuzz gate; the summary line prints the matrix size):
     python -m repro.fuzz --campaigns 25 --base-seed 0 --matrix full
 
     # A focused run against explicit configurations:
@@ -83,7 +83,6 @@ def _chaos_main(args: argparse.Namespace) -> int:
     from .chaos import ChaosComposer, ChaosOracle
 
     composer = ChaosComposer(args.base_seed, target_alerts=args.target_alerts)
-    oracle = ChaosOracle()
     failures = 0
     legs_total = 0
     started = time.perf_counter()
@@ -92,28 +91,30 @@ def _chaos_main(args: argparse.Namespace) -> int:
         if args.service_legs
         else composer.chaos_campaigns(args.campaigns)
     )
-    for index, campaign, plans in campaigns:
-        campaign_started = time.perf_counter()
-        verdict = oracle.run(campaign, plans)
-        elapsed = time.perf_counter() - campaign_started
-        legs_total += verdict.legs_run
-        if verdict.failures:
-            status = f"VIOLATED ({len(verdict.failures)})"
-        elif verdict.legs_run == 0:
-            status = "SKIPPED (no fault legs)"
-        else:
-            status = "ok"
-        print(
-            f"{campaign.label:<24} alerts={campaign.num_alerts:<5} "
-            f"legs={verdict.legs_run:<2} {elapsed:6.2f}s  {status}",
-            flush=True,
-        )
-        if verdict.failures:
-            failures += 1
-            for failure in verdict.failures[:5]:
-                print(f"  {failure}")
-            if args.fail_fast:
-                break
+    # The oracle owns its checkpoint directory for exactly this run.
+    with ChaosOracle() as oracle:
+        for index, campaign, plans in campaigns:
+            campaign_started = time.perf_counter()
+            verdict = oracle.run(campaign, plans)
+            elapsed = time.perf_counter() - campaign_started
+            legs_total += verdict.legs_run
+            if verdict.failures:
+                status = f"VIOLATED ({len(verdict.failures)})"
+            elif verdict.legs_run == 0:
+                status = "SKIPPED (no fault legs)"
+            else:
+                status = "ok"
+            print(
+                f"{campaign.label:<24} alerts={campaign.num_alerts:<5} "
+                f"legs={verdict.legs_run:<2} {elapsed:6.2f}s  {status}",
+                flush=True,
+            )
+            if verdict.failures:
+                failures += 1
+                for failure in verdict.failures[:5]:
+                    print(f"  {failure}")
+                if args.fail_fast:
+                    break
     total = time.perf_counter() - started
     print(
         f"{args.campaigns} chaos campaign(s), {legs_total} fault leg(s), "
@@ -196,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
             break
     total = time.perf_counter() - started
     print(
-        f"{len(campaigns)} campaign(s), {failures} divergent, {total:.1f}s total"
+        f"{len(campaigns)} campaign(s) x {len(configs)} config(s), "
+        f"{failures} divergent, {total:.1f}s total"
     )
     if failures:
         return 1

@@ -1,59 +1,60 @@
 """Chaos oracle: seeded fault campaigns against the crash-safety contract.
 
-PR 5's :class:`~repro.fuzz.oracle.DifferentialOracle` proves happy-path
-equivalence across the engine x shards x backend x driver matrix; this
-module proves the *crash semantics* the robustness layer (checkpoint/
-restore, supervised self-healing shards, close escalation) promises.
-Each chaos campaign is a regular fuzzer campaign plus a seeded
-:class:`FaultPlan` set, replayed through four fault legs:
+:class:`~repro.fuzz.oracle.DifferentialOracle` proves happy-path
+equivalence across the configuration matrix; this module proves the
+*crash semantics* the robustness layer (checkpoint/restore, supervised
+self-healing shards, close escalation, the socket front-end) promises.
+A chaos campaign is a regular fuzzer campaign plus a seeded
+:class:`FaultPlan` list.  Every plan is one **row** of :data:`ROWS`
+run through the shared runner in :mod:`repro.fuzz.oracle`
+(``build_pipeline`` / ``drive`` / ``snapshot``): a row names the sink
+(a pipeline, or a client of a live :mod:`repro.service` server), the
+driver, the hook that injects its fault at a named stream position,
+and the expectations -- each written once -- its outcome must meet.
+
+Pipeline rows (:meth:`ChaosComposer.compose`):
 
 ``split``
-    The checkpoint/kill/restore/replay contract: the campaign is cut at
-    fuzzer-chosen stream positions; at each cut the pipeline is
-    checkpointed, its shard workers are SIGKILLed (a crash, not a
-    shutdown), and a *fresh* pipeline restored from the checkpoint
-    carries on.  The stitched run must be **bit-identical** --
-    detections, cross-detector log, notifications, actions, and stats
-    counters -- to an uninterrupted replay of the same configuration.
+    At fuzzer-chosen event positions the pipeline is checkpointed, its
+    shard workers are SIGKILLed (a crash, not a shutdown), and a
+    *fresh* pipeline restored from the checkpoint carries on.  The
+    stitched run must be bit-identical to an uninterrupted one.
 ``kill``
-    The default ``restart_policy="raise"`` contract: a worker SIGKILLed
-    at a chosen batch index surfaces as a typed
-    :class:`~repro.testbed.sharding.ShardWorkerError` naming the killed
-    shard and carrying the death detail, with no stale in-flight
-    tickets left behind and a clean bounded close afterwards.
+    ``restart_policy="raise"``: a worker SIGKILLed after a chosen
+    batch surfaces as a typed
+    :class:`~repro.testbed.sharding.ShardWorkerError` naming the shard
+    and carrying the death detail.
 ``heal``
-    The ``restart_policy="restore"`` contract: the same SIGKILL is
-    *absorbed* -- the stream completes with no error, output
-    bit-identical to an uninterrupted run, and the recovery recorded in
-    the pool's :class:`~repro.testbed.sharding.RecoveryLog`.
+    ``restart_policy="restore"``: the same SIGKILL is absorbed -- no
+    error, bit-identical output, the recovery in the pool's
+    :class:`~repro.testbed.sharding.RecoveryLog`.
 ``poison``
-    A detector raising mid-batch (on a fuzzer-chosen alert name) is not
-    a death: both backends surface the same typed error with the
-    worker-side traceback preserved, and the pipeline stays drivable.
+    A detector raising mid-batch is not a death: both backends surface
+    the same typed error with the worker-side traceback preserved, and
+    the pipeline stays drivable.
 ``shm-kill``
-    The ring hop's supervised-heal contract: a process-backed pipeline
-    with two batches pipelined per shard has a
-    worker SIGKILLed while shared-memory ring descriptors are genuinely
-    in flight; the heal must replay the ring payloads FIFO so output is
-    bit-identical to an uninterrupted serial run, and no ``/dev/shm``
-    segment may outlive any leg (checked for every fault kind).
+    Driven two-phase at depth 2, the worker is frozen (SIGSTOP) just
+    before the kill batch is submitted and SIGKILLed right after, so
+    its shared-memory ring descriptor is genuinely outstanding; the
+    heal must replay the ring payloads FIFO.
 
-PR 8 adds three *service-level* legs (composed separately by
-:meth:`ChaosComposer.compose_service`, so the pinned pipeline plans
-above stay byte-identical), which replay the same campaigns through a
-live :mod:`repro.service` socket front-end:
+Service rows (:meth:`ChaosComposer.compose_service`, an independent
+plan stream):
 
 ``disconnect``
     A client vanishes mid JSON frame; acked work survives, the partial
-    frame is discarded, and a second client finishing the stream sees
-    bit-identical results.
+    frame is discarded, and a second client finishes the stream.
 ``reshard-kill``
     A shard worker is SIGKILLed, then a live N->M reshard is requested
-    over the socket: the harvest heals the corpse parent-side and the
-    stream stays bit-identical across the transition.
+    over the socket: the harvest heals the corpse parent-side.
 ``shed``
     Admission is forced to ``reject``; the client's replay after
     reopening delivers the stream complete and in order (lossless).
+
+Every pipeline row must also leave no stale ticket in the detection
+stage or the pool and close cleanly; every service row must read back
+results bit-identical to the offline reference; no row may leave a
+``/dev/shm`` ring segment behind.
 
 Everything is deterministic in ``(seed, index)`` -- campaigns via
 :class:`~repro.fuzz.campaign.CampaignComposer`, fault plans via this
@@ -65,24 +66,30 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import os
 import signal
 import tempfile
 import traceback
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.alerts import Alert
-from ..core.attack_tagger import AttackTagger, Detection
+from ..core.attack_tagger import Detection
 from ..core.detector import Detector
-from ..incidents import DEFAULT_CATALOGUE
-from ..testbed.pipeline import TestbedPipeline
 from ..testbed.sharding import ShardRecoveryError, ShardWorkerError, shard_of
 from ..testbed.shm_ring import SEGMENT_PREFIX
 from .campaign import Campaign, CampaignComposer
-from .oracle import DifferentialOracle, OracleConfig, ReplayResult
+from .oracle import (
+    DifferentialOracle,
+    OracleConfig,
+    ReplayResult,
+    build_pipeline,
+    drive,
+    snapshot,
+)
 
 #: Fault leg kinds a plan may request.  The first four target the
 #: pipeline directly; the service kinds (PR 8) drive the same faults
@@ -471,705 +478,412 @@ class ChaosComposer:
             yield index, campaign, plans
 
 
-class ChaosOracle:
-    """Replays fault plans against a campaign and checks crash semantics."""
-
-    def __init__(self, workdir: Optional[Path] = None) -> None:
-        self.workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="chaos-"))
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        self._replayer = DifferentialOracle([])
-
-    # -- top level -------------------------------------------------------
-    def run(self, campaign: Campaign, plans: Sequence[FaultPlan]) -> ChaosVerdict:
-        """Run every fault leg; collect crash-semantics violations."""
-        verdict = ChaosVerdict(campaign=campaign, plans=list(plans))
-        runners = {
-            "split": self._run_split,
-            "kill": self._run_kill,
-            "heal": self._run_heal,
-            "poison": self._run_poison,
-            "disconnect": self._run_disconnect,
-            "reshard-kill": self._run_reshard_kill,
-            "shed": self._run_shed,
-            "shm-kill": self._run_shm_kill,
+def _ring_segments() -> Set[str]:
+    """Names of live ``/dev/shm`` ring segments (leak detection)."""
+    try:
+        return {
+            name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
         }
-        for plan in plans:
-            verdict.legs_run += 1
-            rings_before = self._ring_segments()
-            try:
-                failures = runners[plan.kind](campaign, plan)
-            except Exception:
-                failures = [
-                    ChaosFailure(plan.label, f"oracle crashed:\n{traceback.format_exc()}")
-                ]
-            # Every leg — not just shm-kill — must tear its rings down:
-            # a segment surviving the leg is a /dev/shm leak.
-            leaked = self._ring_segments() - rings_before
-            if leaked:
-                failures = list(failures) + [
-                    ChaosFailure(
-                        plan.label,
-                        f"leaked /dev/shm ring segment(s): {sorted(leaked)}",
-                    )
-                ]
-            verdict.failures.extend(failures)
-        return verdict
+    except OSError:  # pragma: no cover - non-POSIX /dev/shm layout
+        return set()
 
-    @staticmethod
-    def _ring_segments() -> Set[str]:
-        """Names of live ``/dev/shm`` ring segments (leak detection)."""
-        try:
-            return {
-                name
-                for name in os.listdir("/dev/shm")
-                if name.startswith(SEGMENT_PREFIX)
-            }
-        except OSError:  # pragma: no cover - non-POSIX /dev/shm layout
-            return set()
 
-    # -- shared helpers --------------------------------------------------
-    def _build_pipeline(
-        self, campaign: Campaign, plan: FaultPlan, *, restart_policy: str = "raise"
-    ) -> TestbedPipeline:
-        tagger = AttackTagger(
-            patterns=list(DEFAULT_CATALOGUE),
-            max_window=campaign.max_window,
-            detection_threshold=campaign.detection_threshold,
-        )
-        return TestbedPipeline(
-            detectors={"factor_graph": tagger},
-            n_shards=plan.n_shards,
-            shard_backend=plan.backend,
-            # shm-kill needs a second batch in flight at the kill.
-            max_inflight=2 if plan.kind == "shm-kill" else 1,
-            restart_policy=restart_policy,
+def _worker(pipeline, shard: int):
+    return pipeline.detector_pools["factor_graph"]._workers[shard].process
+
+
+def _sigkill(pipeline, shard: int) -> None:
+    """SIGKILL one shard worker (a crash, not a shutdown)."""
+    _worker(pipeline, shard).kill()
+    _worker(pipeline, shard).join(timeout=5.0)
+
+
+@dataclasses.dataclass
+class _Leg:
+    """One fault plan being run: what hooks and expectations share."""
+
+    campaign: Campaign
+    plan: FaultPlan
+    row: "_Row"
+    workdir: Path
+    #: The sink being driven (hooks may replace it).
+    sink: object = None
+    #: Service rows: the live server's handle, and its final ``stats``.
+    handle: object = None
+    stats: Optional[dict] = None
+    #: The ``ShardWorkerError`` that ended the drive, with its traceback.
+    error: Optional[ShardWorkerError] = None
+    trace: str = ""
+    #: Pipeline rows: the compared surface of a drive that completed.
+    result: Optional[ReplayResult] = None
+    #: Violations found by hooks while the stream was still running.
+    failures: List[str] = dataclasses.field(default_factory=list)
+
+    @property
+    def config(self) -> OracleConfig:
+        """The plan's shape (production engine) as the runner spells it."""
+        return OracleConfig(n_shards=self.plan.n_shards, backend=self.plan.backend)
+
+    def build(self):
+        """A fresh pipeline of the plan's shape under the row's policy."""
+        plan = self.plan
+        wrap = None
+        if plan.poison_name:
+            wrap = functools.partial(ChaosPoisonDetector, poison_name=plan.poison_name)
+        return build_pipeline(
+            self.campaign,
+            self.config,
+            wrap=wrap,
+            restart_policy=self.row.restart_policy,
             max_restarts=plan.max_restarts,
             backoff_base=plan.backoff_base,
+            **self.row.options,
         )
 
-    @staticmethod
-    def _kill_workers(pipeline: TestbedPipeline) -> None:
-        """SIGKILL every shard worker (a crash, not a shutdown)."""
-        for pool in pipeline.detector_pools.values():
-            for worker in pool._workers:
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
+    def hook(self, point: str, index: int):
+        replacement = self.row.hook(self, point, index) if self.row.hook else None
+        if replacement is not None:
+            self.sink = replacement
+        return replacement
 
-    @staticmethod
-    def _kill_shard(pipeline: TestbedPipeline, shard: int) -> None:
-        pool = pipeline.detector_pools["factor_graph"]
-        worker = pool._workers[shard]
-        worker.process.kill()
-        worker.process.join(timeout=5.0)
+    def check(self) -> None:
+        for expect in self.row.expects:
+            self.failures.extend(expect(self))
 
-    @staticmethod
-    def _freeze_shard(pipeline: TestbedPipeline, shard: int) -> None:
-        """SIGSTOP a shard worker so it cannot consume its next submit.
 
-        Freezing *before* the kill batch is submitted makes the shm-kill
-        leg deterministic: a merely-SIGKILLed worker can race the signal
-        and answer the batch first, and if no later batch routes to the
-        shard the death would go unobserved (no heal to assert on).  A
-        frozen worker can never reply, so the collect for the kill batch
-        is guaranteed to detect the death.  SIGKILL terminates stopped
-        processes, so no resume is needed.
-        """
-        pool = pipeline.detector_pools["factor_graph"]
-        os.kill(pool._workers[shard].process.pid, signal.SIGSTOP)
+# -- hooks: where each fault is injected ---------------------------------
+def _kill_after_batch(leg: _Leg, point: str, index: int) -> None:
+    """SIGKILL the target worker between batches (after one collects)."""
+    if (point, index) == ("after", leg.plan.kill_batch):
+        _sigkill(leg.sink, leg.plan.shard)
 
-    def _reference(self, campaign: Campaign, config: OracleConfig) -> ReplayResult:
-        """Uninterrupted replay of the campaign under ``config``."""
-        return self._replayer.replay(campaign, config)
 
-    # -- split: checkpoint / kill / restore / replay ---------------------
-    def _run_split(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        config = OracleConfig(n_shards=plan.n_shards, backend=plan.backend)
-        reference = self._reference(campaign, config)
-        cuts = [c for c in plan.split_points if 0 < c < len(campaign.events)]
-        segments: list = []
-        previous = 0
-        for cut in sorted(set(cuts)):
-            segments.append(campaign.events[previous:cut])
-            previous = cut
-        segments.append(campaign.events[previous:])
+def _freeze_then_kill(leg: _Leg, point: str, index: int) -> None:
+    """SIGSTOP before the kill batch is submitted, SIGKILL right after.
 
-        detections: list[Detection] = []
-        checkpoint_path = self.workdir / f"split-{campaign.label}.ckpt"
-        pipeline = self._build_pipeline(campaign, plan)
-        try:
-            for index, segment in enumerate(segments):
-                for event in segment:
-                    if event.kind == "batch":
-                        detections.extend(pipeline.ingest_alerts(list(event.alerts)))
-                    else:
-                        DifferentialOracle._apply_control(pipeline, event)
-                if index == len(segments) - 1:
-                    break
-                # Cut: checkpoint, crash the workers, restore fresh.
-                pipeline.checkpoint(checkpoint_path)
-                if plan.backend == "process":
-                    self._kill_workers(pipeline)
-                pipeline.close()
-                pipeline = self._build_pipeline(campaign, plan)
-                pipeline.restore(checkpoint_path)
-            result = ReplayResult(
-                config=config,
-                detections=detections,
-                detection_log=list(pipeline.detections),
-                notifications=list(pipeline.responder.notifications),
-                actions=list(pipeline.responder.actions),
-                counters={
-                    key: pipeline.summary()[key]
-                    for key in reference.counters
-                },
-            )
-        finally:
-            pipeline.close()
-        return [
-            ChaosFailure(plan.label, str(divergence))
-            for divergence in DifferentialOracle._compare(reference, result)
-        ]
+    A merely-SIGKILLed worker can race the signal and answer the batch
+    first, and if no later batch routes to the shard the death would go
+    unobserved.  A frozen worker can never reply, so the batch's ring
+    descriptor is outstanding at the kill and its collect is guaranteed
+    to see the death.  SIGKILL terminates stopped processes, so no
+    resume is needed.
+    """
+    if (point, index) == ("before", leg.plan.kill_batch):
+        os.kill(_worker(leg.sink, leg.plan.shard).pid, signal.SIGSTOP)
+    elif (point, index) == ("after", leg.plan.kill_batch):
+        _sigkill(leg.sink, leg.plan.shard)
 
-    # -- kill: raise-policy contract -------------------------------------
-    def _run_kill(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        failures: List[ChaosFailure] = []
-        pipeline = self._build_pipeline(campaign, plan, restart_policy="raise")
-        pool = pipeline.detector_pools["factor_graph"]
-        error: Optional[BaseException] = None
-        try:
-            for batch_index, batch in enumerate(campaign_batches(campaign)):
-                try:
-                    pipeline.ingest_alerts(batch)
-                except ShardWorkerError as exc:
-                    error = exc
-                    break
-                if batch_index == plan.kill_batch:
-                    self._kill_shard(pipeline, plan.shard)
-            if error is None:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        "worker SIGKILL was never surfaced as ShardWorkerError",
-                    )
-                )
-            else:
-                if not isinstance(error, ShardWorkerError) or isinstance(
-                    error, ShardRecoveryError
-                ):
-                    failures.append(
-                        ChaosFailure(plan.label, f"wrong error type: {type(error)}")
-                    )
-                if getattr(error, "shard", None) != plan.shard:
-                    failures.append(
-                        ChaosFailure(
-                            plan.label,
-                            f"error names shard {getattr(error, 'shard', None)}, "
-                            f"killed {plan.shard}",
-                        )
-                    )
-                if "died without replying" not in getattr(error, "worker_traceback", ""):
-                    failures.append(
-                        ChaosFailure(
-                            plan.label, "death detail lost from worker_traceback"
-                        )
-                    )
-            if pipeline.detection_stage.pending_batches:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"{pipeline.detection_stage.pending_batches} stale "
-                        "in-flight ticket(s) after the error",
-                    )
-                )
-            if pool._pending:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"{len(pool._pending)} stale pool ticket(s) after the error",
-                    )
-                )
-        finally:
-            close_results = pipeline.close()
-        for name, close_result in close_results.items():
-            if not close_result.clean:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"pool {name!r} close escalated: {close_result.escalations}",
-                    )
-                )
-        return failures
 
-    # -- heal: restore-policy contract -----------------------------------
-    def _run_heal(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        failures: List[ChaosFailure] = []
-        stripped = _batches_only(campaign)
-        reference = self._reference(
-            stripped,
-            OracleConfig(n_shards=plan.n_shards, backend="serial"),
+def _checkpoint_kill_restore(leg: _Leg, point: str, index: int):
+    """At a cut: checkpoint, crash every worker, restore a fresh pipeline."""
+    if point != "event" or index not in leg.plan.split_points:
+        return None
+    path = leg.workdir / f"split-{leg.campaign.label}.ckpt"
+    leg.sink.checkpoint(path)
+    if leg.plan.backend == "process":
+        for shard in range(leg.plan.n_shards):
+            _sigkill(leg.sink, shard)
+    leg.sink.close()
+    fresh = leg.build()
+    fresh.restore(path)
+    return fresh
+
+
+def _disconnect_mid_frame(leg: _Leg, point: str, index: int):
+    """The client vanishes inside a request frame; a second one carries on."""
+    cut = max(1, leg.plan.fault_event % len(leg.campaign.events))
+    if (point, index) != ("event", cut):
+        return None
+    # A partial JSON line, then a hard close with the reply unread.
+    leg.sink._sock.sendall(b'{"op":"batch","alerts":[')
+    leg.sink._sock.close()
+    second = leg.handle.client()
+    if not second.ping().get("pong"):
+        leg.failures.append("server unresponsive after disconnect")
+    return second
+
+
+def _kill_then_reshard(leg: _Leg, point: str, index: int) -> None:
+    """Quiesce, crash a worker, reshard over the socket.
+
+    The drain makes the kill land between batches; the reshard's
+    harvest phase then finds the corpse and must rebuild its replica
+    parent-side.
+    """
+    if (point, index) != ("after", leg.plan.kill_batch):
+        return
+    leg.sink.drain()
+    _sigkill(leg.handle.pipeline, leg.plan.shard)
+    reply = leg.sink.reshard(leg.plan.reshard_to)
+    if reply["reshard"]["to"] != leg.plan.reshard_to:
+        leg.failures.append(f"bad reshard reply {reply!r}")
+
+
+def _reject_then_reopen(leg: _Leg, point: str, index: int) -> None:
+    """Admission slams shut before a batch, then reopens.
+
+    The un-retried probe must be refused (nothing half-enqueued); once
+    reopened, the driver delivers the same batch at the same position.
+    """
+    from ..service.admission import ServiceOverloadedError
+
+    if (point, index) != ("before", leg.plan.fault_event):
+        return
+    probe = campaign_batches(leg.campaign)[index]
+    leg.sink.throttle("reject")
+    try:
+        leg.sink.request({"op": "batch", "alerts": [a.to_dict() for a in probe]})
+    except ServiceOverloadedError:
+        pass
+    else:
+        leg.failures.append("forced reject admitted a batch")
+    leg.sink.throttle("open")
+
+
+# -- expectations: each crash-semantics assertion, written once ----------
+def _no_error(leg: _Leg) -> Iterator[str]:
+    if leg.error is not None:
+        yield f"the fault surfaced as an error:\n{leg.trace}"
+
+
+def _bit_identical(leg: _Leg) -> Iterator[str]:
+    """Equal to an uninterrupted serial replay of the same campaign."""
+    if leg.result is None:
+        return
+    reference = DifferentialOracle([]).replay(
+        leg.campaign, dataclasses.replace(leg.config, backend="serial")
+    )
+    for divergence in DifferentialOracle._compare(reference, leg.result):
+        yield str(divergence)
+
+
+def _healed(leg: _Leg) -> Iterator[str]:
+    log = leg.sink.detector_pools["factor_graph"].recovery_log
+    if not any(event.healed for event in log.for_shard(leg.plan.shard)):
+        yield (
+            f"no healed recovery for shard {leg.plan.shard} in RecoveryLog "
+            f"({len(log)} event(s) total)"
         )
-        pipeline = self._build_pipeline(campaign, plan, restart_policy="restore")
-        pool = pipeline.detector_pools["factor_graph"]
-        detections: list[Detection] = []
-        try:
-            for batch_index, batch in enumerate(campaign_batches(stripped)):
-                try:
-                    detections.extend(pipeline.ingest_alerts(batch))
-                except ShardWorkerError:
-                    failures.append(
-                        ChaosFailure(
-                            plan.label,
-                            f"restore policy surfaced an error:\n"
-                            f"{traceback.format_exc()}",
-                        )
-                    )
-                    return failures
-                if batch_index == plan.kill_batch:
-                    self._kill_shard(pipeline, plan.shard)
-            result = ReplayResult(
-                config=OracleConfig(n_shards=plan.n_shards, backend=plan.backend),
-                detections=detections,
-                detection_log=list(pipeline.detections),
-                notifications=list(pipeline.responder.notifications),
-                actions=list(pipeline.responder.actions),
-                counters={
-                    key: pipeline.summary()[key] for key in reference.counters
-                },
-            )
-            failures.extend(
-                ChaosFailure(plan.label, str(divergence))
-                for divergence in DifferentialOracle._compare(reference, result)
-            )
-            healed = [
-                event
-                for event in pool.recovery_log.for_shard(plan.shard)
-                if event.healed
-            ]
-            if not healed:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"no healed recovery for shard {plan.shard} in RecoveryLog "
-                        f"({len(pool.recovery_log)} event(s) total)",
-                    )
-                )
-        finally:
-            close_results = pipeline.close()
-        for name, close_result in close_results.items():
-            if not close_result.clean:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"pool {name!r} close escalated: {close_result.escalations}",
-                    )
-                )
-        return failures
 
-    # -- shm-kill: ring descriptors in flight at the moment of death -----
-    def _run_shm_kill(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        """SIGKILL with uncollected shared-memory descriptors in flight.
 
-        The pipeline runs process shards with a depth-2 window
-        driven two-phase (submit, then collect lagging one batch), and
-        the worker is frozen (SIGSTOP) just before batch ``kill_batch``
-        is submitted and SIGKILLed right after -- before its collect --
-        so the ring descriptor for that batch is genuinely outstanding.  The supervised heal must
-        rebuild the replica and replay the ring payloads FIFO; the
-        stream must stay bit-identical to a serial reference and no
-        ring segment may survive the leg (checked by :meth:`run`).
-        """
-        failures: List[ChaosFailure] = []
-        stripped = _batches_only(campaign)
-        reference = self._reference(
-            stripped,
-            OracleConfig(n_shards=plan.n_shards, backend="serial"),
+def _rings_exercised(leg: _Leg) -> Iterator[str]:
+    pool = leg.sink.detector_pools["factor_graph"]
+    if not pool.shm_batches:
+        yield (
+            "the rings were never exercised "
+            f"(shm_batches=0, shm_fallbacks={pool.shm_fallbacks})"
         )
-        pipeline = self._build_pipeline(campaign, plan, restart_policy="restore")
-        pool = pipeline.detector_pools["factor_graph"]
-        detections: list[Detection] = []
-        window = pipeline.max_inflight
-        inflight = 0
+
+
+def _typed_death(leg: _Leg) -> Iterator[str]:
+    """A plain ``ShardWorkerError`` naming the shard, death detail kept."""
+    error = leg.error
+    if error is None:
+        yield "the fault never surfaced as ShardWorkerError"
+        return
+    if isinstance(error, ShardRecoveryError):
+        yield f"wrong error type: {type(error)}"
+    if error.shard != leg.plan.shard:
+        yield f"error names shard {error.shard}, killed {leg.plan.shard}"
+    if "died without replying" not in error.worker_traceback:
+        yield "death detail lost from worker_traceback"
+
+
+def _poison_surfaced(leg: _Leg) -> Iterator[str]:
+    """Worker traceback kept, poisoned shard named, pipeline still drivable."""
+    error, name = leg.error, leg.plan.poison_name
+    if error is None:
+        yield "the fault never surfaced as ShardWorkerError"
+        return
+    if "chaos poison" not in error.worker_traceback:
+        yield (
+            "worker-side traceback lost (no 'chaos poison' in "
+            f"{error.worker_traceback[:200]!r})"
+        )
+    # Shards are driven (serial) / collected (process) in index order,
+    # so the error belongs to the lowest shard holding a poison alert
+    # in the first batch that contains the name.
+    poisoned = next(
+        [a for a in batch if a.name == name]
+        for batch in campaign_batches(leg.campaign)
+        if any(a.name == name for a in batch)
+    )
+    expected = min(shard_of(a.entity, leg.plan.n_shards) for a in poisoned)
+    if error.shard != expected:
+        yield f"error names shard {error.shard}, poisoned alert routes to {expected}"
+    alerts = leg.campaign.alerts()
+    probe_name = next((a.name for a in alerts if a.name != name), None)
+    if probe_name is not None:
+        probe = Alert(
+            timestamp=max(a.timestamp for a in alerts) + 1.0,
+            name=probe_name,
+            entity="chaos-probe",
+        )
+        try:
+            leg.sink.ingest_alerts([probe])
+        except Exception:
+            yield f"pipeline not drivable after poison:\n{traceback.format_exc()}"
+
+
+def _resharded(leg: _Leg) -> Iterator[str]:
+    if leg.stats["pipeline"]["reshard_events"] < 1:
+        yield "no ReshardEvent recorded"
+    if leg.stats["pipeline"]["recoveries_healed"] < 1:
+        yield "dead worker was not healed during the reshard harvest"
+    if leg.stats["n_shards"] != leg.plan.reshard_to:
+        yield (
+            f"service reports n_shards={leg.stats['n_shards']}, "
+            f"resharded to {leg.plan.reshard_to}"
+        )
+
+
+def _shed_lossless(leg: _Leg) -> Iterator[str]:
+    if leg.stats["admission"]["rejected_batches"] < 1:
+        yield "no rejection recorded by admission control"
+    if leg.stats["pipeline"]["dropped_raw"] or leg.stats["pipeline"]["dropped_alerts"]:
+        yield "reject tier must be lossless, but drop counters moved"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    """How one fault kind is run: sink, driver, hook, expectations."""
+
+    hook: Optional[Callable] = None
+    expects: Tuple[Callable[[_Leg], Iterator[str]], ...] = ()
+    #: Drive a client of a live service instead of a pipeline.
+    service: bool = False
+    driver: str = "sync"
+    restart_policy: str = "raise"
+    #: Raw worker-death rows strip the campaign's detector controls: a
+    #: mid-stream ``reopen`` would resurrect the killed worker (making
+    #: the fault unobservable) and a ``reset`` would race it.
+    batches_only: bool = False
+    options: dict = dataclasses.field(default_factory=dict)
+
+
+#: The fault table: every :data:`FAULT_KINDS` member is one row.
+ROWS = {
+    "split": _Row(_checkpoint_kill_restore, (_no_error, _bit_identical)),
+    "kill": _Row(_kill_after_batch, (_typed_death,), batches_only=True),
+    "heal": _Row(
+        _kill_after_batch,
+        (_no_error, _bit_identical, _healed),
+        restart_policy="restore",
+        batches_only=True,
+    ),
+    "poison": _Row(None, (_poison_surfaced,), batches_only=True),
+    "shm-kill": _Row(
+        _freeze_then_kill,
+        (_no_error, _bit_identical, _healed, _rings_exercised),
+        driver="two_phase",
+        restart_policy="restore",
+        batches_only=True,
+        # The kill needs a second batch in flight.
+        options={"max_inflight": 2},
+    ),
+    "disconnect": _Row(_disconnect_mid_frame, service=True, restart_policy="restore"),
+    "reshard-kill": _Row(
+        _kill_then_reshard, (_resharded,), service=True, restart_policy="restore"
+    ),
+    "shed": _Row(_reject_then_reopen, (_shed_lossless,), service=True, restart_policy="restore"),
+}
+
+
+class ChaosOracle:
+    """Runs fault plans against a campaign and checks crash semantics.
+
+    ``workdir`` holds the split row's checkpoints.  A caller-supplied
+    directory is left alone; without one the oracle owns a temporary
+    directory that :meth:`close` (or leaving the ``with`` block)
+    removes.
+    """
+
+    def __init__(self, workdir: Optional[Path] = None) -> None:
+        self._owned = None if workdir else tempfile.TemporaryDirectory(prefix="chaos-")
+        self.workdir = Path(workdir or self._owned.name)
+        self.workdir.mkdir(parents=True, exist_ok=True)
+
+    def close(self) -> None:
+        if self._owned is not None:
+            self._owned.cleanup()
+
+    def __enter__(self) -> "ChaosOracle":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(self, campaign: Campaign, plans: Sequence[FaultPlan]) -> ChaosVerdict:
+        """Run every fault plan's row; collect crash-semantics violations."""
+        verdict = ChaosVerdict(campaign=campaign, plans=list(plans))
+        for plan in plans:
+            verdict.legs_run += 1
+            rings_before = _ring_segments()
+            try:
+                failures = self._run_leg(campaign, plan)
+            except Exception:
+                failures = [f"oracle crashed:\n{traceback.format_exc()}"]
+            # Every row must tear its rings down: a segment surviving
+            # the leg is a /dev/shm leak.
+            leaked = _ring_segments() - rings_before
+            if leaked:
+                failures.append(f"leaked /dev/shm ring segment(s): {sorted(leaked)}")
+            verdict.failures.extend(ChaosFailure(plan.label, detail) for detail in failures)
+        return verdict
+
+    def _run_leg(self, campaign: Campaign, plan: FaultPlan) -> List[str]:
+        row = ROWS[plan.kind]
+        if row.batches_only:
+            campaign = _batches_only(campaign)
+        leg = _Leg(campaign, plan, row, self.workdir)
+        (self._drive_service if row.service else self._drive_pipeline)(leg)
+        return leg.failures
+
+    @staticmethod
+    def _drive_pipeline(leg: _Leg) -> None:
+        leg.sink = leg.build()
         try:
             try:
-                for batch_index, batch in enumerate(campaign_batches(stripped)):
-                    while inflight >= window:
-                        detections.extend(pipeline.collect_detections())
-                        inflight -= 1
-                    if batch_index == plan.kill_batch:
-                        # Freeze first so the worker cannot answer the
-                        # kill batch before the SIGKILL lands — the
-                        # descriptor stays in the ring and the heal is
-                        # guaranteed to be observed at collect time.
-                        self._freeze_shard(pipeline, plan.shard)
-                    pipeline.submit_alerts(batch)
-                    inflight += 1
-                    if batch_index == plan.kill_batch:
-                        self._kill_shard(pipeline, plan.shard)
-                while inflight:
-                    detections.extend(pipeline.collect_detections())
-                    inflight -= 1
-            except ShardWorkerError:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"restore policy surfaced an error:\n"
-                        f"{traceback.format_exc()}",
-                    )
-                )
-                return failures
-            result = ReplayResult(
-                config=OracleConfig(n_shards=plan.n_shards, backend=plan.backend),
-                detections=detections,
-                detection_log=list(pipeline.detections),
-                notifications=list(pipeline.responder.notifications),
-                actions=list(pipeline.responder.actions),
-                counters={
-                    key: pipeline.summary()[key] for key in reference.counters
-                },
-            )
-            failures.extend(
-                ChaosFailure(plan.label, str(divergence))
-                for divergence in DifferentialOracle._compare(reference, result)
-            )
-            if not pool.shm_batches:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        "the rings were never exercised "
-                        f"(shm_batches=0, shm_fallbacks={pool.shm_fallbacks})",
-                    )
-                )
-            healed = [
-                event
-                for event in pool.recovery_log.for_shard(plan.shard)
-                if event.healed
-            ]
-            if not healed:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"no healed recovery for shard {plan.shard} in RecoveryLog "
-                        f"({len(pool.recovery_log)} event(s) total)",
-                    )
-                )
-        finally:
-            close_results = pipeline.close()
-        for name, close_result in close_results.items():
-            if not close_result.clean:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"pool {name!r} close escalated: {close_result.escalations}",
-                    )
-                )
-        return failures
-
-    # -- service legs: the same faults through a live socket -------------
-    # repro.service imports repro.fuzz.oracle, so these imports stay
-    # local to keep the package import graph acyclic.
-    @staticmethod
-    def _drive_event(client, event) -> None:
-        if event.kind == "batch":
-            client.send_alerts(list(event.alerts))
-        elif event.kind == "reset_entity":
-            client.control("reset_entity", entity=event.entity)
-        elif event.kind == "reset":
-            client.control("reset")
-        elif event.kind == "reopen":
-            client.control("reopen")
-
-    @staticmethod
-    def _service_results(client) -> dict:
-        reply = client.results()
-        return {
-            key: reply[key]
-            for key in (
-                "detections",
-                "detection_log",
-                "notifications",
-                "actions",
-                "counters",
-            )
-        }
-
-    def _run_disconnect(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        """Abrupt client death mid-frame: acked work survives, server lives."""
-        from ..service.server import ServiceConfig, start_service_in_thread
-        from ..service.smoke import (
-            build_service_pipeline,
-            compare_results,
-            reference_results,
-        )
-
-        failures: List[ChaosFailure] = []
-        expected = reference_results(campaign)
-        cut = max(1, plan.fault_event % len(campaign.events))
-        handle = start_service_in_thread(
-            lambda: build_service_pipeline(
-                campaign,
-                n_shards=plan.n_shards,
-                backend=plan.backend,
-            ),
-            ServiceConfig(),
-        )
-        try:
-            first = handle.client()
-            for event in campaign.events[:cut]:
-                self._drive_event(first, event)
-            # Vanish inside a request frame: a partial JSON line, then
-            # a hard close with the reply unread.
-            first._sock.sendall(b'{"op":"batch","alerts":[')
-            first._sock.close()
-            with handle.client() as second:
-                if not second.ping().get("pong"):
-                    failures.append(
-                        ChaosFailure(plan.label, "server unresponsive after disconnect")
-                    )
-                for event in campaign.events[cut:]:
-                    self._drive_event(second, event)
-                second.drain()
-                got = self._service_results(second)
-        finally:
-            handle.stop()
-        failures.extend(
-            ChaosFailure(plan.label, difference)
-            for difference in compare_results(expected, got)
-        )
-        return failures
-
-    def _run_reshard_kill(
-        self, campaign: Campaign, plan: FaultPlan
-    ) -> List[ChaosFailure]:
-        """SIGKILL a worker, then reshard live: harvest must heal it."""
-        from ..service.server import ServiceConfig, start_service_in_thread
-        from ..service.smoke import (
-            build_service_pipeline,
-            compare_results,
-            reference_results,
-        )
-
-        failures: List[ChaosFailure] = []
-        expected = reference_results(campaign)
-        handle = start_service_in_thread(
-            lambda: build_service_pipeline(
-                campaign,
-                n_shards=plan.n_shards,
-                backend="process",
-                restart_policy="restore",
-            ),
-            ServiceConfig(),
-        )
-        try:
-            with handle.client() as client:
-                batch_index = -1
-                for event in campaign.events:
-                    self._drive_event(client, event)
-                    if event.kind == "batch" and event.alerts:
-                        batch_index += 1
-                        if batch_index == plan.kill_batch:
-                            # Quiesce so the kill lands between batches,
-                            # then crash the worker and reshard over the
-                            # socket: the harvest phase finds the corpse
-                            # and must rebuild its replica parent-side.
-                            client.drain()
-                            pool = handle.pipeline.detector_pools["factor_graph"]
-                            worker = pool._workers[plan.shard]
-                            worker.process.kill()
-                            worker.process.join(timeout=5.0)
-                            reply = client.reshard(plan.reshard_to)
-                            if reply["reshard"]["to"] != plan.reshard_to:
-                                failures.append(
-                                    ChaosFailure(plan.label, f"bad reshard reply {reply!r}")
-                                )
-                client.drain()
-                got = self._service_results(client)
-                stats = client.stats()
-        finally:
-            handle.stop()
-        failures.extend(
-            ChaosFailure(plan.label, difference)
-            for difference in compare_results(expected, got)
-        )
-        if stats["pipeline"]["reshard_events"] < 1:
-            failures.append(ChaosFailure(plan.label, "no ReshardEvent recorded"))
-        if stats["pipeline"]["recoveries_healed"] < 1:
-            failures.append(
-                ChaosFailure(
-                    plan.label, "dead worker was not healed during the reshard harvest"
-                )
-            )
-        if stats["n_shards"] != plan.reshard_to:
-            failures.append(
-                ChaosFailure(
-                    plan.label,
-                    f"service reports n_shards={stats['n_shards']}, "
-                    f"resharded to {plan.reshard_to}",
-                )
-            )
-        return failures
-
-    def _run_shed(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        """Forced rejection, then client replay: zero loss, full order."""
-        from ..service.admission import ServiceOverloadedError
-        from ..service.server import ServiceConfig, start_service_in_thread
-        from ..service.smoke import (
-            build_service_pipeline,
-            compare_results,
-            reference_results,
-        )
-
-        failures: List[ChaosFailure] = []
-        expected = reference_results(campaign)
-        handle = start_service_in_thread(
-            lambda: build_service_pipeline(
-                campaign,
-                n_shards=plan.n_shards,
-                backend=plan.backend,
-            ),
-            ServiceConfig(),
-        )
-        try:
-            with handle.client() as client:
-                batch_index = -1
-                for event in campaign.events:
-                    if event.kind == "batch" and event.alerts:
-                        batch_index += 1
-                        if batch_index == plan.fault_event:
-                            # Admission slams shut; the un-retried probe
-                            # must be refused (nothing half-enqueued)...
-                            client.throttle("reject")
-                            try:
-                                client.request(
-                                    {
-                                        "op": "batch",
-                                        "alerts": [a.to_dict() for a in event.alerts],
-                                    }
-                                )
-                            except ServiceOverloadedError:
-                                pass
-                            else:
-                                failures.append(
-                                    ChaosFailure(
-                                        plan.label, "forced reject admitted a batch"
-                                    )
-                                )
-                            # ...and once reopened, the client replays
-                            # the same batch at the same stream position.
-                            client.throttle("open")
-                    self._drive_event(client, event)
-                client.drain()
-                got = self._service_results(client)
-                stats = client.stats()
-        finally:
-            handle.stop()
-        failures.extend(
-            ChaosFailure(plan.label, difference)
-            for difference in compare_results(expected, got)
-        )
-        if stats["admission"]["rejected_batches"] < 1:
-            failures.append(
-                ChaosFailure(plan.label, "no rejection recorded by admission control")
-            )
-        if stats["pipeline"]["dropped_raw"] or stats["pipeline"]["dropped_alerts"]:
-            failures.append(
-                ChaosFailure(
-                    plan.label,
-                    "reject tier must be lossless, but drop counters moved",
-                )
-            )
-        return failures
-
-    # -- poison: typed mid-batch detector crash --------------------------
-    def _run_poison(self, campaign: Campaign, plan: FaultPlan) -> List[ChaosFailure]:
-        failures: List[ChaosFailure] = []
-        tagger = AttackTagger(
-            patterns=list(DEFAULT_CATALOGUE),
-            max_window=campaign.max_window,
-            detection_threshold=campaign.detection_threshold,
-        )
-        pipeline = TestbedPipeline(
-            detectors={
-                "factor_graph": ChaosPoisonDetector(tagger, plan.poison_name)
-            },
-            n_shards=plan.n_shards,
-            shard_backend=plan.backend,
-        )
-        error: Optional[BaseException] = None
-        last_timestamp = 0.0
-        probe_name = next(
-            (a.name for a in campaign.alerts() if a.name != plan.poison_name), None
-        )
-        try:
-            for batch in campaign_batches(campaign):
-                last_timestamp = max(last_timestamp, batch[-1].timestamp)
-                try:
-                    pipeline.ingest_alerts(batch)
-                except ShardWorkerError as exc:
-                    error = exc
-                    break
-            if error is None:
-                failures.append(
-                    ChaosFailure(plan.label, "poisoned detector never surfaced")
-                )
+                detections = drive(leg.campaign, leg.sink, leg.row.driver, leg.hook)
+            except ShardWorkerError as error:
+                leg.error, leg.trace = error, traceback.format_exc()
             else:
-                if "chaos poison" not in getattr(error, "worker_traceback", ""):
-                    failures.append(
-                        ChaosFailure(
-                            plan.label,
-                            "worker-side traceback lost (no 'chaos poison' in "
-                            f"{getattr(error, 'worker_traceback', '')[:200]!r})",
-                        )
-                    )
-                # Shards are driven (serial) / collected (process) in
-                # index order, so the surfaced error belongs to the
-                # lowest shard holding a poison alert in the first
-                # batch that contains the name.
-                expected_shard = None
-                for batch in campaign_batches(campaign):
-                    shards = [
-                        shard_of(alert.entity, plan.n_shards)
-                        for alert in batch
-                        if alert.name == plan.poison_name
-                    ]
-                    if shards:
-                        expected_shard = min(shards)
-                        break
-                if expected_shard is not None and error.shard != expected_shard:
-                    failures.append(
-                        ChaosFailure(
-                            plan.label,
-                            f"error names shard {error.shard}, poisoned alert "
-                            f"routes to {expected_shard}",
-                        )
-                    )
-                # The pool must stay drivable after a detector crash.
-                if probe_name is not None:
-                    probe = Alert(
-                        timestamp=last_timestamp + 1.0,
-                        name=probe_name,
-                        entity="chaos-probe",
-                    )
-                    try:
-                        pipeline.ingest_alerts([probe])
-                    except Exception:
-                        failures.append(
-                            ChaosFailure(
-                                plan.label,
-                                f"pipeline not drivable after poison:\n"
-                                f"{traceback.format_exc()}",
-                            )
-                        )
+                leg.result = snapshot(leg.sink, leg.config, detections)
+            pool = leg.sink.detector_pools["factor_graph"]
+            stale = leg.sink.detection_stage.pending_batches, len(pool._pending)
+            if any(stale):
+                leg.failures.append(
+                    f"stale in-flight ticket(s) after the drive: {stale[0]} in the "
+                    f"detection stage, {stale[1]} in the pool"
+                )
+            leg.check()
         finally:
-            close_results = pipeline.close()
+            close_results = leg.sink.close()
         for name, close_result in close_results.items():
             if not close_result.clean:
-                failures.append(
-                    ChaosFailure(
-                        plan.label,
-                        f"pool {name!r} close escalated: {close_result.escalations}",
-                    )
+                leg.failures.append(
+                    f"pool {name!r} close escalated: {close_result.escalations}"
                 )
-        return failures
+
+    @staticmethod
+    def _drive_service(leg: _Leg) -> None:
+        # repro.service imports repro.fuzz.oracle, so these imports stay
+        # local to keep the package import graph acyclic.
+        from ..service.server import ServiceConfig, start_service_in_thread
+        from ..service.smoke import compare_results, read_results, reference_results
+
+        expected = reference_results(leg.campaign)
+        leg.handle = start_service_in_thread(leg.build, ServiceConfig())
+        try:
+            leg.sink = leg.handle.client()
+            drive(leg.campaign, leg.sink, hook=leg.hook)
+            got = read_results(leg.sink)
+            leg.stats = leg.sink.stats()
+            leg.sink.close()
+        finally:
+            leg.handle.stop()
+        leg.failures.extend(compare_results(expected, got))
+        leg.check()
 
 
 __all__ = [
@@ -1181,5 +895,6 @@ __all__ = [
     "ChaosVerdict",
     "ChaosComposer",
     "ChaosOracle",
+    "ROWS",
     "campaign_batches",
 ]

@@ -1,4 +1,4 @@
-"""Cross-configuration differential replay oracle.
+"""Campaign runner and the cross-configuration differential oracle.
 
 The repo's central correctness claim is that four independent execution
 axes never change a detection:
@@ -7,20 +7,35 @@ axes never change a detection:
   advanced by the stacked cross-entity kernel) / ``naive`` (the
   executable spec),
 * shard count -- entity-partitioned detector replicas,
-* shard **backend** -- ``serial`` (in-process shards, depth 1) /
-  ``process`` (worker processes behind shared-memory rings, two
-  batches in flight per shard),
-* pipeline **driver** -- batch-synchronous ``ingest_alerts``, the
-  overlapped ``ingest_alert_batches``, and the raw-record
-  ``ingest_raw_stream`` path.
+* shard **backend** -- ``serial`` (in-process shards) / ``process``
+  (worker processes behind shared-memory rings),
+* pipeline **driver** -- the overlapped ``ingest_alert_batches``
+  (``alert_stream``) and the raw-record ``ingest_raw_stream``
+  (``raw_stream``); per-event ``ingest_alerts`` (``sync``) is a
+  one-batch ``alert_stream`` call, so it is the reference's driver and
+  not a matrix axis.
 
-:class:`DifferentialOracle` turns that claim into a checked property:
-it replays one :class:`~repro.fuzz.campaign.Campaign` through every
+Every proof in the repo -- this oracle, the fault rows of
+:mod:`repro.fuzz.chaos`, the socket legs of :mod:`repro.service.smoke`
+-- replays a :class:`~repro.fuzz.campaign.Campaign` through the same
+three-function **runner**:
+
+:func:`build_pipeline`
+    campaign + :class:`OracleConfig` -> the campaign-shaped
+    :class:`~repro.testbed.pipeline.TestbedPipeline`,
+:func:`drive`
+    the campaign's events -> a sink (a pipeline or a
+    :class:`~repro.service.admission.ServiceClient`), with a hook fired
+    at named stream positions -- where every fault is injected,
+:func:`snapshot`
+    a driven pipeline -> the :class:`ReplayResult` that is compared.
+
+:class:`DifferentialOracle` replays one campaign through every
 configuration in the matrix and asserts that detections (every field),
 the cross-detector detection log, operator notifications, response
 records, and the :class:`~repro.testbed.pipeline.PipelineStats`
 counters are bit-identical to the reference configuration (the seed
-path: ``naive`` engine, one serial shard, batch-synchronous driver).
+path: ``naive`` engine, one serial shard, per-event ``sync`` driver).
 
 Campaign control events map onto the pipeline's deferred-safe detector
 controls (:meth:`TestbedPipeline.reset_entity` /
@@ -35,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import traceback
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..core.alerts import Alert
 from ..core.attack_tagger import ENGINES, AttackTagger, Detection, UnknownEngineError
@@ -49,7 +64,8 @@ from .campaign import Campaign
 SHARD_COUNTS = (1, 2, 4)
 #: Sharding backends under differential test.
 BACKENDS = ("serial", "process")
-#: Pipeline drivers under differential test.
+#: Legal ``OracleConfig.driver`` values (see :func:`drive`); ``sync`` is
+#: the reference's driver, the two stream drivers are the matrix axis.
 DRIVERS = ("sync", "alert_stream", "raw_stream")
 
 #: ``PipelineStats``-derived summary keys that must match bit-for-bit
@@ -116,25 +132,27 @@ REFERENCE_CONFIG = OracleConfig(engine="naive", n_shards=1, backend="serial", dr
 
 
 def full_matrix() -> list[OracleConfig]:
-    """The complete engine x shards x backend x driver matrix (36 configs)."""
-    return [
+    """The reference plus engine x shards x backend x both stream drivers."""
+    return [REFERENCE_CONFIG] + [
         OracleConfig(engine=e, n_shards=s, backend=b, driver=d)
-        for e, s, b, d in itertools.product(ENGINES, SHARD_COUNTS, BACKENDS, DRIVERS)
+        for e, s, b, d in itertools.product(
+            ENGINES, SHARD_COUNTS, BACKENDS, ("alert_stream", "raw_stream")
+        )
     ]
 
 
 def quick_matrix() -> list[OracleConfig]:
-    """A small cross-section covering every axis value at least twice."""
+    """A small cross-section of :func:`full_matrix` (every axis value twice)."""
     return [
-        OracleConfig("streaming", 1, "serial", "sync"),
+        OracleConfig("streaming", 1, "serial", "alert_stream"),
         OracleConfig("streaming", 4, "process", "alert_stream"),
         OracleConfig("streaming", 2, "serial", "raw_stream"),
         OracleConfig("streaming", 2, "serial", "alert_stream"),
-        OracleConfig("streaming", 4, "serial", "sync"),
+        OracleConfig("streaming", 4, "serial", "alert_stream"),
         OracleConfig("naive", 2, "process", "raw_stream"),
         OracleConfig("naive", 1, "serial", "alert_stream"),
         OracleConfig("streaming", 4, "process", "raw_stream"),
-        OracleConfig("streaming", 2, "process", "sync"),
+        OracleConfig("streaming", 2, "process", "alert_stream"),
         OracleConfig("naive", 4, "process", "raw_stream"),
     ]
 
@@ -178,6 +196,141 @@ class ReplayResult:
     notifications: list
     actions: list
     counters: dict[str, float]
+
+
+def build_pipeline(
+    campaign: Campaign, config: OracleConfig, *, wrap: Optional[Callable] = None, **options
+) -> TestbedPipeline:
+    """The pipeline a campaign is replayed through.
+
+    ``config`` supplies the engine, shard count and backend; the
+    campaign supplies the detector hyper-parameters.  ``wrap`` decorates
+    the detector (the chaos poison row); ``options`` are passed to the
+    pipeline unchanged.
+    """
+    tagger = AttackTagger(
+        patterns=list(DEFAULT_CATALOGUE),
+        engine=config.engine,
+        max_window=campaign.max_window,
+        detection_threshold=campaign.detection_threshold,
+    )
+    return TestbedPipeline(
+        detectors={"factor_graph": wrap(tagger) if wrap else tagger},
+        n_shards=config.n_shards,
+        shard_backend=config.backend,
+        **options,
+    )
+
+
+def _apply_control(sink, event) -> None:
+    if not isinstance(sink, TestbedPipeline):
+        sink.control(event.kind, event.entity)
+    elif event.kind == "reset_entity":
+        sink.reset_entity(event.entity)
+    elif event.kind == "reset":
+        sink.reset_detectors()
+    elif event.kind == "reopen":
+        sink.reopen_detectors()
+
+
+def drive(
+    campaign: Campaign,
+    sink,
+    driver: str = "sync",
+    hook: Optional[Callable[[str, int], object]] = None,
+) -> list[Detection]:
+    """Walk the campaign's events into ``sink``: the one campaign driver.
+
+    ``sink`` is a :class:`TestbedPipeline` or a connected
+    :class:`~repro.service.admission.ServiceClient` (which takes every
+    batch as one acknowledged request, ``raw_stream`` only choosing the
+    ``raw`` op over ``batch``; its detections are read back with the
+    ``results`` op, so the return value is empty).  ``driver`` is how a
+    pipeline is fed:
+
+    ``sync``
+        one blocking ``ingest_alerts`` per batch event; controls reach
+        an idle pipeline.
+    ``alert_stream`` / ``raw_stream``
+        the whole walk is the batch source of ``ingest_alert_batches``
+        / ``ingest_raw_stream`` (batches re-expressed as Zeek notices),
+        so controls land with batches in flight and are deferred to the
+        next submission boundary.
+    ``two_phase``
+        ``submit_alerts`` now, ``collect_detections`` once
+        ``max_inflight`` batches are outstanding -- the service's
+        schedule, and the only one where a fault can land between a
+        submit and its collect.
+
+    ``hook(point, index)`` is called at three stream positions:
+    ``"event"`` before event ``index`` is applied (it may return a
+    replacement sink: a pipeline restored from a checkpoint, a second
+    client), ``"before"`` / ``"after"`` around the hand-over of the
+    ``index``-th *non-empty* batch.  ``"after"`` means collected under
+    ``sync``, acknowledged for a client, merely submitted under
+    ``two_phase``.
+    """
+    if driver not in DRIVERS + ("two_phase",):
+        raise ValueError(f"unknown driver {driver!r}")
+    fire = hook or (lambda point, index: None)
+    remote = not isinstance(sink, TestbedPipeline)
+    as_raw = driver == "raw_stream"
+    streamed = not remote and driver in ("alert_stream", "raw_stream")
+    detections: list[Detection] = []
+    inflight = 0  # submitted, not yet collected (two_phase only)
+
+    def walk():
+        # A generator so the overlapped drivers can pull it; the other
+        # drivers hand each batch over in here and it never yields.
+        nonlocal sink, inflight
+        batch_index = -1
+        for index, event in enumerate(campaign.events):
+            sink = fire("event", index) or sink
+            if event.kind != "batch":
+                _apply_control(sink, event)
+                continue
+            batch = alerts_to_zeek_records(event.alerts) if as_raw else list(event.alerts)
+            if batch:
+                batch_index += 1
+                fire("before", batch_index)
+            if streamed:
+                yield batch
+            elif remote:
+                (sink.send_raw if as_raw else sink.send_alerts)(batch)
+            elif driver == "sync":
+                detections.extend(sink.ingest_alerts(batch))
+            else:
+                sink.submit_alerts(batch)
+                inflight += 1
+            if batch:
+                fire("after", batch_index)
+            while inflight and inflight >= sink.max_inflight:
+                detections.extend(sink.collect_detections())
+                inflight -= 1
+
+    if streamed:
+        return sink.ingest_raw_stream(walk()) if as_raw else sink.ingest_alert_batches(walk())
+    for _ in walk():
+        pass
+    while inflight:
+        detections.extend(sink.collect_detections())
+        inflight -= 1
+    return detections
+
+
+def snapshot(
+    pipeline: TestbedPipeline, config: OracleConfig, detections: list[Detection]
+) -> ReplayResult:
+    """The compared surface of a driven pipeline."""
+    summary = pipeline.summary()
+    return ReplayResult(
+        config=config,
+        detections=detections,
+        detection_log=list(pipeline.detections),
+        notifications=list(pipeline.responder.notifications),
+        actions=list(pipeline.responder.actions),
+        counters={key: summary[key] for key in COMPARED_COUNTERS},
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,64 +386,8 @@ class DifferentialOracle:
     # -- replay ----------------------------------------------------------
     def replay(self, campaign: Campaign, config: OracleConfig) -> ReplayResult:
         """Replay one campaign under one configuration."""
-        tagger = AttackTagger(
-            patterns=list(DEFAULT_CATALOGUE),
-            engine=config.engine,
-            max_window=campaign.max_window,
-            detection_threshold=campaign.detection_threshold,
-        )
-        detections: list[Detection] = []
-        with TestbedPipeline(
-            detectors={"factor_graph": tagger},
-            n_shards=config.n_shards,
-            shard_backend=config.backend,
-            # Process replays also exercise the deeper pipeline the
-            # rings exist for: two batches in flight per shard.
-            max_inflight=2 if config.backend == "process" else 1,
-        ) as pipeline:
-            if config.driver == "sync":
-                for event in campaign.events:
-                    if event.kind == "batch":
-                        detections.extend(pipeline.ingest_alerts(list(event.alerts)))
-                    else:
-                        self._apply_control(pipeline, event)
-            else:
-                as_raw = config.driver == "raw_stream"
-
-                def batches():
-                    for event in campaign.events:
-                        if event.kind == "batch":
-                            if as_raw:
-                                yield alerts_to_zeek_records(event.alerts)
-                            else:
-                                yield list(event.alerts)
-                        else:
-                            # Applied mid-stream, possibly with a batch
-                            # in flight: the pipeline defers it to the
-                            # next submission boundary.
-                            self._apply_control(pipeline, event)
-
-                if as_raw:
-                    detections = pipeline.ingest_raw_stream(batches())
-                else:
-                    detections = pipeline.ingest_alert_batches(batches())
-            return ReplayResult(
-                config=config,
-                detections=detections,
-                detection_log=list(pipeline.detections),
-                notifications=list(pipeline.responder.notifications),
-                actions=list(pipeline.responder.actions),
-                counters={key: pipeline.summary()[key] for key in COMPARED_COUNTERS},
-            )
-
-    @staticmethod
-    def _apply_control(pipeline: TestbedPipeline, event) -> None:
-        if event.kind == "reset_entity":
-            pipeline.reset_entity(event.entity)
-        elif event.kind == "reset":
-            pipeline.reset_detectors()
-        elif event.kind == "reopen":
-            pipeline.reopen_detectors()
+        with build_pipeline(campaign, config) as pipeline:
+            return snapshot(pipeline, config, drive(campaign, pipeline, config.driver))
 
     # -- comparison ------------------------------------------------------
     def run(self, campaign: Campaign) -> CampaignVerdict:
@@ -396,6 +493,9 @@ __all__ = [
     "alert_to_zeek_record",
     "alerts_to_zeek_records",
     "ReplayResult",
+    "build_pipeline",
+    "drive",
+    "snapshot",
     "Divergence",
     "CampaignVerdict",
     "DifferentialOracle",

@@ -158,8 +158,9 @@ def shrink_for_oracle(
 
     The shrink predicate replays only the configurations that diverged
     (plus the reference), not the whole matrix: each candidate
-    evaluation is then a handful of pipeline replays instead of up to
-    54, which is what makes ``max_evaluations`` candidates affordable.
+    evaluation is then a handful of pipeline replays instead of one per
+    matrix entry, which is what makes ``max_evaluations`` candidates
+    affordable.
     """
     if verdict is None:
         verdict = oracle.run(campaign)

@@ -20,16 +20,16 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Tuple
 
-from ..core.attack_tagger import AttackTagger
-from ..incidents import DEFAULT_CATALOGUE
 from ..testbed.pipeline import TestbedPipeline
 from ..fuzz.campaign import Campaign, CampaignComposer
 from ..fuzz.oracle import (
     COMPARED_COUNTERS,
     DifferentialOracle,
+    OracleConfig,
     REFERENCE_CONFIG,
     ReplayResult,
-    alerts_to_zeek_records,
+    build_pipeline,
+    drive,
 )
 from .admission import ServiceClient
 from .protocol import serialize_results
@@ -44,17 +44,10 @@ def build_service_pipeline(
     backend: str = "process",
     restart_policy: str = "restore",
 ) -> TestbedPipeline:
-    """A pipeline matching the campaign's detector hyper-parameters."""
-    tagger = AttackTagger(
-        patterns=list(DEFAULT_CATALOGUE),
-        engine=engine,
-        max_window=campaign.max_window,
-        detection_threshold=campaign.detection_threshold,
-    )
-    return TestbedPipeline(
-        detectors={"factor_graph": tagger},
-        n_shards=n_shards,
-        shard_backend=backend,
+    """The runner's campaign-shaped pipeline under the service's policy."""
+    return build_pipeline(
+        campaign,
+        OracleConfig(engine=engine, n_shards=n_shards, backend=backend),
         restart_policy=restart_policy,
         backoff_base=0.001,
     )
@@ -89,28 +82,22 @@ def stream_campaign(
     event index -- the outputs must not change (the bit-identity
     contract of :meth:`TestbedPipeline.reshard`).
     """
-    for index, event in enumerate(campaign.events):
-        if reshard_at is not None and index == reshard_at:
+
+    def reshard_before(point: str, index: int) -> None:
+        if point == "event" and index == reshard_at:
             client.reshard(reshard_to)
-        if event.kind == "batch":
-            if as_raw:
-                client.send_raw(alerts_to_zeek_records(event.alerts))
-            else:
-                client.send_alerts(list(event.alerts))
-        elif event.kind == "reset_entity":
-            client.control("reset_entity", entity=event.entity)
-        elif event.kind == "reset":
-            client.control("reset")
-        elif event.kind == "reopen":
-            client.control("reopen")
+
+    drive(campaign, client, "raw_stream" if as_raw else "alert_stream", reshard_before)
+    return read_results(client)
+
+
+def read_results(client: ServiceClient) -> dict:
+    """Quiesce the service, then read the compared surface back."""
     client.drain()
     reply = client.results()
     return {
-        "detections": reply["detections"],
-        "detection_log": reply["detection_log"],
-        "notifications": reply["notifications"],
-        "actions": reply["actions"],
-        "counters": reply["counters"],
+        key: reply[key]
+        for key in ("detections", "detection_log", "notifications", "actions", "counters")
     }
 
 
@@ -238,6 +225,7 @@ __all__ = [
     "build_service_pipeline",
     "reference_results",
     "stream_campaign",
+    "read_results",
     "compare_results",
     "run_service_smoke",
 ]

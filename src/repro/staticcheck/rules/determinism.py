@@ -1,7 +1,7 @@
 """Rule ``determinism``: no hidden entropy on deterministic paths.
 
 Everything under ``core/``, ``testbed/`` and ``fuzz/`` backs a
-bit-identity guarantee (the 72-config differential matrix, byte-stable
+bit-identity guarantee (the differential oracle matrix, byte-stable
 checkpoints, seeded campaign replay), so three sources of hidden
 nondeterminism are banned there:
 

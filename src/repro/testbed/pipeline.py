@@ -131,11 +131,16 @@ class TestbedPipeline:
         ``"restore"`` self-heals them from per-shard snapshots.
     max_inflight:
         Pipelining depth of the overlapped drivers: how many detection
-        batches may be submitted-but-uncollected at once (default 1,
-        the classic double-buffered schedule).  Deeper windows hide
-        fan-out latency behind worker compute; detector controls still
-        apply at fully-quiesced submission boundaries, so detections
-        and counters stay bit-identical at any depth.
+        batches may be submitted-but-uncollected at once.  ``None``
+        (default) picks the depth the backend earns: 2 for
+        ``"process"`` (measured on ``sharded_replay``: two process
+        shards run 1.45x one process at depth 2 and 0.95x at depth 1),
+        1 for ``"serial"`` (an in-process shard computes inside the
+        submit, so a deeper window buys it nothing).  An explicit value
+        is honoured unchanged.  Deeper windows hide fan-out latency
+        behind worker compute; detector controls still apply at
+        fully-quiesced submission boundaries, so detections and
+        counters stay bit-identical at any depth.
     ring_capacity:
         Per-shard shared-memory ring size in bytes for process-backed
         pools (default: the pool's
@@ -167,7 +172,7 @@ class TestbedPipeline:
         backoff_base: float = 0.05,
         snapshot_every: int = 1,
         transport: str = "shm",
-        max_inflight: int = 1,
+        max_inflight: Optional[int] = None,
         ring_capacity: Optional[int] = None,
     ) -> None:
         if transport != "shm":
@@ -176,6 +181,8 @@ class TestbedPipeline:
                 f"transport={transport!r}: the pickle transport was removed; "
                 "process shards always ship sub-batches through their rings"
             )
+        if max_inflight is None:
+            max_inflight = 2 if shard_backend == "process" else 1
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.vocabulary = vocabulary or DEFAULT_VOCABULARY
@@ -294,20 +301,28 @@ class TestbedPipeline:
         """
         return self.ingest_alert_batches([alerts])
 
-    def _take_pending_normalized(self) -> list[Alert]:
-        """Swap out the pending raw records and normalise them (counted)."""
-        records, self._pending_raw[:] = list(self._pending_raw), []
-        self.stats.raw_records += len(records)
-        alerts = self._run_stage(self.normalizer_stage, records)
-        self.stats.normalized_alerts += len(alerts)
-        return alerts
-
     def _drain_pending_raw(self) -> list[Detection]:
         """Records already pending on the mirror, as their own batch."""
         if not self._pending_raw:
             return []
         # One empty publish: the batch is exactly what was already pending.
-        return self._drive_overlapped(self._prep_raw_batches([()]))
+        return self._drive_overlapped(map(self._prep_raw, [()]))
+
+    def _prep_raw(self, records: Iterable[RawLogRecord]) -> list[Alert]:
+        """Mirror one raw batch; normalise (counted) and filter what is pending."""
+        self.mirror.publish_raw_many(records)
+        pending, self._pending_raw[:] = list(self._pending_raw), []
+        self.stats.raw_records += len(pending)
+        alerts = self._run_stage(self.normalizer_stage, pending)
+        self.stats.normalized_alerts += len(alerts)
+        return self._prep_filtered(alerts)
+
+    def _prep_alerts(self, alerts: Iterable[Alert]) -> list[Alert]:
+        """Count one pre-normalised batch and filter it."""
+        alerts = list(alerts)
+        self.stats.raw_records += len(alerts)
+        self.stats.normalized_alerts += len(alerts)
+        return self._prep_filtered(alerts)
 
     def _prep_filtered(self, alerts: Sequence[Alert]) -> list[Alert]:
         """Filter one normalised batch and publish the survivors."""
@@ -337,7 +352,7 @@ class TestbedPipeline:
         overlapped prep counts as normalize/filter time.
         """
         detections = self._drain_pending_raw()
-        detections.extend(self._drive_overlapped(self._prep_raw_batches(batches)))
+        detections.extend(self._drive_overlapped(map(self._prep_raw, batches)))
         return detections
 
     def ingest_alert_batches(
@@ -350,31 +365,18 @@ class TestbedPipeline:
         bit-identical detections, responses, and counters.
         """
         detections = self._drain_pending_raw()
-        detections.extend(self._drive_overlapped(self._prep_alert_batches(batches)))
+        detections.extend(self._drive_overlapped(map(self._prep_alerts, batches)))
         return detections
-
-    def _prep_raw_batches(self, batches):
-        """Mirror, normalise, and filter raw batches one at a time."""
-        for records in batches:
-            self.mirror.publish_raw_many(records)
-            yield self._prep_filtered(self._take_pending_normalized())
-
-    def _prep_alert_batches(self, batches):
-        """Count and filter pre-normalised batches one at a time."""
-        for alerts in batches:
-            alerts = list(alerts)
-            self.stats.raw_records += len(alerts)
-            self.stats.normalized_alerts += len(alerts)
-            yield self._prep_filtered(alerts)
 
     def _drive_overlapped(self, filtered_batches) -> list[Detection]:
         """Pipelined schedule over prepped (filtered) batches.
 
-        Advancing the ``filtered_batches`` generator preps the next
-        batch; the loop keeps up to ``max_inflight`` detection batches
+        Advancing the ``filtered_batches`` iterator (a lazy ``map`` of
+        :meth:`_prep_raw` / :meth:`_prep_alerts`) preps the next batch;
+        the loop keeps up to ``max_inflight`` detection batches
         submitted-but-uncollected, so prep *and* older batches' worker
-        compute hide behind each other.  At the default depth 1 this is
-        the classic double-buffered schedule::
+        compute hide behind each other.  At depth 1 this is the classic
+        double-buffered schedule::
 
             prep 1, submit 1, [prep 2, collect 1, respond 1, submit 2],
             [prep 3, collect 2, respond 2, submit 3], ..., collect B,
@@ -593,10 +595,7 @@ class TestbedPipeline:
         published directly on the mirror are *not* drained here -- feed
         raw traffic through :meth:`submit_raw` instead.
         """
-        alerts = list(alerts)
-        self.stats.raw_records += len(alerts)
-        self.stats.normalized_alerts += len(alerts)
-        self._submit_detection(self._prep_filtered(alerts))
+        self._submit_detection(self._prep_alerts(alerts))
 
     def submit_raw(self, records: Iterable[RawLogRecord]) -> None:
         """Phase 1 for raw monitor records: mirror, normalise, filter, submit.
@@ -605,8 +604,7 @@ class TestbedPipeline:
         service is the only publisher in the service topology, so the
         pending list is normally empty).
         """
-        self.mirror.publish_raw_many(records)
-        self._submit_detection(self._prep_filtered(self._take_pending_normalized()))
+        self._submit_detection(self._prep_raw(records))
 
     def collect_detections(self) -> list[Detection]:
         """Phase 2: finish the oldest in-flight batch and respond.

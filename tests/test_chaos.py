@@ -2,9 +2,10 @@
 
 Two layers of coverage:
 
-* the :mod:`repro.fuzz.chaos` oracle itself -- pinned seeded campaigns
-  must pass every fault leg, and deliberately-broken fault plans must
-  *fail* (the oracle is sensitive, not vacuous);
+* the :mod:`repro.fuzz.chaos` oracle itself -- the plan streams are
+  pinned, pinned seeded campaigns must pass every fault row, and a
+  sabotaged plan must make *its* row fail (the oracle is sensitive,
+  not vacuous);
 * direct supervised-recovery semantics on :class:`ShardedDetectorPool`
   -- a SIGKILLed worker under ``restart_policy="restore"`` heals with
   bit-identical detections and an audit trail in the recovery log,
@@ -15,6 +16,7 @@ Two layers of coverage:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 
 import pytest
@@ -22,11 +24,12 @@ import pytest
 from repro.core import AttackTagger
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE
-from repro.fuzz import SERVICE_FAULT_KINDS, ChaosComposer, ChaosOracle
+from repro.fuzz import FAULT_KINDS, SERVICE_FAULT_KINDS, ChaosComposer, ChaosOracle
 from repro.testbed import (
     ShardRecoveryError,
     ShardWorkerError,
     ShardedDetectorPool,
+    TestbedPipeline,
     shard_of,
 )
 
@@ -92,8 +95,71 @@ def _attack_stream(*, length: int = 96, entities: int = 8) -> list[Alert]:
     return stream
 
 
+def _never_fires(plan, **_):
+    return dataclasses.replace(plan, kill_batch=10**6)
+
+
+def _no_restart_budget(plan, **_):
+    return dataclasses.replace(plan, max_restarts=0)
+
+
+def _name_never_sent(plan, **_):
+    return dataclasses.replace(plan, poison_name="alert_never_sent")
+
+
+def _restore_from_the_wrong_cut(plan, *, campaign, oracle, monkeypatch):
+    """Leave an early cut's checkpoint behind, then stop writing new ones."""
+    last = len(campaign.events) - 1
+    assert any(event.alerts for event in campaign.events[1:last])
+    early = dataclasses.replace(plan, split_points=(1,))
+    assert oracle.run(campaign, [early]).ok
+    monkeypatch.setattr(TestbedPipeline, "checkpoint", lambda self, path: 0)
+    return dataclasses.replace(plan, split_points=(last,))
+
+
+#: (fault kind, sabotage, what the row must report).
+SABOTAGED_ROWS = [
+    ("split", _restore_from_the_wrong_cut, "counter:raw_records"),
+    ("kill", _never_fires, "never surfaced"),
+    ("heal", _no_restart_budget, "surfaced as an error"),
+    ("heal", _never_fires, "no healed recovery"),
+    ("poison", _name_never_sent, "never surfaced"),
+    ("shm-kill", _no_restart_budget, "surfaced as an error"),
+    ("shm-kill", _never_fires, "no healed recovery"),
+]
+
+
 class TestChaosOracleGate:
     """The pinned seeded campaigns the CI quick-chaos gate replays."""
+
+    def test_plan_streams_are_pinned(self):
+        """Both composer rng streams, every ``FaultPlan`` field, for the
+        CI gate's indices -- recorded at the commit before the legs
+        became rows, so the rows run the plans the legs ran."""
+        composer = ChaosComposer(0, target_alerts=120)
+        pipeline = [composer.compose(index)[1] for index in range(25)]
+        service = [composer.compose_service(index)[1] for index in range(5)]
+        assert [plan.label for plan in pipeline[0]] == [
+            "split[4:process cuts=[2, 3]]",
+            "kill[4:process batch=1 shard=1]",
+            "heal[4:process batch=1 shard=1]",
+            "poison[2:serial name=alert_login_normal]",
+            "poison[2:process name=alert_login_normal]",
+            "shm-kill[4:process batch=1 shard=1]",
+        ]
+        assert [plan.label for plan in service[0]] == [
+            "disconnect[2:serial event=5]",
+            "reshard-kill[3:process batch=2 shard=0 ->4]",
+            "shed[2:serial batch=4]",
+        ]
+        assert (
+            hashlib.sha256(repr(pipeline).encode()).hexdigest()
+            == "fc685fe7390b4ca87cadf0cec3a56b27c1fd13e166837d947c43844833de7590"
+        )
+        assert (
+            hashlib.sha256(repr(service).encode()).hexdigest()
+            == "7137cc426146a7bd53454f7d2728d0fc2a4625c07cb4e56b9d1c431985f435b0"
+        )
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_pinned_campaign_passes_every_leg(self, index, tmp_path):
@@ -129,24 +195,42 @@ class TestChaosOracleGate:
             kinds.update(plan.kind for plan in plans)
         assert kinds >= set(SERVICE_FAULT_KINDS)
 
-    def test_oracle_rejects_an_unobserved_kill(self, tmp_path):
-        """Negative control: if the fault never fires, the leg must FAIL."""
-        composer = ChaosComposer(0, target_alerts=100)
-        campaign, plans = composer.compose(0)
-        kill = next(plan for plan in plans if plan.kind == "kill")
-        never_fires = dataclasses.replace(kill, kill_batch=10**6)
-        verdict = ChaosOracle(workdir=tmp_path).run(campaign, [never_fires])
-        assert not verdict.ok
-        assert any("never surfaced" in str(f) for f in verdict.failures)
+    def test_every_pipeline_row_has_a_sabotage(self):
+        assert {kind for kind, _, _ in SABOTAGED_ROWS} == set(FAULT_KINDS) - set(
+            SERVICE_FAULT_KINDS
+        )
 
-    def test_oracle_rejects_an_exhausted_heal(self, tmp_path):
-        """Negative control: zero restart budget makes the heal leg fail."""
-        composer = ChaosComposer(0, target_alerts=100)
-        campaign, plans = composer.compose(0)
-        heal = next(plan for plan in plans if plan.kind == "heal")
-        no_budget = dataclasses.replace(heal, max_restarts=0)
-        verdict = ChaosOracle(workdir=tmp_path).run(campaign, [no_budget])
+    @pytest.mark.parametrize(
+        "kind, sabotage, complaint",
+        SABOTAGED_ROWS,
+        ids=[f"{kind}-{sabotage.__name__.strip('_')}" for kind, sabotage, _ in SABOTAGED_ROWS],
+    )
+    def test_a_sabotaged_plan_fails_its_row(
+        self, kind, sabotage, complaint, tmp_path, monkeypatch
+    ):
+        """Negative controls: a fault that never fires, a zero restart
+        budget, a restore from the wrong cut must each make that row
+        FAIL, with the expectation that caught it named."""
+        campaign, plans = ChaosComposer(0, target_alerts=100).compose(0)
+        plan = next(plan for plan in plans if plan.kind == kind)
+        oracle = ChaosOracle(workdir=tmp_path)
+        broken = sabotage(plan, campaign=campaign, oracle=oracle, monkeypatch=monkeypatch)
+        verdict = oracle.run(campaign, [broken])
         assert not verdict.ok
+        assert any(complaint in str(f) for f in verdict.failures), [
+            str(f) for f in verdict.failures
+        ]
+
+    def test_default_workdir_is_removed_with_the_oracle(self):
+        """``ChaosOracle()`` owns its checkpoint directory: nothing of a
+        default-constructed run may outlive it."""
+        campaign, plans = ChaosComposer(0, target_alerts=100).compose(0)
+        split = [plan for plan in plans if plan.kind == "split"]
+        with ChaosOracle() as oracle:
+            workdir = oracle.workdir
+            assert oracle.run(campaign, split).ok
+            assert list(workdir.glob("split-*.ckpt"))
+        assert not workdir.exists()
 
 
 class TestSupervisedHealing:

@@ -11,6 +11,7 @@ and the shrinker's reduction guarantees.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import zlib
 
@@ -25,6 +26,7 @@ from repro.fuzz import (
     DifferentialOracle,
     OracleConfig,
     RAW_CAPABLE_NAMES,
+    REFERENCE_CONFIG,
     alerts_to_zeek_records,
     full_matrix,
     quick_matrix,
@@ -122,15 +124,31 @@ class TestDifferentialOracle:
         assert verdict.reference.counters["filtered_alerts"] > 0
 
     def test_matrix_shapes(self):
-        # engines (2) x shard counts (3) x backends (2) x drivers (3).
+        # The reference, plus engines (2) x shard counts (3) x backends
+        # (2) x stream drivers (2): per-event ``sync`` is a one-batch
+        # ``alert_stream`` call, so only the reference keeps it.
         matrix = full_matrix()
-        assert len(matrix) == 36
-        labels = {config.label for config in matrix}
-        assert len(labels) == 36
-        assert {config.engine for config in matrix} == {"streaming", "naive"}
-        assert OracleConfig.parse("naive:4:process:raw_stream") in matrix
-        assert sum(1 for c in matrix if c.backend == "process") == 18
+        assert len(matrix) == len({config.label for config in matrix}) == 25
+        assert [c for c in matrix if c.driver == "sync"] == [REFERENCE_CONFIG]
+        for engine, shards, backend in itertools.product(
+            ("streaming", "naive"), (1, 2, 4), ("serial", "process")
+        ):
+            drivers = {
+                c.driver
+                for c in matrix
+                if (c.engine, c.n_shards, c.backend) == (engine, shards, backend)
+            }
+            assert drivers >= {"alert_stream", "raw_stream"}
         assert all(OracleConfig.parse(config.label) == config for config in matrix)
+        assert set(quick_matrix()) <= set(matrix)
+
+    def test_sync_is_still_a_legal_driver_off_the_reference(self):
+        config = OracleConfig.parse("streaming:2:process:sync")
+        assert config not in full_matrix()
+        campaign = CampaignComposer(2, target_alerts=80).compose(0)
+        verdict = DifferentialOracle([config]).run(campaign)
+        assert verdict.configs_run == 1
+        assert verdict.ok, "\n".join(str(d) for d in verdict.divergences)
 
     @pytest.mark.parametrize(
         "spec", ["naive:4:process:raw_stream:shm", "streaming:2:process:sync:pickle"]

@@ -165,6 +165,17 @@ class TestOverlapEquivalence:
         assert stats.detection_seconds > 0.0
         assert stats.response_seconds == stats.stage_seconds["respond"]
 
+    @pytest.mark.parametrize("backend, depth", [("serial", 1), ("process", 2)])
+    def test_default_depth_follows_the_backend(self, backend, depth):
+        """The depth rule lives in the constructor: a process shard
+        earns a second batch in flight, a serial one computes inside
+        the submit.  An explicit value is honoured on either backend."""
+        with fresh_pipeline(2, backend) as pipeline:
+            assert pipeline.max_inflight == depth
+            assert pipeline.detector_pools["factor_graph"].max_inflight == depth
+        with TestbedPipeline(n_shards=2, shard_backend=backend, max_inflight=3) as deep:
+            assert deep.max_inflight == 3
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_empty_and_single_batch_streams(self, backend):
         with fresh_pipeline(2, backend) as pipeline:
