@@ -80,9 +80,9 @@ COMPARED_COUNTERS = (
     "blocked_sources",
     "normalization_drop_rate",
     "filter_reduction",
-    # Deterministic drop accounting (a pure function of mirror buffer
-    # configuration and the stream; the oracle pipelines run unbounded
-    # mirrors, so both sides must report zero).
+    # Deterministic drop accounting (only admission control sheds, and
+    # the oracle pipelines run without it, so both sides must report
+    # zero).
     "dropped_raw",
     "dropped_alerts",
 )

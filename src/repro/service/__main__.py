@@ -26,14 +26,18 @@ from .admission import AdmissionLimits
 from .server import DetectionService, ServiceConfig
 
 #: Generation-0 threshold of the service process.  What the service
-#: retains between batches (mirror buffers, tracks, detections, the
-#: response log) is acyclic and only grows, so a cyclic collection
-#: frees nothing and walks everything retained.  Replaying 153 600
+#: retains between batches (tracks, detections, the response log) is
+#: acyclic, and what a batch allocates (decoded records, alerts, their
+#: containers) is acyclic and dead by the ack, so a cyclic collection
+#: frees nothing that reference counting has not.  Replaying 153 600
 #: scan-flood records in-process, CPython's default (700, 10, 10) runs
-#: ~3 young collections per 512-record batch and 7 full ones (~40 ms
-#: each over ~200 k live objects): 0.35 s of 2.3 s inside the
-#: collector.  This threshold -- a few batches' transient containers --
-#: with the start-up heap frozen runs no full collection there: 0.08 s.
+#: ~3 young collections per 512-record batch and 6 full ones over the
+#: start-up heap: 0.13 s of 1.5 s inside the collector.  This
+#: threshold -- a few batches' transient containers -- with the
+#: start-up heap frozen runs one collection there: 0.006 s.  End to
+#: end (``benchmarks/e2e``, alternating pairs, ``norm_inputs_per_s``
+#: without -> with): ``raw_scan_flood`` 54.9k -> 62.1k, 7 of 10;
+#: ``entity_churn`` 32.8k -> 39.3k, 3 of 3.
 GC_GEN0_THRESHOLD = 20_000
 
 

@@ -101,26 +101,30 @@ class DeadLetterJournal:
     Every entry records why (``reason``), what kind of payload
     (``kind``), and the full payload itself, so a post-incident replay
     can reconstruct exactly what the service declined to process.
-    With no path the journal is memory-only (tests, ephemeral runs).
+    With a path the journal writes through to the file and keeps only
+    :attr:`count` -- a service sheds exactly when memory matters, so it
+    must not hold a second copy of everything it declined (read the
+    file back with :meth:`read`).  With no path the journal is
+    memory-only and :attr:`entries` is the record (tests, ephemeral
+    runs).
     """
 
     def __init__(self, path: Optional[Path] = None) -> None:
         self.path = Path(path) if path is not None else None
         self.entries: List[dict] = []
+        self.count = 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def record(self, reason: str, kind: str, payload: Any) -> None:
         """Append one dead-lettered payload."""
         entry = {"reason": reason, "kind": kind, "payload": payload}
-        self.entries.append(entry)
-        if self.path is not None:
+        self.count += 1
+        if self.path is None:
+            self.entries.append(entry)
+        else:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
 
     @staticmethod
     def read(path: Path) -> List[dict]:

@@ -681,10 +681,11 @@ class TestbedPipeline:
             "response_seconds": self.stats.response_seconds,
             # Load-shedding and fault-domain accounting: the one place
             # admission control and operators read drop/recovery state.
-            # The dropped counters are deterministic (a pure function of
-            # buffer configuration and the stream) and compared by the
-            # differential oracle; the recovery/reshard ops counters are
-            # run-dependent and excluded.
+            # The dropped counters move only when the service's
+            # admission controller sheds before publication, so they are
+            # deterministic for an offline replay (zero) and compared by
+            # the differential oracle; the recovery/reshard ops counters
+            # are run-dependent and excluded.
             "dropped_raw": float(self.mirror.stats.dropped_raw),
             "dropped_alerts": float(self.mirror.stats.dropped_alerts),
             "recovery_attempts": float(
@@ -769,9 +770,9 @@ class TestbedPipeline:
         """Atomically persist the pipeline's full state to ``path``.
 
         Snapshots every detector pool's per-entity state (pickled via
-        the detectors' own ``__getstate__``), the response/BHR/mirror
-        records, ``PipelineStats``, pending raw records, and the
-        in-flight high-water mark, such that a pristine equal-config
+        the detectors' own ``__getstate__``), the response/BHR records
+        and mirror counters, ``PipelineStats``, pending raw records, and
+        the in-flight high-water mark, such that a pristine equal-config
         pipeline :meth:`restore`\\ d from the file replays the remaining
         stream to bit-identical detections, logs, and counters.
         Returns the checkpoint size in bytes.  Refuses to run with

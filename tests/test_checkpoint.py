@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core import AttackTagger
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE
+from repro.telemetry import ZeekMonitor
 from repro.testbed import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -211,6 +212,84 @@ class TestPipelineCheckpointRestore:
             restored.restore(original)
             restored.checkpoint(again)
         assert original.read_bytes() == again.read_bytes()
+
+
+def _scan_batches(n_batches: int, *, targets: int = 16) -> list[list]:
+    """Pure mass-scanner traffic: one source, unanswered S0 probes.
+
+    Every batch sweeps ``targets`` distinct nodes, so the scan filter
+    suppresses the source and nothing reaches a detector.
+    """
+    batches, step = [], 0
+    for _ in range(n_batches):
+        batch = []
+        for node in range(targets):
+            zeek = ZeekMonitor(f"node{node:02d}")
+            zeek.record_connection(
+                float(step), "203.0.113.9", 40000 + node, f"10.1.0.{node}", 22,
+                conn_state="S0",
+            )  # fmt: skip
+            batch.extend(zeek.records)
+            step += 1
+        batches.append(batch)
+    return batches
+
+
+class TestCheckpointHoldsStateNotTraffic:
+    """The mirror forwards and counts; a checkpoint carries no traffic."""
+
+    def test_size_does_not_grow_with_suppressed_traffic(self, tmp_path):
+        sizes = []
+        for n_batches in (4, 40):
+            with _build_pipeline() as pipeline:
+                assert pipeline.ingest_raw_stream(_scan_batches(n_batches)) == []
+                summary = pipeline.summary()
+                assert summary["raw_records"] == 16 * n_batches
+                assert summary["filtered_alerts"] == 0
+                sizes.append(pipeline.checkpoint(tmp_path / f"{n_batches}.ckpt"))
+        # Ten times the traffic may widen a handful of pickled integer
+        # counters (1 -> 2 -> 4 payload bytes each); nothing else moves.
+        assert abs(sizes[1] - sizes[0]) <= 32, sizes
+
+    def test_legacy_mirror_payload_restores_like_the_new_one(self, tmp_path):
+        # A version-1 checkpoint written when the mirror still archived
+        # what it carried: the two buffer lists and the bound are ignored.
+        stream = _mixed_stream(length=160)
+        raw_seen, alerts_seen = [], []
+        with _build_pipeline() as reference:
+            reference.mirror.subscribe_raw(raw_seen.append)
+            reference.mirror.subscribe_alerts(alerts_seen.append)
+            reference.ingest_raw_stream(_scan_batches(2))
+            reference.ingest_alerts(stream[:80])
+            payload = reference._checkpoint_payload()
+            assert set(payload["mirror"]) == {"stats"}
+            legacy = dict(
+                payload,
+                mirror={
+                    "max_buffer": None,
+                    "stats": payload["mirror"]["stats"],
+                    "raw_buffer": raw_seen,
+                    "alert_buffer": alerts_seen,
+                },
+            )
+            assert raw_seen and alerts_seen
+            reference.checkpoint(tmp_path / "new.ckpt")
+            write_checkpoint(tmp_path / "legacy.ckpt", legacy)
+        outcomes = []
+        for shape in ("new", "legacy"):
+            with _build_pipeline() as restored:
+                restored.restore(tmp_path / f"{shape}.ckpt")
+                restored.checkpoint(tmp_path / f"{shape}.again.ckpt")
+                tail = restored.ingest_alerts(stream[80:])
+                outcomes.append(
+                    (tail, list(restored.detections), _counters(restored),
+                     restored.mirror.stats)
+                )  # fmt: skip
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2]["detections"] > 0
+        assert (tmp_path / "legacy.again.ckpt").read_bytes() == (
+            tmp_path / "new.again.ckpt"
+        ).read_bytes()
 
 
 class TestRestoreMisuse:

@@ -277,6 +277,18 @@ class TestAdmission:
             BENIGN_NAMES[1],
         ]
 
+    def test_a_journal_with_a_path_writes_through_and_keeps_no_copy(self, tmp_path):
+        path = tmp_path / "dead.jsonl"
+        journal = DeadLetterJournal(path)
+        for index in range(5):
+            journal.record("shed-raw", "raw", {"index": index})
+        assert journal.entries == [] and journal.count == 5
+        assert [e["payload"]["index"] for e in DeadLetterJournal.read(path)] == list(range(5))
+        # Memory-only journals (no path) keep their entries, as before.
+        ephemeral = DeadLetterJournal()
+        ephemeral.record("shed-raw", "raw", {"index": 0})
+        assert ephemeral.count == 1 and len(ephemeral.entries) == 1
+
     def test_shed_raw_drops_whole_batch(self):
         mirror = TrafficMirror()
         controller = AdmissionController(mirror=mirror)
@@ -446,6 +458,22 @@ class TestServiceSocket:
         assert len(entries) == 6
         assert {e["reason"] for e in entries} == {"shed-low-priority"}
 
+    def test_stats_counts_dead_letters_the_service_no_longer_holds(self, tmp_path):
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        dead_letter = tmp_path / "dead.jsonl"
+        handle = start_service_in_thread(
+            _serial_factory(campaign), ServiceConfig(dead_letter_path=dead_letter)
+        )
+        record = RawLogRecord(1.0, MonitorKind.SYSLOG, "h", "m")
+        with handle, handle.client() as client:
+            client.throttle("shed-raw")
+            assert client.send_raw([record] * 4)["shed"] == 4
+            stats = client.stats()
+        assert stats["dead_letter_records"] == 4
+        assert stats["pipeline"]["dropped_raw"] == 4.0
+        assert handle.service.dead_letter.entries == []
+        assert len(DeadLetterJournal.read(dead_letter)) == 4
+
     def test_reject_mode_raises_typed_overload(self):
         campaign = CampaignComposer(1, target_alerts=40).compose(0)
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
@@ -599,12 +627,13 @@ class TestServiceSocket:
         )
         campaign = CampaignComposer(1, target_alerts=40).compose(0)
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        alerts: list[Alert] = []
         with handle, handle.client() as client:
+            handle.pipeline.mirror.subscribe_alerts(alerts.append)
             ack = client.send_raw([good_a, malformed, good_b])
             assert ack["tier"] == "admit" and ack["admitted"] == 3
             client.drain()
             stats = client.stats()
-            alerts = list(handle.pipeline.mirror.alert_buffer)
         assert [(a.name, a.source_ip) for a in alerts] == [
             ("alert_db_port_probe", "1.2.3.4"),
             ("alert_db_port_probe", "5.6.7.8"),

@@ -471,7 +471,7 @@ class TestResponderAndPipeline:
 
 
 class TestTrafficMirrorBuffers:
-    """Bounded-buffer eviction is O(1) and every drop is counted."""
+    """The mirror is a bus: it counts, delivers, and keeps nothing."""
 
     def _raw_record(self, timestamp: float):
         from repro.telemetry import SyslogMonitor
@@ -481,101 +481,78 @@ class TestTrafficMirrorBuffers:
         return monitor.records[0]
 
     def test_unbounded_mirror_never_drops(self):
+        # Publishing never moves dropped_*: those are the ledger the
+        # service's admission controller writes when it sheds.
         from repro.testbed import TrafficMirror
 
         mirror = TrafficMirror()
         for index in range(100):
             mirror.publish_alert(Alert(float(index), "alert_port_scan", "host:h0"))
-        assert len(mirror.alert_buffer) == 100
-        assert mirror.stats.dropped_alerts == 0
-        assert mirror.stats.dropped_raw == 0
-
-    def test_saturated_raw_buffer_counts_every_drop(self):
-        from repro.testbed import TrafficMirror
-
-        mirror = TrafficMirror(max_buffer=10)
-        for index in range(25):
             mirror.publish_raw(self._raw_record(float(index)))
-        assert len(mirror.raw_buffer) == 10
-        # 25 published, 10 retained: all 15 evictions counted, not one
-        # per trim.
-        assert mirror.stats.dropped_raw == 15
-        assert mirror.stats.raw_records == 25
-        # The retained window is the newest records.
-        assert mirror.raw_buffer[0].timestamp == 15.0
-        assert mirror.raw_buffer[-1].timestamp == 24.0
+        assert dataclasses.asdict(mirror.stats) == {
+            "raw_records": 100, "alerts": 100, "dropped_raw": 0, "dropped_alerts": 0,
+        }
 
-    def test_saturated_alert_buffer_counts_drops_too(self):
+    def test_the_mirror_has_no_store(self):
         from repro.testbed import TrafficMirror
 
-        mirror = TrafficMirror(max_buffer=4)
-        for index in range(9):
-            mirror.publish_alert(Alert(float(index), "alert_port_scan", "host:h0"))
-        # Alert-buffer drops used to be invisible; now they are counted.
-        assert mirror.stats.dropped_alerts == 5
-        assert [alert.timestamp for alert in mirror.alert_buffer] == [5.0, 6.0, 7.0, 8.0]
+        with pytest.raises(TypeError):
+            TrafficMirror(max_buffer=1)
+        mirror = TrafficMirror()
+        mirror.publish_alert(Alert(0.0, "alert_port_scan", "host:h0"))
+        for name in ("raw_buffer", "alert_buffer", "max_buffer"):
+            assert not hasattr(mirror, name)
+        assert set(mirror.snapshot_state()) == {"stats"}
 
     def test_subscribers_see_dropped_items(self):
+        # Every subscriber sees every item, record-major: an item
+        # reaches all subscribers before the next item reaches any.
         from repro.testbed import TrafficMirror
 
-        mirror = TrafficMirror(max_buffer=2)
-        seen: list[float] = []
-        mirror.subscribe_alerts(lambda alert: seen.append(alert.timestamp))
-        for index in range(6):
-            mirror.publish_alert(Alert(float(index), "alert_port_scan", "host:h0"))
-        # Bounding the retention buffer never affects delivery.
-        assert seen == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        assert len(mirror.alert_buffer) == 2
+        mirror = TrafficMirror()
+        seen: list[tuple[str, float]] = []
+        mirror.subscribe_alerts(lambda alert: seen.append(("first", alert.timestamp)))
+        mirror.subscribe_alerts(lambda alert: seen.append(("second", alert.timestamp)))
+        mirror.publish_alerts(
+            Alert(float(index), "alert_port_scan", "host:h0") for index in range(3)
+        )
+        assert seen == [
+            (who, float(index)) for index in range(3) for who in ("first", "second")
+        ]
 
     @pytest.mark.parametrize("kind", ["raw", "alerts"])
-    @pytest.mark.parametrize("bound", ["none", 0, 1, "n-1", "n", "n+1"])
-    def test_bulk_publish_equals_a_single_publish_loop(self, kind, bound):
+    def test_bulk_publish_equals_a_single_publish_loop(self, kind):
         from repro.testbed import TrafficMirror
 
         n = 7
-        max_buffer = {"none": None, "n-1": n - 1, "n": n, "n+1": n + 1}.get(bound, bound)
         if kind == "raw":
             items = [self._raw_record(float(i)) for i in range(2 * n + 3)]
         else:
             items = [Alert(float(i), "alert_port_scan", f"host:h{i}") for i in range(2 * n + 3)]
 
         def drive(bulk: bool):
-            mirror = TrafficMirror(max_buffer=max_buffer)
-            one, many, subscribe, buffer = (
-                (mirror.publish_raw, mirror.publish_raw_many, mirror.subscribe_raw, mirror.raw_buffer)
+            mirror = TrafficMirror()
+            one, many, subscribe = (
+                (mirror.publish_raw, mirror.publish_raw_many, mirror.subscribe_raw)
                 if kind == "raw"
-                else (mirror.publish_alert, mirror.publish_alerts, mirror.subscribe_alerts, mirror.alert_buffer)
+                else (mirror.publish_alert, mirror.publish_alerts, mirror.subscribe_alerts)
             )
             calls: list[tuple[str, float]] = []
             subscribe(lambda item: calls.append(("first", item.timestamp)))
             subscribe(lambda item: calls.append(("second", item.timestamp)))
-            # Three publishes: into an empty buffer, into a part-full
-            # one (an iterator, not a sequence), and an empty batch.
+            # Three publishes: a sequence, an iterator, and an empty batch.
             for chunk in (items[:n], iter(items[n:]), []):
                 if bulk:
                     many(chunk)
                 else:
                     for item in chunk:
                         one(item)
-            return list(buffer), dataclasses.asdict(mirror.stats), calls
+            return dataclasses.asdict(mirror.stats), calls
 
         looped, bulk = drive(bulk=False), drive(bulk=True)
         assert bulk == looped
-        assert looped[2][:4] == [("first", 0.0), ("second", 0.0), ("first", 1.0), ("second", 1.0)]
-        published = looped[1]["raw_records" if kind == "raw" else "alerts"]
+        assert looped[1][:4] == [("first", 0.0), ("second", 0.0), ("first", 1.0), ("second", 1.0)]
+        assert len(looped[1]) == 2 * len(items)
+        published = looped[0]["raw_records" if kind == "raw" else "alerts"]
         assert published == len(items)
-        if max_buffer is not None:
-            dropped = looped[1]["dropped_raw" if kind == "raw" else "dropped_alerts"]
-            assert dropped == len(items) - min(len(items), max_buffer)
-
-    def test_max_buffer_is_read_only(self):
-        from repro.testbed import TrafficMirror
-
-        mirror = TrafficMirror(max_buffer=5)
-        assert mirror.max_buffer == 5
-        assert TrafficMirror().max_buffer is None
-        # The bound is the deques' maxlen, fixed at construction; a
-        # silent post-hoc assignment (which the old list-based trim
-        # honoured) must fail loudly instead of doing nothing.
-        with pytest.raises(AttributeError):
-            mirror.max_buffer = 10
+        assert looped[0]["dropped_raw"] == looped[0]["dropped_alerts"] == 0
