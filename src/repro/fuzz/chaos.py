@@ -46,7 +46,7 @@ plan stream):
     frame is discarded, and a second client finishes the stream.
 ``reshard-kill``
     A shard worker is SIGKILLed, then a live N->M reshard is requested
-    over the socket: the harvest heals the corpse parent-side.
+    over the socket: the harvest round heals the corpse on the way.
 ``shed``
     Admission is forced to ``reject``; the client's replay after
     reopening delivers the stream complete and in order (lossless).
@@ -414,8 +414,8 @@ class ChaosComposer:
         ``reshard-kill``
             A shard worker is SIGKILLed between batches, then a live
             N->M reshard is requested over the socket: the harvest
-            phase must heal the dead worker parent-side (snapshot +
-            replay-log rebuild), the reshard completes, and the full
+            round must heal the dead worker (its carrier respawns
+            and replays it), the reshard completes, and the full
             stream stays bit-identical.
         ``shed``
             Admission is forced to ``reject`` just before a chosen
@@ -607,8 +607,7 @@ def _kill_then_reshard(leg: _Leg, point: str, index: int) -> None:
     """Quiesce, crash a worker, reshard over the socket.
 
     The drain makes the kill land between batches; the reshard's
-    harvest phase then finds the corpse and must rebuild its replica
-    parent-side.
+    harvest round then finds the corpse and its carrier must heal it.
     """
     if (point, index) != ("after", leg.plan.kill_batch):
         return

@@ -81,6 +81,7 @@ from .protocol import (
     error_response,
     ok_response,
     parse_request,
+    raw_record_to_dict,
     serialize_results,
 )
 from .resharding import ReshardCoordinator
@@ -469,16 +470,7 @@ class DetectionService:
         payload = {
             "kind": item.kind,
             "alerts": [a.to_dict() for a in item.alerts],
-            "records": [
-                {
-                    "timestamp": r.timestamp,
-                    "monitor": r.monitor.value,
-                    "host": r.host,
-                    "message": r.message,
-                    "fields": dict(r.fields),
-                }
-                for r in item.records
-            ],
+            "records": [raw_record_to_dict(r) for r in item.records],
             "error": f"{type(exc).__name__}: {exc}",
         }
         self.dead_letter.record("detection-failure", "batch", payload)

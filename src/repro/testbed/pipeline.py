@@ -124,7 +124,7 @@ class TestbedPipeline:
         :class:`~repro.testbed.sharding.ShardedDetectorPool` running
         them.  Call :meth:`close` (or use the pipeline as a context
         manager) to shut worker processes down.
-    restart_policy / max_restarts / backoff_base / snapshot_every:
+    restart_policy / max_restarts / backoff_base:
         Worker-death supervision for process-backed pools, passed
         through to :class:`~repro.testbed.sharding.ShardedDetectorPool`
         -- ``"raise"`` (default) surfaces deaths as typed errors;
@@ -170,7 +170,6 @@ class TestbedPipeline:
         restart_policy: str = "raise",
         max_restarts: int = 3,
         backoff_base: float = 0.05,
-        snapshot_every: int = 1,
         transport: str = "shm",
         max_inflight: Optional[int] = None,
         ring_capacity: Optional[int] = None,
@@ -197,7 +196,6 @@ class TestbedPipeline:
         self.restart_policy = restart_policy
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
-        self.snapshot_every = int(snapshot_every)
         self.max_inflight = int(max_inflight)
         self.ring_capacity = ring_capacity
         templates: dict[str, Detector] = detectors or {
@@ -258,7 +256,6 @@ class TestbedPipeline:
             restart_policy=self.restart_policy,
             max_restarts=self.max_restarts,
             backoff_base=self.backoff_base,
-            snapshot_every=self.snapshot_every,
             max_inflight=self.max_inflight,
             **extra,
         )
@@ -739,7 +736,6 @@ class TestbedPipeline:
             "config": self._checkpoint_config(),
             "stats": self.stats,
             "detections": list(self.detections),
-            "inflight_high_water": self.detection_stage.inflight_high_water,
             "pending_raw": list(self._pending_raw),
             "responder": {
                 "notifications": list(self.responder.notifications),
@@ -771,10 +767,10 @@ class TestbedPipeline:
 
         Snapshots every detector pool's per-entity state (pickled via
         the detectors' own ``__getstate__``), the response/BHR records
-        and mirror counters, ``PipelineStats``, pending raw records, and
-        the in-flight high-water mark, such that a pristine equal-config
-        pipeline :meth:`restore`\\ d from the file replays the remaining
-        stream to bit-identical detections, logs, and counters.
+        and mirror counters, ``PipelineStats`` and pending raw records,
+        such that a pristine equal-config pipeline :meth:`restore`\\ d
+        from the file replays the remaining stream to bit-identical
+        detections, logs, and counters.
         Returns the checkpoint size in bytes.  Refuses to run with
         detection batches in flight (the snapshot would be neither
         before nor after them).
@@ -842,7 +838,6 @@ class TestbedPipeline:
         # detector is the caller's instance).
         self.stats = payload["stats"]
         self.detections[:] = payload["detections"]
-        self.detection_stage.inflight_high_water = payload["inflight_high_water"]
         self._pending_raw[:] = payload["pending_raw"]
         responder_state = payload["responder"]
         self.responder.notifications[:] = responder_state["notifications"]

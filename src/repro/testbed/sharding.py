@@ -38,8 +38,8 @@ of that protocol and nothing more:
 
 The pool drives both through the same ``send``/``receive`` pair and
 never asks which kind it holds; what differs between the backends is
-which carrier gets built, that only a process can die (supervision),
-and that ``close()`` leaves a serial pool usable.
+which carrier gets built and that ``close()`` leaves a serial pool
+usable.
 
 **One wire.**  How a sub-batch crosses the process boundary is private
 to :meth:`_ProcessShard.send`: the batch is packed into columns and
@@ -49,6 +49,25 @@ length, seq)`` descriptor crosses the pipe.  Bytes that do not fit the
 ring travel on the pipe instead, and a batch the codec cannot express
 travels as pickled columns -- each the only path for some input, both
 counted in ``shm_fallbacks``.  There is no transport option.
+
+**One recovery.**  Only a process can die, so what happens then is
+private to :class:`_ProcessShard` too.  Under
+``restart_policy="raise"`` the ``receive`` that meets the corpse
+returns ``("dead", detail)`` and the pool raises
+:class:`ShardWorkerError`.  Under ``"restore"`` the carrier keeps the
+shard's recoverable image -- the last ``snapshot`` blob, the
+state-changing messages answered since it, and the payloads of the
+messages still unanswered -- and that same ``receive`` heals: respawn
+(exponential backoff, ``max_restarts`` per shard), ``restore`` the
+blob, re-``send`` the log and the unanswered messages in order, record
+a :class:`RecoveryEvent`, and return the fresh worker's reply to the
+message the caller was waiting on -- an ``observe``, a checkpoint's
+``snapshot``, a ``restore``, a ``reset`` or a ``reset_entity`` alike.
+A spent budget reads back as ``("unrecovered", detail)``, raised as
+:class:`ShardRecoveryError`.  The log is folded into a fresh snapshot
+whenever the worker owes nothing, and at the latest when it reaches
+:data:`REPLAY_LOG_LIMIT` messages.  Draining for shutdown (a
+``receive`` with a timeout: ``close``, ``reopen``) never heals.
 
 **Non-blocking fan-out.**  ``observe_batch`` is sugar over the
 two-phase :meth:`ShardedDetectorPool.submit_batch` /
@@ -175,8 +194,8 @@ class ReshardEvent:
     alerts_routed_before: int
     busy_seconds_before: float
     kernel_seconds_before: float
-    #: Shards whose worker was dead at harvest time and whose replica
-    #: was rebuilt parent-side from the recovery snapshot + replay log.
+    #: Shards whose worker was dead at harvest time and was healed by
+    #: its carrier during the harvest round (see the recovery log).
     rebuilt_shards: Tuple[int, ...]
     reshard_seconds: float
 
@@ -488,16 +507,49 @@ def _shard_worker_main(factory, connection, ring_name: str) -> None:
             ring.close()  # unmap only; the parent owns the unlink
 
 
+@dataclasses.dataclass(frozen=True)
+class _Recovery:
+    """What a process carrier heals with under ``restart_policy="restore"``.
+
+    ``restarts_used`` (one counter per shard) and ``log`` belong to the
+    pool and are shared by reference, so the consumed budget and the
+    audit trail outlive the carriers a :meth:`~ShardedDetectorPool
+    .reshard` replaces.
+    """
+
+    max_restarts: int
+    backoff_base: float
+    restarts_used: List[int]
+    log: RecoveryLog
+
+
+#: A supervised carrier folds its replay log into a fresh snapshot once
+#: log + unanswered messages reach this many.  Folding first finishes
+#: the replies the worker still owes, i.e. it blocks on the worker --
+#: so the limit sits well above what a 120-alert chaos campaign submits
+#: to one shard (13 batches and controls at most over the pinned
+#: seeds), and the SIGSTOP row of ``fuzz/chaos.py`` can never freeze
+#: inside that wait.
+REPLAY_LOG_LIMIT = 128
+
+
 class _ProcessShard:
-    """Process carrier: one worker process, its pipe, and its ring.
+    """Process carrier: one worker process, its pipe, its ring, its recovery.
 
     Owns everything the hop needs -- the shared-memory ring (created
-    here, unlinked by :meth:`close`), the FIFO of ring regions still in
-    transit and the descriptor sequence -- so "ring or pipe" is a
-    private decision of :meth:`send`, tallied into ``counts`` (keys
+    here, unlinked by :meth:`close`), the FIFO of unanswered messages
+    and the descriptor sequence -- so "ring or pipe" is a private
+    decision of :meth:`send`, tallied into ``counts`` (keys
     ``shm_batches``/``shm_fallbacks``; the pool passes its own).  Every
     ``send`` is answered by exactly one ``receive``, including a send a
     dead worker swallowed (its receive reports the death).
+
+    With a ``recovery`` (the ``restore`` policy) the carrier also keeps
+    the shard's recoverable image -- the last snapshot blob, the
+    state-changing messages answered since it (``_log``) and the
+    payloads of the unanswered ones -- and :meth:`receive` heals a dead
+    worker from it instead of reporting the death.  Without one (the
+    ``raise`` policy) no payload is retained and nothing below runs.
     """
 
     #: The replica lives in the worker process.
@@ -509,14 +561,23 @@ class _ProcessShard:
         factory,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         counts: Optional[collections.Counter] = None,
+        recovery: Optional[_Recovery] = None,
     ) -> None:
         self.index = index
         self._factory = factory
         self._counts = collections.Counter() if counts is None else counts
+        self._recovery = recovery
         self._seq = 0
-        #: One entry per unanswered message, oldest first: the ring
-        #: region it occupies, or ``None`` for a pipe-only message.
-        self._transit: Deque[Optional[Tuple[int, int]]] = collections.deque()
+        #: One ``(region, message)`` per unanswered message, oldest
+        #: first: the ring region it occupies (``None`` for a pipe-only
+        #: message) and, under ``restore`` only, its ``(verb, payload)``.
+        self._transit: Deque[tuple] = collections.deque()
+        #: Recovery image: pickled replica (``None`` = pristine factory
+        #: state) plus the state-changing messages answered since.
+        self._snapshot: Optional[bytes] = None
+        self._log: List[tuple] = []
+        #: Replies read early by :meth:`_fold`, for the receives that own them.
+        self._ready: Deque[Tuple[str, object]] = collections.deque()
         self.ring = ShardRing.create(ring_capacity)
         try:
             self._start()
@@ -563,13 +624,20 @@ class _ProcessShard:
         If the worker process is gone the pipe write fails -- the
         failure is swallowed (``False`` returned) so the caller's
         send-all loop completes, and the matching :meth:`receive`
-        reports the death as a ``("dead", ...)`` reply instead.
+        reports the death as a ``("dead", ...)`` reply (or heals it).
         """
+        if self._log and len(self._log) + len(self._transit) >= REPLAY_LOG_LIMIT:
+            self._fold()
+        return self._post(verb, payload)
+
+    def _post(self, verb: str, payload=None) -> bool:
+        """The wire path of :meth:`send` (a heal re-sends through it too)."""
         region = None
+        wire = payload
         if verb == "observe":
-            payload, region = self._wire(payload)
+            wire, region = self._wire(payload)
         try:
-            self.connection.send((verb, payload))
+            self.connection.send((verb, wire))
             delivered = True
         except OSError:
             # Only a *dead* worker may be swallowed -- its recv side
@@ -580,45 +648,169 @@ class _ProcessShard:
             if self.process.is_alive():
                 raise
             delivered = False
-        self._transit.append(region)
+        message = None if self._recovery is None else (verb, payload)
+        self._transit.append((region, message))
         return delivered
 
     def receive(self, timeout: Optional[float] = None) -> Tuple[str, object]:
-        """One status-tagged reply; a dead worker becomes a ``dead`` reply.
+        """The reply to the oldest unanswered message, status-tagged.
 
-        Translating ``EOFError`` (worker process gone without replying,
-        e.g. killed or ``os._exit``) into a ``("dead", detail)`` reply
-        here means every failure mode surfaces to callers through the
-        same status-tagged channel instead of a bare pipe error with
-        the root cause lost; callers map it to the typed
-        :class:`ShardWorkerError` (or heal the shard, under a
-        ``restore`` restart policy).  With ``timeout`` set the wait is
-        bounded: a wedged (alive but unresponsive) worker produces a
-        ``("timeout", detail)`` reply instead of blocking forever --
-        and releases nothing, since it may still read its ring region
-        later.  Any other reply means the worker has read (or will
-        never read) the oldest unanswered message, so the ring region
-        that message occupied is free again.
+        ``ok``/``error`` come from the handler.  A worker that is gone
+        without replying (killed, ``os._exit``) is the one place a
+        death is handled: under ``raise`` it becomes a ``("dead",
+        detail)`` reply, which callers map to the typed
+        :class:`ShardWorkerError`; under ``restore`` the worker is
+        healed (:meth:`_heal`) and the reply is the fresh worker's
+        answer to the same message, whatever its verb -- or
+        ``("unrecovered", detail)`` once the restart budget is spent.
+
+        With ``timeout`` set the caller is draining for shutdown: the
+        wait is bounded, a wedged (alive but unresponsive) worker
+        produces a ``("timeout", detail)`` reply instead of blocking
+        forever, and a death is reported, never healed.
         """
+        if self._ready:
+            return self._ready.popleft()
+        reply = self._next_reply(timeout)
+        if self._log and not self._transit and timeout is None:
+            self._fold()  # the worker owes nothing: the cheapest moment
+        return reply
+
+    def _read(self, timeout: Optional[float] = None) -> Tuple[str, object]:
+        """One reply off the pipe; ``EOFError`` becomes a ``dead`` reply."""
         try:
             if timeout is not None and not self.connection.poll(timeout):
                 return (
                     "timeout",
                     f"shard worker did not reply within {timeout:.1f}s",
                 )
-            reply = self.connection.recv()
+            return self.connection.recv()
         except (EOFError, OSError):
             self.process.join(timeout=1.0)
-            reply = (
+            return (
                 "dead",
                 f"shard worker process died without replying "
                 f"(exitcode {self.process.exitcode})",
             )
+
+    def _next_reply(self, timeout: Optional[float] = None) -> Tuple[str, object]:
+        """Read (healing if supervised) and settle the oldest unanswered message.
+
+        A ``timeout`` settles nothing -- the worker may still read its
+        ring region later.  Any other reply means the worker has read
+        (or will never read) the message, so its ring region is free
+        again, and an answered message joins the recovery image: a
+        ``snapshot`` or ``restore`` blob *is* the new snapshot, any
+        other verb changed the replica and is logged for replay (an
+        ``error`` reply too: the replay stops at the same alert).
+        """
+        reply = self._read(timeout)
+        if reply[0] == "timeout":
+            return reply
+        if reply[0] == "dead" and self._recovery is not None and timeout is None:
+            reply = self._heal(reply[1])
         if self._transit:
-            region = self._transit.popleft()
-            if region is not None:
-                self.ring.release(*region)
+            message = self._release()
+            if message is not None and reply[0] in ("ok", "error"):
+                verb, payload = message
+                if reply[0] == "ok" and verb in ("snapshot", "restore"):
+                    self._snapshot = reply[1] if verb == "snapshot" else payload
+                    self._log.clear()
+                elif verb != "snapshot":
+                    self._log.append(message)
         return reply
+
+    def _release(self) -> Optional[tuple]:
+        """Drop the oldest transit entry, freeing its ring region."""
+        region, message = self._transit.popleft()
+        if region is not None:
+            self.ring.release(*region)
+        return message
+
+    def _fold(self) -> None:
+        """Fold the replay log into a fresh snapshot of the replica.
+
+        The replies the worker still owes are read first and kept, in
+        order, for the :meth:`receive` calls that own them; the
+        ``snapshot`` reply then replaces the image (see
+        :meth:`_next_reply`).  Best-effort: if the snapshot fails the
+        old image still reconstructs the same state, just more slowly.
+        """
+        while self._transit:
+            self._ready.append(self._next_reply())
+        self._post("snapshot")
+        self._next_reply()
+
+    def _heal(self, death_detail: str) -> Tuple[str, object]:
+        """Respawn the dead worker and rebuild its state from the image.
+
+        Bounded by ``max_restarts`` with exponential backoff; every
+        attempt is recorded.  Returns the fresh worker's reply to the
+        oldest unanswered message, leaving the newer ones in transit
+        for the receives that own them, or ``("unrecovered", detail)``
+        once the budget is spent -- after which the image is dropped
+        (replaying it can never succeed) and every later receive
+        answers ``unrecovered`` at once.
+        """
+        recovery = self._recovery
+        used = recovery.restarts_used
+        owed = [message for _region, message in self._transit]
+        reply: Optional[Tuple[str, object]] = None
+        while reply is None and used[self.index] < recovery.max_restarts:
+            used[self.index] += 1
+            backoff = recovery.backoff_base * 2.0 ** (used[self.index] - 1)
+            if backoff > 0:
+                time.sleep(backoff)
+            started = time.perf_counter()
+            try:
+                self.restart()
+            except Exception:  # pragma: no cover - spawn failure
+                pass
+            else:
+                reply = self._replay(owed)
+            recovery.log.record(
+                RecoveryEvent(
+                    shard=self.index,
+                    attempt=used[self.index],
+                    backoff_seconds=backoff,
+                    resubmitted_batches=sum(
+                        verb == "observe" for verb, _ in self._log + owed
+                    ),
+                    death_detail=death_detail,
+                    healed=reply is not None,
+                    recovery_seconds=time.perf_counter() - started,
+                )
+            )
+        if reply is None:
+            self.ring.reset()
+            self._transit = collections.deque((None, message) for message in owed)
+            self._log.clear()
+            reply = ("unrecovered", death_detail)
+        return reply
+
+    def _replay(self, owed: List[tuple]) -> Optional[Tuple[str, object]]:
+        """Re-drive a fresh worker: snapshot, log, then the ``owed`` messages.
+
+        Everything goes through :meth:`_post`, so the new worker
+        decodes the exact bytes the dead one was sent.  The image is
+        replayed one message at a time (its replies mean nothing any
+        more); the owed messages go out together, as they were.
+        Returns the reply to the oldest of them, or ``None`` if the
+        fresh worker died too (the caller retries within the budget).
+        """
+        image = list(self._log)
+        if self._snapshot is not None:
+            image.insert(0, ("restore", self._snapshot))
+        for message in image:
+            self._post(*message)
+            status = self._read()[0]
+            self._release()
+            if status == "dead":
+                return None
+        for message in owed:
+            self._post(*message)
+        reply = self._read()
+        return None if reply[0] == "dead" else reply
 
     def restart(self) -> None:
         """Replace a dead worker with a fresh one on the same ring.
@@ -740,26 +932,23 @@ class ShardedDetectorPool:
     restart_policy:
         What worker death does to the pool (process backend only).
         ``"raise"`` (default): the death surfaces as a typed
-        :class:`ShardWorkerError` at collect time -- the pre-existing
-        contract.  ``"restore"``: the pool *supervises* its workers --
-        on death it respawns the worker with bounded exponential
-        backoff, restores the last per-shard detector snapshot, and
-        re-submits the lost in-flight sub-batches in FIFO order, so
-        the caller sees the same detections an uninterrupted run
-        produces; every restart is recorded in :attr:`recovery_log`.
+        :class:`ShardWorkerError` from whichever call reads the dead
+        shard's reply.  ``"restore"``: each process carrier heals its
+        own worker (see "One recovery" in the module docstring) -- it
+        respawns it with bounded exponential backoff, restores the
+        last snapshot and re-sends what the dead worker had been sent
+        since, so the caller sees the same results an uninterrupted
+        run produces, whichever operation met the corpse; every
+        restart is recorded in :attr:`recovery_log`.
         Deterministically fatal inputs (a sub-batch that kills the
         worker on every replay) burn through ``max_restarts`` and then
         raise :class:`ShardRecoveryError`.
     max_restarts:
-        Per-shard restart budget under ``restart_policy="restore"``.
+        Per-shard restart budget under ``restart_policy="restore"``,
+        for the pool's lifetime: only :meth:`reopen` refreshes it.
     backoff_base:
         First restart waits ``backoff_base`` seconds, each further
         attempt doubles it (exponential backoff).
-    snapshot_every:
-        Refresh a shard's recovery snapshot after this many observed
-        sub-batches since the last snapshot (``1`` = after every
-        collected batch; larger values trade snapshot cost for a
-        longer FIFO replay after a death).
     max_inflight:
         Declared pipelining depth: how many submitted-but-uncollected
         batches the driving layer should keep in flight per shard
@@ -789,7 +978,6 @@ class ShardedDetectorPool:
         restart_policy: str = "raise",
         max_restarts: int = 3,
         backoff_base: float = 0.05,
-        snapshot_every: int = 1,
         max_inflight: int = 1,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
@@ -803,8 +991,6 @@ class ShardedDetectorPool:
             raise ValueError("max_restarts must be >= 0")
         if backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if ring_capacity < 1:
@@ -814,12 +1000,23 @@ class ShardedDetectorPool:
         self.restart_policy = restart_policy
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
-        self.snapshot_every = int(snapshot_every)
         self.max_inflight = int(max_inflight)
         self.ring_capacity = int(ring_capacity)
         #: Every supervised worker recovery ever performed (survives
         #: reset/reopen: it is an operations log, not pool state).
         self.recovery_log = RecoveryLog()
+        #: Restarts each shard has consumed; pool-owned (like
+        #: ``_wire_counts``) so the budget outlives the carriers.
+        self._restarts_used: List[int] = [0] * self.n_shards
+        #: What the process carriers heal with (``None``: they don't).
+        self._recovery: Optional[_Recovery] = None
+        if restart_policy == "restore":
+            self._recovery = _Recovery(
+                self.max_restarts,
+                self.backoff_base,
+                self._restarts_used,
+                self.recovery_log,
+            )
         #: Every live N→M reshard ever performed (same ops-log status).
         self.reshard_log = ReshardLog()
         self.detector_factory = detector_factory
@@ -849,14 +1046,10 @@ class ShardedDetectorPool:
         #: serial carrier).
         self._workers: list = []
         self._pending: Deque[_PendingBatch] = collections.deque()
-        #: Most batches ever simultaneously in flight (submitted,
-        #: uncollected) -- checkpointed as service telemetry.
-        self.inflight_high_water = 0
         # What the process carriers shipped by ring / sent by pipe
         # instead, across every carrier generation (see shm_batches).
         self._wire_counts: collections.Counter = collections.Counter()
         self._closed = False
-        self._reset_supervision()
         self._replace_workers(self.n_shards)
 
     @classmethod
@@ -878,34 +1071,17 @@ class ShardedDetectorPool:
         """
         return cls(DetectorTemplate(detector), **options)
 
-    @property
-    def _supervised(self) -> bool:
-        """Whether worker deaths are healed instead of raised."""
-        return self.backend == "process" and self.restart_policy == "restore"
-
-    def _reset_supervision(self) -> None:
-        """Pristine supervision bookkeeping (fresh pool / reset / reopen).
-
-        ``_shard_snapshots[s]`` is the pickled detector state to
-        restore a respawned worker from (``None`` = pristine factory
-        state); ``_replay_log[s]`` holds the sub-batches observed since
-        that snapshot (acked and unacked), in FIFO order;
-        ``_unacked[s]`` counts replies the worker still owes.
-        """
-        self._shard_snapshots: List[Optional[bytes]] = [None] * self.n_shards
-        self._replay_log: List[Deque[List[Alert]]] = [
-            collections.deque() for _ in range(self.n_shards)
-        ]
-        self._unacked: List[int] = [0] * self.n_shards
-        self._restarts_used: List[int] = [0] * self.n_shards
-
     # -- carriers ------------------------------------------------------------
     def _build_worker(self, shard: int):
         """One carrier for ``shard``: the place the backend is decided."""
         if self.backend == "serial":
             return _LocalShard(shard, self.detector_factory)
         return _ProcessShard(
-            shard, self.detector_factory, self.ring_capacity, self._wire_counts
+            shard,
+            self.detector_factory,
+            self.ring_capacity,
+            self._wire_counts,
+            self._recovery,
         )
 
     def _retire_workers(self, timeout: float = 5.0) -> Tuple[str, ...]:
@@ -1075,18 +1251,11 @@ class ShardedDetectorPool:
         # actually on its way, so the telemetry stays truthful if the
         # send loop fails part-way.
         sent: List[int] = []
-        supervised = self._supervised
         try:
             for shard in active:
                 sub_batch = sub_batches[shard]
                 delivered = self._workers[shard].send("observe", sub_batch)
                 sent.append(shard)
-                if supervised:
-                    # Remember the sub-batch whether or not the send
-                    # reached a live worker: a swallowed send to a
-                    # dead worker is exactly what the heal replays.
-                    self._replay_log[shard].append(sub_batch)
-                    self._unacked[shard] += 1
                 if delivered:
                     self.alerts_routed[shard] += len(sub_batch)
         except BaseException:
@@ -1098,16 +1267,12 @@ class ShardedDetectorPool:
             # the original error.
             for shard in sent:
                 status, reply = self._workers[shard].receive()
-                if supervised and self._unacked[shard] > 0:
-                    self._unacked[shard] -= 1
                 if status == "ok":
                     self.busy_seconds[shard] += reply[1]
                     self.kernel_seconds[shard] += reply[2]
             raise
         ticket = _PendingBatch(positions, active)
         self._pending.append(ticket)
-        if len(self._pending) > self.inflight_high_water:
-            self.inflight_high_water = len(self._pending)
         return ticket
 
     def collect(self, ticket: Optional[_PendingBatch] = None) -> list[Detection]:
@@ -1132,7 +1297,7 @@ class ShardedDetectorPool:
         hits: List[Tuple[int, Detection]] = []
         error: Optional[ShardWorkerError] = None
         for shard in ticket.active:
-            status, result = self._receive_reply(shard)
+            status, result = self._workers[shard].receive()
             if status != "ok":
                 error = error or self._shard_error(shard, status, result)
                 continue
@@ -1145,9 +1310,6 @@ class ShardedDetectorPool:
             )
         if error is not None:
             raise error
-        if self._supervised:
-            for shard in ticket.active:
-                self._maybe_refresh_snapshot(shard)
         hits.sort(key=lambda item: item[0])
         merged = [detection for _, detection in hits]
         self._detections.extend(merged)
@@ -1184,144 +1346,6 @@ class ShardedDetectorPool:
             raise error
         return results
 
-    # -- supervised recovery ----------------------------------------------
-    def _receive_reply(self, shard: int) -> Tuple[str, object]:
-        """One observe reply for a shard, healing dead workers if supervised.
-
-        Returns the shard's status-tagged reply; under
-        ``restart_policy="restore"`` a ``dead`` reply triggers the
-        respawn/restore/replay loop and the returned reply is the
-        healed worker's answer for the same sub-batch.  ``unrecovered``
-        means the restart budget is exhausted.  Acknowledgement
-        bookkeeping for the supervision replay log happens here, so
-        every exit path stays consistent.
-        """
-        status, payload = self._workers[shard].receive()
-        if not self._supervised:
-            return status, payload
-        if status == "dead":
-            status, payload = self._heal_shard(shard, str(payload))
-        if status in ("ok", "error"):
-            # The worker replied: the oldest in-flight sub-batch is
-            # acknowledged (it stays in the replay log until the next
-            # snapshot refresh).
-            if self._unacked[shard] > 0:
-                self._unacked[shard] -= 1
-        else:
-            # Unrecovered death: nobody owes replies any more, and
-            # replaying this log can never succeed -- drop it so a
-            # caller that keeps driving the pool is not charged for it
-            # again.
-            self._replay_log[shard].clear()
-            self._unacked[shard] = 0
-        return status, payload
-
-    def _heal_shard(self, shard: int, death_detail: str) -> Tuple[str, object]:
-        """Respawn a dead worker and replay its lost in-flight sub-batches.
-
-        Bounded by ``max_restarts`` with exponential backoff.  On
-        success returns the healed worker's reply for the oldest
-        *unacknowledged* sub-batch (the one the caller is collecting);
-        already-acknowledged replayed batches only contribute busy
-        telemetry (their detections were merged before the death --
-        the worker genuinely redoes the work, so the busy seconds are
-        truthfully accumulated twice).  Returns ``("unrecovered",
-        detail)`` once the budget is exhausted.
-        """
-        worker = self._workers[shard]
-        while self._restarts_used[shard] < self.max_restarts:
-            attempt = self._restarts_used[shard] + 1
-            self._restarts_used[shard] = attempt
-            backoff = self.backoff_base * (2.0 ** (attempt - 1))
-            if backoff > 0:
-                time.sleep(backoff)
-            started = time.perf_counter()
-            reply: Optional[Tuple[str, object]] = None
-            try:
-                worker.restart()
-            except Exception:  # pragma: no cover - spawn failure
-                pass
-            else:
-                reply = self._replay_into(worker, shard)
-            self.recovery_log.record(
-                RecoveryEvent(
-                    shard=shard,
-                    attempt=attempt,
-                    backoff_seconds=backoff,
-                    resubmitted_batches=len(self._replay_log[shard]),
-                    death_detail=death_detail,
-                    healed=reply is not None,
-                    recovery_seconds=time.perf_counter() - started,
-                )
-            )
-            if reply is not None:
-                return reply
-        return ("unrecovered", death_detail)
-
-    def _replay_into(self, worker, shard: int) -> Optional[Tuple[str, object]]:
-        """Restore a respawned worker and re-drive the shard's replay log.
-
-        Restores the last snapshot (pristine factory state if none was
-        taken yet), re-submits every logged sub-batch in FIFO order --
-        through the same ``send`` as the original submission, so the
-        healed worker decodes the exact bytes the dead one was sent --
-        and consumes replies up to and including the oldest
-        unacknowledged one; replies for *newer* unacknowledged
-        sub-batches are left with the carrier for the collects that own
-        them.  Returns that reply, or ``None`` if the fresh worker died
-        too (the caller retries within the restart budget).
-        """
-        snapshot = self._shard_snapshots[shard]
-        if snapshot is not None:
-            if not worker.send("restore", snapshot):
-                return None
-            if worker.receive()[0] != "ok":
-                return None
-        log = self._replay_log[shard]
-        for sub_batch in log:
-            if not worker.send("observe", sub_batch):
-                return None
-        acked_replays = len(log) - self._unacked[shard]
-        for _ in range(acked_replays):
-            status, payload = worker.receive()
-            if status in ("dead", "timeout"):
-                return None
-            if status == "ok":
-                self.busy_seconds[shard] += payload[1]
-                self.kernel_seconds[shard] += payload[2]
-        status, payload = worker.receive()
-        if status in ("dead", "timeout"):
-            return None
-        return status, payload
-
-    def _maybe_refresh_snapshot(self, shard: int) -> None:
-        """Refresh a shard's recovery snapshot once it is safe and due.
-
-        Safe: the worker owes no replies (a snapshot taken with
-        observes still queued would not include them, yet the replay
-        log holding them would be cleared).  Due: ``snapshot_every``
-        sub-batches accumulated since the last snapshot.
-        """
-        if self._unacked[shard] != 0:
-            return
-        if len(self._replay_log[shard]) < self.snapshot_every:
-            return
-        self._refresh_snapshot_now(shard)
-
-    def _refresh_snapshot_now(self, shard: int) -> None:
-        """Snapshot one shard's detector and clear its replay log.
-
-        Best-effort: on any failure (worker just died, snapshot
-        unpicklable) the previous snapshot and replay log are kept --
-        they still reconstruct the same state, just more slowly.
-        """
-        worker = self._workers[shard]
-        worker.send("snapshot")
-        status, payload = worker.receive()
-        if status == "ok":
-            self._shard_snapshots[shard] = payload
-            self._replay_log[shard].clear()
-
     def _drain_pending(self, timeout: Optional[float] = None) -> int:
         """Read every outstanding reply, discarding results and errors.
 
@@ -1329,7 +1353,7 @@ class ShardedDetectorPool:
         each reply wait is bounded -- a wedged worker costs at most
         ``timeout`` seconds per expected reply instead of hanging the
         shutdown forever (the caller escalates to terminate/kill right
-        after).
+        after) -- and a dead worker is not healed.
         """
         drained = len(self._pending)
         while self._pending:
@@ -1366,10 +1390,6 @@ class ShardedDetectorPool:
         self._require_idle("reset")
         self._clear_pool_state()
         self._round("reset")
-        # Every shard is back to factory-pristine state: discard the
-        # snapshots (None means "pristine factory" to the healer) so
-        # a later heal cannot resurrect pre-reset entity state.
-        self._reset_supervision()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity on the shard that owns it."""
@@ -1380,10 +1400,6 @@ class ShardedDetectorPool:
         status, result = worker.receive()
         if status != "ok":
             raise self._shard_error(shard, status, result)
-        if self._supervised:
-            # The old snapshot still contains the entity; refresh it
-            # so a later heal cannot resurrect the forgotten state.
-            self._refresh_snapshot_now(shard)
 
     # -- live resharding ---------------------------------------------------
     def _migration_factory(self) -> DetectorTemplate:
@@ -1410,69 +1426,6 @@ class ShardedDetectorPool:
             self.detector_factory = factory
         return factory
 
-    def _rebuild_replica(self, shard: int) -> Optional[Detector]:
-        """Reconstruct a dead shard's replica parent-side.
-
-        The supervised bookkeeping already holds everything needed:
-        the last recovery snapshot (pristine factory state if none was
-        taken yet) plus the FIFO replay log of sub-batches observed
-        since it, driven through the same handler a worker runs (so a
-        sub-batch that made the worker reply ``error`` is applied up to
-        the same alert here).  Unlike :meth:`_heal_shard` no worker is
-        respawned -- the caller (reshard) is about to replace every
-        carrier anyway.
-        """
-        handler = _ShardHandler(self.detector_factory)
-        if self._shard_snapshots[shard] is not None:
-            handler.handle("restore", self._shard_snapshots[shard])
-        for sub_batch in self._replay_log[shard]:
-            handler.handle("observe", sub_batch)
-        return handler.detector
-
-    def _harvest_replicas(self) -> Tuple[List[Detector], List[int]]:
-        """Current per-shard replicas as parent-side detector objects.
-
-        Every shard answers the ``snapshot`` verb; a shard whose worker
-        died (e.g. SIGKILLed mid-stream) is -- under
-        ``restart_policy="restore"`` and within the restart budget --
-        rebuilt parent-side from its recovery snapshot + replay log
-        instead of failing the whole reshard.  Returns ``(replicas,
-        rebuilt_shard_indices)``.
-        """
-        replicas: List[Detector] = []
-        rebuilt: List[int] = []
-        for shard, worker in enumerate(self._workers):
-            worker.send("snapshot")
-            status, result = worker.receive()
-            if status == "ok":
-                replicas.append(pickle.loads(result))
-                continue
-            # An ``error`` means the shard is alive but its replica
-            # would not pickle -- rebuilding from the supervision log
-            # cannot help, surface it.
-            if status == "error" or not self._supervised:
-                raise self._shard_error(shard, status, result)
-            if self._restarts_used[shard] >= self.max_restarts:
-                raise ShardRecoveryError(
-                    shard, str(result), self._restarts_used[shard]
-                )
-            started = time.perf_counter()
-            self._restarts_used[shard] += 1
-            replicas.append(self._rebuild_replica(shard))
-            rebuilt.append(shard)
-            self.recovery_log.record(
-                RecoveryEvent(
-                    shard=shard,
-                    attempt=self._restarts_used[shard],
-                    backoff_seconds=0.0,
-                    resubmitted_batches=len(self._replay_log[shard]),
-                    death_detail=str(result),
-                    healed=True,
-                    recovery_seconds=time.perf_counter() - started,
-                )
-            )
-        return replicas, rebuilt
-
     def reshard(self, n_shards: int) -> ReshardEvent:
         """Live N→M reshard: migrate per-entity detector state in place.
 
@@ -1486,8 +1439,9 @@ class ShardedDetectorPool:
         bit-identical across the transition.
 
         Mechanics: every current replica is harvested into the parent
-        (the ``snapshot`` verb, with a supervised parent-side rebuild
-        for SIGKILLed workers), the per-entity tracks are exported via
+        (the same ``snapshot`` round a checkpoint uses, so under
+        ``restore`` a SIGKILLed worker is healed by its carrier on the
+        way), the per-entity tracks are exported via
         the detectors' optional migration extension
         (``export_entity_tracks`` / ``adopt_entity_track`` /
         ``replace_detections`` -- see
@@ -1504,12 +1458,13 @@ class ShardedDetectorPool:
         returned :class:`ReshardEvent` (also appended to
         :attr:`reshard_log`).
 
-        Supervision bookkeeping is rebuilt for the new width, but the
-        per-shard restart budget is **not** refreshed: shards that
-        keep their index carry their consumed ``max_restarts``
-        attempts across the transition (only shards new at a wider
-        count start from zero), so periodic resharding cannot mask a
-        crash-looping worker from the recovery-budget contract.
+        The new carriers start from the migrated replicas as their
+        recovery snapshots, but the per-shard restart budget is **not**
+        refreshed: shards that keep their index carry their consumed
+        ``max_restarts`` attempts across the transition (only shards
+        new at a wider count start from zero), so periodic resharding
+        cannot mask a crash-looping worker from the recovery-budget
+        contract.
         """
         self._require_idle("reshard")
         new_n = int(n_shards)
@@ -1518,7 +1473,15 @@ class ShardedDetectorPool:
         started = time.perf_counter()
         old_n = self.n_shards
         factory = self._migration_factory()
-        replicas, rebuilt = self._harvest_replicas()
+        recoveries_before = len(self.recovery_log)
+        replicas = [pickle.loads(blob) for blob in self._round("snapshot")]
+        rebuilt = sorted(
+            {
+                event.shard
+                for event in self.recovery_log.events[recoveries_before:]
+                if event.healed
+            }
+        )
         fresh: List[Detector] = [factory() for _ in range(new_n)]
         moved = 0
         for replica in replicas:
@@ -1554,6 +1517,14 @@ class ShardedDetectorPool:
                     ]
                 )
         blobs = [pickle.dumps(replica, pickle.HIGHEST_PROTOCOL) for replica in fresh]
+        # Fresh workers, but not a fresh fault history: shards that
+        # keep their index carry their consumed restart budget across
+        # the transition (shards new at a wider count start at zero).
+        # Otherwise a periodic reshard would refresh a crash-looping
+        # worker's budget forever and ShardRecoveryError -- the budget
+        # contract -- could never surface on a long-lived service.
+        del self._restarts_used[new_n:]
+        self._restarts_used.extend([0] * (new_n - old_n))
         # New carriers (and, for process shards, new rings: they are
         # per-shard-slot plumbing) at the new width, restored from the
         # migrated replicas.  A failure leaves the pool closed.
@@ -1575,21 +1546,6 @@ class ShardedDetectorPool:
         self.alerts_routed = [0] * new_n
         self.busy_seconds = [0.0] * new_n
         self.kernel_seconds = [0.0] * new_n
-        restarts_used = self._restarts_used
-        self._reset_supervision()
-        # Fresh workers, but not a fresh fault history: shards that
-        # keep their index carry their consumed restart budget across
-        # the transition (shards new at a wider count start at zero).
-        # Otherwise a periodic reshard would refresh a crash-looping
-        # worker's budget forever and ShardRecoveryError -- the budget
-        # contract -- could never surface on a long-lived service.
-        self._restarts_used = [
-            restarts_used[shard] if shard < old_n else 0
-            for shard in range(new_n)
-        ]
-        if self._supervised:
-            # The migrated replicas are exact recovery snapshots.
-            self._shard_snapshots = list(blobs)
         event = ReshardEvent(
             old_n_shards=old_n,
             new_n_shards=new_n,
@@ -1626,7 +1582,6 @@ class ShardedDetectorPool:
             "busy_seconds_retired": self.busy_seconds_retired,
             "kernel_seconds_retired": self.kernel_seconds_retired,
             "alerts_routed_retired": self.alerts_routed_retired,
-            "inflight_high_water": self.inflight_high_water,
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -1639,8 +1594,7 @@ class ShardedDetectorPool:
         receives the ``restore`` verb, which swaps state in *in place*
         (see :meth:`_ShardHandler._restore`) so facade pools built with
         :meth:`wrap` keep handing out the caller's original detector
-        object.  Under supervision the restored blobs become the
-        recovery snapshots.
+        object.
         """
         self._require_idle("restore_state")
         if state["n_shards"] != self.n_shards or state["backend"] != self.backend:
@@ -1669,10 +1623,6 @@ class ShardedDetectorPool:
             state.get("kernel_seconds_retired", 0.0)
         )
         self.alerts_routed_retired = int(state.get("alerts_routed_retired", 0))
-        self.inflight_high_water = int(state["inflight_high_water"])
-        self._reset_supervision()
-        if self._supervised:
-            self._shard_snapshots = blobs
 
     # -- lifecycle ---------------------------------------------------------
     def reopen(self) -> None:
@@ -1687,16 +1637,17 @@ class ShardedDetectorPool:
         out pristine too -- which is exactly what "the detection tier
         restarted" means there.  Uncollected submitted batches are
         drained first (their results discarded), mirroring
-        :meth:`close`.
+        :meth:`close`; a dead worker is replaced, not healed, and the
+        restart budget starts over with the new workers.
 
         Reopening a *closed* process pool is allowed -- this is the
         ``close()``/reopen lifecycle the campaign fuzzer exercises --
         and reopening an open pool recycles its workers.
         """
         self._drain_pending(timeout=5.0)
+        self._restarts_used[:] = [0] * self.n_shards
         self._replace_workers(self.n_shards)
         self._clear_pool_state()
-        self._reset_supervision()
         self._round("reset")
 
     def close(self, *, timeout: float = 5.0) -> PoolCloseResult:

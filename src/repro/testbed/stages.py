@@ -74,9 +74,6 @@ class DetectionStage:
         self.primary = primary
         self.sink = sink
         self._inflight: Deque[Dict[str, object]] = collections.deque()
-        #: Most batches ever simultaneously submitted-but-uncollected --
-        #: checkpointed as service telemetry (overlap depth reached).
-        self.inflight_high_water = 0
 
     @property
     def pending_batches(self) -> int:
@@ -112,12 +109,8 @@ class DetectionStage:
         except Exception:
             if tickets:
                 self._inflight.append(tickets)
-                if len(self._inflight) > self.inflight_high_water:
-                    self.inflight_high_water = len(self._inflight)
             raise
         self._inflight.append(tickets)
-        if len(self._inflight) > self.inflight_high_water:
-            self.inflight_high_water = len(self._inflight)
 
     def collect(self) -> list[Detection]:
         """Wait for the oldest submitted batch; return primary detections.

@@ -253,7 +253,9 @@ class TestCheckpointHoldsStateNotTraffic:
 
     def test_legacy_mirror_payload_restores_like_the_new_one(self, tmp_path):
         # A version-1 checkpoint written when the mirror still archived
-        # what it carried: the two buffer lists and the bound are ignored.
+        # what it carried and the stage and pools still counted an
+        # in-flight high-water mark: the two buffer lists, the bound and
+        # the two counters are ignored.
         stream = _mixed_stream(length=160)
         raw_seen, alerts_seen = [], []
         with _build_pipeline() as reference:
@@ -263,8 +265,15 @@ class TestCheckpointHoldsStateNotTraffic:
             reference.ingest_alerts(stream[:80])
             payload = reference._checkpoint_payload()
             assert set(payload["mirror"]) == {"stats"}
+            assert "inflight_high_water" not in payload
+            assert "inflight_high_water" not in payload["pools"]["factor_graph"]
             legacy = dict(
                 payload,
+                inflight_high_water=2,
+                pools={
+                    name: dict(state, inflight_high_water=2)
+                    for name, state in payload["pools"].items()
+                },
                 mirror={
                     "max_buffer": None,
                     "stats": payload["mirror"]["stats"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import zlib
 
 import pytest
@@ -33,9 +32,6 @@ from repro.fuzz import (
     shrink_campaign,
 )
 from repro.telemetry.normalizer import AlertNormalizer
-
-#: Extra shard count injected by the CI matrix (REPRO_SHARDS={1,4}).
-EXTRA_SHARDS = int(os.environ.get("REPRO_SHARDS", "1"))
 
 
 class TestCampaignComposer:
@@ -113,10 +109,7 @@ class TestDifferentialOracle:
     @pytest.mark.parametrize("seed", PINNED_SEEDS)
     def test_pinned_campaigns_replay_identically(self, seed):
         composer = CampaignComposer(seed, target_alerts=150)
-        configs = quick_matrix() + [
-            OracleConfig("streaming", EXTRA_SHARDS, "serial", "alert_stream")
-        ]
-        oracle = DifferentialOracle(configs)
+        oracle = DifferentialOracle(quick_matrix())
         verdict = oracle.run(composer.compose(0, raw_capable=seed % 2 == 1))
         assert verdict.ok, "\n".join(str(d) for d in verdict.divergences)
         assert verdict.configs_run >= 5

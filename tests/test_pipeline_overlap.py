@@ -7,8 +7,7 @@ batch N+1 while the detection stage's shard workers hold batch N.  No
 stage feeds state back into an earlier one, so the overlapped schedule
 must be *bit-identical* to the batch-synchronous reference: same
 detections (every field), same response records, same stats counters
--- for both sharding backends, at several shard counts (plus the
-``REPRO_SHARDS`` CI matrix value).
+-- for both sharding backends, at several shard counts.
 
 This module also pins the pending-raw mixing fix: records published
 directly onto the mirror are drained by the *next* ingestion call of
@@ -17,7 +16,6 @@ either kind, not silently folded into a later ``ingest_raw`` batch.
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pytest
@@ -35,9 +33,7 @@ from repro.testbed import (
 
 from test_sharding import COUNTER_KEYS, PoisonDetector, build_mixed_stream
 
-#: Extra shard count injected by the CI matrix (REPRO_SHARDS={1,4}).
-EXTRA_SHARDS = int(os.environ.get("REPRO_SHARDS", "1"))
-SHARD_COUNTS = sorted({1, 2, 4, EXTRA_SHARDS})
+SHARD_COUNTS = (1, 2, 4)
 
 
 def fresh_pipeline(n_shards: int, backend: str) -> TestbedPipeline:

@@ -220,8 +220,8 @@ class TestReshardUnderKill:
             for batch in batches[:cut]:
                 pool.observe_batch(batch)
             # SIGKILL one worker, then reshard while it is dead: the
-            # harvest phase must rebuild its replica parent-side from
-            # the supervision snapshot + replay log.
+            # harvest round's ``snapshot`` meets the corpse and the
+            # carrier heals it like any other verb.
             victim = pool._workers[1]
             victim.process.kill()
             victim.process.join(timeout=5.0)

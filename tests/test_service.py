@@ -533,6 +533,51 @@ class TestServiceSocket:
             expected = [d for _, d in reference.detections]
         assert got == expected
 
+    def test_idle_killed_worker_does_not_void_the_checkpoints(self, tmp_path):
+        """Drain, SIGKILL an idle worker: the ``checkpoint`` op and the
+        graceful stop's final checkpoint both meet the corpse first, and
+        under ``restore`` both must heal it and succeed."""
+        campaign = CampaignComposer(1, target_alerts=80).compose(0)
+        batches = [e for e in campaign.events if e.kind == "batch" and e.alerts]
+        cut = max(1, len(batches) // 2)
+
+        def process_pipeline():
+            return build_service_pipeline(campaign, n_shards=2, backend="process")
+
+        def kill_idle_worker(shard):
+            victim = handle.pipeline.detector_pools["factor_graph"]._workers[shard]
+            victim.process.kill()
+            victim.process.join(timeout=5.0)
+
+        handle = start_service_in_thread(
+            process_pipeline, ServiceConfig(checkpoint_dir=tmp_path, keep_last=4)
+        )
+        with handle, handle.client() as client:
+            for event in batches[:cut]:
+                client.send_alerts(list(event.alerts))
+            client.drain()
+            kill_idle_worker(0)
+            first = Path(client.checkpoint()["path"])
+            assert first.exists() and first.parent == tmp_path
+            kill_idle_worker(1)
+        # ``handle.stop()`` ran: the drain-then-checkpoint guarantee held.
+        final = CheckpointStore(tmp_path).latest()
+        assert final is not None and final != first
+        summary = handle.pipeline.summary()
+        assert summary["recoveries_healed"] == summary["recovery_attempts"] == 2.0
+        with process_pipeline() as resumed:
+            resumed.restore(final)
+            for event in batches[cut:]:
+                resumed.ingest_alerts(event.alerts)
+            got = (list(resumed.detections), resumed.summary())
+        with build_service_pipeline(campaign, n_shards=1, backend="serial") as reference:
+            for event in batches:
+                reference.ingest_alerts(event.alerts)
+            expected = (list(reference.detections), reference.summary())
+        assert got[0] == expected[0] and got[0]
+        for key in COMPARED_COUNTERS:
+            assert got[1][key] == expected[1][key], key
+
     def test_in_contract_batch_over_64k_line_is_ingested(self):
         # Regression: without limit= on asyncio.start_server the
         # StreamReader's 64 KiB default reset any in-contract request

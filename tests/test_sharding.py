@@ -6,13 +6,11 @@ detector state is per-entity, so the sharded runs must reproduce the
 unsharded pipeline exactly -- same detections (every field, including
 floating-point confidences and state trajectories), same counters.
 This suite asserts that on a randomized mixed attack/benign stream,
-for both backends and several shard counts (plus the count injected by
-the ``REPRO_SHARDS`` CI matrix variable).
+for both backends and several shard counts.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 
@@ -38,9 +36,9 @@ from repro.testbed import (
     shard_of,
 )
 
-#: Extra shard count injected by the CI matrix (REPRO_SHARDS={1,4}).
-EXTRA_SHARDS = int(os.environ.get("REPRO_SHARDS", "1"))
-SHARD_COUNTS = sorted({1, 2, 8, EXTRA_SHARDS})
+from test_shm_transport import _ring_segments_on_disk
+
+SHARD_COUNTS = (1, 2, 4, 8)
 
 #: Benign-ish alert names that keep an entity undetected.
 BENIGN_NAMES = [
@@ -954,3 +952,183 @@ class TestPickleSafeShardState:
         assert original.detections == migrated.detections
         for entity in original.entities():
             assert original.posterior(entity) == migrated.posterior(entity)
+
+
+#: The five calls that can meet an idle-killed worker's corpse.
+DEAD_SHARD_CALLS = (
+    "checkpoint",
+    "reset_entity",
+    "reset_detectors",
+    "reshard",
+    "ingest_alerts",
+)
+
+
+class TestCarrierOwnedRecovery:
+    """``restart_policy`` means the same thing for every verb.
+
+    The process carrier heals (``restore``) or reports (``raise``) a
+    dead worker inside ``receive``, so whichever pool operation reads
+    the dead shard's reply gets the same treatment -- not only
+    ``collect``.
+    """
+
+    VICTIM = 1
+
+    def _pipeline(self, backend: str, restart_policy: str = "raise") -> TestbedPipeline:
+        return TestbedPipeline(
+            detectors={"factor_graph": AttackTagger(patterns=list(DEFAULT_CATALOGUE))},
+            n_shards=2,
+            shard_backend=backend,
+            restart_policy=restart_policy,
+            backoff_base=0.001,
+        )
+
+    def _batches(self, count: int = 4, size: int = 100) -> list[list[Alert]]:
+        stream = build_mixed_stream(seed=31, n_entities=24, length=count * size)
+        return [stream[start : start + size] for start in range(0, len(stream), size)]
+
+    def _kill_idle_worker(self, pipeline: TestbedPipeline) -> ShardedDetectorPool:
+        pool = pipeline.detector_pools["factor_graph"]
+        assert pool.pending_batches == 0
+        victim = pool._workers[self.VICTIM]
+        victim.process.kill()
+        victim.process.join(timeout=5.0)
+        return pool
+
+    def _call(self, pipeline, call: str, batches, tmp_path) -> TestbedPipeline:
+        """Make ``call`` after two batches; return the pipeline to continue on."""
+        if call == "checkpoint":
+            path = tmp_path / f"{pipeline.shard_backend}.ckpt"
+            pipeline.checkpoint(path)
+            resumed = self._pipeline(pipeline.shard_backend)
+            resumed.restore(path)
+            return resumed
+        if call == "reset_entity":
+            entity = next(
+                alert.entity
+                for alert in batches[0]
+                if shard_of(alert.entity, 2) == self.VICTIM
+            )
+            pipeline.reset_entity(entity)
+        elif call == "reset_detectors":
+            pipeline.reset_detectors()
+        elif call == "reshard":
+            pipeline.reshard(3)
+        else:
+            pipeline.ingest_alerts(batches[2])
+        return pipeline
+
+    def _continuation(self, pipeline, call: str, batches) -> tuple:
+        rest = batches[3:] if call == "ingest_alerts" else batches[2:]
+        for batch in rest:
+            pipeline.ingest_alerts(batch)
+        summary = pipeline.summary()
+        return list(pipeline.detections), {key: summary[key] for key in COUNTER_KEYS}
+
+    @pytest.mark.parametrize("call", DEAD_SHARD_CALLS)
+    def test_restore_heals_an_idle_killed_worker_on_every_call(self, call, tmp_path):
+        batches = self._batches()
+        with self._pipeline("serial") as reference:
+            for batch in batches[:2]:
+                reference.ingest_alerts(batch)
+            with self._call(reference, call, batches, tmp_path) as resumed:
+                expected = self._continuation(resumed, call, batches)
+        assert expected[0], "the stream must produce detections"
+        with self._pipeline("process", "restore") as pipeline:
+            for batch in batches[:2]:
+                pipeline.ingest_alerts(batch)
+            pool = self._kill_idle_worker(pipeline)
+            with self._call(pipeline, call, batches, tmp_path) as resumed:
+                events = list(pool.recovery_log)
+                assert [(event.shard, event.healed) for event in events] == [
+                    (self.VICTIM, True)
+                ]
+                assert self._continuation(resumed, call, batches) == expected
+            assert len(pool.recovery_log) == 1
+
+    @pytest.mark.parametrize("call", DEAD_SHARD_CALLS)
+    def test_raise_surfaces_a_plain_worker_error_on_every_call(self, call, tmp_path):
+        batches = self._batches()
+        segments_before = _ring_segments_on_disk()
+        pipeline = self._pipeline("process", "raise")
+        try:
+            for batch in batches[:2]:
+                pipeline.ingest_alerts(batch)
+            pool = self._kill_idle_worker(pipeline)
+            with pytest.raises(ShardWorkerError) as excinfo:
+                self._call(pipeline, call, batches, tmp_path)
+            assert type(excinfo.value) is ShardWorkerError
+            assert excinfo.value.shard == self.VICTIM
+            assert len(pool.recovery_log) == 0
+        finally:
+            results = pipeline.close()
+        assert all(result.clean for result in results.values()), results
+        assert _ring_segments_on_disk() == segments_before
+
+    @pytest.mark.parametrize("shutdown", ["close", "reopen"])
+    def test_draining_for_shutdown_never_respawns(self, shutdown):
+        pool = ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+            n_shards=2,
+            backend="process",
+            restart_policy="restore",
+            backoff_base=0.001,
+        )
+        try:
+            pool.observe_batch(_benign_alerts(16, entities=8))
+            victim = pool._workers[self.VICTIM]
+            victim.process.kill()
+            victim.process.join(timeout=5.0)
+            pool.submit_batch(_benign_alerts(16, entities=8))  # hits both shards
+            assert pool.pending_batches == 1
+            started = time.perf_counter()
+            if shutdown == "close":
+                assert pool.close(timeout=5.0).drained_batches == 1
+            else:
+                pool.reopen()
+                assert pool.observe_batch(_benign_alerts(16, entities=8)) == []
+            assert time.perf_counter() - started < 5.0
+            assert pool.pending_batches == 0
+            assert len(pool.recovery_log) == 0
+        finally:
+            pool.close()
+
+    def test_replay_log_is_bounded_under_a_deep_window(self):
+        """At the process backend's default depth the worker always owes
+        a reply at collect time, so "snapshot when it owes nothing"
+        alone never trims the log; the limit must."""
+        from repro.testbed.sharding import REPLAY_LOG_LIMIT  # new with the bound
+
+        n_batches, kill_at = 200, 150
+        # 16 alerts over 12 entities: every batch reaches both shards.
+        stream = build_mixed_stream(seed=37, n_entities=12, length=n_batches * 16)
+        batches = [stream[start : start + 16] for start in range(0, len(stream), 16)]
+        assert n_batches > REPLAY_LOG_LIMIT
+        with self._pipeline("serial") as reference:
+            expected = reference.ingest_alert_batches(batches)
+            expected_summary = reference.summary()
+        assert expected
+        samples: list[int] = []
+        with self._pipeline("process", "restore") as pipeline:
+            assert pipeline.max_inflight == 2
+            pool = pipeline.detector_pools["factor_graph"]
+
+            def source():
+                for index, batch in enumerate(batches):
+                    samples.append(max(len(worker._log) for worker in pool._workers))
+                    if index == kill_at:
+                        pool._workers[self.VICTIM].process.kill()
+                    yield batch
+
+            detections = pipeline.ingest_alert_batches(source())
+            summary = pipeline.summary()
+            healed = [event for event in pool.recovery_log if event.healed]
+        assert max(samples) <= REPLAY_LOG_LIMIT
+        # The bound was what trimmed it: the log got most of the way
+        # there and came back down.
+        assert max(samples) > REPLAY_LOG_LIMIT // 2 and samples[-1] < max(samples)
+        assert [event.shard for event in healed] == [self.VICTIM]
+        assert detections == expected
+        for key in COUNTER_KEYS:
+            assert summary[key] == expected_summary[key], key
