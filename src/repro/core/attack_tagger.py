@@ -37,6 +37,7 @@ from .factor_graph import (
 )
 from .factors import FactorParameters, default_parameters, observation_log_for_sequence
 from .sequences import AlertSequence, matched_prefix_length
+from .sliding_window import WindowArena
 from .states import NUM_STATES, HiddenState
 from .streaming import PatternTable, StreamingDecoder, WeightedPattern
 
@@ -230,6 +231,8 @@ class AttackTagger:
         self._batch_kernel = None
         # (values resolved from, table): scratch, dropped on pickling.
         self._pattern_table: Optional[tuple[tuple, PatternTable]] = None
+        # Storage of every windowed decoder: scratch, dropped on pickling.
+        self._arena: Optional[WindowArena] = None
 
     # -- public state ------------------------------------------------------
     @property
@@ -253,12 +256,29 @@ class AttackTagger:
 
     def reset(self) -> None:
         """Forget all per-entity state and past detections."""
+        for track in self._tracks.values():
+            self._release(track)
         self._tracks.clear()
         self._detections.clear()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity (e.g. after remediation re-images the host)."""
-        self._tracks.pop(entity, None)
+        track = self._tracks.pop(entity, None)
+        if track is not None:
+            self._release(track)
+
+    @staticmethod
+    def _release(track: EntityTrack) -> None:
+        """Drop a track's decoder, handing its arena row back.
+
+        The one way decode state leaves a track: at detection, on
+        either reset, on adoption by another replica.  A decoder is a
+        pure function of the track's alerts, so :meth:`_decoder_for`
+        re-syncs one lazily should :meth:`infer` want it again.
+        """
+        decoder, track.decoder = track.decoder, None
+        if decoder is not None:
+            decoder.release()
 
     # -- core inference -----------------------------------------------------
     def _pattern_weight(self, name: str) -> float:
@@ -287,9 +307,16 @@ class AttackTagger:
         self._pattern_table = ((dict(weights), default, list(catalogue)), table)
         return table
 
+    def _window_arena(self) -> WindowArena:
+        """The arena every windowed decoder of this tagger takes its row from."""
+        arena = self._arena
+        if arena is None or arena.ring != self.max_window + 1:
+            arena = self._arena = WindowArena(self.max_window + 1)
+        return arena
+
     def _make_decoder(self) -> StreamingDecoder:
         """Fresh incremental decoder bound to the current parameters."""
-        return StreamingDecoder(self.parameters, self._shared_table())
+        return StreamingDecoder(self.parameters, self._shared_table(), self._window_arena())
 
     def _trim_track(self, track: EntityTrack) -> None:
         """Defensive window trim for tracks not backed by a maxlen deque.
@@ -402,27 +429,18 @@ class AttackTagger:
             # Already detected: record the alert for the incident
             # timeline but skip all inference work.  The deque drops the
             # evicted alert in O(1), so this fast path does no O(W)
-            # work at all.  The decoder is dropped rather than
-            # maintained; `_decoder_for` re-syncs it lazily should
-            # `infer` be called for this entity again.
+            # work at all.  A decoder `infer` re-synced since the
+            # detection is dropped rather than maintained.
             track.alerts.append(alert)
             self._trim_track(track)
-            track.decoder = None
+            self._release(track)
             return None
         decoder = self._decoder_for(track) if self.engine != "naive" else None
         sliding = len(track.alerts) >= self.max_window
         track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
         self._trim_track(track)
         if decoder is not None:
-            decoder.append(alert.name)
-            if sliding:
-                # Amortised slide: O(K^3) two-stack eviction.
-                decoder.evict_front()
-            if decoder.windowed and not decoder.may_fire(self.detection_threshold):
-                # The guard-banded aggregate decision is authoritative
-                # for "cannot fire"; no exact decode is materialised.
-                return None
-            return self._finalize_decision(track, alert, decoder)
+            return self._advance(track, alert, decoder, sliding)
         states, final_marginal, matched = self.infer(alert.entity)
         final_state = HiddenState(int(states[-1])) if states.size else HiddenState.BENIGN
         malicious_probability = float(final_marginal[int(HiddenState.MALICIOUS)])
@@ -443,6 +461,24 @@ class AttackTagger:
         )
         track.detected = detection
         return detection
+
+    def _advance(
+        self, track: EntityTrack, alert: Alert, decoder: StreamingDecoder, sliding: bool
+    ) -> Optional[Detection]:
+        """One alert through one decoder: the per-entity streaming step.
+
+        Tail of the per-alert path, and what the stacked kernel runs
+        for a row whose step touches pattern state.
+        """
+        decoder.append(alert.name)
+        if sliding:
+            # Amortised slide: O(K^3) two-stack eviction.
+            decoder.evict_front()
+        if decoder.windowed and not decoder.may_fire(self.detection_threshold):
+            # The guard-banded aggregate decision is authoritative
+            # for "cannot fire"; no exact decode is materialised.
+            return None
+        return self._finalize_decision(track, alert, decoder)
 
     def _finalize_decision(
         self, track: EntityTrack, alert: Alert, decoder: StreamingDecoder
@@ -477,6 +513,10 @@ class AttackTagger:
             state_trajectory=tuple(int(s) for s in states),
         )
         track.detected = detection
+        # A detected entity infers nothing more: its decode state
+        # (an arena row, once windowed) goes back now, not whenever
+        # its next alert happens to arrive.
+        self._release(track)
         return detection
 
     def observe_many(self, alerts: Iterable[Alert]) -> list[Detection]:
@@ -550,8 +590,11 @@ class AttackTagger:
         # The kernel is pure scratch (stacked work buffers); recreated
         # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
-        # So is the pattern table; dropping the key keeps old bytes.
+        # So are the pattern table and the window arena (every row of
+        # it belonged to a dropped decoder); dropping the keys keeps
+        # old bytes.
         state.pop("_pattern_table", None)
+        state.pop("_arena", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -567,6 +610,7 @@ class AttackTagger:
         # pickle's memo, and re-pickled bytes must stay canonical.
         self.__dict__.update((sys.intern(key), value) for key, value in state.items())
         self._pattern_table = None
+        self._arena = None
 
     # -- live reshard migration --------------------------------------------
     # The optional Detector migration extension (see
@@ -590,6 +634,8 @@ class AttackTagger:
         """Take ownership of one migrated per-entity track."""
         if entity in self._tracks:
             raise ValueError(f"entity {entity!r} is already tracked")
+        # A decoder that came along lives in the other replica's arena.
+        self._release(track)
         self._trim_track(track)
         self._tracks[entity] = track
 
@@ -620,7 +666,8 @@ class AttackTagger:
         window slide) without touching any per-entity track or
         detection bookkeeping.
         """
-        decoder = self._make_decoder()
+        # Standalone: its window is a private arena, gone with the replay.
+        decoder = StreamingDecoder(self.parameters, self._shared_table())
         for alert in sequence:
             decoder.append(alert.name)
             if decoder.length > self.max_window:

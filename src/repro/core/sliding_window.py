@@ -1,4 +1,4 @@
-"""Amortised sliding-window aggregation of chain step matrices.
+"""Amortised sliding-window aggregation of chain step matrices, in one arena.
 
 The windowed chain decode over steps ``s .. t`` is a semiring product
 
@@ -12,395 +12,449 @@ row, including the initial-state prior) and ``M_j`` is the step matrix
 .chain_step_matrix`).  Under the ``(max, +)`` semiring the product is
 the final Viterbi score vector; under ``(logsumexp, +)`` it is the
 unnormalised forward message.  Appending a step extends the product on
-the right; *evicting* the oldest step removes a factor from the left --
-the operation that previously forced an O(W * K^2) sequential rebuild
-of the whole window.
+the right; *evicting* the oldest step removes a factor from the left.
+The classic two-stack (SWAG / DABA-style) aggregation makes both cheap:
+recent steps keep running left-to-right *prefix* products (the back),
+older steps right-to-left *suffix* products (the front), and when the
+front runs dry the back is *flipped* into suffixes.  Each step is
+flipped at most once, so eviction is O(K^3) amortised, and the window
+product is the head applied to at most one suffix and one prefix.
 
-:class:`SlidingProductWindow` maintains the product of the queued step
-matrices with the classic two-stack (SWAG / DABA-style) sliding
-aggregation:
+**Arena layout.**  :class:`WindowArena` stores every windowed entity of
+one tagger; an entity is a *row* index.  A row's window is the absolute
+steps ``start .. end - 1``; step ``j`` lives in ring slot ``j mod
+ring`` (``ring = max_window + 1``: the append lands before the
+eviction), so sliding never moves or re-indexes anything.  Cell ``row *
+ring + slot`` of the flat blocks holds
 
-* the **back stack** holds recently pushed step matrices together with
-  their running left-to-right *prefix* products,
-* the **front stack** holds the older steps with right-to-left *suffix*
-  products, arranged so the top entry is always the product of *all*
-  remaining front elements.
+* ``base`` / ``unary`` ``(cells, K)`` -- the observation row and the
+  effective unary row (base + prior on the head + pattern bonuses),
+* ``symbols`` ``(cells,)`` -- the alert's interned symbol index,
+* ``agg_max`` / ``agg_lse`` ``(K, K, cells)`` -- one aggregate per
+  semiring: for a step in ``(start, boundary)`` the front suffix
+  ``M_j ⊗ ... ⊗ M_(boundary-1)``, for a step in ``[boundary, end)`` the
+  back prefix ``M_boundary ⊗ ... ⊗ M_j``.  The head has no matrix.
 
-``push`` folds one matrix into the back prefixes (two K^3 semiring
-products, one per semiring); ``pop_front`` pops the front stack,
-*flipping* the back stack into suffix products when the front runs dry.
-Each element is flipped at most once, so eviction is O(K^3) amortised.
-Querying the window product applies the head vector to (at most) the
-front-top suffix and the last back prefix -- O(K^2).
+``start`` / ``boundary`` / ``end`` are flat integer arrays.  Step
+matrices are never stored: they are ``pairwise + unary`` on demand.
+Rows are allocated on the fill→windowed transition only (doubling
+growth from ``_INITIAL_ROWS``, free-list reuse), so an entity that
+never saturates its window costs the arena nothing.  The vectorised
+methods take row-index arrays and drive whole decode rounds
+(:mod:`repro.core.batch_kernel`); :class:`SlidingProductWindow` is a
+one-row view whose scalar methods use basic slices of the same blocks,
+so ``observe()`` and a stacked round read and write the same storage.
 
-Pattern-bonus relocation edits the unary row of a step already inside
-the queue.  Because both stacks keep the raw step matrices next to
-their aggregates, :meth:`replace` patches *partially*: a back-region
-edit refolds the prefixes from the edited position to the newest
-element, a front-region edit recomputes the suffixes from the edited
-position to the oldest.  Greedy-leftmost pattern matches cluster their
-bonus steps near the window boundaries, so the typical patch is O(K^3)
-with an O(W * K^3) worst case -- the exact re-aggregation
-(:meth:`rebuild`) remains the fallback for indices the structure does
-not hold.
-
-Refolds of ``_MIN_SCAN`` or more elements (a flip of a full back stack,
-a patch far from the stack top) run as a Hillis-Steele doubling scan:
-``ceil(log2 n)`` *stacked* semiring products per semiring instead of
-``n`` sequential small ones.  Shorter refolds keep the sequential fold,
-whose per-call overhead is lower.  The scan is one function over ``m``
-windows (an entity-minor ``(K, K, n, m)`` block): :func:`flip_together`
-flips every window of a decode round whose back stacks have the same
-length in a single scan, and :meth:`SlidingProductWindow.pop_front`
-flips its own window through the same code with ``m = 1`` -- the same
-tree order, so a window's aggregates and its pickle do not depend on
-who flipped it.  A scan hands each window its aggregates as views of
-one private ``(n, K, K)`` block per semiring (at most ``W * K * K``
-floats, released with its last view); everything else a window stores
-is one ``(K, K)`` array per entry, and no window keeps a view into a
-block that spans windows.
+Refolds of ``_MIN_SCAN`` or more steps (a flip, a patch far from the
+stack top) run as a Hillis-Steele doubling scan over an entity-minor
+``(K, K, n * m)`` block gathered straight from the arena; shorter ones
+fold sequentially.  Either way :meth:`WindowArena._refold` is the one
+implementation for ``m`` rows, and a lone row goes through it with ``m
+= 1`` -- the same tree order, so a row's aggregates (and its pickle) do
+not depend on who flipped it, on its row index, or on its ring phase.
 
 The aggregate is mathematically exact but floating-point *reassociated*
-relative to the sequential recursion (by the two-stack split, and again
-by the scan's tree order), so its values can differ from a sequential
-decode in the last few ulps.  Callers that need bit-identical
-results (the detector's emitted detections must match the seed path
-bit-for-bit) use the aggregate only for guard-banded *decisions* and
-fall back to the exact sequential decode when a decision is within the
-guard band -- see ``StreamingDecoder.may_fire``.
+relative to the sequential recursion, so **no emitted number ever reads
+an aggregate**: they feed the guard-banded ``may_fire`` pre-filter only,
+and every detection is materialised by the exact sequential decode of
+the row's ``unary`` ring (``StreamingDecoder._window_decode``).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .factor_graph import (
     logsumexp_matmul,
     logsumexp_matmul_batch,
+    logsumexp_vecmat,
     maxplus_matmul,
     maxplus_matmul_batch,
+    maxplus_vecmat,
 )
+from .states import NUM_STATES
+
+_K = NUM_STATES
 
 # Refolds shorter than this use the sequential fold: the doubling scan's
 # per-level dispatch overhead only pays off past it.
 _MIN_SCAN = 8
 
-
-def _scan_refold(
-    windows: Sequence["SlidingProductWindow"], position: int, *, suffix: bool
-) -> None:
-    """Refold one stack of ``m`` windows from ``position`` up, in one doubling scan.
-
-    ``suffix=True`` rewrites front-stack suffixes ``M[q] ⊗ ... ⊗ M[p] ⊗
-    carry`` (older factors compose on the left), ``suffix=False``
-    back-stack prefixes ``carry ⊗ M[p] ⊗ ... ⊗ M[q]`` (newer factors
-    compose on the right), for ``p = position``; the aggregate below
-    ``position`` (none at the stack bottom) is the carry.  Every window
-    holds the same number ``n`` of matrices above ``position``: the
-    scan runs on one ``(K, K, n, m)`` block, flattened to ``(K, K, n *
-    m)`` so that a shift by ``span`` elements is a contiguous slice.
-    The tree order reassociates the float products relative to the
-    sequential fold; the guard band of ``StreamingDecoder.may_fire``
-    (64 * eps * length * magnitude) dominates the scan's *shallower*
-    rounding depth.  Each window gets its aggregates as views of a
-    private ``(n, K, K)`` copy, which pins ``n * K * K`` floats until
-    its last view is evicted; a view of the scan's own block would pin
-    every window of the group until the slowest one slid past.
-    """
-    m = len(windows)
-    segments = [
-        (window._front_matrices if suffix else window._back_matrices)[position:]
-        for window in windows
-    ]
-    n = len(segments[0])
-    k = segments[0][0].shape[0]
-    # block[:, :, q * m + j] is matrix ``position + q`` of window ``j``.
-    block = np.array(list(chain.from_iterable(zip(*segments)))).transpose(1, 2, 0)
-    for matmul, name in (
-        (maxplus_matmul_batch, "_front_max" if suffix else "_back_max"),
-        (logsumexp_matmul_batch, "_front_lse" if suffix else "_back_lse"),
-    ):
-        stack = np.ascontiguousarray(block)
-        width = m
-        while width < n * m:
-            # Both operands are read in full before the assignment lands.
-            older, newer = stack[:, :, :-width], stack[:, :, width:]
-            stack[:, :, width:] = matmul(newer, older) if suffix else matmul(older, newer)
-            width *= 2
-        if position:
-            carry = np.stack(
-                [getattr(window, name)[position - 1] for window in windows], axis=-1
-            )
-            carry = np.tile(carry, n)
-            stack = matmul(stack, carry) if suffix else matmul(carry, stack)
-        per_window = stack.reshape(k, k, n, m).transpose(3, 2, 0, 1)
-        for window, aggregates in zip(windows, per_window):
-            getattr(window, name)[position:] = np.ascontiguousarray(aggregates)
+# Rows a fresh arena allocates on its first windowed entity, and the
+# factor it grows by when the free list runs dry.
+_INITIAL_ROWS = 8
+_GROWTH = 2
 
 
-def flip_together(windows: Iterable["SlidingProductWindow"]) -> None:
-    """Move each window's back stack into its (empty) front as suffix products.
+class WindowArena:
+    """Struct-of-arrays storage of two-stack sliding windows, one per row."""
 
-    Windows whose back stacks have the same length share one scan, so a
-    round of the stacked decode kernel pays one flip per length instead
-    of one per entity; :meth:`SlidingProductWindow.pop_front` flips its
-    own window through the same code, so a window's aggregates do not
-    depend on which driver advanced it.
-    """
-    by_length: Dict[int, List["SlidingProductWindow"]] = {}
-    for window in windows:
-        window._back_indices.reverse()
-        window._back_matrices.reverse()
-        window._front_indices, window._back_indices = window._back_indices, []
-        window._front_matrices, window._back_matrices = window._back_matrices, []
-        window._back_max.clear()
-        window._back_lse.clear()
-        by_length.setdefault(len(window._front_indices), []).append(window)
-    for length, group in by_length.items():
-        if length >= _MIN_SCAN:
-            _scan_refold(group, 0, suffix=True)
-        else:
-            for window in group:
-                window._recompute_front(0)
+    __slots__ = (
+        "ring", "capacity", "_free", "symbol_ids", "symbol_names",
+        "base", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
+    )  # fmt: skip
+
+    def __init__(self, ring: int, rows: int = 0) -> None:
+        self.ring = ring
+        self.capacity = 0
+        self._free: List[int] = []
+        # Alert names interned in order of first sight.
+        self.symbol_ids: Dict[str, int] = {}
+        self.symbol_names: List[str] = []
+        self._resize(rows)
+
+    @property
+    def live(self) -> int:
+        """Number of rows currently allocated."""
+        return self.capacity - len(self._free)
+
+    def _resize(self, capacity: int) -> None:
+        cells = capacity * self.ring
+        for name, shape, dtype in (
+            ("base", (cells, _K), np.float64),
+            ("unary", (cells, _K), np.float64),
+            ("symbols", (cells,), np.int64),
+            ("agg_max", (_K, _K, cells), np.float64),
+            ("agg_lse", (_K, _K, cells), np.float64),
+            ("start", (capacity,), np.int64),
+            ("boundary", (capacity,), np.int64),
+            ("end", (capacity,), np.int64),
+        ):
+            fresh = np.zeros(shape, dtype=dtype)
+            old = getattr(self, name, None)
+            if old is not None and fresh.ndim == 3:
+                fresh[:, :, : old.shape[2]] = old
+            elif old is not None:
+                fresh[: old.shape[0]] = old
+            setattr(self, name, fresh)
+        self._free.extend(range(capacity - 1, self.capacity - 1, -1))
+        self.capacity = capacity
+
+    def allocate(self) -> int:
+        """A free row index (contents stale; the caller loads it)."""
+        if not self._free:
+            self._resize(max(_INITIAL_ROWS, self.capacity * _GROWTH))
+        return self._free.pop()
+
+    def release(self, row: int) -> None:
+        self._free.append(row)
+
+    def intern(self, name: str) -> int:
+        """Symbol index of an alert name."""
+        symbol = self.symbol_ids.get(name)
+        if symbol is None:
+            symbol = self.symbol_ids[name] = len(self.symbol_names)
+            self.symbol_names.append(name)
+        return symbol
+
+    # -- whole-round operations on row-index arrays --------------------------
+    def cells(self, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Flat cell of ``steps[i]`` (or ``steps[q, i]``) of ``rows[i]``."""
+        return rows * self.ring + steps % self.ring
+
+    def push(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
+        """Fold each row's step ``end`` (unary row already stored) into its back."""
+        end = self.end[rows]
+        cells, previous = self.cells(rows, end), self.cells(rows, end - 1)
+        matrices = pairwise[:, :, None] + self.unary[cells].T[None, :, :]
+        # An empty back has no product to extend: its prefix is the matrix
+        # (the product those rows compute from a stale cell is discarded).
+        carried = end > self.boundary[rows]
+        self.agg_max[:, :, cells] = np.where(
+            carried, maxplus_matmul_batch(self.agg_max[:, :, previous], matrices), matrices
+        )
+        self.agg_lse[:, :, cells] = np.where(
+            carried, logsumexp_matmul_batch(self.agg_lse[:, :, previous], matrices), matrices
+        )
+        self.end[rows] = end + 1
+
+    def flip_together(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
+        """Turn each row's back prefixes into front suffixes (its front is empty).
+
+        Rows whose backs have the same length share one scan, so a
+        decode round pays one flip per length instead of one per
+        entity; a lone ``pop_front`` flips through the same code.
+        """
+        end = self.end[rows]
+        spans = end - self.boundary[rows]
+        for count in np.unique(spans[spans > 0]).tolist():
+            group = spans == count
+            self._refold(rows[group], end[group] - 1, count, pairwise, suffix=True)
+        self.boundary[rows] = end
+
+    def evict(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
+        """Drop each (distinct) row's head: due flips together, then ``start += 1``."""
+        due = rows[self.boundary[rows] == self.start[rows] + 1]
+        if due.size:
+            self.flip_together(due, pairwise)
+        self.start[rows] += 1
+
+    def fold(self, rows: np.ndarray, vectors: np.ndarray, vecmat, aggregates) -> np.ndarray:
+        """``vectors[:, i] ⊗ front-top suffix ⊗ newest back prefix`` of ``rows[i]``.
+
+        A row lacking one of the two keeps its vector through that fold.
+        """
+        start, boundary, end = self.start[rows], self.boundary[rows], self.end[rows]
+        for held, steps in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
+            folded = vecmat(vectors, aggregates[:, :, self.cells(rows, steps)])
+            vectors = np.where(held, folded, vectors)
+        return vectors
+
+    def _refold(
+        self,
+        rows: np.ndarray,
+        origin: np.ndarray,
+        count: int,
+        pairwise: np.ndarray,
+        *,
+        suffix: bool,
+        carry: bool = False,
+    ) -> None:
+        """Recompute ``count`` aggregates of each of ``m`` rows from step ``origin``.
+
+        ``suffix=True`` rewrites front suffixes walking *down* from
+        ``origin`` (older steps compose on the left), ``suffix=False``
+        back prefixes walking *up* (newer steps compose on the right);
+        with ``carry`` the aggregate of the step just before ``origin``
+        in walk order seeds the fold.  The block is ``(K, K, count *
+        m)`` with walk position ``q`` of row ``j`` at ``q * m + j``, so
+        a shift by ``span`` positions is a contiguous slice.  At
+        ``count >= _MIN_SCAN`` the fold is a doubling scan, whose tree
+        order reassociates the float products; the guard band of
+        ``StreamingDecoder.may_fire`` dominates its rounding depth.
+        """
+        m = rows.size
+        direction = -1 if suffix else 1
+        cells = self.cells(rows, origin + direction * np.arange(count)[:, None]).ravel()
+        block = pairwise[:, :, None] + self.unary[cells].T[None, :, :]
+        seed_cells = self.cells(rows, origin - direction)
+        for matmul, aggregates in (
+            (maxplus_matmul_batch, self.agg_max),
+            (logsumexp_matmul_batch, self.agg_lse),
+        ):
+            stack = block.copy()
+            seed = aggregates[:, :, seed_cells] if carry else None
+            if count >= _MIN_SCAN:
+                width = m
+                while width < count * m:
+                    # Both operands are read in full before the assignment lands.
+                    earlier, later = stack[:, :, :-width], stack[:, :, width:]
+                    stack[:, :, width:] = (
+                        matmul(later, earlier) if suffix else matmul(earlier, later)
+                    )
+                    width *= 2
+                if carry:
+                    seed = np.tile(seed, count)
+                    stack = matmul(stack, seed) if suffix else matmul(seed, stack)
+            else:
+                for low in range(0, count * m, m):
+                    if seed is not None:
+                        current = stack[:, :, low : low + m]
+                        stack[:, :, low : low + m] = (
+                            matmul(current, seed) if suffix else matmul(seed, current)
+                        )
+                    seed = stack[:, :, low : low + m]
+            aggregates[:, :, cells] = stack
 
 
 class SlidingProductWindow:
-    """Two-stack sliding product of step matrices under both semirings.
+    """One arena row: a two-stack sliding product under both semirings.
 
-    Elements are pushed with strictly increasing, contiguous integer
-    indices (the decoder's absolute step indices) and evicted from the
-    front in the same order.
+    ``SlidingProductWindow(pairwise, ring)`` owns a private one-row
+    arena; ``SlidingProductWindow(pairwise, arena=arena)`` takes a row
+    of a shared one.  The row holds nothing until :meth:`load` gives it
+    a head; later steps are staged and pushed with contiguous indices
+    and evicted from the front in the same order, at most ``ring`` of
+    them between ``start`` and ``end``.
     """
 
-    __slots__ = (
-        "_front_indices",
-        "_front_matrices",
-        "_front_max",
-        "_front_lse",
-        "_back_indices",
-        "_back_matrices",
-        "_back_max",
-        "_back_lse",
-        "_scratch",
-    )
+    __slots__ = ("pairwise", "arena", "row", "_ring", "_low")
 
-    def __init__(self) -> None:
-        # Front stack: list end = stack top = the *oldest* remaining
-        # element; _front_max/_front_lse[q] aggregate every front
-        # element from position q's step to the newest front step.
-        self._front_indices: List[int] = []
-        self._front_matrices: List[np.ndarray] = []
-        self._front_max: List[np.ndarray] = []
-        self._front_lse: List[np.ndarray] = []
-        # Back stack: list end = the newest element; _back_max/
-        # _back_lse[q] aggregate the back elements up to position q, so
-        # the last entry is the whole back product.
-        self._back_indices: List[int] = []
-        self._back_matrices: List[np.ndarray] = []
-        self._back_max: List[np.ndarray] = []
-        self._back_lse: List[np.ndarray] = []
-        # Reusable (K, K) fold buffer for apply(); lazily sized, never
-        # escapes (the returned vectors are fresh reductions of it).
-        self._scratch: Optional[np.ndarray] = None
+    def __init__(
+        self, pairwise: np.ndarray, ring: int = 0, *, arena: Optional[WindowArena] = None
+    ) -> None:
+        self.pairwise = pairwise
+        self.arena = arena if arena is not None else WindowArena(ring, rows=1)
+        self.row = self.arena.allocate()
+        self._ring = self.arena.ring
+        self._low = self.row * self._ring
+
+    def release(self) -> None:
+        """Hand the row back to the arena; the view is dead afterwards."""
+        self.arena.release(self.row)
+
+    # -- geometry ------------------------------------------------------------
+    @property
+    def start(self) -> int:
+        return int(self.arena.start[self.row])
+
+    @property
+    def end(self) -> int:
+        return int(self.arena.end[self.row])
+
+    @property
+    def span(self) -> Tuple[int, int, int]:
+        arena, row = self.arena, self.row
+        return int(arena.start[row]), int(arena.boundary[row]), int(arena.end[row])
 
     def __len__(self) -> int:
-        return len(self._front_indices) + len(self._back_indices)
+        return self.end - self.start - 1
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Slotted class: build the state dict by hand, dropping the
-        # scratch buffer so pickled windows stay canonical (checkpoint
-        # bytes must not depend on whether apply() ever ran).
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_scratch"
-        }
+    def cell(self, step: int) -> int:
+        """Flat arena cell of one step of this row."""
+        return self._low + step % self._ring
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._scratch = None
+    def cells(self, first: int, last: int) -> np.ndarray:
+        """Flat arena cells of steps ``first .. last - 1``, in step order."""
+        return self.arena.cells(self.row, np.arange(first, last))
 
-    # -- mutation ----------------------------------------------------------
-    def push(self, index: int, matrix: np.ndarray) -> None:
-        """Append one step matrix on the right: O(K^3)."""
-        self._back_indices.append(index)
-        self._back_matrices.append(matrix)
-        if self._back_max:
-            self._back_max.append(maxplus_matmul(self._back_max[-1], matrix))
-            self._back_lse.append(logsumexp_matmul(self._back_lse[-1], matrix))
-        else:
-            self._back_max.append(matrix)
-            self._back_lse.append(matrix)
-
-    def push_aggregated(
-        self,
-        index: int,
-        matrix: np.ndarray,
-        aggregate_max: np.ndarray,
-        aggregate_lse: np.ndarray,
+    # -- mutation ------------------------------------------------------------
+    def load(
+        self, start: int, base: np.ndarray, unary: np.ndarray, names: Sequence[str]
     ) -> None:
-        """Append a step whose prefix products were computed externally.
+        """Become the window of steps ``start .. start + len(names) - 1``.
 
-        The stacked decode kernel folds the back-prefix products for
-        many windows in one stacked call and scatters the results here.
-        The caller guarantees a non-empty back stack and aggregates
-        bit-equal to what :meth:`push` would have produced.  The window
-        keeps private copies, so the arguments may be views of blocks
-        the caller reuses -- and no window pins a block another
-        window's slower entity still reads.
+        Everything lands in the front; :meth:`rebuild` aggregates it.
         """
-        self._back_indices.append(index)
-        self._back_matrices.append(matrix.copy())
-        self._back_max.append(aggregate_max.copy())
-        self._back_lse.append(aggregate_lse.copy())
+        arena, end = self.arena, start + len(names)
+        if len(names) > arena.ring:
+            raise IndexError("window ring is full")
+        cells = self.cells(start, end)
+        arena.base[cells] = base
+        arena.unary[cells] = unary
+        arena.symbols[cells] = [arena.intern(name) for name in names]
+        arena.start[self.row] = start
+        arena.boundary[self.row] = arena.end[self.row] = end
+
+    def stage(self, base_row: np.ndarray, name: str) -> int:
+        """Store the observation row and symbol of the step the next push folds."""
+        arena = self.arena
+        start, _, end = self.span
+        if end - start >= self._ring:
+            raise IndexError("window ring is full")
+        cell = self._low + end % self._ring
+        arena.base[cell] = base_row
+        arena.symbols[cell] = arena.intern(name)
+        return end
+
+    def push(self, unary_row: np.ndarray) -> None:
+        """Append the staged step on the right: O(K^3)."""
+        arena = self.arena
+        _, boundary, end = self.span
+        cell = self._low + end % self._ring
+        arena.unary[cell] = unary_row
+        matrix = self.pairwise + unary_row[None, :]
+        if end > boundary:
+            previous = self._low + (end - 1) % self._ring
+            arena.agg_max[:, :, cell] = maxplus_matmul(arena.agg_max[:, :, previous], matrix)
+            arena.agg_lse[:, :, cell] = logsumexp_matmul(arena.agg_lse[:, :, previous], matrix)
+        else:
+            arena.agg_max[:, :, cell] = matrix
+            arena.agg_lse[:, :, cell] = matrix
+        arena.end[self.row] = end + 1
 
     def pop_front(self) -> int:
         """Evict the oldest step: O(K^3) amortised.  Returns its index."""
-        if not self._front_indices:
-            flip_together((self,))
-        if not self._front_indices:
+        start, boundary, end = self.span
+        if end - start < 2:
             raise IndexError("pop from an empty SlidingProductWindow")
-        self._front_matrices.pop()
-        self._front_max.pop()
-        self._front_lse.pop()
-        return self._front_indices.pop()
+        if boundary == start + 1:
+            self.arena.flip_together(np.array([self.row]), self.pairwise)
+        self.arena.start[self.row] = start + 1
+        return start + 1
 
-    def replace(self, index: int, matrix: np.ndarray) -> bool:
-        """Swap the matrix of one queued step after its unary row changed.
+    def replace(self, step: int, unary_row: np.ndarray) -> bool:
+        """Swap the unary row of one queued step and patch its aggregates.
 
-        Only the aggregates that cover the edited step are recomputed:
-        back-region prefixes from the edited position rightwards,
-        front-region suffixes from the edited position towards the
-        oldest element.  Returns ``False`` for an index the structure
-        does not hold (the caller's cue to fall back to the exact
-        :meth:`rebuild`).
+        Only the aggregates that cover the step are recomputed: back
+        prefixes from it to the newest step, or front suffixes from it
+        down to the oldest.  Returns ``False`` for a step the two
+        stacks do not hold (evicted, not yet pushed, or the head).
         """
-        back = self._back_indices
-        if back and back[0] <= index <= back[-1]:
-            position = index - back[0]
-            self._back_matrices[position] = matrix
-            self._refold_back(position)
-            return True
-        front = self._front_indices
-        if front and front[-1] <= index <= front[0]:
-            # Front positions run newest (0) to oldest (end); suffix at
-            # position q folds the matrices at positions <= q, so the
-            # edit invalidates suffixes from its position to the top.
-            position = front[0] - index
-            self._front_matrices[position] = matrix
-            self._recompute_front(position)
-            return True
-        return False
+        start, boundary, end = self.span
+        if not start < step < end:
+            return False
+        self.arena.unary[self.cell(step)] = unary_row
+        rows, origin = np.array([self.row]), np.array([step])
+        if step >= boundary:
+            self.arena._refold(
+                rows, origin, end - step, self.pairwise, suffix=False, carry=step > boundary
+            )
+        else:
+            self.arena._refold(
+                rows, origin, step - start, self.pairwise, suffix=True, carry=step + 1 < boundary
+            )
+        return True
 
-    def rebuild(self, indices: Iterable[int], matrices: Iterable[np.ndarray]) -> None:
+    def rebuild(self) -> None:
         """Re-aggregate from scratch: everything into front suffix products."""
-        for stack in (
-            self._front_indices,
-            self._front_matrices,
-            self._front_max,
-            self._front_lse,
-            self._back_indices,
-            self._back_matrices,
-            self._back_max,
-            self._back_lse,
-        ):
-            stack.clear()
-        pairs = list(zip(indices, matrices))
-        for index, matrix in reversed(pairs):
-            self._front_indices.append(index)
-            self._front_matrices.append(matrix)
-        self._recompute_front(0)
+        start, _, end = self.span
+        self.arena.boundary[self.row] = end
+        if end - start > 1:
+            self.arena._refold(
+                np.array([self.row]), np.array([end - 1]), end - start - 1, self.pairwise,
+                suffix=True,
+            )  # fmt: skip
 
-    def shift(self, delta: int) -> None:
-        """Rebase all stored step indices by ``-delta`` (buffer compaction)."""
-        self._front_indices = [i - delta for i in self._front_indices]
-        self._back_indices = [i - delta for i in self._back_indices]
+    # -- queries -------------------------------------------------------------
+    def fold(self, vector: np.ndarray, vecmat, aggregates: np.ndarray) -> np.ndarray:
+        """``vector ⊗ front-top suffix ⊗ newest back prefix`` in one semiring: O(K^2)."""
+        start, boundary, end = self.span
+        for held, step in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
+            if held:
+                vector = vecmat(vector, aggregates[:, :, self._low + step % self._ring])
+        return vector
 
-    # -- queries -----------------------------------------------------------
     def apply(self, head: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Window products ``head ⊗ M_(s+1) ⊗ ... ⊗ M_t``: O(K^2).
+        """Window products ``head ⊗ M_(start+1) ⊗ ... ⊗ M_(end-1)``.
 
         Returns ``(viterbi_score, forward_log)`` -- the final Viterbi
-        score vector and the unnormalised forward log message of the
-        window.
-
-        The (max, +)/(logsumexp, +) vec-mat folds reuse one per-window
-        ``(K, K)`` scratch buffer instead of allocating temporaries on
-        every alert; the arithmetic replays ``maxplus_vecmat``/
-        ``logsumexp_vecmat`` bit-for-bit, and the returned vectors are
-        fresh arrays that never alias the scratch.
+        score vector and the unnormalised forward log message.
         """
-        score = head
-        forward = head
-        if self._front_indices:
-            score, forward = self._fold(score, forward, -1, front=True)
-        if self._back_indices:
-            score, forward = self._fold(score, forward, -1, front=False)
-        return score, forward
+        return (
+            self.fold(head, maxplus_vecmat, self.arena.agg_max),
+            self.fold(head, logsumexp_vecmat, self.arena.agg_lse),
+        )
 
-    def _fold(
-        self, score: np.ndarray, forward: np.ndarray, position: int, *, front: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One scratch-buffered vec-mat fold through both semirings."""
-        matrix_max = self._front_max[position] if front else self._back_max[position]
-        matrix_lse = self._front_lse[position] if front else self._back_lse[position]
-        buffer = self._scratch
-        if buffer is None or buffer.shape != matrix_max.shape:
-            buffer = self._scratch = np.empty_like(matrix_max)
-        # (max, +): max_a score[a] + M[a, b], same ops as maxplus_vecmat.
-        np.add(score[:, None], matrix_max, out=buffer)
-        score = np.maximum.reduce(buffer, axis=0)
-        # (logsumexp, +): shift/exp/sum/log, same ops as logsumexp_vecmat.
-        np.add(forward[:, None], matrix_lse, out=buffer)
-        shift = np.maximum.reduce(buffer, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.subtract(buffer, shift[None, :], out=buffer)
-            np.exp(buffer, out=buffer)
-            summed = np.add.reduce(buffer, axis=0)
-            np.log(summed, out=summed)
-            np.add(shift, summed, out=summed)
-        return score, summed
+    def unary_table(self) -> np.ndarray:
+        """Effective unary rows of steps ``start .. end - 1``: a fresh ``(T, K)``."""
+        start, _, end = self.span
+        return self.arena.unary[self.cells(start, end)]
 
-    # -- internals ---------------------------------------------------------
-    def _recompute_front(self, position: int) -> None:
-        """Recompute front suffixes from ``position`` to the stack top."""
-        matrices = self._front_matrices
-        if len(matrices) - position >= _MIN_SCAN:
-            _scan_refold((self,), position, suffix=True)
-            return
-        suffix_max = self._front_max
-        suffix_lse = self._front_lse
-        del suffix_max[position:]
-        del suffix_lse[position:]
-        for q in range(position, len(matrices)):
-            matrix = matrices[q]
-            if q == 0:
-                suffix_max.append(matrix)
-                suffix_lse.append(matrix)
-            else:
-                suffix_max.append(maxplus_matmul(matrix, suffix_max[q - 1]))
-                suffix_lse.append(logsumexp_matmul(matrix, suffix_lse[q - 1]))
+    def names(self) -> List[str]:
+        """Alert names of steps ``start .. end - 1``."""
+        start, _, end = self.span
+        table = self.arena.symbol_names
+        return [table[symbol] for symbol in self.arena.symbols[self.cells(start, end)].tolist()]
 
-    def _refold_back(self, position: int) -> None:
-        """Recompute back prefixes from ``position`` to the newest element."""
-        matrices = self._back_matrices
-        if len(matrices) - position >= _MIN_SCAN:
-            _scan_refold((self,), position, suffix=False)
-            return
-        prefix_max = self._back_max
-        prefix_lse = self._back_lse
-        del prefix_max[position:]
-        del prefix_lse[position:]
-        for q in range(position, len(matrices)):
-            matrix = matrices[q]
-            if q == 0:
-                prefix_max.append(matrix)
-                prefix_lse.append(matrix)
-            else:
-                prefix_max.append(maxplus_matmul(prefix_max[q - 1], matrix))
-                prefix_lse.append(logsumexp_matmul(prefix_lse[q - 1], matrix))
+    # -- pickling: the row's contents, never the arena -------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        # Canonical: dense, in step order, so the bytes do not depend on
+        # the row index, the ring phase or the arena's capacity.
+        arena = self.arena
+        start, boundary, end = self.span
+        cells, queued = self.cells(start, end), self.cells(start + 1, end)
+        return {
+            "pairwise": self.pairwise,
+            "ring": arena.ring,
+            "span": (start, boundary, end),
+            "base": arena.base[cells],
+            "unary": arena.unary[cells],
+            "names": self.names(),
+            "agg_max": arena.agg_max[:, :, queued],
+            "agg_lse": arena.agg_lse[:, :, queued],
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__init__(state["pairwise"], state["ring"])
+        start, boundary, end = state["span"]
+        self.load(start, state["base"], state["unary"], state["names"])
+        self.arena.boundary[self.row] = boundary
+        queued = self.cells(start + 1, end)
+        self.arena.agg_max[:, :, queued] = state["agg_max"]
+        self.arena.agg_lse[:, :, queued] = state["agg_lse"]
 
 
-__all__ = ["SlidingProductWindow"]
+__all__ = ["SlidingProductWindow", "WindowArena"]

@@ -32,6 +32,23 @@ O(K^3) (two small matrix products), evicting the front costs O(K^3)
 *amortised*, and the firing decision reads the window's Viterbi score
 vector and forward message in O(K^2).
 
+**Where the window lives.**  The filling phase keeps per-decoder
+buffers (base and unary rows, forward recursions, names), steps ``0 ..
+length - 1``.  The first eviction moves the window into one *row* of a
+:class:`repro.core.sliding_window.WindowArena` -- the owning tagger's,
+shared by all its decoders, or a private one-row arena for a standalone
+decoder -- and frees the buffers.  From then on the decoder holds only
+a :class:`SlidingProductWindow` view of that row plus its sparse
+pattern state: the base/unary rows and alert symbols sit in the row's
+ring slots (``step mod ring``), ``start``/``end`` in the arena's integer
+arrays, and step indices are absolute and never rebased.  The scalar
+methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
+read and write the same row, so a row's state does not depend on which
+of them advanced it.  The kernel advances a row without touching its
+decoder at all when the step is *plain* (:meth:`plain_step`: no cursor
+or bonus in reach); whoever drops a windowed decoder must
+:meth:`release` its row.
+
 The aggregate is floating-point *reassociated* relative to the
 sequential recursion, so windowed mode never lets it near an emitted
 number: :meth:`may_fire` uses the aggregate only as a guard-banded
@@ -52,11 +69,8 @@ unchanged by dropping steps before its first matched position).  A
 bonus relocation dirties a step already inside the two-stack structure;
 the affected aggregates are patched partially in place (back prefixes
 or front suffixes from the edited position, typically O(K^3) because
-greedy matches cluster near the window boundaries).  The exact
-O(W * K^3) re-aggregation remains as a defensive fallback (the
-structure always holds every queued step, so it should be
-unreachable); the equivalence suite exercises patches on both sides of
-the two-stack boundary.
+greedy matches cluster near the window boundaries); the equivalence
+suite exercises patches on both sides of the two-stack boundary.
 
 Per-alert complexity (T = history length, K = states, P = patterns,
 L = pattern length, W = max window):
@@ -68,7 +82,7 @@ pattern matching                 O(P * T * L)         O(advances)       O(advanc
 Viterbi extension                O(T * K^2)           O(K^2)            O(K^3)
 posterior of current state       O(T * K^2)           O(K^2)            O(K^2)
 bonus relocation                 (included above)     O(d * K^2) [1]_   O(|back| * K^3)
-window eviction                  O(W * K^2)           O(W * K^2)        O(K^3) amortised
+window eviction                  O(W * K^2)           O(W * K^2)        O(K^3) amortised [4]_
 full MAP trajectory              O(T * K^2)           O(T) backtrack    O(W * K^2) [3]_
 ===============================  ===================  ================  ==================
 
@@ -76,8 +90,10 @@ full MAP trajectory              O(T * K^2)           O(T) backtrack    O(W * K^
 .. [2] plus an O(W * L) rescan per pattern whose match touched the
        evicted step.
 .. [3] only paid when a detection actually fires (at most once per
-       entity) or an explicit read-out is requested; cached per decoder
-       version.
+       entity) or an explicit read-out is requested; cached per window
+       span.
+.. [4] the eviction itself is an index bump (``start += 1``); the
+       amortised O(K^3) is the flip every ``W`` evictions.
 
 Every emitted number reproduces the exact arithmetic of
 :func:`repro.core.factor_graph.chain_map_decode` and
@@ -99,10 +115,11 @@ from .factor_graph import (
     _normalize_log,
     chain_map_decode,
     chain_marginals,
-    chain_step_matrix,
+    logsumexp_vecmat,
+    maxplus_vecmat,
 )
 from .factors import FactorParameters
-from .sliding_window import SlidingProductWindow
+from .sliding_window import SlidingProductWindow, WindowArena
 from .states import HiddenState, NUM_STATES
 
 _MALICIOUS = int(HiddenState.MALICIOUS)
@@ -185,6 +202,10 @@ class StreamingDecoder:
         catalogue order (the order bonuses are summed in, to keep
         floating-point results identical to the naive re-decode), as a
         :class:`PatternTable` or a sequence to build a private one from.
+    arena:
+        The owning tagger's :class:`~repro.core.sliding_window.WindowArena`;
+        the decoder takes a row of it on its first eviction.  ``None``
+        (a standalone decoder) makes that a private one-row arena.
 
     Opening a decoder is O(1) in the catalogue size.  The table's
     ``patterns`` and seed index are aliased, not copied: every decoder
@@ -201,6 +222,7 @@ class StreamingDecoder:
         self,
         parameters: FactorParameters,
         patterns: Union[PatternTable, Sequence[WeightedPattern]] = (),
+        arena: Optional[WindowArena] = None,
     ) -> None:
         table = patterns if isinstance(patterns, PatternTable) else PatternTable(patterns)
         self.parameters = parameters
@@ -217,13 +239,23 @@ class StreamingDecoder:
         # there, kept in ascending pattern-index order (the catalogue
         # summation order the naive rebuild uses).
         self._bonus_at: Dict[int, Dict[int, float]] = {}
-        self._length = 0
-        self._start = 0
-        self._windowed = False
+        self._arena = arena
+        # The arena row once windowed; its start/end are the window's.
         self._window: Optional[SlidingProductWindow] = None
-        self._version = 0
-        self._decode_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        # (window span, map_path, final_marginal) of the last exact decode.
+        self._decode_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
+        self._open_fill()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A pickled decoder is standalone: its window pickles its own
+        # row's contents, never the shared arena.
+        return {**self.__dict__, "_arena": None}
+
+    # -- bookkeeping -------------------------------------------------------
+    def _open_fill(self) -> None:
+        """Fresh filling-phase buffers: steps ``0 .. _length - 1``, head at 0."""
         capacity = _INITIAL_CAPACITY
+        self._length = 0
         self._base = np.zeros((capacity, NUM_STATES))
         self._unary = np.zeros((capacity, NUM_STATES))
         self._score = np.zeros((capacity, NUM_STATES))
@@ -231,7 +263,14 @@ class StreamingDecoder:
         self._backpointers = np.zeros((capacity, NUM_STATES), dtype=np.int64)
         self._names: List[str] = []
 
-    # -- bookkeeping -------------------------------------------------------
+    def _open_window(self) -> None:
+        """Filling → windowed: move the rows into an arena row, free the buffers."""
+        n = self._length
+        self._window = SlidingProductWindow(self._pairwise, n, arena=self._arena)
+        self._window.load(0, self._base[:n], self._unary[:n], self._names)
+        self._base = self._unary = self._score = self._alpha = None
+        self._backpointers = self._names = None
+
     def _rebuild_waiting(self) -> None:
         """Recompute the waiting lists from the cursors (after rescans):
         the seed index, with each live cursor's pattern moved from its
@@ -258,56 +297,33 @@ class StreamingDecoder:
             fresh[: old.shape[0]] = old
             setattr(self, attr, fresh)
 
-    def _compact(self) -> None:
-        """Rebase the buffers so the window starts at row 0 again.
-
-        In windowed mode the start index only ever moves forward, so
-        without compaction the buffers (and every stored step index)
-        would grow with the *stream*, not the window.  Shifting the live
-        rows down costs O(W) and runs at most once per ``capacity / 2``
-        evictions, keeping memory O(W) and the shift O(1) amortised.
-        """
-        shift = self._start
-        if shift == 0:
-            return
-        width = self._length - shift
-        for attr in ("_base", "_unary"):
-            array = getattr(self, attr)
-            array[:width] = array[shift : self._length].copy()
-        del self._names[:shift]
-        self._bonus_at = {step - shift: bucket for step, bucket in self._bonus_at.items()}
-        for cursor in self._cursors.values():
-            cursor.positions = [p - shift for p in cursor.positions]
-            cursor.end_index -= shift
-        if self._window is not None:
-            self._window.shift(shift)
-        self._start = 0
-        self._length = width
-
     @property
     def length(self) -> int:
         """Number of alerts currently folded into the (windowed) chain."""
-        return self._length - self._start
+        window = self._window
+        return self._length if window is None else window.end - window.start
 
     @property
     def names(self) -> tuple[str, ...]:
         """Alert names currently folded into the chain."""
-        return tuple(self._names[self._start : self._length])
+        return tuple(self._names if self._window is None else self._window.names())
 
     @property
     def windowed(self) -> bool:
         """Whether the decoder has evicted at least once (amortised mode)."""
-        return self._windowed
+        return self._window is not None
+
+    def release(self) -> None:
+        """Give the arena row back; whoever drops a windowed decoder must."""
+        if self._window is not None:
+            self._window.release()
+            self._window = None
 
     def reset(self) -> None:
-        """Forget the whole stream (capacity is retained)."""
-        self._length = 0
-        self._start = 0
-        self._windowed = False
-        self._window = None
-        self._version += 1
+        """Forget the whole stream."""
+        self.release()
+        self._open_fill()
         self._decode_cache = None
-        self._names.clear()
         self._bonus_at.clear()
         self._complete.clear()
         self._cursors.clear()
@@ -322,22 +338,24 @@ class StreamingDecoder:
     def append_plan(self, name: str) -> Tuple[int, Set[int], int]:
         """Bookkeeping half of :meth:`append`: everything except the numerics.
 
-        Grows/compacts the buffers, stores the base observation row,
-        advances pattern cursors (relocating bonuses), and bumps the
-        version — but leaves the dirty unary rows and the forward/window
-        aggregates stale.  Returns ``(step, dirty, invalid_from)`` for
-        :meth:`_complete_append`, which the stacked decode kernel
-        replaces with cross-entity numerics; ``append`` is
-        exactly ``append_plan`` + ``_complete_append``.
+        Stores the base observation row and the symbol, and advances
+        pattern cursors (relocating bonuses) — but leaves the dirty
+        unary rows and the forward/window aggregates stale.  Returns
+        ``(step, dirty, invalid_from)`` for :meth:`_complete_append`,
+        which the stacked decode kernel replaces with cross-entity
+        numerics while the window fills; ``append`` is exactly
+        ``append_plan`` + ``_complete_append``.
         """
-        t = self._length
-        if t == self._base.shape[0] and self._start >= max(1, t // 2):
-            self._compact()
-            t = self._length
-        self._grow(t + 1)
         parameters = self.parameters
-        self._base[t] = parameters.observation_row(name)
-        self._names.append(name)
+        window = self._window
+        if window is None:
+            t = self._length
+            self._grow(t + 1)
+            self._base[t] = parameters.observation_row(name)
+            self._names.append(name)
+            self._length = t + 1
+        else:
+            t = window.stage(parameters.observation_row(name), name)
         invalid_from = t
         dirty = {t}
         advancing = self._waiting.pop(name, None)
@@ -371,53 +389,39 @@ class StreamingDecoder:
                     self._waiting[symbol] = self._waiting.get(symbol, ()) + (index,)
                 else:
                     self._complete.add(index)
-        self._length = t + 1
-        self._version += 1
-        self._decode_cache = None
         return t, dirty, invalid_from
 
     def _complete_append(self, step: int, dirty: Set[int], invalid_from: int) -> None:
         """Numeric half of :meth:`append`: refresh unaries, extend aggregates."""
-        for touched in dirty:
-            self._refresh_unary(touched)
-        if not self._windowed:
+        if self._window is None:
+            for touched in dirty:
+                self._refresh_unary(touched)
             self._recompute_forward(invalid_from)
         else:
-            self._apply_dirty_to_window(dirty, appended=step)
+            self._sync_window(dirty, appended=step)
 
     def evict_front(self) -> None:
         """Slide the window start forward by one step: O(K^3) amortised.
 
-        The first eviction switches the decoder into windowed mode and
+        The first eviction moves the decoder into an arena row and
         builds the two-stack aggregates over the remaining window; every
         later eviction pops the front stack (amortised two semiring
         products) and rescans only the patterns whose greedy match
         touched the evicted step.
         """
-        if self.length < 2:
-            raise ValueError("cannot evict from a window of fewer than 2 steps")
-        evicted = self._start
-        transition = not self._windowed
-        self._windowed = True
-        self._start = evicted + 1
-        if transition:
-            self._window = SlidingProductWindow()
-        else:
-            self._window.pop_front()
-        dirty = self._evict_cursor_state(evicted)
-        self._version += 1
-        self._decode_cache = None
-        # The new head row gains the initial-state prior.  Refreshing it
-        # after the rescan is safe: _refresh_unary is a pure function of
-        # the base/bonus state, and every head-bonus change the rescan
-        # makes lands in ``dirty``.
-        self._refresh_unary(self._start)
-        for step in dirty:
-            self._refresh_unary(step)
-        if transition:
-            self._rebuild_window_aggregates()
-        else:
-            self._apply_dirty_to_window(dirty)
+        opening = self._window is None
+        if opening:
+            if self._length < 2:
+                raise ValueError("cannot evict from a window of fewer than 2 steps")
+            self._open_window()
+        head = self._window.pop_front()
+        dirty = self._evict_cursor_state(head - 1)
+        # The new head row gains the initial-state prior (a pure
+        # function of the base/bonus state, so safe after the rescan).
+        dirty.add(head)
+        self._sync_window(dirty)
+        if opening:
+            self._window.rebuild()
 
     def _evict_cursor_state(self, evicted: int) -> Set[int]:
         """Rescan patterns whose greedy match used the evicted step.
@@ -472,23 +476,19 @@ class StreamingDecoder:
         (and the end index the naive rebuild derives from it) on the
         window's names.
         """
-        names = self._names
-        matched = 0
+        window = self._window
+        start, _, end = window.span
+        queued = window.arena.symbols[window.cells(start, end)].tolist()
+        symbol_ids = window.arena.symbol_ids
         positions: List[int] = []
-        cursor = self._start
-        end = self._length
+        cursor = 0
         for symbol in symbols:
-            found = -1
-            for idx in range(cursor, end):
-                if names[idx] == symbol:
-                    found = idx
-                    break
-            if found < 0:
+            try:
+                cursor = queued.index(symbol_ids.get(symbol), cursor) + 1
+            except ValueError:
                 break
-            positions.append(found)
-            matched += 1
-            cursor = found + 1
-        return matched, positions
+            positions.append(start + cursor - 1)
+        return len(positions), positions
 
     def _insert_bonus(self, step: int, index: int, bonus: float) -> None:
         """Record a bonus, keeping the step's bucket in pattern-index order.
@@ -509,54 +509,59 @@ class StreamingDecoder:
             if keys[-2] > index:
                 self._bonus_at[step] = dict(sorted(bucket.items()))
 
-    def _refresh_unary(self, step: int) -> None:
-        """Rebuild one effective unary row: base (+ prior) + ordered bonuses."""
-        row = self._base[step].copy()
-        if step == self._start:
+    def _effective_row(self, step: int, head: int = 0) -> np.ndarray:
+        """One effective unary row: base (+ prior on the ``head`` step) + ordered bonuses."""
+        window = self._window
+        if window is None:
+            row = self._base[step].copy()
+        else:
+            row = window.arena.base[window.cell(step)].copy()
+        if step == head:
             row += self.parameters.initial_log
         bonuses = self._bonus_at.get(step)
         if bonuses:
             for bonus in bonuses.values():
                 row[_MALICIOUS] += bonus
-        self._unary[step] = row
+        return row
+
+    def _refresh_unary(self, step: int) -> None:
+        """Rebuild one filling-phase unary row in place."""
+        self._unary[step] = self._effective_row(step)
 
     # -- windowed-mode aggregate maintenance ---------------------------------
-    def _step_matrix(self, step: int) -> np.ndarray:
-        return chain_step_matrix(self._pairwise, self._unary[step])
+    def _sync_window(self, dirty: Set[int], appended: Optional[int] = None) -> None:
+        """Rewrite the dirty unary rows, patching the aggregates that cover them.
 
-    def _rebuild_window_aggregates(self) -> None:
-        """Exact O(W * K^3) re-aggregation of the two-stack structure."""
-        indices = range(self._start + 1, self._length)
-        self._window.rebuild(indices, [self._step_matrix(j) for j in indices])
-
-    def _apply_dirty_to_window(self, dirty: Set[int], appended: Optional[int] = None) -> None:
-        """Patch the aggregates after unary rows changed (and/or an append).
-
-        Dirty steps are replaced in place on whichever side of the
-        two-stack boundary holds them (partial prefix/suffix
-        recomputation); the structure holds every queued step, so the
-        full re-aggregation below is a defensive fallback.  The head
-        row is read fresh at query time and needs no patch.
+        A queued step is replaced in place on whichever side of the
+        two-stack boundary holds it (partial prefix/suffix refold); the
+        head is in no aggregate, so its row is just stored; the
+        ``appended`` step is pushed last.
         """
-        if not self._patch_window(dirty, skip=appended):
-            # Fallback: exact re-aggregation (already covers the
-            # appended step, if any).
-            self._rebuild_window_aggregates()
-        elif appended is not None:
-            self._window.push(appended, self._step_matrix(appended))
-
-    def _patch_window(self, dirty: Set[int], skip: Optional[int] = None) -> bool:
-        """Replace every queued dirty step's matrix (rows already fresh).
-
-        ``skip`` is a just-appended step the caller pushes itself.
-        Returns ``False`` as soon as the structure does not hold a step.
-        """
+        window = self._window
+        head = window.start
         for step in dirty:
-            if step <= self._start or step == skip:
-                continue
-            if not self._window.replace(step, self._step_matrix(step)):
-                return False
-        return True
+            if step == head:
+                window.arena.unary[window.cell(step)] = self._effective_row(step, head)
+            elif step != appended:
+                window.replace(step, self._effective_row(step, head))
+        if appended is not None:
+            window.push(self._effective_row(appended, head))
+
+    def plain_step(self, name: str) -> bool:
+        """Whether appending ``name`` and evicting the head touch no pattern state.
+
+        True when the symbol neither is awaited by a cursor nor seeds a
+        pattern, and no cursor's match starts on the evicted step or on
+        the next head (where a rescan would start or a bonus would meet
+        the prior).  Such a step is pure arithmetic on the arena row,
+        which the stacked kernel does for all plain rows of a round.
+        """
+        if self._waiting.get(name):
+            return False
+        if not self._cursors:
+            return True
+        horizon = self._window.start + 1
+        return all(cursor.positions[0] > horizon for cursor in self._cursors.values())
 
     def _recompute_forward(self, start: int) -> None:
         """Extend/repair the forward recursions from ``start`` to the end.
@@ -595,9 +600,10 @@ class StreamingDecoder:
         decode, so they feed guard-banded decisions, never emitted
         numbers.
         """
-        if not self._windowed:
+        window = self._window
+        if window is None:
             raise ValueError("window_scores requires windowed mode")
-        return self._window.apply(self._unary[self._start])
+        return window.apply(window.arena.unary[window.cell(window.start)])
 
     def may_fire(self, threshold: float) -> bool:
         """Cheap pre-filter: could this window cross the detection bar?
@@ -609,11 +615,18 @@ class StreamingDecoder:
         -- and materialise -- the detection bit-identically to the
         naive path.
         """
-        score, forward = self.window_scores()
+        window = self._window
+        arena = window.arena
+        start, _, end = window.span
+        head = arena.unary[window.cell(start)]
+        score = window.fold(head, maxplus_vecmat, arena.agg_max)
         magnitude = float(np.max(np.abs(score)))
-        guard = max(_DECISION_GUARD, _GUARD_SLACK * self.length * magnitude)
+        guard = max(_DECISION_GUARD, _GUARD_SLACK * (end - start) * magnitude)
         if score[_MALICIOUS] < np.max(score) - guard:
             return False
+        # Only a window the score test lets through pays for the
+        # forward message (the stacked kernel's two stages).
+        forward = window.fold(head, logsumexp_vecmat, arena.agg_lse)
         probability = float(np.exp(forward[_MALICIOUS] - _logsumexp(forward)))
         if np.isnan(probability):
             # Hard zeros (-inf log potentials) in user-supplied
@@ -625,7 +638,7 @@ class StreamingDecoder:
 
     # -- read-out ------------------------------------------------------------
     def _window_decode(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact sequential decode of the window, cached per version.
+        """Exact sequential decode of the window, cached per window span.
 
         Returns ``(map_path, final_marginal)``.  The MAP path reproduces
         ``chain_map_decode`` on the window's unary table; the final
@@ -635,10 +648,12 @@ class StreamingDecoder:
         final row -- same argument, and same float ops, as the
         incremental ``_alpha`` read-out while the window is filling).
         """
+        # Every change to a windowed row moves its start or its end.
+        span = self._window.span
         cache = self._decode_cache
-        if cache is not None and cache[0] == self._version:
+        if cache is not None and cache[0] == span:
             return cache[1], cache[2]
-        unary = self._unary[self._start : self._length]
+        unary = self._window.unary_table()
         pairwise = self._pairwise
         path = chain_map_decode(unary, pairwise)
         forward = _normalize_log(unary[0])
@@ -646,7 +661,7 @@ class StreamingDecoder:
             prev = forward[:, None] + pairwise
             forward = _normalize_log(_logsumexp(prev, axis=0) + unary[t])
         final_marginal = np.exp(forward - _logsumexp(forward))
-        self._decode_cache = (self._version, path, final_marginal)
+        self._decode_cache = (span, path, final_marginal)
         return path, final_marginal
 
     def final_marginal(self) -> np.ndarray:
@@ -658,7 +673,7 @@ class StreamingDecoder:
         """
         if self.length == 0:
             raise ValueError("decoder is empty")
-        if self._windowed:
+        if self._window is not None:
             # Copy: the cached array must survive caller mutation.
             return self._window_decode()[1].copy()
         last = self._alpha[self._length - 1]
@@ -672,7 +687,7 @@ class StreamingDecoder:
         """Final state of the MAP trajectory (``argmax`` of the Viterbi score)."""
         if self.length == 0:
             raise ValueError("decoder is empty")
-        if self._windowed:
+        if self._window is not None:
             return int(self._window_decode()[0][-1])
         return int(np.argmax(self._score[self._length - 1]))
 
@@ -682,7 +697,7 @@ class StreamingDecoder:
         O(T) backpointer backtrack while the window is filling; the
         cached exact window decode afterwards.
         """
-        if self._windowed:
+        if self._window is not None:
             return self._window_decode()[0].copy()
         steps = self._length
         path = np.zeros(steps, dtype=np.int64)
@@ -707,7 +722,9 @@ class StreamingDecoder:
 
     def unary_table(self) -> np.ndarray:
         """Copy of the window's effective unary log potentials (T, K)."""
-        return self._unary[self._start : self._length].copy()
+        if self._window is not None:
+            return self._window.unary_table()
+        return self._unary[: self._length].copy()
 
     def marginals(self) -> np.ndarray:
         """Full per-step posteriors of the window (O(W * K^2) decode).
@@ -717,7 +734,7 @@ class StreamingDecoder:
         """
         if self.length == 0:
             return np.zeros((0, NUM_STATES))
-        return chain_marginals(self._unary[self._start : self._length], self._pairwise)
+        return chain_marginals(self.unary_table(), self._pairwise)
 
 
 __all__ = ["PatternCursor", "PatternTable", "StreamingDecoder", "WeightedPattern"]

@@ -2,7 +2,8 @@
 
 Checkpoint/restore (PR 6) and shard snapshot/migration pickle detector
 state: :class:`AttackTagger`, its per-entity tracks/decoders, the
-sliding windows, and anything a pool snapshot reaches.  An attribute
+sliding windows (and the arena a standalone one owns), and anything a
+pool snapshot reaches.  An attribute
 holding a lambda, generator, lock, open file, or socket either fails to
 pickle outright or — worse — pickles *differently* across runs,
 breaking byte-identical checkpoints.
@@ -37,6 +38,7 @@ CHECKPOINTED_CLASS_NAMES = frozenset(
         "AttackTagger",
         "StreamingDecoder",
         "SlidingProductWindow",
+        "WindowArena",
         "EntityTrack",
         "DetectorTemplate",
         "RuleBasedDetector",

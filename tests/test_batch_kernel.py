@@ -14,15 +14,14 @@ on every detection (trigger position, state, confidence, matched
 patterns, trajectory), and the two ``streaming`` drives must leave every
 decoder's logical state (unary tables, names, bonuses, window span)
 bitwise identical.  The window *aggregates* are exempt from bitwise
-comparison: which refolds run as log-depth tree scans depends on when
-each window flips, and the scans reassociate floating point relative to
-the sequential recursion -- by design, the aggregates only feed the
-guard-banded ``may_fire`` pre-filter, and every firing decision is
-re-derived from the exact cached decode (see
-``sliding_window.SlidingProductWindow``'s module docstring).  Flips are
-the exception that is pinned: a window's stacks (and pickle) after a
-flip are the same whether ``pop_front`` flipped it alone or the kernel
-flipped it in a group.
+comparison with ``naive`` (it has none): the scans reassociate floating
+point relative to the sequential recursion -- by design, the aggregates
+only feed the guard-banded ``may_fire`` pre-filter, and every firing
+decision is re-derived from the exact window decode (see the
+``sliding_window`` module docstring).  Between the two ``streaming``
+drives they *are* pinned: a row's aggregates (and its pickle) are the
+same whether the per-entity view advanced it or the kernel advanced it
+next to a round of others, at whatever row index.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.core import AttackTagger, batch_kernel
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
-from repro.core.sliding_window import _MIN_SCAN
+from repro.core.sliding_window import _MIN_SCAN, WindowArena
 from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.sharding import ShardedDetectorPool
@@ -114,14 +113,22 @@ def _assert_same_logical_state(reference, batched, entities):
         assert matched_r == matched_b
         decoder_r = reference._decoder_for(track_r)
         decoder_b = batched._decoder_for(track_b)
-        assert decoder_r._length == decoder_b._length
-        assert decoder_r._start == decoder_b._start
-        assert decoder_r._windowed == decoder_b._windowed
-        n = decoder_r._length
-        assert np.array_equal(decoder_r._base[:n], decoder_b._base[:n])
-        assert np.array_equal(decoder_r._unary[:n], decoder_b._unary[:n])
-        assert decoder_r._names[:n] == decoder_b._names[:n]
+        assert decoder_r.windowed == decoder_b.windowed
+        assert decoder_r.length == decoder_b.length
+        assert decoder_r.names == decoder_b.names
+        assert np.array_equal(decoder_r.unary_table(), decoder_b.unary_table())
         assert decoder_r._bonus_at == decoder_b._bonus_at
+        if decoder_r.windowed:
+            # Same absolute steps, base rows and aggregates, whoever
+            # advanced the row and wherever in its arena it lives.
+            state_r = decoder_r._window.__getstate__()
+            state_b = decoder_b._window.__getstate__()
+            assert state_r.keys() == state_b.keys()
+            for key, value in state_r.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, state_b[key]), key
+                else:
+                    assert value == state_b[key], key
 
 
 def _assert_matches_spec(naive, tagger, entities):
@@ -266,14 +273,14 @@ class TestBatchedEngineEquivalence:
             for i in range(len(entities) * 6 * max_window)
         ]
         patched = []
-        patch_window = StreamingDecoder._patch_window
+        sync_window = StreamingDecoder._sync_window
 
-        def counted_patch(decoder, dirty, skip=None):
-            if any(step > decoder._start and step != skip for step in dirty):
+        def counted_sync(decoder, dirty, appended=None):
+            if any(step > decoder._window.start and step != appended for step in dirty):
                 patched.append(decoder.windowed)
-            return patch_window(decoder, dirty, skip)
+            return sync_window(decoder, dirty, appended)
 
-        monkeypatch.setattr(StreamingDecoder, "_patch_window", counted_patch)
+        monkeypatch.setattr(StreamingDecoder, "_sync_window", counted_sync)
         hits, batched, _, _ = _three_way(
             stream,
             4 * len(entities),
@@ -322,31 +329,28 @@ class TestBatchedEngineEquivalence:
 
         shapes, flips, patched = [], [], set()
         advance = BatchedDecodeKernel._advance_windowed
-        patch_window = StreamingDecoder._patch_window
-        flip_together = batch_kernel.flip_together
+        sync_window = StreamingDecoder._sync_window
+        flip_together = WindowArena.flip_together
 
-        def counted_advance(kernel, windowed, pairwise):
-            shapes.append({
-                (bool(d._window._front_indices), bool(d._window._back_indices))
-                for (_, _, _, d), _, _ in windowed
-            })
-            advance(kernel, windowed, pairwise)
-            patched.clear()  # eviction-time patches belong to no flip
+        def counted_advance(kernel, arena, rows, symbols, parameters):
+            start, boundary, end = arena.start[rows], arena.boundary[rows], arena.end[rows]
+            shapes.append(set(zip((start + 1 < boundary).tolist(), (boundary < end).tolist())))
+            advance(kernel, arena, rows, symbols, parameters)
 
-        def counted_patch(decoder, dirty, skip=None):
-            if decoder.windowed and any(s > decoder._start and s != skip for s in dirty):
-                patched.add(id(decoder._window))
-            return patch_window(decoder, dirty, skip)
+        def counted_sync(decoder, dirty, appended=None):
+            if any(s > decoder._window.start and s != appended for s in dirty):
+                patched.add(decoder._window.row)
+            return sync_window(decoder, dirty, appended)
 
-        def counted_flip(windows):
-            windows = list(windows)
-            flips.append((len(windows), sum(id(w) in patched for w in windows)))
-            flip_together(windows)
+        def counted_flip(arena, rows, pairwise):
+            flips.append((rows.size, sum(row in patched for row in rows.tolist())))
+            patched.difference_update(rows.tolist())
+            flip_together(arena, rows, pairwise)
 
         batched = _tagger(**kwargs)
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_windowed", counted_advance)
-        monkeypatch.setattr(StreamingDecoder, "_patch_window", counted_patch)
-        monkeypatch.setattr(batch_kernel, "flip_together", counted_flip)
+        monkeypatch.setattr(StreamingDecoder, "_sync_window", counted_sync)
+        monkeypatch.setattr(WindowArena, "flip_together", counted_flip)
         hits = _drive_batched(batched, stream, len(entities))
         monkeypatch.undo()
 
@@ -354,19 +358,23 @@ class TestBatchedEngineEquivalence:
         assert any({front_empty, back_empty, both} <= round_shapes for round_shapes in shapes)
         assert max(size for size, _ in flips) >= 2  # flips really were grouped
         assert any(relocated for _, relocated in flips)  # a patched window flipped
+        kernel = batched._batch_kernel
+        assert kernel.rows_stacked > 0 < kernel.rows_scalar  # both paths shared the rounds
 
         scalar, naive = _tagger(**kwargs), _tagger("naive", **kwargs)
         assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream) == []
         _assert_same_logical_state(scalar, batched, entities)
         _assert_matches_spec(naive, batched, entities)
-        # The drivers flipped the same windows in different company.
+        # The drivers flipped the same windows in different company
+        # (_assert_same_logical_state compared every aggregate): the
+        # canonical bytes agree too, and no two rows share storage.
         for entity in entities:
             window_b = batched.track(entity).decoder._window
             window_s = scalar.track(entity).decoder._window
-            for slot in ("_front_max", "_front_lse", "_back_max", "_back_lse"):
-                for got, expected in zip(getattr(window_b, slot), getattr(window_s, slot), strict=True):
-                    assert np.array_equal(got, expected), slot
             assert pickle.dumps(window_b) == pickle.dumps(window_s)
+        for tagger in (batched, scalar):
+            rows = [tagger.track(entity).decoder._window.row for entity in entities]
+            assert len(set(rows)) == len(entities) == tagger._arena.live
 
     def test_probability_stage_runs_only_for_score_survivors(self, monkeypatch):
         """``_decide_windowed`` folds the forward message for the rows the
@@ -385,19 +393,19 @@ class TestBatchedEngineEquivalence:
         ]
         kwargs = dict(max_window=6, detection_threshold=0.99)
         rows = {"maxplus_vecmat_batch": 0, "logsumexp_vecmat_batch": 0, "finalized": 0}
-        fold_windows = BatchedDecodeKernel._fold_windows
+        fold = WindowArena.fold
         decide_windowed = BatchedDecodeKernel._decide_windowed
         finalize = BatchedDecodeKernel._finalize
         in_windowed = []
 
-        def counted_fold(kernel, vecmat, vectors, stacks):
+        def counted_fold(arena, indices, vectors, vecmat, aggregates):
             rows[vecmat.__name__] += vectors.shape[1]
-            return fold_windows(kernel, vecmat, vectors, stacks)
+            return fold(arena, indices, vectors, vecmat, aggregates)
 
-        def counted_decide(kernel, entries):
+        def counted_decide(kernel, arena, indices, entries):
             in_windowed.append(True)
             try:
-                return decide_windowed(kernel, entries)
+                return decide_windowed(kernel, arena, indices, entries)
             finally:
                 in_windowed.pop()
 
@@ -407,7 +415,7 @@ class TestBatchedEngineEquivalence:
             return finalize(kernel, entries, chosen)
 
         batched = _tagger(**kwargs)
-        monkeypatch.setattr(BatchedDecodeKernel, "_fold_windows", counted_fold)
+        monkeypatch.setattr(WindowArena, "fold", counted_fold)
         monkeypatch.setattr(BatchedDecodeKernel, "_decide_windowed", counted_decide)
         monkeypatch.setattr(BatchedDecodeKernel, "_finalize", counted_finalize)
         hits = _drive_batched(batched, stream, len(entities))

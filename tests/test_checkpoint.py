@@ -19,8 +19,11 @@ here:
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ingest_corpus
 from repro.core import AttackTagger
-from repro.core.alerts import Alert
+from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.telemetry import ZeekMonitor
 from repro.testbed import (
@@ -299,6 +303,44 @@ class TestCheckpointHoldsStateNotTraffic:
         assert (tmp_path / "legacy.again.ckpt").read_bytes() == (
             tmp_path / "new.again.ckpt"
         ).read_bytes()
+
+
+class TestCheckpointBytesArePinned:
+    """Decode scratch -- kernel, pattern table, window arena -- never
+    reaches a checkpoint: the bytes of one fixed drive are pinned."""
+
+    #: sha256 of the checkpoint written by the drive below, recorded on
+    #: the tree of commit f6f6f6b (before the window arena existed).
+    DIGEST = "f19cd93e9f456f4d442b1e35fce6cea34004cded6f1294ec709927d2f2214c4f"
+    SIZE = 74884
+
+    def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path, monkeypatch):
+        # Wall-clock fields (stage/busy/kernel seconds) become a count
+        # of clock reads, so the bytes are a pure function of the code.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        monkeypatch.setattr(time, "process_time", lambda: float(next(ticks)))
+        background = [
+            spec.name for spec in DEFAULT_VOCABULARY if spec.stage is AttackStage.BACKGROUND
+        ]
+        rng = np.random.default_rng(20)
+        entities = [f"user:steady-{index:02d}" for index in range(24)]
+        path = tmp_path / "pinned.ckpt"
+        with _build_pipeline(n_shards=2, max_window=8) as pipeline:
+            pipeline.ingest_raw(ingest_corpus.build_corpus())
+            # Window-saturating steady stream: every entity slides its
+            # window twice over, two alerts per entity per batch.
+            for batch in range(12):
+                names = rng.integers(0, len(background), size=2 * len(entities))
+                pipeline.ingest_alerts(
+                    [
+                        Alert(1e6 + batch * 100.0 + i, background[names[i]], entities[i % len(entities)])
+                        for i in range(2 * len(entities))
+                    ]
+                )
+            pipeline.checkpoint(path)
+        blob = path.read_bytes()
+        assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (self.DIGEST, self.SIZE)
 
 
 class TestRestoreMisuse:

@@ -32,7 +32,7 @@ from repro.core.attack_tagger import EntityTrack, UnknownEngineError
 from repro.core.baselines import CriticalAlertDetector, NaiveBayesDetector
 from repro.core.rule_based import RuleBasedDetector
 from repro.core.sequences import AlertSequence
-from repro.core.sliding_window import SlidingProductWindow
+from repro.core.sliding_window import SlidingProductWindow, WindowArena
 from repro.core.streaming import StreamingDecoder
 from repro.core.training import LabeledSequence
 from repro.incidents import DEFAULT_CATALOGUE
@@ -283,25 +283,31 @@ class TestSlidingWindowRoundTrip:
         n_push=st.integers(min_value=1, max_value=12),
         n_pop=st.integers(min_value=0, max_value=11),
     )
-    def test_scratch_dropped_and_apply_bit_identical(self, seed, n_push, n_pop):
+    def test_arena_dropped_and_apply_bit_identical(self, seed, n_push, n_pop):
+        """A pickled view carries its row's contents, never the arena."""
         rng = np.random.default_rng(seed)
-        window = SlidingProductWindow()
-        for index in range(n_push):
-            window.push(index, rng.standard_normal((3, 3)))
+        pairwise = rng.standard_normal((3, 3))
+        arena = WindowArena(16)
+        neighbours = [SlidingProductWindow(pairwise, arena=arena) for _ in range(3)]
+        window = SlidingProductWindow(pairwise, arena=arena)
+        window.load(5, np.zeros((1, 3)), rng.standard_normal((1, 3)), ["head"])
+        for _ in range(n_push):
+            row = rng.standard_normal(3)
+            window.stage(row, "step")
+            window.push(row)
         for _ in range(min(n_pop, n_push - 1)):
             window.pop_front()
-
-        assert "_scratch" not in window.__getstate__()
 
         head = rng.standard_normal(3)
         pristine = pickle.dumps(window)
         max_before, lse_before = window.apply(head)
-        # apply() sized the scratch buffer; pickled bytes must not see it.
-        assert pickle.dumps(window) == pristine
+        assert pickle.dumps(window) == pristine  # queries leave no trace
 
         restored = pickle.loads(pristine)
-        assert restored._scratch is None
-        assert len(restored) == len(window)
+        assert restored.arena is not arena
+        assert (restored.arena.capacity, restored.arena.live) == (1, 1)
+        assert arena.live == len(neighbours) + 1
+        assert len(restored) == len(window) and restored.span == window.span
         max_after, lse_after = restored.apply(head)
         np.testing.assert_array_equal(max_before, max_after)
         np.testing.assert_array_equal(lse_before, lse_after)

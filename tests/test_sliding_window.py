@@ -31,7 +31,7 @@ from repro.core.factor_graph import (
     logsumexp_vecmat,
     maxplus_vecmat,
 )
-from repro.core.sliding_window import _MIN_SCAN, flip_together
+from repro.core.sliding_window import _INITIAL_ROWS, _MIN_SCAN, WindowArena
 from repro.core.states import NUM_STATES, HiddenState
 from repro.core.streaming import (
     _DECISION_GUARD,
@@ -71,77 +71,115 @@ def _assert_identical_detection(ds, dn):
     assert ds.state_trajectory == dn.state_trajectory
 
 
-class TestSlidingProductWindow:
-    """Unit checks of the two-stack aggregator against direct folds."""
+def _window(pairwise, ring, arena=None):
+    """A view holding just a (zero) head at step 0; pushes are steps 1, 2, ..."""
+    window = SlidingProductWindow(pairwise, ring, arena=arena)
+    window.load(0, np.zeros((1, NUM_STATES)), np.zeros((1, NUM_STATES)), ["head"])
+    return window
 
-    def _reference(self, head, matrices):
-        score, forward = head, head
-        for matrix in matrices:
-            score = maxplus_vecmat(score, matrix)
-            forward = logsumexp_vecmat(forward, matrix)
-        return score, forward
+
+def _push(window, row):
+    window.stage(row, "step")
+    window.push(row)
+
+
+def _fold_reference(pairwise, head, rows):
+    """Brute-force fold of the step matrices ``pairwise + row`` onto ``head``."""
+    score, forward = head, head
+    for row in rows:
+        matrix = chain_step_matrix(pairwise, row)
+        score = maxplus_vecmat(score, matrix)
+        forward = logsumexp_vecmat(forward, matrix)
+    return score, forward
+
+
+class TestSlidingProductWindow:
+    """Unit checks of the two-stack aggregator against direct folds.
+
+    A standalone window owns a private one-row arena; its elements are
+    unary rows, the step matrices are ``pairwise + row``.
+    """
+
+    RING = 256
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_push_pop_matches_direct_fold(self, seed):
         rng = np.random.default_rng(seed)
-        window = SlidingProductWindow()
+        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
+        window = _window(pairwise, self.RING)
         live: deque = deque()
-        next_index = 0
+        next_index = 1
         head = rng.normal(size=NUM_STATES)
         for _ in range(200):
             if live and rng.random() < 0.45:
                 assert window.pop_front() == live.popleft()[0]
             else:
-                matrix = rng.normal(size=(NUM_STATES, NUM_STATES))
-                window.push(next_index, matrix)
-                live.append((next_index, matrix))
+                row = rng.normal(size=NUM_STATES)
+                _push(window, row)
+                live.append((next_index, row))
                 next_index += 1
             assert len(window) == len(live)
             score, forward = window.apply(head)
-            ref_score, ref_forward = self._reference(head, [m for _, m in live])
+            ref_score, ref_forward = _fold_reference(pairwise, head, [r for _, r in live])
             np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-9)
             np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=1e-9)
 
     def test_replace_patches_both_regions(self):
         rng = np.random.default_rng(7)
-        window = SlidingProductWindow()
-        matrices = [rng.normal(size=(NUM_STATES, NUM_STATES)) for _ in range(6)]
-        for index, matrix in enumerate(matrices):
-            window.push(index, matrix)
-        window.pop_front()  # flips everything into the front stack
+        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
+        window = _window(pairwise, self.RING)
+        rows = [None] + [rng.normal(size=NUM_STATES) for _ in range(6)]  # steps 1..6
+        for row in rows[1:]:
+            _push(window, row)
+        assert window.pop_front() == 1  # flips everything into the front stack
         # Front-region edit: suffixes are partially recomputed in place.
-        front_replacement = rng.normal(size=(NUM_STATES, NUM_STATES))
-        assert window.replace(3, front_replacement)
-        matrices[3] = front_replacement
+        front_replacement = rng.normal(size=NUM_STATES)
+        assert window.replace(4, front_replacement)
+        rows[4] = front_replacement
         # Back-region edit: prefixes are partially refolded in place.
-        window.push(6, rng.normal(size=(NUM_STATES, NUM_STATES)))
-        back_replacement = rng.normal(size=(NUM_STATES, NUM_STATES))
-        assert window.replace(6, back_replacement)
-        # An index the structure does not hold is refused (the caller's
-        # cue to fall back to the exact rebuild).
-        assert not window.replace(0, rng.normal(size=(NUM_STATES, NUM_STATES)))
-        assert not window.replace(7, rng.normal(size=(NUM_STATES, NUM_STATES)))
+        _push(window, rng.normal(size=NUM_STATES))
+        back_replacement = rng.normal(size=NUM_STATES)
+        assert window.replace(7, back_replacement)
+        # A step the two stacks do not hold is refused: evicted, the
+        # head (in no aggregate), or not pushed yet.
+        assert not window.replace(0, rng.normal(size=NUM_STATES))
+        assert not window.replace(1, rng.normal(size=NUM_STATES))
+        assert not window.replace(8, rng.normal(size=NUM_STATES))
         head = rng.normal(size=NUM_STATES)
         score, forward = window.apply(head)
-        ref_score, ref_forward = self._reference(head, matrices[1:] + [back_replacement])
+        ref_score, ref_forward = _fold_reference(pairwise, head, rows[2:] + [back_replacement])
         np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-9)
         np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=1e-9)
 
-    def test_rebuild_and_shift(self):
+    def test_rebuild(self):
+        """``load`` + ``rebuild`` far from step 0, across the ring's wrap."""
         rng = np.random.default_rng(11)
-        window = SlidingProductWindow()
-        matrices = [rng.normal(size=(NUM_STATES, NUM_STATES)) for _ in range(5)]
-        window.rebuild(range(10, 15), matrices)
-        window.shift(10)
-        assert window.pop_front() == 0
+        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
+        window = SlidingProductWindow(pairwise, 8)
+        rows = rng.normal(size=(6, NUM_STATES))  # the head (step 9) + steps 10..14
+        window.load(9, rows, rows, ["a", "b", "a", "c", "b", "a"])
+        window.rebuild()
+        assert len(window) == 5 and window.names() == ["a", "b", "a", "c", "b", "a"]
+        assert window.pop_front() == 10
         head = rng.normal(size=NUM_STATES)
         score, _ = window.apply(head)
-        ref_score, _ = self._reference(head, matrices[1:])
+        ref_score, _ = _fold_reference(pairwise, head, rows[2:])
         np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(window.unary_table(), rows[1:])
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            SlidingProductWindow().pop_front()
+            _window(np.zeros((NUM_STATES, NUM_STATES)), 4).pop_front()
+
+    def test_a_full_ring_refuses_the_next_step(self):
+        window = _window(np.zeros((NUM_STATES, NUM_STATES)), 3)  # the head + 2 steps
+        for _ in range(2):
+            _push(window, np.zeros(NUM_STATES))
+        with pytest.raises(IndexError):
+            window.stage(np.zeros(NUM_STATES), "step")
+        window.pop_front()
+        _push(window, np.ones(NUM_STATES))
+        assert len(window) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -163,54 +201,56 @@ class TestSlidingProductWindow:
         magnitude)``.
         """
         rng = np.random.default_rng(seed)
-        window = SlidingProductWindow()
+        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
+        window = _window(pairwise, self.RING)
         live: deque = deque()
-        next_index = 0
+        next_index = 1
         head = rng.normal(size=NUM_STATES)
         for op, where in ops:
             if op == "pop" and len(live) < depth:
                 op = "push"  # fill to the target depth before sliding
             if op == "push" or not live:
-                matrix = rng.normal(size=(NUM_STATES, NUM_STATES))
-                window.push(next_index, matrix)
-                live.append([next_index, matrix])
+                row = rng.normal(size=NUM_STATES)
+                _push(window, row)
+                live.append([next_index, row])
                 next_index += 1
             elif op == "pop":
                 assert window.pop_front() == live.popleft()[0]
             else:
                 slot = live[int(where * (len(live) - 1))]
-                slot[1] = rng.normal(size=(NUM_STATES, NUM_STATES))
+                slot[1] = rng.normal(size=NUM_STATES)
                 assert window.replace(slot[0], slot[1])
             assert len(window) == len(live)
             score, forward = window.apply(head)
-            ref_score, ref_forward = self._reference(head, [m for _, m in live])
+            ref_score, ref_forward = _fold_reference(pairwise, head, [r for _, r in live])
             magnitude = float(np.max(np.abs(ref_score)))
             guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
             np.testing.assert_allclose(score, ref_score, rtol=0, atol=guard)
             np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=guard)
 
 
-class TestGroupFlip:
-    """Flipping windows together must not be observable per window."""
+def _assert_same_window(got, expected):
+    """Two views hold the same row: spans, rows, names and every aggregate."""
+    ours, theirs = got.__getstate__(), expected.__getstate__()
+    assert ours.keys() == theirs.keys()
+    for key, value in ours.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, theirs[key]), key
+        else:
+            assert value == theirs[key], key
 
-    _STACKS = (
-        "_front_indices", "_front_matrices", "_front_max", "_front_lse",
-        "_back_indices", "_back_matrices", "_back_max", "_back_lse",
-    )
+
+class TestGroupFlip:
+    """Flipping rows together must not be observable per row."""
+
+    RING = 4 * _MIN_SCAN + 30
 
     @staticmethod
-    def _filled(matrices):
-        window = SlidingProductWindow()
-        for index, matrix in enumerate(matrices):
-            window.push(index, matrix.copy())
+    def _filled(pairwise, rows, arena=None):
+        window = _window(pairwise, TestGroupFlip.RING, arena)
+        for row in rows:
+            _push(window, row.copy())
         return window
-
-    def _assert_same_window(self, got, expected):
-        for slot in self._STACKS:
-            ours, theirs = getattr(got, slot), getattr(expected, slot)
-            assert len(ours) == len(theirs), slot
-            for a, b in zip(ours, theirs):
-                assert np.array_equal(a, b), slot
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -231,46 +271,41 @@ class TestGroupFlip:
     )
     def test_group_flip_equals_lone_flip_then_tracks_brute_force(self, seed, m, lengths, ops):
         rng = np.random.default_rng(seed)
+        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
         contents = [
-            [rng.normal(size=(NUM_STATES, NUM_STATES)) for _ in range(length)]
-            for length in lengths[:m]
+            [rng.normal(size=NUM_STATES) for _ in range(length)] for length in lengths[:m]
         ]
-        together = [self._filled(matrices) for matrices in contents]
-        flip_together(together)
+        # Capacity 2 at first, so the rows also straddle arena growth.
+        arena = WindowArena(self.RING, rows=2)
+        together = [self._filled(pairwise, rows, arena) for rows in contents]
+        arena.flip_together(np.array([window.row for window in together]), pairwise)
+        # No row aliases another's storage.
+        cells = [set(window.cells(window.start, window.end).tolist()) for window in together]
+        assert sum(map(len, cells)) == len(set().union(*cells))
         head = rng.normal(size=NUM_STATES)
-        for window, matrices in zip(together, contents):
-            alone = self._filled(matrices)
-            flip_together((alone,))
-            assert not window._back_indices and len(window._front_indices) == len(matrices)
-            self._assert_same_window(window, alone)
-            # No aggregate is a view into a block another window can reach.
-            bases = {id(a.base) for a in window._front_max + window._front_lse if a.base is not None}
-            for other in together:
-                if other is not window:
-                    assert not bases & {
-                        id(a.base) for a in other._front_max + other._front_lse
-                    }
+        for window, rows in zip(together, contents):
+            alone = self._filled(pairwise, rows)
+            alone.arena.flip_together(np.array([alone.row]), pairwise)
+            assert window.span == (0, len(rows) + 1, len(rows) + 1)  # all of it in the front
+            _assert_same_window(window, alone)
             # The flipped window keeps working: the same op sequence on
             # it tracks a brute-force fold within the guard band.
-            live = deque([index, matrix] for index, matrix in enumerate(matrices))
-            next_index = len(matrices)
+            live = deque([index, row] for index, row in enumerate(rows, start=1))
+            next_index = len(rows) + 1
             for op, where in ops:
                 if op == "push" or len(live) < 2:
-                    matrix = rng.normal(size=(NUM_STATES, NUM_STATES))
-                    window.push(next_index, matrix)
-                    live.append([next_index, matrix])
+                    row = rng.normal(size=NUM_STATES)
+                    _push(window, row)
+                    live.append([next_index, row])
                     next_index += 1
                 elif op == "pop":
                     assert window.pop_front() == live.popleft()[0]
                 else:
                     slot = live[int(where * (len(live) - 1))]
-                    slot[1] = rng.normal(size=(NUM_STATES, NUM_STATES))
+                    slot[1] = rng.normal(size=NUM_STATES)
                     assert window.replace(slot[0], slot[1])
                 score, forward = window.apply(head)
-                ref_score, ref_forward = head, head
-                for _, matrix in live:
-                    ref_score = maxplus_vecmat(ref_score, matrix)
-                    ref_forward = logsumexp_vecmat(ref_forward, matrix)
+                ref_score, ref_forward = _fold_reference(pairwise, head, [r for _, r in live])
                 magnitude = float(np.max(np.abs(ref_score)))
                 guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
                 np.testing.assert_allclose(score, ref_score, rtol=0, atol=guard)
@@ -278,22 +313,23 @@ class TestGroupFlip:
 
     @pytest.mark.parametrize("length", [_MIN_SCAN - 1, 4 * _MIN_SCAN - 1])
     def test_pickle_bytes_do_not_depend_on_the_group(self, length):
-        """A checkpoint must not record which driver flipped a window:
-        ``pop_front`` alone, or the stacked kernel next to seven others."""
+        """A pickled row must not record which driver flipped it
+        (``pop_front`` alone, or a round next to seven others), nor
+        where in which arena it lived."""
         rng = np.random.default_rng(length)
-        contents = [
-            [rng.normal(size=(NUM_STATES, NUM_STATES)) for _ in range(length)]
-            for _ in range(8)
-        ]
-        together = [self._filled(matrices) for matrices in contents]
-        flip_together(together)
-        for window, matrices in zip(together, contents):
+        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
+        contents = [[rng.normal(size=NUM_STATES) for _ in range(length)] for _ in range(8)]
+        arena = WindowArena(self.RING)
+        together = [self._filled(pairwise, rows, arena) for rows in contents]
+        arena.flip_together(np.array([window.row for window in together]), pairwise)
+        for window, rows in zip(together, contents):
             window.pop_front()
-            alone = self._filled(matrices)
+            alone = self._filled(pairwise, rows)
             alone.pop_front()
             assert pickle.dumps(window) == pickle.dumps(alone)
             restored = pickle.loads(pickle.dumps(window))
-            self._assert_same_window(restored, alone)
+            assert restored.arena is not arena and restored.arena.capacity == 1
+            _assert_same_window(restored, alone)
 
 
 class TestEvictionEquivalence:
@@ -333,10 +369,12 @@ class TestEvictionEquivalence:
         assert np.array_equal(s_marg, n_marg)
         assert s_matched == n_matched
         decoder = taggers["streaming"].track("entity:x").decoder
-        # The live decoder really took the amortised path (and compacted:
-        # its buffers must not have grown with the 220-alert stream).
-        assert decoder is not None and decoder.windowed
-        assert decoder._base.shape[0] <= 8 * max_window + 16
+        # The live decoder really took the amortised path: one arena
+        # row of max_window + 1 ring slots, its filling buffers freed --
+        # nothing grew with the 220-alert stream.
+        assert decoder is not None and decoder.windowed and decoder._base is None
+        arena = taggers["streaming"]._arena
+        assert (arena.live, arena.capacity, arena.ring) == (1, _INITIAL_ROWS, max_window + 1)
 
     def test_windowed_unary_table_matches_naive_build(self):
         rng = np.random.default_rng(42)
