@@ -16,7 +16,7 @@ from .alerts import (
     build_default_vocabulary,
     sort_alerts,
 )
-from .attack_tagger import AttackTagger, Detection, DetectionTrace, EntityTrack, PatternSpec
+from .attack_tagger import AttackTagger, Detection, EntityTrack, PatternSpec
 from .baselines import CriticalAlertDetector, NaiveBayesDetector, NaiveBayesParameters
 from .detector import Detector
 from .evaluation import (
@@ -27,7 +27,6 @@ from .evaluation import (
     compare_detectors,
     cross_validate,
     evaluate_detector,
-    threshold_sweep,
     window_sweep,
 )
 from .factor_graph import (
@@ -35,11 +34,8 @@ from .factor_graph import (
     FactorGraph,
     Variable,
     chain_map_decode,
-    chain_map_decode_batch,
     chain_marginals,
-    chain_marginals_batch,
     chain_step_matrix,
-    chain_stream_trace_batch,
     logsumexp_matmul,
     logsumexp_vecmat,
     maxplus_matmul,
@@ -112,9 +108,6 @@ __all__ = [
     "FactorGraph",
     "chain_map_decode",
     "chain_marginals",
-    "chain_map_decode_batch",
-    "chain_marginals_batch",
-    "chain_stream_trace_batch",
     "chain_step_matrix",
     "maxplus_matmul",
     "maxplus_vecmat",
@@ -133,7 +126,6 @@ __all__ = [
     "Detector",
     "AttackTagger",
     "Detection",
-    "DetectionTrace",
     "EntityTrack",
     "PatternSpec",
     "StreamingDecoder",
@@ -161,7 +153,6 @@ __all__ = [
     "CrossValidationResult",
     "evaluate_detector",
     "window_sweep",
-    "threshold_sweep",
     "cross_validate",
     "compare_detectors",
 ]

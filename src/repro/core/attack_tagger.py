@@ -28,13 +28,7 @@ from typing import Dict, Iterable, List, Mapping, MutableSequence, Optional, Seq
 import numpy as np
 
 from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
-from .factor_graph import (
-    chain_map_decode,
-    chain_map_decode_batch,
-    chain_marginals,
-    chain_marginals_batch,
-    chain_stream_trace_batch,
-)
+from .factor_graph import chain_map_decode, chain_marginals
 from .factors import FactorParameters, default_parameters, observation_log_for_sequence
 from .sequences import AlertSequence, matched_prefix_length
 from .sliding_window import WindowArena
@@ -94,35 +88,6 @@ class Detection:
     def is_malicious(self) -> bool:
         """Whether the decision tagged the entity as malicious."""
         return self.state is HiddenState.MALICIOUS
-
-
-@dataclasses.dataclass
-class DetectionTrace:
-    """Per-step streaming outputs of one sequence replay.
-
-    ``malicious_probability[t]`` is the posterior probability that the
-    entity is malicious after observing alerts ``0..t``;
-    ``map_is_malicious[t]`` whether the MAP trajectory of that prefix
-    ends in the malicious state.  Because the detector is causal, a
-    replay of ``sequence.prefix(L)`` reproduces the first ``L`` entries
-    of the full trace -- which is what lets the evaluation sweeps share
-    one trace across every window length and threshold.
-    """
-
-    malicious_probability: np.ndarray
-    map_is_malicious: np.ndarray
-
-    def first_crossing(self, threshold: float, limit: Optional[int] = None) -> Optional[int]:
-        """First step at which a detection would fire, or ``None``.
-
-        ``limit`` restricts the search to the first ``limit`` steps
-        (the observation window of a truncated replay).
-        """
-        flags = self.map_is_malicious & (self.malicious_probability >= threshold)
-        if limit is not None:
-            flags = flags[:limit]
-        hits = np.flatnonzero(flags)
-        return int(hits[0]) if hits.size else None
 
 
 @dataclasses.dataclass
@@ -658,141 +623,6 @@ class AttackTagger:
                 detection = result
         return detection
 
-    # -- offline fast paths ----------------------------------------------------
-    def _replay_decoder(self, sequence: AlertSequence):
-        """Yield the synced decoder after each alert of an offline replay.
-
-        Mirrors :meth:`observe` exactly (including the amortised
-        window slide) without touching any per-entity track or
-        detection bookkeeping.
-        """
-        # Standalone: its window is a private arena, gone with the replay.
-        decoder = StreamingDecoder(self.parameters, self._shared_table())
-        for alert in sequence:
-            decoder.append(alert.name)
-            if decoder.length > self.max_window:
-                decoder.evict_front()
-            yield decoder
-
-    def detection_trace(self, sequence: AlertSequence) -> DetectionTrace:
-        """Per-step detection statistics of one offline sequence replay.
-
-        One O(T) replay yields, for every prefix, the malicious
-        posterior and whether the MAP trajectory ends malicious -- all a
-        sweep needs to locate the first detection for *any* threshold or
-        observation-window length (the detector is causal, so prefix
-        replays coincide with trace prefixes).
-        """
-        steps = len(sequence)
-        probabilities = np.zeros(steps)
-        flags = np.zeros(steps, dtype=bool)
-        malicious = int(HiddenState.MALICIOUS)
-        for t, decoder in enumerate(self._replay_decoder(sequence)):
-            probabilities[t] = decoder.final_malicious_probability()
-            flags[t] = decoder.final_state() == malicious
-        return DetectionTrace(malicious_probability=probabilities, map_is_malicious=flags)
-
-    def detection_traces(self, sequences: Sequence[AlertSequence]) -> list[DetectionTrace]:
-        """Detection traces for many sequences.
-
-        When no pattern factors are active the per-step unary tables are
-        prefix-stable, so all traces are computed in a single padded
-        ``(N, T, K)`` tensor pass
-        (:func:`repro.core.factor_graph.chain_stream_trace_batch`).
-        With active patterns -- whose bonuses relocate as matches extend
-        -- each sequence is replayed through its own incremental
-        decoder instead.
-        """
-        sequences = list(sequences)
-        if self._shared_table().patterns or any(
-            len(s) > self.max_window for s in sequences
-        ):
-            return [self.detection_trace(sequence) for sequence in sequences]
-        unaries = []
-        for sequence in sequences:
-            unary = observation_log_for_sequence(self.parameters, sequence.names).copy()
-            if unary.shape[0]:
-                unary[0] += self.parameters.initial_log
-            unaries.append(unary)
-        malicious = int(HiddenState.MALICIOUS)
-        traces = []
-        for marginals, map_states in chain_stream_trace_batch(
-            unaries, self.parameters.transition_log
-        ):
-            traces.append(
-                DetectionTrace(
-                    malicious_probability=marginals[:, malicious].copy()
-                    if marginals.size
-                    else np.zeros(len(map_states)),
-                    map_is_malicious=map_states == malicious,
-                )
-            )
-        return traces
-
-    def detections_at(
-        self, requests: Sequence[tuple[AlertSequence, int, str]]
-    ) -> list[Detection]:
-        """Materialise the :class:`Detection` records many streams would emit.
-
-        Each request is ``(sequence, index, entity)``: the detection the
-        live stream would have produced while observing alert ``index``
-        of ``sequence``.  The per-request observation window's unary
-        table is rebuilt directly (no step-by-step replay) and all
-        requests are decoded together through
-        :func:`repro.core.factor_graph.chain_map_decode_batch` /
-        :func:`chain_marginals_batch` -- one padded ``(N, T, K)`` tensor
-        pass instead of N independent replays.  Callers are responsible
-        for each ``index`` being a genuine crossing
-        (see :meth:`DetectionTrace.first_crossing`).
-        """
-        unaries: list[np.ndarray] = []
-        matched_lists: list[list[str]] = []
-        for sequence, index, _entity in requests:
-            if not 0 <= index < len(sequence):
-                raise IndexError(
-                    f"index {index} outside sequence of length {len(sequence)}"
-                )
-            names = [alert.name for alert in sequence.alerts[: index + 1]]
-            if len(names) > self.max_window:
-                names = names[len(names) - self.max_window :]
-            unary, matched = self._build_unary(names)
-            unaries.append(unary)
-            matched_lists.append(matched)
-        if not unaries:
-            return []
-        transition = self.parameters.transition_log
-        paths = chain_map_decode_batch(unaries, transition)
-        marginals = chain_marginals_batch(unaries, transition)
-        malicious = int(HiddenState.MALICIOUS)
-        detections: list[Detection] = []
-        for (sequence, index, entity), matched, path, posterior in zip(
-            requests, matched_lists, paths, marginals
-        ):
-            trigger = sequence[index].with_entity(entity)
-            detections.append(
-                Detection(
-                    entity=entity,
-                    timestamp=trigger.timestamp,
-                    alert_index=min(index, self.max_window - 1),
-                    trigger=trigger,
-                    state=HiddenState(int(path[-1])),
-                    confidence=float(posterior[-1][malicious]),
-                    matched_patterns=tuple(matched),
-                    state_trajectory=tuple(int(s) for s in path),
-                )
-            )
-        return detections
-
-    def detection_at(
-        self,
-        sequence: AlertSequence,
-        index: int,
-        *,
-        entity: str = "entity:eval",
-    ) -> Detection:
-        """Single-request convenience wrapper over :meth:`detections_at`."""
-        return self.detections_at([(sequence, index, entity)])[0]
-
     # -- convenience -----------------------------------------------------------
     def current_state(self, entity: str) -> HiddenState:
         """MAP state of an entity given everything observed so far."""
@@ -812,7 +642,6 @@ __all__ = [
     "UnknownEngineError",
     "PatternSpec",
     "Detection",
-    "DetectionTrace",
     "EntityTrack",
     "AttackTagger",
 ]

@@ -1,4 +1,4 @@
-"""Detector evaluation: detection metrics, cross-validation, sweeps.
+"""Detector evaluation: detection metrics, cross-validation, the window sweep.
 
 The evaluation harness treats every detector uniformly through the
 streaming ``run_sequence`` API shared by :class:`AttackTagger`, the
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Protocol, Sequence
 import numpy as np
 
 from .alerts import AlertVocabulary, DEFAULT_VOCABULARY
-from .attack_tagger import AttackTagger, Detection, DetectionTrace
+from .attack_tagger import Detection
 from .preemption import PreemptionResult, evaluate_preemption, summarize_outcomes
 from .sequences import AlertSequence
 
@@ -155,79 +155,6 @@ def evaluate_detector(
     )
 
 
-def _report_from_traces(
-    tagger: AttackTagger,
-    examples: Sequence[EvaluationExample],
-    traces: Sequence[DetectionTrace],
-    *,
-    threshold: float,
-    window_length: Optional[int],
-    detector_name: str,
-    identifier_suffix: str,
-    vocabulary: AlertVocabulary,
-    detection_cache: dict[tuple[int, int], Detection],
-) -> EvaluationReport:
-    """Build one :class:`EvaluationReport` from precomputed traces.
-
-    Shares the per-sequence traces across sweep points: the first
-    threshold crossing within the observation window identifies the
-    detection step, and only genuinely flagged examples pay for
-    materialising the full :class:`Detection` record (cached across
-    sweep points, since the crossing step is frequently the same).
-    """
-    crossings = [
-        trace.first_crossing(threshold, limit=window_length) for trace in traces
-    ]
-    # Materialise every uncached flagged detection in one batched decode.
-    pending = [
-        (index, crossing)
-        for index, crossing in enumerate(crossings)
-        if crossing is not None and (index, crossing) not in detection_cache
-    ]
-    if pending:
-        materialised = tagger.detections_at(
-            [
-                (examples[index].sequence, crossing, f"entity:eval-{index}")
-                for index, crossing in pending
-            ]
-        )
-        detection_cache.update(zip(pending, materialised))
-    confusion = ConfusionCounts()
-    preemption_results: list[PreemptionResult] = []
-    per_example: list[tuple[str, bool, Optional[Detection], Optional[PreemptionResult]]] = []
-    for index, (example, crossing) in enumerate(zip(examples, crossings)):
-        entity = f"entity:eval-{index}"
-        sequence = (
-            example.sequence if window_length is None else example.sequence.prefix(window_length)
-        )
-        detection: Optional[Detection] = None
-        if crossing is not None:
-            detection = detection_cache[(index, crossing)]
-        flagged = detection is not None
-        if example.is_attack and flagged:
-            confusion.true_positives += 1
-        elif example.is_attack and not flagged:
-            confusion.false_negatives += 1
-        elif not example.is_attack and flagged:
-            confusion.false_positives += 1
-        else:
-            confusion.true_negatives += 1
-        preemption: Optional[PreemptionResult] = None
-        if example.is_attack:
-            preemption = evaluate_preemption(
-                sequence, detection, is_attack=True, vocabulary=vocabulary
-            )
-            preemption_results.append(preemption)
-        label = (example.identifier + identifier_suffix) or entity
-        per_example.append((label, example.is_attack, detection, preemption))
-    return EvaluationReport(
-        detector_name=detector_name,
-        confusion=confusion,
-        preemption=summarize_outcomes(preemption_results),
-        per_example=per_example,
-    )
-
-
 def window_sweep(
     detector_factory: Callable[[], SequenceDetector],
     examples: Sequence[EvaluationExample],
@@ -241,32 +168,10 @@ def window_sweep(
     first ``L`` alerts before evaluation.  This reproduces Insight 2:
     one-alert windows cannot discriminate, while long windows only
     "detect" attacks that have already matured past the damage point.
-
-    For :class:`AttackTagger` detectors the sweep runs on the fast
-    trace path: the detector is causal, so one O(T) streaming replay
-    per sequence yields the per-prefix statistics for *every* window
-    length at once, instead of re-replaying the corpus per length.
-    Other detectors fall back to the generic per-length evaluation.
+    Every length gets a fresh detector from ``detector_factory``, run
+    through :func:`evaluate_detector` like any other evaluation.
     """
     vocab = vocabulary or DEFAULT_VOCABULARY
-    probe = detector_factory()
-    if isinstance(probe, AttackTagger):
-        traces = probe.detection_traces([e.sequence for e in examples])
-        cache: dict[tuple[int, int], Detection] = {}
-        return {
-            length: _report_from_traces(
-                probe,
-                examples,
-                traces,
-                threshold=probe.detection_threshold,
-                window_length=length,
-                detector_name=f"window={length}",
-                identifier_suffix=f"|w{length}",
-                vocabulary=vocab,
-                detection_cache=cache,
-            )
-            for length in window_lengths
-        }
     reports: dict[int, EvaluationReport] = {}
     for length in window_lengths:
         truncated = [
@@ -282,44 +187,6 @@ def window_sweep(
             detector, truncated, detector_name=f"window={length}", vocabulary=vocab
         )
     return reports
-
-
-def threshold_sweep(
-    tagger: AttackTagger,
-    examples: Sequence[EvaluationExample],
-    thresholds: Iterable[float],
-    *,
-    vocabulary: Optional[AlertVocabulary] = None,
-) -> dict[float, EvaluationReport]:
-    """Evaluate an :class:`AttackTagger` at many detection thresholds.
-
-    The threshold only gates *emission* -- it never changes the state
-    evolution -- so a single streaming replay per sequence (one
-    :class:`DetectionTrace`) serves every threshold: the report for
-    threshold ``theta`` flags a sequence at the first step whose MAP
-    state is malicious with posterior >= ``theta``.  This is the
-    corpus-level ROC sweep at O(total alerts) instead of
-    O(len(thresholds) * total alerts).
-    """
-    if not isinstance(tagger, AttackTagger):
-        raise TypeError("threshold_sweep requires an AttackTagger (trace-capable) detector")
-    vocab = vocabulary or DEFAULT_VOCABULARY
-    traces = tagger.detection_traces([e.sequence for e in examples])
-    cache: dict[tuple[int, int], Detection] = {}
-    return {
-        float(threshold): _report_from_traces(
-            tagger,
-            examples,
-            traces,
-            threshold=float(threshold),
-            window_length=None,
-            detector_name=f"threshold={float(threshold):g}",
-            identifier_suffix="",
-            vocabulary=vocab,
-            detection_cache=cache,
-        )
-        for threshold in thresholds
-    }
 
 
 def k_fold_indices(num_items: int, folds: int, *, seed: int = 0) -> list[np.ndarray]:
@@ -406,7 +273,6 @@ __all__ = [
     "EvaluationReport",
     "evaluate_detector",
     "window_sweep",
-    "threshold_sweep",
     "k_fold_indices",
     "CrossValidationResult",
     "cross_validate",

@@ -657,192 +657,12 @@ def logsumexp_vecmat_batch(
     return summed
 
 
-# ---------------------------------------------------------------------------
-# Batched chain inference
-# ---------------------------------------------------------------------------
-#
-# The offline evaluation sweeps (threshold sweep, window sweep, k-fold)
-# decode hundreds of alert sequences with the *same* transition table.
-# Decoding them one at a time pays the NumPy call overhead per sequence
-# per step; the batch variants below pad the sequences into one
-# ``(N, T, K)`` tensor and run a single vectorised recursion over the
-# shared time axis, masking steps past each sequence's true length.
-# Results match the unbatched functions sequence-by-sequence (verified
-# by the test suite on ragged inputs).
-
-
-def _pad_unary_batch(
-    unary_logs: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ragged ``(T_i, K)`` unary tables into ``(N, T_max, K)`` + lengths."""
-    arrays = [np.asarray(u, dtype=np.float64) for u in unary_logs]
-    if not arrays:
-        return np.zeros((0, 0, 0), dtype=np.float64), np.zeros(0, dtype=np.int64)
-    states = {a.shape[1] if a.ndim == 2 else -1 for a in arrays}
-    if len(states) != 1 or -1 in states:
-        raise ValueError("every unary table must have shape (T_i, K) with a shared K")
-    k = states.pop()
-    lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
-    padded = np.zeros((len(arrays), int(lengths.max(initial=0)), k), dtype=np.float64)
-    for i, a in enumerate(arrays):
-        padded[i, : a.shape[0]] = a
-    return padded, lengths
-
-
-def chain_map_decode_batch(
-    unary_logs: Sequence[np.ndarray],
-    pairwise_log: np.ndarray,
-) -> list[np.ndarray]:
-    """Viterbi-decode many chains in one padded tensor pass.
-
-    Parameters
-    ----------
-    unary_logs:
-        Sequence of per-chain log-potential tables, each of shape
-        ``(T_i, K)`` (ragged lengths are fine).
-    pairwise_log:
-        Shared ``(K, K)`` transition log potentials.
-
-    Returns
-    -------
-    list[numpy.ndarray]
-        One integer MAP state path per input chain, matching
-        :func:`chain_map_decode` applied to each chain individually.
-    """
-    pairwise_log = np.asarray(pairwise_log, dtype=np.float64)
-    padded, lengths = _pad_unary_batch(unary_logs)
-    n, t_max, k = padded.shape
-    if pairwise_log.shape != (k, k) and n:
-        raise ValueError("pairwise_log must have shape (K, K)")
-    if n == 0:
-        return []
-    if t_max == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(n)]
-    score = padded[:, 0].copy()  # (N, K)
-    backpointers = np.zeros((n, t_max, k), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(k)[None, :]
-    for t in range(1, t_max):
-        candidate = score[:, :, None] + pairwise_log[None, :, :]  # (N, K, K)
-        bp = np.argmax(candidate, axis=1)  # (N, K)
-        backpointers[:, t] = bp
-        new_score = candidate[rows, bp, cols] + padded[:, t]
-        active = (t < lengths)[:, None]
-        score = np.where(active, new_score, score)
-    paths: list[np.ndarray] = []
-    for i, length in enumerate(lengths):
-        length = int(length)
-        path = np.zeros(length, dtype=np.int64)
-        if length == 0:
-            paths.append(path)
-            continue
-        path[-1] = int(np.argmax(score[i]))
-        for t in range(length - 1, 0, -1):
-            path[t - 1] = backpointers[i, t, path[t]]
-        paths.append(path)
-    return paths
-
-
-def chain_marginals_batch(
-    unary_logs: Sequence[np.ndarray],
-    pairwise_log: np.ndarray,
-) -> list[np.ndarray]:
-    """Forward-backward marginals for many chains in one padded pass.
-
-    Same conventions as :func:`chain_map_decode_batch`; returns one
-    ``(T_i, K)`` posterior table per chain, matching
-    :func:`chain_marginals` applied individually.
-    """
-    pairwise_log = np.asarray(pairwise_log, dtype=np.float64)
-    padded, lengths = _pad_unary_batch(unary_logs)
-    n, t_max, k = padded.shape
-    if n == 0:
-        return []
-    if t_max == 0:
-        return [np.zeros((0, k)) for _ in range(n)]
-    forward = np.zeros((n, t_max, k))
-    backward = np.zeros((n, t_max, k))
-    forward[:, 0] = padded[:, 0] - _logsumexp(padded[:, 0], axis=1)[:, None]
-    for t in range(1, t_max):
-        prev = forward[:, t - 1][:, :, None] + pairwise_log[None, :, :]
-        new_row = _logsumexp(prev, axis=1) + padded[:, t]
-        new_row = new_row - _logsumexp(new_row, axis=1)[:, None]
-        active = (t < lengths)[:, None]
-        forward[:, t] = np.where(active, new_row, forward[:, t])
-    # Backward messages; rows at or past each chain's final step stay 0.
-    for t in range(t_max - 2, -1, -1):
-        nxt = pairwise_log[None, :, :] + (padded[:, t + 1] + backward[:, t + 1])[:, None, :]
-        new_row = _logsumexp(nxt, axis=2)
-        new_row = new_row - _logsumexp(new_row, axis=1)[:, None]
-        active = (t + 1 < lengths)[:, None]
-        backward[:, t] = np.where(active, new_row, backward[:, t])
-    posterior = forward + backward
-    posterior = posterior - _logsumexp(posterior, axis=2)[:, :, None]
-    return [np.exp(posterior[i, : int(length)]) for i, length in enumerate(lengths)]
-
-
-def chain_stream_trace_batch(
-    unary_logs: Sequence[np.ndarray],
-    pairwise_log: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-prefix streaming outputs for many chains in one padded pass.
-
-    For each chain this computes, at every step ``t``, exactly what a
-    streaming detector would see after observing the prefix ``0..t``:
-
-    * the posterior over the *current* (step-``t``) state given the
-      prefix, i.e. the normalised forward message, and
-    * the final state of the Viterbi decode of the prefix (the argmax
-      of the running Viterbi score vector).
-
-    Only valid when the per-step unary tables are prefix-stable (no
-    evidence relocates onto earlier steps as the chain grows) -- true
-    whenever pattern factors are absent.  Returns a list of
-    ``(prefix_marginals (T_i, K), prefix_map_state (T_i,))`` pairs.
-    """
-    pairwise_log = np.asarray(pairwise_log, dtype=np.float64)
-    padded, lengths = _pad_unary_batch(unary_logs)
-    n, t_max, k = padded.shape
-    if n == 0:
-        return []
-    if t_max == 0:
-        return [(np.zeros((0, k)), np.zeros(0, dtype=np.int64)) for _ in range(n)]
-    alpha = np.zeros((n, t_max, k))
-    map_state = np.zeros((n, t_max), dtype=np.int64)
-    alpha[:, 0] = padded[:, 0] - _logsumexp(padded[:, 0], axis=1)[:, None]
-    score = padded[:, 0].copy()
-    map_state[:, 0] = np.argmax(score, axis=1)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(k)[None, :]
-    for t in range(1, t_max):
-        active = (t < lengths)[:, None]
-        prev = alpha[:, t - 1][:, :, None] + pairwise_log[None, :, :]
-        new_alpha = _logsumexp(prev, axis=1) + padded[:, t]
-        new_alpha = new_alpha - _logsumexp(new_alpha, axis=1)[:, None]
-        alpha[:, t] = np.where(active, new_alpha, alpha[:, t])
-        candidate = score[:, :, None] + pairwise_log[None, :, :]
-        bp = np.argmax(candidate, axis=1)
-        new_score = candidate[rows, bp, cols] + padded[:, t]
-        score = np.where(active, new_score, score)
-        map_state[:, t] = np.where(active[:, 0], np.argmax(score, axis=1), map_state[:, t])
-    traces: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, length in enumerate(lengths):
-        length = int(length)
-        rows_i = alpha[i, :length]
-        marginals = np.exp(rows_i - _logsumexp(rows_i, axis=1)[:, None]) if length else np.zeros((0, k))
-        traces.append((marginals, map_state[i, :length].copy()))
-    return traces
-
-
 __all__ = [
     "Variable",
     "Factor",
     "FactorGraph",
     "chain_map_decode",
     "chain_marginals",
-    "chain_map_decode_batch",
-    "chain_marginals_batch",
-    "chain_stream_trace_batch",
     "chain_step_matrix",
     "maxplus_matmul",
     "logsumexp_matmul",

@@ -679,10 +679,6 @@ class StreamingDecoder:
         last = self._alpha[self._length - 1]
         return np.exp(last - _logsumexp(last))
 
-    def final_malicious_probability(self) -> float:
-        """Posterior probability that the entity is currently malicious."""
-        return float(self.final_marginal()[_MALICIOUS])
-
     def final_state(self) -> int:
         """Final state of the MAP trajectory (``argmax`` of the Viterbi score)."""
         if self.length == 0:

@@ -131,14 +131,15 @@ def percentile_summary(samples: Deque[float]) -> dict:
     ordered = sorted(samples)
     count = len(ordered)
 
-    def rank(q: float) -> float:
-        return ordered[min(count - 1, max(0, int(q * count + 0.5) - 1))]
+    def rank(percent: int) -> float:
+        # The ceil(percent * count / 100)-th smallest, in integers.
+        return ordered[-(-percent * count // 100) - 1]
 
     return {
         "count": count,
-        "p50": rank(0.50),
-        "p90": rank(0.90),
-        "p99": rank(0.99),
+        "p50": rank(50),
+        "p90": rank(90),
+        "p99": rank(99),
         "max": ordered[-1],
         "mean": sum(ordered) / count,
     }

@@ -1,11 +1,11 @@
 """Testbed architecture: honeypot, services, VRT, BHR, isolation, pipeline.
 
-Implements the ATTACKTAGGER testbed of §IV as a discrete-event
-simulation: the address space and cluster topology, the honeypot entry
-points with vulnerable services and published credential hints, the
-Vulnerability Reproduction Tool, the black-hole router with its
-programmable client, the isolation/egress policies, the traffic mirror,
-and the end-to-end pipeline feeding detectors and the response path.
+Implements the ATTACKTAGGER testbed of §IV: the address space and
+cluster topology, the honeypot entry points with vulnerable services
+and published credential hints, the Vulnerability Reproduction Tool,
+the black-hole router with its programmable client, the
+isolation/egress policies, the traffic mirror, and the end-to-end
+pipeline feeding detectors and the response path.
 """
 
 from .addresses import (
@@ -46,7 +46,6 @@ from .responder import (
     ResponsePolicy,
     ResponseRecord,
 )
-from .scheduler import EventHandle, Simulator
 from .sharding import (
     BACKENDS,
     DetectorTemplate,
@@ -100,9 +99,6 @@ __all__ = [
     "HostRole",
     "NetworkSegment",
     "build_default_topology",
-    # scheduler
-    "Simulator",
-    "EventHandle",
     # services
     "ServiceState",
     "ServiceMonitors",

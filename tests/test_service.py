@@ -29,6 +29,7 @@ import subprocess
 import sys
 import time
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,14 @@ class TestAdmission:
         assert summary["p99"] == 99.0
         assert summary["max"] == 100.0
         assert percentile_summary(deque())["count"] == 0
+
+    @pytest.mark.parametrize("key,percent", [("p50", 50), ("p90", 90), ("p99", 99)])
+    def test_percentile_summary_is_the_ceiling_rank(self, key, percent):
+        # Nearest rank is a ceiling: p90 of 1..6 is 6, never 5.
+        for count in range(1, 41):
+            summary = percentile_summary(deque(float(v) for v in range(1, count + 1)))
+            expected = math.ceil(Fraction(percent * count, 100))
+            assert summary[key] == expected, count
 
 
 # ----------------------------------------------------------------------

@@ -389,23 +389,19 @@ class TestEvictionEquivalence:
         unary, _ = naive._build_unary(names)
         np.testing.assert_array_equal(decoder.unary_table(), unary)
 
-    def test_detection_trace_equivalence_under_eviction(self):
-        from repro.core.sequences import AlertSequence
-
+    def test_observe_infer_equivalence_under_eviction(self):
+        """Every step of a window-6 stream decodes as the naive re-decode does."""
         rng = np.random.default_rng(5)
-        names = [ALL_NAMES[rng.integers(len(ALL_NAMES))] for _ in range(40)]
-        sequence = AlertSequence.from_names(names)
-        taggers = _taggers(6)
-        trace = taggers["streaming"].detection_trace(sequence)
-        # The offline replay shares the decoder across engines, so the
-        # reference is the naive tagger's per-alert whole-window re-decode.
-        naive = taggers["naive"]
-        malicious = int(HiddenState.MALICIOUS)
-        for t, alert in enumerate(sequence):
-            naive.observe(alert)
-            states, marginal, _ = naive.infer(alert.entity)
-            assert trace.malicious_probability[t] == marginal[malicious], t
-            assert trace.map_is_malicious[t] == (states[-1] == malicious), t
+        taggers = _taggers(6, detection_threshold=0.999)
+        streaming, naive = taggers["streaming"], taggers["naive"]
+        for t, alert in enumerate(_random_stream(rng, 40)):
+            assert streaming.observe(alert) == naive.observe(alert), t
+            states_s, marginal_s, matched_s = streaming.infer(alert.entity)
+            states_n, marginal_n, matched_n = naive.infer(alert.entity)
+            assert np.array_equal(states_s, states_n), t
+            assert np.array_equal(marginal_s, marginal_n), t
+            assert matched_s == matched_n, t
+        assert streaming.track("entity:x").decoder.windowed
 
 
 class TestEvictionCursorRescans:
@@ -605,7 +601,7 @@ class TestSatelliteOptimisations:
         decoder = tagger.track("entity:x").decoder
         assert decoder.windowed
         score, forward = decoder.window_scores()
-        exact_prob = decoder.final_malicious_probability()
+        exact_prob = decoder.final_marginal()[int(HiddenState.MALICIOUS)]
         aggregate_prob = float(
             np.exp(forward[int(HiddenState.MALICIOUS)] - _logsumexp(forward))
         )

@@ -5,8 +5,7 @@ stream it must produce the same unary tables, decodes, marginals,
 detections, and confidences as the seed re-decode-everything path (kept
 available as ``AttackTagger(engine="naive")``).  These tests assert that
 equivalence alert-by-alert on randomized sequences, including window
-eviction and late pattern-bonus relocation, and that the batched chain
-functions match their unbatched counterparts on ragged inputs.
+eviction and late pattern-bonus relocation.
 """
 
 from __future__ import annotations
@@ -23,21 +22,12 @@ from repro.core import (
     WeightedPattern,
     default_parameters,
     evaluate_detector,
-    threshold_sweep,
     window_sweep,
 )
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
-from repro.core.factor_graph import (
-    _logsumexp,
-    chain_map_decode,
-    chain_map_decode_batch,
-    chain_marginals,
-    chain_marginals_batch,
-    chain_stream_trace_batch,
-)
+from repro.core.factor_graph import _logsumexp, chain_map_decode, chain_marginals
 from repro.core.sequences import AlertSequence, matched_prefix_length
-from repro.core.states import NUM_STATES, HiddenState
 from repro.incidents import DEFAULT_CATALOGUE
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
@@ -192,54 +182,6 @@ def corpus_examples():
     return examples
 
 
-class TestBatchChainFunctions:
-    def _ragged_unaries(self, rng, n=7, k=NUM_STATES):
-        lengths = [int(rng.integers(1, 25)) for _ in range(n)]
-        return [rng.normal(size=(length, k)) * 3.0 for length in lengths]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_map_decode_batch_matches_unbatched(self, seed):
-        rng = np.random.default_rng(seed)
-        unaries = self._ragged_unaries(rng)
-        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        batch = chain_map_decode_batch(unaries, pairwise)
-        for unary, path in zip(unaries, batch):
-            assert np.array_equal(path, chain_map_decode(unary, pairwise))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_marginals_batch_matches_unbatched(self, seed):
-        rng = np.random.default_rng(seed)
-        unaries = self._ragged_unaries(rng)
-        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        batch = chain_marginals_batch(unaries, pairwise)
-        for unary, posterior in zip(unaries, batch):
-            np.testing.assert_allclose(
-                posterior, chain_marginals(unary, pairwise), rtol=0, atol=1e-9
-            )
-
-    def test_stream_trace_batch_matches_prefix_decodes(self):
-        rng = np.random.default_rng(9)
-        unaries = self._ragged_unaries(rng, n=5)
-        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        for unary, (marginals, states) in zip(
-            unaries, chain_stream_trace_batch(unaries, pairwise)
-        ):
-            for t in range(unary.shape[0]):
-                prefix = unary[: t + 1]
-                np.testing.assert_allclose(
-                    marginals[t], chain_marginals(prefix, pairwise)[-1], rtol=0, atol=1e-9
-                )
-                assert states[t] == chain_map_decode(prefix, pairwise)[-1]
-
-    def test_empty_batches(self):
-        pairwise = np.zeros((NUM_STATES, NUM_STATES))
-        assert chain_map_decode_batch([], pairwise) == []
-        assert chain_marginals_batch([], pairwise) == []
-        empties = [np.zeros((0, NUM_STATES))]
-        assert chain_map_decode_batch(empties, pairwise)[0].size == 0
-        assert chain_marginals_batch(empties, pairwise)[0].shape == (0, NUM_STATES)
-
-
 class TestLogsumexpEdgeCases:
     def test_all_neg_inf_slice_is_neg_inf(self):
         array = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
@@ -257,84 +199,39 @@ class TestLogsumexpEdgeCases:
         np.testing.assert_allclose(_logsumexp(array, axis=1), expected, atol=1e-12)
 
 
-class _OpaqueDetector:
-    """Hides an AttackTagger from isinstance checks.
-
-    Forces ``window_sweep`` onto its generic per-length branch so the
-    trace fast path is compared against a genuinely independent
-    implementation, not against itself.
-    """
-
-    def __init__(self, tagger):
-        self._tagger = tagger
-
-    def run_sequence(self, sequence, entity=None):
-        return self._tagger.run_sequence(sequence, entity=entity)
-
-
-class TestSweepFastPaths:
-    def test_window_sweep_fast_matches_generic(self, corpus_examples):
+class TestWindowSweep:
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
+    def test_window_sweep_streaming_matches_naive(self, corpus_examples, length):
         examples = corpus_examples[:40]
-        lengths = [1, 2, 3, 5, 8]
-        fast = window_sweep(
-            lambda: AttackTagger(patterns=list(DEFAULT_CATALOGUE)), examples, lengths
+        streaming, naive = (
+            window_sweep(
+                lambda: AttackTagger(patterns=list(DEFAULT_CATALOGUE), engine=engine),
+                examples,
+                [length],
+            )[length]
+            for engine in ("streaming", "naive")
         )
-        generic = window_sweep(
-            lambda: _OpaqueDetector(
-                AttackTagger(patterns=list(DEFAULT_CATALOGUE), engine="naive")
-            ),
-            examples,
-            lengths,
-        )
-        for length in lengths:
-            fast_summary = fast[length].summary()
-            generic_summary = generic[length].summary()
-            for key, value in fast_summary.items():
-                assert value == pytest.approx(generic_summary[key], abs=1e-9), (length, key)
+        assert streaming.summary() == naive.summary()
 
-    def test_threshold_sweep_matches_fixed_threshold_runs(self, corpus_examples):
-        examples = corpus_examples[:30]
-        tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
-        swept = threshold_sweep(tagger, examples, [0.4, 0.7])
-        for threshold, report in swept.items():
-            reference = evaluate_detector(
+
+class TestThresholdEquivalence:
+    """A threshold sweep is one evaluation per threshold; both engines agree."""
+
+    @pytest.mark.parametrize("threshold", [0.4, 0.7, 0.9])
+    def test_evaluation_at_threshold_streaming_matches_naive(self, corpus_examples, threshold):
+        examples = corpus_examples[:20] + corpus_examples[60:]
+        streaming, naive = (
+            evaluate_detector(
                 AttackTagger(
                     patterns=list(DEFAULT_CATALOGUE),
                     detection_threshold=threshold,
-                    engine="naive",
+                    engine=engine,
                 ),
                 examples,
             )
-            for key, value in report.summary().items():
-                assert value == pytest.approx(reference.summary()[key], abs=1e-9), (
-                    threshold,
-                    key,
-                )
-
-    def test_threshold_sweep_rejects_non_tagger(self):
-        with pytest.raises(TypeError):
-            threshold_sweep(object(), [], [0.5])
-
-    def test_traces_batch_path_matches_replay(self):
-        """Pattern-free taggers take the (N, T, K) tensor path."""
-        rng = np.random.default_rng(21)
-        sequences = [
-            AlertSequence.from_names(
-                [ALL_NAMES[rng.integers(len(ALL_NAMES))] for _ in range(rng.integers(1, 20))]
-            )
-            for _ in range(12)
-        ]
-        tagger = AttackTagger()  # no patterns -> batched path
-        batched = tagger.detection_traces(sequences)
-        for sequence, trace in zip(sequences, batched):
-            replayed = tagger.detection_trace(sequence)
-            np.testing.assert_allclose(
-                trace.malicious_probability,
-                replayed.malicious_probability,
-                rtol=0,
-                atol=1e-9,
-            )
-            assert np.array_equal(trace.map_is_malicious, replayed.map_is_malicious)
+            for engine in ("streaming", "naive")
+        )
+        assert streaming.summary() == naive.summary()
 
 
 # ---------------------------------------------------------------------------

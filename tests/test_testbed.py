@@ -1,5 +1,5 @@
-"""Tests for the testbed architecture: addresses, topology, scheduler,
-services, honeypot, isolation, VRT, BHR, responder, pipeline."""
+"""Tests for the testbed architecture: addresses, topology, services,
+honeypot, isolation, VRT, BHR, responder, pipeline."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from repro.testbed import (
     ScanRecord,
     ServiceMonitors,
     ServiceState,
-    Simulator,
     SnapshotRepository,
     TestbedPipeline,
     TESTBED_NETWORK,
@@ -105,44 +104,6 @@ class TestTopology:
     def test_host_lookup_by_address(self, topology):
         host = topology.hosts()[0]
         assert topology.host_by_address(host.address) is host
-
-
-class TestSimulator:
-    def test_events_fire_in_time_order(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(5.0, lambda s: fired.append("b"))
-        simulator.schedule(1.0, lambda s: fired.append("a"))
-        simulator.run()
-        assert fired == ["a", "b"]
-        assert simulator.now == 5.0
-
-    def test_cancellation(self):
-        simulator = Simulator()
-        fired = []
-        handle = simulator.schedule(1.0, lambda s: fired.append("x"))
-        handle.cancel()
-        simulator.run()
-        assert fired == []
-
-    def test_periodic_with_max_firings(self):
-        simulator = Simulator()
-        count = []
-        simulator.schedule_periodic(10.0, lambda s: count.append(s.now), max_firings=3)
-        simulator.run()
-        assert count == [10.0, 20.0, 30.0]
-
-    def test_run_until(self):
-        simulator = Simulator()
-        simulator.schedule(100.0, lambda s: None)
-        executed = simulator.run(until=50.0)
-        assert executed == 0
-        assert simulator.now == 50.0
-        assert simulator.pending == 1
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().schedule(-1.0, lambda s: None)
 
 
 class TestServicesAndHoneypot:

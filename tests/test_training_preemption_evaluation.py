@@ -14,6 +14,7 @@ from repro.core import (
     LabeledSequence,
     ParameterEstimator,
     PreemptionOutcome,
+    RuleBasedDetector,
     compare_detectors,
     cross_validate,
     evaluate_detector,
@@ -185,6 +186,37 @@ class TestEvaluationHarness:
         )
         assert reports[1].confusion.recall <= reports[3].confusion.recall
         assert reports[3].confusion.recall <= reports[5].confusion.recall + 1e-9
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+            RuleBasedDetector,
+            CriticalAlertDetector,
+        ],
+        ids=["attack_tagger", "rule_based", "critical_only"],
+    )
+    def test_window_sweep_is_evaluate_detector_on_prefixes(self, factory):
+        """Every length: a fresh detector, evaluated on the truncated examples."""
+        examples = self._examples(3, 3)
+        built = []
+
+        def counting_factory():
+            built.append(factory())
+            return built[-1]
+
+        lengths = [1, 2, 4]
+        reports = window_sweep(counting_factory, examples, lengths)
+        assert len(built) == len(lengths)
+        assert len({id(detector) for detector in built}) == len(lengths)
+        for length in lengths:
+            truncated = [
+                EvaluationExample(e.sequence.prefix(length), e.is_attack, e.identifier)
+                for e in examples
+            ]
+            expected = evaluate_detector(factory(), truncated)
+            assert reports[length].detector_name == f"window={length}"
+            assert reports[length].summary() == expected.summary(), length
 
     def test_compare_detectors_keys(self):
         detectors = {
