@@ -8,7 +8,7 @@ Examples::
 
     # A focused run against explicit configurations:
     python -m repro.fuzz --campaigns 5 \
-        --configs streaming:4:process:alert_stream,naive:2:process:raw_stream
+        --configs streaming:4:process:alert_stream,streaming:2:process:raw_stream
 
     # Replay one committed regression repro across the matrix:
     python -m repro.fuzz --replay tests/regressions/some-repro.json

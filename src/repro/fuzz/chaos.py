@@ -33,10 +33,10 @@ Pipeline rows (:meth:`ChaosComposer.compose`):
     the same typed error with the worker-side traceback preserved, and
     the pipeline stays drivable.
 ``shm-kill``
-    Driven two-phase at depth 2, the worker is frozen (SIGSTOP) just
-    before the kill batch is submitted and SIGKILLed right after, so
-    its shared-memory ring descriptor is genuinely outstanding; the
-    heal must replay the ring payloads FIFO.
+    Driven through ``alert_stream`` at depth 2, the worker is frozen
+    (SIGSTOP) just before the kill batch is submitted and SIGKILLed
+    right after, so its shared-memory ring descriptor is genuinely
+    outstanding; the heal must replay the ring payloads FIFO.
 
 Service rows (:meth:`ChaosComposer.compose_service`, an independent
 plan stream):
@@ -488,14 +488,14 @@ def _ring_segments() -> Set[str]:
         return set()
 
 
-def _worker(pipeline, shard: int):
-    return pipeline.detector_pools["factor_graph"]._workers[shard].process
+def _carrier(pipeline, shard: int):
+    return pipeline.detector_pools["factor_graph"]._workers[shard]
 
 
 def _sigkill(pipeline, shard: int) -> None:
     """SIGKILL one shard worker (a crash, not a shutdown)."""
-    _worker(pipeline, shard).kill()
-    _worker(pipeline, shard).join(timeout=5.0)
+    _carrier(pipeline, shard).process.kill()
+    _carrier(pipeline, shard).process.join(timeout=5.0)
 
 
 @dataclasses.dataclass
@@ -567,9 +567,17 @@ def _freeze_then_kill(leg: _Leg, point: str, index: int) -> None:
     descriptor is outstanding at the kill and its collect is guaranteed
     to see the death.  SIGKILL terminates stopped processes, so no
     resume is needed.
+
+    The stream driver prepares the kill batch before it collects the
+    oldest batch in flight, so that collect falls between the freeze
+    and the kill.  The carrier is folded first -- its owed replies are
+    read and kept for the collects that own them -- or that collect
+    would wait forever on a stopped process.
     """
     if (point, index) == ("before", leg.plan.kill_batch):
-        os.kill(_worker(leg.sink, leg.plan.shard).pid, signal.SIGSTOP)
+        carrier = _carrier(leg.sink, leg.plan.shard)
+        carrier._fold()
+        os.kill(carrier.process.pid, signal.SIGSTOP)
     elif (point, index) == ("after", leg.plan.kill_batch):
         _sigkill(leg.sink, leg.plan.shard)
 
@@ -774,7 +782,7 @@ ROWS = {
     "shm-kill": _Row(
         _freeze_then_kill,
         (_no_error, _bit_identical, _healed, _rings_exercised),
-        driver="two_phase",
+        driver="alert_stream",
         restart_policy="restore",
         batches_only=True,
         # The kill needs a second batch in flight.

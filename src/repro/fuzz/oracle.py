@@ -15,6 +15,14 @@ axes never change a detection:
   one-batch ``alert_stream`` call, so it is the reference's driver and
   not a matrix axis.
 
+:func:`full_matrix` is the reference, every engine x shard count x
+backend under ``alert_stream``, and ``raw_stream`` only where raw
+preparation meets a distinct detection path: the production engine at
+one and two shards on both backends (1 + 12 + 4 = 17 configurations).
+The raw driver differs from the alert driver only in what it prepares
+before the one shared submit/collect path, so replaying it under the
+spec engine or at four shards would prove nothing the rest does not.
+
 Every proof in the repo -- this oracle, the fault rows of
 :mod:`repro.fuzz.chaos`, the socket legs of :mod:`repro.service.smoke`
 -- replays a :class:`~repro.fuzz.campaign.Campaign` through the same
@@ -37,16 +45,18 @@ records, and the :class:`~repro.testbed.pipeline.PipelineStats`
 counters are bit-identical to the reference configuration (the seed
 path: ``naive`` engine, one serial shard, per-event ``sync`` driver).
 
-Campaign control events map onto the pipeline's deferred-safe detector
-controls (:meth:`TestbedPipeline.reset_entity` /
+Campaign control events map onto the pipeline's detector controls
+(:meth:`TestbedPipeline.reset_entity` /
 :meth:`~TestbedPipeline.reset_detectors` /
-:meth:`~TestbedPipeline.reopen_detectors`), so mid-stream remediation
-and detection-tier restarts are replayed at the same stream position
-under every driver.
+:meth:`~TestbedPipeline.reopen_detectors`), which need a quiesced
+pipeline: :func:`drive` splits a stream driver's run at every control,
+so mid-stream remediation and detection-tier restarts land at the same
+stream position under every driver.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import traceback
@@ -132,13 +142,18 @@ REFERENCE_CONFIG = OracleConfig(engine="naive", n_shards=1, backend="serial", dr
 
 
 def full_matrix() -> list[OracleConfig]:
-    """The reference plus engine x shards x backend x both stream drivers."""
-    return [REFERENCE_CONFIG] + [
-        OracleConfig(engine=e, n_shards=s, backend=b, driver=d)
-        for e, s, b, d in itertools.product(
-            ENGINES, SHARD_COUNTS, BACKENDS, ("alert_stream", "raw_stream")
-        )
-    ]
+    """The reference, every ``alert_stream`` config, four ``raw_stream`` ones."""
+    return (
+        [REFERENCE_CONFIG]
+        + [
+            OracleConfig(engine=e, n_shards=s, backend=b, driver="alert_stream")
+            for e, s, b in itertools.product(ENGINES, SHARD_COUNTS, BACKENDS)
+        ]
+        + [
+            OracleConfig(engine="streaming", n_shards=s, backend=b, driver="raw_stream")
+            for s, b in itertools.product((1, 2), BACKENDS)
+        ]
+    )
 
 
 def quick_matrix() -> list[OracleConfig]:
@@ -149,11 +164,11 @@ def quick_matrix() -> list[OracleConfig]:
         OracleConfig("streaming", 2, "serial", "raw_stream"),
         OracleConfig("streaming", 2, "serial", "alert_stream"),
         OracleConfig("streaming", 4, "serial", "alert_stream"),
-        OracleConfig("naive", 2, "process", "raw_stream"),
+        OracleConfig("naive", 2, "process", "alert_stream"),
         OracleConfig("naive", 1, "serial", "alert_stream"),
-        OracleConfig("streaming", 4, "process", "raw_stream"),
+        OracleConfig("streaming", 1, "process", "raw_stream"),
         OracleConfig("streaming", 2, "process", "alert_stream"),
-        OracleConfig("naive", 4, "process", "raw_stream"),
+        OracleConfig("naive", 4, "process", "alert_stream"),
     ]
 
 
@@ -249,72 +264,60 @@ def drive(
     pipeline is fed:
 
     ``sync``
-        one blocking ``ingest_alerts`` per batch event; controls reach
-        an idle pipeline.
+        one blocking ``ingest_alerts`` per batch event.
     ``alert_stream`` / ``raw_stream``
-        the whole walk is the batch source of ``ingest_alert_batches``
-        / ``ingest_raw_stream`` (batches re-expressed as Zeek notices),
-        so controls land with batches in flight and are deferred to the
-        next submission boundary.
-    ``two_phase``
-        ``submit_alerts`` now, ``collect_detections`` once
-        ``max_inflight`` batches are outstanding -- the service's
-        schedule, and the only one where a fault can land between a
-        submit and its collect.
+        each run of consecutive batch events is the batch source of one
+        ``ingest_alert_batches`` / ``ingest_raw_stream`` call (batches
+        re-expressed as Zeek notices); the run ends at a control event,
+        so every control reaches a quiesced pipeline.
 
     ``hook(point, index)`` is called at three stream positions:
     ``"event"`` before event ``index`` is applied (it may return a
     replacement sink: a pipeline restored from a checkpoint, a second
     client), ``"before"`` / ``"after"`` around the hand-over of the
     ``index``-th *non-empty* batch.  ``"after"`` means collected under
-    ``sync``, acknowledged for a client, merely submitted under
-    ``two_phase``.
+    ``sync``, acknowledged for a client, and merely submitted under a
+    stream driver -- the one place a fault lands between a submit and
+    its collect.
     """
-    if driver not in DRIVERS + ("two_phase",):
+    if driver not in DRIVERS:
         raise ValueError(f"unknown driver {driver!r}")
     fire = hook or (lambda point, index: None)
     remote = not isinstance(sink, TestbedPipeline)
     as_raw = driver == "raw_stream"
-    streamed = not remote and driver in ("alert_stream", "raw_stream")
+    streamed = not remote and driver != "sync"
     detections: list[Detection] = []
-    inflight = 0  # submitted, not yet collected (two_phase only)
+    events = collections.deque(enumerate(campaign.events))
+    batch_index = -1
 
-    def walk():
-        # A generator so the overlapped drivers can pull it; the other
-        # drivers hand each batch over in here and it never yields.
-        nonlocal sink, inflight
-        batch_index = -1
-        for index, event in enumerate(campaign.events):
+    def batches():
+        # The run of batch events up to the next control (left queued).
+        nonlocal sink, batch_index
+        while events and events[0][1].kind == "batch":
+            index, event = events.popleft()
             sink = fire("event", index) or sink
-            if event.kind != "batch":
-                _apply_control(sink, event)
-                continue
             batch = alerts_to_zeek_records(event.alerts) if as_raw else list(event.alerts)
             if batch:
                 batch_index += 1
                 fire("before", batch_index)
-            if streamed:
-                yield batch
-            elif remote:
-                (sink.send_raw if as_raw else sink.send_alerts)(batch)
-            elif driver == "sync":
-                detections.extend(sink.ingest_alerts(batch))
-            else:
-                sink.submit_alerts(batch)
-                inflight += 1
+            yield batch
             if batch:
                 fire("after", batch_index)
-            while inflight and inflight >= sink.max_inflight:
-                detections.extend(sink.collect_detections())
-                inflight -= 1
 
-    if streamed:
-        return sink.ingest_raw_stream(walk()) if as_raw else sink.ingest_alert_batches(walk())
-    for _ in walk():
-        pass
-    while inflight:
-        detections.extend(sink.collect_detections())
-        inflight -= 1
+    while events:
+        if events[0][1].kind != "batch":
+            index, event = events.popleft()
+            sink = fire("event", index) or sink
+            _apply_control(sink, event)
+        elif streamed:
+            ingest = sink.ingest_raw_stream if as_raw else sink.ingest_alert_batches
+            detections.extend(ingest(batches()))
+        else:
+            for batch in batches():
+                if remote:
+                    (sink.send_raw if as_raw else sink.send_alerts)(batch)
+                else:
+                    detections.extend(sink.ingest_alerts(batch))
     return detections
 
 

@@ -3,17 +3,18 @@
 The mechanics of moving per-entity detector state from N shards to M
 live in :meth:`repro.testbed.sharding.ShardedDetectorPool.reshard`
 (state migration, dead-worker rebuild, telemetry retirement) and
-:meth:`repro.testbed.pipeline.TestbedPipeline.reshard` (deferral to a
-submission boundary, facade refresh).  This module is the service-side
-policy wrapper around them: bounds validation, wall-clock timing, and
-a JSON-ready operations history the ``stats`` op exposes -- operators
+:meth:`repro.testbed.pipeline.TestbedPipeline.reshard` (every pool
+driven, facade refresh).  This module is the service-side policy
+wrapper around them: bounds validation, wall-clock timing, and a
+JSON-ready operations history the ``stats`` op exposes -- operators
 see every transition the running service performed, with the per-pool
 :class:`~repro.testbed.sharding.ReshardEvent` audit attached.
 
-The coordinator is always invoked from the service's single consumer
-with the pipeline quiesced (no in-flight detection batches), so the
-underlying ``pipeline.reshard`` applies immediately rather than
-deferring, and the events it reports are the ones this call caused.
+Like every pipeline control, ``pipeline.reshard`` needs a quiesced
+pipeline and raises with a detection batch in flight.  The coordinator
+is always invoked from the service's single consumer after the
+in-flight batch was collected, so the reshard applies immediately and
+the events it reports are the ones this call caused.
 """
 
 from __future__ import annotations

@@ -355,7 +355,7 @@ class DetectionService:
         self._resolve(item, ("error", f"{type(exc).__name__}: {exc}"))
         self._inflight = None
         with contextlib.suppress(Exception):
-            self._drain_stale_tickets()
+            self.pipeline.drain_inflight()
         # A stop marker still stops, even when its processing failed:
         # shutdown() is awaiting it.
         return item.kind == "stop"
@@ -373,7 +373,7 @@ class DetectionService:
                     self.pipeline.submit_raw(item.records)
             except Exception as exc:
                 self._dead_letter_batch(item, exc)
-                self._drain_stale_tickets()
+                self.pipeline.drain_inflight()
                 return False
             self._inflight = item
             if self._queue.empty():
@@ -441,7 +441,7 @@ class DetectionService:
             detections = self.pipeline.collect_detections()
         except (ShardWorkerError, ShardRecoveryError) as exc:
             self._dead_letter_batch(item, exc)
-            self._drain_stale_tickets()
+            self.pipeline.drain_inflight()
             return
         self._e2e_latency.append(time.perf_counter() - item.enqueued)
         for stage, total in self.pipeline.stats.stage_seconds.items():
@@ -454,16 +454,6 @@ class DetectionService:
         self.alerts_processed += len(item.alerts)
         self.records_processed += len(item.records)
         self.detections_emitted += len(detections)
-
-    def _drain_stale_tickets(self) -> None:
-        """Never leave a submitted batch uncollected after a failure."""
-        guard = 0
-        while self.pipeline.inflight_detection_batches and guard < 64:
-            guard += 1
-            try:
-                self.pipeline.collect_detections()
-            except Exception:
-                pass
 
     def _dead_letter_batch(self, item: _WorkItem, exc: BaseException) -> None:
         """Contain a batch-level failure: journal it, keep serving."""

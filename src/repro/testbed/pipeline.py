@@ -11,18 +11,34 @@ This module wires the whole workflow together::
         -> response & remediation (operator notification, BHR block,
            honeypot recycling)
 
-Each arrow is a :class:`repro.testbed.stages.PipelineStage` -- a
-batch-in/batch-out component with per-stage timing -- and
-:class:`TestbedPipeline` is the assembly: it owns the stage chain,
-routes ingested batches through it, and keeps the per-stage counters.
-The detection stage is a :class:`repro.testbed.sharding
-.ShardedDetectorPool` per attached detector, so alert batches can be
-partitioned by entity across independent shards (``n_shards``) and,
-with the ``process`` backend, across worker processes -- bit-identical
-to the unsharded path because detector state is strictly per-entity.
-The two backends are two carriers of one shard protocol; how a
-sub-batch reaches a worker is the pool's business and not an option
-here.
+Normalise, filter and respond are :class:`repro.testbed.stages
+.PipelineStage`\\ s -- batch-in/batch-out components with per-stage
+timing -- and detection is the :class:`~repro.testbed.stages
+.DetectionStage`'s submit/collect pair; :class:`TestbedPipeline` is the
+assembly: it owns the stage chain, routes ingested batches through it,
+and keeps the per-stage counters.  The detection stage holds a
+:class:`repro.testbed.sharding.ShardedDetectorPool` per attached
+detector, so alert batches can be partitioned by entity across
+independent shards (``n_shards``) and, with the ``process`` backend,
+across worker processes -- bit-identical to the unsharded path because
+detector state is strictly per-entity.  The two backends are two
+carriers of one shard protocol; how a sub-batch reaches a worker is
+the pool's business and not an option here.
+
+There is one way into the chain.  Batches enter through
+``ingest_*`` (the overlapped stream drivers and their one-batch forms)
+or ``submit_*`` / :meth:`TestbedPipeline.collect_detections`; a raw
+record published straight onto ``pipeline.mirror`` is counted and
+forwarded to the mirror's subscribers but never reaches detection.
+:meth:`~TestbedPipeline.checkpoint` and every detector control
+(:meth:`~TestbedPipeline.reset_entity`,
+:meth:`~TestbedPipeline.reset_detectors`,
+:meth:`~TestbedPipeline.reopen_detectors`,
+:meth:`~TestbedPipeline.reshard`) need a quiesced pipeline: they apply
+at once, and raise ``RuntimeError`` while a detection batch is in
+flight.  A caller that interleaves controls with a stream therefore
+splits the stream at them, which is the stream position a
+batch-synchronous caller applies them at.
 
 The pre-stage constructor and methods are kept as a thin facade: the
 examples and the Fig. 4 / Fig. 5 benchmarks drive raw records (or
@@ -35,7 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from ..core.attack_tagger import AttackTagger, Detection
@@ -110,6 +126,11 @@ class TestbedPipeline:
 
     Parameters beyond the seed API:
 
+    primary_detector:
+        The attached detector whose detections are returned and
+        responded to.  ``None`` (default) means ``"factor_graph"`` if it
+        is attached and otherwise the first detector; a name that is
+        not attached raises ``ValueError``.
     n_shards:
         Number of per-entity detector shards in the detection stage.
         ``1`` (default) with the ``serial`` backend drives the attached
@@ -138,9 +159,9 @@ class TestbedPipeline:
         1 for ``"serial"`` (an in-process shard computes inside the
         submit, so a deeper window buys it nothing).  An explicit value
         is honoured unchanged.  Deeper windows hide fan-out latency
-        behind worker compute; detector controls still apply at
-        fully-quiesced submission boundaries, so detections and
-        counters stay bit-identical at any depth.
+        behind worker compute; detector controls and checkpoints need
+        a quiesced pipeline, so detections and counters stay
+        bit-identical at any depth.
     ring_capacity:
         Per-shard shared-memory ring size in bytes for process-backed
         pools (default: the pool's
@@ -164,7 +185,7 @@ class TestbedPipeline:
         scan_filter: Optional[ScanFilter] = None,
         normalizer: Optional[AlertNormalizer] = None,
         response_policy: Optional[ResponsePolicy] = None,
-        primary_detector: str = "factor_graph",
+        primary_detector: Optional[str] = None,
         n_shards: int = 1,
         shard_backend: str = "serial",
         restart_policy: str = "raise",
@@ -201,8 +222,15 @@ class TestbedPipeline:
         templates: dict[str, Detector] = detectors or {
             "factor_graph": AttackTagger(vocabulary=self.vocabulary)
         }
-        if primary_detector not in templates:
-            primary_detector = next(iter(templates))
+        if primary_detector is None:
+            primary_detector = (
+                "factor_graph" if "factor_graph" in templates else next(iter(templates))
+            )
+        elif primary_detector not in templates:
+            # Refused before any pool (and its worker processes) exists.
+            raise ValueError(
+                f"primary detector {primary_detector!r} not among {list(templates)}"
+            )
         self.primary_detector = primary_detector
         self.detector_pools: dict[str, ShardedDetectorPool] = {
             name: self._build_pool(detector) for name, detector in templates.items()
@@ -210,10 +238,7 @@ class TestbedPipeline:
         #: The detection layer per attached name: with the default
         #: single serial shard this is the very detector instance the
         #: caller passed in (seed behaviour); otherwise the pool.
-        self.detectors: dict[str, Detector] = {
-            name: (pool.shards[0] if self._is_facade_pool(pool) else pool)
-            for name, pool in self.detector_pools.items()
-        }
+        self.detectors: dict[str, Detector] = self._facade()
         self.responder = ResponseOrchestrator(
             self.bhr_client, honeypot=self.honeypot, policy=response_policy
         )
@@ -226,19 +251,6 @@ class TestbedPipeline:
             self.detector_pools, self.primary_detector, self.detections
         )
         self.response_stage = ResponseStage(self.responder)
-        self.stages: list[PipelineStage] = [
-            self.normalizer_stage,
-            self.filter_stage,
-            self.detection_stage,
-            self.response_stage,
-        ]
-        self._pending_raw: list[RawLogRecord] = []
-        self.mirror.subscribe_raw(self._pending_raw.append)
-        # Detector control operations (entity reset, full reset, tier
-        # reopen) requested while a detection batch is in flight; they
-        # are applied after that batch is collected, immediately before
-        # the next one is submitted (see :meth:`reset_entity`).
-        self._deferred_controls: list[tuple[str, Optional[str]]] = []
         # Set by restore(): a pipeline restores at most once, and only
         # while pristine (see _require_pristine_for_restore).
         self._restored = False
@@ -260,8 +272,16 @@ class TestbedPipeline:
             **extra,
         )
 
-    def _is_facade_pool(self, pool: ShardedDetectorPool) -> bool:
-        return pool.n_shards == 1 and pool.backend == "serial"
+    def _facade(self) -> dict[str, Detector]:
+        """``detectors``: a single serial shard's replica, else the pool."""
+        return {
+            name: (
+                pool.shards[0]
+                if pool.n_shards == 1 and pool.backend == "serial"
+                else pool
+            )
+            for name, pool in self.detector_pools.items()
+        }
 
     # ------------------------------------------------------------------
     # Stage execution
@@ -282,35 +302,23 @@ class TestbedPipeline:
         A one-batch :meth:`ingest_raw_stream`: the overlapped schedule
         with nothing to overlap -- submit, then immediately collect and
         respond -- so the two paths' accounting and failure unwind are
-        identical by construction.  Records published directly via
-        ``pipeline.mirror.publish_raw`` since the last ingestion are
-        drained first, as their own batch, so the per-call statistics
-        attribute every record to the call that processed it.
+        identical by construction.
         """
         return self.ingest_raw_stream([records])
 
     def ingest_alerts(self, alerts: Iterable[Alert]) -> list[Detection]:
         """Ingest pre-normalised alerts (replayed incidents skip monitors).
 
-        A one-batch :meth:`ingest_alert_batches`.  Raw records pending
-        on the mirror are drained first (see :meth:`ingest_raw`)
-        instead of silently waiting for a later ``ingest_raw`` call.
+        A one-batch :meth:`ingest_alert_batches`.
         """
         return self.ingest_alert_batches([alerts])
 
-    def _drain_pending_raw(self) -> list[Detection]:
-        """Records already pending on the mirror, as their own batch."""
-        if not self._pending_raw:
-            return []
-        # One empty publish: the batch is exactly what was already pending.
-        return self._drive_overlapped(map(self._prep_raw, [()]))
-
     def _prep_raw(self, records: Iterable[RawLogRecord]) -> list[Alert]:
-        """Mirror one raw batch; normalise (counted) and filter what is pending."""
+        """Mirror one raw batch, then normalise (counted) and filter it."""
+        records = tuple(records)
         self.mirror.publish_raw_many(records)
-        pending, self._pending_raw[:] = list(self._pending_raw), []
-        self.stats.raw_records += len(pending)
-        alerts = self._run_stage(self.normalizer_stage, pending)
+        self.stats.raw_records += len(records)
+        alerts = self._run_stage(self.normalizer_stage, records)
         self.stats.normalized_alerts += len(alerts)
         return self._prep_filtered(alerts)
 
@@ -348,9 +356,7 @@ class TestbedPipeline:
         parent's wait inside ``collect`` counts as detection time, the
         overlapped prep counts as normalize/filter time.
         """
-        detections = self._drain_pending_raw()
-        detections.extend(self._drive_overlapped(map(self._prep_raw, batches)))
-        return detections
+        return self._drive_overlapped(map(self._prep_raw, batches))
 
     def ingest_alert_batches(
         self, batches: Iterable[Iterable[Alert]]
@@ -361,9 +367,7 @@ class TestbedPipeline:
         :meth:`ingest_alerts` (see :meth:`ingest_raw_stream`), with
         bit-identical detections, responses, and counters.
         """
-        detections = self._drain_pending_raw()
-        detections.extend(self._drive_overlapped(map(self._prep_alerts, batches)))
-        return detections
+        return self._drive_overlapped(map(self._prep_alerts, batches))
 
     def _drive_overlapped(self, filtered_batches) -> list[Detection]:
         """Pipelined schedule over prepped (filtered) batches.
@@ -383,22 +387,16 @@ class TestbedPipeline:
         first collect, which lets shard workers desynchronise across
         batches (shard 0 may be two batches ahead of shard 1) -- the
         per-shard FIFO descriptor protocol and position-merge keep the
-        output order identical.  Detector controls requested mid-stream
-        need a fully-quiesced pool (``reset_entity`` et al. refuse with
-        batches pending), so a pending control first drains the whole
-        window -- exactly the stream position a depth-1 schedule or a
-        batch-synchronous caller applies it at.
+        output order identical.  A control or checkpoint requested from
+        inside the batch source while a ticket is in flight raises (see
+        :meth:`reset_entity`), and the driver unwinds.
         """
         detections: list[Detection] = []
         depth = self.max_inflight
         try:
             inflight = 0
             for filtered in filtered_batches:
-                # A deferred control must see an idle pool *and* sit at
-                # the same submission boundary as in the depth-1
-                # schedule: drain everything, then let the flush inside
-                # _submit_detection apply it before this submit.
-                while inflight and (self._deferred_controls or inflight >= depth):
+                while inflight >= depth:
                     inflight -= 1
                     detections.extend(self._collect_and_respond())
                 self._submit_detection(filtered)
@@ -406,67 +404,82 @@ class TestbedPipeline:
             while inflight:
                 inflight -= 1
                 detections.extend(self._collect_and_respond())
-            # Controls requested while the final batch was in flight
-            # (there is no further submit to flush them).
-            self._flush_detector_controls()
             return detections
         except BaseException:
-            self._drain_inflight_detections()
+            self.drain_inflight()
             raise
 
-    def _drain_inflight_detections(self) -> None:
+    def drain_inflight(self) -> None:
         """Finish every submitted-but-uncollected detection batch.
 
-        A prep/submit/collect failure must not leave a batch in
-        flight: a later ingestion call would otherwise collect the
-        stale ticket and return the wrong batch's detections.
-        Whatever was already submitted is finished normally (its
-        detections land in the logs and counters; they cannot be
-        returned since the caller is re-raising).
+        The failure unwind of every driver -- the stream drivers here,
+        the service's consumer loop: a prep/submit/collect failure must
+        not leave a batch in flight, or a later collect would return
+        the wrong batch's detections.  Whatever was already submitted
+        is finished normally (its detections land in the logs and
+        counters); its errors are swallowed, because the caller is
+        already handling one.
         """
         while self.detection_stage.pending_batches:
             try:
                 self._collect_and_respond()
             except Exception:
                 pass
-        # Controls deferred behind those batches are applied now --
-        # after their batch was collected, exactly the documented
-        # position -- rather than leaking into a later, unrelated
-        # ingestion call (or being dropped by close()).  The caller is
-        # re-raising, so control failures must not mask that error.
-        while self._deferred_controls:
-            control = self._deferred_controls.pop(0)
-            try:
-                self._apply_detector_control(control)
-            except Exception:
-                pass
 
     # ------------------------------------------------------------------
-    # Detector control (entity reset / full reset / tier reopen)
+    # Detector control (entity reset / full reset / tier reopen / reshard)
     # ------------------------------------------------------------------
+    def _require_quiesced(self, action: str) -> None:
+        """Checkpoint and every control need no detection batch in flight."""
+        pending = self.detection_stage.pending_batches
+        if pending:
+            raise RuntimeError(
+                f"cannot {action} with {pending} detection batch(es) in "
+                "flight; collect them first"
+            )
+
+    def _control(
+        self, action: str, apply: Callable[[ShardedDetectorPool], object]
+    ) -> None:
+        """Apply one control to every detector pool of a quiesced pipeline.
+
+        Every pool is driven even if one fails (mirroring
+        ``ShardedDetectorPool.reset`` across shards): side-by-side
+        detectors must never end up with a half-applied control.  The
+        first error is re-raised after all pools were driven.
+        """
+        self._require_quiesced(action)
+        error: Optional[Exception] = None
+        for pool in self.detector_pools.values():
+            try:
+                apply(pool)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+
     def reset_entity(self, entity: str) -> None:
         """Forget one entity across every attached detector pool.
 
         Models remediation (the host was re-imaged, the account was
         re-credentialed): the detectors must stop carrying the entity's
-        history.  Safe to call mid-stream from inside an overlapped
-        driver's batch source: if a detection batch is in flight the
-        reset is *deferred* and applied after that batch is collected,
-        immediately before the next one is submitted -- the same
-        position in the alert stream a batch-synchronous caller issuing
-        the reset between the two batches observes, so the overlapped
-        and synchronous schedules stay bit-identical.
+        history.  Applies at once.  Like :meth:`checkpoint` and every
+        other control, it raises ``RuntimeError`` while a detection
+        batch is in flight: a stream that carries controls is split at
+        them, so each lands at the position a batch-synchronous caller
+        issuing it between two batches observes.
         """
-        self._queue_detector_control(("reset_entity", entity))
+        self._control("reset an entity", lambda pool: pool.reset_entity(entity))
 
     def reset_detectors(self) -> None:
-        """Forget all detector state (every pool), deferred-safe.
+        """Forget all detector state (every pool); needs a quiesced pipeline.
 
         The pipeline's cumulative detection log and stats counters are
         kept -- only the detectors' per-entity state and their own
         detection records are cleared.
         """
-        self._queue_detector_control(("reset", None))
+        self._control("reset detectors", lambda pool: pool.reset())
 
     def reopen_detectors(self) -> None:
         """Restart the detection tier (fresh state, fresh workers).
@@ -474,23 +487,21 @@ class TestbedPipeline:
         Drives :meth:`repro.testbed.sharding.ShardedDetectorPool
         .reopen` on every pool: process-backed pools recycle their
         worker processes, serial pools reset their replicas in place.
-        Deferred-safe like :meth:`reset_entity`.
+        Needs a quiesced pipeline like :meth:`reset_entity`.
         """
-        self._queue_detector_control(("reopen", None))
+        self._control("reopen detectors", lambda pool: pool.reopen())
 
     def reshard(self, n_shards: int) -> None:
-        """Live N→M reshard of every detector pool, deferred-safe.
+        """Live N→M reshard of every detector pool; needs a quiesced pipeline.
 
         Drives :meth:`repro.testbed.sharding.ShardedDetectorPool
         .reshard` on every pool: per-entity detector state is migrated
         wholesale to the shards that own it under the new count, so
         detections after the transition are bit-identical to a pipeline
         constructed with ``n_shards=M`` fed the same stream.  Like the
-        other detector controls, a reshard requested while a detection
-        batch is in flight is deferred to the next submission boundary
-        (after that batch is collected, before the next is submitted) --
-        the quiescing that keeps in-flight tickets and the migration
-        strictly ordered.
+        other detector controls it raises ``RuntimeError`` while a
+        detection batch is in flight, which keeps tickets and the
+        migration strictly ordered.
 
         On success ``pipeline.n_shards`` and the ``detectors`` facade
         mapping are updated; a checkpoint taken afterwards records (and
@@ -501,57 +512,17 @@ class TestbedPipeline:
         count = int(n_shards)
         if count < 1:
             raise ValueError("n_shards must be >= 1")
-        self._queue_detector_control(("reshard", count))
-
-    def _queue_detector_control(self, control: tuple[str, Optional[str]]) -> None:
-        if self.detection_stage.pending_batches:
-            self._deferred_controls.append(control)
-        else:
-            self._apply_detector_control(control)
-
-    def _apply_detector_control(self, control: tuple[str, Optional[str]]) -> None:
-        # Drive every pool even if one fails (mirroring
-        # ShardedDetectorPool.reset across shards): side-by-side
-        # detectors must never end up with a half-applied control.  The
-        # first error is re-raised after all pools were driven.
-        verb, payload = control
-        error: Optional[Exception] = None
-        for pool in self.detector_pools.values():
-            try:
-                if verb == "reset_entity":
-                    pool.reset_entity(payload)
-                elif verb == "reset":
-                    pool.reset()
-                elif verb == "reopen":
-                    pool.reopen()
-                elif verb == "reshard":
-                    pool.reshard(payload)
-                else:
-                    raise ValueError(f"unknown detector control {verb!r}")
-            except Exception as exc:
-                if error is None:
-                    error = exc
-        if verb == "reshard":
-            # The facade mapping must reflect the pools' real shape
-            # even after a partial failure (pool.shards[0] only exists
-            # for single-serial pools).
-            self.detectors = {
-                name: (pool.shards[0] if self._is_facade_pool(pool) else pool)
-                for name, pool in self.detector_pools.items()
-            }
-            if error is None:
-                self.n_shards = int(payload)
-        if error is not None:
-            raise error
-
-    def _flush_detector_controls(self) -> None:
-        """Apply controls deferred while a detection batch was in flight."""
-        while self._deferred_controls:
-            self._apply_detector_control(self._deferred_controls.pop(0))
+        try:
+            self._control("reshard", lambda pool: pool.reshard(count))
+        finally:
+            # The facade must reflect the pools' real shape even after a
+            # partial failure (pool.shards[0] only exists for
+            # single-serial pools).
+            self.detectors = self._facade()
+        self.n_shards = count
 
     def _submit_detection(self, filtered: Sequence[Alert]) -> None:
         """Ship one filtered batch to the detection stage (timed)."""
-        self._flush_detector_controls()
         started = time.perf_counter()
         self.detection_stage.submit(filtered)
         self.stats.add_stage_seconds(
@@ -588,19 +559,12 @@ class TestbedPipeline:
         finishes it.  Interleaving exactly one in-flight batch with
         other work reproduces the double-buffered driver's schedule, so
         detections, responses, and counters are bit-identical to
-        :meth:`ingest_alerts` over the same batches.  Raw records
-        published directly on the mirror are *not* drained here -- feed
-        raw traffic through :meth:`submit_raw` instead.
+        :meth:`ingest_alerts` over the same batches.
         """
         self._submit_detection(self._prep_alerts(alerts))
 
     def submit_raw(self, records: Iterable[RawLogRecord]) -> None:
-        """Phase 1 for raw monitor records: mirror, normalise, filter, submit.
-
-        Any records already pending on the mirror join this batch (the
-        service is the only publisher in the service topology, so the
-        pending list is normally empty).
-        """
+        """Phase 1 for raw monitor records: mirror, normalise, filter, submit."""
         self._submit_detection(self._prep_raw(records))
 
     def collect_detections(self) -> list[Detection]:
@@ -736,7 +700,6 @@ class TestbedPipeline:
             "config": self._checkpoint_config(),
             "stats": self.stats,
             "detections": list(self.detections),
-            "pending_raw": list(self._pending_raw),
             "responder": {
                 "notifications": list(self.responder.notifications),
                 "actions": list(self.responder.actions),
@@ -767,20 +730,15 @@ class TestbedPipeline:
 
         Snapshots every detector pool's per-entity state (pickled via
         the detectors' own ``__getstate__``), the response/BHR records
-        and mirror counters, ``PipelineStats`` and pending raw records,
-        such that a pristine equal-config pipeline :meth:`restore`\\ d
-        from the file replays the remaining stream to bit-identical
-        detections, logs, and counters.
-        Returns the checkpoint size in bytes.  Refuses to run with
-        detection batches in flight (the snapshot would be neither
-        before nor after them).
+        and mirror counters and ``PipelineStats``, such that a pristine
+        equal-config pipeline :meth:`restore`\\ d from the file replays
+        the remaining stream to bit-identical detections, logs, and
+        counters.
+        Returns the checkpoint size in bytes.  Like every detector
+        control it refuses to run with detection batches in flight (the
+        snapshot would be neither before nor after them).
         """
-        pending = self.detection_stage.pending_batches
-        if pending:
-            raise RuntimeError(
-                f"cannot checkpoint with {pending} detection batch(es) in "
-                "flight; collect them first"
-            )
+        self._require_quiesced("checkpoint")
         return write_checkpoint(path, self._checkpoint_payload())
 
     def _require_pristine_for_restore(self) -> None:
@@ -800,7 +758,6 @@ class TestbedPipeline:
             or self.stats.detections
             or self.stats.responses
             or self.detections
-            or self._pending_raw
             or self.detection_stage.pending_batches
             or self.mirror.stats.raw_records
             or self.mirror.stats.alerts
@@ -832,13 +789,20 @@ class TestbedPipeline:
                 f"checkpoint config {payload['config']!r} does not match "
                 f"this pipeline's config {config!r}"
             )
+        # Written before raw records could only enter through
+        # ingest_raw/submit_raw: an empty list is accepted, while records
+        # still owed to detection have no way in any more.
+        if payload.get("pending_raw"):
+            raise CheckpointError(
+                f"checkpoint carries {len(payload['pending_raw'])} raw record(s) "
+                "published outside ingest_raw/submit_raw; they cannot be restored"
+            )
         # All validation passed: apply in place, preserving the object
         # identities the stages and external callers already hold (the
         # detections list is the detection stage's sink; the facade
         # detector is the caller's instance).
         self.stats = payload["stats"]
         self.detections[:] = payload["detections"]
-        self._pending_raw[:] = payload["pending_raw"]
         responder_state = payload["responder"]
         self.responder.notifications[:] = responder_state["notifications"]
         self.responder.actions[:] = responder_state["actions"]

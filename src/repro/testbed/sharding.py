@@ -1137,24 +1137,10 @@ class ShardedDetectorPool:
     #: Entity->shard memo entries kept (LRU): bounds parent-process
     #: memory on the unbounded-cardinality entity streams a long-lived
     #: service sees.  Routing stays correct either way -- an evicted
-    #: entity just pays one crc32 again.  Per-instance override:
-    #: assign ``pool.shard_cache_limit``.
+    #: entity just pays one crc32 again.
     _SHARD_CACHE_LIMIT = 1 << 17
 
     # -- routing -----------------------------------------------------------
-    @property
-    def shard_cache_limit(self) -> int:
-        """Max entity->shard memo entries before LRU eviction."""
-        return getattr(self, "_shard_cache_limit", self._SHARD_CACHE_LIMIT)
-
-    @shard_cache_limit.setter
-    def shard_cache_limit(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError("shard_cache_limit must be >= 1")
-        self._shard_cache_limit = int(limit)
-        while len(self._shard_cache) > self._shard_cache_limit:
-            self._shard_cache.pop(next(iter(self._shard_cache)))
-
     def shard_of(self, entity: str) -> int:
         """The shard the entity's alerts are routed to (memoised, LRU).
 
@@ -1168,7 +1154,7 @@ class ShardedDetectorPool:
         cache = self._shard_cache
         shard = cache.pop(entity, None)
         if shard is None:
-            if len(cache) >= self.shard_cache_limit:
+            if len(cache) >= self._SHARD_CACHE_LIMIT:
                 cache.pop(next(iter(cache)))
             shard = shard_of(entity, self.n_shards)
         cache[entity] = shard
@@ -1449,8 +1435,8 @@ class ShardedDetectorPool:
         fresh replicas, the old carriers are retired, and M new ones
         are built and ``restore``\\ d from the migrated replicas.
         Requires an idle pool: callers must collect in-flight tickets
-        first (the pipeline's ``reshard`` control defers to a
-        submission boundary for exactly this reason).
+        first (the pipeline's ``reshard`` control refuses to run with a
+        batch in flight for exactly this reason).
 
         Telemetry arrays (``alerts_routed``/``busy_seconds``/
         ``kernel_seconds``) are re-zeroed at the new width; their

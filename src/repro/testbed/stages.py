@@ -16,9 +16,12 @@ importing the testbed package.
 
 This module adds the two testbed-owned stages:
 
-* :class:`DetectionStage` -- drives every attached detector pool
-  (:class:`repro.testbed.sharding.ShardedDetectorPool`) over the
-  filtered batch and returns the primary detector's new detections.
+* :class:`DetectionStage` -- ships the filtered batch to every attached
+  detector pool (:class:`repro.testbed.sharding.ShardedDetectorPool`)
+  with ``submit`` and, with ``collect``, returns the primary detector's
+  new detections.  It is the one stage that is not a
+  :class:`PipelineStage`: detection is always split into those two
+  phases so the pipeline can overlap them with other batches' work.
 * :class:`ResponseStage` -- feeds detections to the
   :class:`repro.testbed.responder.ResponseOrchestrator` and returns the
   actions taken.
@@ -141,22 +144,6 @@ class DetectionStage:
         if error is not None:
             raise error
         return primary_detections
-
-    def process(self, batch: Sequence[Alert]) -> list[Detection]:
-        """Scan one filtered batch; return the primary pool's detections.
-
-        Refuses to run while a submitted batch is pending collection:
-        ``collect`` pops the *oldest* ticket, so interleaving the
-        blocking wrapper with submit/collect would silently return the
-        in-flight batch's detections as this batch's.
-        """
-        if self._inflight:
-            raise RuntimeError(
-                "cannot process() with submitted batch(es) pending; "
-                "collect() them first"
-            )
-        self.submit(batch)
-        return self.collect()
 
 
 class ResponseStage:

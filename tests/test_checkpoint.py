@@ -257,9 +257,11 @@ class TestCheckpointHoldsStateNotTraffic:
 
     def test_legacy_mirror_payload_restores_like_the_new_one(self, tmp_path):
         # A version-1 checkpoint written when the mirror still archived
-        # what it carried and the stage and pools still counted an
-        # in-flight high-water mark: the two buffer lists, the bound and
-        # the two counters are ignored.
+        # what it carried, the stage and pools still counted an
+        # in-flight high-water mark, and raw records published on the
+        # mirror still waited for the next ingestion: the two buffer
+        # lists, the bound, the two counters and the (empty) pending-raw
+        # list are ignored.
         stream = _mixed_stream(length=160)
         raw_seen, alerts_seen = [], []
         with _build_pipeline() as reference:
@@ -271,8 +273,10 @@ class TestCheckpointHoldsStateNotTraffic:
             assert set(payload["mirror"]) == {"stats"}
             assert "inflight_high_water" not in payload
             assert "inflight_high_water" not in payload["pools"]["factor_graph"]
+            assert "pending_raw" not in payload
             legacy = dict(
                 payload,
+                pending_raw=[],
                 inflight_high_water=2,
                 pools={
                     name: dict(state, inflight_high_water=2)
@@ -304,15 +308,35 @@ class TestCheckpointHoldsStateNotTraffic:
             tmp_path / "new.again.ckpt"
         ).read_bytes()
 
+    def test_legacy_payload_owing_raw_records_is_refused(self, tmp_path):
+        # Raw records still waiting for detection have no way in any
+        # more: the restore refuses them before touching any state.
+        with _build_pipeline() as reference:
+            reference.ingest_raw_stream(_scan_batches(1))
+            payload = reference._checkpoint_payload()
+        owed = _scan_batches(1)[0][:1]
+        write_checkpoint(tmp_path / "owing.ckpt", dict(payload, pending_raw=owed))
+        write_checkpoint(tmp_path / "settled.ckpt", dict(payload, pending_raw=[]))
+        with _build_pipeline() as restored:
+            with pytest.raises(CheckpointError, match="1 raw record"):
+                restored.restore(tmp_path / "owing.ckpt")
+            assert restored.stats.raw_records == 0
+            # The refusal left the pipeline pristine.
+            restored.restore(tmp_path / "settled.ckpt")
+            assert restored.stats.raw_records == 16
+
 
 class TestCheckpointBytesArePinned:
     """Decode scratch -- kernel, pattern table, window arena -- never
     reaches a checkpoint: the bytes of one fixed drive are pinned."""
 
-    #: sha256 of the checkpoint written by the drive below, recorded on
-    #: the tree of commit f6f6f6b (before the window arena existed).
-    DIGEST = "f19cd93e9f456f4d442b1e35fce6cea34004cded6f1294ec709927d2f2214c4f"
-    SIZE = 74884
+    #: sha256 of the checkpoint written by the drive below: first
+    #: recorded on the tree of commit f6f6f6b (before the window arena
+    #: existed), then re-derived on commit 12619b2 by writing that drive's
+    #: payload with its empty ``pending_raw`` list removed -- the only
+    #: key the payload lost since.
+    DIGEST = "41ef93444e18ea96195dae92fe372d27f780a5a71f81dcd4f0069148d6d0af5d"
+    SIZE = 74868
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path, monkeypatch):
         # Wall-clock fields (stage/busy/kernel seconds) become a count
@@ -362,6 +386,15 @@ class TestRestoreMisuse:
             with pytest.raises(RuntimeError, match="freshly constructed"):
                 driven.restore(path)
             assert list(driven.detections) == before, "failed restore mutated state"
+
+    def test_checkpoint_with_a_batch_in_flight_raises(self, tmp_path):
+        with _build_pipeline() as pipeline:
+            pipeline.submit_alerts(_mixed_stream(length=30))
+            with pytest.raises(RuntimeError, match="cannot checkpoint with 1"):
+                pipeline.checkpoint(tmp_path / "torn.ckpt")
+            assert not (tmp_path / "torn.ckpt").exists()
+            pipeline.collect_detections()
+            assert pipeline.checkpoint(tmp_path / "whole.ckpt") > 0
 
     def test_double_restore_raises(self, tmp_path):
         path = self._checkpoint_of(tmp_path)

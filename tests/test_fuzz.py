@@ -27,6 +27,8 @@ from repro.fuzz import (
     RAW_CAPABLE_NAMES,
     REFERENCE_CONFIG,
     alerts_to_zeek_records,
+    build_pipeline,
+    drive,
     full_matrix,
     quick_matrix,
     shrink_campaign,
@@ -118,22 +120,55 @@ class TestDifferentialOracle:
 
     def test_matrix_shapes(self):
         # The reference, plus engines (2) x shard counts (3) x backends
-        # (2) x stream drivers (2): per-event ``sync`` is a one-batch
-        # ``alert_stream`` call, so only the reference keeps it.
+        # (2) under ``alert_stream``, plus ``raw_stream`` where raw
+        # preparation meets a distinct detection path: the production
+        # engine at 1 and 2 shards on both backends.  Per-event ``sync``
+        # is a one-batch ``alert_stream`` call, so only the reference
+        # keeps it.
         matrix = full_matrix()
-        assert len(matrix) == len({config.label for config in matrix}) == 25
+        assert len(matrix) == len({config.label for config in matrix}) == 17
         assert [c for c in matrix if c.driver == "sync"] == [REFERENCE_CONFIG]
-        for engine, shards, backend in itertools.product(
-            ("streaming", "naive"), (1, 2, 4), ("serial", "process")
-        ):
-            drivers = {
-                c.driver
-                for c in matrix
-                if (c.engine, c.n_shards, c.backend) == (engine, shards, backend)
-            }
-            assert drivers >= {"alert_stream", "raw_stream"}
+        assert {
+            (c.engine, c.n_shards, c.backend) for c in matrix if c.driver == "alert_stream"
+        } == set(itertools.product(("streaming", "naive"), (1, 2, 4), ("serial", "process")))
+        assert {
+            (c.engine, c.n_shards, c.backend) for c in matrix if c.driver == "raw_stream"
+        } == set(itertools.product(("streaming",), (1, 2), ("serial", "process")))
         assert all(OracleConfig.parse(config.label) == config for config in matrix)
         assert set(quick_matrix()) <= set(matrix)
+
+    def test_two_phase_driver_is_gone(self):
+        campaign = CampaignComposer(2, target_alerts=40).compose(0)
+        with build_pipeline(campaign, REFERENCE_CONFIG) as pipeline:
+            with pytest.raises(ValueError, match="two_phase"):
+                drive(campaign, pipeline, "two_phase")
+            assert pipeline.stats.raw_records == 0
+
+    @pytest.mark.parametrize("driver", ["alert_stream", "raw_stream"])
+    def test_stream_drivers_split_their_runs_at_controls(self, driver):
+        """Every control reaches a quiesced pipeline, after every batch
+        before it was collected: the run is split there."""
+        campaign = CampaignComposer(3, target_alerts=150).compose(1, raw_capable=True)
+        controls = [i for i, e in enumerate(campaign.events) if e.kind != "batch"]
+        assert controls, "the campaign must carry a control"
+        config = OracleConfig("streaming", 2, "process", driver)
+        with build_pipeline(campaign, config) as pipeline:
+            seen = []
+
+            def hook(point, index):
+                if point == "event" and index in controls:
+                    seen.append((pipeline.inflight_detection_batches, pipeline.stats.filtered_alerts))
+
+            drive(campaign, pipeline, driver, hook)
+        with build_pipeline(campaign, REFERENCE_CONFIG) as reference:
+            expected = []
+
+            def reference_hook(point, index):
+                if point == "event" and index in controls:
+                    expected.append((0, reference.stats.filtered_alerts))
+
+            drive(campaign, reference, "sync", reference_hook)
+        assert seen == expected
 
     def test_sync_is_still_a_legal_driver_off_the_reference(self):
         config = OracleConfig.parse("streaming:2:process:sync")

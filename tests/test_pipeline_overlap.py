@@ -1,4 +1,4 @@
-"""Overlapped-driver equivalence suite and pending-raw semantics.
+"""Overlapped-driver equivalence suite and the pipeline's one way in.
 
 The pipeline's overlapped (double-buffered) drivers
 (:meth:`TestbedPipeline.ingest_raw_stream` /
@@ -9,9 +9,10 @@ must be *bit-identical* to the batch-synchronous reference: same
 detections (every field), same response records, same stats counters
 -- for both sharding backends, at several shard counts.
 
-This module also pins the pending-raw mixing fix: records published
-directly onto the mirror are drained by the *next* ingestion call of
-either kind, not silently folded into a later ``ingest_raw`` batch.
+This module also pins the single entry: detector controls need a
+quiesced pipeline (they raise with a ticket in flight, so a stream is
+split at them), and a raw record published straight onto the mirror
+is counted and forwarded but never reaches detection.
 """
 
 from __future__ import annotations
@@ -172,6 +173,36 @@ class TestOverlapEquivalence:
         with TestbedPipeline(n_shards=2, shard_backend=backend, max_inflight=3) as deep:
             assert deep.max_inflight == 3
 
+    @pytest.mark.parametrize("backend, depth", [("serial", 1), ("process", 2), ("process", 3)])
+    def test_prepare_then_collect_then_submit(self, mixed_batches, backend, depth):
+        """The schedule, pinned by the tickets outstanding at each step:
+        batch N+1 is prepared with the window full, older batches are
+        collected while ``max_inflight`` tickets are out, then N+1 is
+        submitted."""
+        with TestbedPipeline(
+            n_shards=2, shard_backend=backend, max_inflight=depth
+        ) as pipeline:
+            at_prepare, at_submit = [], []
+            stage = pipeline.detection_stage
+            submit = stage.submit
+
+            def counting_submit(batch):
+                at_submit.append(stage.pending_batches)
+                submit(batch)
+
+            stage.submit = counting_submit
+
+            def source():
+                for batch in mixed_batches:
+                    at_prepare.append(stage.pending_batches)
+                    yield batch
+
+            pipeline.ingest_alert_batches(source())
+            assert stage.pending_batches == 0
+        indices = range(len(mixed_batches))
+        assert at_prepare == [min(i, depth) for i in indices]
+        assert at_submit == [min(i, depth - 1) for i in indices]
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_empty_and_single_batch_streams(self, backend):
         with fresh_pipeline(2, backend) as pipeline:
@@ -235,18 +266,6 @@ class TestOverlapFailureRecovery:
         with pytest.raises(RuntimeError, match="no submitted batch"):
             stage.collect()
 
-    def test_stage_process_with_pending_batch_raises(self):
-        pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=2)
-        stage = DetectionStage({"alpha": pool}, "alpha", sink=[])
-        alerts = [Alert(float(i), "alert_port_scan", f"host:p{i}") for i in range(6)]
-        stage.submit(alerts)
-        # process() = submit + collect-oldest: with a batch already in
-        # flight it would silently return that batch's detections.
-        with pytest.raises(RuntimeError, match="pending"):
-            stage.process(alerts)
-        stage.collect()
-        assert stage.process(alerts) == []
-
     def test_sync_path_partial_submit_failure_drains_inflight(self):
         pipeline = TestbedPipeline(
             detectors={
@@ -289,14 +308,15 @@ class TestOverlapFailureRecovery:
 
 
 class TestMidStreamEntityReset:
-    """``reset_entity`` injected through the overlapped drivers.
+    """``reset_entity`` between runs of the overlapped drivers.
 
     The pool-level semantics (tagger / ShardedDetectorPool) are covered
     in test_detectors.py / test_sharding.py; this class pins the
-    end-to-end behaviour through ``ingest_alert_batches`` with a ticket
-    in flight: the pipeline defers the reset to the next submission
-    boundary, which lands it at exactly the stream position a
-    batch-synchronous caller issuing it between the two batches gets.
+    end-to-end behaviour: a control needs a quiesced pipeline, so a
+    stream carrying one is split at it -- which lands the reset at
+    exactly the stream position a batch-synchronous caller issuing it
+    between the two batches gets -- and a control requested with a
+    ticket in flight raises without touching any pool.
     """
 
     ENTITY = "user:eve"
@@ -333,26 +353,49 @@ class TestMidStreamEntityReset:
         reference = self._run_sync_with_reset(
             batches, n_shards=n_shards, backend=backend
         )
+        # Two batches on each side of the reset, so each run overlaps.
+        halves = [split_batches(batch, 2) for batch in batches]
         with fresh_pipeline(n_shards, backend) as pipeline:
-            deferred_at_request = []
-
-            def stream():
-                yield batches[0]
-                # Requested while batch 1's ticket is in flight: the
-                # overlapped driver preps (and runs this source for)
-                # batch 2 before collecting batch 1.
-                deferred_at_request.append(pipeline.detection_stage.pending_batches)
-                pipeline.reset_entity(self.ENTITY)
-                yield batches[1]
-
-            detections = pipeline.ingest_alert_batches(stream())
+            detections = pipeline.ingest_alert_batches(halves[0])
+            pipeline.reset_entity(self.ENTITY)
+            detections.extend(pipeline.ingest_alert_batches(halves[1]))
             summary = pipeline.summary()
             log = list(pipeline.detections)
-        assert deferred_at_request == [1], "reset must race an in-flight ticket"
         assert detections == reference[0]
         assert log == reference[2]
         for key in COUNTER_KEYS:
             assert summary[key] == reference[1][key], key
+
+    def test_controls_raise_with_a_ticket_in_flight(self):
+        """Each control refuses an in-flight ticket before any pool moves."""
+        controls = {
+            "reset_entity": lambda p: p.reset_entity(self.ENTITY),
+            "reset": lambda p: p.reset_detectors(),
+            "reopen": lambda p: p.reopen_detectors(),
+            "reshard": lambda p: p.reshard(3),
+        }
+        with TestbedPipeline(
+            detectors={
+                "alpha": AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+                "beta": AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+            },
+            n_shards=2,
+        ) as pipeline:
+            touched = []
+            for pool in pipeline.detector_pools.values():
+                for verb in controls:
+                    setattr(pool, verb, lambda *args, verb=verb: touched.append(verb))
+            pipeline.submit_alerts(self._chain_batches()[0])
+            for verb, control in controls.items():
+                with pytest.raises(RuntimeError, match="in flight"):
+                    control(pipeline)
+                assert touched == [], verb
+            assert pipeline.n_shards == 2
+            pipeline.collect_detections()
+            for control in controls.values():
+                control(pipeline)
+            assert touched == [verb for verb in controls for _pool in range(2)]
+            assert pipeline.n_shards == 3
 
     def test_reset_actually_changes_the_outcome(self):
         """The injected reset must prevent the chain's detection."""
@@ -366,35 +409,31 @@ class TestMidStreamEntityReset:
         assert self.ENTITY in fired_without
         assert self.ENTITY not in fired_with
 
-    def test_deferred_reset_is_applied_not_leaked_when_the_stream_dies(self):
-        """A crash while a control is deferred must still apply it.
+    def test_reset_inside_a_stream_raises_and_unwinds(self):
+        """A control from inside a batch source meets a ticket in flight.
 
-        The control was requested after batch N; the unwind collects
-        batch N, so the control's documented stream position exists and
-        it is applied there -- never left queued to fire at the start
-        of a later, unrelated ingestion call.
+        It raises instead of being queued, the driver unwinds (the
+        submitted batch is collected, nothing stays in flight), and the
+        reset never happened: the entity keeps its history, so the
+        chain's tail still completes the detection.
         """
         batches = self._chain_batches()
+        reference = self._run_sync_with_reset(
+            batches, n_shards=2, backend="serial", reset=False
+        )
         with fresh_pipeline(2, "serial") as pipeline:
-            def dying_stream():
+            def stream():
                 yield batches[0]
-                pipeline.reset_entity(self.ENTITY)  # deferred: ticket in flight
-                raise RuntimeError("source died")
+                pipeline.reset_entity(self.ENTITY)  # batch 1 is in flight
                 yield batches[1]  # pragma: no cover
 
-            with pytest.raises(RuntimeError, match="source died"):
-                pipeline.ingest_alert_batches(dying_stream())
-            assert pipeline._deferred_controls == []
+            with pytest.raises(RuntimeError, match="in flight"):
+                pipeline.ingest_alert_batches(stream())
+            assert pipeline.inflight_detection_batches == 0
             pool = pipeline.detector_pools["factor_graph"]
-            assert all(
-                self.ENTITY not in shard.entities() for shard in pool.shards
-            )
-            # The next ingestion starts clean: the chain tail alone
-            # must not complete the pattern for the forgotten entity.
-            assert [
-                d for d in pipeline.ingest_alerts(batches[1])
-                if d.entity == self.ENTITY
-            ] == []
+            assert any(self.ENTITY in shard.entities() for shard in pool.shards)
+            pipeline.ingest_alerts(batches[1])
+            assert list(pipeline.detections) == reference[2]
 
     def test_control_reaches_every_pool_even_if_one_fails(self):
         """A failing pool must not starve the other detectors of a control."""
@@ -427,62 +466,41 @@ class TestMidStreamEntityReset:
                 self.ENTITY not in shard.entities() for shard in beta.shards
             )
 
-    def test_trailing_reset_is_flushed_after_the_final_batch(self):
-        batches = self._chain_batches()
-        with fresh_pipeline(2, "serial") as pipeline:
-            def stream():
-                yield batches[0]
-                yield batches[1]
-                pipeline.reset_entity(self.ENTITY)
 
-            pipeline.ingest_alert_batches(stream())
-            # The trailing reset raced the final in-flight batch; the
-            # driver must flush it after the last collect.
-            assert pipeline._deferred_controls == []
-            pool = pipeline.detector_pools["factor_graph"]
-            assert all(
-                self.ENTITY not in shard.entities() for shard in pool.shards
-            )
-
-
-class TestPendingRawDrain:
-    """Directly mirrored records are drained by the next ingestion call."""
+class TestOneWayIn:
+    """Raw records reach detection only through ``ingest_raw*``/``submit_raw``."""
 
     def _record(self, timestamp: float = 10.0):
         monitor = SyslogMonitor("internal-host")
         monitor.wget_download(timestamp, "alice", "http://64.215.33.18/abs.c")
         return monitor.records[0]
 
-    def test_ingest_alerts_drains_pending_raw(self):
+    def test_directly_published_record_is_never_ingested(self):
         pipeline = TestbedPipeline()
-        pipeline.mirror.publish_raw(self._record())
-        assert pipeline._pending_raw, "record should be pending before ingestion"
-        pipeline.ingest_alerts([])
-        assert not pipeline._pending_raw
-        # The directly-published record was processed and counted now.
-        assert pipeline.stats.raw_records == 1
-        assert pipeline.stats.normalized_alerts == 1
-
-    def test_ingest_raw_attributes_pending_to_the_draining_call(self):
-        pipeline = TestbedPipeline()
+        seen = []
+        pipeline.mirror.subscribe_raw(seen.append)
         pipeline.mirror.publish_raw(self._record(10.0))
-        before = pipeline.stats.raw_records
-        assert before == 0
-        pipeline.ingest_raw([self._record(20.0)])
-        # Both the pending record and the new one were processed by
-        # this call (as separate batches), not deferred.
-        assert pipeline.stats.raw_records == 2
-        assert not pipeline._pending_raw
-
-    def test_overlapped_drivers_drain_pending_raw(self):
-        pipeline = TestbedPipeline()
-        pipeline.mirror.publish_raw(self._record())
+        # The mirror counts it and delivers it to subscribers ...
+        assert pipeline.mirror.stats.raw_records == 1
+        assert seen == [self._record(10.0)]
+        # ... but no ingestion call of any kind picks it up.
+        pipeline.ingest_alerts([])
         pipeline.ingest_alert_batches([])
-        assert not pipeline._pending_raw
-        assert pipeline.stats.raw_records == 1
-
-        pipeline = TestbedPipeline()
-        pipeline.mirror.publish_raw(self._record())
         pipeline.ingest_raw_stream([])
-        assert not pipeline._pending_raw
+        assert pipeline.stats.raw_records == 0
+        assert pipeline.stats.normalized_alerts == 0
+        pipeline.ingest_raw([self._record(20.0)])
         assert pipeline.stats.raw_records == 1
+        assert pipeline.mirror.stats.raw_records == 2
+        assert seen == [self._record(10.0), self._record(20.0)]
+
+    def test_unknown_primary_detector_is_refused(self):
+        with pytest.raises(ValueError, match="'typo' not among"):
+            TestbedPipeline(primary_detector="typo")
+
+    def test_default_primary_prefers_factor_graph(self):
+        tagger = AttackTagger()
+        assert TestbedPipeline().primary_detector == "factor_graph"
+        pipeline = TestbedPipeline(detectors={"alpha": tagger, "factor_graph": tagger})
+        assert pipeline.primary_detector == "factor_graph"
+        assert TestbedPipeline(detectors={"beta": tagger}).primary_detector == "beta"

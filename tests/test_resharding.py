@@ -6,9 +6,10 @@ state wholesale to its owner under the new shard count must leave the
 output stream bit-identical -- detections, logs, counters -- to a pool
 (or pipeline) that ran at the new count from the start, and to one
 that never resharded at all.  This suite drives that across backends,
-through the pipeline's deferred-control path under every driver,
-through checkpoint/restore, and interleaved with worker SIGKILLs
-(the reshard harvest must heal corpses parent-side).
+through the pipeline's control (which needs a quiesced pipeline, so
+stream runs are split at it), through checkpoint/restore, and
+interleaved with worker SIGKILLs (the reshard harvest must heal
+corpses parent-side).
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ class TestReshardUnderKill:
 
 
 class TestPipelineReshard:
-    """TestbedPipeline.reshard: deferred-safe, checkpoint-aware."""
+    """TestbedPipeline.reshard: quiesced-only, checkpoint-aware."""
 
     def _pipeline(self, n_shards, backend="serial"):
         return TestbedPipeline(
@@ -343,7 +344,7 @@ class TestPipelineReshard:
         for key in ("raw_records", "filtered_alerts", "detections", "responses"):
             assert got_summary[key] == expected_summary[key]
 
-    def test_overlapped_driver_defers_reshard_to_submission_boundary(self):
+    def test_overlapped_driver_split_at_a_reshard_matches_reference(self):
         alerts = build_stream(seed=31)
         batches = _batches(alerts)
         with self._pipeline(1) as reference:
@@ -351,15 +352,18 @@ class TestPipelineReshard:
             for index, batch in enumerate(batches):
                 expected.extend(reference.ingest_alerts(batch))
         with self._pipeline(2, backend="process") as pipeline:
-            def feed():
-                for index, batch in enumerate(batches):
-                    if index == 2:
-                        # Requested with a batch in flight: applied at
-                        # the next submission boundary, i.e. between
-                        # batch 1's collect and batch 2's submit.
-                        pipeline.reshard(4)
+            def feed(part):
+                for batch in part:
+                    if pipeline.inflight_detection_batches:
+                        # From inside a run a ticket is in flight.
+                        with pytest.raises(RuntimeError, match="in flight"):
+                            pipeline.reshard(4)
                     yield batch
-            got = pipeline.ingest_alert_batches(feed())
+
+            got = pipeline.ingest_alert_batches(feed(batches[:2]))
+            assert pipeline.n_shards == 2
+            pipeline.reshard(4)
+            got.extend(pipeline.ingest_alert_batches(feed(batches[2:])))
             assert pipeline.n_shards == 4
             pool = pipeline.detector_pools["factor_graph"]
             assert pool.n_shards == 4
@@ -422,9 +426,9 @@ class TestPipelineReshard:
 class TestShardRoutingLRU:
     """The entity->shard memo is bounded with cheap LRU eviction."""
 
-    def test_cache_is_bounded_and_evicts_least_recent(self):
+    def test_cache_is_bounded_and_evicts_least_recent(self, monkeypatch):
+        monkeypatch.setattr(ShardedDetectorPool, "_SHARD_CACHE_LIMIT", 4)
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=4)
-        pool.shard_cache_limit = 4
         for index in range(4):
             pool.shard_of(f"user:u{index}")
         assert list(pool._shard_cache) == [f"user:u{i}" for i in range(4)]
@@ -438,9 +442,9 @@ class TestShardRoutingLRU:
         assert len(pool._shard_cache) == 4
         pool.close()
 
-    def test_routing_stays_correct_across_eviction(self):
+    def test_routing_stays_correct_across_eviction(self, monkeypatch):
+        monkeypatch.setattr(ShardedDetectorPool, "_SHARD_CACHE_LIMIT", 8)
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=8)
-        pool.shard_cache_limit = 8
         entities = [f"host:h{index}" for index in range(64)]
         for _ in range(3):
             for entity in entities:
@@ -448,22 +452,8 @@ class TestShardRoutingLRU:
             assert len(pool._shard_cache) <= 8
         pool.close()
 
-    def test_limit_setter_validates_and_shrinks(self):
-        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
-        for index in range(10):
-            pool.shard_of(f"user:u{index}")
-        pool.shard_cache_limit = 3
-        assert len(pool._shard_cache) == 3
-        # The three most recent survive the shrink.
-        assert list(pool._shard_cache) == ["user:u7", "user:u8", "user:u9"]
-        with pytest.raises(ValueError):
-            pool.shard_cache_limit = 0
-        pool.close()
-
     def test_default_limit_is_large(self):
-        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
-        assert pool.shard_cache_limit == 1 << 17
-        pool.close()
+        assert ShardedDetectorPool._SHARD_CACHE_LIMIT == 1 << 17
 
     def test_reshard_invalidates_routing_memo(self):
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
