@@ -5,17 +5,22 @@ and vulnerability scanning from the public Internet (roughly 80 K of
 the 94 K daily alerts, per Insight 3).  Those alerts are not evidence
 that any particular entity is compromised; the paper filters them out
 before building and evaluating detection models.  This module
-implements that filter as a composable set of stages:
+implements that filter as two stages over one time-ordered batch:
 
-* **Deduplication** of identical (source, alert type, target) tuples
-  inside a sliding window -- repeated probes collapse to one alert.
 * **Scanner suppression** -- sources that only ever produce
   reconnaissance-stage alerts across many distinct targets are mass
   scanners; their alerts are dropped entirely (they remain visible to
   the black-hole router, which is the component that handles them).
-* **Benign-entity suppression** (optional) -- entities whose alerts are
-  all benign-category can be dropped when preparing model training
-  data.
+* **Deduplication** of identical (source, alert type, target) tuples
+  inside a sliding window -- repeated probes collapse to one alert.
+
+The filter decides on columns, not objects: its one core,
+:meth:`ScanFilter.filter_batch`, reads a
+:class:`~repro.telemetry.normalizer.NormalizedBatch` and builds an
+:class:`~repro.core.alerts.Alert` only for the rows it keeps, so the
+mass-scanning majority of a raw stream is never materialised.
+:meth:`ScanFilter.filter` runs the same core over the column view of
+alerts the caller already has, and returns those objects.
 
 The filter reports how many alerts each stage removed so the Table I
 reduction factor can be reproduced and audited.
@@ -25,10 +30,14 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from ..core.alerts import Alert, AlertCategory, AlertVocabulary, DEFAULT_VOCABULARY
+from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from ..core.states import AttackStage
+from .normalizer import NormalizedBatch
+
+#: Stages whose alerts alone make a source a scanner candidate.
+_SCAN_STAGES = (AttackStage.RECONNAISSANCE, AttackStage.BACKGROUND)
 
 
 @dataclasses.dataclass
@@ -38,7 +47,6 @@ class FilterStats:
     input_alerts: int = 0
     deduplicated: int = 0
     scanner_suppressed: int = 0
-    benign_suppressed: int = 0
     output_alerts: int = 0
 
     @property
@@ -57,7 +65,10 @@ class FilterStats:
 
 
 class ScanFilter:
-    """Stateful alert filter reproducing the paper's volume reduction."""
+    """Stateful alert filter reproducing the paper's volume reduction.
+
+    :attr:`stats` describes the most recent batch.
+    """
 
     def __init__(
         self,
@@ -65,76 +76,88 @@ class ScanFilter:
         *,
         dedup_window_seconds: float = 3600.0,
         scanner_min_targets: int = 10,
-        suppress_benign_entities: bool = False,
     ) -> None:
         self.vocabulary = vocabulary or DEFAULT_VOCABULARY
         self.dedup_window_seconds = float(dedup_window_seconds)
         self.scanner_min_targets = int(scanner_min_targets)
-        self.suppress_benign_entities = bool(suppress_benign_entities)
         self.stats = FilterStats()
 
     # -- scanner identification -------------------------------------------
-    def identify_scanners(self, alerts: Sequence[Alert]) -> set[str]:
-        """Source IPs that behave like mass scanners.
+    def identify_scanners(self, batch: NormalizedBatch) -> set[str]:
+        """Source IPs of ``batch`` that behave like mass scanners.
 
         A source is a scanner when every alert it produced is a
-        reconnaissance-stage alert and it touched at least
-        ``scanner_min_targets`` distinct targets (hosts).
+        reconnaissance-stage (or background) alert and it touched at
+        least ``scanner_min_targets`` distinct targets (hosts, else
+        entities).  A name outside the vocabulary is not
+        reconnaissance, so its source is never a scanner.
         """
-        stages_by_source: dict[str, set[AttackStage]] = defaultdict(set)
-        targets_by_source: dict[str, set[str]] = defaultdict(set)
-        for alert in alerts:
-            if not alert.source_ip:
+        sources = batch.source_ips
+        if not any(sources):
+            return set()
+        vocabulary = self.vocabulary
+        scan_name: dict[str, bool] = {}  # per call: name -> scan stage?
+        targets: defaultdict[str, set[str]] = defaultdict(set)
+        excluded: set[str] = set()
+        for name, source, host, entity in zip(batch.names, sources, batch.hosts, batch.entities):
+            if not source:
                 continue
-            stages_by_source[alert.source_ip].add(self.vocabulary.get(alert.name).stage)
-            targets_by_source[alert.source_ip].add(alert.host or alert.entity)
-        scanners = set()
-        for source, stages in stages_by_source.items():
-            if stages <= {AttackStage.RECONNAISSANCE, AttackStage.BACKGROUND} and len(
-                targets_by_source[source]
-            ) >= self.scanner_min_targets:
-                scanners.add(source)
-        return scanners
+            scanning = scan_name.get(name)
+            if scanning is None:
+                scanning = scan_name[name] = (
+                    name in vocabulary and vocabulary.get(name).stage in _SCAN_STAGES
+                )
+            if scanning:
+                targets[source].add(host or entity)
+            else:
+                excluded.add(source)
+        minimum = self.scanner_min_targets
+        return {
+            source
+            for source, hit in targets.items()
+            if len(hit) >= minimum and source not in excluded
+        }
 
-    # -- main entry point ------------------------------------------------------
-    def filter(self, alerts: Iterable[Alert]) -> list[Alert]:
-        """Apply all stages and return the surviving alerts (time order kept)."""
-        alerts = sorted(alerts, key=lambda a: a.timestamp)
-        self.stats = FilterStats(input_alerts=len(alerts))
-        scanners = self.identify_scanners(alerts)
+    # -- main entry points -----------------------------------------------------
+    def filter_batch(self, batch: NormalizedBatch) -> list[Alert]:
+        """Apply both stages; return the surviving rows' alerts in time order.
 
-        survivors: list[Alert] = []
+        Rows are visited in stable timestamp order (equal timestamps
+        keep input order).
+        """
+        timestamps, names = batch.timestamps, batch.names
+        entities, sources, hosts = batch.entities, batch.source_ips, batch.hosts
+        scanners = self.identify_scanners(batch)
+        window = self.dedup_window_seconds
         last_seen: dict[tuple[str, str, str], float] = {}
-        for alert in alerts:
+        kept: list[int] = []
+        suppressed = deduplicated = 0
+        for row in sorted(range(len(timestamps)), key=timestamps.__getitem__):
+            source = sources[row]
             # Stage 1: mass-scanner suppression.
-            if alert.source_ip in scanners:
-                self.stats.scanner_suppressed += 1
+            if source in scanners:
+                suppressed += 1
                 continue
             # Stage 2: sliding-window deduplication.
-            key = (alert.source_ip or alert.entity, alert.name, alert.host)
+            key = (source or entities[row], names[row], hosts[row])
+            timestamp = timestamps[row]
             previous = last_seen.get(key)
-            if previous is not None and alert.timestamp - previous <= self.dedup_window_seconds:
-                self.stats.deduplicated += 1
+            if previous is not None and timestamp - previous <= window:
+                deduplicated += 1
                 continue
-            last_seen[key] = alert.timestamp
-            survivors.append(alert)
+            last_seen[key] = timestamp
+            kept.append(row)
+        self.stats = FilterStats(
+            input_alerts=len(timestamps),
+            deduplicated=deduplicated,
+            scanner_suppressed=suppressed,
+            output_alerts=len(kept),
+        )
+        return batch.alerts(kept)
 
-        # Stage 3 (optional): drop entities that never left benign alerts.
-        if self.suppress_benign_entities:
-            by_entity: dict[str, list[Alert]] = defaultdict(list)
-            for alert in survivors:
-                by_entity[alert.entity].append(alert)
-            kept: list[Alert] = []
-            for entity_alerts in by_entity.values():
-                categories = {self.vocabulary.get(a.name).category for a in entity_alerts}
-                if categories <= {AlertCategory.BENIGN}:
-                    self.stats.benign_suppressed += len(entity_alerts)
-                    continue
-                kept.extend(entity_alerts)
-            survivors = sorted(kept, key=lambda a: a.timestamp)
-
-        self.stats.output_alerts = len(survivors)
-        return survivors
+    def filter(self, alerts: Iterable[Alert]) -> list[Alert]:
+        """:meth:`filter_batch` over existing alerts; returns those objects."""
+        return self.filter_batch(NormalizedBatch.of_alerts(alerts))
 
 
 class ScanFilterStage:
@@ -142,8 +165,9 @@ class ScanFilterStage:
 
     Implements the staged-pipeline contract
     (:class:`repro.testbed.stages.PipelineStage`, matched structurally
-    so the telemetry layer carries no testbed import): a batch of
-    alerts in, the time-ordered survivors out.
+    so the telemetry layer carries no testbed import): a batch in --
+    the normaliser's :class:`NormalizedBatch`, or alerts -- and the
+    time-ordered survivors out, as alerts.
     """
 
     name = "filter"
@@ -151,9 +175,11 @@ class ScanFilterStage:
     def __init__(self, scan_filter: ScanFilter) -> None:
         self.scan_filter = scan_filter
 
-    def process(self, batch: Iterable[Alert]) -> list[Alert]:
-        """Filter one alert batch (scanner suppression + dedup)."""
-        return self.scan_filter.filter(batch)
+    def process(self, batch: NormalizedBatch | Iterable[Alert]) -> list[Alert]:
+        """Filter one batch (scanner suppression + dedup)."""
+        if not isinstance(batch, NormalizedBatch):
+            batch = NormalizedBatch.of_alerts(batch)
+        return self.scan_filter.filter_batch(batch)
 
 
 def filter_alerts(

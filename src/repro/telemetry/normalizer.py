@@ -14,13 +14,22 @@ The normaliser is a rule table keyed by monitor family.  Each rule
 inspects a :class:`RawLogRecord` and either produces a symbolic alert
 name plus metadata, or passes.  Records no rule matches are dropped
 (they remain in the raw archive but produce no alert).
+
+Its output is a :class:`NormalizedBatch`: the would-be alerts as
+parallel columns, one row per matched record, every row already
+sanitised.  No :class:`~repro.core.alerts.Alert` is built here.  Most
+of a raw stream is mass scanning that the scan filter
+(:mod:`repro.telemetry.filtering`) discards, so the filter decides on
+the columns and materialises only the rows it keeps;
+:meth:`AlertNormalizer.normalize_stream` is the same batch with every
+row materialised.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from .logsource import MonitorKind, RawLogRecord
@@ -89,6 +98,83 @@ _PROCESS_EVENT_ALERTS: tuple[tuple[re.Pattern[str], str], ...] = (
 )
 
 
+class NormalizedBatch:
+    """One batch of normalised alerts as parallel columns.
+
+    Row ``i`` of :attr:`timestamps`, :attr:`names`, :attr:`entities`,
+    :attr:`source_ips`, :attr:`hosts`, :attr:`monitors` and
+    :attr:`attributes` holds the fields of the ``i``-th alert, in input
+    order; ``len()`` is the row count.  :meth:`alerts` builds the
+    :class:`~repro.core.alerts.Alert` objects of chosen rows.  A batch
+    made by :meth:`of_alerts` wraps alerts that already exist, and
+    :meth:`alerts` hands those very objects back.
+    """
+
+    __slots__ = (
+        "timestamps",
+        "names",
+        "entities",
+        "source_ips",
+        "hosts",
+        "monitors",
+        "attributes",
+        "_alerts",
+    )
+
+    def __init__(self) -> None:
+        self.timestamps: list[float] = []
+        self.names: list[str] = []
+        self.entities: list[str] = []
+        self.source_ips: list[str] = []
+        self.hosts: list[str] = []
+        self.monitors: list[str] = []
+        self.attributes: list[dict[str, Any]] = []
+        self._alerts: Optional[list[Alert]] = None
+
+    @classmethod
+    def of_alerts(cls, alerts: Iterable[Alert]) -> "NormalizedBatch":
+        """The column view of existing alerts (they are not copied)."""
+        batch = cls()
+        timestamps, names, entities = batch.timestamps, batch.names, batch.entities
+        sources, hosts, monitors = batch.source_ips, batch.hosts, batch.monitors
+        attributes = batch.attributes
+        alerts = batch._alerts = list(alerts)
+        for alert in alerts:
+            timestamps.append(alert.timestamp)
+            names.append(alert.name)
+            entities.append(alert.entity)
+            sources.append(alert.source_ip)
+            hosts.append(alert.host)
+            monitors.append(alert.monitor)
+            attributes.append(alert.attributes)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def alerts(self, rows: Optional[Iterable[int]] = None) -> list[Alert]:
+        """The alerts of ``rows`` (every row when ``None``), in that order."""
+        if rows is None:
+            rows = range(len(self.timestamps))
+        if self._alerts is not None:
+            return [self._alerts[row] for row in rows]
+        timestamps, names, entities = self.timestamps, self.names, self.entities
+        sources, hosts, monitors = self.source_ips, self.hosts, self.monitors
+        attributes = self.attributes
+        return [
+            Alert(
+                timestamps[row],
+                names[row],
+                entities[row],
+                sources[row],
+                hosts[row],
+                monitors[row],
+                attributes[row],
+            )
+            for row in rows
+        ]
+
+
 @dataclasses.dataclass(frozen=True)
 class NormalizationRule:
     """One normalisation rule: monitor family + matcher function."""
@@ -102,17 +188,21 @@ class AlertNormalizer:
     """Turns raw monitor records into symbolic, sanitised alerts.
 
     :attr:`rules` is the rule table in priority order; ``extra_rules``
-    extends it and it may be edited in place.  :meth:`normalize_stream`
+    extends it and it may be edited in place.  :meth:`normalize_batch`
     regroups it by monitor at the top of every call (five entries:
     nothing is cached, so nothing needs invalidating) and runs one loop
     over the batch: a record meets only its own monitor's matchers, and
     the first result whose name the vocabulary knows is sanitised and
-    becomes the alert.  :meth:`normalize_record` is a one-element call.
+    becomes one row of the returned :class:`NormalizedBatch`.
+    :meth:`normalize_stream` materialises every row as an
+    :class:`~repro.core.alerts.Alert`; :meth:`normalize_record` is a
+    one-element call.
 
     A record no rule matches is counted in :attr:`dropped`.  One whose
-    field values make a matcher raise ``ValueError``/``TypeError``
-    (``resp_p: "http"``) is dropped alone, counted there and in
-    :attr:`malformed`; the records around it are unaffected.
+    field values make a matcher raise ``ValueError``/``TypeError``/
+    ``OverflowError`` (``resp_p: "http"``, ``resp_p: Infinity``) is
+    dropped alone, counted there and in :attr:`malformed`; the records
+    around it are unaffected.
     """
 
     def __init__(
@@ -271,17 +361,24 @@ class AlertNormalizer:
     # ------------------------------------------------------------------
     def normalize_record(self, record: RawLogRecord) -> Optional[Alert]:
         """Normalise one raw record into an alert, or ``None`` to drop it."""
-        alerts = self.normalize_stream((record,))
+        alerts = self.normalize_batch((record,)).alerts()
         return alerts[0] if alerts else None
 
     def normalize_stream(self, records: Iterable[RawLogRecord]) -> list[Alert]:
         """Normalise a stream of raw records, dropping unmatched ones."""
+        return self.normalize_batch(records).alerts()
+
+    def normalize_batch(self, records: Iterable[RawLogRecord]) -> NormalizedBatch:
+        """Normalise raw records into columns, one row per matched record."""
         table: dict[MonitorKind, tuple[str, list]] = {}
         for rule in self.rules:
             table.setdefault(rule.monitor, (rule.monitor.value, []))[1].append(rule.matcher)
         vocabulary = self.vocabulary
         sanitize = self.sanitizer.sanitize_metadata
-        alerts: list[Alert] = []
+        batch = NormalizedBatch()
+        timestamps, names, entities = batch.timestamps, batch.names, batch.entities
+        sources, hosts, monitors = batch.source_ips, batch.hosts, batch.monitors
+        attributes = batch.attributes
         seen = malformed = 0
         monitor, monitor_name, matchers = None, "", ()
         for record in records:
@@ -296,26 +393,23 @@ class AlertNormalizer:
                         break
                 else:
                     continue
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, OverflowError):
+                # OverflowError: int() of an infinite float (JSON ``Infinity``).
                 malformed += 1
                 continue
             clean = sanitize(result[1])
             user = clean.pop("user", "")
             host = record.host
-            alerts.append(
-                Alert(
-                    record.timestamp,
-                    result[0],
-                    f"user:{user}" if user else f"host:{host}",
-                    str(clean.get("source_ip", "")),
-                    host,
-                    monitor_name,
-                    clean,
-                )
-            )
-        self.dropped += seen - len(alerts)
+            timestamps.append(record.timestamp)
+            names.append(result[0])
+            entities.append(f"user:{user}" if user else f"host:{host}")
+            sources.append(str(clean.get("source_ip", "")))
+            hosts.append(host)
+            monitors.append(monitor_name)
+            attributes.append(clean)
+        self.dropped += seen - len(batch)
         self.malformed += malformed
-        return alerts
+        return batch
 
 
 class NormalizerStage:
@@ -324,7 +418,8 @@ class NormalizerStage:
     Implements the staged-pipeline contract
     (:class:`repro.testbed.stages.PipelineStage`, matched structurally
     so the telemetry layer carries no testbed import): a batch of
-    :class:`RawLogRecord` in, a batch of symbolic :class:`Alert` out.
+    :class:`RawLogRecord` in, a :class:`NormalizedBatch` out -- columns,
+    not alerts; the filter stage materialises its survivors.
     """
 
     name = "normalize"
@@ -332,15 +427,16 @@ class NormalizerStage:
     def __init__(self, normalizer: AlertNormalizer) -> None:
         self.normalizer = normalizer
 
-    def process(self, batch: Iterable[RawLogRecord]) -> list[Alert]:
+    def process(self, batch: Iterable[RawLogRecord]) -> NormalizedBatch:
         """Normalise one raw-record batch (unmatched records are dropped)."""
-        return self.normalizer.normalize_stream(batch)
+        return self.normalizer.normalize_batch(batch)
 
 
 __all__ = [
     "ZEEK_NOTICE_MAP",
     "KNOWN_C2_PREFIXES",
     "NormalizationRule",
+    "NormalizedBatch",
     "AlertNormalizer",
     "NormalizerStage",
 ]

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Sized
 
 from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from ..core.attack_tagger import AttackTagger, Detection
@@ -286,7 +286,7 @@ class TestbedPipeline:
     # ------------------------------------------------------------------
     # Stage execution
     # ------------------------------------------------------------------
-    def _run_stage(self, stage: PipelineStage, batch: Sequence) -> list:
+    def _run_stage(self, stage: PipelineStage, batch: Sized) -> Sized:
         """Run one stage over a batch, accumulating its wall time."""
         started = time.perf_counter()
         out = stage.process(batch)
@@ -314,13 +314,17 @@ class TestbedPipeline:
         return self.ingest_alert_batches([alerts])
 
     def _prep_raw(self, records: Iterable[RawLogRecord]) -> list[Alert]:
-        """Mirror one raw batch, then normalise (counted) and filter it."""
+        """Mirror one raw batch, then normalise (counted) and filter it.
+
+        The normaliser hands the filter columns; only the survivors
+        become :class:`Alert` objects.
+        """
         records = tuple(records)
         self.mirror.publish_raw_many(records)
         self.stats.raw_records += len(records)
-        alerts = self._run_stage(self.normalizer_stage, records)
-        self.stats.normalized_alerts += len(alerts)
-        return self._prep_filtered(alerts)
+        normalized = self._run_stage(self.normalizer_stage, records)
+        self.stats.normalized_alerts += len(normalized)
+        return self._prep_filtered(normalized)
 
     def _prep_alerts(self, alerts: Iterable[Alert]) -> list[Alert]:
         """Count one pre-normalised batch and filter it."""
@@ -329,7 +333,7 @@ class TestbedPipeline:
         self.stats.normalized_alerts += len(alerts)
         return self._prep_filtered(alerts)
 
-    def _prep_filtered(self, alerts: Sequence[Alert]) -> list[Alert]:
+    def _prep_filtered(self, alerts: Sized) -> list[Alert]:
         """Filter one normalised batch and publish the survivors."""
         filtered = self._run_stage(self.filter_stage, alerts)
         self.stats.filtered_alerts += len(filtered)

@@ -2,13 +2,14 @@
 
 Fig. 4's workflow is a chain of transformations over batches::
 
-    raw records --normalize--> alerts --filter--> survivors
+    raw records --normalize--> columns --filter--> survivors
                  --detect--> detections --respond--> actions
 
 :class:`PipelineStage` states that contract once: a stage has a
 ``name`` (the key its cumulative runtime is recorded under in
 ``PipelineStats.stage_seconds``) and a ``process`` method taking one
-batch and returning the next stage's batch.  The protocol is
+batch and returning the next stage's batch; every batch has a
+``len()``, its item count.  The protocol is
 structural, so the telemetry adapters
 (:class:`repro.telemetry.normalizer.NormalizerStage`,
 :class:`repro.telemetry.filtering.ScanFilterStage`) satisfy it without
@@ -34,7 +35,7 @@ thin facade on top.
 from __future__ import annotations
 
 import collections
-from typing import Deque, Dict, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Deque, Dict, List, Protocol, Sequence, Sized, Tuple, runtime_checkable
 
 from ..core.alerts import Alert
 from ..core.attack_tagger import Detection
@@ -48,7 +49,7 @@ class PipelineStage(Protocol):
 
     name: str
 
-    def process(self, batch: Sequence) -> list:
+    def process(self, batch: Sized) -> Sized:
         """Transform one batch into the next stage's batch."""
         ...
 

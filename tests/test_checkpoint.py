@@ -333,10 +333,13 @@ class TestCheckpointBytesArePinned:
     #: sha256 of the checkpoint written by the drive below: first
     #: recorded on the tree of commit f6f6f6b (before the window arena
     #: existed), then re-derived on commit 12619b2 by writing that drive's
-    #: payload with its empty ``pending_raw`` list removed -- the only
-    #: key the payload lost since.
-    DIGEST = "41ef93444e18ea96195dae92fe372d27f780a5a71f81dcd4f0069148d6d0af5d"
-    SIZE = 74868
+    #: payload with its empty ``pending_raw`` list removed, then on
+    #: commit 00031a9 by reading that drive's checkpoint on a tree whose
+    #: ``FilterStats`` has no ``benign_suppressed`` field, deleting that
+    #: attribute from ``payload["filter_stats"]`` and rewriting the
+    #: payload -- the only value the payload lost since.
+    DIGEST = "f5a0ee18aefb08d60a4758bdeb93cd792339c14775bd5dacdce227e9d4cb49b9"
+    SIZE = 74846
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path, monkeypatch):
         # Wall-clock fields (stage/busy/kernel seconds) become a count

@@ -666,8 +666,10 @@ class TestServiceSocket:
         entries = handle.service.dead_letter.entries
         assert any(e["reason"] == "consumer-error" for e in entries)
 
-    def test_one_malformed_record_does_not_cost_its_batch(self):
-        # Regression: int("http") in the conn matcher raised out of
+    @pytest.mark.parametrize("resp_p", ["http", float("inf")])
+    def test_one_malformed_record_does_not_cost_its_batch(self, resp_p):
+        # Regression: int("http") (ValueError) and int() of a JSON
+        # Infinity (OverflowError) in the conn matcher raised out of
         # normalize_stream and the whole batch was dead-lettered, after
         # the mirror and stats.raw_records had already counted it.
         from repro.telemetry import ZeekMonitor
@@ -677,7 +679,7 @@ class TestServiceSocket:
         zeek.record_connection(3.0, "5.6.7.8", 5556, "141.142.230.2", 5432, conn_state="REJ")
         good_a, good_b = zeek.records
         malformed = RawLogRecord(
-            2.0, MonitorKind.ZEEK, "zeek-manager", "", {"stream": "conn", "resp_p": "http"}
+            2.0, MonitorKind.ZEEK, "zeek-manager", "", {"stream": "conn", "resp_p": resp_p}
         )
         campaign = CampaignComposer(1, target_alerts=40).compose(0)
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
@@ -697,6 +699,28 @@ class TestServiceSocket:
         assert stats["pipeline"]["normalized_alerts"] == 2
         assert stats["failed_batches"] == 0 and stats["dead_letter_records"] == 0
         assert handle.service.dead_letter.entries == []
+
+    def test_an_unknown_alert_name_with_a_source_does_not_cost_its_batch(self):
+        # Regression: the scan filter looked up the stage of every alert
+        # that carried a source_ip, so one name outside the vocabulary
+        # raised KeyError and dead-lettered the whole batch.
+        batch = [
+            Alert(1.0, "alert_login_normal", "user:u001", source_ip="10.0.0.1", host="login1"),
+            Alert(2.0, "alert_not_in_vocabulary", "user:u001", source_ip="10.0.0.2", host="login1"),
+            Alert(3.0, "alert_download_sensitive", "user:u001", source_ip="10.0.0.3", host="login1"),
+        ]
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        alerts: list[Alert] = []
+        with handle, handle.client() as client:
+            handle.pipeline.mirror.subscribe_alerts(alerts.append)
+            ack = client.send_alerts(batch)
+            assert ack["tier"] == "admit"
+            client.drain()
+            stats = client.stats()
+        assert [a.name for a in alerts] == [a.name for a in batch]
+        assert stats["pipeline"]["filtered_alerts"] == 3
+        assert stats["failed_batches"] == 0 and stats["dead_letter_records"] == 0
 
     def test_stats_reports_the_collector_outside_the_compared_surface(self):
         import gc

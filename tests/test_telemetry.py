@@ -3,15 +3,27 @@ filtering, and annotation."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.alerts import Alert, DEFAULT_VOCABULARY
+from repro.core.alerts import (
+    Alert,
+    AlertCategory,
+    AttackStage,
+    DEFAULT_VOCABULARY,
+    Severity,
+    build_default_vocabulary,
+)
 from repro.telemetry import (
     AlertNormalizer,
     AuditdMonitor,
     AuditRecord,
     ConnRecord,
+    FilterStats,
     GroundTruthAnnotator,
     MonitorKind,
     NoticeRecord,
@@ -111,6 +123,17 @@ class TestSyslogAndAudit:
         zeek.record_connection(1.0, "1.1.1.1", 1, "2.2.2.2", 22)
         with pytest.raises(ValueError):
             syslog.emit(zeek.records[0])
+
+    def test_record_without_fields_is_read_only_and_picklable(self):
+        record = RawLogRecord(1.0, MonitorKind.SYSLOG, "h", "m")
+        assert record.fields == {} and record.field("program", "-") == "-"
+        with pytest.raises(TypeError):
+            record.fields["program"] = "sshd"
+        full = record._replace(fields={"program": "sshd"})
+        for value in (record, full):
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.deepcopy(value) == value
+        assert full.field("program") == "sshd"
 
 
 class TestNormalizer:
@@ -271,7 +294,7 @@ class TestNormalizerFastPath:
         assert normalizer.normalize_stream([RawLogRecord(1.0, None, "h", "", {})]) == []
         assert (normalizer.dropped, normalizer.malformed) == (1, 0)
 
-    @pytest.mark.parametrize("resp_p", ["http", None, [5432]])
+    @pytest.mark.parametrize("resp_p", ["http", None, [5432], float("inf"), float("-inf")])
     def test_malformed_field_drops_that_record_only(self, resp_p):
         zeek = ZeekMonitor()
         zeek.record_connection(1.0, "1.2.3.4", 5555, "141.142.230.1", 5432, conn_state="S0")
@@ -430,6 +453,171 @@ class TestScanFilter:
         survivors = stage.process(self._scan_alerts(50))
         assert survivors == []
         assert scan_filter.stats.input_alerts == 50
+
+    def test_a_name_outside_the_vocabulary_is_not_reconnaissance(self):
+        # Regression: identify_scanners raised KeyError for an unknown
+        # name, but only when the alert carried a source_ip.
+        unknown = Alert(500.0, "alert_not_in_vocabulary", "user:x", source_ip="8.8.8.8", host="login")
+        survivors, stats = filter_alerts(self._scan_alerts() + [unknown])
+        assert survivors == [unknown] and survivors[0] is unknown
+        assert stats.scanner_suppressed == 200
+        # From the scanning source itself it clears that source.
+        from_scanner = Alert(500.0, "alert_not_in_vocabulary", "user:x", source_ip="9.9.9.9", host="login")
+        survivors, stats = filter_alerts(self._scan_alerts() + [from_scanner])
+        assert (stats.scanner_suppressed, stats.deduplicated, len(survivors)) == (0, 160, 41)
+
+
+#: The default vocabulary plus one reconnaissance name the filter's
+#: (default) vocabulary does not know.
+_EXTENDED_VOCABULARY = build_default_vocabulary()
+_EXTENDED_VOCABULARY.define(
+    "alert_extra_probe", AlertCategory.SCANNING, Severity.LOW, AttackStage.RECONNAISSANCE
+)
+_SOURCES = ("", "203.0.113.1", "203.0.113.2", "198.51.100.7")
+_HOSTS = ("", "node1", "node2", "node3", "node4")
+_USERS = ("alice", "bob@example.org", "")
+
+
+def _extra_probe(record):
+    if record.field("program") != "probe":
+        return None
+    return "alert_extra_probe", {"source_ip": record.field("source"), "user": record.field("user")}
+
+
+def _raw_record(kind, timestamp, source, host, user):
+    """One raw record of ``kind`` at an integer ``timestamp``."""
+    conn = {"stream": "conn", "orig_h": source, "resp_h": "10.1.0.1", "resp_p": 22, "conn_state": "S0"}
+    if kind == "db":
+        conn.update(resp_p=5432, conn_state="REJ")
+    elif kind == "c2":
+        conn.update(resp_h="194.145.0.9", conn_state="SF")
+    elif kind == "flow":
+        conn.update(conn_state="SF")
+    elif kind in ("bad", "infinite"):
+        conn.update(resp_p="http" if kind == "bad" else float("inf"))
+    if kind == "login":
+        body = f"Accepted password for {user} from {source} port 22"
+        fields = {"program": "sshd", "pid": 1, "body": body}
+    elif kind == "extra":
+        fields = {"program": "probe", "source": source, "user": user}
+    else:
+        return RawLogRecord(float(timestamp), MonitorKind.ZEEK, host, "", conn)
+    return RawLogRecord(float(timestamp), MonitorKind.SYSLOG, host, "", fields)
+
+
+def _reference_normalize(normalizer, records):
+    """The materialising loop the columns replaced: one Alert per match."""
+    table = {}
+    for rule in normalizer.rules:
+        table.setdefault(rule.monitor, (rule.monitor.value, []))[1].append(rule.matcher)
+    alerts = []
+    seen = malformed = 0
+    for record in records:
+        seen += 1
+        monitor_name, matchers = table.get(record.monitor, ("", ()))
+        try:
+            for matcher in matchers:
+                result = matcher(record)
+                if result is not None and result[0] in normalizer.vocabulary:
+                    break
+            else:
+                continue
+        except (ValueError, TypeError, OverflowError):
+            malformed += 1
+            continue
+        clean = normalizer.sanitizer.sanitize_metadata(result[1])
+        user = clean.pop("user", "")
+        entity = f"user:{user}" if user else f"host:{record.host}"
+        source = str(clean.get("source_ip", ""))
+        alerts.append(
+            Alert(record.timestamp, result[0], entity, source, record.host, monitor_name, clean)
+        )
+    normalizer.dropped += seen - len(alerts)
+    normalizer.malformed += malformed
+    return alerts
+
+
+def _reference_filter(scan_filter, alerts):
+    """Sort the alerts, find scanners over them, then suppress and dedup.
+
+    An unknown name counts as a non-reconnaissance stage (where the
+    original raised ``KeyError``).
+    """
+    alerts = sorted(alerts, key=lambda a: a.timestamp)
+    vocabulary = scan_filter.vocabulary
+    stages_by_source, targets_by_source = defaultdict(set), defaultdict(set)
+    for alert in alerts:
+        if alert.source_ip:
+            stage = vocabulary.get(alert.name).stage if alert.name in vocabulary else None
+            stages_by_source[alert.source_ip].add(stage)
+            targets_by_source[alert.source_ip].add(alert.host or alert.entity)
+    scanners = {
+        source
+        for source, stages in stages_by_source.items()
+        if stages <= {AttackStage.RECONNAISSANCE, AttackStage.BACKGROUND}
+        and len(targets_by_source[source]) >= scan_filter.scanner_min_targets
+    }
+    stats = FilterStats(input_alerts=len(alerts))
+    survivors, last_seen = [], {}
+    for alert in alerts:
+        if alert.source_ip in scanners:
+            stats.scanner_suppressed += 1
+            continue
+        key = (alert.source_ip or alert.entity, alert.name, alert.host)
+        previous = last_seen.get(key)
+        if previous is not None and alert.timestamp - previous <= scan_filter.dedup_window_seconds:
+            stats.deduplicated += 1
+            continue
+        last_seen[key] = alert.timestamp
+        survivors.append(alert)
+    stats.output_alerts = len(survivors)
+    return survivors, stats
+
+
+class TestColumnsMatchTheMaterialisingReference:
+    """Normalise-to-columns then filter == materialise every alert, then filter."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                # Probes weighted up so that some sources become scanners.
+                st.sampled_from(
+                    ["probe"] * 5 + ["db", "c2", "flow", "login", "extra", "bad", "infinite"]
+                ),
+                st.integers(0, 12),
+                st.sampled_from(_SOURCES),
+                st.sampled_from(_HOSTS),
+                st.sampled_from(_USERS),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_columns_path_equals_the_reference(self, rows):
+        records = [_raw_record(*row) for row in rows]
+        extra = [NormalizationRule("extra_probe", MonitorKind.SYSLOG, _extra_probe)]
+
+        def parts():
+            normalizer = AlertNormalizer(_EXTENDED_VOCABULARY, extra_rules=extra)
+            return normalizer, ScanFilter(dedup_window_seconds=3.0, scanner_min_targets=3)
+
+        normalizer, scan_filter = parts()
+        survivors = scan_filter.filter_batch(normalizer.normalize_batch(records))
+        reference, reference_filter = parts()
+        alerts = _reference_normalize(reference, records)
+        expected, expected_stats = _reference_filter(reference_filter, alerts)
+
+        assert [a.to_dict() for a in survivors] == [a.to_dict() for a in expected]
+        assert scan_filter.stats == expected_stats
+        assert (normalizer.dropped, normalizer.malformed) == (reference.dropped, reference.malformed)
+        assert normalizer.sanitizer.report == reference.sanitizer.report
+        # filter() over caller-held alerts hands back those very objects.
+        assert [id(a) for a in reference_filter.filter(alerts)] == [id(a) for a in expected]
+        assert reference_filter.stats == expected_stats
+        streamed, _ = parts()
+        assert [a.to_dict() for a in streamed.normalize_stream(records)] == [
+            a.to_dict() for a in alerts
+        ]
 
 
 class TestAnnotator:

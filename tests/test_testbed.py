@@ -320,6 +320,26 @@ class TestResponderAndPipeline:
         assert pipeline.stats.filtered_alerts < pipeline.stats.normalized_alerts
         assert pipeline.stats.detections == 0
 
+    def test_pipeline_passes_an_unknown_alert_name_to_detection(self):
+        # Regression: a name outside the vocabulary on an alert that
+        # carried a source_ip made the scan filter raise KeyError.
+        pipeline = TestbedPipeline(
+            detectors={"factor_graph": AttackTagger(patterns=list(DEFAULT_CATALOGUE))}
+        )
+        attack_names = [
+            "alert_db_default_password_login", "alert_not_in_vocabulary",
+            "alert_service_version_probe", "alert_db_largeobject_payload",
+            "alert_tmp_executable_created", "alert_outbound_c2",
+        ]
+        alerts = [
+            Alert(float(i * 300), name, "host:container-entry00", source_ip="111.200.45.67",
+                  host="container-entry00")
+            for i, name in enumerate(attack_names)
+        ]
+        detections = pipeline.ingest_alerts(alerts)
+        assert pipeline.stats.filtered_alerts == len(alerts)
+        assert [d.entity for d in detections] == ["host:container-entry00"]
+
     def test_pipeline_block_top_scanners(self):
         router = BlackHoleRouter()
         generate_scan_storm(router, total_scans=3000, dominant_scanner="103.102.1.1", seed=2)
