@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, MutableSequence, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -94,15 +94,16 @@ class Detection:
 class EntityTrack:
     """Per-entity detector state: the observed alerts and cached decode.
 
-    ``alerts`` holds the window-bounded alert history.  The tagger
-    creates it as a ``collections.deque(maxlen=max_window)`` so the
-    window trim is O(1) per alert (appending to a full deque drops the
-    oldest element) instead of an O(W) list shift -- the same sequence
-    API (append/iterate/len) is preserved.
+    ``alerts`` holds the window-bounded alert history: the
+    ``collections.deque(maxlen=max_window)`` :meth:`AttackTagger.track`
+    creates, so appending to a full window drops the oldest alert in
+    O(1).  It is required, and migration and unpickling carry the deque
+    (with its ``maxlen``) along, so no track ever holds an unbounded
+    list.
     """
 
     entity: str
-    alerts: MutableSequence[Alert] = dataclasses.field(default_factory=list)
+    alerts: Deque[Alert]
     detected: Optional[Detection] = None
     decoder: Optional[StreamingDecoder] = None
 
@@ -283,17 +284,6 @@ class AttackTagger:
         """Fresh incremental decoder bound to the current parameters."""
         return StreamingDecoder(self.parameters, self._shared_table(), self._window_arena())
 
-    def _trim_track(self, track: EntityTrack) -> None:
-        """Defensive window trim for tracks not backed by a maxlen deque.
-
-        :meth:`track` always creates ``deque(maxlen=max_window)`` (whose
-        append already evicted the oldest alert, so this is a single
-        length check), but an externally constructed
-        :class:`EntityTrack` may carry a plain list.
-        """
-        while len(track.alerts) > self.max_window:
-            del track.alerts[0]
-
     def _decoder_for(self, track: EntityTrack) -> StreamingDecoder:
         """The track's decoder, created (and synced to its alerts) on demand."""
         if track.decoder is None:
@@ -397,13 +387,11 @@ class AttackTagger:
             # work at all.  A decoder `infer` re-synced since the
             # detection is dropped rather than maintained.
             track.alerts.append(alert)
-            self._trim_track(track)
             self._release(track)
             return None
         decoder = self._decoder_for(track) if self.engine != "naive" else None
         sliding = len(track.alerts) >= self.max_window
         track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
-        self._trim_track(track)
         if decoder is not None:
             return self._advance(track, alert, decoder, sliding)
         states, final_marginal, matched = self.infer(alert.entity)
@@ -601,7 +589,6 @@ class AttackTagger:
             raise ValueError(f"entity {entity!r} is already tracked")
         # A decoder that came along lives in the other replica's arena.
         self._release(track)
-        self._trim_track(track)
         self._tracks[entity] = track
 
     def replace_detections(self, detections: Sequence[Detection]) -> None:

@@ -174,13 +174,11 @@ class BatchedDecodeKernel:
             if track.detected is not None:
                 # Already-detected fast path: timeline only, no inference.
                 track.alerts.append(alert)
-                tagger._trim_track(track)
                 tagger._release(track)
                 continue
             decoder = tagger._decoder_for(track)
             sliding = len(track.alerts) >= max_window
             track.alerts.append(alert)
-            tagger._trim_track(track)
             entry = (position, alert, track, decoder)
             window = decoder._window
             if window is not None or sliding:

@@ -9,9 +9,10 @@ Every detection model deployed on the testbed -- the factor-graph
 detection stage (including the sharded pool in
 :mod:`repro.testbed.sharding`) is written against that surface rather
 than any concrete model.  This module states the contract once, as a
-:class:`typing.Protocol`, so new detectors and detector *containers*
-(a :class:`~repro.testbed.sharding.ShardedDetectorPool` is itself a
-``Detector``) can be checked structurally::
+:class:`typing.Protocol`, so new detectors -- and the
+:class:`~repro.testbed.sharding.ShardedDetectorPool`, itself a
+``Detector`` over replicas it clones from a private template and never
+over the instance it was given -- can be checked structurally::
 
     assert isinstance(my_detector, Detector)
 

@@ -4,7 +4,7 @@ The mechanics of moving per-entity detector state from N shards to M
 live in :meth:`repro.testbed.sharding.ShardedDetectorPool.reshard`
 (state migration, dead-worker rebuild, telemetry retirement) and
 :meth:`repro.testbed.pipeline.TestbedPipeline.reshard` (every pool
-driven, facade refresh).  This module is the service-side policy
+driven).  This module is the service-side policy
 wrapper around them: bounds validation, wall-clock timing, and a
 JSON-ready operations history the ``stats`` op exposes -- operators
 see every transition the running service performed, with the per-pool
@@ -25,32 +25,28 @@ from typing import List
 
 from ..testbed.pipeline import TestbedPipeline
 
+#: Shard counts a ``reshard`` op may ask for.  The upper bound is the
+#: service edge's guard against a hostile request spawning workers
+#: without limit.
+MIN_SHARDS = 1
+MAX_SHARDS = 64
+
 
 class ReshardCoordinator:
     """Validates, times, and records live reshards of one pipeline."""
 
-    def __init__(
-        self,
-        pipeline: TestbedPipeline,
-        *,
-        min_shards: int = 1,
-        max_shards: int = 64,
-    ) -> None:
-        if not 1 <= min_shards <= max_shards:
-            raise ValueError("need 1 <= min_shards <= max_shards")
+    def __init__(self, pipeline: TestbedPipeline) -> None:
         self.pipeline = pipeline
-        self.min_shards = min_shards
-        self.max_shards = max_shards
         #: One JSON-ready entry per reshard call, oldest first.
         self.history: List[dict] = []
 
     def reshard(self, n_shards: int) -> dict:
         """Drive one live reshard; return (and record) its summary."""
         count = int(n_shards)
-        if not self.min_shards <= count <= self.max_shards:
+        if not MIN_SHARDS <= count <= MAX_SHARDS:
             raise ValueError(
                 f"n_shards {count} outside the service's "
-                f"[{self.min_shards}, {self.max_shards}] bounds"
+                f"[{MIN_SHARDS}, {MAX_SHARDS}] bounds"
             )
         previous = self.pipeline.n_shards
         if count == previous:

@@ -18,7 +18,10 @@ timing -- and detection is the :class:`~repro.testbed.stages
 assembly: it owns the stage chain, routes ingested batches through it,
 and keeps the per-stage counters.  The detection stage holds a
 :class:`repro.testbed.sharding.ShardedDetectorPool` per attached
-detector, so alert batches can be partitioned by entity across
+detector (``detector_pools``), built from a private copy of it: the
+instance passed in is a template and is never driven, so one detector
+attached under two names is two detectors.  Alert batches are
+partitioned by entity across
 independent shards (``n_shards``) and, with the ``process`` backend,
 across worker processes -- bit-identical to the unsharded path because
 detector state is strictly per-entity.  The two backends are two
@@ -40,9 +43,9 @@ flight.  A caller that interleaves controls with a stream therefore
 splits the stream at them, which is the stream position a
 batch-synchronous caller applies them at.
 
-The pre-stage constructor and methods are kept as a thin facade: the
-examples and the Fig. 4 / Fig. 5 benchmarks drive raw records (or
-pre-normalised alerts) in batches exactly as before, and the pipeline
+The pre-stage constructor and methods are kept: the examples and the
+Fig. 4 / Fig. 5 benchmarks drive raw records (or pre-normalised
+alerts) in batches exactly as before, and the pipeline
 reports per-stage statistics so the 25 M -> 191 K reduction and the
 detection/response latency can be measured on the same run.
 """
@@ -132,19 +135,18 @@ class TestbedPipeline:
         is attached and otherwise the first detector; a name that is
         not attached raises ``ValueError``.
     n_shards:
-        Number of per-entity detector shards in the detection stage.
-        ``1`` (default) with the ``serial`` backend drives the attached
-        detector instances directly -- the seed behaviour.
+        Number of per-entity detector shards in the detection stage
+        (default 1).  Every shard, at any count and on either backend,
+        is an independent clone of the attached (pristine) detector,
+        and ``pipeline.detector_pools[name]`` is the
+        :class:`~repro.testbed.sharding.ShardedDetectorPool` running
+        them: the instances passed in are templates, never driven.
     shard_backend:
         ``"serial"`` (deterministic, in-process; default) or
         ``"process"`` (one worker process per shard).  Both produce
         bit-identical detections; see :mod:`repro.testbed.sharding`.
-        With ``n_shards > 1`` or the process backend, each shard is an
-        independent clone of the attached (pristine) detector, and
-        ``pipeline.detectors[name]`` is the
-        :class:`~repro.testbed.sharding.ShardedDetectorPool` running
-        them.  Call :meth:`close` (or use the pipeline as a context
-        manager) to shut worker processes down.
+        Call :meth:`close` (or use the pipeline as a context manager)
+        to shut worker processes down.
     restart_policy / max_restarts / backoff_base:
         Worker-death supervision for process-backed pools, passed
         through to :class:`~repro.testbed.sharding.ShardedDetectorPool`
@@ -232,13 +234,12 @@ class TestbedPipeline:
                 f"primary detector {primary_detector!r} not among {list(templates)}"
             )
         self.primary_detector = primary_detector
+        #: The detection layer per attached name.  Each pool runs its
+        #: own clones of the detector passed in; the caller's object is
+        #: never driven, so read results from the pipeline or here.
         self.detector_pools: dict[str, ShardedDetectorPool] = {
             name: self._build_pool(detector) for name, detector in templates.items()
         }
-        #: The detection layer per attached name: with the default
-        #: single serial shard this is the very detector instance the
-        #: caller passed in (seed behaviour); otherwise the pool.
-        self.detectors: dict[str, Detector] = self._facade()
         self.responder = ResponseOrchestrator(
             self.bhr_client, honeypot=self.honeypot, policy=response_policy
         )
@@ -256,8 +257,6 @@ class TestbedPipeline:
         self._restored = False
 
     def _build_pool(self, detector: Detector) -> ShardedDetectorPool:
-        if self.n_shards == 1 and self.shard_backend == "serial":
-            return ShardedDetectorPool.wrap(detector)
         extra: dict = {}
         if self.ring_capacity is not None:
             extra["ring_capacity"] = self.ring_capacity
@@ -271,17 +270,6 @@ class TestbedPipeline:
             max_inflight=self.max_inflight,
             **extra,
         )
-
-    def _facade(self) -> dict[str, Detector]:
-        """``detectors``: a single serial shard's replica, else the pool."""
-        return {
-            name: (
-                pool.shards[0]
-                if pool.n_shards == 1 and pool.backend == "serial"
-                else pool
-            )
-            for name, pool in self.detector_pools.items()
-        }
 
     # ------------------------------------------------------------------
     # Stage execution
@@ -489,8 +477,8 @@ class TestbedPipeline:
         """Restart the detection tier (fresh state, fresh workers).
 
         Drives :meth:`repro.testbed.sharding.ShardedDetectorPool
-        .reopen` on every pool: process-backed pools recycle their
-        worker processes, serial pools reset their replicas in place.
+        .reopen` on every pool: every shard gets a fresh replica from
+        the pool's template, and process-backed pools fresh workers.
         Needs a quiesced pipeline like :meth:`reset_entity`.
         """
         self._control("reopen detectors", lambda pool: pool.reopen())
@@ -507,22 +495,15 @@ class TestbedPipeline:
         detection batch is in flight, which keeps tickets and the
         migration strictly ordered.
 
-        On success ``pipeline.n_shards`` and the ``detectors`` facade
-        mapping are updated; a checkpoint taken afterwards records (and
-        restore requires) the *new* shard count.  ``shard_backend`` is
-        unchanged -- resharding moves state across shards, not across
-        backends.
+        On success ``pipeline.n_shards`` is updated; a checkpoint taken
+        afterwards records (and restore requires) the *new* shard count.
+        ``shard_backend`` is unchanged -- resharding moves state across
+        shards, not across backends.
         """
         count = int(n_shards)
         if count < 1:
             raise ValueError("n_shards must be >= 1")
-        try:
-            self._control("reshard", lambda pool: pool.reshard(count))
-        finally:
-            # The facade must reflect the pools' real shape even after a
-            # partial failure (pool.shards[0] only exists for
-            # single-serial pools).
-            self.detectors = self._facade()
+        self._control("reshard", lambda pool: pool.reshard(count))
         self.n_shards = count
 
     def _submit_detection(self, filtered: Sequence[Alert]) -> None:
@@ -803,8 +784,7 @@ class TestbedPipeline:
             )
         # All validation passed: apply in place, preserving the object
         # identities the stages and external callers already hold (the
-        # detections list is the detection stage's sink; the facade
-        # detector is the caller's instance).
+        # detections list is the detection stage's sink).
         self.stats = payload["stats"]
         self.detections[:] = payload["detections"]
         responder_state = payload["responder"]

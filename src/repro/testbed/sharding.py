@@ -39,7 +39,10 @@ of that protocol and nothing more:
 The pool drives both through the same ``send``/``receive`` pair and
 never asks which kind it holds; what differs between the backends is
 which carrier gets built and that ``close()`` leaves a serial pool
-usable.
+usable.  On both, every replica comes from the pool's factory --
+:meth:`ShardedDetectorPool.from_template` clones a private copy of
+the caller's detector -- so the caller's own object is never a shard,
+and ``restore`` simply replaces a shard's replica.
 
 **One wire.**  How a sub-batch crosses the process boundary is private
 to :meth:`_ProcessShard.send`: the batch is packed into columns and
@@ -265,29 +268,16 @@ def shard_of(entity: str, n_shards: int) -> int:
 
 
 @dataclasses.dataclass(frozen=True)
-class _IdentityFactory:
-    """``wrap()``'s factory: hands out the wrapped instance itself.
-
-    Only valid for a single serial shard -- every call returns the
-    *same* object, which is exactly what the facade path wants (the
-    caller's detector instance keeps doing the work) and wrong for any
-    real fan-out.
-    """
-
-    detector: Detector
-
-    def __call__(self) -> Detector:
-        return self.detector
-
-
-@dataclasses.dataclass(frozen=True)
 class DetectorTemplate:
-    """Picklable detector factory: deep-copies a pristine template.
+    """Picklable detector factory: copies a pristine template.
 
     ``AttackTagger.clone()`` is used when available (it shares the
     read-only parameter tables instead of copying them); other
     detectors fall back to :func:`copy.deepcopy`.  Being a plain frozen
     dataclass, the factory pickles cleanly into worker processes.
+    Every call copies ``template`` as it is *now*, so a template nobody
+    else holds (what :meth:`ShardedDetectorPool.from_template` builds)
+    hands out the same replica for the pool's whole life.
     """
 
     template: Detector
@@ -398,19 +388,7 @@ class _ShardHandler:
         return pickle.dumps(self.detector, pickle.HIGHEST_PROTOCOL)
 
     def _restore(self, blob: bytes) -> None:
-        """Install a pickled replica, *in place* when the types match.
-
-        The ``__dict__`` swap keeps the detector object's identity, so
-        a :meth:`ShardedDetectorPool.wrap` facade keeps handing out the
-        caller's own instance after a checkpoint restore.
-        """
-        restored = pickle.loads(blob)
-        current = self.detector
-        if current is not None and type(restored) is type(current):
-            current.__dict__.clear()
-            current.__dict__.update(restored.__dict__)
-        else:
-            self.detector = restored
+        self.detector = pickle.loads(blob)
         self.failure = None
 
     _VERBS = {
@@ -919,8 +897,9 @@ class ShardedDetectorPool:
     ----------
     detector_factory:
         Zero-argument callable producing one pristine detector replica
-        per shard.  Must be picklable for the process backend
-        (:class:`DetectorTemplate` wraps an existing instance).  A
+        per shard, and more for every reshard, reopen and fresh
+        worker.  Must be picklable for the process backend
+        (:meth:`from_template` builds one from a detector instance).  A
         factory that raises does not fail construction: the shard
         answers every command with the failure (see
         :class:`_ShardHandler`), on both backends.
@@ -1053,23 +1032,16 @@ class ShardedDetectorPool:
         self._replace_workers(self.n_shards)
 
     @classmethod
-    def wrap(cls, detector: Detector) -> "ShardedDetectorPool":
-        """Single serial shard around an *existing* detector instance.
-
-        This is the facade path: the pipeline's default configuration
-        (``n_shards=1``) keeps driving the very detector object the
-        caller constructed (no clone, no copy), so external references
-        observe its state.
-        """
-        return cls(_IdentityFactory(detector), n_shards=1, backend="serial")
-
-    @classmethod
     def from_template(cls, detector: Detector, **options) -> "ShardedDetectorPool":
         """Pool whose shards are clones of a pristine template detector.
 
+        The template is one copy of ``detector`` taken here; the pool
+        never drives or keeps the caller's object, so nothing the caller
+        does to it later reaches a shard, a heal, a reopen or a reshard.
         ``options`` are the constructor's keyword arguments.
         """
-        return cls(DetectorTemplate(detector), **options)
+        private = DetectorTemplate(detector)()
+        return cls(DetectorTemplate(private), **options)
 
     # -- carriers ------------------------------------------------------------
     def _build_worker(self, shard: int):
@@ -1388,30 +1360,6 @@ class ShardedDetectorPool:
             raise self._shard_error(shard, status, result)
 
     # -- live resharding ---------------------------------------------------
-    def _migration_factory(self) -> DetectorTemplate:
-        """A per-shard replica factory usable at the *new* shard count.
-
-        ``wrap()``'s :class:`_IdentityFactory` hands out the same
-        object on every call -- correct for the single-shard facade,
-        wrong for any fan-out -- so resharding converts it into a
-        :class:`DetectorTemplate` over the wrapped detector (whose
-        ``clone()`` produces pristine replicas).  The conversion is
-        recorded on the pool, so heals and reopens after the reshard
-        use the template too.
-        """
-        factory = self.detector_factory
-        if isinstance(factory, _IdentityFactory):
-            clone = getattr(factory.detector, "clone", None)
-            if not callable(clone):
-                raise TypeError(
-                    "cannot reshard a wrap()-facade pool: the wrapped "
-                    f"detector {type(factory.detector).__name__} has no "
-                    "clone() to build additional replicas from"
-                )
-            factory = DetectorTemplate(factory.detector)
-            self.detector_factory = factory
-        return factory
-
     def reshard(self, n_shards: int) -> ReshardEvent:
         """Live N→M reshard: migrate per-entity detector state in place.
 
@@ -1458,7 +1406,6 @@ class ShardedDetectorPool:
             raise ValueError("n_shards must be >= 1")
         started = time.perf_counter()
         old_n = self.n_shards
-        factory = self._migration_factory()
         recoveries_before = len(self.recovery_log)
         replicas = [pickle.loads(blob) for blob in self._round("snapshot")]
         rebuilt = sorted(
@@ -1468,7 +1415,7 @@ class ShardedDetectorPool:
                 if event.healed
             }
         )
-        fresh: List[Detector] = [factory() for _ in range(new_n)]
+        fresh: List[Detector] = [self.detector_factory() for _ in range(new_n)]
         moved = 0
         for replica in replicas:
             export = getattr(replica, "export_entity_tracks", None)
@@ -1577,10 +1524,8 @@ class ShardedDetectorPool:
         count and backend) to the snapshotted one, and the mapping must
         carry exactly one blob per shard; a mismatch is refused with
         ``ValueError`` before any shard is touched.  Every shard
-        receives the ``restore`` verb, which swaps state in *in place*
-        (see :meth:`_ShardHandler._restore`) so facade pools built with
-        :meth:`wrap` keep handing out the caller's original detector
-        object.
+        receives the ``restore`` verb, which replaces its replica with
+        the unpickled one.
         """
         self._require_idle("restore_state")
         if state["n_shards"] != self.n_shards or state["backend"] != self.backend:
@@ -1616,15 +1561,13 @@ class ShardedDetectorPool:
 
         After ``reopen()`` the pool behaves like a freshly constructed
         one -- no per-entity detector state, no recorded detections,
-        zeroed routing/busy telemetry, every carrier rebuilt from the
-        factory (brand-new worker processes and rings on the process
-        backend) and then ``reset``, so a :meth:`wrap` facade, whose
-        factory hands the caller's own detector instance back, comes
-        out pristine too -- which is exactly what "the detection tier
-        restarted" means there.  Uncollected submitted batches are
-        drained first (their results discarded), mirroring
-        :meth:`close`; a dead worker is replaced, not healed, and the
-        restart budget starts over with the new workers.
+        zeroed routing/busy telemetry, and every carrier rebuilt from
+        the factory (brand-new worker processes and rings on the
+        process backend), whose replicas are pristine by construction.
+        Uncollected submitted batches are drained first (their results
+        discarded), mirroring :meth:`close`; a dead worker is replaced,
+        not healed, and the restart budget starts over with the new
+        workers.
 
         Reopening a *closed* process pool is allowed -- this is the
         ``close()``/reopen lifecycle the campaign fuzzer exercises --
@@ -1634,7 +1577,6 @@ class ShardedDetectorPool:
         self._restarts_used[:] = [0] * self.n_shards
         self._replace_workers(self.n_shards)
         self._clear_pool_state()
-        self._round("reset")
 
     def close(self, *, timeout: float = 5.0) -> PoolCloseResult:
         """Shut down worker processes (idempotent).

@@ -28,8 +28,8 @@ This module adds the two testbed-owned stages:
   actions taken.
 
 :class:`~repro.testbed.pipeline.TestbedPipeline` assembles the four
-stages and times each one; its pre-stage constructor/API is kept as a
-thin facade on top.
+stages and times each one.  The pools it hands :class:`DetectionStage`
+are its own, each built from a private copy of an attached detector.
 """
 
 from __future__ import annotations

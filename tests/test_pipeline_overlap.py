@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AttackTagger
+from repro.core import AttackTagger, RuleBasedDetector
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.telemetry import SyslogMonitor
@@ -465,6 +465,73 @@ class TestMidStreamEntityReset:
             assert all(
                 self.ENTITY not in shard.entities() for shard in beta.shards
             )
+
+    def test_one_instance_under_two_names_is_two_detectors(self):
+        """Each attached name gets its own detector, even from one instance."""
+        batches = self._chain_batches()
+
+        def run(detectors):
+            with TestbedPipeline(detectors=detectors, primary_detector="alpha") as pipeline:
+                for batch in batches:
+                    pipeline.ingest_alerts(batch)
+                return pipeline.detections_by("alpha"), pipeline.detections_by("beta")
+
+        shared = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
+        alpha, beta = run({"alpha": shared, "beta": shared})
+        assert self.ENTITY in {detection.entity for detection in alpha}
+        assert alpha == beta
+        assert (alpha, beta) == run(
+            {
+                "alpha": AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+                "beta": AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+            }
+        )
+        assert shared.entities() == []
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("control", ["reopen", "reshard"])
+    def test_changes_to_the_callers_instance_never_reach_the_pipeline(
+        self, control, backend
+    ):
+        """The caller's detector is a template copied at construction.
+
+        Alerts observed straight into it -- before and after a
+        ``reopen`` (a deep-copied rule engine) or a ``reshard`` (a
+        cloned tagger) -- leave the pipeline's output equal to a run
+        whose instance nobody touched.
+        """
+        batches = self._chain_batches()
+        chain = [alert for batch in batches for alert in batch if alert.entity == self.ENTITY]
+        make, apply = {
+            "reopen": (RuleBasedDetector, lambda pipeline: pipeline.reopen_detectors()),
+            "reshard": (
+                lambda: AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+                lambda pipeline: pipeline.reshard(2),
+            ),
+        }[control]
+
+        def run(tamper: bool):
+            detector = make()
+
+            def touch():
+                if tamper:
+                    for alert in chain:
+                        detector.observe(alert)
+
+            with TestbedPipeline(
+                detectors={"factor_graph": detector}, shard_backend=backend
+            ) as pipeline:
+                touch()
+                pipeline.ingest_alerts(batches[0])
+                touch()
+                apply(pipeline)
+                touch()
+                pipeline.ingest_alerts(batches[1])
+                return list(pipeline.detections), pipeline.stats.responses
+
+        untouched = run(tamper=False)
+        assert self.ENTITY in {detection.entity for _, detection in untouched[0]}
+        assert run(tamper=True) == untouched
 
 
 class TestOneWayIn:

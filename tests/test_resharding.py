@@ -153,21 +153,23 @@ class TestPoolReshard:
         assert len(pool.reshard_log) == 1
         pool.close()
 
-    def test_facade_pool_resharded_via_template_conversion(self):
-        """wrap()'s identity factory converts to a clone-based template."""
+    def test_default_pool_reshards_from_its_own_template(self):
+        """A single serial shard widens with the factory it was built with."""
         detector = _tagger()
-        pool = ShardedDetectorPool.wrap(detector)
+        pool = ShardedDetectorPool.from_template(detector)
+        factory = pool.detector_factory
         alerts = build_stream(seed=3, length=80)
         pool.observe_batch(alerts[:40])
         pool.reshard(4)
-        assert pool.n_shards == 4
+        assert pool.n_shards == 4 and pool.detector_factory is factory
         pool.observe_batch(alerts[40:])
 
-        reference = ShardedDetectorPool.wrap(_tagger())
+        reference = ShardedDetectorPool.from_template(_tagger())
         reference.observe_batch(alerts)
         assert _detection_key(pool.detections) == _detection_key(
             reference.detections
         )
+        assert detector.entities() == []
         pool.close()
         reference.close()
 
@@ -395,19 +397,16 @@ class TestPipelineReshard:
                 got.extend(restored.ingest_alerts(batch))
         assert _detection_key(got) == _detection_key(expected)
 
-    def test_facade_mapping_refreshed_after_reshard(self):
+    def test_detector_pools_is_the_one_map_across_reshards(self):
         detector = _tagger()
         with TestbedPipeline(detectors={"factor_graph": detector}) as pipeline:
-            assert pipeline.detectors["factor_graph"] is detector
-            pipeline.reshard(2)
             pool = pipeline.detector_pools["factor_graph"]
-            assert pipeline.detectors["factor_graph"] is pool
-            pipeline.reshard(1)
-            # Back to a single serial shard: the facade exposes the
-            # replica itself again (a clone, not the original object).
-            assert pipeline.detectors["factor_graph"] is (
-                pipeline.detector_pools["factor_graph"].shards[0]
-            )
+            assert not hasattr(pipeline, "detectors")
+            for count in (2, 1):
+                pipeline.reshard(count)
+                assert pipeline.detector_pools == {"factor_graph": pool}
+                assert pool.n_shards == count
+                assert all(replica is not detector for replica in pool.shards)
 
     def test_summary_surfaces_drop_and_recovery_counters(self):
         with self._pipeline(2) as pipeline:

@@ -213,12 +213,14 @@ class TestShardedDetectorPool:
             for i, name in enumerate(names)
         ]
 
-    def test_wrap_drives_the_given_instance(self):
+    def test_template_pool_never_drives_the_given_instance(self):
         detector = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
-        pool = ShardedDetectorPool.wrap(detector)
+        pool = ShardedDetectorPool.from_template(detector)
         fired = pool.observe_batch(self._chain_alerts())
-        assert fired and fired == detector.detections
-        assert pool.detections == detector.detections
+        (replica,) = pool.shards
+        assert replica is not detector
+        assert fired and fired == pool.detections == replica.detections
+        assert detector.detections == [] and detector.entities() == []
 
     def test_single_observe_routes_and_fires(self):
         pool = ShardedDetectorPool.from_template(
@@ -265,8 +267,10 @@ class TestShardedDetectorPool:
 
     def test_serial_pool_survives_close(self):
         # close() is a true no-op without worker processes: the default
-        # (facade) pipeline stays usable after a `with` block.
-        pool = ShardedDetectorPool.wrap(AttackTagger(patterns=list(DEFAULT_CATALOGUE)))
+        # pipeline stays usable after a `with` block.
+        pool = ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE))
+        )
         pool.close()
         assert len(pool.observe_batch(self._chain_alerts())) == 1
 
@@ -622,15 +626,19 @@ class TestBackendUniformity:
             assert pool.detections == [] and pool.alerts_routed == [0, 0]
             assert len(pool.observe_batch(chain)) == 1
 
-    def test_reopen_resets_the_wrapped_instance_itself(self):
+    def test_reopen_builds_a_fresh_serial_replica(self):
         detector = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
-        pool = ShardedDetectorPool.wrap(detector)
+        pool = ShardedDetectorPool.from_template(detector)
         chain = TestShardedDetectorPool()._chain_alerts()
         assert len(pool.observe_batch(chain)) == 1
+        (before,) = pool.shards
         pool.reopen()
-        assert pool.shards == [detector] and detector.detections == []
+        (after,) = pool.shards
+        assert after is not before and after is not detector
+        assert after.detections == [] and after.entities() == []
         assert len(pool.observe_batch(chain)) == 1
-        assert detector.detections == pool.detections
+        assert after.detections == pool.detections
+        assert detector.entities() == []
 
     def test_the_transport_option_is_gone(self):
         with pytest.raises(TypeError):

@@ -444,11 +444,32 @@ class TestResponderAndPipeline:
         # A lower threshold walks the counter once and catches the tail.
         assert pipeline.block_top_scanners(now=3600.0, min_scans=100) >= 3
 
-    def test_sharded_pipeline_facade_keeps_detector_instances(self):
+    def test_default_pipeline_never_drives_the_given_instance(self):
         detector = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
         pipeline = TestbedPipeline(detectors={"factor_graph": detector})
-        # Default configuration drives the caller's instance directly.
-        assert pipeline.detectors["factor_graph"] is detector
+        chain = [
+            Alert(float(i) * 300.0, name, "user:eve", source_ip="203.0.113.9")
+            for i, name in enumerate(
+                [
+                    "alert_db_default_password_login",
+                    "alert_service_version_probe",
+                    "alert_db_largeobject_payload",
+                    "alert_tmp_executable_created",
+                    "alert_outbound_c2",
+                ]
+            )
+        ]
+        fired = pipeline.ingest_alerts(chain)
+        # The default single serial shard is a clone like any other:
+        # results live on the pipeline and its pool, never on the
+        # instance passed in.
+        (replica,) = pipeline.detector_pools["factor_graph"].shards
+        assert replica is not detector
+        assert fired and fired == pipeline.detections_by("factor_graph")
+        assert replica.detections == fired
+        assert detector.detections == [] and detector.entities() == []
+        with pytest.raises(AttributeError):
+            pipeline.detectors
 
 
 class TestTrafficMirrorBuffers:
