@@ -13,21 +13,14 @@ relative spacing, which is what the timing-sensitive components
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..core.alerts import Alert, sort_alerts
 from ..core.attack_tagger import Detection
+from ..core.detector import Detector
 from ..core.sequences import AlertSequence
 from ..incidents.corpus import IncidentCorpus
 from ..incidents.incident import Incident
-
-
-class AlertSink(Protocol):
-    """Anything that can consume a stream of alerts."""
-
-    def observe(self, alert: Alert) -> Optional[Detection]:
-        """Consume one alert, possibly emitting a detection."""
-        ...  # pragma: no cover - protocol definition
 
 
 @dataclasses.dataclass
@@ -104,7 +97,7 @@ class ReplayEngine:
     # ------------------------------------------------------------------
     # Replay targets
     # ------------------------------------------------------------------
-    def replay_into_detector(self, alerts: Iterable[Alert], detector: AlertSink) -> ReplayResult:
+    def replay_into_detector(self, alerts: Iterable[Alert], detector: Detector) -> ReplayResult:
         """Deliver alerts one by one into a detector."""
         events: list[ReplayEvent] = []
         detections: list[Detection] = []
@@ -125,7 +118,7 @@ class ReplayEngine:
     # ------------------------------------------------------------------
     # Corpus helpers
     # ------------------------------------------------------------------
-    def replay_incident(self, incident: Incident, detector: AlertSink) -> ReplayResult:
+    def replay_incident(self, incident: Incident, detector: Detector) -> ReplayResult:
         """Replay one incident's curated alert sequence."""
         return self.replay_into_detector(incident.sequence, detector)
 
@@ -158,4 +151,4 @@ class ReplayEngine:
         return sort_alerts(alerts)
 
 
-__all__ = ["AlertSink", "ReplayEvent", "ReplayResult", "ReplayEngine"]
+__all__ = ["ReplayEvent", "ReplayResult", "ReplayEngine"]

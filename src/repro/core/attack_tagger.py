@@ -28,6 +28,7 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
+from .detector import Detector
 from .factor_graph import chain_map_decode, chain_marginals
 from .factors import FactorParameters, default_parameters, observation_log_for_sequence
 from .sequences import AlertSequence, matched_prefix_length
@@ -113,7 +114,7 @@ class EntityTrack:
         return AlertSequence(tuple(self.alerts))
 
 
-class AttackTagger:
+class AttackTagger(Detector):
     """Streaming per-entity preemption detector.
 
     Parameters
@@ -201,11 +202,6 @@ class AttackTagger:
         self._arena: Optional[WindowArena] = None
 
     # -- public state ------------------------------------------------------
-    @property
-    def detections(self) -> list[Detection]:
-        """All detections emitted so far, in order."""
-        return list(self._detections)
-
     def track(self, entity: str) -> EntityTrack:
         """The per-entity track (created on first use)."""
         track = self._tracks.get(entity)
@@ -472,38 +468,22 @@ class AttackTagger:
         self._release(track)
         return detection
 
-    def observe_many(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Consume a batch of alerts, returning any detections emitted."""
-        return [detection for _, detection in self.observe_batch_indexed(alerts)]
-
-    def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Batch stage entry point of the :class:`repro.core.detector.Detector` protocol."""
-        return self.observe_many(alerts)
-
     def observe_batch_indexed(
         self, alerts: Iterable[Alert]
     ) -> list[tuple[int, Detection]]:
-        """Consume one sub-batch, returning ``(position, detection)`` pairs.
+        """:meth:`Detector.observe_batch_indexed` through the stacked kernel.
 
-        Positions index into the sub-batch and are strictly increasing;
-        they let sharded drivers reconstruct global stream order without
-        assuming one-detection-per-alert.  Under ``"streaming"`` the
-        whole sub-batch is advanced by the stacked cross-entity kernel;
-        ``"naive"`` walks it per alert, with identical results.
+        Under ``"streaming"`` the whole sub-batch is advanced by the
+        stacked cross-entity kernel; ``"naive"`` takes the per-alert
+        loop.  Both give the per-alert loop's results exactly.
         """
-        alerts = list(alerts)
         if self.engine == "naive":
-            hits = [
-                (position, detection)
-                for position, alert in enumerate(alerts)
-                if (detection := self._observe_impl(alert)) is not None
-            ]
-        else:
-            if self._batch_kernel is None:
-                from .batch_kernel import BatchedDecodeKernel
+            return super().observe_batch_indexed(alerts)
+        if self._batch_kernel is None:
+            from .batch_kernel import BatchedDecodeKernel
 
-                self._batch_kernel = BatchedDecodeKernel(self)
-            hits = self._batch_kernel.observe_rounds(alerts)
+            self._batch_kernel = BatchedDecodeKernel(self)
+        hits = self._batch_kernel.observe_rounds(list(alerts))
         self._detections.extend(detection for _, detection in hits)
         return hits
 
@@ -594,21 +574,6 @@ class AttackTagger:
     def replace_detections(self, detections: Sequence[Detection]) -> None:
         """Overwrite the emitted-detections log (reshard log rebuild)."""
         self._detections[:] = list(detections)
-
-    def run_sequence(self, sequence: AlertSequence, entity: Optional[str] = None) -> Optional[Detection]:
-        """Run a full stored sequence through a fresh per-entity track.
-
-        Offline evaluation helper: the sequence's alerts are re-keyed to
-        a dedicated entity so separate evaluations do not interfere.
-        """
-        entity = entity or (sequence[0].entity if len(sequence) else "entity:eval")
-        self.reset_entity(entity)
-        detection: Optional[Detection] = None
-        for alert in sequence:
-            result = self.observe(alert.with_entity(entity))
-            if result is not None and detection is None:
-                detection = result
-        return detection
 
     # -- convenience -----------------------------------------------------------
     def current_state(self, entity: str) -> HiddenState:

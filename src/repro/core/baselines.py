@@ -12,9 +12,12 @@ Two baselines bracket the factor-graph model:
   sequence information: it shares the observation statistics with the
   factor-graph model but none of its structure.
 
-Both expose the same streaming ``observe`` / ``run_sequence`` API as
-:class:`repro.core.attack_tagger.AttackTagger` so the evaluation
-harness can treat every model uniformly.
+Both are :class:`repro.core.detector.Detector` subclasses, like
+:class:`repro.core.attack_tagger.AttackTagger`, so the evaluation
+harness and the pipeline treat every model uniformly.  Neither keeps
+the alerts it has seen: per entity they hold an alert count (and naive
+Bayes its running log-odds), so their state does not grow with the
+length of an entity's stream.
 """
 
 from __future__ import annotations
@@ -22,41 +25,61 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from .attack_tagger import Detection
-from .sequences import AlertSequence
+from .detector import Detector
 from .states import HiddenState
 from .training import LabeledSequence
 
 
-class CriticalAlertDetector:
-    """Detector that tags an entity malicious on its first critical alert."""
+def _upgrade_history(state: dict, **derived: Callable[[list], object]) -> dict:
+    """Translate a pickle from when these baselines kept every alert.
+
+    Such a state holds ``_history`` (entity -> every alert it sent).
+    Each ``derived`` entry turns one entity's alert list into the value
+    of a bounded per-entity attribute; the new attributes take
+    ``_history``'s place in the dict, so the restored instance
+    re-pickles like one that observed the same stream.
+    """
+    if "_history" not in state:
+        return state
+    upgraded: dict = {}
+    for key, value in state.items():
+        if key != "_history":
+            upgraded[key] = value
+            continue
+        for name, derive in derived.items():
+            upgraded[name] = {entity: derive(alerts) for entity, alerts in value.items()}
+    return upgraded
+
+
+class CriticalAlertDetector(Detector):
+    """Detector that tags an entity malicious on its first critical alert.
+
+    Per entity it keeps only an alert count (the ``alert_index`` of a
+    detection) and whether the entity has been detected.
+    """
 
     def __init__(self, vocabulary: Optional[AlertVocabulary] = None) -> None:
         self.vocabulary = vocabulary or DEFAULT_VOCABULARY
         self._critical = set(self.vocabulary.critical_names())
-        self._history: Dict[str, List[Alert]] = {}
+        self._alert_counts: Dict[str, int] = {}
         self._detections: List[Detection] = []
         self._detected: set[str] = set()
 
-    @property
-    def detections(self) -> list[Detection]:
-        """All detections emitted so far."""
-        return list(self._detections)
-
     def reset(self) -> None:
         """Forget all per-entity state."""
-        self._history.clear()
+        self._alert_counts.clear()
         self._detections.clear()
         self._detected.clear()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity."""
-        self._history.pop(entity, None)
+        self._alert_counts.pop(entity, None)
         self._detected.discard(entity)
 
     def __getstate__(self) -> dict:
@@ -72,6 +95,7 @@ class CriticalAlertDetector:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        state = _upgrade_history(state, _alert_counts=len)
         # Intern keys exactly as pickle's default BUILD path does, so a
         # restored instance re-pickles to the same bytes (memo hits on
         # the shared attribute-name strings).
@@ -81,14 +105,13 @@ class CriticalAlertDetector:
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         """Consume one alert; detect iff it is a critical alert."""
-        history = self._history.setdefault(alert.entity, [])
-        history.append(alert)
+        count = self._alert_counts[alert.entity] = self._alert_counts.get(alert.entity, 0) + 1
         if alert.entity in self._detected or alert.name not in self._critical:
             return None
         detection = Detection(
             entity=alert.entity,
             timestamp=alert.timestamp,
-            alert_index=len(history) - 1,
+            alert_index=count - 1,
             trigger=alert,
             state=HiddenState.MALICIOUS,
             confidence=1.0,
@@ -96,30 +119,6 @@ class CriticalAlertDetector:
         )
         self._detected.add(alert.entity)
         self._detections.append(detection)
-        return detection
-
-    def observe_many(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Consume a batch of alerts."""
-        out = []
-        for alert in alerts:
-            d = self.observe(alert)
-            if d is not None:
-                out.append(d)
-        return out
-
-    def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Batch stage entry point of the :class:`repro.core.detector.Detector` protocol."""
-        return self.observe_many(alerts)
-
-    def run_sequence(self, sequence: AlertSequence, entity: Optional[str] = None) -> Optional[Detection]:
-        """Offline helper mirroring :meth:`AttackTagger.run_sequence`."""
-        entity = entity or (sequence[0].entity if len(sequence) else "entity:eval")
-        self.reset_entity(entity)
-        detection: Optional[Detection] = None
-        for alert in sequence:
-            result = self.observe(alert.with_entity(entity))
-            if result is not None and detection is None:
-                detection = result
         return detection
 
 
@@ -131,17 +130,23 @@ class NaiveBayesParameters:
     log_likelihood_ratio: np.ndarray
     prior_log_odds: float
 
-    def score(self, names: Sequence[str]) -> float:
-        """Cumulative log-odds of "attack" for a bag of alert names."""
-        total = self.prior_log_odds
+    def score(self, names: Sequence[str], total: Optional[float] = None) -> float:
+        """Cumulative log-odds of "attack" for a bag of alert names.
+
+        ``total`` continues a running score (default: the prior); names
+        outside the vocabulary add nothing.  Summing in arrival order
+        makes a running score bit-identical to re-scoring the whole bag.
+        """
+        if total is None:
+            total = self.prior_log_odds
         for name in names:
             if name in self.vocabulary:
                 total += float(self.log_likelihood_ratio[self.vocabulary.index_of(name)])
         return total
 
 
-class NaiveBayesDetector:
-    """Bag-of-alerts baseline sharing the evaluation API of AttackTagger."""
+class NaiveBayesDetector(Detector):
+    """Bag-of-alerts baseline: thresholds each entity's running log-odds."""
 
     def __init__(
         self,
@@ -155,13 +160,19 @@ class NaiveBayesDetector:
         self.parameters = parameters
         self.detection_log_odds = float(detection_log_odds)
         self.smoothing = float(smoothing)
-        self._history: Dict[str, List[Alert]] = {}
+        self._alert_counts: Dict[str, int] = {}
+        self._log_odds: Dict[str, float] = {}
         self._detections: List[Detection] = []
         self._detected: set[str] = set()
 
     # -- training ------------------------------------------------------------
     def fit(self, examples: Iterable[LabeledSequence]) -> NaiveBayesParameters:
-        """Estimate per-alert likelihood ratios from labelled sequences."""
+        """Estimate per-alert likelihood ratios from labelled sequences.
+
+        Every tracked entity is forgotten (its count, running log-odds
+        and detected flag; the detections log stays): its log-odds were
+        summed under the old ratios.
+        """
         vocab = self.vocabulary
         attack_counts = np.full(len(vocab), self.smoothing, dtype=np.float64)
         benign_counts = np.full(len(vocab), self.smoothing, dtype=np.float64)
@@ -183,23 +194,23 @@ class NaiveBayesDetector:
         self.parameters = NaiveBayesParameters(
             vocabulary=vocab, log_likelihood_ratio=ratio, prior_log_odds=prior
         )
+        self._alert_counts.clear()
+        self._log_odds.clear()
+        self._detected.clear()
         return self.parameters
 
     # -- streaming API ----------------------------------------------------------
-    @property
-    def detections(self) -> list[Detection]:
-        """All detections emitted so far."""
-        return list(self._detections)
-
     def reset(self) -> None:
         """Forget all per-entity state."""
-        self._history.clear()
+        self._alert_counts.clear()
+        self._log_odds.clear()
         self._detections.clear()
         self._detected.clear()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity."""
-        self._history.pop(entity, None)
+        self._alert_counts.pop(entity, None)
+        self._log_odds.pop(entity, None)
         self._detected.discard(entity)
 
     def __getstate__(self) -> dict:
@@ -210,6 +221,12 @@ class NaiveBayesDetector:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        parameters = state["parameters"]
+        state = _upgrade_history(
+            state,
+            _alert_counts=len,
+            _log_odds=lambda alerts: parameters.score([alert.name for alert in alerts]),
+        )
         # Key interning: see CriticalAlertDetector.__setstate__.
         self.__dict__.update((sys.intern(k), v) for k, v in state.items())
         self._detected = set(state["_detected"])
@@ -218,48 +235,24 @@ class NaiveBayesDetector:
         """Consume one alert; detect when the cumulative log-odds cross the threshold."""
         if self.parameters is None:
             raise RuntimeError("NaiveBayesDetector.observe called before fit()")
-        history = self._history.setdefault(alert.entity, [])
-        history.append(alert)
-        if alert.entity in self._detected:
-            return None
-        score = self.parameters.score([a.name for a in history])
-        if score < self.detection_log_odds:
+        entity = alert.entity
+        count = self._alert_counts[entity] = self._alert_counts.get(entity, 0) + 1
+        score = self._log_odds[entity] = self.parameters.score(
+            (alert.name,), self._log_odds.get(entity)
+        )
+        if entity in self._detected or score < self.detection_log_odds:
             return None
         confidence = 1.0 / (1.0 + math.exp(-score))
         detection = Detection(
-            entity=alert.entity,
+            entity=entity,
             timestamp=alert.timestamp,
-            alert_index=len(history) - 1,
+            alert_index=count - 1,
             trigger=alert,
             state=HiddenState.MALICIOUS,
             confidence=confidence,
         )
-        self._detected.add(alert.entity)
+        self._detected.add(entity)
         self._detections.append(detection)
-        return detection
-
-    def observe_many(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Consume a batch of alerts."""
-        out = []
-        for alert in alerts:
-            d = self.observe(alert)
-            if d is not None:
-                out.append(d)
-        return out
-
-    def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Batch stage entry point of the :class:`repro.core.detector.Detector` protocol."""
-        return self.observe_many(alerts)
-
-    def run_sequence(self, sequence: AlertSequence, entity: Optional[str] = None) -> Optional[Detection]:
-        """Offline helper mirroring :meth:`AttackTagger.run_sequence`."""
-        entity = entity or (sequence[0].entity if len(sequence) else "entity:eval")
-        self.reset_entity(entity)
-        detection: Optional[Detection] = None
-        for alert in sequence:
-            result = self.observe(alert.with_entity(entity))
-            if result is not None and detection is None:
-                detection = result
         return detection
 
 

@@ -1,8 +1,8 @@
 """Vectorised cross-entity semiring decode kernel.
 
 ``AttackTagger(engine="streaming")`` runs every sub-batch
-(``observe_batch_indexed`` / ``observe_batch`` / ``observe_many``)
-through this kernel.  The per-alert path advances one entity at a
+(``observe_batch_indexed``, and ``observe_batch`` over it) through
+this kernel.  The per-alert path advances one entity at a
 time: every K×K ``transition ⊗ unary`` step-matrix composition, every
 Viterbi/(max, +) and forward/(logsumexp, +) head advance, and every
 guard-banded ``may_fire`` pre-filter is its own small-matrix numpy
@@ -130,21 +130,10 @@ class BatchedDecodeKernel:
                 rounds.append([])
             rounds[r].append((position, alert))
         hits: List[Tuple[int, object]] = []
-        if not rounds or len(rounds[0]) < _MIN_BATCH:
-            # Round 0 holds every distinct entity, so it is the largest
-            # round; when even it is below the stacking threshold every
-            # round would take the scalar fallback — skip the layering
-            # entirely and walk the sub-batch in stream order (already
-            # sorted, identical semantics).
-            for position, alert in enumerate(alerts):
-                detection = tagger._observe_impl(alert)
-                if detection is not None:
-                    hits.append((position, detection))
-        else:
-            for round_items in rounds:
-                hits.extend(self._observe_round(round_items))
-            # Rounds emit per-entity in layer order; restore stream order.
-            hits.sort(key=lambda item: item[0])
+        for round_items in rounds:
+            hits.extend(self._observe_round(round_items))
+        # Rounds emit per-entity in layer order; restore stream order.
+        hits.sort(key=lambda item: item[0])
         tagger.kernel_seconds += time.perf_counter() - started
         return hits
 

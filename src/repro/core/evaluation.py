@@ -1,9 +1,10 @@
 """Detector evaluation: detection metrics, cross-validation, the window sweep.
 
-The evaluation harness treats every detector uniformly through the
-streaming ``run_sequence`` API shared by :class:`AttackTagger`, the
-rule-based baseline, and the two simple baselines.  Given a corpus of
-attack and benign sequences it computes:
+The evaluation harness treats every detector uniformly through
+:meth:`repro.core.detector.Detector.run_sequence`, which
+:class:`AttackTagger`, the rule-based baseline, and the two simple
+baselines inherit.  Given a corpus of attack and benign sequences it
+computes:
 
 * classification metrics (precision / recall / F1 / false-positive
   rate) at the level of whole sequences,
@@ -19,22 +20,15 @@ attack and benign sequences it computes:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .alerts import AlertVocabulary, DEFAULT_VOCABULARY
 from .attack_tagger import Detection
+from .detector import Detector
 from .preemption import PreemptionResult, evaluate_preemption, summarize_outcomes
 from .sequences import AlertSequence
-
-
-class SequenceDetector(Protocol):
-    """Structural type all evaluated detectors satisfy."""
-
-    def run_sequence(self, sequence: AlertSequence, entity: Optional[str] = None) -> Optional[Detection]:
-        """Run a full sequence and return the first detection, if any."""
-        ...  # pragma: no cover - protocol definition
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,7 +106,7 @@ class EvaluationReport:
 
 
 def evaluate_detector(
-    detector: SequenceDetector,
+    detector: Detector,
     examples: Sequence[EvaluationExample],
     *,
     detector_name: str = "",
@@ -156,7 +150,7 @@ def evaluate_detector(
 
 
 def window_sweep(
-    detector_factory: Callable[[], SequenceDetector],
+    detector_factory: Callable[[], Detector],
     examples: Sequence[EvaluationExample],
     window_lengths: Iterable[int],
     *,
@@ -216,7 +210,7 @@ class CrossValidationResult:
 
 
 def cross_validate(
-    train_and_build: Callable[[Sequence[EvaluationExample]], SequenceDetector],
+    train_and_build: Callable[[Sequence[EvaluationExample]], Detector],
     examples: Sequence[EvaluationExample],
     *,
     folds: int = 5,
@@ -250,7 +244,7 @@ def cross_validate(
 
 
 def compare_detectors(
-    detectors: dict[str, SequenceDetector],
+    detectors: dict[str, Detector],
     examples: Sequence[EvaluationExample],
     *,
     vocabulary: Optional[AlertVocabulary] = None,
@@ -267,7 +261,6 @@ def compare_detectors(
 
 
 __all__ = [
-    "SequenceDetector",
     "EvaluationExample",
     "ConfusionCounts",
     "EvaluationReport",

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from .attack_tagger import Detection
+from .detector import Detector
 from .sequences import is_subsequence
 from .states import HiddenState
 
@@ -164,8 +165,8 @@ def default_ruleset(vocabulary: Optional[AlertVocabulary] = None) -> list[Rule]:
     return rules
 
 
-class RuleBasedDetector:
-    """Streaming rule-engine baseline with the same API as AttackTagger."""
+class RuleBasedDetector(Detector):
+    """Streaming rule-engine baseline (a :class:`Detector` like AttackTagger)."""
 
     def __init__(
         self,
@@ -184,11 +185,6 @@ class RuleBasedDetector:
         self._detections: List[Detection] = []
         self._detected_entities: set[str] = set()
         self._fired: Dict[str, List[str]] = {}
-
-    @property
-    def detections(self) -> list[Detection]:
-        """All detections emitted so far."""
-        return list(self._detections)
 
     def fired_rules(self, entity: str) -> list[str]:
         """Names of rules that have fired for an entity."""
@@ -249,30 +245,6 @@ class RuleBasedDetector:
         )
         self._detected_entities.add(alert.entity)
         self._detections.append(detection)
-        return detection
-
-    def observe_many(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Consume a batch of alerts."""
-        out = []
-        for alert in alerts:
-            detection = self.observe(alert)
-            if detection is not None:
-                out.append(detection)
-        return out
-
-    def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
-        """Batch stage entry point of the :class:`repro.core.detector.Detector` protocol."""
-        return self.observe_many(alerts)
-
-    def run_sequence(self, sequence, entity: Optional[str] = None) -> Optional[Detection]:
-        """Offline helper mirroring :meth:`AttackTagger.run_sequence`."""
-        entity = entity or (sequence[0].entity if len(sequence) else "entity:eval")
-        self.reset_entity(entity)
-        detection: Optional[Detection] = None
-        for alert in sequence:
-            result = self.observe(alert.with_entity(entity))
-            if result is not None and detection is None:
-                detection = result
         return detection
 
 

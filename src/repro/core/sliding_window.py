@@ -50,8 +50,8 @@ stack top) run as a Hillis-Steele doubling scan over an entity-minor
 ``(K, K, n * m)`` block gathered straight from the arena; shorter ones
 fold sequentially.  Either way :meth:`WindowArena._refold` is the one
 implementation for ``m`` rows, and a lone row goes through it with ``m
-= 1`` -- the same tree order, so a row's aggregates (and its pickle) do
-not depend on who flipped it, on its row index, or on its ring phase.
+= 1`` -- the same tree order, so a row's aggregates do not depend on
+who flipped it, on its row index, or on its ring phase.
 
 The aggregate is mathematically exact but floating-point *reassociated*
 relative to the sequential recursion, so **no emitted number ever reads
@@ -62,7 +62,7 @@ the row's ``unary`` ring (``StreamingDecoder._window_decode``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,14 +96,14 @@ class WindowArena:
         "base", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
     )  # fmt: skip
 
-    def __init__(self, ring: int, rows: int = 0) -> None:
+    def __init__(self, ring: int) -> None:
         self.ring = ring
         self.capacity = 0
         self._free: List[int] = []
         # Alert names interned in order of first sight.
         self.symbol_ids: Dict[str, int] = {}
         self.symbol_names: List[str] = []
-        self._resize(rows)
+        self._resize(0)
 
     @property
     def live(self) -> int:
@@ -262,22 +262,20 @@ class WindowArena:
 class SlidingProductWindow:
     """One arena row: a two-stack sliding product under both semirings.
 
-    ``SlidingProductWindow(pairwise, ring)`` owns a private one-row
-    arena; ``SlidingProductWindow(pairwise, arena=arena)`` takes a row
-    of a shared one.  The row holds nothing until :meth:`load` gives it
-    a head; later steps are staged and pushed with contiguous indices
-    and evicted from the front in the same order, at most ``ring`` of
-    them between ``start`` and ``end``.
+    ``SlidingProductWindow(pairwise, arena)`` takes a row of ``arena``
+    and holds nothing until :meth:`load` gives it a head; later steps
+    are staged and pushed with contiguous indices and evicted from the
+    front in the same order, at most ``ring`` of them between ``start``
+    and ``end``.  Nothing checkpoints a view: a tagger drops its
+    decoders, and with them their rows, when it is pickled.
     """
 
     __slots__ = ("pairwise", "arena", "row", "_ring", "_low")
 
-    def __init__(
-        self, pairwise: np.ndarray, ring: int = 0, *, arena: Optional[WindowArena] = None
-    ) -> None:
+    def __init__(self, pairwise: np.ndarray, arena: WindowArena) -> None:
         self.pairwise = pairwise
-        self.arena = arena if arena is not None else WindowArena(ring, rows=1)
-        self.row = self.arena.allocate()
+        self.arena = arena
+        self.row = arena.allocate()
         self._ring = self.arena.ring
         self._low = self.row * self._ring
 
@@ -428,33 +426,6 @@ class SlidingProductWindow:
         start, _, end = self.span
         table = self.arena.symbol_names
         return [table[symbol] for symbol in self.arena.symbols[self.cells(start, end)].tolist()]
-
-    # -- pickling: the row's contents, never the arena -------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        # Canonical: dense, in step order, so the bytes do not depend on
-        # the row index, the ring phase or the arena's capacity.
-        arena = self.arena
-        start, boundary, end = self.span
-        cells, queued = self.cells(start, end), self.cells(start + 1, end)
-        return {
-            "pairwise": self.pairwise,
-            "ring": arena.ring,
-            "span": (start, boundary, end),
-            "base": arena.base[cells],
-            "unary": arena.unary[cells],
-            "names": self.names(),
-            "agg_max": arena.agg_max[:, :, queued],
-            "agg_lse": arena.agg_lse[:, :, queued],
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__init__(state["pairwise"], state["ring"])
-        start, boundary, end = state["span"]
-        self.load(start, state["base"], state["unary"], state["names"])
-        self.arena.boundary[self.row] = boundary
-        queued = self.cells(start + 1, end)
-        self.arena.agg_max[:, :, queued] = state["agg_max"]
-        self.arena.agg_lse[:, :, queued] = state["agg_lse"]
 
 
 __all__ = ["SlidingProductWindow", "WindowArena"]

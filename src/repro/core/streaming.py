@@ -36,12 +36,12 @@ vector and forward message in O(K^2).
 buffers (base and unary rows, forward recursions, names), steps ``0 ..
 length - 1``.  The first eviction moves the window into one *row* of a
 :class:`repro.core.sliding_window.WindowArena` -- the owning tagger's,
-shared by all its decoders, or a private one-row arena for a standalone
-decoder -- and frees the buffers.  From then on the decoder holds only
-a :class:`SlidingProductWindow` view of that row plus its sparse
-pattern state: the base/unary rows and alert symbols sit in the row's
-ring slots (``step mod ring``), ``start``/``end`` in the arena's integer
-arrays, and step indices are absolute and never rebased.  The scalar
+shared by all its decoders -- and frees the buffers.  From then on the
+decoder holds only a :class:`SlidingProductWindow` view of that row
+plus its sparse pattern state: the base/unary rows and alert symbols
+sit in the row's ring slots (``step mod ring``), ``start``/``end`` in
+the arena's integer arrays, and step indices are absolute and never
+rebased.  The scalar
 methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
 read and write the same row, so a row's state does not depend on which
 of them advanced it.  The kernel advances a row without touching its
@@ -203,9 +203,9 @@ class StreamingDecoder:
         floating-point results identical to the naive re-decode), as a
         :class:`PatternTable` or a sequence to build a private one from.
     arena:
-        The owning tagger's :class:`~repro.core.sliding_window.WindowArena`;
-        the decoder takes a row of it on its first eviction.  ``None``
-        (a standalone decoder) makes that a private one-row arena.
+        The owning tagger's :class:`~repro.core.sliding_window.WindowArena`
+        (ring ``max_window + 1``); the decoder takes a row of it on its
+        first eviction.
 
     Opening a decoder is O(1) in the catalogue size.  The table's
     ``patterns`` and seed index are aliased, not copied: every decoder
@@ -221,8 +221,8 @@ class StreamingDecoder:
     def __init__(
         self,
         parameters: FactorParameters,
-        patterns: Union[PatternTable, Sequence[WeightedPattern]] = (),
-        arena: Optional[WindowArena] = None,
+        patterns: Union[PatternTable, Sequence[WeightedPattern]],
+        arena: WindowArena,
     ) -> None:
         table = patterns if isinstance(patterns, PatternTable) else PatternTable(patterns)
         self.parameters = parameters
@@ -246,11 +246,6 @@ class StreamingDecoder:
         self._decode_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
         self._open_fill()
 
-    def __getstate__(self) -> Dict[str, object]:
-        # A pickled decoder is standalone: its window pickles its own
-        # row's contents, never the shared arena.
-        return {**self.__dict__, "_arena": None}
-
     # -- bookkeeping -------------------------------------------------------
     def _open_fill(self) -> None:
         """Fresh filling-phase buffers: steps ``0 .. _length - 1``, head at 0."""
@@ -266,7 +261,7 @@ class StreamingDecoder:
     def _open_window(self) -> None:
         """Filling → windowed: move the rows into an arena row, free the buffers."""
         n = self._length
-        self._window = SlidingProductWindow(self._pairwise, n, arena=self._arena)
+        self._window = SlidingProductWindow(self._pairwise, self._arena)
         self._window.load(0, self._base[:n], self._unary[:n], self._names)
         self._base = self._unary = self._score = self._alpha = None
         self._backpointers = self._names = None

@@ -167,40 +167,33 @@ class FaultPlan:
         return f"{self.kind}[{self.n_shards}:{self.backend} {detail}]"
 
 
-class ChaosPoisonDetector:
+class ChaosPoisonDetector(Detector):
     """Detector wrapper that raises on a chosen alert name.
 
-    Satisfies the :class:`~repro.core.detector.Detector` protocol by
-    delegating to the wrapped detector; ``observe``-ing an alert named
-    ``poison_name`` raises ``RuntimeError`` *before* the alert reaches
-    the wrapped detector (the poisoned alert is the first casualty, as
-    with a real mid-batch inference crash).  Module-level and built
-    from picklable parts, so it crosses into process-backend workers.
+    ``observe``-ing an alert named ``poison_name`` raises
+    ``RuntimeError`` *before* the alert reaches the wrapped detector
+    (the poisoned alert is the first casualty, as with a real mid-batch
+    inference crash); every other alert is the wrapped detector's.
+    Module-level and built from picklable parts, so it crosses into
+    process-backend workers.
     """
 
     def __init__(self, wrapped: Detector, poison_name: str) -> None:
         self.wrapped = wrapped
         self.poison_name = poison_name
-
-    @property
-    def detections(self) -> list[Detection]:
-        return self.wrapped.detections
+        self._detections: List[Detection] = []
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         if alert.name == self.poison_name:
             raise RuntimeError(f"chaos poison on {alert.name!r}")
-        return self.wrapped.observe(alert)
-
-    def observe_batch(self, alerts) -> list[Detection]:
-        out = []
-        for alert in alerts:
-            detection = self.observe(alert)
-            if detection is not None:
-                out.append(detection)
-        return out
+        detection = self.wrapped.observe(alert)
+        if detection is not None:
+            self._detections.append(detection)
+        return detection
 
     def reset(self) -> None:
         self.wrapped.reset()
+        self._detections.clear()
 
     def reset_entity(self, entity: str) -> None:
         self.wrapped.reset_entity(entity)

@@ -5,23 +5,19 @@ matrix, byte-identical checkpoints, ack-order-equals-stream-order) are
 enforced at CI time by fuzz campaigns; this package is the static
 complement: project-specific rules that reject invariant-breaking code
 before it runs.  See the README "Static analysis" section for the rule
-catalogue, suppression syntax (``# staticcheck: disable=RULE -- reason``)
-and baseline workflow.
+catalogue and the suppression syntax
+(``# staticcheck: disable=RULE -- reason``), the one way to accept a
+finding.
 """
 
-from .baseline import Baseline, BaselineDiff, DEFAULT_BASELINE
-from .findings import Finding, fingerprint_findings
+from .findings import Finding
 from .registry import Rule, all_rules, get_rule, register
 from .runner import ScanResult, scan_paths, scan_source
 from .suppressions import Suppression, SuppressionIndex, parse_suppressions
 from .walker import FunctionInfo, ModuleModel
 
 __all__ = [
-    "Baseline",
-    "BaselineDiff",
-    "DEFAULT_BASELINE",
     "Finding",
-    "fingerprint_findings",
     "FunctionInfo",
     "ModuleModel",
     "Rule",

@@ -1,19 +1,15 @@
 """``python -m repro.staticcheck`` — the CI gate and triage tool.
 
-Modes (all share the scan):
-
-- default: scan, diff against the baseline if one exists (else treat
-  every finding as new), print findings, exit 1 on new findings;
-- ``--check-baseline``: same, but the baseline file is *required* —
-  this is the CI invocation, and a missing ledger should fail loudly
-  rather than silently accept the whole tree;
-- ``--write-baseline``: accept the current findings as the new ledger.
+Scans the given trees (default ``src``), prints every active finding
+and exits 1 if there is any.  A finding is accepted only by fixing it
+or by an inline ``# staticcheck: disable=RULE -- reason`` next to the
+code; there is no ledger of accepted findings.
 
 Output is ``--format text`` (human, one ``path:line:col`` per finding)
-or ``--format json`` (machine: findings + stats + baseline diff).
-``--stats`` appends the coverage block — findings per rule, suppression
-usage, files scanned — so the CI log shows at a glance what the gate
-actually checked.
+or ``--format json`` (machine: findings + stats).  ``--stats`` appends
+the coverage block — findings per rule, suppression usage, files
+scanned — so the CI log shows at a glance what the gate actually
+checked.
 """
 
 from __future__ import annotations
@@ -21,10 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 from typing import List, Optional, Sequence
 
-from .baseline import DEFAULT_BASELINE, Baseline, BaselineDiff
 from .findings import Finding
 from .registry import all_rules
 from .runner import META_RULES, ScanResult, scan_paths
@@ -48,21 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument("--list-rules", action="store_true", help="print the rule catalogue and exit")
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline ledger path (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept current findings as the committed baseline",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="CI mode: the baseline file must exist; fail on new findings",
-    )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="output_format"
     )
@@ -95,26 +74,18 @@ def _print_catalogue() -> None:
         print(f"      {description}")
 
 
-def _text_report(result: ScanResult, diff: BaselineDiff, stats: bool) -> None:
-    for finding in diff.new:
-        marker = "NEW " if diff.known or diff.stale else ""
+def _text_report(result: ScanResult, stats: bool) -> None:
+    for finding in result.findings:
         print(
-            f"{finding.location}: {marker}{finding.rule} [{finding.severity}] "
+            f"{finding.location}: {finding.rule} [{finding.severity}] "
             f"{finding.message}"
-        )
-    if diff.known:
-        print(f"{len(diff.known)} baselined finding(s) not shown (committed debt)")
-    if diff.stale:
-        print(
-            f"{len(diff.stale)} stale baseline entr(ies) — fixed findings; "
-            "refresh with --write-baseline"
         )
     if stats:
         _print_stats(result)
-    if diff.new:
-        print(f"FAIL: {len(diff.new)} new finding(s)")
+    if result.findings:
+        print(f"FAIL: {len(result.findings)} active finding(s)")
     else:
-        print(f"OK: no new findings ({result.files_scanned} files scanned)")
+        print(f"OK: no active findings ({result.files_scanned} files scanned)")
 
 
 def _print_stats(result: ScanResult) -> None:
@@ -142,37 +113,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     rules = _selected_rules(args.rules)
     result = scan_paths(args.paths, rules=rules, root=os.getcwd())
-
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(args.baseline)
-        print(
-            f"baseline written: {args.baseline} "
-            f"({len(result.findings)} finding(s) accepted)"
-        )
-        if args.stats:
-            _print_stats(result)
-        return 0
-
-    if os.path.exists(args.baseline):
-        baseline = Baseline.load(args.baseline)
-    elif args.check_baseline:
-        print(f"FAIL: baseline {args.baseline} not found (run --write-baseline)")
-        return 2
-    else:
-        baseline = Baseline.empty()
-    diff = baseline.diff(result.findings)
-
     if args.output_format == "json":
         payload = {
-            "new": [f.to_dict() for f in diff.new],
-            "known": [f.to_dict() for f in diff.known],
-            "stale": diff.stale,
+            "findings": [f.to_dict() for f in result.findings],
             "stats": result.stats(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        _text_report(result, diff, args.stats)
-    return 1 if diff.new else 0
+        _text_report(result, args.stats)
+    return 1 if result.findings else 0
 
 
 def findings_for_paths(paths: Sequence[str]) -> List[Finding]:

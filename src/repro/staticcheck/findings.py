@@ -1,19 +1,15 @@
 """Finding records emitted by staticcheck rules.
 
 A :class:`Finding` pins one invariant violation to a ``file:line``
-location.  Findings are identified across runs by a *fingerprint* that
-deliberately excludes the line number: baselines survive unrelated
-edits that shift code up or down, and a finding only reads as "new"
-when its rule, file, enclosing symbol, or message actually changes.
-Equal findings in the same (rule, file, symbol, message) bucket are
-disambiguated by a stable occurrence index.
+location.  There is no ledger of accepted findings: a finding is either
+fixed or suppressed inline with ``# staticcheck: disable=RULE --
+reason``, next to the code it excuses.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Tuple
 
 #: Severity levels, most severe first.  ``error`` findings are
 #: invariant violations; ``warning`` findings are discipline smells.
@@ -31,7 +27,7 @@ class Finding:
     col: int
     message: str
     #: Dotted enclosing symbol (``Class.method`` or function name),
-    #: empty at module level.  Part of the fingerprint.
+    #: empty at module level.
     symbol: str = ""
 
     def __post_init__(self) -> None:
@@ -45,44 +41,5 @@ class Finding:
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)
 
-    def bucket(self) -> Tuple[str, str, str, str]:
-        """Fingerprint bucket: everything except the line/col."""
-        return (self.rule, self.path, self.symbol, self.message)
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            severity=str(payload["severity"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload.get("col", 0)),
-            message=str(payload["message"]),
-            symbol=str(payload.get("symbol", "")),
-        )
-
-
-def _bucket_hash(bucket: Tuple[str, str, str, str]) -> str:
-    digest = hashlib.sha256("|".join(bucket).encode("utf-8")).hexdigest()
-    return digest[:16]
-
-
-def fingerprint_findings(findings: Iterable[Finding]) -> List[Tuple[Finding, str]]:
-    """Pair each finding with its stable fingerprint.
-
-    Findings are processed in source order (path, line, col) so the
-    occurrence index of duplicates within one bucket is deterministic:
-    the k-th identical finding in a file is ``<hash>#k`` in every run.
-    """
-    ordered = sorted(findings, key=Finding.sort_key)
-    seen: Dict[Tuple[str, str, str, str], int] = {}
-    out: List[Tuple[Finding, str]] = []
-    for finding in ordered:
-        bucket = finding.bucket()
-        occurrence = seen.get(bucket, 0)
-        seen[bucket] = occurrence + 1
-        out.append((finding, f"{_bucket_hash(bucket)}#{occurrence}"))
-    return out

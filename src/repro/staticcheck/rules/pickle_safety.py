@@ -1,9 +1,9 @@
 """Rule ``pickle-safety``: checkpointed classes must pickle clean.
 
-Checkpoint/restore (PR 6) and shard snapshot/migration pickle detector
-state: :class:`AttackTagger`, its per-entity tracks/decoders, the
-sliding windows (and the arena a standalone one owns), and anything a
-pool snapshot reaches.  An attribute
+Checkpoint/restore and shard snapshot/migration pickle detector state:
+:class:`AttackTagger` and its per-entity tracks (never their decoders,
+windows or window arena: the tagger drops those), the baseline
+detectors, and anything a pool snapshot reaches.  An attribute
 holding a lambda, generator, lock, open file, or socket either fails to
 pickle outright or — worse — pickles *differently* across runs,
 breaking byte-identical checkpoints.
@@ -36,9 +36,6 @@ from ..walker import ModuleModel
 CHECKPOINTED_CLASS_NAMES = frozenset(
     {
         "AttackTagger",
-        "StreamingDecoder",
-        "SlidingProductWindow",
-        "WindowArena",
         "EntityTrack",
         "DetectorTemplate",
         "RuleBasedDetector",

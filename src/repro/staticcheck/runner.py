@@ -35,7 +35,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "node_modules"}
 
 @dataclasses.dataclass
 class ScanResult:
-    """Everything one scan learned, pre-baseline."""
+    """Everything one scan learned."""
 
     findings: List[Finding]  # active (unsuppressed), source order
     suppressed: List[Finding]  # matched by a justified suppression

@@ -267,7 +267,6 @@ class TestbedPipeline:
             restart_policy=self.restart_policy,
             max_restarts=self.max_restarts,
             backoff_base=self.backoff_base,
-            max_inflight=self.max_inflight,
             **extra,
         )
 

@@ -23,8 +23,11 @@ status-tagged reply -- ``("ok", result)`` or ``("error", traceback)``.
 The verbs are ``observe`` (a sub-batch in, ``(hits, busy_seconds,
 kernel_seconds)`` out), ``reset_entity``, ``reset``, ``snapshot`` (the
 pickled replica out) and ``restore`` (a pickled replica in); each is
-implemented once, in the handler.  The two backends are two *carriers*
-of that protocol and nothing more:
+implemented once, in the handler, against the
+:class:`~repro.core.detector.Detector` base class: ``observe`` is the
+replica's ``observe_batch_indexed`` and its ``kernel_seconds`` delta
+whatever detector the shard hosts, so there is one code path per verb.
+The two backends are two *carriers* of that protocol and nothing more:
 
 * ``serial`` (default) -- :class:`_LocalShard`: the handler lives in
   the calling process and runs synchronously inside ``send``; the
@@ -352,30 +355,19 @@ class _ShardHandler:
     def _observe(self, payload):
         """``(hits, busy_seconds, kernel_seconds)`` for one sub-batch.
 
-        ``hits`` are ``(position, detection)`` pairs indexed into the
-        sub-batch, ``busy_seconds`` the CPU time unwire + observe
-        consumed in the hosting process, and ``kernel_seconds`` the
-        wall-clock slice of that spent inside the detector's vectorised
-        decode kernel (0.0 for detectors without one).  A detector
-        exposing the optional ``observe_batch_indexed`` extension (see
-        :class:`repro.core.detector.Detector`) gets the whole sub-batch
-        in one call -- the ``AttackTagger``'s stacked cross-entity
-        kernel -- instead of the per-alert loop.
+        ``hits`` are :meth:`~repro.core.detector.Detector.observe_batch_indexed`'s
+        ``(position, detection)`` pairs, ``busy_seconds`` the CPU time
+        unwire + observe consumed in the hosting process, and
+        ``kernel_seconds`` the wall-clock slice of that the detector
+        spent inside its vectorised decode kernel (0.0 for detectors
+        without one).  Every detector takes this one path.
         """
         started = time.process_time()
         alerts = payload if self._unwire is None else self._unwire(payload)
         detector = self.detector
-        kernel_before = getattr(detector, "kernel_seconds", 0.0)
-        indexed = getattr(detector, "observe_batch_indexed", None)
-        if indexed is not None:
-            hits: List[Tuple[int, Detection]] = indexed(alerts)
-        else:
-            hits = []
-            for position, alert in enumerate(alerts):
-                detection = detector.observe(alert)
-                if detection is not None:
-                    hits.append((position, detection))
-        kernel = getattr(detector, "kernel_seconds", 0.0) - kernel_before
+        kernel_before = detector.kernel_seconds
+        hits = detector.observe_batch_indexed(alerts)
+        kernel = detector.kernel_seconds - kernel_before
         return hits, time.process_time() - started, kernel
 
     def _reset_entity(self, entity: str) -> None:
@@ -891,7 +883,12 @@ class PoolCloseResult:
 
 
 class ShardedDetectorPool:
-    """Entity-sharded detection layer satisfying the ``Detector`` protocol.
+    """Entity-sharded detection layer: a container of detector replicas.
+
+    Not a :class:`~repro.core.detector.Detector` itself: it fronts its
+    replicas with the same ``observe`` / ``observe_batch`` /
+    ``detections`` / ``reset`` / ``reset_entity`` facade, and the
+    two-phase :meth:`submit_batch` / :meth:`collect` API underneath.
 
     Parameters
     ----------
@@ -928,15 +925,10 @@ class ShardedDetectorPool:
     backoff_base:
         First restart waits ``backoff_base`` seconds, each further
         attempt doubles it (exponential backoff).
-    max_inflight:
-        Declared pipelining depth: how many submitted-but-uncollected
-        batches the driving layer should keep in flight per shard
-        (>= 1).  The pool does not enforce a cap -- callers may submit
-        freely -- but overlapped drivers size their submission window
-        from it, and ring capacity planning assumes it.
     ring_capacity:
         Per-shard shared-memory ring size in bytes (process backend).
-        Size it to hold ``max_inflight`` encoded sub-batches; a batch
+        Size it to hold the driver's in-flight depth of encoded
+        sub-batches (``TestbedPipeline.max_inflight``); a batch
         that does not fit travels on the pipe instead (counted in
         ``shm_fallbacks``), so undersizing costs throughput, never
         correctness.  Rings are transient plumbing: excluded from
@@ -957,7 +949,6 @@ class ShardedDetectorPool:
         restart_policy: str = "raise",
         max_restarts: int = 3,
         backoff_base: float = 0.05,
-        max_inflight: int = 1,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
         if n_shards < 1:
@@ -970,8 +961,6 @@ class ShardedDetectorPool:
             raise ValueError("max_restarts must be >= 0")
         if backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if ring_capacity < 1:
             raise ValueError("ring_capacity must be >= 1")
         self.n_shards = int(n_shards)
@@ -979,7 +968,6 @@ class ShardedDetectorPool:
         self.restart_policy = restart_policy
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
-        self.max_inflight = int(max_inflight)
         self.ring_capacity = int(ring_capacity)
         #: Every supervised worker recovery ever performed (survives
         #: reset/reopen: it is an operations log, not pool state).
@@ -1145,7 +1133,7 @@ class ShardedDetectorPool:
             positions[shard].append(position)
         return sub_batches, positions
 
-    # -- Detector protocol -------------------------------------------------
+    # -- the detector facade -------------------------------------------------
     @property
     def detections(self) -> list[Detection]:
         """All detections emitted so far, merged into stream order."""
@@ -1194,7 +1182,7 @@ class ShardedDetectorPool:
         computing as soon as their sub-batch lands, so the caller can
         overlap other work with them; the payload sits in a ring and
         only a tiny descriptor on the pipe, so pipelining
-        ``max_inflight`` batches deep never blocks on worker progress
+        several batches deep never blocks on worker progress
         (a full ring degrades to the pipe, which can).  In-process
         shards compute here, inside the send.  Either way a detector
         exception is a reply like any other and is raised at collect

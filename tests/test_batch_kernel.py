@@ -19,9 +19,9 @@ point relative to the sequential recursion -- by design, the aggregates
 only feed the guard-banded ``may_fire`` pre-filter, and every firing
 decision is re-derived from the exact window decode (see the
 ``sliding_window`` module docstring).  Between the two ``streaming``
-drives they *are* pinned: a row's aggregates (and its pickle) are the
-same whether the per-entity view advanced it or the kernel advanced it
-next to a round of others, at whatever row index.
+drives they *are* pinned: a row's aggregates (its whole dense state)
+are the same whether the per-entity view advanced it or the kernel
+advanced it next to a round of others, at whatever row index.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from repro.core.sliding_window import _MIN_SCAN, WindowArena
 from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.sharding import ShardedDetectorPool
+
+from test_sliding_window import assert_same_window
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
 BENIGN_NAMES = [
@@ -121,14 +123,7 @@ def _assert_same_logical_state(reference, batched, entities):
         if decoder_r.windowed:
             # Same absolute steps, base rows and aggregates, whoever
             # advanced the row and wherever in its arena it lives.
-            state_r = decoder_r._window.__getstate__()
-            state_b = decoder_b._window.__getstate__()
-            assert state_r.keys() == state_b.keys()
-            for key, value in state_r.items():
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(value, state_b[key]), key
-                else:
-                    assert value == state_b[key], key
+            assert_same_window(decoder_r._window, decoder_b._window)
 
 
 def _assert_matches_spec(naive, tagger, entities):
@@ -366,12 +361,8 @@ class TestBatchedEngineEquivalence:
         _assert_same_logical_state(scalar, batched, entities)
         _assert_matches_spec(naive, batched, entities)
         # The drivers flipped the same windows in different company
-        # (_assert_same_logical_state compared every aggregate): the
-        # canonical bytes agree too, and no two rows share storage.
-        for entity in entities:
-            window_b = batched.track(entity).decoder._window
-            window_s = scalar.track(entity).decoder._window
-            assert pickle.dumps(window_b) == pickle.dumps(window_s)
+        # (_assert_same_logical_state compared every aggregate), and no
+        # two rows share storage.
         for tagger in (batched, scalar):
             rows = [tagger.track(entity).decoder._window.row for entity in entities]
             assert len(set(rows)) == len(entities) == tagger._arena.live

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.core import AttackTagger
+from repro.core import AttackTagger, Detector
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.fuzz import FAULT_KINDS, SERVICE_FAULT_KINDS, ChaosComposer, ChaosOracle
@@ -41,28 +41,20 @@ def _tagger_factory():
     return AttackTagger(patterns=list(DEFAULT_CATALOGUE))
 
 
-class ExitingDetector:
+class ExitingDetector(Detector):
     """Dies with ``os._exit`` on a chosen alert name: a hard crash that
     recurs on every replay, so supervised recovery can never succeed."""
 
     def __init__(self, poison_name: str = "alert_outbound_c2") -> None:
         self.poison_name = poison_name
+        self._detections: list = []
         self.observed = 0
-
-    @property
-    def detections(self) -> list:
-        return []
 
     def observe(self, alert):
         if alert.name == self.poison_name:
             os._exit(3)
         self.observed += 1
         return None
-
-    def observe_batch(self, alerts):
-        for alert in alerts:
-            self.observe(alert)
-        return []
 
     def reset(self) -> None:
         self.observed = 0

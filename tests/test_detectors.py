@@ -1,13 +1,21 @@
-"""Tests for the detectors: AttackTagger, rule-based, and the baselines."""
+"""Tests for the detectors: AttackTagger, rule-based, the baselines, and
+the one :class:`~repro.core.detector.Detector` contract they share."""
 
 from __future__ import annotations
 
+import math
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AttackTagger,
     CriticalAlertDetector,
     DEFAULT_VOCABULARY,
+    Detector,
     HiddenState,
     NaiveBayesDetector,
     RuleBasedDetector,
@@ -55,7 +63,7 @@ class TestAttackTagger:
     def test_one_detection_per_entity(self):
         tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
         alerts = list(_sequence(ATTACK_NAMES + ATTACK_NAMES, entity="user:dup"))
-        detections = tagger.observe_many(alerts)
+        detections = tagger.observe_batch(alerts)
         assert len(detections) == 1
 
     def test_entities_tracked_separately(self):
@@ -193,3 +201,182 @@ class TestNaiveBayesDetector:
         detector = NaiveBayesDetector(detection_log_odds=3.0)
         detector.fit(self._training_examples())
         assert detector.run_sequence(_sequence(BENIGN_NAMES)) is None
+
+
+# ---------------------------------------------------------------------------
+# One contract: every detector's batch surface and run_sequence are the
+# Detector base class's, and equal the per-alert observe loop.
+# ---------------------------------------------------------------------------
+_CATALOGUE_NAMES = sorted({name for pattern in DEFAULT_CATALOGUE for name in pattern.names})
+_POISON = "alert_chaos_poison_never_sent"
+
+
+def _fitted_naive_bayes() -> NaiveBayesDetector:
+    detector = NaiveBayesDetector(detection_log_odds=1.0)
+    detector.fit(
+        [
+            label_sequence_from_stages(_sequence(ATTACK_NAMES), is_attack=True),
+            label_sequence_from_stages(_sequence(BENIGN_NAMES), is_attack=False),
+        ]
+    )
+    return detector
+
+
+def _poisoned_tagger():
+    from repro.fuzz.chaos import ChaosPoisonDetector
+
+    return ChaosPoisonDetector(AttackTagger(patterns=list(DEFAULT_CATALOGUE)), _POISON)
+
+
+#: Every detector the contract covers, as fresh-instance factories.
+DETECTOR_FACTORIES = {
+    "tagger-streaming": lambda: AttackTagger(patterns=list(DEFAULT_CATALOGUE), max_window=4),
+    "tagger-naive": lambda: AttackTagger(
+        patterns=list(DEFAULT_CATALOGUE), max_window=4, engine="naive"
+    ),
+    "rule-based": RuleBasedDetector,
+    "critical-alert": CriticalAlertDetector,
+    "naive-bayes": _fitted_naive_bayes,
+    "poison": _poisoned_tagger,
+}
+
+
+@st.composite
+def _streams(draw) -> list[Alert]:
+    """Few entities, catalogue and benign names: windows slide, chains fire."""
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_CATALOGUE_NAMES + BENIGN_NAMES),
+                st.sampled_from(["user:a", "user:b", "host:c"]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return [Alert(float(i + 1), name, owner) for i, (name, owner) in enumerate(events)]
+
+
+@pytest.mark.parametrize("kind", sorted(DETECTOR_FACTORIES))
+class TestDetectorContract:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stream=_streams(), cut=st.integers(min_value=0, max_value=40))
+    def test_batch_surface_equals_the_per_alert_loop(self, kind, stream, cut):
+        batched, looped = DETECTOR_FACTORIES[kind](), DETECTOR_FACTORIES[kind]()
+        assert isinstance(batched, Detector)
+        cut = min(cut, len(stream))
+        hits = batched.observe_batch_indexed(stream[:cut])
+        hits += [
+            (cut + position, detection)
+            for position, detection in batched.observe_batch_indexed(stream[cut:])
+        ]
+        expected = [
+            (position, detection)
+            for position, alert in enumerate(stream)
+            if (detection := looped.observe(alert)) is not None
+        ]
+        assert hits == expected
+        assert batched.detections == looped.detections == [d for _, d in expected]
+        assert batched.kernel_seconds >= 0.0
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(prefix=_streams(), sequence=_streams())
+    def test_run_sequence_is_reset_entity_then_observe(self, kind, prefix, sequence):
+        ran, looped = DETECTOR_FACTORIES[kind](), DETECTOR_FACTORIES[kind]()
+        ran.observe_batch(prefix)
+        looped.observe_batch(prefix)
+        first = ran.run_sequence(AlertSequence(tuple(sequence)), entity="user:a")
+        looped.reset_entity("user:a")
+        fired = [looped.observe(alert.with_entity("user:a")) for alert in sequence]
+        assert first == next((d for d in fired if d is not None), None)
+        assert ran.detections == looped.detections
+
+
+# ---------------------------------------------------------------------------
+# The simple baselines keep a count per entity, not every alert.
+# ---------------------------------------------------------------------------
+_BOUNDED = {"critical-alert": CriticalAlertDetector, "naive-bayes": _fitted_naive_bayes}
+
+
+def _one_entity(count: int, names=BENIGN_NAMES) -> list[Alert]:
+    return [Alert(float(i), names[i % len(names)], "user:long") for i in range(count)]
+
+
+@pytest.mark.parametrize("kind", sorted(_BOUNDED))
+class TestBoundedBaselineState:
+    def test_state_size_does_not_grow_with_the_stream(self, kind):
+        sizes = []
+        for count in (1_000, 4_000):
+            detector = _BOUNDED[kind]()
+            detector.observe_batch(_one_entity(count))
+            sizes.append(len(pickle.dumps(detector)))
+        assert sizes[0] == sizes[1]
+
+    def test_a_parent_tree_pickle_restores_to_the_same_state(self, kind):
+        """Pickles from when these baselines kept ``_history`` (every
+        alert per entity) restore to what the new code would hold."""
+        prefix, suffix = _mixed_stream(seed=1), _mixed_stream(seed=2)
+        driven = _BOUNDED[kind]()
+        driven.observe_batch(prefix)
+        legacy = {}
+        for key, value in driven.__getstate__().items():
+            if key == "_alert_counts":
+                key, value = "_history", {}
+                for alert in prefix:
+                    value.setdefault(alert.entity, []).append(alert)
+            if key != "_log_odds":
+                legacy[key] = value
+        restored = type(driven).__new__(type(driven))
+        restored.__setstate__(legacy)
+        assert pickle.dumps(restored) == pickle.dumps(driven)
+        assert restored.observe_batch(suffix) == driven.observe_batch(suffix)
+
+
+def _mixed_stream(*, seed: int, length: int = 120) -> list[Alert]:
+    rng = np.random.default_rng(seed)
+    names = _CATALOGUE_NAMES + BENIGN_NAMES
+    return [
+        Alert(
+            float(seed * 1_000 + i),
+            names[int(rng.integers(0, len(names)))],
+            f"user:{int(rng.integers(0, 6))}",
+        )
+        for i in range(length)
+    ]
+
+
+class TestNaiveBayesRunningLogOdds:
+    def test_detections_equal_a_rescoring_reference(self):
+        """The running log-odds are summed in arrival order, so every
+        detection is bit-identical to re-scoring the entity's whole bag
+        on each alert (what the detector used to do)."""
+        detector = _fitted_naive_bayes()
+        parameters = detector.parameters
+        stream = _mixed_stream(seed=5, length=600)
+        bags: dict = {}
+        expected = []
+        for alert in stream:
+            bag = bags.setdefault(alert.entity, [])
+            bag.append(alert.name)
+            score = parameters.score(bag)
+            detected = {entity for entity, _, _ in expected}
+            if score >= detector.detection_log_odds and alert.entity not in detected:
+                expected.append((alert.entity, len(bag) - 1, 1.0 / (1.0 + math.exp(-score))))
+        got = detector.observe_batch(stream)
+        assert expected
+        assert [(d.entity, d.alert_index, d.confidence) for d in got] == expected
+
+    def test_fit_forgets_tracked_entities(self):
+        detector = _fitted_naive_bayes()
+        fired = detector.observe_batch(list(_sequence(ATTACK_NAMES, entity="user:x")))
+        assert fired
+        detector.fit(
+            [
+                label_sequence_from_stages(_sequence(ATTACK_NAMES), is_attack=True),
+                label_sequence_from_stages(_sequence(BENIGN_NAMES), is_attack=False),
+            ]
+        )
+        assert detector.detections == fired
+        # The entity starts afresh under the new ratios: it can fire again.
+        again = detector.observe_batch(list(_sequence(ATTACK_NAMES, entity="user:x")))
+        assert [d.alert_index for d in again] == [d.alert_index for d in fired]

@@ -10,8 +10,8 @@ it pins three properties:
   mid-stream state (Hypothesis drives bursty unicode streams into the
   stateful detectors);
 * **drop-lists are honoured** — attributes ``__getstate__`` excludes
-  (track decoder caches, the stacked kernel, the sliding window's
-  scratch buffer) really are absent/reset after unpickling;
+  (track decoder caches with their window-arena rows, the stacked
+  kernel) really are absent/reset after unpickling;
 * **behavioural equivalence** — the restored object continues the
   stream exactly as the original would have (and re-pickling is
   canonical: same bytes regardless of lazily rebuilt caches).
@@ -32,8 +32,6 @@ from repro.core.attack_tagger import EntityTrack, UnknownEngineError
 from repro.core.baselines import CriticalAlertDetector, NaiveBayesDetector
 from repro.core.rule_based import RuleBasedDetector
 from repro.core.sequences import AlertSequence
-from repro.core.sliding_window import SlidingProductWindow, WindowArena
-from repro.core.streaming import StreamingDecoder
 from repro.core.training import LabeledSequence
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.pipeline import TestbedPipeline
@@ -94,7 +92,7 @@ def _round_trip(obj):
 
 
 # ---------------------------------------------------------------------------
-# AttackTagger (and, through it, EntityTrack + StreamingDecoder state)
+# AttackTagger (and, through it, EntityTrack state)
 # ---------------------------------------------------------------------------
 class TestAttackTaggerRoundTrip:
     @_SETTINGS
@@ -104,7 +102,7 @@ class TestAttackTaggerRoundTrip:
         # max_window=4 saturates the sliding window on bursty entities —
         # the decoder state hardest to drop/rebuild correctly.
         original = AttackTagger(patterns=_PATTERNS, max_window=4, engine=engine)
-        original.observe_many(prefix)
+        original.observe_batch(prefix)
 
         restored, blob = _round_trip(original)
 
@@ -120,7 +118,7 @@ class TestAttackTaggerRoundTrip:
 
         # Behavioural equivalence: both continue the stream identically
         # (the restored side rebuilds decoders lazily, bit-identically).
-        assert restored.observe_many(suffix) == original.observe_many(suffix)
+        assert restored.observe_batch(suffix) == original.observe_batch(suffix)
         assert restored.detections == original.detections
 
     def test_decoder_rebuilt_lazily_and_bit_identically(self):
@@ -133,7 +131,7 @@ class TestAttackTaggerRoundTrip:
         original = AttackTagger(
             patterns=_PATTERNS, max_window=4, detection_threshold=1 - 1e-9
         )
-        original.observe_many(stream)
+        original.observe_batch(stream)
         (track,) = original._tracks.values()
         assert track.decoder is not None
 
@@ -171,7 +169,7 @@ class TestAttackTaggerRoundTrip:
             assert all(track.decoder is not None for track in detector._tracks.values())
 
         original = tagger()
-        original.observe_many(stream)
+        original.observe_batch(stream)
         assert original._pattern_table is not None
         assert "_pattern_table" not in original.__getstate__()
         restored, blob = _round_trip(original)
@@ -203,7 +201,7 @@ class TestRemovedEngineStateIsRejected:
     @staticmethod
     def _tagger():
         tagger = AttackTagger(patterns=_PATTERNS, max_window=4)
-        tagger.observe_many(
+        tagger.observe_batch(
             Alert(float(i + 1), _ALL_NAMES[i % len(_ALL_NAMES)], f"user:{i % 3}")
             for i in range(10)
         )
@@ -274,47 +272,7 @@ class TestRemovedEngineStateIsRejected:
 
 
 # ---------------------------------------------------------------------------
-# SlidingProductWindow
-# ---------------------------------------------------------------------------
-class TestSlidingWindowRoundTrip:
-    @_SETTINGS
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n_push=st.integers(min_value=1, max_value=12),
-        n_pop=st.integers(min_value=0, max_value=11),
-    )
-    def test_arena_dropped_and_apply_bit_identical(self, seed, n_push, n_pop):
-        """A pickled view carries its row's contents, never the arena."""
-        rng = np.random.default_rng(seed)
-        pairwise = rng.standard_normal((3, 3))
-        arena = WindowArena(16)
-        neighbours = [SlidingProductWindow(pairwise, arena=arena) for _ in range(3)]
-        window = SlidingProductWindow(pairwise, arena=arena)
-        window.load(5, np.zeros((1, 3)), rng.standard_normal((1, 3)), ["head"])
-        for _ in range(n_push):
-            row = rng.standard_normal(3)
-            window.stage(row, "step")
-            window.push(row)
-        for _ in range(min(n_pop, n_push - 1)):
-            window.pop_front()
-
-        head = rng.standard_normal(3)
-        pristine = pickle.dumps(window)
-        max_before, lse_before = window.apply(head)
-        assert pickle.dumps(window) == pristine  # queries leave no trace
-
-        restored = pickle.loads(pristine)
-        assert restored.arena is not arena
-        assert (restored.arena.capacity, restored.arena.live) == (1, 1)
-        assert arena.live == len(neighbours) + 1
-        assert len(restored) == len(window) and restored.span == window.span
-        max_after, lse_after = restored.apply(head)
-        np.testing.assert_array_equal(max_before, max_after)
-        np.testing.assert_array_equal(lse_before, lse_after)
-
-
-# ---------------------------------------------------------------------------
-# StreamingDecoder + EntityTrack (pickled inside checkpoints/snapshots)
+# EntityTrack (pickled inside checkpoints/snapshots, never with a decoder)
 # ---------------------------------------------------------------------------
 class TestDecoderAndTrackRoundTrip:
     def _live_track(self) -> EntityTrack:
@@ -328,19 +286,6 @@ class TestDecoderAndTrackRoundTrip:
         (track,) = tagger._tracks.values()
         assert track.decoder is not None
         return track
-
-    def test_streaming_decoder_round_trips_mid_window(self):
-        decoder = self._live_track().decoder
-        restored, _ = _round_trip(decoder)
-        assert isinstance(restored, StreamingDecoder)
-        np.testing.assert_array_equal(
-            restored.final_marginal(), decoder.final_marginal()
-        )
-        restored.append(_ALL_NAMES[0])
-        decoder.append(_ALL_NAMES[0])
-        np.testing.assert_array_equal(
-            restored.final_marginal(), decoder.final_marginal()
-        )
 
     def test_entity_track_round_trips_with_dropped_decoder(self):
         import dataclasses
@@ -401,8 +346,8 @@ class TestBaselineDetectorRoundTrip:
     def test_continuation_identical_after_round_trip(self, factory, parts):
         prefix, suffix = parts
         original = factory()
-        original.observe_many(prefix)
+        original.observe_batch(prefix)
         restored, blob = _round_trip(original)
         assert pickle.dumps(restored) == blob
-        assert restored.observe_many(suffix) == original.observe_many(suffix)
+        assert restored.observe_batch(suffix) == original.observe_batch(suffix)
         assert restored.detections == original.detections

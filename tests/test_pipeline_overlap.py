@@ -166,10 +166,13 @@ class TestOverlapEquivalence:
     def test_default_depth_follows_the_backend(self, backend, depth):
         """The depth rule lives in the constructor: a process shard
         earns a second batch in flight, a serial one computes inside
-        the submit.  An explicit value is honoured on either backend."""
+        the submit.  An explicit value is honoured on either backend.
+        The depth is the driver's alone: a pool takes no such option."""
         with fresh_pipeline(2, backend) as pipeline:
             assert pipeline.max_inflight == depth
-            assert pipeline.detector_pools["factor_graph"].max_inflight == depth
+            assert not hasattr(pipeline.detector_pools["factor_graph"], "max_inflight")
+        with pytest.raises(TypeError):
+            ShardedDetectorPool.from_template(AttackTagger(), max_inflight=depth)
         with TestbedPipeline(n_shards=2, shard_backend=backend, max_inflight=3) as deep:
             assert deep.max_inflight == 3
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AttackTagger
+from repro.core import AttackTagger, Detector
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.states import AttackStage
 from repro.incidents import DEFAULT_CATALOGUE
@@ -79,17 +79,15 @@ def _detection_key(detections):
     ]
 
 
-class _Opaque:
+class _Opaque(Detector):
     """A detector without the migration extension (module-level: a
     reshard snapshots every replica, so it must pickle)."""
 
-    detections: list = []
+    def __init__(self):
+        self._detections = []
 
     def observe(self, alert):
         return None
-
-    def observe_batch(self, alerts):
-        return []
 
     def reset(self):
         pass

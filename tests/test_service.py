@@ -46,7 +46,7 @@ from hypothesis.stateful import (
 
 from repro.core import AttackTagger
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
-from repro.core.detector import Detection
+from repro.core.attack_tagger import Detection
 from repro.core.states import AttackStage, HiddenState
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.telemetry import MonitorKind, RawLogRecord

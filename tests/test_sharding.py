@@ -277,19 +277,40 @@ class TestShardedDetectorPool:
 
 class TestDetectorProtocol:
     def test_all_detectors_satisfy_the_protocol(self):
-        detectors = [
+        for detector in (
             AttackTagger(),
             RuleBasedDetector(),
             CriticalAlertDetector(),
             NaiveBayesDetector(),
-            ShardedDetectorPool.from_template(AttackTagger(), n_shards=2),
-        ]
-        for detector in detectors:
+        ):
             assert isinstance(detector, Detector), type(detector).__name__
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_pool_facade_matches_an_unsharded_detector(self, backend):
+        """The pool is a container, not a Detector, but its facade --
+        observe / observe_batch / detections / reset_entity / reset --
+        answers like the one detector it shards."""
+        stream = build_mixed_stream(seed=3, n_entities=12, length=240)
+        alone = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
+        with ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=2, backend=backend
+        ) as pool:
+            assert not isinstance(pool, Detector)
+            assert pool.observe_batch(stream[:200]) == alone.observe_batch(stream[:200])
+            singles = [pool.observe(alert) for alert in stream[200:]]
+            assert singles == [alone.observe(alert) for alert in stream[200:]]
+            assert pool.detections == alone.detections and pool.detections
+            entity = pool.detections[0].entity
+            pool.reset_entity(entity)
+            alone.reset_entity(entity)
+            assert pool.observe_batch(stream) == alone.observe_batch(stream)
+            pool.reset()
+            alone.reset()
+            assert pool.detections == alone.detections == []
 
-class PoisonDetector:
-    """Protocol-satisfying detector that raises on a chosen alert name.
+
+class PoisonDetector(Detector):
+    """Detector that raises on a chosen alert name.
 
     Module-level (hence picklable) so the process backend can clone it
     into worker processes; used to assert crash propagation semantics.
@@ -300,23 +321,11 @@ class PoisonDetector:
         self._detections: list = []
         self.observed = 0
 
-    @property
-    def detections(self) -> list:
-        return list(self._detections)
-
     def observe(self, alert):
         if alert.name == self.poison_name:
             raise ValueError(f"poisoned alert: {alert.name}")
         self.observed += 1
         return None
-
-    def observe_batch(self, alerts):
-        found = []
-        for alert in alerts:
-            detection = self.observe(alert)
-            if detection is not None:
-                found.append(detection)
-        return found
 
     def reset(self) -> None:
         self.observed = 0

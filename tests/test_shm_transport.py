@@ -33,6 +33,7 @@ from repro.core.alerts import (
     pack_alert_columns,
     unpack_alert_columns,
 )
+from repro.core.detector import Detector
 from repro.testbed.shm_ring import DEFAULT_RING_CAPACITY, SEGMENT_PREFIX, ShardRing
 
 # hypothesis' default text alphabet already excludes surrogates (the
@@ -283,29 +284,17 @@ class TestShardRing:
             ring.close()
 
 
-class _LeakPoisonDetector:
+class _LeakPoisonDetector(Detector):
     """Picklable detector that raises on a chosen alert name."""
 
     def __init__(self, poison_name: str = "alert_outbound_c2") -> None:
         self.poison_name = poison_name
         self._detections: list = []
 
-    @property
-    def detections(self) -> list:
-        return list(self._detections)
-
     def observe(self, alert):
         if alert.name == self.poison_name:
             raise ValueError(f"poisoned alert: {alert.name}")
         return None
-
-    def observe_batch(self, alerts):
-        found = []
-        for alert in alerts:
-            detection = self.observe(alert)
-            if detection is not None:
-                found.append(detection)
-        return found
 
     def reset(self) -> None:
         self._detections.clear()
@@ -364,7 +353,6 @@ class TestLifecycleLeakHunting:
 
         kwargs.setdefault("n_shards", 2)
         kwargs.setdefault("backend", "process")
-        kwargs.setdefault("max_inflight", 2)
         return ShardedDetectorPool(factory or _LeakPoisonDetector, **kwargs)
 
     def _ring_names(self, pool) -> set:
@@ -397,7 +385,6 @@ class TestLifecycleLeakHunting:
             AttackTagger(),
             n_shards=2,
             backend="process",
-            max_inflight=2,
             restart_policy="restore",
         )
         pool.observe_batch(_benign(8))
@@ -503,7 +490,6 @@ class TestPoolFallback:
                 AttackTagger(),
                 n_shards=2,
                 backend="process",
-                max_inflight=2,
                 ring_capacity=capacity,
             )
             try:

@@ -2,10 +2,9 @@
 
 Each rule gets at least one minimal *flagged* and one *not-flagged*
 snippet (the positive proves the rule fires, the negative pins its
-escape hatches), plus framework coverage: suppression semantics,
-fingerprint stability under line drift, baseline diffing, the CLI
-gate, and a self-run over ``src/`` asserting the tree stays clean
-beyond the committed baseline.
+escape hatches), plus framework coverage: suppression semantics, the
+CLI gate, and a self-run over ``src/`` asserting the tree has no
+active finding.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.staticcheck import (
-    Baseline,
     Finding,
     all_rules,
-    fingerprint_findings,
     get_rule,
     parse_suppressions,
     scan_source,
@@ -519,62 +516,6 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# findings / baseline
-# ---------------------------------------------------------------------------
-class TestFingerprintsAndBaseline:
-    SNIPPET = """
-    import time
-
-    def sample():
-        return time.time()
-    """
-
-    def test_fingerprints_survive_line_drift(self):
-        first = check(self.SNIPPET, "core/mod.py", "determinism")
-        shifted = check("\n\n\n" + textwrap.dedent(self.SNIPPET), "core/mod.py", "determinism")
-        assert first[0].line != shifted[0].line
-        assert fingerprint_findings(first)[0][1] == fingerprint_findings(shifted)[0][1]
-
-    def test_duplicate_findings_get_occurrence_indices(self):
-        source = """
-        import time
-
-        def sample():
-            return time.time(), time.time()
-        """
-        findings = check(source, "core/mod.py", "determinism")
-        assert len(findings) == 2
-        fingerprints = [fp for _, fp in fingerprint_findings(findings)]
-        assert len(set(fingerprints)) == 2
-        assert {fp.rsplit("#", 1)[1] for fp in fingerprints} == {"0", "1"}
-
-    def test_diff_partitions_new_known_stale(self, tmp_path):
-        old = check(self.SNIPPET, "core/mod.py", "determinism")
-        baseline = Baseline.from_findings(old)
-        path = tmp_path / "base.json"
-        baseline.save(path.as_posix())
-        reloaded = Baseline.load(path.as_posix())
-
-        new_source = """
-        import time
-
-        def sample():
-            return time.time()
-
-        def extra():
-            return time.time_ns()
-        """
-        diff = reloaded.diff(check(new_source, "core/mod.py", "determinism"))
-        assert len(diff.known) == 1
-        assert len(diff.new) == 1
-        assert "time_ns" in diff.new[0].message
-        assert diff.stale == []
-
-        diff_fixed = reloaded.diff([])
-        assert diff_fixed.new == [] and len(diff_fixed.stale) == 1
-
-
-# ---------------------------------------------------------------------------
 # CLI gate
 # ---------------------------------------------------------------------------
 class TestCli:
@@ -588,27 +529,25 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         return tmp_path
 
-    def test_fails_without_baseline_then_passes_after_write(self, project, capsys):
+    def test_any_active_finding_fails_the_gate_and_a_fix_passes(self, project, capsys):
         assert cli_main(["core"]) == 1
         assert "determinism" in capsys.readouterr().out
-        assert cli_main(["core", "--write-baseline"]) == 0
-        assert cli_main(["core", "--check-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "no new findings" in out
+        (project / "core" / "mod.py").write_text(self.GOOD)
+        assert cli_main(["core"]) == 0
+        assert "no active findings" in capsys.readouterr().out
 
-    def test_new_violation_fails_the_gate_and_fix_goes_stale(self, project, capsys):
-        cli_main(["core", "--write-baseline"])
-        mod = project / "core" / "mod.py"
-        mod.write_text(self.BAD + "\n\ndef extra():\n    return time.time_ns()\n")
-        assert cli_main(["core", "--check-baseline"]) == 1
-        assert "time_ns" in capsys.readouterr().out
-        mod.write_text(self.GOOD)
-        assert cli_main(["core", "--check-baseline"]) == 0
-        assert "stale" in capsys.readouterr().out
+    def test_an_inline_reasoned_suppression_accepts_a_finding(self, project, capsys):
+        accepted = self.BAD.replace(
+            "time.time()\n", "time.time()  # staticcheck: disable=determinism -- fixture\n"
+        )
+        (project / "core" / "mod.py").write_text(accepted)
+        assert cli_main(["core"]) == 0
 
-    def test_check_baseline_requires_ledger(self, project, capsys):
-        assert cli_main(["core", "--check-baseline"]) == 2
-        assert "not found" in capsys.readouterr().out
+    def test_there_is_no_findings_ledger(self, project):
+        for flag in ("--check-baseline", "--write-baseline"):
+            with pytest.raises(SystemExit):
+                cli_main(["core", flag])
+        assert not (REPO_ROOT / "staticcheck_baseline.json").exists()
 
     def test_stats_and_json_output(self, project, capsys):
         assert cli_main(["core", "--stats"]) == 1
@@ -616,7 +555,7 @@ class TestCli:
         assert "files scanned" in out and "determinism" in out
         assert cli_main(["core", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["new"] and payload["stats"]["files_scanned"] == 1
+        assert payload["findings"] and payload["stats"]["files_scanned"] == 1
 
     def test_list_rules_catalogue(self, capsys):
         assert cli_main(["--list-rules"]) == 0
@@ -626,20 +565,19 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# self-run: the tree stays clean beyond the committed baseline
+# self-run: the tree stays clean
 # ---------------------------------------------------------------------------
 class TestSelfRun:
-    def test_src_tree_is_clean_against_committed_baseline(self, monkeypatch, capsys):
+    def test_src_tree_is_clean(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        assert (REPO_ROOT / "staticcheck_baseline.json").exists()
-        assert cli_main(["src", "--check-baseline", "--stats"]) == 0
+        assert cli_main(["src", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "no new findings" in out
+        assert "no active findings" in out
 
     def test_seeded_violation_in_service_coroutine_fails_gate(self, monkeypatch):
         """The acceptance probe: a time.sleep seeded into a server.py
-        coroutine must surface as a *new* finding against the committed
-        baseline (the CI gate would go red)."""
+        coroutine must surface as an active finding (the CI gate would
+        go red)."""
         server = REPO_ROOT / "src" / "repro" / "service" / "server.py"
         source = server.read_text()
         anchor = "            item = await self._queue.get()"
@@ -648,13 +586,9 @@ class TestSelfRun:
             anchor, "            time.sleep(0.1)\n" + anchor, 1
         )
         result = scan_source("src/repro/service/server.py", seeded)
-        baseline = Baseline.load(
-            (REPO_ROOT / "staticcheck_baseline.json").as_posix()
-        )
-        diff = baseline.diff(result.findings)
         assert any(
             f.rule == "asyncio-blocking" and "time.sleep" in f.message
-            for f in diff.new
+            for f in result.findings
         )
 
     def test_checkpointed_class_registry_matches_real_classes(self):
@@ -663,16 +597,12 @@ class TestSelfRun:
         import repro.core.attack_tagger
         import repro.core.baselines
         import repro.core.rule_based
-        import repro.core.sliding_window
-        import repro.core.streaming
         import repro.testbed.sharding
 
         modules = [
             repro.core.attack_tagger,
             repro.core.baselines,
             repro.core.rule_based,
-            repro.core.sliding_window,
-            repro.core.streaming,
             repro.testbed.sharding,
         ]
         for name in sorted(CHECKPOINTED_CLASS_NAMES):

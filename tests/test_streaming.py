@@ -28,6 +28,7 @@ from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import _logsumexp, chain_map_decode, chain_marginals
 from repro.core.sequences import AlertSequence, matched_prefix_length
+from repro.core.sliding_window import WindowArena
 from repro.incidents import DEFAULT_CATALOGUE
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
@@ -137,7 +138,7 @@ class TestStreamingEngineEquivalence:
         patterns = [
             WeightedPattern(p.name, tuple(p.names), 2.0) for p in list(DEFAULT_CATALOGUE)[:10]
         ]
-        decoder = StreamingDecoder(parameters, patterns)
+        decoder = StreamingDecoder(parameters, patterns, WindowArena(31))
         for step in range(30):
             decoder.append(ALL_NAMES[rng.integers(len(ALL_NAMES))])
             unary = decoder.unary_table()

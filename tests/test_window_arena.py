@@ -35,6 +35,8 @@ from repro.core.batch_kernel import _MIN_BATCH
 from repro.core.sliding_window import _INITIAL_ROWS, _MIN_SCAN
 from repro.incidents import DEFAULT_CATALOGUE
 
+from test_sliding_window import assert_same_window
+
 BACKGROUND = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
 #: The shortest chain the default parameters flag: detected on its second alert.
 CHAIN = ("alert_download_sensitive", "alert_privilege_escalation")
@@ -316,6 +318,6 @@ class TestPlainRowBoundary:
                 got = tagger.infer(entity)
                 assert np.array_equal(got[0], states) and np.array_equal(got[1], marginal)
                 assert got[2] == matched
-            window_b = batched.track(entity).decoder._window
-            window_s = scalar.track(entity).decoder._window
-            assert pickle.dumps(window_b) == pickle.dumps(window_s)
+            assert_same_window(
+                batched.track(entity).decoder._window, scalar.track(entity).decoder._window
+            )
