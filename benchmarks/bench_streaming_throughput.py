@@ -20,10 +20,16 @@ is the cost, through per-alert ``observe()`` and through
 
 The ``steady`` rows are the steady state of a long-lived population:
 256 round-robin entities whose W = 32 windows are all sliding
-(operational noise only; flip phases spread evenly, so a round of N
+(operational noise only; flip phases spread evenly, so a batch of N
 entities holds about N / W flips), through per-alert ``observe()`` --
-the N = 1 scalar path -- and through ``observe_batch`` at round sizes
-32 and 256.
+the N = 1 scalar path -- and through ``observe_batch`` at batch sizes
+32 and 256: one alert per entity per batch, the depth-1 shape.
+
+The ``deep`` row is the opposite shape, that of the ``sharded_replay``
+end-to-end workload: ``observe_batch`` on 2 048-alert sub-batches over
+only 8 entities (256 alerts deep each, W = 32), logins with the odd
+sensitive download that seeds a pattern -- the kernel's chunks, with
+their flips and pattern-step cuts.
 
 Run as a script to (re)record ``BENCH_streaming.json`` at the repo
 root::
@@ -31,8 +37,9 @@ root::
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py
 
 CI runs the quick regression gate, which re-measures the streaming
-rate on a short stream, both churn rates and the three steady rates,
-and fails if any regressed more than 2x against the committed baseline::
+rate on a short stream, both churn rates, the three steady rates and
+the deep rate, and fails if any regressed more than 2x against the
+committed baseline::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -182,6 +189,46 @@ def measure_steady_rates(rounds: int, *, seed: int = 7) -> dict[str, float]:
     return rates
 
 
+#: The deep row: entities, sliding-window length and sub-batch size.
+DEEP_ENTITIES = 8
+DEEP_WINDOW = 32
+DEEP_BATCH = 2048
+
+
+def measure_deep_rate(batches: int, *, seed: int = 7) -> float:
+    """``observe_batch`` alerts/sec on ``batches`` deep sub-batches.
+
+    Entity ``e`` is warmed (untimed) with ``W + 1 + 4 e`` logins, so
+    every window slides and the flips fall at different depths; each
+    timed sub-batch is round-robin over the entities, 3 % of it
+    sensitive downloads.
+    """
+    rng = np.random.default_rng(seed)
+    entities = [f"user:deep-{index}" for index in range(DEEP_ENTITIES)]
+    warm_up = [
+        Alert(0.0, "alert_login_normal", entity)
+        for index, entity in enumerate(entities)
+        for _ in range(DEEP_WINDOW + 1 + 4 * index)
+    ]
+    downloads = (rng.random(batches * DEEP_BATCH) < 0.03).tolist()
+    stream = [
+        Alert(
+            float(step),
+            "alert_download_sensitive" if download else "alert_login_normal",
+            entities[step % DEEP_ENTITIES],
+        )
+        for step, download in enumerate(downloads)
+    ]
+    tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE), max_window=DEEP_WINDOW)
+    tagger.observe_batch(warm_up)
+    started = time.perf_counter()
+    for base in range(0, len(stream), DEEP_BATCH):
+        tagger.observe_batch(stream[base : base + DEEP_BATCH])
+    elapsed = time.perf_counter() - started
+    assert not tagger.detections, "benchmark stream must stay undetected"
+    return len(stream) / elapsed
+
+
 def host_fingerprint() -> dict:
     """Where a recorded file's numbers came from."""
     cpu_model = "unknown"
@@ -220,6 +267,7 @@ def run_benchmark(
     windowed_alerts: int = 2_000,
     churn_entities: int = 20_000,
     steady_rounds: int = 80,
+    deep_batches: int = 8,
 ) -> dict:
     """Full measurement set behind ``BENCH_streaming.json``."""
     results: dict = {
@@ -283,6 +331,13 @@ def run_benchmark(
             for path, rate in measure_steady_rates(steady_rounds).items()
         },
     }
+    results["deep"] = {
+        "entities": DEEP_ENTITIES,
+        "max_window": DEEP_WINDOW,
+        "batch_size": DEEP_BATCH,
+        "alerts": deep_batches * DEEP_BATCH,
+        "observe_batch": round(measure_deep_rate(deep_batches), 1),
+    }
     return results
 
 
@@ -312,9 +367,11 @@ def quick_streaming_rate(size: int = 2_000) -> float:
 
 
 #: Entities in the quick churn measurement of the CI regression gate,
-#: and round-robin passes in its quick steady measurement.
+#: round-robin passes in its quick steady measurement, and sub-batches
+#: in its quick deep one.
 QUICK_CHURN_ENTITIES = 2_000
 QUICK_STEADY_ROUNDS = 8
+QUICK_DEEP_BATCHES = 2
 
 
 def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
@@ -327,8 +384,8 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     against ``scaled_baseline / factor`` -- CI runners that are simply
     slower across the board do not trip it, while a genuine slowdown of
     the streaming engine (which leaves the naive path untouched) does.
-    The two churn rows and the three steady rows are gated by the same
-    rule.
+    The two churn rows, the three steady rows and the deep row are
+    gated by the same rule.
     """
     if not baseline_path.exists():
         print(f"FAIL: no committed baseline at {baseline_path}; "
@@ -352,6 +409,10 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         (f"steady {path}", float(baseline["steady"][path]), rate)
         for path, rate in steady.items()
     ]
+    rows.append(
+        ("deep observe_batch", float(baseline["deep"]["observe_batch"]),
+         measure_deep_rate(QUICK_DEEP_BATCHES))
+    )  # fmt: skip
     failed = False
     for label, committed, measured in rows:
         floor = committed * hardware_factor / factor

@@ -148,10 +148,11 @@ class AttackTagger(Detector):
         batch entry points advance every entity touched by a sub-batch
         together through the vectorised cross-entity kernel
         (:class:`repro.core.batch_kernel.BatchedDecodeKernel`): one
-        ``(K, K, N)`` stacked semiring reduce per driver step instead
-        of N small-matrix calls; :meth:`observe` is the same
-        arithmetic for one alert.  ``"naive"`` is the executable spec:
-        the seed behaviour of re-decoding the whole chain per alert.
+        ``(K, K, N)`` stacked semiring reduce per depth of a pass
+        instead of a small-matrix call per alert; :meth:`observe` is
+        the same arithmetic for one alert.  ``"naive"`` is the
+        executable spec: the seed behaviour of re-decoding the whole
+        chain per alert.
         Both produce bit-identical detections; any other name raises
         :class:`UnknownEngineError`.  Pattern weights are resolved when
         an entity's decoder is created: decoders share one immutable
@@ -362,19 +363,6 @@ class AttackTagger(Detector):
         already-detected entity are still recorded so the response path
         can keep building the incident timeline.
         """
-        detection = self._observe_impl(alert)
-        if detection is not None:
-            self._detections.append(detection)
-        return detection
-
-    def _observe_impl(self, alert: Alert) -> Optional[Detection]:
-        """Single-alert inference without the global detection-log append.
-
-        The stacked kernel reuses this per-alert path for sub-batch
-        rounds too small to be worth stacking, then appends all of a
-        sub-batch's detections to ``_detections`` in stream order; the
-        public :meth:`observe` is this plus the log append.
-        """
         track = self.track(alert.entity)
         if track.detected is not None:
             # Already detected: record the alert for the incident
@@ -389,7 +377,15 @@ class AttackTagger(Detector):
         sliding = len(track.alerts) >= self.max_window
         track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
         if decoder is not None:
-            return self._advance(track, alert, decoder, sliding)
+            detection = self._advance(track, alert, decoder, sliding)
+        else:
+            detection = self._naive_decision(track, alert)
+        if detection is not None:
+            self._detections.append(detection)
+        return detection
+
+    def _naive_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
+        """The seed decision: re-decode the whole window, then threshold it."""
         states, final_marginal, matched = self.infer(alert.entity)
         final_state = HiddenState(int(states[-1])) if states.size else HiddenState.BENIGN
         malicious_probability = float(final_marginal[int(HiddenState.MALICIOUS)])
@@ -483,7 +479,7 @@ class AttackTagger(Detector):
             from .batch_kernel import BatchedDecodeKernel
 
             self._batch_kernel = BatchedDecodeKernel(self)
-        hits = self._batch_kernel.observe_rounds(list(alerts))
+        hits = self._batch_kernel.observe(list(alerts))
         self._detections.extend(detection for _, detection in hits)
         return hits
 

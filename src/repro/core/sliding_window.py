@@ -39,11 +39,12 @@ ring + slot`` of the flat blocks holds
 matrices are never stored: they are ``pairwise + unary`` on demand.
 Rows are allocated on the fill→windowed transition only (doubling
 growth from ``_INITIAL_ROWS``, free-list reuse), so an entity that
-never saturates its window costs the arena nothing.  The vectorised
-methods take row-index arrays and drive whole decode rounds
-(:mod:`repro.core.batch_kernel`); :class:`SlidingProductWindow` is a
-one-row view whose scalar methods use basic slices of the same blocks,
-so ``observe()`` and a stacked round read and write the same storage.
+never saturates its window costs the arena nothing.  The stacked
+kernel (:mod:`repro.core.batch_kernel`) reads and writes the blocks by
+row-index arrays, a pass of chunks at a time; :class:`SlidingProductWindow`
+is a one-row view whose scalar methods use basic slices of the same
+blocks, so ``observe()`` and a stacked pass read and write the same
+storage.
 
 Refolds of ``_MIN_SCAN`` or more steps (a flip, a patch far from the
 stack top) run as a Hillis-Steele doubling scan over an entity-minor
@@ -149,32 +150,16 @@ class WindowArena:
             self.symbol_names.append(name)
         return symbol
 
-    # -- whole-round operations on row-index arrays --------------------------
+    # -- operations on row-index arrays -----------------------------------------
     def cells(self, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Flat cell of ``steps[i]`` (or ``steps[q, i]``) of ``rows[i]``."""
         return rows * self.ring + steps % self.ring
-
-    def push(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
-        """Fold each row's step ``end`` (unary row already stored) into its back."""
-        end = self.end[rows]
-        cells, previous = self.cells(rows, end), self.cells(rows, end - 1)
-        matrices = pairwise[:, :, None] + self.unary[cells].T[None, :, :]
-        # An empty back has no product to extend: its prefix is the matrix
-        # (the product those rows compute from a stale cell is discarded).
-        carried = end > self.boundary[rows]
-        self.agg_max[:, :, cells] = np.where(
-            carried, maxplus_matmul_batch(self.agg_max[:, :, previous], matrices), matrices
-        )
-        self.agg_lse[:, :, cells] = np.where(
-            carried, logsumexp_matmul_batch(self.agg_lse[:, :, previous], matrices), matrices
-        )
-        self.end[rows] = end + 1
 
     def flip_together(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
         """Turn each row's back prefixes into front suffixes (its front is empty).
 
         Rows whose backs have the same length share one scan, so a
-        decode round pays one flip per length instead of one per
+        stacked pass pays one flip per length instead of one per
         entity; a lone ``pop_front`` flips through the same code.
         """
         end = self.end[rows]
@@ -183,24 +168,6 @@ class WindowArena:
             group = spans == count
             self._refold(rows[group], end[group] - 1, count, pairwise, suffix=True)
         self.boundary[rows] = end
-
-    def evict(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
-        """Drop each (distinct) row's head: due flips together, then ``start += 1``."""
-        due = rows[self.boundary[rows] == self.start[rows] + 1]
-        if due.size:
-            self.flip_together(due, pairwise)
-        self.start[rows] += 1
-
-    def fold(self, rows: np.ndarray, vectors: np.ndarray, vecmat, aggregates) -> np.ndarray:
-        """``vectors[:, i] ⊗ front-top suffix ⊗ newest back prefix`` of ``rows[i]``.
-
-        A row lacking one of the two keeps its vector through that fold.
-        """
-        start, boundary, end = self.start[rows], self.boundary[rows], self.end[rows]
-        for held, steps in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
-            folded = vecmat(vectors, aggregates[:, :, self.cells(rows, steps)])
-            vectors = np.where(held, folded, vectors)
-        return vectors
 
     def _refold(
         self,

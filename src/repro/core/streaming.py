@@ -45,8 +45,8 @@ rebased.  The scalar
 methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
 read and write the same row, so a row's state does not depend on which
 of them advanced it.  The kernel advances a row without touching its
-decoder at all when the step is *plain* (:meth:`plain_step`: no cursor
-or bonus in reach); whoever drops a windowed decoder must
+decoder at all while its steps are *plain* (:meth:`plain_run`: no
+cursor or bonus in reach); whoever drops a windowed decoder must
 :meth:`release` its row.
 
 The aggregate is floating-point *reassociated* relative to the
@@ -542,21 +542,27 @@ class StreamingDecoder:
         if appended is not None:
             window.push(self._effective_row(appended, head))
 
-    def plain_step(self, name: str) -> bool:
-        """Whether appending ``name`` and evicting the head touch no pattern state.
+    def plain_run(self, names: Sequence[str]) -> int:
+        """How many of ``names``, each appended with one eviction, are plain steps.
 
-        True when the symbol neither is awaited by a cursor nor seeds a
-        pattern, and no cursor's match starts on the evicted step or on
-        the next head (where a rescan would start or a bonus would meet
-        the prior).  Such a step is pure arithmetic on the arena row,
-        which the stacked kernel does for all plain rows of a round.
+        A step is plain when its symbol neither is awaited by a cursor
+        nor seeds a pattern, and no cursor's match starts on the evicted
+        step or on the next head (where a rescan would start or a bonus
+        would meet the prior).  Such a step is pure arithmetic on the
+        arena row, which the stacked kernel does a chunk at a time.
+        Plain steps change neither the cursors nor the waiting lists,
+        so the run is read off the state as it stands: step ``j``'s next
+        head is ``start + j + 1``.
         """
-        if self._waiting.get(name):
-            return False
-        if not self._cursors:
-            return True
-        horizon = self._window.start + 1
-        return all(cursor.positions[0] > horizon for cursor in self._cursors.values())
+        limit = len(names)
+        if self._cursors:
+            first = min(cursor.positions[0] for cursor in self._cursors.values())
+            limit = min(limit, first - self._window.start - 1)
+        waiting = self._waiting
+        depth = 0
+        while depth < limit and not waiting.get(names[depth]):
+            depth += 1
+        return depth
 
     def _recompute_forward(self, start: int) -> None:
         """Extend/repair the forward recursions from ``start`` to the end.

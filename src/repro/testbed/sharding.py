@@ -855,7 +855,7 @@ class _PendingBatch:
 
     __slots__ = ("positions", "active")
 
-    def __init__(self, positions: List[List[int]], active: List[int]) -> None:
+    def __init__(self, positions: List[Sequence[int]], active: List[int]) -> None:
         self.positions = positions
         self.active = active
 
@@ -1109,8 +1109,11 @@ class ShardedDetectorPool:
         entry (``next(iter(...))``) is least-recently-used.  That keeps
         the hot working set resident even when total entity cardinality
         far exceeds the cap -- the clear-everything alternative would
-        periodically forget the hot entities too.
+        periodically forget the hot entities too.  A one-shard pool
+        routes everything to shard 0 and keeps no memo.
         """
+        if self.n_shards == 1:
+            return 0
         cache = self._shard_cache
         shard = cache.pop(entity, None)
         if shard is None:
@@ -1121,11 +1124,16 @@ class ShardedDetectorPool:
         return shard
 
     def _partition(
-        self, alerts: Sequence[Alert]
-    ) -> Tuple[List[List[Alert]], List[List[int]]]:
-        """Split one batch into per-shard sub-batches, remembering positions."""
+        self, alerts: List[Alert]
+    ) -> Tuple[List[List[Alert]], List[Sequence[int]]]:
+        """Split one batch into per-shard sub-batches, remembering positions.
+
+        One shard takes the batch whole, at positions ``range(len(alerts))``.
+        """
+        if self.n_shards == 1:
+            return [alerts], [range(len(alerts))]
         sub_batches: List[List[Alert]] = [[] for _ in range(self.n_shards)]
-        positions: List[List[int]] = [[] for _ in range(self.n_shards)]
+        positions: List[Sequence[int]] = [[] for _ in range(self.n_shards)]
         memo = self.shard_of
         for position, alert in enumerate(alerts):
             shard = memo(alert.entity)

@@ -6,7 +6,7 @@ optimisation: for every stream, every sub-batch shape, and every window
 size, three drives of the same stream must agree --
 
 * the **batch API** (``observe_batch_indexed`` in chunks: the stacked
-  kernel, with its scalar fallback for rounds below ``_MIN_BATCH``),
+  kernel, with its per-entity fallback for passes below ``_MIN_BATCH``),
 * a **per-alert** ``observe()`` loop on the same engine, and
 * the ``engine="naive"`` executable spec --
 
@@ -27,9 +27,12 @@ advanced it next to a round of others, at whatever row index.
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import AttackTagger, batch_kernel
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
@@ -157,25 +160,44 @@ def _three_way(stream, chunk, entities, **tagger_kwargs):
 
 
 class _DispatchCounter:
-    """Counts which side of the kernel's size-based selection alerts took."""
+    """Alerts per pass on each side of the kernel's size-based selection.
 
-    def __init__(self, monkeypatch, tagger):
-        self.scalar = 0
-        self.stacked_rounds = []
-        observe_impl = tagger._observe_impl
-        observe_round = BatchedDecodeKernel._observe_round
+    ``stacked`` holds, per pass that stacked, its filling steps plus chunk
+    steps; ``each`` the same count for passes too small to stack.
+    """
 
-        def counted_impl(alert):
-            self.scalar += 1
-            return observe_impl(alert)
+    def __init__(self, monkeypatch):
+        self.stacked = []
+        self.each = []
+        current = []
+        run_pass = BatchedDecodeKernel._pass
+        advance_fill = BatchedDecodeKernel._advance_fill
+        advance_chunks = BatchedDecodeKernel._advance_chunks
+        advance_each = BatchedDecodeKernel._advance_each
 
-        def counted_round(kernel, items):
-            if len(items) >= _MIN_BATCH:
-                self.stacked_rounds.append(len(items))
-            return observe_round(kernel, items)
+        def counted_pass(kernel, alerts, runs, hits):
+            current.clear()
+            rest = run_pass(kernel, alerts, runs, hits)
+            if current:
+                self.stacked.append(sum(current))
+            return rest
 
-        monkeypatch.setattr(tagger, "_observe_impl", counted_impl)
-        monkeypatch.setattr(BatchedDecodeKernel, "_observe_round", counted_round)
+        def counted_fill(kernel, entries, pairwise):
+            current.append(len(entries))
+            return advance_fill(kernel, entries, pairwise)
+
+        def counted_chunks(kernel, arena, chunks, alerts):
+            current.append(sum(map(len, chunks.positions)))
+            return advance_chunks(kernel, arena, chunks, alerts)
+
+        def counted_each(kernel, alerts, fill, chunks, hits):
+            self.each.append(len(fill) + sum(map(len, chunks.positions)))
+            return advance_each(kernel, alerts, fill, chunks, hits)
+
+        monkeypatch.setattr(BatchedDecodeKernel, "_pass", counted_pass)
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_chunks", counted_chunks)
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_each", counted_each)
 
 
 class TestBatchedEngineEquivalence:
@@ -201,10 +223,10 @@ class TestBatchedEngineEquivalence:
     def test_ragged_rounds_and_rounds_below_min_batch(self, monkeypatch):
         """Both sides of ``_MIN_BATCH``, in one sub-batch and across them.
 
-        Six entities with skewed volumes: round 0 of a sub-batch stacks
-        all six, later rounds thin out below ``_MIN_BATCH`` and take the
-        per-round scalar fallback; sub-batches touching fewer than
-        ``_MIN_BATCH`` entities skip the layering altogether.
+        Six entities with skewed volumes: the first pass of a sub-batch
+        stacks all six, later passes thin out to the heavy hitters' runs
+        and, once fewer than ``_MIN_BATCH`` steps are left to stack, take
+        the per-entity fallback.
         """
         rng = np.random.default_rng(17)
         entities = [f"skew:{i}" for i in range(6)]
@@ -220,11 +242,12 @@ class TestBatchedEngineEquivalence:
             for i in range(40)
         ]
         batched = _tagger()
-        counter = _DispatchCounter(monkeypatch, batched)
+        counter = _DispatchCounter(monkeypatch)
         hits = _drive_batched(batched, stream, 40)
-        assert counter.stacked_rounds and counter.scalar  # both sides ran
-        assert sum(counter.stacked_rounds) + counter.scalar == len(stream)
-        assert min(counter.stacked_rounds) >= _MIN_BATCH
+        assert counter.stacked and counter.each  # both sides ran
+        assert min(counter.stacked) >= _MIN_BATCH > max(counter.each)
+        kernel = batched._batch_kernel
+        assert sum(counter.stacked) + sum(counter.each) + kernel.rows_scalar == len(stream)
         scalar, naive = _tagger(), _tagger("naive")
         assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream)
         _assert_same_logical_state(scalar, batched, entities)
@@ -235,9 +258,9 @@ class TestBatchedEngineEquivalence:
         entities = ENTITIES[: _MIN_BATCH - 1]
         stream = _random_stream(rng, 120, entities=entities)
         batched = _tagger()
-        counter = _DispatchCounter(monkeypatch, batched)
-        hits = _drive_batched(batched, stream, 30)
-        assert counter.stacked_rounds == [] and counter.scalar == len(stream)
+        counter = _DispatchCounter(monkeypatch)
+        hits = _drive_batched(batched, stream, _MIN_BATCH - 1)
+        assert counter.stacked == [] and counter.each
         assert batched.kernel_seconds > 0.0  # still attributed to the kernel
         naive = _tagger("naive")
         assert hits == _drive_scalar(naive, stream)
@@ -289,16 +312,16 @@ class TestBatchedEngineEquivalence:
         assert all(batched.track(e).decoder.windowed for e in entities)
 
     def test_round_mixing_flip_phases_and_relocations(self, monkeypatch):
-        """One round holds every window shape the stacked push, the group
-        flip and the masked decide fold branch on.
+        """One pass holds every window shape the stacked push, the group
+        flip and the masked pre-filter fold branch on.
 
-        A staggering pre-roll spreads the flip phases, so each round of
+        A staggering pre-roll spreads the flip phases, so each pass over
         48 entities has windows with an empty front (they flip this
-        round, together), windows with an empty back (they flipped last
-        round: plain ``push``), and windows with both stacks populated
+        pass, together), windows with an empty back (they flipped last
+        pass: plain ``push``), and windows with both stacks populated
         that do not flip; the symbol pool keeps pattern bonuses
         relocating, some of them inside a window that flips in the same
-        round.
+        pass.
         """
         max_window = 3 * _MIN_SCAN
         x, y, z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
@@ -323,14 +346,14 @@ class TestBatchedEngineEquivalence:
         kwargs = dict(max_window=max_window, patterns=patterns, detection_threshold=0.999)
 
         shapes, flips, patched = [], [], set()
-        advance = BatchedDecodeKernel._advance_windowed
+        chunk_pass = batch_kernel._ChunkPass.__init__
         sync_window = StreamingDecoder._sync_window
         flip_together = WindowArena.flip_together
 
-        def counted_advance(kernel, arena, rows, symbols, parameters):
+        def counted_pass(scratch, arena, rows, *args):
             start, boundary, end = arena.start[rows], arena.boundary[rows], arena.end[rows]
             shapes.append(set(zip((start + 1 < boundary).tolist(), (boundary < end).tolist())))
-            advance(kernel, arena, rows, symbols, parameters)
+            chunk_pass(scratch, arena, rows, *args)
 
         def counted_sync(decoder, dirty, appended=None):
             if any(s > decoder._window.start and s != appended for s in dirty):
@@ -343,7 +366,7 @@ class TestBatchedEngineEquivalence:
             flip_together(arena, rows, pairwise)
 
         batched = _tagger(**kwargs)
-        monkeypatch.setattr(BatchedDecodeKernel, "_advance_windowed", counted_advance)
+        monkeypatch.setattr(batch_kernel._ChunkPass, "__init__", counted_pass)
         monkeypatch.setattr(StreamingDecoder, "_sync_window", counted_sync)
         monkeypatch.setattr(WindowArena, "flip_together", counted_flip)
         hits = _drive_batched(batched, stream, len(entities))
@@ -354,7 +377,7 @@ class TestBatchedEngineEquivalence:
         assert max(size for size, _ in flips) >= 2  # flips really were grouped
         assert any(relocated for _, relocated in flips)  # a patched window flipped
         kernel = batched._batch_kernel
-        assert kernel.rows_stacked > 0 < kernel.rows_scalar  # both paths shared the rounds
+        assert kernel.rows_stacked > 0 < kernel.rows_scalar  # both paths shared the passes
 
         scalar, naive = _tagger(**kwargs), _tagger("naive", **kwargs)
         assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream) == []
@@ -368,8 +391,8 @@ class TestBatchedEngineEquivalence:
             assert len(set(rows)) == len(entities) == tagger._arena.live
 
     def test_probability_stage_runs_only_for_score_survivors(self, monkeypatch):
-        """``_decide_windowed`` folds the forward message for the rows the
-        score test lets through, and only for those.
+        """The stacked pre-filter folds the forward message for the cells
+        the score test lets through, and only for those.
 
         At ``detection_threshold=0.99`` the mixed-vocabulary entities
         often have a malicious MAP state under a posterior short of the
@@ -384,31 +407,36 @@ class TestBatchedEngineEquivalence:
         ]
         kwargs = dict(max_window=6, detection_threshold=0.99)
         rows = {"maxplus_vecmat_batch": 0, "logsumexp_vecmat_batch": 0, "finalized": 0}
-        fold = WindowArena.fold
-        decide_windowed = BatchedDecodeKernel._decide_windowed
-        finalize = BatchedDecodeKernel._finalize
+        advance_chunks = BatchedDecodeKernel._advance_chunks
         in_windowed = []
 
-        def counted_fold(arena, indices, vectors, vecmat, aggregates):
-            rows[vecmat.__name__] += vectors.shape[1]
-            return fold(arena, indices, vectors, vecmat, aggregates)
+        def counted(vecmat):
+            def fold(vectors, matrices):
+                if in_windowed:
+                    rows[vecmat.__name__] += vectors.shape[1]
+                return vecmat(vectors, matrices)
 
-        def counted_decide(kernel, arena, indices, entries):
+            return fold
+
+        def counted_chunks(kernel, *args):
             in_windowed.append(True)
             try:
-                return decide_windowed(kernel, arena, indices, entries)
+                return advance_chunks(kernel, *args)
             finally:
                 in_windowed.pop()
 
-        def counted_finalize(kernel, entries, chosen):
-            if in_windowed:
-                rows["finalized"] += len(chosen)
-            return finalize(kernel, entries, chosen)
-
         batched = _tagger(**kwargs)
-        monkeypatch.setattr(WindowArena, "fold", counted_fold)
-        monkeypatch.setattr(BatchedDecodeKernel, "_decide_windowed", counted_decide)
-        monkeypatch.setattr(BatchedDecodeKernel, "_finalize", counted_finalize)
+        finalize = batched._finalize_decision
+
+        def counted_finalize(*args):
+            if in_windowed:
+                rows["finalized"] += 1
+            return finalize(*args)
+
+        for name in ("maxplus_vecmat_batch", "logsumexp_vecmat_batch"):
+            monkeypatch.setattr(batch_kernel, name, counted(getattr(batch_kernel, name)))
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_chunks", counted_chunks)
+        monkeypatch.setattr(batched, "_finalize_decision", counted_finalize)
         hits = _drive_batched(batched, stream, len(entities))
         monkeypatch.undo()
 
@@ -562,6 +590,144 @@ class TestBatchedEngineEquivalence:
             _detection_key(d) for d in naive.detections
         ]
         _assert_matches_spec(naive, mixed, ENTITIES)
+
+
+class TestDeepRuns:
+    """A sub-batch in which every entity brings a run several windows deep.
+
+    Each run starts in the fill phase and crosses at least two flips;
+    pattern symbols break its plain steps into chunks; the first entity
+    fires on a chain mid-run and keeps sending (timeline only).  The
+    kernel's pre-filter is widened to a superset of its candidates, so
+    chunks stop mid-way at cells that do not fire: over-approximating
+    the candidates must change nothing.
+    """
+
+    X, Y, Z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
+    PATTERNS = [
+        PatternSpec(name="P0", names=(X, Y)),
+        PatternSpec(name="P1", names=(Z, Y)),
+    ]
+    FILLER = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
+    CHAIN = ("alert_download_sensitive", "alert_privilege_escalation")
+
+    def _stream(self, seed, max_window, entities):
+        rng = np.random.default_rng(seed)
+        ring = max_window + 1
+        runs = []
+        for index, entity in enumerate(entities):
+            # Staggered fills put the entities' flips at different depths.
+            depth = max_window + index + int(rng.integers(2 * ring, 3 * ring + 1))
+            names = [self.FILLER[k] for k in rng.integers(len(self.FILLER), size=depth)]
+            for at in rng.choice(np.arange(max_window, depth), size=2, replace=False):
+                names[at] = (self.X, self.Z, self.Y)[int(rng.integers(3))]
+            if index == 0:
+                at = int(rng.integers(ring, depth - 3))  # once the window slides
+                names[at : at + 2] = self.CHAIN
+            runs.append([(name, entity) for name in names])
+        # Interleave the runs, each in its own order.
+        order = rng.permutation(np.repeat(np.arange(len(runs)), [len(run) for run in runs]))
+        cursors = [0] * len(runs)
+        stream = []
+        for index in order.tolist():
+            name, entity = runs[index][cursors[index]]
+            cursors[index] += 1
+            stream.append(Alert(float(len(stream)), name, entity))
+        return stream
+
+    def _drive(self, seed, max_window, n_entities, widen):
+        """:func:`_three_way` over one deep sub-batch; returns it with what the kernel saw."""
+        entities = [f"deep:{index}" for index in range(n_entities)]
+        stream = self._stream(seed, max_window, entities)
+        candidates = batch_kernel._candidates
+        chunk_candidates = batch_kernel._ChunkPass.candidates
+        commit = batch_kernel._ChunkPass.commit
+        seen = {"mid_chunk": 0, "flipped": 0}
+
+        def widened(heads, lengths, parts, threshold):
+            found = candidates(heads, lengths, parts, threshold)
+            return np.union1d(found, np.arange(0, heads.shape[1], widen))
+
+        def counted_candidates(scratch, threshold):
+            found = chunk_candidates(scratch, threshold)  # never a chunk's last cell
+            seen["mid_chunk"] += found.size
+            return found
+
+        def counted_commit(scratch, *args):
+            ended = commit(scratch, *args)
+            seen["flipped"] += int(scratch.flips[ended].sum())
+            return ended
+
+        with mock.patch.object(batch_kernel, "_candidates", widened), mock.patch.object(
+            batch_kernel._ChunkPass, "candidates", counted_candidates
+        ), mock.patch.object(batch_kernel._ChunkPass, "commit", counted_commit):
+            hits, batched, _, _ = _three_way(
+                stream, len(stream), entities, max_window=max_window, patterns=self.PATTERNS
+            )
+        attacker = batched.track(entities[0])
+        assert attacker.detected is not None  # fired mid-run ...
+        assert attacker.alerts[-1].timestamp > attacker.detected.timestamp  # ... kept sending
+        return hits, batched, seen
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        max_window=st.sampled_from((2, 3, 5, 8, 32)),
+        n_entities=st.integers(1, 8),
+        widen=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_deep_runs_equal_the_per_alert_loop(self, max_window, n_entities, widen, seed):
+        self._drive(seed, max_window, n_entities, widen)
+
+    @pytest.mark.parametrize("max_window", [2, 3, 5, 8, 32])
+    def test_deep_runs_hold_every_shape_the_chunks_cut_on(self, max_window):
+        """The generator's runs really hold what the property is about."""
+        hits, batched, seen = self._drive(0, max_window, 4, 3)
+        assert batched._batch_kernel.rows_scalar > 0  # pattern steps broke chunks
+        assert seen["flipped"] >= 2  # stacked flips
+        assert seen["mid_chunk"] > len(hits)  # chunks stopped at cells that did not fire
+
+
+class TestObservationTable:
+    def test_a_rebuilt_arena_gets_its_own_observation_rows(self):
+        """Changing ``max_window`` on a live tagger rebuilds its arena, and
+        the new arena numbers the alert names afresh (here in the reverse
+        of the old arena's order): its plain rows must be written with
+        their own names' observation rows, exactly as per-alert
+        ``observe`` writes them."""
+        names = [
+            "alert_login_normal",
+            "alert_address_sweep",
+            "alert_malicious_binary_installed",
+            "alert_irc_connection",
+        ]
+        batched, scalar = (AttackTagger(max_window=4, detection_threshold=0.999) for _ in range(2))
+        clock = iter(range(10_000))
+
+        def feed(names_of, entities, batches):
+            for b in range(batches):
+                batch = [
+                    Alert(float(next(clock)), names_of(b, i), entity)
+                    for i, entity in enumerate(entities)
+                ]
+                assert batched.observe_batch(batch) == []
+                assert [scalar.observe(alert) for alert in batch] == [None] * len(batch)
+
+        feed(lambda b, i: names[(b + i) % 4], [f"user:o{i}" for i in range(8)], 12)
+        for tagger in (batched, scalar):
+            tagger.max_window = 6
+        fresh = [f"user:x{i}" for i in range(8)]
+        feed(lambda b, i: names[::-1][b % 4], fresh, 30)
+        arena = batched._arena
+        assert arena.symbol_names == names[::-1]  # numbered afresh
+        for entity in fresh:
+            window = batched.track(entity).decoder._window
+            start, _, end = window.span
+            rows = arena.base[window.cells(start, end)]
+            for name, row in zip(window.names(), rows):
+                assert np.array_equal(row, batched.parameters.observation_row(name))
+        assert batched.posterior("user:x0") == scalar.posterior("user:x0")
+        _assert_same_logical_state(scalar, batched, fresh)
 
 
 class TestBatchedThroughSharding:

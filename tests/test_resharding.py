@@ -449,6 +449,18 @@ class TestShardRoutingLRU:
             assert len(pool._shard_cache) <= 8
         pool.close()
 
+    def test_one_shard_routing_is_the_identity(self):
+        """One shard takes every batch whole and remembers no entity."""
+        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=1)
+        alerts = [Alert(float(i), "alert_login_normal", f"user:u{i % 5}") for i in range(12)]
+        sub_batches, positions = pool._partition(alerts)
+        assert sub_batches[0] is alerts and len(sub_batches) == 1
+        assert positions == [range(12)]
+        assert pool.shard_of("user:u3") == 0
+        assert pool.observe_batch(alerts) == _tagger().observe_batch(alerts)
+        assert not pool._shard_cache
+        pool.close()
+
     def test_default_limit_is_large(self):
         assert ShardedDetectorPool._SHARD_CACHE_LIMIT == 1 << 17
 

@@ -13,10 +13,10 @@ Pinned here:
   relocations and a pickle round-trip, with the arena starting at two
   rows so it grows mid-stream and rows are reused, is bit-identical to
   ``engine="naive"``;
-* **the plain-row / exception-row boundary** -- one stacked round mixes
+* **the plain-row / exception-row boundary** -- one stacked pass mixes
   rows advanced as arena arithmetic with rows that take the per-entity
   path (a seeded pattern, an eviction rescan, a window only now
-  opening), and which rows do is what ``plain_step`` predicts.
+  opening), and which rows do is what ``plain_run`` predicts.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ _ALERT = st.tuples(st.integers(0, len(_ENTITIES) - 1), st.integers(0, len(_NAMES
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), _ALERT),
-        # Ragged: duplicate entities layer into rounds of every size
-        # from 1 (below _MIN_BATCH: the view) to 6 (stacked).
+        # Ragged: duplicate entities make runs of every depth, and
+        # passes from 1 step (below _MIN_BATCH: the view) up (stacked).
         st.tuples(st.just("batch"), st.lists(_ALERT, min_size=1, max_size=14)),
         st.tuples(st.just("reset"), st.integers(0, len(_ENTITIES) - 1)),
         st.tuples(st.just("pickle"), st.none()),
@@ -273,7 +273,7 @@ class TestPlainRowBoundary:
         batched, scalar, naive = (
             AttackTagger(engine=engine, **common) for engine in ("streaming", "streaming", "naive")
         )
-        plain = [f"host:plain-{index}" for index in range(4)]
+        plain = [f"host:plain-{index}" for index in range(_MIN_BATCH)]  # enough to stack
         entities = plain + ["host:seeds", "host:rescans", "host:opens"]
         # Per entity: the alerts before the probed round, then its alert in it.
         history = {entity: [filler] * 7 for entity in plain}
@@ -297,14 +297,14 @@ class TestPlainRowBoundary:
         predicted_plain = [
             entity
             for entity in entities
-            if decoders[entity].windowed and decoders[entity].plain_step(probe[entity])
+            if decoders[entity].windowed and decoders[entity].plain_run([probe[entity]]) == 1
         ]
         assert predicted_plain == plain
         assert decoders["host:rescans"]._cursors  # a live cursor, anchored on the head
         kernel = batched._batch_kernel
         before = (kernel.rows_stacked, kernel.rows_scalar)
         assert batched.observe_batch(final) == []
-        assert (kernel.rows_stacked - before[0], kernel.rows_scalar - before[1]) == (4, 3)
+        assert (kernel.rows_stacked - before[0], kernel.rows_scalar - before[1]) == (len(plain), 3)
         assert decoders["host:opens"].windowed and not decoders["host:rescans"]._cursors
         assert batched._arena.live == len(entities)
         # The round equals the per-alert loop and the spec.
