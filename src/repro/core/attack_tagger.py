@@ -154,14 +154,19 @@ class AttackTagger(Detector):
         executable spec: the seed behaviour of re-decoding the whole
         chain per alert.
         Both produce bit-identical detections; any other name raises
-        :class:`UnknownEngineError`.  Pattern weights are resolved when
-        an entity's decoder is created: decoders share one immutable
-        :class:`repro.core.streaming.PatternTable`, re-resolved for the
-        next new entity once ``parameters.pattern_weights`` (rebound or
-        mutated in place), ``default_pattern_weight`` or ``patterns``
-        differ from the values it was built from.  Live decoders keep
-        theirs, so change those only between ``run_sequence`` calls
-        (which reset the entity) under ``"streaming"``.
+        :class:`UnknownEngineError`.
+
+    The model is resolved once, here (and again only when a tagger is
+    unpickled or cloned): the weighted
+    :class:`repro.core.streaming.PatternTable` both engines decode with,
+    and the :class:`repro.core.sliding_window.WindowArena` for
+    ``max_window``, whose observation table resolves each alert name's
+    row once.  Treat ``parameters``, ``patterns``,
+    ``default_pattern_weight`` and ``max_window`` as frozen afterwards
+    and build a new tagger to change the model.  The weights are copied
+    into the table, so editing the caller's ``pattern_weights`` dict
+    later changes no decision of either engine.
+    ``detection_threshold`` is read per decision.
     """
 
     def __init__(
@@ -197,10 +202,28 @@ class AttackTagger(Detector):
         # pipeline's ``detect_kernel_seconds`` summary counter.
         self.kernel_seconds: float = 0.0
         self._batch_kernel = None
-        # (values resolved from, table): scratch, dropped on pickling.
-        self._pattern_table: Optional[tuple[tuple, PatternTable]] = None
-        # Storage of every windowed decoder: scratch, dropped on pickling.
-        self._arena: Optional[WindowArena] = None
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """Build the model every decoder shares (scratch, dropped on pickling).
+
+        ``_pattern_table``: the catalogue patterns with a positive
+        weight, in order -- from ``parameters.pattern_weights``, or
+        ``default_pattern_weight`` for all of them when there are none.
+        ``_arena``: the storage of every windowed decoder and the
+        observation row of every alert name seen.
+        """
+        weights = self.parameters.pattern_weights
+        resolved = (
+            (pattern, weights.get(pattern.name, 0.0) if weights else self.default_pattern_weight)
+            for pattern in self.patterns
+        )
+        self._pattern_table = PatternTable(
+            WeightedPattern(pattern.name, pattern.names, weight)
+            for pattern, weight in resolved
+            if weight > 0.0
+        )
+        self._arena = WindowArena(self.max_window + 1, self.parameters)
 
     # -- public state ------------------------------------------------------
     def track(self, entity: str) -> EntityTrack:
@@ -244,42 +267,9 @@ class AttackTagger(Detector):
             decoder.release()
 
     # -- core inference -----------------------------------------------------
-    def _pattern_weight(self, name: str) -> float:
-        if self.parameters.pattern_weights:
-            return self.parameters.pattern_weights.get(name, 0.0)
-        return self.default_pattern_weight
-
-    def _shared_table(self) -> PatternTable:
-        """Catalogue patterns with a positive resolved weight, in order.
-
-        One table serves every decoder until a value it was resolved
-        from changes (a dict and a list compare per new entity).
-        """
-        weights, default, catalogue = (
-            self.parameters.pattern_weights, self.default_pattern_weight, self.patterns
-        )
-        cached = self._pattern_table
-        if cached is not None and cached[0] == (weights, default, catalogue):
-            return cached[1]
-        table = PatternTable(
-            WeightedPattern(pattern.name, pattern.names, weight)
-            for pattern in self.patterns
-            if (weight := self._pattern_weight(pattern.name)) > 0.0
-        )
-        # Snapshot copies: the live dict/list may be mutated in place.
-        self._pattern_table = ((dict(weights), default, list(catalogue)), table)
-        return table
-
-    def _window_arena(self) -> WindowArena:
-        """The arena every windowed decoder of this tagger takes its row from."""
-        arena = self._arena
-        if arena is None or arena.ring != self.max_window + 1:
-            arena = self._arena = WindowArena(self.max_window + 1)
-        return arena
-
     def _make_decoder(self) -> StreamingDecoder:
-        """Fresh incremental decoder bound to the current parameters."""
-        return StreamingDecoder(self.parameters, self._shared_table(), self._window_arena())
+        """Fresh incremental decoder over the tagger's resolved model."""
+        return StreamingDecoder(self._pattern_table, self._arena)
 
     def _decoder_for(self, track: EntityTrack) -> StreamingDecoder:
         """The track's decoder, created (and synced to its alerts) on demand."""
@@ -301,14 +291,11 @@ class AttackTagger(Detector):
             return unary, []
         unary[0] += self.parameters.initial_log
         matched_names: list[str] = []
-        for pattern in self.patterns:
-            weight = self._pattern_weight(pattern.name)
-            if weight <= 0.0:
-                continue
+        for pattern in self._pattern_table.patterns:
             matched = matched_prefix_length(pattern.names, names)
             if matched == 0:
                 continue
-            bonus = self.parameters.pattern_bonus(matched, len(pattern.names), weight)
+            bonus = self.parameters.pattern_bonus(matched, len(pattern.names), pattern.weight)
             if bonus <= 0.0:
                 continue
             # The bonus lands on the step where the matched prefix ends.
@@ -488,8 +475,8 @@ class AttackTagger(Detector):
 
         Used by the sharded detector pool to stamp out one independent
         detector per shard: parameters and the pattern catalogue are
-        shared (they are read-only on the inference path), per-entity
-        state starts empty.
+        shared (they are read-only on the inference path), the clone
+        resolves its own model from them, per-entity state starts empty.
         """
         return AttackTagger(
             self.parameters,
@@ -519,15 +506,16 @@ class AttackTagger(Detector):
         # The kernel is pure scratch (stacked work buffers); recreated
         # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
-        # So are the pattern table and the window arena (every row of
-        # it belonged to a dropped decoder); dropping the keys keeps
-        # old bytes.
+        # So is the resolved model: the pattern table and the window
+        # arena (every row of it belonged to a dropped decoder) are
+        # rebuilt on unpickling; dropping the keys keeps old bytes.
         state.pop("_pattern_table", None)
         state.pop("_arena", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore shard state, refusing an engine this build cannot run.
+        """Restore shard state and resolve its model, refusing an engine
+        this build cannot run.
 
         Checkpoints and shard snapshots written before the ``rebuild``
         and ``batched`` engines were removed carry their names; running
@@ -538,8 +526,7 @@ class AttackTagger(Detector):
         # Interned keys, as default unpickling does: key identity feeds
         # pickle's memo, and re-pickled bytes must stay canonical.
         self.__dict__.update((sys.intern(key), value) for key, value in state.items())
-        self._pattern_table = None
-        self._arena = None
+        self._resolve()
 
     # -- live reshard migration --------------------------------------------
     # The optional Detector migration extension (see

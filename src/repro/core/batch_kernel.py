@@ -41,12 +41,14 @@ stacked ``(max, +)`` / ``(logsumexp, +)`` product pair over the rows
 active at that depth, so every aggregate is the per-alert loop's bit
 for bit.  Everything else happens once per pass:
 
-* the unary rows are one table lookup on the cells' symbol indices;
+* the unary rows are one lookup of the cells' symbol indices in the
+  arena's observation table (``WindowArena.observations``, which grows
+  by one row per newly interned name and is never rebuilt);
 * the ``may_fire`` pre-filter runs its two guard-banded stages over
   every ``(row, depth)`` cell: the ``(max, +)`` score for all of them,
   the ``(logsumexp, +)`` forward message only for the cells the score
   test lets through;
-* the writes: symbols, base and unary rows, aggregates, head priors,
+* the writes: symbols, unary rows, aggregates, head priors,
   ``start`` / ``end``;
 * the due flips, grouped by back length (``WindowArena.flip_together``).
 
@@ -86,7 +88,10 @@ replays the full engine × shards × backend × driver matrix against
 ``naive`` to prove it.
 
 The kernel object itself is pure scratch: it holds no decode state, is
-dropped on pickling (as is the arena), and is recreated lazily.
+dropped on pickling, and is recreated lazily.  What it decodes with is
+the tagger's, resolved once when the tagger is built or unpickled: the
+arena (its ring, symbols and observation rows, under the tagger's
+parameters) and the pattern table.  Nothing here re-checks either.
 """
 
 from __future__ import annotations
@@ -99,7 +104,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from .factor_graph import _logsumexp, logsumexp_vecmat_batch, maxplus_vecmat_batch
-from .factors import FactorParameters
 from .sliding_window import WindowArena
 from .states import NUM_STATES
 from .streaming import _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS, StreamingDecoder
@@ -165,14 +169,6 @@ class Chunks:
                 setattr(self, name, [column[k] for k in order])
             depths = [depths[k] for k in order]
         return depths
-
-
-class _Table(NamedTuple):
-    """Observation rows by symbol index, for one arena's symbols under one parameter set."""
-
-    arena: WindowArena
-    parameters: FactorParameters
-    rows: np.ndarray
 
 
 def _stack(arrays: List[np.ndarray]) -> np.ndarray:
@@ -245,11 +241,10 @@ def _candidates(
 class BatchedDecodeKernel:
     """Stacked sub-batch executor bound to one :class:`AttackTagger`."""
 
-    __slots__ = ("_tagger", "_table", "rows_stacked", "rows_scalar")
+    __slots__ = ("_tagger", "rows_stacked", "rows_scalar")
 
     def __init__(self, tagger: "AttackTagger") -> None:
         self._tagger = tagger
-        self._table: Optional[_Table] = None
         # Windowed steps advanced as arena arithmetic / by the per-entity path.
         self.rows_stacked = 0
         self.rows_scalar = 0
@@ -296,8 +291,7 @@ class BatchedDecodeKernel:
         """
         tagger = self._tagger
         max_window = tagger.max_window
-        parameters = tagger.parameters
-        arena = tagger._window_arena()
+        arena = tagger._arena
         fill: List[Entry] = []
         chunks = Chunks()
         cells = 0  # chunk steps
@@ -322,12 +316,7 @@ class BatchedDecodeKernel:
                     fill.append(Entry(position, alert, track, decoder))
                     taken += 1
                     break
-                if (
-                    sliding
-                    and window is not None
-                    and window.arena is arena
-                    and decoder.parameters is parameters
-                ):
+                if sliding and window is not None:
                     ahead = positions[taken : taken + max_window]
                     if len(ahead) == 1:
                         names = [alert.name]
@@ -363,7 +352,7 @@ class BatchedDecodeKernel:
             self._advance_each(alerts, fill, chunks, hits)
         else:
             if fill:
-                hits.extend(self._advance_fill(fill, parameters.transition_log))
+                hits.extend(self._advance_fill(fill, arena.parameters.transition_log))
             if cells:
                 hits.extend(self._advance_chunks(arena, chunks, alerts))
         return rest
@@ -384,23 +373,6 @@ class BatchedDecodeKernel:
                 if track.detected is None:
                     if (detection := advance(track, alert, decoder, True)) is not None:
                         hits.append((position, detection))
-
-    def _observation_rows(self, arena: WindowArena, parameters: FactorParameters) -> np.ndarray:
-        """Observation row of every symbol ``arena`` has interned so far.
-
-        Keyed on the arena as well as the parameters: an arena rebuilt
-        for a new ``max_window`` numbers its symbols afresh.
-        """
-        table = self._table
-        if (
-            table is None
-            or table.arena is not arena
-            or table.parameters is not parameters
-            or len(table.rows) < len(arena.symbol_names)
-        ):
-            rows = np.array([parameters.observation_row(name) for name in arena.symbol_names])
-            table = self._table = _Table(arena, parameters, rows)
-        return table.rows
 
     # -- filling phase: stacked forward/Viterbi extension --------------------
     def _advance_fill(self, entries: List[Entry], pairwise: np.ndarray) -> List[Hit]:
@@ -504,7 +476,6 @@ class BatchedDecodeKernel:
         exactly, until it fires or runs out of depths.
         """
         tagger = self._tagger
-        parameters = tagger.parameters
         threshold = tagger.detection_threshold
         # Deepest first: the rows active at a depth are a prefix.
         depths = chunks.deepest_first()
@@ -516,9 +487,8 @@ class BatchedDecodeKernel:
             [intern(names[q]) for q, count in enumerate(active) for names in chunks.names[:count]]
         )
         rows = np.array(chunks.rows)
-        table = self._observation_rows(arena, parameters)
         depth = np.array(depths)
-        scratch = _ChunkPass(arena, rows, depth, active, symbols, table[symbols], parameters)
+        scratch = _ChunkPass(arena, rows, depth, active, symbols)
         # Each chunk's candidate depths, ascending (cells are depth-major).
         waiting: Dict[int, List[int]] = {}
         for cell in scratch.candidates(threshold).tolist():
@@ -601,11 +571,11 @@ class _ChunkPass:
         depth: np.ndarray,
         active: List[int],
         symbols: np.ndarray,
-        unary: np.ndarray,
-        parameters: FactorParameters,
     ) -> None:
         self.arena, self.rows, self.depth = arena, rows, depth
-        self.symbols, self.unary = symbols, unary
+        self.symbols = symbols
+        self.unary = unary = arena.observations[symbols]
+        parameters = arena.parameters
         self.pairwise = parameters.transition_log
         self.start, self.boundary, self.end = arena.start[rows], arena.boundary[rows], arena.end[rows]
         # A chunk whose last step exhausts the front flips there.
@@ -625,7 +595,7 @@ class _ChunkPass:
         self.cells = arena.cells(row_c, end_c + level)
         self.head = head = start_c + level + 1
         self.head_cells = arena.cells(row_c, head)
-        heads = arena.base[self.head_cells]
+        heads = arena.observations[arena.symbols[self.head_cells]]
         if len(active) > 1:
             # At a flip, the new head can be a step of this very chunk
             # (never at depth 0: a window holds two steps at least).
@@ -726,7 +696,7 @@ class _ChunkPass:
             kept = selected[level[selected] >= stop[col[selected]] - 2]
         cells = self.cells[selected]
         arena.symbols[cells] = self.symbols[selected]
-        arena.base[cells] = arena.unary[cells] = self.unary[selected]
+        arena.unary[cells] = self.unary[selected]
         arena.agg_max[:, :, cells] = self.prefix[0][:, :, selected]
         arena.agg_lse[:, :, cells] = self.prefix[1][:, :, selected]
         arena.end[rows[moved]] = (self.end + stop)[moved]

@@ -27,9 +27,12 @@ ring`` (``ring = max_window + 1``: the append lands before the
 eviction), so sliding never moves or re-indexes anything.  Cell ``row *
 ring + slot`` of the flat blocks holds
 
-* ``base`` / ``unary`` ``(cells, K)`` -- the observation row and the
-  effective unary row (base + prior on the head + pattern bonuses),
-* ``symbols`` ``(cells,)`` -- the alert's interned symbol index,
+* ``unary`` ``(cells, K)`` -- the effective unary row (the observation
+  row + prior on the head + pattern bonuses),
+* ``symbols`` ``(cells,)`` -- the alert's interned symbol index, whose
+  observation row is ``observations[symbol]``: the arena interns every
+  alert name its tagger sees, filling phase included, and resolves the
+  name's row under the tagger's parameters once, when it is interned,
 * ``agg_max`` / ``agg_lse`` ``(K, K, cells)`` -- one aggregate per
   semiring: for a step in ``(start, boundary)`` the front suffix
   ``M_j ⊗ ... ⊗ M_(boundary-1)``, for a step in ``[boundary, end)`` the
@@ -63,7 +66,7 @@ the row's ``unary`` ring (``StreamingDecoder._window_decode``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +80,9 @@ from .factor_graph import (
 )
 from .states import NUM_STATES
 
+if TYPE_CHECKING:
+    from .factors import FactorParameters
+
 _K = NUM_STATES
 
 # Refolds shorter than this use the sequential fold: the doubling scan's
@@ -87,23 +93,29 @@ _MIN_SCAN = 8
 # factor it grows by when the free list runs dry.
 _INITIAL_ROWS = 8
 _GROWTH = 2
+# Observation rows a fresh arena has room for before it grows the table.
+_INITIAL_SYMBOLS = 64
 
 
 class WindowArena:
-    """Struct-of-arrays storage of two-stack sliding windows, one per row."""
+    """Struct-of-arrays storage of two-stack sliding windows, one per row,
+    and the observation row of every alert name interned so far."""
 
     __slots__ = (
-        "ring", "capacity", "_free", "symbol_ids", "symbol_names",
-        "base", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
+        "ring", "parameters", "capacity", "_free", "symbol_ids", "symbol_names", "observations",
+        "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
     )  # fmt: skip
 
-    def __init__(self, ring: int) -> None:
+    def __init__(self, ring: int, parameters: "FactorParameters") -> None:
         self.ring = ring
+        self.parameters = parameters
         self.capacity = 0
         self._free: List[int] = []
-        # Alert names interned in order of first sight.
+        # Alert names interned in order of first sight, and their
+        # observation rows (``observations[:len(symbol_names)]``).
         self.symbol_ids: Dict[str, int] = {}
         self.symbol_names: List[str] = []
+        self.observations = np.zeros((_INITIAL_SYMBOLS, _K))
         self._resize(0)
 
     @property
@@ -114,7 +126,6 @@ class WindowArena:
     def _resize(self, capacity: int) -> None:
         cells = capacity * self.ring
         for name, shape, dtype in (
-            ("base", (cells, _K), np.float64),
             ("unary", (cells, _K), np.float64),
             ("symbols", (cells,), np.int64),
             ("agg_max", (_K, _K, cells), np.float64),
@@ -143,11 +154,17 @@ class WindowArena:
         self._free.append(row)
 
     def intern(self, name: str) -> int:
-        """Symbol index of an alert name."""
+        """Symbol index of an alert name; a new name's observation row is
+        resolved here, once, and appended to :attr:`observations`."""
         symbol = self.symbol_ids.get(name)
         if symbol is None:
             symbol = self.symbol_ids[name] = len(self.symbol_names)
             self.symbol_names.append(name)
+            if symbol == len(self.observations):
+                self.observations = np.concatenate(
+                    (self.observations, np.zeros_like(self.observations))
+                )
+            self.observations[symbol] = self.parameters.observation_row(name)
         return symbol
 
     # -- operations on row-index arrays -----------------------------------------
@@ -276,32 +293,26 @@ class SlidingProductWindow:
         return self.arena.cells(self.row, np.arange(first, last))
 
     # -- mutation ------------------------------------------------------------
-    def load(
-        self, start: int, base: np.ndarray, unary: np.ndarray, names: Sequence[str]
-    ) -> None:
-        """Become the window of steps ``start .. start + len(names) - 1``.
+    def load(self, start: int, unary: np.ndarray, symbols: Sequence[int]) -> None:
+        """Become the window of steps ``start .. start + len(symbols) - 1``.
 
         Everything lands in the front; :meth:`rebuild` aggregates it.
         """
-        arena, end = self.arena, start + len(names)
-        if len(names) > arena.ring:
+        arena, end = self.arena, start + len(symbols)
+        if len(symbols) > arena.ring:
             raise IndexError("window ring is full")
         cells = self.cells(start, end)
-        arena.base[cells] = base
         arena.unary[cells] = unary
-        arena.symbols[cells] = [arena.intern(name) for name in names]
+        arena.symbols[cells] = symbols
         arena.start[self.row] = start
         arena.boundary[self.row] = arena.end[self.row] = end
 
-    def stage(self, base_row: np.ndarray, name: str) -> int:
-        """Store the observation row and symbol of the step the next push folds."""
-        arena = self.arena
+    def stage(self, symbol: int) -> int:
+        """Store the symbol of the step the next push folds; returns its index."""
         start, _, end = self.span
         if end - start >= self._ring:
             raise IndexError("window ring is full")
-        cell = self._low + end % self._ring
-        arena.base[cell] = base_row
-        arena.symbols[cell] = arena.intern(name)
+        self.arena.symbols[self._low + end % self._ring] = symbol
         return end
 
     def push(self, unary_row: np.ndarray) -> None:

@@ -32,16 +32,17 @@ O(K^3) (two small matrix products), evicting the front costs O(K^3)
 *amortised*, and the firing decision reads the window's Viterbi score
 vector and forward message in O(K^2).
 
-**Where the window lives.**  The filling phase keeps per-decoder
-buffers (base and unary rows, forward recursions, names), steps ``0 ..
-length - 1``.  The first eviction moves the window into one *row* of a
-:class:`repro.core.sliding_window.WindowArena` -- the owning tagger's,
-shared by all its decoders -- and frees the buffers.  From then on the
-decoder holds only a :class:`SlidingProductWindow` view of that row
-plus its sparse pattern state: the base/unary rows and alert symbols
-sit in the row's ring slots (``step mod ring``), ``start``/``end`` in
-the arena's integer arrays, and step indices are absolute and never
-rebased.  The scalar
+**Where the window lives.**  Every decoder of a tagger works in the
+tagger's :class:`repro.core.sliding_window.WindowArena`, which interns
+each alert name once and holds its observation row, so no step copies
+one.  The filling phase keeps per-decoder buffers (unary rows, forward
+recursions, symbols), steps ``0 .. length - 1``.  The first eviction
+moves the window into one *row* of the arena and frees the buffers.
+From then on the decoder holds only a :class:`SlidingProductWindow`
+view of that row plus its sparse pattern state: the unary rows and
+alert symbols sit in the row's ring slots (``step mod ring``),
+``start``/``end`` in the arena's integer arrays, and step indices are
+absolute and never rebased.  The scalar
 methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
 read and write the same row, so a row's state does not depend on which
 of them advanced it.  The kernel advances a row without touching its
@@ -106,7 +107,7 @@ suites in ``tests/test_streaming.py`` and
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -118,7 +119,6 @@ from .factor_graph import (
     logsumexp_vecmat,
     maxplus_vecmat,
 )
-from .factors import FactorParameters
 from .sliding_window import SlidingProductWindow, WindowArena
 from .states import HiddenState, NUM_STATES
 
@@ -194,18 +194,16 @@ class StreamingDecoder:
 
     Parameters
     ----------
-    parameters:
-        The factor parameters (observation/transition/initial tables and
-        the pattern-bonus schedule).
-    patterns:
+    table:
         Active patterns with their resolved positive weights, in
         catalogue order (the order bonuses are summed in, to keep
-        floating-point results identical to the naive re-decode), as a
-        :class:`PatternTable` or a sequence to build a private one from.
+        floating-point results identical to the naive re-decode).
     arena:
         The owning tagger's :class:`~repro.core.sliding_window.WindowArena`
-        (ring ``max_window + 1``); the decoder takes a row of it on its
-        first eviction.
+        (ring ``max_window + 1``).  Its parameters are the decoder's
+        (observation rows, transition/initial tables, the pattern-bonus
+        schedule); the decoder interns every alert name there and takes
+        a row of it on its first eviction.
 
     Opening a decoder is O(1) in the catalogue size.  The table's
     ``patterns`` and seed index are aliased, not copied: every decoder
@@ -213,19 +211,11 @@ class StreamingDecoder:
     waiting bucket in place.  ``_cursors`` holds a cursor only while
     its pattern has a non-empty match, and ``_waiting`` starts as a
     shallow copy of the seed index whose tuple buckets are replaced,
-    never edited.  The tagger re-resolves the table for the next new
-    entity once the pattern weights, the default weight or the
-    catalogue change value; a live decoder keeps the one it opened with.
+    never edited.
     """
 
-    def __init__(
-        self,
-        parameters: FactorParameters,
-        patterns: Union[PatternTable, Sequence[WeightedPattern]],
-        arena: WindowArena,
-    ) -> None:
-        table = patterns if isinstance(patterns, PatternTable) else PatternTable(patterns)
-        self.parameters = parameters
+    def __init__(self, table: PatternTable, arena: WindowArena) -> None:
+        self.parameters = parameters = arena.parameters
         self.patterns = table.patterns
         self._seed = table.seed
         self._pairwise = parameters.transition_log
@@ -251,20 +241,18 @@ class StreamingDecoder:
         """Fresh filling-phase buffers: steps ``0 .. _length - 1``, head at 0."""
         capacity = _INITIAL_CAPACITY
         self._length = 0
-        self._base = np.zeros((capacity, NUM_STATES))
         self._unary = np.zeros((capacity, NUM_STATES))
         self._score = np.zeros((capacity, NUM_STATES))
         self._alpha = np.zeros((capacity, NUM_STATES))
         self._backpointers = np.zeros((capacity, NUM_STATES), dtype=np.int64)
-        self._names: List[str] = []
+        self._symbols: List[int] = []
 
     def _open_window(self) -> None:
         """Filling → windowed: move the rows into an arena row, free the buffers."""
-        n = self._length
         self._window = SlidingProductWindow(self._pairwise, self._arena)
-        self._window.load(0, self._base[:n], self._unary[:n], self._names)
-        self._base = self._unary = self._score = self._alpha = None
-        self._backpointers = self._names = None
+        self._window.load(0, self._unary[: self._length], self._symbols)
+        self._unary = self._score = self._alpha = None
+        self._backpointers = self._symbols = None
 
     def _rebuild_waiting(self) -> None:
         """Recompute the waiting lists from the cursors (after rescans):
@@ -281,12 +269,12 @@ class StreamingDecoder:
         self._waiting = waiting
 
     def _grow(self, needed: int) -> None:
-        capacity = self._base.shape[0]
+        capacity = self._unary.shape[0]
         if needed <= capacity:
             return
         while capacity < needed:
             capacity *= 2
-        for attr in ("_base", "_unary", "_score", "_alpha", "_backpointers"):
+        for attr in ("_unary", "_score", "_alpha", "_backpointers"):
             old = getattr(self, attr)
             fresh = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
             fresh[: old.shape[0]] = old
@@ -301,7 +289,9 @@ class StreamingDecoder:
     @property
     def names(self) -> tuple[str, ...]:
         """Alert names currently folded into the chain."""
-        return tuple(self._names if self._window is None else self._window.names())
+        if self._window is not None:
+            return tuple(self._window.names())
+        return tuple(map(self._arena.symbol_names.__getitem__, self._symbols))
 
     @property
     def windowed(self) -> bool:
@@ -333,24 +323,24 @@ class StreamingDecoder:
     def append_plan(self, name: str) -> Tuple[int, Set[int], int]:
         """Bookkeeping half of :meth:`append`: everything except the numerics.
 
-        Stores the base observation row and the symbol, and advances
-        pattern cursors (relocating bonuses) — but leaves the dirty
-        unary rows and the forward/window aggregates stale.  Returns
-        ``(step, dirty, invalid_from)`` for :meth:`_complete_append`,
-        which the stacked decode kernel replaces with cross-entity
-        numerics while the window fills; ``append`` is exactly
-        ``append_plan`` + ``_complete_append``.
+        Stores the symbol and advances pattern cursors (relocating
+        bonuses) — but leaves the dirty unary rows and the
+        forward/window aggregates stale.  Returns ``(step, dirty,
+        invalid_from)`` for :meth:`_complete_append`, which the stacked
+        decode kernel replaces with cross-entity numerics while the
+        window fills; ``append`` is exactly ``append_plan`` +
+        ``_complete_append``.
         """
         parameters = self.parameters
+        symbol = self._arena.intern(name)
         window = self._window
         if window is None:
             t = self._length
             self._grow(t + 1)
-            self._base[t] = parameters.observation_row(name)
-            self._names.append(name)
+            self._symbols.append(symbol)
             self._length = t + 1
         else:
-            t = window.stage(parameters.observation_row(name), name)
+            t = window.stage(symbol)
         invalid_from = t
         dirty = {t}
         advancing = self._waiting.pop(name, None)
@@ -411,8 +401,8 @@ class StreamingDecoder:
             self._open_window()
         head = self._window.pop_front()
         dirty = self._evict_cursor_state(head - 1)
-        # The new head row gains the initial-state prior (a pure
-        # function of the base/bonus state, so safe after the rescan).
+        # The new head row gains the initial-state prior (a pure function
+        # of the observation and bonus state, so safe after the rescan).
         dirty.add(head)
         self._sync_window(dirty)
         if opening:
@@ -505,12 +495,10 @@ class StreamingDecoder:
                 self._bonus_at[step] = dict(sorted(bucket.items()))
 
     def _effective_row(self, step: int, head: int = 0) -> np.ndarray:
-        """One effective unary row: base (+ prior on the ``head`` step) + ordered bonuses."""
-        window = self._window
-        if window is None:
-            row = self._base[step].copy()
-        else:
-            row = window.arena.base[window.cell(step)].copy()
+        """One effective unary row: observation (+ prior on the ``head`` step) + ordered bonuses."""
+        window, arena = self._window, self._arena
+        symbol = self._symbols[step] if window is None else arena.symbols[window.cell(step)]
+        row = arena.observations[symbol].copy()
         if step == head:
             row += self.parameters.initial_log
         bonuses = self._bonus_at.get(step)

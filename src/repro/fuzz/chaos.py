@@ -27,7 +27,7 @@ Pipeline rows (:meth:`ChaosComposer.compose`):
 ``heal``
     ``restart_policy="restore"``: the same SIGKILL is absorbed -- no
     error, bit-identical output, the recovery in the pool's
-    :class:`~repro.testbed.sharding.RecoveryLog`.
+    ``recovery_log``.
 ``poison``
     A detector raising mid-batch is not a death: both backends surface
     the same typed error with the worker-side traceback preserved, and
@@ -659,9 +659,9 @@ def _bit_identical(leg: _Leg) -> Iterator[str]:
 
 def _healed(leg: _Leg) -> Iterator[str]:
     log = leg.sink.detector_pools["factor_graph"].recovery_log
-    if not any(event.healed for event in log.for_shard(leg.plan.shard)):
+    if not any(event.healed and event.shard == leg.plan.shard for event in log):
         yield (
-            f"no healed recovery for shard {leg.plan.shard} in RecoveryLog "
+            f"no healed recovery for shard {leg.plan.shard} in the recovery log "
             f"({len(log)} event(s) total)"
         )
 

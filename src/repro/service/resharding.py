@@ -68,7 +68,7 @@ class ReshardCoordinator:
         seconds = time.perf_counter() - started
         events = []
         for name, pool in self.pipeline.detector_pools.items():
-            for event in list(pool.reshard_log)[marks[name] :]:
+            for event in pool.reshard_log[marks[name] :]:
                 record = dataclasses.asdict(event)
                 record["pool"] = name
                 record["rebuilt_shards"] = list(record["rebuilt_shards"])

@@ -86,6 +86,9 @@ from .protocol import (
 )
 from .resharding import ReshardCoordinator
 
+#: Samples each latency percentile window keeps (end-to-end and per stage).
+LATENCY_WINDOW = 2048
+
 
 @dataclasses.dataclass
 class ServiceConfig:
@@ -103,8 +106,6 @@ class ServiceConfig:
     keep_last: int = 3
     #: Dead-letter journal file; ``None`` keeps the journal in memory.
     dead_letter_path: Optional[Path] = None
-    #: Ring-buffer size for the latency percentile windows.
-    latency_window: int = 2048
 
 
 @dataclasses.dataclass
@@ -170,8 +171,7 @@ class DetectionService:
         self._queue: "asyncio.Queue[_WorkItem]" = asyncio.Queue()
         self._inflight: Optional[_WorkItem] = None
         # Telemetry.
-        window = self.config.latency_window
-        self._e2e_latency: Deque[float] = deque(maxlen=window)
+        self._e2e_latency: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._stage_latency: Dict[str, Deque[float]] = {}
         self.batches_processed = 0
         self.alerts_processed = 0
@@ -447,9 +447,7 @@ class DetectionService:
         for stage, total in self.pipeline.stats.stage_seconds.items():
             delta = total - item.stage_before.get(stage, 0.0)
             if delta > 0.0:
-                self._stage_latency.setdefault(
-                    stage, deque(maxlen=self.config.latency_window)
-                ).append(delta)
+                self._stage_latency.setdefault(stage, deque(maxlen=LATENCY_WINDOW)).append(delta)
         self.batches_processed += 1
         self.alerts_processed += len(item.alerts)
         self.records_processed += len(item.records)

@@ -52,9 +52,7 @@ from .sharding import (
     PoolCloseResult,
     RESTART_POLICIES,
     RecoveryEvent,
-    RecoveryLog,
     ReshardEvent,
-    ReshardLog,
     ShardRecoveryError,
     ShardedDetectorPool,
     ShardWorkerError,
@@ -142,9 +140,7 @@ __all__ = [
     "DetectorTemplate",
     "PoolCloseResult",
     "RecoveryEvent",
-    "RecoveryLog",
     "ReshardEvent",
-    "ReshardLog",
     "ShardedDetectorPool",
     "ShardRecoveryError",
     "ShardWorkerError",

@@ -638,8 +638,9 @@ class TestbedPipeline:
             ),
             "recoveries_healed": float(
                 sum(
-                    len(pool.recovery_log.healed)
+                    event.healed
                     for pool in self.detector_pools.values()
+                    for event in pool.recovery_log
                 )
             ),
             "reshard_events": float(

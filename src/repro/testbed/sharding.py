@@ -165,7 +165,7 @@ class ShardRecoveryError(ShardWorkerError):
     budget is exhausted; subclasses :class:`ShardWorkerError` so
     existing handlers keep working.  ``attempts`` is the number of
     respawns that were tried (every one of them is also recorded in the
-    pool's :class:`RecoveryLog`).
+    pool's ``recovery_log``).
     """
 
     def __init__(self, shard: int, worker_traceback: str, attempts: int) -> None:
@@ -206,22 +206,6 @@ class ReshardEvent:
     reshard_seconds: float
 
 
-class ReshardLog:
-    """Append-only record of every live reshard (an operations log)."""
-
-    def __init__(self) -> None:
-        self.events: List[ReshardEvent] = []
-
-    def record(self, event: ReshardEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-
 @dataclasses.dataclass(frozen=True)
 class RecoveryEvent:
     """One supervised restart of a dead shard worker."""
@@ -236,31 +220,6 @@ class RecoveryEvent:
     death_detail: str
     healed: bool
     recovery_seconds: float
-
-
-class RecoveryLog:
-    """Append-only record of every supervised worker recovery."""
-
-    def __init__(self) -> None:
-        self.events: List[RecoveryEvent] = []
-
-    def record(self, event: RecoveryEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def for_shard(self, shard: int) -> List[RecoveryEvent]:
-        """Recovery events for one shard, oldest first."""
-        return [event for event in self.events if event.shard == shard]
-
-    @property
-    def healed(self) -> List[RecoveryEvent]:
-        """Restarts that brought the shard back."""
-        return [event for event in self.events if event.healed]
 
 
 def shard_of(entity: str, n_shards: int) -> int:
@@ -490,7 +449,7 @@ class _Recovery:
     max_restarts: int
     backoff_base: float
     restarts_used: List[int]
-    log: RecoveryLog
+    log: List[RecoveryEvent]
 
 
 #: A supervised carrier folds its replay log into a fresh snapshot once
@@ -738,7 +697,7 @@ class _ProcessShard:
                 pass
             else:
                 reply = self._replay(owed)
-            recovery.log.record(
+            recovery.log.append(
                 RecoveryEvent(
                     shard=self.index,
                     attempt=used[self.index],
@@ -969,9 +928,10 @@ class ShardedDetectorPool:
         self.max_restarts = int(max_restarts)
         self.backoff_base = float(backoff_base)
         self.ring_capacity = int(ring_capacity)
-        #: Every supervised worker recovery ever performed (survives
-        #: reset/reopen: it is an operations log, not pool state).
-        self.recovery_log = RecoveryLog()
+        #: Every supervised worker recovery ever performed, oldest
+        #: first (survives reset/reopen: an operations log, not pool
+        #: state).
+        self.recovery_log: List[RecoveryEvent] = []
         #: Restarts each shard has consumed; pool-owned (like
         #: ``_wire_counts``) so the budget outlives the carriers.
         self._restarts_used: List[int] = [0] * self.n_shards
@@ -985,7 +945,7 @@ class ShardedDetectorPool:
                 self.recovery_log,
             )
         #: Every live N→M reshard ever performed (same ops-log status).
-        self.reshard_log = ReshardLog()
+        self.reshard_log: List[ReshardEvent] = []
         self.detector_factory = detector_factory
         self._detections: List[Detection] = []
         # entity -> shard memo; `shard_of()` stays the documented source
@@ -1407,7 +1367,7 @@ class ShardedDetectorPool:
         rebuilt = sorted(
             {
                 event.shard
-                for event in self.recovery_log.events[recoveries_before:]
+                for event in self.recovery_log[recoveries_before:]
                 if event.healed
             }
         )
@@ -1486,7 +1446,7 @@ class ShardedDetectorPool:
             rebuilt_shards=tuple(rebuilt),
             reshard_seconds=time.perf_counter() - started,
         )
-        self.reshard_log.record(event)
+        self.reshard_log.append(event)
         return event
 
     # -- checkpointing -----------------------------------------------------
@@ -1620,9 +1580,7 @@ __all__ = [
     "DetectorTemplate",
     "PoolCloseResult",
     "RecoveryEvent",
-    "RecoveryLog",
     "ReshardEvent",
-    "ReshardLog",
     "RESTART_POLICIES",
     "ShardedDetectorPool",
     "ShardRecoveryError",

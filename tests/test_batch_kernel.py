@@ -38,6 +38,7 @@ from repro.core import AttackTagger, batch_kernel
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
+from repro.core.factors import FactorParameters
 from repro.core.sliding_window import _MIN_SCAN, WindowArena
 from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
@@ -124,7 +125,7 @@ def _assert_same_logical_state(reference, batched, entities):
         assert np.array_equal(decoder_r.unary_table(), decoder_b.unary_table())
         assert decoder_r._bonus_at == decoder_b._bonus_at
         if decoder_r.windowed:
-            # Same absolute steps, base rows and aggregates, whoever
+            # Same absolute steps, observation rows and aggregates, whoever
             # advanced the row and wherever in its arena it lives.
             assert_same_window(decoder_r._window, decoder_b._window)
 
@@ -688,46 +689,47 @@ class TestDeepRuns:
         assert seen["mid_chunk"] > len(hits)  # chunks stopped at cells that did not fire
 
 
-class TestObservationTable:
-    def test_a_rebuilt_arena_gets_its_own_observation_rows(self):
-        """Changing ``max_window`` on a live tagger rebuilds its arena, and
-        the new arena numbers the alert names afresh (here in the reverse
-        of the old arena's order): its plain rows must be written with
-        their own names' observation rows, exactly as per-alert
-        ``observe`` writes them."""
-        names = [
-            "alert_login_normal",
-            "alert_address_sweep",
-            "alert_malicious_binary_installed",
-            "alert_irc_connection",
+class TestObservationRowsResolveOncePerName:
+    def test_stacked_passes_resolve_each_new_name_once(self):
+        """The socket admits any alert name, so a stream may keep
+        introducing names.  Each one's observation row is resolved once,
+        when the arena interns it, however many symbols the arena holds
+        already: N passes with one fresh name each cost N rows, not the
+        whole table again per pass."""
+        max_window, passes = 4, 40
+        entities = [f"host:{index}" for index in range(2 * _MIN_BATCH)]
+        batched, scalar = (AttackTagger(max_window=max_window, detection_threshold=0.999) for _ in range(2))
+        clock = iter(range(100_000))
+        warm_up = [
+            Alert(float(next(clock)), BENIGN_NAMES[step % 3], entity)
+            for step in range(max_window + 1)
+            for entity in entities
         ]
-        batched, scalar = (AttackTagger(max_window=4, detection_threshold=0.999) for _ in range(2))
-        clock = iter(range(10_000))
+        fresh = [f"alert_unseen_{index}" for index in range(passes)]
+        batches = [
+            [
+                Alert(float(next(clock)), fresh[index] if k == 0 else BENIGN_NAMES[0], entity)
+                for k, entity in enumerate(entities)
+            ]
+            for index in range(passes)
+        ]
+        assert batched.observe_batch(warm_up) == []
+        kernel = batched._batch_kernel
+        resolved = []
+        observation_row = FactorParameters.observation_row
 
-        def feed(names_of, entities, batches):
-            for b in range(batches):
-                batch = [
-                    Alert(float(next(clock)), names_of(b, i), entity)
-                    for i, entity in enumerate(entities)
-                ]
+        def counted(parameters, name):
+            resolved.append(name)
+            return observation_row(parameters, name)
+
+        with mock.patch.object(FactorParameters, "observation_row", counted):
+            for batch in batches:
                 assert batched.observe_batch(batch) == []
-                assert [scalar.observe(alert) for alert in batch] == [None] * len(batch)
-
-        feed(lambda b, i: names[(b + i) % 4], [f"user:o{i}" for i in range(8)], 12)
-        for tagger in (batched, scalar):
-            tagger.max_window = 6
-        fresh = [f"user:x{i}" for i in range(8)]
-        feed(lambda b, i: names[::-1][b % 4], fresh, 30)
-        arena = batched._arena
-        assert arena.symbol_names == names[::-1]  # numbered afresh
-        for entity in fresh:
-            window = batched.track(entity).decoder._window
-            start, _, end = window.span
-            rows = arena.base[window.cells(start, end)]
-            for name, row in zip(window.names(), rows):
-                assert np.array_equal(row, batched.parameters.observation_row(name))
-        assert batched.posterior("user:x0") == scalar.posterior("user:x0")
-        _assert_same_logical_state(scalar, batched, fresh)
+        assert kernel.rows_stacked == passes * len(entities)  # every step a stacked cell
+        assert resolved == fresh
+        for alert in warm_up + [alert for batch in batches for alert in batch]:
+            assert scalar.observe(alert) is None
+        _assert_same_logical_state(scalar, batched, entities)
 
 
 class TestBatchedThroughSharding:

@@ -250,7 +250,7 @@ class TestSupervisedHealing:
                     worker.process.kill()
                     worker.process.join(5.0)
             assert healed == expected
-            recoveries = supervised.recovery_log.for_shard(1)
+            recoveries = [e for e in supervised.recovery_log if e.shard == 1]
             assert recoveries, "the SIGKILL restart must be audited"
             assert recoveries[-1].healed
             assert recoveries[-1].attempt >= 1
@@ -277,7 +277,7 @@ class TestSupervisedHealing:
             assert error.shard == 0
             assert error.attempts == 2
             assert "died without replying" in error.worker_traceback
-            attempts = pool.recovery_log.for_shard(0)
+            attempts = [e for e in pool.recovery_log if e.shard == 0]
             assert len(attempts) == 2
             assert not any(event.healed for event in attempts)
         finally:

@@ -228,8 +228,8 @@ class TestReshardUnderKill:
             victim.process.join(timeout=5.0)
             event = pool.reshard(2)
             assert 1 in event.rebuilt_shards
-            healed = [e for e in pool.recovery_log.for_shard(1) if e.healed]
-            assert healed, "harvest heal must be audited in the RecoveryLog"
+            healed = [e for e in pool.recovery_log if e.shard == 1 and e.healed]
+            assert healed, "harvest heal must be audited in the recovery log"
             for batch in batches[cut:]:
                 pool.observe_batch(batch)
             assert _detection_key(pool.detections) == _detection_key(

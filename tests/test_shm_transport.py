@@ -405,7 +405,7 @@ class TestLifecycleLeakHunting:
         pool._workers[0].process.kill()
         pool._workers[0].process.join(timeout=5.0)
         pool.observe_batch(_benign(8))  # heals through the dead shard
-        assert [e for e in pool.recovery_log.for_shard(0) if e.healed]
+        assert [e for e in pool.recovery_log if e.shard == 0 and e.healed]
         assert self._ring_names(pool) == names  # heal re-attaches, no churn
         pool.close()
         assert not names & _ring_segments_on_disk()

@@ -35,6 +35,7 @@ from repro.core.states import NUM_STATES, HiddenState
 from repro.core.streaming import (
     _DECISION_GUARD,
     _GUARD_SLACK,
+    PatternTable,
     StreamingDecoder,
     WeightedPattern,
 )
@@ -70,15 +71,20 @@ def _assert_identical_detection(ds, dn):
     assert ds.state_trajectory == dn.state_trajectory
 
 
+def _arena(ring):
+    """An arena under the default parameters (only its interned rows read them)."""
+    return WindowArena(ring, default_parameters())
+
+
 def _window(pairwise, arena):
     """A view holding just a (zero) head at step 0; pushes are steps 1, 2, ..."""
     window = SlidingProductWindow(pairwise, arena)
-    window.load(0, np.zeros((1, NUM_STATES)), np.zeros((1, NUM_STATES)), ["head"])
+    window.load(0, np.zeros((1, NUM_STATES)), [arena.intern("head")])
     return window
 
 
 def _push(window, row):
-    window.stage(row, "step")
+    window.stage(window.arena.intern("step"))
     window.push(row)
 
 
@@ -105,7 +111,7 @@ class TestSlidingProductWindow:
     def test_random_push_pop_matches_direct_fold(self, seed):
         rng = np.random.default_rng(seed)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = _window(pairwise, WindowArena(self.RING))
+        window = _window(pairwise, _arena(self.RING))
         live: deque = deque()
         next_index = 1
         head = rng.normal(size=NUM_STATES)
@@ -126,7 +132,7 @@ class TestSlidingProductWindow:
     def test_replace_patches_both_regions(self):
         rng = np.random.default_rng(7)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = _window(pairwise, WindowArena(self.RING))
+        window = _window(pairwise, _arena(self.RING))
         rows = [None] + [rng.normal(size=NUM_STATES) for _ in range(6)]  # steps 1..6
         for row in rows[1:]:
             _push(window, row)
@@ -154,9 +160,10 @@ class TestSlidingProductWindow:
         """``load`` + ``rebuild`` far from step 0, across the ring's wrap."""
         rng = np.random.default_rng(11)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = SlidingProductWindow(pairwise, WindowArena(8))
+        arena = _arena(8)
+        window = SlidingProductWindow(pairwise, arena)
         rows = rng.normal(size=(6, NUM_STATES))  # the head (step 9) + steps 10..14
-        window.load(9, rows, rows, ["a", "b", "a", "c", "b", "a"])
+        window.load(9, rows, [arena.intern(name) for name in ["a", "b", "a", "c", "b", "a"]])
         window.rebuild()
         assert len(window) == 5 and window.names() == ["a", "b", "a", "c", "b", "a"]
         assert window.pop_front() == 10
@@ -168,14 +175,14 @@ class TestSlidingProductWindow:
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            _window(np.zeros((NUM_STATES, NUM_STATES)), WindowArena(4)).pop_front()
+            _window(np.zeros((NUM_STATES, NUM_STATES)), _arena(4)).pop_front()
 
     def test_a_full_ring_refuses_the_next_step(self):
-        window = _window(np.zeros((NUM_STATES, NUM_STATES)), WindowArena(3))  # the head + 2 steps
+        window = _window(np.zeros((NUM_STATES, NUM_STATES)), _arena(3))  # the head + 2 steps
         for _ in range(2):
             _push(window, np.zeros(NUM_STATES))
         with pytest.raises(IndexError):
-            window.stage(np.zeros(NUM_STATES), "step")
+            window.stage(window.arena.intern("step"))
         window.pop_front()
         _push(window, np.ones(NUM_STATES))
         assert len(window) == 2
@@ -201,7 +208,7 @@ class TestSlidingProductWindow:
         """
         rng = np.random.default_rng(seed)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = _window(pairwise, WindowArena(self.RING))
+        window = _window(pairwise, _arena(self.RING))
         live: deque = deque()
         next_index = 1
         head = rng.normal(size=NUM_STATES)
@@ -237,7 +244,7 @@ def _dense(window) -> dict:
     return {
         "span": window.span,
         "unary": window.unary_table(),
-        "base": arena.base[window.cells(start, end)],
+        "observations": arena.observations[arena.symbols[window.cells(start, end)]],
         "names": window.names(),
         "agg_max": arena.agg_max[:, :, queued],
         "agg_lse": arena.agg_lse[:, :, queued],
@@ -261,7 +268,7 @@ class TestGroupFlip:
 
     @staticmethod
     def _filled(pairwise, rows, arena=None):
-        window = _window(pairwise, arena or WindowArena(TestGroupFlip.RING))
+        window = _window(pairwise, arena or _arena(TestGroupFlip.RING))
         for row in rows:
             _push(window, row.copy())
         return window
@@ -291,7 +298,7 @@ class TestGroupFlip:
         ]
         # Rows taken first leave one free slot, so the group also
         # straddles the arena's growth.
-        arena = WindowArena(self.RING)
+        arena = _arena(self.RING)
         for _ in range(_INITIAL_ROWS - 1):
             arena.allocate()
         together = [self._filled(pairwise, rows, arena) for rows in contents]
@@ -336,7 +343,7 @@ class TestGroupFlip:
         rng = np.random.default_rng(length)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
         contents = [[rng.normal(size=NUM_STATES) for _ in range(length)] for _ in range(8)]
-        arena = WindowArena(self.RING)
+        arena = _arena(self.RING)
         together = [self._filled(pairwise, rows, arena) for rows in contents]
         arena.flip_together(np.array([window.row for window in together]), pairwise)
         for window, rows in zip(together, contents):
@@ -386,7 +393,7 @@ class TestEvictionEquivalence:
         # The live decoder really took the amortised path: one arena
         # row of max_window + 1 ring slots, its filling buffers freed --
         # nothing grew with the 220-alert stream.
-        assert decoder is not None and decoder.windowed and decoder._base is None
+        assert decoder is not None and decoder.windowed and decoder._unary is None
         arena = taggers["streaming"]._arena
         assert (arena.live, arena.capacity, arena.ring) == (1, _INITIAL_ROWS, max_window + 1)
 
@@ -499,9 +506,8 @@ class TestBonusOrderingWithoutSort:
         ]
         parameters = default_parameters()
         decoder = StreamingDecoder(
-            parameters,
-            [WeightedPattern(p.name, p.names, 2.0) for p in patterns],
-            WindowArena(8),
+            PatternTable(WeightedPattern(p.name, p.names, 2.0) for p in patterns),
+            WindowArena(8, parameters),
         )
         naive = AttackTagger(parameters, patterns=patterns, engine="naive")
         names = [z, x, y]

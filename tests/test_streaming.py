@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core import (
     AttackTagger,
     EvaluationExample,
+    PatternTable,
     StreamingDecoder,
     WeightedPattern,
     default_parameters,
@@ -27,7 +28,7 @@ from repro.core import (
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import _logsumexp, chain_map_decode, chain_marginals
-from repro.core.sequences import AlertSequence, matched_prefix_length
+from repro.core.sequences import matched_prefix_length
 from repro.core.sliding_window import WindowArena
 from repro.incidents import DEFAULT_CATALOGUE
 
@@ -138,7 +139,7 @@ class TestStreamingEngineEquivalence:
         patterns = [
             WeightedPattern(p.name, tuple(p.names), 2.0) for p in list(DEFAULT_CATALOGUE)[:10]
         ]
-        decoder = StreamingDecoder(parameters, patterns, WindowArena(31))
+        decoder = StreamingDecoder(PatternTable(patterns), WindowArena(31, parameters))
         for step in range(30):
             decoder.append(ALL_NAMES[rng.integers(len(ALL_NAMES))])
             unary = decoder.unary_table()
@@ -341,7 +342,7 @@ class TestLazyCursorsAreEagerCursors:
         tagger.observe(Alert(0.0, _FILLER, "entity:idle"))
         idle = tagger.track("entity:idle").decoder
         idle_waiting = dict(idle._waiting)
-        table = tagger._shared_table()
+        table = tagger._pattern_table
         seed = dict(table.seed)  # buckets are tuples: a shallow copy pins them
         longest = max(table.patterns, key=lambda pattern: len(pattern.names))
         for step, name in enumerate(longest.names):
@@ -351,7 +352,7 @@ class TestLazyCursorsAreEagerCursors:
         assert busy._cursors and busy._waiting != seed
 
         assert busy.patterns is idle.patterns is table.patterns
-        assert tagger._shared_table() is table
+        assert tagger._pattern_table is table
         assert table.seed == seed
         assert idle._waiting == idle_waiting and idle._cursors == {}
         for waiting in (table.seed, idle._waiting, busy._waiting):
@@ -361,68 +362,48 @@ class TestLazyCursorsAreEagerCursors:
 
 
 _CHOSEN = list(DEFAULT_CATALOGUE)[0]
-_EXTRA = PatternSpec("EXTRA", (_CHOSEN.names[0], _FILLER))
 
 
-def _mutate_weights_in_place(tagger):
-    tagger.parameters.pattern_weights[_CHOSEN.name] = 7.5
+class TestTheModelIsResolvedAtConstruction:
+    """A tagger decides with the model it was built with.  Editing the
+    caller's ``pattern_weights`` dict in place afterwards moves neither
+    engine, on a live entity or on a new one: both keep agreeing bit for
+    bit with a tagger that never saw the edit."""
 
+    NAMES = list(_CHOSEN.names) + [_FILLER]
 
-def _rebind_to_ablated_parameters(tagger):
-    tagger.parameters = tagger.parameters.without_patterns()
-
-
-def _append_to_catalogue(tagger):
-    tagger.patterns.append(_EXTRA)
-
-
-def _change_default_weight(tagger):
-    tagger.default_pattern_weight = 5.0
-
-
-class TestPatternTableInvalidation:
-    """The contract "weights are resolved when a decoder is created" holds
-    with a table shared across decoders: every way the resolved values
-    can change is seen by the next entity, exactly as ``naive`` sees it."""
-
-    SEQUENCE = AlertSequence.from_names(list(_CHOSEN.names) + [_FILLER])
-
-    @pytest.mark.parametrize(
-        "edit, weighted",
-        [
-            (_mutate_weights_in_place, True),
-            (_rebind_to_ablated_parameters, True),
-            (_append_to_catalogue, True),
-            (_change_default_weight, False),
-        ],
-    )
-    def test_next_entity_decodes_with_the_edited_values(self, edit, weighted):
-        # Without explicit weights every pattern takes the default one.
-        weights = {}
-        if weighted:
-            weights = {p.name: 3.0 for p in DEFAULT_CATALOGUE} | {_EXTRA.name: 4.0}
+    def test_editing_the_callers_weights_in_place_changes_no_decision(self):
+        weights = {pattern.name: 3.0 for pattern in DEFAULT_CATALOGUE}
+        parameters = _weighted_parameters(weights)
         streaming, naive = (
-            AttackTagger(
-                _weighted_parameters(weights),
-                patterns=list(DEFAULT_CATALOGUE),
-                detection_threshold=1 - 1e-9,
-                engine=engine,
-            )
+            AttackTagger(parameters, patterns=list(DEFAULT_CATALOGUE), engine=engine)
             for engine in ("streaming", "naive")
         )
+        reference = AttackTagger(
+            _weighted_parameters(weights), patterns=list(DEFAULT_CATALOGUE), engine="naive"
+        )
+        taggers = (streaming, naive, reference)
+        clock = iter(range(1_000))
 
-        def run_both():
-            assert _detection_fields(
-                streaming.run_sequence(self.SEQUENCE, entity=_ENTITY)
-            ) == _detection_fields(naive.run_sequence(self.SEQUENCE, entity=_ENTITY))
-            return _assert_decoder_is_the_spec(streaming, naive)
+        def feed(entity, names):
+            for name in names:
+                alert = Alert(float(next(clock)), name, entity)
+                fields = [_detection_fields(tagger.observe(alert)) for tagger in taggers]
+                assert fields[0] == fields[1] == fields[2]
+                expected = reference.infer(entity)
+                for tagger in (streaming, naive):
+                    got = tagger.infer(entity)
+                    assert np.array_equal(got[0], expected[0])
+                    assert np.array_equal(got[1], expected[1])
+                    assert got[2] == expected[2]
 
-        before = run_both()
-        table = streaming._shared_table()
-        assert np.array_equal(run_both(), before)
-        assert streaming._shared_table() is table  # unchanged values: same table
-        for tagger in (streaming, naive):
-            edit(tagger)
-        after = run_both()
-        assert not np.array_equal(after, before)  # the edit really moved the decode
-        assert streaming._shared_table() is not table
+        half = len(self.NAMES) // 2
+        feed("entity:live", self.NAMES[:half])
+        parameters.pattern_weights[_CHOSEN.name] = 7.5
+        feed("entity:live", self.NAMES[half:])
+        feed("entity:new", self.NAMES)
+        # The edit is one a tagger built afterwards does see.
+        edited = AttackTagger(parameters, patterns=list(DEFAULT_CATALOGUE), engine="naive")
+        for name in self.NAMES:
+            edited.observe(Alert(float(next(clock)), name, "entity:new"))
+        assert not np.array_equal(edited.infer("entity:new")[1], reference.infer("entity:new")[1])

@@ -68,8 +68,7 @@ def _windowed_decoders(tagger) -> int:
 
 
 def _assert_rows_accounted(tagger) -> None:
-    arena = tagger._arena
-    assert (0 if arena is None else arena.live) == _windowed_decoders(tagger)
+    assert tagger._arena.live == _windowed_decoders(tagger)
 
 
 def _saturate(taggers, entity, max_window, clock):
@@ -174,7 +173,8 @@ class TestDetectionReleasesDecodeState:
         source.reset()
         assert source._arena.live == 0 and source.entities() == []
         restored = pickle.loads(pickle.dumps(target))
-        assert restored._arena is None and "_arena" not in target.__getstate__()
+        assert "_arena" not in target.__getstate__()
+        assert restored._arena is not target._arena and restored._arena.live == 0
         _assert_rows_accounted(restored)
 
     def test_entities_that_never_slide_never_get_a_row(self):
