@@ -731,6 +731,41 @@ class TestObservationRowsResolveOncePerName:
             assert scalar.observe(alert) is None
         _assert_same_logical_state(scalar, batched, entities)
 
+    def test_every_step_reads_its_own_names_row(self):
+        """Two taggers that number the alert names differently (here the
+        batched one saw them first in reverse order) still give every
+        window step its own name's observation row, exactly as per-alert
+        ``observe`` resolves it."""
+        names = [
+            "alert_login_normal",
+            "alert_address_sweep",
+            "alert_malicious_binary_installed",
+            "alert_irc_connection",
+        ]
+        batched, scalar = (AttackTagger(max_window=4, detection_threshold=0.999) for _ in range(2))
+        clock = iter(range(10_000))
+        for name in names[::-1]:
+            assert batched.observe(Alert(float(next(clock)), name, "user:first")) is None
+        entities = [f"user:x{i}" for i in range(8)]
+        for b in range(30):
+            batch = [
+                Alert(float(next(clock)), names[(b + i) % 4], entity)
+                for i, entity in enumerate(entities)
+            ]
+            assert batched.observe_batch(batch) == []
+            assert [scalar.observe(alert) for alert in batch] == [None] * len(batch)
+        arena = batched._arena
+        assert list(arena.symbol_names) == names[::-1]
+        assert list(scalar._arena.symbol_names) == names
+        for entity in entities:
+            window = batched.track(entity).decoder._window
+            start, _, end = window.span
+            rows = arena.observations[arena.symbols[window.cells(start, end)]]
+            for name, row in zip(window.names(), rows):
+                assert np.array_equal(row, batched.parameters.observation_row(name))
+        assert batched.posterior("user:x0") == scalar.posterior("user:x0")
+        _assert_same_logical_state(scalar, batched, entities)
+
 
 class TestBatchedThroughSharding:
     @pytest.mark.parametrize("n_shards,backend", [(1, "serial"), (4, "serial"), (2, "process")])

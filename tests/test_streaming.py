@@ -362,25 +362,48 @@ class TestLazyCursorsAreEagerCursors:
 
 
 _CHOSEN = list(DEFAULT_CATALOGUE)[0]
+_EXTRA = PatternSpec("EXTRA", (_CHOSEN.names[0], _FILLER))
+
+
+def _mutate_weights_in_place(tagger):
+    tagger.parameters.pattern_weights[_CHOSEN.name] = 7.5
+
+
+def _append_to_catalogue(tagger):
+    tagger.patterns.append(_EXTRA)
+
+
+def _change_default_weight(tagger):
+    tagger.default_pattern_weight = 5.0
 
 
 class TestTheModelIsResolvedAtConstruction:
     """A tagger decides with the model it was built with.  Editing the
-    caller's ``pattern_weights`` dict in place afterwards moves neither
+    caller's ``pattern_weights`` dict in place, the tagger's ``patterns``
+    list or its ``default_pattern_weight`` afterwards moves neither
     engine, on a live entity or on a new one: both keep agreeing bit for
     bit with a tagger that never saw the edit."""
 
     NAMES = list(_CHOSEN.names) + [_FILLER]
 
-    def test_editing_the_callers_weights_in_place_changes_no_decision(self):
-        weights = {pattern.name: 3.0 for pattern in DEFAULT_CATALOGUE}
-        parameters = _weighted_parameters(weights)
-        streaming, naive = (
-            AttackTagger(parameters, patterns=list(DEFAULT_CATALOGUE), engine=engine)
-            for engine in ("streaming", "naive")
-        )
-        reference = AttackTagger(
-            _weighted_parameters(weights), patterns=list(DEFAULT_CATALOGUE), engine="naive"
+    @pytest.mark.parametrize(
+        "edit, weighted",
+        [
+            (_mutate_weights_in_place, True),
+            (_append_to_catalogue, True),
+            (_change_default_weight, False),
+        ],
+    )
+    def test_an_edit_after_construction_changes_no_decision(self, edit, weighted):
+        # Without explicit weights every pattern takes the default one.
+        weights = {}
+        if weighted:
+            weights = {p.name: 3.0 for p in DEFAULT_CATALOGUE} | {_EXTRA.name: 4.0}
+        streaming, naive, reference = (
+            AttackTagger(
+                _weighted_parameters(weights), patterns=list(DEFAULT_CATALOGUE), engine=engine
+            )
+            for engine in ("streaming", "naive", "naive")
         )
         taggers = (streaming, naive, reference)
         clock = iter(range(1_000))
@@ -399,11 +422,12 @@ class TestTheModelIsResolvedAtConstruction:
 
         half = len(self.NAMES) // 2
         feed("entity:live", self.NAMES[:half])
-        parameters.pattern_weights[_CHOSEN.name] = 7.5
+        for tagger in (streaming, naive):
+            edit(tagger)
         feed("entity:live", self.NAMES[half:])
         feed("entity:new", self.NAMES)
-        # The edit is one a tagger built afterwards does see.
-        edited = AttackTagger(parameters, patterns=list(DEFAULT_CATALOGUE), engine="naive")
+        # The edit is one a tagger built afterwards (a clone) does see.
+        edited = naive.clone()
         for name in self.NAMES:
             edited.observe(Alert(float(next(clock)), name, "entity:new"))
         assert not np.array_equal(edited.infer("entity:new")[1], reference.infer("entity:new")[1])
