@@ -1,4 +1,4 @@
-"""Core preemption models: alerts, sequences, factor graphs, detectors.
+"""Core preemption models: alerts, sequences, chain decoders, detectors.
 
 This subpackage implements the paper's primary contribution -- the
 ATTACKTAGGER-style factor-graph preemption model -- together with the
@@ -30,12 +30,8 @@ from .evaluation import (
     window_sweep,
 )
 from .factor_graph import (
-    Factor,
-    FactorGraph,
-    Variable,
     chain_map_decode,
     chain_marginals,
-    chain_step_matrix,
     logsumexp_matmul,
     logsumexp_vecmat,
     maxplus_matmul,
@@ -103,12 +99,8 @@ __all__ = [
     "subsequence_positions",
     "matched_prefix_length",
     # factor graph
-    "Variable",
-    "Factor",
-    "FactorGraph",
     "chain_map_decode",
     "chain_marginals",
-    "chain_step_matrix",
     "maxplus_matmul",
     "maxplus_vecmat",
     "logsumexp_matmul",

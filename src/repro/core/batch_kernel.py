@@ -397,7 +397,7 @@ class BatchedDecodeKernel:
     @staticmethod
     def _start_fill(decoders: List[StreamingDecoder]) -> None:
         """Stacked ``t == 0`` branch of ``_recompute_forward`` for new
-        entities' first alerts: ``score = unary``, ``backpointers = 0``,
+        entities' first alerts: ``score = unary`` and
         ``alpha = normalise(unary)`` in one normalisation for all."""
         for decoder in decoders:
             decoder._refresh_unary(0)
@@ -405,7 +405,6 @@ class BatchedDecodeKernel:
         alpha_0 = unary_0 - _logsumexp(unary_0, axis=0, keepdims=True)
         for i, decoder in enumerate(decoders):
             decoder._score[0] = decoder._unary[0]
-            decoder._backpointers[0] = 0
             decoder._alpha[0] = alpha_0[:, i]
 
     @staticmethod
@@ -425,10 +424,10 @@ class BatchedDecodeKernel:
         prev_alpha = _stack([decoder._alpha[step - 1] for decoder, step in steps])
         # Viterbi: candidate[a, b, n] = score[a, n] + pairwise[a, b].
         candidate = prev_score[:, None, :] + pairwise[:, :, None]
-        backpointers = np.argmax(candidate, axis=0)
+        best = np.argmax(candidate, axis=0)
         cols = np.arange(_K)[:, None]
         rows = np.arange(n)[None, :]
-        new_score = candidate[backpointers, cols, rows] + unary_t
+        new_score = candidate[best, cols, rows] + unary_t
         # Forward: alpha' = normalise(lse_a(alpha[a] + pairwise[a, :]) + unary).
         prev = prev_alpha[:, None, :] + pairwise[:, :, None]
         message = _logsumexp(prev, axis=0) + unary_t
@@ -436,7 +435,6 @@ class BatchedDecodeKernel:
         for i, (decoder, step) in enumerate(steps):
             decoder._score[step] = new_score[:, i]
             decoder._alpha[step] = new_alpha[:, i]
-            decoder._backpointers[step] = backpointers[:, i]
 
     def _decide_fill(self, entries: List[Entry]) -> List[Hit]:
         """Stacked threshold decisions for window-filling entities.

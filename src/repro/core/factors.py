@@ -27,12 +27,12 @@ The learned numeric content of these factors lives in
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .alerts import AlertVocabulary, DEFAULT_VOCABULARY
-from .states import NUM_STATES, STAGE_STATE_PRIOR, HiddenState
+from .states import NUM_STATES, STAGE_STATE_PRIOR
 
 #: Floor applied to probabilities before taking logarithms.
 PROBABILITY_FLOOR = 1e-6
@@ -190,22 +190,10 @@ def observation_log_for_sequence(
     return np.vstack([parameters.observation_row(name) for name in names])
 
 
-def state_prior_counts(smoothing: float = 1.0) -> np.ndarray:
-    """Dirichlet pseudo-counts used by the estimator for each state."""
-    return np.full(NUM_STATES, float(smoothing))
-
-
-def states_from_labels(labels: Sequence[int | HiddenState]) -> np.ndarray:
-    """Normalise a label sequence to an integer array of hidden states."""
-    return np.array([int(label) for label in labels], dtype=np.int64)
-
-
 __all__ = [
     "PROBABILITY_FLOOR",
     "FactorParameters",
     "default_parameters",
     "default_observation_row",
     "observation_log_for_sequence",
-    "state_prior_counts",
-    "states_from_labels",
 ]

@@ -93,13 +93,6 @@ class PreemptionResult:
         """Whether the attack was detected at all (preempted or late)."""
         return self.outcome in (PreemptionOutcome.PREEMPTED, PreemptionOutcome.DETECTED_LATE)
 
-    @property
-    def lead_time_days(self) -> Optional[float]:
-        """Lead time expressed in days (the unit the case study reports)."""
-        if self.lead_time_seconds is None:
-            return None
-        return self.lead_time_seconds / 86_400.0
-
 
 def evaluate_preemption(
     sequence: AlertSequence,

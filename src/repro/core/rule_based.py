@@ -186,10 +186,6 @@ class RuleBasedDetector(Detector):
         self._detected_entities: set[str] = set()
         self._fired: Dict[str, List[str]] = {}
 
-    def fired_rules(self, entity: str) -> list[str]:
-        """Names of rules that have fired for an entity."""
-        return list(self._fired.get(entity, []))
-
     def reset(self) -> None:
         """Forget all per-entity state."""
         self._history.clear()

@@ -8,8 +8,9 @@ The windowed chain decode over steps ``s .. t`` is a semiring product
 
 where ``h_s`` is the head vector (the window's first effective unary
 row, including the initial-state prior) and ``M_j`` is the step matrix
-``transition + unary_j`` (:func:`repro.core.factor_graph
-.chain_step_matrix`).  Under the ``(max, +)`` semiring the product is
+``M_j[a, b] = transition[a, b] + unary_j[b]``: the log weight of moving
+from state ``a`` to state ``b`` while emitting step ``j``'s evidence.
+Under the ``(max, +)`` semiring the product is
 the final Viterbi score vector; under ``(logsumexp, +)`` it is the
 unnormalised forward message.  Appending a step extends the product on
 the right; *evicting* the oldest step removes a factor from the left.

@@ -25,7 +25,6 @@ model infers.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 
 class HiddenState(enum.IntEnum):
@@ -34,11 +33,6 @@ class HiddenState(enum.IntEnum):
     BENIGN = 0
     SUSPICIOUS = 1
     MALICIOUS = 2
-
-    @property
-    def is_detection(self) -> bool:
-        """Whether reaching this state constitutes a detection decision."""
-        return self is HiddenState.MALICIOUS
 
     @classmethod
     def domain(cls) -> tuple["HiddenState", ...]:
@@ -73,30 +67,6 @@ class AttackStage(enum.IntEnum):
         """Stages at which system integrity is already compromised."""
         return self >= AttackStage.ACTIONS
 
-    @property
-    def is_preemptable(self) -> bool:
-        """Stages at which a preemption decision is still useful.
-
-        Per the paper, an attack can only be preempted while the
-        attacker is still working toward damage: reconnaissance through
-        command-and-control.  Background activity needs no preemption
-        and actions-on-objective means damage already occurred.
-        """
-        return AttackStage.RECONNAISSANCE <= self < AttackStage.ACTIONS
-
-
-def most_severe_stage(stages: Iterable[AttackStage]) -> AttackStage:
-    """Return the latest (most mature) stage among ``stages``.
-
-    Used when summarising an incident: the furthest stage reached
-    determines whether the attack "caused damage" in the sense of the
-    paper's preemption semantics.
-    """
-    stages = list(stages)
-    if not stages:
-        return AttackStage.BACKGROUND
-    return max(stages)
-
 
 # Prior association between lifecycle stages and hidden states.  These
 # are *not* model parameters (those are learned in ``core.training``);
@@ -119,5 +89,4 @@ __all__ = [
     "AttackStage",
     "NUM_STATES",
     "STAGE_STATE_PRIOR",
-    "most_severe_stage",
 ]

@@ -14,10 +14,9 @@ state that makes each new alert cheap:
   maintained in O(1) per alert instead of O(T * L) rescans.
 * :class:`StreamingDecoder` -- checkpointed forward recursions plus an
   amortised sliding-window mode.  While the entity's window is still
-  filling, every step stores the running Viterbi score vector, the
-  backpointer row, and the normalised forward log-alpha; appending an
-  alert extends all three by one O(K^2) step, exactly as in the seed
-  recursion.
+  filling, every step stores the running Viterbi score vector and the
+  normalised forward log-alpha; appending an alert extends both by one
+  O(K^2) step, exactly as in the seed recursion.
 
 **Window eviction (the ``max_window`` slide).**  Once an entity
 saturates its window, every new alert evicts the oldest step.
@@ -84,7 +83,7 @@ Viterbi extension                O(T * K^2)           O(K^2)            O(K^3)
 posterior of current state       O(T * K^2)           O(K^2)            O(K^2)
 bonus relocation                 (included above)     O(d * K^2) [1]_   O(|back| * K^3)
 window eviction                  O(W * K^2)           O(W * K^2)        O(K^3) amortised [4]_
-full MAP trajectory              O(T * K^2)           O(T) backtrack    O(W * K^2) [3]_
+full MAP trajectory              O(T * K^2)           O(T * K^2) [3]_   O(W * K^2) [3]_
 ===============================  ===================  ================  ==================
 
 .. [1] ``d`` = distance from the earliest invalidated step to the end.
@@ -244,15 +243,13 @@ class StreamingDecoder:
         self._unary = np.zeros((capacity, NUM_STATES))
         self._score = np.zeros((capacity, NUM_STATES))
         self._alpha = np.zeros((capacity, NUM_STATES))
-        self._backpointers = np.zeros((capacity, NUM_STATES), dtype=np.int64)
         self._symbols: List[int] = []
 
     def _open_window(self) -> None:
         """Filling → windowed: move the rows into an arena row, free the buffers."""
         self._window = SlidingProductWindow(self._pairwise, self._arena)
         self._window.load(0, self._unary[: self._length], self._symbols)
-        self._unary = self._score = self._alpha = None
-        self._backpointers = self._symbols = None
+        self._unary = self._score = self._alpha = self._symbols = None
 
     def _rebuild_waiting(self) -> None:
         """Recompute the waiting lists from the cursors (after rescans):
@@ -274,7 +271,7 @@ class StreamingDecoder:
             return
         while capacity < needed:
             capacity *= 2
-        for attr in ("_unary", "_score", "_alpha", "_backpointers"):
+        for attr in ("_unary", "_score", "_alpha"):
             old = getattr(self, attr)
             fresh = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
             fresh[: old.shape[0]] = old
@@ -556,7 +553,7 @@ class StreamingDecoder:
         """Extend/repair the forward recursions from ``start`` to the end.
 
         Each step reproduces exactly one loop iteration of
-        ``chain_map_decode`` (Viterbi score + backpointers) and
+        ``chain_map_decode`` (the Viterbi score) and
         ``chain_marginals`` (normalised forward message).  Only used
         while the window is still filling; windowed mode materialises
         read-outs via :meth:`_window_decode` instead.
@@ -564,19 +561,15 @@ class StreamingDecoder:
         unary = self._unary
         score = self._score
         alpha = self._alpha
-        backpointers = self._backpointers
         pairwise = self._pairwise
         arange_k = self._arange_k
         for t in range(start, self._length):
             if t == 0:
                 score[0] = unary[0]
-                backpointers[0] = 0
                 alpha[0] = _normalize_log(unary[0])
                 continue
             candidate = score[t - 1][:, None] + pairwise
-            bp = np.argmax(candidate, axis=0)
-            backpointers[t] = bp
-            score[t] = candidate[bp, arange_k] + unary[t]
+            score[t] = candidate[np.argmax(candidate, axis=0), arange_k] + unary[t]
             prev = alpha[t - 1][:, None] + pairwise
             alpha[t] = _normalize_log(_logsumexp(prev, axis=0) + unary[t])
 
@@ -679,20 +672,14 @@ class StreamingDecoder:
     def map_path(self) -> np.ndarray:
         """Full MAP state trajectory of the window.
 
-        O(T) backpointer backtrack while the window is filling; the
-        cached exact window decode afterwards.
+        ``chain_map_decode`` of the unary table while the window is
+        filling (its scores are the same float ops as ``_score``, so the
+        path ends in :meth:`final_state`); the cached exact window
+        decode afterwards.
         """
         if self._window is not None:
             return self._window_decode()[0].copy()
-        steps = self._length
-        path = np.zeros(steps, dtype=np.int64)
-        if steps == 0:
-            return path
-        path[-1] = int(np.argmax(self._score[steps - 1]))
-        backpointers = self._backpointers
-        for t in range(steps - 1, 0, -1):
-            path[t - 1] = backpointers[t, path[t]]
-        return path
+        return chain_map_decode(self._unary[: self._length], self._pairwise)
 
     def matched_pattern_names(self) -> list[str]:
         """Names of fully matched patterns, in catalogue order."""

@@ -71,8 +71,9 @@ message the caller was waiting on -- an ``observe``, a checkpoint's
 ``snapshot``, a ``restore``, a ``reset`` or a ``reset_entity`` alike.
 A spent budget reads back as ``("unrecovered", detail)``, raised as
 :class:`ShardRecoveryError`.  The log is folded into a fresh snapshot
-whenever the worker owes nothing, and at the latest when it reaches
-:data:`REPLAY_LOG_LIMIT` messages.  Draining for shutdown (a
+only when it reaches :data:`REPLAY_LOG_LIMIT` messages (a checkpoint's
+``snapshot`` round resets it too), so a healthy stream pays for no
+snapshot between checkpoints.  Draining for shutdown (a
 ``receive`` with a timeout: ``close``, ``reopen``) never heals.
 
 **Non-blocking fan-out.**  ``observe_batch`` is sugar over the
@@ -600,10 +601,7 @@ class _ProcessShard:
         """
         if self._ready:
             return self._ready.popleft()
-        reply = self._next_reply(timeout)
-        if self._log and not self._transit and timeout is None:
-            self._fold()  # the worker owes nothing: the cheapest moment
-        return reply
+        return self._next_reply(timeout)
 
     def _read(self, timeout: Optional[float] = None) -> Tuple[str, object]:
         """One reply off the pipe; ``EOFError`` becomes a ``dead`` reply."""

@@ -1111,10 +1111,55 @@ class TestCarrierOwnedRecovery:
         finally:
             pool.close()
 
+    def test_a_healthy_stream_posts_no_snapshot(self, monkeypatch):
+        """Below the log limit a supervised carrier never pickles its
+        replica between batches, yet a later SIGKILL still heals from the
+        pristine image plus the log to the serial reference."""
+        from repro.testbed import sharding
+
+        posted: list[str] = []
+        post = sharding._ProcessShard._post
+
+        def spy(carrier, verb, payload=None):
+            posted.append(verb)
+            return post(carrier, verb, payload)
+
+        monkeypatch.setattr(sharding._ProcessShard, "_post", spy)
+        # 16 alerts over 12 entities: every batch reaches both shards.
+        stream = build_mixed_stream(seed=41, n_entities=12, length=24 * 16)
+        batches = [stream[start : start + 16] for start in range(0, len(stream), 16)]
+        template = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
+        reference = ShardedDetectorPool.from_template(template, n_shards=2)
+        pool = ShardedDetectorPool.from_template(
+            template,
+            n_shards=2,
+            backend="process",
+            restart_policy="restore",
+            backoff_base=0.001,
+        )
+        try:
+            expected = [reference.observe_batch(batch) for batch in batches]
+            got = [pool.observe_batch(batch) for batch in batches[:20]]
+            assert posted.count("observe") == 40
+            assert "snapshot" not in posted
+            victim = pool._workers[self.VICTIM]
+            victim.process.kill()
+            victim.process.join(timeout=5.0)
+            assert not victim.process.is_alive()
+            got += [pool.observe_batch(batch) for batch in batches[20:]]
+            assert [event.shard for event in pool.recovery_log if event.healed] == [
+                self.VICTIM
+            ]
+        finally:
+            pool.close()
+            reference.close()
+        assert got == expected
+        assert any(got)
+
     def test_replay_log_is_bounded_under_a_deep_window(self):
         """At the process backend's default depth the worker always owes
-        a reply at collect time, so "snapshot when it owes nothing"
-        alone never trims the log; the limit must."""
+        a reply at collect time, and a healthy stream takes no snapshot
+        of its own; the limit is what trims the log."""
         from repro.testbed.sharding import REPLAY_LOG_LIMIT  # new with the bound
 
         n_batches, kill_at = 200, 150

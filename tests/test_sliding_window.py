@@ -26,7 +26,6 @@ from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import (
     _logsumexp,
-    chain_step_matrix,
     logsumexp_vecmat,
     maxplus_vecmat,
 )
@@ -92,7 +91,7 @@ def _fold_reference(pairwise, head, rows):
     """Brute-force fold of the step matrices ``pairwise + row`` onto ``head``."""
     score, forward = head, head
     for row in rows:
-        matrix = chain_step_matrix(pairwise, row)
+        matrix = pairwise + row[None, :]
         score = maxplus_vecmat(score, matrix)
         forward = logsumexp_vecmat(forward, matrix)
     return score, forward
@@ -630,5 +629,5 @@ class TestSatelliteOptimisations:
         unary = decoder.unary_table()
         ref = unary[0]
         for row in unary[1:]:
-            ref = maxplus_vecmat(ref, chain_step_matrix(decoder._pairwise, row))
+            ref = maxplus_vecmat(ref, decoder._pairwise + row[None, :])
         np.testing.assert_allclose(score, ref, rtol=0, atol=1e-9)
