@@ -16,7 +16,10 @@ Those rows all reuse one long-lived entity.  The ``churn`` rows measure
 the other regime the testbed lives in: a fresh entity every 2 alerts
 (scanner sources, one-off logins), where *opening* a per-entity decoder
 is the cost, through per-alert ``observe()`` and through
-``observe_batch`` sub-batches (the stacked kernel).
+``observe_batch`` sub-batches (the stacked kernel).  The churn row also
+records the fill storage the ``observe_batch`` run's live filling
+entities hold, in bytes per entity, read off the tagger's arena (so it
+is a count, not a timing).
 
 The ``steady`` rows are the steady state of a long-lived population:
 256 round-robin entities whose W = 32 windows are all sliding
@@ -39,7 +42,8 @@ root::
 CI runs the quick regression gate, which re-measures the streaming
 rate on a short stream, both churn rates, the three steady rates and
 the deep rate, and fails if any regressed more than 2x against the
-committed baseline::
+committed baseline, or if the churn row's fill bytes per entity grew
+more than 1.25x::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -121,8 +125,19 @@ def build_churn_stream(entities: int, *, seed: int = 7) -> list[Alert]:
     return stream
 
 
+def fill_bytes_per_entity(tagger: AttackTagger) -> float:
+    """Fill-storage bytes held per live filling entity, read off the arena."""
+    filling = sum(
+        track.decoder is not None and not track.decoder.windowed
+        for track in tagger._tracks.values()
+    )
+    fill = tagger._arena.fill
+    return fill.live * fill.page_bytes / filling
+
+
 def measure_churn_rates(entities: int) -> dict[str, float]:
-    """Churn alerts/sec through per-alert ``observe`` and through ``observe_batch``."""
+    """Churn alerts/sec through per-alert ``observe`` and through
+    ``observe_batch``, and the latter's :func:`fill_bytes_per_entity`."""
     stream = build_churn_stream(entities)
     rates = {}
     for path in ("observe", "observe_batch"):
@@ -138,6 +153,7 @@ def measure_churn_rates(entities: int) -> dict[str, float]:
         assert not tagger.detections, "benchmark stream must stay undetected"
         assert len(tagger.entities()) == entities
         rates[path] = len(stream) / elapsed
+    rates["fill_bytes_per_entity"] = fill_bytes_per_entity(tagger)
     return rates
 
 
@@ -318,8 +334,8 @@ def run_benchmark(
         "alerts_per_entity": 2,
         "batch_size": CHURN_BATCH,
         **{
-            path: round(rate, 1)
-            for path, rate in measure_churn_rates(churn_entities).items()
+            path: round(value, 1)
+            for path, value in measure_churn_rates(churn_entities).items()
         },
     }
     results["steady"] = {
@@ -374,6 +390,10 @@ QUICK_STEADY_ROUNDS = 8
 QUICK_DEEP_BATCHES = 2
 
 
+#: How far the churn row's fill bytes per entity may exceed the committed figure.
+FILL_BYTES_FACTOR = 1.25
+
+
 def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     """Fail (non-zero) if a streaming or churn rate regressed more than ``factor``x.
 
@@ -385,7 +405,9 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     slower across the board do not trip it, while a genuine slowdown of
     the streaming engine (which leaves the naive path untouched) does.
     The two churn rows, the three steady rows and the deep row are
-    gated by the same rule.
+    gated by the same rule.  The churn row's fill bytes per live
+    entity is a count, not a rate: it needs no hardware factor and may
+    not exceed the committed figure by more than ``FILL_BYTES_FACTOR``.
     """
     if not baseline_path.exists():
         print(f"FAIL: no committed baseline at {baseline_path}; "
@@ -420,9 +442,19 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         failed |= not ok
         print(f"{label:<24} committed {committed:>8.0f}  quick {measured:>8.0f}  "
               f"floor ({factor}x, scaled) {floor:>8.0f} alerts/s  {'ok' if ok else 'FAIL'}")
+    committed_bytes = float(baseline["churn"]["fill_bytes_per_entity"])
+    ceiling = committed_bytes * FILL_BYTES_FACTOR
+    measured_bytes = churn["fill_bytes_per_entity"]
+    bytes_ok = measured_bytes <= ceiling
+    print(f"{'churn fill bytes/entity':<24} committed {committed_bytes:>8.0f}  quick "
+          f"{measured_bytes:>8.0f}  ceiling ({FILL_BYTES_FACTOR}x) {ceiling:>8.0f} B  "
+          f"{'ok' if bytes_ok else 'FAIL'}")
     if failed:
         print(f"FAIL: throughput regressed more than {factor}x vs the "
               "hardware-scaled committed baseline")
+        return 1
+    if not bytes_ok:
+        print(f"FAIL: fill storage per churn entity grew more than {FILL_BYTES_FACTOR}x")
         return 1
     print("OK")
     return 0

@@ -69,10 +69,15 @@ eviction rescans, or the window is only now opening) take the
 per-entity path, ``AttackTagger._advance``, on the same arena row;
 cursors, waiting lists and bonus buckets stay the sparse per-entity
 dicts they are.  **Filling entities** (window not yet saturated) keep
-per-decoder buffers: a pass gathers their previous heads into
-entity-minor ``(K, N)`` stacks, advances the Viterbi and forward
-recursions by one stacked step, and scatters the results back.  A pass
-that would stack fewer than ``_MIN_BATCH`` alerts runs them through the
+their steps in the arena's fill storage, one cell per step: a pass
+takes one step of each, reads the unary rows with one lookup of the
+symbols in the observation table (plus the prior at step 0), gathers
+the previous cells' recursions into entity-minor ``(K, N)`` stacks,
+advances the Viterbi and forward recursions by one stacked step and
+scatters the results back, each with one index array.  Only a step
+that meets a bonus builds its row through ``_effective_row``, and one
+that relocates a bonus goes through ``_complete_append``.  A pass that
+would stack fewer than ``_MIN_BATCH`` alerts runs them through the
 per-alert path instead.
 
 Every stacked operation replays the scalar engine's float operations
@@ -99,14 +104,14 @@ from __future__ import annotations
 import time
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .factor_graph import _logsumexp, logsumexp_vecmat_batch, maxplus_vecmat_batch
-from .sliding_window import WindowArena
+from .sliding_window import FillPages, WindowArena
 from .states import NUM_STATES
-from .streaming import _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS, StreamingDecoder
+from .streaming import _ARANGE_K, _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS, StreamingDecoder
 
 if TYPE_CHECKING:
     from .alerts import Alert
@@ -132,13 +137,8 @@ Hit = Tuple[int, "Detection"]
 Part = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
 
 
-class Entry(NamedTuple):
-    """One window-filling alert of a pass and the state it advances."""
-
-    position: int
-    alert: "Alert"
-    track: "EntityTrack"
-    decoder: StreamingDecoder
+#: One window-filling step of a pass: ``(sub-batch position, alert, track, decoder)``.
+Fill = Tuple[int, "Alert", "EntityTrack", StreamingDecoder]
 
 
 class Chunks:
@@ -169,11 +169,6 @@ class Chunks:
                 setattr(self, name, [column[k] for k in order])
             depths = [depths[k] for k in order]
         return depths
-
-
-def _stack(arrays: List[np.ndarray]) -> np.ndarray:
-    """Equal-shape per-entity vectors as one entity-minor ``(K, N)`` stack."""
-    return np.array(arrays).T
 
 
 def _push(
@@ -292,7 +287,7 @@ class BatchedDecodeKernel:
         tagger = self._tagger
         max_window = tagger.max_window
         arena = tagger._arena
-        fill: List[Entry] = []
+        fill: List[Fill] = []
         chunks = Chunks()
         cells = 0  # chunk steps
         rest: List[List[int]] = []
@@ -313,7 +308,7 @@ class BatchedDecodeKernel:
                 sliding = len(track.alerts) >= max_window
                 track.alerts.append(alert)
                 if window is None and not sliding:
-                    fill.append(Entry(position, alert, track, decoder))
+                    fill.append((position, alert, track, decoder))
                     taken += 1
                     break
                 if sliding and window is not None:
@@ -352,13 +347,13 @@ class BatchedDecodeKernel:
             self._advance_each(alerts, fill, chunks, hits)
         else:
             if fill:
-                hits.extend(self._advance_fill(fill, arena.parameters.transition_log))
+                hits.extend(self._advance_fill(fill, arena))
             if cells:
                 hits.extend(self._advance_chunks(arena, chunks, alerts))
         return rest
 
     def _advance_each(
-        self, alerts: Sequence["Alert"], fill: List[Entry], chunks: Chunks, hits: List[Hit]
+        self, alerts: Sequence["Alert"], fill: List[Fill], chunks: Chunks, hits: List[Hit]
     ) -> None:
         """A pass too small to stack: every step through the per-entity path."""
         advance = self._tagger._advance
@@ -374,80 +369,96 @@ class BatchedDecodeKernel:
                     if (detection := advance(track, alert, decoder, True)) is not None:
                         hits.append((position, detection))
 
-    # -- filling phase: stacked forward/Viterbi extension --------------------
-    def _advance_fill(self, entries: List[Entry], pairwise: np.ndarray) -> List[Hit]:
-        """Append one alert to every window-filling entity, then decide them."""
-        first: List[StreamingDecoder] = []
-        extend: List[Tuple[StreamingDecoder, int]] = []
-        for _, alert, _, decoder in entries:
+    # -- filling phase: one block of fill-storage cells ----------------------
+    def _advance_fill(self, fill: List[Fill], arena: WindowArena) -> List[Hit]:
+        """Append one alert to every window-filling entity, then decide them.
+
+        A step that relocates a bonus invalidates history: the
+        per-entity ``_complete_append``.  Every other step is one cell
+        of a block, advanced by one stacked recursion step (see the
+        module docstring).
+        """
+        store = arena.fill
+        cells: List[int] = []  # every step's cell
+        block: List[int] = []  # the cells of the stacked steps
+        first: List[int] = []  # block positions of steps 0 ...
+        extend: List[int] = []  # ... and of later steps,
+        before: List[int] = []  # whose previous cells these are
+        bonus: List[Tuple[int, np.ndarray]] = []
+        for _, alert, _, decoder in fill:
             step, dirty, invalid_from = decoder.append_plan(alert.name)
+            cell = decoder._cell(step)
+            cells.append(cell)
             if invalid_from != step:
-                # A bonus relocation invalidated history.
                 decoder._complete_append(step, dirty, invalid_from)
-            elif step:
-                extend.append((decoder, step))
+                continue
+            if step:
+                extend.append(len(block))
+                before.append(decoder._cell(step - 1))
             else:
-                first.append(decoder)
-        if first:
-            self._start_fill(first)
-        if extend:
-            self._extend_fill(extend, pairwise)
-        return self._decide_fill(entries)
+                first.append(len(block))
+            if step in decoder._bonus_at:
+                bonus.append((len(block), decoder._effective_row(step)))
+            block.append(cell)
+        if block:
+            steps = np.array(block)
+            unary = arena.observations[store.symbols[steps]]
+            if first:
+                unary[first] += arena.parameters.initial_log
+            for k, row in bonus:
+                unary[k] = row
+            store.unary[steps] = unary
+            if first:
+                self._start_fill(store, steps[first], unary[first])
+            if extend:
+                self._extend_fill(arena, steps[extend], before, unary[extend])
+        return self._decide_fill(fill, store, cells)
 
     @staticmethod
-    def _start_fill(decoders: List[StreamingDecoder]) -> None:
+    def _start_fill(store: FillPages, cells: np.ndarray, unary: np.ndarray) -> None:
         """Stacked ``t == 0`` branch of ``_recompute_forward`` for new
         entities' first alerts: ``score = unary`` and
         ``alpha = normalise(unary)`` in one normalisation for all."""
-        for decoder in decoders:
-            decoder._refresh_unary(0)
-        unary_0 = _stack([decoder._unary[0] for decoder in decoders])
+        unary_0 = unary.T
         alpha_0 = unary_0 - _logsumexp(unary_0, axis=0, keepdims=True)
-        for i, decoder in enumerate(decoders):
-            decoder._score[0] = decoder._unary[0]
-            decoder._alpha[0] = alpha_0[:, i]
+        store.score[cells] = unary
+        store.alpha[cells] = alpha_0.T
 
     @staticmethod
-    def _extend_fill(steps: List[Tuple[StreamingDecoder, int]], pairwise: np.ndarray) -> None:
+    def _extend_fill(arena: WindowArena, cells: np.ndarray, before: List[int], unary: np.ndarray) -> None:
         """One stacked Viterbi + forward step for window-filling entities.
 
         Replays one iteration of ``StreamingDecoder._recompute_forward``
         for all N entities at once (the entities here appended at
         ``step > 0`` with no history invalidation, so exactly one new
-        step extends each recursion).
+        step extends each recursion from the cells ``before``).
         """
-        n = len(steps)
-        for decoder, step in steps:
-            decoder._refresh_unary(step)
-        unary_t = _stack([decoder._unary[step] for decoder, step in steps])
-        prev_score = _stack([decoder._score[step - 1] for decoder, step in steps])
-        prev_alpha = _stack([decoder._alpha[step - 1] for decoder, step in steps])
+        n, store, pairwise = len(before), arena.fill, arena.parameters.transition_log
+        unary_t = unary.T
+        prev_score = store.score[before].T
+        prev_alpha = store.alpha[before].T
         # Viterbi: candidate[a, b, n] = score[a, n] + pairwise[a, b].
         candidate = prev_score[:, None, :] + pairwise[:, :, None]
         best = np.argmax(candidate, axis=0)
-        cols = np.arange(_K)[:, None]
-        rows = np.arange(n)[None, :]
-        new_score = candidate[best, cols, rows] + unary_t
+        new_score = candidate[best, _ARANGE_K[:, None], np.arange(n)[None, :]] + unary_t
         # Forward: alpha' = normalise(lse_a(alpha[a] + pairwise[a, :]) + unary).
         prev = prev_alpha[:, None, :] + pairwise[:, :, None]
         message = _logsumexp(prev, axis=0) + unary_t
         new_alpha = message - _logsumexp(message, axis=0, keepdims=True)
-        for i, (decoder, step) in enumerate(steps):
-            decoder._score[step] = new_score[:, i]
-            decoder._alpha[step] = new_alpha[:, i]
+        store.score[cells] = new_score.T
+        store.alpha[cells] = new_alpha.T
 
-    def _decide_fill(self, entries: List[Entry]) -> List[Hit]:
+    def _decide_fill(self, fill: List[Fill], store: FillPages, cells: List[int]) -> List[Hit]:
         """Stacked threshold decisions for window-filling entities.
 
         Replays the per-alert read-outs (``final_state`` argmax of the
         Viterbi score, ``final_marginal`` from the normalised forward
-        message) across the stack; only firing entities pay for the
-        exact per-entity materialisation.
+        message) across the stack of every entity's last cell; only
+        firing entities pay for the exact per-entity materialisation.
         """
         tagger = self._tagger
-        decoders = [entry.decoder for entry in entries]
-        score = _stack([d._score[d._length - 1] for d in decoders])
-        alpha = _stack([d._alpha[d._length - 1] for d in decoders])
+        score = store.score[cells].T
+        alpha = store.alpha[cells].T
         final_state = np.argmax(score, axis=0)
         marginal = np.exp(alpha[_MALICIOUS] - _logsumexp(alpha, axis=0))
         # ~(p < threshold), not (p >= threshold): a NaN posterior (hard
@@ -457,7 +468,7 @@ class BatchedDecodeKernel:
         fire = (final_state == _MALICIOUS) & ~(marginal < tagger.detection_threshold)
         hits: List[Hit] = []
         for i in np.flatnonzero(fire).tolist():
-            position, alert, track, decoder = entries[i]
+            position, alert, track, decoder = fill[i]
             detection = tagger._finalize_decision(track, alert, decoder)
             if detection is not None:
                 hits.append((position, detection))
@@ -710,4 +721,4 @@ class _ChunkPass:
         return ended
 
 
-__all__ = ["BatchedDecodeKernel", "Chunks", "Entry"]
+__all__ = ["BatchedDecodeKernel", "Chunks"]

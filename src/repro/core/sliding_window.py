@@ -43,12 +43,15 @@ ring + slot`` of the flat blocks holds
 matrices are never stored: they are ``pairwise + unary`` on demand.
 Rows are allocated on the fill→windowed transition only (doubling
 growth from ``_INITIAL_ROWS``, free-list reuse), so an entity that
-never saturates its window costs the arena nothing.  The stacked
-kernel (:mod:`repro.core.batch_kernel`) reads and writes the blocks by
-row-index arrays, a pass of chunks at a time; :class:`SlidingProductWindow`
-is a one-row view whose scalar methods use basic slices of the same
-blocks, so ``observe()`` and a stacked pass read and write the same
-storage.
+never saturates its window costs the rows nothing.  Until then its
+steps live in the arena's fill storage (:class:`FillPages`, ``arena.fill``):
+pages of ``_PAGE`` steps from a free list, as many as the entity's
+length needs, handed back when the row is loaded.  The stacked
+kernel (:mod:`repro.core.batch_kernel`) reads and writes both by
+index arrays -- a pass of chunks, or of filling steps, at a time;
+:class:`SlidingProductWindow` is a one-row view whose scalar methods
+use basic slices of the same blocks, so ``observe()`` and a stacked
+pass read and write the same storage.
 
 Refolds of ``_MIN_SCAN`` or more steps (a flip, a patch far from the
 stack top) run as a Hillis-Steele doubling scan over an entity-minor
@@ -96,15 +99,82 @@ _INITIAL_ROWS = 8
 _GROWTH = 2
 # Observation rows a fresh arena has room for before it grows the table.
 _INITIAL_SYMBOLS = 64
+# Steps in one page of fill storage, and the pages a fresh arena
+# allocates on its first filling decoder.
+_PAGE = 4
+_INITIAL_PAGES = 64
+
+
+def _resize_blocks(owner, capacity: int, blocks) -> None:
+    """Grow ``owner``'s ``(name, shape, dtype)`` blocks (unit axis last if
+    3-d, else first) and free list, keeping their contents."""
+    for name, shape, dtype in blocks:
+        fresh = np.zeros(shape, dtype=dtype)
+        old = getattr(owner, name, None)
+        if old is not None and fresh.ndim == 3:
+            fresh[:, :, : old.shape[2]] = old
+        elif old is not None:
+            fresh[: old.shape[0]] = old
+        setattr(owner, name, fresh)
+    owner._free.extend(range(capacity - 1, owner.capacity - 1, -1))
+    owner.capacity = capacity
+
+
+class FillPages:
+    """Struct-of-arrays storage of every filling decoder's steps, in pages.
+
+    Step ``t`` of a decoder holding ``pages`` is cell ``pages[t // _PAGE]
+    * _PAGE + t % _PAGE`` of ``unary``, ``score`` and ``alpha`` (the
+    effective unary row, the running Viterbi score and the normalised
+    forward message, ``(cells, K)`` each) and ``symbols`` ``(cells,)``.
+    A decoder takes a page each ``_PAGE`` steps and gives them all back
+    when its window opens or it is released or reset.
+    """
+
+    __slots__ = ("capacity", "_free", "unary", "score", "alpha", "symbols")
+
+    def __init__(self) -> None:
+        self.capacity = 0
+        self._free: List[int] = []
+        self._resize(0)
+
+    @property
+    def live(self) -> int:
+        """Number of pages currently held."""
+        return self.capacity - len(self._free)
+
+    @property
+    def page_bytes(self) -> int:
+        """Bytes one page takes across the four blocks."""
+        return _PAGE * (3 * _K * self.unary.itemsize + self.symbols.itemsize)
+
+    def _resize(self, capacity: int) -> None:
+        cells = capacity * _PAGE
+        _resize_blocks(self, capacity, (
+            ("unary", (cells, _K), np.float64),
+            ("score", (cells, _K), np.float64),
+            ("alpha", (cells, _K), np.float64),
+            ("symbols", (cells,), np.int64),
+        ))  # fmt: skip
+
+    def allocate(self) -> int:
+        """A free page index (contents stale; the caller writes them)."""
+        if not self._free:
+            self._resize(max(_INITIAL_PAGES, self.capacity * _GROWTH))
+        return self._free.pop()
+
+    def release(self, pages: List[int]) -> None:
+        self._free.extend(pages)
 
 
 class WindowArena:
     """Struct-of-arrays storage of two-stack sliding windows, one per row,
-    and the observation row of every alert name interned so far."""
+    the filling decoders' steps (:attr:`fill`), and the observation row
+    of every alert name interned so far."""
 
     __slots__ = (
         "ring", "parameters", "capacity", "_free", "symbol_ids", "symbol_names", "observations",
-        "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
+        "fill", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
     )  # fmt: skip
 
     def __init__(self, ring: int, parameters: "FactorParameters") -> None:
@@ -117,6 +187,7 @@ class WindowArena:
         self.symbol_ids: Dict[str, int] = {}
         self.symbol_names: List[str] = []
         self.observations = np.zeros((_INITIAL_SYMBOLS, _K))
+        self.fill = FillPages()
         self._resize(0)
 
     @property
@@ -126,7 +197,7 @@ class WindowArena:
 
     def _resize(self, capacity: int) -> None:
         cells = capacity * self.ring
-        for name, shape, dtype in (
+        _resize_blocks(self, capacity, (
             ("unary", (cells, _K), np.float64),
             ("symbols", (cells,), np.int64),
             ("agg_max", (_K, _K, cells), np.float64),
@@ -134,16 +205,7 @@ class WindowArena:
             ("start", (capacity,), np.int64),
             ("boundary", (capacity,), np.int64),
             ("end", (capacity,), np.int64),
-        ):
-            fresh = np.zeros(shape, dtype=dtype)
-            old = getattr(self, name, None)
-            if old is not None and fresh.ndim == 3:
-                fresh[:, :, : old.shape[2]] = old
-            elif old is not None:
-                fresh[: old.shape[0]] = old
-            setattr(self, name, fresh)
-        self._free.extend(range(capacity - 1, self.capacity - 1, -1))
-        self.capacity = capacity
+        ))  # fmt: skip
 
     def allocate(self) -> int:
         """A free row index (contents stale; the caller loads it)."""

@@ -31,23 +31,26 @@ O(K^3) (two small matrix products), evicting the front costs O(K^3)
 *amortised*, and the firing decision reads the window's Viterbi score
 vector and forward message in O(K^2).
 
-**Where the window lives.**  Every decoder of a tagger works in the
-tagger's :class:`repro.core.sliding_window.WindowArena`, which interns
-each alert name once and holds its observation row, so no step copies
-one.  The filling phase keeps per-decoder buffers (unary rows, forward
-recursions, symbols), steps ``0 .. length - 1``.  The first eviction
-moves the window into one *row* of the arena and frees the buffers.
-From then on the decoder holds only a :class:`SlidingProductWindow`
-view of that row plus its sparse pattern state: the unary rows and
-alert symbols sit in the row's ring slots (``step mod ring``),
-``start``/``end`` in the arena's integer arrays, and step indices are
-absolute and never rebased.  The scalar
-methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
-read and write the same row, so a row's state does not depend on which
-of them advanced it.  The kernel advances a row without touching its
-decoder at all while its steps are *plain* (:meth:`plain_run`: no
-cursor or bonus in reach); whoever drops a windowed decoder must
-:meth:`release` its row.
+**Where the window lives.**  Every decoder of a tagger keeps its steps
+in the tagger's :class:`repro.core.sliding_window.WindowArena`, which
+interns each alert name once and holds its observation row, so no step
+copies one.  While the window fills, steps ``0 .. length - 1`` (unary
+row, Viterbi score, forward message, symbol) sit in the arena's *fill
+storage* (:class:`~repro.core.sliding_window.FillPages`): pages of a
+few steps, taken from a free list as the entity grows, so a new decoder
+allocates no array and a two-alert entity holds one page.  The first
+eviction moves the steps into one *row* of the arena and frees the
+pages.  From then on the decoder holds only a
+:class:`SlidingProductWindow` view of that row plus its sparse pattern
+state: the unary rows and alert symbols sit in the row's ring slots
+(``step mod ring``), ``start``/``end`` in the arena's integer arrays,
+and step indices are absolute and never rebased.  In either phase the
+scalar methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
+read and write the same cells, so an entity's state does not depend on
+which of them advanced it.  The kernel advances a row without touching
+its decoder at all while its steps are *plain* (:meth:`plain_run`: no
+cursor or bonus in reach); whoever drops a decoder must :meth:`release`
+its row or pages.
 
 The aggregate is floating-point *reassociated* relative to the
 sequential recursion, so windowed mode never lets it near an emitted
@@ -118,11 +121,11 @@ from .factor_graph import (
     logsumexp_vecmat,
     maxplus_vecmat,
 )
-from .sliding_window import SlidingProductWindow, WindowArena
+from .sliding_window import _PAGE, SlidingProductWindow, WindowArena
 from .states import HiddenState, NUM_STATES
 
 _MALICIOUS = int(HiddenState.MALICIOUS)
-_INITIAL_CAPACITY = 16
+_ARANGE_K = np.arange(NUM_STATES)
 
 #: Floor of the guard band (log-space score gap / probability margin)
 #: inside which the reassociated window aggregate is not trusted to
@@ -204,52 +207,68 @@ class StreamingDecoder:
         schedule); the decoder interns every alert name there and takes
         a row of it on its first eviction.
 
-    Opening a decoder is O(1) in the catalogue size.  The table's
-    ``patterns`` and seed index are aliased, not copied: every decoder
-    of a tagger shares them, so never mutate ``decoder.patterns`` or a
-    waiting bucket in place.  ``_cursors`` holds a cursor only while
-    its pattern has a non-empty match, and ``_waiting`` starts as a
-    shallow copy of the seed index whose tuple buckets are replaced,
-    never edited.
+    Opening a decoder is O(1) in the catalogue size and allocates no
+    array: its steps go to pages of the arena's
+    :class:`~repro.core.sliding_window.FillPages`, taken as it grows.
+    The table's ``patterns`` and seed index are aliased, not copied:
+    every decoder of a tagger shares them, so never mutate
+    ``decoder.patterns`` or a waiting bucket in place.  ``_cursors``
+    holds a cursor only while its pattern has a non-empty match, and
+    ``_waiting`` *is* the seed index until the first cursor advance
+    (copy on write); its tuple buckets are replaced, never edited.
     """
+
+    __slots__ = (
+        "parameters", "patterns", "_seed", "_pairwise", "_cursors", "_waiting", "_complete",
+        "_bonus_at", "_arena", "_fill", "_window", "_decode_cache", "_pages", "_length",
+    )  # fmt: skip
 
     def __init__(self, table: PatternTable, arena: WindowArena) -> None:
         self.parameters = parameters = arena.parameters
         self.patterns = table.patterns
         self._seed = table.seed
         self._pairwise = parameters.transition_log
-        self._arange_k = np.arange(NUM_STATES)
         # pattern index -> cursor, only for patterns with matched > 0
         self._cursors: Dict[int, PatternCursor] = {}
         # symbol -> indices of patterns whose next expected symbol is it
-        self._waiting: Dict[str, Tuple[int, ...]] = dict(table.seed)
+        self._waiting: Dict[str, Tuple[int, ...]] = table.seed
         self._complete: Set[int] = set()
         # step index -> {pattern index -> bonus} for bonuses landing
         # there, kept in ascending pattern-index order (the catalogue
         # summation order the naive rebuild uses).
         self._bonus_at: Dict[int, Dict[int, float]] = {}
         self._arena = arena
+        self._fill = arena.fill
         # The arena row once windowed; its start/end are the window's.
         self._window: Optional[SlidingProductWindow] = None
         # (window span, map_path, final_marginal) of the last exact decode.
         self._decode_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
-        self._open_fill()
+        # Filling phase: steps 0 .. _length - 1 in the pages listed here.
+        self._pages: List[int] = []
+        self._length = 0
 
     # -- bookkeeping -------------------------------------------------------
-    def _open_fill(self) -> None:
-        """Fresh filling-phase buffers: steps ``0 .. _length - 1``, head at 0."""
-        capacity = _INITIAL_CAPACITY
+    def _cell(self, step: int) -> int:
+        """Fill-storage cell of one step of a filling decoder."""
+        return self._pages[step // _PAGE] * _PAGE + step % _PAGE
+
+    def _cells(self) -> np.ndarray:
+        """Fill-storage cells of steps ``0 .. _length - 1``, in step order."""
+        pages = np.array(self._pages, dtype=np.int64)
+        return (pages[:, None] * _PAGE + np.arange(_PAGE)).ravel()[: self._length]
+
+    def _free_pages(self) -> None:
+        """Hand the filling phase's pages back; the decoder holds no steps."""
+        self._fill.release(self._pages)
+        self._pages = []
         self._length = 0
-        self._unary = np.zeros((capacity, NUM_STATES))
-        self._score = np.zeros((capacity, NUM_STATES))
-        self._alpha = np.zeros((capacity, NUM_STATES))
-        self._symbols: List[int] = []
 
     def _open_window(self) -> None:
-        """Filling → windowed: move the rows into an arena row, free the buffers."""
+        """Filling → windowed: move the steps into an arena row, free their pages."""
+        fill, cells = self._fill, self._cells()
         self._window = SlidingProductWindow(self._pairwise, self._arena)
-        self._window.load(0, self._unary[: self._length], self._symbols)
-        self._unary = self._score = self._alpha = self._symbols = None
+        self._window.load(0, fill.unary[cells], fill.symbols[cells])
+        self._free_pages()
 
     def _rebuild_waiting(self) -> None:
         """Recompute the waiting lists from the cursors (after rescans):
@@ -265,18 +284,6 @@ class StreamingDecoder:
                 waiting[symbol] = waiting.get(symbol, ()) + (index,)
         self._waiting = waiting
 
-    def _grow(self, needed: int) -> None:
-        capacity = self._unary.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for attr in ("_unary", "_score", "_alpha"):
-            old = getattr(self, attr)
-            fresh = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
-            fresh[: old.shape[0]] = old
-            setattr(self, attr, fresh)
-
     @property
     def length(self) -> int:
         """Number of alerts currently folded into the (windowed) chain."""
@@ -288,7 +295,8 @@ class StreamingDecoder:
         """Alert names currently folded into the chain."""
         if self._window is not None:
             return tuple(self._window.names())
-        return tuple(map(self._arena.symbol_names.__getitem__, self._symbols))
+        symbols = self._fill.symbols[self._cells()].tolist()
+        return tuple(map(self._arena.symbol_names.__getitem__, symbols))
 
     @property
     def windowed(self) -> bool:
@@ -296,20 +304,21 @@ class StreamingDecoder:
         return self._window is not None
 
     def release(self) -> None:
-        """Give the arena row back; whoever drops a windowed decoder must."""
+        """Give the arena storage back (a row, or fill pages); whoever
+        drops a decoder must."""
         if self._window is not None:
             self._window.release()
             self._window = None
+        self._free_pages()
 
     def reset(self) -> None:
         """Forget the whole stream."""
         self.release()
-        self._open_fill()
         self._decode_cache = None
         self._bonus_at.clear()
         self._complete.clear()
         self._cursors.clear()
-        self._waiting = dict(self._seed)
+        self._waiting = self._seed
 
     # -- incremental update -------------------------------------------------
     def append(self, name: str) -> None:
@@ -333,15 +342,18 @@ class StreamingDecoder:
         window = self._window
         if window is None:
             t = self._length
-            self._grow(t + 1)
-            self._symbols.append(symbol)
+            if t % _PAGE == 0:
+                self._pages.append(self._fill.allocate())
+            self._fill.symbols[self._cell(t)] = symbol
             self._length = t + 1
         else:
             t = window.stage(symbol)
         invalid_from = t
         dirty = {t}
-        advancing = self._waiting.pop(name, None)
-        if advancing:
+        if self._waiting.get(name):
+            if self._waiting is self._seed:
+                self._waiting = dict(self._seed)  # copy on the first advance
+            advancing = self._waiting.pop(name)
             # Ascending pattern index keeps same-step bonus insertion in
             # catalogue order (see _refresh_unary).
             for index in sorted(advancing):
@@ -494,7 +506,10 @@ class StreamingDecoder:
     def _effective_row(self, step: int, head: int = 0) -> np.ndarray:
         """One effective unary row: observation (+ prior on the ``head`` step) + ordered bonuses."""
         window, arena = self._window, self._arena
-        symbol = self._symbols[step] if window is None else arena.symbols[window.cell(step)]
+        if window is None:
+            symbol = self._fill.symbols[self._cell(step)]
+        else:
+            symbol = arena.symbols[window.cell(step)]
         row = arena.observations[symbol].copy()
         if step == head:
             row += self.parameters.initial_log
@@ -506,7 +521,7 @@ class StreamingDecoder:
 
     def _refresh_unary(self, step: int) -> None:
         """Rebuild one filling-phase unary row in place."""
-        self._unary[step] = self._effective_row(step)
+        self._fill.unary[self._cell(step)] = self._effective_row(step)
 
     # -- windowed-mode aggregate maintenance ---------------------------------
     def _sync_window(self, dirty: Set[int], appended: Optional[int] = None) -> None:
@@ -558,20 +573,21 @@ class StreamingDecoder:
         while the window is still filling; windowed mode materialises
         read-outs via :meth:`_window_decode` instead.
         """
-        unary = self._unary
-        score = self._score
-        alpha = self._alpha
+        fill = self._fill
+        unary, score, alpha = fill.unary, fill.score, fill.alpha
         pairwise = self._pairwise
-        arange_k = self._arange_k
+        cell = self._cell
         for t in range(start, self._length):
+            now = cell(t)
             if t == 0:
-                score[0] = unary[0]
-                alpha[0] = _normalize_log(unary[0])
+                score[now] = unary[now]
+                alpha[now] = _normalize_log(unary[now])
                 continue
-            candidate = score[t - 1][:, None] + pairwise
-            score[t] = candidate[np.argmax(candidate, axis=0), arange_k] + unary[t]
-            prev = alpha[t - 1][:, None] + pairwise
-            alpha[t] = _normalize_log(_logsumexp(prev, axis=0) + unary[t])
+            before = cell(t - 1)
+            candidate = score[before][:, None] + pairwise
+            score[now] = candidate[np.argmax(candidate, axis=0), _ARANGE_K] + unary[now]
+            prev = alpha[before][:, None] + pairwise
+            alpha[now] = _normalize_log(_logsumexp(prev, axis=0) + unary[now])
 
     # -- decisions -----------------------------------------------------------
     def window_scores(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -627,8 +643,8 @@ class StreamingDecoder:
         marginal reproduces ``chain_marginals(...)[-1]`` via the
         forward recursion only (the backward message at the final step
         is identically zero, so the backward pass cannot change the
-        final row -- same argument, and same float ops, as the
-        incremental ``_alpha`` read-out while the window is filling).
+        final row -- same argument, and same float ops, as the stored
+        forward-message read-out while the window is filling).
         """
         # Every change to a windowed row moves its start or its end.
         span = self._window.span
@@ -658,7 +674,7 @@ class StreamingDecoder:
         if self._window is not None:
             # Copy: the cached array must survive caller mutation.
             return self._window_decode()[1].copy()
-        last = self._alpha[self._length - 1]
+        last = self._fill.alpha[self._cell(self._length - 1)]
         return np.exp(last - _logsumexp(last))
 
     def final_state(self) -> int:
@@ -667,19 +683,19 @@ class StreamingDecoder:
             raise ValueError("decoder is empty")
         if self._window is not None:
             return int(self._window_decode()[0][-1])
-        return int(np.argmax(self._score[self._length - 1]))
+        return int(np.argmax(self._fill.score[self._cell(self._length - 1)]))
 
     def map_path(self) -> np.ndarray:
         """Full MAP state trajectory of the window.
 
         ``chain_map_decode`` of the unary table while the window is
-        filling (its scores are the same float ops as ``_score``, so the
-        path ends in :meth:`final_state`); the cached exact window
-        decode afterwards.
+        filling (its scores are the same float ops as the stored Viterbi
+        scores, so the path ends in :meth:`final_state`); the cached
+        exact window decode afterwards.
         """
         if self._window is not None:
             return self._window_decode()[0].copy()
-        return chain_map_decode(self._unary[: self._length], self._pairwise)
+        return chain_map_decode(self._fill.unary[self._cells()], self._pairwise)
 
     def matched_pattern_names(self) -> list[str]:
         """Names of fully matched patterns, in catalogue order."""
@@ -696,7 +712,7 @@ class StreamingDecoder:
         """Copy of the window's effective unary log potentials (T, K)."""
         if self._window is not None:
             return self._window.unary_table()
-        return self._unary[: self._length].copy()
+        return self._fill.unary[self._cells()]
 
     def marginals(self) -> np.ndarray:
         """Full per-step posteriors of the window (O(W * K^2) decode).

@@ -34,17 +34,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttackTagger, batch_kernel
+from repro.core import AttackTagger, batch_kernel, sliding_window, streaming
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
 from repro.core.factors import FactorParameters
-from repro.core.sliding_window import _MIN_SCAN, WindowArena
+from repro.core.sliding_window import _MIN_SCAN, _PAGE, WindowArena
 from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.sharding import ShardedDetectorPool
 
 from test_sliding_window import assert_same_window
+from test_window_arena import _assert_rows_accounted
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
 BENIGN_NAMES = [
@@ -128,6 +129,15 @@ def _assert_same_logical_state(reference, batched, entities):
             # Same absolute steps, observation rows and aggregates, whoever
             # advanced the row and wherever in its arena it lives.
             assert_same_window(decoder_r._window, decoder_b._window)
+        else:
+            # Same fill-storage steps (the recursions included), whichever
+            # pages hold them.
+            cells_r, cells_b = decoder_r._cells(), decoder_b._cells()
+            for block in ("unary", "score", "alpha"):
+                assert np.array_equal(
+                    getattr(reference._arena.fill, block)[cells_r],
+                    getattr(batched._arena.fill, block)[cells_b],
+                )
 
 
 def _assert_matches_spec(naive, tagger, entities):
@@ -183,9 +193,9 @@ class _DispatchCounter:
                 self.stacked.append(sum(current))
             return rest
 
-        def counted_fill(kernel, entries, pairwise):
-            current.append(len(entries))
-            return advance_fill(kernel, entries, pairwise)
+        def counted_fill(kernel, fill, arena):
+            current.append(len(fill))
+            return advance_fill(kernel, fill, arena)
 
         def counted_chunks(kernel, arena, chunks, alerts):
             current.append(sum(map(len, chunks.positions)))
@@ -687,6 +697,114 @@ class TestDeepRuns:
         assert batched._batch_kernel.rows_scalar > 0  # pattern steps broke chunks
         assert seen["flipped"] >= 2  # stacked flips
         assert seen["mid_chunk"] > len(hits)  # chunks stopped at cells that did not fire
+
+
+class TestFreshEntitiesFillInOneSubBatch:
+    """Dozens of brand-new entities in one sub-batch, each crossing a
+    fill-page boundary and most of them the fill→windowed transition.
+    Pattern walkers match ``X`` on the first page and ``Y`` or ``Z`` on a
+    later one, so a bonus relocates across the boundary (the
+    ``_complete_append`` path inside a stacked filling pass); lone
+    seeders keep a bonus where it landed (``_effective_row`` inside the
+    block); a few entities end on a firing chain.  Pages of two steps as well as the
+    module's put a boundary inside the smallest windows too, and the fill
+    storage starts at two pages, so it grows mid-pass.
+    """
+
+    X, Y, Z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
+    PATTERNS = [
+        PatternSpec(name="P0", names=(X, Y)),
+        PatternSpec(name="P1", names=(Z, Y)),
+        PatternSpec(name="P2", names=(X, Z)),
+    ]
+    FILLER = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
+    CHAIN = ("alert_download_sensitive", "alert_privilege_escalation")
+
+    def _stream(self, seed, max_window, n_entities, page=_PAGE):
+        rng = np.random.default_rng(seed)
+        longest = max(page, max_window) + 3
+        runs = []
+        for index in range(n_entities):
+            length = int(rng.integers(page + 1, longest + 1))
+            names = [self.FILLER[k] for k in rng.integers(len(self.FILLER), size=length)]
+            kind = index % 5
+            if kind in (1, 2):  # a walker: a match on page 0, its next symbol later
+                names[int(rng.integers(page))] = self.X
+                names[int(rng.integers(page, length))] = (self.Y, self.Z)[kind - 1]
+            elif kind == 3:  # a lone seeder: its bonus never moves
+                names[int(rng.integers(length))] = self.X
+            elif kind == 4 and rng.integers(2):
+                names[-2:] = self.CHAIN
+            runs.append([(name, f"fresh:{index}") for name in names])
+        order = rng.permutation(np.repeat(np.arange(n_entities), [len(run) for run in runs]))
+        cursors = [0] * n_entities
+        stream = []
+        for index in order.tolist():
+            name, entity = runs[index][cursors[index]]
+            cursors[index] += 1
+            stream.append(Alert(float(len(stream)), name, entity))
+        return stream, [run[0][1] for run in runs]
+
+    def _drive(self, seed, max_window, n_entities, threshold, page=_PAGE):
+        stream, entities = self._stream(seed, max_window, n_entities, page)
+        with mock.patch.object(streaming, "_PAGE", page), mock.patch.object(
+            sliding_window, "_PAGE", page
+        ), mock.patch.object(sliding_window, "_INITIAL_PAGES", 2):
+            hits, batched, scalar, _ = _three_way(
+                stream,
+                len(stream),
+                entities,
+                max_window=max_window,
+                patterns=self.PATTERNS,
+                detection_threshold=threshold,
+            )
+            # Per entity the arena state is compared above; no row or page leaked.
+            _assert_rows_accounted(batched), _assert_rows_accounted(scalar)
+        return hits, batched
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        max_window=st.sampled_from((2, 3, 5, 8)),
+        n_entities=st.integers(24, 48),
+        threshold=st.sampled_from((0.5, 0.9)),
+        page=st.sampled_from((2, _PAGE)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_per_alert_and_naive_agree(self, max_window, n_entities, threshold, page, seed):
+        self._drive(seed, max_window, n_entities, threshold, page)
+
+    @pytest.mark.parametrize("max_window", [2, 3, 5, 8])
+    def test_the_sub_batch_holds_what_the_property_is_about(self, max_window, monkeypatch):
+        relocations = []
+        complete_append = StreamingDecoder._complete_append
+        fills = []
+        advance_fill = BatchedDecodeKernel._advance_fill
+
+        def counted_fill(kernel, fill, arena):
+            fills.append(len(fill))
+            return advance_fill(kernel, fill, arena)
+
+        page = 2 if max_window < _PAGE else _PAGE  # the window fills past page 0
+        def counted(decoder, step, dirty, invalid_from):
+            if not decoder.windowed and invalid_from // page < step // page:
+                relocations.append(step)
+            return complete_append(decoder, step, dirty, invalid_from)
+
+        monkeypatch.setattr(streaming, "_PAGE", page)
+        monkeypatch.setattr(sliding_window, "_PAGE", page)
+        monkeypatch.setattr(sliding_window, "_INITIAL_PAGES", 2)
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)
+        stream, entities = self._stream(0, max_window, 32, page)
+        batched = _tagger(max_window=max_window, patterns=self.PATTERNS)
+        monkeypatch.setattr(StreamingDecoder, "_complete_append", counted)
+        hits = batched.observe_batch_indexed(stream)
+        assert max(fills) >= 24  # every fresh entity's first step in one pass
+        assert relocations  # a bonus moved from page 0 to a later page
+        assert batched._arena.fill.capacity > 2  # the fill storage grew mid-pass
+        assert hits  # chains fired
+        decoders = [batched.track(entity).decoder for entity in entities]
+        assert any(decoder is not None and decoder.windowed for decoder in decoders)
+        monkeypatch.undo()
 
 
 class TestObservationRowsResolveOncePerName:

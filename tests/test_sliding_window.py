@@ -390,11 +390,12 @@ class TestEvictionEquivalence:
         assert s_matched == n_matched
         decoder = taggers["streaming"].track("entity:x").decoder
         # The live decoder really took the amortised path: one arena
-        # row of max_window + 1 ring slots, its filling buffers freed --
+        # row of max_window + 1 ring slots, its fill pages handed back --
         # nothing grew with the 220-alert stream.
-        assert decoder is not None and decoder.windowed and decoder._unary is None
+        assert decoder is not None and decoder.windowed and decoder._pages == []
         arena = taggers["streaming"]._arena
         assert (arena.live, arena.capacity, arena.ring) == (1, _INITIAL_ROWS, max_window + 1)
+        assert arena.fill.live == 0
 
     def test_windowed_unary_table_matches_naive_build(self):
         rng = np.random.default_rng(42)

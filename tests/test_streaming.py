@@ -360,6 +360,37 @@ class TestLazyCursorsAreEagerCursors:
         # A third entity opens on the untouched seed index.
         assert tagger._make_decoder()._waiting == seed
 
+    def test_waiting_lists_are_copied_on_the_first_advance_only(self):
+        tagger = AttackTagger(
+            patterns=list(DEFAULT_CATALOGUE), detection_threshold=1 - 1e-9
+        )
+        table = tagger._pattern_table
+        seed = dict(table.seed)
+        quiet_names = [name for name in ALL_NAMES if name not in table.seed]
+        assert quiet_names
+        for step, name in enumerate(quiet_names):
+            tagger.observe(Alert(float(step), name, "entity:quiet"))
+        quiet = tagger.track("entity:quiet").decoder
+        # Fed only names no pattern starts with: it still reads the table's dict.
+        assert quiet is not None and quiet._cursors == {}
+        assert quiet._waiting is table.seed
+
+        starters = sorted(table.seed)
+        tagger.observe(Alert(100.0, starters[0], "entity:other"))
+        other = tagger.track("entity:other").decoder
+        other_waiting = dict(other._waiting)
+        for step, name in enumerate(starters[1:]):
+            tagger.observe(Alert(101.0 + step, name, "entity:seeding"))
+        seeding = tagger.track("entity:seeding").decoder
+        assert seeding._cursors and seeding._waiting is not table.seed
+        # Neither the table nor a sibling saw the seeding decoder's writes.
+        assert table.seed == seed
+        assert quiet._waiting is table.seed
+        assert other._waiting is not table.seed and other._waiting == other_waiting
+        # Forgetting the stream goes back to sharing the seed index.
+        seeding.reset()
+        assert seeding._waiting is table.seed and seeding._cursors == {}
+
 
 _CHOSEN = list(DEFAULT_CATALOGUE)[0]
 _EXTRA = PatternSpec("EXTRA", (_CHOSEN.names[0], _FILLER))

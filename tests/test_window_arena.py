@@ -8,6 +8,10 @@ Pinned here:
   only and handed back the moment its entity is detected, reset or
   migrated, so live rows always equal live windowed decoders and a
   churning population never grows the arena;
+* **fill-page accounting** -- the same for the filling phase's pages:
+  every page is free or held by exactly one live filling decoder, which
+  holds just the pages its length needs, and two-alert entities that
+  come and go never grow the fill storage;
 * **the property** -- any interleaving of ``observe``, ragged
   ``observe_batch`` calls, ``reset_entity``, firing chains, bonus
   relocations and a pickle round-trip, with the arena starting at two
@@ -32,7 +36,7 @@ from repro.core import AttackTagger, sliding_window
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH
-from repro.core.sliding_window import _INITIAL_ROWS, _MIN_SCAN
+from repro.core.sliding_window import _INITIAL_PAGES, _INITIAL_ROWS, _MIN_SCAN, _PAGE
 from repro.incidents import DEFAULT_CATALOGUE
 
 from test_sliding_window import assert_same_window
@@ -68,7 +72,22 @@ def _windowed_decoders(tagger) -> int:
 
 
 def _assert_rows_accounted(tagger) -> None:
-    assert tagger._arena.live == _windowed_decoders(tagger)
+    """Live rows are live windowed decoders, and every fill page is free
+    or held by exactly one live filling decoder, which holds what its
+    length needs and no more."""
+    arena = tagger._arena
+    assert arena.live == _windowed_decoders(tagger)
+    fill = arena.fill
+    held = []
+    for track in tagger._tracks.values():
+        decoder = track.decoder
+        if decoder is None:
+            continue
+        needed = 0 if decoder.windowed else -(-decoder.length // sliding_window._PAGE)
+        assert len(decoder._pages) == needed
+        held += decoder._pages
+    assert len(held) == fill.live
+    assert sorted(held + fill._free) == list(range(fill.capacity))
 
 
 def _saturate(taggers, entity, max_window, clock):
@@ -177,6 +196,27 @@ class TestDetectionReleasesDecodeState:
         assert restored._arena is not target._arena and restored._arena.live == 0
         _assert_rows_accounted(restored)
 
+    def test_ten_thousand_short_lived_filling_entities_never_grow_the_fill_storage(self):
+        """The filling twin: two alerts per entity, which is reset or
+        detected before the next one arrives; one page, reused."""
+        tagger = AttackTagger()  # max_window 64: two alerts never slide
+        fill = tagger._arena.fill
+        clock = iter(np.arange(1e6))
+        for index in range(10_000):
+            entity = f"user:{index}"
+            if index % 2:
+                for name in BACKGROUND[:2]:
+                    assert tagger.observe(Alert(next(clock), name, entity)) is None
+                assert fill.live == 1
+                tagger.reset_entity(entity)
+            else:
+                tagger.observe(Alert(next(clock), CHAIN[0], entity))
+                assert tagger.observe(Alert(next(clock), CHAIN[1], entity)) is not None
+            assert fill.live == 0
+        assert fill.capacity == _INITIAL_PAGES
+        assert (tagger._arena.live, tagger._arena.capacity) == (0, 0)
+        assert len(tagger.detections) == 5_000
+
     def test_entities_that_never_slide_never_get_a_row(self):
         """The ``entity_churn`` shape at toy size: two alerts per entity,
         stacked rounds of brand-new entities, no window ever saturates."""
@@ -188,6 +228,86 @@ class TestDetectionReleasesDecodeState:
             )
         assert len(tagger.entities()) == 512
         assert (tagger._arena.live, tagger._arena.capacity) == (0, 0)
+        assert tagger._arena.fill.live == 512  # one page each
+        _assert_rows_accounted(tagger)
+
+
+class TestFillPagesAreAccounted:
+    """Every event that drops or rebuilds a filling decoder leaves each
+    fill page free or held by exactly one live filling decoder."""
+
+    def _populated(self, max_window=8):
+        """Filling entities of every length up to a full window, through
+        both the kernel and ``observe``, some with a pattern bonus; none
+        has slid or fired."""
+        tagger = AttackTagger(patterns=PATTERNS, max_window=max_window)
+        clock = iter(np.arange(1e6))
+        batch = [
+            Alert(next(clock), (Z, *BACKGROUND)[(index + step) % 4], f"host:{index}")
+            for index in range(3 * _MIN_BATCH)
+            for step in range(1 + index % max_window)
+        ]
+        tagger.observe_batch(batch)
+        for step in range(_PAGE + 1):
+            tagger.observe(Alert(next(clock), BACKGROUND[step % 3], "host:scalar"))
+        assert tagger.detections == [] and _windowed_decoders(tagger) == 0
+        assert tagger._arena.fill.live > len(tagger.entities())
+        _assert_rows_accounted(tagger)
+        return tagger, clock
+
+    def test_reset_and_reset_entity(self):
+        tagger, _ = self._populated()
+        for index in range(0, 3 * _MIN_BATCH, 2):
+            tagger.reset_entity(f"host:{index}")
+            _assert_rows_accounted(tagger)
+        tagger.track("host:1").decoder.reset()
+        _assert_rows_accounted(tagger)
+        tagger.reset()
+        assert tagger._arena.fill.live == 0
+        _assert_rows_accounted(tagger)
+
+    def test_detection_and_infer_resync(self):
+        tagger, clock = self._populated()
+        for name in CHAIN:
+            detection = tagger.observe(Alert(next(clock), name, "host:fresh"))
+        assert detection is not None and tagger.track("host:fresh").decoder is None
+        _assert_rows_accounted(tagger)
+        # infer() re-syncs a decoder (pages again), the next alert drops it.
+        tagger.infer("host:fresh")
+        assert tagger.track("host:fresh").decoder._pages
+        _assert_rows_accounted(tagger)
+        tagger.observe(Alert(next(clock), BACKGROUND[0], "host:fresh"))
+        assert tagger.track("host:fresh").decoder is None
+        _assert_rows_accounted(tagger)
+        # Detections inside a stacked filling pass release their pages too.
+        late = [f"host:late-{index}" for index in range(_MIN_BATCH)]
+        fired = tagger.observe_batch([Alert(next(clock), name, e) for name in CHAIN for e in late])
+        assert [detection.entity for detection in fired] == late
+        _assert_rows_accounted(tagger)
+
+    def test_export_adopt_and_pickle(self):
+        source, clock = self._populated()
+        target = AttackTagger(patterns=PATTERNS, max_window=8)
+        for entity, track in source.export_entity_tracks().items():
+            target.adopt_entity_track(entity, track)
+        _assert_rows_accounted(source), _assert_rows_accounted(target)
+        assert target._arena.fill.live == 0  # adopted tracks re-sync lazily
+        target.observe_batch(
+            [Alert(next(clock), BACKGROUND[0], entity) for entity in target.entities()]
+        )
+        _assert_rows_accounted(target)
+        # A track handed over with its decoder gives its pages back to the source.
+        held = len(source.track("host:3").decoder._pages)
+        before = source._arena.fill.live
+        other = AttackTagger(patterns=PATTERNS, max_window=8)
+        other.adopt_entity_track("host:3", source._tracks.pop("host:3"))
+        assert source._arena.fill.live == before - held
+        _assert_rows_accounted(source), _assert_rows_accounted(other)
+        restored = pickle.loads(pickle.dumps(target))
+        assert restored._arena.fill.live == 0
+        _assert_rows_accounted(restored)
+        restored.observe(Alert(next(clock), BACKGROUND[1], "host:5"))
+        _assert_rows_accounted(restored)
 
 
 _ENTITIES = [f"host:{index}" for index in range(6)]
