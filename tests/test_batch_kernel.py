@@ -706,9 +706,9 @@ class TestFreshEntitiesFillInOneSubBatch:
     later one, so a bonus relocates across the boundary (the
     ``_complete_append`` path inside a stacked filling pass); lone
     seeders keep a bonus where it landed (``_effective_row`` inside the
-    block); a few entities end on a firing chain.  Pages of two steps as well as the
-    module's put a boundary inside the smallest windows too, and the fill
-    storage starts at two pages, so it grows mid-pass.
+    block); a few entities end on a firing chain.  Pages of two steps as
+    well as the module's put a boundary inside the smallest windows too,
+    and the fill storage starts at two pages, so it grows mid-pass.
     """
 
     X, Y, Z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
@@ -720,7 +720,7 @@ class TestFreshEntitiesFillInOneSubBatch:
     FILLER = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
     CHAIN = ("alert_download_sensitive", "alert_privilege_escalation")
 
-    def _stream(self, seed, max_window, n_entities, page=_PAGE):
+    def _stream(self, seed, max_window, n_entities, page):
         rng = np.random.default_rng(seed)
         longest = max(page, max_window) + 3
         runs = []
@@ -745,12 +745,12 @@ class TestFreshEntitiesFillInOneSubBatch:
             stream.append(Alert(float(len(stream)), name, entity))
         return stream, [run[0][1] for run in runs]
 
-    def _drive(self, seed, max_window, n_entities, threshold, page=_PAGE):
+    def _drive(self, seed, max_window, n_entities, threshold, page):
         stream, entities = self._stream(seed, max_window, n_entities, page)
         with mock.patch.object(streaming, "_PAGE", page), mock.patch.object(
             sliding_window, "_PAGE", page
         ), mock.patch.object(sliding_window, "_INITIAL_PAGES", 2):
-            hits, batched, scalar, _ = _three_way(
+            _, batched, scalar, _ = _three_way(
                 stream,
                 len(stream),
                 entities,
@@ -760,7 +760,6 @@ class TestFreshEntitiesFillInOneSubBatch:
             )
             # Per entity the arena state is compared above; no row or page leaked.
             _assert_rows_accounted(batched), _assert_rows_accounted(scalar)
-        return hits, batched
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -775,16 +774,15 @@ class TestFreshEntitiesFillInOneSubBatch:
 
     @pytest.mark.parametrize("max_window", [2, 3, 5, 8])
     def test_the_sub_batch_holds_what_the_property_is_about(self, max_window, monkeypatch):
-        relocations = []
-        complete_append = StreamingDecoder._complete_append
-        fills = []
+        page = 2 if max_window < _PAGE else _PAGE  # the window fills past page 0
+        fills, relocations = [], []
         advance_fill = BatchedDecodeKernel._advance_fill
+        complete_append = StreamingDecoder._complete_append
 
         def counted_fill(kernel, fill, arena):
             fills.append(len(fill))
             return advance_fill(kernel, fill, arena)
 
-        page = 2 if max_window < _PAGE else _PAGE  # the window fills past page 0
         def counted(decoder, step, dirty, invalid_from):
             if not decoder.windowed and invalid_from // page < step // page:
                 relocations.append(step)
@@ -804,7 +802,6 @@ class TestFreshEntitiesFillInOneSubBatch:
         assert hits  # chains fired
         decoders = [batched.track(entity).decoder for entity in entities]
         assert any(decoder is not None and decoder.windowed for decoder in decoders)
-        monkeypatch.undo()
 
 
 class TestObservationRowsResolveOncePerName:

@@ -236,10 +236,11 @@ class TestFillPagesAreAccounted:
     """Every event that drops or rebuilds a filling decoder leaves each
     fill page free or held by exactly one live filling decoder."""
 
-    def _populated(self, max_window=8):
+    def _populated(self):
         """Filling entities of every length up to a full window, through
         both the kernel and ``observe``, some with a pattern bonus; none
         has slid or fired."""
+        max_window = 8
         tagger = AttackTagger(patterns=PATTERNS, max_window=max_window)
         clock = iter(np.arange(1e6))
         batch = [
