@@ -17,9 +17,9 @@ the other regime the testbed lives in: a fresh entity every 2 alerts
 (scanner sources, one-off logins), where *opening* a per-entity decoder
 is the cost, through per-alert ``observe()`` and through
 ``observe_batch`` sub-batches (the stacked kernel).  The churn row also
-records the fill storage the ``observe_batch`` run's live filling
-entities hold, in bytes per entity, read off the tagger's arena (so it
-is a count, not a timing).
+records the fill storage and slot tables the ``observe_batch`` run's
+live filling entities hold, in bytes per entity, read off the tagger's
+arena (so it is a count, not a timing).
 
 The ``steady`` rows are the steady state of a long-lived population:
 256 round-robin entities whose W = 32 windows are all sliding
@@ -42,8 +42,8 @@ root::
 CI runs the quick regression gate, which re-measures the streaming
 rate on a short stream, both churn rates, the three steady rates and
 the deep rate, and fails if any regressed more than 2x against the
-committed baseline, or if the churn row's fill bytes per entity grew
-more than 1.25x::
+committed baseline, or if the churn row's fill bytes per entity (fill
+pages and slot tables) grew more than 1.25x::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -126,13 +126,18 @@ def build_churn_stream(entities: int, *, seed: int = 7) -> list[Alert]:
 
 
 def fill_bytes_per_entity(tagger: AttackTagger) -> float:
-    """Fill-storage bytes held per live filling entity, read off the arena."""
+    """Bytes held per live filling entity, read off the arena: the fill
+    pages, and every live slot's row of the slot tables (0.0 when no
+    entity is filling)."""
+    arena = tagger._arena
+    slots, fill = arena.slots, arena.fill
     filling = sum(
-        track.decoder is not None and not track.decoder.windowed
+        slots.row[track.slot] < 0 and slots.length[track.slot] > 0
         for track in tagger._tracks.values()
     )
-    fill = tagger._arena.fill
-    return fill.live * fill.page_bytes / filling
+    if not filling:
+        return 0.0
+    return float(fill.live * fill.page_bytes + slots.live * slots.slot_bytes) / filling
 
 
 def measure_churn_rates(entities: int) -> dict[str, float]:
@@ -406,8 +411,9 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     the streaming engine (which leaves the naive path untouched) does.
     The two churn rows, the three steady rows and the deep row are
     gated by the same rule.  The churn row's fill bytes per live
-    entity is a count, not a rate: it needs no hardware factor and may
-    not exceed the committed figure by more than ``FILL_BYTES_FACTOR``.
+    entity (fill pages plus slot tables) is a count, not a rate: it
+    needs no hardware factor and may not exceed the committed figure
+    by more than ``FILL_BYTES_FACTOR``.
     """
     if not baseline_path.exists():
         print(f"FAIL: no committed baseline at {baseline_path}; "

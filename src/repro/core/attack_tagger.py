@@ -96,17 +96,26 @@ class EntityTrack:
     """Per-entity detector state: the observed alerts and cached decode.
 
     ``alerts`` holds the window-bounded alert history: the
-    ``collections.deque(maxlen=max_window)`` :meth:`AttackTagger.track`
-    creates, so appending to a full window drops the oldest alert in
-    O(1).  It is required, and migration and unpickling carry the deque
-    (with its ``maxlen``) along, so no track ever holds an unbounded
-    list.
+    ``collections.deque(maxlen=max_window)`` the tagger creates, so
+    appending to a full window drops the oldest alert in O(1).  It is
+    required, and migration and unpickling carry the deque (with its
+    ``maxlen``) along, so no track ever holds an unbounded list.
+    ``slot`` is the owning tagger's slot for the entity (see
+    :class:`~repro.core.sliding_window.SlotTable`): scratch, never
+    pickled, assigned again when a tagger is restored or adopts the
+    track.
     """
 
     entity: str
     alerts: Deque[Alert]
     detected: Optional[Detection] = None
     decoder: Optional[StreamingDecoder] = None
+    slot: int = dataclasses.field(default=-1, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("slot", None)
+        return state
 
     @property
     def sequence(self) -> AlertSequence:
@@ -230,11 +239,41 @@ class AttackTagger(Detector):
         """The per-entity track (created on first use)."""
         track = self._tracks.get(entity)
         if track is None:
-            # deque(maxlen) keeps the per-alert window trim O(1).
-            track = self._tracks[entity] = EntityTrack(
-                entity=entity, alerts=deque(maxlen=self.max_window)
-            )
+            self._open_tracks([entity])
+            track = self._tracks[entity]
         return track
+
+    def _tracks_for(self, entities: Sequence[str]) -> List[EntityTrack]:
+        """The tracks of distinct ``entities``; those seen for the first
+        time are opened together, in the order given."""
+        tracks = self._tracks
+        found = list(map(tracks.get, entities))
+        missing = [entity for entity, track in zip(entities, found) if track is None]
+        if missing:
+            self._open_tracks(missing)
+            found = list(map(tracks.__getitem__, entities))
+        return found
+
+    def _open_tracks(self, entities: Sequence[str]) -> None:
+        """The one place tracks are created: an empty track and a fresh
+        slot per entity."""
+        window = self.max_window
+        tracks = self._tracks
+        for entity, slot in zip(entities, self._arena.slots.allocate(len(entities)).tolist()):
+            # deque(maxlen) keeps the per-alert window trim O(1).
+            track = tracks[entity] = EntityTrack(entity, deque(maxlen=window))
+            track.slot = slot
+
+    def _assign_slots(self, tracks: Sequence[EntityTrack]) -> None:
+        """Slots for restored or adopted tracks: their decode state is
+        rebuilt from their alerts when first needed."""
+        slots = self._arena.slots
+        taken = slots.allocate(len(tracks))
+        detected = [track.detected is not None for track in tracks]
+        slots.detected[taken] = detected
+        slots.stale[taken] = [not flag for flag in detected]
+        for track, slot in zip(tracks, taken.tolist()):
+            track.slot = slot
 
     def entities(self) -> list[str]:
         """All entities observed so far."""
@@ -243,41 +282,49 @@ class AttackTagger(Detector):
     def reset(self) -> None:
         """Forget all per-entity state and past detections."""
         for track in self._tracks.values():
-            self._release(track)
+            track.decoder = None
         self._tracks.clear()
+        self._arena.clear()
         self._detections.clear()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity (e.g. after remediation re-images the host)."""
         track = self._tracks.pop(entity, None)
         if track is not None:
-            self._release(track)
+            self._close(track)
 
-    @staticmethod
-    def _release(track: EntityTrack) -> None:
-        """Drop a track's decoder, handing its arena row back.
+    def _close(self, track: EntityTrack) -> None:
+        """Hand a forgotten track's decode storage and slot back."""
+        track.decoder = None
+        self._arena.drop(track.slot)
+        self._arena.slots.release(track.slot)
 
-        The one way decode state leaves a track: at detection, on
-        either reset, on adoption by another replica.  A decoder is a
-        pure function of the track's alerts, so :meth:`_decoder_for`
-        re-syncs one lazily should :meth:`infer` want it again.
+    def _release(self, track: EntityTrack) -> None:
+        """Drop a track's decode state, handing its arena row or fill pages back.
+
+        The one way decode state leaves a live track: at detection.  A
+        decoder is a pure function of the track's alerts, so
+        :meth:`_decoder_for` re-syncs one lazily should :meth:`infer`
+        want it again.
         """
-        decoder, track.decoder = track.decoder, None
-        if decoder is not None:
-            decoder.release()
+        track.decoder = None
+        self._arena.drop(track.slot)
 
     # -- core inference -----------------------------------------------------
-    def _make_decoder(self) -> StreamingDecoder:
-        """Fresh incremental decoder over the tagger's resolved model."""
-        return StreamingDecoder(self._pattern_table, self._arena)
-
     def _decoder_for(self, track: EntityTrack) -> StreamingDecoder:
-        """The track's decoder, created (and synced to its alerts) on demand."""
-        if track.decoder is None:
-            track.decoder = self._make_decoder()
-            for alert in track.alerts:
-                track.decoder.append(alert.name)
-        return track.decoder
+        """The track's decoder, opened over its slot on demand -- and
+        re-synced to its alerts if the slot is stale or was dropped at
+        detection."""
+        decoder = track.decoder
+        if decoder is None:
+            slot = track.slot
+            decoder = track.decoder = StreamingDecoder(self._pattern_table, self._arena, slot)
+            slots = self._arena.slots
+            if slots.stale[slot] or track.detected is not None:
+                slots.stale[slot] = False
+                for alert in track.alerts:
+                    decoder.append(alert.name)
+        return decoder
 
     def _build_unary(self, names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         """Per-step log potentials including pattern-factor bonuses.
@@ -328,8 +375,9 @@ class AttackTagger(Detector):
         maintained decoder state; the naive engine re-decodes the whole
         chain (seed behaviour).
         """
-        track = self.track(entity)
-        if not track.alerts:
+        track = self._tracks.get(entity)
+        if track is None or not track.alerts:
+            # A read-only query: an unknown entity is not tracked by asking.
             prior = np.exp(self.parameters.initial_log)
             return np.zeros(0, dtype=np.int64), prior / prior.sum(), []
         if self.engine != "naive":
@@ -358,7 +406,8 @@ class AttackTagger(Detector):
             # work at all.  A decoder `infer` re-synced since the
             # detection is dropped rather than maintained.
             track.alerts.append(alert)
-            self._release(track)
+            if track.decoder is not None:
+                self._release(track)
             return None
         decoder = self._decoder_for(track) if self.engine != "naive" else None
         sliding = len(track.alerts) >= self.max_window
@@ -391,8 +440,12 @@ class AttackTagger(Detector):
             matched_patterns=tuple(matched),
             state_trajectory=tuple(int(s) for s in states),
         )
-        track.detected = detection
+        self._mark_detected(track, detection)
         return detection
+
+    def _mark_detected(self, track: EntityTrack, detection: Detection) -> None:
+        track.detected = detection
+        self._arena.slots.detected[track.slot] = True
 
     def _advance(
         self, track: EntityTrack, alert: Alert, decoder: StreamingDecoder, sliding: bool
@@ -437,14 +490,16 @@ class AttackTagger(Detector):
         detection = Detection(
             entity=alert.entity,
             timestamp=alert.timestamp,
-            alert_index=len(track.alerts) - 1,
+            # The decoder holds the window-bounded timeline up to this
+            # alert; the stacked kernel records a whole run up front.
+            alert_index=decoder.length - 1,
             trigger=alert,
             state=final_state,
             confidence=malicious_probability,
             matched_patterns=tuple(matched),
             state_trajectory=tuple(int(s) for s in states),
         )
-        track.detected = detection
+        self._mark_detected(track, detection)
         # A detected entity infers nothing more: its decode state
         # (an arena row, once windowed) goes back now, not whenever
         # its next alert happens to arrive.
@@ -527,6 +582,7 @@ class AttackTagger(Detector):
         # pickle's memo, and re-pickled bytes must stay canonical.
         self.__dict__.update((sys.intern(key), value) for key, value in state.items())
         self._resolve()
+        self._assign_slots(list(self._tracks.values()))
 
     # -- live reshard migration --------------------------------------------
     # The optional Detector migration extension (see
@@ -539,10 +595,13 @@ class AttackTagger(Detector):
         from the same configuration: a decoder is a pure function of
         the track's window-bounded alert list, so the adopting tagger
         rebuilds it lazily and bit-identically (same argument as
-        :meth:`__getstate__`).
+        :meth:`__getstate__`).  Each carries its own copy of the alert
+        deque, so the adopter's alerts never reach this replica's tracks.
         """
         return {
-            entity: dataclasses.replace(track, decoder=None)
+            entity: dataclasses.replace(
+                track, alerts=deque(track.alerts, maxlen=track.alerts.maxlen), decoder=None
+            )
             for entity, track in self._tracks.items()
         }
 
@@ -550,9 +609,14 @@ class AttackTagger(Detector):
         """Take ownership of one migrated per-entity track."""
         if entity in self._tracks:
             raise ValueError(f"entity {entity!r} is already tracked")
-        # A decoder that came along lives in the other replica's arena.
-        self._release(track)
+        decoder, track.decoder = track.decoder, None
+        if decoder is not None:
+            # Handed over with its decode state: that and its slot go
+            # back to the other replica's arena.
+            decoder.release()
+            decoder._slots.release(decoder._slot)
         self._tracks[entity] = track
+        self._assign_slots([track])
 
     def replace_detections(self, detections: Sequence[Detection]) -> None:
         """Overwrite the emitted-detections log (reshard log rebuild)."""

@@ -12,14 +12,27 @@ across one entity's consecutive alerts.  :class:`BatchedDecodeKernel`
 executes that arithmetic as stacked tensor operations, on the same
 state the per-alert path uses.
 
-**Runs and passes.**  The sub-batch is grouped into per-entity *runs*
-(each entity's alerts, in stream order).  A *pass* takes every run with
-alerts left through its next stacked segment -- one window-filling
-step, or a *chunk* of plain windowed steps -- and runs the steps that
-touch pattern state through the per-entity path on the way, so the
-chunks of all entities share one depth loop.  Entities are
+**Slots, runs and passes.**  Every tracked entity holds a *slot* of
+the arena's :class:`~repro.core.sliding_window.SlotTable`: its arena
+row (or none), its fill length and pages, whether it is detected, and
+whether its pattern state is still the table's seed ("pristine").  The
+sub-batch is interned once -- one dict lookup per alert maps its entity
+to a slot (a batch's new entities are opened together) and its name to
+an arena symbol -- and grouped into per-entity *runs* (each entity's
+alerts, in stream order) by one stable argsort over slots; each run
+joins its entity's timeline there, whole.  A *pass* then takes every
+run with alerts left through its next stacked segment -- a run of
+plain filling steps, or a *chunk* of plain windowed steps -- with
+masks over the slot columns: the detected check, the filling /
+windowed split and the plain test (a pristine slot and a symbol no
+pattern starts with, or ``StreamingDecoder.plain_run`` for a slot with
+live cursors).  A step that opens a window or, windowed, touches
+pattern state goes through the per-entity path on the way, so the
+segments of all entities share their depth loops.  Entities are
 independent, so one pass may advance one entity by one alert and
-another by thirty.
+another by thirty.  Only steps that touch pattern state, open a
+window or fire call into a decoder; a pristine entity's plain filling
+steps need none.
 
 **Chunks: the depth axis.**  Every windowed entity is a row of the
 tagger's :class:`~repro.core.sliding_window.WindowArena` (see that
@@ -69,16 +82,22 @@ eviction rescans, or the window is only now opening) take the
 per-entity path, ``AttackTagger._advance``, on the same arena row;
 cursors, waiting lists and bonus buckets stay the sparse per-entity
 dicts they are.  **Filling entities** (window not yet saturated) keep
-their steps in the arena's fill storage, one cell per step: a pass
-takes one step of each, reads the unary rows with one lookup of the
-symbols in the observation table (plus the prior at step 0), gathers
-the previous cells' recursions into entity-minor ``(K, N)`` stacks,
-advances the Viterbi and forward recursions by one stacked step and
-scatters the results back, each with one index array.  Only a step
-that meets a bonus builds its row through ``_effective_row``, and one
-that relocates a bonus goes through ``_complete_append``.  A pass that
-would stack fewer than ``_MIN_BATCH`` alerts runs them through the
-per-alert path instead.
+their steps in the arena's fill storage, one cell per step.  A pass
+takes each filling run's plain steps up to the one that would open its
+window (or the one step that touches pattern state, through its
+decoder's ``append_plan``): the bookkeeping of plain steps -- a page
+off the free list where a step starts one, the symbol store, the
+length bump -- is one index-array write each
+(``WindowArena.push_fills``); the unary rows are one lookup of the
+symbols in the observation table (plus the prior at step 0); and the
+Viterbi and forward recursions advance one stacked step per depth,
+gathered into entity-minor ``(K, N)`` stacks and scattered back with
+one index array.  Fill storage only grows, so every cell is decided at
+once afterwards; a run that fires before its last step gives the later
+steps back first.  Only a step that meets a bonus builds its row
+through ``_effective_row``, and one that relocates a bonus goes through
+``_complete_append``.  A pass that would stack fewer than
+``_MIN_BATCH`` alerts runs them through the per-alert path instead.
 
 Every stacked operation replays the scalar engine's float operations
 bit-for-bit (elementwise adds/exp/log are elementwise; max/argmax are
@@ -122,11 +141,12 @@ _K = NUM_STATES
 # A pass that would stack fewer alerts than this (filling steps plus
 # chunk cells, i.e. rows x depth) runs them through the tagger's
 # per-alert path instead (the one-row view, on the same arena).
-# Measured at W = 32 on a 2-vCPU Xeon: a stacked pass costs ~125 us plus
-# ~5 us a row and ~15 us a further depth, a step through the view
-# ~38 us; stacking wins from 4 one-step rows and from about 6 steps of
-# one row, and 5 splits the difference.
-_MIN_BATCH = 5
+# Measured at W = 32 on a 2-vCPU Xeon, as one-pass sub-batches (the
+# interning included): stacked, ~170 us (filling) to ~215 us (windowed),
+# nearly flat in rows, plus ~20-40 us a further depth; per alert, ~120 us
+# plus ~65 us a step.  Stacking wins from 3 one-step rows and from about
+# 5 steps of one row, and 4 splits the difference.
+_MIN_BATCH = 4
 
 #: ``(sub-batch position, detection)``.
 Hit = Tuple[int, "Detection"]
@@ -135,40 +155,6 @@ Hit = Tuple[int, "Detection"]
 #: it applies to (``(N,)``, or ``None`` for all) and two ``(K, K, N)``
 #: stacks of the aggregates folded in.
 Part = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
-
-
-#: One window-filling step of a pass: ``(sub-batch position, alert, track, decoder)``.
-Fill = Tuple[int, "Alert", "EntityTrack", StreamingDecoder]
-
-
-class Chunks:
-    """A pass's chunks, struct-of-arrays: chunk ``k`` is the run of plain
-    windowed steps of ``tracks[k]`` / ``decoders[k]`` / arena row
-    ``rows[k]``, at sub-batch ``positions[k]`` with alert ``names[k]``,
-    by depth."""
-
-    __slots__ = ("tracks", "decoders", "rows", "positions", "names")
-
-    def __init__(self) -> None:
-        self.tracks: List["EntityTrack"] = []
-        self.decoders: List[StreamingDecoder] = []
-        self.rows: List[int] = []
-        self.positions: List[List[int]] = []
-        self.names: List[List[str]] = []
-
-    def __len__(self) -> int:
-        return len(self.tracks)
-
-    def deepest_first(self) -> List[int]:
-        """Reorder the chunks by depth, deepest first; returns the depths."""
-        depths = [len(positions) for positions in self.positions]
-        if max(depths) > 1:
-            order = sorted(range(len(depths)), key=depths.__getitem__, reverse=True)
-            for name in self.__slots__:
-                column = getattr(self, name)
-                setattr(self, name, [column[k] for k in order])
-            depths = [depths[k] for k in order]
-        return depths
 
 
 def _push(
@@ -233,13 +219,89 @@ def _candidates(
     return survivors[np.isnan(probability) | (probability >= threshold - guard[survivors])]
 
 
+def _active(depth: np.ndarray) -> List[int]:
+    """``active[q]``: how many of the deepest-first ``depth`` reach past depth ``q``."""
+    depths = depth.tolist()
+    count = len(depths)
+    active = []
+    for q in range(depths[0]):
+        while depths[count - 1] <= q:
+            count -= 1
+        active.append(count)
+    return active
+
+
+class _SubBatch:
+    """One sub-batch grouped into per-entity runs by one stable sort over slots.
+
+    Sorted alert ``k`` is ``alerts[order[k]]`` (:attr:`sorted`), with
+    interned symbol ``symbols[k]``; ``next_seed[k]`` is the first sorted
+    alert at or after ``k`` whose symbol starts a pattern.  Run ``r`` is
+    sorted alerts ``head[r] .. end[r] - 1`` of ``tracks[r]``, at slot
+    ``slot[r]``; a pass moves ``head`` past the steps it took.  Each
+    run joins its track's timeline here, whole: no decision reads the
+    timeline (a detection's alert index is its decoder's length), and
+    only a stale decoder is rebuilt from it, first.
+    """
+
+    __slots__ = ("order", "sorted", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
+
+    def __init__(self, kernel: "BatchedDecodeKernel", alerts: Sequence["Alert"]) -> None:
+        tagger = kernel._tagger
+        arena = tagger._arena
+        # One dict lookup per alert: its entity, numbered in order of first sight.
+        entities: Dict[str, int] = {}
+        seen = [entities.setdefault(alert.entity, len(entities)) for alert in alerts]
+        tracks = tagger._tracks_for(list(entities))
+        slots = np.array([track.slot for track in tracks], dtype=np.int64)
+        names = [alert.name for alert in alerts]
+        symbols = list(map(arena.symbol_ids.get, names))
+        if None in symbols:
+            symbols = list(map(arena.intern, names))
+        n = len(alerts)
+        if len(tracks) == n:
+            # Every alert its own entity's run.
+            self.order = order = np.argsort(slots)
+            self.slot = slots[order]
+            self.head, self.end = np.arange(n), np.arange(1, n + 1)
+            self.tracks = [tracks[index] for index in order.tolist()]
+        else:
+            seen_at = np.array(seen)
+            self.order = order = np.argsort(slots[seen_at], kind="stable")
+            sorted_slots = slots[seen_at[order]]
+            starts = np.flatnonzero(np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1])))
+            self.slot = sorted_slots[starts]
+            self.head, self.end = starts, np.append(starts[1:], n)
+            self.tracks = [tracks[index] for index in seen_at[order[starts]].tolist()]
+        self.sorted = [alerts[position] for position in order.tolist()]
+        self.symbols = np.array(symbols, dtype=np.int64)[order]
+        self.seeding = seeding_of = kernel._seeding_table()[self.symbols]
+        # The first seeding symbol at or after each sorted alert, if any.
+        self.next_seed: Optional[np.ndarray] = None
+        if seeding_of.any():
+            self.next_seed = np.minimum.accumulate(np.where(seeding_of, np.arange(n), n)[::-1])[::-1]
+        table = arena.slots
+        if table.stale.any():
+            # Restored or adopted entities re-sync their decoders first.
+            for r in np.flatnonzero(table.stale[self.slot]).tolist():
+                tagger._decoder_for(self.tracks[r])
+        if len(tracks) == n:
+            for track, alert in zip(self.tracks, self.sorted):
+                track.alerts.append(alert)
+        else:
+            for track, low, high in zip(self.tracks, self.head.tolist(), self.end.tolist()):
+                track.alerts.extend(self.sorted[low:high])
+
+
 class BatchedDecodeKernel:
     """Stacked sub-batch executor bound to one :class:`AttackTagger`."""
 
-    __slots__ = ("_tagger", "rows_stacked", "rows_scalar")
+    __slots__ = ("_tagger", "_seeding", "rows_stacked", "rows_scalar")
 
     def __init__(self, tagger: "AttackTagger") -> None:
         self._tagger = tagger
+        # Per interned symbol: does a pattern start with it?
+        self._seeding = np.zeros(0, dtype=np.bool_)
         # Windowed steps advanced as arena arithmetic / by the per-entity path.
         self.rows_stacked = 0
         self.rows_scalar = 0
@@ -254,165 +316,280 @@ class BatchedDecodeKernel:
         """
         tagger = self._tagger
         started = time.perf_counter()
-        runs: Dict[str, List[int]] = {}
-        for position, alert in enumerate(alerts):
-            run = runs.get(alert.entity)
-            if run is None:
-                runs[alert.entity] = [position]
-            else:
-                run.append(position)
-        pending = list(runs.values())
         hits: List[Hit] = []
-        while pending:
-            pending = self._pass(alerts, pending, hits)
+        if alerts:
+            batch = _SubBatch(self, alerts)
+            runs = np.arange(len(batch.tracks))
+            while runs.size:
+                self._pass(batch, runs, hits)
+                runs = np.flatnonzero(batch.head < batch.end)
         # Passes emit per entity; restore stream order.
         hits.sort(key=lambda item: item[0])
         tagger.kernel_seconds += time.perf_counter() - started
         return hits
 
+    def _seeding_table(self) -> np.ndarray:
+        """Per interned symbol, whether a pattern starts with it (grown as names are interned)."""
+        tagger = self._tagger
+        names = tagger._arena.symbol_names
+        known = self._seeding.size
+        if known < len(names):
+            seed = tagger._pattern_table.seed
+            fresh = np.array([name in seed for name in names[known:]], dtype=np.bool_)
+            self._seeding = np.concatenate((self._seeding, fresh))
+        return self._seeding
+
     # -- one pass: the next stacked segment of every run ----------------------
-    def _pass(
-        self, alerts: Sequence["Alert"], runs: List[List[int]], hits: List[Hit]
-    ) -> List[List[int]]:
+    def _pass(self, batch: _SubBatch, runs: np.ndarray, hits: List[Hit]) -> None:
         """Advance every run to and through its next stacked segment.
 
-        ``runs`` are the sub-batch positions each entity has left; returns
-        what is left after this pass.  A run's steps that touch pattern
-        state go through the per-entity path on the way, so every run
-        still windowed brings a chunk and the chunks of a pass share
-        their depth loop.  Every alert is recorded on its track's
-        timeline when it is assigned: a chunk's first step is committed
-        before anything of it is decided.
+        A run whose next step touches pattern state in the windowed
+        phase, or opens its window, takes it through the per-entity path
+        first and is classified again, so every run still live brings a
+        segment and the segments of a pass share their depth loops.
+        """
+        fill, reach, chunk, depth, scalar = self._classify(batch, runs)
+        while scalar.size:
+            left = self._advance_scalar(batch, scalar, hits)
+            if not left.size:
+                break
+            more = self._classify(batch, left)
+            fill, reach, chunk, depth = (
+                np.concatenate(pair) for pair in zip((fill, reach, chunk, depth), more)
+            )
+            scalar = more[4]
+        if int(reach.sum()) + int(depth.sum()) < _MIN_BATCH:
+            self._advance_each(batch, fill, reach, chunk, depth, hits)
+            return
+        if fill.size:
+            self._advance_fill(batch, fill, reach, hits)
+        if chunk.size:
+            self._advance_chunks(batch, chunk, depth, hits)
+
+    def _classify(self, batch: _SubBatch, runs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Split ``runs`` by their next segment: ``(fill, reach, chunk, depth, scalar)``.
+
+        The rest of a detected entity's run is timeline only: it is
+        taken here, whole.
+
+        A filling slot brings ``reach`` filling steps: its plain steps
+        (the slot pristine, the symbols ones no pattern starts with) up
+        to the run's end and the step that would open its window, or
+        the one step that touches pattern state.  A windowed row brings
+        a chunk of ``depth`` plain steps: up to its next flip (the step
+        that evicts the last front step, the head included), the run's
+        end and a step that touches pattern state -- for a pristine
+        slot the next symbol a pattern starts with, otherwise
+        ``StreamingDecoder.plain_run``.  The rest (a window opening, a
+        chunk of depth 0) are ``scalar``.
         """
         tagger = self._tagger
-        max_window = tagger.max_window
         arena = tagger._arena
-        fill: List[Fill] = []
-        chunks = Chunks()
-        cells = 0  # chunk steps
-        rest: List[List[int]] = []
-        for positions in runs:
-            track = tagger.track(alerts[positions[0]].entity)
-            taken = 0
-            while taken < len(positions):
-                position = positions[taken]
-                alert = alerts[position]
-                if track.detected is not None:
-                    # Already detected: the rest of the run is timeline only.
-                    track.alerts.extend(map(alerts.__getitem__, positions[taken:]))
+        table = arena.slots
+        window = tagger.max_window
+        slot = batch.slot[runs]
+        detected = table.detected[slot]
+        if detected.any():
+            for r in runs[detected].tolist():
+                track = batch.tracks[r]
+                if track.decoder is not None:
                     tagger._release(track)
-                    taken = len(positions)
-                    break
-                decoder = tagger._decoder_for(track)
-                window = decoder._window
-                sliding = len(track.alerts) >= max_window
-                track.alerts.append(alert)
-                if window is None and not sliding:
-                    fill.append((position, alert, track, decoder))
-                    taken += 1
-                    break
-                if sliding and window is not None:
-                    ahead = positions[taken : taken + max_window]
-                    if len(ahead) == 1:
-                        names = [alert.name]
-                    else:
-                        # The step that evicts the last front step (the
-                        # head included) flips the back: the chunk ends there.
-                        row = window.row
-                        ahead = ahead[: arena.boundary[row] - arena.start[row]]
-                        names = [alerts[p].name for p in ahead]
-                    depth = decoder.plain_run(names)
-                    if depth:
-                        if depth < len(ahead):
-                            ahead, names = ahead[:depth], names[:depth]
-                        chunks.tracks.append(track)
-                        chunks.decoders.append(decoder)
-                        chunks.rows.append(window.row)
-                        chunks.positions.append(ahead)
-                        chunks.names.append(names)
-                        cells += depth
-                        taken += depth
-                        break
-                # A cursor advances, a bonus moves, an eviction rescans,
-                # or the window is only now opening: the per-entity path,
-                # on the same arena row.
-                self.rows_scalar += 1
-                taken += 1
-                detection = tagger._advance(track, alert, decoder, sliding)
-                if detection is not None:
-                    hits.append((position, detection))
-            if taken < len(positions):
-                rest.append(positions[taken:])
-        if len(fill) + cells < _MIN_BATCH:
-            self._advance_each(alerts, fill, chunks, hits)
+            batch.head[runs[detected]] = batch.end[runs[detected]]
+            runs, slot = runs[~detected], slot[~detected]
+        head, end = batch.head[runs], batch.end[runs]
+        row, pristine = table.row[slot], table.pristine[slot]
+        plain_to = end if batch.next_seed is None else np.minimum(end, batch.next_seed[head])
+        none = runs[:0]
+        filling = row < 0
+        if filling.all():
+            length = table.length[slot]
+            if not (length >= window).any():
+                # Filling steps only (the churn shape).
+                reach = np.maximum(np.minimum(plain_to - head, window - length), 1)
+                if not pristine.all():
+                    reach[~pristine] = 1
+                return runs, reach, none, none, none
+        if filling.any():
+            length = table.length[slot]
+            opening = filling & (length >= window)
+            taking = np.flatnonzero(filling & ~opening)
+            reach = np.minimum(plain_to[taking] - head[taking], window - length[taking])
+            fill = runs[taking], np.where(pristine[taking], np.maximum(reach, 1), 1)
+            windowed = np.flatnonzero(~filling)
+            scalar = runs[opening]
+            if not windowed.size:
+                return (*fill, none, none, scalar)
+            runs, slot, head, end, row = runs[windowed], slot[windowed], head[windowed], end[windowed], row[windowed]
+            pristine, plain_to = pristine[windowed], plain_to[windowed]
         else:
-            if fill:
-                hits.extend(self._advance_fill(fill, arena))
-            if cells:
-                hits.extend(self._advance_chunks(arena, chunks, alerts))
-        return rest
+            fill, scalar = (none, none), none
+        ahead = np.minimum(end - head, arena.boundary[row] - arena.start[row])
+        ahead = np.minimum(ahead, window)
+        depth = np.minimum(ahead, plain_to - head)
+        if not pristine.all():
+            for k in np.flatnonzero(~pristine).tolist():
+                low = int(head[k])
+                names = [alert.name for alert in batch.sorted[low : low + int(ahead[k])]]
+                depth[k] = batch.tracks[runs[k]].decoder.plain_run(names)
+        plain = depth > 0
+        if plain.all():
+            return (*fill, runs, depth, scalar)
+        return (*fill, runs[plain], depth[plain], np.concatenate((scalar, runs[~plain])))
+
+    def _advance_scalar(self, batch: _SubBatch, runs: np.ndarray, hits: List[Hit]) -> np.ndarray:
+        """One step of each run through the per-entity path, on the same
+        arena row: a cursor advances, a bonus moves, an eviction
+        rescans, or the window is only now opening.  Returns the runs
+        with steps left that did not fire."""
+        tagger = self._tagger
+        left = []
+        for r in runs.tolist():
+            track = batch.tracks[r]
+            k = int(batch.head[r])
+            alert = batch.sorted[k]
+            decoder = tagger._decoder_for(track)
+            self.rows_scalar += 1
+            batch.head[r] = k + 1
+            detection = tagger._advance(track, alert, decoder, True)
+            if detection is not None:
+                hits.append((int(batch.order[k]), detection))
+            elif k + 1 < batch.end[r]:
+                left.append(r)
+        return np.array(left, dtype=np.int64)
 
     def _advance_each(
-        self, alerts: Sequence["Alert"], fill: List[Fill], chunks: Chunks, hits: List[Hit]
+        self,
+        batch: _SubBatch,
+        fill: np.ndarray,
+        reach: np.ndarray,
+        chunk: np.ndarray,
+        depth: np.ndarray,
+        hits: List[Hit],
     ) -> None:
         """A pass too small to stack: every step through the per-entity path."""
-        advance = self._tagger._advance
-        for position, alert, track, decoder in fill:
-            if (detection := advance(track, alert, decoder, False)) is not None:
-                hits.append((position, detection))
-        for track, decoder, positions in zip(chunks.tracks, chunks.decoders, chunks.positions):
-            for depth, position in enumerate(positions):
-                alert = alerts[position]
-                if depth:
-                    track.alerts.append(alert)
-                if track.detected is None:
-                    if (detection := advance(track, alert, decoder, True)) is not None:
-                        hits.append((position, detection))
+        tagger = self._tagger
+        advance = tagger._advance
+        for runs, steps, sliding in ((fill, reach, False), (chunk, depth, True)):
+            for r, count in zip(runs.tolist(), steps.tolist()):
+                track = batch.tracks[r]
+                low = int(batch.head[r])
+                decoder = tagger._decoder_for(track)
+                for k in range(low, low + count):
+                    if (detection := advance(track, batch.sorted[k], decoder, sliding)) is not None:
+                        hits.append((int(batch.order[k]), detection))
+                        break
+            batch.head[runs] += steps
 
-    # -- filling phase: one block of fill-storage cells ----------------------
-    def _advance_fill(self, fill: List[Fill], arena: WindowArena) -> List[Hit]:
-        """Append one alert to every window-filling entity, then decide them.
+    # -- filling phase: runs of steps in fill-storage cells --------------------
+    def _advance_fill(self, batch: _SubBatch, runs: np.ndarray, reach: np.ndarray, hits: List[Hit]) -> None:
+        """Append ``reach[i]`` alerts to every window-filling run ``runs[i]``, then decide them.
 
-        A step that relocates a bonus invalidates history: the
-        per-entity ``_complete_append``.  Every other step is one cell
-        of a block, advanced by one stacked recursion step (see the
-        module docstring).
+        Plain steps (every step of a run that reaches past one) need no
+        decoder: their bookkeeping is one :meth:`WindowArena.push_fills`.
+        A step that touches pattern state goes through its decoder's
+        ``append_plan``; one that relocates a bonus invalidates history
+        (the per-entity ``_complete_append``).  Every other step is a
+        cell of a block laid out depth-major, deepest run first, and the
+        recursions advance one stacked step per depth (see the module
+        docstring).  Fill storage only ever grows, so every cell is then
+        decided at once; a run that fires before its last step gives
+        the later ones back first, so the decision sees exactly its
+        state after the trigger.
         """
-        store = arena.fill
-        cells: List[int] = []  # every step's cell
-        block: List[int] = []  # the cells of the stacked steps
-        first: List[int] = []  # block positions of steps 0 ...
-        extend: List[int] = []  # ... and of later steps,
-        before: List[int] = []  # whose previous cells these are
+        tagger = self._tagger
+        arena = tagger._arena
+        store, table = arena.fill, arena.slots
+        if reach.size > 1 and reach.max() > 1:
+            deepest = np.argsort(-reach, kind="stable")
+            runs, reach = runs[deepest], reach[deepest]
+        slot, head = batch.slot[runs], batch.head[runs]
+        n = runs.size
+        active = _active(reach)
+        bounds = list(accumulate(active, initial=0))
+        start = table.length[slot]
+        if len(active) == 1:
+            # One step a run: cell i is run i's.
+            level, col = None, None
+            steps, symbols = start, batch.symbols[head]
+        else:
+            level = np.repeat(np.arange(len(active)), active)
+            col = np.arange(bounds[-1]) - np.array(bounds)[level]
+            steps = start[col] + level
+            symbols = batch.symbols[head[col] + level]
+        # A run reaching past one step is plain; a one-step run is plain
+        # unless its slot has left the seed or its symbol starts a pattern.
+        plain = table.pristine[slot] & ~batch.seeding[head]
+        block = None  # every cell is stacked
         bonus: List[Tuple[int, np.ndarray]] = []
-        for _, alert, _, decoder in fill:
-            step, dirty, invalid_from = decoder.append_plan(alert.name)
-            cell = decoder._cell(step)
-            cells.append(cell)
-            if invalid_from != step:
-                decoder._complete_append(step, dirty, invalid_from)
-                continue
-            if step:
-                extend.append(len(block))
-                before.append(decoder._cell(step - 1))
-            else:
-                first.append(len(block))
-            if step in decoder._bonus_at:
-                bonus.append((len(block), decoder._effective_row(step)))
-            block.append(cell)
-        if block:
-            steps = np.array(block)
-            unary = arena.observations[store.symbols[steps]]
-            if first:
-                unary[first] += arena.parameters.initial_log
-            for k, row in bonus:
-                unary[k] = row
-            store.unary[steps] = unary
-            if first:
-                self._start_fill(store, steps[first], unary[first])
-            if extend:
-                self._extend_fill(arena, steps[extend], before, unary[extend])
-        return self._decide_fill(fill, store, cells)
+        cell_slots = slot if col is None else slot[col]
+        if plain.all():
+            cells = arena.store_fills(cell_slots, steps, symbols)
+            table.length[slot] = start + reach
+        else:
+            block = np.ones(bounds[-1], dtype=np.bool_)
+            cells = np.empty(bounds[-1], dtype=np.int64)
+            vector = plain if col is None else plain[col]
+            cells[vector] = arena.store_fills(cell_slots[vector], steps[vector], symbols[vector])
+            table.length[slot[plain]] = (start + reach)[plain]
+            # Depth 0 holds run i's first step at cell i.
+            for i in np.flatnonzero(~plain).tolist():
+                decoder = tagger._decoder_for(batch.tracks[runs[i]])
+                step, dirty, invalid_from = decoder.append_plan(batch.sorted[head[i]].name)
+                cells[i] = decoder._cell(step)
+                if invalid_from != step:
+                    decoder._complete_append(step, dirty, invalid_from)
+                    block[i] = False
+                elif step in decoder._bonus_at:
+                    bonus.append((i, decoder._effective_row(step)))
+        unary = arena.observations[symbols]
+        first = steps == 0
+        if first.any():
+            unary[first] += arena.parameters.initial_log
+        for i, row in bonus:
+            unary[i] = row
+        self._fill_recursions(arena, slot, steps, cells, unary, first, block, active, bounds)
+        taken = reach.copy()
+        self._decide_fill(batch, runs, head, start, col, level, cells, taken, hits)
+        batch.head[runs] += taken
+
+    def _fill_recursions(
+        self,
+        arena: WindowArena,
+        slot: np.ndarray,
+        steps: np.ndarray,
+        cells: np.ndarray,
+        unary: np.ndarray,
+        first: np.ndarray,
+        block: Optional[np.ndarray],
+        active: List[int],
+        bounds: List[int],
+    ) -> None:
+        """Store the block's unary rows and advance its Viterbi and forward
+        recursions one depth at a time: depth 0 from each slot's previous
+        cell (or the prior at step 0), depth ``q`` from depth ``q - 1``."""
+        store = arena.fill
+        n = active[0]
+        top = first[:n]
+        if block is None:
+            store.unary[cells] = unary
+        else:
+            store.unary[cells[block]] = unary[block]
+            top = top & block[:n]
+        if block is None and not top.any():
+            before = arena.slots.previous(slot, steps[:n], cells[:n])
+            self._extend_fill(arena, cells[:n], before, unary[:n])
+        elif top.all():
+            self._start_fill(store, cells[:n], unary[:n])
+        else:
+            starting = np.flatnonzero(top)
+            ext = np.flatnonzero(~first[:n] if block is None else ~first[:n] & block[:n])
+            self._start_fill(store, cells[starting], unary[starting])
+            before = arena.slots.previous(slot[ext], steps[ext], cells[ext])
+            self._extend_fill(arena, cells[ext], before, unary[ext])
+        for q in range(1, len(active)):
+            low, count = bounds[q], active[q]
+            previous = cells[bounds[q - 1] : bounds[q - 1] + count]
+            self._extend_fill(arena, cells[low : low + count], previous, unary[low : low + count])
 
     @staticmethod
     def _start_fill(store: FillPages, cells: np.ndarray, unary: np.ndarray) -> None:
@@ -425,7 +602,7 @@ class BatchedDecodeKernel:
         store.alpha[cells] = alpha_0.T
 
     @staticmethod
-    def _extend_fill(arena: WindowArena, cells: np.ndarray, before: List[int], unary: np.ndarray) -> None:
+    def _extend_fill(arena: WindowArena, cells: np.ndarray, before: np.ndarray, unary: np.ndarray) -> None:
         """One stacked Viterbi + forward step for window-filling entities.
 
         Replays one iteration of ``StreamingDecoder._recompute_forward``
@@ -448,15 +625,29 @@ class BatchedDecodeKernel:
         store.score[cells] = new_score.T
         store.alpha[cells] = new_alpha.T
 
-    def _decide_fill(self, fill: List[Fill], store: FillPages, cells: List[int]) -> List[Hit]:
-        """Stacked threshold decisions for window-filling entities.
+    def _decide_fill(
+        self,
+        batch: _SubBatch,
+        runs: np.ndarray,
+        head: np.ndarray,
+        start: np.ndarray,
+        col: Optional[np.ndarray],
+        level: Optional[np.ndarray],
+        cells: np.ndarray,
+        taken: np.ndarray,
+        hits: List[Hit],
+    ) -> None:
+        """Stacked threshold decisions for window-filling steps.
 
         Replays the per-alert read-outs (``final_state`` argmax of the
         Viterbi score, ``final_marginal`` from the normalised forward
-        message) across the stack of every entity's last cell; only
-        firing entities pay for the exact per-entity materialisation.
+        message) across the stack of every cell; only a run's first
+        firing step opens a decoder and pays for the exact per-entity
+        materialisation, with the run cut back to it (``taken``).
         """
         tagger = self._tagger
+        arena = tagger._arena
+        store = arena.fill
         score = store.score[cells].T
         alpha = store.alpha[cells].T
         final_state = np.argmax(score, axis=0)
@@ -465,19 +656,27 @@ class BatchedDecodeKernel:
         # zeros in user parameters) fails the scalar path's `<` test and
         # therefore fires there — keep the stacked mask a faithful
         # replay, and let _finalize_decision re-decide exactly.
-        fire = (final_state == _MALICIOUS) & ~(marginal < tagger.detection_threshold)
-        hits: List[Hit] = []
-        for i in np.flatnonzero(fire).tolist():
-            position, alert, track, decoder = fill[i]
-            detection = tagger._finalize_decision(track, alert, decoder)
+        fire = np.flatnonzero((final_state == _MALICIOUS) & ~(marginal < tagger.detection_threshold))
+        if not fire.size:
+            return
+        # Cells are depth-major, so a run's first firing cell is its earliest.
+        first: Dict[int, int] = {}
+        if col is None:
+            first = dict.fromkeys(fire.tolist(), 0)
+        else:
+            for i, q in zip(col[fire].tolist(), level[fire].tolist()):
+                first.setdefault(i, q)
+        for i, q in first.items():
+            if q + 1 < taken[i]:
+                arena.truncate(int(batch.slot[runs[i]]), int(start[i]) + q + 1)
+                taken[i] = q + 1
+            track, k = batch.tracks[runs[i]], int(head[i]) + q
+            detection = tagger._finalize_decision(track, batch.sorted[k], tagger._decoder_for(track))
             if detection is not None:
-                hits.append((position, detection))
-        return hits
+                hits.append((int(batch.order[k]), detection))
 
     # -- windowed phase: chunks of plain steps, as arena arithmetic ------------
-    def _advance_chunks(
-        self, arena: WindowArena, chunks: Chunks, alerts: Sequence["Alert"]
-    ) -> List[Hit]:
+    def _advance_chunks(self, batch: _SubBatch, runs: np.ndarray, depth: np.ndarray, hits: List[Hit]) -> None:
         """Advance every chunk of a pass through its depths.
 
         Scratch first (:class:`_ChunkPass`); then every chunk is
@@ -485,25 +684,21 @@ class BatchedDecodeKernel:
         exactly, until it fires or runs out of depths.
         """
         tagger = self._tagger
+        arena = tagger._arena
         threshold = tagger.detection_threshold
         # Deepest first: the rows active at a depth are a prefix.
-        depths = chunks.deepest_first()
-        active = [len(chunks)] * depths[-1] + [
-            sum(depth > q for depth in depths) for q in range(depths[-1], depths[0])
-        ]
-        intern = arena.intern
-        symbols = np.array(
-            [intern(names[q]) for q, count in enumerate(active) for names in chunks.names[:count]]
-        )
-        rows = np.array(chunks.rows)
-        depth = np.array(depths)
-        scratch = _ChunkPass(arena, rows, depth, active, symbols)
+        if depth.size > 1 and depth.max() > 1:
+            deepest = np.argsort(-depth, kind="stable")
+            runs, depth = runs[deepest], depth[deepest]
+        head = batch.head[runs]
+        active = _active(depth)
+        rows = arena.slots.row[batch.slot[runs]]
+        scratch = _ChunkPass(arena, rows, depth, active, batch.symbols, head)
         # Each chunk's candidate depths, ascending (cells are depth-major).
         waiting: Dict[int, List[int]] = {}
         for cell in scratch.candidates(threshold).tolist():
             waiting.setdefault(int(scratch.col[cell]), []).append(int(scratch.level[cell]))
-        hits: List[Hit] = []
-        done = np.zeros(len(chunks), dtype=np.int64)
+        done = np.zeros(runs.size, dtype=np.int64)
         target = depth  # where each chunk's commits end: its depth, or where it fired
         whole = not waiting
         while True:
@@ -521,21 +716,12 @@ class BatchedDecodeKernel:
                 # A chunk's last step is pre-filtered from the committed row.
                 found = _row_candidates(arena, rows[ended], scratch.last_heads(ended), threshold)
                 decide.extend(ended[found].tolist())
-            if depths[0] > 1:
-                # The rest of each timeline (the first steps are on it).
-                for track, positions, low, high in zip(
-                    chunks.tracks, chunks.positions, done.tolist(), stop.tolist()
-                ):
-                    if high > 1 and low < high:
-                        track.alerts.extend(map(alerts.__getitem__, positions[max(low, 1) : high]))
             for i in decide:
-                track, decoder, positions = chunks.tracks[i], chunks.decoders[i], chunks.positions[i]
-                last = int(stop[i]) - 1
-                detection = tagger._finalize_decision(track, alerts[positions[last]], decoder)
+                k = int(head[i] + stop[i]) - 1
+                track = batch.tracks[runs[i]]
+                detection = tagger._finalize_decision(track, batch.sorted[k], track.decoder)
                 if detection is not None:
-                    hits.append((positions[last], detection))
-                    # The rest of the run is timeline only.
-                    track.alerts.extend(map(alerts.__getitem__, positions[last + 1 :]))
+                    hits.append((int(batch.order[k]), detection))
                     if target is depth:
                         target = depth.copy()
                     target[i] = stop[i]
@@ -544,7 +730,7 @@ class BatchedDecodeKernel:
                 break
             done, whole = stop, False
         self.rows_stacked += int(target.sum())
-        return hits
+        batch.head[runs] += depth
 
 
 def _row_candidates(
@@ -580,10 +766,9 @@ class _ChunkPass:
         depth: np.ndarray,
         active: List[int],
         symbols: np.ndarray,
+        head: np.ndarray,
     ) -> None:
         self.arena, self.rows, self.depth = arena, rows, depth
-        self.symbols = symbols
-        self.unary = unary = arena.observations[symbols]
         parameters = arena.parameters
         self.pairwise = parameters.transition_log
         self.start, self.boundary, self.end = arena.start[rows], arena.boundary[rows], arena.end[rows]
@@ -591,12 +776,16 @@ class _ChunkPass:
         self.flips = depth == self.boundary - self.start
         self.active = active
         self.bounds = list(accumulate(active, initial=0))
-        # Each cell's depth, and its chunk's row and geometry.
+        # Each cell's depth, and its chunk's row and geometry; chunk i's
+        # step at depth q is ``symbols[head[i] + q]``.
         if len(active) == 1:
             level, row_c, start_c, end_c = 0, rows, self.start, self.end  # cell k is chunk k
+            self.symbols = symbols[head]
         else:
             level, col = self.level, self.col
             row_c, start_c, end_c = rows[col], self.start[col], self.end[col]
+            self.symbols = symbols[head[col] + level]
+        self.unary = unary = arena.observations[self.symbols]
         self.row_c = row_c
         self.prefix = self._prefixes()
         # The cell each step lands in, and the head after its eviction,
@@ -721,4 +910,4 @@ class _ChunkPass:
         return ended
 
 
-__all__ = ["BatchedDecodeKernel", "Chunks"]
+__all__ = ["BatchedDecodeKernel"]

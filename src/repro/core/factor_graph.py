@@ -55,10 +55,15 @@ def _logsumexp(array: FloatArray, axis: Axis = None, keepdims: bool = False) -> 
     # Python wrapper that costs a third of this call on length-K input.
     maximum = np.maximum.reduce(array, axis=axis, keepdims=True)
     finite = np.isfinite(maximum)
-    safe_max = np.where(finite, maximum, 0.0)
-    with np.errstate(divide="ignore"):
-        summed = np.log(np.add.reduce(np.exp(array - safe_max), axis=axis, keepdims=True))
-    result = np.where(finite, safe_max + summed, maximum)
+    if finite.all():
+        # The common case, with the same float ops: every slice holds a
+        # finite maximum, whose own term makes the sum at least 1.
+        result = maximum + np.log(np.add.reduce(np.exp(array - maximum), axis=axis, keepdims=True))
+    else:
+        safe_max = np.where(finite, maximum, 0.0)
+        with np.errstate(divide="ignore"):
+            summed = np.log(np.add.reduce(np.exp(array - safe_max), axis=axis, keepdims=True))
+        result = np.where(finite, safe_max + summed, maximum)
     if keepdims:
         return result
     if axis is not None:

@@ -46,12 +46,19 @@ growth from ``_INITIAL_ROWS``, free-list reuse), so an entity that
 never saturates its window costs the rows nothing.  Until then its
 steps live in the arena's fill storage (:class:`FillPages`, ``arena.fill``):
 pages of ``_PAGE`` steps from a free list, as many as the entity's
-length needs, handed back when the row is loaded.  The stacked
-kernel (:mod:`repro.core.batch_kernel`) reads and writes both by
-index arrays -- a pass of chunks, or of filling steps, at a time;
-:class:`SlidingProductWindow` is a one-row view whose scalar methods
-use basic slices of the same blocks, so ``observe()`` and a stacked
-pass read and write the same storage.
+length needs, handed back when the row is loaded.
+
+Every tracked entity is a *slot* of :class:`SlotTable` (``arena.slots``,
+same growth): its row (or ``-1``), fill length and page list, and its
+detected, pristine and stale flags, one column each.  These columns
+are the entity's decode state; a decoder reads and writes them, and
+holds only its sparse pattern state and a row view.  The stacked
+kernel (:mod:`repro.core.batch_kernel`) tests and advances the slots,
+rows and fill cells of a whole pass by index arrays -- a pass of
+chunks, or of filling steps, at a time; :class:`SlidingProductWindow`
+is a one-row view whose scalar methods use basic slices of the same
+blocks, so ``observe()`` and a stacked pass read and write the same
+storage.
 
 Refolds of ``_MIN_SCAN`` or more steps (a flip, a patch far from the
 stack top) run as a Hillis-Steele doubling scan over an entity-minor
@@ -103,6 +110,8 @@ _INITIAL_SYMBOLS = 64
 # allocates on its first filling decoder.
 _PAGE = 4
 _INITIAL_PAGES = 64
+# Slots a fresh arena allocates on its first tracked entity.
+_INITIAL_SLOTS = 64
 
 
 def _resize_blocks(owner, capacity: int, blocks) -> None:
@@ -157,14 +166,102 @@ class FillPages:
             ("symbols", (cells,), np.int64),
         ))  # fmt: skip
 
-    def allocate(self) -> int:
-        """A free page index (contents stale; the caller writes them)."""
-        if not self._free:
+    def allocate(self, count: int) -> List[int]:
+        """``count`` free page indices (contents stale; the caller writes them)."""
+        free = self._free
+        while len(free) < count:
             self._resize(max(_INITIAL_PAGES, self.capacity * _GROWTH))
-        return self._free.pop()
+        taken = free[len(free) - count :][::-1]
+        del free[len(free) - count :]
+        return taken
 
     def release(self, pages: List[int]) -> None:
         self._free.extend(pages)
+
+
+class SlotTable:
+    """Struct-of-arrays decode state of every tracked entity, one *slot* each.
+
+    Slot ``s`` holds ``row[s]``, its arena row once its window opened
+    (else ``-1``); ``length[s]``, the filling steps it holds, step ``t``
+    in cell ``pages[s, t // _PAGE] * _PAGE + t % _PAGE`` of the fill
+    storage; ``detected[s]``; ``pristine[s]``, true while its pattern
+    state is the table's seed (no cursor has advanced, so its waiting
+    lists *are* the seed index and it carries no bonus); and
+    ``stale[s]``, true while its decode state must be rebuilt from the
+    entity's alerts (restored or adopted, and not seen since).
+    These arrays are the only copy of that state: a decoder reads and
+    writes them, and the stacked kernel tests and advances them by
+    index arrays.
+    """
+
+    __slots__ = ("capacity", "_free", "width", "row", "length", "pages", "detected", "pristine", "stale")
+
+    def __init__(self, width: int) -> None:
+        self.capacity = 0
+        self._free: List[int] = []
+        # Pages a slot can hold: a filling entity holds up to ``ring`` steps.
+        self.width = width
+        self._resize(0)
+
+    @property
+    def live(self) -> int:
+        """Number of slots currently held."""
+        return self.capacity - len(self._free)
+
+    @property
+    def slot_bytes(self) -> int:
+        """Bytes one slot takes across the six columns."""
+        return self.row.itemsize + self.length.itemsize + self.width * self.pages.itemsize + 3
+
+    def _resize(self, capacity: int) -> None:
+        _resize_blocks(self, capacity, (
+            ("row", (capacity,), np.int64),
+            ("length", (capacity,), np.int64),
+            ("pages", (capacity, self.width), np.int32),
+            ("detected", (capacity,), np.bool_),
+            ("pristine", (capacity,), np.bool_),
+            ("stale", (capacity,), np.bool_),
+        ))  # fmt: skip
+
+    def allocate(self, count: int) -> np.ndarray:
+        """``count`` free slots, each empty: no row, no steps, pristine."""
+        free = self._free
+        while len(free) < count:
+            self._resize(max(_INITIAL_SLOTS, self.capacity * _GROWTH))
+        slots = np.array(free[len(free) - count :][::-1], dtype=np.int64)
+        del free[len(free) - count :]
+        self.row[slots] = -1
+        self.length[slots] = 0
+        self.detected[slots] = self.stale[slots] = False
+        self.pristine[slots] = True
+        return slots
+
+    def release(self, slot: int) -> None:
+        self.stale[slot] = False
+        self._free.append(slot)
+
+    def cells(self, slots, steps):
+        """Fill-storage cell of step ``steps[i]`` of slot ``slots[i]`` (or of one step)."""
+        return self.pages[slots, steps // _PAGE] * _PAGE + steps % _PAGE
+
+    def previous(self, slots: np.ndarray, steps: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The cells of steps ``steps[i] - 1`` of ``slots[i]``, given the
+        cells of ``steps``: the cell before, unless a step starts a page."""
+        before = cells - 1
+        turning = np.flatnonzero(steps % _PAGE == 0)
+        if turning.size:
+            before[turning] = self.cells(slots[turning], steps[turning] - 1)
+        return before
+
+    def pages_of(self, slot: int) -> np.ndarray:
+        """The fill pages slot ``slot`` holds, in step order."""
+        return self.pages[slot, : -(-int(self.length[slot]) // _PAGE)]
+
+    def cells_of(self, slot: int) -> np.ndarray:
+        """Fill-storage cells of slot ``slot``'s steps, in step order."""
+        pages = self.pages_of(slot).astype(np.int64)
+        return (pages[:, None] * _PAGE + np.arange(_PAGE)).ravel()[: self.length[slot]]
 
 
 class WindowArena:
@@ -174,7 +271,7 @@ class WindowArena:
 
     __slots__ = (
         "ring", "parameters", "capacity", "_free", "symbol_ids", "symbol_names", "observations",
-        "fill", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
+        "fill", "slots", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
     )  # fmt: skip
 
     def __init__(self, ring: int, parameters: "FactorParameters") -> None:
@@ -188,6 +285,7 @@ class WindowArena:
         self.symbol_names: List[str] = []
         self.observations = np.zeros((_INITIAL_SYMBOLS, _K))
         self.fill = FillPages()
+        self.slots = SlotTable(-(-ring // _PAGE))
         self._resize(0)
 
     @property
@@ -215,6 +313,61 @@ class WindowArena:
 
     def release(self, row: int) -> None:
         self._free.append(row)
+
+    def push_fill(self, slot: int, symbol: int) -> int:
+        """Store the next filling step's symbol for one slot (a page when
+        the step starts one); returns the step."""
+        slots = self.slots
+        step = int(slots.length[slot])
+        if step % _PAGE == 0:
+            slots.pages[slot, step // _PAGE] = self.fill.allocate(1)[0]
+        self.fill.symbols[slots.cells(slot, step)] = symbol
+        slots.length[slot] = step + 1
+        return step
+
+    def store_fills(self, slots: np.ndarray, steps: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """:meth:`push_fill` for many steps at once, bar the length bump,
+        which is the caller's: step ``steps[i]`` of ``slots[i]``, each
+        slot's next steps.  Pages off the free list and the symbol store
+        are one index array each; returns the steps' cells."""
+        table = self.slots
+        within = steps % _PAGE
+        opening = np.flatnonzero(within == 0)
+        if opening.size:
+            table.pages[slots[opening], steps[opening] // _PAGE] = self.fill.allocate(opening.size)
+        cells = table.pages[slots, steps // _PAGE] * _PAGE + within
+        self.fill.symbols[cells] = symbols
+        return cells
+
+    def truncate(self, slot: int, length: int) -> None:
+        """Keep one slot's first ``length`` filling steps; the pages past
+        them go back."""
+        slots = self.slots
+        held, kept = -(-int(slots.length[slot]) // _PAGE), -(-length // _PAGE)
+        if held > kept:
+            self.fill.release(slots.pages[slot, kept:held].tolist())
+        slots.length[slot] = length
+
+    def free_pages(self, slot: int) -> None:
+        """Hand one slot's fill pages back; it holds no filling steps."""
+        self.truncate(slot, 0)
+
+    def drop(self, slot: int) -> None:
+        """Hand one slot's decode storage back (its row, or its fill
+        pages), and forget its pattern state."""
+        slots = self.slots
+        row = int(slots.row[slot])
+        if row >= 0:
+            self.release(row)
+            slots.row[slot] = -1
+        self.free_pages(slot)
+        slots.pristine[slot] = True
+
+    def clear(self) -> None:
+        """Hand every row, fill page and slot back at once (interned names stay)."""
+        for owner in (self, self.fill, self.slots):
+            owner._free = list(range(owner.capacity - 1, -1, -1))
+        self.slots.stale[:] = False
 
     def intern(self, name: str) -> int:
         """Symbol index of an alert name; a new name's observation row is
@@ -469,4 +622,4 @@ class SlidingProductWindow:
         return [table[symbol] for symbol in self.arena.symbols[self.cells(start, end)].tolist()]
 
 
-__all__ = ["SlidingProductWindow", "WindowArena"]
+__all__ = ["FillPages", "SlidingProductWindow", "SlotTable", "WindowArena"]

@@ -31,26 +31,31 @@ O(K^3) (two small matrix products), evicting the front costs O(K^3)
 *amortised*, and the firing decision reads the window's Viterbi score
 vector and forward message in O(K^2).
 
-**Where the window lives.**  Every decoder of a tagger keeps its steps
-in the tagger's :class:`repro.core.sliding_window.WindowArena`, which
-interns each alert name once and holds its observation row, so no step
-copies one.  While the window fills, steps ``0 .. length - 1`` (unary
-row, Viterbi score, forward message, symbol) sit in the arena's *fill
+**Where the window lives.**  Every entity a tagger tracks holds a
+*slot* of its :class:`repro.core.sliding_window.WindowArena`
+(:class:`~repro.core.sliding_window.SlotTable`): the slot's row, fill
+length, fill pages and pristine flag are the entity's decode state,
+and a decoder is a view of its slot plus the sparse pattern state --
+it keeps no length, page list or row of its own.  The arena interns
+each alert name once and holds its observation row, so no step copies
+one.  While the window fills, steps ``0 .. length - 1`` (unary row,
+Viterbi score, forward message, symbol) sit in the arena's *fill
 storage* (:class:`~repro.core.sliding_window.FillPages`): pages of a
-few steps, taken from a free list as the entity grows, so a new decoder
+few steps, taken from a free list as the entity grows, so a new entity
 allocates no array and a two-alert entity holds one page.  The first
 eviction moves the steps into one *row* of the arena and frees the
-pages.  From then on the decoder holds only a
-:class:`SlidingProductWindow` view of that row plus its sparse pattern
-state: the unary rows and alert symbols sit in the row's ring slots
-(``step mod ring``), ``start``/``end`` in the arena's integer arrays,
-and step indices are absolute and never rebased.  In either phase the
-scalar methods here and the stacked kernel (:mod:`repro.core.batch_kernel`)
-read and write the same cells, so an entity's state does not depend on
-which of them advanced it.  The kernel advances a row without touching
-its decoder at all while its steps are *plain* (:meth:`plain_run`: no
-cursor or bonus in reach); whoever drops a decoder must :meth:`release`
-its row or pages.
+pages.  From then on the decoder holds a :class:`SlidingProductWindow`
+view of that row: the unary rows and alert symbols sit in the row's
+ring slots (``step mod ring``), ``start``/``end`` in the arena's integer
+arrays, and step indices are absolute and never rebased.  In either
+phase the scalar methods here and the stacked kernel
+(:mod:`repro.core.batch_kernel`) read and write the same cells, so an
+entity's state does not depend on which of them advanced it.  The
+kernel advances a slot without a decoder at all while its steps are
+*plain*: a pristine slot (``_waiting`` still the table's seed) and
+symbols no pattern starts with, or, with live cursors,
+:meth:`plain_run`.  Whoever drops a decoder must :meth:`release` its
+slot's row or pages.
 
 The aggregate is floating-point *reassociated* relative to the
 sequential recursion, so windowed mode never lets it near an emitted
@@ -121,7 +126,7 @@ from .factor_graph import (
     logsumexp_vecmat,
     maxplus_vecmat,
 )
-from .sliding_window import _PAGE, SlidingProductWindow, WindowArena
+from .sliding_window import SlidingProductWindow, WindowArena
 from .states import HiddenState, NUM_STATES
 
 _MALICIOUS = int(HiddenState.MALICIOUS)
@@ -206,6 +211,13 @@ class StreamingDecoder:
         (observation rows, transition/initial tables, the pattern-bonus
         schedule); the decoder interns every alert name there and takes
         a row of it on its first eviction.
+    slot:
+        The entity's slot of ``arena.slots``
+        (:class:`~repro.core.sliding_window.SlotTable`), whose row, fill
+        length, pages and pristine flag are this decoder's; a fresh one
+        when omitted.  A slot may hold filling steps already: the
+        stacked kernel advances a pristine slot's plain steps without a
+        decoder, so one opened over it starts where the slot stands.
 
     Opening a decoder is O(1) in the catalogue size and allocates no
     array: its steps go to pages of the arena's
@@ -214,24 +226,25 @@ class StreamingDecoder:
     every decoder of a tagger shares them, so never mutate
     ``decoder.patterns`` or a waiting bucket in place.  ``_cursors``
     holds a cursor only while its pattern has a non-empty match, and
-    ``_waiting`` *is* the seed index until the first cursor advance
-    (copy on write); its tuple buckets are replaced, never edited.
+    ``_waiting`` *is* the seed index while the slot is pristine, until
+    the first cursor advance (copy on write); its tuple buckets are
+    replaced, never edited.
     """
 
     __slots__ = (
-        "parameters", "patterns", "_seed", "_pairwise", "_cursors", "_waiting", "_complete",
-        "_bonus_at", "_arena", "_fill", "_window", "_decode_cache", "_pages", "_length",
+        "parameters", "patterns", "_seed", "_pairwise", "_cursors", "_own", "_complete",
+        "_bonus_at", "_arena", "_fill", "_slots", "_slot", "_window", "_decode_cache",
     )  # fmt: skip
 
-    def __init__(self, table: PatternTable, arena: WindowArena) -> None:
+    def __init__(self, table: PatternTable, arena: WindowArena, slot: Optional[int] = None) -> None:
         self.parameters = parameters = arena.parameters
         self.patterns = table.patterns
         self._seed = table.seed
         self._pairwise = parameters.transition_log
         # pattern index -> cursor, only for patterns with matched > 0
         self._cursors: Dict[int, PatternCursor] = {}
-        # symbol -> indices of patterns whose next expected symbol is it
-        self._waiting: Dict[str, Tuple[int, ...]] = table.seed
+        # The waiting lists once the slot is no longer pristine.
+        self._own: Dict[str, Tuple[int, ...]] = table.seed
         self._complete: Set[int] = set()
         # step index -> {pattern index -> bonus} for bonuses landing
         # there, kept in ascending pattern-index order (the catalogue
@@ -239,36 +252,38 @@ class StreamingDecoder:
         self._bonus_at: Dict[int, Dict[int, float]] = {}
         self._arena = arena
         self._fill = arena.fill
-        # The arena row once windowed; its start/end are the window's.
+        self._slots = arena.slots
+        self._slot = int(arena.slots.allocate(1)[0]) if slot is None else slot
+        # The view of the slot's arena row once windowed; its start/end are the window's.
         self._window: Optional[SlidingProductWindow] = None
         # (window span, map_path, final_marginal) of the last exact decode.
         self._decode_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
-        # Filling phase: steps 0 .. _length - 1 in the pages listed here.
-        self._pages: List[int] = []
-        self._length = 0
 
     # -- bookkeeping -------------------------------------------------------
+    @property
+    def _waiting(self) -> Dict[str, Tuple[int, ...]]:
+        """symbol -> indices of patterns whose next expected symbol is it."""
+        return self._seed if self._slots.pristine[self._slot] else self._own
+
+    def _filled(self) -> int:
+        """Filling steps held (``0 .. _filled() - 1``)."""
+        return int(self._slots.length[self._slot])
+
     def _cell(self, step: int) -> int:
         """Fill-storage cell of one step of a filling decoder."""
-        return self._pages[step // _PAGE] * _PAGE + step % _PAGE
+        return self._slots.cells(self._slot, step)
 
     def _cells(self) -> np.ndarray:
-        """Fill-storage cells of steps ``0 .. _length - 1``, in step order."""
-        pages = np.array(self._pages, dtype=np.int64)
-        return (pages[:, None] * _PAGE + np.arange(_PAGE)).ravel()[: self._length]
-
-    def _free_pages(self) -> None:
-        """Hand the filling phase's pages back; the decoder holds no steps."""
-        self._fill.release(self._pages)
-        self._pages = []
-        self._length = 0
+        """Fill-storage cells of the filling steps, in step order."""
+        return self._slots.cells_of(self._slot)
 
     def _open_window(self) -> None:
         """Filling → windowed: move the steps into an arena row, free their pages."""
-        fill, cells = self._fill, self._cells()
-        self._window = SlidingProductWindow(self._pairwise, self._arena)
+        fill, cells, arena = self._fill, self._cells(), self._arena
+        self._window = SlidingProductWindow(self._pairwise, arena)
         self._window.load(0, fill.unary[cells], fill.symbols[cells])
-        self._free_pages()
+        arena.free_pages(self._slot)
+        self._slots.row[self._slot] = self._window.row
 
     def _rebuild_waiting(self) -> None:
         """Recompute the waiting lists from the cursors (after rescans):
@@ -282,13 +297,14 @@ class StreamingDecoder:
             if matched < len(names):
                 symbol = names[matched]
                 waiting[symbol] = waiting.get(symbol, ()) + (index,)
-        self._waiting = waiting
+        self._own = waiting
+        self._slots.pristine[self._slot] = False
 
     @property
     def length(self) -> int:
         """Number of alerts currently folded into the (windowed) chain."""
         window = self._window
-        return self._length if window is None else window.end - window.start
+        return self._filled() if window is None else window.end - window.start
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -304,12 +320,9 @@ class StreamingDecoder:
         return self._window is not None
 
     def release(self) -> None:
-        """Give the arena storage back (a row, or fill pages); whoever
-        drops a decoder must."""
-        if self._window is not None:
-            self._window.release()
-            self._window = None
-        self._free_pages()
+        """Give the slot's arena storage back (a row, or fill pages)."""
+        self._window = None
+        self._arena.drop(self._slot)
 
     def reset(self) -> None:
         """Forget the whole stream."""
@@ -318,7 +331,6 @@ class StreamingDecoder:
         self._bonus_at.clear()
         self._complete.clear()
         self._cursors.clear()
-        self._waiting = self._seed
 
     # -- incremental update -------------------------------------------------
     def append(self, name: str) -> None:
@@ -338,22 +350,22 @@ class StreamingDecoder:
         ``_complete_append``.
         """
         parameters = self.parameters
-        symbol = self._arena.intern(name)
+        arena = self._arena
+        symbol = arena.intern(name)
         window = self._window
         if window is None:
-            t = self._length
-            if t % _PAGE == 0:
-                self._pages.append(self._fill.allocate())
-            self._fill.symbols[self._cell(t)] = symbol
-            self._length = t + 1
+            t = arena.push_fill(self._slot, symbol)
         else:
             t = window.stage(symbol)
         invalid_from = t
         dirty = {t}
-        if self._waiting.get(name):
-            if self._waiting is self._seed:
-                self._waiting = dict(self._seed)  # copy on the first advance
-            advancing = self._waiting.pop(name)
+        waiting = self._waiting
+        if waiting.get(name):
+            if waiting is self._seed:
+                # Copy on the first advance: the slot is no longer pristine.
+                waiting = self._own = dict(self._seed)
+                self._slots.pristine[self._slot] = False
+            advancing = waiting.pop(name)
             # Ascending pattern index keeps same-step bonus insertion in
             # catalogue order (see _refresh_unary).
             for index in sorted(advancing):
@@ -380,7 +392,7 @@ class StreamingDecoder:
                     self._insert_bonus(t, index, bonus)
                 if cursor.matched < len(pattern.names):
                     symbol = pattern.names[cursor.matched]
-                    self._waiting[symbol] = self._waiting.get(symbol, ()) + (index,)
+                    waiting[symbol] = waiting.get(symbol, ()) + (index,)
                 else:
                     self._complete.add(index)
         return t, dirty, invalid_from
@@ -405,7 +417,7 @@ class StreamingDecoder:
         """
         opening = self._window is None
         if opening:
-            if self._length < 2:
+            if self._filled() < 2:
                 raise ValueError("cannot evict from a window of fewer than 2 steps")
             self._open_window()
         head = self._window.pop_front()
@@ -577,7 +589,7 @@ class StreamingDecoder:
         unary, score, alpha = fill.unary, fill.score, fill.alpha
         pairwise = self._pairwise
         cell = self._cell
-        for t in range(start, self._length):
+        for t in range(start, self._filled()):
             now = cell(t)
             if t == 0:
                 score[now] = unary[now]
@@ -674,7 +686,7 @@ class StreamingDecoder:
         if self._window is not None:
             # Copy: the cached array must survive caller mutation.
             return self._window_decode()[1].copy()
-        last = self._fill.alpha[self._cell(self._length - 1)]
+        last = self._fill.alpha[self._cell(self._filled() - 1)]
         return np.exp(last - _logsumexp(last))
 
     def final_state(self) -> int:
@@ -683,7 +695,7 @@ class StreamingDecoder:
             raise ValueError("decoder is empty")
         if self._window is not None:
             return int(self._window_decode()[0][-1])
-        return int(np.argmax(self._fill.score[self._cell(self._length - 1)]))
+        return int(np.argmax(self._fill.score[self._cell(self._filled() - 1)]))
 
     def map_path(self) -> np.ndarray:
         """Full MAP state trajectory of the window.

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttackTagger, batch_kernel, sliding_window, streaming
+from repro.core import AttackTagger, batch_kernel, sliding_window
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
@@ -186,24 +186,23 @@ class _DispatchCounter:
         advance_chunks = BatchedDecodeKernel._advance_chunks
         advance_each = BatchedDecodeKernel._advance_each
 
-        def counted_pass(kernel, alerts, runs, hits):
+        def counted_pass(kernel, batch, runs, hits):
             current.clear()
-            rest = run_pass(kernel, alerts, runs, hits)
+            run_pass(kernel, batch, runs, hits)
             if current:
                 self.stacked.append(sum(current))
-            return rest
 
-        def counted_fill(kernel, fill, arena):
-            current.append(len(fill))
-            return advance_fill(kernel, fill, arena)
+        def counted_fill(kernel, batch, runs, reach, hits):
+            current.append(int(reach.sum()))
+            return advance_fill(kernel, batch, runs, reach, hits)
 
-        def counted_chunks(kernel, arena, chunks, alerts):
-            current.append(sum(map(len, chunks.positions)))
-            return advance_chunks(kernel, arena, chunks, alerts)
+        def counted_chunks(kernel, batch, runs, depth, hits):
+            current.append(int(depth.sum()))
+            return advance_chunks(kernel, batch, runs, depth, hits)
 
-        def counted_each(kernel, alerts, fill, chunks, hits):
-            self.each.append(len(fill) + sum(map(len, chunks.positions)))
-            return advance_each(kernel, alerts, fill, chunks, hits)
+        def counted_each(kernel, batch, fill, reach, chunk, depth, hits):
+            self.each.append(int(reach.sum()) + int(depth.sum()))
+            return advance_each(kernel, batch, fill, reach, chunk, depth, hits)
 
         monkeypatch.setattr(BatchedDecodeKernel, "_pass", counted_pass)
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)
@@ -747,9 +746,9 @@ class TestFreshEntitiesFillInOneSubBatch:
 
     def _drive(self, seed, max_window, n_entities, threshold, page):
         stream, entities = self._stream(seed, max_window, n_entities, page)
-        with mock.patch.object(streaming, "_PAGE", page), mock.patch.object(
-            sliding_window, "_PAGE", page
-        ), mock.patch.object(sliding_window, "_INITIAL_PAGES", 2):
+        with mock.patch.object(sliding_window, "_PAGE", page), mock.patch.object(
+            sliding_window, "_INITIAL_PAGES", 2
+        ):
             _, batched, scalar, _ = _three_way(
                 stream,
                 len(stream),
@@ -779,16 +778,15 @@ class TestFreshEntitiesFillInOneSubBatch:
         advance_fill = BatchedDecodeKernel._advance_fill
         complete_append = StreamingDecoder._complete_append
 
-        def counted_fill(kernel, fill, arena):
-            fills.append(len(fill))
-            return advance_fill(kernel, fill, arena)
+        def counted_fill(kernel, batch, runs, reach, hits):
+            fills.append(runs.size)
+            return advance_fill(kernel, batch, runs, reach, hits)
 
         def counted(decoder, step, dirty, invalid_from):
             if not decoder.windowed and invalid_from // page < step // page:
                 relocations.append(step)
             return complete_append(decoder, step, dirty, invalid_from)
 
-        monkeypatch.setattr(streaming, "_PAGE", page)
         monkeypatch.setattr(sliding_window, "_PAGE", page)
         monkeypatch.setattr(sliding_window, "_INITIAL_PAGES", 2)
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)
@@ -802,6 +800,146 @@ class TestFreshEntitiesFillInOneSubBatch:
         assert hits  # chains fired
         decoders = [batched.track(entity).decoder for entity in entities]
         assert any(decoder is not None and decoder.windowed for decoder in decoders)
+
+
+class TestSlotLifecycle:
+    """Slots through everything that creates, drops or rebuilds them.
+
+    Every sub-batch mixes brand-new entities (plain filling steps, no
+    decoder), pattern walkers (a seeding symbol copies the waiting lists
+    inside a stacked filling pass), entities whose window opens at this
+    step, attackers firing part-way through a run of filling steps (the
+    steps after the trigger are given back), and entities detected
+    earlier (timeline only).  Between
+    sub-batches one entity is reset and comes back under the same name
+    in the next sub-batch, or is exported and adopted again (a stale
+    slot, rebuilt from its alerts), or the taggers make a pickle round
+    trip (every slot rebuilt).  The stacked kernel, the per-alert loop
+    and ``naive`` agree bit for bit, and no slot, row or page leaks.
+    """
+
+    X, Y, Z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
+    PATTERNS = [
+        PatternSpec(name="P0", names=(X, Y)),
+        PatternSpec(name="P1", names=(Z, Y)),
+        PatternSpec(name="P2", names=(X, Z)),
+    ]
+    FILLER = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))[:3]
+    CHAIN = ("alert_download_sensitive", "alert_privilege_escalation")
+
+    def _sub_batch(self, rng, max_window, known, fresh, back):
+        """Interleaved runs: one per fresh or returning entity, and for a
+        few known ones; a walker opens a pattern, an attacker ends on the chain."""
+        picked = list(rng.choice(known, size=min(len(known), 4), replace=False)) if known else []
+        runs = []
+        for entity in fresh + back + picked:
+            length = int(rng.integers(1, max_window + 3))
+            names = [self.FILLER[k] for k in rng.integers(len(self.FILLER), size=length)]
+            kind = int(rng.integers(4))
+            if kind == 1:  # a walker
+                names[int(rng.integers(length))] = self.X
+                names.append((self.Y, self.Z)[int(rng.integers(2))])
+            elif kind == 2 and rng.random() < 0.5:  # an attacker, who keeps sending
+                at = int(rng.integers(length + 1))
+                names[at:at] = self.CHAIN
+            runs.append([(name, entity) for name in names])
+        order = rng.permutation(np.repeat(np.arange(len(runs)), [len(run) for run in runs]))
+        cursors = [0] * len(runs)
+        batch = []
+        for index in order.tolist():
+            batch.append(runs[index][cursors[index]])
+            cursors[index] += 1
+        return batch
+
+    def _drive(self, seed, max_window, events, probe=None):
+        rng = np.random.default_rng(seed)
+        kwargs = dict(max_window=max_window, patterns=self.PATTERNS)
+        batched, scalar, naive = _tagger(**kwargs), _tagger(**kwargs), _tagger("naive", **kwargs)
+        clock = iter(range(1_000_000))
+        known, back, created = [], [], 0
+        for event in events:
+            fresh = [f"slot:{created + i}" for i in range(int(rng.integers(2, 5)))]
+            created += len(fresh)
+            sub = [
+                Alert(float(next(clock)), name, entity)
+                for name, entity in self._sub_batch(rng, max_window, known, fresh, back)
+            ]
+            known += fresh
+            if probe is not None:
+                probe(batched)
+            got = [(p, _detection_key(d)) for p, d in batched.observe_batch_indexed(sub)]
+            assert got == _drive_scalar(scalar, sub) == _drive_scalar(naive, sub)
+            back = []
+            entity = known[int(rng.integers(len(known)))]
+            if event == "reset":
+                for tagger in (batched, scalar, naive):
+                    tagger.reset_entity(entity)
+                back = [entity]  # the same name, re-created next sub-batch
+            elif event == "adopt":
+                for tagger in (batched, scalar, naive):
+                    track = tagger.export_entity_tracks()[entity]
+                    tagger.reset_entity(entity)
+                    tagger.adopt_entity_track(entity, track)
+            elif event == "pickle":
+                batched, scalar = (pickle.loads(pickle.dumps(t)) for t in (batched, scalar))
+            _assert_rows_accounted(batched), _assert_rows_accounted(scalar)
+        _assert_same_logical_state(scalar, batched, known)
+        _assert_matches_spec(naive, batched, known)
+        return batched
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_window=st.sampled_from((2, 3, 5)),
+        events=st.lists(st.sampled_from(("none", "reset", "adopt", "pickle")), min_size=3, max_size=6),
+    )
+    def test_stacked_per_alert_and_naive_agree(self, seed, max_window, events):
+        self._drive(seed, max_window, events)
+
+    def test_the_sub_batches_hold_what_the_property_is_about(self, monkeypatch):
+        seen = {
+            "plain_without_decoder": 0,
+            "copied_in_fill_pass": 0,
+            "opened": 0,
+            "cut_back": 0,
+            "timeline": 0,
+        }
+        advance_fill = BatchedDecodeKernel._advance_fill
+        advance_scalar = BatchedDecodeKernel._advance_scalar
+        classify = BatchedDecodeKernel._classify
+        truncate = sliding_window.WindowArena.truncate
+
+        def counted_truncate(arena, slot, length):
+            seen["cut_back"] += length > 0
+            return truncate(arena, slot, length)
+
+        def counted_fill(kernel, batch, runs, reach, hits):
+            table = kernel._tagger._arena.slots
+            tracks = [batch.tracks[r] for r in runs.tolist()]
+            bare = [track.decoder is None for track in tracks]
+            pristine = table.pristine[batch.slot[runs]].copy()
+            advance_fill(kernel, batch, runs, reach, hits)
+            seen["plain_without_decoder"] += sum(b and t.decoder is None for b, t in zip(bare, tracks))
+            seen["copied_in_fill_pass"] += int((pristine & ~table.pristine[batch.slot[runs]]).sum())
+
+        def counted_scalar(kernel, batch, runs, hits):
+            table = kernel._tagger._arena.slots
+            filling = int((table.row[batch.slot[runs]] < 0).sum())
+            seen["opened"] += filling
+            return advance_scalar(kernel, batch, runs, hits)
+
+        def counted_classify(kernel, batch, runs):
+            before = batch.head.copy()
+            split = classify(kernel, batch, runs)
+            seen["timeline"] += int((batch.head != before).sum())  # a detected run, whole
+            return split
+
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)
+        monkeypatch.setattr(BatchedDecodeKernel, "_advance_scalar", counted_scalar)
+        monkeypatch.setattr(BatchedDecodeKernel, "_classify", counted_classify)
+        monkeypatch.setattr(sliding_window.WindowArena, "truncate", counted_truncate)
+        self._drive(3, 5, ["reset", "adopt", "pickle", "none", "reset", "adopt"])
+        assert all(seen.values()), seen
 
 
 class TestObservationRowsResolveOncePerName:

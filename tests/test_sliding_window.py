@@ -392,7 +392,7 @@ class TestEvictionEquivalence:
         # The live decoder really took the amortised path: one arena
         # row of max_window + 1 ring slots, its fill pages handed back --
         # nothing grew with the 220-alert stream.
-        assert decoder is not None and decoder.windowed and decoder._pages == []
+        assert decoder is not None and decoder.windowed and decoder._cells().size == 0
         arena = taggers["streaming"]._arena
         assert (arena.live, arena.capacity, arena.ring) == (1, _INITIAL_ROWS, max_window + 1)
         assert arena.fill.live == 0

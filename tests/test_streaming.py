@@ -10,6 +10,8 @@ eviction and late pattern-bonus relocation.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +32,7 @@ from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import _logsumexp, chain_map_decode, chain_marginals
 from repro.core.sequences import matched_prefix_length
 from repro.core.sliding_window import WindowArena
+from repro.core.states import HiddenState
 from repro.incidents import DEFAULT_CATALOGUE
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
@@ -358,7 +361,7 @@ class TestLazyCursorsAreEagerCursors:
         for waiting in (table.seed, idle._waiting, busy._waiting):
             assert all(type(bucket) is tuple for bucket in waiting.values())
         # A third entity opens on the untouched seed index.
-        assert tagger._make_decoder()._waiting == seed
+        assert StreamingDecoder(table, tagger._arena)._waiting == seed
 
     def test_waiting_lists_are_copied_on_the_first_advance_only(self):
         tagger = AttackTagger(
@@ -462,3 +465,25 @@ class TestTheModelIsResolvedAtConstruction:
         for name in self.NAMES:
             edited.observe(Alert(float(next(clock)), name, "entity:new"))
         assert not np.array_equal(edited.infer("entity:new")[1], reference.infer("entity:new")[1])
+
+
+class TestReadOnlyQueriesTrackNothing:
+    """``infer``, ``posterior`` and ``current_state`` on an entity never
+    observed answer from the prior and leave the tagger as they found it:
+    no track, no slot, and the same checkpoint bytes."""
+
+    @pytest.mark.parametrize("engine", ["streaming", "naive"])
+    def test_queries_on_an_unseen_entity_create_no_state(self, engine):
+        fresh, queried = (
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE), engine=engine) for _ in range(2)
+        )
+        prior = np.exp(queried.parameters.initial_log)
+        states, marginal, matched = queried.infer("user:ghost")
+        assert states.size == 0 and matched == []
+        assert np.array_equal(marginal, prior / prior.sum())
+        posterior = queried.posterior("user:ghost")
+        assert posterior["malicious"] == float(marginal[int(HiddenState.MALICIOUS)])
+        assert queried.current_state("user:ghost") is HiddenState.BENIGN
+        assert queried.entities() == []
+        assert queried._arena.slots.live == 0
+        assert pickle.dumps(queried) == pickle.dumps(fresh)

@@ -72,20 +72,34 @@ def _windowed_decoders(tagger) -> int:
 
 
 def _assert_rows_accounted(tagger) -> None:
-    """Live rows are live windowed decoders, and every fill page is free
-    or held by exactly one live filling decoder, which holds what its
-    length needs and no more."""
+    """Every slot is held by exactly one live track and every freed slot
+    is free; live rows are live windowed decoders, each its slot's row;
+    and every fill page is free or held by exactly one live filling
+    slot, which holds what its length needs and no more."""
     arena = tagger._arena
+    slots = arena.slots
+    tracks = list(tagger._tracks.values())
+    held_slots = [track.slot for track in tracks]
+    assert sorted(held_slots + slots._free) == list(range(slots.capacity))
     assert arena.live == _windowed_decoders(tagger)
+    rows = [int(slots.row[slot]) for slot in held_slots if slots.row[slot] >= 0]
+    assert sorted(rows + arena._free) == list(range(arena.capacity))
     fill = arena.fill
     held = []
-    for track in tagger._tracks.values():
-        decoder = track.decoder
-        if decoder is None:
-            continue
-        needed = 0 if decoder.windowed else -(-decoder.length // sliding_window._PAGE)
-        assert len(decoder._pages) == needed
-        held += decoder._pages
+    for track in tracks:
+        slot, decoder = track.slot, track.decoder
+        assert slots.detected[slot] == (track.detected is not None)
+        if decoder is not None:
+            assert decoder._slot == slot
+            assert slots.row[slot] == (decoder._window.row if decoder.windowed else -1)
+        elif slots.row[slot] >= 0:
+            raise AssertionError("a windowed slot without its decoder")
+        pages = slots.pages_of(slot).tolist()
+        assert not pages or slots.row[slot] < 0
+        if not (slots.stale[slot] or slots.detected[slot] or decoder is not None):
+            # A slot advanced without a decoder holds exactly its track's alerts.
+            assert slots.length[slot] == len(track.alerts)
+        held += pages
     assert len(held) == fill.live
     assert sorted(held + fill._free) == list(range(fill.capacity))
 
@@ -261,7 +275,7 @@ class TestFillPagesAreAccounted:
         for index in range(0, 3 * _MIN_BATCH, 2):
             tagger.reset_entity(f"host:{index}")
             _assert_rows_accounted(tagger)
-        tagger.track("host:1").decoder.reset()
+        tagger._decoder_for(tagger.track("host:1")).reset()
         _assert_rows_accounted(tagger)
         tagger.reset()
         assert tagger._arena.fill.live == 0
@@ -275,7 +289,7 @@ class TestFillPagesAreAccounted:
         _assert_rows_accounted(tagger)
         # infer() re-syncs a decoder (pages again), the next alert drops it.
         tagger.infer("host:fresh")
-        assert tagger.track("host:fresh").decoder._pages
+        assert tagger._arena.slots.pages_of(tagger.track("host:fresh").slot).size
         _assert_rows_accounted(tagger)
         tagger.observe(Alert(next(clock), BACKGROUND[0], "host:fresh"))
         assert tagger.track("host:fresh").decoder is None
@@ -297,12 +311,14 @@ class TestFillPagesAreAccounted:
             [Alert(next(clock), BACKGROUND[0], entity) for entity in target.entities()]
         )
         _assert_rows_accounted(target)
-        # A track handed over with its decoder gives its pages back to the source.
-        held = len(source.track("host:3").decoder._pages)
+        # A track handed over with its decoder gives its pages and slot back to the source.
+        assert source.track("host:3").decoder is not None  # Z seeded a pattern
+        held = source._arena.slots.pages_of(source.track("host:3").slot).size
         before = source._arena.fill.live
         other = AttackTagger(patterns=PATTERNS, max_window=8)
         other.adopt_entity_track("host:3", source._tracks.pop("host:3"))
         assert source._arena.fill.live == before - held
+        assert source._arena.slots.live == len(source.entities())
         _assert_rows_accounted(source), _assert_rows_accounted(other)
         restored = pickle.loads(pickle.dumps(target))
         assert restored._arena.fill.live == 0
@@ -413,7 +429,7 @@ class TestPlainRowBoundary:
         final = [Alert(next(clock), probe[entity], entity) for entity in entities]
         for alerts in rounds:
             assert batched.observe_batch(alerts) == []
-        decoders = {entity: batched.track(entity).decoder for entity in entities}
+        decoders = {entity: batched._decoder_for(batched.track(entity)) for entity in entities}
         assert not decoders["host:opens"].windowed
         predicted_plain = [
             entity
