@@ -243,7 +243,7 @@ class AttackTagger(Detector):
             track = self._tracks[entity]
         return track
 
-    def _tracks_for(self, entities: Sequence[str]) -> List[EntityTrack]:
+    def _tracks_for(self, entities: Iterable[str]) -> List[EntityTrack]:
         """The tracks of distinct ``entities``; those seen for the first
         time are opened together, in the order given."""
         tracks = self._tracks

@@ -249,32 +249,33 @@ class _SubBatch:
     def __init__(self, kernel: "BatchedDecodeKernel", alerts: Sequence["Alert"]) -> None:
         tagger = kernel._tagger
         arena = tagger._arena
-        # One dict lookup per alert: its entity, numbered in order of first sight.
-        entities: Dict[str, int] = {}
-        seen = [entities.setdefault(alert.entity, len(entities)) for alert in alerts]
-        tracks = tagger._tracks_for(list(entities))
+        # One dict lookup per alert: the sub-batch's entities in order of first sight.
+        entities = dict.fromkeys([alert.entity for alert in alerts])
+        tracks = tagger._tracks_for(entities)
         slots = np.array([track.slot for track in tracks], dtype=np.int64)
-        names = [alert.name for alert in alerts]
-        symbols = list(map(arena.symbol_ids.get, names))
+        get = arena.symbol_ids.get
+        symbols = [get(alert.name) for alert in alerts]
         if None in symbols:
-            symbols = list(map(arena.intern, names))
+            symbols = [arena.intern(alert.name) for alert in alerts]
         n = len(alerts)
         if len(tracks) == n:
-            # Every alert its own entity's run.
-            self.order = order = np.argsort(slots)
-            self.slot = slots[order]
+            # Every alert its own entity's run: no grouping to do.
+            self.order = np.arange(n)
+            self.slot, self.tracks, self.sorted = slots, tracks, list(alerts)
             self.head, self.end = np.arange(n), np.arange(1, n + 1)
-            self.tracks = [tracks[index] for index in order.tolist()]
+            self.symbols = np.array(symbols, dtype=np.int64)
         else:
-            seen_at = np.array(seen)
-            self.order = order = np.argsort(slots[seen_at], kind="stable")
-            sorted_slots = slots[seen_at[order]]
+            for index, entity in enumerate(entities):
+                entities[entity] = index
+            seen = np.array([entities[alert.entity] for alert in alerts])
+            self.order = order = np.argsort(slots[seen], kind="stable")
+            sorted_slots = slots[seen[order]]
             starts = np.flatnonzero(np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1])))
             self.slot = sorted_slots[starts]
             self.head, self.end = starts, np.append(starts[1:], n)
-            self.tracks = [tracks[index] for index in seen_at[order[starts]].tolist()]
-        self.sorted = [alerts[position] for position in order.tolist()]
-        self.symbols = np.array(symbols, dtype=np.int64)[order]
+            self.tracks = [tracks[index] for index in seen[order[starts]].tolist()]
+            self.sorted = [alerts[position] for position in order.tolist()]
+            self.symbols = np.array(symbols, dtype=np.int64)[order]
         self.seeding = seeding_of = kernel._seeding_table()[self.symbols]
         # The first seeding symbol at or after each sorted alert, if any.
         self.next_seed: Optional[np.ndarray] = None
@@ -286,7 +287,7 @@ class _SubBatch:
             for r in np.flatnonzero(table.stale[self.slot]).tolist():
                 tagger._decoder_for(self.tracks[r])
         if len(tracks) == n:
-            for track, alert in zip(self.tracks, self.sorted):
+            for track, alert in zip(tracks, alerts):
                 track.alerts.append(alert)
         else:
             for track, low, high in zip(self.tracks, self.head.tolist(), self.end.tolist()):
@@ -358,12 +359,14 @@ class BatchedDecodeKernel:
                 np.concatenate(pair) for pair in zip((fill, reach, chunk, depth), more)
             )
             scalar = more[4]
-        if int(reach.sum()) + int(depth.sum()) < _MIN_BATCH:
-            self._advance_each(batch, fill, reach, chunk, depth, hits)
-            return
-        if fill.size:
+        # Each stacked path pays its own fixed cost.
+        if fill.size and int(reach.sum()) < _MIN_BATCH:
+            self._advance_each(batch, fill, reach, False, hits)
+        elif fill.size:
             self._advance_fill(batch, fill, reach, hits)
-        if chunk.size:
+        if chunk.size and int(depth.sum()) < _MIN_BATCH:
+            self._advance_each(batch, chunk, depth, True, hits)
+        elif chunk.size:
             self._advance_chunks(batch, chunk, depth, hits)
 
     def _classify(self, batch: _SubBatch, runs: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -458,27 +461,21 @@ class BatchedDecodeKernel:
         return np.array(left, dtype=np.int64)
 
     def _advance_each(
-        self,
-        batch: _SubBatch,
-        fill: np.ndarray,
-        reach: np.ndarray,
-        chunk: np.ndarray,
-        depth: np.ndarray,
-        hits: List[Hit],
+        self, batch: _SubBatch, runs: np.ndarray, steps: np.ndarray, sliding: bool, hits: List[Hit]
     ) -> None:
-        """A pass too small to stack: every step through the per-entity path."""
+        """Segments too small to stack (filling runs, or windowed chunks
+        when ``sliding``): every step through the per-entity path."""
         tagger = self._tagger
         advance = tagger._advance
-        for runs, steps, sliding in ((fill, reach, False), (chunk, depth, True)):
-            for r, count in zip(runs.tolist(), steps.tolist()):
-                track = batch.tracks[r]
-                low = int(batch.head[r])
-                decoder = tagger._decoder_for(track)
-                for k in range(low, low + count):
-                    if (detection := advance(track, batch.sorted[k], decoder, sliding)) is not None:
-                        hits.append((int(batch.order[k]), detection))
-                        break
-            batch.head[runs] += steps
+        for r, count in zip(runs.tolist(), steps.tolist()):
+            track = batch.tracks[r]
+            low = int(batch.head[r])
+            decoder = tagger._decoder_for(track)
+            for k in range(low, low + count):
+                if (detection := advance(track, batch.sorted[k], decoder, sliding)) is not None:
+                    hits.append((int(batch.order[k]), detection))
+                    break
+        batch.head[runs] += steps
 
     # -- filling phase: runs of steps in fill-storage cells --------------------
     def _advance_fill(self, batch: _SubBatch, runs: np.ndarray, reach: np.ndarray, hits: List[Hit]) -> None:

@@ -200,9 +200,9 @@ class _DispatchCounter:
             current.append(int(depth.sum()))
             return advance_chunks(kernel, batch, runs, depth, hits)
 
-        def counted_each(kernel, batch, fill, reach, chunk, depth, hits):
-            self.each.append(int(reach.sum()) + int(depth.sum()))
-            return advance_each(kernel, batch, fill, reach, chunk, depth, hits)
+        def counted_each(kernel, batch, runs, steps, sliding, hits):
+            self.each.append(int(steps.sum()))
+            return advance_each(kernel, batch, runs, steps, sliding, hits)
 
         monkeypatch.setattr(BatchedDecodeKernel, "_pass", counted_pass)
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)

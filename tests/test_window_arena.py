@@ -81,6 +81,7 @@ def _assert_rows_accounted(tagger) -> None:
     tracks = list(tagger._tracks.values())
     held_slots = [track.slot for track in tracks]
     assert sorted(held_slots + slots._free) == list(range(slots.capacity))
+    assert not slots.stale[slots._free].any()  # a freed slot has nothing to rebuild
     assert arena.live == _windowed_decoders(tagger)
     rows = [int(slots.row[slot]) for slot in held_slots if slots.row[slot] >= 0]
     assert sorted(rows + arena._free) == list(range(arena.capacity))
