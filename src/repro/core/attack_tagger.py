@@ -259,7 +259,7 @@ class AttackTagger(Detector):
         slot per entity."""
         window = self.max_window
         tracks = self._tracks
-        for entity, slot in zip(entities, self._arena.slots.allocate(len(entities)).tolist()):
+        for entity, slot in zip(entities, self._arena.slots.allocate(len(entities))):
             # deque(maxlen) keeps the per-alert window trim O(1).
             track = tracks[entity] = EntityTrack(entity, deque(maxlen=window))
             track.slot = slot
@@ -272,7 +272,7 @@ class AttackTagger(Detector):
         detected = [track.detected is not None for track in tracks]
         slots.detected[taken] = detected
         slots.stale[taken] = [not flag for flag in detected]
-        for track, slot in zip(tracks, taken.tolist()):
+        for track, slot in zip(tracks, taken):
             track.slot = slot
 
     def entities(self) -> list[str]:
@@ -295,8 +295,7 @@ class AttackTagger(Detector):
 
     def _close(self, track: EntityTrack) -> None:
         """Hand a forgotten track's decode storage and slot back."""
-        track.decoder = None
-        self._arena.drop(track.slot)
+        self._release(track)
         self._arena.slots.release(track.slot)
 
     def _release(self, track: EntityTrack) -> None:

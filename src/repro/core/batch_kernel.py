@@ -88,7 +88,7 @@ window (or the one step that touches pattern state, through its
 decoder's ``append_plan``): the bookkeeping of plain steps -- a page
 off the free list where a step starts one, the symbol store, the
 length bump -- is one index-array write each
-(``WindowArena.push_fills``); the unary rows are one lookup of the
+(``WindowArena.store_fills``); the unary rows are one lookup of the
 symbols in the observation table (plus the prior at step 0); and the
 Viterbi and forward recursions advance one stacked step per depth,
 gathered into entity-minor ``(K, N)`` stacks and scattered back with
@@ -232,9 +232,13 @@ def _active(depth: np.ndarray) -> List[int]:
 
 
 class _SubBatch:
-    """One sub-batch grouped into per-entity runs by one stable sort over slots.
+    """One sub-batch, interned and grouped into per-entity runs.
 
-    Sorted alert ``k`` is ``alerts[order[k]]`` (:attr:`sorted`), with
+    One dict lookup per alert numbers its entity in order of first
+    sight; each entity's track and slot are looked up once, and one
+    stable argsort over those numbers groups the alerts into runs (a
+    sub-batch of distinct entities needs none).  Sorted alert ``k`` is
+    ``alerts[order[k]]`` (:attr:`sorted`), with
     interned symbol ``symbols[k]``; ``next_seed[k]`` is the first sorted
     alert at or after ``k`` whose symbol starts a pattern.  Run ``r`` is
     sorted alerts ``head[r] .. end[r] - 1`` of ``tracks[r]``, at slot
@@ -249,8 +253,9 @@ class _SubBatch:
     def __init__(self, kernel: "BatchedDecodeKernel", alerts: Sequence["Alert"]) -> None:
         tagger = kernel._tagger
         arena = tagger._arena
-        # One dict lookup per alert: the sub-batch's entities in order of first sight.
-        entities = dict.fromkeys([alert.entity for alert in alerts])
+        # One dict lookup per alert: its entity's index in order of first sight.
+        entities: Dict[str, int] = {}
+        seen = [entities.setdefault(alert.entity, len(entities)) for alert in alerts]
         tracks = tagger._tracks_for(entities)
         slots = np.array([track.slot for track in tracks], dtype=np.int64)
         get = arena.symbol_ids.get
@@ -265,15 +270,13 @@ class _SubBatch:
             self.head, self.end = np.arange(n), np.arange(1, n + 1)
             self.symbols = np.array(symbols, dtype=np.int64)
         else:
-            for index, entity in enumerate(entities):
-                entities[entity] = index
-            seen = np.array([entities[alert.entity] for alert in alerts])
-            self.order = order = np.argsort(slots[seen], kind="stable")
-            sorted_slots = slots[seen[order]]
-            starts = np.flatnonzero(np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1])))
-            self.slot = sorted_slots[starts]
-            self.head, self.end = starts, np.append(starts[1:], n)
-            self.tracks = [tracks[index] for index in seen[order[starts]].tolist()]
+            # Run r is the r-th entity seen, the one at slot ``slots[r]``.
+            at = np.array(seen)
+            self.order = order = np.argsort(at, kind="stable")
+            counts = np.bincount(at)
+            self.end = np.add.accumulate(counts)
+            self.head = self.end - counts
+            self.slot, self.tracks = slots, tracks
             self.sorted = [alerts[position] for position in order.tolist()]
             self.symbols = np.array(symbols, dtype=np.int64)[order]
         self.seeding = seeding_of = kernel._seeding_table()[self.symbols]
@@ -286,12 +289,9 @@ class _SubBatch:
             # Restored or adopted entities re-sync their decoders first.
             for r in np.flatnonzero(table.stale[self.slot]).tolist():
                 tagger._decoder_for(self.tracks[r])
-        if len(tracks) == n:
-            for track, alert in zip(tracks, alerts):
-                track.alerts.append(alert)
-        else:
-            for track, low, high in zip(self.tracks, self.head.tolist(), self.end.tolist()):
-                track.alerts.extend(self.sorted[low:high])
+        appends = [track.alerts.append for track in tracks]
+        for alert, index in zip(alerts, seen):
+            appends[index](alert)
 
 
 class BatchedDecodeKernel:
@@ -440,24 +440,27 @@ class BatchedDecodeKernel:
         return (*fill, runs[plain], depth[plain], np.concatenate((scalar, runs[~plain])))
 
     def _advance_scalar(self, batch: _SubBatch, runs: np.ndarray, hits: List[Hit]) -> np.ndarray:
-        """One step of each run through the per-entity path, on the same
-        arena row: a cursor advances, a bonus moves, an eviction
-        rescans, or the window is only now opening.  Returns the runs
-        with steps left that did not fire."""
+        """Each run's steps through the per-entity path, on the same arena
+        row, while they are not plain (``plain_run``): a cursor advances,
+        a bonus moves, an eviction rescans, or the window is only now
+        opening.  Returns the runs with steps left that did not fire."""
         tagger = self._tagger
         left = []
-        for r in runs.tolist():
+        for r, low, high in zip(runs.tolist(), batch.head[runs].tolist(), batch.end[runs].tolist()):
             track = batch.tracks[r]
-            k = int(batch.head[r])
-            alert = batch.sorted[k]
             decoder = tagger._decoder_for(track)
-            self.rows_scalar += 1
-            batch.head[r] = k + 1
-            detection = tagger._advance(track, alert, decoder, True)
-            if detection is not None:
-                hits.append((int(batch.order[k]), detection))
-            elif k + 1 < batch.end[r]:
-                left.append(r)
+            k = low
+            while k < high:
+                alert = batch.sorted[k]
+                self.rows_scalar += 1
+                k += 1
+                if (detection := tagger._advance(track, alert, decoder, True)) is not None:
+                    hits.append((batch.order[k - 1].item(), detection))
+                    break
+                if k < high and decoder.plain_run([batch.sorted[k].name]):
+                    left.append(r)
+                    break
+            batch.head[r] = k
         return np.array(left, dtype=np.int64)
 
     def _advance_each(
@@ -482,7 +485,8 @@ class BatchedDecodeKernel:
         """Append ``reach[i]`` alerts to every window-filling run ``runs[i]``, then decide them.
 
         Plain steps (every step of a run that reaches past one) need no
-        decoder: their bookkeeping is one :meth:`WindowArena.push_fills`.
+        decoder: their bookkeeping is one :meth:`WindowArena.store_fills`
+        and one length write.
         A step that touches pattern state goes through its decoder's
         ``append_plan``; one that relocates a bonus invalidates history
         (the per-entity ``_complete_append``).  Every other step is a
@@ -500,7 +504,6 @@ class BatchedDecodeKernel:
             deepest = np.argsort(-reach, kind="stable")
             runs, reach = runs[deepest], reach[deepest]
         slot, head = batch.slot[runs], batch.head[runs]
-        n = runs.size
         active = _active(reach)
         bounds = list(accumulate(active, initial=0))
         start = table.length[slot]

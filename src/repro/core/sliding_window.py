@@ -114,6 +114,17 @@ _INITIAL_PAGES = 64
 _INITIAL_SLOTS = 64
 
 
+def _take(owner, count: int, initial: int) -> List[int]:
+    """``count`` indices off ``owner``'s free list, growing it (from
+    ``initial``, then by ``_GROWTH``) while it runs short."""
+    free = owner._free
+    while len(free) < count:
+        owner._resize(max(initial, owner.capacity * _GROWTH))
+    taken = free[len(free) - count :][::-1]
+    del free[len(free) - count :]
+    return taken
+
+
 def _resize_blocks(owner, capacity: int, blocks) -> None:
     """Grow ``owner``'s ``(name, shape, dtype)`` blocks (unit axis last if
     3-d, else first) and free list, keeping their contents."""
@@ -168,12 +179,7 @@ class FillPages:
 
     def allocate(self, count: int) -> List[int]:
         """``count`` free page indices (contents stale; the caller writes them)."""
-        free = self._free
-        while len(free) < count:
-            self._resize(max(_INITIAL_PAGES, self.capacity * _GROWTH))
-        taken = free[len(free) - count :][::-1]
-        del free[len(free) - count :]
-        return taken
+        return _take(self, count, _INITIAL_PAGES)
 
     def release(self, pages: List[int]) -> None:
         self._free.extend(pages)
@@ -215,6 +221,7 @@ class SlotTable:
         return self.row.itemsize + self.length.itemsize + self.width * self.pages.itemsize + 3
 
     def _resize(self, capacity: int) -> None:
+        known = self.capacity
         _resize_blocks(self, capacity, (
             ("row", (capacity,), np.int64),
             ("length", (capacity,), np.int64),
@@ -223,22 +230,23 @@ class SlotTable:
             ("pristine", (capacity,), np.bool_),
             ("stale", (capacity,), np.bool_),
         ))  # fmt: skip
+        self.empty(slice(known, capacity))
 
-    def allocate(self, count: int) -> np.ndarray:
-        """``count`` free slots, each empty: no row, no steps, pristine."""
-        free = self._free
-        while len(free) < count:
-            self._resize(max(_INITIAL_SLOTS, self.capacity * _GROWTH))
-        slots = np.array(free[len(free) - count :][::-1], dtype=np.int64)
-        del free[len(free) - count :]
+    def empty(self, slots) -> None:
+        """Reset ``slots`` to empty: no row, no steps, pristine, no flag.
+        A free slot is always empty."""
         self.row[slots] = -1
         self.length[slots] = 0
         self.detected[slots] = self.stale[slots] = False
         self.pristine[slots] = True
-        return slots
+
+    def allocate(self, count: int) -> List[int]:
+        """``count`` free (so empty) slots."""
+        return _take(self, count, _INITIAL_SLOTS)
 
     def release(self, slot: int) -> None:
-        self.stale[slot] = False
+        """Free one slot (its row and pages handed back already)."""
+        self.empty(slot)
         self._free.append(slot)
 
     def cells(self, slots, steps):
@@ -260,7 +268,7 @@ class SlotTable:
 
     def cells_of(self, slot: int) -> np.ndarray:
         """Fill-storage cells of slot ``slot``'s steps, in step order."""
-        pages = self.pages_of(slot).astype(np.int64)
+        pages = self.pages_of(slot)
         return (pages[:, None] * _PAGE + np.arange(_PAGE)).ravel()[: self.length[slot]]
 
 
@@ -307,9 +315,7 @@ class WindowArena:
 
     def allocate(self) -> int:
         """A free row index (contents stale; the caller loads it)."""
-        if not self._free:
-            self._resize(max(_INITIAL_ROWS, self.capacity * _GROWTH))
-        return self._free.pop()
+        return _take(self, 1, _INITIAL_ROWS)[0]
 
     def release(self, row: int) -> None:
         self._free.append(row)
@@ -348,10 +354,6 @@ class WindowArena:
             self.fill.release(slots.pages[slot, kept:held].tolist())
         slots.length[slot] = length
 
-    def free_pages(self, slot: int) -> None:
-        """Hand one slot's fill pages back; it holds no filling steps."""
-        self.truncate(slot, 0)
-
     def drop(self, slot: int) -> None:
         """Hand one slot's decode storage back (its row, or its fill
         pages), and forget its pattern state."""
@@ -360,14 +362,14 @@ class WindowArena:
         if row >= 0:
             self.release(row)
             slots.row[slot] = -1
-        self.free_pages(slot)
+        self.truncate(slot, 0)
         slots.pristine[slot] = True
 
     def clear(self) -> None:
         """Hand every row, fill page and slot back at once (interned names stay)."""
         for owner in (self, self.fill, self.slots):
             owner._free = list(range(owner.capacity - 1, -1, -1))
-        self.slots.stale[:] = False
+        self.slots.empty(slice(None))
 
     def intern(self, name: str) -> int:
         """Symbol index of an alert name; a new name's observation row is

@@ -253,7 +253,7 @@ class StreamingDecoder:
         self._arena = arena
         self._fill = arena.fill
         self._slots = arena.slots
-        self._slot = int(arena.slots.allocate(1)[0]) if slot is None else slot
+        self._slot = arena.slots.allocate(1)[0] if slot is None else slot
         # The view of the slot's arena row once windowed; its start/end are the window's.
         self._window: Optional[SlidingProductWindow] = None
         # (window span, map_path, final_marginal) of the last exact decode.
@@ -282,7 +282,7 @@ class StreamingDecoder:
         fill, cells, arena = self._fill, self._cells(), self._arena
         self._window = SlidingProductWindow(self._pairwise, arena)
         self._window.load(0, fill.unary[cells], fill.symbols[cells])
-        arena.free_pages(self._slot)
+        arena.truncate(self._slot, 0)
         self._slots.row[self._slot] = self._window.row
 
     def _rebuild_waiting(self) -> None:
