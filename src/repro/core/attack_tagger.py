@@ -219,8 +219,8 @@ class AttackTagger(Detector):
         ``_pattern_table``: the catalogue patterns with a positive
         weight, in order -- from ``parameters.pattern_weights``, or
         ``default_pattern_weight`` for all of them when there are none.
-        ``_arena``: the storage of every windowed decoder and the
-        observation row of every alert name seen.
+        ``_arena``: every tracked entity's slot, every window row and
+        fill page, and the observation row of every alert name seen.
         """
         weights = self.parameters.pattern_weights
         resolved = (
@@ -561,8 +561,9 @@ class AttackTagger(Detector):
         # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
         # So is the resolved model: the pattern table and the window
-        # arena (every row of it belonged to a dropped decoder) are
-        # rebuilt on unpickling; dropping the keys keeps old bytes.
+        # arena (its slots, rows and pages are the dropped decode
+        # state) are rebuilt on unpickling; dropping the keys keeps old
+        # bytes.
         state.pop("_pattern_table", None)
         state.pop("_arena", None)
         return state

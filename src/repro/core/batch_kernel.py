@@ -96,8 +96,9 @@ one index array.  Fill storage only grows, so every cell is decided at
 once afterwards; a run that fires before its last step gives the later
 steps back first.  Only a step that meets a bonus builds its row
 through ``_effective_row``, and one that relocates a bonus goes through
-``_complete_append``.  A pass that would stack fewer than
-``_MIN_BATCH`` alerts runs them through the per-alert path instead.
+``_complete_append``.  A pass's filling steps, or its chunk cells,
+that would stack fewer than ``_MIN_BATCH`` alerts run through the
+per-alert path instead.
 
 Every stacked operation replays the scalar engine's float operations
 bit-for-bit (elementwise adds/exp/log are elementwise; max/argmax are
@@ -130,17 +131,18 @@ import numpy as np
 from .factor_graph import _logsumexp, logsumexp_vecmat_batch, maxplus_vecmat_batch
 from .sliding_window import FillPages, WindowArena
 from .states import NUM_STATES
-from .streaming import _ARANGE_K, _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS, StreamingDecoder
+from .streaming import _ARANGE_K, _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS
 
 if TYPE_CHECKING:
     from .alerts import Alert
-    from .attack_tagger import AttackTagger, Detection, EntityTrack
+    from .attack_tagger import AttackTagger, Detection
 
 _K = NUM_STATES
 
-# A pass that would stack fewer alerts than this (filling steps plus
-# chunk cells, i.e. rows x depth) runs them through the tagger's
-# per-alert path instead (the one-row view, on the same arena).
+# A pass's filling steps, or its chunk cells (rows x depth), that
+# number fewer than this run through the tagger's per-alert path
+# instead (the one-row view, on the same arena): each stacked path pays
+# its own fixed cost.
 # Measured at W = 32 on a 2-vCPU Xeon, as one-pass sub-batches (the
 # interning included): stacked, ~170 us (filling) to ~215 us (windowed),
 # nearly flat in rows, plus ~20-40 us a further depth; per alert, ~120 us
@@ -359,7 +361,6 @@ class BatchedDecodeKernel:
                 np.concatenate(pair) for pair in zip((fill, reach, chunk, depth), more)
             )
             scalar = more[4]
-        # Each stacked path pays its own fixed cost.
         if fill.size and int(reach.sum()) < _MIN_BATCH:
             self._advance_each(batch, fill, reach, False, hits)
         elif fill.size:
