@@ -102,7 +102,10 @@ def decode_line(line: bytes) -> dict:
         raise ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
     try:
         data = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, bad JSON and integers
+        # past the 4 300-digit conversion limit; RecursionError, JSON
+        # nested deeper than the parser's stack.
         raise ProtocolError(f"not a JSON line: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError(f"expected a JSON object, got {type(data).__name__}")

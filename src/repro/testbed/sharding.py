@@ -49,11 +49,14 @@ and ``restore`` simply replaces a shard's replica.
 
 **One wire.**  How a sub-batch crosses the process boundary is private
 to :meth:`_ProcessShard.send`: the batch is packed into columns and
-flat-encoded (:func:`repro.core.alerts.encode_alert_columns`), the
-bytes go into the shard's shared-memory ring and only an ``(offset,
-length, seq)`` descriptor crosses the pipe.  Bytes that do not fit the
-ring travel on the pipe instead, and a batch the codec cannot express
-travels as pickled columns -- each the only path for some input, both
+flat-encoded (:func:`repro.core.alerts.encode_alert_columns`: five
+UTF-8 string columns, each decoded once and sliced, and one JSON
+array for the attributes), the bytes go into the shard's shared-memory
+ring and only an ``(offset, length, seq)`` descriptor crosses the pipe.
+Bytes that do not fit the ring travel on the pipe instead, and a batch
+the codec cannot express -- an attribute value the service's JSON wire
+could not carry exactly, such as bytes, a tuple or a ``complex`` --
+travels as pickled columns: each the only path for some input, both
 counted in ``shm_fallbacks``.  There is no transport option.
 
 **One recovery.**  Only a process can die, so what happens then is

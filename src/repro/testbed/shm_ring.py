@@ -3,10 +3,11 @@
 One :class:`ShardRing` backs one shard.  The parent (pool supervisor)
 *creates* and owns the segment; the worker process *attaches* to it by
 name.  Traffic is strictly single-producer/single-consumer: the parent
-writes an encoded batch (:func:`repro.core.alerts.encode_alert_columns`)
+writes an encoded batch (:func:`repro.core.alerts.encode_alert_columns`:
+flat string columns and one JSON attribute document, no pickle opcodes)
 into the ring and sends only a ``(ring_offset, length, seq)`` descriptor
-down the control pipe; the worker decodes straight out of the mapped
-segment — no pickle bytes ever cross the pipe for the batch payload.
+down the control pipe; the worker copies the region out once and
+decodes it — no pickle bytes ever cross the pipe for the batch payload.
 
 Allocation is a rolling head plus an explicit in-flight region list
 (bounded by the pool's pipelining depth, so membership checks are O(1)

@@ -93,6 +93,18 @@ from repro.service.smoke import (
 
 BENIGN_NAMES = sorted(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
 
+#: A 10 088-byte ``batch`` line whose attributes nest 5 000 lists: past
+#: the JSON parser's recursion limit, far inside ``MAX_LINE_BYTES``.
+_DEEP_BATCH_LINE = (
+    b'{"op":"batch","alerts":[{"timestamp":1.0,"name":"a","entity":"e",'
+    b'"attributes":{"k":' + b"[" * 5000 + b"]" * 5000 + b"}}]}\n"
+)
+#: A ``batch`` line with an integer past the 4 300-digit conversion limit.
+_LONG_INT_BATCH_LINE = (
+    b'{"op":"batch","alerts":[{"timestamp":1.0,"name":"a","entity":"e",'
+    b'"attributes":{"k":1' + b"0" * 5000 + b"}}]}\n"
+)
+
 
 def _sample_detection() -> Detection:
     return Detection(
@@ -185,6 +197,9 @@ class TestProtocol:
             decode_line(b"[1, 2, 3]\n")
         with pytest.raises(ProtocolError):
             decode_line(b"{not json\n")
+        for hostile in (_DEEP_BATCH_LINE, _LONG_INT_BATCH_LINE):
+            with pytest.raises(ProtocolError):
+                decode_line(hostile)
 
     def test_raw_record_round_trip(self):
         record = RawLogRecord(
@@ -608,6 +623,26 @@ class TestServiceSocket:
             stats = client.stats()
         assert stats["pipeline"]["normalized_alerts"] == 1024
         assert stats["alerts_processed"] == 1024
+
+    def test_hostile_json_replies_protocol_error_and_keeps_the_connection(self):
+        import socket
+
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        with handle:
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=120.0
+            ) as sock:
+                stream = sock.makefile("rb")
+                for hostile in (_DEEP_BATCH_LINE, _LONG_INT_BATCH_LINE):
+                    sock.sendall(hostile)
+                    reply = json.loads(stream.readline())
+                    assert reply["ok"] is False
+                    assert reply["error"] == "protocol"
+                # The line was framed, so the same connection still serves.
+                sock.sendall(b'{"op":"ping"}\n')
+                assert json.loads(stream.readline())["pong"] is True
+            assert handle.service.dead_letter.count == 0
 
     def test_oversized_line_replies_protocol_error_then_closes(self):
         import socket

@@ -5,10 +5,14 @@ contracts:
 
 * :func:`repro.core.alerts.encode_alert_columns` /
   :func:`~repro.core.alerts.decode_alert_columns` must round-trip any
-  packable batch byte-exactly -- the decoded columns must rebuild (via
+  batch whose attributes the service's JSON wire could carry
+  bit-exactly -- the decoded columns must rebuild (via
   :func:`~repro.core.alerts.unpack_alert_columns`) exactly the alerts
-  an in-process shard would have been handed, for arbitrary unicode field
-  values and arbitrarily nested attribute payloads.
+  an in-process shard would have been handed, for arbitrary unicode
+  field values and nested JSON attribute payloads -- must refuse
+  everything else with :class:`~repro.core.alerts.AlertColumnsCodecError`
+  (the pool then ships pickled columns), and must answer any malformed
+  buffer with that error and nothing else.
 * :class:`repro.testbed.shm_ring.ShardRing` must honour its SPSC
   allocation contract at exact-capacity boundaries: wraparound reuses
   offset 0 only when no in-flight region overlaps, releases are
@@ -18,6 +22,7 @@ contracts:
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 
@@ -38,21 +43,23 @@ from repro.testbed.shm_ring import DEFAULT_RING_CAPACITY, SEGMENT_PREFIX, ShardR
 
 # hypothesis' default text alphabet already excludes surrogates (the
 # one codepoint class UTF-8 cannot carry); everything else -- astral
-# plane, combining marks, NULs, bidi controls -- is fair game.
-_field_text = st.text(max_size=40)
+# plane, combining marks, NULs, bidi controls -- is fair game, and the
+# sampled edge strings make NUL and astral text common.
+_field_text = st.text(max_size=40) | st.sampled_from(
+    ["", "\x00", "a\x00b", "\U0001f512", "user:\U0001f4a5\x00"]
+)
 
-# Attribute values: everything the tagged binary encoding supports,
-# recursively.  NaN is excluded here only because ``x == x`` fails for
-# it; the bit-pattern round-trip is pinned by a dedicated test below.
+# Attribute values: the JSON-exact set, recursively, with +-0.0 and
+# +-inf made common.  NaN is excluded here only because ``x == x``
+# fails for it (its bits are pinned by dedicated tests below).
 _attr_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False)
-    | _field_text
-    | st.binary(max_size=32),
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+    | _field_text,
     lambda children: st.lists(children, max_size=3)
-    | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(_field_text, children, max_size=3),
     max_leaves=12,
 )
@@ -70,7 +77,11 @@ _alerts = st.builds(
 
 
 def _as_comparable(alerts):
-    """Alert tuples including attributes (``Alert.__eq__`` skips them)."""
+    """Alert tuples including attributes (``Alert.__eq__`` skips them).
+
+    ``repr`` tells ``-0.0`` from ``0.0`` and ``True`` from ``1``, which
+    ``==`` does not.
+    """
     return [
         (
             a.timestamp,
@@ -79,22 +90,39 @@ def _as_comparable(alerts):
             a.source_ip,
             a.host,
             a.monitor,
-            dict(a.attributes),
+            repr(dict(a.attributes)),
         )
         for a in alerts
     ]
+
+
+def _round_trip(alerts):
+    columns = pack_alert_columns(alerts)
+    decoded = decode_alert_columns(encode_alert_columns(columns))
+    assert repr(tuple(decoded)) == repr(tuple(columns))
+    return decoded
+
+
+def _with_document(document: bytes) -> bytes:
+    """A one-alert payload whose attribute column is ``document``.
+
+    The attribute column is the payload's tail: a u32 size and the
+    JSON text.
+    """
+    payload = encode_alert_columns(
+        pack_alert_columns([Alert(1.0, "alert_a", "user:alice", attributes={"k": 0})])
+    )
+    tail = b'[{"k":0}]'
+    assert payload.endswith(struct.pack("<I", len(tail)) + tail)
+    head = payload[: -len(tail) - 4]
+    return head + struct.pack("<I", len(document)) + document
 
 
 class TestCodecRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_alerts, max_size=8))
     def test_round_trip_rebuilds_the_exact_batch(self, alerts):
-        columns = pack_alert_columns(alerts)
-        decoded = decode_alert_columns(encode_alert_columns(columns))
-        assert tuple(decoded) == tuple(columns)
-        assert _as_comparable(unpack_alert_columns(decoded)) == _as_comparable(
-            unpack_alert_columns(columns)
-        )
+        decoded = _round_trip(alerts)
         assert _as_comparable(unpack_alert_columns(decoded)) == _as_comparable(alerts)
 
     @settings(max_examples=100, deadline=None)
@@ -135,21 +163,66 @@ class TestCodecRoundTrip:
         assert math.isnan(timestamp)
         assert struct.pack("<d", timestamp) == struct.pack("<d", nan)
 
+    def test_json_nan_attribute_round_trips_bit_exact(self):
+        """The NaN ``json.loads`` builds is the one NaN the column carries."""
+        nan = json.loads("NaN")
+        decoded = _round_trip([Alert(1.0, "alert_a", "user:alice", attributes={"x": [nan]})])
+        (value,) = decoded[-1][0]["x"]
+        assert struct.pack("<d", value) == struct.pack("<d", nan)
+
     def test_unicode_fields_survive(self):
         alerts = [
             Alert(
                 0.0,
                 "alert_\U0001f512",
-                "user:élève",
+                "user:élève\x00",
                 source_ip="☃",
                 host="büro-7",
                 monitor="zéek",
-                attributes={"ключ": ["\U0001f4a5", b"\x00\xff"]},
+                attributes={"ключ\x00": ["\U0001f4a5", "\x00"], "\U0001f512": {"": None}},
             )
         ]
-        columns = pack_alert_columns(alerts)
-        decoded = decode_alert_columns(encode_alert_columns(columns))
+        decoded = _round_trip(alerts)
         assert _as_comparable(unpack_alert_columns(decoded)) == _as_comparable(alerts)
+
+    @pytest.mark.parametrize(
+        "names",
+        [("ab", "ab", "ab"), ("ab", "ba", "ab"), ("aa", "a", "aaa"), ("a", "aa", "a")],
+    )
+    def test_repeated_and_look_alike_string_columns(self, names):
+        """``"aa" + "a" + "aaa"`` is ``"aa" * 3`` but not one repeated value."""
+        decoded = _round_trip([Alert(float(i), n, "user:x") for i, n in enumerate(names)])
+        assert decoded[1] == names
+
+    def test_json_edge_values_keep_their_type_and_sign(self):
+        attributes = {
+            "zeros": [0.0, -0.0],
+            "infinities": {"up": math.inf, "down": -math.inf},
+            "flags": [True, False, 1, 0, None],
+            "big": -(10**4000),
+            "lone": "\ud800",  # a surrogate the wire's \\ud800 escape carries
+        }
+        decoded = _round_trip([Alert(1.0, "alert_a", "user:alice", attributes=attributes)])
+        (mapping,) = decoded[-1]
+        assert math.copysign(1.0, mapping["zeros"][1]) == -1.0
+        assert [type(v) for v in mapping["flags"]] == [bool, bool, int, int, type(None)]
+
+
+class _Odd(int):
+    """An ``int`` subclass: JSON would bring it back as a plain ``int``."""
+
+
+#: Values the JSON wire cannot carry exactly, each wrapped at three depths.
+_REJECTED = {
+    "bytes": b"\x00\xff",
+    "tuple": ("a", 1),
+    "set": {1, 2},
+    "complex": complex(1, 2),
+    "non-str-key": {1: "v"},
+    "int-subclass": _Odd(3),
+    "int-past-str-limit": 10**5000,
+    "foreign-nan": -math.nan,
+}
 
 
 class TestCodecRejections:
@@ -161,13 +234,35 @@ class TestCodecRejections:
         with pytest.raises(AlertColumnsCodecError):
             encode_alert_columns(bad)
 
-    def test_unsupported_attribute_type(self):
-        alerts = [Alert(1.0, "alert_a", "user:alice", attributes={"k": {1, 2}})]
+    @pytest.mark.parametrize("name", sorted(_REJECTED))
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda v: v, lambda v: ["ok", v], lambda v: {"a": [{"b": v}]}],
+        ids=["flat", "in-list", "nested"],
+    )
+    def test_values_outside_the_json_wire_are_refused(self, name, wrap):
+        alerts = [
+            Alert(1.0, "alert_a", "user:alice", attributes={"plain": "x"}),
+            Alert(2.0, "alert_a", "user:bob", attributes={"k": wrap(_REJECTED[name])}),
+        ]
         with pytest.raises(AlertColumnsCodecError):
             encode_alert_columns(pack_alert_columns(alerts))
 
-    def test_non_string_attribute_key(self):
-        alerts = [Alert(1.0, "alert_a", "user:alice", attributes={"k": {1: "v"}})]
+    def test_non_string_top_level_key(self):
+        alerts = [Alert(1.0, "alert_a", "user:alice", attributes={("k",): "v"})]
+        with pytest.raises(AlertColumnsCodecError):
+            encode_alert_columns(pack_alert_columns(alerts))
+
+    @pytest.mark.parametrize("lists", [99, 100, 5000])
+    def test_deep_nesting_is_refused_not_a_recursion_error(self, lists):
+        """The attribute dict plus 99 lists is the deepest batch admitted."""
+        nested: list = []
+        for _ in range(lists - 1):
+            nested = [nested]
+        alerts = [Alert(1.0, "alert_a", "user:alice", attributes={"k": nested})]
+        if lists == 99:
+            _round_trip(alerts)
+            return
         with pytest.raises(AlertColumnsCodecError):
             encode_alert_columns(pack_alert_columns(alerts))
 
@@ -179,13 +274,118 @@ class TestCodecRejections:
 
     def test_bad_magic_rejected_on_decode(self):
         payload = encode_alert_columns(pack_alert_columns([]))
-        with pytest.raises(ValueError):
+        with pytest.raises(AlertColumnsCodecError):
             decode_alert_columns(b"XXXX" + payload[4:])
 
     def test_trailing_bytes_rejected_on_decode(self):
         payload = encode_alert_columns(pack_alert_columns([]))
-        with pytest.raises(ValueError):
+        with pytest.raises(AlertColumnsCodecError):
             decode_alert_columns(payload + b"\x00")
+
+
+_CORRUPTIBLE = encode_alert_columns(
+    pack_alert_columns(
+        [
+            Alert(
+                float(i),
+                f"alert_{i}",
+                f"user:u{i}\U0001f512",
+                source_ip=f"10.0.0.{i}",
+                host="login1",
+                monitor="syslog",
+                attributes={"pid": 4000 + i, "args": ["-x", i, 0.5], "ok": i % 2 == 0},
+            )
+            for i in range(6)
+        ]
+    )
+)
+
+
+class TestCorruptBuffers:
+    """A malformed buffer is an :class:`AlertColumnsCodecError`, nothing else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["truncate", "flip", "insert"]),
+        st.integers(0, len(_CORRUPTIBLE) - 1),
+        st.integers(1, 255),
+    )
+    def test_corrupted_payloads_raise_only_the_codec_error(self, how, at, byte):
+        if how == "truncate":
+            corrupted = _CORRUPTIBLE[:at]
+        elif how == "flip":
+            corrupted = (
+                _CORRUPTIBLE[:at] + bytes((_CORRUPTIBLE[at] ^ byte,)) + _CORRUPTIBLE[at + 1 :]
+            )
+        else:
+            corrupted = _CORRUPTIBLE[:at] + bytes((byte,)) + _CORRUPTIBLE[at:]
+        try:
+            decode_alert_columns(memoryview(corrupted))
+        except AlertColumnsCodecError:
+            pass
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            b'[{"k":' + b"[" * 5000 + b"]" * 5000 + b"}]",
+            b'[{"k":1' + b"0" * 5000 + b"}]",
+            b'[{"k":1}, 2]',
+            b'{"k":1}',
+            b"[]",
+            b"\xff",
+        ],
+        ids=["deep", "long-int", "non-dict", "not-a-list", "short", "not-ascii"],
+    )
+    def test_hostile_attribute_documents(self, document):
+        with pytest.raises(AlertColumnsCodecError):
+            decode_alert_columns(_with_document(document))
+
+
+# Any JSON value, surrogate escapes and NaN included: what a ``batch``
+# line's attributes can hold once the service has parsed it.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(st.characters(blacklist_categories=()), max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=12,
+)
+
+_wire_alerts = st.fixed_dictionaries(
+    {
+        "timestamp": st.floats(allow_nan=False, allow_infinity=False),
+        "name": st.text(max_size=20),
+        "entity": st.text(max_size=20),
+        "source_ip": st.text(max_size=20),
+        "attributes": st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
+    }
+)
+
+
+class TestRealTrafficStaysOnTheRing:
+    """What the service and the normaliser build never needs the pipe."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_wire_alerts, max_size=6))
+    def test_what_a_batch_line_parses_to_encodes(self, alerts):
+        from repro.service.protocol import decode_line, parse_request
+
+        line = json.dumps({"op": "batch", "alerts": alerts}).encode("utf-8") + b"\n"
+        columns = pack_alert_columns(parse_request(decode_line(line)).alerts)
+        decoded = decode_alert_columns(encode_alert_columns(columns))
+        assert repr(tuple(decoded)) == repr(tuple(columns))
+
+    def test_what_the_normaliser_emits_encodes(self):
+        import ingest_corpus
+        from repro.telemetry import AlertNormalizer
+
+        alerts = AlertNormalizer().normalize_stream(ingest_corpus.build_corpus())
+        columns = pack_alert_columns(alerts)
+        assert columns[-1] is not None
+        _round_trip(alerts)
 
 
 class TestShardRing:
@@ -439,21 +639,20 @@ class TestPoolFallback:
         assert pool.shm_batches == pool.shm_fallbacks == 0  # nothing is shipped
         return detections
 
-    def test_codec_miss_travels_as_pickled_columns_bit_identically(self):
-        """An attribute outside the codec's type set takes the pipe."""
+    @pytest.mark.parametrize(
+        "odd",
+        [lambda i: complex(i, 1), lambda i: bytes((i, 255)), lambda i: (i, "x")],
+        ids=["complex", "bytes", "tuple"],
+    )
+    def test_codec_miss_travels_as_pickled_columns_bit_identically(self, odd):
+        """An attribute the JSON wire cannot carry takes the pipe."""
         from repro.core import AttackTagger
         from repro.incidents import DEFAULT_CATALOGUE
         from repro.testbed import ShardedDetectorPool
 
         names = list(DEFAULT_CATALOGUE)[0].names
         alerts = [
-            Alert(
-                float(i) * 300.0,
-                name,
-                "user:eve",
-                # complex pickles, but the flat codec has no tag for it
-                attributes={"odd": complex(i, 1)} if i == 1 else {},
-            )
+            Alert(float(i) * 300.0, name, "user:eve", attributes={"odd": odd(i)})
             for i, name in enumerate(names)
         ]
         with pytest.raises(AlertColumnsCodecError):
@@ -471,8 +670,8 @@ class TestPoolFallback:
         finally:
             pool.close()
         assert found == expected
-        assert [dict(d.trigger.attributes) for d in found] == [
-            dict(d.trigger.attributes) for d in expected
+        assert [repr(dict(d.trigger.attributes)) for d in found] == [
+            repr(dict(d.trigger.attributes)) for d in expected
         ]
 
     def test_tiny_ring_forces_pickle_fallback_bit_identically(self):
