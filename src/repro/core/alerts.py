@@ -703,9 +703,16 @@ def decode_alert_columns(buffer) -> AlertColumns:
             if (ends[-1] if count else 0) != len(text):
                 raise AlertColumnsCodecError("string lengths disagree with the blob")
             first = text[: ends[0]] if count else ""
-            if count and lengths.max() == len(first) and text == first * count:
-                # One value repeated (a sub-batch's monitor or host, often):
-                # share it rather than slice ``count`` equal copies.
+            # One value repeated (a sub-batch's monitor or host, often):
+            # share it rather than slice ``count`` equal copies.  The
+            # length checks come first so the product is never larger
+            # than the blob itself.
+            if (
+                count
+                and len(first) * count == len(text)
+                and lengths.max() == len(first)
+                and text == first * count
+            ):
                 string_columns.append((first,) * count)
                 continue
             # A comprehension slices ~1.5x faster than map(slice, ...).

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +194,23 @@ class TestCodecRoundTrip:
         """``"aa" + "a" + "aaa"`` is ``"aa" * 3`` but not one repeated value."""
         decoded = _round_trip([Alert(float(i), n, "user:x") for i, n in enumerate(names)])
         assert decoded[1] == names
+
+    def test_long_first_value_decodes_without_a_large_allocation(self):
+        """Decoding allocates about the blob, never count x longest value."""
+        count, longest = 4096, 32 * 1024
+        names = ["n" * longest] + [""] * (count - 1)
+        payload = encode_alert_columns(
+            pack_alert_columns([Alert(float(i), n, "user:x") for i, n in enumerate(names)])
+        )
+        tracemalloc.start()
+        try:
+            decoded = decode_alert_columns(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(decoded[1]) == names
+        # count x longest is 128 MiB; the payload itself is ~130 KiB.
+        assert peak < 4 * 1024 * 1024
 
     def test_json_edge_values_keep_their_type_and_sign(self):
         attributes = {
