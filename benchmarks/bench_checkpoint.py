@@ -120,7 +120,7 @@ def record() -> dict:
         "notes": (
             "Serial single-shard pipeline driven over seed-pinned mixed "
             "attack streams; per scale the full snapshot (all per-entity "
-            "decoder windows, routing/mirror/responder state) is cut with "
+            "decoder windows, routing/responder state) is cut with "
             "TestbedPipeline.checkpoint (canonical pickle, fsync, atomic "
             "rename) and restored into a fresh pipeline. "
             "recheckpoint_identical asserts the byte-identity contract."

@@ -205,7 +205,6 @@ class AttackTagger(Detector):
         self.default_pattern_weight = float(default_pattern_weight)
         self.engine = engine
         self._tracks: Dict[str, EntityTrack] = {}
-        self._detections: List[Detection] = []
         # Cumulative seconds spent inside the stacked decode kernel
         # (0.0 under ``naive``); surfaced per stage through the
         # pipeline's ``detect_kernel_seconds`` summary counter.
@@ -280,12 +279,11 @@ class AttackTagger(Detector):
         return list(self._tracks)
 
     def reset(self) -> None:
-        """Forget all per-entity state and past detections."""
+        """Forget all per-entity state."""
         for track in self._tracks.values():
             track.decoder = None
         self._tracks.clear()
         self._arena.clear()
-        self._detections.clear()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity (e.g. after remediation re-images the host)."""
@@ -412,12 +410,8 @@ class AttackTagger(Detector):
         sliding = len(track.alerts) >= self.max_window
         track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
         if decoder is not None:
-            detection = self._advance(track, alert, decoder, sliding)
-        else:
-            detection = self._naive_decision(track, alert)
-        if detection is not None:
-            self._detections.append(detection)
-        return detection
+            return self._advance(track, alert, decoder, sliding)
+        return self._naive_decision(track, alert)
 
     def _naive_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
         """The seed decision: re-decode the whole window, then threshold it."""
@@ -520,9 +514,7 @@ class AttackTagger(Detector):
             from .batch_kernel import BatchedDecodeKernel
 
             self._batch_kernel = BatchedDecodeKernel(self)
-        hits = self._batch_kernel.observe(list(alerts))
-        self._detections.extend(detection for _, detection in hits)
-        return hits
+        return self._batch_kernel.observe(list(alerts))
 
     def clone(self) -> "AttackTagger":
         """A fresh, stateless tagger with the same configuration.
@@ -587,7 +579,7 @@ class AttackTagger(Detector):
     # -- live reshard migration --------------------------------------------
     # The optional Detector migration extension (see
     # repro.core.detector.Detector): ShardedDetectorPool.reshard() moves
-    # per-entity state between replicas through these three methods.
+    # per-entity state between replicas through these two methods.
     def export_entity_tracks(self) -> Dict[str, EntityTrack]:
         """Every per-entity track, with decoder caches dropped.
 
@@ -617,10 +609,6 @@ class AttackTagger(Detector):
             decoder._slots.release(decoder._slot)
         self._tracks[entity] = track
         self._assign_slots([track])
-
-    def replace_detections(self, detections: Sequence[Detection]) -> None:
-        """Overwrite the emitted-detections log (reshard log rebuild)."""
-        self._detections[:] = list(detections)
 
     # -- convenience -----------------------------------------------------------
     def current_state(self, entity: str) -> HiddenState:

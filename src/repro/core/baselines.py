@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,27 +34,6 @@ from .attack_tagger import Detection
 from .detector import Detector
 from .states import HiddenState
 from .training import LabeledSequence
-
-
-def _upgrade_history(state: dict, **derived: Callable[[list], object]) -> dict:
-    """Translate a pickle from when these baselines kept every alert.
-
-    Such a state holds ``_history`` (entity -> every alert it sent).
-    Each ``derived`` entry turns one entity's alert list into the value
-    of a bounded per-entity attribute; the new attributes take
-    ``_history``'s place in the dict, so the restored instance
-    re-pickles like one that observed the same stream.
-    """
-    if "_history" not in state:
-        return state
-    upgraded: dict = {}
-    for key, value in state.items():
-        if key != "_history":
-            upgraded[key] = value
-            continue
-        for name, derive in derived.items():
-            upgraded[name] = {entity: derive(alerts) for entity, alerts in value.items()}
-    return upgraded
 
 
 class CriticalAlertDetector(Detector):
@@ -68,13 +47,11 @@ class CriticalAlertDetector(Detector):
         self.vocabulary = vocabulary or DEFAULT_VOCABULARY
         self._critical = set(self.vocabulary.critical_names())
         self._alert_counts: Dict[str, int] = {}
-        self._detections: List[Detection] = []
         self._detected: set[str] = set()
 
     def reset(self) -> None:
         """Forget all per-entity state."""
         self._alert_counts.clear()
-        self._detections.clear()
         self._detected.clear()
 
     def reset_entity(self, entity: str) -> None:
@@ -95,7 +72,6 @@ class CriticalAlertDetector(Detector):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        state = _upgrade_history(state, _alert_counts=len)
         # Intern keys exactly as pickle's default BUILD path does, so a
         # restored instance re-pickles to the same bytes (memo hits on
         # the shared attribute-name strings).
@@ -118,7 +94,6 @@ class CriticalAlertDetector(Detector):
             matched_patterns=(alert.name,),
         )
         self._detected.add(alert.entity)
-        self._detections.append(detection)
         return detection
 
 
@@ -162,7 +137,6 @@ class NaiveBayesDetector(Detector):
         self.smoothing = float(smoothing)
         self._alert_counts: Dict[str, int] = {}
         self._log_odds: Dict[str, float] = {}
-        self._detections: List[Detection] = []
         self._detected: set[str] = set()
 
     # -- training ------------------------------------------------------------
@@ -170,8 +144,8 @@ class NaiveBayesDetector(Detector):
         """Estimate per-alert likelihood ratios from labelled sequences.
 
         Every tracked entity is forgotten (its count, running log-odds
-        and detected flag; the detections log stays): its log-odds were
-        summed under the old ratios.
+        and detected flag): its log-odds were summed under the old
+        ratios.
         """
         vocab = self.vocabulary
         attack_counts = np.full(len(vocab), self.smoothing, dtype=np.float64)
@@ -204,7 +178,6 @@ class NaiveBayesDetector(Detector):
         """Forget all per-entity state."""
         self._alert_counts.clear()
         self._log_odds.clear()
-        self._detections.clear()
         self._detected.clear()
 
     def reset_entity(self, entity: str) -> None:
@@ -221,12 +194,6 @@ class NaiveBayesDetector(Detector):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        parameters = state["parameters"]
-        state = _upgrade_history(
-            state,
-            _alert_counts=len,
-            _log_odds=lambda alerts: parameters.score([alert.name for alert in alerts]),
-        )
         # Key interning: see CriticalAlertDetector.__setstate__.
         self.__dict__.update((sys.intern(k), v) for k, v in state.items())
         self._detected = set(state["_detected"])
@@ -252,7 +219,6 @@ class NaiveBayesDetector(Detector):
             confidence=confidence,
         )
         self._detected.add(entity)
-        self._detections.append(detection)
         return detection
 
 

@@ -7,17 +7,18 @@ Every detection model deployed on the testbed -- the factor-graph
 :class:`~repro.core.baselines.NaiveBayesDetector` comparison baselines
 -- subclasses :class:`Detector`.  A subclass writes only what is its
 own: :meth:`~Detector.observe` (one alert in, a detection or ``None``
-out, appending every detection to ``self._detections``),
-:meth:`~Detector.reset`, :meth:`~Detector.reset_entity` and its
+out), :meth:`~Detector.reset`, :meth:`~Detector.reset_entity` and its
 per-entity state.  Everything the pipeline, the shard handler, the
 evaluation harness and the replay engine call on top of that lives
 here, once: the batch surface (:meth:`~Detector.observe_batch_indexed`
-and :meth:`~Detector.observe_batch`), the ``detections`` log,
-:meth:`~Detector.run_sequence` and the ``kernel_seconds`` counter.  A
-detector with a faster batch path (the tagger's stacked cross-entity
-kernel) overrides :meth:`~Detector.observe_batch_indexed` with results
-identical to the per-alert loop, so every shard runs one code path
-whatever detector it hosts.
+and :meth:`~Detector.observe_batch`), :meth:`~Detector.run_sequence`
+and the ``kernel_seconds`` counter.  A detector returns its detections
+and keeps no log of them: the pipeline's ``detections`` list is the one
+record of what fired.  A detector with a faster batch path (the
+tagger's stacked cross-entity kernel) overrides
+:meth:`~Detector.observe_batch_indexed` with results identical to the
+per-alert loop, so every shard runs one code path whatever detector it
+hosts.
 
 The contract is deliberately per-entity: all mutable state must be
 keyed by ``alert.entity`` and entities must never share state, which is
@@ -39,10 +40,9 @@ if TYPE_CHECKING:
 class Detector:
     """Base class of every streaming per-entity detector.
 
-    Subclasses initialise ``self._detections = []`` in their
-    constructor and keep all mutable inference state keyed by entity,
-    so that two detectors fed disjoint entity sub-streams behave
-    exactly like one detector fed the union stream.
+    Subclasses keep all mutable inference state keyed by entity, so
+    that two detectors fed disjoint entity sub-streams behave exactly
+    like one detector fed the union stream.
 
     **Live resharding** (``ShardedDetectorPool.reshard``) needs an
     optional migration group, through which the pool moves per-entity
@@ -51,10 +51,7 @@ class Detector:
     * ``export_entity_tracks() -> dict[str, object]`` -- every entity's
       state as an opaque migratable value;
     * ``adopt_entity_track(entity, track) -> None`` -- take ownership of
-      one exported value (the entity must not already be tracked);
-    * ``replace_detections(detections) -> None`` -- overwrite the
-      detections log (the pool rebuilds each replica's log from its own
-      merged stream-order log after re-routing).
+      one exported value (the entity must not already be tracked).
 
     A detector without this group cannot be resharded live (the pool
     raises ``TypeError``).
@@ -65,19 +62,12 @@ class Detector:
     #: detectors without one never move it off the class default.
     kernel_seconds: float = 0.0
 
-    _detections: List["Detection"]
-
-    @property
-    def detections(self) -> List["Detection"]:
-        """All detections emitted so far, in emission order."""
-        return list(self._detections)
-
     def observe(self, alert: Alert) -> Optional["Detection"]:
-        """Consume one alert; return (and log) a detection if one fires."""
+        """Consume one alert; return a detection if one fires."""
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Forget all per-entity state and past detections."""
+        """Forget all per-entity state."""
         raise NotImplementedError
 
     def reset_entity(self, entity: str) -> None:

@@ -182,14 +182,12 @@ class RuleBasedDetector(Detector):
         self.rules = [r for r in self.rules if r.name not in ignored]
         self.max_window = int(max_window)
         self._history: Dict[str, List[Alert]] = {}
-        self._detections: List[Detection] = []
         self._detected_entities: set[str] = set()
         self._fired: Dict[str, List[str]] = {}
 
     def reset(self) -> None:
         """Forget all per-entity state."""
         self._history.clear()
-        self._detections.clear()
         self._detected_entities.clear()
         self._fired.clear()
 
@@ -240,7 +238,6 @@ class RuleBasedDetector(Detector):
             matched_patterns=tuple(rule.name for rule in newly_fired),
         )
         self._detected_entities.add(alert.entity)
-        self._detections.append(detection)
         return detection
 
 

@@ -181,19 +181,14 @@ class ChaosPoisonDetector(Detector):
     def __init__(self, wrapped: Detector, poison_name: str) -> None:
         self.wrapped = wrapped
         self.poison_name = poison_name
-        self._detections: List[Detection] = []
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         if alert.name == self.poison_name:
             raise RuntimeError(f"chaos poison on {alert.name!r}")
-        detection = self.wrapped.observe(alert)
-        if detection is not None:
-            self._detections.append(detection)
-        return detection
+        return self.wrapped.observe(alert)
 
     def reset(self) -> None:
         self.wrapped.reset()
-        self._detections.clear()
 
     def reset_entity(self, entity: str) -> None:
         self.wrapped.reset_entity(entity)

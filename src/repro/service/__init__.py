@@ -6,8 +6,9 @@ robustness properties an operator cares about:
 
 * **Admission control & backpressure** (:mod:`repro.service.admission`)
   -- bounded global and per-connection queues, tiered load shedding
-  (shed-raw -> shed-low-priority -> reject) wired into the mirror's
-  drop ledger and a replayable dead-letter journal, and a client with
+  (shed-raw -> shed-low-priority -> reject) charged to the pipeline's
+  one drop ledger (``PipelineStats.dropped_raw`` / ``dropped_alerts``)
+  and a replayable dead-letter journal, and a client with
   deterministic retry/backoff.
 * **Live resharding** (:mod:`repro.service.resharding`) -- N->M shard
   transitions of the running detector pools with per-entity state

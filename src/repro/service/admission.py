@@ -22,11 +22,12 @@ than falling over:
     enqueued -- the client owns the retry, so no data is silently
     lost at this tier.
 
-Every shed record/alert is accounted twice: once in the mirror's
-``dropped_raw``/``dropped_alerts`` counters (the pipeline's existing
-drop ledger, surfaced in ``TestbedPipeline.summary()``) and once as a
-full payload in the :class:`DeadLetterJournal`, so shed traffic can be
-audited or replayed after the storm passes.
+Every shed record/alert is accounted twice: once in the pipeline's
+:class:`~repro.testbed.pipeline.PipelineStats` ``dropped_raw``/
+``dropped_alerts`` counters (its one drop ledger, surfaced in
+``TestbedPipeline.summary()`` and carried across a checkpoint restore)
+and once as a full payload in the :class:`DeadLetterJournal`, so shed
+traffic can be audited or replayed after the storm passes.
 
 :class:`ServiceClient` is the blocking client half: JSONL over a
 socket, with deterministic exponential backoff (no jitter -- retry
@@ -44,7 +45,7 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.alerts import Alert, AlertVocabulary, AttackStage, DEFAULT_VOCABULARY
 from ..telemetry.logsource import RawLogRecord
-from ..testbed.mirror import TrafficMirror
+from ..testbed.pipeline import PipelineStats
 from .protocol import (
     ProtocolError,
     decode_line,
@@ -143,9 +144,11 @@ class AdmissionController:
 
     The controller is pure bookkeeping -- it never touches the queue
     itself.  The server asks for a decision with the current depths;
-    shed payloads are charged to the pipeline mirror's drop counters
-    and written to the dead-letter journal here, at the moment of the
-    decision, so the ledgers agree with what the pipeline never saw.
+    shed payloads are charged to the ``ledger``'s drop counters (the
+    pipeline's :class:`~repro.testbed.pipeline.PipelineStats`, which a
+    restore refills in place) and written to the dead-letter journal
+    here, at the moment of the decision, so the ledgers agree with what
+    the pipeline never saw.
     """
 
     def __init__(
@@ -153,7 +156,7 @@ class AdmissionController:
         limits: Optional[AdmissionLimits] = None,
         *,
         vocabulary: Optional[AlertVocabulary] = None,
-        mirror: Optional[TrafficMirror] = None,
+        ledger: Optional[PipelineStats] = None,
         dead_letter: Optional[DeadLetterJournal] = None,
     ) -> None:
         self.limits = limits or AdmissionLimits()
@@ -163,7 +166,7 @@ class AdmissionController:
         self.low_priority_names = frozenset(
             vocabulary.names_for_stage(AttackStage.BACKGROUND)
         )
-        self.mirror = mirror
+        self.ledger = ledger
         self.dead_letter = dead_letter
         #: ``None`` for depth-driven tiers, or a forced tier (the
         #: ``throttle`` op) for deterministic shedding in tests/ops.
@@ -247,15 +250,15 @@ class AdmissionController:
     # -- shed accounting -------------------------------------------------
     def _shed_alert(self, alert: Alert) -> None:
         self.shed_low_priority_alerts += 1
-        if self.mirror is not None:
-            self.mirror.stats.dropped_alerts += 1
+        if self.ledger is not None:
+            self.ledger.dropped_alerts += 1
         if self.dead_letter is not None:
             self.dead_letter.record("shed-low-priority", "alert", alert.to_dict())
 
     def _shed_raw(self, record: RawLogRecord) -> None:
         self.shed_raw_records += 1
-        if self.mirror is not None:
-            self.mirror.stats.dropped_raw += 1
+        if self.ledger is not None:
+            self.ledger.dropped_raw += 1
         if self.dead_letter is not None:
             self.dead_letter.record("shed-raw", "raw", raw_record_to_dict(record))
 

@@ -158,7 +158,7 @@ class DetectionService:
         self.admission = AdmissionController(
             self.config.limits,
             vocabulary=pipeline.vocabulary,
-            mirror=pipeline.mirror,
+            ledger=pipeline.stats,
             dead_letter=self.dead_letter,
         )
         self.reshards = ReshardCoordinator(pipeline)

@@ -4,8 +4,8 @@ Implements the ATTACKTAGGER testbed of §IV: the address space and
 cluster topology, the honeypot entry points with vulnerable services
 and published credential hints, the Vulnerability Reproduction Tool,
 the black-hole router with its programmable client, the
-isolation/egress policies, the traffic mirror, and the end-to-end
-pipeline feeding detectors and the response path.
+isolation/egress policies, and the end-to-end pipeline that takes the
+mirrored traffic to the detectors and the response path.
 """
 
 from .addresses import (
@@ -37,7 +37,6 @@ from .isolation import (
     VMLifecycleManager,
     VMState,
 )
-from .mirror import MirrorStats, TrafficMirror
 from .pipeline import PipelineStats, TestbedPipeline
 from .responder import (
     OperatorNotification,
@@ -155,9 +154,7 @@ __all__ = [
     "CheckpointStore",
     "read_checkpoint",
     "write_checkpoint",
-    # mirror / responder / pipeline
-    "TrafficMirror",
-    "MirrorStats",
+    # responder / pipeline
     "ResponseOrchestrator",
     "ResponsePolicy",
     "ResponseAction",

@@ -36,8 +36,9 @@ from typing import List, Optional
 #: File magic: identifies a repro testbed checkpoint ("RePRo ChecKPoinT").
 CHECKPOINT_MAGIC = b"RPRCKPT1"
 
-#: Payload schema version (little-endian u32 after the magic).
-CHECKPOINT_VERSION = 1
+#: Payload schema version (little-endian u32 after the magic).  A file
+#: of any other version is refused, not migrated.
+CHECKPOINT_VERSION = 2
 
 _HEADER = struct.Struct("<I")
 

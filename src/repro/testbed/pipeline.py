@@ -4,7 +4,7 @@ This module wires the whole workflow together::
 
     mixture of attack + benign traffic
         -> monitors (Zeek / syslog / auditd / osquery) produce raw records
-        -> traffic mirror
+        -> traffic mirror (``ingest_*`` / ``submit_*``)
         -> normalisation (raw record -> symbolic alert)
         -> alert filtering (scan suppression, dedup)
         -> detection models (factor graph, rule-based, ...)
@@ -30,9 +30,12 @@ the pool's business and not an option here.
 
 There is one way into the chain.  Batches enter through
 ``ingest_*`` (the overlapped stream drivers and their one-batch forms)
-or ``submit_*`` / :meth:`TestbedPipeline.collect_detections`; a raw
-record published straight onto ``pipeline.mirror`` is counted and
-forwarded to the mirror's subscribers but never reaches detection.
+or ``submit_*`` / :meth:`TestbedPipeline.collect_detections`.  There is
+one ledger per fact: ``pipeline.detections`` is the only detection log
+(detectors and pools return what fired and keep no copy), and
+:class:`PipelineStats` is the only traffic and drop ledger -- the
+service's admission controller charges the records and alerts it sheds
+to its ``dropped_raw`` / ``dropped_alerts``.
 :meth:`~TestbedPipeline.checkpoint` and every detector control
 (:meth:`~TestbedPipeline.reset_entity`,
 :meth:`~TestbedPipeline.reset_detectors`,
@@ -65,7 +68,6 @@ from ..telemetry.normalizer import AlertNormalizer, NormalizerStage
 from .bhr import BHRClient, BlackHoleRouter
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .honeypot import Honeypot
-from .mirror import TrafficMirror
 from .responder import ResponseOrchestrator, ResponsePolicy
 from .sharding import PoolCloseResult, ShardedDetectorPool
 from .stages import DetectionStage, PipelineStage, ResponseStage
@@ -73,7 +75,13 @@ from .stages import DetectionStage, PipelineStage, ResponseStage
 
 @dataclasses.dataclass
 class PipelineStats:
-    """Per-stage counters and timings for one pipeline run."""
+    """Per-stage counters and timings for one pipeline run.
+
+    The pipeline's one traffic and drop ledger; :meth:`TestbedPipeline
+    .restore` loads a checkpoint's counters into this object in place,
+    so a holder of it (the service's admission controller) keeps
+    charging the live ledger.
+    """
 
     raw_records: int = 0
     normalized_alerts: int = 0
@@ -86,6 +94,10 @@ class PipelineStats:
     response_seconds: float = 0.0
     #: Cumulative wall seconds per stage name (normalize/filter/detect/respond).
     stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
+    #: Raw records / alerts the service's admission controller shed
+    #: before they reached the pipeline.
+    dropped_raw: int = 0
+    dropped_alerts: int = 0
 
     def add_stage_seconds(self, stage_name: str, seconds: float) -> None:
         """Accumulate one stage run's wall time."""
@@ -211,7 +223,6 @@ class TestbedPipeline:
         self.honeypot = honeypot
         self.router = router or BlackHoleRouter()
         self.bhr_client = BHRClient(self.router)
-        self.mirror = TrafficMirror()
         self.normalizer = normalizer or AlertNormalizer(self.vocabulary)
         self.scan_filter = scan_filter or ScanFilter(self.vocabulary)
         self.n_shards = int(n_shards)
@@ -284,7 +295,7 @@ class TestbedPipeline:
     # Ingestion (batch-synchronous: the overlapped schedule, one batch)
     # ------------------------------------------------------------------
     def ingest_raw(self, records: Iterable[RawLogRecord]) -> list[Detection]:
-        """Mirror raw monitor records and process them through every stage.
+        """Process mirrored raw monitor records through every stage.
 
         A one-batch :meth:`ingest_raw_stream`: the overlapped schedule
         with nothing to overlap -- submit, then immediately collect and
@@ -301,13 +312,12 @@ class TestbedPipeline:
         return self.ingest_alert_batches([alerts])
 
     def _prep_raw(self, records: Iterable[RawLogRecord]) -> list[Alert]:
-        """Mirror one raw batch, then normalise (counted) and filter it.
+        """Count one raw batch, then normalise (counted) and filter it.
 
         The normaliser hands the filter columns; only the survivors
         become :class:`Alert` objects.
         """
         records = tuple(records)
-        self.mirror.publish_raw_many(records)
         self.stats.raw_records += len(records)
         normalized = self._run_stage(self.normalizer_stage, records)
         self.stats.normalized_alerts += len(normalized)
@@ -321,10 +331,9 @@ class TestbedPipeline:
         return self._prep_filtered(alerts)
 
     def _prep_filtered(self, alerts: Sized) -> list[Alert]:
-        """Filter one normalised batch and publish the survivors."""
+        """Filter one normalised batch (counted)."""
         filtered = self._run_stage(self.filter_stage, alerts)
         self.stats.filtered_alerts += len(filtered)
-        self.mirror.publish_alerts(filtered)
         return filtered
 
     # ------------------------------------------------------------------
@@ -467,8 +476,7 @@ class TestbedPipeline:
         """Forget all detector state (every pool); needs a quiesced pipeline.
 
         The pipeline's cumulative detection log and stats counters are
-        kept -- only the detectors' per-entity state and their own
-        detection records are cleared.
+        kept -- only the detectors' per-entity state is cleared.
         """
         self._control("reset detectors", lambda pool: pool.reset())
 
@@ -548,7 +556,7 @@ class TestbedPipeline:
         self._submit_detection(self._prep_alerts(alerts))
 
     def submit_raw(self, records: Iterable[RawLogRecord]) -> None:
-        """Phase 1 for raw monitor records: mirror, normalise, filter, submit."""
+        """Phase 1 for raw monitor records: count, normalise, filter, submit."""
         self._submit_detection(self._prep_raw(records))
 
     def collect_detections(self) -> list[Detection]:
@@ -627,12 +635,12 @@ class TestbedPipeline:
             # Load-shedding and fault-domain accounting: the one place
             # admission control and operators read drop/recovery state.
             # The dropped counters move only when the service's
-            # admission controller sheds before publication, so they are
+            # admission controller sheds before ingestion, so they are
             # deterministic for an offline replay (zero) and compared by
             # the differential oracle; the recovery/reshard ops counters
             # are run-dependent and excluded.
-            "dropped_raw": float(self.mirror.stats.dropped_raw),
-            "dropped_alerts": float(self.mirror.stats.dropped_alerts),
+            "dropped_raw": float(self.stats.dropped_raw),
+            "dropped_alerts": float(self.stats.dropped_alerts),
             "recovery_attempts": float(
                 sum(len(pool.recovery_log) for pool in self.detector_pools.values())
             ),
@@ -701,7 +709,6 @@ class TestbedPipeline:
                 },
             },
             "audit_log": list(self.bhr_client.audit_log),
-            "mirror": self.mirror.snapshot_state(),
             "filter_stats": self.scan_filter.stats,
             "honeypot": self.honeypot,
             "pools": {
@@ -715,7 +722,7 @@ class TestbedPipeline:
 
         Snapshots every detector pool's per-entity state (pickled via
         the detectors' own ``__getstate__``), the response/BHR records
-        and mirror counters and ``PipelineStats``, such that a pristine
+        and ``PipelineStats``, such that a pristine
         equal-config pipeline :meth:`restore`\\ d from the file replays
         the remaining stream to bit-identical detections, logs, and
         counters.
@@ -744,8 +751,6 @@ class TestbedPipeline:
             or self.stats.responses
             or self.detections
             or self.detection_stage.pending_batches
-            or self.mirror.stats.raw_records
-            or self.mirror.stats.alerts
             or self.responder.notifications
             or self.responder.actions
         )
@@ -774,18 +779,11 @@ class TestbedPipeline:
                 f"checkpoint config {payload['config']!r} does not match "
                 f"this pipeline's config {config!r}"
             )
-        # Written before raw records could only enter through
-        # ingest_raw/submit_raw: an empty list is accepted, while records
-        # still owed to detection have no way in any more.
-        if payload.get("pending_raw"):
-            raise CheckpointError(
-                f"checkpoint carries {len(payload['pending_raw'])} raw record(s) "
-                "published outside ingest_raw/submit_raw; they cannot be restored"
-            )
         # All validation passed: apply in place, preserving the object
         # identities the stages and external callers already hold (the
-        # detections list is the detection stage's sink).
-        self.stats = payload["stats"]
+        # detections list is the detection stage's sink, the stats the
+        # admission controller's drop ledger).
+        self.stats.__dict__.update(payload["stats"].__dict__)
         self.detections[:] = payload["detections"]
         responder_state = payload["responder"]
         self.responder.notifications[:] = responder_state["notifications"]
@@ -809,7 +807,6 @@ class TestbedPipeline:
             }
         )
         self.bhr_client.audit_log[:] = payload["audit_log"]
-        self.mirror.restore_state(payload["mirror"])
         self.scan_filter.stats = payload["filter_stats"]
         if self.honeypot is not None and payload["honeypot"] is not None:
             self.honeypot.__dict__.clear()

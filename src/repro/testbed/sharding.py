@@ -53,11 +53,11 @@ flat-encoded (:func:`repro.core.alerts.encode_alert_columns`: five
 UTF-8 string columns, each decoded once and sliced, and one JSON
 array for the attributes), the bytes go into the shard's shared-memory
 ring and only an ``(offset, length, seq)`` descriptor crosses the pipe.
-Bytes that do not fit the ring travel on the pipe instead, and a batch
-the codec cannot express -- an attribute value the service's JSON wire
-could not carry exactly, such as bytes, a tuple or a ``complex`` --
-travels as pickled columns: each the only path for some input, both
-counted in ``shm_fallbacks``.  There is no transport option.
+A batch the ring cannot take travels on the pipe as pickled columns
+instead, counted in ``shm_fallbacks``: one whose encoding does not fit
+the ring, and one the codec cannot express (an attribute value the
+service's JSON wire could not carry exactly, such as bytes, a tuple or
+a ``complex``).  There is no transport option.
 
 **One recovery.**  Only a process can die, so what happens then is
 private to :class:`_ProcessShard` too.  Under
@@ -391,10 +391,10 @@ def _shard_worker_main(factory, connection, ring_name: str) -> None:
 
     The protocol lives in :class:`_ShardHandler`; this loop adds only
     what the process hop needs: the ``close`` handshake and undoing
-    :meth:`_ProcessShard.send`'s wire forms for ``observe`` -- a ring
-    descriptor (``seq`` must be strictly increasing: a stale or
-    reordered descriptor is an error, never a silently wrong batch),
-    the encoded bytes on the pipe, or packed columns.
+    :meth:`_ProcessShard.send`'s two wire forms for ``observe`` -- a
+    ring descriptor (``seq`` must be strictly increasing: a stale or
+    reordered descriptor is an error, never a silently wrong batch) or
+    packed columns on the pipe.
     """
     ring: Optional[ShardRing] = None
     ring_failure = ""
@@ -416,9 +416,7 @@ def _shard_worker_main(factory, connection, ring_name: str) -> None:
             if seq <= last_seq:
                 raise RuntimeError(f"ring descriptor seq {seq} not after {last_seq}")
             last_seq = seq
-            body = ring.view(offset, length)
-        if form != "columns":
-            body = decode_alert_columns(body)
+            body = decode_alert_columns(ring.view(offset, length))
         return unpack_alert_columns(body)
 
     try:
@@ -532,20 +530,19 @@ class _ProcessShard:
     def _wire(self, alerts: Sequence[Alert]):
         """``(wire payload, ring region or None)`` for one sub-batch.
 
-        The flat encoding goes into the ring when it fits; the same
-        bytes go on the pipe when it does not, and packed columns go on
-        the pipe for a batch outside the codec's type set.
+        The flat encoding goes into the ring when it fits; the packed
+        columns go on the pipe when it does not, or when the batch is
+        outside the codec's type set.
         """
         packed = pack_alert_columns(alerts)
         try:
             encoded = encode_alert_columns(packed)
         except AlertColumnsCodecError:
-            self._counts["shm_fallbacks"] += 1
-            return ("columns", packed), None
-        offset = self.ring.write(encoded)
+            encoded = None
+        offset = None if encoded is None else self.ring.write(encoded)
         if offset is None:
             self._counts["shm_fallbacks"] += 1
-            return ("bytes", encoded), None
+            return ("columns", packed), None
         self._seq += 1
         self._counts["shm_batches"] += 1
         region = (offset, len(encoded))
@@ -846,9 +843,9 @@ class ShardedDetectorPool:
     """Entity-sharded detection layer: a container of detector replicas.
 
     Not a :class:`~repro.core.detector.Detector` itself: it fronts its
-    replicas with the same ``observe`` / ``observe_batch`` /
-    ``detections`` / ``reset`` / ``reset_entity`` facade, and the
-    two-phase :meth:`submit_batch` / :meth:`collect` API underneath.
+    replicas with the ``observe_batch`` / ``reset`` / ``reset_entity``
+    facade, and the two-phase :meth:`submit_batch` / :meth:`collect`
+    API underneath.
 
     Parameters
     ----------
@@ -895,9 +892,8 @@ class ShardedDetectorPool:
         snapshots/checkpoints, replaced with their carriers across
         :meth:`reshard`/:meth:`reopen`, and unlinked by :meth:`close`.
 
-    The pool accumulates the merged detection stream itself, so
-    ``pool.detections`` is equivalent to the unsharded detector's
-    ``detections`` regardless of backend.
+    The pool returns the merged detections and keeps no log of them:
+    the caller (the pipeline's ``detections``) records what fired.
     """
 
     def __init__(
@@ -948,7 +944,6 @@ class ShardedDetectorPool:
         #: Every live N→M reshard ever performed (same ops-log status).
         self.reshard_log: List[ReshardEvent] = []
         self.detector_factory = detector_factory
-        self._detections: List[Detection] = []
         # entity -> shard memo; `shard_of()` stays the documented source
         # of truth (the cache is populated from it and never diverges:
         # routing is a pure function of the entity and the fixed shard
@@ -1103,16 +1098,6 @@ class ShardedDetectorPool:
         return sub_batches, positions
 
     # -- the detector facade -------------------------------------------------
-    @property
-    def detections(self) -> list[Detection]:
-        """All detections emitted so far, merged into stream order."""
-        return list(self._detections)
-
-    def observe(self, alert: Alert) -> Optional[Detection]:
-        """Route one alert to its shard; return a detection if one fires."""
-        found = self.observe_batch([alert])
-        return found[0] if found else None
-
     def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
         """Fan one batch out across the shards and merge the detections.
 
@@ -1226,9 +1211,7 @@ class ShardedDetectorPool:
         if error is not None:
             raise error
         hits.sort(key=lambda item: item[0])
-        merged = [detection for _, detection in hits]
-        self._detections.extend(merged)
-        return merged
+        return [detection for _, detection in hits]
 
     def _shard_error(self, shard: int, status: str, detail) -> ShardWorkerError:
         """The typed error for one non-``ok`` reply, whatever the carrier."""
@@ -1286,13 +1269,12 @@ class ShardedDetectorPool:
             )
 
     def _clear_pool_state(self) -> None:
-        """Zero the pool-level records: detections and telemetry.
+        """Zero the pool-level telemetry.
 
         The single definition of "pristine pool state" shared by
         :meth:`reset` and :meth:`reopen` (fresh construction produces
         the same values), so the two lifecycle paths cannot drift.
         """
-        self._detections.clear()
         self.alerts_routed = [0] * self.n_shards
         self.busy_seconds = [0.0] * self.n_shards
         self.kernel_seconds = [0.0] * self.n_shards
@@ -1301,7 +1283,7 @@ class ShardedDetectorPool:
         self.alerts_routed_retired = 0
 
     def reset(self) -> None:
-        """Forget all shard state and past detections."""
+        """Forget all shard state."""
         self._require_idle("reset")
         self._clear_pool_state()
         self._round("reset")
@@ -1325,17 +1307,15 @@ class ShardedDetectorPool:
         every entity's state wholesale to the shard that owns it under
         the new count -- and nothing else -- reproduces exactly the
         state a pool *constructed* with ``n_shards=M`` would have
-        reached on the same stream.  Detections were already merged
-        back into stream order at collect time, so subsequent output is
+        reached on the same stream, so subsequent output is
         bit-identical across the transition.
 
         Mechanics: every current replica is harvested into the parent
         (the same ``snapshot`` round a checkpoint uses, so under
         ``restore`` a SIGKILLed worker is healed by its carrier on the
-        way), the per-entity tracks are exported via
-        the detectors' optional migration extension
-        (``export_entity_tracks`` / ``adopt_entity_track`` /
-        ``replace_detections`` -- see
+        way), the per-entity tracks are exported via the detectors'
+        optional migration extension (``export_entity_tracks`` /
+        ``adopt_entity_track`` -- see
         :class:`repro.core.detector.Detector`) and re-routed into M
         fresh replicas, the old carriers are retired, and M new ones
         are built and ``restore``\\ d from the migrated replicas.
@@ -1392,20 +1372,6 @@ class ShardedDetectorPool:
                     )
                 adopt(entity, track)
                 moved += 1
-        # Rebuild each replica's own detection log from the pool-level
-        # merged log (complete and stream-ordered), filtered by the new
-        # routing, so `replica.detections` introspection stays
-        # consistent with a pool constructed at the new count.
-        for index, replica in enumerate(fresh):
-            replace = getattr(replica, "replace_detections", None)
-            if replace is not None:
-                replace(
-                    [
-                        detection
-                        for detection in self._detections
-                        if shard_of(detection.entity, new_n) == index
-                    ]
-                )
         blobs = [pickle.dumps(replica, pickle.HIGHEST_PROTOCOL) for replica in fresh]
         # Fresh workers, but not a fresh fault history: shards that
         # keep their index carry their consumed restart budget across
@@ -1455,8 +1421,8 @@ class ShardedDetectorPool:
         """Capture the pool's full state for a pipeline checkpoint.
 
         Returns a picklable mapping: one pickled detector blob per
-        shard (the ``snapshot`` verb) plus the pool-level records
-        (recorded detections, routing memo, busy telemetry).  Requires
+        shard (the ``snapshot`` verb) plus the pool-level routing and
+        busy telemetry.  Requires
         an idle pool -- a snapshot with submitted batches in flight
         would be neither before nor after them.
         """
@@ -1465,7 +1431,6 @@ class ShardedDetectorPool:
             "n_shards": self.n_shards,
             "backend": self.backend,
             "shards": self._round("snapshot"),
-            "detections": list(self._detections),
             "alerts_routed": list(self.alerts_routed),
             "busy_seconds": list(self.busy_seconds),
             "kernel_seconds": list(self.kernel_seconds),
@@ -1498,27 +1463,20 @@ class ShardedDetectorPool:
                 f"n_shards={self.n_shards}"
             )
         self._round("restore", blobs)
-        self._detections[:] = list(state["detections"])
         self.alerts_routed = list(state["alerts_routed"])
         self.busy_seconds = list(state["busy_seconds"])
-        # Absent in checkpoints taken before the stacked decode kernel.
-        self.kernel_seconds = list(
-            state.get("kernel_seconds", [0.0] * self.n_shards)
-        )
-        # Absent in checkpoints taken before live resharding landed.
-        self.busy_seconds_retired = float(state.get("busy_seconds_retired", 0.0))
-        self.kernel_seconds_retired = float(
-            state.get("kernel_seconds_retired", 0.0)
-        )
-        self.alerts_routed_retired = int(state.get("alerts_routed_retired", 0))
+        self.kernel_seconds = list(state["kernel_seconds"])
+        self.busy_seconds_retired = state["busy_seconds_retired"]
+        self.kernel_seconds_retired = state["kernel_seconds_retired"]
+        self.alerts_routed_retired = state["alerts_routed_retired"]
 
     # -- lifecycle ---------------------------------------------------------
     def reopen(self) -> None:
         """Restart the detection tier: pristine state, fresh carriers.
 
         After ``reopen()`` the pool behaves like a freshly constructed
-        one -- no per-entity detector state, no recorded detections,
-        zeroed routing/busy telemetry, and every carrier rebuilt from
+        one -- no per-entity detector state, zeroed routing/busy
+        telemetry, and every carrier rebuilt from
         the factory (brand-new worker processes and rings on the
         process backend), whose replicas are pristine by construction.
         Uncollected submitted batches are drained first (their results

@@ -163,10 +163,6 @@ def _three_way(stream, chunk, entities, **tagger_kwargs):
     assert hits == _drive_scalar(naive, stream)
     _assert_same_logical_state(scalar, batched, entities)
     _assert_matches_spec(naive, batched, entities)
-    for tagger in (scalar, naive):
-        assert [_detection_key(d) for d in tagger.detections] == [
-            _detection_key(d) for d in batched.detections
-        ]
     return hits, batched, scalar, naive
 
 
@@ -596,9 +592,6 @@ class TestBatchedEngineEquivalence:
                 found = _drive_batched(mixed, sub, 20)
             hits.extend((base + position, key) for position, key in found)
         assert hits == _drive_scalar(naive, stream)
-        assert [_detection_key(d) for d in mixed.detections] == [
-            _detection_key(d) for d in naive.detections
-        ]
         _assert_matches_spec(naive, mixed, ENTITIES)
 
 
@@ -1049,7 +1042,3 @@ class TestBatchedThroughSharding:
         other = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
         other.restore_state(state)
         assert other.kernel_seconds == pool.kernel_seconds
-        # Pre-kernel checkpoints restore with zeroed kernel telemetry.
-        legacy = {key: value for key, value in state.items() if key != "kernel_seconds"}
-        other.restore_state(legacy)
-        assert other.kernel_seconds == [0.0, 0.0]

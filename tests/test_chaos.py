@@ -47,7 +47,6 @@ class ExitingDetector(Detector):
 
     def __init__(self, poison_name: str = "alert_outbound_c2") -> None:
         self.poison_name = poison_name
-        self._detections: list = []
         self.observed = 0
 
     def observe(self, alert):

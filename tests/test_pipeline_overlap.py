@@ -11,8 +11,7 @@ detections (every field), same response records, same stats counters
 
 This module also pins the single entry: detector controls need a
 quiesced pipeline (they raise with a ticket in flight, so a stream is
-split at them), and a raw record published straight onto the mirror
-is counted and forwarded but never reaches detection.
+split at them).
 """
 
 from __future__ import annotations
@@ -538,31 +537,7 @@ class TestMidStreamEntityReset:
 
 
 class TestOneWayIn:
-    """Raw records reach detection only through ``ingest_raw*``/``submit_raw``."""
-
-    def _record(self, timestamp: float = 10.0):
-        monitor = SyslogMonitor("internal-host")
-        monitor.wget_download(timestamp, "alice", "http://64.215.33.18/abs.c")
-        return monitor.records[0]
-
-    def test_directly_published_record_is_never_ingested(self):
-        pipeline = TestbedPipeline()
-        seen = []
-        pipeline.mirror.subscribe_raw(seen.append)
-        pipeline.mirror.publish_raw(self._record(10.0))
-        # The mirror counts it and delivers it to subscribers ...
-        assert pipeline.mirror.stats.raw_records == 1
-        assert seen == [self._record(10.0)]
-        # ... but no ingestion call of any kind picks it up.
-        pipeline.ingest_alerts([])
-        pipeline.ingest_alert_batches([])
-        pipeline.ingest_raw_stream([])
-        assert pipeline.stats.raw_records == 0
-        assert pipeline.stats.normalized_alerts == 0
-        pipeline.ingest_raw([self._record(20.0)])
-        assert pipeline.stats.raw_records == 1
-        assert pipeline.mirror.stats.raw_records == 2
-        assert seen == [self._record(10.0), self._record(20.0)]
+    """What comes out of the one way in: the primary detector's detections."""
 
     def test_unknown_primary_detector_is_refused(self):
         with pytest.raises(ValueError, match="'typo' not among"):

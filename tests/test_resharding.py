@@ -71,6 +71,11 @@ def _batches(alerts, size=20):
     return [alerts[i : i + size] for i in range(0, len(alerts), size)]
 
 
+def _drive(pool, batches):
+    """Every detection the batches fire, in stream order."""
+    return [detection for batch in batches for detection in pool.observe_batch(batch)]
+
+
 def _detection_key(detections):
     return [
         (d.entity, d.timestamp, d.alert_index, d.trigger, d.state, d.confidence,
@@ -82,9 +87,6 @@ def _detection_key(detections):
 class _Opaque(Detector):
     """A detector without the migration extension (module-level: a
     reshard snapshots every replica, so it must pickle)."""
-
-    def __init__(self):
-        self._detections = []
 
     def observe(self, alert):
         return None
@@ -110,41 +112,32 @@ class TestPoolReshard:
         cut = len(batches) // 2
 
         reference = ShardedDetectorPool.from_template(_tagger(), n_shards=1)
-        for batch in batches:
-            reference.observe_batch(batch)
+        expected = _drive(reference, batches)
 
         pool = ShardedDetectorPool.from_template(
             _tagger(), n_shards=old_n, backend=backend
         )
         try:
-            for batch in batches[:cut]:
-                pool.observe_batch(batch)
+            fired = _drive(pool, batches[:cut])
             event = pool.reshard(new_n)
             assert isinstance(event, ReshardEvent)
             assert event.old_n_shards == old_n
             assert event.new_n_shards == new_n
             assert pool.n_shards == new_n
-            for batch in batches[cut:]:
-                pool.observe_batch(batch)
-            assert _detection_key(pool.detections) == _detection_key(
-                reference.detections
-            )
+            fired += _drive(pool, batches[cut:])
+            assert _detection_key(fired) == _detection_key(expected)
         finally:
             pool.close()
             reference.close()
 
-    def test_reshard_preserves_merged_log_and_telemetry_totals(self):
+    def test_reshard_preserves_telemetry_totals(self):
         alerts = build_stream(seed=11)
         batches = _batches(alerts)
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
-        for batch in batches[:3]:
-            pool.observe_batch(batch)
-        before = list(pool.detections)
+        _drive(pool, batches[:3])
         routed_before = sum(pool.alerts_routed)
         event = pool.reshard(3)
-        # The merged pool-level log survives the transition verbatim...
-        assert _detection_key(pool.detections) == _detection_key(before)
-        # ...and the retired telemetry keeps pre-reshard routing totals.
+        # The retired telemetry keeps pre-reshard routing totals.
         assert event.alerts_routed_before == routed_before
         assert pool.alerts_routed_retired == routed_before
         assert len(pool.alerts_routed) == 3
@@ -157,16 +150,13 @@ class TestPoolReshard:
         pool = ShardedDetectorPool.from_template(detector)
         factory = pool.detector_factory
         alerts = build_stream(seed=3, length=80)
-        pool.observe_batch(alerts[:40])
+        fired = pool.observe_batch(alerts[:40])
         pool.reshard(4)
         assert pool.n_shards == 4 and pool.detector_factory is factory
-        pool.observe_batch(alerts[40:])
+        fired += pool.observe_batch(alerts[40:])
 
         reference = ShardedDetectorPool.from_template(_tagger())
-        reference.observe_batch(alerts)
-        assert _detection_key(pool.detections) == _detection_key(
-            reference.detections
-        )
+        assert _detection_key(fired) == _detection_key(reference.observe_batch(alerts))
         assert detector.entities() == []
         pool.close()
         reference.close()
@@ -207,8 +197,7 @@ class TestReshardUnderKill:
         cut = len(batches) // 2
 
         reference = ShardedDetectorPool.from_template(_tagger(), n_shards=1)
-        for batch in batches:
-            reference.observe_batch(batch)
+        expected = _drive(reference, batches)
 
         pool = ShardedDetectorPool.from_template(
             _tagger(),
@@ -218,8 +207,7 @@ class TestReshardUnderKill:
             backoff_base=0.001,
         )
         try:
-            for batch in batches[:cut]:
-                pool.observe_batch(batch)
+            fired = _drive(pool, batches[:cut])
             # SIGKILL one worker, then reshard while it is dead: the
             # harvest round's ``snapshot`` meets the corpse and the
             # carrier heals it like any other verb.
@@ -230,11 +218,8 @@ class TestReshardUnderKill:
             assert 1 in event.rebuilt_shards
             healed = [e for e in pool.recovery_log if e.shard == 1 and e.healed]
             assert healed, "harvest heal must be audited in the recovery log"
-            for batch in batches[cut:]:
-                pool.observe_batch(batch)
-            assert _detection_key(pool.detections) == _detection_key(
-                reference.detections
-            )
+            fired += _drive(pool, batches[cut:])
+            assert _detection_key(fired) == _detection_key(expected)
         finally:
             pool.close()
             reference.close()

@@ -4,7 +4,7 @@ Three layers of coverage for :mod:`repro.service`:
 
 * unit -- the JSONL protocol codec and serialisers round-trip every
   result type bit-for-bit; the admission controller's tier thresholds,
-  shed accounting (mirror drop counters + dead-letter journal agree),
+  shed accounting (pipeline drop counters + dead-letter journal agree),
   and the deterministic client backoff policy;
 * socket -- campaigns streamed to an in-process server over a real TCP
   connection must be bit-identical to the offline reference replay,
@@ -53,10 +53,10 @@ from repro.telemetry import MonitorKind, RawLogRecord
 from repro.testbed import (
     CheckpointStore,
     OperatorNotification,
+    PipelineStats,
     ResponseAction,
     ResponseRecord,
     TestbedPipeline,
-    TrafficMirror,
     read_checkpoint,
 )
 from repro.fuzz.campaign import CampaignComposer
@@ -66,6 +66,7 @@ from repro.service import (
     AdmissionLimits,
     BackoffPolicy,
     DeadLetterJournal,
+    DetectionService,
     ProtocolError,
     ServiceConfig,
     ServiceError,
@@ -269,11 +270,11 @@ class TestAdmission:
         assert controller.tier(0, 0) == "shed-low"
 
     def test_shed_low_filters_background_and_accounts(self, tmp_path):
-        mirror = TrafficMirror()
+        ledger = PipelineStats()
         journal = DeadLetterJournal(tmp_path / "dead.jsonl")
         controller = AdmissionController(
             AdmissionLimits(global_capacity=4),
-            mirror=mirror,
+            ledger=ledger,
             dead_letter=journal,
         )
         controller.forced_mode = "shed-low"
@@ -282,10 +283,10 @@ class TestAdmission:
         assert outcome.accepted and outcome.tier == "shed-low"
         assert [a.name for a in outcome.admitted] == ["login", "sudo"]
         assert outcome.shed == 2
-        # Triple-entry ledger: controller counter, mirror drop counter,
-        # and the dead-letter journal must all agree.
+        # Triple-entry ledger: controller counter, pipeline drop
+        # counter, and the dead-letter journal must all agree.
         assert controller.shed_low_priority_alerts == 2
-        assert mirror.stats.dropped_alerts == 2
+        assert ledger.dropped_alerts == 2
         assert journal.count == 2
         replayable = DeadLetterJournal.read(tmp_path / "dead.jsonl")
         assert [Alert.from_dict(e["payload"]).name for e in replayable] == [
@@ -306,8 +307,8 @@ class TestAdmission:
         assert ephemeral.count == 1 and len(ephemeral.entries) == 1
 
     def test_shed_raw_drops_whole_batch(self):
-        mirror = TrafficMirror()
-        controller = AdmissionController(mirror=mirror)
+        ledger = PipelineStats()
+        controller = AdmissionController(ledger=ledger)
         controller.forced_mode = "shed-raw"
         records = [
             RawLogRecord(
@@ -316,7 +317,27 @@ class TestAdmission:
         ] * 3
         outcome = controller.admit_raw(records, 0, 0)
         assert outcome.accepted and outcome.admitted == () and outcome.shed == 3
-        assert mirror.stats.dropped_raw == 3
+        assert ledger.dropped_raw == 3
+
+    def test_drop_ledger_survives_a_restore(self, tmp_path):
+        # Each service's controller exists before its pipeline is
+        # restored, so it must charge the ledger the restore filled.
+        records = [RawLogRecord(1.0, MonitorKind.SYSLOG, "h", "m")] * 3
+        alerts = self._alerts([BENIGN_NAMES[0], "login"])
+        with TestbedPipeline() as first:
+            controller = DetectionService(first).admission
+            controller.forced_mode = "shed-low"
+            controller.admit_raw(records, 0, 0)
+            controller.admit_alerts(alerts, 0, 0)
+            first.checkpoint(tmp_path / "drops.ckpt")
+        with TestbedPipeline() as second:
+            controller = DetectionService(second).admission
+            controller.forced_mode = "shed-low"
+            second.restore(tmp_path / "drops.ckpt")
+            controller.admit_raw(records[:2], 0, 0)
+            controller.admit_alerts(alerts, 0, 0)
+            summary = second.summary()
+        assert (summary["dropped_raw"], summary["dropped_alerts"]) == (3 + 2, 1 + 1)
 
     def test_reject_is_lossless_but_counted(self):
         controller = AdmissionController(AdmissionLimits(retry_after=0.25))
@@ -358,6 +379,18 @@ def _serial_factory(campaign, n_shards=1, engine="streaming"):
     return lambda: build_service_pipeline(
         campaign, engine=engine, n_shards=n_shards, backend="serial"
     )
+
+
+def _record_filtered(pipeline: TestbedPipeline, sink: list) -> None:
+    """Append every alert the pipeline's scan filter keeps to ``sink``."""
+    process = pipeline.filter_stage.process
+
+    def recording(batch):
+        kept = process(batch)
+        sink.extend(kept)
+        return kept
+
+    pipeline.filter_stage.process = recording
 
 
 class TestServiceSocket:
@@ -706,7 +739,7 @@ class TestServiceSocket:
         # Regression: int("http") (ValueError) and int() of a JSON
         # Infinity (OverflowError) in the conn matcher raised out of
         # normalize_stream and the whole batch was dead-lettered, after
-        # the mirror and stats.raw_records had already counted it.
+        # stats.raw_records had already counted it.
         from repro.telemetry import ZeekMonitor
 
         zeek = ZeekMonitor()
@@ -720,7 +753,7 @@ class TestServiceSocket:
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
         alerts: list[Alert] = []
         with handle, handle.client() as client:
-            handle.pipeline.mirror.subscribe_alerts(alerts.append)
+            _record_filtered(handle.pipeline, alerts)
             ack = client.send_raw([good_a, malformed, good_b])
             assert ack["tier"] == "admit" and ack["admitted"] == 3
             client.drain()
@@ -748,7 +781,7 @@ class TestServiceSocket:
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
         alerts: list[Alert] = []
         with handle, handle.client() as client:
-            handle.pipeline.mirror.subscribe_alerts(alerts.append)
+            _record_filtered(handle.pipeline, alerts)
             ack = client.send_alerts(batch)
             assert ack["tier"] == "admit"
             client.drain()

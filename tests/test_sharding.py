@@ -219,25 +219,17 @@ class TestShardedDetectorPool:
         fired = pool.observe_batch(self._chain_alerts())
         (replica,) = pool.shards
         assert replica is not detector
-        assert fired and fired == pool.detections == replica.detections
-        assert detector.detections == [] and detector.entities() == []
-
-    def test_single_observe_routes_and_fires(self):
-        pool = ShardedDetectorPool.from_template(
-            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=4
-        )
-        results = [pool.observe(alert) for alert in self._chain_alerts()]
-        fired = [r for r in results if r is not None]
-        assert len(fired) == 1 and fired == pool.detections
+        assert fired and replica.entities() == ["user:eve"]
+        assert detector.entities() == []
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_reset_entity_forgets_only_that_entity(self, backend):
         with ShardedDetectorPool.from_template(
             AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=4, backend=backend
         ) as pool:
-            pool.observe_batch(self._chain_alerts("user:eve"))
-            pool.observe_batch(self._chain_alerts("user:mallory"))
-            assert len(pool.detections) == 2
+            fired = pool.observe_batch(self._chain_alerts("user:eve"))
+            fired += pool.observe_batch(self._chain_alerts("user:mallory"))
+            assert len(fired) == 2
             pool.reset_entity("user:eve")
             # Eve detects again after the reset; Mallory stays detected
             # (her shard still remembers her).
@@ -253,7 +245,6 @@ class TestShardedDetectorPool:
         ) as pool:
             assert len(pool.observe_batch(self._chain_alerts())) == 1
             pool.reset()
-            assert pool.detections == []
             assert len(pool.observe_batch(self._chain_alerts())) == 1
 
     def test_closed_process_pool_rejects_batches(self):
@@ -275,6 +266,26 @@ class TestShardedDetectorPool:
         assert len(pool.observe_batch(self._chain_alerts())) == 1
 
 
+class TestReplicaStateIsBounded:
+    """A replica returns its detections and keeps no log of them."""
+
+    @staticmethod
+    def _snapshot_sizes(n_entities: int) -> list[int]:
+        chain = TestShardedDetectorPool()._chain_alerts
+        entities = [f"user:e{index:03d}" for index in range(n_entities)]
+        with ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=2, backend="process"
+        ) as pool:
+            fired = pool.observe_batch([a for entity in entities for a in chain(entity)])
+            assert len(fired) == n_entities
+            for entity in entities:
+                pool.reset_entity(entity)
+            return [len(blob) for blob in pool.snapshot_state()["shards"]]
+
+    def test_a_replica_snapshot_does_not_grow_with_its_detections(self):
+        assert self._snapshot_sizes(4) == self._snapshot_sizes(40)
+
+
 class TestDetectorProtocol:
     def test_all_detectors_satisfy_the_protocol(self):
         for detector in (
@@ -288,25 +299,27 @@ class TestDetectorProtocol:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_pool_facade_matches_an_unsharded_detector(self, backend):
         """The pool is a container, not a Detector, but its facade --
-        observe / observe_batch / detections / reset_entity / reset --
-        answers like the one detector it shards."""
+        observe_batch / reset_entity / reset -- answers like the one
+        detector it shards."""
         stream = build_mixed_stream(seed=3, n_entities=12, length=240)
         alone = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
         with ShardedDetectorPool.from_template(
             AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=2, backend=backend
         ) as pool:
             assert not isinstance(pool, Detector)
-            assert pool.observe_batch(stream[:200]) == alone.observe_batch(stream[:200])
-            singles = [pool.observe(alert) for alert in stream[200:]]
-            assert singles == [alone.observe(alert) for alert in stream[200:]]
-            assert pool.detections == alone.detections and pool.detections
-            entity = pool.detections[0].entity
+            fired = pool.observe_batch(stream[:200])
+            assert fired == alone.observe_batch(stream[:200])
+            singles = [pool.observe_batch([alert]) for alert in stream[200:]]
+            assert singles == [alone.observe_batch([alert]) for alert in stream[200:]]
+            fired += [detection for found in singles for detection in found]
+            assert fired
+            entity = fired[0].entity
             pool.reset_entity(entity)
             alone.reset_entity(entity)
             assert pool.observe_batch(stream) == alone.observe_batch(stream)
             pool.reset()
             alone.reset()
-            assert pool.detections == alone.detections == []
+            assert pool.observe_batch(stream) == alone.observe_batch(stream)
 
 
 class PoisonDetector(Detector):
@@ -318,7 +331,6 @@ class PoisonDetector(Detector):
 
     def __init__(self, poison_name: str = "alert_outbound_c2") -> None:
         self.poison_name = poison_name
-        self._detections: list = []
         self.observed = 0
 
     def observe(self, alert):
@@ -329,7 +341,6 @@ class PoisonDetector(Detector):
 
     def reset(self) -> None:
         self.observed = 0
-        self._detections.clear()
 
     def reset_entity(self, entity: str) -> None:
         pass
@@ -382,16 +393,7 @@ class TestWorkerCrashPropagation:
             # No unread replies: the pool stays consistent and drivable.
             assert pool.pending_batches == 0
             assert pool.observe_batch(clean) == []
-            assert pool.detections == []
         # close() (via the context manager) completed cleanly.
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_failed_batch_detections_are_discarded(self, backend):
-        poisoned = [Alert(0.0, "alert_outbound_c2", "host:h0")]
-        with ShardedDetectorPool(PoisonDetector, n_shards=2, backend=backend) as pool:
-            with pytest.raises(ShardWorkerError):
-                pool.observe_batch(poisoned)
-            assert pool.detections == []
 
     def test_dead_worker_surfaces_as_typed_error_not_eoferror(self):
         pool = ShardedDetectorPool(PoisonDetector, n_shards=2, backend="process")
@@ -503,7 +505,8 @@ class TestCarrierConformance:
                 shown = hits
             elif verb == "snapshot":
                 assert result[:2] == bytes([0x80, pickle.HIGHEST_PROTOCOL])
-                shown = pickle.loads(result).detections
+                replica = pickle.loads(result).wrapped
+                shown = {entity: track.detected for entity, track in replica._tracks.items()}
             else:
                 shown = result
             transcript.append((verb, status, shown))
@@ -573,8 +576,9 @@ class TestCarrierConformance:
         assert shown[0] == [] and [position for position, _ in shown[1]] == [0]
         assert "chaos poison" in shown[2]
         assert len(shown[4]) == 1  # reset_entity let eve fire again
-        assert len(shown[5]) == 2 and shown[7] == []  # snapshot carried her over
-        assert len(shown[8]) == 1 and shown[10] == []
+        # The snapshot carried her detection over, so she cannot fire again.
+        assert shown[5]["user:eve"] == shown[4][0][1] and shown[7] == []
+        assert len(shown[8]) == 1 and shown[10] == {}
         assert shown[11] == "ValueError: unknown shard verb 'frobnicate'"
         assert shown[13] == shown[14] == "RuntimeError: factory exploded"
         assert len(shown[16]) == 1
@@ -632,7 +636,7 @@ class TestBackendUniformity:
         ) as pool:
             assert len(pool.observe_batch(chain)) == 1
             pool.reopen()
-            assert pool.detections == [] and pool.alerts_routed == [0, 0]
+            assert pool.alerts_routed == [0, 0]
             assert len(pool.observe_batch(chain)) == 1
 
     def test_reopen_builds_a_fresh_serial_replica(self):
@@ -644,9 +648,9 @@ class TestBackendUniformity:
         pool.reopen()
         (after,) = pool.shards
         assert after is not before and after is not detector
-        assert after.detections == [] and after.entities() == []
+        assert after.entities() == []
         assert len(pool.observe_batch(chain)) == 1
-        assert after.detections == pool.detections
+        assert after.entities() == [chain[0].entity]
         assert detector.entities() == []
 
     def test_the_transport_option_is_gone(self):
@@ -771,7 +775,6 @@ class TestNonBlockingFanOut:
                 pool.collect(tickets[-1])
             collected = [pool.collect(ticket) for ticket in tickets]
         assert collected == expected
-        assert reference.detections == [d for found in expected for d in found]
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_collect_without_submit_raises(self, backend):
@@ -966,7 +969,6 @@ class TestPickleSafeShardState:
         migrated = pickle.loads(pickle.dumps(original))
         for alert in stream[200:]:
             assert original.observe(alert) == migrated.observe(alert)
-        assert original.detections == migrated.detections
         for entity in original.entities():
             assert original.posterior(entity) == migrated.posterior(entity)
 

@@ -507,7 +507,6 @@ class _LeakPoisonDetector(Detector):
 
     def __init__(self, poison_name: str = "alert_outbound_c2") -> None:
         self.poison_name = poison_name
-        self._detections: list = []
 
     def observe(self, alert):
         if alert.name == self.poison_name:
@@ -515,7 +514,7 @@ class _LeakPoisonDetector(Detector):
         return None
 
     def reset(self) -> None:
-        self._detections.clear()
+        pass
 
     def reset_entity(self, entity: str) -> None:
         pass
