@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 import struct
 import tempfile
 import time
@@ -262,6 +263,50 @@ class TestCheckpointHoldsStateNotTraffic:
         # Ten times the traffic may widen a handful of pickled integer
         # counters (1 -> 2 -> 4 payload bytes each); nothing else moves.
         assert abs(sizes[1] - sizes[0]) <= 32, sizes
+
+    def test_restore_loads_counters_into_the_live_ledger(self, tmp_path):
+        # The stats object survives a restore (the service's admission
+        # controller holds it) and takes the checkpoint's counters,
+        # drops included.
+        with _build_pipeline() as reference:
+            reference.ingest_raw_stream(_scan_batches(2))
+            reference.ingest_alerts(_mixed_stream(length=80))
+            reference.stats.dropped_raw, reference.stats.dropped_alerts = 5, 7
+            reference.checkpoint(tmp_path / "ledger.ckpt")
+            expected = reference.summary()
+        with _build_pipeline() as restored:
+            ledger = restored.stats
+            restored.restore(tmp_path / "ledger.ckpt")
+            assert restored.stats is ledger
+            assert (ledger.dropped_raw, ledger.dropped_alerts) == (5, 7)
+            summary = restored.summary()
+            for key in ("raw_records", "normalized_alerts", "filtered_alerts",
+                        "detections", "responses", "dropped_raw", "dropped_alerts"):
+                assert summary[key] == expected[key], key
+
+    def test_a_version_1_payload_owing_raw_records_is_refused(self, tmp_path):
+        # A version-1 file -- here one still carrying the traffic mirror
+        # and raw records owed to detection -- is refused by the version
+        # check before any state is touched.
+        with _build_pipeline() as reference:
+            reference.ingest_raw_stream(_scan_batches(1))
+            payload = reference._checkpoint_payload()
+            reference.checkpoint(tmp_path / "settled.ckpt")
+        legacy = dict(
+            payload,
+            pending_raw=_scan_batches(1)[0][:1],
+            mirror={"stats": {"raw_records": 16, "alerts": 0}},
+        )
+        (tmp_path / "owing.ckpt").write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<I", 1) + pickle.dumps(legacy)
+        )
+        with _build_pipeline() as restored:
+            with pytest.raises(CheckpointError, match="version 1"):
+                restored.restore(tmp_path / "owing.ckpt")
+            assert restored.stats.raw_records == 0
+            # The refusal left the pipeline pristine.
+            restored.restore(tmp_path / "settled.ckpt")
+            assert restored.stats.raw_records == 16
 
 
 class TestCheckpointBytesArePinned:

@@ -309,6 +309,14 @@ class TestBoundedBaselineState:
             sizes.append(len(pickle.dumps(detector)))
         assert sizes[0] == sizes[1]
 
+    def test_a_pickle_round_trip_restores_to_the_same_state(self, kind):
+        prefix, suffix = _mixed_stream(seed=1), _mixed_stream(seed=2)
+        driven = _BOUNDED[kind]()
+        driven.observe_batch(prefix)
+        restored = pickle.loads(pickle.dumps(driven))
+        assert pickle.dumps(restored) == pickle.dumps(driven)
+        assert restored.observe_batch(suffix) == driven.observe_batch(suffix)
+
 
 def _mixed_stream(*, seed: int, length: int = 120) -> list[Alert]:
     rng = np.random.default_rng(seed)

@@ -549,3 +549,27 @@ class TestOneWayIn:
         pipeline = TestbedPipeline(detectors={"alpha": tagger, "factor_graph": tagger})
         assert pipeline.primary_detector == "factor_graph"
         assert TestbedPipeline(detectors={"beta": tagger}).primary_detector == "beta"
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_the_pipeline_keeps_the_only_detection_log(self, backend):
+        # Every attached detector's detections land once, tagged with
+        # its name, in the pipeline's log; pools and replicas return
+        # theirs and keep none.
+        stream = build_mixed_stream(seed=5, n_entities=8, length=240)
+        with TestbedPipeline(
+            detectors={
+                "factor_graph": AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+                "rule_based": RuleBasedDetector(),
+            },
+            n_shards=2,
+            shard_backend=backend,
+        ) as pipeline:
+            fired = pipeline.ingest_alerts(stream)
+            assert fired and fired == pipeline.detections_by("factor_graph")
+            assert pipeline.detections_by("rule_based")
+            assert pipeline.stats.detections == len(fired)
+            pools = pipeline.detector_pools.values()
+            assert not any(hasattr(pool, "detections") for pool in pools)
+            if backend == "serial":
+                replicas = [replica for pool in pools for replica in pool.shards]
+                assert not any(hasattr(replica, "detections") for replica in replicas)

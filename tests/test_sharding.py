@@ -222,6 +222,22 @@ class TestShardedDetectorPool:
         assert fired and replica.entities() == ["user:eve"]
         assert detector.entities() == []
 
+    def test_single_observe_routes_and_fires(self):
+        # One-alert batches land on the entity's shard and fire exactly
+        # where the whole batch would.
+        whole, single = (
+            ShardedDetectorPool.from_template(
+                AttackTagger(patterns=list(DEFAULT_CATALOGUE)), n_shards=4
+            )
+            for _ in range(2)
+        )
+        chain = self._chain_alerts()
+        fired = [d for alert in chain for d in single.observe_batch([alert])]
+        assert len(fired) == 1 and fired == whole.observe_batch(chain)
+        routed = [0] * 4
+        routed[shard_of("user:eve", 4)] = len(chain)
+        assert single.alerts_routed == routed
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_reset_entity_forgets_only_that_entity(self, backend):
         with ShardedDetectorPool.from_template(
@@ -394,6 +410,28 @@ class TestWorkerCrashPropagation:
             assert pool.pending_batches == 0
             assert pool.observe_batch(clean) == []
         # close() (via the context manager) completed cleanly.
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_failed_batch_detections_are_discarded(self, backend):
+        # Eve's chain fires on its shard while a port scan poisons the
+        # other shard: the batch raises, and the pipeline's log -- the
+        # only detection log -- takes nothing from it.
+        chain = TestShardedDetectorPool()._chain_alerts("user:eve")
+        other = next(
+            f"host:h{index}" for index in range(64)
+            if shard_of(f"host:h{index}", 2) != shard_of("user:eve", 2)
+        )  # fmt: skip
+        poisoned = chain + [Alert(chain[-1].timestamp + 1.0, "alert_port_scan", other)]
+        with TestbedPipeline(
+            detectors={"factor_graph": _poisonable_tagger()},
+            n_shards=2,
+            shard_backend=backend,
+        ) as pipeline:
+            with pytest.raises(ShardWorkerError):
+                pipeline.ingest_alerts(poisoned)
+            assert pipeline.detections == []
+            assert pipeline.stats.detections == pipeline.stats.responses == 0
+            assert pipeline.responder.notifications == []
 
     def test_dead_worker_surfaces_as_typed_error_not_eoferror(self):
         pool = ShardedDetectorPool(PoisonDetector, n_shards=2, backend="process")

@@ -469,3 +469,77 @@ class TestResponderAndPipeline:
         assert detector.entities() == []
         with pytest.raises(AttributeError):
             pipeline.detectors
+
+
+class TestPipelineStatsLedger:
+    """``PipelineStats`` is the one traffic and drop ledger: ingestion
+    counts what it carries, and only admission shedding moves the drops."""
+
+    CHAIN = (
+        "alert_db_default_password_login",
+        "alert_service_version_probe",
+        "alert_db_largeobject_payload",
+        "alert_tmp_executable_created",
+        "alert_outbound_c2",
+    )
+
+    def _raw_records(self, count: int) -> list:
+        from repro.telemetry import SyslogMonitor
+
+        monitor = SyslogMonitor("internal-host")
+        for index in range(count):
+            user = f"user{index % 3}"
+            monitor.sshd_accepted(float(2 * index), user, "10.0.0.1")
+            monitor.wget_download(float(2 * index + 1), user, "http://64.215.33.18/abs.c")
+        return list(monitor.records)
+
+    def _alerts(self) -> list[Alert]:
+        return [
+            Alert(float(300 * step + index), name, f"user:u{index}", source_ip="203.0.113.9")
+            for step, name in enumerate(self.CHAIN)
+            for index in range(3)
+        ]
+
+    #: The traffic side of the ledger: what ingestion carried and what
+    #: admission shed.  (The filter's counts are batch-scoped: its
+    #: dedup and scanner suppression look inside one batch.)
+    TRAFFIC = ("raw_records", "normalized_alerts", "dropped_raw", "dropped_alerts")
+
+    def _traffic(self, pipeline: TestbedPipeline) -> dict:
+        summary = pipeline.summary()
+        return {key: summary[key] for key in self.TRAFFIC}
+
+    def test_an_unbounded_pipeline_never_drops(self):
+        pipeline = TestbedPipeline()
+        records, alerts = self._raw_records(50), self._alerts()
+        pipeline.ingest_raw(records)
+        assert pipeline.stats.raw_records == pipeline.stats.normalized_alerts == len(records)
+        pipeline.ingest_alerts(alerts)
+        assert pipeline.stats.normalized_alerts == len(records) + len(alerts)
+        assert pipeline.stats.dropped_raw == pipeline.stats.dropped_alerts == 0
+        summary = pipeline.summary()
+        assert summary["dropped_raw"] == summary["dropped_alerts"] == 0.0
+
+    @pytest.mark.parametrize("kind", ["raw", "alerts"])
+    def test_bulk_ingest_counts_like_a_single_ingest_loop(self, kind):
+        items = self._raw_records(9) if kind == "raw" else self._alerts()
+
+        def drive(bulk: bool):
+            pipeline = TestbedPipeline(
+                detectors={"factor_graph": AttackTagger(patterns=list(DEFAULT_CATALOGUE))}
+            )
+            ingest = pipeline.ingest_raw if kind == "raw" else pipeline.ingest_alerts
+            if bulk:
+                fired = ingest(items)
+            else:
+                fired = [d for item in items for d in ingest([item])]
+            assert fired == pipeline.detections_by("factor_graph")
+            return self._traffic(pipeline)
+
+        looped, bulk = drive(bulk=False), drive(bulk=True)
+        assert bulk == looped == {
+            "raw_records": len(items),
+            "normalized_alerts": len(items),
+            "dropped_raw": 0.0,
+            "dropped_alerts": 0.0,
+        }
