@@ -20,14 +20,15 @@ Pipeline rows (:meth:`ChaosComposer.compose`):
     *fresh* pipeline restored from the checkpoint carries on.  The
     stitched run must be bit-identical to an uninterrupted one.
 ``kill``
-    ``restart_policy="raise"``: a worker SIGKILLed after a chosen
-    batch surfaces as a typed
+    With no restart budget (``max_restarts=0``) a worker SIGKILLed
+    after a chosen batch surfaces as a typed
     :class:`~repro.testbed.sharding.ShardWorkerError` naming the shard
     and carrying the death detail.
 ``heal``
-    ``restart_policy="restore"``: the same SIGKILL is absorbed -- no
-    error, bit-identical output, the recovery in the pool's
-    ``recovery_log``.
+    With the service's budget
+    (:data:`~repro.service.protocol.SERVICE_MAX_RESTARTS`) the same
+    SIGKILL is absorbed -- no error, bit-identical output, the recovery
+    in the pool's ``recovery_log``.
 ``poison``
     A detector raising mid-batch is not a death: both backends surface
     the same typed error with the worker-side traceback preserved, and
@@ -79,6 +80,7 @@ import numpy as np
 from ..core.alerts import Alert
 from ..core.attack_tagger import Detection
 from ..core.detector import Detector
+from ..service.protocol import SERVICE_MAX_RESTARTS
 from ..testbed.sharding import ShardRecoveryError, ShardWorkerError, shard_of
 from ..testbed.shm_ring import SEGMENT_PREFIX
 from .campaign import Campaign, CampaignComposer
@@ -137,8 +139,6 @@ class FaultPlan:
     split_points: Tuple[int, ...] = ()
     #: ``poison``: alert name the poisoned detector raises on.
     poison_name: str = ""
-    max_restarts: int = 3
-    backoff_base: float = 0.001
     #: ``disconnect``: event index at which the first client vanishes
     #: mid-write; ``shed``: batch index sent while admission rejects.
     fault_event: int = 0
@@ -513,7 +513,7 @@ class _Leg:
         return OracleConfig(n_shards=self.plan.n_shards, backend=self.plan.backend)
 
     def build(self):
-        """A fresh pipeline of the plan's shape under the row's policy."""
+        """A fresh pipeline of the plan's shape under the row's restart budget."""
         plan = self.plan
         wrap = None
         if plan.poison_name:
@@ -522,9 +522,7 @@ class _Leg:
             self.campaign,
             self.config,
             wrap=wrap,
-            restart_policy=self.row.restart_policy,
-            max_restarts=plan.max_restarts,
-            backoff_base=plan.backoff_base,
+            max_restarts=self.row.max_restarts,
             **self.row.options,
         )
 
@@ -748,7 +746,8 @@ class _Row:
     #: Drive a client of a live service instead of a pipeline.
     service: bool = False
     driver: str = "sync"
-    restart_policy: str = "raise"
+    #: The pool's per-shard restart budget (0: a death surfaces).
+    max_restarts: int = 0
     #: Raw worker-death rows strip the campaign's detector controls: a
     #: mid-stream ``reopen`` would resurrect the killed worker (making
     #: the fault unobservable) and a ``reset`` would race it.
@@ -763,7 +762,7 @@ ROWS = {
     "heal": _Row(
         _kill_after_batch,
         (_no_error, _bit_identical, _healed),
-        restart_policy="restore",
+        max_restarts=SERVICE_MAX_RESTARTS,
         batches_only=True,
     ),
     "poison": _Row(None, (_poison_surfaced,), batches_only=True),
@@ -771,16 +770,26 @@ ROWS = {
         _freeze_then_kill,
         (_no_error, _bit_identical, _healed, _rings_exercised),
         driver="alert_stream",
-        restart_policy="restore",
+        max_restarts=SERVICE_MAX_RESTARTS,
         batches_only=True,
         # The kill needs a second batch in flight.
         options={"max_inflight": 2},
     ),
-    "disconnect": _Row(_disconnect_mid_frame, service=True, restart_policy="restore"),
-    "reshard-kill": _Row(
-        _kill_then_reshard, (_resharded,), service=True, restart_policy="restore"
+    "disconnect": _Row(
+        _disconnect_mid_frame, service=True, max_restarts=SERVICE_MAX_RESTARTS
     ),
-    "shed": _Row(_reject_then_reopen, (_shed_lossless,), service=True, restart_policy="restore"),
+    "reshard-kill": _Row(
+        _kill_then_reshard,
+        (_resharded,),
+        service=True,
+        max_restarts=SERVICE_MAX_RESTARTS,
+    ),
+    "shed": _Row(
+        _reject_then_reopen,
+        (_shed_lossless,),
+        service=True,
+        max_restarts=SERVICE_MAX_RESTARTS,
+    ),
 }
 
 

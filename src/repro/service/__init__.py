@@ -9,14 +9,17 @@ robustness properties an operator cares about:
   (shed-raw -> shed-low-priority -> reject) charged to the pipeline's
   one drop ledger (``PipelineStats.dropped_raw`` / ``dropped_alerts``)
   and a replayable dead-letter journal, and a client with
-  deterministic retry/backoff.
-* **Live resharding** (:mod:`repro.service.resharding`) -- N->M shard
-  transitions of the running detector pools with per-entity state
-  migration, quiesced at a batch boundary, bit-identical outputs.
+  deterministic retry/backoff.  Only the two queue bounds are
+  settable; the shed thresholds and the retry schedule are constants.
+* **Live resharding** (the ``reshard`` op) -- N->M shard transitions
+  of the running detector pools with per-entity state migration,
+  quiesced at a batch boundary, bit-identical outputs; the count is
+  bounded to [1, 64] at the protocol edge.
 * **Graceful degradation & lifecycle** (:mod:`repro.service.server`)
-  -- shard-worker failures contained to the batch that hit them,
-  periodic and SIGTERM-triggered drain-then-checkpoint, stats with
-  per-stage latency percentiles.
+  -- shard workers healed within a per-shard restart budget of
+  ``SERVICE_MAX_RESTARTS``, failures beyond it contained to the batch
+  that hit them, periodic and SIGTERM-triggered drain-then-checkpoint,
+  stats with per-stage latency percentiles.
 
 Wire protocol and serialisers live in :mod:`repro.service.protocol`;
 the CI socket bit-identity gate in :mod:`repro.service.smoke`
@@ -27,7 +30,6 @@ from .admission import (
     AdmissionController,
     AdmissionLimits,
     AdmissionOutcome,
-    BackoffPolicy,
     DeadLetterJournal,
     ServiceClient,
     ServiceError,
@@ -41,6 +43,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     Request,
+    SERVICE_MAX_RESTARTS,
     THROTTLE_MODES,
     decode_line,
     detection_from_dict,
@@ -55,7 +58,6 @@ from .protocol import (
     response_record_to_dict,
     serialize_results,
 )
-from .resharding import ReshardCoordinator
 from .server import (
     DetectionService,
     ServiceConfig,
@@ -71,6 +73,7 @@ __all__ = [
     "CONTROL_VERBS",
     "THROTTLE_MODES",
     "MAX_LINE_BYTES",
+    "SERVICE_MAX_RESTARTS",
     "ProtocolError",
     "Request",
     "encode_message",
@@ -91,12 +94,9 @@ __all__ = [
     "AdmissionOutcome",
     "AdmissionController",
     "DeadLetterJournal",
-    "BackoffPolicy",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceClient",
-    # resharding
-    "ReshardCoordinator",
     # server
     "ServiceConfig",
     "DetectionService",

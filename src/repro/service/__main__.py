@@ -23,6 +23,7 @@ from ..core.attack_tagger import ENGINES, AttackTagger
 from ..incidents import DEFAULT_CATALOGUE
 from ..testbed.pipeline import TestbedPipeline
 from .admission import AdmissionLimits
+from .protocol import SERVICE_MAX_RESTARTS
 from .server import DetectionService, ServiceConfig
 
 #: Generation-0 threshold of the service process.  What the service
@@ -53,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("serial", "process"), default="process"
     )
     parser.add_argument("--engine", choices=ENGINES, default="streaming")
-    parser.add_argument(
-        "--restart-policy", choices=("raise", "restore"), default="restore"
-    )
     parser.add_argument("--max-window", type=int, default=256)
     parser.add_argument("--threshold", type=float, default=0.7)
     parser.add_argument("--checkpoint-dir", type=Path, default=None)
@@ -90,8 +88,7 @@ def main(argv=None) -> int:
             detectors={"factor_graph": tagger},
             n_shards=args.shards,
             shard_backend=args.backend,
-            restart_policy=args.restart_policy,
-            backoff_base=0.001,
+            max_restarts=SERVICE_MAX_RESTARTS,
         )
 
     config = ServiceConfig(

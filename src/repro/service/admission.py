@@ -9,16 +9,18 @@ than falling over:
 ``admit``
     Below the shed thresholds everything is accepted verbatim.
 ``shed-raw``
-    Raw monitor-record batches -- the highest-volume, lowest-value
+    From :data:`SHED_RAW_FRACTION` of the global capacity on, raw
+    monitor-record batches -- the highest-volume, lowest-value
     input (25 M records reduce to 191 K alerts in the paper's Fig. 4)
     -- are dropped whole; pre-normalised alert batches still flow.
 ``shed-low``
-    Additionally, *low-priority* alerts (the vocabulary's BACKGROUND
-    lifecycle stage: logins, cron, package installs, ...) are dropped
-    from alert batches; attack-stage alerts still flow.
+    From :data:`SHED_LOW_FRACTION` on, additionally, *low-priority*
+    alerts (the vocabulary's BACKGROUND lifecycle stage: logins, cron,
+    package installs, ...) are dropped from alert batches; attack-stage
+    alerts still flow.
 ``reject``
     The queue is full (or the connection's slice is): the batch is
-    refused outright with a ``retry_after`` hint and **nothing** is
+    refused outright with a :data:`RETRY_AFTER` hint and **nothing** is
     enqueued -- the client owns the retry, so no data is silently
     lost at this tier.
 
@@ -30,8 +32,11 @@ and once as a full payload in the :class:`DeadLetterJournal`, so shed
 traffic can be audited or replayed after the storm passes.
 
 :class:`ServiceClient` is the blocking client half: JSONL over a
-socket, with deterministic exponential backoff (no jitter -- retry
-schedules are reproducible in tests) against ``reject`` responses.
+socket, with deterministic exponential backoff (:func:`retry_delay`;
+no jitter -- retry schedules are reproducible in tests) against
+``reject`` responses.  Only the two queue bounds of
+:class:`AdmissionLimits` are settable; the shed thresholds, the retry
+hint and the client's retry schedule are the module constants below.
 """
 
 from __future__ import annotations
@@ -56,31 +61,40 @@ from .protocol import (
 #: Load-shedding tiers, least to most degraded.
 TIERS = ("admit", "shed-raw", "shed-low", "reject")
 
+#: Queue fill fraction at which raw batches start being shed.
+SHED_RAW_FRACTION = 0.5
+#: Queue fill fraction at which low-priority alerts are also shed.
+SHED_LOW_FRACTION = 0.75
+#: Retry hint (seconds) attached to rejections.
+RETRY_AFTER = 0.05
+
+#: The client's retry schedule against rejections: at most
+#: ``MAX_RETRIES`` retries, the first after ``RETRY_BASE_DELAY``
+#: seconds, each further one doubling, capped at ``RETRY_MAX_DELAY``.
+MAX_RETRIES = 8
+RETRY_BASE_DELAY = 0.02
+RETRY_MAX_DELAY = 1.0
+
+
+def retry_delay(attempt: int) -> float:
+    """Sleep before client retry ``attempt`` (0-based)."""
+    return min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * 2.0**attempt)
+
 
 @dataclasses.dataclass(frozen=True)
 class AdmissionLimits:
-    """Queue bounds and shed thresholds for the admission controller."""
+    """Queue bounds for the admission controller."""
 
     #: Maximum batches queued service-wide before outright rejection.
     global_capacity: int = 64
     #: Maximum batches one connection may have queued.
     per_connection: int = 16
-    #: Queue fill fraction at which raw batches start being shed.
-    shed_raw_fraction: float = 0.5
-    #: Queue fill fraction at which low-priority alerts are also shed.
-    shed_low_fraction: float = 0.75
-    #: Retry hint (seconds) attached to rejections.
-    retry_after: float = 0.05
 
     def __post_init__(self) -> None:
         if self.global_capacity < 1:
             raise ValueError("global_capacity must be >= 1")
         if self.per_connection < 1:
             raise ValueError("per_connection must be >= 1")
-        if not 0.0 < self.shed_raw_fraction <= self.shed_low_fraction <= 1.0:
-            raise ValueError(
-                "need 0 < shed_raw_fraction <= shed_low_fraction <= 1"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,9 +204,9 @@ class AdmissionController:
             or connection_depth >= limits.per_connection
         ):
             return "reject"
-        if queue_depth >= limits.global_capacity * limits.shed_low_fraction:
+        if queue_depth >= limits.global_capacity * SHED_LOW_FRACTION:
             return "shed-low"
-        if queue_depth >= limits.global_capacity * limits.shed_raw_fraction:
+        if queue_depth >= limits.global_capacity * SHED_RAW_FRACTION:
             return "shed-raw"
         return "admit"
 
@@ -207,9 +221,7 @@ class AdmissionController:
         tier = self.tier(queue_depth, connection_depth)
         if tier == "reject":
             self.rejected_batches += 1
-            return AdmissionOutcome(
-                False, tier, (), 0, retry_after=self.limits.retry_after
-            )
+            return AdmissionOutcome(False, tier, (), 0, retry_after=RETRY_AFTER)
         admitted: Tuple[Alert, ...] = tuple(alerts)
         shed = 0
         if tier == "shed-low":
@@ -235,9 +247,7 @@ class AdmissionController:
         tier = self.tier(queue_depth, connection_depth)
         if tier == "reject":
             self.rejected_batches += 1
-            return AdmissionOutcome(
-                False, tier, (), 0, retry_after=self.limits.retry_after
-            )
+            return AdmissionOutcome(False, tier, (), 0, retry_after=RETRY_AFTER)
         if tier in ("shed-raw", "shed-low"):
             for record in records:
                 self._shed_raw(record)
@@ -294,39 +304,18 @@ class ServiceOverloadedError(ServiceError):
         self.retry_after = retry_after
 
 
-@dataclasses.dataclass(frozen=True)
-class BackoffPolicy:
-    """Deterministic exponential backoff (no jitter: reproducible)."""
-
-    max_retries: int = 8
-    base_delay: float = 0.02
-    factor: float = 2.0
-    max_delay: float = 1.0
-
-    def delay(self, attempt: int) -> float:
-        """Sleep before retry ``attempt`` (0-based)."""
-        return min(self.max_delay, self.base_delay * self.factor**attempt)
-
-
 class ServiceClient:
     """Blocking JSONL client with overload retry.
 
     One request/one reply, in order; ``send_alerts``/``send_raw``
-    retry rejected batches with exponential backoff (the server sheds
-    or rejects, the client persists, and the stream arrives complete
-    and in order once pressure clears -- the replay half of the
-    shed-then-replay contract).
+    retry rejected batches with exponential backoff (:func:`retry_delay`,
+    at most :data:`MAX_RETRIES` times, never sooner than the server's
+    hint): the server sheds or rejects, the client persists, and the
+    stream arrives complete and in order once pressure clears -- the
+    replay half of the shed-then-replay contract.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float = 60.0,
-        backoff: Optional[BackoffPolicy] = None,
-    ) -> None:
-        self.backoff = backoff or BackoffPolicy()
+    def __init__(self, host: str, port: int, *, timeout: float = 60.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rb")
         self._seq = 0
@@ -364,9 +353,9 @@ class ServiceClient:
             try:
                 return self.request(payload)
             except ServiceOverloadedError as exc:
-                if attempt >= self.backoff.max_retries:
+                if attempt >= MAX_RETRIES:
                     raise
-                time.sleep(max(exc.retry_after, self.backoff.delay(attempt)))
+                time.sleep(max(exc.retry_after, retry_delay(attempt)))
                 attempt += 1
 
     # -- operations ------------------------------------------------------
@@ -432,7 +421,6 @@ __all__ = [
     "AdmissionOutcome",
     "AdmissionController",
     "DeadLetterJournal",
-    "BackoffPolicy",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceClient",

@@ -18,16 +18,22 @@ Requests carry an ``op`` plus op-specific fields:
 ``control``    ``verb`` (``reset_entity``/``reset``/``reopen``) and
                optional ``entity`` -- the pipeline's detector
                controls, applied at this position in the stream.
-``reshard``    ``n_shards``: live N->M reshard; replies when done.
+``reshard``    ``n_shards``: live N->M reshard, an integer in
+               [:data:`MIN_SHARDS`, :data:`MAX_SHARDS`]; replies when
+               done.
 ``drain``      Barrier: replies once everything enqueued before it
                has been fully processed.
 ``checkpoint`` Barrier + durable checkpoint; replies with the path.
 ``stats``      Service / pipeline / latency counters snapshot.
-``detections`` ``since``: primary-detector detections from index.
+``detections`` ``since``: primary-detector detections from this
+               non-negative integer index (default 0).
 ``results``    The full bit-identity surface (detections, log,
                notifications, actions, compared counters).
 ``throttle``   ``mode``: force an admission tier (testing/ops).
 =============  ====================================================
+
+Integer fields must be JSON integers: a float, a bool or a numeric
+string is a :class:`ProtocolError`, refused before anything is queued.
 
 Replies are ``{"ok": true, "seq": n, ...}`` or ``{"ok": false,
 "seq": n, "error": kind, "message": str}`` (overload rejections add
@@ -81,6 +87,18 @@ THROTTLE_MODES = ("open", "shed-raw", "shed-low", "reject")
 #: Hard bound on one request line; longer lines are a protocol error.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
+#: Shard counts a ``reshard`` request may ask for.  The upper bound is
+#: the service edge's guard against a hostile request spawning workers
+#: without limit.
+MIN_SHARDS = 1
+MAX_SHARDS = 64
+
+#: Per-shard restart budget of the pipeline ``python -m repro.service``
+#: runs, which the smoke gate and the chaos service rows replay.  It
+#: lives in this module because the fuzz package can import it without
+#: an import cycle.
+SERVICE_MAX_RESTARTS = 3
+
 
 class ProtocolError(ValueError):
     """A malformed request line / unknown op / bad field."""
@@ -129,6 +147,15 @@ class Request:
     mode: str = ""
 
 
+def _integer(field: str, value: Any, low: int, high: Optional[int] = None) -> int:
+    """``value`` if it is a JSON integer in ``[low, high]``, else a ProtocolError."""
+    # bool subclasses int, but ``true`` is not a count.
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
+        raise ProtocolError(f"{field} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 def parse_request(data: Mapping[str, Any]) -> Request:
     """Validate a decoded request object into a :class:`Request`."""
     op = data.get("op")
@@ -156,12 +183,10 @@ def parse_request(data: Mapping[str, Any]) -> Request:
                 raise ProtocolError("reset_entity needs an 'entity'")
             return Request(op=op, verb=verb, entity=entity)
         if op == "reshard":
-            count = int(data.get("n_shards", 0))
-            if count < 1:
-                raise ProtocolError("reshard needs n_shards >= 1")
+            count = _integer("n_shards", data.get("n_shards"), MIN_SHARDS, MAX_SHARDS)
             return Request(op=op, n_shards=count)
         if op == "detections":
-            return Request(op=op, since=max(0, int(data.get("since", 0))))
+            return Request(op=op, since=_integer("since", data.get("since", 0), 0))
         if op == "throttle":
             mode = data.get("mode")
             if mode not in THROTTLE_MODES:
@@ -322,6 +347,9 @@ __all__ = [
     "CONTROL_VERBS",
     "THROTTLE_MODES",
     "MAX_LINE_BYTES",
+    "MIN_SHARDS",
+    "MAX_SHARDS",
+    "SERVICE_MAX_RESTARTS",
     "ProtocolError",
     "encode_message",
     "decode_line",

@@ -4,8 +4,9 @@
 .TestbedPipeline` into a long-running network service: JSONL requests
 over TCP (see :mod:`repro.service.protocol`), admission control and
 tiered load shedding at the socket edge (:mod:`repro.service
-.admission`), live N->M resharding (:mod:`repro.service.resharding`),
-and a drain-then-checkpoint shutdown on SIGTERM/SIGINT.
+.admission`), live N->M resharding at a batch boundary
+(:meth:`~repro.testbed.pipeline.TestbedPipeline.reshard`, bounded at
+the protocol edge), and a drain-then-checkpoint shutdown on SIGTERM/SIGINT.
 
 Architecture -- one event loop, one consumer::
 
@@ -34,10 +35,10 @@ Architecture -- one event loop, one consumer::
   determinism of the offline drivers carries over to the socket.
 
 Fault domains: a shard-worker failure surfacing at collect time
-(``ShardWorkerError`` under ``restart_policy="raise"``; exhausted
-budget ``ShardRecoveryError`` under ``"restore"``) is contained to the
+(``ShardWorkerError`` from a pool with no restart budget;
+``ShardRecoveryError`` once a budget is spent) is contained to the
 batch that hit it -- the batch is dead-lettered with the error detail
-and the service keeps serving.  With ``restart_policy="restore"`` the
+and the service keeps serving.  Within its ``max_restarts`` budget the
 pool heals worker deaths underneath the service and no batch is lost.
 
 SIGTERM/SIGINT trigger graceful shutdown: stop accepting connections,
@@ -84,7 +85,6 @@ from .protocol import (
     raw_record_to_dict,
     serialize_results,
 )
-from .resharding import ReshardCoordinator
 
 #: Samples each latency percentile window keeps (end-to-end and per stage).
 LATENCY_WINDOW = 2048
@@ -161,7 +161,6 @@ class DetectionService:
             ledger=pipeline.stats,
             dead_letter=self.dead_letter,
         )
-        self.reshards = ReshardCoordinator(pipeline)
         self.store: Optional[CheckpointStore] = None
         if self.config.checkpoint_dir is not None:
             self.store = CheckpointStore(
@@ -398,8 +397,20 @@ class DetectionService:
                 )
             return False
         if item.kind == "reshard":
+            previous = self.pipeline.n_shards
+            marks = {
+                name: len(pool.reshard_log)
+                for name, pool in self.pipeline.detector_pools.items()
+            }
             try:
-                result = self.reshards.reshard(item.n_shards)
+                # A same-count request spawns nothing and records nothing.
+                if item.n_shards != previous:
+                    self.pipeline.reshard(item.n_shards)
+                result = {
+                    "from": previous,
+                    "to": item.n_shards,
+                    "events": self._reshard_events(marks),
+                }
                 self._resolve(item, ("ok", {"reshard": result}))
             except Exception as exc:
                 self._resolve(item, ("error", f"{type(exc).__name__}: {exc}"))
@@ -688,6 +699,21 @@ class DetectionService:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
+    def _reshard_events(self, marks: Optional[Dict[str, int]] = None) -> List[dict]:
+        """The pools' reshard logs (past ``marks``) as JSON-ready dicts.
+
+        Each entry is one :class:`~repro.testbed.sharding.ReshardEvent`
+        plus the name of the pool that performed it.
+        """
+        events = []
+        for name, pool in self.pipeline.detector_pools.items():
+            for event in pool.reshard_log[marks[name] if marks else 0 :]:
+                record = dataclasses.asdict(event)
+                record["pool"] = name
+                record["rebuilt_shards"] = list(record["rebuilt_shards"])
+                events.append(record)
+        return events
+
     def stats_snapshot(self) -> dict:
         """The ``stats`` op payload: service, pipeline, and latency."""
         summary = self.pipeline.summary()
@@ -707,7 +733,7 @@ class DetectionService:
             "checkpoints_written": self.checkpoints_written,
             "dead_letter_records": self.dead_letter.count,
             "admission": self.admission.snapshot(),
-            "reshards": list(self.reshards.history),
+            "reshards": self._reshard_events(),
             "pipeline": {
                 key: value
                 for key, value in summary.items()

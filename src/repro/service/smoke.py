@@ -32,7 +32,7 @@ from ..fuzz.oracle import (
     drive,
 )
 from .admission import ServiceClient
-from .protocol import serialize_results
+from .protocol import SERVICE_MAX_RESTARTS, serialize_results
 from .server import ServiceConfig, start_service_in_thread
 
 
@@ -42,14 +42,12 @@ def build_service_pipeline(
     engine: str = "streaming",
     n_shards: int = 2,
     backend: str = "process",
-    restart_policy: str = "restore",
 ) -> TestbedPipeline:
-    """The runner's campaign-shaped pipeline under the service's policy."""
+    """The runner's campaign-shaped pipeline under the service's restart budget."""
     return build_pipeline(
         campaign,
         OracleConfig(engine=engine, n_shards=n_shards, backend=backend),
-        restart_policy=restart_policy,
-        backoff_base=0.001,
+        max_restarts=SERVICE_MAX_RESTARTS,
     )
 
 

@@ -49,7 +49,6 @@ from .sharding import (
     BACKENDS,
     DetectorTemplate,
     PoolCloseResult,
-    RESTART_POLICIES,
     RecoveryEvent,
     ReshardEvent,
     ShardRecoveryError,
@@ -135,7 +134,6 @@ __all__ = [
     "generate_scan_storm",
     # sharding / stages
     "BACKENDS",
-    "RESTART_POLICIES",
     "DetectorTemplate",
     "PoolCloseResult",
     "RecoveryEvent",

@@ -159,11 +159,12 @@ class TestbedPipeline:
         bit-identical detections; see :mod:`repro.testbed.sharding`.
         Call :meth:`close` (or use the pipeline as a context manager)
         to shut worker processes down.
-    restart_policy / max_restarts / backoff_base:
-        Worker-death supervision for process-backed pools, passed
+    max_restarts:
+        Per-shard restart budget of process-backed pools, passed
         through to :class:`~repro.testbed.sharding.ShardedDetectorPool`
-        -- ``"raise"`` (default) surfaces deaths as typed errors;
-        ``"restore"`` self-heals them from per-shard snapshots.
+        -- ``0`` (default) surfaces a worker death as a typed error and
+        keeps no recovery image; above 0 the shards self-heal from
+        per-shard snapshots, that many times each.
     max_inflight:
         Pipelining depth of the overlapped drivers: how many detection
         batches may be submitted-but-uncollected at once.  ``None``
@@ -202,9 +203,7 @@ class TestbedPipeline:
         primary_detector: Optional[str] = None,
         n_shards: int = 1,
         shard_backend: str = "serial",
-        restart_policy: str = "raise",
-        max_restarts: int = 3,
-        backoff_base: float = 0.05,
+        max_restarts: int = 0,
         transport: str = "shm",
         max_inflight: Optional[int] = None,
         ring_capacity: Optional[int] = None,
@@ -227,9 +226,7 @@ class TestbedPipeline:
         self.scan_filter = scan_filter or ScanFilter(self.vocabulary)
         self.n_shards = int(n_shards)
         self.shard_backend = shard_backend
-        self.restart_policy = restart_policy
         self.max_restarts = int(max_restarts)
-        self.backoff_base = float(backoff_base)
         self.max_inflight = int(max_inflight)
         self.ring_capacity = ring_capacity
         templates: dict[str, Detector] = detectors or {
@@ -275,9 +272,7 @@ class TestbedPipeline:
             detector,
             n_shards=self.n_shards,
             backend=self.shard_backend,
-            restart_policy=self.restart_policy,
             max_restarts=self.max_restarts,
-            backoff_base=self.backoff_base,
             **extra,
         )
 

@@ -60,15 +60,16 @@ service's JSON wire could not carry exactly, such as bytes, a tuple or
 a ``complex``).  There is no transport option.
 
 **One recovery.**  Only a process can die, so what happens then is
-private to :class:`_ProcessShard` too.  Under
-``restart_policy="raise"`` the ``receive`` that meets the corpse
-returns ``("dead", detail)`` and the pool raises
-:class:`ShardWorkerError`.  Under ``"restore"`` the carrier keeps the
-shard's recoverable image -- the last ``snapshot`` blob, the
-state-changing messages answered since it, and the payloads of the
-messages still unanswered -- and that same ``receive`` heals: respawn
-(exponential backoff, ``max_restarts`` per shard), ``restore`` the
-blob, re-``send`` the log and the unanswered messages in order, record
+private to :class:`_ProcessShard` too, and the pool's per-shard
+restart budget ``max_restarts`` is the whole policy.  At 0 (the
+default) the ``receive`` that meets the corpse returns ``("dead",
+detail)``, the pool raises :class:`ShardWorkerError`, and the carrier
+retains no payload.  Above 0 the carrier keeps the shard's recoverable
+image -- the last ``snapshot`` blob, the state-changing messages
+answered since it, and the payloads of the messages still unanswered
+-- and that same ``receive`` heals: respawn (after
+:data:`RESTART_BACKOFF` seconds, doubling per attempt), ``restore``
+the blob, re-``send`` the log and the unanswered messages in order, record
 a :class:`RecoveryEvent`, and return the fresh worker's reply to the
 message the caller was waiting on -- an ``observe``, a checkpoint's
 ``snapshot``, a ``restore``, a ``reset`` or a ``reset_entity`` alike.
@@ -132,8 +133,9 @@ from .shm_ring import DEFAULT_RING_CAPACITY, ShardRing
 #: Supported execution backends (the two carriers of the shard protocol).
 BACKENDS = ("serial", "process")
 
-#: Supported worker-death policies (process backend).
-RESTART_POLICIES = ("raise", "restore")
+#: Seconds a supervised carrier waits before its first respawn of a
+#: shard; each further attempt on that shard doubles the wait.
+RESTART_BACKOFF = 0.001
 
 
 class ShardWorkerError(RuntimeError):
@@ -165,8 +167,8 @@ class ShardWorkerError(RuntimeError):
 class ShardRecoveryError(ShardWorkerError):
     """A dead shard worker could not be healed within ``max_restarts``.
 
-    Raised only under ``restart_policy="restore"`` once the restart
-    budget is exhausted; subclasses :class:`ShardWorkerError` so
+    Raised only by a pool with ``max_restarts > 0`` once a shard's
+    restart budget is exhausted; subclasses :class:`ShardWorkerError` so
     existing handlers keep working.  ``attempts`` is the number of
     respawns that were tried (every one of them is also recorded in the
     pool's ``recovery_log``).
@@ -440,7 +442,7 @@ def _shard_worker_main(factory, connection, ring_name: str) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class _Recovery:
-    """What a process carrier heals with under ``restart_policy="restore"``.
+    """What a process carrier heals with when the pool has a restart budget.
 
     ``restarts_used`` (one counter per shard) and ``log`` belong to the
     pool and are shared by reference, so the consumed budget and the
@@ -449,7 +451,6 @@ class _Recovery:
     """
 
     max_restarts: int
-    backoff_base: float
     restarts_used: List[int]
     log: List[RecoveryEvent]
 
@@ -475,12 +476,12 @@ class _ProcessShard:
     ``send`` is answered by exactly one ``receive``, including a send a
     dead worker swallowed (its receive reports the death).
 
-    With a ``recovery`` (the ``restore`` policy) the carrier also keeps
+    With a ``recovery`` (a restart budget above 0) the carrier also keeps
     the shard's recoverable image -- the last snapshot blob, the
     state-changing messages answered since it (``_log``) and the
     payloads of the unanswered ones -- and :meth:`receive` heals a dead
-    worker from it instead of reporting the death.  Without one (the
-    ``raise`` policy) no payload is retained and nothing below runs.
+    worker from it instead of reporting the death.  Without one (a zero
+    budget) no payload is retained and nothing below runs.
     """
 
     #: The replica lives in the worker process.
@@ -501,7 +502,7 @@ class _ProcessShard:
         self._seq = 0
         #: One ``(region, message)`` per unanswered message, oldest
         #: first: the ring region it occupies (``None`` for a pipe-only
-        #: message) and, under ``restore`` only, its ``(verb, payload)``.
+        #: message) and, with a ``recovery`` only, its ``(verb, payload)``.
         self._transit: Deque[tuple] = collections.deque()
         #: Recovery image: pickled replica (``None`` = pristine factory
         #: state) plus the state-changing messages answered since.
@@ -587,9 +588,9 @@ class _ProcessShard:
 
         ``ok``/``error`` come from the handler.  A worker that is gone
         without replying (killed, ``os._exit``) is the one place a
-        death is handled: under ``raise`` it becomes a ``("dead",
+        death is handled: without a ``recovery`` it becomes a ``("dead",
         detail)`` reply, which callers map to the typed
-        :class:`ShardWorkerError`; under ``restore`` the worker is
+        :class:`ShardWorkerError`; with one the worker is
         healed (:meth:`_heal`) and the reply is the fresh worker's
         answer to the same message, whatever its verb -- or
         ``("unrecovered", detail)`` once the restart budget is spent.
@@ -685,9 +686,8 @@ class _ProcessShard:
         reply: Optional[Tuple[str, object]] = None
         while reply is None and used[self.index] < recovery.max_restarts:
             used[self.index] += 1
-            backoff = recovery.backoff_base * 2.0 ** (used[self.index] - 1)
-            if backoff > 0:
-                time.sleep(backoff)
+            backoff = RESTART_BACKOFF * 2.0 ** (used[self.index] - 1)
+            time.sleep(backoff)
             started = time.perf_counter()
             try:
                 self.restart()
@@ -862,26 +862,21 @@ class ShardedDetectorPool:
     backend:
         ``"serial"`` or ``"process"``: which carrier runs the shards
         (see module docstring).
-    restart_policy:
-        What worker death does to the pool (process backend only).
-        ``"raise"`` (default): the death surfaces as a typed
-        :class:`ShardWorkerError` from whichever call reads the dead
-        shard's reply.  ``"restore"``: each process carrier heals its
-        own worker (see "One recovery" in the module docstring) -- it
-        respawns it with bounded exponential backoff, restores the
-        last snapshot and re-sends what the dead worker had been sent
-        since, so the caller sees the same results an uninterrupted
-        run produces, whichever operation met the corpse; every
-        restart is recorded in :attr:`recovery_log`.
-        Deterministically fatal inputs (a sub-batch that kills the
-        worker on every replay) burn through ``max_restarts`` and then
-        raise :class:`ShardRecoveryError`.
     max_restarts:
-        Per-shard restart budget under ``restart_policy="restore"``,
-        for the pool's lifetime: only :meth:`reopen` refreshes it.
-    backoff_base:
-        First restart waits ``backoff_base`` seconds, each further
-        attempt doubles it (exponential backoff).
+        Per-shard restart budget for the pool's lifetime (process
+        backend only; only :meth:`reopen` refreshes it).  ``0``
+        (default): a worker death surfaces as a typed
+        :class:`ShardWorkerError` from whichever call reads the dead
+        shard's reply, and no recovery image is kept.  Above 0: each
+        process carrier heals its own worker (see "One recovery" in
+        the module docstring) -- it respawns it with exponential
+        backoff, restores the last snapshot and re-sends what the dead
+        worker had been sent since, so the caller sees the same
+        results an uninterrupted run produces, whichever operation met
+        the corpse; every restart is recorded in :attr:`recovery_log`.
+        Deterministically fatal inputs (a sub-batch that kills the
+        worker on every replay) burn through the budget and then raise
+        :class:`ShardRecoveryError`.
     ring_capacity:
         Per-shard shared-memory ring size in bytes (process backend).
         Size it to hold the driver's in-flight depth of encoded
@@ -902,28 +897,20 @@ class ShardedDetectorPool:
         *,
         n_shards: int = 1,
         backend: str = "serial",
-        restart_policy: str = "raise",
-        max_restarts: int = 3,
-        backoff_base: float = 0.05,
+        max_restarts: int = 0,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if restart_policy not in RESTART_POLICIES:
-            raise ValueError(f"restart_policy must be one of {RESTART_POLICIES}")
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
         if ring_capacity < 1:
             raise ValueError("ring_capacity must be >= 1")
         self.n_shards = int(n_shards)
         self.backend = backend
-        self.restart_policy = restart_policy
         self.max_restarts = int(max_restarts)
-        self.backoff_base = float(backoff_base)
         self.ring_capacity = int(ring_capacity)
         #: Every supervised worker recovery ever performed, oldest
         #: first (survives reset/reopen: an operations log, not pool
@@ -934,10 +921,9 @@ class ShardedDetectorPool:
         self._restarts_used: List[int] = [0] * self.n_shards
         #: What the process carriers heal with (``None``: they don't).
         self._recovery: Optional[_Recovery] = None
-        if restart_policy == "restore":
+        if self.max_restarts:
             self._recovery = _Recovery(
                 self.max_restarts,
-                self.backoff_base,
                 self._restarts_used,
                 self.recovery_log,
             )
@@ -1311,8 +1297,8 @@ class ShardedDetectorPool:
         bit-identical across the transition.
 
         Mechanics: every current replica is harvested into the parent
-        (the same ``snapshot`` round a checkpoint uses, so under
-        ``restore`` a SIGKILLed worker is healed by its carrier on the
+        (the same ``snapshot`` round a checkpoint uses, so with a
+        restart budget a SIGKILLed worker is healed by its carrier on the
         way), the per-entity tracks are exported via the detectors'
         optional migration extension (``export_entity_tracks`` /
         ``adopt_entity_track`` -- see
@@ -1540,7 +1526,7 @@ __all__ = [
     "PoolCloseResult",
     "RecoveryEvent",
     "ReshardEvent",
-    "RESTART_POLICIES",
+    "RESTART_BACKOFF",
     "ShardedDetectorPool",
     "ShardRecoveryError",
     "ShardWorkerError",

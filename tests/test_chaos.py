@@ -7,7 +7,7 @@ Two layers of coverage:
   sabotaged plan must make *its* row fail (the oracle is sensitive,
   not vacuous);
 * direct supervised-recovery semantics on :class:`ShardedDetectorPool`
-  -- a SIGKILLed worker under ``restart_policy="restore"`` heals with
+  -- a SIGKILLed worker in a pool with a restart budget heals with
   bit-identical detections and an audit trail in the recovery log,
   while a worker that dies deterministically on replay exhausts its
   restart budget and surfaces :class:`ShardRecoveryError`.
@@ -25,6 +25,7 @@ from repro.core import AttackTagger, Detector
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.fuzz import FAULT_KINDS, SERVICE_FAULT_KINDS, ChaosComposer, ChaosOracle
+from repro.fuzz.chaos import ROWS
 from repro.testbed import (
     ShardRecoveryError,
     ShardWorkerError,
@@ -90,8 +91,10 @@ def _never_fires(plan, **_):
     return dataclasses.replace(plan, kill_batch=10**6)
 
 
-def _no_restart_budget(plan, **_):
-    return dataclasses.replace(plan, max_restarts=0)
+def _no_restart_budget(plan, *, monkeypatch, **_):
+    row = dataclasses.replace(ROWS[plan.kind], max_restarts=0)
+    monkeypatch.setitem(ROWS, plan.kind, row)
+    return plan
 
 
 def _name_never_sent(plan, **_):
@@ -125,8 +128,16 @@ class TestChaosOracleGate:
 
     def test_plan_streams_are_pinned(self):
         """Both composer rng streams, every ``FaultPlan`` field, for the
-        CI gate's indices -- recorded at the commit before the legs
-        became rows, so the rows run the plans the legs ran."""
+        CI gate's indices, so the rows run the plans the legs ran.
+
+        Derived, not re-recorded, when ``FaultPlan`` lost its
+        ``max_restarts``/``backoff_base`` fields (every plan carried
+        ``(3, 0.001)``; the budget moved to the row): each digest is
+        the sha256 of the earlier ``repr(plans)`` -- pinned as
+        ``fc685fe7...5e7590`` (pipeline) and ``7137cc42...85f435b0``
+        (service) -- with ``", max_restarts=3, backoff_base=0.001"``
+        removed from each of its 150 and 15 plans.  The labels are
+        unchanged."""
         composer = ChaosComposer(0, target_alerts=120)
         pipeline = [composer.compose(index)[1] for index in range(25)]
         service = [composer.compose_service(index)[1] for index in range(5)]
@@ -145,11 +156,11 @@ class TestChaosOracleGate:
         ]
         assert (
             hashlib.sha256(repr(pipeline).encode()).hexdigest()
-            == "fc685fe7390b4ca87cadf0cec3a56b27c1fd13e166837d947c43844833de7590"
+            == "2b9c34c7f9a943ae603c4478fd7b509e55236e11f540c1a7504d68b3683c5c38"
         )
         assert (
             hashlib.sha256(repr(service).encode()).hexdigest()
-            == "7137cc426146a7bd53454f7d2728d0fc2a4625c07cb4e56b9d1c431985f435b0"
+            == "1ff9191bb0307f1645a5e72c5e3e6829858bb9a08d0b210f7b6df6c3a8e7be95"
         )
 
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -235,8 +246,7 @@ class TestSupervisedHealing:
             _tagger_factory,
             n_shards=2,
             backend="process",
-            restart_policy="restore",
-            backoff_base=0.001,
+            max_restarts=3,
         )
         try:
             expected, healed = [], []
@@ -262,9 +272,7 @@ class TestSupervisedHealing:
             _exiting_factory,
             n_shards=1,
             backend="process",
-            restart_policy="restore",
             max_restarts=2,
-            backoff_base=0.001,
         )
         try:
             benign = [Alert(float(i), "alert_port_scan", "host:h0") for i in range(6)]

@@ -203,8 +203,7 @@ class TestReshardUnderKill:
             _tagger(),
             n_shards=3,
             backend="process",
-            restart_policy="restore",
-            backoff_base=0.001,
+            max_restarts=3,
         )
         try:
             fired = _drive(pool, batches[:cut])
@@ -224,9 +223,9 @@ class TestReshardUnderKill:
             pool.close()
             reference.close()
 
-    def test_reshard_dead_worker_raise_policy_surfaces_typed_error(self):
+    def test_reshard_dead_worker_zero_budget_surfaces_typed_error(self):
         pool = ShardedDetectorPool.from_template(
-            _tagger(), n_shards=2, backend="process", restart_policy="raise"
+            _tagger(), n_shards=2, backend="process"
         )
         try:
             pool.observe_batch(build_stream(length=20))
@@ -250,9 +249,7 @@ class TestReshardUnderKill:
             _tagger(),
             n_shards=2,
             backend="process",
-            restart_policy="restore",
             max_restarts=1,
-            backoff_base=0.001,
         )
         try:
             pool.observe_batch(build_stream(length=20))
@@ -283,17 +280,23 @@ class TestReshardUnderKill:
             _tagger(),
             n_shards=2,
             backend="process",
-            restart_policy="restore",
-            max_restarts=0,
-            backoff_base=0.001,
+            max_restarts=1,
         )
         try:
             pool.observe_batch(build_stream(length=20))
             victim = pool._workers[0]
             victim.process.kill()
             victim.process.join(timeout=5.0)
-            with pytest.raises(ShardRecoveryError):
+            # The next batch heals the corpse and spends the budget.
+            pool.observe_batch(build_stream(seed=9, length=20))
+            assert [(e.shard, e.healed) for e in pool.recovery_log] == [(0, True)]
+            victim = pool._workers[0]
+            victim.process.kill()
+            victim.process.join(timeout=5.0)
+            with pytest.raises(ShardRecoveryError) as excinfo:
                 pool.reshard(3)
+            assert excinfo.value.shard == 0
+            assert excinfo.value.attempts == 1
         finally:
             pool.close()
 

@@ -64,7 +64,6 @@ from repro.fuzz.oracle import COMPARED_COUNTERS
 from repro.service import (
     AdmissionController,
     AdmissionLimits,
-    BackoffPolicy,
     DeadLetterJournal,
     DetectionService,
     ProtocolError,
@@ -84,7 +83,14 @@ from repro.service import (
     serialize_results,
     start_service_in_thread,
 )
-from repro.service.protocol import MAX_LINE_BYTES
+from repro.service.admission import (
+    MAX_RETRIES,
+    RETRY_AFTER,
+    SHED_LOW_FRACTION,
+    SHED_RAW_FRACTION,
+    retry_delay,
+)
+from repro.service.protocol import MAX_LINE_BYTES, MAX_SHARDS, MIN_SHARDS
 from repro.service.smoke import (
     build_service_pipeline,
     compare_results,
@@ -146,6 +152,18 @@ class TestProtocol:
             {"op": "control", "verb": "reset_entity"},  # entity required
             {"op": "reshard"},  # n_shards required
             {"op": "reshard", "n_shards": 0},
+            # Integer fields are JSON integers, not bools, in bounds:
+            # nothing is coerced, and nothing out of bounds is queued.
+            {"op": "reshard", "n_shards": 2.9},
+            {"op": "reshard", "n_shards": 2.0},
+            {"op": "reshard", "n_shards": True},
+            {"op": "reshard", "n_shards": "3"},
+            {"op": "reshard", "n_shards": MAX_SHARDS + 1},
+            {"op": "reshard", "n_shards": 10**6},
+            {"op": "detections", "since": -1},
+            {"op": "detections", "since": 1.5},
+            {"op": "detections", "since": True},
+            {"op": "detections", "since": "2"},
             {"op": "throttle", "mode": "sideways"},
         ],
     )
@@ -188,6 +206,10 @@ class TestProtocol:
     def test_parse_request_accepts_canonical_ops(self):
         request = parse_request({"op": "reshard", "n_shards": 3})
         assert request.op == "reshard" and request.n_shards == 3
+        assert parse_request({"op": "reshard", "n_shards": MIN_SHARDS}).n_shards == 1
+        assert parse_request({"op": "reshard", "n_shards": MAX_SHARDS}).n_shards == 64
+        assert parse_request({"op": "detections"}).since == 0
+        assert parse_request({"op": "detections", "since": 7}).since == 7
         request = parse_request(
             {"op": "control", "verb": "reset_entity", "entity": "user:u1"}
         )
@@ -253,7 +275,9 @@ class TestAdmission:
         with pytest.raises(ValueError):
             AdmissionLimits(global_capacity=0)
         with pytest.raises(ValueError):
-            AdmissionLimits(shed_raw_fraction=0.9, shed_low_fraction=0.5)
+            AdmissionLimits(per_connection=0)
+        # The tiers degrade monotonically only if the thresholds are ordered.
+        assert 0.0 < SHED_RAW_FRACTION <= SHED_LOW_FRACTION <= 1.0
 
     def test_tier_thresholds(self):
         controller = AdmissionController(
@@ -340,19 +364,19 @@ class TestAdmission:
         assert (summary["dropped_raw"], summary["dropped_alerts"]) == (3 + 2, 1 + 1)
 
     def test_reject_is_lossless_but_counted(self):
-        controller = AdmissionController(AdmissionLimits(retry_after=0.25))
+        controller = AdmissionController()
         controller.forced_mode = "reject"
         outcome = controller.admit_alerts(self._alerts(["login"]), 0, 0)
         assert not outcome.accepted
-        assert outcome.retry_after == 0.25
+        assert outcome.retry_after == RETRY_AFTER == 0.05
         assert controller.rejected_batches == 1
         # Nothing was shed: a reject leaves the drop ledgers untouched.
         assert controller.shed_low_priority_alerts == 0
 
-    def test_backoff_policy_is_deterministic_and_capped(self):
-        policy = BackoffPolicy(base_delay=0.02, factor=2.0, max_delay=0.1)
-        assert [policy.delay(a) for a in range(5)] == [
-            0.02, 0.04, 0.08, 0.1, 0.1,
+    def test_retry_delay_is_deterministic_and_capped(self):
+        assert MAX_RETRIES == 8
+        assert [retry_delay(a) for a in range(MAX_RETRIES)] == [
+            0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0, 1.0,
         ]
 
     def test_percentile_summary_nearest_rank(self):
@@ -427,7 +451,12 @@ class TestServiceSocket:
         assert compare_results(expected, got) == []
         assert stats["n_shards"] == 3
         assert stats["pipeline"]["reshard_events"] == 1.0
-        assert stats["reshards"] and stats["reshards"][-1]["to"] == 3
+        [event] = stats["reshards"]
+        assert (event["pool"], event["old_n_shards"], event["new_n_shards"]) == (
+            "factor_graph",
+            2,
+            3,
+        )
 
     def test_detections_op_pages_with_since(self):
         campaign = CampaignComposer(1, target_alerts=80).compose(0)
@@ -549,15 +578,36 @@ class TestServiceSocket:
             stats = client.stats()
             assert stats["admission"]["rejected_batches"] == 1
 
-    def test_reshard_validation_error_over_socket(self):
+    def test_out_of_bounds_reshard_is_refused_at_the_edge(self):
         campaign = CampaignComposer(1, target_alerts=40).compose(0)
-        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        handle = start_service_in_thread(
+            _serial_factory(campaign, n_shards=2), ServiceConfig()
+        )
         with handle, handle.client() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.reshard(999)
-            assert excinfo.value.kind == "reshard-failed"
-            # The service survives the failed barrier op.
+                client.reshard(MAX_SHARDS + 1)
+            assert excinfo.value.kind == "protocol"
+            # Nothing was queued: no reshard ran and the service serves on.
             assert client.ping()["pong"] is True
+            stats = client.stats()
+            assert stats["n_shards"] == 2
+            assert stats["reshards"] == []
+            assert stats["pipeline"]["reshard_events"] == 0
+
+    def test_same_count_reshard_spawns_and_records_nothing(self):
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(
+            _serial_factory(campaign, n_shards=2), ServiceConfig()
+        )
+        with handle, handle.client() as client:
+            reply = client.reshard(2)
+            assert reply["reshard"] == {"from": 2, "to": 2, "events": []}
+            assert client.stats()["reshards"] == []
+            reply = client.reshard(3)
+            [event] = reply["reshard"]["events"]
+            assert (reply["reshard"]["from"], reply["reshard"]["to"]) == (2, 3)
+            assert (event["pool"], event["new_n_shards"]) == ("factor_graph", 3)
+            assert client.stats()["reshards"] == [event]
 
     def test_checkpoint_op_restores_into_offline_pipeline(self, tmp_path):
         campaign = CampaignComposer(1, target_alerts=80).compose(0)

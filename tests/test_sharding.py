@@ -1022,23 +1022,22 @@ DEAD_SHARD_CALLS = (
 
 
 class TestCarrierOwnedRecovery:
-    """``restart_policy`` means the same thing for every verb.
+    """``max_restarts`` means the same thing for every verb.
 
-    The process carrier heals (``restore``) or reports (``raise``) a
-    dead worker inside ``receive``, so whichever pool operation reads
+    The process carrier heals (a budget above 0) or reports (a zero
+    budget) a dead worker inside ``receive``, so whichever pool operation reads
     the dead shard's reply gets the same treatment -- not only
     ``collect``.
     """
 
     VICTIM = 1
 
-    def _pipeline(self, backend: str, restart_policy: str = "raise") -> TestbedPipeline:
+    def _pipeline(self, backend: str, max_restarts: int = 0) -> TestbedPipeline:
         return TestbedPipeline(
             detectors={"factor_graph": AttackTagger(patterns=list(DEFAULT_CATALOGUE))},
             n_shards=2,
             shard_backend=backend,
-            restart_policy=restart_policy,
-            backoff_base=0.001,
+            max_restarts=max_restarts,
         )
 
     def _batches(self, count: int = 4, size: int = 100) -> list[list[Alert]]:
@@ -1092,7 +1091,7 @@ class TestCarrierOwnedRecovery:
             with self._call(reference, call, batches, tmp_path) as resumed:
                 expected = self._continuation(resumed, call, batches)
         assert expected[0], "the stream must produce detections"
-        with self._pipeline("process", "restore") as pipeline:
+        with self._pipeline("process", 3) as pipeline:
             for batch in batches[:2]:
                 pipeline.ingest_alerts(batch)
             pool = self._kill_idle_worker(pipeline)
@@ -1108,7 +1107,7 @@ class TestCarrierOwnedRecovery:
     def test_raise_surfaces_a_plain_worker_error_on_every_call(self, call, tmp_path):
         batches = self._batches()
         segments_before = _ring_segments_on_disk()
-        pipeline = self._pipeline("process", "raise")
+        pipeline = self._pipeline("process", 0)
         try:
             for batch in batches[:2]:
                 pipeline.ingest_alerts(batch)
@@ -1129,8 +1128,7 @@ class TestCarrierOwnedRecovery:
             AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
             n_shards=2,
             backend="process",
-            restart_policy="restore",
-            backoff_base=0.001,
+            max_restarts=3,
         )
         try:
             pool.observe_batch(_benign_alerts(16, entities=8))
@@ -1148,6 +1146,40 @@ class TestCarrierOwnedRecovery:
             assert time.perf_counter() - started < 5.0
             assert pool.pending_batches == 0
             assert len(pool.recovery_log) == 0
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("max_restarts", [0, 3])
+    def test_only_a_restart_budget_retains_a_recovery_image(self, max_restarts):
+        """A zero budget (every default pipeline) keeps no payload, no
+        replay log and no snapshot -- its carriers must cost no memory
+        for a recovery they can never run."""
+        pool = ShardedDetectorPool.from_template(
+            AttackTagger(patterns=list(DEFAULT_CATALOGUE)),
+            n_shards=2,
+            backend="process",
+            max_restarts=max_restarts,
+        )
+        try:
+            for start in range(0, 48, 16):  # 8 entities: both shards
+                pool.observe_batch(_benign_alerts(48, entities=8)[start : start + 16])
+            pool.snapshot_state()
+            pool.observe_batch(_benign_alerts(16, entities=8))
+            pool.submit_batch(_benign_alerts(16, entities=8))
+            pool.submit_batch(_benign_alerts(16, entities=8))
+            workers = pool._workers
+            messages = [message for worker in workers for _, message in worker._transit]
+            assert len(messages) == 4
+            if max_restarts:
+                assert all(message is not None for message in messages)
+                assert all(worker._log for worker in workers)
+                assert all(worker._snapshot is not None for worker in workers)
+            else:
+                assert messages == [None] * 4
+                assert all(worker._log == [] for worker in workers)
+                assert all(worker._snapshot is None for worker in workers)
+            pool.collect()
+            pool.collect()
         finally:
             pool.close()
 
@@ -1174,8 +1206,7 @@ class TestCarrierOwnedRecovery:
             template,
             n_shards=2,
             backend="process",
-            restart_policy="restore",
-            backoff_base=0.001,
+            max_restarts=3,
         )
         try:
             expected = [reference.observe_batch(batch) for batch in batches]
@@ -1212,7 +1243,7 @@ class TestCarrierOwnedRecovery:
             expected_summary = reference.summary()
         assert expected
         samples: list[int] = []
-        with self._pipeline("process", "restore") as pipeline:
+        with self._pipeline("process", 3) as pipeline:
             assert pipeline.max_inflight == 2
             pool = pipeline.detector_pools["factor_graph"]
 

@@ -602,7 +602,7 @@ class TestLifecycleLeakHunting:
             AttackTagger(),
             n_shards=2,
             backend="process",
-            restart_policy="restore",
+            max_restarts=3,
         )
         pool.observe_batch(_benign(8))
         old_names = self._ring_names(pool)
@@ -616,7 +616,7 @@ class TestLifecycleLeakHunting:
         assert not new_names & _ring_segments_on_disk()
 
     def test_crash_and_heal_does_not_leak(self):
-        pool = self._shm_pool(restart_policy="restore")
+        pool = self._shm_pool(max_restarts=3)
         pool.observe_batch(_benign(8))
         names = self._ring_names(pool)
         pool._workers[0].process.kill()
