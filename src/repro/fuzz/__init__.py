@@ -11,12 +11,14 @@ into a generative, checked property:
   duplicate timestamps, near-miss pattern prefixes, mid-stream
   reset/reopen events),
 * :mod:`repro.fuzz.oracle` -- the campaign runner (``build_pipeline``
-  / ``drive`` / ``snapshot``) every proof replays through, and
-  :class:`DifferentialOracle`, which replays each campaign through the
-  engine x shards x backend x driver matrix and asserts bit-identical
-  detections, responses, and counters,
+  / ``drive`` / ``snapshot``) every proof replays through, the one
+  comparer of the service ``results`` surface (:func:`divergences`),
+  and :class:`DifferentialOracle`, which replays each campaign through
+  the engine x shards x backend x driver matrix and asserts that
+  surface -- detections, responses, counters -- bit-identical,
 * :mod:`repro.fuzz.chaos` -- :class:`ChaosOracle`, a table of fault
-  rows over the same runner, checking the crash-safety contract,
+  rows over the same runner, checking the crash-safety contract; its
+  three socket smoke rows are ``python -m repro.service --smoke``,
 * :mod:`repro.fuzz.shrinker` -- delta-debugging reduction of failing
   campaigns to minimal repros,
 * :mod:`repro.fuzz.regressions` -- the ``tests/regressions/`` replay
@@ -47,6 +49,7 @@ from .oracle import (
     alert_to_zeek_record,
     alerts_to_zeek_records,
     build_pipeline,
+    divergences,
     drive,
     full_matrix,
     quick_matrix,
@@ -61,7 +64,9 @@ from .chaos import (
     FAULT_KINDS,
     FaultPlan,
     SERVICE_FAULT_KINDS,
+    SMOKE_KINDS,
     campaign_batches,
+    smoke_legs,
 )
 from .regressions import (
     DEFAULT_REGRESSIONS_DIR,
@@ -93,10 +98,12 @@ __all__ = [
     "drive",
     "snapshot",
     "Divergence",
+    "divergences",
     "CampaignVerdict",
     "DifferentialOracle",
     "FAULT_KINDS",
     "SERVICE_FAULT_KINDS",
+    "SMOKE_KINDS",
     "FaultPlan",
     "ChaosPoisonDetector",
     "ChaosFailure",
@@ -104,6 +111,7 @@ __all__ = [
     "ChaosComposer",
     "ChaosOracle",
     "campaign_batches",
+    "smoke_legs",
     "shrink_campaign",
     "shrink_for_oracle",
     "DEFAULT_REGRESSIONS_DIR",

@@ -22,11 +22,13 @@ status is non-zero iff any campaign diverged.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
 
 from .campaign import Campaign, CampaignComposer
+from .chaos import ChaosComposer, ChaosOracle
 from .oracle import DifferentialOracle, OracleConfig, full_matrix, quick_matrix
 from .regressions import DEFAULT_REGRESSIONS_DIR, save_regression
 from .shrinker import shrink_for_oracle
@@ -45,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="number of campaigns to compose and check (default 25)")
     parser.add_argument("--base-seed", type=int, default=0,
                         help="composer base seed (campaign k uses (seed, k))")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="alias for --base-seed (overrides it when given)")
     parser.add_argument("--matrix", choices=("full", "quick"), default="full",
                         help="configuration matrix to replay (default full)")
     parser.add_argument("--configs", type=str, default=None,
@@ -78,111 +78,97 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _chaos_main(args: argparse.Namespace) -> int:
-    """The ``--chaos`` mode: seeded fault campaigns, crash-semantics oracle."""
-    from .chaos import ChaosComposer, ChaosOracle
+def _run(jobs, describe, args, *, failed: str, skipped: str, on_failure=None):
+    """The one campaign loop of both modes.
 
-    composer = ChaosComposer(args.base_seed, target_alerts=args.target_alerts)
-    failures = 0
-    legs_total = 0
-    started = time.perf_counter()
-    campaigns = (
-        composer.service_campaigns(args.campaigns)
-        if args.service_legs
-        else composer.chaos_campaigns(args.campaigns)
-    )
-    # The oracle owns its checkpoint directory for exactly this run.
-    with ChaosOracle() as oracle:
-        for index, campaign, plans in campaigns:
-            campaign_started = time.perf_counter()
-            verdict = oracle.run(campaign, plans)
-            elapsed = time.perf_counter() - campaign_started
-            legs_total += verdict.legs_run
-            if verdict.failures:
-                status = f"VIOLATED ({len(verdict.failures)})"
-            elif verdict.legs_run == 0:
-                status = "SKIPPED (no fault legs)"
-            else:
-                status = "ok"
-            print(
-                f"{campaign.label:<24} alerts={campaign.num_alerts:<5} "
-                f"legs={verdict.legs_run:<2} {elapsed:6.2f}s  {status}",
-                flush=True,
-            )
-            if verdict.failures:
-                failures += 1
-                for failure in verdict.failures[:5]:
-                    print(f"  {failure}")
-                if args.fail_fast:
-                    break
-    total = time.perf_counter() - started
-    print(
-        f"{args.campaigns} chaos campaign(s), {legs_total} fault leg(s), "
-        f"{failures} violating, {total:.1f}s total"
-    )
-    if failures:
-        return 1
-    if legs_total == 0:
-        print(
-            "FAIL: nothing was actually checked -- no campaign produced "
-            "any fault leg (campaigns too small? see --target-alerts)"
-        )
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.seed is not None:
-        args.base_seed = args.seed
-    if args.chaos:
-        return _chaos_main(args)
-    if args.configs:
-        configs = [OracleConfig.parse(spec) for spec in args.configs.split(",")]
-    elif args.matrix == "quick":
-        configs = quick_matrix()
-    else:
-        configs = full_matrix()
-    oracle = DifferentialOracle(configs)
-
-    if args.replay is not None:
-        # Replaying a committed repro is a sanity check: never re-shrink
-        # it into a second, differently-named corpus file.
-        args.no_write = True
-        campaigns = [Campaign.load(args.replay)]
-    else:
-        composer = CampaignComposer(
-            args.base_seed, target_alerts=args.target_alerts
-        )
-        campaigns = list(composer.campaigns(args.campaigns, raw_every=args.raw_every))
-
-    failures = 0
-    total_configs_run = 0
-    started = time.perf_counter()
-    for campaign in campaigns:
-        campaign_started = time.perf_counter()
-        verdict = oracle.run(campaign)
-        elapsed = time.perf_counter() - campaign_started
-        total_configs_run += verdict.configs_run
-        # A verdict with nothing replayed is vacuous, not a pass.
-        if not verdict.ok:
-            status = f"DIVERGED ({len(verdict.divergences)})"
-        elif verdict.configs_run == 0:
-            status = "SKIPPED (no applicable configs)"
+    ``jobs`` yields ``(campaign, job)``; ``job()`` replays the campaign
+    and returns its verdict, which ``describe(campaign, verdict)`` turns
+    into ``(columns, checked, problems)``: the mode's part of the
+    per-campaign line, how many configurations or legs ran, and what
+    failed.  A failing campaign prints up to five problems, then
+    ``on_failure(campaign, verdict)`` runs.  Returns ``(failing
+    campaigns, total checked)``.
+    """
+    failures = checked_total = 0
+    for campaign, job in jobs:
+        started = time.perf_counter()
+        verdict = job()
+        elapsed = time.perf_counter() - started
+        columns, checked, problems = describe(campaign, verdict)
+        checked_total += checked
+        if problems:
+            status = f"{failed} ({len(problems)})"
+        elif not checked:
+            status = f"SKIPPED ({skipped})"
         else:
             status = "ok"
         print(
             f"{campaign.label:<24} alerts={campaign.num_alerts:<5} "
-            f"batches={campaign.num_batches:<4} configs={verdict.configs_run:<3} "
-            f"{elapsed:6.2f}s  {status}",
+            f"{columns} {elapsed:6.2f}s  {status}",
             flush=True,
         )
-        if verdict.ok:
+        if not problems:
             continue
         failures += 1
-        for divergence in verdict.divergences[:5]:
-            print(f"  {divergence}")
-        if not args.no_write:
+        for problem in problems[:5]:
+            print(f"  {problem}")
+        if on_failure is not None:
+            on_failure(campaign, verdict)
+        if args.fail_fast:
+            break
+    return failures, checked_total
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
+    if args.chaos:
+        composer = ChaosComposer(args.base_seed, target_alerts=args.target_alerts)
+        legs = composer.service_campaigns if args.service_legs else composer.chaos_campaigns
+        # The oracle owns its checkpoint directory for exactly this run.
+        with ChaosOracle() as oracle:
+            failures, checked = _run(
+                (
+                    (campaign, functools.partial(oracle.run, campaign, plans))
+                    for _, campaign, plans in legs(args.campaigns)
+                ),
+                lambda campaign, verdict: (
+                    f"legs={verdict.legs_run:<2}",
+                    verdict.legs_run,
+                    verdict.failures,
+                ),
+                args,
+                failed="VIOLATED",
+                skipped="no fault legs",
+            )
+        summary = (
+            f"{args.campaigns} chaos campaign(s), {checked} fault leg(s), "
+            f"{failures} violating"
+        )
+        vacuous = (
+            "no campaign produced any fault leg (campaigns too small? see "
+            "--target-alerts)"
+        )
+    else:
+        if args.configs:
+            configs = [OracleConfig.parse(spec) for spec in args.configs.split(",")]
+        elif args.matrix == "quick":
+            configs = quick_matrix()
+        else:
+            configs = full_matrix()
+        oracle = DifferentialOracle(configs)
+        if args.replay is not None:
+            # Replaying a committed repro is a sanity check: never
+            # re-shrink it into a second, differently-named corpus file.
+            args.no_write = True
+            campaigns = [Campaign.load(args.replay)]
+        else:
+            composer = CampaignComposer(args.base_seed, target_alerts=args.target_alerts)
+            campaigns = list(composer.campaigns(args.campaigns, raw_every=args.raw_every))
+
+        def record(campaign: Campaign, verdict) -> None:
+            if args.no_write:
+                return
             repro = campaign
             if not args.no_shrink:
                 shrunk = shrink_for_oracle(campaign, oracle, verdict=verdict)
@@ -193,24 +179,35 @@ def main(argv: list[str] | None = None) -> int:
                 f"  repro written: {path} "
                 f"({repro.num_alerts} alerts, {len(repro.events)} events)"
             )
-        if args.fail_fast:
-            break
-    total = time.perf_counter() - started
-    print(
-        f"{len(campaigns)} campaign(s) x {len(configs)} config(s), "
-        f"{failures} divergent, {total:.1f}s total"
-    )
+
+        failures, checked = _run(
+            ((campaign, functools.partial(oracle.run, campaign)) for campaign in campaigns),
+            lambda campaign, verdict: (
+                f"batches={campaign.num_batches:<4} configs={verdict.configs_run:<3}",
+                verdict.configs_run,
+                verdict.divergences,
+            ),
+            args,
+            failed="DIVERGED",
+            skipped="no applicable configs",
+            on_failure=record,
+        )
+        summary = (
+            f"{len(campaigns)} campaign(s) x {len(configs)} config(s), "
+            f"{failures} divergent"
+        )
+        vacuous = (
+            "no campaign replayed any configuration (raw_stream-only configs "
+            "need raw-capable campaigns; see --raw-every, --campaigns)"
+        )
+    print(f"{summary}, {time.perf_counter() - started:.1f}s total")
     if failures:
         return 1
-    if total_configs_run == 0:
-        # Zero campaigns, or every config skipped on every campaign:
-        # the differential property was never exercised -- a vacuous
-        # run must not pass a gate.
-        print(
-            "FAIL: nothing was actually checked -- no campaign replayed "
-            "any configuration (raw_stream-only configs need raw-capable "
-            "campaigns; see --raw-every, --campaigns)"
-        )
+    if checked == 0:
+        # Zero campaigns, or nothing applicable to any of them: the
+        # property was never exercised, and a vacuous run must not pass
+        # a gate.
+        print(f"FAIL: nothing was actually checked -- {vacuous}")
         return 1
     return 0
 

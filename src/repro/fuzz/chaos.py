@@ -11,6 +11,7 @@ run through the shared runner in :mod:`repro.fuzz.oracle`
 (a pipeline, or a client of a live :mod:`repro.service` server), the
 driver, the hook that injects its fault at a named stream position,
 and the expectations -- each written once -- its outcome must meet.
+This table is also the service's socket smoke gate.
 
 Pipeline rows (:meth:`ChaosComposer.compose`):
 
@@ -52,9 +53,21 @@ plan stream):
     Admission is forced to ``reject``; the client's replay after
     reopening delivers the stream complete and in order (lossless).
 
+Smoke rows (:func:`smoke_legs`, three pinned legs that no composer
+draws; ``python -m repro.service --smoke`` runs them):
+
+``smoke-alerts``
+    A fault-free alert stream over the socket.
+``smoke-reshard``
+    A live N->M reshard requested over the socket mid-stream: one
+    ``ReshardEvent``, the service serving at M shards.
+``smoke-raw``
+    The stream sent as raw Zeek records through the ``raw`` op.
+
 Every pipeline row must also leave no stale ticket in the detection
-stage or the pool and close cleanly; every service row must read back
-results bit-identical to the offline reference; no row may leave a
+stage or the pool and close cleanly; every socket row must read back a
+``results`` surface bit-identical to the offline reference replay
+(:data:`~repro.fuzz.oracle.REFERENCE_CONFIG`); no row may leave a
 ``/dev/shm`` ring segment behind.
 
 Everything is deterministic in ``(seed, index)`` -- campaigns via
@@ -68,6 +81,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import json
 import os
 import signal
 import tempfile
@@ -80,23 +94,28 @@ import numpy as np
 from ..core.alerts import Alert
 from ..core.attack_tagger import Detection
 from ..core.detector import Detector
+from ..service.admission import ServiceOverloadedError
 from ..service.protocol import SERVICE_MAX_RESTARTS
+from ..service.server import ServiceConfig, start_service_in_thread
 from ..testbed.sharding import ShardRecoveryError, ShardWorkerError, shard_of
 from ..testbed.shm_ring import SEGMENT_PREFIX
 from .campaign import Campaign, CampaignComposer
 from .oracle import (
+    REFERENCE_CONFIG,
     DifferentialOracle,
     OracleConfig,
     ReplayResult,
     build_pipeline,
+    divergences,
     drive,
     snapshot,
 )
 
-#: Fault leg kinds a plan may request.  The first four target the
-#: pipeline directly; the service kinds (PR 8) drive the same faults
-#: through a live :mod:`repro.service` socket front-end; ``shm-kill``
-#: targets the shared-memory rings' heal-replay path.
+#: Leg kinds a plan may request.  The first four target the pipeline
+#: directly; the service kinds drive the same faults through a live
+#: :mod:`repro.service` socket front-end; ``shm-kill`` targets the
+#: shared-memory rings' heal-replay path; the smoke kinds are the
+#: fault-free socket legs of the service smoke gate.
 FAULT_KINDS = (
     "split",
     "kill",
@@ -106,10 +125,17 @@ FAULT_KINDS = (
     "reshard-kill",
     "shed",
     "shm-kill",
+    "smoke-alerts",
+    "smoke-reshard",
+    "smoke-raw",
 )
 
-#: The socket-level legs, composed by :meth:`ChaosComposer.compose_service`.
+#: The socket-level fault legs, composed by
+#: :meth:`ChaosComposer.compose_service`.
 SERVICE_FAULT_KINDS = ("disconnect", "reshard-kill", "shed")
+
+#: The socket smoke legs, pinned by :func:`smoke_legs`.
+SMOKE_KINDS = ("smoke-alerts", "smoke-reshard", "smoke-raw")
 
 #: Salt mixed into the fault-plan rng so plans are independent of the
 #: campaign composition stream drawn from the same ``(seed, index)``.
@@ -140,9 +166,11 @@ class FaultPlan:
     #: ``poison``: alert name the poisoned detector raises on.
     poison_name: str = ""
     #: ``disconnect``: event index at which the first client vanishes
-    #: mid-write; ``shed``: batch index sent while admission rejects.
+    #: mid-write; ``shed``: batch index sent while admission rejects;
+    #: ``smoke-reshard``: event index the live reshard precedes.
     fault_event: int = 0
-    #: ``reshard-kill``: the live reshard's target shard count.
+    #: ``reshard-kill``/``smoke-reshard``: the live reshard's target
+    #: shard count.
     reshard_to: int = 0
 
     def __post_init__(self) -> None:
@@ -163,8 +191,10 @@ class FaultPlan:
             ),
             "shed": f"batch={self.fault_event}",
             "shm-kill": f"batch={self.kill_batch} shard={self.shard}",
-        }[self.kind]
-        return f"{self.kind}[{self.n_shards}:{self.backend} {detail}]"
+            "smoke-reshard": f"event={self.fault_event} ->{self.reshard_to}",
+        }.get(self.kind)
+        shape = f"{self.n_shards}:{self.backend}"
+        return f"{self.kind}[{shape} {detail}]" if detail else f"{self.kind}[{shape}]"
 
 
 class ChaosPoisonDetector(Detector):
@@ -466,6 +496,27 @@ class ChaosComposer:
             yield index, campaign, plans
 
 
+def smoke_legs() -> List[Tuple[Campaign, FaultPlan]]:
+    """The service smoke gate: three pinned socket legs, one per smoke row.
+
+    Campaigns 0-2 of seed 0 at ~120 alerts: an alert stream at
+    ``2:process``, one resharded 2->3 halfway through its events, and a
+    raw-capable one sent as Zeek records to ``2:serial`` shards.
+    """
+    composer = CampaignComposer(0, target_alerts=120)
+    resharded = composer.compose(1)
+    return [
+        (composer.compose(0), FaultPlan("smoke-alerts")),
+        (
+            resharded,
+            FaultPlan(
+                "smoke-reshard", fault_event=len(resharded.events) // 2, reshard_to=3
+            ),
+        ),
+        (composer.compose(2, raw_capable=True), FaultPlan("smoke-raw", backend="serial")),
+    ]
+
+
 def _ring_segments() -> Set[str]:
     """Names of live ``/dev/shm`` ring segments (leak detection)."""
     try:
@@ -502,15 +553,18 @@ class _Leg:
     #: The ``ShardWorkerError`` that ended the drive, with its traceback.
     error: Optional[ShardWorkerError] = None
     trace: str = ""
-    #: Pipeline rows: the compared surface of a drive that completed.
+    #: The compared surface of a drive that completed (a socket row's
+    #: is the ``results`` op's reply).
     result: Optional[ReplayResult] = None
     #: Violations found by hooks while the stream was still running.
     failures: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def config(self) -> OracleConfig:
-        """The plan's shape (production engine) as the runner spells it."""
-        return OracleConfig(n_shards=self.plan.n_shards, backend=self.plan.backend)
+        """The plan's shape and the row's driver (production engine)."""
+        return OracleConfig(
+            n_shards=self.plan.n_shards, backend=self.plan.backend, driver=self.row.driver
+        )
 
     def build(self):
         """A fresh pipeline of the plan's shape under the row's restart budget."""
@@ -618,8 +672,6 @@ def _reject_then_reopen(leg: _Leg, point: str, index: int) -> None:
     The un-retried probe must be refused (nothing half-enqueued); once
     reopened, the driver delivers the same batch at the same position.
     """
-    from ..service.admission import ServiceOverloadedError
-
     if (point, index) != ("before", leg.plan.fault_event):
         return
     probe = campaign_batches(leg.campaign)[index]
@@ -633,6 +685,12 @@ def _reject_then_reopen(leg: _Leg, point: str, index: int) -> None:
     leg.sink.throttle("open")
 
 
+def _reshard_before_event(leg: _Leg, point: str, index: int) -> None:
+    """A live reshard over the socket before the plan's event."""
+    if (point, index) == ("event", leg.plan.fault_event):
+        leg.sink.reshard(leg.plan.reshard_to)
+
+
 # -- expectations: each crash-semantics assertion, written once ----------
 def _no_error(leg: _Leg) -> Iterator[str]:
     if leg.error is not None:
@@ -644,9 +702,9 @@ def _bit_identical(leg: _Leg) -> Iterator[str]:
     if leg.result is None:
         return
     reference = DifferentialOracle([]).replay(
-        leg.campaign, dataclasses.replace(leg.config, backend="serial")
+        leg.campaign, dataclasses.replace(leg.config, backend="serial", driver="sync")
     )
-    for divergence in DifferentialOracle._compare(reference, leg.result):
+    for divergence in divergences(reference, leg.result):
         yield str(divergence)
 
 
@@ -719,15 +777,20 @@ def _poison_surfaced(leg: _Leg) -> Iterator[str]:
 
 
 def _resharded(leg: _Leg) -> Iterator[str]:
-    if leg.stats["pipeline"]["reshard_events"] < 1:
-        yield "no ReshardEvent recorded"
-    if leg.stats["pipeline"]["recoveries_healed"] < 1:
-        yield "dead worker was not healed during the reshard harvest"
+    """One ``ReshardEvent``, and the service serving at the target count."""
+    events = leg.stats["pipeline"]["reshard_events"]
+    if events != 1:
+        yield f"{events:g} ReshardEvent(s) recorded, expected one"
     if leg.stats["n_shards"] != leg.plan.reshard_to:
         yield (
             f"service reports n_shards={leg.stats['n_shards']}, "
             f"resharded to {leg.plan.reshard_to}"
         )
+
+
+def _healed_in_harvest(leg: _Leg) -> Iterator[str]:
+    if leg.stats["pipeline"]["recoveries_healed"] < 1:
+        yield "dead worker was not healed during the reshard harvest"
 
 
 def _shed_lossless(leg: _Leg) -> Iterator[str]:
@@ -780,7 +843,7 @@ ROWS = {
     ),
     "reshard-kill": _Row(
         _kill_then_reshard,
-        (_resharded,),
+        (_resharded, _healed_in_harvest),
         service=True,
         max_restarts=SERVICE_MAX_RESTARTS,
     ),
@@ -789,6 +852,16 @@ ROWS = {
         (_shed_lossless,),
         service=True,
         max_restarts=SERVICE_MAX_RESTARTS,
+    ),
+    "smoke-alerts": _Row(service=True, max_restarts=SERVICE_MAX_RESTARTS),
+    "smoke-reshard": _Row(
+        _reshard_before_event,
+        (_resharded,),
+        service=True,
+        max_restarts=SERVICE_MAX_RESTARTS,
+    ),
+    "smoke-raw": _Row(
+        service=True, driver="raw_stream", max_restarts=SERVICE_MAX_RESTARTS
     ),
 }
 
@@ -871,28 +944,28 @@ class ChaosOracle:
 
     @staticmethod
     def _drive_service(leg: _Leg) -> None:
-        # repro.service imports repro.fuzz.oracle, so these imports stay
-        # local to keep the package import graph acyclic.
-        from ..service.server import ServiceConfig, start_service_in_thread
-        from ..service.smoke import compare_results, read_results, reference_results
-
-        expected = reference_results(leg.campaign)
+        reference = DifferentialOracle([]).replay(leg.campaign, REFERENCE_CONFIG)
+        # The socket hands the surface back as JSON; one round trip
+        # gives the reference the same representation.
+        reference.surface = json.loads(json.dumps(reference.surface))
         leg.handle = start_service_in_thread(leg.build, ServiceConfig())
         try:
             leg.sink = leg.handle.client()
-            drive(leg.campaign, leg.sink, hook=leg.hook)
-            got = read_results(leg.sink)
+            drive(leg.campaign, leg.sink, leg.row.driver, leg.hook)
+            leg.sink.drain()
+            leg.result = ReplayResult(leg.config, leg.sink.results())
             leg.stats = leg.sink.stats()
             leg.sink.close()
         finally:
             leg.handle.stop()
-        leg.failures.extend(compare_results(expected, got))
+        leg.failures.extend(str(d) for d in divergences(reference, leg.result))
         leg.check()
 
 
 __all__ = [
     "FAULT_KINDS",
     "SERVICE_FAULT_KINDS",
+    "SMOKE_KINDS",
     "FaultPlan",
     "ChaosPoisonDetector",
     "ChaosFailure",
@@ -901,4 +974,5 @@ __all__ = [
     "ChaosOracle",
     "ROWS",
     "campaign_batches",
+    "smoke_legs",
 ]

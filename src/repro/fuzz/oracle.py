@@ -23,10 +23,10 @@ The raw driver differs from the alert driver only in what it prepares
 before the one shared submit/collect path, so replaying it under the
 spec engine or at four shards would prove nothing the rest does not.
 
-Every proof in the repo -- this oracle, the fault rows of
-:mod:`repro.fuzz.chaos`, the socket legs of :mod:`repro.service.smoke`
--- replays a :class:`~repro.fuzz.campaign.Campaign` through the same
-three-function **runner**:
+Every proof in the repo -- this oracle, and the fault and socket smoke
+rows of :mod:`repro.fuzz.chaos` -- replays a
+:class:`~repro.fuzz.campaign.Campaign` through the same three-function
+**runner**:
 
 :func:`build_pipeline`
     campaign + :class:`OracleConfig` -> the campaign-shaped
@@ -38,12 +38,17 @@ three-function **runner**:
 :func:`snapshot`
     a driven pipeline -> the :class:`ReplayResult` that is compared.
 
-:class:`DifferentialOracle` replays one campaign through every
-configuration in the matrix and asserts that detections (every field),
-the cross-detector detection log, operator notifications, response
-records, and the :class:`~repro.testbed.pipeline.PipelineStats`
-counters are bit-identical to the reference configuration (the seed
-path: ``naive`` engine, one serial shard, per-event ``sync`` driver).
+A :class:`ReplayResult` holds the surface the service's ``results`` op
+returns (:func:`~repro.service.protocol.serialize_results`): every
+field of every detection, the cross-detector detection log, operator
+notifications, response records, and the
+:data:`~repro.testbed.pipeline.DETERMINISTIC_COUNTERS`.  One function,
+:func:`divergences`, compares two of them, so an offline replay and a
+socket run are held to the same surface.  :class:`DifferentialOracle`
+replays one campaign through every configuration in the matrix and
+asserts that surface bit-identical to the reference configuration's
+(the seed path: ``naive`` engine, one serial shard, per-event ``sync``
+driver).
 
 Campaign control events map onto the pipeline's detector controls
 (:meth:`TestbedPipeline.reset_entity` /
@@ -65,9 +70,10 @@ from typing import Callable, Iterable, Optional, Sequence
 from ..core.alerts import Alert
 from ..core.attack_tagger import ENGINES, AttackTagger, Detection, UnknownEngineError
 from ..incidents import DEFAULT_CATALOGUE
+from ..service.protocol import serialize_results
 from ..telemetry.logsource import MonitorKind, RawLogRecord
 from ..telemetry.normalizer import ZEEK_NOTICE_MAP
-from ..testbed.pipeline import TestbedPipeline
+from ..testbed.pipeline import DETERMINISTIC_COUNTERS, TestbedPipeline
 from .campaign import Campaign
 
 #: Shard counts under differential test.
@@ -78,24 +84,11 @@ BACKENDS = ("serial", "process")
 #: the reference's driver, the two stream drivers are the matrix axis.
 DRIVERS = ("sync", "alert_stream", "raw_stream")
 
-#: ``PipelineStats``-derived summary keys that must match bit-for-bit
-#: (timing-valued keys are excluded: wall time is not deterministic).
-COMPARED_COUNTERS = (
-    "raw_records",
-    "normalized_alerts",
-    "filtered_alerts",
-    "detections",
-    "responses",
-    "notifications",
-    "blocked_sources",
-    "normalization_drop_rate",
-    "filter_reduction",
-    # Deterministic drop accounting (only admission control sheds, and
-    # the oracle pipelines run without it, so both sides must report
-    # zero).
-    "dropped_raw",
-    "dropped_alerts",
-)
+#: The compared counters: the pipeline's deterministic summary keys.
+COMPARED_COUNTERS = DETERMINISTIC_COUNTERS
+
+#: The list fields of a results surface, in comparison order.
+_SURFACE_FIELDS = ("detections", "detection_log", "notifications", "actions")
 
 #: Inverse of the Zeek notice table (alert name -> notice name).
 _ZEEK_NOTICE_FOR: dict[str, str] = {}
@@ -203,14 +196,11 @@ def alerts_to_zeek_records(alerts: Iterable[Alert]) -> list[RawLogRecord]:
 
 @dataclasses.dataclass
 class ReplayResult:
-    """Everything one configuration's replay produced."""
+    """One configuration's replay: the ``results`` op's surface."""
 
     config: OracleConfig
-    detections: list[Detection]
-    detection_log: list[tuple[str, Detection]]
-    notifications: list
-    actions: list
-    counters: dict[str, float]
+    #: :func:`~repro.service.protocol.serialize_results` of the run.
+    surface: dict
 
 
 def build_pipeline(
@@ -327,12 +317,14 @@ def snapshot(
     """The compared surface of a driven pipeline."""
     summary = pipeline.summary()
     return ReplayResult(
-        config=config,
-        detections=detections,
-        detection_log=list(pipeline.detections),
-        notifications=list(pipeline.responder.notifications),
-        actions=list(pipeline.responder.actions),
-        counters={key: summary[key] for key in COMPARED_COUNTERS},
+        config,
+        serialize_results(
+            detections,
+            pipeline.detections,
+            pipeline.responder.notifications,
+            pipeline.responder.actions,
+            {key: summary[key] for key in COMPARED_COUNTERS},
+        ),
     )
 
 
@@ -346,6 +338,55 @@ class Divergence:
 
     def __str__(self) -> str:
         return f"[{self.config.label}] {self.field}: {self.detail}"
+
+
+def _without_trigger_attributes(surface: dict) -> dict:
+    """``surface`` with every serialised detection's trigger attributes dropped."""
+
+    def strip(detection: dict) -> dict:
+        trigger = {k: v for k, v in detection["trigger"].items() if k != "attributes"}
+        return {**detection, "trigger": trigger}
+
+    return {
+        **surface,
+        "detections": [strip(d) for d in surface["detections"]],
+        "detection_log": [[name, strip(d)] for name, d in surface["detection_log"]],
+        "notifications": [
+            {**n, "detection": strip(n["detection"])} for n in surface["notifications"]
+        ],
+    }
+
+
+def divergences(reference: ReplayResult, result: ReplayResult) -> list[Divergence]:
+    """Where ``result``'s surface differs from ``reference``'s.
+
+    One :class:`Divergence` per differing list field, naming its length
+    or its first differing entry, and one per differing counter.  A
+    ``raw_stream`` result is compared without trigger ``attributes``:
+    the normaliser rebuilds its alerts from the Zeek records, whose
+    attributes are not the campaign's.  Every other field still has to
+    match bit-for-bit.
+    """
+    expected, got = reference.surface, result.surface
+    if result.config.driver == "raw_stream":
+        expected = _without_trigger_attributes(expected)
+        got = _without_trigger_attributes(got)
+    found: list[Divergence] = []
+    for field in _SURFACE_FIELDS:
+        want, have = expected[field], got[field]
+        if want == have:
+            continue
+        if len(want) != len(have):
+            detail = f"length {len(have)} != {len(want)}"
+        else:
+            index = next(i for i, (a, b) in enumerate(zip(want, have)) if a != b)
+            detail = f"first mismatch at index {index}: {have[index]!r} != {want[index]!r}"
+        found.append(Divergence(result.config, field, detail))
+    for key in COMPARED_COUNTERS:
+        want, have = expected["counters"].get(key), got["counters"].get(key)
+        if want != have:
+            found.append(Divergence(result.config, f"counter:{key}", f"{have!r} != {want!r}"))
+    return found
 
 
 @dataclasses.dataclass
@@ -418,69 +459,12 @@ class DifferentialOracle:
                     Divergence(config, "exception", traceback.format_exc())
                 )
                 continue
-            verdict.divergences.extend(self._compare(reference, result))
+            verdict.divergences.extend(divergences(reference, result))
         return verdict
 
     def check(self, campaign: Campaign) -> bool:
         """Whether the campaign replays identically across the matrix."""
         return self.run(campaign).ok
-
-    @staticmethod
-    def _compare(reference: ReplayResult, result: ReplayResult) -> list[Divergence]:
-        divergences: list[Divergence] = []
-
-        def diff_list(field: str, expected: list, got: list) -> None:
-            if expected == got:
-                return
-            if len(expected) != len(got):
-                detail = f"length {len(got)} != {len(expected)}"
-            else:
-                position = next(
-                    i for i, (a, b) in enumerate(zip(expected, got)) if a != b
-                )
-                detail = (
-                    f"first mismatch at index {position}: "
-                    f"{got[position]!r} != {expected[position]!r}"
-                )
-            divergences.append(Divergence(result.config, field, detail))
-
-        diff_list("detections", reference.detections, result.detections)
-        diff_list("detection_log", reference.detection_log, result.detection_log)
-        diff_list("notifications", reference.notifications, result.notifications)
-        diff_list("actions", reference.actions, result.actions)
-        # ``Alert.__eq__`` excludes ``attributes`` (compare=False), so
-        # the list comparisons above cannot see attribute corruption --
-        # e.g. a columnar wire-format bug in the process backend.
-        # Compare the trigger metadata explicitly.  Raw-driver replays
-        # are exempt: their alerts are rebuilt by the normaliser, whose
-        # attributes come from the Zeek record, not the campaign.
-        if result.config.driver != "raw_stream" and len(result.detections) == len(
-            reference.detections
-        ):
-            for position, (expected, got) in enumerate(
-                zip(reference.detections, result.detections)
-            ):
-                if dict(got.trigger.attributes) != dict(expected.trigger.attributes):
-                    divergences.append(
-                        Divergence(
-                            result.config,
-                            "detections",
-                            f"trigger attributes mismatch at index {position}: "
-                            f"{dict(got.trigger.attributes)!r} != "
-                            f"{dict(expected.trigger.attributes)!r}",
-                        )
-                    )
-                    break
-        for key in COMPARED_COUNTERS:
-            if reference.counters[key] != result.counters[key]:
-                divergences.append(
-                    Divergence(
-                        result.config,
-                        f"counter:{key}",
-                        f"{result.counters[key]!r} != {reference.counters[key]!r}",
-                    )
-                )
-        return divergences
 
 
 __all__ = [
@@ -500,6 +484,7 @@ __all__ = [
     "drive",
     "snapshot",
     "Divergence",
+    "divergences",
     "CampaignVerdict",
     "DifferentialOracle",
 ]

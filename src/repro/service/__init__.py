@@ -21,9 +21,10 @@ robustness properties an operator cares about:
   that hit them, periodic and SIGTERM-triggered drain-then-checkpoint,
   stats with per-stage latency percentiles.
 
-Wire protocol and serialisers live in :mod:`repro.service.protocol`;
-the CI socket bit-identity gate in :mod:`repro.service.smoke`
-(``python -m repro.service --smoke``).
+Wire protocol and serialisers live in :mod:`repro.service.protocol`.
+The CI socket bit-identity gate (``python -m repro.service --smoke``)
+is the smoke rows of :mod:`repro.fuzz.chaos`; the service itself
+imports nothing of :mod:`repro.fuzz`.
 """
 
 from .admission import (

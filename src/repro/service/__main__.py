@@ -70,12 +70,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _smoke() -> int:
+    """Run the chaos table's three socket smoke legs; return an exit code.
+
+    Each leg streams a pinned campaign to an in-thread service over TCP
+    and demands the ``results`` surface bit-identical to the offline
+    reference replay (see :func:`repro.fuzz.chaos.smoke_legs`).
+    """
+    # The proof estate imports the service, never the other way round.
+    from ..fuzz.chaos import ChaosOracle, smoke_legs
+
+    legs = smoke_legs()
+    failures = 0
+    with ChaosOracle() as oracle:
+        for campaign, plan in legs:
+            verdict = oracle.run(campaign, [plan])
+            print(f"[{'PASS' if verdict.ok else 'FAIL'}] {campaign.label} {plan.label}")
+            for failure in verdict.failures:
+                print(f"    {failure}")
+            failures += not verdict.ok
+    print(f"service smoke: {len(legs) - failures}/{len(legs)} legs identical")
+    return 1 if failures else 0
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.smoke:
-        from .smoke import run_service_smoke
-
-        return run_service_smoke()
+        return _smoke()
 
     def build_pipeline() -> TestbedPipeline:
         tagger = AttackTagger(

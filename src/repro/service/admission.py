@@ -41,12 +41,13 @@ hint and the client's retry schedule are the module constants below.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import socket
 import time
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.alerts import Alert, AlertVocabulary, AttackStage, DEFAULT_VOCABULARY
 from ..telemetry.logsource import RawLogRecord
@@ -74,6 +75,9 @@ RETRY_AFTER = 0.05
 MAX_RETRIES = 8
 RETRY_BASE_DELAY = 0.02
 RETRY_MAX_DELAY = 1.0
+
+#: Entries a memory-only :class:`DeadLetterJournal` keeps (the newest).
+DEAD_LETTER_TAIL = 1024
 
 
 def retry_delay(attempt: int) -> float:
@@ -116,17 +120,17 @@ class DeadLetterJournal:
     Every entry records why (``reason``), what kind of payload
     (``kind``), and the full payload itself, so a post-incident replay
     can reconstruct exactly what the service declined to process.
-    With a path the journal writes through to the file and keeps only
-    :attr:`count` -- a service sheds exactly when memory matters, so it
-    must not hold a second copy of everything it declined (read the
-    file back with :meth:`read`).  With no path the journal is
-    memory-only and :attr:`entries` is the record (tests, ephemeral
-    runs).
+    A service sheds exactly when memory matters, so it must not hold a
+    second copy of everything it declined.  With a path the journal
+    writes through to the file and keeps only :attr:`count` (read the
+    file back with :meth:`read`).  With no path it is memory-only:
+    :attr:`entries` keeps the newest :data:`DEAD_LETTER_TAIL` entries,
+    and :attr:`count` still counts every one.
     """
 
     def __init__(self, path: Optional[Path] = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.entries: List[dict] = []
+        self.entries: Deque[dict] = collections.deque(maxlen=DEAD_LETTER_TAIL)
         self.count = 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)

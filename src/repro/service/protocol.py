@@ -94,9 +94,7 @@ MIN_SHARDS = 1
 MAX_SHARDS = 64
 
 #: Per-shard restart budget of the pipeline ``python -m repro.service``
-#: runs, which the smoke gate and the chaos service rows replay.  It
-#: lives in this module because the fuzz package can import it without
-#: an import cycle.
+#: runs, which the chaos service and smoke rows replay.
 SERVICE_MAX_RESTARTS = 3
 
 

@@ -61,9 +61,8 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from ..fuzz.oracle import COMPARED_COUNTERS
 from ..testbed.checkpoint import CheckpointStore
-from ..testbed.pipeline import TestbedPipeline
+from ..testbed.pipeline import DETERMINISTIC_COUNTERS, TestbedPipeline
 from ..testbed.sharding import ShardRecoveryError, ShardWorkerError
 from .admission import (
     AdmissionController,
@@ -772,7 +771,7 @@ class DetectionService:
             self.pipeline.detections,
             self.pipeline.responder.notifications,
             self.pipeline.responder.actions,
-            {key: summary[key] for key in COMPARED_COUNTERS},
+            {key: summary[key] for key in DETERMINISTIC_COUNTERS},
         )
 
 

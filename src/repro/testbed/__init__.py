@@ -18,7 +18,7 @@ from .addresses import (
     ip_to_int,
     random_external_address,
 )
-from .bhr import BHRClient, BlackHoleRouter, BlockEntry, ScanRecord, generate_scan_storm
+from .bhr import BHRClient, BlackHoleRouter, BlockEntry, ScanRecord
 from .checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -131,7 +131,6 @@ __all__ = [
     "BHRClient",
     "BlockEntry",
     "ScanRecord",
-    "generate_scan_storm",
     # sharding / stages
     "BACKENDS",
     "DetectorTemplate",

@@ -17,12 +17,10 @@ recorder, and a client API with the same verbs as the real client
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
-from typing import Iterable, Optional, Sequence
+from collections import Counter
+from typing import Iterable, Optional
 
-import numpy as np
-
-from .addresses import AddressBlock, PRODUCTION_NETWORK, random_external_address
+from .addresses import AddressBlock, PRODUCTION_NETWORK
 
 
 @dataclasses.dataclass(frozen=True)
@@ -240,68 +238,9 @@ class BHRClient:
         return entries
 
 
-def generate_scan_storm(
-    router: BlackHoleRouter,
-    *,
-    total_scans: int,
-    dominant_scanner: str,
-    dominant_fraction: float = 0.8,
-    other_scanners: int = 200,
-    start_time: float = 0.0,
-    duration_seconds: float = 3600.0,
-    seed: int = 23,
-    targets: AddressBlock = PRODUCTION_NETWORK,
-) -> dict[str, int]:
-    """Populate the router with a mass-scanning hour (the Fig. 1 data source).
-
-    One dominant scanner (the paper's ``103.102.xxx.yyy`` cloud host)
-    produces ``dominant_fraction`` of the scans, sweeping the protected
-    /16; the remainder comes from a long tail of smaller scanners.
-    Returns per-source scan counts.  ``total_scans`` is configurable so
-    tests can use thousands while the Fig. 1 benchmark models the full
-    26.85 M statistically (recording a sampled subset plus exact
-    counters).
-    """
-    rng = np.random.default_rng(seed)
-    counts: dict[str, int] = defaultdict(int)
-    dominant = int(total_scans * dominant_fraction)
-    tail = total_scans - dominant
-    tail_sources = [random_external_address(rng) for _ in range(other_scanners)]
-    # Dominant scanner: sequential sweep of the /16.
-    times = np.sort(rng.uniform(start_time, start_time + duration_seconds, size=dominant))
-    for index, ts in enumerate(times):
-        destination = targets.address_at(index % targets.size)
-        router.record_scan(
-            ScanRecord(
-                timestamp=float(ts),
-                source_ip=dominant_scanner,
-                destination_ip=destination,
-                destination_port=int(rng.choice([22, 80, 443, 3389, 5432, 8080])),
-            )
-        )
-        counts[dominant_scanner] += 1
-    # Long tail of smaller scanners.
-    if tail > 0 and tail_sources:
-        sources = rng.choice(tail_sources, size=tail)
-        times = np.sort(rng.uniform(start_time, start_time + duration_seconds, size=tail))
-        for source, ts in zip(sources, times):
-            destination = targets.address_at(int(rng.integers(0, targets.size)))
-            router.record_scan(
-                ScanRecord(
-                    timestamp=float(ts),
-                    source_ip=str(source),
-                    destination_ip=destination,
-                    destination_port=int(rng.choice([22, 23, 80, 443, 445, 5432])),
-                )
-            )
-            counts[str(source)] += 1
-    return dict(counts)
-
-
 __all__ = [
     "ScanRecord",
     "BlockEntry",
     "BlackHoleRouter",
     "BHRClient",
-    "generate_scan_storm",
 ]

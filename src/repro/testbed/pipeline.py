@@ -136,6 +136,27 @@ class PipelineStats:
         return self.normalized_alerts / self.filtered_alerts
 
 
+#: The :meth:`TestbedPipeline.summary` keys a replay reproduces
+#: bit-for-bit, whatever the engine, shard count, backend or driver.
+#: The timing, recovery, reshard and ring keys are run-dependent and
+#: left out.  The drop counters move only when the service's admission
+#: control sheds, so an offline replay reports zero for both.  The
+#: ``results`` op serves exactly these.
+DETERMINISTIC_COUNTERS = (
+    "raw_records",
+    "normalized_alerts",
+    "filtered_alerts",
+    "detections",
+    "responses",
+    "notifications",
+    "blocked_sources",
+    "normalization_drop_rate",
+    "filter_reduction",
+    "dropped_raw",
+    "dropped_alerts",
+)
+
+
 class TestbedPipeline:
     """The assembled testbed: mirror -> normalise -> filter -> detect -> respond.
 
@@ -604,7 +625,9 @@ class TestbedPipeline:
         """Flat summary used by the Fig. 4 benchmark table.
 
         All values are floats except ``stage_seconds``, the per-stage
-        timing dict (stage name -> cumulative wall seconds).
+        timing dict (stage name -> cumulative wall seconds).  Only the
+        :data:`DETERMINISTIC_COUNTERS` keys are bit-identical across
+        runs.
         """
         return {
             "raw_records": float(self.stats.raw_records),
@@ -620,8 +643,7 @@ class TestbedPipeline:
             "detection_seconds": self.stats.detection_seconds,
             # The slice of detection time spent inside vectorised decode
             # kernels, summed across pools and shards; 0.0 for per-alert
-            # detectors.  Timing, so excluded from the
-            # differential oracle's compared counters.
+            # detectors.  Timing, so not deterministic.
             "detect_kernel_seconds": sum(
                 sum(pool.kernel_seconds) + pool.kernel_seconds_retired
                 for pool in self.detector_pools.values()
@@ -631,9 +653,8 @@ class TestbedPipeline:
             # admission control and operators read drop/recovery state.
             # The dropped counters move only when the service's
             # admission controller sheds before ingestion, so they are
-            # deterministic for an offline replay (zero) and compared by
-            # the differential oracle; the recovery/reshard ops counters
-            # are run-dependent and excluded.
+            # deterministic for an offline replay (zero); the
+            # recovery/reshard ops counters are run-dependent.
             "dropped_raw": float(self.stats.dropped_raw),
             "dropped_alerts": float(self.stats.dropped_alerts),
             "recovery_attempts": float(
@@ -652,8 +673,8 @@ class TestbedPipeline:
             # Shard-hop accounting: sub-batches shipped via the
             # shared-memory rings vs. batches that went over the worker
             # pipe instead (codec miss or ring full).  Run-dependent plumbing
-            # telemetry (ring occupancy varies with scheduling), so
-            # excluded from the oracle's compared counters.
+            # telemetry (ring occupancy varies with scheduling), so not
+            # deterministic.
             "shm_batches": float(
                 sum(pool.shm_batches for pool in self.detector_pools.values())
             ),
@@ -832,4 +853,4 @@ class TestbedPipeline:
         self.close()
 
 
-__all__ = ["PipelineStats", "TestbedPipeline"]
+__all__ = ["DETERMINISTIC_COUNTERS", "PipelineStats", "TestbedPipeline"]

@@ -24,7 +24,14 @@ import pytest
 from repro.core import AttackTagger, Detector
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE
-from repro.fuzz import FAULT_KINDS, SERVICE_FAULT_KINDS, ChaosComposer, ChaosOracle
+from repro.fuzz import (
+    FAULT_KINDS,
+    SERVICE_FAULT_KINDS,
+    SMOKE_KINDS,
+    ChaosComposer,
+    ChaosOracle,
+    smoke_legs,
+)
 from repro.fuzz.chaos import ROWS
 from repro.testbed import (
     ShardRecoveryError,
@@ -200,7 +207,8 @@ class TestChaosOracleGate:
     def test_every_pipeline_row_has_a_sabotage(self):
         assert {kind for kind, _, _ in SABOTAGED_ROWS} == set(FAULT_KINDS) - set(
             SERVICE_FAULT_KINDS
-        )
+        ) - set(SMOKE_KINDS)
+        assert set(ROWS) == set(FAULT_KINDS)
 
     @pytest.mark.parametrize(
         "kind, sabotage, complaint",
@@ -233,6 +241,37 @@ class TestChaosOracleGate:
             assert oracle.run(campaign, split).ok
             assert list(workdir.glob("split-*.ckpt"))
         assert not workdir.exists()
+
+
+class TestServiceSmokeRows:
+    """``python -m repro.service --smoke``: the three pinned socket rows."""
+
+    def test_the_smoke_legs_are_pinned(self):
+        legs = smoke_legs()
+        assert [(campaign.label, plan.label) for campaign, plan in legs] == [
+            ("seed0-c0", "smoke-alerts[2:process]"),
+            ("seed0-c1", f"smoke-reshard[2:process event={len(legs[1][0].events) // 2} ->3]"),
+            ("seed0-c2-raw", "smoke-raw[2:serial]"),
+        ]
+        assert tuple(plan.kind for _, plan in legs) == SMOKE_KINDS
+
+    def test_every_smoke_leg_reads_back_the_reference(self, tmp_path):
+        oracle = ChaosOracle(workdir=tmp_path)
+        for campaign, plan in smoke_legs():
+            verdict = oracle.run(campaign, [plan])
+            assert verdict.legs_run == 1
+            assert verdict.ok, [str(f) for f in verdict.failures]
+
+    def test_a_reshard_that_never_happens_fails_its_row(self, tmp_path):
+        campaign, plan = smoke_legs()[1]
+        never = dataclasses.replace(plan, fault_event=len(campaign.events))
+        verdict = ChaosOracle(workdir=tmp_path).run(campaign, [never])
+        assert {str(f) for f in verdict.failures} == {
+            "[smoke-reshard[2:process event=%d ->3]] 0 ReshardEvent(s) recorded, "
+            "expected one" % len(campaign.events),
+            "[smoke-reshard[2:process event=%d ->3]] service reports n_shards=2, "
+            "resharded to 3" % len(campaign.events),
+        }
 
 
 class TestSupervisedHealing:

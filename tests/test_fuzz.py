@@ -28,6 +28,7 @@ from repro.fuzz import (
     REFERENCE_CONFIG,
     alerts_to_zeek_records,
     build_pipeline,
+    divergences,
     drive,
     full_matrix,
     quick_matrix,
@@ -116,7 +117,7 @@ class TestDifferentialOracle:
         assert verdict.ok, "\n".join(str(d) for d in verdict.divergences)
         assert verdict.configs_run >= 5
         assert verdict.reference is not None
-        assert verdict.reference.counters["filtered_alerts"] > 0
+        assert verdict.reference.surface["counters"]["filtered_alerts"] > 0
 
     def test_matrix_shapes(self):
         # The reference, plus engines (2) x shard counts (3) x backends
@@ -226,34 +227,37 @@ class TestDifferentialOracle:
         fields = {d.field for d in verdict.divergences}
         assert "detections" in fields or "counter:detections" in fields
 
-    def test_attribute_corruption_is_flagged(self):
-        """Alert equality skips ``attributes``; the oracle must not.
+    @pytest.mark.parametrize(
+        "field, trigger",
+        [
+            ("detections", lambda d: d["trigger"]),
+            ("detection_log", lambda entry: entry[1]["trigger"]),
+            ("notifications", lambda n: n["detection"]["trigger"]),
+        ],
+    )
+    def test_attribute_corruption_is_flagged(self, field, trigger):
+        """Alert equality skips ``attributes``; the comparer must not.
 
-        A columnar wire-format bug that corrupted trigger metadata
-        would be invisible to ``==`` on Detection/Alert -- the compare
-        step checks the attribute dicts explicitly (raw-driver configs
-        excepted: their attributes come from the normaliser).
+        A columnar wire-format bug that corrupted trigger metadata in
+        any one serialised detection -- the primary list, the
+        cross-detector log, or an operator notification -- must diverge
+        (raw-driver configs excepted: their attributes come from the
+        normaliser).
         """
         campaign = CampaignComposer(2, target_alerts=150).compose(1)
-        config = OracleConfig("streaming", 2, "serial", "sync")
+        config = OracleConfig("streaming", 2, "serial", "alert_stream")
         oracle = DifferentialOracle([config])
         reference = oracle.replay(campaign, oracle.reference)
-        assert reference.detections, "need at least one detection"
+        assert reference.surface[field], f"need at least one entry in {field}"
         corrupted = oracle.replay(campaign, config)
-        corrupted.detections[0] = dataclasses.replace(
-            corrupted.detections[0],
-            trigger=dataclasses.replace(
-                corrupted.detections[0].trigger,
-                attributes={"corrupted": True},
-            ),
-        )
-        divergences = DifferentialOracle._compare(reference, corrupted)
-        assert any(
-            "attributes" in d.detail for d in divergences
-        ), "attribute corruption must surface as a divergence"
-        raw_config = OracleConfig("streaming", 2, "serial", "raw_stream")
-        corrupted.config = raw_config
-        assert DifferentialOracle._compare(reference, corrupted) == []
+        assert divergences(reference, corrupted) == []
+        trigger(corrupted.surface[field][0])["attributes"] = {"corrupted": True}
+        found = divergences(reference, corrupted)
+        assert [d.field for d in found] == [field]
+        assert "first mismatch at index 0" in found[0].detail
+        assert "corrupted" in found[0].detail
+        corrupted.config = OracleConfig("streaming", 2, "serial", "raw_stream")
+        assert divergences(reference, corrupted) == []
 
     def test_controls_replay_through_every_driver(self):
         """A campaign that is nothing but controls must still replay."""

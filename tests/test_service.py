@@ -60,7 +60,16 @@ from repro.testbed import (
     read_checkpoint,
 )
 from repro.fuzz.campaign import CampaignComposer
-from repro.fuzz.oracle import COMPARED_COUNTERS
+from repro.fuzz.oracle import (
+    COMPARED_COUNTERS,
+    REFERENCE_CONFIG,
+    DifferentialOracle,
+    OracleConfig,
+    ReplayResult,
+    build_pipeline,
+    divergences,
+    drive,
+)
 from repro.service import (
     AdmissionController,
     AdmissionLimits,
@@ -84,18 +93,18 @@ from repro.service import (
     start_service_in_thread,
 )
 from repro.service.admission import (
+    DEAD_LETTER_TAIL,
     MAX_RETRIES,
     RETRY_AFTER,
     SHED_LOW_FRACTION,
     SHED_RAW_FRACTION,
     retry_delay,
 )
-from repro.service.protocol import MAX_LINE_BYTES, MAX_SHARDS, MIN_SHARDS
-from repro.service.smoke import (
-    build_service_pipeline,
-    compare_results,
-    reference_results,
-    stream_campaign,
+from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    MAX_SHARDS,
+    MIN_SHARDS,
+    SERVICE_MAX_RESTARTS,
 )
 
 BENIGN_NAMES = sorted(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
@@ -323,12 +332,31 @@ class TestAdmission:
         journal = DeadLetterJournal(path)
         for index in range(5):
             journal.record("shed-raw", "raw", {"index": index})
-        assert journal.entries == [] and journal.count == 5
+        assert list(journal.entries) == [] and journal.count == 5
         assert [e["payload"]["index"] for e in DeadLetterJournal.read(path)] == list(range(5))
-        # Memory-only journals (no path) keep their entries, as before.
+        # Memory-only journals (no path) keep their newest entries.
         ephemeral = DeadLetterJournal()
         ephemeral.record("shed-raw", "raw", {"index": 0})
         assert ephemeral.count == 1 and len(ephemeral.entries) == 1
+
+    def test_a_memory_only_journal_keeps_only_the_newest_tail(self):
+        """The default service journals in memory: shedding past the
+        tail must not grow it, and ``count`` still counts every record."""
+        journal = DeadLetterJournal()
+        controller = AdmissionController(ledger=PipelineStats(), dead_letter=journal)
+        controller.forced_mode = "shed-raw"
+        total = DEAD_LETTER_TAIL + 37
+        records = [
+            RawLogRecord(float(i), MonitorKind.SYSLOG, "h", f"m{i}") for i in range(total)
+        ]
+        for start in range(0, total, 100):
+            outcome = controller.admit_raw(records[start:start + 100], 0, 0)
+            assert outcome.tier == "shed-raw" and outcome.admitted == ()
+        assert journal.count == total
+        assert len(journal.entries) == DEAD_LETTER_TAIL
+        assert [e["payload"]["message"] for e in journal.entries] == [
+            f"m{i}" for i in range(total - DEAD_LETTER_TAIL, total)
+        ]
 
     def test_shed_raw_drops_whole_batch(self):
         ledger = PipelineStats()
@@ -399,10 +427,31 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 # Socket end-to-end (in-process server, real TCP)
 # ----------------------------------------------------------------------
-def _serial_factory(campaign, n_shards=1, engine="streaming"):
-    return lambda: build_service_pipeline(
-        campaign, engine=engine, n_shards=n_shards, backend="serial"
+def _service_pipeline(campaign, n_shards=1, backend="serial", engine="streaming"):
+    """The campaign-shaped pipeline under the service's restart budget."""
+    return build_pipeline(
+        campaign,
+        OracleConfig(engine=engine, n_shards=n_shards, backend=backend),
+        max_restarts=SERVICE_MAX_RESTARTS,
     )
+
+
+def _serial_factory(campaign, n_shards=1, engine="streaming"):
+    return lambda: _service_pipeline(campaign, n_shards, engine=engine)
+
+
+def _stream(client, campaign, hook=None) -> dict:
+    """Drive the campaign through ``client``, drain, read ``results``."""
+    drive(campaign, client, hook=hook)
+    client.drain()
+    return client.results()
+
+
+def _divergences(campaign, got: dict) -> list[str]:
+    """How a ``results`` reply differs from the offline reference replay."""
+    reference = DifferentialOracle([]).replay(campaign, REFERENCE_CONFIG)
+    reference.surface = json.loads(json.dumps(reference.surface))
+    return [str(d) for d in divergences(reference, ReplayResult(OracleConfig(), got))]
 
 
 def _record_filtered(pipeline: TestbedPipeline, sink: list) -> None:
@@ -420,14 +469,13 @@ def _record_filtered(pipeline: TestbedPipeline, sink: list) -> None:
 class TestServiceSocket:
     def test_streamed_campaign_is_bit_identical(self):
         campaign = CampaignComposer(1, target_alerts=80).compose(0)
-        expected = reference_results(campaign)
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
         with handle, handle.client() as client:
             hello = client.hello()
             assert hello["server"] == "repro-detection-service"
-            got = stream_campaign(client, campaign)
+            got = _stream(client, campaign)
             stats = client.stats()
-        assert compare_results(expected, got) == []
+        assert _divergences(campaign, got) == []
         assert stats["batches_processed"] > 0
         assert stats["latency"]["e2e"]["count"] == stats["batches_processed"]
         assert set(stats["latency"]["stages"]) >= {"detect", "respond"}
@@ -436,19 +484,18 @@ class TestServiceSocket:
 
     def test_live_reshard_over_socket_is_bit_identical(self):
         campaign = CampaignComposer(1, target_alerts=80).compose(1)
-        expected = reference_results(campaign)
         handle = start_service_in_thread(
             _serial_factory(campaign, n_shards=2), ServiceConfig()
         )
+
+        def reshard_halfway(point, index):
+            if (point, index) == ("event", len(campaign.events) // 2):
+                client.reshard(3)
+
         with handle, handle.client() as client:
-            got = stream_campaign(
-                client,
-                campaign,
-                reshard_to=3,
-                reshard_at=len(campaign.events) // 2,
-            )
+            got = _stream(client, campaign, reshard_halfway)
             stats = client.stats()
-        assert compare_results(expected, got) == []
+        assert _divergences(campaign, got) == []
         assert stats["n_shards"] == 3
         assert stats["pipeline"]["reshard_events"] == 1.0
         [event] = stats["reshards"]
@@ -462,7 +509,7 @@ class TestServiceSocket:
         campaign = CampaignComposer(1, target_alerts=80).compose(0)
         handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
         with handle, handle.client() as client:
-            got = stream_campaign(client, campaign)
+            got = _stream(client, campaign)
             reply = client.detections()
             total = reply["total"]
             assert reply["detections"] == got["detections"]
@@ -502,13 +549,11 @@ class TestServiceSocket:
         # never report closed).
         campaign = CampaignComposer(1, target_alerts=40).compose(0)
         handle = start_service_in_thread(
-            lambda: build_service_pipeline(
-                campaign, engine="streaming", n_shards=2, backend="process"
-            ),
+            lambda: _service_pipeline(campaign, n_shards=2, backend="process"),
             ServiceConfig(),
         )
         with handle, handle.client() as client:
-            got = stream_campaign(client, campaign)
+            got = _stream(client, campaign)
         assert got["counters"]["detections"] > 0
         assert handle.error is None
         assert all(
@@ -557,7 +602,7 @@ class TestServiceSocket:
             stats = client.stats()
         assert stats["dead_letter_records"] == 4
         assert stats["pipeline"]["dropped_raw"] == 4.0
-        assert handle.service.dead_letter.entries == []
+        assert list(handle.service.dead_letter.entries) == []
         assert len(DeadLetterJournal.read(dead_letter)) == 4
 
     def test_reject_mode_raises_typed_overload(self):
@@ -625,16 +670,12 @@ class TestServiceSocket:
             path = Path(reply["path"])
             assert path.exists() and path.parent == tmp_path
         # Resume offline from the socket-produced checkpoint.
-        with build_service_pipeline(
-            campaign, engine="streaming", n_shards=2, backend="serial"
-        ) as resumed:
+        with _service_pipeline(campaign, n_shards=2) as resumed:
             resumed.restore(path)
             for event in batches[cut:]:
                 resumed.ingest_alerts(event.alerts)
             got = [d for _, d in resumed.detections]
-        with build_service_pipeline(
-            campaign, engine="streaming", n_shards=2, backend="serial"
-        ) as reference:
+        with _service_pipeline(campaign, n_shards=2) as reference:
             for event in batches:
                 reference.ingest_alerts(event.alerts)
             expected = [d for _, d in reference.detections]
@@ -649,7 +690,7 @@ class TestServiceSocket:
         cut = max(1, len(batches) // 2)
 
         def process_pipeline():
-            return build_service_pipeline(campaign, n_shards=2, backend="process")
+            return _service_pipeline(campaign, n_shards=2, backend="process")
 
         def kill_idle_worker(shard):
             victim = handle.pipeline.detector_pools["factor_graph"]._workers[shard]
@@ -677,7 +718,7 @@ class TestServiceSocket:
             for event in batches[cut:]:
                 resumed.ingest_alerts(event.alerts)
             got = (list(resumed.detections), resumed.summary())
-        with build_service_pipeline(campaign, n_shards=1, backend="serial") as reference:
+        with _service_pipeline(campaign) as reference:
             for event in batches:
                 reference.ingest_alerts(event.alerts)
             expected = (list(reference.detections), reference.summary())
@@ -816,7 +857,7 @@ class TestServiceSocket:
         assert stats["pipeline"]["raw_records"] == 3
         assert stats["pipeline"]["normalized_alerts"] == 2
         assert stats["failed_batches"] == 0 and stats["dead_letter_records"] == 0
-        assert handle.service.dead_letter.entries == []
+        assert list(handle.service.dead_letter.entries) == []
 
     def test_an_unknown_alert_name_with_a_source_does_not_cost_its_batch(self):
         # Regression: the scan filter looked up the stage of every alert
@@ -944,6 +985,27 @@ class TestServiceCli:
         assert proc.returncode == 2
         assert f"invalid choice: '{engine}'" in proc.stderr
         assert "'streaming', 'naive'" in proc.stderr
+
+    def test_the_service_does_not_import_its_proof(self):
+        """The product runs without the fuzz and attack packages: only
+        ``--smoke`` reaches the chaos table, through a local import."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.service.__main__;"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('repro.fuzz', 'repro.attacks'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

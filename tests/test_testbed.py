@@ -33,10 +33,10 @@ from repro.testbed import (
     VulnerabilityReproductionTool,
     WebApplicationService,
     build_default_topology,
-    generate_scan_storm,
     int_to_ip,
     ip_to_int,
 )
+from repro.attacks import MassScanEmulator, ScannerProfile
 from repro.testbed.isolation import EgressPolicy
 
 
@@ -254,11 +254,21 @@ class TestBHR:
 
     def test_scan_storm_counts(self):
         router = BlackHoleRouter()
-        counts = generate_scan_storm(router, total_scans=2000, dominant_scanner="103.102.1.1",
-                                     dominant_fraction=0.8, seed=1)
+        profiles = [ScannerProfile("103.102.1.1", 1600)] + [
+            ScannerProfile(f"198.51.100.{i}", 2, sweep=False) for i in range(200)
+        ]
+        assert MassScanEmulator(seed=1).feed_router(router, profiles) == 2000
         assert router.scan_count() == 2000
-        assert counts["103.102.1.1"] == 1600
+        assert router.scan_counter["103.102.1.1"] == 1600
         assert router.top_scanners(1)[0][0] == "103.102.1.1"
+
+
+def _scan_storm(router: BlackHoleRouter) -> None:
+    """A 3 000-scan hour whose dominant source (2 400 scans) is 103.102.1.1."""
+    emulator = MassScanEmulator(seed=2)
+    emulator.feed_router(
+        router, emulator.default_profiles(total_scans=3000, dominant_ip="103.102.1.1")
+    )
 
 
 class TestResponderAndPipeline:
@@ -341,7 +351,7 @@ class TestResponderAndPipeline:
 
     def test_pipeline_block_top_scanners(self):
         router = BlackHoleRouter()
-        generate_scan_storm(router, total_scans=3000, dominant_scanner="103.102.1.1", seed=2)
+        _scan_storm(router)
         pipeline = TestbedPipeline(router=router)
         blocked = pipeline.block_top_scanners(now=3600.0, min_scans=1000)
         assert blocked >= 1
@@ -406,7 +416,7 @@ class TestResponderAndPipeline:
 
     def test_block_top_scanners_is_incremental(self):
         router = BlackHoleRouter()
-        generate_scan_storm(router, total_scans=3000, dominant_scanner="103.102.1.1", seed=2)
+        _scan_storm(router)
         pipeline = TestbedPipeline(router=router)
         assert pipeline.block_top_scanners(now=3600.0, min_scans=1000) == 1
         # No new scans: nothing to revisit (the crossed set drained).
@@ -421,7 +431,7 @@ class TestResponderAndPipeline:
 
     def test_block_top_scanners_requeues_still_blocked_sources(self):
         router = BlackHoleRouter()
-        generate_scan_storm(router, total_scans=3000, dominant_scanner="103.102.1.1", seed=2)
+        _scan_storm(router)
         pipeline = TestbedPipeline(router=router)
         assert pipeline.block_top_scanners(now=3600.0, min_scans=1000) == 1
         # The scanner keeps scanning *while blocked*, then goes quiet.
@@ -436,8 +446,12 @@ class TestResponderAndPipeline:
 
     def test_block_top_scanners_with_lower_threshold_registers_new_watch(self):
         router = BlackHoleRouter()
-        generate_scan_storm(router, total_scans=3000, dominant_scanner="103.102.1.1",
-                            dominant_fraction=0.5, other_scanners=3, seed=3)
+        # An even split: 1 500 scans from the dominant source, 500 from
+        # each of three others.
+        profiles = [ScannerProfile("103.102.1.1", 1500)] + [
+            ScannerProfile(f"198.51.100.{i}", 500, sweep=False) for i in range(3)
+        ]
+        MassScanEmulator(seed=3).feed_router(router, profiles)
         pipeline = TestbedPipeline(router=router)
         assert pipeline.block_top_scanners(now=3600.0, min_scans=1400) == 1
         # A lower threshold walks the counter once and catches the tail.

@@ -24,7 +24,7 @@ from repro.analysis import (
 from repro.attacks import MassScanEmulator
 from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE, IncidentGenerator
-from repro.testbed import BlackHoleRouter, generate_scan_storm
+from repro.testbed import BlackHoleRouter
 from repro.viz import (
     ConnectionGraphBuilder,
     GraphAnnotator,
@@ -119,7 +119,10 @@ class TestAnnotationAndExport:
     def test_annotator_cross_examines_router_and_detections(self, small_graph):
         builder, scanner = small_graph
         router = BlackHoleRouter()
-        generate_scan_storm(router, total_scans=8_000, dominant_scanner=scanner, seed=8)
+        emulator = MassScanEmulator(seed=8)
+        emulator.feed_router(
+            router, emulator.default_profiles(total_scans=8_000, dominant_ip=scanner)
+        )
         summary = GraphAnnotator(builder).annotate(
             router=router, known_attacker_ips=["132.17.9.3"]
         )
