@@ -26,7 +26,9 @@ The ``steady`` rows are the steady state of a long-lived population:
 (operational noise only; flip phases spread evenly, so a batch of N
 entities holds about N / W flips), through per-alert ``observe()`` --
 the N = 1 scalar path -- and through ``observe_batch`` at batch sizes
-32 and 256: one alert per entity per batch, the depth-1 shape.
+32 and 256: one alert per entity per batch, the depth-1 shape.  The
+steady row also records the window arena rows its windowed entities
+hold, in bytes per entity, read off the tagger's arena (a count too).
 
 The ``deep`` row is the opposite shape, that of the ``sharded_replay``
 end-to-end workload: ``observe_batch`` on 2 048-alert sub-batches over
@@ -43,7 +45,8 @@ CI runs the quick regression gate, which re-measures the streaming
 rate on a short stream, both churn rates, the three steady rates and
 the deep rate, and fails if any regressed more than 2x against the
 committed baseline, or if the churn row's fill bytes per entity (fill
-pages and slot tables) grew more than 1.25x::
+pages and slot tables) or the steady row's window bytes per entity
+(arena rows) grew more than 1.25x::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -141,6 +144,16 @@ def fill_bytes_per_entity(tagger: AttackTagger) -> float:
     return float(fill.live * fill.page_bytes + slots.live * slots.slot_bytes) / filling
 
 
+def window_bytes_per_entity(tagger: AttackTagger) -> float:
+    """Bytes held per live windowed entity, read off the arena: its rows
+    (ring cells and span; 0.0 when no entity is windowed)."""
+    arena = tagger._arena
+    windowed = sum(arena.slots.row[track.slot] >= 0 for track in tagger._tracks.values())
+    if not windowed:
+        return 0.0
+    return float(arena.live * arena.row_bytes) / windowed
+
+
 def measure_churn_rates(entities: int) -> dict[str, float]:
     """Churn alerts/sec through per-alert ``observe`` and through
     ``observe_batch``, and the latter's :func:`fill_bytes_per_entity`."""
@@ -177,7 +190,8 @@ STEADY_NAMES = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
 
 
 def measure_steady_rates(rounds: int, *, seed: int = 7) -> dict[str, float]:
-    """Sliding-window alerts/sec over ``rounds`` round-robin passes of the population.
+    """Sliding-window alerts/sec over ``rounds`` round-robin passes of the
+    population, and the last run's :func:`window_bytes_per_entity`.
 
     Entity ``e`` is warmed (untimed) with ``W + e % W`` alerts, so every
     window slides from the first timed alert on and the two-stack flips
@@ -209,6 +223,7 @@ def measure_steady_rates(rounds: int, *, seed: int = 7) -> dict[str, float]:
         elapsed = time.perf_counter() - started
         assert not fired, "benchmark stream must stay undetected"
         rates["observe" if size is None else f"observe_batch_{size}"] = len(stream) / elapsed
+    rates["window_bytes_per_entity"] = window_bytes_per_entity(tagger)
     return rates
 
 
@@ -397,8 +412,9 @@ QUICK_STEADY_ROUNDS = 8
 QUICK_DEEP_BATCHES = 2
 
 
-#: How far the churn row's fill bytes per entity may exceed the committed figure.
-FILL_BYTES_FACTOR = 1.25
+#: How far the churn row's fill bytes and the steady row's window bytes
+#: per entity may exceed the committed figures.
+BYTES_FACTOR = 1.25
 
 
 def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
@@ -413,9 +429,10 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     the streaming engine (which leaves the naive path untouched) does.
     The two churn rows, the three steady rows and the deep row are
     gated by the same rule.  The churn row's fill bytes per live
-    entity (fill pages plus slot tables) is a count, not a rate: it
-    needs no hardware factor and may not exceed the committed figure
-    by more than ``FILL_BYTES_FACTOR``.
+    entity (fill pages plus slot tables) and the steady row's window
+    bytes per live entity (arena rows) are counts, not rates: they
+    need no hardware factor and may not exceed the committed figures
+    by more than ``BYTES_FACTOR``.
     """
     if not baseline_path.exists():
         print(f"FAIL: no committed baseline at {baseline_path}; "
@@ -435,6 +452,7 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         for path in ("observe", "observe_batch")
     ]
     steady = measure_steady_rates(QUICK_STEADY_ROUNDS)
+    window_bytes = steady.pop("window_bytes_per_entity")
     rows += [
         (f"steady {path}", float(baseline["steady"][path]), rate)
         for path, rate in steady.items()
@@ -450,19 +468,25 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         failed |= not ok
         print(f"{label:<24} committed {committed:>8.0f}  quick {measured:>8.0f}  "
               f"floor ({factor}x, scaled) {floor:>8.0f} alerts/s  {'ok' if ok else 'FAIL'}")
-    committed_bytes = float(baseline["churn"]["fill_bytes_per_entity"])
-    ceiling = committed_bytes * FILL_BYTES_FACTOR
-    measured_bytes = churn["fill_bytes_per_entity"]
-    bytes_ok = measured_bytes <= ceiling
-    print(f"{'churn fill bytes/entity':<24} committed {committed_bytes:>8.0f}  quick "
-          f"{measured_bytes:>8.0f}  ceiling ({FILL_BYTES_FACTOR}x) {ceiling:>8.0f} B  "
-          f"{'ok' if bytes_ok else 'FAIL'}")
+    counts = [
+        ("churn fill bytes/entity", float(baseline["churn"]["fill_bytes_per_entity"]),
+         churn["fill_bytes_per_entity"]),
+        ("steady window bytes/ent", float(baseline["steady"]["window_bytes_per_entity"]),
+         window_bytes),
+    ]  # fmt: skip
+    bytes_ok = True
+    for label, committed, measured in counts:
+        ceiling = committed * BYTES_FACTOR
+        ok = measured <= ceiling
+        bytes_ok &= ok
+        print(f"{label:<24} committed {committed:>8.0f}  quick {measured:>8.0f}  "
+              f"ceiling ({BYTES_FACTOR}x) {ceiling:>8.0f} B  {'ok' if ok else 'FAIL'}")
     if failed:
         print(f"FAIL: throughput regressed more than {factor}x vs the "
               "hardware-scaled committed baseline")
         return 1
     if not bytes_ok:
-        print(f"FAIL: fill storage per churn entity grew more than {FILL_BYTES_FACTOR}x")
+        print(f"FAIL: storage per entity grew more than {BYTES_FACTOR}x")
         return 1
     print("OK")
     return 0

@@ -4,11 +4,11 @@
 (``observe_batch_indexed``, and ``observe_batch`` over it) through
 this kernel.  The per-alert path advances one entity by one alert at a
 time: every K×K ``transition ⊗ unary`` step-matrix composition, every
-Viterbi/(max, +) and forward/(logsumexp, +) head advance, and every
-guard-banded ``may_fire`` pre-filter is its own small-matrix numpy
-call, so a sub-batch pays the interpreter/dispatch overhead once per
-alert for arithmetic that is identical in shape across entities *and*
-across one entity's consecutive alerts.  :class:`BatchedDecodeKernel`
+Viterbi/(max, +) head advance, and every guard-banded ``may_fire``
+pre-filter is its own small-matrix numpy call, so a sub-batch pays the
+interpreter/dispatch overhead once per alert for arithmetic that is
+identical in shape across entities *and* across one entity's
+consecutive alerts.  :class:`BatchedDecodeKernel`
 executes that arithmetic as stacked tensor operations, on the same
 state the per-alert path uses.
 
@@ -50,17 +50,15 @@ steps at depths ``0 .. D - 1``.  It ends at the first of four cuts:
 A pass sorts its chunks deepest first, so the rows still active at
 depth ``d`` are a prefix, and lays every per-cell array out
 depth-major.  Only the back-prefix push is sequential in depth: one
-stacked ``(max, +)`` / ``(logsumexp, +)`` product pair over the rows
-active at that depth, so every aggregate is the per-alert loop's bit
-for bit.  Everything else happens once per pass:
+stacked ``(max, +)`` product over the rows active at that depth, so
+every aggregate is the per-alert loop's bit for bit.  Everything else
+happens once per pass:
 
 * the unary rows are one lookup of the cells' symbol indices in the
   arena's observation table (``WindowArena.observations``, which grows
   by one row per newly interned name and is never rebuilt);
-* the ``may_fire`` pre-filter runs its two guard-banded stages over
-  every ``(row, depth)`` cell: the ``(max, +)`` score for all of them,
-  the ``(logsumexp, +)`` forward message only for the cells the score
-  test lets through;
+* the first ``may_fire`` stage, the guard-banded ``(max, +)`` window
+  score, over every ``(row, depth)`` cell;
 * the writes: symbols, unary rows, aggregates, head priors,
   ``start`` / ``end``;
 * the due flips, grouped by back length (``WindowArena.flip_together``).
@@ -71,11 +69,15 @@ depth still reads that slot (as its head or its front top).  So the
 prefixes and the pre-filter are computed in scratch before anything is
 written.  Each row is then committed *in depth order* up to its first
 candidate cell -- the arena row is then exactly its state after that
-alert -- decided exactly by ``AttackTagger._finalize_decision`` and,
-unless it fired, committed on to its next candidate or the end of its
-chunk.  Nothing in a chunk comes after its last step (where its flip,
-if any, runs), so that cell is pre-filtered from the committed row, the
-way a pass of depth-1 chunks decides all its rows.
+alert -- and, unless it fired, committed on to its next candidate or
+the end of its chunk.  Nothing in a chunk comes after its last step
+(where its flip, if any, runs), so that cell is score-tested from the
+committed row, the way a pass of depth-1 chunks tests all its rows.  A
+candidate is rare, so only then, on the committed rows of one commit
+together, does the second ``may_fire`` stage fold the forward message
+(``streaming.forward_stage``: a tree of ``(logsumexp, +)`` products
+over each row's unary ring); the rows it cannot rule out are decided
+exactly by ``AttackTagger._finalize_decision``.
 
 Rows that are not plain (a cursor advances, a bonus relocates, an
 eviction rescans, or the window is only now opening) take the
@@ -105,10 +107,10 @@ bit-for-bit (elementwise adds/exp/log are elementwise; max/argmax are
 order-independent; a K = 3 reduce over a leading axis sums left to
 right, as the scalar ops do), so a sub-batch leaves every row exactly as
 a per-alert ``observe`` loop over the same alerts would -- unary rings,
-aggregates, spans.  And no emitted number reads an aggregate: a cell
-the pre-filter cannot rule out is decided, and its detection
-materialised, by the exact sequential decode of its unary ring, the
-very float operations of ``engine="naive"``.  The differential oracle
+aggregates, spans.  And no emitted number reads an aggregate or a
+forward tree: a cell the pre-filter cannot rule out is decided, and its
+detection materialised, by the exact sequential decode of its unary
+ring, the very float operations of ``engine="naive"``.  The differential oracle
 replays the full engine × shards × backend × driver matrix against
 ``naive`` to prove it.
 
@@ -128,10 +130,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .factor_graph import _logsumexp, logsumexp_vecmat_batch, maxplus_vecmat_batch
+from .factor_graph import _logsumexp, maxplus_vecmat_batch
 from .sliding_window import FillPages, WindowArena
 from .states import NUM_STATES
-from .streaming import _ARANGE_K, _DECISION_GUARD, _GUARD_SLACK, _MALICIOUS
+from .streaming import _ARANGE_K, _MALICIOUS, _guard, forward_stage
 
 if TYPE_CHECKING:
     from .alerts import Alert
@@ -144,81 +146,52 @@ _K = NUM_STATES
 # instead (the one-row view, on the same arena): each stacked path pays
 # its own fixed cost.
 # Measured at W = 32 on a 2-vCPU Xeon, as one-pass sub-batches (the
-# interning included): stacked, ~170 us (filling) to ~215 us (windowed),
-# nearly flat in rows, plus ~20-40 us a further depth; per alert, ~120 us
-# plus ~65 us a step.  Stacking wins from 3 one-step rows and from about
-# 5 steps of one row, and 4 splits the difference.
+# interning included; lower quartiles): stacked, ~85 us (filling) to
+# ~115 us (windowed), nearly flat in rows, plus ~25 us (filling) or ~10
+# us (windowed; ~60 us for the second) a further depth; per alert, ~30 us
+# plus ~27 us a step.  Stacking wins from 3 (filling) or 4 (windowed)
+# one-step rows and from about 6 steps of one row, and 4 splits the
+# difference.
 _MIN_BATCH = 4
 
 #: ``(sub-batch position, detection)``.
 Hit = Tuple[int, "Detection"]
 
-#: One fold of the pre-filter: ``(held, agg_max, agg_lse)``, the cells
-#: it applies to (``(N,)``, or ``None`` for all) and two ``(K, K, N)``
-#: stacks of the aggregates folded in.
-Part = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
+#: One fold of the pre-filter: ``(held, agg_max)``, the cells it
+#: applies to (``(N,)``, or ``None`` for all) and the ``(K, K, N)``
+#: stack of the aggregates folded in.
+Part = Tuple[Optional[np.ndarray], np.ndarray]
 
 
-def _push(
-    previous: np.ndarray,
-    matrices: np.ndarray,
-    out: np.ndarray,
-    stacked: np.ndarray,
-    summed: np.ndarray,
-) -> None:
-    """Both semirings' stacked products ``previous[s] ⊗ matrices`` into ``out[s]``.
+def _push(previous: np.ndarray, matrices: np.ndarray, out: np.ndarray, stacked: np.ndarray) -> None:
+    """Stacked ``(max, +)`` products ``previous ⊗ matrices`` into ``out``.
 
-    ``out`` is ``(2, K, K, N)``, the ``(max, +)`` prefixes at ``[0]``
-    and the ``(logsumexp, +)`` ones at ``[1]``; ``previous`` is
-    ``(2, K, K, 1, N)`` and ``matrices`` ``(1, 1, K, K, N)``, both
-    already broadcast to the ``(2, K, K, K, N)`` scratch ``stacked``;
-    ``summed`` is ``(K, K, N)`` scratch.  The float ops are exactly those
-    of ``maxplus_matmul_batch`` and ``logsumexp_matmul_batch``, whose
-    max-shift is the same reduce, so a depth costs seven ufunc calls
-    instead of nine.  The caller holds
-    ``np.errstate(invalid="ignore", divide="ignore")``.
+    ``out`` is ``(K, K, N)``; ``previous`` is ``(K, K, 1, N)`` and
+    ``matrices`` ``(1, K, K, N)``, both broadcast to the ``(K, K, K,
+    N)`` scratch ``stacked``: an add and a ``max`` reduce, the float ops
+    of ``maxplus_matmul_batch`` without its allocations.
     """
     np.add(previous, matrices, out=stacked)
-    np.maximum.reduce(stacked, axis=2, out=out)
-    shift, lse = out[1], stacked[1]
-    np.subtract(lse, shift[:, None], out=lse)
-    np.exp(lse, out=lse)
-    np.add.reduce(lse, axis=1, out=summed)
-    np.log(summed, out=summed)
-    np.add(shift, summed, out=shift)
+    np.maximum.reduce(stacked, axis=1, out=out)
 
 
-def _candidates(
-    heads: np.ndarray, lengths: np.ndarray, parts: Sequence[Part], threshold: float
-) -> np.ndarray:
-    """The cells the guard-banded ``may_fire`` pre-filter cannot rule out.
+def _candidates(heads: np.ndarray, lengths: np.ndarray, parts: Sequence[Part]) -> np.ndarray:
+    """The cells the guard-banded ``(max, +)`` stage of ``may_fire`` cannot rule out.
 
     ``heads`` is ``(K, N)``; each part folds its aggregates in where it
-    is held (the front-top suffix, then the newest back prefix).  Same
-    two stages, in the same order, as ``StreamingDecoder.may_fire``:
-    the ``(max, +)`` window score for every cell, and the
-    ``(logsumexp, +)`` forward message only for the cells whose
-    malicious score is within the guard band of the best state.  Ruling
-    a cell out is authoritative exactly as in the scalar path;
-    candidates consult the exact window decode.
+    is held (the front-top suffix, then the newest back prefix).  A
+    cell is ruled out, authoritatively as in the scalar path, when its
+    malicious score falls short of the best state's by more than the
+    guard band; the others go on to the forward stage
+    (``streaming.forward_stage``) once committed.
     """
     score = heads
-    for held, agg_max, _ in parts:
+    for held, agg_max in parts:
         scored = maxplus_vecmat_batch(score, agg_max)
         score = scored if held is None else np.where(held, scored, score)
     # Elementwise identical to may_fire().
-    magnitude = np.maximum.reduce(np.abs(score), axis=0)
-    guard = np.maximum(_DECISION_GUARD, (_GUARD_SLACK * lengths.astype(np.float64)) * magnitude)
-    cannot_fire = score[_MALICIOUS] < np.maximum.reduce(score, axis=0) - guard
-    survivors = np.flatnonzero(~cannot_fire)
-    if not survivors.size:
-        return survivors
-    forward = heads[:, survivors]
-    for held, _, agg_lse in parts:
-        carried = logsumexp_vecmat_batch(forward, agg_lse[:, :, survivors])
-        forward = carried if held is None else np.where(held[survivors], carried, forward)
-    probability = np.exp(forward[_MALICIOUS] - _logsumexp(forward, axis=0))
-    return survivors[np.isnan(probability) | (probability >= threshold - guard[survivors])]
+    cannot_fire = score[_MALICIOUS] < np.maximum.reduce(score, axis=0) - _guard(lengths, score)
+    return np.flatnonzero(~cannot_fire)
 
 
 def _active(depth: np.ndarray) -> List[int]:
@@ -681,8 +654,10 @@ class BatchedDecodeKernel:
         """Advance every chunk of a pass through its depths.
 
         Scratch first (:class:`_ChunkPass`); then every chunk is
-        committed up to its next candidate cell and decided there
-        exactly, until it fires or runs out of depths.
+        committed up to its next candidate cell, forward-tested there
+        (one ``forward_stage`` per commit, over the rows it stopped) and,
+        if that cannot rule it out, decided exactly, until it fires or
+        runs out of depths.
         """
         tagger = self._tagger
         arena = tagger._arena
@@ -697,7 +672,7 @@ class BatchedDecodeKernel:
         scratch = _ChunkPass(arena, rows, depth, active, batch.symbols, head)
         # Each chunk's candidate depths, ascending (cells are depth-major).
         waiting: Dict[int, List[int]] = {}
-        for cell in scratch.candidates(threshold).tolist():
+        for cell in scratch.candidates().tolist():
             waiting.setdefault(int(scratch.col[cell]), []).append(int(scratch.level[cell]))
         done = np.zeros(runs.size, dtype=np.int64)
         target = depth  # where each chunk's commits end: its depth, or where it fired
@@ -714,9 +689,12 @@ class BatchedDecodeKernel:
                         del waiting[i]
             ended = scratch.commit(done, stop, whole)
             if ended.size:
-                # A chunk's last step is pre-filtered from the committed row.
-                found = _row_candidates(arena, rows[ended], scratch.last_heads(ended), threshold)
+                # A chunk's last step is score-tested from the committed row.
+                found = _row_candidates(arena, rows[ended], scratch.last_heads(ended))
                 decide.extend(ended[found].tolist())
+            if decide:
+                # Every row to decide is committed through its candidate step.
+                decide = np.array(decide)[forward_stage(arena, rows[decide], threshold)].tolist()
             for i in decide:
                 k = int(head[i] + stop[i]) - 1
                 track = batch.tracks[runs[i]]
@@ -734,21 +712,19 @@ class BatchedDecodeKernel:
         batch.head[runs] += depth
 
 
-def _row_candidates(
-    arena: WindowArena, rows: np.ndarray, heads: np.ndarray, threshold: float
-) -> np.ndarray:
+def _row_candidates(arena: WindowArena, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """:func:`_candidates` of arena rows as committed, whose head vectors
     (``(K, N)``, prior included) the caller has at hand."""
     start, boundary, end = arena.start[rows], arena.boundary[rows], arena.end[rows]
-    parts = []
-    for held, steps in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
-        cells = arena.cells(rows, steps)
-        parts.append((held, arena.agg_max[:, :, cells], arena.agg_lse[:, :, cells]))
-    return _candidates(heads, end - start, parts, threshold)
+    parts = [
+        (held, arena.agg_max[:, :, arena.cells(rows, steps)])
+        for held, steps in ((start + 1 < boundary, start + 1), (boundary < end, end - 1))
+    ]
+    return _candidates(heads, end - start, parts)
 
 
 class _ChunkPass:
-    """One pass's chunks in scratch -- back prefixes and pre-filter -- then commits.
+    """One pass's chunks in scratch -- back prefixes and score test -- then commits.
 
     Per-cell arrays are flat and depth-major: depth ``q``'s cells are
     ``bounds[q] .. bounds[q + 1] - 1``, one per chunk deeper than ``q``,
@@ -823,33 +799,29 @@ class _ChunkPass:
         return self.heads[last].T
 
     def _prefixes(self) -> np.ndarray:
-        """Both semirings' newest back prefix after every cell's push, ``(2, K, K, cells)``."""
+        """The newest back prefix after every cell's push, ``(K, K, cells)``."""
         arena, active, bounds, n = self.arena, self.active, self.bounds, self.active[0]
         matrices = self.pairwise[:, :, None] + self.unary.T[None, :, :]
-        prefix = np.empty((2, _K, _K, matrices.shape[2]))
-        top = arena.cells(self.rows, self.end - 1)
-        prefix[0, :, :, :n] = arena.agg_max[:, :, top]
-        prefix[1, :, :, :n] = arena.agg_lse[:, :, top]
+        prefix = np.empty_like(matrices)
+        prefix[:, :, :n] = arena.agg_max[:, :, arena.cells(self.rows, self.end - 1)]
         # Broadcast-ready views, and scratch for the widest depth.
-        previous, step = prefix[:, :, :, None, :], matrices[None, None]
-        stacked, summed = np.empty((2, _K, _K, _K, n)), np.empty((_K, _K, n))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            _push(previous[..., :n], step[..., :n], prefix[..., :n], stacked, summed)
-            # An empty back has no product to extend: its prefix is the matrix.
-            empty = np.flatnonzero(self.end <= self.boundary)
-            prefix[..., empty] = matrices[:, :, empty]
-            for q in range(1, len(active)):
-                low, count = bounds[q], active[q]
-                _push(
-                    previous[..., bounds[q - 1] : bounds[q - 1] + count],
-                    step[..., low : low + count],
-                    prefix[..., low : low + count],
-                    stacked[..., :count],
-                    summed[..., :count],
-                )
+        previous, step = prefix[:, :, None, :], matrices[None]
+        stacked = np.empty((_K, _K, _K, n))
+        _push(previous[..., :n], step[..., :n], prefix[..., :n], stacked)
+        # An empty back has no product to extend: its prefix is the matrix.
+        empty = np.flatnonzero(self.end <= self.boundary)
+        prefix[..., empty] = matrices[:, :, empty]
+        for q in range(1, len(active)):
+            low, count = bounds[q], active[q]
+            _push(
+                previous[..., bounds[q - 1] : bounds[q - 1] + count],
+                step[..., low : low + count],
+                prefix[..., low : low + count],
+                stacked[..., :count],
+            )
         return prefix
 
-    def candidates(self, threshold: float) -> np.ndarray:
+    def candidates(self) -> np.ndarray:
         """The cells :func:`_candidates` cannot rule out, each chunk's last aside.
 
         A cell folds its head through the front-top suffix, still in the
@@ -862,12 +834,9 @@ class _ChunkPass:
         if len(self.active) == 1:
             return np.zeros(0, dtype=np.int64)  # every cell is a last one
         arena, col = self.arena, self.col
-        front = arena.cells(self.row_c, self.head + 1)
-        parts = (
-            (self.head + 1 < self.boundary[col], arena.agg_max[:, :, front], arena.agg_lse[:, :, front]),
-            (None, *self.prefix),
-        )
-        found = _candidates(self.heads.T, (self.end - self.start)[col], parts, threshold)
+        front = arena.agg_max[:, :, arena.cells(self.row_c, self.head + 1)]
+        parts = ((self.head + 1 < self.boundary[col], front), (None, self.prefix))
+        found = _candidates(self.heads.T, (self.end - self.start)[col], parts)
         return found[self.level[found] < self.depth[col[found]] - 1]
 
     def commit(self, done: np.ndarray, stop: np.ndarray, whole: bool) -> np.ndarray:
@@ -896,8 +865,7 @@ class _ChunkPass:
         cells = self.cells[selected]
         arena.symbols[cells] = self.symbols[selected]
         arena.unary[cells] = self.unary[selected]
-        arena.agg_max[:, :, cells] = self.prefix[0][:, :, selected]
-        arena.agg_lse[:, :, cells] = self.prefix[1][:, :, selected]
+        arena.agg_max[:, :, cells] = self.prefix[:, :, selected]
         arena.end[rows[moved]] = (self.end + stop)[moved]
         if whole:
             ended, flipped = np.arange(len(rows)), np.flatnonzero(self.flips)

@@ -153,10 +153,13 @@ def chain_marginals(unary_log: FloatArray, pairwise_log: FloatArray) -> FloatArr
 # A chain decode is a product of per-step "transition ⊗ unary" matrices
 # under a semiring: ``(max, +)`` for Viterbi scores, ``(logsumexp, +)``
 # for forward (sum-product) messages.  The amortised sliding-window
-# decoder (:mod:`repro.core.sliding_window`) aggregates these matrices
-# with a two-stack queue so evicting the oldest step is O(K^3) amortised
-# instead of an O(W * K^2) sequential rebuild.  K is tiny (the number of
-# hidden states), so every product below is a single broadcast + reduce.
+# decoder (:mod:`repro.core.sliding_window`) aggregates the ``(max, +)``
+# product with a two-stack queue so evicting the oldest step is O(K^3)
+# amortised instead of an O(W * K^2) sequential rebuild; the
+# ``(logsumexp, +)`` product of a window is folded on demand, as a tree,
+# for the rare window whose score cannot rule it out.  K is tiny (the
+# number of hidden states), so every product below is a single
+# broadcast + reduce.
 
 
 def maxplus_matmul(a: FloatArray, b: FloatArray) -> FloatArray:
@@ -202,11 +205,12 @@ def logsumexp_vecmat(v: FloatArray, m: FloatArray) -> FloatArray:
 # Stacked (cross-entity) semiring products
 # ---------------------------------------------------------------------------
 #
-# The stacked decode kernel (:mod:`repro.core.batch_kernel`) and the
-# window flip (:mod:`repro.core.sliding_window`) advance N independent
-# products at once.  Stacks are *entity-minor*: N matrices are one
-# ``(K, K, N)`` array, N vectors one ``(K, N)`` array, entity ``n`` in
-# ``[..., n]``.  A product is one broadcast add into ``(K, K, K, N)``
+# The stacked decode kernel (:mod:`repro.core.batch_kernel`), the
+# window flip and the forward tree (:mod:`repro.core.sliding_window`)
+# advance N independent products at once.  Stacks are *entity-minor*:
+# N matrices are one ``(K, K, N)`` array, N vectors one ``(K, N)``
+# array, entity ``n`` in ``[..., n]`` (the matmuls also take further
+# trailing batch axes, ``(K, K, P, N)``).  A product is one broadcast add into ``(K, K, K, N)``
 # and one ``ufunc.reduce`` over a leading axis, so every inner loop
 # numpy runs is contiguous over N instead of a length-K = 3 loop per
 # entity.  Slice ``[..., n]`` of every result is bit-identical to the

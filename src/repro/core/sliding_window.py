@@ -10,16 +10,22 @@ where ``h_s`` is the head vector (the window's first effective unary
 row, including the initial-state prior) and ``M_j`` is the step matrix
 ``M_j[a, b] = transition[a, b] + unary_j[b]``: the log weight of moving
 from state ``a`` to state ``b`` while emitting step ``j``'s evidence.
-Under the ``(max, +)`` semiring the product is
-the final Viterbi score vector; under ``(logsumexp, +)`` it is the
-unnormalised forward message.  Appending a step extends the product on
-the right; *evicting* the oldest step removes a factor from the left.
-The classic two-stack (SWAG / DABA-style) aggregation makes both cheap:
-recent steps keep running left-to-right *prefix* products (the back),
-older steps right-to-left *suffix* products (the front), and when the
-front runs dry the back is *flipped* into suffixes.  Each step is
-flipped at most once, so eviction is O(K^3) amortised, and the window
-product is the head applied to at most one suffix and one prefix.
+Under the ``(max, +)`` semiring the product is the final Viterbi score
+vector; under ``(logsumexp, +)`` it is the unnormalised forward message.
+The arena keeps the ``(max, +)`` product only.  Appending a step extends
+it on the right; *evicting* the oldest step removes a factor from the
+left.  The classic two-stack (SWAG / DABA-style) aggregation makes both
+cheap: recent steps keep running left-to-right *prefix* products (the
+back), older steps right-to-left *suffix* products (the front), and
+when the front runs dry the back is *flipped* into suffixes.  Each step
+is flipped at most once, so eviction is O(K^3) amortised, and the
+window score is the head applied to at most one suffix and one prefix.
+
+The forward message is needed only for a window whose score the
+pre-filter cannot rule out, which is rare, so it is not maintained:
+:meth:`WindowArena.forward` folds it on demand from the row's own unary
+ring, as a tree of stacked ``(logsumexp, +)`` products (O(log W) numpy
+calls for any number of rows of one window length).
 
 **Arena layout.**  :class:`WindowArena` stores every windowed entity of
 one tagger; an entity is a *row* index.  A row's window is the absolute
@@ -34,10 +40,10 @@ ring + slot`` of the flat blocks holds
   observation row is ``observations[symbol]``: the arena interns every
   alert name its tagger sees, filling phase included, and resolves the
   name's row under the tagger's parameters once, when it is interned,
-* ``agg_max`` / ``agg_lse`` ``(K, K, cells)`` -- one aggregate per
-  semiring: for a step in ``(start, boundary)`` the front suffix
-  ``M_j ⊗ ... ⊗ M_(boundary-1)``, for a step in ``[boundary, end)`` the
-  back prefix ``M_boundary ⊗ ... ⊗ M_j``.  The head has no matrix.
+* ``agg_max`` ``(K, K, cells)`` -- the ``(max, +)`` aggregate: for a
+  step in ``(start, boundary)`` the front suffix ``M_j ⊗ ... ⊗
+  M_(boundary-1)``, for a step in ``[boundary, end)`` the back prefix
+  ``M_boundary ⊗ ... ⊗ M_j``.  The head has no matrix.
 
 ``start`` / ``boundary`` / ``end`` are flat integer arrays.  Step
 matrices are never stored: they are ``pairwise + unary`` on demand.
@@ -66,13 +72,15 @@ stack top) run as a Hillis-Steele doubling scan over an entity-minor
 fold sequentially.  Either way :meth:`WindowArena._refold` is the one
 implementation for ``m`` rows, and a lone row goes through it with ``m
 = 1`` -- the same tree order, so a row's aggregates do not depend on
-who flipped it, on its row index, or on its ring phase.
+who flipped it, on its row index, or on its ring phase.  The same holds
+for :meth:`WindowArena.forward`.
 
-The aggregate is mathematically exact but floating-point *reassociated*
-relative to the sequential recursion, so **no emitted number ever reads
-an aggregate**: they feed the guard-banded ``may_fire`` pre-filter only,
-and every detection is materialised by the exact sequential decode of
-the row's ``unary`` ring (``StreamingDecoder._window_decode``).
+The aggregate and the forward tree are mathematically exact but
+floating-point *reassociated* relative to the sequential recursion, so
+**no emitted number ever reads either**: they feed the guard-banded
+``may_fire`` pre-filter only, and every detection is materialised by
+the exact sequential decode of the row's ``unary`` ring
+(``StreamingDecoder._window_decode``).
 """
 
 from __future__ import annotations
@@ -82,9 +90,8 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .factor_graph import (
-    logsumexp_matmul,
     logsumexp_matmul_batch,
-    logsumexp_vecmat,
+    logsumexp_vecmat_batch,
     maxplus_matmul,
     maxplus_matmul_batch,
     maxplus_vecmat,
@@ -279,7 +286,7 @@ class WindowArena:
 
     __slots__ = (
         "ring", "parameters", "capacity", "_free", "symbol_ids", "symbol_names", "observations",
-        "fill", "slots", "unary", "symbols", "agg_max", "agg_lse", "start", "boundary", "end",
+        "fill", "slots", "unary", "symbols", "agg_max", "start", "boundary", "end",
     )  # fmt: skip
 
     def __init__(self, ring: int, parameters: "FactorParameters") -> None:
@@ -301,13 +308,18 @@ class WindowArena:
         """Number of rows currently allocated."""
         return self.capacity - len(self._free)
 
+    @property
+    def row_bytes(self) -> int:
+        """Bytes one row takes: its ring cells across the three blocks, and its span."""
+        cell = _K * self.unary.itemsize + self.symbols.itemsize + _K * _K * self.agg_max.itemsize
+        return self.ring * cell + 3 * self.start.itemsize
+
     def _resize(self, capacity: int) -> None:
         cells = capacity * self.ring
         _resize_blocks(self, capacity, (
             ("unary", (cells, _K), np.float64),
             ("symbols", (cells,), np.int64),
             ("agg_max", (_K, _K, cells), np.float64),
-            ("agg_lse", (_K, _K, cells), np.float64),
             ("start", (capacity,), np.int64),
             ("boundary", (capacity,), np.int64),
             ("end", (capacity,), np.int64),
@@ -430,39 +442,64 @@ class WindowArena:
         m = rows.size
         direction = -1 if suffix else 1
         cells = self.cells(rows, origin + direction * np.arange(count)[:, None]).ravel()
-        block = pairwise[:, :, None] + self.unary[cells].T[None, :, :]
-        seed_cells = self.cells(rows, origin - direction)
-        for matmul, aggregates in (
-            (maxplus_matmul_batch, self.agg_max),
-            (logsumexp_matmul_batch, self.agg_lse),
-        ):
-            stack = block.copy()
-            seed = aggregates[:, :, seed_cells] if carry else None
-            if count >= _MIN_SCAN:
-                width = m
-                while width < count * m:
-                    # Both operands are read in full before the assignment lands.
-                    earlier, later = stack[:, :, :-width], stack[:, :, width:]
-                    stack[:, :, width:] = (
-                        matmul(later, earlier) if suffix else matmul(earlier, later)
+        stack = pairwise[:, :, None] + self.unary[cells].T[None, :, :]
+        matmul = maxplus_matmul_batch
+        seed = self.agg_max[:, :, self.cells(rows, origin - direction)] if carry else None
+        if count >= _MIN_SCAN:
+            width = m
+            while width < count * m:
+                # Both operands are read in full before the assignment lands.
+                earlier, later = stack[:, :, :-width], stack[:, :, width:]
+                stack[:, :, width:] = matmul(later, earlier) if suffix else matmul(earlier, later)
+                width *= 2
+            if carry:
+                seed = np.tile(seed, count)
+                stack = matmul(stack, seed) if suffix else matmul(seed, stack)
+        else:
+            for low in range(0, count * m, m):
+                if seed is not None:
+                    current = stack[:, :, low : low + m]
+                    stack[:, :, low : low + m] = (
+                        matmul(current, seed) if suffix else matmul(seed, current)
                     )
-                    width *= 2
-                if carry:
-                    seed = np.tile(seed, count)
-                    stack = matmul(stack, seed) if suffix else matmul(seed, stack)
-            else:
-                for low in range(0, count * m, m):
-                    if seed is not None:
-                        current = stack[:, :, low : low + m]
-                        stack[:, :, low : low + m] = (
-                            matmul(current, seed) if suffix else matmul(seed, current)
-                        )
-                    seed = stack[:, :, low : low + m]
-            aggregates[:, :, cells] = stack
+                seed = stack[:, :, low : low + m]
+        self.agg_max[:, :, cells] = stack
+
+    def forward(self, rows: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
+        """Unnormalised forward log messages of ``rows``' windows, ``(K, m)``.
+
+        Row ``j``'s column is ``head ⊗ M_(start+1) ⊗ ... ⊗ M_(end-1)``
+        under ``(logsumexp, +)``, folded from its unary ring alone.  Rows
+        whose windows have the same length share one tree (as
+        :meth:`flip_together` groups flips): a level multiplies
+        neighbouring products, earlier on the left, and carries an odd
+        last one up as it is.  (A ``(logsumexp, +)`` identity pad would
+        not do: under the finite-input product, identity ⊗ identity is
+        NaN off its diagonal.)  The tree reassociates the sequential
+        recursion, so the result feeds the guard-banded pre-filter only;
+        hard zeros (``-inf``) in the parameters can yield NaN, which the
+        pre-filter defers to the exact decode.
+        """
+        start, end = self.start[rows], self.end[rows]
+        spans = end - start
+        forward = self.unary[self.cells(rows, start)].T
+        lengths = np.unique(spans) if spans.size > 1 else spans
+        for count in lengths[lengths > 1].tolist():
+            group = np.flatnonzero(spans == count) if lengths.size > 1 else slice(None)
+            cells = self.cells(rows[group], start[group] + np.arange(1, count)[:, None])
+            # (K, K, count - 1, m): the matrix of step ``start + 1 + q`` of
+            # the group's row ``j`` at ``[:, :, q, j]``.
+            stack = pairwise[:, :, None, None] + self.unary[cells].transpose(2, 0, 1)[None]
+            while stack.shape[2] > 1:
+                paired = stack.shape[2] // 2 * 2
+                product = logsumexp_matmul_batch(stack[:, :, 0:paired:2], stack[:, :, 1:paired:2])
+                stack = np.concatenate((product, stack[:, :, paired:]), axis=2)
+            forward[:, group] = logsumexp_vecmat_batch(forward[:, group], stack[:, :, 0])
+        return forward
 
 
 class SlidingProductWindow:
-    """One arena row: a two-stack sliding product under both semirings.
+    """One arena row: a two-stack sliding ``(max, +)`` product.
 
     ``SlidingProductWindow(pairwise, arena)`` takes a row of ``arena``
     and holds nothing until :meth:`load` gives it a head; later steps
@@ -542,11 +579,8 @@ class SlidingProductWindow:
         matrix = self.pairwise + unary_row[None, :]
         if end > boundary:
             previous = self._low + (end - 1) % self._ring
-            arena.agg_max[:, :, cell] = maxplus_matmul(arena.agg_max[:, :, previous], matrix)
-            arena.agg_lse[:, :, cell] = logsumexp_matmul(arena.agg_lse[:, :, previous], matrix)
-        else:
-            arena.agg_max[:, :, cell] = matrix
-            arena.agg_lse[:, :, cell] = matrix
+            matrix = maxplus_matmul(arena.agg_max[:, :, previous], matrix)
+        arena.agg_max[:, :, cell] = matrix
         arena.end[self.row] = end + 1
 
     def pop_front(self) -> int:
@@ -593,24 +627,15 @@ class SlidingProductWindow:
             )  # fmt: skip
 
     # -- queries -------------------------------------------------------------
-    def fold(self, vector: np.ndarray, vecmat, aggregates: np.ndarray) -> np.ndarray:
-        """``vector ⊗ front-top suffix ⊗ newest back prefix`` in one semiring: O(K^2)."""
+    def fold(self, vector: np.ndarray) -> np.ndarray:
+        """``vector ⊗ front-top suffix ⊗ newest back prefix`` under ``(max, +)``:
+        O(K^2).  From the head row, the window's Viterbi score vector."""
         start, boundary, end = self.span
+        aggregates = self.arena.agg_max
         for held, step in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
             if held:
-                vector = vecmat(vector, aggregates[:, :, self._low + step % self._ring])
+                vector = maxplus_vecmat(vector, aggregates[:, :, self._low + step % self._ring])
         return vector
-
-    def apply(self, head: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Window products ``head ⊗ M_(start+1) ⊗ ... ⊗ M_(end-1)``.
-
-        Returns ``(viterbi_score, forward_log)`` -- the final Viterbi
-        score vector and the unnormalised forward log message.
-        """
-        return (
-            self.fold(head, maxplus_vecmat, self.arena.agg_max),
-            self.fold(head, logsumexp_vecmat, self.arena.agg_lse),
-        )
 
     def unary_table(self) -> np.ndarray:
         """Effective unary rows of steps ``start .. end - 1``: a fresh ``(T, K)``."""

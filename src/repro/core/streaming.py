@@ -26,10 +26,11 @@ state for long-lived entities.  :meth:`StreamingDecoder.evict_front`
 instead switches the decoder into *windowed* mode: per-step
 transition⊗unary matrices are aggregated by a two-stack
 :class:`repro.core.sliding_window.SlidingProductWindow` under the
-``(max, +)`` and ``(logsumexp, +)`` semirings, so appending costs
-O(K^3) (two small matrix products), evicting the front costs O(K^3)
-*amortised*, and the firing decision reads the window's Viterbi score
-vector and forward message in O(K^2).
+``(max, +)`` semiring, so appending costs O(K^3) (one small matrix
+product), evicting the front costs O(K^3) *amortised*, and the firing
+decision reads the window's Viterbi score vector in O(K^2).  Only a
+window whose score cannot rule it out pays for its forward message,
+folded from the row's unary ring by ``WindowArena.forward``.
 
 **Where the window lives.**  Every entity a tagger tracks holds a
 *slot* of its :class:`repro.core.sliding_window.WindowArena`
@@ -57,10 +58,11 @@ symbols no pattern starts with, or, with live cursors,
 :meth:`plain_run`.  Whoever drops a decoder must :meth:`release` its
 slot's row or pages.
 
-The aggregate is floating-point *reassociated* relative to the
-sequential recursion, so windowed mode never lets it near an emitted
-number: :meth:`may_fire` uses the aggregate only as a guard-banded
-pre-filter (reassociation error is bounded far below the guard), and
+The aggregate and the forward tree are floating-point *reassociated*
+relative to the sequential recursion, so windowed mode never lets them
+near an emitted number: :meth:`may_fire` uses them only as a
+guard-banded pre-filter (reassociation error is bounded far below the
+guard), and
 any alert that might fire -- plus every explicit read-out
 (:meth:`final_marginal`, :meth:`map_path`, ...) -- is materialised by
 the exact sequential decode of the bounded window, i.e. by the very
@@ -88,7 +90,7 @@ quantity                         seed (re-decode)     streaming (PR 1)  amortise
 ===============================  ===================  ================  ==================
 pattern matching                 O(P * T * L)         O(advances)       O(advances) [2]_
 Viterbi extension                O(T * K^2)           O(K^2)            O(K^3)
-posterior of current state       O(T * K^2)           O(K^2)            O(K^2)
+posterior of current state       O(T * K^2)           O(K^2)            O(W * K^3) [5]_
 bonus relocation                 (included above)     O(d * K^2) [1]_   O(|back| * K^3)
 window eviction                  O(W * K^2)           O(W * K^2)        O(K^3) amortised [4]_
 full MAP trajectory              O(T * K^2)           O(T * K^2) [3]_   O(W * K^2) [3]_
@@ -102,6 +104,9 @@ full MAP trajectory              O(T * K^2)           O(T * K^2) [3]_   O(W * K^
        span.
 .. [4] the eviction itself is an index bump (``start += 1``); the
        amortised O(K^3) is the flip every ``W`` evictions.
+.. [5] the pre-filter's forward stage, in O(log W) stacked numpy
+       calls, and only for a window whose O(K^2) Viterbi score the
+       guard band cannot rule out.
 
 Every emitted number reproduces the exact arithmetic of
 :func:`repro.core.factor_graph.chain_map_decode` and
@@ -118,14 +123,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .factor_graph import (
-    _logsumexp,
-    _normalize_log,
-    chain_map_decode,
-    chain_marginals,
-    logsumexp_vecmat,
-    maxplus_vecmat,
-)
+from .factor_graph import _logsumexp, _normalize_log, chain_map_decode, chain_marginals
 from .sliding_window import SlidingProductWindow, WindowArena
 from .states import HiddenState, NUM_STATES
 
@@ -144,6 +142,28 @@ _ARANGE_K = np.arange(NUM_STATES)
 #: decode", never to a silently dropped detection.
 _DECISION_GUARD = 1e-6
 _GUARD_SLACK = 64.0 * np.finfo(np.float64).eps
+
+
+def _guard(lengths: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The guard band of windows of ``lengths`` steps whose reassociated
+    ``(K, m)`` vectors are ``vectors``."""
+    magnitude = np.maximum.reduce(np.abs(vectors), axis=0)
+    return np.maximum(_DECISION_GUARD, (_GUARD_SLACK * lengths.astype(np.float64)) * magnitude)
+
+
+def forward_stage(arena: WindowArena, rows: np.ndarray, threshold: float) -> np.ndarray:
+    """Second stage of the ``may_fire`` pre-filter, for arena ``rows``.
+
+    For windows the ``(max, +)`` score test let through: folds each
+    row's forward message (:meth:`WindowArena.forward`) and returns the
+    mask of rows whose malicious posterior may reach ``threshold``,
+    within the guard band of that message.  A NaN posterior (hard zeros
+    in the parameters) cannot be ruled out.
+    """
+    forward = arena.forward(rows, arena.parameters.transition_log)
+    guard = _guard(arena.end[rows] - arena.start[rows], forward)
+    probability = np.exp(forward[_MALICIOUS] - _logsumexp(forward, axis=0))
+    return np.isnan(probability) | (probability >= threshold - guard)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -410,9 +430,9 @@ class StreamingDecoder:
         """Slide the window start forward by one step: O(K^3) amortised.
 
         The first eviction moves the decoder into an arena row and
-        builds the two-stack aggregates over the remaining window; every
-        later eviction pops the front stack (amortised two semiring
-        products) and rescans only the patterns whose greedy match
+        builds the two-stack aggregate over the remaining window; every
+        later eviction pops the front stack (an amortised ``(max, +)``
+        product) and rescans only the patterns whose greedy match
         touched the evicted step.
         """
         opening = self._window is None
@@ -602,19 +622,6 @@ class StreamingDecoder:
             alpha[now] = _normalize_log(_logsumexp(prev, axis=0) + unary[now])
 
     # -- decisions -----------------------------------------------------------
-    def window_scores(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate ``(viterbi_score, forward_log)`` of the window: O(K^2).
-
-        Only meaningful in windowed mode; values are mathematically
-        exact but floating-point reassociated relative to the sequential
-        decode, so they feed guard-banded decisions, never emitted
-        numbers.
-        """
-        window = self._window
-        if window is None:
-            raise ValueError("window_scores requires windowed mode")
-        return window.apply(window.arena.unary[window.cell(window.start)])
-
     def may_fire(self, threshold: float) -> bool:
         """Cheap pre-filter: could this window cross the detection bar?
 
@@ -628,23 +635,14 @@ class StreamingDecoder:
         window = self._window
         arena = window.arena
         start, _, end = window.span
-        head = arena.unary[window.cell(start)]
-        score = window.fold(head, maxplus_vecmat, arena.agg_max)
+        score = window.fold(arena.unary[window.cell(start)])
         magnitude = float(np.max(np.abs(score)))
         guard = max(_DECISION_GUARD, _GUARD_SLACK * (end - start) * magnitude)
         if score[_MALICIOUS] < np.max(score) - guard:
             return False
         # Only a window the score test lets through pays for the
-        # forward message (the stacked kernel's two stages).
-        forward = window.fold(head, logsumexp_vecmat, arena.agg_lse)
-        probability = float(np.exp(forward[_MALICIOUS] - _logsumexp(forward)))
-        if np.isnan(probability):
-            # Hard zeros (-inf log potentials) in user-supplied
-            # parameters turn the finite-input aggregate into NaN; the
-            # pre-filter cannot rule anything out then, so defer to the
-            # exact decode (which handles -inf).
-            return True
-        return probability >= threshold - guard
+        # forward message (as in the stacked kernel).
+        return bool(forward_stage(arena, np.array([window.row]), threshold)[0])
 
     # -- read-out ------------------------------------------------------------
     def _window_decode(self) -> Tuple[np.ndarray, np.ndarray]:

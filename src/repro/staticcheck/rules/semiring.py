@@ -1,9 +1,11 @@
 """Rule ``semiring-discipline``: max-plus and log-sum-exp do not mix.
 
 ``core/factor_graph.py`` exposes two semiring families — ``maxplus_*``
-(Viterbi) and ``logsumexp_*`` (forward) — and the decode kernels
-deliberately run both side by side on *disjoint* accumulators
-(``stack_max`` vs ``stack_lse``).  The bug this rule rejects is
+(Viterbi) and ``logsumexp_*`` (forward) — and the decode path uses
+both on *disjoint* accumulators: the window arena's ``agg_max``
+aggregate under ``(max, +)``, and the pre-filter's forward tree
+(``WindowArena.forward``) under ``(logsumexp, +)``, next to each
+other in one module.  The bug this rule rejects is
 cross-contamination: feeding one family's result into the other's
 accumulator, which type-checks, runs, and silently produces scores
 that are neither Viterbi nor forward.

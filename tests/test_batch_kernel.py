@@ -397,8 +397,10 @@ class TestBatchedEngineEquivalence:
             assert len(set(rows)) == len(entities) == tagger._arena.live
 
     def test_probability_stage_runs_only_for_score_survivors(self, monkeypatch):
-        """The stacked pre-filter folds the forward message for the cells
-        the score test lets through, and only for those.
+        """The chunk path folds the forward message (``forward_stage``)
+        only for the cells the ``(max, +)`` score test lets through, on
+        their committed rows, at most once per commit, and before the
+        exact decode.
 
         At ``detection_threshold=0.99`` the mixed-vocabulary entities
         often have a malicious MAP state under a posterior short of the
@@ -412,17 +414,28 @@ class TestBatchedEngineEquivalence:
             for names in ((ALL_NAMES if (i % len(entities)) % 3 else BENIGN_NAMES),)
         ]
         kwargs = dict(max_window=6, detection_threshold=0.99)
-        rows = {"maxplus_vecmat_batch": 0, "logsumexp_vecmat_batch": 0, "finalized": 0}
+        seen = {"survivors": 0, "forward_rows": 0, "passed": 0, "finalized": 0, "commits": 0}
+        calls = []  # (commits so far, rows) of every forward_stage call
+        candidates, stage_two = batch_kernel._candidates, batch_kernel.forward_stage
+        commit = batch_kernel._ChunkPass.commit
         advance_chunks = BatchedDecodeKernel._advance_chunks
         in_windowed = []
 
-        def counted(vecmat):
-            def fold(vectors, matrices):
-                if in_windowed:
-                    rows[vecmat.__name__] += vectors.shape[1]
-                return vecmat(vectors, matrices)
+        def counted_candidates(*args):
+            found = candidates(*args)
+            seen["survivors"] += found.size
+            return found
 
-            return fold
+        def counted_stage_two(arena, rows, threshold):
+            keep = stage_two(arena, rows, threshold)
+            calls.append((seen["commits"], rows.size))
+            seen["forward_rows"] += rows.size
+            seen["passed"] += int(keep.sum())
+            return keep
+
+        def counted_commit(scratch, *args):
+            seen["commits"] += 1
+            return commit(scratch, *args)
 
         def counted_chunks(kernel, *args):
             in_windowed.append(True)
@@ -436,19 +449,24 @@ class TestBatchedEngineEquivalence:
 
         def counted_finalize(*args):
             if in_windowed:
-                rows["finalized"] += 1
+                seen["finalized"] += 1
             return finalize(*args)
 
-        for name in ("maxplus_vecmat_batch", "logsumexp_vecmat_batch"):
-            monkeypatch.setattr(batch_kernel, name, counted(getattr(batch_kernel, name)))
+        monkeypatch.setattr(batch_kernel, "_candidates", counted_candidates)
+        monkeypatch.setattr(batch_kernel, "forward_stage", counted_stage_two)
+        monkeypatch.setattr(batch_kernel._ChunkPass, "commit", counted_commit)
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_chunks", counted_chunks)
         monkeypatch.setattr(batched, "_finalize_decision", counted_finalize)
         hits = _drive_batched(batched, stream, len(entities))
         monkeypatch.undo()
 
-        stage_one, stage_two = rows["maxplus_vecmat_batch"], rows["logsumexp_vecmat_batch"]
-        assert 0 < stage_two < stage_one  # stage two ran, on survivors only
-        assert rows["finalized"] < stage_two  # ... and itself filtered some out
+        # Stage two ran, on stage-one survivors only ...
+        assert 0 < seen["forward_rows"] <= seen["survivors"]
+        # ... ruled some out, and only what it let through was decoded exactly.
+        assert seen["finalized"] == seen["passed"] < seen["forward_rows"]
+        # At most once per commit, stacked over the rows it stopped (some hold several).
+        assert len({commit for commit, _ in calls}) == len(calls) <= seen["commits"]
+        assert max(size for _, size in calls) > 1
         scalar, naive = _tagger(**kwargs), _tagger("naive", **kwargs)
         assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream)
         assert hits
@@ -647,12 +665,12 @@ class TestDeepRuns:
         commit = batch_kernel._ChunkPass.commit
         seen = {"mid_chunk": 0, "flipped": 0}
 
-        def widened(heads, lengths, parts, threshold):
-            found = candidates(heads, lengths, parts, threshold)
+        def widened(heads, lengths, parts):
+            found = candidates(heads, lengths, parts)
             return np.union1d(found, np.arange(0, heads.shape[1], widen))
 
-        def counted_candidates(scratch, threshold):
-            found = chunk_candidates(scratch, threshold)  # never a chunk's last cell
+        def counted_candidates(scratch):
+            found = chunk_candidates(scratch)  # never a chunk's last cell
             seen["mid_chunk"] += found.size
             return found
 

@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 from repro.core import AttackTagger, SlidingProductWindow, default_parameters
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
-from repro.core.factor_graph import (
-    _logsumexp,
-    logsumexp_vecmat,
-    maxplus_vecmat,
-)
+from repro.core.factor_graph import _logsumexp, chain_marginals, maxplus_vecmat
 from repro.core.sliding_window import _INITIAL_ROWS, _MIN_SCAN, WindowArena
 from repro.core.states import NUM_STATES, HiddenState
 from repro.core.streaming import (
@@ -37,6 +33,8 @@ from repro.core.streaming import (
     PatternTable,
     StreamingDecoder,
     WeightedPattern,
+    _guard,
+    forward_stage,
 )
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.sharding import ShardedDetectorPool, shard_of
@@ -88,13 +86,11 @@ def _push(window, row):
 
 
 def _fold_reference(pairwise, head, rows):
-    """Brute-force fold of the step matrices ``pairwise + row`` onto ``head``."""
-    score, forward = head, head
+    """Brute-force ``(max, +)`` fold of the step matrices ``pairwise + row`` onto ``head``."""
+    score = head
     for row in rows:
-        matrix = pairwise + row[None, :]
-        score = maxplus_vecmat(score, matrix)
-        forward = logsumexp_vecmat(forward, matrix)
-    return score, forward
+        score = maxplus_vecmat(score, pairwise + row[None, :])
+    return score
 
 
 class TestSlidingProductWindow:
@@ -123,10 +119,8 @@ class TestSlidingProductWindow:
                 live.append((next_index, row))
                 next_index += 1
             assert len(window) == len(live)
-            score, forward = window.apply(head)
-            ref_score, ref_forward = _fold_reference(pairwise, head, [r for _, r in live])
-            np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=1e-9)
+            ref_score = _fold_reference(pairwise, head, [r for _, r in live])
+            np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=1e-9)
 
     def test_replace_patches_both_regions(self):
         rng = np.random.default_rng(7)
@@ -150,10 +144,8 @@ class TestSlidingProductWindow:
         assert not window.replace(1, rng.normal(size=NUM_STATES))
         assert not window.replace(8, rng.normal(size=NUM_STATES))
         head = rng.normal(size=NUM_STATES)
-        score, forward = window.apply(head)
-        ref_score, ref_forward = _fold_reference(pairwise, head, rows[2:] + [back_replacement])
-        np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=1e-9)
+        ref_score = _fold_reference(pairwise, head, rows[2:] + [back_replacement])
+        np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=1e-9)
 
     def test_rebuild(self):
         """``load`` + ``rebuild`` far from step 0, across the ring's wrap."""
@@ -167,9 +159,8 @@ class TestSlidingProductWindow:
         assert len(window) == 5 and window.names() == ["a", "b", "a", "c", "b", "a"]
         assert window.pop_front() == 10
         head = rng.normal(size=NUM_STATES)
-        score, _ = window.apply(head)
-        ref_score, _ = _fold_reference(pairwise, head, rows[2:])
-        np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-9)
+        ref_score = _fold_reference(pairwise, head, rows[2:])
+        np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(window.unary_table(), rows[1:])
 
     def test_pop_empty_raises(self):
@@ -226,12 +217,10 @@ class TestSlidingProductWindow:
                 slot[1] = rng.normal(size=NUM_STATES)
                 assert window.replace(slot[0], slot[1])
             assert len(window) == len(live)
-            score, forward = window.apply(head)
-            ref_score, ref_forward = _fold_reference(pairwise, head, [r for _, r in live])
+            ref_score = _fold_reference(pairwise, head, [r for _, r in live])
             magnitude = float(np.max(np.abs(ref_score)))
             guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
-            np.testing.assert_allclose(score, ref_score, rtol=0, atol=guard)
-            np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=guard)
+            np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=guard)
 
 
 def _dense(window) -> dict:
@@ -246,12 +235,11 @@ def _dense(window) -> dict:
         "observations": arena.observations[arena.symbols[window.cells(start, end)]],
         "names": window.names(),
         "agg_max": arena.agg_max[:, :, queued],
-        "agg_lse": arena.agg_lse[:, :, queued],
     }
 
 
 def assert_same_window(got, expected):
-    """Two views hold the same row: spans, rows, names and every aggregate."""
+    """Two views hold the same row: spans, rows, names and the aggregate of every step."""
     ours, theirs = _dense(got), _dense(expected)
     for key, value in ours.items():
         if isinstance(value, np.ndarray):
@@ -327,12 +315,10 @@ class TestGroupFlip:
                     slot = live[int(where * (len(live) - 1))]
                     slot[1] = rng.normal(size=NUM_STATES)
                     assert window.replace(slot[0], slot[1])
-                score, forward = window.apply(head)
-                ref_score, ref_forward = _fold_reference(pairwise, head, [r for _, r in live])
+                ref_score = _fold_reference(pairwise, head, [r for _, r in live])
                 magnitude = float(np.max(np.abs(ref_score)))
                 guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
-                np.testing.assert_allclose(score, ref_score, rtol=0, atol=guard)
-                np.testing.assert_allclose(forward, ref_forward, rtol=0, atol=guard)
+                np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=guard)
 
     @pytest.mark.parametrize("length", [_MIN_SCAN - 1, 4 * _MIN_SCAN - 1])
     def test_dense_state_does_not_depend_on_the_group(self, length):
@@ -612,7 +598,8 @@ class TestSatelliteOptimisations:
         assert decoder.map_path()[0] != -1 or (decoder.map_path() != -1).any()
 
     def test_window_scores_match_exact_decode_within_guard(self):
-        """Aggregate decisions track the exact decode to ~reassociation error."""
+        """The aggregate score and the forward tree track the exact decode
+        to ~reassociation error."""
         rng = np.random.default_rng(9)
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE), max_window=6, detection_threshold=0.999
@@ -621,7 +608,9 @@ class TestSatelliteOptimisations:
             tagger.observe(alert)
         decoder = tagger.track("entity:x").decoder
         assert decoder.windowed
-        score, forward = decoder.window_scores()
+        window = decoder._window
+        score = window.fold(window.arena.unary[window.cell(window.start)])
+        forward = window.arena.forward(np.array([window.row]), decoder._pairwise)[:, 0]
         exact_prob = decoder.final_marginal()[int(HiddenState.MALICIOUS)]
         aggregate_prob = float(
             np.exp(forward[int(HiddenState.MALICIOUS)] - _logsumexp(forward))
@@ -632,3 +621,82 @@ class TestSatelliteOptimisations:
         for row in unary[1:]:
             ref = maxplus_vecmat(ref, decoder._pairwise + row[None, :])
         np.testing.assert_allclose(score, ref, rtol=0, atol=1e-9)
+
+
+def _sequential_forward(unary, pairwise):
+    """The normalised forward log message of the window's last step, by
+    ``chain_marginals``' sequential recursion (the backward message is
+    zero there)."""
+    with np.errstate(divide="ignore"):
+        return np.log(chain_marginals(unary, pairwise)[-1])
+
+
+class TestForwardStage:
+    """``WindowArena.forward``, the pre-filter's on-demand forward
+    message, against the sequential recursion."""
+
+    LENGTHS = range(2, 34)
+
+    @staticmethod
+    def _rows(arena, pairwise, contents, phases):
+        """One row per unary table, loaded at step ``phase`` (so across the ring's wrap)."""
+        windows = []
+        for unary, phase in zip(contents, phases):
+            window = SlidingProductWindow(pairwise, arena)
+            window.load(phase, unary, [arena.intern("step")] * len(unary))
+            windows.append(window)
+        return np.array([window.row for window in windows])
+
+    def test_tree_matches_the_sequential_forward_within_guard(self):
+        """Every window length 2-33 (odd tree sizes included), three rows
+        each at different ring phases, all in one call: each row's
+        message is the sequential one within the guard band, and the
+        same bits as the row folded alone."""
+        rng = np.random.default_rng(5)
+        pairwise = np.log(rng.dirichlet(np.ones(NUM_STATES), size=NUM_STATES))
+        arena = _arena(max(self.LENGTHS) + 1)
+        contents = [
+            np.log(rng.dirichlet(np.ones(NUM_STATES), size=length)) * rng.uniform(1, 20)
+            for length in self.LENGTHS
+            for _ in range(3)
+        ]
+        rows = self._rows(arena, pairwise, contents, rng.integers(0, 100, size=len(contents)))
+        together = arena.forward(rows, pairwise)
+        for j, unary in enumerate(contents):
+            tree = together[:, j]
+            reference = _sequential_forward(unary, pairwise)
+            guard = float(_guard(np.array([len(unary)]), tree[:, None])[0])
+            np.testing.assert_allclose(tree - _logsumexp(tree), reference, rtol=0, atol=guard)
+            assert np.array_equal(tree, arena.forward(rows[j : j + 1], pairwise)[:, 0])
+
+    def test_hard_zeros_defer_to_the_exact_decode(self):
+        """A hard-zero (``-inf``) parameter table: where the tree turns
+        NaN, ``forward_stage`` cannot rule the row out at any threshold;
+        elsewhere the tree still tracks the sequential message."""
+        parameters = default_parameters()
+        parameters.observation_log[0, 0] = -np.inf
+        arena = WindowArena(max(self.LENGTHS) + 1, parameters)
+        pairwise = parameters.transition_log
+        rng = np.random.default_rng(6)
+        names = [ALL_NAMES[0], ALL_NAMES[7], ALL_NAMES[16], ALL_NAMES[18]]
+        contents = []
+        for length in self.LENGTHS:
+            symbols = [arena.intern(names[k]) for k in rng.integers(len(names), size=length)]
+            symbols[length // 2] = arena.intern(ALL_NAMES[0])  # a hard zero in every window
+            unary = arena.observations[symbols]
+            unary[0] += parameters.initial_log
+            contents.append(unary)
+        rows = self._rows(arena, pairwise, contents, rng.integers(0, 100, size=len(contents)))
+        forward = arena.forward(rows, pairwise)
+        deferred = forward_stage(arena, rows, threshold=2.0)  # no posterior reaches 2
+        nan = np.isnan(forward).any(axis=0)
+        assert nan.any()
+        assert np.array_equal(deferred, nan)
+        for j in np.flatnonzero(~nan).tolist():
+            tree, reference = forward[:, j], _sequential_forward(contents[j], pairwise)
+            finite = np.isfinite(reference)
+            assert np.array_equal(np.isfinite(tree), finite)
+            guard = float(_guard(np.array([len(contents[j])]), tree[finite][:, None])[0])
+            np.testing.assert_allclose(
+                (tree - _logsumexp(tree))[finite], reference[finite], rtol=0, atol=guard
+            )
