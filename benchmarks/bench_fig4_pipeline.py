@@ -52,9 +52,11 @@ def test_fig4_testbed_workflow(benchmark, trained_parameters):
 
     print("\nFig. 4: testbed workflow counters")
     for key, value in summary.items():
-        if isinstance(value, dict):
+        if key == "stage_seconds":
             detail = ", ".join(f"{stage}={seconds:.3f}s" for stage, seconds in value.items())
             print(f"  {key:<26} {detail}")
+        elif isinstance(value, dict):
+            print(f"  {key:<26} {value}")
         else:
             print(f"  {key:<26} {value:,.2f}")
 

@@ -34,7 +34,11 @@ The ``deep`` row is the opposite shape, that of the ``sharded_replay``
 end-to-end workload: ``observe_batch`` on 2 048-alert sub-batches over
 only 8 entities (256 alerts deep each, W = 32), logins with the odd
 sensitive download that seeds a pattern -- the kernel's chunks, with
-their flips and pattern-step cuts.
+their flips and pattern-step cuts.  The ``patterned`` row is the same
+shape with a sensitive download every 4th alert of each entity, so
+matches keep starting and their first steps keep being evicted --
+``sharded_replay``'s bursts, the kernel's pattern pass; it also records
+the share of its windowed steps that took the per-alert path.
 
 Run as a script to (re)record ``BENCH_streaming.json`` at the repo
 root::
@@ -42,11 +46,12 @@ root::
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py
 
 CI runs the quick regression gate, which re-measures the streaming
-rate on a short stream, both churn rates, the three steady rates and
-the deep rate, and fails if any regressed more than 2x against the
-committed baseline, or if the churn row's fill bytes per entity (fill
-pages and slot tables) or the steady row's window bytes per entity
-(arena rows) grew more than 1.25x::
+rate on a short stream, both churn rates, the three steady rates, the
+deep and the patterned rates, and fails if any regressed more than 2x
+against the committed baseline, if the churn row's fill bytes per
+entity (fill pages and slot tables) or the steady row's window bytes
+per entity (arena rows) grew more than 1.25x, or if the patterned
+row's per-alert share grew by more than 0.01::
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --check
 
@@ -267,6 +272,57 @@ def measure_deep_rate(batches: int, *, seed: int = 7) -> float:
     return len(stream) / elapsed
 
 
+#: The patterned row: the deep row's shape (W = 32, 2 048-alert
+#: sub-batches over 8 entities), with a sensitive download -- the first
+#: symbol of two patterns -- every ``PATTERNED_EVERY``-th alert of each
+#: entity, so matches start and their first steps are evicted over and
+#: over: ``sharded_replay``'s bursts.
+PATTERNED_ENTITIES = 8
+PATTERNED_EVERY = 4
+PATTERNED_THRESHOLD = 0.7  # the service's, as in benchmarks/e2e
+
+
+def measure_patterned(batches: int) -> dict[str, float]:
+    """``observe_batch`` alerts/sec on ``batches`` patterned sub-batches, and
+    the share of their windowed steps the per-alert path took.
+
+    Entity ``e`` is warmed (untimed) with ``W + 1 + 4 e`` alerts of the
+    same mix, so every window slides and holds a match from the first
+    timed alert on.
+    """
+    entities = [f"user:patterned-{index}" for index in range(PATTERNED_ENTITIES)]
+
+    def name(step: int) -> str:
+        return "alert_download_sensitive" if step % PATTERNED_EVERY == 0 else "alert_login_normal"
+
+    warm_up = [
+        Alert(0.0, name(step), entity)
+        for index, entity in enumerate(entities)
+        for step in range(DEEP_WINDOW + 1 + 4 * index)
+    ]
+    stream = [
+        Alert(float(step), name(step // PATTERNED_ENTITIES), entities[step % PATTERNED_ENTITIES])
+        for step in range(batches * DEEP_BATCH)
+    ]
+    tagger = AttackTagger(
+        patterns=list(DEFAULT_CATALOGUE),
+        max_window=DEEP_WINDOW,
+        detection_threshold=PATTERNED_THRESHOLD,
+    )
+    fired = len(tagger.observe_batch(warm_up))
+    before = tagger.kernel_steps
+    started = time.perf_counter()
+    for base in range(0, len(stream), DEEP_BATCH):
+        fired += len(tagger.observe_batch(stream[base : base + DEEP_BATCH]))
+    elapsed = time.perf_counter() - started
+    assert not fired, "benchmark stream must stay undetected"
+    stacked, patterned, scalar = (after - prior for after, prior in zip(tagger.kernel_steps, before))
+    return {
+        "observe_batch": len(stream) / elapsed,
+        "per_alert_share": scalar / (stacked + patterned + scalar),
+    }
+
+
 def host_fingerprint() -> dict:
     """Where a recorded file's numbers came from."""
     cpu_model = "unknown"
@@ -306,6 +362,7 @@ def run_benchmark(
     churn_entities: int = 20_000,
     steady_rounds: int = 80,
     deep_batches: int = 8,
+    patterned_batches: int = 8,
 ) -> dict:
     """Full measurement set behind ``BENCH_streaming.json``."""
     results: dict = {
@@ -376,6 +433,16 @@ def run_benchmark(
         "alerts": deep_batches * DEEP_BATCH,
         "observe_batch": round(measure_deep_rate(deep_batches), 1),
     }
+    patterned = measure_patterned(patterned_batches)
+    results["patterned"] = {
+        "entities": PATTERNED_ENTITIES,
+        "max_window": DEEP_WINDOW,
+        "batch_size": DEEP_BATCH,
+        "download_every": PATTERNED_EVERY,
+        "alerts": patterned_batches * DEEP_BATCH,
+        "observe_batch": round(patterned["observe_batch"], 1),
+        "per_alert_share": round(patterned["per_alert_share"], 4),
+    }
     return results
 
 
@@ -406,10 +473,14 @@ def quick_streaming_rate(size: int = 2_000) -> float:
 
 #: Entities in the quick churn measurement of the CI regression gate,
 #: round-robin passes in its quick steady measurement, and sub-batches
-#: in its quick deep one.
+#: in its quick deep and patterned ones.
 QUICK_CHURN_ENTITIES = 2_000
 QUICK_STEADY_ROUNDS = 8
 QUICK_DEEP_BATCHES = 2
+
+#: How far the patterned row's per-alert share of windowed steps may
+#: exceed the committed one (an absolute difference of two ratios).
+SHARE_SLACK = 0.01
 
 
 #: How far the churn row's fill bytes and the steady row's window bytes
@@ -427,8 +498,11 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
     against ``scaled_baseline / factor`` -- CI runners that are simply
     slower across the board do not trip it, while a genuine slowdown of
     the streaming engine (which leaves the naive path untouched) does.
-    The two churn rows, the three steady rows and the deep row are
-    gated by the same rule.  The churn row's fill bytes per live
+    The two churn rows, the three steady rows, the deep row and the
+    patterned row are gated by the same rule.  The patterned row's
+    share of windowed steps the per-alert path took is a ratio of
+    counts: it may not exceed the committed one by more than
+    ``SHARE_SLACK``.  The churn row's fill bytes per live
     entity (fill pages plus slot tables) and the steady row's window
     bytes per live entity (arena rows) are counts, not rates: they
     need no hardware factor and may not exceed the committed figures
@@ -461,6 +535,11 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         ("deep observe_batch", float(baseline["deep"]["observe_batch"]),
          measure_deep_rate(QUICK_DEEP_BATCHES))
     )  # fmt: skip
+    patterned = measure_patterned(QUICK_DEEP_BATCHES)
+    rows.append(
+        ("patterned observe_batch", float(baseline["patterned"]["observe_batch"]),
+         patterned["observe_batch"])
+    )  # fmt: skip
     failed = False
     for label, committed, measured in rows:
         floor = committed * hardware_factor / factor
@@ -481,12 +560,20 @@ def check_regression(baseline_path: Path, *, factor: float = 2.0) -> int:
         bytes_ok &= ok
         print(f"{label:<24} committed {committed:>8.0f}  quick {measured:>8.0f}  "
               f"ceiling ({BYTES_FACTOR}x) {ceiling:>8.0f} B  {'ok' if ok else 'FAIL'}")
+    committed_share = float(baseline["patterned"]["per_alert_share"])
+    share_ok = patterned["per_alert_share"] <= committed_share + SHARE_SLACK
+    print(f"{'patterned per-alert share':<24} committed {committed_share:>8.4f}  "
+          f"quick {patterned['per_alert_share']:>8.4f}  ceiling (+{SHARE_SLACK}) "
+          f"{committed_share + SHARE_SLACK:>8.4f}  {'ok' if share_ok else 'FAIL'}")
     if failed:
         print(f"FAIL: throughput regressed more than {factor}x vs the "
               "hardware-scaled committed baseline")
         return 1
     if not bytes_ok:
         print(f"FAIL: storage per entity grew more than {BYTES_FACTOR}x")
+        return 1
+    if not share_ok:
+        print("FAIL: the per-alert path took a larger share of the patterned row's windowed steps")
         return 1
     print("OK")
     return 0

@@ -62,7 +62,7 @@ from .sequences import (
     similarity_cdf,
     subsequence_positions,
 )
-from .streaming import PatternCursor, PatternTable, StreamingDecoder, WeightedPattern
+from .streaming import StreamingDecoder, WeightedPattern
 from .states import AttackStage, HiddenState, NUM_STATES
 from .training import (
     LabeledSequence,
@@ -121,8 +121,6 @@ __all__ = [
     "EntityTrack",
     "PatternSpec",
     "StreamingDecoder",
-    "PatternCursor",
-    "PatternTable",
     "WeightedPattern",
     "RuleBasedDetector",
     "Rule",

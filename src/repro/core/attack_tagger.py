@@ -34,7 +34,7 @@ from .factors import FactorParameters, default_parameters, observation_log_for_s
 from .sequences import AlertSequence, matched_prefix_length
 from .sliding_window import WindowArena
 from .states import NUM_STATES, HiddenState
-from .streaming import PatternTable, StreamingDecoder, WeightedPattern
+from .streaming import StreamingDecoder, WeightedPattern
 
 #: The production engine and the executable spec, in that order.
 ENGINES = ("streaming", "naive")
@@ -166,11 +166,10 @@ class AttackTagger(Detector):
         :class:`UnknownEngineError`.
 
     The model is resolved once, here (and again only when a tagger is
-    unpickled or cloned): the weighted
-    :class:`repro.core.streaming.PatternTable` both engines decode with,
-    and the :class:`repro.core.sliding_window.WindowArena` for
-    ``max_window``, whose observation table resolves each alert name's
-    row once.  Treat ``parameters``, ``patterns``,
+    unpickled or cloned): the
+    :class:`repro.core.sliding_window.WindowArena` for ``max_window``,
+    which holds the weighted patterns both engines decode with and
+    whose observation table resolves each alert name's row once.  Treat ``parameters``, ``patterns``,
     ``default_pattern_weight`` and ``max_window`` as frozen afterwards
     and build a new tagger to change the model.  The weights are copied
     into the table, so editing the caller's ``pattern_weights`` dict
@@ -215,23 +214,24 @@ class AttackTagger(Detector):
     def _resolve(self) -> None:
         """Build the model every decoder shares (scratch, dropped on pickling).
 
-        ``_pattern_table``: the catalogue patterns with a positive
-        weight, in order -- from ``parameters.pattern_weights``, or
-        ``default_pattern_weight`` for all of them when there are none.
-        ``_arena``: every tracked entity's slot, every window row and
-        fill page, and the observation row of every alert name seen.
+        ``_arena``: the weighted patterns -- the non-empty catalogue
+        patterns with a positive weight, in order, from
+        ``parameters.pattern_weights`` or ``default_pattern_weight`` for
+        all of them when there are none -- and every tracked entity's
+        slot, match row, window row and fill page, and the observation
+        row of every alert name seen.
         """
         weights = self.parameters.pattern_weights
         resolved = (
             (pattern, weights.get(pattern.name, 0.0) if weights else self.default_pattern_weight)
             for pattern in self.patterns
         )
-        self._pattern_table = PatternTable(
+        patterns = [
             WeightedPattern(pattern.name, pattern.names, weight)
             for pattern, weight in resolved
-            if weight > 0.0
-        )
-        self._arena = WindowArena(self.max_window + 1, self.parameters)
+            if weight > 0.0 and pattern.names
+        ]
+        self._arena = WindowArena(self.max_window + 1, self.parameters, patterns)
 
     # -- public state ------------------------------------------------------
     def track(self, entity: str) -> EntityTrack:
@@ -315,7 +315,7 @@ class AttackTagger(Detector):
         decoder = track.decoder
         if decoder is None:
             slot = track.slot
-            decoder = track.decoder = StreamingDecoder(self._pattern_table, self._arena, slot)
+            decoder = track.decoder = StreamingDecoder(self._arena, slot)
             slots = self._arena.slots
             if slots.stale[slot] or track.detected is not None:
                 slots.stale[slot] = False
@@ -335,7 +335,7 @@ class AttackTagger(Detector):
             return unary, []
         unary[0] += self.parameters.initial_log
         matched_names: list[str] = []
-        for pattern in self._pattern_table.patterns:
+        for pattern in self._arena.matches.patterns:
             matched = matched_prefix_length(pattern.names, names)
             if matched == 0:
                 continue
@@ -446,12 +446,15 @@ class AttackTagger(Detector):
         """One alert through one decoder: the per-entity streaming step.
 
         Tail of the per-alert path, and what the stacked kernel runs
-        for a row whose step touches pattern state.
+        for a step that opens a window.
         """
-        decoder.append(alert.name)
-        if sliding:
+        if decoder.windowed:
             # Amortised slide: O(K^3) two-stack eviction.
-            decoder.evict_front()
+            decoder.slide(alert.name)
+        else:
+            decoder.append(alert.name)
+            if sliding:
+                decoder.open_window()
         if decoder.windowed and not decoder.may_fire(self.detection_threshold):
             # The guard-banded aggregate decision is authoritative
             # for "cannot fire"; no exact decode is materialised.
@@ -516,6 +519,15 @@ class AttackTagger(Detector):
             self._batch_kernel = BatchedDecodeKernel(self)
         return self._batch_kernel.observe(list(alerts))
 
+    @property
+    def kernel_steps(self) -> tuple[int, int, int]:
+        """:attr:`Detector.kernel_steps` of the stacked kernel, since it was
+        (re)created: it is scratch, so a restored tagger counts from zero."""
+        kernel = self._batch_kernel
+        if kernel is None:
+            return (0, 0, 0)
+        return (kernel.rows_stacked, kernel.rows_patterned, kernel.rows_scalar)
+
     def clone(self) -> "AttackTagger":
         """A fresh, stateless tagger with the same configuration.
 
@@ -552,11 +564,9 @@ class AttackTagger(Detector):
         # The kernel is pure scratch (stacked work buffers); recreated
         # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
-        # So is the resolved model: the pattern table and the window
-        # arena (its slots, rows and pages are the dropped decode
-        # state) are rebuilt on unpickling; dropping the keys keeps old
-        # bytes.
-        state.pop("_pattern_table", None)
+        # So is the resolved model: the window arena (its slots, match
+        # rows, window rows and pages are the dropped decode state) is
+        # rebuilt on unpickling; dropping the key keeps old bytes.
         state.pop("_arena", None)
         return state
 

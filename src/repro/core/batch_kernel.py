@@ -14,8 +14,8 @@ state the per-alert path uses.
 
 **Slots, runs and passes.**  Every tracked entity holds a *slot* of
 the arena's :class:`~repro.core.sliding_window.SlotTable`: its arena
-row (or none), its fill length and pages, whether it is detected, and
-whether its pattern state is still the table's seed ("pristine").  The
+row (or none), its fill length and pages, its match row (none while
+"pristine": no pattern matched), and whether it is detected.  The
 sub-batch is interned once -- one dict lookup per alert maps its entity
 to a slot (a batch's new entities are opened together) and its name to
 an arena symbol -- and grouped into per-entity *runs* (each entity's
@@ -25,14 +25,14 @@ run with alerts left through its next stacked segment -- a run of
 plain filling steps, or a *chunk* of plain windowed steps -- with
 masks over the slot columns: the detected check, the filling /
 windowed split and the plain test (a pristine slot and a symbol no
-pattern starts with, or ``StreamingDecoder.plain_run`` for a slot with
-live cursors).  A step that opens a window or, windowed, touches
-pattern state goes through the per-entity path on the way, so the
-segments of all entities share their depth loops.  Entities are
-independent, so one pass may advance one entity by one alert and
-another by thirty.  Only steps that touch pattern state, open a
-window or fire call into a decoder; a pristine entity's plain filling
-steps need none.
+pattern starts with, or ``streaming.plain_depth`` for a slot with
+matches).  On the way, a step that opens a window goes through the
+per-entity path and windowed steps that touch pattern state through
+the *pattern pass*, so the segments of all entities share their depth
+loops.  Entities are independent, so one pass may advance one entity
+by one alert and another by thirty.  Only steps that open a window,
+touch pattern state while the window fills, or fire call into a
+decoder; a pristine entity's plain filling steps need none.
 
 **Chunks: the depth axis.**  Every windowed entity is a row of the
 tagger's :class:`~repro.core.sliding_window.WindowArena` (see that
@@ -41,9 +41,8 @@ steps at depths ``0 .. D - 1``.  It ends at the first of four cuts:
 
 * the row's next flip -- the step whose eviction exhausts the front
   and turns the back into suffixes is the chunk's last;
-* a step that touches pattern state (``StreamingDecoder.plain_run``: an
-  awaited or seeding symbol, or a cursor's first matched step entering
-  the horizon);
+* a step that touches pattern state (``streaming.plain_depth``: an
+  awaited or seeding symbol, or the eviction of a match's first step);
 * the end of the entity's run in the sub-batch;
 * a detection: the rest of the run is timeline only.
 
@@ -56,7 +55,9 @@ happens once per pass:
 
 * the unary rows are one lookup of the cells' symbol indices in the
   arena's observation table (``WindowArena.observations``, which grows
-  by one row per newly interned name and is never rebuilt);
+  by one row per newly interned name and is never rebuilt), and the
+  head rows the same plus the prior and, for a slot with matches, the
+  bonuses ending there (``streaming.effective_rows``);
 * the first ``may_fire`` stage, the guard-banded ``(max, +)`` window
   score, over every ``(row, depth)`` cell;
 * the writes: symbols, unary rows, aggregates, head priors,
@@ -79,11 +80,31 @@ together, does the second ``may_fire`` stage fold the forward message
 over each row's unary ring); the rows it cannot rule out are decided
 exactly by ``AttackTagger._finalize_decision``.
 
-Rows that are not plain (a cursor advances, a bonus relocates, an
-eviction rescans, or the window is only now opening) take the
-per-entity path, ``AttackTagger._advance``, on the same arena row;
-cursors, waiting lists and bonus buckets stay the sparse per-entity
-dicts they are.  **Filling entities** (window not yet saturated) keep
+**The pattern pass.**  A windowed row whose next step touches pattern
+state (a match advances or its first step is evicted, moving a bonus)
+takes its steps up to the last one that does, ``_PATTERN_DEPTH`` at
+most, in one stacked computation for all such rows
+(``BatchedDecodeKernel._advance_patterned``).  A match is a function
+of its window alone (the greedy leftmost match the naive rebuild
+computes), so ``streaming.match_windows`` gives the matches after
+every step at once from a next-occurrence table of each row's ring
+and upcoming symbols -- one stacked lookup per pattern symbol -- and
+with them each window's effective rows.  The score test is
+conservative twice over: bonuses only raise the malicious state's
+unary, so a window's score lies between its bonus-free score and that
+plus its bonus total, and the bonus-free scores are a few stacked
+products of blocks of observation-only step matrices; only windows
+that bound cannot rule out are scored exactly, one product tree each.
+A window still standing is committed and decided as in a chunk; a row
+that does not fire commits its last window and is re-aggregated from
+scratch (``WindowArena.rebuild``) -- exactly what the per-alert path
+(``StreamingDecoder.slide``) leaves after a step that touches pattern
+state.  Match state lives in the arena's
+:class:`~repro.core.sliding_window.MatchRows`: per slot and pattern
+the matched length and the first and last matched steps, in a row
+taken when a slot leaves the seed.  Only a window opening takes the
+per-entity path, ``AttackTagger._advance``.  **Filling entities**
+(window not yet saturated) keep
 their steps in the arena's fill storage, one cell per step.  A pass
 takes each filling run's plain steps up to the one that would open its
 window (or the one step that touches pattern state, through its
@@ -96,7 +117,7 @@ Viterbi and forward recursions advance one stacked step per depth,
 gathered into entity-minor ``(K, N)`` stacks and scattered back with
 one index array.  Fill storage only grows, so every cell is decided at
 once afterwards; a run that fires before its last step gives the later
-steps back first.  Only a step that meets a bonus builds its row
+steps back first.  A step that touches pattern state builds its row
 through ``_effective_row``, and one that relocates a bonus goes through
 ``_complete_append``.  A pass's filling steps, or its chunk cells,
 that would stack fewer than ``_MIN_BATCH`` alerts run through the
@@ -107,8 +128,9 @@ bit-for-bit (elementwise adds/exp/log are elementwise; max/argmax are
 order-independent; a K = 3 reduce over a leading axis sums left to
 right, as the scalar ops do), so a sub-batch leaves every row exactly as
 a per-alert ``observe`` loop over the same alerts would -- unary rings,
-aggregates, spans.  And no emitted number reads an aggregate or a
-forward tree: a cell the pre-filter cannot rule out is decided, and its
+aggregates, spans, matches.  And no emitted number reads an aggregate,
+a bound or a product tree: a cell the pre-filter cannot rule out is
+decided, and its
 detection materialised, by the exact sequential decode of its unary
 ring, the very float operations of ``engine="naive"``.  The differential oracle
 replays the full engine × shards × backend × driver matrix against
@@ -117,8 +139,8 @@ replays the full engine × shards × backend × driver matrix against
 The kernel object itself is pure scratch: it holds no decode state, is
 dropped on pickling, and is recreated lazily.  What it decodes with is
 the tagger's, resolved once when the tagger is built or unpickled: the
-arena (its ring, symbols and observation rows, under the tagger's
-parameters) and the pattern table.  Nothing here re-checks either.
+arena (its ring, symbols, observation rows and pattern tables, under
+the tagger's parameters).  Nothing here re-checks it.
 """
 
 from __future__ import annotations
@@ -130,10 +152,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .factor_graph import _logsumexp, maxplus_vecmat_batch
-from .sliding_window import FillPages, WindowArena
+from .factor_graph import _logsumexp, maxplus_matmul_batch, maxplus_vecmat_batch
+from .sliding_window import FillPages, WindowArena, tree
 from .states import NUM_STATES
-from .streaming import _ARANGE_K, _MALICIOUS, _guard, forward_stage
+from .streaming import _ARANGE_K, _MALICIOUS, _guard, effective_rows, forward_stage, match_windows, plain_depth
 
 if TYPE_CHECKING:
     from .alerts import Alert
@@ -153,6 +175,10 @@ _K = NUM_STATES
 # one-step rows and from about 6 steps of one row, and 4 splits the
 # difference.
 _MIN_BATCH = 4
+
+# Steps the pattern pass looks ahead of each run: its windows cost
+# ``depth * max_window`` step matrices.
+_PATTERN_DEPTH = 32
 
 #: ``(sub-batch position, detection)``.
 Hit = Tuple[int, "Detection"]
@@ -254,7 +280,7 @@ class _SubBatch:
             self.slot, self.tracks = slots, tracks
             self.sorted = [alerts[position] for position in order.tolist()]
             self.symbols = np.array(symbols, dtype=np.int64)[order]
-        self.seeding = seeding_of = kernel._seeding_table()[self.symbols]
+        self.seeding = seeding_of = arena.matches.seeding(self.symbols)
         # The first seeding symbol at or after each sorted alert, if any.
         self.next_seed: Optional[np.ndarray] = None
         if seeding_of.any():
@@ -272,14 +298,14 @@ class _SubBatch:
 class BatchedDecodeKernel:
     """Stacked sub-batch executor bound to one :class:`AttackTagger`."""
 
-    __slots__ = ("_tagger", "_seeding", "rows_stacked", "rows_scalar")
+    __slots__ = ("_tagger", "rows_stacked", "rows_patterned", "rows_scalar")
 
     def __init__(self, tagger: "AttackTagger") -> None:
         self._tagger = tagger
-        # Per interned symbol: does a pattern start with it?
-        self._seeding = np.zeros(0, dtype=np.bool_)
-        # Windowed steps advanced as arena arithmetic / by the per-entity path.
+        # Windowed steps advanced in chunks, by the pattern pass, and by
+        # the per-entity path (window openings, segments too small to stack).
         self.rows_stacked = 0
+        self.rows_patterned = 0
         self.rows_scalar = 0
 
     # -- entry point --------------------------------------------------------
@@ -304,36 +330,29 @@ class BatchedDecodeKernel:
         tagger.kernel_seconds += time.perf_counter() - started
         return hits
 
-    def _seeding_table(self) -> np.ndarray:
-        """Per interned symbol, whether a pattern starts with it (grown as names are interned)."""
-        tagger = self._tagger
-        names = tagger._arena.symbol_names
-        known = self._seeding.size
-        if known < len(names):
-            seed = tagger._pattern_table.seed
-            fresh = np.array([name in seed for name in names[known:]], dtype=np.bool_)
-            self._seeding = np.concatenate((self._seeding, fresh))
-        return self._seeding
-
     # -- one pass: the next stacked segment of every run ----------------------
     def _pass(self, batch: _SubBatch, runs: np.ndarray, hits: List[Hit]) -> None:
         """Advance every run to and through its next stacked segment.
 
-        A run whose next step touches pattern state in the windowed
-        phase, or opens its window, takes it through the per-entity path
-        first and is classified again, so every run still live brings a
+        A run whose next step opens its window takes it through the
+        per-entity path, and a windowed run whose next step touches
+        pattern state takes its steps through the pattern pass, first;
+        either is classified again, so every run still live brings a
         segment and the segments of a pass share their depth loops.
         """
-        fill, reach, chunk, depth, scalar = self._classify(batch, runs)
-        while scalar.size:
-            left = self._advance_scalar(batch, scalar, hits)
+        fill, reach, chunk, depth, opening, patterned = self._classify(batch, runs)
+        while opening.size or patterned.size:
+            left = np.concatenate((
+                self._advance_scalar(batch, opening, hits),
+                self._advance_patterned(batch, patterned, hits),
+            ))  # fmt: skip
             if not left.size:
                 break
             more = self._classify(batch, left)
             fill, reach, chunk, depth = (
                 np.concatenate(pair) for pair in zip((fill, reach, chunk, depth), more)
             )
-            scalar = more[4]
+            opening, patterned = more[4:]
         if fill.size and int(reach.sum()) < _MIN_BATCH:
             self._advance_each(batch, fill, reach, False, hits)
         elif fill.size:
@@ -344,7 +363,7 @@ class BatchedDecodeKernel:
             self._advance_chunks(batch, chunk, depth, hits)
 
     def _classify(self, batch: _SubBatch, runs: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Split ``runs`` by their next segment: ``(fill, reach, chunk, depth, scalar)``.
+        """Split ``runs`` by their next segment: ``(fill, reach, chunk, depth, opening, patterned)``.
 
         The rest of a detected entity's run is timeline only: it is
         taken here, whole.
@@ -357,8 +376,9 @@ class BatchedDecodeKernel:
         that evicts the last front step, the head included), the run's
         end and a step that touches pattern state -- for a pristine
         slot the next symbol a pattern starts with, otherwise
-        ``StreamingDecoder.plain_run``.  The rest (a window opening, a
-        chunk of depth 0) are ``scalar``.
+        :func:`~repro.core.streaming.plain_depth`.  A window opening is
+        ``opening``; a windowed row whose next step touches pattern
+        state (a chunk of depth 0) is ``patterned``.
         """
         tagger = self._tagger
         arena = tagger._arena
@@ -374,7 +394,7 @@ class BatchedDecodeKernel:
             batch.head[runs[detected]] = batch.end[runs[detected]]
             runs, slot = runs[~detected], slot[~detected]
         head, end = batch.head[runs], batch.end[runs]
-        row, pristine = table.row[slot], table.pristine[slot]
+        row, pristine = table.row[slot], table.match[slot] < 0
         plain_to = end if batch.next_seed is None else np.minimum(end, batch.next_seed[head])
         none = runs[:0]
         filling = row < 0
@@ -385,7 +405,7 @@ class BatchedDecodeKernel:
                 reach = np.maximum(np.minimum(plain_to - head, window - length), 1)
                 if not pristine.all():
                     reach[~pristine] = 1
-                return runs, reach, none, none, none
+                return runs, reach, none, none, none, none
         if filling.any():
             length = table.length[slot]
             opening = filling & (length >= window)
@@ -393,49 +413,113 @@ class BatchedDecodeKernel:
             reach = np.minimum(plain_to[taking] - head[taking], window - length[taking])
             fill = runs[taking], np.where(pristine[taking], np.maximum(reach, 1), 1)
             windowed = np.flatnonzero(~filling)
-            scalar = runs[opening]
+            opening = runs[opening]
             if not windowed.size:
-                return (*fill, none, none, scalar)
+                return (*fill, none, none, opening, none)
             runs, slot, head, end, row = runs[windowed], slot[windowed], head[windowed], end[windowed], row[windowed]
             pristine, plain_to = pristine[windowed], plain_to[windowed]
         else:
-            fill, scalar = (none, none), none
+            fill, opening = (none, none), none
         ahead = np.minimum(end - head, arena.boundary[row] - arena.start[row])
         ahead = np.minimum(ahead, window)
         depth = np.minimum(ahead, plain_to - head)
         if not pristine.all():
-            for k in np.flatnonzero(~pristine).tolist():
-                low = int(head[k])
-                names = [alert.name for alert in batch.sorted[low : low + int(ahead[k])]]
-                depth[k] = batch.tracks[runs[k]].decoder.plain_run(names)
+            k = np.flatnonzero(~pristine)
+            offsets = np.arange(int(ahead[k].max()))
+            within = offsets < ahead[k, None]
+            at = np.where(within, head[k, None] + offsets, 0)
+            symbols = np.where(within, batch.symbols[at], -1)
+            depth[k] = plain_depth(arena, slot[k], row[k], symbols, ahead[k])
         plain = depth > 0
         if plain.all():
-            return (*fill, runs, depth, scalar)
-        return (*fill, runs[plain], depth[plain], np.concatenate((scalar, runs[~plain])))
+            return (*fill, runs, depth, opening, none)
+        return (*fill, runs[plain], depth[plain], opening, runs[~plain])
 
     def _advance_scalar(self, batch: _SubBatch, runs: np.ndarray, hits: List[Hit]) -> np.ndarray:
-        """Each run's steps through the per-entity path, on the same arena
-        row, while they are not plain (``plain_run``): a cursor advances,
-        a bonus moves, an eviction rescans, or the window is only now
-        opening.  Returns the runs with steps left that did not fire."""
+        """Each run's next step, the one that opens its window, through
+        the per-entity path.  Returns the runs with steps left that did
+        not fire."""
         tagger = self._tagger
         left = []
-        for r, low, high in zip(runs.tolist(), batch.head[runs].tolist(), batch.end[runs].tolist()):
+        for r, k in zip(runs.tolist(), batch.head[runs].tolist()):
             track = batch.tracks[r]
-            decoder = tagger._decoder_for(track)
-            k = low
-            while k < high:
-                alert = batch.sorted[k]
-                self.rows_scalar += 1
-                k += 1
-                if (detection := tagger._advance(track, alert, decoder, True)) is not None:
-                    hits.append((batch.order[k - 1].item(), detection))
-                    break
-                if k < high and decoder.plain_run([batch.sorted[k].name]):
-                    left.append(r)
-                    break
-            batch.head[r] = k
+            detection = tagger._advance(track, batch.sorted[k], tagger._decoder_for(track), True)
+            batch.head[r] = k + 1
+            if detection is not None:
+                hits.append((batch.order[k].item(), detection))
+            elif k + 1 < batch.end[r]:
+                left.append(r)
+        self.rows_scalar += runs.size
         return np.array(left, dtype=np.int64)
+
+    def _advance_patterned(self, batch: _SubBatch, runs: np.ndarray, hits: List[Hit]) -> np.ndarray:
+        """The pattern pass: windowed runs whose next step touches pattern
+        state take their steps up to the last one that does (within
+        ``_PATTERN_DEPTH``), all runs at once (see the module docstring).
+
+        The matches before and after every step come from one
+        :func:`~repro.core.streaming.match_windows` over each run's ring
+        plus its next symbols; :class:`_PatternWindows` pre-filters the
+        windows, and a window it cannot rule out is committed (rows,
+        span, matches) and decided as in a chunk.  A run that does not
+        fire commits its last window and is re-aggregated from scratch,
+        which is what the per-alert path leaves after a step that
+        touches pattern state (``StreamingDecoder.slide``).
+        Returns the runs with steps left that did not fire.
+        """
+        if not runs.size:
+            return runs
+        head = batch.head[runs]
+        horizon = np.minimum(batch.end[runs] - head, _PATTERN_DEPTH)
+        if int(horizon.sum()) < _MIN_BATCH:
+            # Too few steps left to stack: each run's last ones, per alert.
+            self._advance_each(batch, runs, horizon, True, hits)
+            return runs[:0]
+        tagger = self._tagger
+        arena = tagger._arena
+        width = tagger.max_window  # every window holds max_window steps
+        slots = batch.slot[runs]
+        rows = arena.slots.row[slots]
+        reach = int(horizon.max())
+        ahead = np.arange(reach) < horizon[:, None]
+        start = arena.start[rows]
+        queued = arena.symbols[arena.cells(rows[:, None], start[:, None] + np.arange(width))]
+        upcoming = np.where(ahead, batch.symbols[np.where(ahead, head[:, None] + np.arange(reach), 0)], -1)
+        sequence = np.concatenate((queued, upcoming), axis=1)
+        # The matches of the window as it stands (0) and after each step (1 ..).
+        matched, first, last = match_windows(arena.matches, sequence, np.arange(reach + 1), width)
+        moved = (matched[:, 1:] != matched[:, :-1]) | (
+            (matched[:, 1:] > 0) & ((first[:, 1:] != first[:, :-1]) | (last[:, 1:] != last[:, :-1]))
+        )
+        moved = moved.any(axis=2) & ahead
+        # Each run's steps end with the last that moves a match (its first does).
+        depth = reach - np.argmax(moved[:, ::-1], axis=1)
+        # Window q of run i (after its step q < depth[i]) is pair j, and
+        # ``sequence[i, q + 1 : q + 1 + width]``.
+        owner = np.repeat(np.arange(runs.size), depth)
+        level = np.arange(owner.size) - np.repeat(np.cumsum(depth) - depth, depth)
+        after = (matched[:, 1:], first[:, 1:], last[:, 1:])
+        window = _PatternWindows(arena, slots, rows, start, sequence, owner, level, *after)
+        candidate = window.candidates(width)
+        taken, fired = depth.copy(), np.zeros(runs.size, dtype=np.bool_)
+        for i, q in zip(owner[candidate].tolist(), level[candidate].tolist()):
+            if fired[i]:
+                continue
+            window.commit(np.array([i]), np.array([q]))
+            k = int(head[i] + q)
+            track = batch.tracks[runs[i]]
+            if forward_stage(arena, rows[i : i + 1], tagger.detection_threshold)[0]:
+                detection = tagger._finalize_decision(track, batch.sorted[k], track.decoder)
+                if detection is not None:
+                    hits.append((int(batch.order[k]), detection))
+                    taken[i], fired[i] = q + 1, True
+        live = np.flatnonzero(~fired)
+        if live.size:
+            window.commit(live, depth[live] - 1)
+            arena.rebuild(rows[live], arena.parameters.transition_log)
+        batch.head[runs] += taken
+        self.rows_patterned += int(taken.sum())
+        return runs[live[head[live] + depth[live] < batch.end[runs[live]]]]
 
     def _advance_each(
         self, batch: _SubBatch, runs: np.ndarray, steps: np.ndarray, sliding: bool, hits: List[Hit]
@@ -453,6 +537,8 @@ class BatchedDecodeKernel:
                     hits.append((int(batch.order[k]), detection))
                     break
         batch.head[runs] += steps
+        if sliding:
+            self.rows_scalar += int(steps.sum())
 
     # -- filling phase: runs of steps in fill-storage cells --------------------
     def _advance_fill(self, batch: _SubBatch, runs: np.ndarray, reach: np.ndarray, hits: List[Hit]) -> None:
@@ -492,7 +578,7 @@ class BatchedDecodeKernel:
             symbols = batch.symbols[head[col] + level]
         # A run reaching past one step is plain; a one-step run is plain
         # unless its slot has left the seed or its symbol starts a pattern.
-        plain = table.pristine[slot] & ~batch.seeding[head]
+        plain = (table.match[slot] < 0) & ~batch.seeding[head]
         block = None  # every cell is stacked
         bonus: List[Tuple[int, np.ndarray]] = []
         cell_slots = slot if col is None else slot[col]
@@ -508,12 +594,12 @@ class BatchedDecodeKernel:
             # Depth 0 holds run i's first step at cell i.
             for i in np.flatnonzero(~plain).tolist():
                 decoder = tagger._decoder_for(batch.tracks[runs[i]])
-                step, dirty, invalid_from = decoder.append_plan(batch.sorted[head[i]].name)
+                step, dirty, invalid_from, ends = decoder.append_plan(batch.sorted[head[i]].name)
                 cells[i] = decoder._cell(step)
                 if invalid_from != step:
                     decoder._complete_append(step, dirty, invalid_from)
                     block[i] = False
-                elif step in decoder._bonus_at:
+                elif ends:
                     bonus.append((i, decoder._effective_row(step)))
         unary = arena.observations[symbols]
         first = steps == 0
@@ -668,8 +754,9 @@ class BatchedDecodeKernel:
             runs, depth = runs[deepest], depth[deepest]
         head = batch.head[runs]
         active = _active(depth)
-        rows = arena.slots.row[batch.slot[runs]]
-        scratch = _ChunkPass(arena, rows, depth, active, batch.symbols, head)
+        slots = batch.slot[runs]
+        rows = arena.slots.row[slots]
+        scratch = _ChunkPass(arena, rows, depth, active, batch.symbols, head, slots)
         # Each chunk's candidate depths, ascending (cells are depth-major).
         waiting: Dict[int, List[int]] = {}
         for cell in scratch.candidates().tolist():
@@ -690,7 +777,7 @@ class BatchedDecodeKernel:
             ended = scratch.commit(done, stop, whole)
             if ended.size:
                 # A chunk's last step is score-tested from the committed row.
-                found = _row_candidates(arena, rows[ended], scratch.last_heads(ended))
+                found = _row_candidates(arena, rows[ended])
                 decide.extend(ended[found].tolist())
             if decide:
                 # Every row to decide is committed through its candidate step.
@@ -712,15 +799,136 @@ class BatchedDecodeKernel:
         batch.head[runs] += depth
 
 
-def _row_candidates(arena: WindowArena, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """:func:`_candidates` of arena rows as committed, whose head vectors
-    (``(K, N)``, prior included) the caller has at hand."""
+def _row_candidates(arena: WindowArena, rows: np.ndarray) -> np.ndarray:
+    """:func:`_candidates` of arena rows as committed."""
     start, boundary, end = arena.start[rows], arena.boundary[rows], arena.end[rows]
     parts = [
         (held, arena.agg_max[:, :, arena.cells(rows, steps)])
         for held, steps in ((start + 1 < boundary, start + 1), (boundary < end, end - 1))
     ]
-    return _candidates(heads, end - start, parts)
+    return _candidates(arena.unary[arena.cells(rows, start)].T, end - start, parts)
+
+
+def _window_rows(arena: WindowArena, windows: np.ndarray, matched: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Effective unary rows ``(n, width, K)`` of ``n`` windows of symbols
+    ``windows`` ``(n, width)``: observation rows, the prior on the head,
+    and the bonus of every match (``matched``, ending at window position
+    ``ends``, ``(n, P)`` each) summed in catalogue order, as
+    :func:`~repro.core.streaming.effective_rows` sums them."""
+    unary = arena.observations[windows]
+    unary[:, 0] += arena.parameters.initial_log
+    j, p = np.nonzero(matched > 0)
+    if j.size:
+        bonus = arena.matches.bonus[p, matched[j, p]]
+        cell = j * windows.shape[1] + ends[j, p]
+        order = np.argsort(cell, kind="stable")  # catalogue order within a cell
+        cell, bonus = cell[order], bonus[order]
+        rank = np.arange(cell.size) - np.searchsorted(cell, cell)
+        flat = unary.reshape(-1, _K)
+        for k in range(int(rank.max()) + 1):
+            pick = np.flatnonzero((rank == k) & (bonus > 0.0))
+            flat[cell[pick], _MALICIOUS] += bonus[pick]
+    return unary
+
+
+class _PatternWindows:
+    """The pattern pass's windows in scratch: pre-filtered, then committed
+    a run at a time.
+
+    Window ``j`` is run ``owner[j]``'s after its step ``level[j]``:
+    symbols ``sequence[owner, level + 1 :][:width]``, matches
+    ``matched/first/last[owner, level]`` (positions in ``sequence``,
+    which starts at the run's old window start).
+    """
+
+    __slots__ = ("arena", "slots", "rows", "start", "sequence", "owner", "level", "matched", "first", "last")
+
+    def __init__(self, arena, slots, rows, start, sequence, owner, level, matched, first, last) -> None:
+        self.arena, self.slots, self.rows, self.start = arena, slots, rows, start
+        self.sequence, self.owner, self.level = sequence, owner, level
+        self.matched, self.first, self.last = matched[owner, level], first[owner, level], last[owner, level]
+
+    def _windows(self, pick: np.ndarray, width: int) -> np.ndarray:
+        """The symbols ``(n, width)`` of windows ``pick``."""
+        return self.sequence[self.owner[pick, None], self.level[pick, None] + 1 + np.arange(width)]
+
+    def _rows(self, pick: np.ndarray, width: int) -> np.ndarray:
+        """The effective rows ``(n, width, K)`` of windows ``pick``."""
+        ends = self.last[pick] - self.level[pick, None] - 1
+        return _window_rows(self.arena, self._windows(pick, width), self.matched[pick], ends)
+
+    def candidates(self, width: int) -> np.ndarray:
+        """The windows the guard-banded ``(max, +)`` score test cannot rule out.
+
+        Bonuses only raise the malicious state's unary, so a window's
+        score lies between its score without them and that plus their
+        sum: the bonus-free scores -- a sparse table of products of
+        observation-only step matrices over each run's sequence, a
+        window being the same popcount(width - 1) of its blocks -- rule
+        most windows out for the price of a few stacked products.  The
+        rest are scored as they are, one product tree each.
+        """
+        arena = self.arena
+        parameters = arena.parameters
+        pairwise = parameters.transition_log
+        runs, length = self.sequence.shape
+        # blocks[k][:, :, position, run]: the product of 2**k steps from there.
+        blocks = [pairwise[:, :, None, None] + arena.observations[self.sequence].transpose(2, 1, 0)[None]]
+        while 2 ** len(blocks) < width:
+            block, span = blocks[-1], 2 ** (len(blocks) - 1)
+            blocks.append(maxplus_matmul_batch(block[:, :, :-span], block[:, :, span:]))
+        low = self.level + 2  # the window's first step past the head
+        product = None
+        for k in range(len(blocks) - 1, -1, -1):
+            if (width - 1) >> k & 1:
+                factor = blocks[k][:, :, low, self.owner]
+                product = factor if product is None else maxplus_matmul_batch(product, factor)
+                low = low + 2**k
+        heads = arena.observations[self.sequence[self.owner, self.level + 1]].T + parameters.initial_log[:, None]
+        score = maxplus_vecmat_batch(heads, product)
+        bonus = arena.matches.bonus[np.arange(self.matched.shape[1]), self.matched].sum(axis=1)
+        lengths = np.full(score.shape[1], width)
+        guard = _guard(lengths, np.abs(score) + bonus)
+        # Negated as in _candidates: a NaN score cannot rule a window out.
+        found = np.flatnonzero(~(score[_MALICIOUS] + bonus < np.maximum.reduce(score, axis=0) - guard))
+        if not found.size:
+            return found
+        unary = self._rows(found, width)
+        stack = pairwise[:, :, None, None] + unary[:, 1:].transpose(2, 1, 0)[None]
+        score = maxplus_vecmat_batch(unary[:, 0].T, tree(stack, maxplus_matmul_batch))
+        lengths = lengths[: found.size]
+        return found[~(score[_MALICIOUS] < np.maximum.reduce(score, axis=0) - _guard(lengths, score))]
+
+    def commit(self, runs: np.ndarray, depths: np.ndarray) -> None:
+        """Leave run ``runs[j]``'s arena row and matches as after its step ``depths[j]``."""
+        arena = self.arena
+        width = arena.ring - 1
+        pick = np.searchsorted(self.owner, runs) + depths
+        rows, low = self.rows[runs], self.start[runs] + depths + 1
+        cells = arena.cells(rows[:, None], low[:, None] + np.arange(width))
+        arena.symbols[cells] = self._windows(pick, width)
+        arena.unary[cells] = self._rows(pick, width)
+        arena.start[rows], arena.end[rows] = low, low + width
+        # A position in the pass's sequence counts steps from the old start.
+        origin = self.start[runs][:, None]
+        table, matches = arena.slots, arena.matches
+        slots = self.slots[runs]
+        matched = self.matched[pick]
+        held = matched.any(axis=1)
+        match = table.match[slots]
+        opening = np.flatnonzero(held & (match < 0))
+        if opening.size:
+            match[opening] = table.match[slots[opening]] = matches.allocate(opening.size)
+        closing = np.flatnonzero(~held & (match >= 0))
+        if closing.size:
+            matches.release(match[closing].tolist())
+            table.match[slots[closing]] = -1
+        keep = np.flatnonzero(held)
+        if keep.size:
+            at = match[keep]
+            matches.matched[at] = matched[keep]
+            matches.first[at] = self.first[pick[keep]] + origin[keep]
+            matches.last[at] = self.last[pick[keep]] + origin[keep]
 
 
 class _ChunkPass:
@@ -744,6 +952,7 @@ class _ChunkPass:
         active: List[int],
         symbols: np.ndarray,
         head: np.ndarray,
+        slots: np.ndarray,
     ) -> None:
         self.arena, self.rows, self.depth = arena, rows, depth
         parameters = arena.parameters
@@ -756,11 +965,11 @@ class _ChunkPass:
         # Each cell's depth, and its chunk's row and geometry; chunk i's
         # step at depth q is ``symbols[head[i] + q]``.
         if len(active) == 1:
-            level, row_c, start_c, end_c = 0, rows, self.start, self.end  # cell k is chunk k
+            level, row_c, start_c, end_c, slot_c = 0, rows, self.start, self.end, slots  # cell k is chunk k
             self.symbols = symbols[head]
         else:
             level, col = self.level, self.col
-            row_c, start_c, end_c = rows[col], self.start[col], self.end[col]
+            row_c, start_c, end_c, slot_c = rows[col], self.start[col], self.end[col], slots[col]
             self.symbols = symbols[head[col] + level]
         self.unary = unary = arena.observations[self.symbols]
         self.row_c = row_c
@@ -770,13 +979,20 @@ class _ChunkPass:
         self.cells = arena.cells(row_c, end_c + level)
         self.head = head = start_c + level + 1
         self.head_cells = arena.cells(row_c, head)
-        heads = arena.observations[arena.symbols[self.head_cells]]
+        head_symbols = arena.symbols[self.head_cells]
         if len(active) > 1:
             # At a flip, the new head can be a step of this very chunk
             # (never at depth 0: a window holds two steps at least).
             fresh = np.flatnonzero(head >= end_c)
-            heads[fresh] = unary[self.offsets[(head - end_c)[fresh]] + self.col[fresh]]
-        self.heads = heads + parameters.initial_log
+            head_symbols[fresh] = self.symbols[self.offsets[(head - end_c)[fresh]] + self.col[fresh]]
+        self.heads = arena.observations[head_symbols] + parameters.initial_log
+        # A slot with matches may have bonuses ending on a head (matches
+        # start no later, so none is evicted in the chunk).
+        held = np.flatnonzero(arena.slots.match[slot_c] >= 0)
+        if held.size:
+            self.heads[held] = effective_rows(
+                arena, slot_c[held], head_symbols[held], head[held], np.ones(held.size, dtype=np.bool_)
+            )
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -792,11 +1008,6 @@ class _ChunkPass:
     def col(self) -> np.ndarray:
         """Each cell's chunk."""
         return np.arange(self.level.size) - self.offsets[self.level]
-
-    def last_heads(self, chunks: np.ndarray) -> np.ndarray:
-        """The ``(K, m)`` head vectors after the last step of each of ``chunks``."""
-        last = chunks if len(self.active) == 1 else self.offsets[self.depth[chunks] - 1] + chunks
-        return self.heads[last].T
 
     def _prefixes(self) -> np.ndarray:
         """The newest back prefix after every cell's push, ``(K, K, cells)``."""

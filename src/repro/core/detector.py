@@ -61,6 +61,11 @@ class Detector:
     #: kernel, for stage timing (``PipelineStats.detect_kernel_seconds``);
     #: detectors without one never move it off the class default.
     kernel_seconds: float = 0.0
+    #: Windowed steps the decode kernel advanced so far, as ``(stacked,
+    #: patterned, scalar)``: in chunks, through its pattern pass, and
+    #: through the per-entity path (``TestbedPipeline.summary`` reports
+    #: them); detectors without a kernel never move it off the class default.
+    kernel_steps: Tuple[int, int, int] = (0, 0, 0)
 
     def observe(self, alert: Alert) -> Optional["Detection"]:
         """Consume one alert; return a detection if one fires."""

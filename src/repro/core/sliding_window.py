@@ -55,10 +55,11 @@ pages of ``_PAGE`` steps from a free list, as many as the entity's
 length needs, handed back when the row is loaded.
 
 Every tracked entity is a *slot* of :class:`SlotTable` (``arena.slots``,
-same growth): its row (or ``-1``), fill length and page list, and its
-detected, pristine and stale flags, one column each.  These columns
-are the entity's decode state; a decoder reads and writes them, and
-holds only its sparse pattern state and a row view.  The stacked
+same growth): its row (or ``-1``), fill length and page list, its row
+of :class:`MatchRows` (``arena.matches``, the pattern-match state, or
+``-1``), and its detected and stale flags, one column each.  These
+columns are the entity's decode state; a decoder reads and writes
+them, and holds only a row view.  The stacked
 kernel (:mod:`repro.core.batch_kernel`) tests and advances the slots,
 rows and fill cells of a whole pass by index arrays -- a pass of
 chunks, or of filling steps, at a time; :class:`SlidingProductWindow`
@@ -147,6 +148,19 @@ def _resize_blocks(owner, capacity: int, blocks) -> None:
     owner.capacity = capacity
 
 
+def tree(stack: np.ndarray, matmul) -> np.ndarray:
+    """The product ``stack[:, :, 0] ⊗ stack[:, :, 1] ⊗ ...`` of a ``(K, K,
+    n, m)`` stack under ``matmul``'s semiring, ``(K, K, m)``: each level
+    multiplies neighbours, earlier on the left, and carries an odd last
+    one up as it is.  (An identity pad would not do under ``(logsumexp,
+    +)``: there, identity ⊗ identity is NaN off its diagonal.)"""
+    while stack.shape[2] > 1:
+        paired = stack.shape[2] // 2 * 2
+        product = matmul(stack[:, :, 0:paired:2], stack[:, :, 1:paired:2])
+        stack = np.concatenate((product, stack[:, :, paired:]), axis=2)
+    return stack[:, :, 0]
+
+
 class FillPages:
     """Struct-of-arrays storage of every filling decoder's steps, in pages.
 
@@ -198,17 +212,17 @@ class SlotTable:
     Slot ``s`` holds ``row[s]``, its arena row once its window opened
     (else ``-1``); ``length[s]``, the filling steps it holds, step ``t``
     in cell ``pages[s, t // _PAGE] * _PAGE + t % _PAGE`` of the fill
-    storage; ``detected[s]``; ``pristine[s]``, true while its pattern
-    state is the table's seed (no cursor has advanced, so its waiting
-    lists *are* the seed index and it carries no bonus); and
-    ``stale[s]``, true while its decode state must be rebuilt from the
+    storage; ``match[s]``, its row of the arena's :class:`MatchRows`
+    while a pattern is matched, else ``-1`` (the slot is *pristine*: it
+    awaits only the patterns' first symbols and carries no bonus);
+    ``detected[s]``; and ``stale[s]``, true while its decode state must be rebuilt from the
     entity's alerts (restored or adopted, and not seen since).
     These arrays are the only copy of that state: a decoder reads and
     writes them, and the stacked kernel tests and advances them by
     index arrays.
     """
 
-    __slots__ = ("capacity", "_free", "width", "row", "length", "pages", "detected", "pristine", "stale")
+    __slots__ = ("capacity", "_free", "width", "row", "length", "pages", "match", "detected", "stale")
 
     def __init__(self, width: int) -> None:
         self.capacity = 0
@@ -225,7 +239,8 @@ class SlotTable:
     @property
     def slot_bytes(self) -> int:
         """Bytes one slot takes across the six columns."""
-        return self.row.itemsize + self.length.itemsize + self.width * self.pages.itemsize + 3
+        columns = self.row.itemsize + self.length.itemsize + self.match.itemsize
+        return columns + self.width * self.pages.itemsize + 2
 
     def _resize(self, capacity: int) -> None:
         known = self.capacity
@@ -233,8 +248,8 @@ class SlotTable:
             ("row", (capacity,), np.int64),
             ("length", (capacity,), np.int64),
             ("pages", (capacity, self.width), np.int32),
+            ("match", (capacity,), np.int32),
             ("detected", (capacity,), np.bool_),
-            ("pristine", (capacity,), np.bool_),
             ("stale", (capacity,), np.bool_),
         ))  # fmt: skip
         self.empty(slice(known, capacity))
@@ -242,10 +257,9 @@ class SlotTable:
     def empty(self, slots) -> None:
         """Reset ``slots`` to empty: no row, no steps, pristine, no flag.
         A free slot is always empty."""
-        self.row[slots] = -1
+        self.row[slots] = self.match[slots] = -1
         self.length[slots] = 0
         self.detected[slots] = self.stale[slots] = False
-        self.pristine[slots] = True
 
     def allocate(self, count: int) -> List[int]:
         """``count`` free (so empty) slots."""
@@ -279,6 +293,86 @@ class SlotTable:
         return (pages[:, None] * _PAGE + np.arange(_PAGE)).ravel()[: self.length[slot]]
 
 
+class MatchRows:
+    """Greedy pattern-match state of the slots that left the seed, and the
+    tables it advances by.
+
+    Column ``p`` is the ``p``-th weighted pattern of :attr:`patterns`
+    (catalogue order, the order bonuses sum in).  Row ``r`` holds
+    ``matched[r, p]``, the longest prefix of pattern ``p`` the window
+    contains as a subsequence (its greedy leftmost match), and the
+    absolute steps ``first[r, p]`` and ``last[r, p]`` where that match
+    starts and ends (stale while ``matched`` is 0).  No other matched
+    position is ever read: a match changes only when the step it awaits
+    arrives (it then ends there) or when its first step leaves the
+    window (it is then matched again over the window).  A slot takes a
+    row when a step first advances one of its patterns and gives it
+    back once none is matched (``SlotTable.match``).
+
+    Shared tables, built once: every pattern name is interned into the
+    arena first, so the symbols patterns use are ``0 .. symbols - 1``;
+    ``expect[p, m]`` is the symbol pattern ``p`` awaits with ``m``
+    matched (``-1`` once complete), ``bonus[p, m]`` its pattern bonus
+    then, ``length[p]`` its length and ``seeds[symbol]`` whether some
+    pattern starts with the symbol (``seeds[-1]`` is false, for every
+    other symbol).
+    """
+
+    __slots__ = (
+        "capacity", "_free", "patterns", "codes", "columns", "symbols", "expect", "bonus",
+        "length", "seeds", "matched", "first", "last",
+    )  # fmt: skip
+
+    def __init__(self, patterns: Sequence, intern, parameters: "FactorParameters") -> None:
+        self.patterns = tuple(patterns)
+        self.codes = codes = [[intern(name) for name in pattern.names] for pattern in self.patterns]
+        self.columns = np.arange(len(codes))
+        self.symbols = symbols = 1 + max((c for code in codes for c in code), default=-1)
+        self.length = np.array([len(code) for code in codes], dtype=np.int64)
+        longest = int(self.length.max(initial=0))
+        self.expect = np.full((len(codes), longest + 1), -1, dtype=np.int64)
+        self.bonus = np.zeros((len(codes), longest + 1))
+        self.seeds = np.zeros(symbols + 1, dtype=np.bool_)
+        for p, (pattern, code) in enumerate(zip(self.patterns, codes)):
+            self.expect[p, : len(code)] = code
+            self.seeds[code[:1]] = True
+            for m in range(1, len(code) + 1):
+                self.bonus[p, m] = parameters.pattern_bonus(m, len(code), pattern.weight)
+        self.capacity = 0
+        self._free: List[int] = []
+        self._resize(0)
+
+    @property
+    def live(self) -> int:
+        """Number of rows currently held."""
+        return self.capacity - len(self._free)
+
+    def _resize(self, capacity: int) -> None:
+        width = len(self.patterns)
+        _resize_blocks(self, capacity, (
+            ("matched", (capacity, width), np.int64),
+            ("first", (capacity, width), np.int64),
+            ("last", (capacity, width), np.int64),
+        ))  # fmt: skip
+
+    def allocate(self, count: int) -> List[int]:
+        """``count`` free rows, nothing matched."""
+        rows = _take(self, count, _INITIAL_SLOTS)
+        self.matched[rows] = 0
+        return rows
+
+    def release(self, rows: Sequence[int]) -> None:
+        self._free.extend(rows)
+
+    def seeding(self, symbols: np.ndarray) -> np.ndarray:
+        """Whether some pattern starts with each of ``symbols`` (``-1`` pads)."""
+        return self.seeds[np.minimum(symbols, self.symbols)]
+
+    def awaited(self, rows: np.ndarray) -> np.ndarray:
+        """``(n, P)``: the symbol each pattern of each of ``rows`` awaits."""
+        return self.expect[self.columns, self.matched[rows]]
+
+
 class WindowArena:
     """Struct-of-arrays storage of two-stack sliding windows, one per row,
     the filling decoders' steps (:attr:`fill`), and the observation row
@@ -286,10 +380,10 @@ class WindowArena:
 
     __slots__ = (
         "ring", "parameters", "capacity", "_free", "symbol_ids", "symbol_names", "observations",
-        "fill", "slots", "unary", "symbols", "agg_max", "start", "boundary", "end",
+        "fill", "slots", "matches", "unary", "symbols", "agg_max", "start", "boundary", "end",
     )  # fmt: skip
 
-    def __init__(self, ring: int, parameters: "FactorParameters") -> None:
+    def __init__(self, ring: int, parameters: "FactorParameters", patterns: Sequence = ()) -> None:
         self.ring = ring
         self.parameters = parameters
         self.capacity = 0
@@ -301,6 +395,9 @@ class WindowArena:
         self.observations = np.zeros((_INITIAL_SYMBOLS, _K))
         self.fill = FillPages()
         self.slots = SlotTable(-(-ring // _PAGE))
+        # The weighted patterns (with ``names`` and ``weight``, catalogue
+        # order), whose names are interned first.
+        self.matches = MatchRows(patterns, self.intern, parameters)
         self._resize(0)
 
     @property
@@ -368,18 +465,20 @@ class WindowArena:
 
     def drop(self, slot: int) -> None:
         """Hand one slot's decode storage back (its row, or its fill
-        pages), and forget its pattern state."""
+        pages), and its pattern state."""
         slots = self.slots
-        row = int(slots.row[slot])
+        row, match = int(slots.row[slot]), int(slots.match[slot])
         if row >= 0:
             self.release(row)
             slots.row[slot] = -1
+        if match >= 0:
+            self.matches.release([match])
+            slots.match[slot] = -1
         self.truncate(slot, 0)
-        slots.pristine[slot] = True
 
     def clear(self) -> None:
-        """Hand every row, fill page and slot back at once (interned names stay)."""
-        for owner in (self, self.fill, self.slots):
+        """Hand every row, fill page, match row and slot back at once (interned names stay)."""
+        for owner in (self, self.fill, self.slots, self.matches):
             owner._free = list(range(owner.capacity - 1, -1, -1))
         self.slots.empty(slice(None))
 
@@ -411,10 +510,16 @@ class WindowArena:
         """
         end = self.end[rows]
         spans = end - self.boundary[rows]
-        for count in np.unique(spans[spans > 0]).tolist():
+        held = spans[spans > 0]
+        for count in (np.unique(held) if held.size > 1 else held).tolist():
             group = spans == count
             self._refold(rows[group], end[group] - 1, count, pairwise, suffix=True)
         self.boundary[rows] = end
+
+    def rebuild(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
+        """Re-aggregate each row from scratch: every queued step into front suffixes."""
+        self.boundary[rows] = self.start[rows] + 1
+        self.flip_together(rows, pairwise)
 
     def _refold(
         self,
@@ -470,13 +575,10 @@ class WindowArena:
 
         Row ``j``'s column is ``head ⊗ M_(start+1) ⊗ ... ⊗ M_(end-1)``
         under ``(logsumexp, +)``, folded from its unary ring alone.  Rows
-        whose windows have the same length share one tree (as
-        :meth:`flip_together` groups flips): a level multiplies
-        neighbouring products, earlier on the left, and carries an odd
-        last one up as it is.  (A ``(logsumexp, +)`` identity pad would
-        not do: under the finite-input product, identity ⊗ identity is
-        NaN off its diagonal.)  The tree reassociates the sequential
-        recursion, so the result feeds the guard-banded pre-filter only;
+        whose windows have the same length share one :func:`tree` (as
+        :meth:`flip_together` groups flips).  The tree reassociates the
+        sequential recursion, so the result feeds the guard-banded
+        pre-filter only;
         hard zeros (``-inf``) in the parameters can yield NaN, which the
         pre-filter defers to the exact decode.
         """
@@ -490,11 +592,7 @@ class WindowArena:
             # (K, K, count - 1, m): the matrix of step ``start + 1 + q`` of
             # the group's row ``j`` at ``[:, :, q, j]``.
             stack = pairwise[:, :, None, None] + self.unary[cells].transpose(2, 0, 1)[None]
-            while stack.shape[2] > 1:
-                paired = stack.shape[2] // 2 * 2
-                product = logsumexp_matmul_batch(stack[:, :, 0:paired:2], stack[:, :, 1:paired:2])
-                stack = np.concatenate((product, stack[:, :, paired:]), axis=2)
-            forward[:, group] = logsumexp_vecmat_batch(forward[:, group], stack[:, :, 0])
+            forward[:, group] = logsumexp_vecmat_batch(forward[:, group], tree(stack, logsumexp_matmul_batch))
         return forward
 
 
@@ -618,13 +716,7 @@ class SlidingProductWindow:
 
     def rebuild(self) -> None:
         """Re-aggregate from scratch: everything into front suffix products."""
-        start, _, end = self.span
-        self.arena.boundary[self.row] = end
-        if end - start > 1:
-            self.arena._refold(
-                np.array([self.row]), np.array([end - 1]), end - start - 1, self.pairwise,
-                suffix=True,
-            )  # fmt: skip
+        self.arena.rebuild(np.array([self.row]), self.pairwise)
 
     # -- queries -------------------------------------------------------------
     def fold(self, vector: np.ndarray) -> np.ndarray:
@@ -649,4 +741,4 @@ class SlidingProductWindow:
         return [table[symbol] for symbol in self.arena.symbols[self.cells(start, end)].tolist()]
 
 
-__all__ = ["FillPages", "SlidingProductWindow", "SlotTable", "WindowArena"]
+__all__ = ["FillPages", "MatchRows", "SlidingProductWindow", "SlotTable", "WindowArena"]

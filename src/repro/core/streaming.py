@@ -7,11 +7,19 @@ consuming one alert grew linearly with the entity's history and the cost
 of a whole stream grew quadratically.  This module holds the per-entity
 state that makes each new alert cheap:
 
-* :class:`PatternCursor` -- per-pattern greedy match state.  The greedy
-  subsequence match of a pattern prefix is *incremental*: appending an
-  alert can only advance the cursor by one symbol, never change earlier
-  greedy choices, so ``matched`` and the matched step positions are
-  maintained in O(1) per alert instead of O(T * L) rescans.
+* **Pattern matches as slot arrays.**  The greedy subsequence match of
+  a pattern prefix is *incremental*: appending an alert can only
+  advance it by one symbol, never change earlier greedy choices, and
+  dropping steps before its first matched step changes nothing.  So
+  each slot that has left the seed holds a row of the arena's
+  :class:`~repro.core.sliding_window.MatchRows` -- per pattern the
+  matched length and the first and last matched steps, the only
+  positions ever read.  A decoder keeps it a step at a time (one
+  compare per pattern against the shared next-symbol table, and a
+  rescan only for a match whose first step was evicted); since a match
+  is also a function of its window alone, :func:`match_windows`
+  computes it for many windows at once: the stacked kernel's pattern
+  pass.
 * :class:`StreamingDecoder` -- checkpointed forward recursions plus an
   amortised sliding-window mode.  While the entity's window is still
   filling, every step stores the running Viterbi score vector and the
@@ -22,7 +30,7 @@ state that makes each new alert cheap:
 saturates its window, every new alert evicts the oldest step.
 Re-anchoring the recursions with a full O(W * K^2) re-decode per alert
 would be the seed constant all over again, and the production steady
-state for long-lived entities.  :meth:`StreamingDecoder.evict_front`
+state for long-lived entities.  :meth:`StreamingDecoder.open_window`
 instead switches the decoder into *windowed* mode: per-step
 transition⊗unary matrices are aggregated by a two-stack
 :class:`repro.core.sliding_window.SlidingProductWindow` under the
@@ -35,12 +43,12 @@ folded from the row's unary ring by ``WindowArena.forward``.
 **Where the window lives.**  Every entity a tagger tracks holds a
 *slot* of its :class:`repro.core.sliding_window.WindowArena`
 (:class:`~repro.core.sliding_window.SlotTable`): the slot's row, fill
-length, fill pages and pristine flag are the entity's decode state,
-and a decoder is a view of its slot plus the sparse pattern state --
-it keeps no length, page list or row of its own.  The arena interns
-each alert name once and holds its observation row, so no step copies
-one.  While the window fills, steps ``0 .. length - 1`` (unary row,
-Viterbi score, forward message, symbol) sit in the arena's *fill
+length, fill pages and match row are the entity's decode state, and a
+decoder is a view of its slot -- it keeps no length, page list, row or
+pattern state of its own.  The arena interns each alert name once (the
+patterns' names first) and holds its observation row, so no step
+copies one.  While the window fills, steps ``0 .. length - 1`` (unary
+row, Viterbi score, forward message, symbol) sit in the arena's *fill
 storage* (:class:`~repro.core.sliding_window.FillPages`): pages of a
 few steps, taken from a free list as the entity grows, so a new entity
 allocates no array and a two-alert entity holds one page.  The first
@@ -53,10 +61,9 @@ phase the scalar methods here and the stacked kernel
 (:mod:`repro.core.batch_kernel`) read and write the same cells, so an
 entity's state does not depend on which of them advanced it.  The
 kernel advances a slot without a decoder at all while its steps are
-*plain*: a pristine slot (``_waiting`` still the table's seed) and
-symbols no pattern starts with, or, with live cursors,
-:meth:`plain_run`.  Whoever drops a decoder must :meth:`release` its
-slot's row or pages.
+*plain*: a pristine slot (no match row) and symbols no pattern starts
+with, or, with matches, :func:`plain_depth`.  Whoever drops a decoder
+must :meth:`release` its slot's row, pages and match row.
 
 The aggregate and the forward tree are floating-point *reassociated*
 relative to the sequential recursion, so windowed mode never lets them
@@ -70,17 +77,19 @@ same float operations as ``engine="naive"``.  Emitted detections
 (state, confidence, trajectory) are therefore bit-identical to the seed
 path, which the equivalence suite asserts with exact comparisons.
 
-**Pattern-cursor state under eviction.**  Pattern evidence is folded
-into the malicious-state unary potential of the step where the matched
-prefix currently *ends*.  Cursors record the step positions of their
-greedy match; evicting a step rescans only the patterns whose greedy
-match touched it (the greedy leftmost match of every other pattern is
-unchanged by dropping steps before its first matched position).  A
-bonus relocation dirties a step already inside the two-stack structure;
-the affected aggregates are patched partially in place (back prefixes
-or front suffixes from the edited position, typically O(K^3) because
-greedy matches cluster near the window boundaries); the equivalence
-suite exercises patches on both sides of the two-stack boundary.
+**Pattern state under eviction.**  Pattern evidence is folded into the
+malicious-state unary potential of the step where the matched prefix
+currently *ends* (``last``), bonuses of one step summed in catalogue
+order.  A windowed step is a plain half -- push, evict, and the new
+head's effective row (the prior and any bonus ending there) -- and,
+when it touches pattern state (an awaited symbol arrives, or a match's
+first step is evicted and the match is rescanned over the window), a
+pattern half (:meth:`StreamingDecoder.slide`): the steps whose bonuses
+moved get their effective rows and the row is re-aggregated from
+scratch.  After
+such a step a row's aggregates are thus a function of its unary rows
+alone, which lets the stacked kernel take many such steps of a row at
+once and leave it exactly as the per-alert path does.
 
 Per-alert complexity (T = history length, K = states, P = patterns,
 L = pattern length, W = max window):
@@ -88,17 +97,17 @@ L = pattern length, W = max window):
 ===============================  ===================  ================  ==================
 quantity                         seed (re-decode)     streaming (PR 1)  amortised window
 ===============================  ===================  ================  ==================
-pattern matching                 O(P * T * L)         O(advances)       O(advances) [2]_
+pattern matching                 O(P * T * L)         O(P)              O(P) [2]_
 Viterbi extension                O(T * K^2)           O(K^2)            O(K^3)
 posterior of current state       O(T * K^2)           O(K^2)            O(W * K^3) [5]_
-bonus relocation                 (included above)     O(d * K^2) [1]_   O(|back| * K^3)
+bonus relocation                 (included above)     O(d * K^2) [1]_   O(W * K^3) [6]_
 window eviction                  O(W * K^2)           O(W * K^2)        O(K^3) amortised [4]_
 full MAP trajectory              O(T * K^2)           O(T * K^2) [3]_   O(W * K^2) [3]_
 ===============================  ===================  ================  ==================
 
 .. [1] ``d`` = distance from the earliest invalidated step to the end.
-.. [2] plus an O(W * L) rescan per pattern whose match touched the
-       evicted step.
+.. [2] one compare per pattern against the next-symbol table, plus an
+       O(W * L) rescan per pattern whose first matched step is evicted.
 .. [3] only paid when a detection actually fires (at most once per
        entity) or an explicit read-out is requested; cached per window
        span.
@@ -107,6 +116,8 @@ full MAP trajectory              O(T * K^2)           O(T * K^2) [3]_   O(W * K^
 .. [5] the pre-filter's forward stage, in O(log W) stacked numpy
        calls, and only for a window whose O(K^2) Viterbi score the
        guard band cannot rule out.
+.. [6] the rebuild after a step that touches pattern state, in
+       O(log W) stacked numpy calls.
 
 Every emitted number reproduces the exact arithmetic of
 :func:`repro.core.factor_graph.chain_map_decode` and
@@ -119,12 +130,12 @@ suites in ``tests/test_streaming.py`` and
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .factor_graph import _logsumexp, _normalize_log, chain_map_decode, chain_marginals
-from .sliding_window import SlidingProductWindow, WindowArena
+from .sliding_window import MatchRows, SlidingProductWindow, WindowArena
 from .states import HiddenState, NUM_STATES
 
 _MALICIOUS = int(HiddenState.MALICIOUS)
@@ -142,6 +153,9 @@ _ARANGE_K = np.arange(NUM_STATES)
 #: decode", never to a silently dropped detection.
 _DECISION_GUARD = 1e-6
 _GUARD_SLACK = 64.0 * np.finfo(np.float64).eps
+# Later than any step: the first matched step of a pattern not matched.
+_NEVER = np.iinfo(np.int64).max
+_HEAD = np.ones(1, dtype=np.bool_)
 
 
 def _guard(lengths: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -175,45 +189,113 @@ class WeightedPattern:
     weight: float
 
 
-class PatternCursor:
-    """Greedy match state of one pattern against a (windowed) stream.
+# -- pattern state, for any number of slots at once -----------------------------
+def effective_rows(
+    arena: WindowArena, slots: np.ndarray, symbols: np.ndarray, steps: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """Effective unary rows ``(n, K)`` of step ``steps[i]`` of ``slots[i]``:
+    the observation row of ``symbols[i]``, plus the prior where ``heads``,
+    plus the bonus of every match ending there, summed in catalogue
+    order as the naive rebuild sums them."""
+    rows = arena.observations[symbols]
+    if heads.all():
+        rows += arena.parameters.initial_log
+    elif heads.any():
+        rows[heads] += arena.parameters.initial_log
+    matches = arena.matches
+    match = arena.slots.match[slots]
+    live = np.flatnonzero(match >= 0)
+    if live.size:
+        matched = matches.matched[match[live]]
+        ending = (matched > 0) & (matches.last[match[live]] == steps[live, None])
+        # Row-major: each cell's bonuses in catalogue order.
+        i, p = np.nonzero(ending)
+        if i.size:
+            bonus = matches.bonus[p, matched[i, p]]
+            cells = live[i]
+            rank = np.arange(i.size) - np.searchsorted(i, i)
+            for k in range(int(rank.max()) + 1):
+                pick = np.flatnonzero((rank == k) & (bonus > 0.0))
+                rows[cells[pick], _MALICIOUS] += bonus[pick]
+    return rows
 
-    ``matched`` is the length of the longest pattern prefix contained in
-    the window (equal to
-    :func:`repro.core.sequences.matched_prefix_length` over the window's
-    names), ``positions`` the step indices of the greedy leftmost match,
-    and ``end_index`` the step where that match ends
-    (``positions[-1]``, or ``-1`` while unmatched).  The positions are
-    what makes window eviction cheap: a cursor needs a rescan only when
-    its *first* matched step is evicted.
+
+def _write_rows(arena: WindowArena, slots: np.ndarray, rows: np.ndarray, steps: np.ndarray, heads: np.ndarray) -> None:
+    """Store the effective unary rows of windowed steps ``steps[i]`` of arena rows ``rows[i]``."""
+    cells = arena.cells(rows, steps)
+    arena.unary[cells] = effective_rows(arena, slots, arena.symbols[cells], steps, heads)
+
+
+def match_windows(
+    matches: MatchRows, sequence: np.ndarray, lows: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy leftmost matches of every pattern over many windows at once.
+
+    ``sequence`` is ``(R, L)`` symbols (``-1`` pads); window ``w`` of
+    row ``r`` is ``sequence[r, lows[w] : lows[w] + width]``.  Returns
+    ``(matched, first, last)``, each ``(R, windows, P)``, positions in
+    ``sequence``: the state a :class:`~repro.core.sliding_window.MatchRows`
+    row holds for that window, which depends on the window alone.  Each
+    row gets a next-occurrence table of the pattern symbols, so the
+    match is one stacked lookup per pattern symbol for every window.
     """
+    count, length = sequence.shape
+    symbols = matches.symbols
+    codes = np.where((sequence >= 0) & (sequence < symbols), sequence, symbols)
+    # after[r, x, q]: the first position >= q holding symbol x (length if
+    # none); row ``symbols`` (what ``expect`` -1, a complete match, maps to) never does.
+    after = np.where(codes[:, None, :] == np.arange(symbols)[None, :, None], np.arange(length), length)
+    after = np.minimum.accumulate(after[:, :, ::-1], axis=2)[:, :, ::-1]
+    after = np.concatenate((after, np.full((count, symbols, 1), length)), axis=2)
+    after = np.concatenate((after, np.full((count, 1, length + 1), length)), axis=1)
+    shape = (count, lows.size, len(matches.patterns))
+    position = np.broadcast_to(lows[None, :, None], shape).copy()
+    high = (lows + width)[None, :, None]
+    matched = np.zeros(shape, dtype=np.int64)
+    first, last = position.copy(), position.copy()
+    alive = np.ones(shape, dtype=np.bool_)
+    owner = np.arange(count)[:, None, None]
+    for k in range(matches.expect.shape[1] - 1):
+        found = after[owner, matches.expect[:, k][None, None, :], position]
+        alive &= found < high
+        if not alive.any():
+            break
+        if k == 0:
+            first = np.where(alive, found, first)
+        last = np.where(alive, found, last)
+        position = np.where(alive, found + 1, position)
+        matched += alive
+    return matched, first, last
 
-    __slots__ = ("matched", "end_index", "positions")
 
-    def __init__(self) -> None:
-        self.matched = 0
-        self.end_index = -1
-        self.positions: List[int] = []
+def plain_depth(
+    arena: WindowArena, slots: np.ndarray, rows: np.ndarray, symbols: np.ndarray, ahead: np.ndarray
+) -> np.ndarray:
+    """How many of the steps ``symbols[i, :ahead[i]]``, each appended to
+    window ``rows[i]`` with one eviction, are plain steps of ``slots[i]``.
 
-
-class PatternTable:
-    """Immutable pattern state shared by every decoder built from it.
-
-    ``patterns`` are the active weighted patterns in catalogue order;
-    ``seed`` maps a first symbol to the ascending indices of the
-    patterns starting with it -- the waiting lists of a decoder that
-    has matched nothing yet.
+    A step is plain when no pattern of the slot awaits its symbol (a
+    pristine slot awaits the patterns' first symbols), and no match
+    starts on the step it evicts (where a rescan would start).  Such a
+    step is arithmetic on the arena row -- a push, an eviction and the
+    new head's effective row -- which the stacked kernel does a chunk
+    at a time.  Plain steps change no pattern state, so the run is read
+    off the state as it stands: step ``j`` evicts ``start + j``.
+    ``-1`` pads ``symbols`` past ``ahead``.
     """
-
-    __slots__ = ("patterns", "seed")
-
-    def __init__(self, patterns: Sequence[WeightedPattern] = ()) -> None:
-        self.patterns: tuple[WeightedPattern, ...] = tuple(patterns)
-        self.seed: Dict[str, Tuple[int, ...]] = {}
-        for index, pattern in enumerate(self.patterns):
-            if pattern.names:
-                first = pattern.names[0]
-                self.seed[first] = self.seed.get(first, ()) + (index,)
+    matches = arena.matches
+    match = arena.slots.match[slots]
+    limit = ahead.copy()
+    stop = matches.seeding(symbols)
+    live = np.flatnonzero(match >= 0)
+    if live.size:
+        held = match[live]
+        stop[live] = (symbols[live][:, :, None] == matches.awaited(held)[:, None, :]).any(axis=2)
+        first = np.where(matches.matched[held] > 0, matches.first[held], _NEVER).min(axis=1)
+        limit[live] = np.minimum(limit[live], first - arena.start[rows[live]])
+    width = symbols.shape[1]
+    depth = np.where(stop, np.arange(width), width).min(axis=1)
+    return np.maximum(np.minimum(depth, limit), 0)
 
 
 class StreamingDecoder:
@@ -221,55 +303,34 @@ class StreamingDecoder:
 
     Parameters
     ----------
-    table:
-        Active patterns with their resolved positive weights, in
-        catalogue order (the order bonuses are summed in, to keep
-        floating-point results identical to the naive re-decode).
     arena:
         The owning tagger's :class:`~repro.core.sliding_window.WindowArena`
-        (ring ``max_window + 1``).  Its parameters are the decoder's
-        (observation rows, transition/initial tables, the pattern-bonus
-        schedule); the decoder interns every alert name there and takes
-        a row of it on its first eviction.
+        (ring ``max_window + 1``).  Its parameters and weighted patterns
+        are the decoder's (observation rows, transition/initial tables,
+        the pattern-bonus schedule); the decoder interns every alert
+        name there and takes a row of it on its first eviction.
     slot:
         The entity's slot of ``arena.slots``
         (:class:`~repro.core.sliding_window.SlotTable`), whose row, fill
-        length, pages and pristine flag are this decoder's; a fresh one
-        when omitted.  A slot may hold filling steps already: the
-        stacked kernel advances a pristine slot's plain steps without a
-        decoder, so one opened over it starts where the slot stands.
+        length, pages and match row are this decoder's; a fresh one
+        when omitted.  A slot may hold steps already: the stacked kernel
+        advances a slot without a decoder where it can, so one opened
+        over it starts where the slot stands.
 
     Opening a decoder is O(1) in the catalogue size and allocates no
     array: its steps go to pages of the arena's
-    :class:`~repro.core.sliding_window.FillPages`, taken as it grows.
-    The table's ``patterns`` and seed index are aliased, not copied:
-    every decoder of a tagger shares them, so never mutate
-    ``decoder.patterns`` or a waiting bucket in place.  ``_cursors``
-    holds a cursor only while its pattern has a non-empty match, and
-    ``_waiting`` *is* the seed index while the slot is pristine, until
-    the first cursor advance (copy on write); its tuple buckets are
-    replaced, never edited.
+    :class:`~repro.core.sliding_window.FillPages`, taken as it grows,
+    and its pattern state to a row of the arena's
+    :class:`~repro.core.sliding_window.MatchRows`, taken when a step
+    first advances a pattern.
     """
 
-    __slots__ = (
-        "parameters", "patterns", "_seed", "_pairwise", "_cursors", "_own", "_complete",
-        "_bonus_at", "_arena", "_fill", "_slots", "_slot", "_window", "_decode_cache",
-    )  # fmt: skip
+    __slots__ = ("parameters", "patterns", "_pairwise", "_arena", "_fill", "_slots", "_slot", "_window", "_decode_cache")
 
-    def __init__(self, table: PatternTable, arena: WindowArena, slot: Optional[int] = None) -> None:
+    def __init__(self, arena: WindowArena, slot: Optional[int] = None) -> None:
         self.parameters = parameters = arena.parameters
-        self.patterns = table.patterns
-        self._seed = table.seed
+        self.patterns = arena.matches.patterns
         self._pairwise = parameters.transition_log
-        # pattern index -> cursor, only for patterns with matched > 0
-        self._cursors: Dict[int, PatternCursor] = {}
-        # The waiting lists once the slot is no longer pristine.
-        self._own: Dict[str, Tuple[int, ...]] = table.seed
-        self._complete: Set[int] = set()
-        # step index -> {pattern index -> bonus} for bonuses landing
-        # there, kept in ascending pattern-index order (the catalogue
-        # summation order the naive rebuild uses).
-        self._bonus_at: Dict[int, Dict[int, float]] = {}
         self._arena = arena
         self._fill = arena.fill
         self._slots = arena.slots
@@ -280,11 +341,6 @@ class StreamingDecoder:
         self._decode_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
 
     # -- bookkeeping -------------------------------------------------------
-    @property
-    def _waiting(self) -> Dict[str, Tuple[int, ...]]:
-        """symbol -> indices of patterns whose next expected symbol is it."""
-        return self._seed if self._slots.pristine[self._slot] else self._own
-
     def _filled(self) -> int:
         """Filling steps held (``0 .. _filled() - 1``)."""
         return int(self._slots.length[self._slot])
@@ -297,28 +353,91 @@ class StreamingDecoder:
         """Fill-storage cells of the filling steps, in step order."""
         return self._slots.cells_of(self._slot)
 
-    def _open_window(self) -> None:
-        """Filling → windowed: move the steps into an arena row, free their pages."""
-        fill, cells, arena = self._fill, self._cells(), self._arena
-        self._window = SlidingProductWindow(self._pairwise, arena)
-        self._window.load(0, fill.unary[cells], fill.symbols[cells])
-        arena.truncate(self._slot, 0)
-        self._slots.row[self._slot] = self._window.row
+    def _touches(self, symbol: int, evicted: Optional[int] = None) -> bool:
+        """Whether appending ``symbol`` (and, windowed, evicting step
+        ``evicted``) moves a match: the one-step :func:`plain_depth`."""
+        matches = self._arena.matches
+        match = int(self._slots.match[self._slot])
+        if match < 0:
+            return bool(matches.seeds[min(symbol, matches.symbols)])
+        matched = matches.matched[match]
+        if symbol < matches.symbols and (matches.expect[matches.columns, matched] == symbol).any():
+            return True
+        return evicted is not None and bool((matches.first[match][matched > 0] <= evicted).any())
 
-    def _rebuild_waiting(self) -> None:
-        """Recompute the waiting lists from the cursors (after rescans):
-        the seed index, with each live cursor's pattern moved from its
-        first symbol's bucket to that of the symbol it expects next."""
-        waiting = dict(self._seed)
-        for index in sorted(self._cursors):
-            names = self.patterns[index].names
-            waiting[names[0]] = tuple(i for i in waiting[names[0]] if i != index)
-            matched = self._cursors[index].matched
-            if matched < len(names):
-                symbol = names[matched]
-                waiting[symbol] = waiting.get(symbol, ()) + (index,)
-        self._own = waiting
-        self._slots.pristine[self._slot] = False
+    def _ends_at(self, step: int) -> bool:
+        """Whether a match ends on ``step`` (so its row carries a bonus)."""
+        matches, match = self._arena.matches, int(self._slots.match[self._slot])
+        return match >= 0 and bool((matches.last[match][matches.matched[match] > 0] == step).any())
+
+    def _advance(self, step: int, symbol: int) -> List[int]:
+        """Advance every match awaiting ``symbol`` to end on ``step`` (a
+        pristine slot takes its match row first); returns the steps whose
+        bonuses change: ``step``, then one entry per advancing match --
+        where it ended before (``step`` for a new one)."""
+        matches, slots, slot = self._arena.matches, self._slots, self._slot
+        match = int(slots.match[slot])
+        if match < 0:
+            match = slots.match[slot] = matches.allocate(1)[0]
+        matched, first, last = matches.matched[match], matches.first[match], matches.last[match]
+        moved = [step]
+        if symbol < matches.symbols:
+            for p in np.flatnonzero(matches.expect[matches.columns, matched] == symbol).tolist():
+                moved.append(int(last[p]) if matched[p] else step)
+                if not matched[p]:
+                    first[p] = step
+                last[p] = step
+                matched[p] += 1
+        return moved
+
+    def _rescan(self) -> List[int]:
+        """Match again, over the window, every match whose first step the
+        window's start has passed (dropping steps before a match's first
+        cannot change a greedy leftmost match, so no other); returns the
+        steps whose bonuses change.  A slot left with no match gives its
+        match row back."""
+        arena, slots, slot = self._arena, self._slots, self._slot
+        matches, window = arena.matches, self._window
+        match = int(slots.match[slot])
+        if match < 0:
+            return []
+        matched, first, last = matches.matched[match], matches.first[match], matches.last[match]
+        start, _, end = window.span
+        evicted = np.flatnonzero((matched > 0) & (first < start)).tolist()
+        if not evicted:
+            return []
+        queued = arena.symbols[window.cells(start, end)].tolist()
+        moved = []
+        for p in evicted:
+            moved.append(int(last[p]))
+            count = cursor = 0
+            # The greedy leftmost match, as matched_prefix_length finds it.
+            for symbol in matches.codes[p]:
+                try:
+                    cursor = queued.index(symbol, cursor) + 1
+                except ValueError:
+                    break
+                if not count:
+                    first[p] = start + cursor - 1
+                count += 1
+            matched[p] = count
+            if count:
+                last[p] = start + cursor - 1
+                moved.append(int(last[p]))
+        if not matched.any():
+            matches.release([match])
+            slots.match[slot] = -1
+        return moved
+
+    def _write_window_rows(self, moved: List[int]) -> None:
+        """Rewrite the effective rows of the head and of the queued steps
+        among ``moved``, and re-aggregate the row from scratch."""
+        window = self._window
+        start, _, end = window.span
+        steps = np.array(sorted({step for step in moved if start < step < end} | {start}))
+        count = steps.size
+        _write_rows(self._arena, np.repeat(self._slot, count), np.repeat(window.row, count), steps, steps == start)
+        window.rebuild()
 
     @property
     def length(self) -> int:
@@ -340,7 +459,7 @@ class StreamingDecoder:
         return self._window is not None
 
     def release(self) -> None:
-        """Give the slot's arena storage back (a row, or fill pages)."""
+        """Give the slot's arena storage back (a row or fill pages, and its match row)."""
         self._window = None
         self._arena.drop(self._slot)
 
@@ -348,253 +467,105 @@ class StreamingDecoder:
         """Forget the whole stream."""
         self.release()
         self._decode_cache = None
-        self._bonus_at.clear()
-        self._complete.clear()
-        self._cursors.clear()
 
     # -- incremental update -------------------------------------------------
     def append(self, name: str) -> None:
-        """Fold one alert into the chain: O(K^2 + pattern advances)."""
-        step, dirty, invalid_from = self.append_plan(name)
+        """Fold one alert into the filling chain: O(K^2 + pattern advances)."""
+        step, dirty, invalid_from, _ = self.append_plan(name)
         self._complete_append(step, dirty, invalid_from)
 
-    def append_plan(self, name: str) -> Tuple[int, Set[int], int]:
+    def append_plan(self, name: str) -> Tuple[int, List[int], int, bool]:
         """Bookkeeping half of :meth:`append`: everything except the numerics.
 
-        Stores the symbol and advances pattern cursors (relocating
-        bonuses) — but leaves the dirty unary rows and the
-        forward/window aggregates stale.  Returns ``(step, dirty,
-        invalid_from)`` for :meth:`_complete_append`, which the stacked
-        decode kernel replaces with cross-entity numerics while the
-        window fills; ``append`` is exactly ``append_plan`` +
-        ``_complete_append``.
+        Stores the symbol and advances the matches -- but leaves the
+        dirty unary rows and the forward recursions stale.  Returns
+        ``(step, dirty, invalid_from, bonus)`` -- the first three for
+        :meth:`_complete_append`, and whether a match now ends on the
+        step -- which the stacked decode kernel replaces with
+        cross-entity numerics while the window fills; ``append`` is
+        exactly ``append_plan`` + ``_complete_append``.
         """
-        parameters = self.parameters
         arena = self._arena
         symbol = arena.intern(name)
-        window = self._window
-        if window is None:
-            t = arena.push_fill(self._slot, symbol)
-        else:
-            t = window.stage(symbol)
-        invalid_from = t
-        dirty = {t}
-        waiting = self._waiting
-        if waiting.get(name):
-            if waiting is self._seed:
-                # Copy on the first advance: the slot is no longer pristine.
-                waiting = self._own = dict(self._seed)
-                self._slots.pristine[self._slot] = False
-            advancing = waiting.pop(name)
-            # Ascending pattern index keeps same-step bonus insertion in
-            # catalogue order (see _refresh_unary).
-            for index in sorted(advancing):
-                cursor = self._cursors.get(index)
-                pattern = self.patterns[index]
-                if cursor is None:
-                    cursor = self._cursors[index] = PatternCursor()
-                else:
-                    old = self._bonus_at.get(cursor.end_index)
-                    if old is not None and index in old:
-                        del old[index]
-                        if not old:
-                            del self._bonus_at[cursor.end_index]
-                        dirty.add(cursor.end_index)
-                        if cursor.end_index < invalid_from:
-                            invalid_from = cursor.end_index
-                cursor.matched += 1
-                cursor.end_index = t
-                cursor.positions.append(t)
-                bonus = parameters.pattern_bonus(
-                    cursor.matched, len(pattern.names), pattern.weight
-                )
+        step = arena.push_fill(self._slot, symbol)
+        if not self._touches(symbol):
+            return step, [step], step, False
+        moved = self._advance(step, symbol)
+        dirty = sorted(set(moved))
+        return step, dirty, dirty[0], len(moved) > 1
+
+    def _complete_append(self, step: int, dirty: List[int], invalid_from: int) -> None:
+        """Numeric half of :meth:`append`: refresh unaries, extend the recursions."""
+        for touched in dirty:
+            self._fill.unary[self._cell(touched)] = self._effective_row(touched)
+        self._recompute_forward(invalid_from)
+
+    def slide(self, name: str) -> None:
+        """One windowed step: append ``name`` and evict the oldest step.
+
+        The plain half is a push, an index bump and the new head's
+        effective row -- O(K^3) amortised.  A step that touches pattern
+        state (the one-step :func:`plain_depth`) then advances and
+        rescans the matches, rewrites the rows whose bonuses moved and
+        re-aggregates the row from scratch: its aggregates then depend
+        on its unary rows alone, as the stacked kernel's pattern pass
+        leaves them.
+        """
+        arena, window = self._arena, self._window
+        symbol = arena.intern(name)
+        evicted = window.start
+        touched = self._touches(symbol, evicted)
+        window.stage(symbol)
+        window.push(arena.observations[symbol])
+        head = window.pop_front()
+        if touched:
+            moved = self._advance(window.end - 1, symbol)
+            self._write_window_rows(moved + self._rescan())
+            return
+        if self._ends_at(head):
+            # A bonus ends on the new head.
+            _write_rows(arena, np.array([self._slot]), np.array([window.row]), np.array([head]), _HEAD)
+            return
+        cell = window.cell(head)
+        arena.unary[cell] = arena.observations[arena.symbols[cell]] + self.parameters.initial_log
+
+    def open_window(self) -> None:
+        """Filling → windowed: move the steps into an arena row and evict the oldest.
+
+        The matches whose first step it was are matched again, and the
+        window is aggregated from scratch into front suffixes.
+        """
+        if self._filled() < 2:
+            raise ValueError("cannot evict from a window of fewer than 2 steps")
+        fill, cells, arena = self._fill, self._cells(), self._arena
+        self._window = window = SlidingProductWindow(self._pairwise, arena)
+        window.load(0, fill.unary[cells], fill.symbols[cells])
+        arena.truncate(self._slot, 0)
+        self._slots.row[self._slot] = window.row
+        head = window.pop_front()
+        if self._slots.match[self._slot] >= 0:
+            self._write_window_rows(self._rescan())
+            return
+        cell = window.cell(head)
+        arena.unary[cell] = arena.observations[arena.symbols[cell]] + self.parameters.initial_log
+        window.rebuild()
+
+    def _effective_row(self, step: int) -> np.ndarray:
+        """One filling step's effective unary row: observation (+ prior on
+        step 0) + its bonuses in catalogue order (:func:`effective_rows`
+        for one step)."""
+        arena = self._arena
+        row = arena.observations[self._fill.symbols[self._cell(step)]]
+        row = row + self.parameters.initial_log if step == 0 else row.copy()
+        match = int(self._slots.match[self._slot])
+        if match >= 0:
+            matches = arena.matches
+            matched = matches.matched[match]
+            for p in np.flatnonzero((matched > 0) & (matches.last[match] == step)).tolist():
+                bonus = matches.bonus[p, matched[p]]
                 if bonus > 0.0:
-                    self._insert_bonus(t, index, bonus)
-                if cursor.matched < len(pattern.names):
-                    symbol = pattern.names[cursor.matched]
-                    waiting[symbol] = waiting.get(symbol, ()) + (index,)
-                else:
-                    self._complete.add(index)
-        return t, dirty, invalid_from
-
-    def _complete_append(self, step: int, dirty: Set[int], invalid_from: int) -> None:
-        """Numeric half of :meth:`append`: refresh unaries, extend aggregates."""
-        if self._window is None:
-            for touched in dirty:
-                self._refresh_unary(touched)
-            self._recompute_forward(invalid_from)
-        else:
-            self._sync_window(dirty, appended=step)
-
-    def evict_front(self) -> None:
-        """Slide the window start forward by one step: O(K^3) amortised.
-
-        The first eviction moves the decoder into an arena row and
-        builds the two-stack aggregate over the remaining window; every
-        later eviction pops the front stack (an amortised ``(max, +)``
-        product) and rescans only the patterns whose greedy match
-        touched the evicted step.
-        """
-        opening = self._window is None
-        if opening:
-            if self._filled() < 2:
-                raise ValueError("cannot evict from a window of fewer than 2 steps")
-            self._open_window()
-        head = self._window.pop_front()
-        dirty = self._evict_cursor_state(head - 1)
-        # The new head row gains the initial-state prior (a pure function
-        # of the observation and bonus state, so safe after the rescan).
-        dirty.add(head)
-        self._sync_window(dirty)
-        if opening:
-            self._window.rebuild()
-
-    def _evict_cursor_state(self, evicted: int) -> Set[int]:
-        """Rescan patterns whose greedy match used the evicted step.
-
-        Dropping steps *before* a pattern's first matched position
-        cannot change its greedy leftmost match, so only cursors whose
-        ``positions[0]`` is the evicted step are rescanned over the
-        bounded window.  Returns the set of surviving steps whose unary
-        row changed (bonus removed/relocated).
-        """
-        dirty: Set[int] = set()
-        cursors = self._cursors
-        # Ascending pattern index: the catalogue order bonus buckets sum in.
-        rescan = [index for index in sorted(cursors) if cursors[index].positions[0] <= evicted]
-        if not rescan:
-            self._bonus_at.pop(evicted, None)
-            return dirty
-        for index in rescan:
-            cursor = cursors[index]
-            pattern = self.patterns[index]
-            bucket = self._bonus_at.get(cursor.end_index)
-            if bucket is not None and index in bucket:
-                del bucket[index]
-                if not bucket:
-                    del self._bonus_at[cursor.end_index]
-                if cursor.end_index > evicted:
-                    dirty.add(cursor.end_index)
-            self._complete.discard(index)
-            matched, positions = self._greedy_match(pattern.names)
-            if not matched:
-                del cursors[index]
-            else:
-                cursor.matched = matched
-                cursor.positions = positions
-                cursor.end_index = positions[-1]
-                bonus = self.parameters.pattern_bonus(
-                    matched, len(pattern.names), pattern.weight
-                )
-                if bonus > 0.0:
-                    self._insert_bonus(cursor.end_index, index, bonus)
-                    dirty.add(cursor.end_index)
-                if matched == len(pattern.names):
-                    self._complete.add(index)
-        self._rebuild_waiting()
-        self._bonus_at.pop(evicted, None)
-        return dirty
-
-    def _greedy_match(self, symbols: Sequence[str]) -> Tuple[int, List[int]]:
-        """Greedy leftmost subsequence match of ``symbols`` over the window.
-
-        Reproduces :func:`repro.core.sequences.matched_prefix_length`
-        (and the end index the naive rebuild derives from it) on the
-        window's names.
-        """
-        window = self._window
-        start, _, end = window.span
-        queued = window.arena.symbols[window.cells(start, end)].tolist()
-        symbol_ids = window.arena.symbol_ids
-        positions: List[int] = []
-        cursor = 0
-        for symbol in symbols:
-            try:
-                cursor = queued.index(symbol_ids.get(symbol), cursor) + 1
-            except ValueError:
-                break
-            positions.append(start + cursor - 1)
-        return len(positions), positions
-
-    def _insert_bonus(self, step: int, index: int, bonus: float) -> None:
-        """Record a bonus, keeping the step's bucket in pattern-index order.
-
-        The bucket's *insertion* order is its iteration order, which
-        :meth:`_refresh_unary` relies on to sum bonuses in catalogue
-        order without a per-call sort.  Appends are almost always
-        already in order (``append`` processes advancing patterns in
-        ascending index); the rare out-of-order insert (an eviction
-        rescan relocating a bonus onto a step that already carries one)
-        re-sorts the small bucket once.
-        """
-        bucket = self._bonus_at.setdefault(step, {})
-        fresh = index not in bucket
-        bucket[index] = bonus
-        if fresh and len(bucket) > 1:
-            keys = list(bucket)
-            if keys[-2] > index:
-                self._bonus_at[step] = dict(sorted(bucket.items()))
-
-    def _effective_row(self, step: int, head: int = 0) -> np.ndarray:
-        """One effective unary row: observation (+ prior on the ``head`` step) + ordered bonuses."""
-        window, arena = self._window, self._arena
-        if window is None:
-            symbol = self._fill.symbols[self._cell(step)]
-        else:
-            symbol = arena.symbols[window.cell(step)]
-        row = arena.observations[symbol].copy()
-        if step == head:
-            row += self.parameters.initial_log
-        bonuses = self._bonus_at.get(step)
-        if bonuses:
-            for bonus in bonuses.values():
-                row[_MALICIOUS] += bonus
+                    row[_MALICIOUS] += bonus
         return row
-
-    def _refresh_unary(self, step: int) -> None:
-        """Rebuild one filling-phase unary row in place."""
-        self._fill.unary[self._cell(step)] = self._effective_row(step)
-
-    # -- windowed-mode aggregate maintenance ---------------------------------
-    def _sync_window(self, dirty: Set[int], appended: Optional[int] = None) -> None:
-        """Rewrite the dirty unary rows, patching the aggregates that cover them.
-
-        A queued step is replaced in place on whichever side of the
-        two-stack boundary holds it (partial prefix/suffix refold); the
-        head is in no aggregate, so its row is just stored; the
-        ``appended`` step is pushed last.
-        """
-        window = self._window
-        head = window.start
-        for step in dirty:
-            if step == head:
-                window.arena.unary[window.cell(step)] = self._effective_row(step, head)
-            elif step != appended:
-                window.replace(step, self._effective_row(step, head))
-        if appended is not None:
-            window.push(self._effective_row(appended, head))
-
-    def plain_run(self, names: Sequence[str]) -> int:
-        """How many of ``names``, each appended with one eviction, are plain steps.
-
-        A step is plain when its symbol neither is awaited by a cursor
-        nor seeds a pattern, and no cursor's match starts on the evicted
-        step or on the next head (where a rescan would start or a bonus
-        would meet the prior).  Such a step is pure arithmetic on the
-        arena row, which the stacked kernel does a chunk at a time.
-        Plain steps change neither the cursors nor the waiting lists,
-        so the run is read off the state as it stands: step ``j``'s next
-        head is ``start + j + 1``.
-        """
-        limit = len(names)
-        if self._cursors:
-            first = min(cursor.positions[0] for cursor in self._cursors.values())
-            limit = min(limit, first - self._window.start - 1)
-        waiting = self._waiting
-        depth = 0
-        while depth < limit and not waiting.get(names[depth]):
-            depth += 1
-        return depth
 
     def _recompute_forward(self, start: int) -> None:
         """Extend/repair the forward recursions from ``start`` to the end.
@@ -709,14 +680,20 @@ class StreamingDecoder:
 
     def matched_pattern_names(self) -> list[str]:
         """Names of fully matched patterns, in catalogue order."""
-        return [self.patterns[index].name for index in sorted(self._complete)]
+        match = int(self._slots.match[self._slot])
+        if match < 0:
+            return []
+        matches = self._arena.matches
+        matched = matches.matched[match]
+        complete = np.flatnonzero((matched == matches.length) & (matched > 0))
+        return [self.patterns[index].name for index in complete.tolist()]
 
     def matched_prefix_lengths(self) -> list[int]:
-        """Current matched-prefix length of every tracked pattern."""
-        lengths = [0] * len(self.patterns)
-        for index, cursor in self._cursors.items():
-            lengths[index] = cursor.matched
-        return lengths
+        """Current matched-prefix length of every weighted pattern."""
+        match = int(self._slots.match[self._slot])
+        if match < 0:
+            return [0] * len(self.patterns)
+        return self._arena.matches.matched[match].tolist()
 
     def unary_table(self) -> np.ndarray:
         """Copy of the window's effective unary log potentials (T, K)."""
@@ -735,4 +712,4 @@ class StreamingDecoder:
         return chain_marginals(self.unary_table(), self._pairwise)
 
 
-__all__ = ["PatternCursor", "PatternTable", "StreamingDecoder", "WeightedPattern"]
+__all__ = ["StreamingDecoder", "WeightedPattern"]

@@ -175,6 +175,70 @@ class NormalizedBatch:
         ]
 
 
+def _sshd(body: str, meta: dict) -> Optional[tuple[str, dict]]:
+    if not body.startswith(("Accepted", "Failed")):
+        return None
+    match = _SSH_LOGIN_RE.search(body)
+    if match:
+        meta.update(user=match.group(1), source_ip=match.group(2))
+    if body.startswith("Accepted"):
+        return "alert_login_normal", meta
+    return "alert_bruteforce_ssh", meta
+
+
+def _sudo(body: str, meta: dict) -> Optional[tuple[str, dict]]:
+    if "COMMAND=" not in body:
+        return None
+    user = body.split(" :", 1)[0].strip()
+    meta.update(user=user)
+    return "alert_sudo_policy_violation", meta
+
+
+def _wget(body: str, meta: dict) -> Optional[tuple[str, dict]]:
+    if not _WGET_URL_RE.search(body):
+        return None
+    match = _USER_RE.search(body)
+    if match:
+        meta.update(user=match.group(1))
+    source = _WGET_SOURCE_RE.search(body)
+    if source:
+        meta.update(source_ip=source.group(1))
+    return "alert_download_sensitive", meta
+
+
+def _bash(body: str, meta: dict) -> Optional[tuple[str, dict]]:
+    command_match = _COMMAND_RE.search(body)
+    command = command_match.group(1) if command_match else ""
+    user_match = _USER_RE.search(body)
+    if user_match:
+        meta.update(user=user_match.group(1))
+    meta.update(command=command)
+    if _KERNEL_BUILD_RE.search(command) and "module" in command:
+        return "alert_compile_kernel_module", meta
+    for pattern, alert_name in _BASH_COMMAND_ALERTS:
+        if pattern.search(command):
+            return alert_name, meta
+    return None
+
+
+def _kernel(body: str, meta: dict) -> Optional[tuple[str, dict]]:
+    if "truncated to 0 bytes" not in body:
+        return None
+    return "alert_erase_forensic_trace", meta
+
+
+#: The syslog rules, one per program: ``(body, {"program": program})``
+#: -> ``(name, metadata)`` or ``None``.  Metadata key order is part of
+#: the checkpoint bytes, so each rule adds its keys in a fixed order.
+_SYSLOG_PROGRAMS: dict[str, Callable[[str, dict], Optional[tuple[str, dict]]]] = {
+    "sshd": _sshd,
+    "sudo": _sudo,
+    "wget": _wget,
+    "bash": _bash,
+    "kernel": _kernel,
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class NormalizationRule:
     """One normalisation rule: monitor family + matcher function."""
@@ -266,43 +330,10 @@ class AlertNormalizer:
     def _match_syslog(record: RawLogRecord) -> Optional[tuple[str, dict]]:
         fields = record.fields
         program = str(fields.get("program", ""))
-        body = str(fields.get("body", ""))
-        meta = {"program": program}
-        if program == "sshd" and body.startswith(("Accepted", "Failed")):
-            match = _SSH_LOGIN_RE.search(body)
-            if match:
-                meta.update(user=match.group(1), source_ip=match.group(2))
-            if body.startswith("Accepted"):
-                return "alert_login_normal", meta
-            return "alert_bruteforce_ssh", meta
-        if program == "sudo" and "COMMAND=" in body:
-            user = body.split(" :", 1)[0].strip()
-            meta.update(user=user)
-            return "alert_sudo_policy_violation", meta
-        if program == "wget" and _WGET_URL_RE.search(body):
-            match = _USER_RE.search(body)
-            if match:
-                meta.update(user=match.group(1))
-            source = _WGET_SOURCE_RE.search(body)
-            if source:
-                meta.update(source_ip=source.group(1))
-            return "alert_download_sensitive", meta
-        if program == "bash":
-            command_match = _COMMAND_RE.search(body)
-            command = command_match.group(1) if command_match else ""
-            user_match = _USER_RE.search(body)
-            if user_match:
-                meta.update(user=user_match.group(1))
-            meta.update(command=command)
-            if _KERNEL_BUILD_RE.search(command) and "module" in command:
-                return "alert_compile_kernel_module", meta
-            for pattern, alert_name in _BASH_COMMAND_ALERTS:
-                if pattern.search(command):
-                    return alert_name, meta
+        rule = _SYSLOG_PROGRAMS.get(program)
+        if rule is None:
             return None
-        if program == "kernel" and "truncated to 0 bytes" in body:
-            return "alert_erase_forensic_trace", meta
-        return None
+        return rule(str(fields.get("body", "")), {"program": program})
 
     @staticmethod
     def _match_auditd(record: RawLogRecord) -> Optional[tuple[str, dict]]:

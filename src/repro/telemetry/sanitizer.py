@@ -30,6 +30,10 @@ _HOME_PATH_RE = re.compile(r"/home/([\w.-]+)(/[\w./-]*)?")
 _DIGIT_RE = re.compile(r"\d")
 _SECRET_KEYS = ("password", "passwd", "secret", "token", "api_key", "private_key")
 _ADDRESS_KEYS = ("source_ip", "destination_ip", "ip")
+#: Clean texts a :class:`Sanitizer` remembers; it forgets them all at
+#: once past this.  A monitor's metadata values (programs, user names,
+#: commands) repeat, and most need no scrubbing.
+_MEMO_LIMIT = 4096
 
 
 @functools.lru_cache(maxsize=256)
@@ -62,23 +66,47 @@ class SanitizationReport:
 
 
 class Sanitizer:
-    """Scrubs sensitive content from log text and alert metadata."""
+    """Scrubs sensitive content from log text and alert metadata.
+
+    ``ip_octets_kept`` and ``truncate_ips`` are fixed at construction:
+    :meth:`sanitize_text` remembers the texts it found nothing to scrub
+    in, and both decide that.
+    """
 
     def __init__(self, *, ip_octets_kept: int = 2, truncate_ips: bool = True) -> None:
-        self.ip_octets_kept = int(ip_octets_kept)
-        self.truncate_ips = bool(truncate_ips)
+        self._ip_octets_kept = int(ip_octets_kept)
+        self._truncate_ips = bool(truncate_ips)
         self.report = SanitizationReport()
+        # Texts every pass left as they are, so scrubbing one again
+        # returns it and counts nothing.
+        self._clean: set[str] = set()
+
+    @property
+    def ip_octets_kept(self) -> int:
+        """Leading IP octets kept when an address is truncated."""
+        return self._ip_octets_kept
+
+    @property
+    def truncate_ips(self) -> bool:
+        """Whether IP addresses in free text are truncated."""
+        return self._truncate_ips
 
     # -- text ---------------------------------------------------------------
     def sanitize_text(self, text: str) -> str:
         """Scrub a free-text log message.
 
-        Five substitution passes in a fixed order (e-mail, SSN, phone,
-        home path, IP), each skipped when its input cannot contain a
-        match.  Every guard is a necessary condition of its pattern:
-        the e-mail pattern contains a literal ``@``; the SSN, phone and
-        IP patterns each need a ``\\d`` (tested with the same ``\\d``
-        class), the SSN a ``-`` and the IP a ``.`` besides; the
+        A text scrubbed before with nothing found comes back at once:
+        the caller's own string, as ``re.subn`` returns it when nothing
+        matches, and :attr:`report` unchanged.  Only such texts are
+        remembered: a scrubbed text is a new string each time (shared
+        strings would pickle differently) and adds to the report.
+
+        Otherwise five substitution passes in a fixed order (e-mail,
+        SSN, phone, home path, IP), each skipped when its input cannot
+        contain a match.  Every guard is a necessary condition of its
+        pattern: the e-mail pattern contains a literal ``@``; the SSN,
+        phone and IP patterns each need a ``\\d`` (tested with the same
+        ``\\d`` class), the SSN a ``-`` and the IP a ``.`` besides; the
         home-path pattern starts with the literal ``/home/``.  Each
         test reads the text its pass would read, except the digit test,
         made once after the e-mail pass and reused -- exact as well,
@@ -87,7 +115,11 @@ class Sanitizer:
         substituted nothing, so the output and :attr:`report` equal
         the unguarded five-pass result.
         """
+        clean = self._clean
+        if text in clean:
+            return text
         out, report = text, self.report
+        before = report.total()
         if "@" in out:
             out, count = _EMAIL_RE.subn("<email>", out)
             report.emails += count
@@ -101,10 +133,14 @@ class Sanitizer:
         if "/home/" in out:
             out, count = _HOME_PATH_RE.subn(lambda m: f"/home/<user>{m.group(2) or ''}", out)
             report.home_paths += count
-        if has_digit and self.truncate_ips and "." in out:
-            keep = self.ip_octets_kept
+        if has_digit and self._truncate_ips and "." in out:
+            keep = self._ip_octets_kept
             out, count = _IP_RE.subn(lambda m: anonymize_ip(m.group(0), keep), out)
             report.ips_truncated += count
+        if out is text and report.total() == before:
+            if len(clean) >= _MEMO_LIMIT:
+                clean.clear()
+            clean.add(text)
         return out
 
     # -- metadata ----------------------------------------------------------------

@@ -625,9 +625,13 @@ class TestbedPipeline:
         """Flat summary used by the Fig. 4 benchmark table.
 
         All values are floats except ``stage_seconds``, the per-stage
-        timing dict (stage name -> cumulative wall seconds).  Only the
-        :data:`DETERMINISTIC_COUNTERS` keys are bit-identical across
-        runs.
+        timing dict (stage name -> cumulative wall seconds), and
+        ``kernel_steps``, per detector the windowed steps its decode
+        kernel advanced in chunks, through its pattern pass and through
+        the per-entity path (``{"stacked", "patterned", "scalar"}``,
+        summed across shards).  Only the :data:`DETERMINISTIC_COUNTERS`
+        keys are bit-identical across runs (the engines split their
+        steps differently).
         """
         return {
             "raw_records": float(self.stats.raw_records),
@@ -648,6 +652,10 @@ class TestbedPipeline:
                 sum(pool.kernel_seconds) + pool.kernel_seconds_retired
                 for pool in self.detector_pools.values()
             ),
+            "kernel_steps": {
+                name: dict(zip(("stacked", "patterned", "scalar"), pool.kernel_steps))
+                for name, pool in self.detector_pools.items()
+            },
             "response_seconds": self.stats.response_seconds,
             # Load-shedding and fault-domain accounting: the one place
             # admission control and operators read drop/recovery state.

@@ -318,22 +318,25 @@ class _ShardHandler:
             return ("error", _WorkerTraceback.capture(exc))
 
     def _observe(self, payload):
-        """``(hits, busy_seconds, kernel_seconds)`` for one sub-batch.
+        """``(hits, busy_seconds, kernel_seconds, kernel_steps)`` for one sub-batch.
 
         ``hits`` are :meth:`~repro.core.detector.Detector.observe_batch_indexed`'s
         ``(position, detection)`` pairs, ``busy_seconds`` the CPU time
-        unwire + observe consumed in the hosting process, and
+        unwire + observe consumed in the hosting process,
         ``kernel_seconds`` the wall-clock slice of that the detector
         spent inside its vectorised decode kernel (0.0 for detectors
-        without one).  Every detector takes this one path.
+        without one) and ``kernel_steps`` the windowed steps the kernel
+        advanced, per path (:attr:`~repro.core.detector.Detector.kernel_steps`).
+        Every detector takes this one path.
         """
         started = time.process_time()
         alerts = payload if self._unwire is None else self._unwire(payload)
         detector = self.detector
-        kernel_before = detector.kernel_seconds
+        kernel_before, steps_before = detector.kernel_seconds, detector.kernel_steps
         hits = detector.observe_batch_indexed(alerts)
         kernel = detector.kernel_seconds - kernel_before
-        return hits, time.process_time() - started, kernel
+        steps = tuple(after - before for after, before in zip(detector.kernel_steps, steps_before))
+        return hits, time.process_time() - started, kernel, steps
 
     def _reset_entity(self, entity: str) -> None:
         self.detector.reset_entity(entity)
@@ -951,6 +954,10 @@ class ShardedDetectorPool:
         self.busy_seconds_retired = 0.0
         self.kernel_seconds_retired = 0.0
         self.alerts_routed_retired = 0
+        #: Windowed steps the shards' kernels advanced, ``(stacked,
+        #: patterned, scalar)`` summed over shards and reshards, since
+        #: the pool was built, reset or restored (not checkpointed).
+        self.kernel_steps: List[int] = [0, 0, 0]
         #: One carrier per shard (both backends; the name predates the
         #: serial carrier).
         self._workers: list = []
@@ -1154,8 +1161,7 @@ class ShardedDetectorPool:
             for shard in sent:
                 status, reply = self._workers[shard].receive()
                 if status == "ok":
-                    self.busy_seconds[shard] += reply[1]
-                    self.kernel_seconds[shard] += reply[2]
+                    self._account(shard, reply)
             raise
         ticket = _PendingBatch(positions, active)
         self._pending.append(ticket)
@@ -1187,9 +1193,8 @@ class ShardedDetectorPool:
             if status != "ok":
                 error = error or self._shard_error(shard, status, result)
                 continue
-            shard_hits, busy, kernel = result
-            self.busy_seconds[shard] += busy
-            self.kernel_seconds[shard] += kernel
+            self._account(shard, result)
+            shard_hits = result[0]
             shard_positions = ticket.positions[shard]
             hits.extend(
                 (shard_positions[local], detection) for local, detection in shard_hits
@@ -1254,6 +1259,13 @@ class ShardedDetectorPool:
                 "batch(es) pending; collect() them first"
             )
 
+    def _account(self, shard: int, reply: tuple) -> None:
+        """Add one ``observe`` reply's telemetry to the pool's."""
+        _, busy, kernel, steps = reply
+        self.busy_seconds[shard] += busy
+        self.kernel_seconds[shard] += kernel
+        self.kernel_steps = [total + step for total, step in zip(self.kernel_steps, steps)]
+
     def _clear_pool_state(self) -> None:
         """Zero the pool-level telemetry.
 
@@ -1267,6 +1279,7 @@ class ShardedDetectorPool:
         self.busy_seconds_retired = 0.0
         self.kernel_seconds_retired = 0.0
         self.alerts_routed_retired = 0
+        self.kernel_steps = [0, 0, 0]
 
     def reset(self) -> None:
         """Forget all shard state."""

@@ -42,6 +42,7 @@ from repro.core.factors import FactorParameters
 from repro.core.sliding_window import _MIN_SCAN, _PAGE, WindowArena
 from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
+from repro.testbed.pipeline import DETERMINISTIC_COUNTERS, TestbedPipeline
 from repro.testbed.sharding import ShardedDetectorPool
 
 from test_sliding_window import assert_same_window
@@ -124,7 +125,7 @@ def _assert_same_logical_state(reference, batched, entities):
         assert decoder_r.length == decoder_b.length
         assert decoder_r.names == decoder_b.names
         assert np.array_equal(decoder_r.unary_table(), decoder_b.unary_table())
-        assert decoder_r._bonus_at == decoder_b._bonus_at
+        assert _match_state(reference, track_r) == _match_state(batched, track_b)
         if decoder_r.windowed:
             # Same absolute steps, observation rows and aggregates, whoever
             # advanced the row and wherever in its arena it lives.
@@ -138,6 +139,22 @@ def _assert_same_logical_state(reference, batched, entities):
                     getattr(reference._arena.fill, block)[cells_r],
                     getattr(batched._arena.fill, block)[cells_b],
                 )
+
+
+def _match_state(tagger, track):
+    """A slot's pattern arrays, where a pattern is matched: ``(matched,
+    first, last)`` per pattern (``None`` for steps of unmatched ones)."""
+    arena = tagger._arena
+    match = int(arena.slots.match[track.slot])
+    if match < 0:
+        return None
+    matches = arena.matches
+    matched = matches.matched[match].tolist()
+    return (
+        matched,
+        [f if m else None for m, f in zip(matched, matches.first[match].tolist())],
+        [f if m else None for m, f in zip(matched, matches.last[match].tolist())],
+    )
 
 
 def _assert_matches_spec(naive, tagger, entities):
@@ -170,12 +187,14 @@ class _DispatchCounter:
     """Alerts per pass on each side of the kernel's size-based selection.
 
     ``stacked`` holds, per pass that stacked, its filling steps plus chunk
-    steps; ``each`` the same count for passes too small to stack.
+    steps; ``each`` the same count for passes too small to stack, and
+    ``sliding`` the windowed steps among them.
     """
 
     def __init__(self, monkeypatch):
         self.stacked = []
         self.each = []
+        self.sliding = []
         current = []
         run_pass = BatchedDecodeKernel._pass
         advance_fill = BatchedDecodeKernel._advance_fill
@@ -198,6 +217,7 @@ class _DispatchCounter:
 
         def counted_each(kernel, batch, runs, steps, sliding, hits):
             self.each.append(int(steps.sum()))
+            self.sliding.append(int(steps.sum()) if sliding else 0)
             return advance_each(kernel, batch, runs, steps, sliding, hits)
 
         monkeypatch.setattr(BatchedDecodeKernel, "_pass", counted_pass)
@@ -253,7 +273,11 @@ class TestBatchedEngineEquivalence:
         assert counter.stacked and counter.each  # both sides ran
         assert min(counter.stacked) >= _MIN_BATCH > max(counter.each)
         kernel = batched._batch_kernel
-        assert sum(counter.stacked) + sum(counter.each) + kernel.rows_scalar == len(stream)
+        # Every alert is counted once: stacked or not, a window opening or
+        # a pattern-pass step (the kernel counts a per-alert windowed step
+        # as scalar too).
+        counted = kernel.rows_scalar + kernel.rows_patterned - sum(counter.sliding)
+        assert sum(counter.stacked) + sum(counter.each) + counted == len(stream)
         scalar, naive = _tagger(), _tagger("naive")
         assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream)
         _assert_same_logical_state(scalar, batched, entities)
@@ -277,11 +301,12 @@ class TestBatchedEngineEquivalence:
         """Pattern bonuses relocate inside saturated, sliding windows.
 
         Two-symbol patterns over a small symbol pool keep partial
-        matches advancing (the bonus moves off an older queued step:
-        the in-place window patch) and their first matched steps
-        evicting (cursor rescans relocating bonuses again) while every
-        window slides; windows straddle ``_MIN_SCAN`` so the patches and
-        flips refold both sequentially and through the scan.
+        matches advancing (the bonus moves off an older queued step)
+        and their first matched steps evicting (rescans relocating
+        bonuses again) while every window slides, so windows are
+        re-aggregated after such steps; windows straddle ``_MIN_SCAN``
+        so the rebuilds and flips refold both sequentially and through
+        the scan.
         """
         x, y, z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
         patterns = [
@@ -297,14 +322,14 @@ class TestBatchedEngineEquivalence:
             for i in range(len(entities) * 6 * max_window)
         ]
         patched = []
-        sync_window = StreamingDecoder._sync_window
+        rebuild = WindowArena.rebuild
 
-        def counted_sync(decoder, dirty, appended=None):
-            if any(step > decoder._window.start and step != appended for step in dirty):
-                patched.append(decoder.windowed)
-            return sync_window(decoder, dirty, appended)
+        def counted_rebuild(arena, rows, pairwise):
+            # Past its first eviction: a pattern step, not a window opening.
+            patched.append(bool((arena.start[rows] > 1).any()))
+            return rebuild(arena, rows, pairwise)
 
-        monkeypatch.setattr(StreamingDecoder, "_sync_window", counted_sync)
+        monkeypatch.setattr(WindowArena, "rebuild", counted_rebuild)
         hits, batched, _, _ = _three_way(
             stream,
             4 * len(entities),
@@ -314,7 +339,7 @@ class TestBatchedEngineEquivalence:
             detection_threshold=0.999,
         )
         assert hits == []  # every entity stays live, so every window slides
-        assert any(patched)  # queued steps really were patched in place
+        assert any(patched)  # windows really were re-aggregated after pattern steps
         assert all(batched.track(e).decoder.windowed for e in entities)
 
     def test_round_mixing_flip_phases_and_relocations(self, monkeypatch):
@@ -336,7 +361,7 @@ class TestBatchedEngineEquivalence:
             PatternSpec(name="P1", names=(z, y)),
             PatternSpec(name="P2", names=(x, z)),
         ]
-        pool = [x, y, z] + ["alert_login_normal"] * 3
+        pool = [x, y, z] + ["alert_login_normal"] * 24
         rng = np.random.default_rng(29)
         entities = [f"phase:{i}" for i in range(2 * max_window)]
         visits = [
@@ -353,7 +378,7 @@ class TestBatchedEngineEquivalence:
 
         shapes, flips, patched = [], [], set()
         chunk_pass = batch_kernel._ChunkPass.__init__
-        sync_window = StreamingDecoder._sync_window
+        rebuild = WindowArena.rebuild
         flip_together = WindowArena.flip_together
 
         def counted_pass(scratch, arena, rows, *args):
@@ -361,10 +386,9 @@ class TestBatchedEngineEquivalence:
             shapes.append(set(zip((start + 1 < boundary).tolist(), (boundary < end).tolist())))
             chunk_pass(scratch, arena, rows, *args)
 
-        def counted_sync(decoder, dirty, appended=None):
-            if any(s > decoder._window.start and s != appended for s in dirty):
-                patched.add(decoder._window.row)
-            return sync_window(decoder, dirty, appended)
+        def counted_rebuild(arena, rows, pairwise):
+            rebuild(arena, rows, pairwise)  # its own flip is not the one looked for
+            patched.update(rows[arena.start[rows] > 1].tolist())
 
         def counted_flip(arena, rows, pairwise):
             flips.append((rows.size, sum(row in patched for row in rows.tolist())))
@@ -373,7 +397,7 @@ class TestBatchedEngineEquivalence:
 
         batched = _tagger(**kwargs)
         monkeypatch.setattr(batch_kernel._ChunkPass, "__init__", counted_pass)
-        monkeypatch.setattr(StreamingDecoder, "_sync_window", counted_sync)
+        monkeypatch.setattr(WindowArena, "rebuild", counted_rebuild)
         monkeypatch.setattr(WindowArena, "flip_together", counted_flip)
         hits = _drive_batched(batched, stream, len(entities))
         monkeypatch.undo()
@@ -383,7 +407,7 @@ class TestBatchedEngineEquivalence:
         assert max(size for size, _ in flips) >= 2  # flips really were grouped
         assert any(relocated for _, relocated in flips)  # a patched window flipped
         kernel = batched._batch_kernel
-        assert kernel.rows_stacked > 0 < kernel.rows_scalar  # both paths shared the passes
+        assert kernel.rows_stacked > 0 < kernel.rows_patterned  # both paths shared the passes
 
         scalar, naive = _tagger(**kwargs), _tagger("naive", **kwargs)
         assert hits == _drive_scalar(scalar, stream) == _drive_scalar(naive, stream) == []
@@ -421,16 +445,18 @@ class TestBatchedEngineEquivalence:
         advance_chunks = BatchedDecodeKernel._advance_chunks
         in_windowed = []
 
+        # Counted in the chunk path only (the pattern pass tests its rows too).
         def counted_candidates(*args):
             found = candidates(*args)
-            seen["survivors"] += found.size
+            seen["survivors"] += found.size if in_windowed else 0
             return found
 
         def counted_stage_two(arena, rows, threshold):
             keep = stage_two(arena, rows, threshold)
-            calls.append((seen["commits"], rows.size))
-            seen["forward_rows"] += rows.size
-            seen["passed"] += int(keep.sum())
+            if in_windowed:
+                calls.append((seen["commits"], rows.size))
+                seen["forward_rows"] += rows.size
+                seen["passed"] += int(keep.sum())
             return keep
 
         def counted_commit(scratch, *args):
@@ -544,7 +570,7 @@ class TestBatchedEngineEquivalence:
         assert {key[0] for _, key in hits} == set(attackers)
         assert all(key[1] == 1 for _, key in hits)  # detected on alert 2
         for entity in starters:
-            assert 0 in batched.track(entity).decoder._bonus_at
+            assert 0 in _match_state(batched, batched.track(entity))[2]  # a bonus at step 0
         _drive_scalar(scalar, earlier), _drive_scalar(naive, earlier)
         assert hits == _drive_scalar(scalar, batch) == _drive_scalar(naive, batch)
         _assert_same_logical_state(scalar, batched, entities)
@@ -704,7 +730,7 @@ class TestDeepRuns:
     def test_deep_runs_hold_every_shape_the_chunks_cut_on(self, max_window):
         """The generator's runs really hold what the property is about."""
         hits, batched, seen = self._drive(0, max_window, 4, 3)
-        assert batched._batch_kernel.rows_scalar > 0  # pattern steps broke chunks
+        assert batched._batch_kernel.rows_patterned > 0  # pattern steps broke chunks
         assert seen["flipped"] >= 2  # stacked flips
         assert seen["mid_chunk"] > len(hits)  # chunks stopped at cells that did not fire
 
@@ -928,10 +954,10 @@ class TestSlotLifecycle:
             table = kernel._tagger._arena.slots
             tracks = [batch.tracks[r] for r in runs.tolist()]
             bare = [track.decoder is None for track in tracks]
-            pristine = table.pristine[batch.slot[runs]].copy()
+            pristine = table.match[batch.slot[runs]] < 0
             advance_fill(kernel, batch, runs, reach, hits)
             seen["plain_without_decoder"] += sum(b and t.decoder is None for b, t in zip(bare, tracks))
-            seen["copied_in_fill_pass"] += int((pristine & ~table.pristine[batch.slot[runs]]).sum())
+            seen["copied_in_fill_pass"] += int((pristine & (table.match[batch.slot[runs]] >= 0)).sum())
 
         def counted_scalar(kernel, batch, runs, hits):
             table = kernel._tagger._arena.slots
@@ -1049,6 +1075,31 @@ class TestBatchedThroughSharding:
                 assert sum(pool.kernel_seconds) > 0.0
         finally:
             pool.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_kernel_steps_are_summed_over_shards(self, backend):
+        """Every windowed step a shard's kernel took is counted once, by
+        path, in the pool and in the pipeline summary; the stacked and
+        per-alert engines split them differently, so they stay out of
+        the deterministic counters."""
+        rng = np.random.default_rng(5)
+        stream = _random_stream(rng, 400, names=BENIGN_NAMES + ["alert_download_sensitive"])
+        serial = _tagger()
+        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2, backend=backend)
+        try:
+            for base in range(0, len(stream), 100):
+                serial.observe_batch(stream[base : base + 100])
+                pool.observe_batch(stream[base : base + 100])
+            # Each entity's windowed steps, whichever shard took them.
+            assert sum(pool.kernel_steps) == sum(serial.kernel_steps) > 0
+            assert pool.kernel_steps[1] > 0  # the pattern pass
+        finally:
+            pool.close()
+        with TestbedPipeline(detectors={"fg": _tagger()}, n_shards=2, shard_backend=backend) as pipeline:
+            pipeline.ingest_alerts(stream)
+            steps = pipeline.summary()["kernel_steps"]
+            assert steps == {"fg": dict(zip(("stacked", "patterned", "scalar"), pipeline.detector_pools["fg"].kernel_steps))}
+        assert sum(steps["fg"].values()) > 0 and "kernel_steps" not in DETERMINISTIC_COUNTERS
 
     def test_pool_kernel_seconds_checkpoint_roundtrip(self):
         rng = np.random.default_rng(21)

@@ -169,11 +169,11 @@ class TestAttackTaggerRoundTrip:
 
         original = tagger()
         original.observe_batch(stream)
-        assert "_pattern_table" not in original.__getstate__()
+        assert "_arena" not in original.__getstate__()
         restored, blob = _round_trip(original)
         # Re-resolved on unpickling, to the same patterns and weights.
-        assert restored._pattern_table is not original._pattern_table
-        assert restored._pattern_table.patterns == original._pattern_table.patterns
+        assert restored._arena.matches is not original._arena.matches
+        assert restored._arena.matches.patterns == original._arena.matches.patterns
         assert pickle.dumps(restored) == blob  # no decoder yet
         open_every_decoder(restored)
         assert pickle.dumps(restored) == blob

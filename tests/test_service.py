@@ -894,6 +894,11 @@ class TestServiceSocket:
         assert len(stats["gc"]["collections"]) == 3
         assert "gc" not in COMPARED_COUNTERS and "gc" not in results
         assert "gc" not in results["counters"]
+        # So are the kernel's step counts, which the engines split differently.
+        steps = stats["pipeline"]["kernel_steps"]
+        assert set(steps) == set(handle.pipeline.detector_pools)
+        assert all(set(paths) == {"stacked", "patterned", "scalar"} for paths in steps.values())
+        assert "kernel_steps" not in COMPARED_COUNTERS and "kernel_steps" not in results["counters"]
 
     def test_fully_shed_raw_batch_consumes_no_queue_slot(self):
         # Regression: a whole-batch shed still enqueued an empty work

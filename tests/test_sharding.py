@@ -538,8 +538,8 @@ class TestCarrierConformance:
                 # Same exception, same message; frames may differ.
                 shown = str(result).strip().splitlines()[-1]
             elif verb == "observe":
-                hits, busy, kernel = result
-                assert busy >= 0.0 and kernel >= 0.0
+                hits, busy, kernel, steps = result
+                assert busy >= 0.0 and kernel >= 0.0 and min(steps) >= 0
                 shown = hits
             elif verb == "snapshot":
                 assert result[:2] == bytes([0x80, pickle.HIGHEST_PROTOCOL])

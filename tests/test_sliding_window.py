@@ -30,7 +30,6 @@ from repro.core.states import NUM_STATES, HiddenState
 from repro.core.streaming import (
     _DECISION_GUARD,
     _GUARD_SLACK,
-    PatternTable,
     StreamingDecoder,
     WeightedPattern,
     _guard,
@@ -478,13 +477,13 @@ class TestEvictionCursorRescans:
 
 
 class TestBonusOrderingWithoutSort:
-    """`_refresh_unary` must sum same-step bonuses in catalogue order."""
+    """Effective rows must sum same-step bonuses in catalogue order."""
 
     def test_out_of_order_waiting_lists_still_sum_in_catalogue_order(self):
         # P0 waits on Y after X, P1 waits on Y after Z.  Feeding Z first
-        # queues P1 ahead of P0 in the waiting list for Y, so a sort-free
-        # insertion must still fold both step-2 bonuses in P0-then-P1
-        # (catalogue) order to stay bit-identical with the naive build.
+        # matches P1 ahead of P0, so both step-2 bonuses must still fold
+        # in P0-then-P1 (catalogue) order to stay bit-identical with the
+        # naive build.
         x, y, z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
         patterns = [
             PatternSpec(name="P0", names=(x, y)),
@@ -492,8 +491,7 @@ class TestBonusOrderingWithoutSort:
         ]
         parameters = default_parameters()
         decoder = StreamingDecoder(
-            PatternTable(WeightedPattern(p.name, p.names, 2.0) for p in patterns),
-            WindowArena(8, parameters),
+            WindowArena(8, parameters, [WeightedPattern(p.name, p.names, 2.0) for p in patterns])
         )
         naive = AttackTagger(parameters, patterns=patterns, engine="naive")
         names = [z, x, y]

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import (
     AttackTagger,
     EvaluationExample,
-    PatternTable,
     StreamingDecoder,
     WeightedPattern,
     default_parameters,
@@ -142,7 +141,7 @@ class TestStreamingEngineEquivalence:
         patterns = [
             WeightedPattern(p.name, tuple(p.names), 2.0) for p in list(DEFAULT_CATALOGUE)[:10]
         ]
-        decoder = StreamingDecoder(PatternTable(patterns), WindowArena(31, parameters))
+        decoder = StreamingDecoder(WindowArena(31, parameters, patterns))
         for step in range(30):
             decoder.append(ALL_NAMES[rng.integers(len(ALL_NAMES))])
             unary = decoder.unary_table()
@@ -342,57 +341,70 @@ class TestLazyCursorsAreEagerCursors:
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE), detection_threshold=1 - 1e-9
         )
+        matches = tagger._arena.matches
+        shared = {name: getattr(matches, name).copy() for name in ("expect", "bonus", "length", "seeds")}
         tagger.observe(Alert(0.0, _FILLER, "entity:idle"))
         idle = tagger.track("entity:idle").decoder
-        idle_waiting = dict(idle._waiting)
-        table = tagger._pattern_table
-        seed = dict(table.seed)  # buckets are tuples: a shallow copy pins them
-        longest = max(table.patterns, key=lambda pattern: len(pattern.names))
+        longest = max(matches.patterns, key=lambda pattern: len(pattern.names))
         for step, name in enumerate(longest.names):
             tagger.observe(Alert(1.0 + step, name, "entity:busy"))
         busy = tagger.track("entity:busy").decoder
         assert longest.name in busy.matched_pattern_names()
-        assert busy._cursors and busy._waiting != seed
+        slots = tagger._arena.slots
+        assert slots.match[busy._slot] >= 0 and matches.live == 1
 
-        assert busy.patterns is idle.patterns is table.patterns
-        assert tagger._pattern_table is table
-        assert table.seed == seed
-        assert idle._waiting == idle_waiting and idle._cursors == {}
-        for waiting in (table.seed, idle._waiting, busy._waiting):
-            assert all(type(bucket) is tuple for bucket in waiting.values())
-        # A third entity opens on the untouched seed index.
-        assert StreamingDecoder(table, tagger._arena)._waiting == seed
+        assert busy.patterns is idle.patterns is matches.patterns
+        assert tagger._arena.matches is matches
+        for name, table in shared.items():
+            assert np.array_equal(getattr(matches, name), table), name
+        # The idle entity awaits the first symbols only, holding no match row.
+        assert slots.match[idle._slot] == -1
+        assert idle.matched_prefix_lengths() == [0] * len(matches.patterns)
+        # A third entity opens pristine.
+        assert slots.match[StreamingDecoder(tagger._arena)._slot] == -1
 
-    def test_waiting_lists_are_copied_on_the_first_advance_only(self):
+    def test_match_rows_are_taken_on_the_first_advance_only(self):
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE), detection_threshold=1 - 1e-9
         )
-        table = tagger._pattern_table
-        seed = dict(table.seed)
-        quiet_names = [name for name in ALL_NAMES if name not in table.seed]
+        matches, slots = tagger._arena.matches, tagger._arena.slots
+        seeds = {pattern.names[0] for pattern in matches.patterns}
+        quiet_names = [name for name in ALL_NAMES if name not in seeds]
         assert quiet_names
         for step, name in enumerate(quiet_names):
             tagger.observe(Alert(float(step), name, "entity:quiet"))
         quiet = tagger.track("entity:quiet").decoder
-        # Fed only names no pattern starts with: it still reads the table's dict.
-        assert quiet is not None and quiet._cursors == {}
-        assert quiet._waiting is table.seed
+        # Fed only names no pattern starts with: still pristine.
+        assert quiet is not None and slots.match[quiet._slot] == -1 and matches.live == 0
 
-        starters = sorted(table.seed)
+        starters = sorted(seeds)
         tagger.observe(Alert(100.0, starters[0], "entity:other"))
         other = tagger.track("entity:other").decoder
-        other_waiting = dict(other._waiting)
+        other_row = matches.matched[slots.match[other._slot]].copy()
         for step, name in enumerate(starters[1:]):
             tagger.observe(Alert(101.0 + step, name, "entity:seeding"))
         seeding = tagger.track("entity:seeding").decoder
-        assert seeding._cursors and seeding._waiting is not table.seed
-        # Neither the table nor a sibling saw the seeding decoder's writes.
-        assert table.seed == seed
-        assert quiet._waiting is table.seed
-        assert other._waiting is not table.seed and other._waiting == other_waiting
-        # Forgetting the stream goes back to sharing the seed index.
+        assert slots.match[seeding._slot] >= 0 and matches.live == 2
+        # Neither a sibling nor a pristine slot saw the seeding decoder's writes.
+        assert slots.match[quiet._slot] == -1
+        assert np.array_equal(matches.matched[slots.match[other._slot]], other_row)
+        # Forgetting the stream gives the match row back.
         seeding.reset()
-        assert seeding._waiting is table.seed and seeding._cursors == {}
+        assert slots.match[seeding._slot] == -1 and matches.live == 1
+
+    def test_a_rescan_that_matches_nothing_gives_the_row_back(self):
+        tagger = AttackTagger(
+            patterns=[PatternSpec("P", ("alert_port_scan", "alert_vuln_scan"))],
+            max_window=3,
+            detection_threshold=1 - 1e-9,
+        )
+        names = ["alert_port_scan"] + [_FILLER] * 3
+        for step, name in enumerate(names):
+            assert tagger.observe(Alert(float(step), name, _ENTITY)) is None
+        decoder = tagger.track(_ENTITY).decoder
+        # The port scan left the window: nothing is matched any more.
+        assert decoder.windowed and tagger._arena.slots.match[decoder._slot] == -1
+        assert tagger._arena.matches.live == 0
 
 
 _CHOSEN = list(DEFAULT_CATALOGUE)[0]

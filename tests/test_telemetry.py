@@ -4,8 +4,10 @@ filtering, and annotation."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -388,6 +390,44 @@ class TestSanitizer:
     @settings(max_examples=50, deadline=None)
     def test_sanitize_never_raises(self, text):
         assert isinstance(Sanitizer().sanitize_text(text), str)
+
+    @given(
+        texts=st.lists(
+            st.sampled_from(["sshd", "a@b.c x@y.z", "1.2.3.4", "/home/u/f", "123-45-6789", "(217) 555-0142", "x7"]),
+            min_size=1,
+            max_size=40,
+        ),
+        resets=st.sets(st.integers(0, 40)),
+        limit=st.sampled_from((1, 2, 4096)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_remembered_texts_equal_fresh_scrubs(self, texts, resets, limit):
+        """A sanitiser that remembers texts (repeated, with reports taken
+        in between, past its memo bound) gives every output -- the very
+        object -- and report a fresh sanitiser per text gives."""
+        memo = Sanitizer()
+        expected = SanitizationReport()
+        with mock.patch.object(sanitizer_module, "_MEMO_LIMIT", limit):
+            for index, text in enumerate(texts):
+                if index in resets:
+                    assert memo.reset_report() == expected
+                    expected = SanitizationReport()
+                fresh = Sanitizer()
+                got, want = memo.sanitize_text(text), fresh.sanitize_text(text)
+                assert got == want and (got is text) == (want is text)
+                for field in dataclasses.fields(SanitizationReport):
+                    name = field.name
+                    setattr(expected, name, getattr(expected, name) + getattr(fresh.report, name))
+                assert memo.report == expected
+        assert len(memo._clean) <= limit
+
+    def test_options_that_shape_the_output_are_fixed(self):
+        sanitizer = Sanitizer(ip_octets_kept=3)
+        assert sanitizer.sanitize_text("10.20.30.40") == "10.20.30.xxx"
+        for option, value in (("ip_octets_kept", 2), ("truncate_ips", False)):
+            with pytest.raises(AttributeError):
+                setattr(sanitizer, option, value)
+        assert sanitizer.sanitize_text("10.20.30.40") == "10.20.30.xxx"
 
 
 class TestScanFilter:

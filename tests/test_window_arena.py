@@ -20,7 +20,7 @@ Pinned here:
 * **the plain-row / exception-row boundary** -- one stacked pass mixes
   rows advanced as arena arithmetic with rows that take the per-entity
   path (a seeded pattern, an eviction rescan, a window only now
-  opening), and which rows do is what ``plain_run`` predicts.
+  opening), and which rows do is what ``plain_depth`` predicts.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH
 from repro.core.sliding_window import _INITIAL_PAGES, _INITIAL_ROWS, _MIN_SCAN, _PAGE
+from repro.core.streaming import plain_depth
 from repro.incidents import DEFAULT_CATALOGUE
 
 from test_sliding_window import assert_same_window
@@ -427,18 +428,28 @@ class TestPlainRowBoundary:
             assert batched.observe_batch(alerts) == []
         decoders = {entity: batched._decoder_for(batched.track(entity)) for entity in entities}
         assert not decoders["host:opens"].windowed
-        predicted_plain = [
-            entity
-            for entity in entities
-            if decoders[entity].windowed and decoders[entity].plain_run([probe[entity]]) == 1
-        ]
+        arena = batched._arena
+
+        def plain_step(entity):
+            decoder = decoders[entity]
+            slot, row = np.array([decoder._slot]), np.array([decoder._window.row])
+            symbol = np.array([[arena.symbol_ids[probe[entity]]]])
+            return plain_depth(arena, slot, row, symbol, np.ones(1, dtype=np.int64))[0] == 1
+
+        predicted_plain = [entity for entity in entities if decoders[entity].windowed and plain_step(entity)]
         assert predicted_plain == plain
-        assert decoders["host:rescans"]._cursors  # a live cursor, anchored on the head
+        rescans = decoders["host:rescans"]._slot
+        assert arena.slots.match[rescans] >= 0  # a live match, anchored on the head
         kernel = batched._batch_kernel
-        before = (kernel.rows_stacked, kernel.rows_scalar)
+        counters = ("rows_stacked", "rows_patterned", "rows_scalar")
+        before = [getattr(kernel, name) for name in counters]
         assert batched.observe_batch(final) == []
-        assert (kernel.rows_stacked - before[0], kernel.rows_scalar - before[1]) == (len(plain), 3)
-        assert decoders["host:opens"].windowed and not decoders["host:rescans"]._cursors
+        moved = [getattr(kernel, name) - count for name, count in zip(counters, before)]
+        # The seeder and the rescan have one step each: too few for the
+        # pattern pass, so they go per alert with the window opening.
+        assert moved == [len(plain), 0, 3]
+        # The rescan matched nothing: the slot gave its match row back.
+        assert decoders["host:opens"].windowed and arena.slots.match[rescans] == -1
         assert batched._arena.live == len(entities)
         # The round equals the per-alert loop and the spec.
         for tagger in (scalar, naive):
