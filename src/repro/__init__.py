@@ -7,16 +7,16 @@ Supercomputing Infrastructure" (Cao, Kalbarczyk, Iyer; NCSA/UIUC):
 * :mod:`repro.core` -- the factor-graph preemption model
   (ATTACKTAGGER), baselines, and evaluation machinery.
 * :mod:`repro.telemetry` -- Zeek / syslog / auditd / osquery log
-  models, the raw-log-to-symbolic-alert normaliser, scan filtering and
-  ground-truth annotation.
+  models, the raw-log-to-symbolic-alert normaliser, sanitisation and
+  scan filtering.
 * :mod:`repro.incidents` -- the longitudinal incident corpus
   (synthetic stand-in for NCSA's 2000-2024 archive) and the S1..S43
   attack-pattern catalogue.
 * :mod:`repro.testbed` -- the testbed architecture: honeypot,
   vulnerable services, VRT, black-hole router, isolation, and the
   end-to-end alert pipeline.
-* :mod:`repro.attacks` -- attack emulation (mass scanners, brute force,
-  the PostgreSQL ransomware family) and incident replay.
+* :mod:`repro.attacks` -- attack emulation (mass scanners, credential
+  theft, lateral movement, the PostgreSQL ransomware) and alert replay.
 * :mod:`repro.viz` -- attack-graph construction, force-directed layout,
   and export (the Fig. 1 visualisation).
 * :mod:`repro.analysis` -- the longitudinal measurement study

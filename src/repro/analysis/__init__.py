@@ -12,14 +12,11 @@ from .dailystats import (
     PAPER_DAILY_MEAN,
     PAPER_DAILY_SCANS,
     PAPER_DAILY_STD,
-    bin_alerts_per_day,
-    moving_average,
     render_daily_series,
     summarize_daily_volumes,
 )
 from .lcs_study import (
     LCSStudyResult,
-    MinedSequence,
     PAPER_MAX_FREQUENCY,
     PAPER_MAX_LENGTH,
     PAPER_MIN_LENGTH,
@@ -27,8 +24,6 @@ from .lcs_study import (
     PatternAttribution,
     attribute_incident,
     catalogue_frequency_study,
-    mine_common_subsequences,
-    mined_catalogue_overlap,
 )
 from .similarity import (
     PAPER_FRACTION_BELOW,
@@ -56,19 +51,14 @@ __all__ = [
     "PAPER_FRACTION_BELOW",
     "LCSStudyResult",
     "PatternAttribution",
-    "MinedSequence",
     "attribute_incident",
     "catalogue_frequency_study",
-    "mine_common_subsequences",
-    "mined_catalogue_overlap",
     "PAPER_NUM_PATTERNS",
     "PAPER_MAX_FREQUENCY",
     "PAPER_MIN_LENGTH",
     "PAPER_MAX_LENGTH",
     "DailyVolumeStats",
     "summarize_daily_volumes",
-    "bin_alerts_per_day",
-    "moving_average",
     "render_daily_series",
     "PAPER_DAILY_MEAN",
     "PAPER_DAILY_STD",

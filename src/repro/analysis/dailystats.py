@@ -5,8 +5,7 @@ sample month: an average of 94,238 alerts per day with a standard
 deviation of 23,547, roughly 80 K of which are repeated port and
 vulnerability scans (Insight 3).  This module computes those statistics
 from a daily-volume series (produced by the corpus generator's volume
-model or by counting a replayed alert stream) and provides the binning
-helper that turns raw alert timestamps into a daily series.
+model or by counting a replayed alert stream) and renders the series.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import dataclasses
 from typing import Optional, Sequence
 
 import numpy as np
-
-from ..core.alerts import Alert
 
 #: Published Fig. 2 values.
 PAPER_DAILY_MEAN = 94_238
@@ -35,15 +32,6 @@ class DailyVolumeStats:
     maximum: int
     total: int
     scan_mean: Optional[float] = None
-
-    def within_tolerance(
-        self, *, mean_target: float = PAPER_DAILY_MEAN, std_target: float = PAPER_DAILY_STD,
-        relative_tolerance: float = 0.15,
-    ) -> bool:
-        """Whether the series matches the paper's mean/std within tolerance."""
-        mean_ok = abs(self.mean - mean_target) <= relative_tolerance * mean_target
-        std_ok = abs(self.std - std_target) <= relative_tolerance * std_target
-        return mean_ok and std_ok
 
 
 def summarize_daily_volumes(
@@ -70,28 +58,6 @@ def summarize_daily_volumes(
     )
 
 
-def bin_alerts_per_day(alerts: Sequence[Alert], *, day_seconds: float = 86_400.0) -> np.ndarray:
-    """Bin an alert stream into daily counts (relative to the first alert)."""
-    if not alerts:
-        return np.zeros(0, dtype=np.int64)
-    times = np.array([a.timestamp for a in alerts], dtype=np.float64)
-    start = times.min()
-    bins = ((times - start) // day_seconds).astype(np.int64)
-    counts = np.bincount(bins)
-    return counts.astype(np.int64)
-
-
-def moving_average(volumes: Sequence[int] | np.ndarray, window: int = 7) -> np.ndarray:
-    """Centered-ish moving average used to draw the Fig. 2 trend line."""
-    array = np.asarray(volumes, dtype=np.float64)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if array.size == 0:
-        return array
-    kernel = np.ones(min(window, array.size)) / min(window, array.size)
-    return np.convolve(array, kernel, mode="same")
-
-
 def render_daily_series(volumes: Sequence[int] | np.ndarray, *, width: int = 60, height: int = 10) -> str:
     """ASCII sparkline-style rendering of the daily series (Fig. 2 stand-in)."""
     array = np.asarray(volumes, dtype=np.float64)
@@ -116,7 +82,5 @@ __all__ = [
     "PAPER_DAILY_SCANS",
     "DailyVolumeStats",
     "summarize_daily_volumes",
-    "bin_alerts_per_day",
-    "moving_average",
     "render_daily_series",
 ]

@@ -2,26 +2,18 @@
 
 The paper identifies 43 recurring alert sequences (S1..S43) across the
 incident corpus and plots how often each was seen (most frequent: 14
-times; lengths two to fourteen).  The reproduction mines the corpus in
-two complementary ways:
-
-* **Catalogue attribution** -- each incident is attributed to the most
-  specific catalogue pattern it contains (longest match, ties broken by
-  catalogue order).  This reproduces the published histogram directly
-  and is what the Fig. 3b benchmark reports.
-* **De-novo mining** -- pairwise longest-common-subsequence extraction
-  plus frequency counting, which re-discovers the recurring sequences
-  without consulting the catalogue (a consistency check that the
-  catalogue is actually recoverable from the data).
+times; lengths two to fourteen).  The reproduction counts them by
+catalogue attribution: each incident is attributed to the most specific
+catalogue pattern it contains (longest match, ties broken by catalogue
+order).  This reproduces the published histogram directly and is what
+the Fig. 3b benchmark reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from typing import Optional, Sequence
 
-from ..core.sequences import longest_common_subsequence
 from ..incidents.corpus import IncidentCorpus
 from ..incidents.patterns import AttackPattern, DEFAULT_CATALOGUE, PatternCatalogue
 
@@ -120,81 +112,6 @@ def catalogue_frequency_study(
     )
 
 
-@dataclasses.dataclass
-class MinedSequence:
-    """One de-novo mined common subsequence."""
-
-    names: tuple[str, ...]
-    support: int
-
-    @property
-    def length(self) -> int:
-        """Number of alerts in the mined sequence."""
-        return len(self.names)
-
-
-def mine_common_subsequences(
-    corpus: IncidentCorpus,
-    *,
-    min_length: int = 2,
-    min_support: int = 2,
-    max_pairs: Optional[int] = 20_000,
-) -> list[MinedSequence]:
-    """De-novo mining: pairwise LCS extraction + support counting.
-
-    For every pair of incidents (optionally capped for very large
-    corpora) the longest common subsequence of attack-indicative alerts
-    is computed; candidate sequences of at least ``min_length`` are then
-    counted across all incidents, and those contained in at least
-    ``min_support`` incidents are returned, most frequent first.
-    """
-    from ..core.sequences import is_subsequence
-    from .similarity import attack_indicative_sequences
-
-    sequences = attack_indicative_sequences(corpus.attack_sequences())
-    names = [seq.names for seq in sequences]
-    candidates: Counter[tuple[str, ...]] = Counter()
-    pairs_examined = 0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if max_pairs is not None and pairs_examined >= max_pairs:
-                break
-            pairs_examined += 1
-            lcs = longest_common_subsequence(names[i], names[j])
-            if len(lcs) >= min_length:
-                candidates[lcs] += 1
-        if max_pairs is not None and pairs_examined >= max_pairs:
-            break
-    mined: list[MinedSequence] = []
-    for candidate in candidates:
-        support = sum(1 for sequence in names if is_subsequence(candidate, sequence))
-        if support >= min_support:
-            mined.append(MinedSequence(names=candidate, support=support))
-    mined.sort(key=lambda m: (-m.support, -m.length, m.names))
-    return mined
-
-
-def mined_catalogue_overlap(
-    mined: Sequence[MinedSequence], catalogue: PatternCatalogue = DEFAULT_CATALOGUE
-) -> float:
-    """Fraction of catalogue patterns recovered (exactly or as a super-sequence).
-
-    Consistency check between de-novo mining and the catalogue: a
-    catalogue pattern counts as recovered when some mined sequence
-    contains it as an ordered subsequence.
-    """
-    from ..core.sequences import is_subsequence
-
-    if not len(catalogue):
-        return 0.0
-    recovered = 0
-    mined_names = [m.names for m in mined]
-    for pattern in catalogue:
-        if any(is_subsequence(pattern.names, names) for names in mined_names):
-            recovered += 1
-    return recovered / len(catalogue)
-
-
 __all__ = [
     "PAPER_NUM_PATTERNS",
     "PAPER_MAX_FREQUENCY",
@@ -204,7 +121,4 @@ __all__ = [
     "LCSStudyResult",
     "attribute_incident",
     "catalogue_frequency_study",
-    "MinedSequence",
-    "mine_common_subsequences",
-    "mined_catalogue_overlap",
 ]

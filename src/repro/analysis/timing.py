@@ -5,8 +5,8 @@ alerts.  Reconnaissance is machine-generated -- repetitive, closely and
 regularly spaced -- while post-foothold activity is manual, so the gaps
 between alerts become long and highly variable.  This module quantifies
 that contrast per incident and per corpus: gap statistics split by
-lifecycle stage, coefficient-of-variation comparisons, and the fraction
-of daily volume attributable to repeated scanning.
+lifecycle stage, and the fraction of daily volume attributable to
+repeated scanning.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ class GapStatistics:
     std_seconds: float
     median_seconds: float
 
-    @property
-    def coefficient_of_variation(self) -> float:
-        """Std/mean; higher means more irregular (human-driven) timing."""
-        if self.mean_seconds == 0:
-            return 0.0
-        return self.std_seconds / self.mean_seconds
-
 
 def _summarize(gaps: Sequence[float]) -> GapStatistics:
     if not gaps:
@@ -58,19 +51,6 @@ class TimingStudyResult:
     reconnaissance: GapStatistics
     post_foothold: GapStatistics
     incidents_analyzed: int
-
-    @property
-    def variability_ratio(self) -> float:
-        """Post-foothold CoV divided by reconnaissance CoV (>1 expected)."""
-        recon_cov = self.reconnaissance.coefficient_of_variation
-        manual_cov = self.post_foothold.coefficient_of_variation
-        if recon_cov == 0:
-            return float("inf") if manual_cov > 0 else 1.0
-        return manual_cov / recon_cov
-
-    def confirms_insight(self) -> bool:
-        """Whether post-foothold timing is more variable than reconnaissance."""
-        return self.variability_ratio > 1.0
 
 
 def sequence_gap_phases(

@@ -2,19 +2,13 @@
 
 Scripted, deterministic attack scenarios that drive the honeypot and
 produce the alert streams the detectors are evaluated on: mass
-scanners, SSH brute force, stolen-credential chains, and the PostgreSQL
-ransomware family of the §V case study, plus a replay engine for
-running corpus incidents through detectors and the full pipeline.
+scanners, stolen-credential chains, lateral movement, and the
+PostgreSQL ransomware of the §V case study, plus a replay engine that
+compresses and interleaves alert streams and delivers them to a
+detector.
 """
 
 from .base import AttackContext, AttackScenario, AttackStep, ScenarioResult
-from .bruteforce import (
-    BruteForceEmulator,
-    BruteForceResult,
-    DEFAULT_PASSWORDS,
-    DEFAULT_USERNAMES,
-    password_spray_alerts,
-)
 from .credential import GhostAccountScenario, StolenCredentialScenario
 from .lateral import (
     InfectionEvent,
@@ -25,15 +19,12 @@ from .lateral import (
 from .ransomware import (
     C2_SERVER,
     INITIAL_ATTACKER,
-    KNOWN_VARIANTS,
     PAYLOAD_SERVER,
     RansomwareConfig,
     RansomwareScenario,
-    RansomwareVariant,
     SECOND_STAGE_URLS,
     TWELVE_DAYS_SECONDS,
     alerts_to_names,
-    run_variant,
 )
 from .replay import ReplayEngine, ReplayEvent, ReplayResult
 from .scanner import (
@@ -52,11 +43,6 @@ __all__ = [
     "ScannerProfile",
     "PAPER_SCANS_PER_HOUR",
     "PAPER_FIGURE_SAMPLE",
-    "BruteForceEmulator",
-    "BruteForceResult",
-    "DEFAULT_USERNAMES",
-    "DEFAULT_PASSWORDS",
-    "password_spray_alerts",
     "StolenCredentialScenario",
     "GhostAccountScenario",
     "LateralMovementEngine",
@@ -65,9 +51,6 @@ __all__ = [
     "LATERAL_MOVEMENT_SCRIPT",
     "RansomwareScenario",
     "RansomwareConfig",
-    "RansomwareVariant",
-    "KNOWN_VARIANTS",
-    "run_variant",
     "alerts_to_names",
     "PAYLOAD_SERVER",
     "C2_SERVER",

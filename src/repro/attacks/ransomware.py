@@ -238,52 +238,6 @@ class RansomwareScenario(AttackScenario):
         )
 
 
-@dataclasses.dataclass
-class RansomwareVariant:
-    """A named variant of the family with small behavioural deltas."""
-
-    name: str
-    skip_steps: tuple[str, ...] = ()
-    extra_probe_count: int = 0
-
-
-#: Variants of the family observed across the campaign.
-KNOWN_VARIANTS: tuple[RansomwareVariant, ...] = (
-    RansomwareVariant("kp-classic"),
-    RansomwareVariant("kp-quiet", skip_steps=("second_stage",)),
-    RansomwareVariant("kp-noisy", extra_probe_count=10),
-    RansomwareVariant("kp-smash", skip_steps=("lateral_movement",)),
-)
-
-
-def run_variant(
-    variant: RansomwareVariant,
-    honeypot: Honeypot,
-    *,
-    topology: Optional[ClusterTopology] = None,
-    start_time: float = 0.0,
-    seed: int = 31,
-) -> ScenarioResult:
-    """Run a named variant of the family against the honeypot."""
-    config = RansomwareConfig(probe_count=6 + variant.extra_probe_count)
-    scenario = RansomwareScenario(
-        honeypot, topology=topology, config=config, seed=seed
-    )
-    context = scenario.initial_context(
-        start_time=start_time,
-        attacker_ip=INITIAL_ATTACKER,
-        entity=f"host:{scenario._entry().container}",
-    )
-    executed = []
-    for step in scenario.build_steps(context):
-        if step.name in variant.skip_steps:
-            continue
-        context.advance(step.delay_seconds)
-        step.action(context)
-        executed.append(step.name)
-    return ScenarioResult(name=f"{scenario.name}:{variant.name}", context=context, executed_steps=executed)
-
-
 def alerts_to_names(alerts: Sequence[Alert]) -> list[str]:
     """Convenience: symbolic names of a scenario's alerts, in time order."""
     return [a.name for a in sorted(alerts, key=lambda a: a.timestamp)]
@@ -297,8 +251,5 @@ __all__ = [
     "TWELVE_DAYS_SECONDS",
     "RansomwareConfig",
     "RansomwareScenario",
-    "RansomwareVariant",
-    "KNOWN_VARIANTS",
-    "run_variant",
     "alerts_to_names",
 ]

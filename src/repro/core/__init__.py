@@ -21,11 +21,9 @@ from .baselines import CriticalAlertDetector, NaiveBayesDetector, NaiveBayesPara
 from .detector import Detector
 from .evaluation import (
     ConfusionCounts,
-    CrossValidationResult,
     EvaluationExample,
     EvaluationReport,
     compare_detectors,
-    cross_validate,
     evaluate_detector,
     window_sweep,
 )
@@ -54,13 +52,9 @@ from .sequences import (
     fraction_of_pairs_below,
     is_subsequence,
     jaccard_similarity,
-    lcs_length,
-    lcs_length_matrix,
-    longest_common_subsequence,
     matched_prefix_length,
     pairwise_jaccard_matrix,
     similarity_cdf,
-    subsequence_positions,
 )
 from .streaming import StreamingDecoder, WeightedPattern
 from .states import AttackStage, HiddenState, NUM_STATES
@@ -92,11 +86,7 @@ __all__ = [
     "pairwise_jaccard_matrix",
     "similarity_cdf",
     "fraction_of_pairs_below",
-    "longest_common_subsequence",
-    "lcs_length",
-    "lcs_length_matrix",
     "is_subsequence",
-    "subsequence_positions",
     "matched_prefix_length",
     # factor graph
     "chain_map_decode",
@@ -140,9 +130,7 @@ __all__ = [
     "EvaluationExample",
     "EvaluationReport",
     "ConfusionCounts",
-    "CrossValidationResult",
     "evaluate_detector",
     "window_sweep",
-    "cross_validate",
     "compare_detectors",
 ]

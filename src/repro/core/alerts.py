@@ -434,10 +434,6 @@ class Alert:
         """Lifecycle stage associated with this alert's type."""
         return self.spec(vocabulary).stage
 
-    def severity(self, vocabulary: Optional[AlertVocabulary] = None) -> Severity:
-        """Severity associated with this alert's type."""
-        return self.spec(vocabulary).severity
-
     def with_entity(self, entity: str) -> "Alert":
         """Return a copy attributed to a different entity."""
         return dataclasses.replace(self, entity=entity)

@@ -31,7 +31,7 @@ from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from .detector import Detector
 from .factor_graph import chain_map_decode, chain_marginals
 from .factors import FactorParameters, default_parameters, observation_log_for_sequence
-from .sequences import AlertSequence, matched_prefix_length
+from .sequences import matched_prefix_length
 from .sliding_window import WindowArena
 from .states import NUM_STATES, HiddenState
 from .streaming import StreamingDecoder, WeightedPattern
@@ -116,11 +116,6 @@ class EntityTrack:
         state = self.__dict__.copy()
         state.pop("slot", None)
         return state
-
-    @property
-    def sequence(self) -> AlertSequence:
-        """Current alert sequence for the entity."""
-        return AlertSequence(tuple(self.alerts))
 
 
 class AttackTagger(Detector):

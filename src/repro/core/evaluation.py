@@ -1,4 +1,4 @@
-"""Detector evaluation: detection metrics, cross-validation, the window sweep.
+"""Detector evaluation: detection metrics, detector comparison, the window sweep.
 
 The evaluation harness treats every detector uniformly through
 :meth:`repro.core.detector.Detector.run_sequence`, which
@@ -13,16 +13,13 @@ computes:
 * the observation-window sweep behind the paper's Insight 2 (a
   preemption model's effective range is sequences of two to four
   alerts), and
-* k-fold cross-validation so the factor-graph model is never evaluated
-  on the incidents it was trained on.
+* the side-by-side comparison of several detectors on one example set.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from .alerts import AlertVocabulary, DEFAULT_VOCABULARY
 from .attack_tagger import Detection
@@ -183,66 +180,6 @@ def window_sweep(
     return reports
 
 
-def k_fold_indices(num_items: int, folds: int, *, seed: int = 0) -> list[np.ndarray]:
-    """Deterministic shuffled k-fold split of ``range(num_items)``."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(num_items)
-    return [order[i::folds] for i in range(folds)]
-
-
-@dataclasses.dataclass
-class CrossValidationResult:
-    """Per-fold reports plus averaged headline metrics."""
-
-    fold_reports: list[EvaluationReport]
-
-    def mean_summary(self) -> dict[str, float]:
-        """Average of each headline metric across folds."""
-        if not self.fold_reports:
-            return {}
-        keys = self.fold_reports[0].summary().keys()
-        return {
-            key: float(np.mean([report.summary()[key] for report in self.fold_reports]))
-            for key in keys
-        }
-
-
-def cross_validate(
-    train_and_build: Callable[[Sequence[EvaluationExample]], Detector],
-    examples: Sequence[EvaluationExample],
-    *,
-    folds: int = 5,
-    seed: int = 0,
-    detector_name: str = "",
-    vocabulary: Optional[AlertVocabulary] = None,
-) -> CrossValidationResult:
-    """K-fold cross-validation for detectors that are trained on data.
-
-    ``train_and_build`` receives the training examples of a fold and
-    must return a ready-to-evaluate detector.
-    """
-    vocab = vocabulary or DEFAULT_VOCABULARY
-    examples = list(examples)
-    fold_reports: list[EvaluationReport] = []
-    for fold, test_indices in enumerate(k_fold_indices(len(examples), folds, seed=seed)):
-        test_set = set(int(i) for i in test_indices)
-        train_examples = [e for i, e in enumerate(examples) if i not in test_set]
-        test_examples = [e for i, e in enumerate(examples) if i in test_set]
-        if not test_examples:
-            continue
-        detector = train_and_build(train_examples)
-        report = evaluate_detector(
-            detector,
-            test_examples,
-            detector_name=f"{detector_name or 'detector'}[fold={fold}]",
-            vocabulary=vocab,
-        )
-        fold_reports.append(report)
-    return CrossValidationResult(fold_reports=fold_reports)
-
-
 def compare_detectors(
     detectors: dict[str, Detector],
     examples: Sequence[EvaluationExample],
@@ -266,8 +203,5 @@ __all__ = [
     "EvaluationReport",
     "evaluate_detector",
     "window_sweep",
-    "k_fold_indices",
-    "CrossValidationResult",
-    "cross_validate",
     "compare_detectors",
 ]

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 from .alerts import AlertVocabulary, DEFAULT_VOCABULARY
 from .attack_tagger import Detection
 from .sequences import AlertSequence
-from .states import AttackStage
 
 
 class PreemptionOutcome(enum.Enum):
@@ -205,13 +204,6 @@ def preemptable_window(
     return sequence.prefix(damage.alert_index)
 
 
-def stage_reached(sequence: AlertSequence, vocabulary: Optional[AlertVocabulary] = None) -> AttackStage:
-    """The most mature lifecycle stage the attack reached."""
-    vocab = vocabulary or DEFAULT_VOCABULARY
-    stages = [vocab.get(a.name).stage for a in sequence]
-    return max(stages) if stages else AttackStage.BACKGROUND
-
-
 __all__ = [
     "PreemptionOutcome",
     "DamageBoundary",
@@ -220,5 +212,4 @@ __all__ = [
     "evaluate_preemption",
     "summarize_outcomes",
     "preemptable_window",
-    "stage_reached",
 ]

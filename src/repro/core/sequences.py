@@ -7,16 +7,15 @@ Two sequence statistics drive the paper's measurement study:
   paper reports that more than 95 % of attack pairs share up to 33 %
   of their alerts, and that the shared alerts correspond to common
   foothold-establishment vectors.
-* **Longest common event subsequences** (Fig. 3b) -- recurring ordered
-  alert patterns (named S1..S43) mined across incidents, with lengths
-  from two to fourteen alerts and the most frequent pattern appearing
-  14 times across the >200 incidents.
+* **Common event subsequences** (Fig. 3b) -- recurring ordered alert
+  patterns (named S1..S43) across incidents, with lengths from two to
+  fourteen alerts and the most frequent pattern appearing 14 times
+  across the >200 incidents.
 
 This module provides :class:`AlertSequence` (an ordered view over the
-alerts of one incident/entity) plus vectorised implementations of
-Jaccard similarity, longest-common-subsequence (LCS) computation, and
-subsequence containment tests used by the pattern factors of the
-detection model.
+alerts of one incident/entity) plus a vectorised Jaccard similarity
+and the ordered-subsequence containment tests used by the pattern
+factors of the detection model.
 """
 
 from __future__ import annotations
@@ -81,9 +80,6 @@ class AlertSequence:
 
     def __getitem__(self, index: int) -> Alert:
         return self.alerts[index]
-
-    def __bool__(self) -> bool:
-        return bool(self.alerts)
 
     # -- derived views -------------------------------------------------------
     # Cached because these sit inside per-alert hot paths (pattern
@@ -217,112 +213,8 @@ def fraction_of_pairs_below(matrix: np.ndarray, threshold: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Longest common subsequence
+# Pattern containment
 # ---------------------------------------------------------------------------
-
-def _encode_symbols(
-    sequences: Iterable[Sequence[str]], codes: Optional[dict[str, int]] = None
-) -> list[np.ndarray]:
-    """Map symbol sequences to integer arrays (shared code book)."""
-    if codes is None:
-        codes = {}
-    encoded = []
-    for sequence in sequences:
-        encoded.append(
-            np.fromiter(
-                (codes.setdefault(symbol, len(codes)) for symbol in sequence),
-                dtype=np.int32,
-                count=len(sequence),
-            )
-        )
-    return encoded
-
-
-def _lcs_table(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """Full LCS dynamic-programming table, one vectorised row at a time.
-
-    Uses the standard identities ``L[i, j] = L[i-1, j-1] + 1`` on a
-    match (always optimal) and ``max(L[i-1, j], L[i, j-1])`` otherwise;
-    because LCS rows are non-decreasing, the in-row dependency reduces
-    to a running maximum (``np.maximum.accumulate``), eliminating the
-    O(len(b)) inner Python loop.
-    """
-    la, lb = a_codes.shape[0], b_codes.shape[0]
-    table = np.zeros((la + 1, lb + 1), dtype=np.int32)
-    for i in range(1, la + 1):
-        prev = table[i - 1]
-        candidate = np.where(b_codes == a_codes[i - 1], prev[:lb] + 1, prev[1:])
-        np.maximum.accumulate(candidate, out=table[i, 1:])
-    return table
-
-
-def _lcs_length_coded(a_codes: np.ndarray, b_codes: np.ndarray) -> int:
-    """LCS length only, with two rolling rows (no table, no backtrack)."""
-    la, lb = a_codes.shape[0], b_codes.shape[0]
-    if la == 0 or lb == 0:
-        return 0
-    if la < lb:  # iterate over the shorter sequence
-        a_codes, b_codes, la, lb = b_codes, a_codes, lb, la
-    prev = np.zeros(lb + 1, dtype=np.int32)
-    row = np.zeros(lb + 1, dtype=np.int32)
-    for i in range(la):
-        candidate = np.where(b_codes == a_codes[i], prev[:lb] + 1, prev[1:])
-        np.maximum.accumulate(candidate, out=row[1:])
-        prev, row = row, prev
-    return int(prev[-1])
-
-
-def longest_common_subsequence(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    """Longest common (not necessarily contiguous) subsequence of two
-    symbol sequences.
-
-    Classic dynamic program with a vectorised row update (see
-    :func:`_lcs_table`); only the backtrack walks element-by-element.
-    """
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return ()
-    a_codes, b_codes = _encode_symbols([a, b])
-    table = _lcs_table(a_codes, b_codes)
-    # Backtrack.
-    result: list[str] = []
-    i, j = la, lb
-    while i > 0 and j > 0:
-        if a[i - 1] == b[j - 1]:
-            result.append(a[i - 1])
-            i -= 1
-            j -= 1
-        elif table[i - 1, j] >= table[i, j - 1]:
-            i -= 1
-        else:
-            j -= 1
-    return tuple(reversed(result))
-
-
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence (no backtrack, O(min) memory)."""
-    a_codes, b_codes = _encode_symbols([a, b])
-    return _lcs_length_coded(a_codes, b_codes)
-
-
-def lcs_length_matrix(sequences: Sequence[AlertSequence]) -> np.ndarray:
-    """Matrix of pairwise LCS lengths between incident alert sequences.
-
-    Sequences are integer-encoded once against a shared code book and
-    each pair runs the length-only rolling computation -- no
-    subsequence is materialised just to take its length.
-    """
-    n = len(sequences)
-    out = np.zeros((n, n), dtype=np.int32)
-    encoded = _encode_symbols([seq.names for seq in sequences])
-    for i in range(n):
-        out[i, i] = encoded[i].shape[0]
-        for j in range(i + 1, n):
-            length = _lcs_length_coded(encoded[i], encoded[j])
-            out[i, j] = length
-            out[j, i] = length
-    return out
-
 
 def is_subsequence(pattern: Sequence[str], names: Sequence[str]) -> bool:
     """Whether ``pattern`` occurs in ``names`` as an ordered subsequence.
@@ -335,28 +227,6 @@ def is_subsequence(pattern: Sequence[str], names: Sequence[str]) -> bool:
         return True
     it = iter(names)
     return all(any(symbol == candidate for candidate in it) for symbol in pattern)
-
-
-def subsequence_positions(pattern: Sequence[str], names: Sequence[str]) -> Optional[list[int]]:
-    """Indices in ``names`` at which ``pattern`` matches as a subsequence.
-
-    Returns the earliest (greedy) match or ``None`` when the pattern is
-    not contained.  Detectors use the last index to know *when* the
-    pattern completed.
-    """
-    positions: list[int] = []
-    start = 0
-    for symbol in pattern:
-        found = None
-        for idx in range(start, len(names)):
-            if names[idx] == symbol:
-                found = idx
-                break
-        if found is None:
-            return None
-        positions.append(found)
-        start = found + 1
-    return positions
 
 
 def matched_prefix_length(pattern: Sequence[str], names: Sequence[str]) -> int:
@@ -387,10 +257,6 @@ __all__ = [
     "pairwise_jaccard_matrix",
     "similarity_cdf",
     "fraction_of_pairs_below",
-    "longest_common_subsequence",
-    "lcs_length",
-    "lcs_length_matrix",
     "is_subsequence",
-    "subsequence_positions",
     "matched_prefix_length",
 ]

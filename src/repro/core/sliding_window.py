@@ -616,10 +616,6 @@ class SlidingProductWindow:
         self._ring = self.arena.ring
         self._low = self.row * self._ring
 
-    def release(self) -> None:
-        """Hand the row back to the arena; the view is dead afterwards."""
-        self.arena.release(self.row)
-
     # -- geometry ------------------------------------------------------------
     @property
     def start(self) -> int:

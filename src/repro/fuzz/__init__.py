@@ -32,7 +32,6 @@ from .campaign import (
     CampaignComposer,
     CampaignEvent,
     RAW_CAPABLE_NAMES,
-    campaign_to_corpus,
 )
 from .oracle import (
     BACKENDS,
@@ -81,7 +80,6 @@ __all__ = [
     "CampaignComposer",
     "CampaignEvent",
     "RAW_CAPABLE_NAMES",
-    "campaign_to_corpus",
     "ENGINES",
     "SHARD_COUNTS",
     "BACKENDS",

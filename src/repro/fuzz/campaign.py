@@ -44,11 +44,8 @@ import numpy as np
 
 from ..attacks import GhostAccountScenario, StolenCredentialScenario
 from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
-from ..core.sequences import AlertSequence
 from ..core.states import AttackStage
 from ..incidents import DEFAULT_CATALOGUE, PatternCatalogue
-from ..incidents.corpus import IncidentCorpus
-from ..incidents.incident import GroundTruth, Incident
 from ..telemetry.normalizer import ZEEK_NOTICE_MAP
 
 #: Event kinds a campaign may contain.
@@ -513,62 +510,10 @@ class CampaignComposer:
         return events
 
 
-def campaign_to_corpus(
-    campaign: Campaign,
-    *,
-    start_year: int = 2020,
-    end_year: int = 2024,
-) -> IncidentCorpus:
-    """Package a campaign's per-entity streams as an incident corpus.
-
-    Every entity with at least one alert becomes one
-    :class:`~repro.incidents.incident.Incident` (alerts time-sorted, as
-    a curated sequence would be), giving save/load round-trip tests a
-    corpus whose names, entities, and attribute payloads are genuinely
-    adversarial rather than generator-shaped.
-    """
-    incidents: list[Incident] = []
-    by_entity: dict[str, list[Alert]] = {}
-    for alert in campaign.alerts():
-        by_entity.setdefault(alert.entity, []).append(alert)
-    years = list(range(start_year, end_year + 1))
-    for index, (entity, alerts) in enumerate(sorted(by_entity.items())):
-        incidents.append(
-            Incident(
-                incident_id=f"FUZZ-{campaign.seed}-{index:03d}",
-                year=years[index % len(years)],
-                family="fuzz",
-                sequence=AlertSequence.from_alerts(alerts),
-                ground_truth=GroundTruth(
-                    compromised_users=(entity,) if entity.startswith("user:") else (),
-                    compromised_hosts=tuple(
-                        sorted({a.host for a in alerts if a.host})
-                    ),
-                    attacker_ips=tuple(
-                        sorted({a.source_ip for a in alerts if a.source_ip})
-                    ),
-                    entry_point="fuzz-campaign",
-                ),
-                raw_alert_count=len(alerts) * 3,
-            )
-        )
-    if not incidents:
-        raise ValueError("campaign has no alerts; cannot build a corpus")
-    total_alerts = campaign.num_alerts
-    return IncidentCorpus(
-        incidents=incidents,
-        start_year=start_year,
-        end_year=end_year,
-        raw_alert_total=total_alerts * 131,
-        filtered_alert_total=max(total_alerts, 1),
-    )
-
-
 __all__ = [
     "EVENT_KINDS",
     "RAW_CAPABLE_NAMES",
     "CampaignEvent",
     "Campaign",
     "CampaignComposer",
-    "campaign_to_corpus",
 ]

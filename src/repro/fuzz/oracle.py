@@ -462,10 +462,6 @@ class DifferentialOracle:
             verdict.divergences.extend(divergences(reference, result))
         return verdict
 
-    def check(self, campaign: Campaign) -> bool:
-        """Whether the campaign replays identically across the matrix."""
-        return self.run(campaign).ok
-
 
 __all__ = [
     "ENGINES",

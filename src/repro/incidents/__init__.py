@@ -17,9 +17,8 @@ from .generator import (
     TARGET_FILTERED_ALERTS,
     TARGET_MOTIF_PREVALENCE,
     TARGET_RAW_ALERTS,
-    generate_default_corpus,
 )
-from .incident import GroundTruth, Incident, IncidentReport, incidents_to_sequences
+from .incident import GroundTruth, Incident
 from .patterns import (
     AttackPattern,
     COMPILE_ALERTS,
@@ -36,7 +35,6 @@ __all__ = [
     "IncidentCorpus",
     "GeneratorConfig",
     "IncidentGenerator",
-    "generate_default_corpus",
     "DEFAULT_NUM_INCIDENTS",
     "TARGET_RAW_ALERTS",
     "TARGET_FILTERED_ALERTS",
@@ -45,8 +43,6 @@ __all__ = [
     "TARGET_MOTIF_PREVALENCE",
     "GroundTruth",
     "Incident",
-    "IncidentReport",
-    "incidents_to_sequences",
     "AttackPattern",
     "PatternCatalogue",
     "build_default_catalogue",

@@ -1,23 +1,18 @@
-"""The longitudinal incident corpus: container, statistics, persistence.
+"""The longitudinal incident corpus: container and statistics.
 
 :class:`IncidentCorpus` holds the curated incidents plus the corpus-wide
 bookkeeping needed to reproduce Table I (raw alert volume, filtered
 alert volume, archive size, study period).  It also provides the
-dataset views the rest of the library consumes: attack alert sequences,
-per-family and per-year slices, evaluation example sets, and JSONL
-persistence for the released sample dataset.
+dataset views the rest of the library consumes: attack alert
+sequences, their symbolic names, and the chronological train/test
+split.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator
 
-import numpy as np
-
-from ..core.alerts import AlertVocabulary, DEFAULT_VOCABULARY
 from ..core.sequences import AlertSequence
 from .incident import Incident
 
@@ -37,11 +32,6 @@ class CorpusStats:
     def data_size_terabytes(self) -> float:
         """Archive size in decimal terabytes (the unit Table I uses)."""
         return self.data_size_bytes / 1e12
-
-    @property
-    def span_years(self) -> int:
-        """Length of the study period in calendar years."""
-        return self.end_year - self.start_year + 1
 
     @property
     def reduction_factor(self) -> float:
@@ -85,9 +75,6 @@ class IncidentCorpus:
     def __iter__(self) -> Iterator[Incident]:
         return iter(self.incidents)
 
-    def __getitem__(self, index: int) -> Incident:
-        return self.incidents[index]
-
     # -- views -------------------------------------------------------------
     def attack_sequences(self) -> list[AlertSequence]:
         """Alert sequences of all incidents (time order)."""
@@ -96,37 +83,6 @@ class IncidentCorpus:
     def alert_name_sequences(self) -> list[tuple[str, ...]]:
         """Symbolic-name sequences of all incidents."""
         return [incident.alert_names for incident in self.incidents]
-
-    def by_family(self, family: str) -> list[Incident]:
-        """Incidents of a given attack family."""
-        return [i for i in self.incidents if i.family == family]
-
-    def families(self) -> list[str]:
-        """Distinct attack families present, in first-appearance order."""
-        seen: list[str] = []
-        for incident in self.incidents:
-            if incident.family not in seen:
-                seen.append(incident.family)
-        return seen
-
-    def by_year(self, year: int) -> list[Incident]:
-        """Incidents that started in ``year``."""
-        return [i for i in self.incidents if i.year == year]
-
-    def years(self) -> list[int]:
-        """Sorted list of years with at least one incident."""
-        return sorted({i.year for i in self.incidents})
-
-    def filter(self, predicate: Callable[[Incident], bool]) -> list[Incident]:
-        """Incidents satisfying an arbitrary predicate."""
-        return [i for i in self.incidents if predicate(i)]
-
-    def get(self, incident_id: str) -> Incident:
-        """Incident by identifier (KeyError if absent)."""
-        for incident in self.incidents:
-            if incident.incident_id == incident_id:
-                return incident
-        raise KeyError(incident_id)
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> CorpusStats:
@@ -147,26 +103,6 @@ class IncidentCorpus:
             histogram[incident.num_alerts] = histogram.get(incident.num_alerts, 0) + 1
         return dict(sorted(histogram.items()))
 
-    def critical_alert_stats(
-        self, vocabulary: Optional[AlertVocabulary] = None
-    ) -> dict[str, int]:
-        """Unique critical alert types and total critical occurrences."""
-        vocab = vocabulary or DEFAULT_VOCABULARY
-        unique: set[str] = set()
-        occurrences = 0
-        incidents_with_critical = 0
-        for incident in self.incidents:
-            names = incident.critical_alert_names(vocab)
-            if names:
-                incidents_with_critical += 1
-            unique.update(names)
-            occurrences += len(names)
-        return {
-            "unique_critical_alert_types": len(unique),
-            "critical_alert_occurrences": occurrences,
-            "incidents_with_critical_alert": incidents_with_critical,
-        }
-
     # -- train/test helpers -------------------------------------------------
     def chronological_split(self, train_fraction: float = 0.7) -> tuple[list[Incident], list[Incident]]:
         """Split incidents chronologically (train on the past, test on the future).
@@ -179,64 +115,6 @@ class IncidentCorpus:
         cutoff = int(round(train_fraction * len(self.incidents)))
         cutoff = min(max(cutoff, 1), len(self.incidents) - 1)
         return self.incidents[:cutoff], self.incidents[cutoff:]
-
-    def random_split(
-        self, train_fraction: float = 0.7, *, seed: int = 0
-    ) -> tuple[list[Incident], list[Incident]]:
-        """Random train/test split (for cross-validation style evaluation)."""
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(self.incidents))
-        cutoff = int(round(train_fraction * len(self.incidents)))
-        cutoff = min(max(cutoff, 1), len(self.incidents) - 1)
-        train = [self.incidents[i] for i in order[:cutoff]]
-        test = [self.incidents[i] for i in order[cutoff:]]
-        return train, test
-
-    # -- persistence ------------------------------------------------------------
-    def save_jsonl(self, path: str | Path) -> Path:
-        """Write the corpus to a JSON-lines file (one incident per line).
-
-        The first line is a header object with the corpus-level
-        bookkeeping; subsequent lines are incidents.
-        """
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            header = {
-                "kind": "repro-incident-corpus",
-                "start_year": self.start_year,
-                "end_year": self.end_year,
-                "raw_alert_total": self.raw_alert_total,
-                "filtered_alert_total": self.filtered_alert_total,
-                "bytes_per_raw_alert": self.bytes_per_raw_alert,
-                "num_incidents": len(self.incidents),
-            }
-            handle.write(json.dumps(header) + "\n")
-            for incident in self.incidents:
-                handle.write(json.dumps(incident.to_dict()) + "\n")
-        return path
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "IncidentCorpus":
-        """Inverse of :meth:`save_jsonl`."""
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        if not lines:
-            raise ValueError(f"empty corpus file: {path}")
-        header = json.loads(lines[0])
-        if header.get("kind") != "repro-incident-corpus":
-            raise ValueError(f"not a corpus file: {path}")
-        incidents = [Incident.from_dict(json.loads(line)) for line in lines[1:]]
-        return cls(
-            incidents=incidents,
-            start_year=int(header["start_year"]),
-            end_year=int(header["end_year"]),
-            raw_alert_total=int(header["raw_alert_total"]),
-            filtered_alert_total=int(header["filtered_alert_total"]),
-            bytes_per_raw_alert=int(header.get("bytes_per_raw_alert", 1_280)),
-        )
 
 
 __all__ = ["CorpusStats", "IncidentCorpus"]

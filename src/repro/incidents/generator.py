@@ -548,11 +548,6 @@ class IncidentGenerator:
         return {"total": totals, "scans": scans, "other": totals - scans}
 
 
-def generate_default_corpus(seed: int = 7) -> IncidentCorpus:
-    """One-call helper used by examples, tests, and benchmarks."""
-    return IncidentGenerator(seed=seed).generate_corpus()
-
-
 __all__ = [
     "DEFAULT_NUM_INCIDENTS",
     "TARGET_RAW_ALERTS",
@@ -562,5 +557,4 @@ __all__ = [
     "TARGET_MOTIF_PREVALENCE",
     "GeneratorConfig",
     "IncidentGenerator",
-    "generate_default_corpus",
 ]

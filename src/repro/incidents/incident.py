@@ -1,4 +1,4 @@
-"""Incident records, ground truth, and human-style incident reports.
+"""Incident records and their forensic ground truth.
 
 The paper's dataset is built from forensically examined security
 incidents, each of which includes (i) a human-written incident report
@@ -10,20 +10,14 @@ This module models that structure:
 * :class:`GroundTruth` -- the attacker-controlled identities and
   machines, the entry point, and whether the attack succeeded,
 * :class:`Incident` -- the curated record: the attack's alert sequence,
-  timing, family, and ground truth,
-* :class:`IncidentReport` -- a rendered, human-readable report similar
-  to the snippet quoted in §V.C of the paper.
+  timing, family, and ground truth.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import datetime as _dt
-from typing import Any, Mapping, Optional, Sequence
 
-from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from ..core.sequences import AlertSequence
-from ..core.states import AttackStage
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,14 +31,6 @@ class GroundTruth:
     succeeded: bool = True
     data_breach: bool = False
     notes: str = ""
-
-    def involves_user(self, user: str) -> bool:
-        """Whether ``user`` is named in the ground truth."""
-        return user in self.compromised_users
-
-    def involves_host(self, host: str) -> bool:
-        """Whether ``host`` is named in the ground truth."""
-        return host in self.compromised_hosts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +52,7 @@ class Incident:
         Forensic ground truth.
     pattern_names:
         Names of catalogue patterns instantiated by this incident (used
-        to validate re-mining; a real corpus would not carry this).
+        to check the generator; a real corpus would not carry this).
     raw_alert_count:
         Number of raw alerts in the incident window before filtering
         (the 25M-to-191K reduction in Table I happens corpus-wide).
@@ -111,103 +97,8 @@ class Incident:
         """Number of filtered alerts."""
         return len(self.sequence)
 
-    def stage_reached(self, vocabulary: Optional[AlertVocabulary] = None) -> AttackStage:
-        """Most mature lifecycle stage the incident reached."""
-        vocab = vocabulary or DEFAULT_VOCABULARY
-        return max((vocab.get(a.name).stage for a in self.sequence), default=AttackStage.BACKGROUND)
-
-    def critical_alert_names(self, vocabulary: Optional[AlertVocabulary] = None) -> list[str]:
-        """Names of critical alerts observed during the incident."""
-        vocab = vocabulary or DEFAULT_VOCABULARY
-        return [a.name for a in self.sequence if vocab.get(a.name).critical]
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable representation (used by corpus save/load)."""
-        return {
-            "incident_id": self.incident_id,
-            "year": self.year,
-            "family": self.family,
-            "alerts": [a.to_dict() for a in self.sequence],
-            "ground_truth": dataclasses.asdict(self.ground_truth),
-            "pattern_names": list(self.pattern_names),
-            "raw_alert_count": self.raw_alert_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Incident":
-        """Inverse of :meth:`to_dict`."""
-        ground = data["ground_truth"]
-        return cls(
-            incident_id=str(data["incident_id"]),
-            year=int(data["year"]),
-            family=str(data["family"]),
-            sequence=AlertSequence.from_alerts(Alert.from_dict(a) for a in data["alerts"]),
-            ground_truth=GroundTruth(
-                compromised_users=tuple(ground["compromised_users"]),
-                compromised_hosts=tuple(ground["compromised_hosts"]),
-                attacker_ips=tuple(ground["attacker_ips"]),
-                entry_point=str(ground["entry_point"]),
-                succeeded=bool(ground.get("succeeded", True)),
-                data_breach=bool(ground.get("data_breach", False)),
-                notes=str(ground.get("notes", "")),
-            ),
-            pattern_names=tuple(data.get("pattern_names", ())),
-            raw_alert_count=int(data.get("raw_alert_count", 0)),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class IncidentReport:
-    """A rendered, human-readable incident report."""
-
-    incident: Incident
-    title: str
-    body: str
-
-    @classmethod
-    def render(
-        cls,
-        incident: Incident,
-        vocabulary: Optional[AlertVocabulary] = None,
-    ) -> "IncidentReport":
-        """Render a report in the style quoted in the paper's case study."""
-        vocab = vocabulary or DEFAULT_VOCABULARY
-        start = _dt.datetime.fromtimestamp(incident.start_time, tz=_dt.timezone.utc)
-        lines = [
-            f"Incident {incident.incident_id} ({incident.family}), opened "
-            f"{start:%Y-%m-%d %H:%M} UTC.",
-            "",
-            "Ground truth:",
-            f"  compromised users : {', '.join(incident.ground_truth.compromised_users) or '(none)'}",
-            f"  compromised hosts : {', '.join(incident.ground_truth.compromised_hosts) or '(none)'}",
-            f"  attacker IPs      : {', '.join(incident.ground_truth.attacker_ips) or '(unknown)'}",
-            f"  entry point       : {incident.ground_truth.entry_point}",
-            f"  data breach       : {'yes' if incident.ground_truth.data_breach else 'no'}",
-            "",
-            "Timeline of filtered alerts:",
-        ]
-        for alert in incident.sequence:
-            stamp = _dt.datetime.fromtimestamp(alert.timestamp, tz=_dt.timezone.utc)
-            spec = vocab.get(alert.name)
-            marker = "!" if spec.critical else " "
-            lines.append(
-                f"  {stamp:%Y-%m-%d %H:%M:%S} [{marker}] {alert.name} "
-                f"(host={alert.host or '-'}, src={alert.source_ip or '-'})"
-            )
-        if incident.ground_truth.notes:
-            lines.extend(["", incident.ground_truth.notes])
-        title = f"{incident.incident_id}: {incident.family} affecting {len(incident.ground_truth.compromised_hosts)} host(s)"
-        return cls(incident=incident, title=title, body="\n".join(lines))
-
-
-def incidents_to_sequences(incidents: Sequence[Incident]) -> list[AlertSequence]:
-    """Extract the alert sequences of many incidents (analysis helper)."""
-    return [incident.sequence for incident in incidents]
-
 
 __all__ = [
     "GroundTruth",
     "Incident",
-    "IncidentReport",
-    "incidents_to_sequences",
 ]

@@ -20,7 +20,8 @@ a frequency profile matching Fig. 3b.  The catalogue is consumed by
 
 * :mod:`repro.incidents.generator` -- incidents are built by
   instantiating these patterns (plus noise), so the corpus's Fig. 3b
-  histogram is reproducible by *re-mining* rather than by construction,
+  histogram is recovered by attributing the generated sequences rather
+  than by construction,
 * :mod:`repro.core.training` -- pattern factor weights,
 * :mod:`repro.core.attack_tagger` -- pattern factors at detection time.
 """
@@ -151,9 +152,6 @@ class PatternCatalogue:
     def __iter__(self) -> Iterator[AttackPattern]:
         return iter(self._patterns.values())
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._patterns
-
     def get(self, name: str) -> AttackPattern:
         """Pattern by name (KeyError if absent)."""
         return self._patterns[name]
@@ -161,33 +159,6 @@ class PatternCatalogue:
     def names(self) -> list[str]:
         """All pattern names in catalogue order."""
         return list(self._patterns)
-
-    def by_family(self, family: str) -> list[AttackPattern]:
-        """Patterns belonging to one attack family."""
-        return [p for p in self if p.family == family]
-
-    def families(self) -> list[str]:
-        """Distinct families, in first-appearance order."""
-        seen: list[str] = []
-        for pattern in self:
-            if pattern.family not in seen:
-                seen.append(pattern.family)
-        return seen
-
-    def lengths(self) -> list[int]:
-        """Pattern lengths, in catalogue order."""
-        return [p.length for p in self]
-
-    def matching(self, names: Sequence[str]) -> list[AttackPattern]:
-        """All catalogue patterns contained in an alert-name sequence."""
-        return [p for p in self if p.occurs_in(names)]
-
-    def frequency_histogram(self, sequences: Sequence[Sequence[str]]) -> dict[str, int]:
-        """Count, per pattern, how many sequences contain it (Fig. 3b)."""
-        return {
-            pattern.name: sum(1 for names in sequences if pattern.occurs_in(names))
-            for pattern in self
-        }
 
 
 def _rootkit_patterns() -> list[AttackPattern]:

@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .findings import Finding
 from .registry import all_rules
 from .runner import META_RULES, ScanResult, scan_paths
 
@@ -122,8 +121,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         _text_report(result, args.stats)
     return 1 if result.findings else 0
-
-
-def findings_for_paths(paths: Sequence[str]) -> List[Finding]:
-    """Convenience for tests: active findings with default rules."""
-    return scan_paths(paths, root=os.getcwd()).findings

@@ -1,20 +1,12 @@
-"""Telemetry substrate: monitors, normalisation, filtering, annotation.
+"""Telemetry substrate: monitors, normalisation, sanitisation, filtering.
 
 Models the monitoring stack the paper's testbed relies on -- a Zeek
 network-monitor cluster plus per-host rsyslog, auditd and osquery --
 and the preprocessing pipeline that turns raw records into the
-symbolic, sanitised, filtered and annotated alerts the detection models
+symbolic, sanitised and filtered alerts the detection models
 consume.
 """
 
-from .annotator import (
-    AnnotatedAlert,
-    AnnotationLabel,
-    AnnotationMethod,
-    AnnotationStats,
-    ExpertPanel,
-    GroundTruthAnnotator,
-)
 from .auditd import AuditdMonitor, AuditRecord
 from .filtering import FilterStats, ScanFilter, ScanFilterStage, filter_alerts
 from .logsource import LogSource, MonitorKind, RawLogRecord, anonymize_ip, merge_records
@@ -32,10 +24,6 @@ from .zeek import (
     ConnRecord,
     NoticeRecord,
     ZeekMonitor,
-    parse_conn_log,
-    parse_notice_log,
-    write_conn_log,
-    write_notice_log,
 )
 
 __all__ = [
@@ -47,10 +35,6 @@ __all__ = [
     "ConnRecord",
     "NoticeRecord",
     "ZeekMonitor",
-    "write_conn_log",
-    "parse_conn_log",
-    "write_notice_log",
-    "parse_notice_log",
     "SyslogMessage",
     "SyslogMonitor",
     "AuditRecord",
@@ -68,10 +52,4 @@ __all__ = [
     "ScanFilterStage",
     "FilterStats",
     "filter_alerts",
-    "GroundTruthAnnotator",
-    "ExpertPanel",
-    "AnnotatedAlert",
-    "AnnotationLabel",
-    "AnnotationMethod",
-    "AnnotationStats",
 ]

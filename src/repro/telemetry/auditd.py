@@ -10,26 +10,9 @@ normaliser and the ransomware case study rely on: ``SYSCALL`` records
 from __future__ import annotations
 
 import dataclasses
-import re
-import shlex
 from typing import Mapping, Optional
 
 from .logsource import LogSource, MonitorKind, RawLogRecord
-
-_AUDIT_RE = re.compile(
-    r"^type=(?P<type>\w+) msg=audit\((?P<ts>\d+\.\d+):(?P<serial>\d+)\): (?P<body>.*)$"
-)
-
-
-def _parse_kv(body: str) -> dict[str, str]:
-    """Parse the ``key=value`` pairs of an audit record body."""
-    fields: dict[str, str] = {}
-    for token in shlex.split(body):
-        if "=" in token:
-            key, value = token.split("=", 1)
-            fields[key] = value
-    return fields
-
 
 @dataclasses.dataclass(frozen=True)
 class AuditRecord:
@@ -48,20 +31,6 @@ class AuditRecord:
             for key, value in self.fields.items()
         )
         return f"type={self.record_type} msg=audit({self.timestamp:.3f}:{self.serial}): {body}"
-
-    @classmethod
-    def parse(cls, line: str, *, host: str = "localhost") -> "AuditRecord":
-        """Parse a line rendered by :meth:`render`."""
-        match = _AUDIT_RE.match(line.strip())
-        if not match:
-            raise ValueError(f"malformed audit record: {line!r}")
-        return cls(
-            timestamp=float(match.group("ts")),
-            serial=int(match.group("serial")),
-            record_type=match.group("type"),
-            fields=_parse_kv(match.group("body")),
-            host=host,
-        )
 
     def to_raw(self) -> RawLogRecord:
         """Wrap into the common raw-record shape."""
@@ -157,10 +126,6 @@ class AuditdMonitor(LogSource):
             "SYSCALL",
             {"syscall": "init_module", "success": "yes", "name": module, "acct": user},
         )
-
-    def records_parsed(self) -> list[AuditRecord]:
-        """All records re-parsed from the raw buffer."""
-        return [AuditRecord.parse(r.message, host=self.host) for r in self]
 
 
 __all__ = ["AuditRecord", "AuditdMonitor"]

@@ -93,11 +93,6 @@ class LogSource:
         self._records.append(record)
         return record
 
-    def extend(self, records: Iterable[RawLogRecord]) -> None:
-        """Emit many records."""
-        for record in records:
-            self.emit(record)
-
     # -- access ------------------------------------------------------------
     @property
     def records(self) -> list[RawLogRecord]:
@@ -109,14 +104,6 @@ class LogSource:
 
     def __iter__(self) -> Iterator[RawLogRecord]:
         return iter(self._records)
-
-    def clear(self) -> None:
-        """Drop all buffered records."""
-        self._records.clear()
-
-    def between(self, start: float, end: float) -> list[RawLogRecord]:
-        """Records with ``start <= timestamp <= end``."""
-        return [r for r in self._records if start <= r.timestamp <= end]
 
 
 def merge_records(*sources: Iterable[RawLogRecord]) -> list[RawLogRecord]:

@@ -5,7 +5,7 @@ the "well-protected monitors" the defender model relies on.  It reports
 rows from scheduled queries; the reproduction models the query packs
 the normaliser consumes: ``process_events``, ``file_events``,
 ``authorized_keys`` changes, ``listening_ports`` and ``kernel_modules``.
-Results are rendered/parsed as JSON lines, matching osquery's
+Results are rendered as JSON lines, matching osquery's
 ``--logger_plugin=filesystem`` output shape.
 """
 
@@ -38,18 +38,6 @@ class OsqueryResult:
             "columns": dict(self.columns),
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def parse(cls, line: str) -> "OsqueryResult":
-        """Parse a JSON line rendered by :meth:`render`."""
-        payload = json.loads(line)
-        return cls(
-            timestamp=float(payload["unixTime"]),
-            host=str(payload["hostIdentifier"]),
-            query_name=str(payload["name"]),
-            action=str(payload.get("action", "added")),
-            columns=dict(payload.get("columns", {})),
-        )
 
     def to_raw(self) -> RawLogRecord:
         """Wrap into the common raw-record shape."""
@@ -139,10 +127,6 @@ class OsqueryMonitor(LogSource):
             "process_open_sockets",
             {"process_name": process, "remote_address": remote_address, "remote_port": remote_port},
         )
-
-    def results_parsed(self) -> list[OsqueryResult]:
-        """All results re-parsed from the raw buffer."""
-        return [OsqueryResult.parse(r.message) for r in self]
 
 
 __all__ = ["OsqueryResult", "OsqueryMonitor"]

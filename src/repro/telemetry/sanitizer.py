@@ -68,10 +68,13 @@ class SanitizationReport:
 class Sanitizer:
     """Scrubs sensitive content from log text and alert metadata.
 
-    ``ip_octets_kept`` and ``truncate_ips`` are fixed at construction:
+    ``ip_octets_kept`` and ``truncate_ips`` are fixed at construction
+    (the slots leave no attribute to set them through afterwards):
     :meth:`sanitize_text` remembers the texts it found nothing to scrub
     in, and both decide that.
     """
+
+    __slots__ = ("_ip_octets_kept", "_truncate_ips", "report", "_clean")
 
     def __init__(self, *, ip_octets_kept: int = 2, truncate_ips: bool = True) -> None:
         self._ip_octets_kept = int(ip_octets_kept)
@@ -80,16 +83,6 @@ class Sanitizer:
         # Texts every pass left as they are, so scrubbing one again
         # returns it and counts nothing.
         self._clean: set[str] = set()
-
-    @property
-    def ip_octets_kept(self) -> int:
-        """Leading IP octets kept when an address is truncated."""
-        return self._ip_octets_kept
-
-    @property
-    def truncate_ips(self) -> bool:
-        """Whether IP addresses in free text are truncated."""
-        return self._truncate_ips
 
     # -- text ---------------------------------------------------------------
     def sanitize_text(self, text: str) -> str:

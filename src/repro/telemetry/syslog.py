@@ -3,7 +3,7 @@
 NCSA's hosts ship their system logs through rsyslog; the paper's
 preprocessing example -- ``23:15:22 [internal-host] wget
 64.215.xxx.yyy/abs.c (200 "OK") [7036]`` -- is exactly the kind of line
-this module renders and parses.  The model covers the message families
+this module renders.  The model covers the message families
 the normaliser needs: SSH authentication, sudo invocations, process
 execution (wget / gcc / insmod and friends), and log-truncation events.
 """
@@ -12,16 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as _dt
-import re
-from typing import Optional
 
 from .logsource import LogSource, MonitorKind, RawLogRecord
-
-_SYSLOG_RE = re.compile(
-    r"^(?P<stamp>\w{3}\s+\d{1,2} \d{2}:\d{2}:\d{2}) (?P<host>\S+) "
-    r"(?P<program>[\w./-]+)(?:\[(?P<pid>\d+)\])?: (?P<body>.*)$"
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class SyslogMessage:
@@ -37,26 +29,6 @@ class SyslogMessage:
         """Render in the classic RFC 3164 textual form."""
         stamp = _dt.datetime.fromtimestamp(self.timestamp, tz=_dt.timezone.utc)
         return f"{stamp:%b %e %H:%M:%S} {self.host} {self.program}[{self.pid}]: {self.body}"
-
-    @classmethod
-    def parse(cls, line: str, *, year: Optional[int] = None) -> "SyslogMessage":
-        """Parse a line rendered by :meth:`render`.
-
-        Classic syslog omits the year; ``year`` supplies it (defaults to
-        1970 so parsing stays deterministic without a wall clock).
-        """
-        match = _SYSLOG_RE.match(line.strip())
-        if not match:
-            raise ValueError(f"malformed syslog line: {line!r}")
-        stamp = _dt.datetime.strptime(match.group("stamp"), "%b %d %H:%M:%S")
-        stamp = stamp.replace(year=year or 1970, tzinfo=_dt.timezone.utc)
-        return cls(
-            timestamp=stamp.timestamp(),
-            host=match.group("host"),
-            program=match.group("program"),
-            pid=int(match.group("pid") or 0),
-            body=match.group("body"),
-        )
 
     def to_raw(self) -> RawLogRecord:
         """Wrap into the common raw-record shape."""
@@ -146,22 +118,6 @@ class SyslogMonitor(LogSource):
     def log_truncated(self, timestamp: float, path: str) -> SyslogMessage:
         """A log file was truncated to zero bytes (anti-forensics)."""
         return self._log(timestamp, "kernel", f"audit: file {path} truncated to 0 bytes")
-
-    # -- views ----------------------------------------------------------------
-    def messages(self) -> list[SyslogMessage]:
-        """All messages emitted so far (re-parsed from the raw buffer)."""
-        out = []
-        for record in self:
-            out.append(
-                SyslogMessage(
-                    timestamp=record.timestamp,
-                    host=record.host,
-                    program=str(record.field("program")),
-                    pid=int(record.field("pid", 0)),
-                    body=str(record.field("body")),
-                )
-            )
-        return out
 
 
 __all__ = ["SyslogMessage", "SyslogMonitor"]

@@ -7,10 +7,10 @@ notice-log entries.  This module models the two Zeek streams the
 reproduction needs:
 
 * :class:`ConnRecord` -- one entry of ``conn.log`` (a network flow),
-  with TSV rendering/parsing compatible with Zeek's column layout for
-  the fields we use,
+  with TSV rendering and parsing compatible with Zeek's column layout
+  for the fields we use,
 * :class:`NoticeRecord` -- one entry of ``notice.log`` (a policy-raised
-  notice), the precursor of most symbolic alerts.
+  notice, rendered as TSV), the precursor of most symbolic alerts.
 
 Both integrate with :class:`repro.telemetry.logsource.LogSource` so the
 pipeline can treat every monitor uniformly.
@@ -19,7 +19,6 @@ pipeline can treat every monitor uniformly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Mapping, Optional, Sequence
 
 from .logsource import LogSource, MonitorKind, RawLogRecord
 
@@ -38,21 +37,6 @@ CONN_COLUMNS = (
     "resp_bytes",
     "conn_state",
 )
-
-#: Column order used for notice.log TSV rendering.
-NOTICE_COLUMNS = (
-    "ts",
-    "uid",
-    "id.orig_h",
-    "id.resp_h",
-    "note",
-    "msg",
-    "src",
-    "dst",
-    "p",
-    "actions",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class ConnRecord:
@@ -161,25 +145,6 @@ class NoticeRecord:
         )
         return "\t".join(values)
 
-    @classmethod
-    def from_tsv(cls, line: str) -> "NoticeRecord":
-        """Parse a TSV line produced by :meth:`to_tsv`."""
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != len(NOTICE_COLUMNS):
-            raise ValueError(f"malformed notice.log line ({len(parts)} columns): {line!r}")
-        return cls(
-            ts=float(parts[0]),
-            uid=parts[1],
-            orig_h=parts[2],
-            resp_h=parts[3],
-            note=parts[4],
-            msg=parts[5],
-            src=parts[6],
-            dst=parts[7],
-            port=int(parts[8]),
-            actions=parts[9],
-        )
-
     def to_raw(self, host: str = "zeek-manager") -> RawLogRecord:
         """Wrap into the common raw-record shape."""
         return RawLogRecord(
@@ -276,53 +241,10 @@ class ZeekMonitor(LogSource):
         """All connection records recorded so far."""
         return [ConnRecord.from_tsv(r.message) for r in self if r.field("stream") == "conn"]
 
-    def notice_records(self) -> list[NoticeRecord]:
-        """All notice records recorded so far."""
-        return [NoticeRecord.from_tsv(r.message) for r in self if r.field("stream") == "notice"]
-
-
-def write_conn_log(records: Iterable[ConnRecord]) -> str:
-    """Render a whole conn.log file (header plus TSV body)."""
-    lines = ["#fields\t" + "\t".join(CONN_COLUMNS)]
-    lines.extend(record.to_tsv() for record in records)
-    return "\n".join(lines) + "\n"
-
-
-def parse_conn_log(text: str) -> list[ConnRecord]:
-    """Parse a conn.log file produced by :func:`write_conn_log`."""
-    records = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        records.append(ConnRecord.from_tsv(line))
-    return records
-
-
-def write_notice_log(records: Iterable[NoticeRecord]) -> str:
-    """Render a whole notice.log file (header plus TSV body)."""
-    lines = ["#fields\t" + "\t".join(NOTICE_COLUMNS)]
-    lines.extend(record.to_tsv() for record in records)
-    return "\n".join(lines) + "\n"
-
-
-def parse_notice_log(text: str) -> list[NoticeRecord]:
-    """Parse a notice.log file produced by :func:`write_notice_log`."""
-    records = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        records.append(NoticeRecord.from_tsv(line))
-    return records
-
 
 __all__ = [
     "CONN_COLUMNS",
-    "NOTICE_COLUMNS",
     "ConnRecord",
     "NoticeRecord",
     "ZeekMonitor",
-    "write_conn_log",
-    "parse_conn_log",
-    "write_notice_log",
-    "parse_notice_log",
 ]

@@ -65,7 +65,6 @@ from .services import (
     ServiceMonitors,
     ServiceState,
     VulnerableService,
-    WebApplicationService,
 )
 from .topology import ClusterTopology, Host, HostRole, NetworkSegment, build_default_topology
 from .vrt import (
@@ -102,7 +101,6 @@ __all__ = [
     "VulnerableService",
     "PostgresHoneypotService",
     "SSHHoneypotService",
-    "WebApplicationService",
     "ELF_MAGIC_HEX",
     # honeypot
     "Honeypot",

@@ -12,7 +12,6 @@ emulation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,14 +53,6 @@ class AddressBlock:
                 f"{self.network}/{self.prefix_length} is not aligned to its prefix"
             )
 
-    @classmethod
-    def parse(cls, cidr: str) -> "AddressBlock":
-        """Parse ``a.b.c.d/len`` notation."""
-        network, _, length = cidr.partition("/")
-        if not length:
-            raise ValueError(f"missing prefix length in CIDR: {cidr!r}")
-        return cls(network=network, prefix_length=int(length))
-
     @property
     def size(self) -> int:
         """Number of addresses in the block."""
@@ -87,21 +78,6 @@ class AddressBlock:
             raise IndexError(f"offset {offset} outside block {self.cidr}")
         return int_to_ip(self.base_int + offset)
 
-    def iter_addresses(self, *, limit: Optional[int] = None) -> Iterator[str]:
-        """Iterate over addresses (optionally only the first ``limit``)."""
-        count = self.size if limit is None else min(limit, self.size)
-        for offset in range(count):
-            yield int_to_ip(self.base_int + offset)
-
-    def subblock(self, offset: int, prefix_length: int) -> "AddressBlock":
-        """Carve a sub-block starting at ``offset`` with the given prefix."""
-        if prefix_length < self.prefix_length:
-            raise ValueError("sub-block prefix must be at least as long as the parent's")
-        sub = AddressBlock(network=int_to_ip(self.base_int + offset), prefix_length=prefix_length)
-        if sub.base_int + sub.size > self.base_int + self.size:
-            raise ValueError("sub-block extends past the parent block")
-        return sub
-
 
 #: NCSA's production /16 (the space mass scanners sweep in Fig. 1).
 PRODUCTION_NETWORK = AddressBlock("141.142.0.0", 16)
@@ -123,11 +99,6 @@ class AddressAllocator:
         self._allocated: dict[str, str] = {}
 
     @property
-    def allocated(self) -> dict[str, str]:
-        """Mapping of label -> allocated address."""
-        return dict(self._allocated)
-
-    @property
     def remaining(self) -> int:
         """Number of addresses still available."""
         return self.block.size - self._reserved_tail - self._next_offset
@@ -142,10 +113,6 @@ class AddressAllocator:
         self._next_offset += 1
         self._allocated[label] = address
         return address
-
-    def lookup(self, label: str) -> str:
-        """Previously allocated address for ``label`` (KeyError if absent)."""
-        return self._allocated[label]
 
 
 def random_external_address(rng: np.random.Generator, *, exclude: tuple[AddressBlock, ...] = ()) -> str:

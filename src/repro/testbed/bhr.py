@@ -90,10 +90,6 @@ class BlackHoleRouter:
         self._history.append(entry)
         return entry
 
-    def unblock(self, source_ip: str) -> bool:
-        """Remove a null route; returns whether one existed."""
-        return self._blocks.pop(source_ip, None) is not None
-
     def is_blocked(self, source_ip: str, now: float) -> bool:
         """Whether traffic from ``source_ip`` is currently dropped."""
         entry = self._blocks.get(source_ip)
@@ -103,13 +99,6 @@ class BlackHoleRouter:
             del self._blocks[source_ip]
             return False
         return True
-
-    def active_blocks(self, now: float) -> list[BlockEntry]:
-        """All blocks still in force at ``now`` (expired ones are pruned)."""
-        expired = [ip for ip, entry in self._blocks.items() if not entry.is_active(now)]
-        for ip in expired:
-            del self._blocks[ip]
-        return list(self._blocks.values())
 
     @property
     def history(self) -> list[BlockEntry]:
@@ -130,11 +119,6 @@ class BlackHoleRouter:
         """Record many scan packets."""
         for record in records:
             self.record_scan(record)
-
-    @property
-    def scans(self) -> list[ScanRecord]:
-        """All recorded scans."""
-        return list(self._scans)
 
     def scan_count(self) -> int:
         """Total number of recorded scans."""
@@ -181,11 +165,6 @@ class BlackHoleRouter:
         self.watch_scan_threshold(min_scans)
         self._scan_watches[min_scans].update(sources)
 
-    def scans_from(self, source_ip: str, *, limit: Optional[int] = None) -> list[ScanRecord]:
-        """Scans recorded from one source (optionally the first ``limit``)."""
-        out = [s for s in self._scans if s.source_ip == source_ip]
-        return out if limit is None else out[:limit]
-
 
 class BHRClient:
     """Programmable client API used by the response path (ncsa/bhr-client)."""
@@ -218,24 +197,6 @@ class BHRClient:
         )
         self._audit("block", source_ip, reason=reason, duration_seconds=duration_seconds)
         return entry
-
-    def unblock(self, source_ip: str) -> bool:
-        """Remove a null route."""
-        removed = self.router.unblock(source_ip)
-        self._audit("unblock", source_ip, removed=removed)
-        return removed
-
-    def query(self, source_ip: str, *, now: float) -> bool:
-        """Whether an address is currently blocked."""
-        blocked = self.router.is_blocked(source_ip, now)
-        self._audit("query", source_ip, blocked=blocked)
-        return blocked
-
-    def list_blocks(self, *, now: float) -> list[BlockEntry]:
-        """All active blocks."""
-        entries = self.router.active_blocks(now)
-        self._audit("list", "*", count=len(entries))
-        return entries
 
 
 __all__ = [

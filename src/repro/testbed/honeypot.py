@@ -104,12 +104,7 @@ class Honeypot:
                 monitors,
                 advertised_credentials=("postgres", f"postgres-{index:02d}"),
             )
-            ssh = SSHHoneypotService(
-                container,
-                address,
-                monitors,
-                weak_accounts=(("admin", f"admin-{index:02d}"),),
-            )
+            ssh = SSHHoneypotService(container, address, monitors)
             self.entry_points[name] = EntryPoint(
                 name=name,
                 address=address,

@@ -14,8 +14,8 @@ decisions the pipeline and the attack emulator consult:
   honeypot containers (allow within the overlay, drop + log otherwise),
 * :class:`OverlayNetwork` -- the private L3 overlay each container
   joins,
-* :class:`VMLifecycleManager` -- short-lived immutable VM instances
-  that are recycled after collecting attack traces, with auto-scaling.
+* :class:`VMLifecycleManager` -- immutable VM instances that are
+  recycled after collecting attack traces, within a bounded capacity.
 """
 
 from __future__ import annotations
@@ -51,25 +51,13 @@ class OverlayNetwork:
     def __init__(self, block: AddressBlock = AddressBlock("10.66.0.0", 16)) -> None:
         self.block = block
         self._allocator = AddressAllocator(block)
-        self._members: dict[str, str] = {}
 
     def join(self, container: str) -> str:
         """Attach a container to the overlay; returns its overlay address."""
-        address = self._allocator.allocate(container)
-        self._members[container] = address
-        return address
-
-    def address_of(self, container: str) -> str:
-        """Overlay address of a container."""
-        return self._members[container]
+        return self._allocator.allocate(container)
 
     def __contains__(self, address: str) -> bool:
         return address in self.block
-
-    @property
-    def members(self) -> dict[str, str]:
-        """All attached containers and their overlay addresses."""
-        return dict(self._members)
 
 
 class EgressPolicy:
@@ -141,30 +129,23 @@ class VMInstance:
     name: str
     image: str
     created_at: float
-    max_lifetime_seconds: float
     state: VMState = VMState.RUNNING
     traces_collected: int = 0
 
-    def expired(self, now: float) -> bool:
-        """Whether the instance exceeded its maximum lifetime."""
-        return now - self.created_at >= self.max_lifetime_seconds
-
 
 class VMLifecycleManager:
-    """Provisioning, recycling and auto-scaling of honeypot VM instances."""
+    """Provisioning, capacity and recycling of honeypot VM instances."""
 
     def __init__(
         self,
         *,
         image: str = "honeypot-immutable-v3",
-        max_lifetime_seconds: float = 6 * 3600.0,
         min_instances: int = 2,
         max_instances: int = 16,
     ) -> None:
         if min_instances < 1 or max_instances < min_instances:
             raise ValueError("need 1 <= min_instances <= max_instances")
         self.image = image
-        self.max_lifetime_seconds = float(max_lifetime_seconds)
         self.min_instances = int(min_instances)
         self.max_instances = int(max_instances)
         self._counter = 0
@@ -177,7 +158,6 @@ class VMLifecycleManager:
             name=f"honeypot-vm-{self._counter:04d}",
             image=self.image,
             created_at=now,
-            max_lifetime_seconds=self.max_lifetime_seconds,
         )
         self.instances.append(instance)
         return instance
@@ -202,18 +182,6 @@ class VMLifecycleManager:
         self.recycled.append(instance)
         replacement = self._provision(now)
         return replacement
-
-    def recycle_expired(self, now: float) -> list[VMInstance]:
-        """Recycle every instance past its maximum lifetime; returns replacements."""
-        replacements = []
-        for instance in list(self.running_instances()):
-            if instance.expired(now):
-                replacements.append(self.collect_and_recycle(instance, now))
-        return replacements
-
-    def scale_for_load(self, now: float, concurrent_attacks: int) -> list[VMInstance]:
-        """Auto-scale so each concurrent attack gets a dedicated instance."""
-        return self.ensure_capacity(now, desired=self.min_instances + concurrent_attacks)
 
 
 __all__ = [

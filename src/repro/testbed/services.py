@@ -2,12 +2,12 @@
 
 The honeypot's bait is a set of deliberately vulnerable services --
 chiefly a semi-open PostgreSQL database whose credentials are
-"accidentally" published, plus an SSH service accepting advertised
-default credentials.  The services are modelled as small state machines
-that accept attacker actions (connection attempts, queries, command
-execution) and emit the corresponding monitor records through the
-host's Zeek / syslog / auditd / osquery monitors, which is how attacker
-behaviour becomes visible to the detection pipeline.
+"accidentally" published, plus an SSH service that scanners probe.
+The services are modelled as small state machines that accept attacker
+actions (connection attempts, queries, command execution) and emit the
+corresponding monitor records through the host's Zeek / syslog /
+auditd / osquery monitors, which is how attacker behaviour becomes
+visible to the detection pipeline.
 
 The PostgreSQL model implements exactly the primitives the ransomware
 case study uses: version reconnaissance (``SHOW server_version_num``),
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..telemetry.auditd import AuditdMonitor
 from ..telemetry.osquery import OsqueryMonitor
@@ -35,7 +35,6 @@ class ServiceState(enum.Enum):
 
     RUNNING = "running"
     COMPROMISED = "compromised"
-    STOPPED = "stopped"
 
 
 @dataclasses.dataclass
@@ -88,10 +87,6 @@ class VulnerableService:
     def name(self) -> str:
         """Service protocol name used in Zeek's service column."""
         raise NotImplementedError
-
-    def stop(self) -> None:
-        """Stop the service (remediation)."""
-        self.state = ServiceState.STOPPED
 
 
 class PostgresHoneypotService(VulnerableService):
@@ -187,7 +182,7 @@ class PostgresHoneypotService(VulnerableService):
 
 
 class SSHHoneypotService(VulnerableService):
-    """SSH service accepting advertised (weak) credentials."""
+    """SSH service of an entry point: it records the probes that reach it."""
 
     def __init__(
         self,
@@ -196,74 +191,12 @@ class SSHHoneypotService(VulnerableService):
         monitors: ServiceMonitors,
         *,
         port: int = 22,
-        weak_accounts: Sequence[tuple[str, str]] = (("admin", "admin"),),
     ) -> None:
         super().__init__(host, address, port, monitors)
-        self.weak_accounts = {user: password for user, password in weak_accounts}
-        self.sessions: list[str] = []
 
     @property
     def name(self) -> str:
         return "ssh"
-
-    def attempt_login(self, ts: float, source_ip: str, user: str, password: str) -> bool:
-        """Attempt an SSH password login."""
-        self.connections += 1
-        self.monitors.zeek.record_connection(
-            ts, source_ip, 50000 + self.connections, self.address, self.port,
-            service=self.name, conn_state="SF", duration=0.8,
-        )
-        if self.weak_accounts.get(user) == password:
-            self.monitors.syslog.sshd_accepted(ts, user, source_ip)
-            self.sessions.append(source_ip)
-            self.state = ServiceState.COMPROMISED
-            return True
-        self.monitors.syslog.sshd_failed(ts, user, source_ip)
-        return False
-
-    def run_command(self, ts: float, user: str, command: str) -> None:
-        """A logged-in attacker runs a shell command."""
-        self.monitors.syslog.command_executed(ts, user, command)
-        self.monitors.osquery.process_event(ts, user, "/bin/bash", command)
-
-
-class WebApplicationService(VulnerableService):
-    """A web application with a remote-code-execution vulnerability."""
-
-    def __init__(
-        self,
-        host: str,
-        address: str,
-        monitors: ServiceMonitors,
-        *,
-        port: int = 8080,
-        vulnerable: bool = True,
-    ) -> None:
-        super().__init__(host, address, port, monitors)
-        self.vulnerable = vulnerable
-        self.executed_payloads: list[str] = []
-
-    @property
-    def name(self) -> str:
-        return "http"
-
-    def exploit(self, ts: float, source_ip: str, payload: str) -> bool:
-        """Attempt an RCE exploit (Struts-style OGNL injection)."""
-        self.connections += 1
-        self.monitors.zeek.record_connection(
-            ts, source_ip, 60000 + self.connections, self.address, self.port,
-            service=self.name, conn_state="SF",
-        )
-        if not self.vulnerable:
-            return False
-        self.executed_payloads.append(payload)
-        self.monitors.zeek.raise_notice(
-            ts, "RCE::Exploit", f"remote command execution: {payload[:40]}",
-            orig_h=source_ip, resp_h=self.address, port=self.port,
-        )
-        self.monitors.osquery.process_event(ts, "tomcat", "/bin/sh", payload)
-        self.state = ServiceState.COMPROMISED
-        return True
 
 
 __all__ = [
@@ -274,5 +207,4 @@ __all__ = [
     "VulnerableService",
     "PostgresHoneypotService",
     "SSHHoneypotService",
-    "WebApplicationService",
 ]

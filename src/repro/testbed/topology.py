@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -85,14 +85,6 @@ class ClusterTopology:
         self._allocators[segment.name] = AddressAllocator(segment.block)
         return segment
 
-    def segment(self, name: str) -> NetworkSegment:
-        """Segment by name."""
-        return self._segments[name]
-
-    def segments(self) -> list[NetworkSegment]:
-        """All registered segments."""
-        return list(self._segments.values())
-
     # -- hosts ------------------------------------------------------------------
     def add_host(self, name: str, role: HostRole, segment: str) -> Host:
         """Create a host in ``segment`` with an automatically allocated address."""
@@ -128,12 +120,6 @@ class ClusterTopology:
     def __len__(self) -> int:
         return len(self._hosts)
 
-    def __iter__(self) -> Iterator[Host]:
-        return iter(self._hosts.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._hosts
-
     # -- trust graph ---------------------------------------------------------------
     def add_trust(self, source: str, target: str, *, key: Optional[str] = None) -> None:
         """Record an SSH trust edge from ``source`` to ``target``."""
@@ -158,10 +144,6 @@ class ClusterTopology:
             stack.extend(host.known_hosts - seen)
         seen.discard(start)
         return seen
-
-    def compromised_hosts(self) -> list[Host]:
-        """Hosts currently flagged as compromised."""
-        return [h for h in self._hosts.values() if h.compromised]
 
 
 def build_default_topology(

@@ -71,10 +71,6 @@ class SnapshotRepository:
         for versions in self._packages.values():
             versions.sort(key=lambda p: p.available_from)
 
-    def package_names(self) -> list[str]:
-        """All package names known to the archive."""
-        return sorted(self._packages)
-
     def resolve(self, name: str, date: _dt.date) -> PackageVersion:
         """Version of ``name`` current at ``date`` (latest not newer than it)."""
         versions = self._packages.get(name)

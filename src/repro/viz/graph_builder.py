@@ -126,24 +126,6 @@ class ConnectionGraphBuilder:
         """Addresses of nodes with a given role label."""
         return [n for n, data in self.graph.nodes(data=True) if data.get("role") == role]
 
-    def scanner_nodes(self) -> list[str]:
-        """Sources that only ever appear as scan origins."""
-        scanners = []
-        for node in self.graph.nodes:
-            out_edges = self.graph.out_edges(node, data=True)
-            if not out_edges:
-                continue
-            if all(data.get("kind") == "scan" for _, _, data in out_edges) and self.graph.in_degree(node) == 0:
-                scanners.append(node)
-        return scanners
-
-    def degree_distribution(self) -> dict[int, int]:
-        """Histogram of total node degrees (scanner hubs dominate)."""
-        histogram: dict[int, int] = {}
-        for _, degree in self.graph.degree():
-            histogram[degree] = histogram.get(degree, 0) + 1
-        return dict(sorted(histogram.items()))
-
     def to_graphviz(self, *, anonymize: bool = True, max_edges: Optional[int] = None) -> str:
         """Render the edge list in the Graphviz digraph format of §II.B.
 

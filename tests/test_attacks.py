@@ -1,4 +1,4 @@
-"""Tests for attack emulation: scanners, brute force, credential theft,
+"""Tests for attack emulation: scanners, credential theft,
 lateral movement, the ransomware case study, and replay."""
 
 from __future__ import annotations
@@ -6,22 +6,18 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import (
-    BruteForceEmulator,
     GhostAccountScenario,
-    KNOWN_VARIANTS,
     LateralMovementEngine,
     MassScanEmulator,
     RansomwareScenario,
     ReplayEngine,
     StolenCredentialScenario,
     alerts_to_names,
-    password_spray_alerts,
-    run_variant,
 )
 from repro.attacks.ransomware import C2_SERVER, INITIAL_ATTACKER
 from repro.core import AttackTagger, CriticalAlertDetector, evaluate_preemption
 from repro.incidents import DEFAULT_CATALOGUE
-from repro.testbed import BlackHoleRouter, Honeypot, build_default_topology
+from repro.testbed import BlackHoleRouter, build_default_topology
 from repro.testbed.isolation import EgressVerdict
 
 
@@ -54,28 +50,6 @@ class TestMassScanEmulator:
         emulator = MassScanEmulator(seed=2)
         count = emulator.feed_router(router, emulator.default_profiles(total_scans=800))
         assert router.scan_count() == count
-
-
-class TestBruteForce:
-    def test_succeeds_against_weak_account(self, honeypot):
-        service = honeypot.entry_point("entry00").ssh
-        emulator = BruteForceEmulator(passwords=("admin-00", "123456"), seed=3)
-        result = emulator.run(service, attacker_ip="45.9.1.1")
-        assert result.succeeded
-        assert ("admin", "admin-00") in result.successes
-        assert any(a.name == "alert_login_stolen_credential" for a in result.alerts)
-
-    def test_fails_with_wrong_dictionary(self, honeypot):
-        service = honeypot.entry_point("entry01").ssh
-        emulator = BruteForceEmulator(passwords=("wrong1", "wrong2"), seed=3)
-        result = emulator.run(service, attacker_ip="45.9.1.1", max_attempts=10)
-        assert not result.succeeded
-        assert result.attempts == 10
-
-    def test_password_spray_alert_stream(self):
-        alerts = password_spray_alerts(["h1", "h2", "h3"], attacker_ip="45.9.1.1")
-        assert [a.name for a in alerts] == ["alert_password_spray"] * 3
-        assert alerts[-1].timestamp > alerts[0].timestamp
 
 
 class TestCredentialScenarios:
@@ -177,18 +151,6 @@ class TestRansomwareScenario:
         hint = result.context.artifacts["hint"]
         assert honeypot.trace_attacker(hint.username, hint.password) is hint
 
-    def test_variants_differ(self, honeypot, topology):
-        results = {
-            variant.name: run_variant(variant, Honeypot(), topology=topology)
-            for variant in KNOWN_VARIANTS
-        }
-        quiet = alerts_to_names(results["kp-quiet"].alerts)
-        classic = alerts_to_names(results["kp-classic"].alerts)
-        assert "alert_download_second_stage" not in quiet
-        assert "alert_download_second_stage" in classic
-        smash = alerts_to_names(results["kp-smash"].alerts)
-        assert "alert_lateral_ssh_batch" not in smash
-
     def test_attacker_ip_matches_case_study(self, honeypot):
         result = RansomwareScenario(honeypot).run_honeypot_capture()
         assert result.alerts[0].source_ip == INITIAL_ATTACKER
@@ -208,19 +170,10 @@ class TestReplayEngine:
         result = StolenCredentialScenario().run(start_time=0.0)
         tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
         replay = ReplayEngine().replay_into_detector(result.alerts, tagger)
-        assert replay.num_alerts == len(result.alerts)
+        assert len(replay.events) == len(result.alerts)
         assert replay.detections
         entity = result.alerts[0].entity
-        assert replay.first_detection_time(entity) is not None
-
-    def test_replay_corpus_per_incident_detectors(self, corpus):
-        engine = ReplayEngine()
-        results = engine.replay_corpus(
-            corpus, lambda: AttackTagger(patterns=list(DEFAULT_CATALOGUE)), limit=10
-        )
-        assert len(results) == 10
-        detected = sum(1 for r in results.values() if r.detections)
-        assert detected >= 8
+        assert any(d.entity == entity for d in replay.detections)
 
     def test_interleave_is_time_ordered(self):
         a = StolenCredentialScenario().run(start_time=0.0).alerts

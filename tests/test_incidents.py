@@ -16,7 +16,6 @@ from repro.incidents import (
     Incident,
     IncidentCorpus,
     IncidentGenerator,
-    IncidentReport,
     PatternCatalogue,
     contains_download_compile_erase,
     download_compile_erase_prevalence,
@@ -33,7 +32,7 @@ class TestPatternCatalogue:
         assert DEFAULT_CATALOGUE.names() == [f"S{i}" for i in range(1, 44)]
 
     def test_lengths_between_2_and_14(self):
-        lengths = DEFAULT_CATALOGUE.lengths()
+        lengths = [p.length for p in DEFAULT_CATALOGUE]
         assert min(lengths) == 2
         assert max(lengths) == 14
 
@@ -65,7 +64,7 @@ class TestPatternCatalogue:
         assert not contains_download_compile_erase(weak[::-1])
 
     def test_families_cover_paper_spectrum(self):
-        families = set(DEFAULT_CATALOGUE.families())
+        families = {p.family for p in DEFAULT_CATALOGUE}
         assert {"rootkit", "credential_theft", "ransomware", "lateral_movement"} <= families
 
     def test_no_pattern_contained_in_other_same_length(self):
@@ -102,10 +101,6 @@ class TestIncident:
             ground_truth=GroundTruth(("x",), ("login00",), ("1.2.3.4",), "ssh"),
         )
 
-    def test_round_trip_serialization(self):
-        incident = self._incident()
-        assert Incident.from_dict(incident.to_dict()).alert_names == incident.alert_names
-
     def test_invalid_year_rejected(self):
         with pytest.raises(ValueError):
             self._incident(year=1900)
@@ -118,25 +113,12 @@ class TestIncident:
                 ground_truth=GroundTruth((), (), (), "ssh"),
             )
 
-    def test_report_rendering(self):
-        incident = self._incident()
-        report = IncidentReport.render(incident)
-        assert incident.incident_id in report.body
-        assert "Ground truth" in report.body
-        assert "alert_download_sensitive" in report.body
-
-    def test_stage_and_critical_names(self):
-        incident = self._incident(
-            ["alert_login_stolen_credential", "alert_privilege_escalation"]
-        )
-        assert incident.critical_alert_names() == ["alert_privilege_escalation"]
-
 
 class TestGenerator:
     def test_corpus_size_and_period(self, corpus):
         assert len(corpus) == 228
         assert corpus.start_year == 2000 and corpus.end_year == 2024
-        assert min(corpus.years()) >= 2000 and max(corpus.years()) <= 2024
+        assert all(2000 <= i.year <= 2024 for i in corpus)
 
     def test_motif_prevalence_matches_paper(self, corpus):
         prevalence = download_compile_erase_prevalence(corpus.alert_name_sequences())
@@ -147,11 +129,6 @@ class TestGenerator:
             for pattern_name in incident.pattern_names:
                 pattern = DEFAULT_CATALOGUE.get(pattern_name)
                 assert is_subsequence(pattern.names, incident.alert_names)
-
-    def test_critical_alert_types_match_vocabulary(self, corpus):
-        stats = corpus.critical_alert_stats()
-        assert stats["unique_critical_alert_types"] == 19
-        assert stats["critical_alert_occurrences"] < corpus.stats().filtered_alerts
 
     def test_determinism(self):
         config = GeneratorConfig(num_incidents=40)
@@ -194,79 +171,16 @@ class TestCorpus:
         assert 20e6 < stats.total_raw_alerts < 30e6
         assert 150e3 < stats.filtered_alerts < 230e3
         assert 25 < stats.data_size_terabytes < 35
-        assert stats.span_years == 25
         assert len(stats.as_table()) == 5
 
-    def test_family_and_year_views(self, corpus):
-        families = corpus.families()
-        assert "ransomware" in families
-        total = sum(len(corpus.by_family(f)) for f in families)
-        assert total == len(corpus)
-        assert sum(len(corpus.by_year(y)) for y in corpus.years()) == len(corpus)
+    def test_families_include_ransomware(self, corpus):
+        assert "ransomware" in {i.family for i in corpus}
 
     def test_chronological_split(self, corpus):
         train, test = corpus.chronological_split(0.7)
         assert len(train) + len(test) == len(corpus)
         assert max(i.start_time for i in train) <= min(i.start_time for i in test)
 
-    def test_random_split_deterministic(self, corpus):
-        train_a, _ = corpus.random_split(0.8, seed=3)
-        train_b, _ = corpus.random_split(0.8, seed=3)
-        assert [i.incident_id for i in train_a] == [i.incident_id for i in train_b]
-
-    def test_jsonl_round_trip(self, corpus, tmp_path):
-        path = corpus.save_jsonl(tmp_path / "corpus.jsonl")
-        loaded = IncidentCorpus.load_jsonl(path)
-        assert len(loaded) == len(corpus)
-        assert loaded.stats().total_raw_alerts == corpus.stats().total_raw_alerts
-        assert loaded[0].alert_names == corpus[0].alert_names
-
-    def test_get_by_id(self, corpus):
-        incident = corpus[0]
-        assert corpus.get(incident.incident_id) is incident
-        with pytest.raises(KeyError):
-            corpus.get("NCSA-1999-999")
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             IncidentCorpus([], 2000, 2024, 0, 0)
-
-
-class TestFuzzCorpusRoundTrip:
-    """JSONL persistence on fuzzer-generated (non-default) corpora.
-
-    Fuzz campaigns carry adversarial content the default generator
-    never produces -- unicode entity names, duplicate timestamps,
-    scenario attribute payloads -- so the round-trip must be exercised
-    on them, not just on the synthetic Fig. 3b corpus.
-    """
-
-    @pytest.fixture(scope="class", params=[0, 11])
-    def fuzz_corpus(self, request):
-        from repro.fuzz import CampaignComposer, campaign_to_corpus
-
-        composer = CampaignComposer(request.param, target_alerts=150)
-        return campaign_to_corpus(composer.compose(0, raw_capable=request.param % 2))
-
-    def test_save_load_reconstructs_incidents_exactly(self, fuzz_corpus, tmp_path):
-        path = fuzz_corpus.save_jsonl(tmp_path / "fuzz-corpus.jsonl")
-        loaded = IncidentCorpus.load_jsonl(path)
-        assert len(loaded) == len(fuzz_corpus)
-        for original, copy in zip(fuzz_corpus, loaded):
-            assert copy.incident_id == original.incident_id
-            assert copy.family == original.family
-            assert tuple(copy.sequence) == tuple(original.sequence)
-            # Alert equality excludes attributes; incident persistence
-            # must keep them anyway (scenario metadata, fuzz payloads).
-            for a, b in zip(original.sequence, copy.sequence):
-                assert dict(b.attributes) == dict(a.attributes)
-            assert copy.ground_truth == original.ground_truth
-
-    def test_stats_survive_the_round_trip(self, fuzz_corpus, tmp_path):
-        path = fuzz_corpus.save_jsonl(tmp_path / "fuzz-corpus.jsonl")
-        loaded = IncidentCorpus.load_jsonl(path)
-        original, copy = fuzz_corpus.stats(), loaded.stats()
-        assert copy == original
-        assert copy.reduction_factor == original.reduction_factor
-        assert loaded.critical_alert_stats() == fuzz_corpus.critical_alert_stats()
-        assert loaded.sequence_length_histogram() == fuzz_corpus.sequence_length_histogram()

@@ -12,12 +12,9 @@ from repro.core.sequences import (
     fraction_of_pairs_below,
     is_subsequence,
     jaccard_similarity,
-    lcs_length_matrix,
-    longest_common_subsequence,
     matched_prefix_length,
     pairwise_jaccard_matrix,
     similarity_cdf,
-    subsequence_positions,
 )
 
 NAMES = DEFAULT_VOCABULARY.names()
@@ -118,38 +115,6 @@ class TestJaccard:
         assert fraction_of_pairs_below(matrix, 1.0) == 1.0
 
 
-class TestLCS:
-    def test_known_lcs(self):
-        a = ("x", "a", "b", "c", "y")
-        b = ("a", "q", "b", "c")
-        assert longest_common_subsequence(a, b) == ("a", "b", "c")
-
-    def test_empty_inputs(self):
-        assert longest_common_subsequence((), ("a",)) == ()
-
-    @given(sequence_strategy, sequence_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_lcs_is_subsequence_of_both(self, a, b):
-        lcs = longest_common_subsequence(tuple(a), tuple(b))
-        assert is_subsequence(lcs, a)
-        assert is_subsequence(lcs, b)
-        assert len(lcs) <= min(len(a), len(b))
-
-    @given(sequence_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_lcs_with_self_is_self(self, a):
-        assert longest_common_subsequence(tuple(a), tuple(a)) == tuple(a)
-
-    def test_lcs_length_matrix_symmetric(self):
-        sequences = [
-            AlertSequence.from_names(["alert_port_scan", "alert_vuln_scan", "alert_outbound_c2"]),
-            AlertSequence.from_names(["alert_port_scan", "alert_outbound_c2"]),
-        ]
-        matrix = lcs_length_matrix(sequences)
-        assert matrix[0, 1] == matrix[1, 0] == 2
-        assert matrix[0, 0] == 3
-
-
 class TestSubsequence:
     def test_empty_pattern_always_matches(self):
         assert is_subsequence((), ("a", "b"))
@@ -157,10 +122,6 @@ class TestSubsequence:
     def test_order_matters(self):
         assert is_subsequence(("a", "b"), ("a", "x", "b"))
         assert not is_subsequence(("b", "a"), ("a", "x", "b"))
-
-    def test_positions_greedy(self):
-        assert subsequence_positions(("a", "b"), ("a", "a", "b")) == [0, 2]
-        assert subsequence_positions(("z",), ("a",)) is None
 
     def test_matched_prefix_length(self):
         assert matched_prefix_length(("a", "b", "c"), ("a", "x", "b")) == 2

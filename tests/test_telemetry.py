@@ -1,10 +1,11 @@
 """Tests for the telemetry substrate: log models, normaliser, sanitizer,
-filtering, and annotation."""
+and filtering."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 from collections import defaultdict
 from unittest import mock
@@ -23,14 +24,11 @@ from repro.core.alerts import (
 from repro.telemetry import (
     AlertNormalizer,
     AuditdMonitor,
-    AuditRecord,
     ConnRecord,
     FilterStats,
-    GroundTruthAnnotator,
     MonitorKind,
     NoticeRecord,
     OsqueryMonitor,
-    OsqueryResult,
     Sanitizer,
     ScanFilter,
     SyslogMessage,
@@ -39,11 +37,8 @@ from repro.telemetry import (
     anonymize_ip,
     filter_alerts,
     merge_records,
-    parse_conn_log,
-    write_conn_log,
 )
 from repro.telemetry import sanitizer as sanitizer_module
-from repro.telemetry.annotator import AnnotationLabel, AnnotationMethod
 from repro.telemetry.logsource import RawLogRecord
 from repro.telemetry.normalizer import ZEEK_NOTICE_MAP, NormalizationRule
 from repro.telemetry.sanitizer import SanitizationReport
@@ -57,17 +52,13 @@ class TestZeek:
                             resp_h="141.142.1.1", resp_p=5432, service="postgresql")
         assert ConnRecord.from_tsv(record.to_tsv()) == record
 
-    def test_notice_record_tsv_round_trip(self):
+    def test_notice_record_tsv_line(self):
         record = NoticeRecord(ts=5.0, note="DB::Version_Probe", msg="probe",
                               orig_h="1.2.3.4", resp_h="141.142.1.1", port=5432)
-        assert NoticeRecord.from_tsv(record.to_tsv()) == record
-
-    def test_conn_log_file_round_trip(self):
-        monitor = ZeekMonitor()
-        monitor.record_connection(1.0, "1.1.1.1", 1, "2.2.2.2", 22)
-        monitor.record_connection(2.0, "1.1.1.1", 2, "2.2.2.2", 80)
-        text = write_conn_log(monitor.conn_records())
-        assert len(parse_conn_log(text)) == 2
+        assert record.to_tsv() == (
+            "5.000000\t-\t1.2.3.4\t141.142.1.1\tDB::Version_Probe\tprobe\t-\t-\t5432"
+            "\tNotice::ACTION_LOG"
+        )
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -78,16 +69,16 @@ class TestZeek:
         monitor.record_connection(1.0, "1.1.1.1", 1, "2.2.2.2", 22)
         monitor.raise_notice(2.0, "C2::Beacon", "beacon", orig_h="2.2.2.2")
         assert len(monitor.conn_records()) == 1
-        assert len(monitor.notice_records()) == 1
+        assert [r.field("stream") for r in monitor] == ["conn", "notice"]
 
 
 class TestSyslogAndAudit:
-    def test_syslog_render_parse_round_trip(self):
+    def test_syslog_render(self):
         message = SyslogMessage(timestamp=3600.0, host="login00", program="sshd",
                                 pid=999, body="Accepted password for alice from 1.2.3.4 port 22 ssh2")
-        parsed = SyslogMessage.parse(message.render())
-        assert parsed.program == "sshd" and parsed.host == "login00"
-        assert "alice" in parsed.body
+        assert message.render() == (
+            "Jan  1 01:00:00 login00 sshd[999]: Accepted password for alice from 1.2.3.4 port 22 ssh2"
+        )
 
     def test_syslog_monitor_helpers(self):
         monitor = SyslogMonitor("login00")
@@ -97,19 +88,20 @@ class TestSyslogAndAudit:
         assert len(monitor.records) == 3
         assert all(r.monitor is MonitorKind.SYSLOG for r in monitor)
 
-    def test_audit_record_round_trip(self):
+    def test_audit_record_render(self):
         monitor = AuditdMonitor("node-1")
         record = monitor.setuid_transition(10.0, "alice")
-        parsed = AuditRecord.parse(record.render(), host="node-1")
-        assert parsed.record_type == "SYSCALL"
-        assert parsed.fields["syscall"] == "setuid"
+        assert record.render() == (
+            "type=SYSCALL msg=audit(10.000:1): syscall=setuid success=yes auid=1000 uid=0 acct=alice"
+        )
 
-    def test_osquery_round_trip(self):
+    def test_osquery_render(self):
         monitor = OsqueryMonitor("node-1")
         result = monitor.authorized_keys_change(5.0, "alice", "attacker@evil")
-        parsed = OsqueryResult.parse(result.render())
-        assert parsed.query_name == "authorized_keys"
-        assert parsed.columns["username"] == "alice"
+        assert json.loads(result.render()) == {
+            "name": "authorized_keys", "hostIdentifier": "node-1", "unixTime": 5,
+            "action": "added", "columns": {"username": "alice", "key_comment": "attacker@evil"},
+        }
 
     def test_merge_records_time_ordered(self):
         syslog = SyslogMonitor("a")
@@ -658,41 +650,3 @@ class TestColumnsMatchTheMaterialisingReference:
         assert [a.to_dict() for a in streamed.normalize_stream(records)] == [
             a.to_dict() for a in alerts
         ]
-
-
-class TestAnnotator:
-    def _alerts(self):
-        return [
-            Alert(1.0, "alert_login_normal", "user:benign1"),
-            Alert(2.0, "alert_download_sensitive", "user:attacker"),
-            Alert(3.0, "alert_download_sensitive", "user:benign1"),
-            Alert(4.0, "alert_privilege_escalation", "user:attacker"),
-        ]
-
-    def test_labels_and_methods(self):
-        annotator = GroundTruthAnnotator()
-        annotated = annotator.annotate(self._alerts(), attack_entities={"user:attacker"})
-        labels = {(a.alert.entity, a.alert.name): a.label for a in annotated}
-        assert labels[("user:attacker", "alert_privilege_escalation")] is AnnotationLabel.MALICIOUS
-        assert labels[("user:benign1", "alert_login_normal")] is AnnotationLabel.BENIGN
-
-    def test_ambiguous_alerts_go_to_experts(self):
-        annotator = GroundTruthAnnotator()
-        annotated = annotator.annotate(self._alerts(), attack_entities={"user:attacker"})
-        expert_items = [a for a in annotated if a.method is AnnotationMethod.EXPERT]
-        # alert_download_sensitive occurs under both an attack and a benign
-        # entity, so it is ambiguous and routed to the expert panel.
-        assert expert_items
-        assert all(a.alert.name == "alert_download_sensitive" for a in expert_items)
-        assert 0 < annotator.stats.expert_fraction < 1
-
-    def test_majority_automatic(self, corpus):
-        """On the full corpus the automatic fraction is high (paper: 99.7%)."""
-        alerts = []
-        attack_entities = set()
-        for incident in corpus.incidents[:60]:
-            alerts.extend(incident.sequence)
-            attack_entities.add(incident.sequence[0].entity)
-        annotator = GroundTruthAnnotator()
-        annotator.annotate(sorted(alerts, key=lambda a: a.timestamp), attack_entities)
-        assert annotator.stats.automatic_fraction > 0.9

@@ -16,7 +16,6 @@ from repro.core import (
     PreemptionOutcome,
     RuleBasedDetector,
     compare_detectors,
-    cross_validate,
     evaluate_detector,
     evaluate_preemption,
     find_damage_boundary,
@@ -27,7 +26,6 @@ from repro.core import (
     window_sweep,
 )
 from repro.core.attack_tagger import Detection
-from repro.core.evaluation import k_fold_indices
 from repro.core.factors import default_parameters
 from repro.core.sequences import AlertSequence
 from repro.core.states import NUM_STATES
@@ -226,26 +224,3 @@ class TestEvaluationHarness:
         table = compare_detectors(detectors, self._examples())
         assert set(table) == {"factor_graph", "critical_only"}
         assert table["factor_graph"]["preemption_rate"] >= table["critical_only"]["preemption_rate"]
-
-    def test_k_fold_indices_partition(self):
-        folds = k_fold_indices(23, 5, seed=1)
-        combined = sorted(int(i) for fold in folds for i in fold)
-        assert combined == list(range(23))
-
-    def test_k_fold_requires_two_folds(self):
-        with pytest.raises(ValueError):
-            k_fold_indices(10, 1)
-
-    def test_cross_validation_runs(self):
-        examples = self._examples(8, 8)
-
-        def build(train_examples):
-            attack_sequences = [e.sequence for e in train_examples if e.is_attack]
-            benign = [e.sequence for e in train_examples if not e.is_attack]
-            params = train_from_incidents(attack_sequences, benign, patterns=list(DEFAULT_CATALOGUE))
-            return AttackTagger(params, patterns=list(DEFAULT_CATALOGUE))
-
-        result = cross_validate(build, examples, folds=4, seed=2)
-        summary = result.mean_summary()
-        assert 0.0 <= summary["recall"] <= 1.0
-        assert len(result.fold_reports) == 4

@@ -7,13 +7,9 @@ import pytest
 
 from repro.analysis import (
     attribute_incident,
-    bin_alerts_per_day,
     catalogue_frequency_study,
     corpus_similarity_study,
     criticality_study,
-    mine_common_subsequences,
-    mined_catalogue_overlap,
-    moving_average,
     render_daily_series,
     run_longitudinal_study,
     scan_fraction_of_daily_volume,
@@ -22,7 +18,6 @@ from repro.analysis import (
     triage_load_without_filtering,
 )
 from repro.attacks import MassScanEmulator
-from repro.core.alerts import Alert
 from repro.incidents import DEFAULT_CATALOGUE, IncidentGenerator
 from repro.testbed import BlackHoleRouter
 from repro.viz import (
@@ -68,10 +63,6 @@ class TestGraphBuilder:
         assert scanner in builder.nodes_with_role(ROLE_SCANNER)
         assert "132.17.9.3" in builder.nodes_with_role(ROLE_ATTACKER)
         assert len(builder.nodes_with_role(ROLE_TARGET)) == 2
-
-    def test_scanner_nodes_heuristic(self, small_graph):
-        builder, scanner = small_graph
-        assert scanner in builder.scanner_nodes()
 
     def test_graphviz_output_format(self, small_graph):
         builder, _ = small_graph
@@ -184,15 +175,6 @@ class TestLCSStudy:
         assert attribute_incident(s1.names, DEFAULT_CATALOGUE).name == "S1"
         assert attribute_incident(("alert_login_normal",), DEFAULT_CATALOGUE) is None
 
-    def test_de_novo_mining_recovers_catalogue(self, corpus):
-        mined = mine_common_subsequences(corpus, min_support=3, max_pairs=6_000)
-        assert mined, "mining should recover recurring sequences"
-        assert mined[0].support >= 3
-        # With the pair budget capped for test speed, only a subset of the
-        # catalogue is rediscovered; the Fig. 3b benchmark runs the full pass.
-        overlap = mined_catalogue_overlap(mined)
-        assert overlap > 0.1
-
 
 class TestDailyStatsAndTiming:
     def test_fig2_volume_statistics(self):
@@ -203,15 +185,8 @@ class TestDailyStatsAndTiming:
         assert stats.scan_mean is not None and stats.scan_mean > 0.6 * stats.mean
         assert stats.days == 90
 
-    def test_bin_alerts_per_day(self):
-        alerts = [Alert(float(day * 86_400 + 10), "alert_port_scan", "h") for day in range(5) for _ in range(day + 1)]
-        counts = bin_alerts_per_day(alerts)
-        assert list(counts) == [1, 2, 3, 4, 5]
-
-    def test_moving_average_and_render(self):
+    def test_render_daily_series(self):
         volumes = np.array([10, 20, 30, 40, 50])
-        smoothed = moving_average(volumes, window=3)
-        assert smoothed.shape == volumes.shape
         art = render_daily_series(volumes, width=10, height=4)
         assert len(art.splitlines()) == 5
 
@@ -219,7 +194,9 @@ class TestDailyStatsAndTiming:
         result = timing_study(corpus)
         assert result.incidents_analyzed > 200
         assert result.post_foothold.mean_seconds > result.reconnaissance.mean_seconds
-        assert result.confirms_insight()
+        # Post-foothold gaps vary more than reconnaissance ones (coefficient of variation).
+        recon, manual = result.reconnaissance, result.post_foothold
+        assert manual.std_seconds / manual.mean_seconds > recon.std_seconds / recon.mean_seconds
 
     def test_scan_fraction(self):
         assert scan_fraction_of_daily_volume(94_238, 80_000) == pytest.approx(0.849, abs=0.01)
