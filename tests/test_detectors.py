@@ -288,6 +288,23 @@ class TestDetectorContract:
         fired = [looped.observe(alert.with_entity("user:a")) for alert in sequence]
         assert first == next((d for d in fired if d is not None), None)
 
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(prefix=_streams(), stream=_streams())
+    def test_reset_forgets_every_entity(self, kind, prefix, stream):
+        reused, fresh = DETECTOR_FACTORIES[kind](), DETECTOR_FACTORIES[kind]()
+        reused.observe_batch(prefix)
+        reused.reset()
+        assert reused.observe_batch(stream) == fresh.observe_batch(stream)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(prefix=_streams(), stream=_streams())
+    def test_reset_entity_is_never_having_seen_it(self, kind, prefix, stream):
+        reset, unseen = DETECTOR_FACTORIES[kind](), DETECTOR_FACTORIES[kind]()
+        reset.observe_batch(prefix)
+        reset.reset_entity("user:a")
+        unseen.observe_batch([alert for alert in prefix if alert.entity != "user:a"])
+        assert reset.observe_batch(stream) == unseen.observe_batch(stream)
+
 
 # ---------------------------------------------------------------------------
 # The simple baselines keep a count per entity, not every alert.

@@ -5,7 +5,8 @@ The exhaustive seed sweep lives in CI's quick-fuzz gate
 composer determinism and coverage, campaign (de)serialisation, the
 raw-record inverse mapping, oracle equivalence on a pinned seed subset,
 divergence *detection* (a seeded fault must be flagged, not masked),
-and the shrinker's reduction guarantees.
+the shrinker's reduction guarantees, and the failure path that turns a
+divergence into a committed repro file.
 """
 
 from __future__ import annotations
@@ -31,9 +32,14 @@ from repro.fuzz import (
     divergences,
     drive,
     full_matrix,
+    iter_regressions,
     quick_matrix,
+    regression_name,
+    save_regression,
     shrink_campaign,
+    shrink_for_oracle,
 )
+from repro.fuzz import __main__ as fuzz_cli
 from repro.telemetry.normalizer import AlertNormalizer
 
 
@@ -359,3 +365,145 @@ class TestShrinker:
         assert failing(shrunk)
         assert shrunk.num_alerts <= 2
         assert len(shrunk.events) <= 3
+
+
+class _ThresholdFaultOracle(DifferentialOracle):
+    """Every non-reference configuration replays under a near-1
+    detection threshold: a simulated engine fault that diverges exactly
+    when the reference fires."""
+
+    def replay(self, campaign, config):
+        if config != self.reference:
+            campaign = dataclasses.replace(campaign, detection_threshold=0.999)
+        return super().replay(campaign, config)
+
+
+_FAULTY_CONFIG = OracleConfig("streaming", 1, "serial", "sync")
+
+
+class TestShrinkForOracle:
+    def test_a_passing_campaign_has_nothing_to_record(self):
+        campaign = CampaignComposer(2, target_alerts=60).compose(0)
+        assert shrink_for_oracle(campaign, DifferentialOracle([_FAULTY_CONFIG])) is None
+
+    def test_a_divergence_shrinks_to_a_repro_that_still_diverges(self):
+        campaign = CampaignComposer(2, target_alerts=60).compose(0)
+        oracle = _ThresholdFaultOracle([_FAULTY_CONFIG])
+        shrunk = shrink_for_oracle(campaign, oracle, max_evaluations=60)
+        assert shrunk is not None
+        assert shrunk.num_alerts < campaign.num_alerts
+        assert shrunk.seed == campaign.seed and shrunk.label.endswith("-shrunk")
+        assert not oracle.run(shrunk).ok
+
+    def test_a_given_verdict_is_not_replayed_again(self):
+        campaign = CampaignComposer(2, target_alerts=60).compose(0)
+        oracle = _ThresholdFaultOracle([_FAULTY_CONFIG])
+        verdict = oracle.run(campaign)
+        assert not verdict.ok
+        runs = []
+
+        class Counting(_ThresholdFaultOracle):
+            def run(self, candidate):
+                runs.append(candidate)
+                return super().run(candidate)
+
+        counting = Counting([_FAULTY_CONFIG])
+        shrunk = shrink_for_oracle(campaign, counting, verdict=verdict, max_evaluations=10)
+        assert shrunk is not None
+        # The campaign itself ran once, as the shrinker's first "does it
+        # still fail?": the given verdict stood in for the matrix replay.
+        assert runs[0] is campaign and campaign not in runs[1:]
+        assert len(runs) <= 10
+
+
+class TestRegressionFiles:
+    def test_the_name_is_the_label_and_a_content_digest(self):
+        campaign = CampaignComposer(3, target_alerts=40).compose(0)
+        name = regression_name(campaign)
+        assert name == regression_name(Campaign.from_dict(campaign.to_dict()))
+        assert name.startswith(f"{campaign.label}-") and name.endswith(".json")
+        changed = dataclasses.replace(campaign, events=campaign.events[:-1])
+        assert regression_name(changed) != name
+        assert regression_name(changed).startswith(f"{campaign.label}-")
+
+    def test_an_unlabelled_campaign_is_named_by_its_seed(self):
+        campaign = dataclasses.replace(
+            CampaignComposer(3, target_alerts=40).compose(0), label=""
+        )
+        assert regression_name(campaign).startswith("seed3-")
+
+    def test_unsafe_label_characters_become_underscores(self):
+        campaign = dataclasses.replace(
+            CampaignComposer(3, target_alerts=40).compose(0), label="a/b c:d.e-f_g"
+        )
+        assert regression_name(campaign).startswith("a_b_c_d.e-f_g-")
+
+    def test_saved_repros_come_back_sorted_and_equal(self, tmp_path):
+        composer = CampaignComposer(3, target_alerts=40)
+        campaigns = [composer.compose(index) for index in range(3)]
+        paths = [save_regression(c, tmp_path / "corpus") for c in campaigns]
+        assert all(path.parent == tmp_path / "corpus" for path in paths)
+        found = list(iter_regressions(tmp_path / "corpus"))
+        assert [path for path, _ in found] == sorted(paths)
+        by_path = dict(zip(paths, campaigns))
+        for path, campaign in found:
+            assert campaign.to_dict() == by_path[path].to_dict()
+
+    def test_an_explicit_name_is_honoured(self, tmp_path):
+        campaign = CampaignComposer(3, target_alerts=40).compose(0)
+        path = save_regression(campaign, tmp_path, name="pinned.json")
+        assert path == tmp_path / "pinned.json"
+        assert Campaign.load(path).to_dict() == campaign.to_dict()
+
+    def test_a_missing_corpus_directory_yields_nothing(self, tmp_path):
+        assert list(iter_regressions(tmp_path / "absent")) == []
+
+
+class TestCliRecordsRepros:
+    """``python -m repro.fuzz``: a divergent campaign is written into the
+    regressions directory, shrunk unless told otherwise."""
+
+    ARGS = [
+        "--campaigns", "1", "--base-seed", "2", "--target-alerts", "60",
+        "--raw-every", "0", "--configs", _FAULTY_CONFIG.label,
+    ]  # fmt: skip
+
+    @pytest.fixture
+    def faulty(self, monkeypatch):
+        monkeypatch.setattr(fuzz_cli, "DifferentialOracle", _ThresholdFaultOracle)
+
+    def test_a_divergence_writes_a_shrunk_repro(self, faulty, tmp_path, capsys):
+        assert fuzz_cli.main(self.ARGS + ["--regressions-dir", str(tmp_path)]) == 1
+        [(path, repro)] = list(iter_regressions(tmp_path))
+        original = CampaignComposer(2, target_alerts=60).compose(0)
+        assert repro.label == f"{original.label}-shrunk"
+        assert repro.num_alerts < original.num_alerts
+        assert not _ThresholdFaultOracle([_FAULTY_CONFIG]).run(repro).ok
+        out = capsys.readouterr().out
+        assert "DIVERGED" in out and f"repro written: {path}" in out
+
+    def test_no_shrink_writes_the_campaign_as_composed(self, faulty, tmp_path):
+        argv = self.ARGS + ["--regressions-dir", str(tmp_path), "--no-shrink"]
+        assert fuzz_cli.main(argv) == 1
+        [(_, repro)] = list(iter_regressions(tmp_path))
+        original = CampaignComposer(2, target_alerts=60).compose(0)
+        assert repro.to_dict() == original.to_dict()
+
+    def test_no_write_records_nothing(self, faulty, tmp_path):
+        argv = self.ARGS + ["--regressions-dir", str(tmp_path), "--no-write"]
+        assert fuzz_cli.main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaying_a_repro_never_writes_another(self, faulty, tmp_path):
+        campaign = CampaignComposer(2, target_alerts=60).compose(0)
+        path = save_regression(campaign, tmp_path / "in")
+        argv = [
+            "--replay", str(path), "--configs", _FAULTY_CONFIG.label,
+            "--regressions-dir", str(tmp_path / "out"),
+        ]  # fmt: skip
+        assert fuzz_cli.main(argv) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_clean_campaign_exits_zero_and_writes_nothing(self, tmp_path):
+        assert fuzz_cli.main(self.ARGS + ["--regressions-dir", str(tmp_path)]) == 0
+        assert list(tmp_path.iterdir()) == []

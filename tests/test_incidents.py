@@ -113,6 +113,13 @@ class TestIncident:
                 ground_truth=GroundTruth((), (), (), "ssh"),
             )
 
+    def test_critical_alerts_of_an_incident(self):
+        incident = self._incident(
+            ["alert_login_stolen_credential", "alert_privilege_escalation"]
+        )
+        critical = incident.sequence.critical_alerts()
+        assert [a.name for a in critical] == ["alert_privilege_escalation"]
+
 
 class TestGenerator:
     def test_corpus_size_and_period(self, corpus):
@@ -129,6 +136,13 @@ class TestGenerator:
             for pattern_name in incident.pattern_names:
                 pattern = DEFAULT_CATALOGUE.get(pattern_name)
                 assert is_subsequence(pattern.names, incident.alert_names)
+
+    def test_critical_alert_types_match_vocabulary(self, corpus):
+        critical = [a for i in corpus for a in i.sequence.critical_alerts()]
+        types = {a.name for a in critical}
+        assert len(types) == 19
+        assert types <= set(DEFAULT_VOCABULARY.critical_names())
+        assert len(critical) < corpus.stats().filtered_alerts
 
     def test_determinism(self):
         config = GeneratorConfig(num_incidents=40)

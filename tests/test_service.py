@@ -59,6 +59,7 @@ from repro.testbed import (
     TestbedPipeline,
     read_checkpoint,
 )
+from repro.testbed.sharding import ShardWorkerError
 from repro.fuzz.campaign import CampaignComposer
 from repro.fuzz.oracle import (
     COMPARED_COUNTERS,
@@ -824,6 +825,74 @@ class TestServiceSocket:
         assert stats["dead_letter_records"] >= 1
         entries = handle.service.dead_letter.entries
         assert any(e["reason"] == "consumer-error" for e in entries)
+
+    @staticmethod
+    def _fail_once(pipeline, method, error):
+        """Make ``pipeline.<method>`` raise ``error`` on its next call only."""
+        original = getattr(pipeline, method)
+
+        def failing(*args):
+            setattr(pipeline, method, original)
+            raise error
+
+        setattr(pipeline, method, failing)
+
+    @pytest.mark.parametrize(
+        "method, error",
+        [
+            ("submit_alerts", ValueError("refused by the detector tier")),
+            ("collect_detections", ShardWorkerError(0, "Traceback: shard 0 failed")),
+        ],
+    )
+    def test_a_failed_batch_is_dead_lettered_and_serving_goes_on(self, method, error):
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        lost = [Alert(1.0, "alert_login_normal", "user:u001")]
+        with handle, handle.client() as client:
+            client.ping()
+            self._fail_once(handle.pipeline, method, error)
+            client.send_alerts(lost)
+            client.drain()
+            assert client.send_alerts([Alert(2.0, "alert_login_normal", "user:u001")])[
+                "tier"
+            ] == "admit"
+            client.drain()
+            stats = client.stats()
+        assert stats["failed_batches"] == 1 and stats["consumer_errors"] == 0
+        assert stats["batches_processed"] == 1 and stats["dead_letter_records"] == 1
+        [entry] = handle.service.dead_letter.entries
+        assert (entry["reason"], entry["kind"]) == ("detection-failure", "batch")
+        assert entry["payload"]["alerts"] == [a.to_dict() for a in lost]
+        assert entry["payload"]["records"] == []
+        assert entry["payload"]["error"] == f"{type(error).__name__}: {error}"
+
+    def test_periodic_checkpoints_ride_the_queue(self, tmp_path):
+        campaign = CampaignComposer(1, target_alerts=80).compose(0)
+        batches = [e for e in campaign.events if e.kind == "batch" and e.alerts]
+        handle = start_service_in_thread(
+            _serial_factory(campaign),
+            ServiceConfig(checkpoint_dir=tmp_path, checkpoint_interval=0.02, keep_last=3),
+        )
+        with handle, handle.client() as client:
+            for event in batches:
+                client.send_alerts(list(event.alerts))
+            client.drain()
+            # No checkpoint op is sent: only the ticker writes these.
+            target = client.stats()["checkpoints_written"] + 2
+            deadline = time.monotonic() + 30.0
+            while client.stats()["checkpoints_written"] < target:
+                assert time.monotonic() < deadline, "the ticker wrote no checkpoint"
+                time.sleep(0.02)
+        store = CheckpointStore(tmp_path)
+        assert len(store.sequences()) == 3  # pruned to keep_last
+        with _service_pipeline(campaign) as resumed:
+            resumed.restore(store.latest())
+            got = list(resumed.detections)
+        with _service_pipeline(campaign) as reference:
+            for event in batches:
+                reference.ingest_alerts(event.alerts)
+            expected = list(reference.detections)
+        assert got == expected and got
 
     @pytest.mark.parametrize("resp_p", ["http", float("inf")])
     def test_one_malformed_record_does_not_cost_its_batch(self, resp_p):

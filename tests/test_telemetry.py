@@ -189,6 +189,78 @@ class TestNormalizer:
         assert alerts[0].name == "alert_erase_forensic_trace"
 
 
+#: One event per monitor builder, through the default rules: the alert
+#: name and entity it becomes, or ``None`` when no rule matches it (an
+#: entity is ``user:<name>`` when the rule reads one, else ``host:``).
+_BUILDER_ALERTS = {
+    "sshd_accepted": (lambda m: m["syslog"].sshd_accepted(1.0, "alice", "64.215.10.20"),
+                      ("alert_login_normal", "user:alice")),
+    "sshd_failed": (lambda m: m["syslog"].sshd_failed(1.0, "bob", "64.215.10.21"),
+                    ("alert_bruteforce_ssh", "user:bob")),
+    "sudo_command": (lambda m: m["syslog"].sudo_command(1.0, "carol", "/bin/cat /etc/shadow"),
+                     ("alert_sudo_policy_violation", "user:carol")),
+    "wget_download": (lambda m: m["syslog"].wget_download(1.0, "erin", "http://64.215.1.18/abs.c"),
+                      ("alert_download_sensitive", "user:erin")),
+    "kernel_module_build": (
+        lambda m: m["syslog"].command_executed(1.0, "mallory", "make -C /lib/modules/build module"),
+        ("alert_compile_kernel_module", "user:mallory"),
+    ),
+    "log_truncated": (lambda m: m["syslog"].log_truncated(1.0, "/var/log/wtmp"),
+                      ("alert_erase_forensic_trace", "host:login1")),
+    "cron_job": (lambda m: m["syslog"].cron_job(1.0, "root", "run-parts /etc/cron.hourly"), None),
+    "audit_module_load": (lambda m: m["auditd"].module_load(1.0, "mallory", "diamorphine"),
+                          ("alert_kernel_module_loaded", "user:mallory")),
+    "audit_tmp_execve": (lambda m: m["auditd"].execve(1.0, "mallory", "/tmp/kp", "-d"),
+                         ("alert_tmp_executable_created", "user:mallory")),
+    "audit_tmp_write": (lambda m: m["auditd"].file_write(1.0, "mallory", "/tmp/.x/kp"),
+                        ("alert_tmp_executable_created", "user:mallory")),
+    "audit_home_execve": (lambda m: m["auditd"].execve(1.0, "alice", "/usr/bin/sbatch"), None),
+    "audit_chmod": (lambda m: m["auditd"].chmod(1.0, "mallory", "/home/m/.ssh/id_rsa", "400"), None),
+    "audit_root_setuid": (lambda m: m["auditd"].setuid_transition(1.0, "root", from_uid=0), None),
+    "osquery_authorized_keys": (
+        lambda m: m["osquery"].authorized_keys_change(1.0, "alice", "attacker@evil"),
+        ("alert_new_ssh_key_added", "user:alice"),
+    ),
+    "osquery_kernel_module": (lambda m: m["osquery"].kernel_module(1.0, "diamorphine"),
+                              ("alert_kernel_module_loaded", "host:compute4")),
+    "osquery_c2_socket": (
+        lambda m: m["osquery"].outbound_connection(1.0, "kp", "194.145.227.21", 443),
+        ("alert_outbound_c2", "host:compute4"),
+    ),
+    "osquery_campus_socket": (
+        lambda m: m["osquery"].outbound_connection(1.0, "curl", "141.142.2.9", 443), None
+    ),
+    "osquery_listening_port": (lambda m: m["osquery"].listening_port(1.0, 4444, "nc"), None),
+    "osquery_ransom_note": (
+        lambda m: m["osquery"].file_event(1.0, "/var/lib/postgresql/README_FOR_DECRYPT.txt"),
+        ("alert_ransom_note_created", "host:compute4"),
+    ),
+    "osquery_miner": (
+        lambda m: m["osquery"].process_event(1.0, "root", "/tmp/xmrig", "xmrig -o stratum+tcp://x"),
+        ("alert_cryptomining", "user:root"),
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDER_ALERTS))
+def test_each_monitor_builder_normalises_to_its_alert(builder):
+    monitors = {
+        "syslog": SyslogMonitor("login1"),
+        "auditd": AuditdMonitor("compute3"),
+        "osquery": OsqueryMonitor("compute4"),
+    }
+    build, expected = _BUILDER_ALERTS[builder]
+    build(monitors)
+    [record] = [record for monitor in monitors.values() for record in monitor]
+    normalizer = AlertNormalizer()
+    alert = normalizer.normalize_record(record)
+    if expected is None:
+        assert alert is None and (normalizer.dropped, normalizer.malformed) == (1, 0)
+    else:
+        assert (alert.name, alert.entity, alert.timestamp) == (*expected, 1.0)
+        assert alert.host == record.host and normalizer.dropped == 0
+
+
 class TestNormalizerFastPath:
     """The table-driven loop is the rule walk it replaced."""
 
