@@ -35,7 +35,6 @@ from .factor_graph import (
     maxplus_matmul,
     maxplus_vecmat,
 )
-from .sliding_window import SlidingProductWindow
 from .factors import FactorParameters, default_parameters
 from .preemption import (
     DamageBoundary,
@@ -56,7 +55,7 @@ from .sequences import (
     pairwise_jaccard_matrix,
     similarity_cdf,
 )
-from .streaming import StreamingDecoder, WeightedPattern
+from .streaming import WeightedPattern
 from .states import AttackStage, HiddenState, NUM_STATES
 from .training import (
     LabeledSequence,
@@ -95,7 +94,6 @@ __all__ = [
     "maxplus_vecmat",
     "logsumexp_matmul",
     "logsumexp_vecmat",
-    "SlidingProductWindow",
     "FactorParameters",
     "default_parameters",
     # training
@@ -110,7 +108,6 @@ __all__ = [
     "Detection",
     "EntityTrack",
     "PatternSpec",
-    "StreamingDecoder",
     "WeightedPattern",
     "RuleBasedDetector",
     "Rule",

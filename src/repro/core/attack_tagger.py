@@ -27,6 +27,7 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import streaming
 from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
 from .detector import Detector
 from .factor_graph import chain_map_decode, chain_marginals
@@ -34,7 +35,7 @@ from .factors import FactorParameters, default_parameters, observation_log_for_s
 from .sequences import matched_prefix_length
 from .sliding_window import WindowArena
 from .states import NUM_STATES, HiddenState
-from .streaming import StreamingDecoder, WeightedPattern
+from .streaming import WeightedPattern
 
 #: The production engine and the executable spec, in that order.
 ENGINES = ("streaming", "naive")
@@ -93,7 +94,7 @@ class Detection:
 
 @dataclasses.dataclass
 class EntityTrack:
-    """Per-entity detector state: the observed alerts and cached decode.
+    """Per-entity detector state: the observed alerts and the decode slot.
 
     ``alerts`` holds the window-bounded alert history: the
     ``collections.deque(maxlen=max_window)`` the tagger creates, so
@@ -101,15 +102,14 @@ class EntityTrack:
     required, and migration and unpickling carry the deque (with its
     ``maxlen``) along, so no track ever holds an unbounded list.
     ``slot`` is the owning tagger's slot for the entity (see
-    :class:`~repro.core.sliding_window.SlotTable`): scratch, never
-    pickled, assigned again when a tagger is restored or adopts the
-    track.
+    :class:`~repro.core.sliding_window.SlotTable`), which holds all of
+    its decode state: scratch, never pickled, assigned again when a
+    tagger is restored or adopts the track.
     """
 
     entity: str
     alerts: Deque[Alert]
     detected: Optional[Detection] = None
-    decoder: Optional[StreamingDecoder] = None
     slot: int = dataclasses.field(default=-1, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
@@ -143,8 +143,8 @@ class AttackTagger(Detector):
         carry no pattern weights (the untrained/prior-only deployment).
     engine:
         ``"streaming"`` (default, production) maintains incremental
-        per-entity decoder state
-        (:class:`repro.core.streaming.StreamingDecoder`) so one alert
+        per-entity decode state (a slot of the arena, advanced by
+        :mod:`repro.core.streaming`) so one alert
         costs O(K^2 + pattern advances) while the window fills and
         O(K^3) amortised once it saturates (the two-stack sliding
         aggregation of :mod:`repro.core.sliding_window` makes the
@@ -188,7 +188,7 @@ class AttackTagger(Detector):
         self.patterns: list[PatternSpec] = [
             PatternSpec(name=p.name, names=tuple(p.names)) for p in patterns
         ]
-        if detection_threshold <= 0.0 or detection_threshold >= 1.0:
+        if not 0.0 < detection_threshold < 1.0:  # NaN included
             raise ValueError("detection_threshold must be in (0, 1)")
         if max_window < 2:
             raise ValueError("max_window must be at least 2")
@@ -207,7 +207,7 @@ class AttackTagger(Detector):
         self._resolve()
 
     def _resolve(self) -> None:
-        """Build the model every decoder shares (scratch, dropped on pickling).
+        """Build the model every entity decodes with (scratch, dropped on pickling).
 
         ``_arena``: the weighted patterns -- the non-empty catalogue
         patterns with a positive weight, in order, from
@@ -275,8 +275,6 @@ class AttackTagger(Detector):
 
     def reset(self) -> None:
         """Forget all per-entity state."""
-        for track in self._tracks.values():
-            track.decoder = None
         self._tracks.clear()
         self._arena.clear()
 
@@ -292,31 +290,25 @@ class AttackTagger(Detector):
         self._arena.slots.release(track.slot)
 
     def _release(self, track: EntityTrack) -> None:
-        """Drop a track's decode state, handing its arena row or fill pages back.
+        """Drop a track's decode state, handing its arena row, fill pages
+        and match row back.
 
-        The one way decode state leaves a live track: at detection.  A
-        decoder is a pure function of the track's alerts, so
-        :meth:`_decoder_for` re-syncs one lazily should :meth:`infer`
-        want it again.
+        The one way decode state leaves a live track: at detection.  It
+        is a pure function of the track's alerts, so :meth:`_sync`
+        rebuilds it should :meth:`infer` want it again.
         """
-        track.decoder = None
         self._arena.drop(track.slot)
 
     # -- core inference -----------------------------------------------------
-    def _decoder_for(self, track: EntityTrack) -> StreamingDecoder:
-        """The track's decoder, opened over its slot on demand -- and
-        re-synced to its alerts if the slot is stale or was dropped at
-        detection."""
-        decoder = track.decoder
-        if decoder is None:
-            slot = track.slot
-            decoder = track.decoder = StreamingDecoder(self._arena, slot)
-            slots = self._arena.slots
-            if slots.stale[slot] or track.detected is not None:
-                slots.stale[slot] = False
-                for alert in track.alerts:
-                    decoder.append(alert.name)
-        return decoder
+    def _sync(self, track: EntityTrack) -> None:
+        """Rebuild a track's decode state from its alerts if its slot is
+        stale (restored or adopted) or was dropped at detection."""
+        arena, slot = self._arena, track.slot
+        slots = arena.slots
+        if slots.stale[slot] or (track.detected is not None and slots.row[slot] < 0 and not slots.length[slot]):
+            slots.stale[slot] = False
+            for alert in track.alerts:
+                streaming.append(arena, slot, arena.intern(alert.name))
 
     def _build_unary(self, names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         """Per-step log potentials including pattern-factor bonuses.
@@ -364,7 +356,7 @@ class AttackTagger(Detector):
         where ``map_states`` is the Viterbi state per alert and
         ``final_marginal`` is the posterior over the entity's current
         state.  With the streaming engine this reads the incrementally
-        maintained decoder state; the naive engine re-decodes the whole
+        maintained decode state; the naive engine re-decodes the whole
         chain (seed behaviour).
         """
         track = self._tracks.get(entity)
@@ -373,8 +365,12 @@ class AttackTagger(Detector):
             prior = np.exp(self.parameters.initial_log)
             return np.zeros(0, dtype=np.int64), prior / prior.sum(), []
         if self.engine != "naive":
-            decoder = self._decoder_for(track)
-            return decoder.map_path(), decoder.final_marginal(), decoder.matched_pattern_names()
+            self._sync(track)
+            arena, slot = self._arena, track.slot
+            _, final_marginal, path = streaming.decode(arena, slot)
+            if path is None:
+                path = streaming.fill_path(arena, slot)
+            return path, final_marginal, streaming.matched_pattern_names(arena, slot)
         names = [a.name for a in track.alerts]
         unary, matched = self._build_unary(names)
         states = chain_map_decode(unary, self.parameters.transition_log)
@@ -395,18 +391,20 @@ class AttackTagger(Detector):
             # Already detected: record the alert for the incident
             # timeline but skip all inference work.  The deque drops the
             # evicted alert in O(1), so this fast path does no O(W)
-            # work at all.  A decoder `infer` re-synced since the
+            # work at all.  Decode state `infer` re-synced since the
             # detection is dropped rather than maintained.
             track.alerts.append(alert)
-            if track.decoder is not None:
+            slots = self._arena.slots
+            if slots.length[track.slot] or slots.row[track.slot] >= 0:
                 self._release(track)
             return None
-        decoder = self._decoder_for(track) if self.engine != "naive" else None
+        if self.engine == "naive":
+            track.alerts.append(alert)
+            return self._naive_decision(track, alert)
+        self._sync(track)
         sliding = len(track.alerts) >= self.max_window
         track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
-        if decoder is not None:
-            return self._advance(track, alert, decoder, sliding)
-        return self._naive_decision(track, alert)
+        return self._advance(track, alert, self._arena.intern(alert.name), sliding)
 
     def _naive_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
         """The seed decision: re-decode the whole window, then threshold it."""
@@ -435,55 +433,56 @@ class AttackTagger(Detector):
         track.detected = detection
         self._arena.slots.detected[track.slot] = True
 
-    def _advance(
-        self, track: EntityTrack, alert: Alert, decoder: StreamingDecoder, sliding: bool
-    ) -> Optional[Detection]:
-        """One alert through one decoder: the per-entity streaming step.
+    def _advance(self, track: EntityTrack, alert: Alert, symbol: int, sliding: bool) -> Optional[Detection]:
+        """One alert (interned as ``symbol``) through a track's slot: the
+        per-entity streaming step.
 
         Tail of the per-alert path, and what the stacked kernel runs
-        for a step that opens a window.
+        for a step that opens a window or a segment too small to stack.
         """
-        if decoder.windowed:
+        arena, slot = self._arena, track.slot
+        row = int(arena.slots.row[slot])
+        if row >= 0:
             # Amortised slide: O(K^3) two-stack eviction.
-            decoder.slide(alert.name)
+            streaming.slide(arena, slot, symbol)
         else:
-            decoder.append(alert.name)
-            if sliding:
-                decoder.open_window()
-        if decoder.windowed and not decoder.may_fire(self.detection_threshold):
+            streaming.append(arena, slot, symbol)
+            if not sliding:
+                return self._finalize_decision(track, alert)
+            row = streaming.open_window(arena, slot)
+        if not streaming.may_fire(arena, row, self.detection_threshold):
             # The guard-banded aggregate decision is authoritative
             # for "cannot fire"; no exact decode is materialised.
             return None
-        return self._finalize_decision(track, alert, decoder)
+        return self._finalize_decision(track, alert)
 
-    def _finalize_decision(
-        self, track: EntityTrack, alert: Alert, decoder: StreamingDecoder
-    ) -> Optional[Detection]:
-        """Exact threshold decision + detection materialisation for a decoder.
+    def _finalize_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
+        """Exact threshold decision + detection materialisation for a track's slot.
 
         Shared tail of the per-alert path and the stacked kernel: both
         arrive here only after their (guard-banded or stacked)
-        pre-filter could not rule the entity out, and the exact decoder
-        read-outs decide — and materialise — the detection
-        bit-identically to the naive path.
+        pre-filter could not rule the entity out, and the exact
+        read-out (:func:`repro.core.streaming.decode`) decides — and
+        materialises — the detection bit-identically to the naive path.
         """
-        final_marginal = decoder.final_marginal()
-        final_state = HiddenState(decoder.final_state())
+        arena, slot = self._arena, track.slot
+        state, final_marginal, path = streaming.decode(arena, slot)
+        final_state = HiddenState(state)
         malicious_probability = float(final_marginal[int(HiddenState.MALICIOUS)])
         if (
             final_state is not HiddenState.MALICIOUS
             or malicious_probability < self.detection_threshold
         ):
             return None
-        # Only a firing detection pays for the full O(T) backtrack.
-        states = decoder.map_path()
-        matched = decoder.matched_pattern_names()
+        # Only a firing detection pays for a filling slot's O(T) backtrack.
+        states = streaming.fill_path(arena, slot) if path is None else path
+        matched = streaming.matched_pattern_names(arena, slot)
         detection = Detection(
             entity=alert.entity,
             timestamp=alert.timestamp,
-            # The decoder holds the window-bounded timeline up to this
+            # The slot holds the window-bounded timeline up to this
             # alert; the stacked kernel records a whole run up front.
-            alert_index=decoder.length - 1,
+            alert_index=streaming.length(arena, slot) - 1,
             trigger=alert,
             state=final_state,
             confidence=malicious_probability,
@@ -543,19 +542,15 @@ class AttackTagger(Detector):
 
     # -- shard state transfer ----------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle-safe shard state: per-entity decoder caches are dropped.
+        """Pickle-safe shard state: per-entity decode state is dropped.
 
-        A :class:`~repro.core.streaming.StreamingDecoder` is a pure
-        function of the track's (window-bounded) alert list, so
-        ``_decoder_for`` rebuilds it lazily and bit-identically after
-        unpickling.  Dropping the caches keeps the transferred state
-        small when whole shards migrate between worker processes.
+        An entity's decode state is a pure function of the track's
+        (window-bounded) alert list, so :meth:`_sync` rebuilds it lazily
+        and bit-identically after unpickling (tracks pickle without
+        their slots).  Dropping it keeps the transferred state small
+        when whole shards migrate between worker processes.
         """
         state = self.__dict__.copy()
-        state["_tracks"] = {
-            entity: dataclasses.replace(track, decoder=None)
-            for entity, track in self._tracks.items()
-        }
         # The kernel is pure scratch (stacked work buffers); recreated
         # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
@@ -586,32 +581,25 @@ class AttackTagger(Detector):
     # repro.core.detector.Detector): ShardedDetectorPool.reshard() moves
     # per-entity state between replicas through these two methods.
     def export_entity_tracks(self) -> Dict[str, EntityTrack]:
-        """Every per-entity track, with decoder caches dropped.
+        """Every per-entity track, without its slot.
 
         The returned tracks are safe to hand to another replica built
-        from the same configuration: a decoder is a pure function of
+        from the same configuration: decode state is a pure function of
         the track's window-bounded alert list, so the adopting tagger
         rebuilds it lazily and bit-identically (same argument as
         :meth:`__getstate__`).  Each carries its own copy of the alert
         deque, so the adopter's alerts never reach this replica's tracks.
         """
         return {
-            entity: dataclasses.replace(
-                track, alerts=deque(track.alerts, maxlen=track.alerts.maxlen), decoder=None
-            )
+            entity: dataclasses.replace(track, alerts=deque(track.alerts, maxlen=track.alerts.maxlen))
             for entity, track in self._tracks.items()
         }
 
     def adopt_entity_track(self, entity: str, track: EntityTrack) -> None:
-        """Take ownership of one migrated per-entity track."""
+        """Take ownership of one migrated per-entity track (a slot of this
+        tagger's arena replaces whatever slot it carried)."""
         if entity in self._tracks:
             raise ValueError(f"entity {entity!r} is already tracked")
-        decoder, track.decoder = track.decoder, None
-        if decoder is not None:
-            # Handed over with its decode state: that and its slot go
-            # back to the other replica's arena.
-            decoder.release()
-            decoder._slots.release(decoder._slot)
         self._tracks[entity] = track
         self._assign_slots([track])
 

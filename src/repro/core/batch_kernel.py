@@ -30,9 +30,10 @@ matches).  On the way, a step that opens a window goes through the
 per-entity path and windowed steps that touch pattern state through
 the *pattern pass*, so the segments of all entities share their depth
 loops.  Entities are independent, so one pass may advance one entity
-by one alert and another by thirty.  Only steps that open a window,
-touch pattern state while the window fills, or fire call into a
-decoder; a pristine entity's plain filling steps need none.
+by one alert and another by thirty.  There is no per-entity decoder
+object: an entity's decode state is its slot and arena row, which the
+stacked passes index directly and the per-entity fallbacks hand to the
+functions of :mod:`repro.core.streaming`.
 
 **Chunks: the depth axis.**  Every windowed entity is a row of the
 tagger's :class:`~repro.core.sliding_window.WindowArena` (see that
@@ -98,17 +99,19 @@ that bound cannot rule out are scored exactly, one product tree each.
 A window still standing is committed and decided as in a chunk; a row
 that does not fire commits its last window and is re-aggregated from
 scratch (``WindowArena.rebuild``) -- exactly what the per-alert path
-(``StreamingDecoder.slide``) leaves after a step that touches pattern
+(``streaming.slide``) leaves after a step that touches pattern
 state.  Match state lives in the arena's
 :class:`~repro.core.sliding_window.MatchRows`: per slot and pattern
 the matched length and the first and last matched steps, in a row
 taken when a slot leaves the seed.  Only a window opening takes the
-per-entity path, ``AttackTagger._advance``.  **Filling entities**
+per-entity path, ``AttackTagger._advance``.  A stale slot (restored or
+adopted) is rebuilt from its track's alerts before its run starts
+(``AttackTagger._sync``).  **Filling entities**
 (window not yet saturated) keep
 their steps in the arena's fill storage, one cell per step.  A pass
 takes each filling run's plain steps up to the one that would open its
-window (or the one step that touches pattern state, through its
-decoder's ``append_plan``): the bookkeeping of plain steps -- a page
+window (or the one step that touches pattern state, through
+``streaming.append_plan``): the bookkeeping of plain steps -- a page
 off the free list where a step starts one, the symbol store, the
 length bump -- is one index-array write each
 (``WindowArena.store_fills``); the unary rows are one lookup of the
@@ -118,8 +121,8 @@ gathered into entity-minor ``(K, N)`` stacks and scattered back with
 one index array.  Fill storage only grows, so every cell is decided at
 once afterwards; a run that fires before its last step gives the later
 steps back first.  A step that touches pattern state builds its row
-through ``_effective_row``, and one that relocates a bonus goes through
-``_complete_append``.  A pass's filling steps, or its chunk cells,
+through ``streaming.effective_row``, and one that relocates a bonus goes
+through ``streaming.complete_append``.  A pass's filling steps, or its chunk cells,
 that would stack fewer than ``_MIN_BATCH`` alerts run through the
 per-alert path instead.
 
@@ -152,6 +155,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import streaming
 from .factor_graph import _logsumexp, maxplus_matmul_batch, maxplus_vecmat_batch
 from .sliding_window import FillPages, WindowArena, tree
 from .states import NUM_STATES
@@ -165,7 +169,7 @@ _K = NUM_STATES
 
 # A pass's filling steps, or its chunk cells (rows x depth), that
 # number fewer than this run through the tagger's per-alert path
-# instead (the one-row view, on the same arena): each stacked path pays
+# instead (the one-row operations, on the same arena): each stacked path pays
 # its own fixed cost.
 # Measured at W = 32 on a 2-vCPU Xeon, as one-pass sub-batches (the
 # interning included; lower quartiles): stacked, ~85 us (filling) to
@@ -245,8 +249,8 @@ class _SubBatch:
     sorted alerts ``head[r] .. end[r] - 1`` of ``tracks[r]``, at slot
     ``slot[r]``; a pass moves ``head`` past the steps it took.  Each
     run joins its track's timeline here, whole: no decision reads the
-    timeline (a detection's alert index is its decoder's length), and
-    only a stale decoder is rebuilt from it, first.
+    timeline (a detection's alert index is its slot's length), and only
+    a stale slot is rebuilt from it, first.
     """
 
     __slots__ = ("order", "sorted", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
@@ -287,9 +291,9 @@ class _SubBatch:
             self.next_seed = np.minimum.accumulate(np.where(seeding_of, np.arange(n), n)[::-1])[::-1]
         table = arena.slots
         if table.stale.any():
-            # Restored or adopted entities re-sync their decoders first.
+            # Restored or adopted entities rebuild their decode state first.
             for r in np.flatnonzero(table.stale[self.slot]).tolist():
-                tagger._decoder_for(self.tracks[r])
+                tagger._sync(self.tracks[r])
         appends = [track.alerts.append for track in tracks]
         for alert, index in zip(alerts, seen):
             appends[index](alert)
@@ -387,10 +391,10 @@ class BatchedDecodeKernel:
         slot = batch.slot[runs]
         detected = table.detected[slot]
         if detected.any():
-            for r in runs[detected].tolist():
-                track = batch.tracks[r]
-                if track.decoder is not None:
-                    tagger._release(track)
+            # Decode state ``infer`` rebuilt since the detection goes back.
+            held = slot[detected]
+            for s in held[(table.length[held] > 0) | (table.row[held] >= 0)].tolist():
+                arena.drop(s)
             batch.head[runs[detected]] = batch.end[runs[detected]]
             runs, slot = runs[~detected], slot[~detected]
         head, end = batch.head[runs], batch.end[runs]
@@ -442,8 +446,7 @@ class BatchedDecodeKernel:
         tagger = self._tagger
         left = []
         for r, k in zip(runs.tolist(), batch.head[runs].tolist()):
-            track = batch.tracks[r]
-            detection = tagger._advance(track, batch.sorted[k], tagger._decoder_for(track), True)
+            detection = tagger._advance(batch.tracks[r], batch.sorted[k], int(batch.symbols[k]), True)
             batch.head[r] = k + 1
             if detection is not None:
                 hits.append((batch.order[k].item(), detection))
@@ -464,7 +467,7 @@ class BatchedDecodeKernel:
         span, matches) and decided as in a chunk.  A run that does not
         fire commits its last window and is re-aggregated from scratch,
         which is what the per-alert path leaves after a step that
-        touches pattern state (``StreamingDecoder.slide``).
+        touches pattern state (``streaming.slide``).
         Returns the runs with steps left that did not fire.
         """
         if not runs.size:
@@ -509,7 +512,7 @@ class BatchedDecodeKernel:
             k = int(head[i] + q)
             track = batch.tracks[runs[i]]
             if forward_stage(arena, rows[i : i + 1], tagger.detection_threshold)[0]:
-                detection = tagger._finalize_decision(track, batch.sorted[k], track.decoder)
+                detection = tagger._finalize_decision(track, batch.sorted[k])
                 if detection is not None:
                     hits.append((int(batch.order[k]), detection))
                     taken[i], fired[i] = q + 1, True
@@ -526,14 +529,13 @@ class BatchedDecodeKernel:
     ) -> None:
         """Segments too small to stack (filling runs, or windowed chunks
         when ``sliding``): every step through the per-entity path."""
-        tagger = self._tagger
-        advance = tagger._advance
+        advance = self._tagger._advance
+        symbols = batch.symbols
         for r, count in zip(runs.tolist(), steps.tolist()):
             track = batch.tracks[r]
             low = int(batch.head[r])
-            decoder = tagger._decoder_for(track)
             for k in range(low, low + count):
-                if (detection := advance(track, batch.sorted[k], decoder, sliding)) is not None:
+                if (detection := advance(track, batch.sorted[k], int(symbols[k]), sliding)) is not None:
                     hits.append((int(batch.order[k]), detection))
                     break
         batch.head[runs] += steps
@@ -544,12 +546,12 @@ class BatchedDecodeKernel:
     def _advance_fill(self, batch: _SubBatch, runs: np.ndarray, reach: np.ndarray, hits: List[Hit]) -> None:
         """Append ``reach[i]`` alerts to every window-filling run ``runs[i]``, then decide them.
 
-        Plain steps (every step of a run that reaches past one) need no
-        decoder: their bookkeeping is one :meth:`WindowArena.store_fills`
-        and one length write.
-        A step that touches pattern state goes through its decoder's
-        ``append_plan``; one that relocates a bonus invalidates history
-        (the per-entity ``_complete_append``).  Every other step is a
+        Plain steps (every step of a run that reaches past one) are
+        bookkeeping of one :meth:`WindowArena.store_fills` and one
+        length write.  A step that touches pattern state goes through
+        ``streaming.append_plan``; one that relocates a bonus
+        invalidates history (the per-entity ``streaming.complete_append``).
+        Every other step is a
         cell of a block laid out depth-major, deepest run first, and the
         recursions advance one stacked step per depth (see the module
         docstring).  Fill storage only ever grows, so every cell is then
@@ -593,14 +595,14 @@ class BatchedDecodeKernel:
             table.length[slot[plain]] = (start + reach)[plain]
             # Depth 0 holds run i's first step at cell i.
             for i in np.flatnonzero(~plain).tolist():
-                decoder = tagger._decoder_for(batch.tracks[runs[i]])
-                step, dirty, invalid_from, ends = decoder.append_plan(batch.sorted[head[i]].name)
-                cells[i] = decoder._cell(step)
+                s = int(slot[i])
+                step, dirty, invalid_from, ends = streaming.append_plan(arena, s, int(batch.symbols[head[i]]))
+                cells[i] = table.cells(s, step)
                 if invalid_from != step:
-                    decoder._complete_append(step, dirty, invalid_from)
+                    streaming.complete_append(arena, s, step, dirty, invalid_from)
                     block[i] = False
                 elif ends:
-                    bonus.append((i, decoder._effective_row(step)))
+                    bonus.append((i, streaming.effective_row(arena, s, step)))
         unary = arena.observations[symbols]
         first = steps == 0
         if first.any():
@@ -653,7 +655,7 @@ class BatchedDecodeKernel:
 
     @staticmethod
     def _start_fill(store: FillPages, cells: np.ndarray, unary: np.ndarray) -> None:
-        """Stacked ``t == 0`` branch of ``_recompute_forward`` for new
+        """Stacked ``t == 0`` branch of ``streaming.recompute_forward`` for new
         entities' first alerts: ``score = unary`` and
         ``alpha = normalise(unary)`` in one normalisation for all."""
         unary_0 = unary.T
@@ -665,7 +667,7 @@ class BatchedDecodeKernel:
     def _extend_fill(arena: WindowArena, cells: np.ndarray, before: np.ndarray, unary: np.ndarray) -> None:
         """One stacked Viterbi + forward step for window-filling entities.
 
-        Replays one iteration of ``StreamingDecoder._recompute_forward``
+        Replays one iteration of ``streaming.recompute_forward``
         for all N entities at once (the entities here appended at
         ``step > 0`` with no history invalidation, so exactly one new
         step extends each recursion from the cells ``before``).
@@ -699,11 +701,11 @@ class BatchedDecodeKernel:
     ) -> None:
         """Stacked threshold decisions for window-filling steps.
 
-        Replays the per-alert read-outs (``final_state`` argmax of the
-        Viterbi score, ``final_marginal`` from the normalised forward
+        Replays the per-alert read-out (``streaming.decode``: the argmax
+        of the Viterbi score, the marginal from the normalised forward
         message) across the stack of every cell; only a run's first
-        firing step opens a decoder and pays for the exact per-entity
-        materialisation, with the run cut back to it (``taken``).
+        firing step pays for the exact per-entity materialisation, with
+        the run cut back to it (``taken``).
         """
         tagger = self._tagger
         arena = tagger._arena
@@ -731,7 +733,7 @@ class BatchedDecodeKernel:
                 arena.truncate(int(batch.slot[runs[i]]), int(start[i]) + q + 1)
                 taken[i] = q + 1
             track, k = batch.tracks[runs[i]], int(head[i]) + q
-            detection = tagger._finalize_decision(track, batch.sorted[k], tagger._decoder_for(track))
+            detection = tagger._finalize_decision(track, batch.sorted[k])
             if detection is not None:
                 hits.append((int(batch.order[k]), detection))
 
@@ -785,7 +787,7 @@ class BatchedDecodeKernel:
             for i in decide:
                 k = int(head[i] + stop[i]) - 1
                 track = batch.tracks[runs[i]]
-                detection = tagger._finalize_decision(track, batch.sorted[k], track.decoder)
+                detection = tagger._finalize_decision(track, batch.sorted[k])
                 if detection is not None:
                     hits.append((int(batch.order[k]), detection))
                     if target is depth:

@@ -58,17 +58,17 @@ Every tracked entity is a *slot* of :class:`SlotTable` (``arena.slots``,
 same growth): its row (or ``-1``), fill length and page list, its row
 of :class:`MatchRows` (``arena.matches``, the pattern-match state, or
 ``-1``), and its detected and stale flags, one column each.  These
-columns are the entity's decode state; a decoder reads and writes
-them, and holds only a row view.  The stacked
-kernel (:mod:`repro.core.batch_kernel`) tests and advances the slots,
-rows and fill cells of a whole pass by index arrays -- a pass of
-chunks, or of filling steps, at a time; :class:`SlidingProductWindow`
-is a one-row view whose scalar methods use basic slices of the same
-blocks, so ``observe()`` and a stacked pass read and write the same
-storage.
+columns are the entity's decode state, and there is no other: the
+stacked kernel (:mod:`repro.core.batch_kernel`) tests and advances the
+slots, rows and fill cells of a whole pass by index arrays -- a pass of
+chunks, or of filling steps, at a time -- and the per-alert functions
+of :mod:`repro.core.streaming` advance one slot through the arena's
+one-row operations (:meth:`WindowArena.stage`, :meth:`~WindowArena.push`,
+:meth:`~WindowArena.pop_front`, :meth:`~WindowArena.fold`), so
+``observe()`` and a stacked pass read and write the same storage.
 
-Refolds of ``_MIN_SCAN`` or more steps (a flip, a patch far from the
-stack top) run as a Hillis-Steele doubling scan over an entity-minor
+Refolds of ``_MIN_SCAN`` or more steps (a flip, or the rebuild after a
+pattern step) run as a Hillis-Steele doubling scan over an entity-minor
 ``(K, K, n * m)`` block gathered straight from the arena; shorter ones
 fold sequentially.  Either way :meth:`WindowArena._refold` is the one
 implementation for ``m`` rows, and a lone row goes through it with ``m
@@ -81,12 +81,12 @@ floating-point *reassociated* relative to the sequential recursion, so
 **no emitted number ever reads either**: they feed the guard-banded
 ``may_fire`` pre-filter only, and every detection is materialised by
 the exact sequential decode of the row's ``unary`` ring
-(``StreamingDecoder._window_decode``).
+(``streaming.decode``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
@@ -115,7 +115,7 @@ _GROWTH = 2
 # Observation rows a fresh arena has room for before it grows the table.
 _INITIAL_SYMBOLS = 64
 # Steps in one page of fill storage, and the pages a fresh arena
-# allocates on its first filling decoder.
+# allocates on its first filling slot.
 _PAGE = 4
 _INITIAL_PAGES = 64
 # Slots a fresh arena allocates on its first tracked entity.
@@ -162,14 +162,14 @@ def tree(stack: np.ndarray, matmul) -> np.ndarray:
 
 
 class FillPages:
-    """Struct-of-arrays storage of every filling decoder's steps, in pages.
+    """Struct-of-arrays storage of every filling slot's steps, in pages.
 
-    Step ``t`` of a decoder holding ``pages`` is cell ``pages[t // _PAGE]
+    Step ``t`` of a slot holding ``pages`` is cell ``pages[t // _PAGE]
     * _PAGE + t % _PAGE`` of ``unary``, ``score`` and ``alpha`` (the
     effective unary row, the running Viterbi score and the normalised
     forward message, ``(cells, K)`` each) and ``symbols`` ``(cells,)``.
-    A decoder takes a page each ``_PAGE`` steps and gives them all back
-    when its window opens or it is released or reset.
+    A slot takes a page each ``_PAGE`` steps and gives them all back
+    when its window opens or its decode state is dropped.
     """
 
     __slots__ = ("capacity", "_free", "unary", "score", "alpha", "symbols")
@@ -217,9 +217,9 @@ class SlotTable:
     awaits only the patterns' first symbols and carries no bonus);
     ``detected[s]``; and ``stale[s]``, true while its decode state must be rebuilt from the
     entity's alerts (restored or adopted, and not seen since).
-    These arrays are the only copy of that state: a decoder reads and
-    writes them, and the stacked kernel tests and advances them by
-    index arrays.
+    These arrays are the only copy of that state: the per-alert
+    functions of :mod:`repro.core.streaming` advance one slot, and the
+    stacked kernel tests and advances them by index arrays.
     """
 
     __slots__ = ("capacity", "_free", "width", "row", "length", "pages", "match", "detected", "stale")
@@ -375,7 +375,7 @@ class MatchRows:
 
 class WindowArena:
     """Struct-of-arrays storage of two-stack sliding windows, one per row,
-    the filling decoders' steps (:attr:`fill`), and the observation row
+    the filling slots' steps (:attr:`fill`), and the observation row
     of every alert name interned so far."""
 
     __slots__ = (
@@ -501,19 +501,65 @@ class WindowArena:
         """Flat cell of ``steps[i]`` (or ``steps[q, i]``) of ``rows[i]``."""
         return rows * self.ring + steps % self.ring
 
+    # -- one row's two stacks ---------------------------------------------------
+    def window_cells(self, row: int) -> np.ndarray:
+        """Flat cells of one row's steps ``start .. end - 1``, in step order."""
+        return self.cells(row, np.arange(self.start[row], self.end[row]))
+
+    def stage(self, row: int, symbol: int) -> int:
+        """Store the symbol of the step the next :meth:`push` onto ``row``
+        folds; returns the step.  At most ``ring`` steps are held."""
+        end = int(self.end[row])
+        if end - int(self.start[row]) >= self.ring:
+            raise IndexError("window ring is full")
+        self.symbols[row * self.ring + end % self.ring] = symbol
+        return end
+
+    def push(self, row: int, unary_row: np.ndarray, pairwise: np.ndarray) -> None:
+        """Append the staged step to ``row``'s back: O(K^3)."""
+        ring, boundary, end = self.ring, int(self.boundary[row]), int(self.end[row])
+        cell = row * ring + end % ring
+        self.unary[cell] = unary_row
+        matrix = pairwise + unary_row[None, :]
+        if end > boundary:
+            matrix = maxplus_matmul(self.agg_max[:, :, row * ring + (end - 1) % ring], matrix)
+        self.agg_max[:, :, cell] = matrix
+        self.end[row] = end + 1
+
+    def pop_front(self, row: int, pairwise: np.ndarray) -> int:
+        """Evict ``row``'s oldest step, flipping the back when the front
+        runs dry: O(K^3) amortised.  Returns the new head."""
+        start, boundary, end = int(self.start[row]), int(self.boundary[row]), int(self.end[row])
+        if end - start < 2:
+            raise IndexError("pop from a window of fewer than 2 steps")
+        if boundary == start + 1:
+            self.flip_together(np.array([row]), pairwise)
+        self.start[row] = start + 1
+        return start + 1
+
+    def fold(self, row: int, vector: np.ndarray) -> np.ndarray:
+        """``vector ⊗ front-top suffix ⊗ newest back prefix`` of ``row``
+        under ``(max, +)``: O(K^2).  From the head row, the window's
+        Viterbi score vector."""
+        ring, start, boundary, end = self.ring, int(self.start[row]), int(self.boundary[row]), int(self.end[row])
+        for held, step in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
+            if held:
+                vector = maxplus_vecmat(vector, self.agg_max[:, :, row * ring + step % ring])
+        return vector
+
     def flip_together(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
         """Turn each row's back prefixes into front suffixes (its front is empty).
 
         Rows whose backs have the same length share one scan, so a
         stacked pass pays one flip per length instead of one per
-        entity; a lone ``pop_front`` flips through the same code.
+        entity; a lone :meth:`pop_front` flips through the same code.
         """
         end = self.end[rows]
         spans = end - self.boundary[rows]
         held = spans[spans > 0]
         for count in (np.unique(held) if held.size > 1 else held).tolist():
             group = spans == count
-            self._refold(rows[group], end[group] - 1, count, pairwise, suffix=True)
+            self._refold(rows[group], end[group] - 1, count, pairwise)
         self.boundary[rows] = end
 
     def rebuild(self, rows: np.ndarray, pairwise: np.ndarray) -> None:
@@ -521,53 +567,30 @@ class WindowArena:
         self.boundary[rows] = self.start[rows] + 1
         self.flip_together(rows, pairwise)
 
-    def _refold(
-        self,
-        rows: np.ndarray,
-        origin: np.ndarray,
-        count: int,
-        pairwise: np.ndarray,
-        *,
-        suffix: bool,
-        carry: bool = False,
-    ) -> None:
-        """Recompute ``count`` aggregates of each of ``m`` rows from step ``origin``.
+    def _refold(self, rows: np.ndarray, origin: np.ndarray, count: int, pairwise: np.ndarray) -> None:
+        """Recompute ``count`` front suffixes of each of ``m`` rows, walking
+        down from step ``origin`` (older steps compose on the left).
 
-        ``suffix=True`` rewrites front suffixes walking *down* from
-        ``origin`` (older steps compose on the left), ``suffix=False``
-        back prefixes walking *up* (newer steps compose on the right);
-        with ``carry`` the aggregate of the step just before ``origin``
-        in walk order seeds the fold.  The block is ``(K, K, count *
-        m)`` with walk position ``q`` of row ``j`` at ``q * m + j``, so
-        a shift by ``span`` positions is a contiguous slice.  At
-        ``count >= _MIN_SCAN`` the fold is a doubling scan, whose tree
-        order reassociates the float products; the guard band of
-        ``StreamingDecoder.may_fire`` dominates its rounding depth.
+        The block is ``(K, K, count * m)`` with walk position ``q`` of row
+        ``j`` at ``q * m + j``, so a shift by ``span`` positions is a
+        contiguous slice.  At ``count >= _MIN_SCAN`` the fold is a
+        doubling scan, whose tree order reassociates the float products;
+        the guard band of ``streaming.may_fire`` dominates its rounding
+        depth.
         """
         m = rows.size
-        direction = -1 if suffix else 1
-        cells = self.cells(rows, origin + direction * np.arange(count)[:, None]).ravel()
+        cells = self.cells(rows, origin - np.arange(count)[:, None]).ravel()
         stack = pairwise[:, :, None] + self.unary[cells].T[None, :, :]
         matmul = maxplus_matmul_batch
-        seed = self.agg_max[:, :, self.cells(rows, origin - direction)] if carry else None
         if count >= _MIN_SCAN:
             width = m
             while width < count * m:
                 # Both operands are read in full before the assignment lands.
-                earlier, later = stack[:, :, :-width], stack[:, :, width:]
-                stack[:, :, width:] = matmul(later, earlier) if suffix else matmul(earlier, later)
+                stack[:, :, width:] = matmul(stack[:, :, width:], stack[:, :, :-width])
                 width *= 2
-            if carry:
-                seed = np.tile(seed, count)
-                stack = matmul(stack, seed) if suffix else matmul(seed, stack)
         else:
-            for low in range(0, count * m, m):
-                if seed is not None:
-                    current = stack[:, :, low : low + m]
-                    stack[:, :, low : low + m] = (
-                        matmul(current, seed) if suffix else matmul(seed, current)
-                    )
-                seed = stack[:, :, low : low + m]
+            for low in range(m, count * m, m):
+                stack[:, :, low : low + m] = matmul(stack[:, :, low : low + m], stack[:, :, low - m : low])
         self.agg_max[:, :, cells] = stack
 
     def forward(self, rows: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
@@ -596,145 +619,4 @@ class WindowArena:
         return forward
 
 
-class SlidingProductWindow:
-    """One arena row: a two-stack sliding ``(max, +)`` product.
-
-    ``SlidingProductWindow(pairwise, arena)`` takes a row of ``arena``
-    and holds nothing until :meth:`load` gives it a head; later steps
-    are staged and pushed with contiguous indices and evicted from the
-    front in the same order, at most ``ring`` of them between ``start``
-    and ``end``.  Nothing checkpoints a view: a tagger drops its
-    decoders, and with them their rows, when it is pickled.
-    """
-
-    __slots__ = ("pairwise", "arena", "row", "_ring", "_low")
-
-    def __init__(self, pairwise: np.ndarray, arena: WindowArena) -> None:
-        self.pairwise = pairwise
-        self.arena = arena
-        self.row = arena.allocate()
-        self._ring = self.arena.ring
-        self._low = self.row * self._ring
-
-    # -- geometry ------------------------------------------------------------
-    @property
-    def start(self) -> int:
-        return int(self.arena.start[self.row])
-
-    @property
-    def end(self) -> int:
-        return int(self.arena.end[self.row])
-
-    @property
-    def span(self) -> Tuple[int, int, int]:
-        arena, row = self.arena, self.row
-        return int(arena.start[row]), int(arena.boundary[row]), int(arena.end[row])
-
-    def __len__(self) -> int:
-        return self.end - self.start - 1
-
-    def cell(self, step: int) -> int:
-        """Flat arena cell of one step of this row."""
-        return self._low + step % self._ring
-
-    def cells(self, first: int, last: int) -> np.ndarray:
-        """Flat arena cells of steps ``first .. last - 1``, in step order."""
-        return self.arena.cells(self.row, np.arange(first, last))
-
-    # -- mutation ------------------------------------------------------------
-    def load(self, start: int, unary: np.ndarray, symbols: Sequence[int]) -> None:
-        """Become the window of steps ``start .. start + len(symbols) - 1``.
-
-        Everything lands in the front; :meth:`rebuild` aggregates it.
-        """
-        arena, end = self.arena, start + len(symbols)
-        if len(symbols) > arena.ring:
-            raise IndexError("window ring is full")
-        cells = self.cells(start, end)
-        arena.unary[cells] = unary
-        arena.symbols[cells] = symbols
-        arena.start[self.row] = start
-        arena.boundary[self.row] = arena.end[self.row] = end
-
-    def stage(self, symbol: int) -> int:
-        """Store the symbol of the step the next push folds; returns its index."""
-        start, _, end = self.span
-        if end - start >= self._ring:
-            raise IndexError("window ring is full")
-        self.arena.symbols[self._low + end % self._ring] = symbol
-        return end
-
-    def push(self, unary_row: np.ndarray) -> None:
-        """Append the staged step on the right: O(K^3)."""
-        arena = self.arena
-        _, boundary, end = self.span
-        cell = self._low + end % self._ring
-        arena.unary[cell] = unary_row
-        matrix = self.pairwise + unary_row[None, :]
-        if end > boundary:
-            previous = self._low + (end - 1) % self._ring
-            matrix = maxplus_matmul(arena.agg_max[:, :, previous], matrix)
-        arena.agg_max[:, :, cell] = matrix
-        arena.end[self.row] = end + 1
-
-    def pop_front(self) -> int:
-        """Evict the oldest step: O(K^3) amortised.  Returns its index."""
-        start, boundary, end = self.span
-        if end - start < 2:
-            raise IndexError("pop from an empty SlidingProductWindow")
-        if boundary == start + 1:
-            self.arena.flip_together(np.array([self.row]), self.pairwise)
-        self.arena.start[self.row] = start + 1
-        return start + 1
-
-    def replace(self, step: int, unary_row: np.ndarray) -> bool:
-        """Swap the unary row of one queued step and patch its aggregates.
-
-        Only the aggregates that cover the step are recomputed: back
-        prefixes from it to the newest step, or front suffixes from it
-        down to the oldest.  Returns ``False`` for a step the two
-        stacks do not hold (evicted, not yet pushed, or the head).
-        """
-        start, boundary, end = self.span
-        if not start < step < end:
-            return False
-        self.arena.unary[self.cell(step)] = unary_row
-        rows, origin = np.array([self.row]), np.array([step])
-        if step >= boundary:
-            self.arena._refold(
-                rows, origin, end - step, self.pairwise, suffix=False, carry=step > boundary
-            )
-        else:
-            self.arena._refold(
-                rows, origin, step - start, self.pairwise, suffix=True, carry=step + 1 < boundary
-            )
-        return True
-
-    def rebuild(self) -> None:
-        """Re-aggregate from scratch: everything into front suffix products."""
-        self.arena.rebuild(np.array([self.row]), self.pairwise)
-
-    # -- queries -------------------------------------------------------------
-    def fold(self, vector: np.ndarray) -> np.ndarray:
-        """``vector ⊗ front-top suffix ⊗ newest back prefix`` under ``(max, +)``:
-        O(K^2).  From the head row, the window's Viterbi score vector."""
-        start, boundary, end = self.span
-        aggregates = self.arena.agg_max
-        for held, step in ((start + 1 < boundary, start + 1), (boundary < end, end - 1)):
-            if held:
-                vector = maxplus_vecmat(vector, aggregates[:, :, self._low + step % self._ring])
-        return vector
-
-    def unary_table(self) -> np.ndarray:
-        """Effective unary rows of steps ``start .. end - 1``: a fresh ``(T, K)``."""
-        start, _, end = self.span
-        return self.arena.unary[self.cells(start, end)]
-
-    def names(self) -> List[str]:
-        """Alert names of steps ``start .. end - 1``."""
-        start, _, end = self.span
-        table = self.arena.symbol_names
-        return [table[symbol] for symbol in self.arena.symbols[self.cells(start, end)].tolist()]
-
-
-__all__ = ["FillPages", "MatchRows", "SlidingProductWindow", "SlotTable", "WindowArena"]
+__all__ = ["FillPages", "MatchRows", "SlotTable", "WindowArena"]

@@ -5,7 +5,8 @@ re-ran the *entire* chain decode -- Viterbi, forward-backward, and every
 pattern-prefix rescan -- from scratch on every alert, so the cost of
 consuming one alert grew linearly with the entity's history and the cost
 of a whole stream grew quadratically.  This module holds the per-entity
-state that makes each new alert cheap:
+arithmetic that makes each new alert cheap, as functions of an entity's
+*slot* (its decode state) in the tagger's arena:
 
 * **Pattern matches as slot arrays.**  The greedy subsequence match of
   a pattern prefix is *incremental*: appending an alert can only
@@ -14,27 +15,27 @@ state that makes each new alert cheap:
   each slot that has left the seed holds a row of the arena's
   :class:`~repro.core.sliding_window.MatchRows` -- per pattern the
   matched length and the first and last matched steps, the only
-  positions ever read.  A decoder keeps it a step at a time (one
-  compare per pattern against the shared next-symbol table, and a
+  positions ever read.  The per-alert path keeps it a step at a time
+  (one compare per pattern against the shared next-symbol table, and a
   rescan only for a match whose first step was evicted); since a match
   is also a function of its window alone, :func:`match_windows`
   computes it for many windows at once: the stacked kernel's pattern
   pass.
-* :class:`StreamingDecoder` -- checkpointed forward recursions plus an
-  amortised sliding-window mode.  While the entity's window is still
-  filling, every step stores the running Viterbi score vector and the
-  normalised forward log-alpha; appending an alert extends both by one
+* **Checkpointed forward recursions** plus an amortised sliding-window
+  mode.  While the entity's window is still filling, every step stores
+  the running Viterbi score vector and the normalised forward
+  log-alpha; appending an alert (:func:`append`) extends both by one
   O(K^2) step, exactly as in the seed recursion.
 
 **Window eviction (the ``max_window`` slide).**  Once an entity
 saturates its window, every new alert evicts the oldest step.
 Re-anchoring the recursions with a full O(W * K^2) re-decode per alert
 would be the seed constant all over again, and the production steady
-state for long-lived entities.  :meth:`StreamingDecoder.open_window`
-instead switches the decoder into *windowed* mode: per-step
-transition⊗unary matrices are aggregated by a two-stack
-:class:`repro.core.sliding_window.SlidingProductWindow` under the
-``(max, +)`` semiring, so appending costs O(K^3) (one small matrix
+state for long-lived entities.  :func:`open_window` instead switches
+the slot into *windowed* mode: per-step transition⊗unary matrices are
+aggregated by the two stacks of an arena row
+(:class:`repro.core.sliding_window.WindowArena`) under the ``(max, +)``
+semiring, so appending costs O(K^3) (one small matrix
 product), evicting the front costs O(K^3) *amortised*, and the firing
 decision reads the window's Viterbi score vector in O(K^2).  Only a
 window whose score cannot rule it out pays for its forward message,
@@ -43,9 +44,9 @@ folded from the row's unary ring by ``WindowArena.forward``.
 **Where the window lives.**  Every entity a tagger tracks holds a
 *slot* of its :class:`repro.core.sliding_window.WindowArena`
 (:class:`~repro.core.sliding_window.SlotTable`): the slot's row, fill
-length, fill pages and match row are the entity's decode state, and a
-decoder is a view of its slot -- it keeps no length, page list, row or
-pattern state of its own.  The arena interns each alert name once (the
+length, fill pages and match row are the entity's decode state, and
+nothing else holds any: every function here takes ``(arena, slot)``.
+The arena interns each alert name once (the
 patterns' names first) and holds its observation row, so no step
 copies one.  While the window fills, steps ``0 .. length - 1`` (unary
 row, Viterbi score, forward message, symbol) sit in the arena's *fill
@@ -53,26 +54,22 @@ storage* (:class:`~repro.core.sliding_window.FillPages`): pages of a
 few steps, taken from a free list as the entity grows, so a new entity
 allocates no array and a two-alert entity holds one page.  The first
 eviction moves the steps into one *row* of the arena and frees the
-pages.  From then on the decoder holds a :class:`SlidingProductWindow`
-view of that row: the unary rows and alert symbols sit in the row's
-ring slots (``step mod ring``), ``start``/``end`` in the arena's integer
-arrays, and step indices are absolute and never rebased.  In either
-phase the scalar methods here and the stacked kernel
-(:mod:`repro.core.batch_kernel`) read and write the same cells, so an
-entity's state does not depend on which of them advanced it.  The
-kernel advances a slot without a decoder at all while its steps are
-*plain*: a pristine slot (no match row) and symbols no pattern starts
-with, or, with matches, :func:`plain_depth`.  Whoever drops a decoder
-must :meth:`release` its slot's row, pages and match row.
+pages.  From then on the slot's steps live in that row: the unary rows
+and alert symbols sit in the row's ring slots (``step mod ring``),
+``start``/``end`` in the arena's integer arrays, and step indices are
+absolute and never rebased.  In either phase the functions here and
+the stacked kernel (:mod:`repro.core.batch_kernel`) read and write the
+same cells, so an entity's state does not depend on which of them
+advanced it.  Dropping an entity's decode state is
+``WindowArena.drop(slot)``: its row, pages and match row go back.
 
 The aggregate and the forward tree are floating-point *reassociated*
 relative to the sequential recursion, so windowed mode never lets them
-near an emitted number: :meth:`may_fire` uses them only as a
+near an emitted number: :func:`may_fire` uses them only as a
 guard-banded pre-filter (reassociation error is bounded far below the
-guard), and
-any alert that might fire -- plus every explicit read-out
-(:meth:`final_marginal`, :meth:`map_path`, ...) -- is materialised by
-the exact sequential decode of the bounded window, i.e. by the very
+guard), and any alert that might fire -- plus every explicit read-out
+(:func:`decode`) -- is materialised by the exact sequential decode of
+the bounded window, i.e. by the very
 same float operations as ``engine="naive"``.  Emitted detections
 (state, confidence, trajectory) are therefore bit-identical to the seed
 path, which the equivalence suite asserts with exact comparisons.
@@ -84,7 +81,7 @@ order.  A windowed step is a plain half -- push, evict, and the new
 head's effective row (the prior and any bonus ending there) -- and,
 when it touches pattern state (an awaited symbol arrives, or a match's
 first step is evicted and the match is rescanned over the window), a
-pattern half (:meth:`StreamingDecoder.slide`): the steps whose bonuses
+pattern half (:func:`slide`): the steps whose bonuses
 moved get their effective rows and the row is re-aggregated from
 scratch.  After
 such a step a row's aggregates are thus a function of its unary rows
@@ -109,8 +106,7 @@ full MAP trajectory              O(T * K^2)           O(T * K^2) [3]_   O(W * K^
 .. [2] one compare per pattern against the next-symbol table, plus an
        O(W * L) rescan per pattern whose first matched step is evicted.
 .. [3] only paid when a detection actually fires (at most once per
-       entity) or an explicit read-out is requested; cached per window
-       span.
+       entity) or an explicit read-out is requested.
 .. [4] the eviction itself is an index bump (``start += 1``); the
        amortised O(K^3) is the flip every ``W`` evictions.
 .. [5] the pre-filter's forward stage, in O(log W) stacked numpy
@@ -124,7 +120,10 @@ Every emitted number reproduces the exact arithmetic of
 :func:`repro.core.factor_graph.chain_marginals`, so decodes are
 bit-identical to the seed path (asserted by the equivalence test
 suites in ``tests/test_streaming.py`` and
-``tests/test_sliding_window.py``).
+``tests/test_sliding_window.py``).  A filling slot's step is
+:func:`append_plan` + :func:`complete_append` (the stacked kernel
+replaces the second with cross-entity numerics), a windowed one
+:func:`slide`.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .factor_graph import _logsumexp, _normalize_log, chain_map_decode, chain_marginals
-from .sliding_window import MatchRows, SlidingProductWindow, WindowArena
+from .factor_graph import _logsumexp, _normalize_log, chain_map_decode
+from .sliding_window import MatchRows, WindowArena
 from .states import HiddenState, NUM_STATES
 
 _MALICIOUS = int(HiddenState.MALICIOUS)
@@ -147,7 +146,7 @@ _ARANGE_K = np.arange(NUM_STATES)
 #: instead.  The reassociated-vs-sequential error of a W-step semiring
 #: product chain is bounded by ~W * K * eps * |accumulated log
 #: magnitude| (the magnitude itself absorbs the second factor of W and
-#: any outsized pattern weights), so :meth:`StreamingDecoder.may_fire`
+#: any outsized pattern weights), so :func:`may_fire`
 #: widens the guard with the measured aggregate magnitude -- extreme
 #: windows or weights merely degrade to "always consult the exact
 #: decode", never to a silently dropped detection.
@@ -166,7 +165,7 @@ def _guard(lengths: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def forward_stage(arena: WindowArena, rows: np.ndarray, threshold: float) -> np.ndarray:
-    """Second stage of the ``may_fire`` pre-filter, for arena ``rows``.
+    """Second stage of the :func:`may_fire` pre-filter, for arena ``rows``.
 
     For windows the ``(max, +)`` score test let through: folds each
     row's forward message (:meth:`WindowArena.forward`) and returns the
@@ -298,418 +297,309 @@ def plain_depth(
     return np.maximum(np.minimum(depth, limit), 0)
 
 
-class StreamingDecoder:
-    """Incremental chain decoder for one monitored entity.
+# -- one slot, one step at a time: the per-alert path ----------------------------
+def length(arena: WindowArena, slot: int) -> int:
+    """Steps slot ``slot`` holds: its filling steps, or its window's."""
+    row = int(arena.slots.row[slot])
+    if row < 0:
+        return int(arena.slots.length[slot])
+    return int(arena.end[row] - arena.start[row])
 
-    Parameters
-    ----------
-    arena:
-        The owning tagger's :class:`~repro.core.sliding_window.WindowArena`
-        (ring ``max_window + 1``).  Its parameters and weighted patterns
-        are the decoder's (observation rows, transition/initial tables,
-        the pattern-bonus schedule); the decoder interns every alert
-        name there and takes a row of it on its first eviction.
-    slot:
-        The entity's slot of ``arena.slots``
-        (:class:`~repro.core.sliding_window.SlotTable`), whose row, fill
-        length, pages and match row are this decoder's; a fresh one
-        when omitted.  A slot may hold steps already: the stacked kernel
-        advances a slot without a decoder where it can, so one opened
-        over it starts where the slot stands.
 
-    Opening a decoder is O(1) in the catalogue size and allocates no
-    array: its steps go to pages of the arena's
-    :class:`~repro.core.sliding_window.FillPages`, taken as it grows,
-    and its pattern state to a row of the arena's
-    :class:`~repro.core.sliding_window.MatchRows`, taken when a step
-    first advances a pattern.
-    """
+def _touches(arena: WindowArena, slot: int, symbol: int, evicted: Optional[int] = None) -> bool:
+    """Whether appending ``symbol`` to ``slot`` (and, windowed, evicting
+    step ``evicted``) moves a match: the one-step :func:`plain_depth`."""
+    matches = arena.matches
+    match = int(arena.slots.match[slot])
+    if match < 0:
+        return bool(matches.seeds[min(symbol, matches.symbols)])
+    matched = matches.matched[match]
+    if symbol < matches.symbols and (matches.expect[matches.columns, matched] == symbol).any():
+        return True
+    return evicted is not None and bool((matches.first[match][matched > 0] <= evicted).any())
 
-    __slots__ = ("parameters", "patterns", "_pairwise", "_arena", "_fill", "_slots", "_slot", "_window", "_decode_cache")
 
-    def __init__(self, arena: WindowArena, slot: Optional[int] = None) -> None:
-        self.parameters = parameters = arena.parameters
-        self.patterns = arena.matches.patterns
-        self._pairwise = parameters.transition_log
-        self._arena = arena
-        self._fill = arena.fill
-        self._slots = arena.slots
-        self._slot = arena.slots.allocate(1)[0] if slot is None else slot
-        # The view of the slot's arena row once windowed; its start/end are the window's.
-        self._window: Optional[SlidingProductWindow] = None
-        # (window span, map_path, final_marginal) of the last exact decode.
-        self._decode_cache: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
+def _ends_at(arena: WindowArena, slot: int, step: int) -> bool:
+    """Whether a match of ``slot`` ends on ``step`` (so its row carries a bonus)."""
+    matches, match = arena.matches, int(arena.slots.match[slot])
+    return match >= 0 and bool((matches.last[match][matches.matched[match] > 0] == step).any())
 
-    # -- bookkeeping -------------------------------------------------------
-    def _filled(self) -> int:
-        """Filling steps held (``0 .. _filled() - 1``)."""
-        return int(self._slots.length[self._slot])
 
-    def _cell(self, step: int) -> int:
-        """Fill-storage cell of one step of a filling decoder."""
-        return self._slots.cells(self._slot, step)
+def _advance_matches(arena: WindowArena, slot: int, step: int, symbol: int) -> List[int]:
+    """Advance every match of ``slot`` awaiting ``symbol`` to end on
+    ``step`` (a pristine slot takes its match row first); returns the
+    steps whose bonuses change: ``step``, then one entry per advancing
+    match -- where it ended before (``step`` for a new one)."""
+    matches, slots = arena.matches, arena.slots
+    match = int(slots.match[slot])
+    if match < 0:
+        match = slots.match[slot] = matches.allocate(1)[0]
+    matched, first, last = matches.matched[match], matches.first[match], matches.last[match]
+    moved = [step]
+    if symbol < matches.symbols:
+        for p in np.flatnonzero(matches.expect[matches.columns, matched] == symbol).tolist():
+            moved.append(int(last[p]) if matched[p] else step)
+            if not matched[p]:
+                first[p] = step
+            last[p] = step
+            matched[p] += 1
+    return moved
 
-    def _cells(self) -> np.ndarray:
-        """Fill-storage cells of the filling steps, in step order."""
-        return self._slots.cells_of(self._slot)
 
-    def _touches(self, symbol: int, evicted: Optional[int] = None) -> bool:
-        """Whether appending ``symbol`` (and, windowed, evicting step
-        ``evicted``) moves a match: the one-step :func:`plain_depth`."""
-        matches = self._arena.matches
-        match = int(self._slots.match[self._slot])
-        if match < 0:
-            return bool(matches.seeds[min(symbol, matches.symbols)])
-        matched = matches.matched[match]
-        if symbol < matches.symbols and (matches.expect[matches.columns, matched] == symbol).any():
-            return True
-        return evicted is not None and bool((matches.first[match][matched > 0] <= evicted).any())
-
-    def _ends_at(self, step: int) -> bool:
-        """Whether a match ends on ``step`` (so its row carries a bonus)."""
-        matches, match = self._arena.matches, int(self._slots.match[self._slot])
-        return match >= 0 and bool((matches.last[match][matches.matched[match] > 0] == step).any())
-
-    def _advance(self, step: int, symbol: int) -> List[int]:
-        """Advance every match awaiting ``symbol`` to end on ``step`` (a
-        pristine slot takes its match row first); returns the steps whose
-        bonuses change: ``step``, then one entry per advancing match --
-        where it ended before (``step`` for a new one)."""
-        matches, slots, slot = self._arena.matches, self._slots, self._slot
-        match = int(slots.match[slot])
-        if match < 0:
-            match = slots.match[slot] = matches.allocate(1)[0]
-        matched, first, last = matches.matched[match], matches.first[match], matches.last[match]
-        moved = [step]
-        if symbol < matches.symbols:
-            for p in np.flatnonzero(matches.expect[matches.columns, matched] == symbol).tolist():
-                moved.append(int(last[p]) if matched[p] else step)
-                if not matched[p]:
-                    first[p] = step
-                last[p] = step
-                matched[p] += 1
-        return moved
-
-    def _rescan(self) -> List[int]:
-        """Match again, over the window, every match whose first step the
-        window's start has passed (dropping steps before a match's first
-        cannot change a greedy leftmost match, so no other); returns the
-        steps whose bonuses change.  A slot left with no match gives its
-        match row back."""
-        arena, slots, slot = self._arena, self._slots, self._slot
-        matches, window = arena.matches, self._window
-        match = int(slots.match[slot])
-        if match < 0:
-            return []
-        matched, first, last = matches.matched[match], matches.first[match], matches.last[match]
-        start, _, end = window.span
-        evicted = np.flatnonzero((matched > 0) & (first < start)).tolist()
-        if not evicted:
-            return []
-        queued = arena.symbols[window.cells(start, end)].tolist()
-        moved = []
-        for p in evicted:
+def _rescan(arena: WindowArena, slot: int, row: int) -> List[int]:
+    """Match again, over window ``row``, every match of ``slot`` whose
+    first step the window's start has passed (dropping steps before a
+    match's first cannot change a greedy leftmost match, so no other);
+    returns the steps whose bonuses change.  A slot left with no match
+    gives its match row back."""
+    slots, matches = arena.slots, arena.matches
+    match = int(slots.match[slot])
+    if match < 0:
+        return []
+    matched, first, last = matches.matched[match], matches.first[match], matches.last[match]
+    start = int(arena.start[row])
+    evicted = np.flatnonzero((matched > 0) & (first < start)).tolist()
+    if not evicted:
+        return []
+    queued = arena.symbols[arena.window_cells(row)].tolist()
+    moved = []
+    for p in evicted:
+        moved.append(int(last[p]))
+        count = cursor = 0
+        # The greedy leftmost match, as matched_prefix_length finds it.
+        for symbol in matches.codes[p]:
+            try:
+                cursor = queued.index(symbol, cursor) + 1
+            except ValueError:
+                break
+            if not count:
+                first[p] = start + cursor - 1
+            count += 1
+        matched[p] = count
+        if count:
+            last[p] = start + cursor - 1
             moved.append(int(last[p]))
-            count = cursor = 0
-            # The greedy leftmost match, as matched_prefix_length finds it.
-            for symbol in matches.codes[p]:
-                try:
-                    cursor = queued.index(symbol, cursor) + 1
-                except ValueError:
-                    break
-                if not count:
-                    first[p] = start + cursor - 1
-                count += 1
-            matched[p] = count
-            if count:
-                last[p] = start + cursor - 1
-                moved.append(int(last[p]))
-        if not matched.any():
-            matches.release([match])
-            slots.match[slot] = -1
-        return moved
+    if not matched.any():
+        matches.release([match])
+        slots.match[slot] = -1
+    return moved
 
-    def _write_window_rows(self, moved: List[int]) -> None:
-        """Rewrite the effective rows of the head and of the queued steps
-        among ``moved``, and re-aggregate the row from scratch."""
-        window = self._window
-        start, _, end = window.span
-        steps = np.array(sorted({step for step in moved if start < step < end} | {start}))
-        count = steps.size
-        _write_rows(self._arena, np.repeat(self._slot, count), np.repeat(window.row, count), steps, steps == start)
-        window.rebuild()
 
-    @property
-    def length(self) -> int:
-        """Number of alerts currently folded into the (windowed) chain."""
-        window = self._window
-        return self._filled() if window is None else window.end - window.start
+def _write_window_rows(arena: WindowArena, slot: int, row: int, moved: List[int]) -> None:
+    """Rewrite the effective rows of window ``row``'s head and of its
+    queued steps among ``moved``, and re-aggregate the row from scratch."""
+    start, end = int(arena.start[row]), int(arena.end[row])
+    steps = np.array(sorted({step for step in moved if start < step < end} | {start}))
+    count = steps.size
+    _write_rows(arena, np.repeat(slot, count), np.repeat(row, count), steps, steps == start)
+    arena.rebuild(np.array([row]), arena.parameters.transition_log)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Alert names currently folded into the chain."""
-        if self._window is not None:
-            return tuple(self._window.names())
-        symbols = self._fill.symbols[self._cells()].tolist()
-        return tuple(map(self._arena.symbol_names.__getitem__, symbols))
 
-    @property
-    def windowed(self) -> bool:
-        """Whether the decoder has evicted at least once (amortised mode)."""
-        return self._window is not None
+def append(arena: WindowArena, slot: int, symbol: int) -> None:
+    """Fold one alert into ``slot``'s filling chain: O(K^2 + pattern advances)."""
+    step, dirty, invalid_from, _ = append_plan(arena, slot, symbol)
+    complete_append(arena, slot, step, dirty, invalid_from)
 
-    def release(self) -> None:
-        """Give the slot's arena storage back (a row or fill pages, and its match row)."""
-        self._window = None
-        self._arena.drop(self._slot)
 
-    def reset(self) -> None:
-        """Forget the whole stream."""
-        self.release()
-        self._decode_cache = None
+def append_plan(arena: WindowArena, slot: int, symbol: int) -> Tuple[int, List[int], int, bool]:
+    """Bookkeeping half of :func:`append`: everything except the numerics.
 
-    # -- incremental update -------------------------------------------------
-    def append(self, name: str) -> None:
-        """Fold one alert into the filling chain: O(K^2 + pattern advances)."""
-        step, dirty, invalid_from, _ = self.append_plan(name)
-        self._complete_append(step, dirty, invalid_from)
+    Stores the symbol and advances the matches -- but leaves the dirty
+    unary rows and the forward recursions stale.  Returns ``(step,
+    dirty, invalid_from, bonus)`` -- the first three for
+    :func:`complete_append`, and whether a match now ends on the step
+    -- which the stacked decode kernel replaces with cross-entity
+    numerics while the window fills; ``append`` is exactly
+    ``append_plan`` + ``complete_append``.
+    """
+    step = arena.push_fill(slot, symbol)
+    if not _touches(arena, slot, symbol):
+        return step, [step], step, False
+    moved = _advance_matches(arena, slot, step, symbol)
+    dirty = sorted(set(moved))
+    return step, dirty, dirty[0], len(moved) > 1
 
-    def append_plan(self, name: str) -> Tuple[int, List[int], int, bool]:
-        """Bookkeeping half of :meth:`append`: everything except the numerics.
 
-        Stores the symbol and advances the matches -- but leaves the
-        dirty unary rows and the forward recursions stale.  Returns
-        ``(step, dirty, invalid_from, bonus)`` -- the first three for
-        :meth:`_complete_append`, and whether a match now ends on the
-        step -- which the stacked decode kernel replaces with
-        cross-entity numerics while the window fills; ``append`` is
-        exactly ``append_plan`` + ``_complete_append``.
-        """
-        arena = self._arena
-        symbol = arena.intern(name)
-        step = arena.push_fill(self._slot, symbol)
-        if not self._touches(symbol):
-            return step, [step], step, False
-        moved = self._advance(step, symbol)
-        dirty = sorted(set(moved))
-        return step, dirty, dirty[0], len(moved) > 1
+def complete_append(arena: WindowArena, slot: int, step: int, dirty: List[int], invalid_from: int) -> None:
+    """Numeric half of :func:`append`: refresh unaries, extend the recursions."""
+    unary, cells = arena.fill.unary, arena.slots.cells
+    for touched in dirty:
+        unary[cells(slot, touched)] = effective_row(arena, slot, touched)
+    recompute_forward(arena, slot, invalid_from)
 
-    def _complete_append(self, step: int, dirty: List[int], invalid_from: int) -> None:
-        """Numeric half of :meth:`append`: refresh unaries, extend the recursions."""
-        for touched in dirty:
-            self._fill.unary[self._cell(touched)] = self._effective_row(touched)
-        self._recompute_forward(invalid_from)
 
-    def slide(self, name: str) -> None:
-        """One windowed step: append ``name`` and evict the oldest step.
-
-        The plain half is a push, an index bump and the new head's
-        effective row -- O(K^3) amortised.  A step that touches pattern
-        state (the one-step :func:`plain_depth`) then advances and
-        rescans the matches, rewrites the rows whose bonuses moved and
-        re-aggregates the row from scratch: its aggregates then depend
-        on its unary rows alone, as the stacked kernel's pattern pass
-        leaves them.
-        """
-        arena, window = self._arena, self._window
-        symbol = arena.intern(name)
-        evicted = window.start
-        touched = self._touches(symbol, evicted)
-        window.stage(symbol)
-        window.push(arena.observations[symbol])
-        head = window.pop_front()
-        if touched:
-            moved = self._advance(window.end - 1, symbol)
-            self._write_window_rows(moved + self._rescan())
-            return
-        if self._ends_at(head):
-            # A bonus ends on the new head.
-            _write_rows(arena, np.array([self._slot]), np.array([window.row]), np.array([head]), _HEAD)
-            return
-        cell = window.cell(head)
-        arena.unary[cell] = arena.observations[arena.symbols[cell]] + self.parameters.initial_log
-
-    def open_window(self) -> None:
-        """Filling → windowed: move the steps into an arena row and evict the oldest.
-
-        The matches whose first step it was are matched again, and the
-        window is aggregated from scratch into front suffixes.
-        """
-        if self._filled() < 2:
-            raise ValueError("cannot evict from a window of fewer than 2 steps")
-        fill, cells, arena = self._fill, self._cells(), self._arena
-        self._window = window = SlidingProductWindow(self._pairwise, arena)
-        window.load(0, fill.unary[cells], fill.symbols[cells])
-        arena.truncate(self._slot, 0)
-        self._slots.row[self._slot] = window.row
-        head = window.pop_front()
-        if self._slots.match[self._slot] >= 0:
-            self._write_window_rows(self._rescan())
-            return
-        cell = window.cell(head)
-        arena.unary[cell] = arena.observations[arena.symbols[cell]] + self.parameters.initial_log
-        window.rebuild()
-
-    def _effective_row(self, step: int) -> np.ndarray:
-        """One filling step's effective unary row: observation (+ prior on
-        step 0) + its bonuses in catalogue order (:func:`effective_rows`
-        for one step)."""
-        arena = self._arena
-        row = arena.observations[self._fill.symbols[self._cell(step)]]
-        row = row + self.parameters.initial_log if step == 0 else row.copy()
-        match = int(self._slots.match[self._slot])
-        if match >= 0:
-            matches = arena.matches
-            matched = matches.matched[match]
-            for p in np.flatnonzero((matched > 0) & (matches.last[match] == step)).tolist():
-                bonus = matches.bonus[p, matched[p]]
-                if bonus > 0.0:
-                    row[_MALICIOUS] += bonus
-        return row
-
-    def _recompute_forward(self, start: int) -> None:
-        """Extend/repair the forward recursions from ``start`` to the end.
-
-        Each step reproduces exactly one loop iteration of
-        ``chain_map_decode`` (the Viterbi score) and
-        ``chain_marginals`` (normalised forward message).  Only used
-        while the window is still filling; windowed mode materialises
-        read-outs via :meth:`_window_decode` instead.
-        """
-        fill = self._fill
-        unary, score, alpha = fill.unary, fill.score, fill.alpha
-        pairwise = self._pairwise
-        cell = self._cell
-        for t in range(start, self._filled()):
-            now = cell(t)
-            if t == 0:
-                score[now] = unary[now]
-                alpha[now] = _normalize_log(unary[now])
-                continue
-            before = cell(t - 1)
-            candidate = score[before][:, None] + pairwise
-            score[now] = candidate[np.argmax(candidate, axis=0), _ARANGE_K] + unary[now]
-            prev = alpha[before][:, None] + pairwise
-            alpha[now] = _normalize_log(_logsumexp(prev, axis=0) + unary[now])
-
-    # -- decisions -----------------------------------------------------------
-    def may_fire(self, threshold: float) -> bool:
-        """Cheap pre-filter: could this window cross the detection bar?
-
-        ``False`` is authoritative (the exact decode provably cannot
-        fire: the aggregate is within reassociation error of the exact
-        values, and both margins clear the guard band).  ``True`` means
-        the caller must consult the exact read-outs, which then decide
-        -- and materialise -- the detection bit-identically to the
-        naive path.
-        """
-        window = self._window
-        arena = window.arena
-        start, _, end = window.span
-        score = window.fold(arena.unary[window.cell(start)])
-        magnitude = float(np.max(np.abs(score)))
-        guard = max(_DECISION_GUARD, _GUARD_SLACK * (end - start) * magnitude)
-        if score[_MALICIOUS] < np.max(score) - guard:
-            return False
-        # Only a window the score test lets through pays for the
-        # forward message (as in the stacked kernel).
-        return bool(forward_stage(arena, np.array([window.row]), threshold)[0])
-
-    # -- read-out ------------------------------------------------------------
-    def _window_decode(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact sequential decode of the window, cached per window span.
-
-        Returns ``(map_path, final_marginal)``.  The MAP path reproduces
-        ``chain_map_decode`` on the window's unary table; the final
-        marginal reproduces ``chain_marginals(...)[-1]`` via the
-        forward recursion only (the backward message at the final step
-        is identically zero, so the backward pass cannot change the
-        final row -- same argument, and same float ops, as the stored
-        forward-message read-out while the window is filling).
-        """
-        # Every change to a windowed row moves its start or its end.
-        span = self._window.span
-        cache = self._decode_cache
-        if cache is not None and cache[0] == span:
-            return cache[1], cache[2]
-        unary = self._window.unary_table()
-        pairwise = self._pairwise
-        path = chain_map_decode(unary, pairwise)
-        forward = _normalize_log(unary[0])
-        for t in range(1, unary.shape[0]):
-            prev = forward[:, None] + pairwise
-            forward = _normalize_log(_logsumexp(prev, axis=0) + unary[t])
-        final_marginal = np.exp(forward - _logsumexp(forward))
-        self._decode_cache = (span, path, final_marginal)
-        return path, final_marginal
-
-    def final_marginal(self) -> np.ndarray:
-        """Posterior over the current state.
-
-        Matches ``chain_marginals(unary, pairwise)[-1]`` on the window's
-        unary table bit-for-bit (directly materialised in windowed mode;
-        via the incrementally maintained forward message before that).
-        """
-        if self.length == 0:
-            raise ValueError("decoder is empty")
-        if self._window is not None:
-            # Copy: the cached array must survive caller mutation.
-            return self._window_decode()[1].copy()
-        last = self._fill.alpha[self._cell(self._filled() - 1)]
-        return np.exp(last - _logsumexp(last))
-
-    def final_state(self) -> int:
-        """Final state of the MAP trajectory (``argmax`` of the Viterbi score)."""
-        if self.length == 0:
-            raise ValueError("decoder is empty")
-        if self._window is not None:
-            return int(self._window_decode()[0][-1])
-        return int(np.argmax(self._fill.score[self._cell(self._filled() - 1)]))
-
-    def map_path(self) -> np.ndarray:
-        """Full MAP state trajectory of the window.
-
-        ``chain_map_decode`` of the unary table while the window is
-        filling (its scores are the same float ops as the stored Viterbi
-        scores, so the path ends in :meth:`final_state`); the cached
-        exact window decode afterwards.
-        """
-        if self._window is not None:
-            return self._window_decode()[0].copy()
-        return chain_map_decode(self._fill.unary[self._cells()], self._pairwise)
-
-    def matched_pattern_names(self) -> list[str]:
-        """Names of fully matched patterns, in catalogue order."""
-        match = int(self._slots.match[self._slot])
-        if match < 0:
-            return []
-        matches = self._arena.matches
+def effective_row(arena: WindowArena, slot: int, step: int) -> np.ndarray:
+    """One filling step's effective unary row: observation (+ prior on
+    step 0) + its bonuses in catalogue order (:func:`effective_rows`
+    for one step)."""
+    slots = arena.slots
+    row = arena.observations[arena.fill.symbols[slots.cells(slot, step)]]
+    row = row + arena.parameters.initial_log if step == 0 else row.copy()
+    match = int(slots.match[slot])
+    if match >= 0:
+        matches = arena.matches
         matched = matches.matched[match]
-        complete = np.flatnonzero((matched == matches.length) & (matched > 0))
-        return [self.patterns[index].name for index in complete.tolist()]
-
-    def matched_prefix_lengths(self) -> list[int]:
-        """Current matched-prefix length of every weighted pattern."""
-        match = int(self._slots.match[self._slot])
-        if match < 0:
-            return [0] * len(self.patterns)
-        return self._arena.matches.matched[match].tolist()
-
-    def unary_table(self) -> np.ndarray:
-        """Copy of the window's effective unary log potentials (T, K)."""
-        if self._window is not None:
-            return self._window.unary_table()
-        return self._fill.unary[self._cells()]
-
-    def marginals(self) -> np.ndarray:
-        """Full per-step posteriors of the window (O(W * K^2) decode).
-
-        The only read-out that needs the backward pass; computed on
-        demand rather than cached (diagnostic use only).
-        """
-        if self.length == 0:
-            return np.zeros((0, NUM_STATES))
-        return chain_marginals(self.unary_table(), self._pairwise)
+        for p in np.flatnonzero((matched > 0) & (matches.last[match] == step)).tolist():
+            bonus = matches.bonus[p, matched[p]]
+            if bonus > 0.0:
+                row[_MALICIOUS] += bonus
+    return row
 
 
-__all__ = ["StreamingDecoder", "WeightedPattern"]
+def recompute_forward(arena: WindowArena, slot: int, start: int) -> None:
+    """Extend/repair ``slot``'s filling recursions from step ``start`` to the end.
+
+    Each step reproduces exactly one loop iteration of
+    ``chain_map_decode`` (the Viterbi score) and ``chain_marginals``
+    (normalised forward message).  Only used while the window is still
+    filling; a windowed slot's read-outs are the exact decode of its row
+    (:func:`decode`) instead.
+    """
+    fill, slots = arena.fill, arena.slots
+    unary, score, alpha = fill.unary, fill.score, fill.alpha
+    pairwise = arena.parameters.transition_log
+    for t in range(start, int(slots.length[slot])):
+        now = slots.cells(slot, t)
+        if t == 0:
+            score[now] = unary[now]
+            alpha[now] = _normalize_log(unary[now])
+            continue
+        before = slots.cells(slot, t - 1)
+        candidate = score[before][:, None] + pairwise
+        score[now] = candidate[np.argmax(candidate, axis=0), _ARANGE_K] + unary[now]
+        prev = alpha[before][:, None] + pairwise
+        alpha[now] = _normalize_log(_logsumexp(prev, axis=0) + unary[now])
+
+
+def open_window(arena: WindowArena, slot: int) -> int:
+    """Filling → windowed: move ``slot``'s steps into an arena row and
+    evict the oldest; returns the row.
+
+    The matches whose first step it was are matched again, and the
+    window is aggregated from scratch into front suffixes.
+    """
+    slots, fill = arena.slots, arena.fill
+    filled = int(slots.length[slot])
+    if filled < 2:
+        raise ValueError("cannot evict from a window of fewer than 2 steps")
+    cells = slots.cells_of(slot)
+    row = arena.allocate()
+    window = arena.cells(row, np.arange(filled))
+    arena.unary[window] = fill.unary[cells]
+    arena.symbols[window] = fill.symbols[cells]
+    arena.start[row] = 0
+    arena.boundary[row] = arena.end[row] = filled
+    arena.truncate(slot, 0)
+    slots.row[slot] = row
+    head = arena.pop_front(row, arena.parameters.transition_log)
+    if slots.match[slot] >= 0:
+        _write_window_rows(arena, slot, row, _rescan(arena, slot, row))
+        return row
+    cell = arena.cells(row, head)
+    arena.unary[cell] = arena.observations[arena.symbols[cell]] + arena.parameters.initial_log
+    arena.rebuild(np.array([row]), arena.parameters.transition_log)
+    return row
+
+
+def slide(arena: WindowArena, slot: int, symbol: int) -> None:
+    """One windowed step of ``slot``: append ``symbol`` and evict the oldest step.
+
+    The plain half is a push, an index bump and the new head's effective
+    row -- O(K^3) amortised.  A step that touches pattern state (the
+    one-step :func:`plain_depth`) then advances and rescans the matches,
+    rewrites the rows whose bonuses moved and re-aggregates the row from
+    scratch: its aggregates then depend on its unary rows alone, as the
+    stacked kernel's pattern pass leaves them.
+    """
+    row = int(arena.slots.row[slot])
+    pairwise = arena.parameters.transition_log
+    touched = _touches(arena, slot, symbol, int(arena.start[row]))
+    step = arena.stage(row, symbol)
+    arena.push(row, arena.observations[symbol], pairwise)
+    head = arena.pop_front(row, pairwise)
+    if touched:
+        moved = _advance_matches(arena, slot, step, symbol)
+        _write_window_rows(arena, slot, row, moved + _rescan(arena, slot, row))
+        return
+    if _ends_at(arena, slot, head):
+        # A bonus ends on the new head.
+        _write_rows(arena, np.array([slot]), np.array([row]), np.array([head]), _HEAD)
+        return
+    cell = arena.cells(row, head)
+    arena.unary[cell] = arena.observations[arena.symbols[cell]] + arena.parameters.initial_log
+
+
+# -- decisions and read-outs ------------------------------------------------------
+def may_fire(arena: WindowArena, row: int, threshold: float) -> bool:
+    """Cheap pre-filter: could window ``row`` cross the detection bar?
+
+    ``False`` is authoritative (the exact decode provably cannot fire:
+    the aggregate is within reassociation error of the exact values, and
+    both margins clear the guard band).  ``True`` means the caller must
+    consult the exact read-out (:func:`decode`), which then decides --
+    and materialises -- the detection bit-identically to the naive path.
+    """
+    start, end = int(arena.start[row]), int(arena.end[row])
+    score = arena.fold(row, arena.unary[arena.cells(row, start)])
+    magnitude = float(np.max(np.abs(score)))
+    guard = max(_DECISION_GUARD, _GUARD_SLACK * (end - start) * magnitude)
+    if score[_MALICIOUS] < np.max(score) - guard:
+        return False
+    # Only a window the score test lets through pays for the
+    # forward message (as in the stacked kernel).
+    return bool(forward_stage(arena, np.array([row]), threshold)[0])
+
+
+def decode(arena: WindowArena, slot: int) -> Tuple[int, np.ndarray, Optional[np.ndarray]]:
+    """Exact read-out of ``slot``: ``(final state, final marginal, MAP path)``.
+
+    The final state is the MAP trajectory's last and the final marginal
+    reproduces ``chain_marginals(unary, pairwise)[-1]`` bit-for-bit.
+    While the window fills both come from the stored recursions (the
+    argmax of the last Viterbi score, the last forward message) and the
+    path is ``None``: :func:`fill_path` pays for it when it is wanted.
+    Once windowed they come from the exact sequential decode of the
+    row's unary ring: ``chain_map_decode``, whose path this returns,
+    and the forward recursion alone (the backward message at the final
+    step is identically zero, so the backward pass cannot change the
+    final row -- same argument, and same float ops, as the stored
+    forward message while the window fills).
+    """
+    slots = arena.slots
+    row = int(slots.row[slot])
+    if row < 0:
+        filled = int(slots.length[slot])
+        if not filled:
+            raise ValueError("slot holds no steps")
+        cell = slots.cells(slot, filled - 1)
+        last = arena.fill.alpha[cell]
+        return int(np.argmax(arena.fill.score[cell])), np.exp(last - _logsumexp(last)), None
+    unary = arena.unary[arena.window_cells(row)]
+    pairwise = arena.parameters.transition_log
+    path = chain_map_decode(unary, pairwise)
+    forward = _normalize_log(unary[0])
+    for t in range(1, unary.shape[0]):
+        prev = forward[:, None] + pairwise
+        forward = _normalize_log(_logsumexp(prev, axis=0) + unary[t])
+    return int(path[-1]), np.exp(forward - _logsumexp(forward)), path
+
+
+def fill_path(arena: WindowArena, slot: int) -> np.ndarray:
+    """MAP trajectory of a filling slot: ``chain_map_decode`` of its unary
+    rows (the same float ops as its stored Viterbi scores, so the path
+    ends in :func:`decode`'s final state)."""
+    return chain_map_decode(arena.fill.unary[arena.slots.cells_of(slot)], arena.parameters.transition_log)
+
+
+def matched_pattern_names(arena: WindowArena, slot: int) -> List[str]:
+    """Names of ``slot``'s fully matched patterns, in catalogue order."""
+    match = int(arena.slots.match[slot])
+    if match < 0:
+        return []
+    matches = arena.matches
+    matched = matches.matched[match]
+    complete = np.flatnonzero((matched == matches.length) & (matched > 0))
+    return [matches.patterns[index].name for index in complete.tolist()]
+
+
+__all__ = ["WeightedPattern"]

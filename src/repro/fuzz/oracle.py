@@ -3,8 +3,8 @@
 The repo's central correctness claim is that four independent execution
 axes never change a detection:
 
-* decode **engine** -- ``streaming`` (production: incremental decoders
-  advanced by the stacked cross-entity kernel) / ``naive`` (the
+* decode **engine** -- ``streaming`` (production: incremental per-entity
+  decode state advanced by the stacked cross-entity kernel) / ``naive`` (the
   executable spec),
 * shard count -- entity-partitioned detector replicas,
 * shard **backend** -- ``serial`` (in-process shards) / ``process``

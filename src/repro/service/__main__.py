@@ -42,6 +42,18 @@ from .server import DetectionService, ServiceConfig
 GC_GEN0_THRESHOLD = 20_000
 
 
+def _threshold(text: str) -> float:
+    """A ``--threshold`` value: a probability strictly inside (0, 1).
+
+    Checked here, before anything is built, and NaN included: with a
+    NaN threshold every step whose MAP state is malicious would fire.
+    """
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -55,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--engine", choices=ENGINES, default="streaming")
     parser.add_argument("--max-window", type=int, default=256)
-    parser.add_argument("--threshold", type=float, default=0.7)
+    parser.add_argument("--threshold", type=_threshold, default=0.7)
     parser.add_argument("--checkpoint-dir", type=Path, default=None)
     parser.add_argument("--checkpoint-interval", type=float, default=0.0)
     parser.add_argument("--keep-last", type=int, default=3)

@@ -1,8 +1,9 @@
 """Rule ``pickle-safety``: checkpointed classes must pickle clean.
 
 Checkpoint/restore and shard snapshot/migration pickle detector state:
-:class:`AttackTagger` and its per-entity tracks (never their decoders,
-windows or window arena: the tagger drops those), the baseline
+:class:`AttackTagger` and its per-entity tracks (never their slots or
+the window arena that holds their decode state: the tagger drops
+those), the baseline
 detectors, and anything a pool snapshot reaches.  An attribute
 holding a lambda, generator, lock, open file, or socket either fails to
 pickle outright or — worse — pickles *differently* across runs,

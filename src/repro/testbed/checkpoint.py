@@ -37,8 +37,9 @@ from typing import List, Optional
 CHECKPOINT_MAGIC = b"RPRCKPT1"
 
 #: Payload schema version (little-endian u32 after the magic).  A file
-#: of any other version is refused, not migrated.
-CHECKPOINT_VERSION = 2
+#: of any other version is refused, not migrated.  Version 3: tracked
+#: entities pickle without the ``decoder`` key version 2 carried.
+CHECKPOINT_VERSION = 3
 
 _HEADER = struct.Struct("<I")
 

@@ -1,8 +1,8 @@
 """Per-entity sharded detection: the pipeline's parallel detection layer.
 
-All detector state is per-entity (PR 1 moved every piece of mutable
-inference state into per-entity :class:`repro.core.streaming
-.StreamingDecoder` instances), so the alert stream can be partitioned
+All detector state is per-entity (every piece of mutable inference
+state lives in the entity's slot of its tagger's
+:class:`repro.core.sliding_window.WindowArena`), so the alert stream can be partitioned
 by entity across independent detector replicas without changing a
 single decode: entities never share state, therefore a detector that
 only ever sees the sub-stream of "its" entities produces bit-identical

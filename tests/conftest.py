@@ -10,6 +10,8 @@ segments and of the parent-side resource-tracker registrations, so any
 lifecycle path that forgets to ``unlink()`` a ring (close, escalated
 close, reshard, crash+heal, ``__exit__`` on error, ...) fails the test
 that leaked it rather than surfacing as a tracker warning at exit.
+Only segments this process registered count: a ring that another
+process on the host creates meanwhile is none of the test's doing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.incidents import DEFAULT_CATALOGUE, IncidentGenerator
 from repro.testbed import Honeypot, build_default_topology
 from repro.testbed.shm_ring import SEGMENT_PREFIX
 
+from ring_leaks import leaked_segments
+
 # -- shm leak hunting -------------------------------------------------
 #
 # ``SharedMemory`` registers segments with the resource tracker under
@@ -35,6 +39,8 @@ from repro.testbed.shm_ring import SEGMENT_PREFIX
 # shared memory is passed through untouched.
 
 _LIVE_RING_REGISTRATIONS: set = set()
+# Every ring name this process ever registered (never shrinks).
+_RING_REGISTRATIONS_SEEN: set = set()
 _original_register = _resource_tracker.register
 _original_unregister = _resource_tracker.unregister
 
@@ -42,6 +48,7 @@ _original_unregister = _resource_tracker.unregister
 def _tracking_register(name, rtype):
     if rtype == "shared_memory" and SEGMENT_PREFIX in name:
         _LIVE_RING_REGISTRATIONS.add(name)
+        _RING_REGISTRATIONS_SEEN.add(name)
     return _original_register(name, rtype)
 
 
@@ -72,8 +79,9 @@ def no_leaked_ring_segments():
     """Fail any test that leaks a ring segment or tracker registration."""
     disk_before = ring_segments_on_disk()
     tracked_before = set(_LIVE_RING_REGISTRATIONS)
+    seen_before = set(_RING_REGISTRATIONS_SEEN)
     yield
-    leaked = ring_segments_on_disk() - disk_before
+    leaked = leaked_segments(disk_before, ring_segments_on_disk(), _RING_REGISTRATIONS_SEEN - seen_before)
     assert not leaked, f"leaked /dev/shm ring segment(s): {sorted(leaked)}"
     dangling = _LIVE_RING_REGISTRATIONS - tracked_before
     assert not dangling, (

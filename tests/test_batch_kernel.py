@@ -12,7 +12,7 @@ size, three drives of the same stream must agree --
 
 on every detection (trigger position, state, confidence, matched
 patterns, trajectory), and the two ``streaming`` drives must leave every
-decoder's logical state (unary tables, names, bonuses, window span)
+slot's logical state (unary tables, names, bonuses, window span)
 bitwise identical.  The window *aggregates* are exempt from bitwise
 comparison with ``naive`` (it has none): the scans reassociate floating
 point relative to the sequential recursion -- by design, the aggregates
@@ -20,7 +20,7 @@ only feed the guard-banded ``may_fire`` pre-filter, and every firing
 decision is re-derived from the exact window decode (see the
 ``sliding_window`` module docstring).  Between the two ``streaming``
 drives they *are* pinned: a row's aggregates (its whole dense state)
-are the same whether the per-entity view advanced it or the kernel
+are the same whether the per-entity path advanced it or the kernel
 advanced it next to a round of others, at whatever row index.
 """
 
@@ -34,18 +34,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttackTagger, batch_kernel, sliding_window
+from repro.core import AttackTagger, batch_kernel, sliding_window, streaming
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.batch_kernel import _MIN_BATCH, BatchedDecodeKernel
 from repro.core.factors import FactorParameters
 from repro.core.sliding_window import _MIN_SCAN, _PAGE, WindowArena
-from repro.core.streaming import StreamingDecoder
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.pipeline import DETERMINISTIC_COUNTERS, TestbedPipeline
 from repro.testbed.sharding import ShardedDetectorPool
 
-from test_sliding_window import assert_same_window
+from test_sliding_window import assert_same_window, window_of
 from test_window_arena import _assert_rows_accounted
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
@@ -106,7 +105,7 @@ def _drive_scalar(tagger, stream):
 
 
 def _assert_same_logical_state(reference, batched, entities):
-    """Decoder state equal where bit-identity is promised."""
+    """Slot state equal where bit-identity is promised."""
     for entity in entities:
         track_r, track_b = reference.track(entity), batched.track(entity)
         assert [a.name for a in track_r.alerts] == [a.name for a in track_b.alerts]
@@ -119,21 +118,22 @@ def _assert_same_logical_state(reference, batched, entities):
         assert np.array_equal(states_r, states_b)
         assert np.array_equal(marginal_r, marginal_b)
         assert matched_r == matched_b
-        decoder_r = reference._decoder_for(track_r)
-        decoder_b = batched._decoder_for(track_b)
-        assert decoder_r.windowed == decoder_b.windowed
-        assert decoder_r.length == decoder_b.length
-        assert decoder_r.names == decoder_b.names
-        assert np.array_equal(decoder_r.unary_table(), decoder_b.unary_table())
+        arena_r, arena_b = reference._arena, batched._arena
+        windowed = arena_r.slots.row[track_r.slot] >= 0
+        assert windowed == (arena_b.slots.row[track_b.slot] >= 0)
+        assert streaming.length(arena_r, track_r.slot) == streaming.length(arena_b, track_b.slot)
         assert _match_state(reference, track_r) == _match_state(batched, track_b)
-        if decoder_r.windowed:
-            # Same absolute steps, observation rows and aggregates, whoever
-            # advanced the row and wherever in its arena it lives.
-            assert_same_window(decoder_r._window, decoder_b._window)
+        if windowed:
+            # Same absolute steps, names, observation rows, unary rows and
+            # aggregates, whoever advanced the row and wherever in its
+            # arena it lives.
+            assert_same_window(window_of(reference, entity), window_of(batched, entity))
         else:
-            # Same fill-storage steps (the recursions included), whichever
-            # pages hold them.
-            cells_r, cells_b = decoder_r._cells(), decoder_b._cells()
+            # Same fill-storage steps (names and the recursions included),
+            # whichever pages hold them.
+            cells_r, cells_b = arena_r.slots.cells_of(track_r.slot), arena_b.slots.cells_of(track_b.slot)
+            names_r = [arena_r.symbol_names[symbol] for symbol in arena_r.fill.symbols[cells_r].tolist()]
+            assert names_r == [arena_b.symbol_names[symbol] for symbol in arena_b.fill.symbols[cells_b].tolist()]
             for block in ("unary", "score", "alpha"):
                 assert np.array_equal(
                     getattr(reference._arena.fill, block)[cells_r],
@@ -158,7 +158,7 @@ def _match_state(tagger, track):
 
 
 def _assert_matches_spec(naive, tagger, entities):
-    """Every read-out of a decoder-backed tagger equals the naive re-decode."""
+    """Every read-out of a streaming tagger equals the naive re-decode."""
     for entity in entities:
         states_n, marginal_n, matched_n = naive.infer(entity)
         states_t, marginal_t, matched_t = tagger.infer(entity)
@@ -340,7 +340,7 @@ class TestBatchedEngineEquivalence:
         )
         assert hits == []  # every entity stays live, so every window slides
         assert any(patched)  # windows really were re-aggregated after pattern steps
-        assert all(batched.track(e).decoder.windowed for e in entities)
+        assert all(batched._arena.slots.row[batched.track(e).slot] >= 0 for e in entities)
 
     def test_round_mixing_flip_phases_and_relocations(self, monkeypatch):
         """One pass holds every window shape the stacked push, the group
@@ -417,7 +417,7 @@ class TestBatchedEngineEquivalence:
         # (_assert_same_logical_state compared every aggregate), and no
         # two rows share storage.
         for tagger in (batched, scalar):
-            rows = [tagger.track(entity).decoder._window.row for entity in entities]
+            rows = [window_of(tagger, entity)[1] for entity in entities]
             assert len(set(rows)) == len(entities) == tagger._arena.live
 
     def test_probability_stage_runs_only_for_score_survivors(self, monkeypatch):
@@ -554,13 +554,13 @@ class TestBatchedEngineEquivalence:
         batched, scalar, naive = _tagger(), _tagger(), _tagger("naive")
         assert batched.observe_batch_indexed(earlier)  # `old` is detected
         recomputes = []
-        recompute_forward = StreamingDecoder._recompute_forward
+        recompute_forward = streaming.recompute_forward
 
-        def counted(decoder, start):
+        def counted(arena, slot, start):
             recomputes.append(start)
-            return recompute_forward(decoder, start)
+            return recompute_forward(arena, slot, start)
 
-        monkeypatch.setattr(StreamingDecoder, "_recompute_forward", counted)
+        monkeypatch.setattr(streaming, "recompute_forward", counted)
         hits = _drive_batched(batched, batch, len(batch))
         monkeypatch.undo()
         # Neither round fell back to the scalar recursion: step 0 is
@@ -740,8 +740,8 @@ class TestFreshEntitiesFillInOneSubBatch:
     fill-page boundary and most of them the fill→windowed transition.
     Pattern walkers match ``X`` on the first page and ``Y`` or ``Z`` on a
     later one, so a bonus relocates across the boundary (the
-    ``_complete_append`` path inside a stacked filling pass); lone
-    seeders keep a bonus where it landed (``_effective_row`` inside the
+    ``streaming.complete_append`` path inside a stacked filling pass); lone
+    seeders keep a bonus where it landed (``streaming.effective_row`` inside the
     block); a few entities end on a firing chain.  Pages of two steps as
     well as the module's put a boundary inside the smallest windows too,
     and the fill storage starts at two pages, so it grows mid-pass.
@@ -813,37 +813,36 @@ class TestFreshEntitiesFillInOneSubBatch:
         page = 2 if max_window < _PAGE else _PAGE  # the window fills past page 0
         fills, relocations = [], []
         advance_fill = BatchedDecodeKernel._advance_fill
-        complete_append = StreamingDecoder._complete_append
+        complete_append = streaming.complete_append
 
         def counted_fill(kernel, batch, runs, reach, hits):
             fills.append(runs.size)
             return advance_fill(kernel, batch, runs, reach, hits)
 
-        def counted(decoder, step, dirty, invalid_from):
-            if not decoder.windowed and invalid_from // page < step // page:
+        def counted(arena, slot, step, dirty, invalid_from):
+            if arena.slots.row[slot] < 0 and invalid_from // page < step // page:
                 relocations.append(step)
-            return complete_append(decoder, step, dirty, invalid_from)
+            return complete_append(arena, slot, step, dirty, invalid_from)
 
         monkeypatch.setattr(sliding_window, "_PAGE", page)
         monkeypatch.setattr(sliding_window, "_INITIAL_PAGES", 2)
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_fill", counted_fill)
         stream, entities = self._stream(0, max_window, 32, page)
         batched = _tagger(max_window=max_window, patterns=self.PATTERNS)
-        monkeypatch.setattr(StreamingDecoder, "_complete_append", counted)
+        monkeypatch.setattr(streaming, "complete_append", counted)
         hits = batched.observe_batch_indexed(stream)
         assert max(fills) >= 24  # every fresh entity's first step in one pass
         assert relocations  # a bonus moved from page 0 to a later page
         assert batched._arena.fill.capacity > 2  # the fill storage grew mid-pass
         assert hits  # chains fired
-        decoders = [batched.track(entity).decoder for entity in entities]
-        assert any(decoder is not None and decoder.windowed for decoder in decoders)
+        assert any(batched._arena.slots.row[batched.track(entity).slot] >= 0 for entity in entities)
 
 
 class TestSlotLifecycle:
     """Slots through everything that creates, drops or rebuilds them.
 
     Every sub-batch mixes brand-new entities (plain filling steps, no
-    decoder), pattern walkers (a seeding symbol copies the waiting lists
+    per-entity call), pattern walkers (a seeding symbol copies the waiting lists
     inside a stacked filling pass), entities whose window opens at this
     step, attackers firing part-way through a run of filling steps (the
     steps after the trigger are given back), and entities detected
@@ -935,7 +934,7 @@ class TestSlotLifecycle:
 
     def test_the_sub_batches_hold_what_the_property_is_about(self, monkeypatch):
         seen = {
-            "plain_without_decoder": 0,
+            "plain_without_append_plan": 0,
             "copied_in_fill_pass": 0,
             "opened": 0,
             "cut_back": 0,
@@ -945,6 +944,12 @@ class TestSlotLifecycle:
         advance_scalar = BatchedDecodeKernel._advance_scalar
         classify = BatchedDecodeKernel._classify
         truncate = sliding_window.WindowArena.truncate
+        append_plan = streaming.append_plan
+        planned = set()
+
+        def counted_plan(arena, slot, symbol):
+            planned.add(slot)
+            return append_plan(arena, slot, symbol)
 
         def counted_truncate(arena, slot, length):
             seen["cut_back"] += length > 0
@@ -952,11 +957,10 @@ class TestSlotLifecycle:
 
         def counted_fill(kernel, batch, runs, reach, hits):
             table = kernel._tagger._arena.slots
-            tracks = [batch.tracks[r] for r in runs.tolist()]
-            bare = [track.decoder is None for track in tracks]
             pristine = table.match[batch.slot[runs]] < 0
+            planned.clear()
             advance_fill(kernel, batch, runs, reach, hits)
-            seen["plain_without_decoder"] += sum(b and t.decoder is None for b, t in zip(bare, tracks))
+            seen["plain_without_append_plan"] += sum(s not in planned for s in batch.slot[runs].tolist())
             seen["copied_in_fill_pass"] += int((pristine & (table.match[batch.slot[runs]] >= 0)).sum())
 
         def counted_scalar(kernel, batch, runs, hits):
@@ -975,6 +979,7 @@ class TestSlotLifecycle:
         monkeypatch.setattr(BatchedDecodeKernel, "_advance_scalar", counted_scalar)
         monkeypatch.setattr(BatchedDecodeKernel, "_classify", counted_classify)
         monkeypatch.setattr(sliding_window.WindowArena, "truncate", counted_truncate)
+        monkeypatch.setattr(streaming, "append_plan", counted_plan)
         self._drive(3, 5, ["reset", "adopt", "pickle", "none", "reset", "adopt"])
         assert all(seen.values()), seen
 
@@ -1048,10 +1053,8 @@ class TestObservationRowsResolveOncePerName:
         assert list(arena.symbol_names) == names[::-1]
         assert list(scalar._arena.symbol_names) == names
         for entity in entities:
-            window = batched.track(entity).decoder._window
-            start, _, end = window.span
-            rows = arena.observations[arena.symbols[window.cells(start, end)]]
-            for name, row in zip(window.names(), rows):
+            symbols = arena.symbols[arena.window_cells(window_of(batched, entity)[1])]
+            for name, row in zip((arena.symbol_names[symbol] for symbol in symbols.tolist()), arena.observations[symbols]):
                 assert np.array_equal(row, batched.parameters.observation_row(name))
         assert batched.posterior("user:x0") == scalar.posterior("user:x0")
         _assert_same_logical_state(scalar, batched, entities)

@@ -132,7 +132,14 @@ class TestCheckpointFile:
         # but the pipeline's; there is no migration.
         path = tmp_path / "v1.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 1; this build reads version 2"):
+        with pytest.raises(CheckpointError, match="version 1; this build reads version 3"):
+            read_checkpoint(path)
+
+    def test_version_2_file_is_refused_before_unpickling(self, tmp_path):
+        # Version 3 tracks carry no ``decoder`` key; there is no migration.
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"not a pickle")
+        with pytest.raises(CheckpointError, match="version 2; this build reads version 3"):
             read_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
@@ -301,7 +308,7 @@ class TestCheckpointHoldsStateNotTraffic:
             CHECKPOINT_MAGIC + struct.pack("<I", 1) + pickle.dumps(legacy)
         )
         with _build_pipeline() as restored:
-            with pytest.raises(CheckpointError, match="version 1"):
+            with pytest.raises(CheckpointError, match="version 1; this build reads version 3"):
                 restored.restore(tmp_path / "owing.ckpt")
             assert restored.stats.raw_records == 0
             # The refusal left the pipeline pristine.
@@ -334,8 +341,22 @@ class TestCheckpointBytesArePinned:
     #:    instance attribute names but not those equal dict keys, so a
     #:    plain re-pickle would lose the live replica's string sharing);
     #: 4. frame the canonical pickle of the payload as version 2.
-    DIGEST = "8e3d2c4ef98c889de55ab33b44a2729b4053426be62bd01409a8ac1f00b3063b"
-    SIZE = 74692
+    #:
+    #: Version 3 was re-derived on the tree of commit aadb8dc from that
+    #: drive's version-2 checkpoint (8e3d2c4e..., 74 692 bytes), on that
+    #: tree, in three steps:
+    #:
+    #: 1. unpickle each shard replica and delete the ``decoder`` key
+    #:    (``None``) from every track's ``__dict__``;
+    #: 2. re-intern the tracked alerts' and detection triggers'
+    #:    ``attributes`` keys, as in step 3 above, and re-pickle each
+    #:    replica with ``pickle.HIGHEST_PROTOCOL`` -- a tagger's state
+    #:    being its ``__dict__`` without ``_arena`` and with
+    #:    ``_batch_kernel`` set to ``None``, a track's its ``__dict__``
+    #:    without ``slot`` (what this tree pickles);
+    #: 3. frame the canonical pickle of the payload as version 3.
+    DIGEST = "58c2b14e68a528516c2f2c8915b7ed08001a227ee6ac74c58613d3389e17b307"
+    SIZE = 74298
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path, monkeypatch):
         # Wall-clock fields (stage/busy/kernel seconds) become a count

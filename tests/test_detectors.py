@@ -95,9 +95,11 @@ class TestAttackTagger:
         if prior_detection is not None:
             assert trained_detection.alert_index <= prior_detection.alert_index + 1
 
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            AttackTagger(detection_threshold=1.5)
+    # NaN fails both bounds' comparisons: it must not slip through.
+    @pytest.mark.parametrize("threshold", [1.5, float("nan"), 0.0, 1.0, float("inf")])
+    def test_invalid_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"detection_threshold must be in \(0, 1\)"):
+            AttackTagger(detection_threshold=threshold)
 
     def test_reset_entity_clears_state(self):
         tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE))

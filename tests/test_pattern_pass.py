@@ -3,7 +3,7 @@
 A windowed step that touches pattern state -- a match advances, or its
 first step is evicted and the match is rescanned -- is taken by the
 kernel's pattern pass (``BatchedDecodeKernel._advance_patterned``) many
-steps and rows at a time, and by ``StreamingDecoder.slide`` one step at
+steps and rows at a time, and by ``streaming.slide`` one step at
 a time.  Pinned here, on streams where every symbol is in some pattern:
 
 * **the property** -- random catalogues (lengths 1-5, symbols repeated
@@ -30,7 +30,7 @@ from repro.core.attack_tagger import PatternSpec
 from repro.core.sequences import matched_prefix_length
 
 from test_batch_kernel import _match_state
-from test_sliding_window import assert_same_window
+from test_sliding_window import assert_same_window, matched_prefix_lengths, unary_table, window_of
 
 SYMBOLS = ["alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan", "alert_address_sweep"]
 FILLER = "alert_login_normal"
@@ -72,15 +72,15 @@ def _assert_same_state(stacked, per_alert, naive):
         if track_s.detected is not None:
             continue
         assert _match_state(stacked, track_s) == _match_state(per_alert, track_p)
-        decoder_s, decoder_p = stacked._decoder_for(track_s), per_alert._decoder_for(track_p)
-        assert decoder_s.windowed == decoder_p.windowed
-        if decoder_s.windowed:
-            assert_same_window(decoder_s._window, decoder_p._window)
+        windowed = stacked._arena.slots.row[track_s.slot] >= 0
+        assert windowed == (per_alert._arena.slots.row[track_p.slot] >= 0)
+        if windowed:
+            assert_same_window(window_of(stacked, entity), window_of(per_alert, entity))
         window = [alert.name for alert in naive.track(entity).alerts]
         unary, matched = naive._build_unary(window)
-        assert np.array_equal(decoder_s.unary_table(), unary)
-        assert decoder_s.matched_prefix_lengths() == [
-            matched_prefix_length(pattern.names, window) for pattern in decoder_s.patterns
+        assert np.array_equal(unary_table(stacked, entity), unary)
+        assert matched_prefix_lengths(stacked, entity) == [
+            matched_prefix_length(pattern.names, window) for pattern in stacked._arena.matches.patterns
         ]
         states, marginal, names = naive.infer(entity)
         for tagger in (stacked, per_alert):
@@ -156,7 +156,7 @@ class TestNamedRescans:
         probe = AttackTagger(**common)
         for alert in stream[:10]:
             probe.observe(alert)
-        row = probe.track("entity:x").decoder._window.row
+        row = window_of(probe, "entity:x")[1]
         start, boundary = int(probe._arena.start[row]), int(probe._arena.boundary[row])
         assert probe._arena.matches.first[probe._arena.slots.match[probe.track("entity:x").slot], 0] == start
         probe.observe(stream[10])  # evicts step 2

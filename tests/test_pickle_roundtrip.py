@@ -10,8 +10,8 @@ it pins three properties:
   mid-stream state (Hypothesis drives bursty unicode streams into the
   stateful detectors);
 * **drop-lists are honoured** — attributes ``__getstate__`` excludes
-  (track decoder caches with their window-arena rows, the stacked
-  kernel) really are absent/reset after unpickling;
+  (track slots with their window-arena rows, the stacked kernel)
+  really are absent/reset after unpickling;
 * **behavioural equivalence** — the restored object continues the
   stream exactly as the original would have (and re-pickling is
   canonical: same bytes regardless of lazily rebuilt caches).
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttackTagger
+from repro.core import AttackTagger, streaming
 from repro.core.alerts import Alert
 from repro.core.attack_tagger import EntityTrack, UnknownEngineError
 from repro.core.baselines import CriticalAlertDetector, NaiveBayesDetector
@@ -36,6 +36,8 @@ from repro.core.training import LabeledSequence
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed.pipeline import TestbedPipeline
 from repro.testbed.sharding import DetectorTemplate, ShardedDetectorPool, ShardWorkerError
+
+from test_window_arena import holds_no_decode_state
 
 _PATTERNS = list(DEFAULT_CATALOGUE)
 _ALL_NAMES = sorted({name for pattern in _PATTERNS for name in pattern.names})
@@ -100,16 +102,16 @@ class TestAttackTaggerRoundTrip:
     def test_drop_list_honoured_and_continuation_identical(self, parts, engine):
         prefix, suffix = parts
         # max_window=4 saturates the sliding window on bursty entities —
-        # the decoder state hardest to drop/rebuild correctly.
+        # the decode state hardest to drop/rebuild correctly.
         original = AttackTagger(patterns=_PATTERNS, max_window=4, engine=engine)
         original.observe_batch(prefix)
 
         restored, blob = _round_trip(original)
 
-        # __getstate__ drop-list: decoder caches and the stacked kernel
-        # never cross the pickle boundary.
-        for track in restored._tracks.values():
-            assert track.decoder is None
+        # __getstate__ drop-list: decode state (slots) and the stacked
+        # kernel never cross the pickle boundary.
+        for entity in restored.entities():
+            assert holds_no_decode_state(restored, entity)
         assert restored._batch_kernel is None
 
         # Canonical bytes: re-pickling the restored tagger reproduces
@@ -117,12 +119,12 @@ class TestAttackTaggerRoundTrip:
         assert pickle.dumps(restored) == blob
 
         # Behavioural equivalence: both continue the stream identically
-        # (the restored side rebuilds decoders lazily, bit-identically).
+        # (the restored side rebuilds decode state lazily, bit-identically).
         assert restored.observe_batch(suffix) == original.observe_batch(suffix)
 
-    def test_decoder_rebuilt_lazily_and_bit_identically(self):
+    def test_decode_state_rebuilt_lazily_and_bit_identically(self):
         # A threshold of 1 - 1e-9 keeps the entity undetected, so the live
-        # decoder cache survives the whole stream on the original side.
+        # decode state survives the whole stream on the original side.
         stream = [
             Alert(float(i + 1), _ALL_NAMES[i % len(_ALL_NAMES)], "user:α")
             for i in range(12)
@@ -132,26 +134,27 @@ class TestAttackTaggerRoundTrip:
         )
         original.observe_batch(stream)
         (track,) = original._tracks.values()
-        assert track.decoder is not None
+        assert not holds_no_decode_state(original, "user:α")
 
         restored = pickle.loads(pickle.dumps(original))
         (restored_track,) = restored._tracks.values()
-        assert restored_track.decoder is None
+        assert holds_no_decode_state(restored, "user:α")
+        assert restored._arena.slots.stale[restored_track.slot]
 
-        # One more alert forces the lazy rebuild; the rebuilt decoder
+        # One more alert forces the lazy rebuild; the rebuilt state
         # must agree with the never-pickled one bit for bit.
         extra = Alert(99.0, _ALL_NAMES[0], "user:α")
         assert restored.observe(extra) == original.observe(extra)
-        assert restored_track.decoder is not None
+        assert not holds_no_decode_state(restored, "user:α")
         np.testing.assert_array_equal(
-            restored_track.decoder.final_marginal(),
-            track.decoder.final_marginal(),
+            streaming.decode(restored._arena, restored_track.slot)[1],
+            streaming.decode(original._arena, track.slot)[1],
         )
 
 
     def test_shared_pattern_table_never_reaches_the_bytes(self, tmp_path):
-        """Same bytes before and after decoders exist; the resolved model
-        (pattern table, arena) is rebuilt on unpickling, never pickled."""
+        """Same bytes before and after decode state is rebuilt; the resolved
+        model (pattern table, arena) is rebuilt on unpickling, never pickled."""
         stream = [
             Alert(float(i + 1), _ALL_NAMES[i % len(_ALL_NAMES)], f"user:{i % 5}")
             for i in range(40)
@@ -162,10 +165,10 @@ class TestAttackTaggerRoundTrip:
                 patterns=_PATTERNS, max_window=4, detection_threshold=1 - 1e-9
             )
 
-        def open_every_decoder(detector):
+        def rebuild_every_slot(detector):
             for entity in detector.entities():
                 detector.infer(entity)
-            assert all(track.decoder is not None for track in detector._tracks.values())
+            assert not any(holds_no_decode_state(detector, entity) for entity in detector.entities())
 
         original = tagger()
         original.observe_batch(stream)
@@ -174,8 +177,8 @@ class TestAttackTaggerRoundTrip:
         # Re-resolved on unpickling, to the same patterns and weights.
         assert restored._arena.matches is not original._arena.matches
         assert restored._arena.matches.patterns == original._arena.matches.patterns
-        assert pickle.dumps(restored) == blob  # no decoder yet
-        open_every_decoder(restored)
+        assert pickle.dumps(restored) == blob  # nothing rebuilt yet
+        rebuild_every_slot(restored)
         assert pickle.dumps(restored) == blob
 
         paths = [tmp_path / name for name in ("live.ckpt", "cold.ckpt", "warm.ckpt")]
@@ -186,7 +189,7 @@ class TestAttackTaggerRoundTrip:
             again.restore(paths[0])
             again.checkpoint(paths[1])
             for shard in again.detector_pools["factor_graph"].shards:
-                open_every_decoder(shard)
+                rebuild_every_slot(shard)
             again.checkpoint(paths[2])
         assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
@@ -272,29 +275,32 @@ class TestRemovedEngineStateIsRejected:
 
 
 # ---------------------------------------------------------------------------
-# EntityTrack (pickled inside checkpoints/snapshots, never with a decoder)
+# EntityTrack (pickled inside checkpoints/snapshots, never with its slot)
 # ---------------------------------------------------------------------------
-class TestDecoderAndTrackRoundTrip:
+class TestTrackRoundTrip:
     def _live_track(self) -> EntityTrack:
         # Threshold 1 - 1e-9: no detection fires, so the tagger keeps
-        # the incremental decoder cache alive on the track.
+        # the incremental decode state alive in the track's slot.
         tagger = AttackTagger(
             patterns=_PATTERNS, max_window=4, detection_threshold=1 - 1e-9
         )
         for step, name in enumerate(_ALL_NAMES[:8]):
             tagger.observe(Alert(float(step + 1), name, "user:β"))
         (track,) = tagger._tracks.values()
-        assert track.decoder is not None
+        assert not holds_no_decode_state(tagger, "user:β")
         return track
 
-    def test_entity_track_round_trips_with_dropped_decoder(self):
+    def test_entity_track_round_trips_without_its_slot(self):
         import dataclasses
 
-        track = dataclasses.replace(self._live_track(), decoder=None)
+        track = self._live_track()
+        assert [field.name for field in dataclasses.fields(EntityTrack)] == ["entity", "alerts", "detected", "slot"]
         restored, _ = _round_trip(track)
         assert restored.entity == track.entity
         assert list(restored.alerts) == list(track.alerts)
-        assert restored.decoder is None
+        assert restored.alerts.maxlen == track.alerts.maxlen
+        assert set(restored.__dict__) == {"entity", "alerts", "detected"}
+        assert restored.slot == -1
         assert restored.detected == track.detected
 
 

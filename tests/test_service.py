@@ -1060,6 +1060,24 @@ class TestServiceCli:
         assert f"invalid choice: '{engine}'" in proc.stderr
         assert "'streaming', 'naive'" in proc.stderr
 
+    @pytest.mark.parametrize("threshold", ["nan", "1"])
+    def test_cli_rejects_a_threshold_outside_the_open_unit_interval(self, threshold):
+        # NaN fails every comparison, so it must be refused explicitly:
+        # a NaN-threshold service would fire on every malicious MAP step.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--threshold", threshold],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "LISTENING" not in proc.stdout
+        assert f"argument --threshold: must be in (0, 1), got '{threshold}'" in proc.stderr
+
     def test_the_service_does_not_import_its_proof(self):
         """The product runs without the fuzz and attack packages: only
         ``--smoke`` reaches the chaos table, through a local import."""

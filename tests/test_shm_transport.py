@@ -42,6 +42,8 @@ from repro.core.alerts import (
 from repro.core.detector import Detector
 from repro.testbed.shm_ring import DEFAULT_RING_CAPACITY, SEGMENT_PREFIX, ShardRing
 
+from ring_leaks import leaked_segments
+
 # hypothesis' default text alphabet already excludes surrogates (the
 # one codepoint class UTF-8 cannot carry); everything else -- astral
 # plane, combining marks, NULs, bidi controls -- is fair game, and the
@@ -554,6 +556,28 @@ def _benign(count: int) -> list[Alert]:
     return [
         Alert(float(i), "alert_login_normal", f"user:u{i % 4}") for i in range(count)
     ]
+
+
+class TestLeakHunterCountsOnlyItsOwnSegments:
+    """``ring_leaks.leaked_segments``, the autouse fixture's verdict, as a
+    pure function: a segment leaks only if it appeared on disk during
+    the test *and* this process registered it meanwhile."""
+
+    BEFORE = {SEGMENT_PREFIX + "old"}
+    AFTER = BEFORE | {SEGMENT_PREFIX + "ours", SEGMENT_PREFIX + "theirs"}
+
+    def test_a_segment_this_process_registered_and_left_on_disk_leaks(self):
+        assert leaked_segments(self.BEFORE, self.AFTER, {"/" + SEGMENT_PREFIX + "ours"}) == {
+            SEGMENT_PREFIX + "ours"
+        }
+
+    def test_another_process_s_segment_is_not_this_test_s_leak(self):
+        assert leaked_segments(self.BEFORE, self.AFTER, set()) == set()
+
+    def test_an_unlinked_or_older_segment_is_no_leak(self):
+        registered = {"/" + SEGMENT_PREFIX + "ours", "/" + SEGMENT_PREFIX + "old"}
+        assert leaked_segments(self.BEFORE, self.BEFORE, registered) == set()
+        assert leaked_segments(self.BEFORE, self.AFTER, {"/" + SEGMENT_PREFIX + "old"}) == set()
 
 
 class TestLifecycleLeakHunting:

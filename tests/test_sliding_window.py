@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttackTagger, SlidingProductWindow, default_parameters
+from repro.core import AttackTagger, default_parameters, streaming as streaming_steps
 from repro.core.alerts import Alert, DEFAULT_VOCABULARY
 from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import _logsumexp, chain_marginals, maxplus_vecmat
@@ -30,7 +30,6 @@ from repro.core.states import NUM_STATES, HiddenState
 from repro.core.streaming import (
     _DECISION_GUARD,
     _GUARD_SLACK,
-    StreamingDecoder,
     WeightedPattern,
     _guard,
     forward_stage,
@@ -72,16 +71,36 @@ def _arena(ring):
     return WindowArena(ring, default_parameters())
 
 
-def _window(pairwise, arena):
-    """A view holding just a (zero) head at step 0; pushes are steps 1, 2, ..."""
-    window = SlidingProductWindow(pairwise, arena)
-    window.load(0, np.zeros((1, NUM_STATES)), [arena.intern("head")])
-    return window
+def load(arena, start, unary, symbols):
+    """A fresh row of ``arena`` holding steps ``start .. start + len(symbols) - 1``,
+    all in its front and not yet aggregated (as ``streaming.open_window``
+    moves a filling slot's steps in)."""
+    row = arena.allocate()
+    cells = arena.cells(row, np.arange(start, start + len(symbols)))
+    arena.unary[cells] = unary
+    arena.symbols[cells] = symbols
+    arena.start[row] = start
+    arena.boundary[row] = arena.end[row] = start + len(symbols)
+    return row
 
 
-def _push(window, row):
-    window.stage(window.arena.intern("step"))
-    window.push(row)
+def _window(arena):
+    """A row holding just a (zero) head at step 0; pushes are steps 1, 2, ..."""
+    return load(arena, 0, np.zeros((1, NUM_STATES)), [arena.intern("head")])
+
+
+def _push(arena, row, unary_row, pairwise):
+    arena.stage(row, arena.intern("step"))
+    arena.push(row, unary_row, pairwise)
+
+
+def _queued(arena, row):
+    """Steps a row holds past its head."""
+    return int(arena.end[row] - arena.start[row]) - 1
+
+
+def _span(arena, row):
+    return int(arena.start[row]), int(arena.boundary[row]), int(arena.end[row])
 
 
 def _fold_reference(pairwise, head, rows):
@@ -92,8 +111,8 @@ def _fold_reference(pairwise, head, rows):
     return score
 
 
-class TestSlidingProductWindow:
-    """Unit checks of the two-stack aggregator against direct folds.
+class TestArenaRowOperations:
+    """Unit checks of one arena row's two stacks against direct folds.
 
     Each window is a row of its own arena; its elements are unary rows,
     the step matrices are ``pairwise + row``.
@@ -105,140 +124,141 @@ class TestSlidingProductWindow:
     def test_random_push_pop_matches_direct_fold(self, seed):
         rng = np.random.default_rng(seed)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = _window(pairwise, _arena(self.RING))
+        arena = _arena(self.RING)
+        row = _window(arena)
         live: deque = deque()
         next_index = 1
         head = rng.normal(size=NUM_STATES)
         for _ in range(200):
             if live and rng.random() < 0.45:
-                assert window.pop_front() == live.popleft()[0]
+                assert arena.pop_front(row, pairwise) == live.popleft()[0]
             else:
-                row = rng.normal(size=NUM_STATES)
-                _push(window, row)
-                live.append((next_index, row))
+                unary = rng.normal(size=NUM_STATES)
+                _push(arena, row, unary, pairwise)
+                live.append((next_index, unary))
                 next_index += 1
-            assert len(window) == len(live)
+            assert _queued(arena, row) == len(live)
             ref_score = _fold_reference(pairwise, head, [r for _, r in live])
-            np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=1e-9)
-
-    def test_replace_patches_both_regions(self):
-        rng = np.random.default_rng(7)
-        pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = _window(pairwise, _arena(self.RING))
-        rows = [None] + [rng.normal(size=NUM_STATES) for _ in range(6)]  # steps 1..6
-        for row in rows[1:]:
-            _push(window, row)
-        assert window.pop_front() == 1  # flips everything into the front stack
-        # Front-region edit: suffixes are partially recomputed in place.
-        front_replacement = rng.normal(size=NUM_STATES)
-        assert window.replace(4, front_replacement)
-        rows[4] = front_replacement
-        # Back-region edit: prefixes are partially refolded in place.
-        _push(window, rng.normal(size=NUM_STATES))
-        back_replacement = rng.normal(size=NUM_STATES)
-        assert window.replace(7, back_replacement)
-        # A step the two stacks do not hold is refused: evicted, the
-        # head (in no aggregate), or not pushed yet.
-        assert not window.replace(0, rng.normal(size=NUM_STATES))
-        assert not window.replace(1, rng.normal(size=NUM_STATES))
-        assert not window.replace(8, rng.normal(size=NUM_STATES))
-        head = rng.normal(size=NUM_STATES)
-        ref_score = _fold_reference(pairwise, head, rows[2:] + [back_replacement])
-        np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(arena.fold(row, head), ref_score, rtol=0, atol=1e-9)
 
     def test_rebuild(self):
-        """``load`` + ``rebuild`` far from step 0, across the ring's wrap."""
+        """A loaded row + ``rebuild`` far from step 0, across the ring's wrap."""
         rng = np.random.default_rng(11)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
         arena = _arena(8)
-        window = SlidingProductWindow(pairwise, arena)
         rows = rng.normal(size=(6, NUM_STATES))  # the head (step 9) + steps 10..14
-        window.load(9, rows, [arena.intern(name) for name in ["a", "b", "a", "c", "b", "a"]])
-        window.rebuild()
-        assert len(window) == 5 and window.names() == ["a", "b", "a", "c", "b", "a"]
-        assert window.pop_front() == 10
+        names = ["a", "b", "a", "c", "b", "a"]
+        row = load(arena, 9, rows, [arena.intern(name) for name in names])
+        arena.rebuild(np.array([row]), pairwise)
+        held = arena.symbols[arena.window_cells(row)].tolist()
+        assert _queued(arena, row) == 5 and [arena.symbol_names[s] for s in held] == names
+        assert arena.pop_front(row, pairwise) == 10
         head = rng.normal(size=NUM_STATES)
         ref_score = _fold_reference(pairwise, head, rows[2:])
-        np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(window.unary_table(), rows[1:])
+        np.testing.assert_allclose(arena.fold(row, head), ref_score, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(arena.unary[arena.window_cells(row)], rows[1:])
 
     def test_pop_empty_raises(self):
+        arena = _arena(4)
         with pytest.raises(IndexError):
-            _window(np.zeros((NUM_STATES, NUM_STATES)), _arena(4)).pop_front()
+            arena.pop_front(_window(arena), np.zeros((NUM_STATES, NUM_STATES)))
 
     def test_a_full_ring_refuses_the_next_step(self):
-        window = _window(np.zeros((NUM_STATES, NUM_STATES)), _arena(3))  # the head + 2 steps
+        pairwise = np.zeros((NUM_STATES, NUM_STATES))
+        arena = _arena(3)
+        row = _window(arena)  # the head + 2 steps
         for _ in range(2):
-            _push(window, np.zeros(NUM_STATES))
+            _push(arena, row, np.zeros(NUM_STATES), pairwise)
         with pytest.raises(IndexError):
-            window.stage(window.arena.intern("step"))
-        window.pop_front()
-        _push(window, np.ones(NUM_STATES))
-        assert len(window) == 2
+            arena.stage(row, arena.intern("step"))
+        arena.pop_front(row, pairwise)
+        _push(arena, row, np.ones(NUM_STATES), pairwise)
+        assert _queued(arena, row) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         # Stack depths straddle _MIN_SCAN: shallow runs keep every
-        # refold sequential, deep ones flip and patch through the scan.
+        # refold sequential, deep ones flip through the scan.
         depth=st.sampled_from((_MIN_SCAN // 2, _MIN_SCAN - 1, _MIN_SCAN, 3 * _MIN_SCAN)),
-        ops=st.lists(
-            st.tuples(st.sampled_from(("push", "pop", "replace")), st.floats(0, 1)),
-            min_size=1,
-            max_size=120,
-        ),
+        ops=st.lists(st.sampled_from(("push", "pop")), min_size=1, max_size=120),
     )
     def test_random_ops_match_brute_force_within_guard_band(self, seed, depth, ops):
-        """push / pop_front / replace vs a brute-force fold of the live queue.
+        """push / pop_front vs a brute-force fold of the live queue.
 
-        The bound is the one ``StreamingDecoder.may_fire`` assumes of
-        the aggregate: ``max(_DECISION_GUARD, _GUARD_SLACK * length *
+        The bound is the one ``streaming.may_fire`` assumes of the
+        aggregate: ``max(_DECISION_GUARD, _GUARD_SLACK * length *
         magnitude)``.
         """
         rng = np.random.default_rng(seed)
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
-        window = _window(pairwise, _arena(self.RING))
+        arena = _arena(self.RING)
+        row = _window(arena)
         live: deque = deque()
         next_index = 1
         head = rng.normal(size=NUM_STATES)
-        for op, where in ops:
+        for op in ops:
             if op == "pop" and len(live) < depth:
                 op = "push"  # fill to the target depth before sliding
             if op == "push" or not live:
-                row = rng.normal(size=NUM_STATES)
-                _push(window, row)
-                live.append([next_index, row])
+                unary = rng.normal(size=NUM_STATES)
+                _push(arena, row, unary, pairwise)
+                live.append((next_index, unary))
                 next_index += 1
-            elif op == "pop":
-                assert window.pop_front() == live.popleft()[0]
             else:
-                slot = live[int(where * (len(live) - 1))]
-                slot[1] = rng.normal(size=NUM_STATES)
-                assert window.replace(slot[0], slot[1])
-            assert len(window) == len(live)
+                assert arena.pop_front(row, pairwise) == live.popleft()[0]
+            assert _queued(arena, row) == len(live)
             ref_score = _fold_reference(pairwise, head, [r for _, r in live])
             magnitude = float(np.max(np.abs(ref_score)))
             guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
-            np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=guard)
+            np.testing.assert_allclose(arena.fold(row, head), ref_score, rtol=0, atol=guard)
+
+
+def window_of(tagger, entity):
+    """``(arena, row)`` of a windowed entity."""
+    arena = tagger._arena
+    row = int(arena.slots.row[tagger.track(entity).slot])
+    assert row >= 0, f"{entity} is not windowed"
+    return arena, row
+
+
+def unary_table(tagger, entity):
+    """The entity's effective unary rows, filling or windowed (its decode
+    state rebuilt first, if stale or dropped at detection)."""
+    track = tagger.track(entity)
+    tagger._sync(track)
+    arena = tagger._arena
+    row = arena.slots.row[track.slot]
+    if row < 0:
+        return arena.fill.unary[arena.slots.cells_of(track.slot)]
+    return arena.unary[arena.window_cells(row)]
+
+
+def matched_prefix_lengths(tagger, entity):
+    """The matched-prefix length of every weighted pattern, off the entity's slot."""
+    matches = tagger._arena.matches
+    match = tagger._arena.slots.match[tagger.track(entity).slot]
+    return [0] * len(matches.patterns) if match < 0 else matches.matched[match].tolist()
 
 
 def _dense(window) -> dict:
     """A row's contents, dense and in step order: what a decode reads,
     independent of the row index, the ring phase and the arena."""
-    arena = window.arena
-    start, _, end = window.span
-    queued = window.cells(start + 1, end)
+    arena, row = window
+    start, _, end = span = _span(arena, row)
+    cells = arena.window_cells(row)
     return {
-        "span": window.span,
-        "unary": window.unary_table(),
-        "observations": arena.observations[arena.symbols[window.cells(start, end)]],
-        "names": window.names(),
-        "agg_max": arena.agg_max[:, :, queued],
+        "span": span,
+        "unary": arena.unary[cells],
+        "observations": arena.observations[arena.symbols[cells]],
+        "names": [arena.symbol_names[symbol] for symbol in arena.symbols[cells].tolist()],
+        "agg_max": arena.agg_max[:, :, cells[1:]],
     }
 
 
 def assert_same_window(got, expected):
-    """Two views hold the same row: spans, rows, names and the aggregate of every step."""
+    """Two ``(arena, row)`` windows hold the same row: spans, rows, names
+    and the aggregate of every step."""
     ours, theirs = _dense(got), _dense(expected)
     for key, value in ours.items():
         if isinstance(value, np.ndarray):
@@ -254,10 +274,11 @@ class TestGroupFlip:
 
     @staticmethod
     def _filled(pairwise, rows, arena=None):
-        window = _window(pairwise, arena or _arena(TestGroupFlip.RING))
-        for row in rows:
-            _push(window, row.copy())
-        return window
+        arena = arena or _arena(TestGroupFlip.RING)
+        row = _window(arena)
+        for unary in rows:
+            _push(arena, row, unary.copy(), pairwise)
+        return arena, row
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -270,11 +291,7 @@ class TestGroupFlip:
             min_size=8,
             max_size=8,
         ),
-        ops=st.lists(
-            st.tuples(st.sampled_from(("push", "pop", "replace")), st.floats(0, 1)),
-            min_size=1,
-            max_size=25,
-        ),
+        ops=st.lists(st.sampled_from(("push", "pop")), min_size=1, max_size=25),
     )
     def test_group_flip_equals_lone_flip_then_tracks_brute_force(self, seed, m, lengths, ops):
         rng = np.random.default_rng(seed)
@@ -287,37 +304,33 @@ class TestGroupFlip:
         arena = _arena(self.RING)
         for _ in range(_INITIAL_ROWS - 1):
             arena.allocate()
-        together = [self._filled(pairwise, rows, arena) for rows in contents]
-        arena.flip_together(np.array([window.row for window in together]), pairwise)
+        together = [self._filled(pairwise, rows, arena)[1] for rows in contents]
+        arena.flip_together(np.array(together), pairwise)
         # No row aliases another's storage.
-        cells = [set(window.cells(window.start, window.end).tolist()) for window in together]
+        cells = [set(arena.window_cells(row).tolist()) for row in together]
         assert sum(map(len, cells)) == len(set().union(*cells))
         head = rng.normal(size=NUM_STATES)
-        for window, rows in zip(together, contents):
+        for row, rows in zip(together, contents):
             alone = self._filled(pairwise, rows)
-            alone.arena.flip_together(np.array([alone.row]), pairwise)
-            assert window.span == (0, len(rows) + 1, len(rows) + 1)  # all of it in the front
-            assert_same_window(window, alone)
+            alone[0].flip_together(np.array([alone[1]]), pairwise)
+            assert _span(arena, row) == (0, len(rows) + 1, len(rows) + 1)  # all of it in the front
+            assert_same_window((arena, row), alone)
             # The flipped window keeps working: the same op sequence on
             # it tracks a brute-force fold within the guard band.
-            live = deque([index, row] for index, row in enumerate(rows, start=1))
+            live = deque((index, unary) for index, unary in enumerate(rows, start=1))
             next_index = len(rows) + 1
-            for op, where in ops:
+            for op in ops:
                 if op == "push" or len(live) < 2:
-                    row = rng.normal(size=NUM_STATES)
-                    _push(window, row)
-                    live.append([next_index, row])
+                    unary = rng.normal(size=NUM_STATES)
+                    _push(arena, row, unary, pairwise)
+                    live.append((next_index, unary))
                     next_index += 1
-                elif op == "pop":
-                    assert window.pop_front() == live.popleft()[0]
                 else:
-                    slot = live[int(where * (len(live) - 1))]
-                    slot[1] = rng.normal(size=NUM_STATES)
-                    assert window.replace(slot[0], slot[1])
+                    assert arena.pop_front(row, pairwise) == live.popleft()[0]
                 ref_score = _fold_reference(pairwise, head, [r for _, r in live])
                 magnitude = float(np.max(np.abs(ref_score)))
                 guard = max(_DECISION_GUARD, _GUARD_SLACK * (len(live) + 1) * magnitude)
-                np.testing.assert_allclose(window.fold(head), ref_score, rtol=0, atol=guard)
+                np.testing.assert_allclose(arena.fold(row, head), ref_score, rtol=0, atol=guard)
 
     @pytest.mark.parametrize("length", [_MIN_SCAN - 1, 4 * _MIN_SCAN - 1])
     def test_dense_state_does_not_depend_on_the_group(self, length):
@@ -328,13 +341,13 @@ class TestGroupFlip:
         pairwise = rng.normal(size=(NUM_STATES, NUM_STATES))
         contents = [[rng.normal(size=NUM_STATES) for _ in range(length)] for _ in range(8)]
         arena = _arena(self.RING)
-        together = [self._filled(pairwise, rows, arena) for rows in contents]
-        arena.flip_together(np.array([window.row for window in together]), pairwise)
-        for window, rows in zip(together, contents):
-            window.pop_front()
+        together = [self._filled(pairwise, rows, arena)[1] for rows in contents]
+        arena.flip_together(np.array(together), pairwise)
+        for row, rows in zip(together, contents):
+            arena.pop_front(row, pairwise)
             alone = self._filled(pairwise, rows)
-            alone.pop_front()
-            assert_same_window(window, alone)
+            alone[0].pop_front(alone[1], pairwise)
+            assert_same_window((arena, row), alone)
 
 
 class TestEvictionEquivalence:
@@ -373,12 +386,11 @@ class TestEvictionEquivalence:
         assert np.array_equal(s_states, n_states)
         assert np.array_equal(s_marg, n_marg)
         assert s_matched == n_matched
-        decoder = taggers["streaming"].track("entity:x").decoder
-        # The live decoder really took the amortised path: one arena
+        # The live entity really took the amortised path: one arena
         # row of max_window + 1 ring slots, its fill pages handed back --
         # nothing grew with the 220-alert stream.
-        assert decoder is not None and decoder.windowed and decoder._cells().size == 0
-        arena = taggers["streaming"]._arena
+        arena, _ = window_of(taggers["streaming"], "entity:x")
+        assert arena.slots.length[taggers["streaming"].track("entity:x").slot] == 0
         assert (arena.live, arena.capacity, arena.ring) == (1, _INITIAL_ROWS, max_window + 1)
         assert arena.fill.live == 0
 
@@ -389,11 +401,10 @@ class TestEvictionEquivalence:
         for alert in _random_stream(rng, 37):
             streaming.observe(alert)
             naive.observe(alert)
-        decoder = streaming.track("entity:x").decoder
-        assert decoder.windowed
+        arena, row = window_of(streaming, "entity:x")
         names = [a.name for a in naive.track("entity:x").alerts]
         unary, _ = naive._build_unary(names)
-        np.testing.assert_array_equal(decoder.unary_table(), unary)
+        np.testing.assert_array_equal(arena.unary[arena.window_cells(row)], unary)
 
     def test_observe_infer_equivalence_under_eviction(self):
         """Every step of a window-6 stream decodes as the naive re-decode does."""
@@ -407,7 +418,7 @@ class TestEvictionEquivalence:
             assert np.array_equal(states_s, states_n), t
             assert np.array_equal(marginal_s, marginal_n), t
             assert matched_s == matched_n, t
-        assert streaming.track("entity:x").decoder.windowed
+        window_of(streaming, "entity:x")
 
 
 class TestEvictionCursorRescans:
@@ -490,15 +501,14 @@ class TestBonusOrderingWithoutSort:
             PatternSpec(name="P1", names=(z, y)),
         ]
         parameters = default_parameters()
-        decoder = StreamingDecoder(
-            WindowArena(8, parameters, [WeightedPattern(p.name, p.names, 2.0) for p in patterns])
-        )
+        arena = WindowArena(8, parameters, [WeightedPattern(p.name, p.names, 2.0) for p in patterns])
+        slot = arena.slots.allocate(1)[0]
         naive = AttackTagger(parameters, patterns=patterns, engine="naive")
         names = [z, x, y]
         for name in names:
-            decoder.append(name)
+            streaming_steps.append(arena, slot, arena.intern(name))
         unary, _ = naive._build_unary(names)
-        np.testing.assert_array_equal(decoder.unary_table(), unary)
+        np.testing.assert_array_equal(arena.fill.unary[arena.slots.cells_of(slot)], unary)
 
     def test_eviction_rescan_inserts_bonus_in_order(self):
         x, y, z = "alert_port_scan", "alert_ssh_key_enumeration", "alert_vuln_scan"
@@ -578,22 +588,21 @@ class TestSatelliteOptimisations:
         assert fired == 1  # the stream must actually cross the threshold
 
     def test_windowed_final_marginal_is_mutation_safe(self):
-        """Read-outs must hand back copies, never the decode cache."""
+        """Read-outs hand back fresh arrays, never the arena's storage."""
         rng = np.random.default_rng(8)
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE), max_window=5, detection_threshold=0.999
         )
         for alert in _random_stream(rng, 30):
             tagger.observe(alert)
-        decoder = tagger.track("entity:x").decoder
-        assert decoder.windowed
-        first = decoder.final_marginal()
-        expected = first.copy()
+        window_of(tagger, "entity:x")
+        path, first, _ = tagger.infer("entity:x")
+        expected_path, expected = path.copy(), first.copy()
         first[:] = 0.0
-        np.testing.assert_array_equal(decoder.final_marginal(), expected)
-        path = decoder.map_path()
         path[:] = -1
-        assert decoder.map_path()[0] != -1 or (decoder.map_path() != -1).any()
+        again = tagger.infer("entity:x")
+        np.testing.assert_array_equal(again[1], expected)
+        np.testing.assert_array_equal(again[0], expected_path)
 
     def test_window_scores_match_exact_decode_within_guard(self):
         """The aggregate score and the forward tree track the exact decode
@@ -604,20 +613,19 @@ class TestSatelliteOptimisations:
         )
         for alert in _random_stream(rng, 50):
             tagger.observe(alert)
-        decoder = tagger.track("entity:x").decoder
-        assert decoder.windowed
-        window = decoder._window
-        score = window.fold(window.arena.unary[window.cell(window.start)])
-        forward = window.arena.forward(np.array([window.row]), decoder._pairwise)[:, 0]
-        exact_prob = decoder.final_marginal()[int(HiddenState.MALICIOUS)]
+        arena, row = window_of(tagger, "entity:x")
+        pairwise = arena.parameters.transition_log
+        score = arena.fold(row, arena.unary[arena.cells(row, arena.start[row])])
+        forward = arena.forward(np.array([row]), pairwise)[:, 0]
+        exact_prob = tagger.infer("entity:x")[1][int(HiddenState.MALICIOUS)]
         aggregate_prob = float(
             np.exp(forward[int(HiddenState.MALICIOUS)] - _logsumexp(forward))
         )
         assert abs(aggregate_prob - exact_prob) < 1e-9
-        unary = decoder.unary_table()
+        unary = arena.unary[arena.window_cells(row)]
         ref = unary[0]
-        for row in unary[1:]:
-            ref = maxplus_vecmat(ref, decoder._pairwise + row[None, :])
+        for step in unary[1:]:
+            ref = maxplus_vecmat(ref, pairwise + step[None, :])
         np.testing.assert_allclose(score, ref, rtol=0, atol=1e-9)
 
 
@@ -638,12 +646,8 @@ class TestForwardStage:
     @staticmethod
     def _rows(arena, pairwise, contents, phases):
         """One row per unary table, loaded at step ``phase`` (so across the ring's wrap)."""
-        windows = []
-        for unary, phase in zip(contents, phases):
-            window = SlidingProductWindow(pairwise, arena)
-            window.load(phase, unary, [arena.intern("step")] * len(unary))
-            windows.append(window)
-        return np.array([window.row for window in windows])
+        symbol = arena.intern("step")
+        return np.array([load(arena, phase, unary, [symbol] * len(unary)) for unary, phase in zip(contents, phases)])
 
     def test_tree_matches_the_sequential_forward_within_guard(self):
         """Every window length 2-33 (odd tree sizes included), three rows

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import (
     AttackTagger,
     EvaluationExample,
-    StreamingDecoder,
     WeightedPattern,
     default_parameters,
     evaluate_detector,
@@ -32,7 +31,10 @@ from repro.core.factor_graph import _logsumexp, chain_map_decode, chain_marginal
 from repro.core.sequences import matched_prefix_length
 from repro.core.sliding_window import WindowArena
 from repro.core.states import HiddenState
+from repro.core import streaming as streaming_steps
 from repro.incidents import DEFAULT_CATALOGUE
+
+from test_sliding_window import matched_prefix_lengths, unary_table
 
 ALL_NAMES = [spec.name for spec in DEFAULT_VOCABULARY]
 
@@ -112,11 +114,10 @@ class TestStreamingEngineEquivalence:
         for alert in stream:
             streaming.observe(alert)
             naive.observe(alert)
-        # _decoder_for re-syncs lazily (observe drops the decoder once
-        # the entity is detected, to keep post-detection alerts cheap).
-        decoder = streaming._decoder_for(streaming.track("entity:x"))
+        # Decode state is rebuilt lazily (observe drops it once the
+        # entity is detected, to keep post-detection alerts cheap).
         unary, _ = naive._build_unary([a.name for a in naive.track("entity:x").alerts])
-        np.testing.assert_array_equal(decoder.unary_table(), unary)
+        np.testing.assert_array_equal(unary_table(streaming, "entity:x"), unary)
         states_s, marginal_s, _ = streaming.infer("entity:x")
         states_n, marginal_n, _ = naive.infer("entity:x")
         assert np.array_equal(states_s, states_n)
@@ -129,32 +130,45 @@ class TestStreamingEngineEquivalence:
         for alert in _random_stream(rng, 40):
             streaming.observe(alert)
             naive.observe(alert)
-        decoder = streaming._decoder_for(streaming.track("entity:x"))
         names = [a.name for a in naive.track("entity:x").alerts]
         unary, _ = naive._build_unary(names)
-        np.testing.assert_array_equal(decoder.unary_table(), unary)
+        np.testing.assert_array_equal(unary_table(streaming, "entity:x"), unary)
 
-    def test_decoder_matches_chain_functions_stepwise(self):
-        """StreamingDecoder == chain_map_decode/chain_marginals per prefix."""
+    def test_slot_functions_match_chain_functions_stepwise(self):
+        """The slot's read-out == chain_map_decode/chain_marginals per
+        prefix while its window fills, and per window once it slides."""
         rng = np.random.default_rng(5)
         parameters = default_parameters()
         patterns = [
             WeightedPattern(p.name, tuple(p.names), 2.0) for p in list(DEFAULT_CATALOGUE)[:10]
         ]
-        decoder = StreamingDecoder(WindowArena(31, parameters, patterns))
-        for step in range(30):
-            decoder.append(ALL_NAMES[rng.integers(len(ALL_NAMES))])
-            unary = decoder.unary_table()
+        arena = WindowArena(31, parameters, patterns)
+        slot = arena.slots.allocate(1)[0]
+        slots = arena.slots
+        for step in range(60):
+            symbol = arena.intern(ALL_NAMES[rng.integers(len(ALL_NAMES))])
+            if slots.row[slot] >= 0:
+                streaming_steps.slide(arena, slot, symbol)
+            else:
+                streaming_steps.append(arena, slot, symbol)
+                if slots.length[slot] == arena.ring:
+                    streaming_steps.open_window(arena, slot)
+            row = slots.row[slot]
+            if row < 0:
+                unary = arena.fill.unary[slots.cells_of(slot)]
+            else:
+                unary = arena.unary[arena.window_cells(row)]
+            assert streaming_steps.length(arena, slot) == len(unary) == min(step + 1, arena.ring - 1)
             expected_path = chain_map_decode(unary, parameters.transition_log)
             expected_marginals = chain_marginals(unary, parameters.transition_log)
-            assert np.array_equal(decoder.map_path(), expected_path)
-            assert decoder.final_state() == int(expected_path[-1])
-            np.testing.assert_allclose(
-                decoder.final_marginal(), expected_marginals[-1], rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                decoder.marginals(), expected_marginals, rtol=0, atol=1e-12
-            )
+            state, marginal, path = streaming_steps.decode(arena, slot)
+            assert (path is None) == (row < 0)
+            if path is None:
+                path = streaming_steps.fill_path(arena, slot)
+            assert np.array_equal(path, expected_path)
+            assert state == int(expected_path[-1])
+            np.testing.assert_allclose(marginal, expected_marginals[-1], rtol=0, atol=1e-12)
+        assert slots.row[slot] >= 0
 
     def test_run_sequence_equivalence_on_generated_corpus(self, corpus_examples):
         """Acceptance criterion: identical detections on the seed-7 corpus."""
@@ -269,15 +283,15 @@ def _weighted_parameters(weights):
     return parameters
 
 
-def _assert_decoder_is_the_spec(streaming, naive):
-    """The entity's decoder state equals what ``naive`` rebuilds from scratch."""
-    decoder = streaming._decoder_for(streaming.track(_ENTITY))
+def _assert_slot_is_the_spec(streaming, naive):
+    """The entity's decode state equals what ``naive`` rebuilds from scratch."""
     window = [alert.name for alert in naive.track(_ENTITY).alerts]
     unary, matched = naive._build_unary(window)
-    assert np.array_equal(decoder.unary_table(), unary)
-    assert decoder.matched_pattern_names() == matched
-    assert decoder.matched_prefix_lengths() == [
-        matched_prefix_length(pattern.names, window) for pattern in decoder.patterns
+    assert np.array_equal(unary_table(streaming, _ENTITY), unary)
+    arena = streaming._arena
+    assert streaming_steps.matched_pattern_names(arena, streaming.track(_ENTITY).slot) == matched
+    assert matched_prefix_lengths(streaming, _ENTITY) == [
+        matched_prefix_length(pattern.names, window) for pattern in arena.matches.patterns
     ]
     return unary
 
@@ -329,39 +343,37 @@ class TestLazyCursorsAreEagerCursors:
                 track = streaming.track(_ENTITY)
                 track.alerts.clear()
                 track.detected = None
-                if track.decoder is not None:
-                    track.decoder.reset()
+                streaming._release(track)
             alert = Alert(float(step), name, _ENTITY)
             assert _detection_fields(streaming.observe(alert)) == _detection_fields(
                 naive.observe(alert)
             )
-            _assert_decoder_is_the_spec(streaming, naive)
+            _assert_slot_is_the_spec(streaming, naive)
 
-    def test_decoders_share_one_table_and_never_write_through_it(self):
+    def test_slots_share_one_table_and_never_write_through_it(self):
         tagger = AttackTagger(
             patterns=list(DEFAULT_CATALOGUE), detection_threshold=1 - 1e-9
         )
         matches = tagger._arena.matches
         shared = {name: getattr(matches, name).copy() for name in ("expect", "bonus", "length", "seeds")}
         tagger.observe(Alert(0.0, _FILLER, "entity:idle"))
-        idle = tagger.track("entity:idle").decoder
+        idle = tagger.track("entity:idle").slot
         longest = max(matches.patterns, key=lambda pattern: len(pattern.names))
         for step, name in enumerate(longest.names):
             tagger.observe(Alert(1.0 + step, name, "entity:busy"))
-        busy = tagger.track("entity:busy").decoder
-        assert longest.name in busy.matched_pattern_names()
+        busy = tagger.track("entity:busy").slot
+        assert longest.name in streaming_steps.matched_pattern_names(tagger._arena, busy)
         slots = tagger._arena.slots
-        assert slots.match[busy._slot] >= 0 and matches.live == 1
+        assert slots.match[busy] >= 0 and matches.live == 1
 
-        assert busy.patterns is idle.patterns is matches.patterns
         assert tagger._arena.matches is matches
         for name, table in shared.items():
             assert np.array_equal(getattr(matches, name), table), name
         # The idle entity awaits the first symbols only, holding no match row.
-        assert slots.match[idle._slot] == -1
-        assert idle.matched_prefix_lengths() == [0] * len(matches.patterns)
+        assert slots.match[idle] == -1
+        assert matched_prefix_lengths(tagger, "entity:idle") == [0] * len(matches.patterns)
         # A third entity opens pristine.
-        assert slots.match[StreamingDecoder(tagger._arena)._slot] == -1
+        assert slots.match[tagger.track("entity:third").slot] == -1
 
     def test_match_rows_are_taken_on_the_first_advance_only(self):
         tagger = AttackTagger(
@@ -373,24 +385,24 @@ class TestLazyCursorsAreEagerCursors:
         assert quiet_names
         for step, name in enumerate(quiet_names):
             tagger.observe(Alert(float(step), name, "entity:quiet"))
-        quiet = tagger.track("entity:quiet").decoder
+        quiet = tagger.track("entity:quiet").slot
         # Fed only names no pattern starts with: still pristine.
-        assert quiet is not None and slots.match[quiet._slot] == -1 and matches.live == 0
+        assert streaming_steps.length(tagger._arena, quiet) and slots.match[quiet] == -1 and matches.live == 0
 
         starters = sorted(seeds)
         tagger.observe(Alert(100.0, starters[0], "entity:other"))
-        other = tagger.track("entity:other").decoder
-        other_row = matches.matched[slots.match[other._slot]].copy()
+        other = tagger.track("entity:other").slot
+        other_row = matches.matched[slots.match[other]].copy()
         for step, name in enumerate(starters[1:]):
             tagger.observe(Alert(101.0 + step, name, "entity:seeding"))
-        seeding = tagger.track("entity:seeding").decoder
-        assert slots.match[seeding._slot] >= 0 and matches.live == 2
-        # Neither a sibling nor a pristine slot saw the seeding decoder's writes.
-        assert slots.match[quiet._slot] == -1
-        assert np.array_equal(matches.matched[slots.match[other._slot]], other_row)
+        seeding = tagger.track("entity:seeding").slot
+        assert slots.match[seeding] >= 0 and matches.live == 2
+        # Neither a sibling nor a pristine slot saw the seeding slot's writes.
+        assert slots.match[quiet] == -1
+        assert np.array_equal(matches.matched[slots.match[other]], other_row)
         # Forgetting the stream gives the match row back.
-        seeding.reset()
-        assert slots.match[seeding._slot] == -1 and matches.live == 1
+        tagger._release(tagger.track("entity:seeding"))
+        assert slots.match[seeding] == -1 and matches.live == 1
 
     def test_a_rescan_that_matches_nothing_gives_the_row_back(self):
         tagger = AttackTagger(
@@ -401,9 +413,9 @@ class TestLazyCursorsAreEagerCursors:
         names = ["alert_port_scan"] + [_FILLER] * 3
         for step, name in enumerate(names):
             assert tagger.observe(Alert(float(step), name, _ENTITY)) is None
-        decoder = tagger.track(_ENTITY).decoder
+        slot = tagger.track(_ENTITY).slot
         # The port scan left the window: nothing is matched any more.
-        assert decoder.windowed and tagger._arena.slots.match[decoder._slot] == -1
+        assert tagger._arena.slots.row[slot] >= 0 and tagger._arena.slots.match[slot] == -1
         assert tagger._arena.matches.live == 0
 
 

@@ -6,10 +6,10 @@ Pinned here:
 
 * **row accounting** -- a row is taken on the fill→windowed transition
   only and handed back the moment its entity is detected, reset or
-  migrated, so live rows always equal live windowed decoders and a
+  migrated, so live rows always equal live windowed slots and a
   churning population never grows the arena;
 * **fill-page accounting** -- the same for the filling phase's pages:
-  every page is free or held by exactly one live filling decoder, which
+  every page is free or held by exactly one live filling slot, which
   holds just the pages its length needs, and two-alert entities that
   come and go never grow the fill storage;
 * **the property** -- any interleaving of ``observe``, ragged
@@ -40,7 +40,7 @@ from repro.core.sliding_window import _INITIAL_PAGES, _INITIAL_ROWS, _MIN_SCAN, 
 from repro.core.streaming import plain_depth
 from repro.incidents import DEFAULT_CATALOGUE
 
-from test_sliding_window import assert_same_window
+from test_sliding_window import assert_same_window, window_of
 
 BACKGROUND = list(DEFAULT_VOCABULARY.names_for_stage(AttackStage.BACKGROUND))
 #: The shortest chain the default parameters flag: detected on its second alert.
@@ -65,41 +65,44 @@ def _detection_key(detection):
     )
 
 
-def _windowed_decoders(tagger) -> int:
-    return sum(
-        track.decoder is not None and track.decoder.windowed
-        for track in tagger._tracks.values()
-    )
+def _windowed_slots(tagger) -> int:
+    slots = tagger._arena.slots
+    return sum(slots.row[track.slot] >= 0 for track in tagger._tracks.values())
+
+
+def holds_no_decode_state(tagger, entity) -> bool:
+    """The entity's slot holds no row, no fill pages and no match row."""
+    slots = tagger._arena.slots
+    slot = tagger.track(entity).slot
+    return slots.row[slot] == -1 and slots.pages_of(slot).size == 0 and slots.match[slot] == -1
 
 
 def _assert_rows_accounted(tagger) -> None:
     """Every slot is held by exactly one live track and every freed slot
-    is free; live rows are live windowed decoders, each its slot's row;
-    and every fill page is free or held by exactly one live filling
-    slot, which holds what its length needs and no more."""
+    is free; live rows are the windowed slots' rows; and every fill page
+    is free or held by exactly one live filling slot, which holds what
+    its length needs and no more."""
     arena = tagger._arena
     slots = arena.slots
     tracks = list(tagger._tracks.values())
     held_slots = [track.slot for track in tracks]
     assert sorted(held_slots + slots._free) == list(range(slots.capacity))
     assert not slots.stale[slots._free].any()  # a freed slot has nothing to rebuild
-    assert arena.live == _windowed_decoders(tagger)
+    assert arena.live == _windowed_slots(tagger)
     rows = [int(slots.row[slot]) for slot in held_slots if slots.row[slot] >= 0]
     assert sorted(rows + arena._free) == list(range(arena.capacity))
     fill = arena.fill
     held = []
     for track in tracks:
-        slot, decoder = track.slot, track.decoder
+        slot = track.slot
         assert slots.detected[slot] == (track.detected is not None)
-        if decoder is not None:
-            assert decoder._slot == slot
-            assert slots.row[slot] == (decoder._window.row if decoder.windowed else -1)
-        elif slots.row[slot] >= 0:
-            raise AssertionError("a windowed slot without its decoder")
         pages = slots.pages_of(slot).tolist()
         assert not pages or slots.row[slot] < 0
-        if not (slots.stale[slot] or slots.detected[slot] or decoder is not None):
-            # A slot advanced without a decoder holds exactly its track's alerts.
+        if slots.detected[slot]:
+            # Dropped at detection, or rebuilt (filling) by infer since.
+            assert slots.row[slot] < 0 and slots.length[slot] in (0, len(track.alerts))
+        elif not slots.stale[slot] and slots.row[slot] < 0:
+            # A filling slot holds exactly its track's alerts.
             assert slots.length[slot] == len(track.alerts)
         held += pages
     assert len(held) == fill.live
@@ -134,15 +137,16 @@ class TestDetectionReleasesDecodeState:
             fired = [tagger.observe(alert) for tagger in taggers]
         assert fired[0] is not None and _detection_key(fired[0]) == _detection_key(fired[1])
         track = streaming.track("user:a")
-        assert track.detected is not None and track.decoder is None
+        assert track.detected is not None and holds_no_decode_state(streaming, "user:a")
         assert streaming._arena.live == 1  # user:b keeps its row
         _assert_rows_accounted(streaming)
-        # infer() after detection re-syncs a decoder and still equals the spec...
+        # infer() after detection rebuilds decode state and still equals the spec...
         for got, expected in zip(streaming.infer("user:a"), naive.infer("user:a")):
             assert np.array_equal(got, expected)
+        assert not holds_no_decode_state(streaming, "user:a")
         # ... which the next alert of the detected entity drops again.
         streaming.observe(Alert(next(clock), BACKGROUND[1], "user:a"))
-        assert streaming.track("user:a").decoder is None
+        assert holds_no_decode_state(streaming, "user:a")
         _assert_rows_accounted(streaming)
 
     def test_firing_observe_batch_releases_the_rows(self):
@@ -167,7 +171,7 @@ class TestDetectionReleasesDecodeState:
                 _detection_key(d) for d in naive.observe_batch(batch)
             ]
         assert [d.entity for d in hits] == attackers
-        assert all(streaming.track(entity).decoder is None for entity in attackers)
+        assert all(holds_no_decode_state(streaming, entity) for entity in attackers)
         assert streaming._arena.live == len(entities) - len(attackers)
         _assert_rows_accounted(streaming)
         for entity in attackers:
@@ -197,11 +201,13 @@ class TestDetectionReleasesDecodeState:
         for entity in ("user:a", "user:b", "user:c"):
             _saturate((source,), entity, 3, clock)
         assert source._arena.live == 3
-        # A track handed over with its decoder: the row goes back to the
-        # arena it came from, the adopter re-syncs lazily.
-        track = source._tracks.pop("user:a")
+        # An exported track carries no decode state: the adopter
+        # rebuilds it lazily, and the source's reset gives its row back.
+        track = source.export_entity_tracks()["user:a"]
+        source.reset_entity("user:a")
         target.adopt_entity_track("user:a", track)
-        assert track.decoder is None and source._arena.live == 2
+        assert source._arena.live == 2 and target._arena.live == 0
+        assert target._arena.slots.stale[track.slot]
         assert target.observe(Alert(next(clock), BACKGROUND[0], "user:a")) is None
         _assert_rows_accounted(target)
         source.reset()
@@ -247,8 +253,8 @@ class TestDetectionReleasesDecodeState:
 
 
 class TestFillPagesAreAccounted:
-    """Every event that drops or rebuilds a filling decoder leaves each
-    fill page free or held by exactly one live filling decoder."""
+    """Every event that drops or rebuilds a filling slot's decode state
+    leaves each fill page free or held by exactly one live filling slot."""
 
     def _populated(self):
         """Filling entities of every length up to a full window, through
@@ -265,7 +271,7 @@ class TestFillPagesAreAccounted:
         assert tagger.observe_batch(batch) == []
         for step in range(_PAGE + 1):
             assert tagger.observe(Alert(next(clock), BACKGROUND[step % 3], "host:scalar")) is None
-        assert _windowed_decoders(tagger) == 0
+        assert _windowed_slots(tagger) == 0
         assert tagger._arena.fill.live > len(tagger.entities())
         _assert_rows_accounted(tagger)
         return tagger, clock
@@ -275,7 +281,11 @@ class TestFillPagesAreAccounted:
         for index in range(0, 3 * _MIN_BATCH, 2):
             tagger.reset_entity(f"host:{index}")
             _assert_rows_accounted(tagger)
-        tagger._decoder_for(tagger.track("host:1")).reset()
+        tagger._release(tagger.track("host:1"))
+        assert holds_no_decode_state(tagger, "host:1")
+        # A live slot whose state is dropped mid-life is no longer its
+        # track's alerts: it counts as a fresh one from here on.
+        tagger.track("host:1").alerts.clear()
         _assert_rows_accounted(tagger)
         tagger.reset()
         assert tagger._arena.fill.live == 0
@@ -285,14 +295,17 @@ class TestFillPagesAreAccounted:
         tagger, clock = self._populated()
         for name in CHAIN:
             detection = tagger.observe(Alert(next(clock), name, "host:fresh"))
-        assert detection is not None and tagger.track("host:fresh").decoder is None
+        assert detection is not None and holds_no_decode_state(tagger, "host:fresh")
         _assert_rows_accounted(tagger)
-        # infer() re-syncs a decoder (pages again), the next alert drops it.
+        # infer() rebuilds decode state (pages again), once; the next alert drops it.
         tagger.infer("host:fresh")
+        pages = tagger._arena.fill.live
         assert tagger._arena.slots.pages_of(tagger.track("host:fresh").slot).size
+        tagger.infer("host:fresh")
+        assert tagger._arena.fill.live == pages
         _assert_rows_accounted(tagger)
         tagger.observe(Alert(next(clock), BACKGROUND[0], "host:fresh"))
-        assert tagger.track("host:fresh").decoder is None
+        assert holds_no_decode_state(tagger, "host:fresh")
         _assert_rows_accounted(tagger)
         # Detections inside a stacked filling pass release their pages too.
         late = [f"host:late-{index}" for index in range(_MIN_BATCH)]
@@ -311,12 +324,13 @@ class TestFillPagesAreAccounted:
             [Alert(next(clock), BACKGROUND[0], entity) for entity in target.entities()]
         )
         _assert_rows_accounted(target)
-        # A track handed over with its decoder gives its pages and slot back to the source.
-        assert source.track("host:3").decoder is not None  # Z seeded a pattern
+        # A migrated entity's pages and slot go back to the source when it forgets it.
+        assert source._arena.slots.match[source.track("host:3").slot] >= 0  # Z seeded a pattern
         held = source._arena.slots.pages_of(source.track("host:3").slot).size
         before = source._arena.fill.live
         other = AttackTagger(patterns=PATTERNS, max_window=8)
-        other.adopt_entity_track("host:3", source._tracks.pop("host:3"))
+        other.adopt_entity_track("host:3", source.export_entity_tracks()["host:3"])
+        source.reset_entity("host:3")
         assert source._arena.fill.live == before - held
         assert source._arena.slots.live == len(source.entities())
         _assert_rows_accounted(source), _assert_rows_accounted(other)
@@ -335,7 +349,7 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), _ALERT),
         # Ragged: duplicate entities make runs of every depth, and
-        # passes from 1 step (below _MIN_BATCH: the view) up (stacked).
+        # passes from 1 step (below _MIN_BATCH: per alert) up (stacked).
         st.tuples(st.just("batch"), st.lists(_ALERT, min_size=1, max_size=14)),
         st.tuples(st.just("reset"), st.integers(0, len(_ENTITIES) - 1)),
         st.tuples(st.just("pickle"), st.none()),
@@ -426,19 +440,20 @@ class TestPlainRowBoundary:
         final = [Alert(next(clock), probe[entity], entity) for entity in entities]
         for alerts in rounds:
             assert batched.observe_batch(alerts) == []
-        decoders = {entity: batched._decoder_for(batched.track(entity)) for entity in entities}
-        assert not decoders["host:opens"].windowed
         arena = batched._arena
+        slot_of = {entity: batched.track(entity).slot for entity in entities}
+        assert arena.slots.row[slot_of["host:opens"]] == -1
 
         def plain_step(entity):
-            decoder = decoders[entity]
-            slot, row = np.array([decoder._slot]), np.array([decoder._window.row])
+            slot = np.array([slot_of[entity]])
             symbol = np.array([[arena.symbol_ids[probe[entity]]]])
-            return plain_depth(arena, slot, row, symbol, np.ones(1, dtype=np.int64))[0] == 1
+            return plain_depth(arena, slot, arena.slots.row[slot], symbol, np.ones(1, dtype=np.int64))[0] == 1
 
-        predicted_plain = [entity for entity in entities if decoders[entity].windowed and plain_step(entity)]
+        predicted_plain = [
+            entity for entity in entities if arena.slots.row[slot_of[entity]] >= 0 and plain_step(entity)
+        ]
         assert predicted_plain == plain
-        rescans = decoders["host:rescans"]._slot
+        rescans = slot_of["host:rescans"]
         assert arena.slots.match[rescans] >= 0  # a live match, anchored on the head
         kernel = batched._batch_kernel
         counters = ("rows_stacked", "rows_patterned", "rows_scalar")
@@ -449,7 +464,7 @@ class TestPlainRowBoundary:
         # pattern pass, so they go per alert with the window opening.
         assert moved == [len(plain), 0, 3]
         # The rescan matched nothing: the slot gave its match row back.
-        assert decoders["host:opens"].windowed and arena.slots.match[rescans] == -1
+        assert arena.slots.row[slot_of["host:opens"]] >= 0 and arena.slots.match[rescans] == -1
         assert batched._arena.live == len(entities)
         # The round equals the per-alert loop and the spec.
         for tagger in (scalar, naive):
@@ -462,6 +477,4 @@ class TestPlainRowBoundary:
                 got = tagger.infer(entity)
                 assert np.array_equal(got[0], states) and np.array_equal(got[1], marginal)
                 assert got[2] == matched
-            assert_same_window(
-                batched.track(entity).decoder._window, scalar.track(entity).decoder._window
-            )
+            assert_same_window(window_of(batched, entity), window_of(scalar, entity))
