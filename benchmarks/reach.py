@@ -5,9 +5,10 @@ the eleven figure/table/insight benches, both bench scripts in
 ``--check`` mode, staticcheck, the service's ``--smoke``, the fuzz,
 chaos and service-leg CLIs, and the five e2e workloads traced and
 untraced -- under a call hook, then runs tier-1 under the same hook.
-It prints, per module, the functions (and their lines) that no entry
-point starts, and the part of those that tier-1 does not start either,
-followed by one row per such function.
+It prints one row per module -- every module, reached or not, so the
+rows of two runs compare -- with its definitions, those no entry point
+starts (and their lines), and the part of those that tier-1 does not
+start either, followed by one row per unreached function.
 
 The hook is a ``sitecustomize.py`` written to a temporary directory
 that leads ``PYTHONPATH``, so it is loaded by every interpreter the
@@ -195,8 +196,7 @@ def main() -> int:
     for module in sorted(per_module):
         row = per_module[module]
         totals = [a + b for a, b in zip(totals, row)]
-        if row[1]:
-            print(f"{module:40s} {row[0]:5d} {row[1]:9d} {row[2]:6d} {row[3]:9d} {row[4]:6d}")
+        print(f"{module:40s} {row[0]:5d} {row[1]:9d} {row[2]:6d} {row[3]:9d} {row[4]:6d}")
     print(f"{'total':40s} {totals[0]:5d} {totals[1]:9d} {totals[2]:6d} "
           f"{totals[3]:9d} {totals[4]:6d}")
     print()

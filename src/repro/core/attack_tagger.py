@@ -45,9 +45,8 @@ class UnknownEngineError(ValueError):
     """An engine name that is not one of :data:`ENGINES`.
 
     Raised at every edge a name can arrive through: the constructor, an
-    unpickled or restored tagger state (old checkpoints and shard
-    snapshots may carry the removed ``rebuild`` / ``batched`` engines),
-    the oracle's config specs and the service CLI.
+    unpickled tagger (an old pickle may carry the removed ``rebuild`` /
+    ``batched`` engines), the oracle's config specs and the service CLI.
     """
 
     def __init__(self, engine: object) -> None:
@@ -540,34 +539,19 @@ class AttackTagger(Detector):
             engine=self.engine,
         )
 
-    # -- shard state transfer ----------------------------------------------
+    # -- pickling (a pool's template crossing into a worker) -----------------
     def __getstate__(self) -> dict:
-        """Pickle-safe shard state: per-entity decode state is dropped.
-
-        An entity's decode state is a pure function of the track's
-        (window-bounded) alert list, so :meth:`_sync` rebuilds it lazily
-        and bit-identically after unpickling (tracks pickle without
-        their slots).  Dropping it keeps the transferred state small
-        when whole shards migrate between worker processes.
-        """
+        """The tagger without its scratch: the stacked kernel (recreated
+        on the next sub-batch) and the resolved model, whose arena holds
+        the decode state :meth:`_sync` rebuilds from the tracks' alerts."""
         state = self.__dict__.copy()
-        # The kernel is pure scratch (stacked work buffers); recreated
-        # lazily on the first sub-batch after unpickling.
         state["_batch_kernel"] = None
-        # So is the resolved model: the window arena (its slots, match
-        # rows, window rows and pages are the dropped decode state) is
-        # rebuilt on unpickling; dropping the key keeps old bytes.
         state.pop("_arena", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore shard state and resolve its model, refusing an engine
-        this build cannot run.
-
-        Checkpoints and shard snapshots written before the ``rebuild``
-        and ``batched`` engines were removed carry their names; running
-        them silently as ``streaming`` would hide the change.
-        """
+        """Resolve the model again, refusing an engine this build cannot
+        run (one pickled before ``rebuild`` and ``batched`` were removed)."""
         if state.get("engine") not in ENGINES:
             raise UnknownEngineError(state.get("engine"))
         # Interned keys, as default unpickling does: key identity feeds
@@ -576,12 +560,12 @@ class AttackTagger(Detector):
         self._resolve()
         self._assign_slots(list(self._tracks.values()))
 
-    # -- live reshard migration --------------------------------------------
-    # The optional Detector migration extension (see
-    # repro.core.detector.Detector): ShardedDetectorPool.reshard() moves
+    # -- the migration pair -------------------------------------------------
+    # The Detector contract's one state currency (see
+    # repro.core.detector.Detector): checkpoint, heal and reshard move
     # per-entity state between replicas through these two methods.
     def export_entity_tracks(self) -> Dict[str, EntityTrack]:
-        """Every per-entity track, without its slot.
+        """Every per-entity track, without its slot, in tracking order.
 
         The returned tracks are safe to hand to another replica built
         from the same configuration: decode state is a pure function of

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,41 +42,13 @@ class CriticalAlertDetector(Detector):
     detection) and whether the entity has been detected.
     """
 
+    entity_state = ("_alert_counts", "_detected")
+
     def __init__(self, vocabulary: Optional[AlertVocabulary] = None) -> None:
         self.vocabulary = vocabulary or DEFAULT_VOCABULARY
         self._critical = set(self.vocabulary.critical_names())
         self._alert_counts: Dict[str, int] = {}
         self._detected: set[str] = set()
-
-    def reset(self) -> None:
-        """Forget all per-entity state."""
-        self._alert_counts.clear()
-        self._detected.clear()
-
-    def reset_entity(self, entity: str) -> None:
-        """Forget one entity."""
-        self._alert_counts.pop(entity, None)
-        self._detected.discard(entity)
-
-    def __getstate__(self) -> dict:
-        """Canonical pickle: set-valued state as sorted tuples.
-
-        A raw ``set`` pickles in iteration order, which depends on the
-        per-process hash seed and insertion history — checkpoint →
-        restore → checkpoint would not be byte-identical.
-        """
-        state = self.__dict__.copy()
-        state["_critical"] = tuple(sorted(self._critical))
-        state["_detected"] = tuple(sorted(self._detected))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Intern keys exactly as pickle's default BUILD path does, so a
-        # restored instance re-pickles to the same bytes (memo hits on
-        # the shared attribute-name strings).
-        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
-        self._critical = set(state["_critical"])
-        self._detected = set(state["_detected"])
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         """Consume one alert; detect iff it is a critical alert."""
@@ -122,6 +93,8 @@ class NaiveBayesParameters:
 
 class NaiveBayesDetector(Detector):
     """Bag-of-alerts baseline: thresholds each entity's running log-odds."""
+
+    entity_state = ("_alert_counts", "_log_odds", "_detected")
 
     def __init__(
         self,
@@ -168,35 +141,8 @@ class NaiveBayesDetector(Detector):
         self.parameters = NaiveBayesParameters(
             vocabulary=vocab, log_likelihood_ratio=ratio, prior_log_odds=prior
         )
-        self._alert_counts.clear()
-        self._log_odds.clear()
-        self._detected.clear()
+        self.reset()
         return self.parameters
-
-    # -- streaming API ----------------------------------------------------------
-    def reset(self) -> None:
-        """Forget all per-entity state."""
-        self._alert_counts.clear()
-        self._log_odds.clear()
-        self._detected.clear()
-
-    def reset_entity(self, entity: str) -> None:
-        """Forget one entity."""
-        self._alert_counts.pop(entity, None)
-        self._log_odds.pop(entity, None)
-        self._detected.discard(entity)
-
-    def __getstate__(self) -> dict:
-        """Canonical pickle: set-valued state as a sorted tuple (see
-        :meth:`CriticalAlertDetector.__getstate__`)."""
-        state = self.__dict__.copy()
-        state["_detected"] = tuple(sorted(self._detected))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Key interning: see CriticalAlertDetector.__setstate__.
-        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
-        self._detected = set(state["_detected"])
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         """Consume one alert; detect when the cumulative log-odds cross the threshold."""

@@ -7,15 +7,16 @@ Every detection model deployed on the testbed -- the factor-graph
 :class:`~repro.core.baselines.NaiveBayesDetector` comparison baselines
 -- subclasses :class:`Detector`.  A subclass writes only what is its
 own: :meth:`~Detector.observe` (one alert in, a detection or ``None``
-out), :meth:`~Detector.reset`, :meth:`~Detector.reset_entity` and its
-per-entity state.  Everything the pipeline, the shard handler, the
-evaluation harness and the replay engine call on top of that lives
-here, once: the batch surface (:meth:`~Detector.observe_batch_indexed`
-and :meth:`~Detector.observe_batch`), :meth:`~Detector.run_sequence`
-and the ``kernel_seconds`` counter.  A detector returns its detections
-and keeps no log of them: the pipeline's ``detections`` list is the one
-record of what fired.  A detector with a faster batch path (the
-tagger's stacked cross-entity kernel) overrides
+out) and its per-entity state, named in :attr:`~Detector.entity_state`.
+Everything the pipeline, the shard handler, the evaluation harness and
+the replay engine call on top of that lives here, once: the batch
+surface (:meth:`~Detector.observe_batch_indexed`,
+:meth:`~Detector.observe_batch`), :meth:`~Detector.run_sequence`, the
+``kernel_seconds`` counter, and ``reset``, ``reset_entity`` and the
+migration pair over the declared state.  A detector returns its
+detections and keeps no log of them: the pipeline's ``detections`` list
+is the one record of what fired.  A detector with a faster batch path
+(the tagger's stacked cross-entity kernel) overrides
 :meth:`~Detector.observe_batch_indexed` with results identical to the
 per-alert loop, so every shard runs one code path whatever detector it
 hosts.
@@ -28,7 +29,8 @@ the invariant that makes hash-sharding entities across workers exact
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+import copy
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .alerts import Alert
 
@@ -44,19 +46,21 @@ class Detector:
     that two detectors fed disjoint entity sub-streams behave exactly
     like one detector fed the union stream.
 
-    **Live resharding** (``ShardedDetectorPool.reshard``) needs an
-    optional migration group, through which the pool moves per-entity
-    state between replicas of the same configuration:
-
-    * ``export_entity_tracks() -> dict[str, object]`` -- every entity's
-      state as an opaque migratable value;
-    * ``adopt_entity_track(entity, track) -> None`` -- take ownership of
-      one exported value (the entity must not already be tracked).
-
-    A detector without this group cannot be resharded live (the pool
-    raises ``TypeError``).
+    The migration pair is contract, not an option: checkpoint, heal and
+    reshard move detector state only as :meth:`export_entity_tracks`'
+    per-entity values, adopted one by one (:meth:`adopt_entity_track`)
+    by a fresh replica of the pool's template -- so a shard's model is
+    always its template's.  The base class implements the pair,
+    :meth:`reset` and :meth:`reset_entity` over :attr:`entity_state`;
+    the tagger, whose state is more than entity-keyed containers,
+    overrides all four.
     """
 
+    #: Attributes holding per-entity state: dicts keyed by entity and
+    #: sets of entities (``()``: none).  Undeclared (``None``), the base
+    #: methods raise ``TypeError``: state the pair cannot see is never
+    #: silently dropped.
+    entity_state: Optional[Tuple[str, ...]] = None
     #: Cumulative wall-clock seconds spent inside a vectorised decode
     #: kernel, for stage timing (``PipelineStats.detect_kernel_seconds``);
     #: detectors without one never move it off the class default.
@@ -71,13 +75,57 @@ class Detector:
         """Consume one alert; return a detection if one fires."""
         raise NotImplementedError
 
+    def _containers(self) -> Dict[str, object]:
+        """Every declared per-entity attribute, by name."""
+        if self.entity_state is None:
+            raise TypeError(
+                f"{type(self).__name__} declares no entity_state and overrides no "
+                "migration pair: its state cannot be reset, checkpointed or resharded"
+            )
+        return {name: getattr(self, name) for name in self.entity_state}
+
     def reset(self) -> None:
         """Forget all per-entity state."""
-        raise NotImplementedError
+        for container in self._containers().values():
+            container.clear()
 
     def reset_entity(self, entity: str) -> None:
         """Forget one entity's state."""
-        raise NotImplementedError
+        for container in self._containers().values():
+            if isinstance(container, set):
+                container.discard(entity)
+            else:
+                container.pop(entity, None)
+
+    def export_entity_tracks(self) -> Dict[str, object]:
+        """Every tracked entity's state, ``{entity: {attribute: value}}``.
+
+        A set member's value is ``True``; dict values are shallow copies
+        (an adopter shares no container with this detector).  Set-only
+        entities come sorted, so the pickled export does not depend on
+        the process's hash seed.
+        """
+        tracks: Dict[str, dict] = {}
+        for name, container in self._containers().items():
+            if isinstance(container, set):
+                for entity in sorted(container):
+                    tracks.setdefault(entity, {})[name] = True
+            else:
+                for entity, value in container.items():
+                    tracks.setdefault(entity, {})[name] = copy.copy(value)
+        return tracks
+
+    def adopt_entity_track(self, entity: str, track: object) -> None:
+        """Take ownership of one exported track (see :meth:`export_entity_tracks`)."""
+        containers = self._containers()
+        if any(entity in container for container in containers.values()):
+            raise ValueError(f"entity {entity!r} is already tracked")
+        for name, value in track.items():
+            container = containers[name]
+            if isinstance(container, set):
+                container.add(entity)
+            else:
+                container[entity] = value
 
     def observe_batch_indexed(
         self, alerts: Iterable[Alert]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
@@ -168,6 +167,8 @@ def default_ruleset(vocabulary: Optional[AlertVocabulary] = None) -> list[Rule]:
 class RuleBasedDetector(Detector):
     """Streaming rule-engine baseline (a :class:`Detector` like AttackTagger)."""
 
+    entity_state = ("_history", "_fired", "_detected_entities")
+
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
@@ -184,36 +185,6 @@ class RuleBasedDetector(Detector):
         self._history: Dict[str, List[Alert]] = {}
         self._detected_entities: set[str] = set()
         self._fired: Dict[str, List[str]] = {}
-
-    def reset(self) -> None:
-        """Forget all per-entity state."""
-        self._history.clear()
-        self._detected_entities.clear()
-        self._fired.clear()
-
-    def reset_entity(self, entity: str) -> None:
-        """Forget a single entity."""
-        self._history.pop(entity, None)
-        self._fired.pop(entity, None)
-        self._detected_entities.discard(entity)
-
-    def __getstate__(self) -> dict:
-        """Canonical pickle: set-valued state as a sorted tuple.
-
-        A raw ``set`` pickles in iteration order, which depends on the
-        per-process hash seed and insertion history — checkpoint →
-        restore → checkpoint would not be byte-identical.
-        """
-        state = self.__dict__.copy()
-        state["_detected_entities"] = tuple(sorted(self._detected_entities))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Intern keys exactly as pickle's default BUILD path does, so a
-        # restored instance re-pickles to the same bytes (memo hits on
-        # the shared attribute-name strings).
-        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
-        self._detected_entities = set(state["_detected_entities"])
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         """Consume one alert, returning a detection if any rule fires."""

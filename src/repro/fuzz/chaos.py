@@ -223,6 +223,12 @@ class ChaosPoisonDetector(Detector):
     def reset_entity(self, entity: str) -> None:
         self.wrapped.reset_entity(entity)
 
+    def export_entity_tracks(self) -> dict:
+        return self.wrapped.export_entity_tracks()
+
+    def adopt_entity_track(self, entity: str, track: object) -> None:
+        self.wrapped.adopt_entity_track(entity, track)
+
     def clone(self) -> "ChaosPoisonDetector":
         clone = getattr(self.wrapped, "clone", None)
         inner = clone() if callable(clone) else copy.deepcopy(self.wrapped)

@@ -1,10 +1,10 @@
 """Rule ``pickle-safety``: checkpointed classes must pickle clean.
 
-Checkpoint/restore and shard snapshot/migration pickle detector state:
-:class:`AttackTagger` and its per-entity tracks (never their slots or
-the window arena that holds their decode state: the tagger drops
-those), the baseline
-detectors, and anything a pool snapshot reaches.  An attribute
+A process pool pickles its template detector into every worker
+(:class:`AttackTagger` without the window arena that holds its decode
+state, the baseline detectors), and checkpoint, heal and reshard pickle
+per-entity tracks (never their slots) and anything else a pool
+snapshot reaches.  An attribute
 holding a lambda, generator, lock, open file, or socket either fails to
 pickle outright or — worse — pickles *differently* across runs,
 breaking byte-identical checkpoints.

@@ -10,8 +10,9 @@ blocks, confirmed attackers get long blocks raised by the response
 path.
 
 The reproduction models the routing table with expiry, the scan
-recorder, and a client API with the same verbs as the real client
-(``block``, ``unblock``, ``query``, ``list``) plus per-caller audit.
+recorder (per-source counts), and a client API with the real client's
+``block`` verb; the router's ``history`` is the audit trail, each entry
+naming its caller in ``created_by``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class BlackHoleRouter:
         self.protected = protected
         self._blocks: dict[str, BlockEntry] = {}
         self._history: list[BlockEntry] = []
-        self._scans: list[ScanRecord] = []
         self.scan_counter: Counter[str] = Counter()
         # threshold -> sources at/above it with scans not yet drained
         # (the incremental feed behind pipeline.block_top_scanners).
@@ -108,7 +108,6 @@ class BlackHoleRouter:
     # -- scan recording ---------------------------------------------------------
     def record_scan(self, record: ScanRecord) -> None:
         """Record one scan packet aimed at the protected space."""
-        self._scans.append(record)
         count = self.scan_counter[record.source_ip] + 1
         self.scan_counter[record.source_ip] = count
         for threshold, pending in self._scan_watches.items():
@@ -122,7 +121,7 @@ class BlackHoleRouter:
 
     def scan_count(self) -> int:
         """Total number of recorded scans."""
-        return len(self._scans)
+        return sum(self.scan_counter.values())
 
     def top_scanners(self, count: int = 10) -> list[tuple[str, int]]:
         """The ``count`` most active scanning sources."""
@@ -172,12 +171,6 @@ class BHRClient:
     def __init__(self, router: BlackHoleRouter, *, caller: str = "attacktagger") -> None:
         self.router = router
         self.caller = caller
-        self.audit_log: list[dict] = []
-
-    def _audit(self, action: str, source_ip: str, **details) -> None:
-        self.audit_log.append(
-            {"action": action, "source_ip": source_ip, "caller": self.caller, **details}
-        )
 
     def block(
         self,
@@ -187,16 +180,14 @@ class BHRClient:
         now: float,
         duration_seconds: Optional[float] = 86_400.0,
     ) -> BlockEntry:
-        """Null-route an address (default 24-hour block)."""
-        entry = self.router.block(
+        """Null-route an address (default 24-hour block), as ``caller``."""
+        return self.router.block(
             source_ip,
             reason=reason,
             now=now,
             duration_seconds=duration_seconds,
             created_by=self.caller,
         )
-        self._audit("block", source_ip, reason=reason, duration_seconds=duration_seconds)
-        return entry
 
 
 __all__ = [

@@ -19,13 +19,16 @@ module provides the persistence layer:
 
 The payload itself is produced by the pipeline (see
 ``TestbedPipeline._checkpoint_payload``); this module only frames and
-persists it.  The format is versioned: :data:`CHECKPOINT_VERSION` bumps
-whenever the payload schema changes, and a mismatched version fails
-loudly with :class:`CheckpointError` instead of unpickling garbage.
+persists it, and provides :func:`model_digest`, the value fingerprint
+of a pool's template that the payload's config records.  The format is
+versioned: :data:`CHECKPOINT_VERSION` bumps whenever the payload schema
+changes, and a mismatched version fails loudly with
+:class:`CheckpointError` before anything is unpickled.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import pickle
@@ -37,9 +40,11 @@ from typing import List, Optional
 CHECKPOINT_MAGIC = b"RPRCKPT1"
 
 #: Payload schema version (little-endian u32 after the magic).  A file
-#: of any other version is refused, not migrated.  Version 3: tracked
-#: entities pickle without the ``decoder`` key version 2 carried.
-CHECKPOINT_VERSION = 3
+#: of any other version is refused, not migrated.  Version 4: shards
+#: hold exported tracks, not pickled replicas; the config holds each
+#: pool's :func:`model_digest`; no wall clock, scan records, audit log
+#: or scan filter stats.
+CHECKPOINT_VERSION = 4
 
 _HEADER = struct.Struct("<I")
 
@@ -78,6 +83,25 @@ def _canonical_dumps(payload: object) -> bytes:
     buffer = io.BytesIO()
     _CanonicalPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(payload)
     return buffer.getvalue()
+
+
+class _ModelPickler(pickle.Pickler):
+    """Pickler for :func:`model_digest`: a set is written as its sorted
+    members, never in the process's hash order (as a persistent id: the
+    C pickler has no other hook for a set, and the bytes are only hashed)."""
+
+    def persistent_id(self, obj):
+        if type(obj) in (set, frozenset):
+            return type(obj).__name__, sorted(obj, key=repr)
+        return None
+
+
+def model_digest(detector: object) -> str:
+    """sha256 of a pristine detector's pickle: the same in every process
+    that builds the model the same way, whatever its hash seed."""
+    buffer = io.BytesIO()
+    _ModelPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(detector)
+    return hashlib.sha256(buffer.getvalue()).hexdigest()
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -221,6 +245,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "CheckpointStore",
+    "model_digest",
     "read_checkpoint",
     "write_checkpoint",
 ]

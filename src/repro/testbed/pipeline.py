@@ -66,7 +66,7 @@ from ..telemetry.filtering import ScanFilter, ScanFilterStage
 from ..telemetry.logsource import RawLogRecord
 from ..telemetry.normalizer import AlertNormalizer, NormalizerStage
 from .bhr import BHRClient, BlackHoleRouter
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointError, model_digest, read_checkpoint, write_checkpoint
 from .honeypot import Honeypot
 from .responder import ResponseOrchestrator, ResponsePolicy
 from .sharding import PoolCloseResult, ShardedDetectorPool
@@ -88,31 +88,25 @@ class PipelineStats:
     filtered_alerts: int = 0
     detections: int = 0
     responses: int = 0
-    #: Seconds spent in the detection stage only (response time is
-    #: accounted separately in :attr:`response_seconds`).
-    detection_seconds: float = 0.0
-    response_seconds: float = 0.0
-    #: Cumulative wall seconds per stage name (normalize/filter/detect/respond).
-    stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     #: Raw records / alerts the service's admission controller shed
     #: before they reached the pipeline.
     dropped_raw: int = 0
     dropped_alerts: int = 0
+    #: Cumulative wall seconds per stage name (normalize/filter/detect/
+    #: respond).  A wall clock, so never checkpointed.
+    stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
 
     def add_stage_seconds(self, stage_name: str, seconds: float) -> None:
         """Accumulate one stage run's wall time."""
         self.stage_seconds[stage_name] = self.stage_seconds.get(stage_name, 0.0) + seconds
-        if stage_name == DetectionStage.name:
-            self.detection_seconds += seconds
-        elif stage_name == ResponseStage.name:
-            self.response_seconds += seconds
 
     @property
     def detection_throughput(self) -> float:
         """Filtered alerts consumed per second spent in the detection stage."""
-        if self.detection_seconds <= 0.0:
+        seconds = self.stage_seconds.get(DetectionStage.name, 0.0)
+        if seconds <= 0.0:
             return 0.0
-        return self.filtered_alerts / self.detection_seconds
+        return self.filtered_alerts / seconds
 
     @property
     def normalization_drop_rate(self) -> float:
@@ -644,7 +638,7 @@ class TestbedPipeline:
             "normalization_drop_rate": self.stats.normalization_drop_rate,
             "filter_reduction": self.stats.filter_reduction,
             "detection_throughput": self.stats.detection_throughput,
-            "detection_seconds": self.stats.detection_seconds,
+            "detection_seconds": self.stats.stage_seconds.get(DetectionStage.name, 0.0),
             # The slice of detection time spent inside vectorised decode
             # kernels, summed across pools and shards; 0.0 for per-alert
             # detectors.  Timing, so not deterministic.
@@ -656,7 +650,7 @@ class TestbedPipeline:
                 name: dict(zip(("stacked", "patterned", "scalar"), pool.kernel_steps))
                 for name, pool in self.detector_pools.items()
             },
-            "response_seconds": self.stats.response_seconds,
+            "response_seconds": self.stats.stage_seconds.get(ResponseStage.name, 0.0),
             # Load-shedding and fault-domain accounting: the one place
             # admission control and operators read drop/recovery state.
             # The dropped counters move only when the service's
@@ -696,26 +690,33 @@ class TestbedPipeline:
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def _checkpoint_config(self) -> dict[str, object]:
-        """The structural fingerprint a checkpoint must match to restore."""
+        """The fingerprint a checkpoint must match to restore: the
+        structure and each pool's template :func:`~repro.testbed.checkpoint
+        .model_digest` (shards adopt tracks into replicas of *these*
+        templates, so another model is refused, never run)."""
         return {
             "n_shards": self.n_shards,
             "shard_backend": self.shard_backend,
             "primary_detector": self.primary_detector,
-            "pools": sorted(self.detector_pools),
+            "pools": {
+                name: model_digest(self.detector_pools[name].detector_factory.template)
+                for name in sorted(self.detector_pools)
+            },
             "has_honeypot": self.honeypot is not None,
         }
 
     def _checkpoint_payload(self) -> dict[str, object]:
-        """Everything a pristine equal-config pipeline needs to continue.
+        """The stream state, each fact once, that a pristine equal-config
+        pipeline needs to continue: counters (no wall clock), detection
+        log, responder and router records, every pool's tracks.
 
         Sets are serialised as *sorted lists* so the payload bytes are a
         pure function of the pipeline state (checkpoint -> restore ->
-        checkpoint is byte-identical); they are rebuilt as sets on
-        restore.
+        checkpoint is byte-identical); they are rebuilt as sets on restore.
         """
         return {
             "config": self._checkpoint_config(),
-            "stats": self.stats,
+            "stats": {key: value for key, value in vars(self.stats).items() if key != "stage_seconds"},
             "detections": list(self.detections),
             "responder": {
                 "notifications": list(self.responder.notifications),
@@ -725,15 +726,12 @@ class TestbedPipeline:
             "router": {
                 "blocks": dict(self.router._blocks),
                 "history": list(self.router._history),
-                "scans": list(self.router._scans),
                 "scan_counter": dict(self.router.scan_counter),
                 "scan_watches": {
                     threshold: sorted(pending)
                     for threshold, pending in self.router._scan_watches.items()
                 },
             },
-            "audit_log": list(self.bhr_client.audit_log),
-            "filter_stats": self.scan_filter.stats,
             "honeypot": self.honeypot,
             "pools": {
                 name: self.detector_pools[name].snapshot_state()
@@ -744,9 +742,9 @@ class TestbedPipeline:
     def checkpoint(self, path) -> int:
         """Atomically persist the pipeline's full state to ``path``.
 
-        Snapshots every detector pool's per-entity state (pickled via
-        the detectors' own ``__getstate__``), the response/BHR records
-        and ``PipelineStats``, such that a pristine
+        Snapshots every detector pool's per-entity tracks (the
+        detectors' ``export_entity_tracks``), the response/BHR records
+        and the ``PipelineStats`` counters, such that a pristine
         equal-config pipeline :meth:`restore`\\ d from the file replays
         the remaining stream to bit-identical detections, logs, and
         counters.
@@ -777,6 +775,8 @@ class TestbedPipeline:
             or self.detection_stage.pending_batches
             or self.responder.notifications
             or self.responder.actions
+            or self.router.scan_counter
+            or self.router._history
         )
         if driven:
             raise RuntimeError(
@@ -788,12 +788,13 @@ class TestbedPipeline:
         """Load a :meth:`checkpoint` file into this (pristine) pipeline.
 
         The pipeline must be freshly constructed with the same
-        structural configuration (shard count, backend, attached
-        detector names, primary, honeypot presence) as the one that
+        configuration (shard count, backend, attached detector names and
+        their models, primary, honeypot presence) as the one that
         checkpointed -- a mismatch raises
         :class:`~repro.testbed.checkpoint.CheckpointError`; a pipeline
-        that already processed traffic (or was already restored) raises
-        ``RuntimeError``.  Both checks run before any state is touched.
+        that already processed traffic, recorded scans or blocks, or was
+        already restored raises ``RuntimeError``.  Both checks run
+        before any state is touched.
         """
         payload = read_checkpoint(path)
         self._require_pristine_for_restore()
@@ -807,7 +808,7 @@ class TestbedPipeline:
         # identities the stages and external callers already hold (the
         # detections list is the detection stage's sink, the stats the
         # admission controller's drop ledger).
-        self.stats.__dict__.update(payload["stats"].__dict__)
+        self.stats.__dict__.update(payload["stats"])
         self.detections[:] = payload["detections"]
         responder_state = payload["responder"]
         self.responder.notifications[:] = responder_state["notifications"]
@@ -820,7 +821,6 @@ class TestbedPipeline:
         self.router._blocks.clear()
         self.router._blocks.update(router_state["blocks"])
         self.router._history[:] = router_state["history"]
-        self.router._scans[:] = router_state["scans"]
         self.router.scan_counter.clear()
         self.router.scan_counter.update(router_state["scan_counter"])
         self.router._scan_watches.clear()
@@ -830,8 +830,6 @@ class TestbedPipeline:
                 for threshold, pending in router_state["scan_watches"].items()
             }
         )
-        self.bhr_client.audit_log[:] = payload["audit_log"]
-        self.scan_filter.stats = payload["filter_stats"]
         if self.honeypot is not None and payload["honeypot"] is not None:
             self.honeypot.__dict__.clear()
             self.honeypot.__dict__.update(payload["honeypot"].__dict__)

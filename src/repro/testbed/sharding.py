@@ -21,9 +21,9 @@ order, which is all the exactness argument needs.
 :class:`_ShardHandler`, which maps ``(verb, payload)`` to exactly one
 status-tagged reply -- ``("ok", result)`` or ``("error", traceback)``.
 The verbs are ``observe`` (a sub-batch in, ``(hits, busy_seconds,
-kernel_seconds)`` out), ``reset_entity``, ``reset``, ``snapshot`` (the
-pickled replica out) and ``restore`` (a pickled replica in); each is
-implemented once, in the handler, against the
+kernel_seconds, kernel_steps)`` out), ``reset_entity``, ``reset``,
+``snapshot`` (the replica's tracks out) and ``restore`` (tracks in);
+each is implemented once, in the handler, against the
 :class:`~repro.core.detector.Detector` base class: ``observe`` is the
 replica's ``observe_batch_indexed`` and its ``kernel_seconds`` delta
 whatever detector the shard hosts, so there is one code path per verb.
@@ -44,8 +44,15 @@ never asks which kind it holds; what differs between the backends is
 which carrier gets built and that ``close()`` leaves a serial pool
 usable.  On both, every replica comes from the pool's factory --
 :meth:`ShardedDetectorPool.from_template` clones a private copy of
-the caller's detector -- so the caller's own object is never a shard,
-and ``restore`` simply replaces a shard's replica.
+the caller's detector -- so the caller's own object is never a shard.
+
+**One state currency.**  State crosses a shard boundary only as the
+replica's pickled :meth:`~repro.core.detector.Detector
+.export_entity_tracks` (the ``snapshot`` reply), which ``restore``
+adopts into a fresh replica from the factory.  Checkpoint, heal and
+reshard all move it so, and the model a shard runs is always its
+factory's; a reshard regroups the tracks by ``shard_of(entity, M)``
+in the parent and builds no detector there.
 
 **One wire.**  How a sub-batch crosses the process boundary is private
 to :meth:`_ProcessShard.send`: the batch is packed into columns and
@@ -65,7 +72,8 @@ restart budget ``max_restarts`` is the whole policy.  At 0 (the
 default) the ``receive`` that meets the corpse returns ``("dead",
 detail)``, the pool raises :class:`ShardWorkerError`, and the carrier
 retains no payload.  Above 0 the carrier keeps the shard's recoverable
-image -- the last ``snapshot`` blob, the state-changing messages
+image -- the last tracks blob (``snapshot`` reply or ``restore``
+payload), the state-changing messages
 answered since it, and the payloads of the messages still unanswered
 -- and that same ``receive`` heals: respawn (after
 :data:`RESTART_BACKOFF` seconds, doubling per attempt), ``restore``
@@ -287,9 +295,8 @@ class _ShardHandler:
     traceback)`` -- so a driver can run a simple send-all / receive-all
     round and a detector exception can neither wedge it nor lose its
     traceback.  A factory that raises is recorded and replayed as the
-    reply to every verb except ``restore`` (which installs a replica
-    and so clears it): a supervisor can restore into a shard whose
-    factory crashed.
+    reply to every verb: ``restore`` builds from the same factory, so
+    nothing can revive such a shard.
 
     ``unwire`` turns an ``observe`` payload into the list of alerts;
     ``None`` means the payload already is that list.  It runs inside
@@ -297,6 +304,7 @@ class _ShardHandler:
     """
 
     def __init__(self, factory, unwire=None) -> None:
+        self._factory = factory
         self._unwire = unwire
         self.failure: Optional[_WorkerTraceback] = None
         try:
@@ -307,7 +315,7 @@ class _ShardHandler:
 
     def handle(self, verb: str, payload=None) -> Tuple[str, object]:
         """Answer one command; never raises for a detector failure."""
-        if self.failure is not None and verb != "restore":
+        if self.failure is not None:
             return ("error", self.failure)
         try:
             method = self._VERBS.get(verb)
@@ -345,11 +353,14 @@ class _ShardHandler:
         self.detector.reset()
 
     def _snapshot(self, _payload) -> bytes:
-        return pickle.dumps(self.detector, pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(self.detector.export_entity_tracks(), pickle.HIGHEST_PROTOCOL)
 
     def _restore(self, blob: bytes) -> None:
-        self.detector = pickle.loads(blob)
-        self.failure = None
+        """A fresh replica from the factory adopts the tracks (all or none)."""
+        detector = self._factory()
+        for entity, track in pickle.loads(blob).items():
+            detector.adopt_entity_track(entity, track)
+        self.detector = detector
 
     _VERBS = {
         "observe": _observe,
@@ -507,7 +518,7 @@ class _ProcessShard:
         #: first: the ring region it occupies (``None`` for a pipe-only
         #: message) and, with a ``recovery`` only, its ``(verb, payload)``.
         self._transit: Deque[tuple] = collections.deque()
-        #: Recovery image: pickled replica (``None`` = pristine factory
+        #: Recovery image: a tracks blob (``None`` = pristine factory
         #: state) plus the state-changing messages answered since.
         self._snapshot: Optional[bytes] = None
         self._log: List[tuple] = []
@@ -631,7 +642,7 @@ class _ProcessShard:
         ring region later.  Any other reply means the worker has read
         (or will never read) the message, so its ring region is free
         again, and an answered message joins the recovery image: a
-        ``snapshot`` or ``restore`` blob *is* the new snapshot, any
+        ``snapshot`` or ``restore`` tracks blob *is* the new image, any
         other verb changed the replica and is logged for replay (an
         ``error`` reply too: the replay stops at the same alert).
         """
@@ -659,7 +670,7 @@ class _ProcessShard:
         return message
 
     def _fold(self) -> None:
-        """Fold the replay log into a fresh snapshot of the replica.
+        """Fold the replay log into a fresh snapshot of the replica's tracks.
 
         The replies the worker still owes are read first and kept, in
         order, for the :meth:`receive` calls that own them; the
@@ -854,8 +865,8 @@ class ShardedDetectorPool:
     ----------
     detector_factory:
         Zero-argument callable producing one pristine detector replica
-        per shard, and more for every reshard, reopen and fresh
-        worker.  Must be picklable for the process backend
+        per shard, and more for every restore, reshard, reopen and
+        fresh worker.  Must be picklable for the process backend
         (:meth:`from_template` builds one from a detector instance).  A
         factory that raises does not fail construction: the shard
         answers every command with the failure (see
@@ -1309,15 +1320,13 @@ class ShardedDetectorPool:
         reached on the same stream, so subsequent output is
         bit-identical across the transition.
 
-        Mechanics: every current replica is harvested into the parent
+        Mechanics: every shard's tracks are harvested into the parent
         (the same ``snapshot`` round a checkpoint uses, so with a
         restart budget a SIGKILLed worker is healed by its carrier on the
-        way), the per-entity tracks are exported via the detectors'
-        optional migration extension (``export_entity_tracks`` /
-        ``adopt_entity_track`` -- see
-        :class:`repro.core.detector.Detector`) and re-routed into M
-        fresh replicas, the old carriers are retired, and M new ones
-        are built and ``restore``\\ d from the migrated replicas.
+        way) and regrouped by ``shard_of(entity, M)``; the old carriers
+        are retired, and M new ones are built and ``restore``\\ d from
+        the regrouped tracks (each builds its replica from the factory
+        and adopts them).  No detector is built or unpickled here.
         Requires an idle pool: callers must collect in-flight tickets
         first (the pipeline's ``reshard`` control refuses to run with a
         batch in flight for exactly this reason).
@@ -1328,7 +1337,7 @@ class ShardedDetectorPool:
         returned :class:`ReshardEvent` (also appended to
         :attr:`reshard_log`).
 
-        The new carriers start from the migrated replicas as their
+        The new carriers start from the regrouped tracks as their
         recovery snapshots, but the per-shard restart budget is **not**
         refreshed: shards that keep their index carry their consumed
         ``max_restarts`` attempts across the transition (only shards
@@ -1343,46 +1352,21 @@ class ShardedDetectorPool:
         started = time.perf_counter()
         old_n = self.n_shards
         recoveries_before = len(self.recovery_log)
-        replicas = [pickle.loads(blob) for blob in self._round("snapshot")]
-        rebuilt = sorted(
-            {
-                event.shard
-                for event in self.recovery_log[recoveries_before:]
-                if event.healed
-            }
-        )
-        fresh: List[Detector] = [self.detector_factory() for _ in range(new_n)]
-        moved = 0
-        for replica in replicas:
-            export = getattr(replica, "export_entity_tracks", None)
-            if export is None:
-                raise TypeError(
-                    f"detector {type(replica).__name__} does not support "
-                    "live resharding: it lacks the export_entity_tracks/"
-                    "adopt_entity_track migration extension"
-                )
-            for entity, track in export().items():
-                target = fresh[shard_of(entity, new_n)]
-                adopt = getattr(target, "adopt_entity_track", None)
-                if adopt is None:
-                    raise TypeError(
-                        f"detector {type(target).__name__} does not support "
-                        "live resharding: it lacks adopt_entity_track"
-                    )
-                adopt(entity, track)
-                moved += 1
-        blobs = [pickle.dumps(replica, pickle.HIGHEST_PROTOCOL) for replica in fresh]
-        # Fresh workers, but not a fresh fault history: shards that
-        # keep their index carry their consumed restart budget across
-        # the transition (shards new at a wider count start at zero).
-        # Otherwise a periodic reshard would refresh a crash-looping
-        # worker's budget forever and ShardRecoveryError -- the budget
-        # contract -- could never surface on a long-lived service.
+        harvest = [pickle.loads(blob) for blob in self._round("snapshot")]
+        healed = self.recovery_log[recoveries_before:]
+        rebuilt = sorted({event.shard for event in healed if event.healed})
+        groups: List[Dict[str, object]] = [{} for _ in range(new_n)]
+        for tracks in harvest:
+            for entity, track in tracks.items():
+                groups[shard_of(entity, new_n)][entity] = track
+        moved = sum(map(len, groups))
+        blobs = [pickle.dumps(group, pickle.HIGHEST_PROTOCOL) for group in groups]
+        # Fresh workers, not a fresh fault history (see above).
         del self._restarts_used[new_n:]
         self._restarts_used.extend([0] * (new_n - old_n))
         # New carriers (and, for process shards, new rings: they are
         # per-shard-slot plumbing) at the new width, restored from the
-        # migrated replicas.  A failure leaves the pool closed.
+        # regrouped tracks.  A failure leaves the pool closed.
         self._replace_workers(new_n)
         try:
             self._round("restore", blobs)
@@ -1417,25 +1401,18 @@ class ShardedDetectorPool:
 
     # -- checkpointing -----------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
-        """Capture the pool's full state for a pipeline checkpoint.
+        """The pool's state for a checkpoint: its shape (``n_shards``,
+        ``backend``) and one tracks blob per shard (the ``snapshot`` verb).
 
-        Returns a picklable mapping: one pickled detector blob per
-        shard (the ``snapshot`` verb) plus the pool-level routing and
-        busy telemetry.  Requires
-        an idle pool -- a snapshot with submitted batches in flight
-        would be neither before nor after them.
+        No model (replicas come from the factory), no run telemetry.
+        Requires an idle pool: a snapshot with batches in flight would
+        be neither before nor after them.
         """
         self._require_idle("snapshot_state")
         return {
             "n_shards": self.n_shards,
             "backend": self.backend,
             "shards": self._round("snapshot"),
-            "alerts_routed": list(self.alerts_routed),
-            "busy_seconds": list(self.busy_seconds),
-            "kernel_seconds": list(self.kernel_seconds),
-            "busy_seconds_retired": self.busy_seconds_retired,
-            "kernel_seconds_retired": self.kernel_seconds_retired,
-            "alerts_routed_retired": self.alerts_routed_retired,
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -1444,9 +1421,8 @@ class ShardedDetectorPool:
         The pool must be idle and configured identically (same shard
         count and backend) to the snapshotted one, and the mapping must
         carry exactly one blob per shard; a mismatch is refused with
-        ``ValueError`` before any shard is touched.  Every shard
-        receives the ``restore`` verb, which replaces its replica with
-        the unpickled one.
+        ``ValueError`` before any shard is touched.  Each shard's
+        ``restore`` adopts its blob's tracks into a fresh replica.
         """
         self._require_idle("restore_state")
         if state["n_shards"] != self.n_shards or state["backend"] != self.backend:
@@ -1462,12 +1438,6 @@ class ShardedDetectorPool:
                 f"n_shards={self.n_shards}"
             )
         self._round("restore", blobs)
-        self.alerts_routed = list(state["alerts_routed"])
-        self.busy_seconds = list(state["busy_seconds"])
-        self.kernel_seconds = list(state["kernel_seconds"])
-        self.busy_seconds_retired = state["busy_seconds_retired"]
-        self.kernel_seconds_retired = state["kernel_seconds_retired"]
-        self.alerts_routed_retired = state["alerts_routed_retired"]
 
     # -- lifecycle ---------------------------------------------------------
     def reopen(self) -> None:

@@ -1104,13 +1104,18 @@ class TestBatchedThroughSharding:
             assert steps == {"fg": dict(zip(("stacked", "patterned", "scalar"), pipeline.detector_pools["fg"].kernel_steps))}
         assert sum(steps["fg"].values()) > 0 and "kernel_steps" not in DETERMINISTIC_COUNTERS
 
-    def test_pool_kernel_seconds_checkpoint_roundtrip(self):
+    def test_pool_kernel_seconds_stay_out_of_checkpoints(self):
+        # Run telemetry is the pool's, not stream state: a restore
+        # carries the tracks and the counters start from zero.
         rng = np.random.default_rng(21)
         stream = _random_stream(rng, 120)
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
         pool.observe_batch(stream)
         assert sum(pool.kernel_seconds) > 0.0
         state = pool.snapshot_state()
+        assert set(state) == {"n_shards", "backend", "shards"}
         other = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
         other.restore_state(state)
-        assert other.kernel_seconds == pool.kernel_seconds
+        assert other.kernel_seconds == [0.0, 0.0] and other.alerts_routed == [0, 0]
+        more = _random_stream(rng, 60)
+        assert other.observe_batch(more) == pool.observe_batch(more)

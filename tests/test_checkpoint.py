@@ -19,12 +19,11 @@ here:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import itertools
 import pickle
 import struct
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,10 @@ from hypothesis import strategies as st
 import ingest_corpus
 from repro.core import AttackTagger
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
+from repro.core.factors import default_parameters
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.telemetry import ZeekMonitor
+from repro.testbed.bhr import ScanRecord
 from repro.testbed import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -132,14 +133,22 @@ class TestCheckpointFile:
         # but the pipeline's; there is no migration.
         path = tmp_path / "v1.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 1; this build reads version 3"):
+        with pytest.raises(CheckpointError, match="version 1; this build reads version 4"):
             read_checkpoint(path)
 
     def test_version_2_file_is_refused_before_unpickling(self, tmp_path):
         # Version 3 tracks carry no ``decoder`` key; there is no migration.
         path = tmp_path / "v2.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 2; this build reads version 3"):
+        with pytest.raises(CheckpointError, match="version 2; this build reads version 4"):
+            read_checkpoint(path)
+
+    def test_version_3_file_is_refused_before_unpickling(self, tmp_path):
+        # Version 4 shards carry exported tracks, not pickled replicas
+        # (whose model a version-3 restore ran); there is no migration.
+        path = tmp_path / "v3.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 3) + b"not a pickle")
+        with pytest.raises(CheckpointError, match="version 3; this build reads version 4"):
             read_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
@@ -308,7 +317,7 @@ class TestCheckpointHoldsStateNotTraffic:
             CHECKPOINT_MAGIC + struct.pack("<I", 1) + pickle.dumps(legacy)
         )
         with _build_pipeline() as restored:
-            with pytest.raises(CheckpointError, match="version 1; this build reads version 3"):
+            with pytest.raises(CheckpointError, match="version 1; this build reads version 4"):
                 restored.restore(tmp_path / "owing.ckpt")
             assert restored.stats.raw_records == 0
             # The refusal left the pipeline pristine.
@@ -355,15 +364,36 @@ class TestCheckpointBytesArePinned:
     #:    ``_batch_kernel`` set to ``None``, a track's its ``__dict__``
     #:    without ``slot`` (what this tree pickles);
     #: 3. frame the canonical pickle of the payload as version 3.
-    DIGEST = "58c2b14e68a528516c2f2c8915b7ed08001a227ee6ac74c58613d3389e17b307"
-    SIZE = 74298
+    #:
+    #: Up to version 3 the drive ran with ``time.perf_counter`` and
+    #: ``time.process_time`` patched to count clock reads, since the
+    #: payload carried wall-clock seconds.  Version 4 carries none, so
+    #: the drive runs on the real clocks.  It was re-derived from that
+    #: drive's version-3 checkpoint (58c2b14e..., 74 298 bytes, written
+    #: under the patch by the version-3 code) in five steps:
+    #:
+    #: 1. replace ``config["pools"]`` (the sorted pool names) by
+    #:    ``{"factor_graph": model_digest(template)}``, the template
+    #:    being ``AttackTagger(patterns=list(DEFAULT_CATALOGUE),
+    #:    max_window=8)``;
+    #: 2. replace ``payload["stats"]`` by the dict of its counters in
+    #:    field order (``raw_records`` .. ``responses``,
+    #:    ``dropped_raw``, ``dropped_alerts``): ``detection_seconds``,
+    #:    ``response_seconds`` and ``stage_seconds`` go;
+    #: 3. delete ``router["scans"]``, the payload's ``"audit_log"`` and
+    #:    ``"filter_stats"``, and every pool's ``alerts_routed``,
+    #:    ``busy_seconds``, ``kernel_seconds`` and three ``*_retired``
+    #:    keys;
+    #: 4. unpickle each shard replica, re-intern its tracked alerts' and
+    #:    detection triggers' ``attributes`` keys (as in version 2's
+    #:    step 3) and replace the blob by
+    #:    ``pickle.dumps(replica.export_entity_tracks(),
+    #:    pickle.HIGHEST_PROTOCOL)``;
+    #: 5. frame the canonical pickle of the payload as version 4.
+    DIGEST = "80154b3c4b5927666f44605f0c1237564b5914ea2530a62458c3dd4d3e72cec6"
+    SIZE = 32550
 
-    def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path, monkeypatch):
-        # Wall-clock fields (stage/busy/kernel seconds) become a count
-        # of clock reads, so the bytes are a pure function of the code.
-        ticks = itertools.count()
-        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
-        monkeypatch.setattr(time, "process_time", lambda: float(next(ticks)))
+    def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path):
         background = [
             spec.name for spec in DEFAULT_VOCABULARY if spec.stage is AttackStage.BACKGROUND
         ]
@@ -425,6 +455,24 @@ class TestRestoreMisuse:
                 pipeline.restore(path)
             assert list(pipeline.detections) == after_first
 
+    @pytest.mark.parametrize("held", ["scans", "block"])
+    def test_restore_into_a_router_holding_data_raises(self, tmp_path, held):
+        path = tmp_path / "fresh.ckpt"
+        with _build_pipeline() as fresh:
+            fresh.checkpoint(path)
+        with _build_pipeline() as pipeline:
+            router = pipeline.router
+            if held == "scans":
+                router.record_scans(
+                    ScanRecord(float(step), "198.51.100.7", "141.142.2.10", 22) for step in range(5)
+                )
+            else:
+                router.block("198.51.100.7", reason="scan", now=5.0)
+            before = (dict(router.scan_counter), router.history)
+            with pytest.raises(RuntimeError, match="freshly constructed"):
+                pipeline.restore(path)
+            assert (dict(router.scan_counter), router.history) == before
+
     def test_shard_count_mismatch_raises(self, tmp_path):
         path = self._checkpoint_of(tmp_path, n_shards=2)
         with _build_pipeline(n_shards=4) as pipeline:
@@ -437,6 +485,161 @@ class TestRestoreMisuse:
         with _build_pipeline(n_shards=2, backend="process") as pipeline:
             with pytest.raises(CheckpointError, match="backend"):
                 pipeline.restore(path)
+
+
+def _tagger_pipeline(tagger: AttackTagger, **options) -> TestbedPipeline:
+    return TestbedPipeline(detectors={"factor_graph": tagger}, **options)
+
+
+#: Benign names: a long stream of them never fires, so the entity keeps
+#: its decode state across the whole window.
+_BACKGROUND = [spec.name for spec in DEFAULT_VOCABULARY if spec.stage is AttackStage.BACKGROUND]
+
+
+class TestRestoreRunsThisPipelinesModel:
+    """A checkpoint carries per-entity tracks and the digest of the
+    model they were decoded with; a restore adopts the tracks into
+    replicas of *its own* templates, and refuses any other model."""
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"max_window": 32},
+            {"detection_threshold": 0.7},
+            {"engine": "naive"},
+            {"parameters": dataclasses.replace(
+                default_parameters(DEFAULT_VOCABULARY), pattern_weights={_PATTERNS[0].name: 3.0}
+            )},
+        ],
+        ids=["max_window", "detection_threshold", "engine", "parameters"],
+    )
+    def test_a_different_model_is_refused_before_any_state_moves(self, tmp_path, changed):
+        path = tmp_path / "model.ckpt"
+        with _build_pipeline(n_shards=2) as writer:
+            writer.ingest_alerts(_mixed_stream(length=120))
+            writer.checkpoint(path)
+        other = AttackTagger(**{"patterns": _PATTERNS, **changed})
+        with _tagger_pipeline(other, n_shards=2) as reader:
+            with pytest.raises(CheckpointError, match="does not match"):
+                reader.restore(path)
+            # Untouched: nothing restored, still pristine, still usable.
+            assert reader.detections == [] and reader.stats.raw_records == 0
+            assert not reader._restored
+            assert [shard.entities() for shard in reader.detector_pools["factor_graph"].shards] == [[], []]
+            reader.ingest_alerts(_mixed_stream(length=20))
+        # The same model restores.
+        with _build_pipeline(n_shards=2) as again:
+            again.restore(path)
+
+    def test_a_window_64_checkpoint_never_runs_in_a_window_32_pipeline(self, tmp_path):
+        # One entity, 50 alerts 4 000 s apart at threshold 0.7 / W 64.
+        # Adopted into W 32 replicas after a reshard, its 50-alert track
+        # overflowed the W 32 fill storage on the next alert.
+        alerts = [
+            Alert(4000.0 * step, _BACKGROUND[step % len(_BACKGROUND)], "user:slow")
+            for step in range(51)
+        ]
+        path = tmp_path / "w64.ckpt"
+
+        def pipeline(window: int) -> TestbedPipeline:
+            tagger = AttackTagger(patterns=_PATTERNS, detection_threshold=0.7, max_window=window)
+            return _tagger_pipeline(tagger)
+
+        with pipeline(64) as writer:
+            assert writer.ingest_alerts(alerts[:50]) == []
+            writer.checkpoint(path)
+        with pipeline(32) as reader:
+            with pytest.raises(CheckpointError, match="does not match"):
+                reader.restore(path)
+            reader.reshard(2)
+            assert reader.ingest_alerts(alerts[50:]) == []
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_restore_then_reshard_continues_bit_identically(self, tmp_path, backend):
+        stream = _mixed_stream(length=240)
+        path = tmp_path / "mid.ckpt"
+        with _build_pipeline(n_shards=2, backend=backend) as reference:
+            reference.ingest_alerts(stream[:120])
+            reference.checkpoint(path)
+            tail = reference.ingest_alerts(stream[120:])
+            expected = (_counters(reference), list(reference.detections))
+        with _build_pipeline(n_shards=2, backend=backend) as restored:
+            restored.restore(path)
+            restored.reshard(3)
+            assert restored.ingest_alerts(stream[120:]) == tail
+            assert (_counters(restored), list(restored.detections)) == expected
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_no_pool_verb_pickles_a_detector_or_builds_one_in_the_parent(self, monkeypatch, backend):
+        # Serial replicas live in this process, so none may be pickled;
+        # process replicas live in the workers, so none may be built here
+        # (a spawned worker's template crossing its pipe is no verb).
+        from repro.testbed import ShardedDetectorPool
+
+        stream = _mixed_stream(length=120)
+        touched = []
+        resolve, getstate = AttackTagger._resolve, AttackTagger.__getstate__
+        monkeypatch.setattr(AttackTagger, "_resolve", lambda self: touched.append("built") or resolve(self))
+        monkeypatch.setattr(AttackTagger, "__getstate__", lambda self: touched.append("pickled") or getstate(self))
+        forbidden = "pickled" if backend == "serial" else "built"
+
+        def pool():
+            return ShardedDetectorPool.from_template(AttackTagger(patterns=_PATTERNS), n_shards=2, backend=backend)
+
+        with pool() as moved, pool() as reference:
+            for each in (moved, reference):
+                each.observe_batch(stream[:60])
+            touched.clear()
+            state = moved.snapshot_state()
+            moved.reshard(3)
+            moved.reshard(2)
+            moved.restore_state(state)
+            assert forbidden not in touched
+            assert moved.observe_batch(stream[60:]) == reference.observe_batch(stream[60:])
+
+
+#: One drive's checkpoint, written in a subprocess: a tagger and a
+#: rule engine (whose per-entity state includes a set) over 2 shards.
+_HASH_SEED_DRIVE = """
+import sys
+import numpy as np
+from repro.core import AttackTagger
+from repro.core.alerts import Alert
+from repro.core.rule_based import RuleBasedDetector
+from repro.incidents import DEFAULT_CATALOGUE
+from repro.testbed import TestbedPipeline
+
+patterns = list(DEFAULT_CATALOGUE)
+rng = np.random.default_rng(5)
+stream = [
+    Alert(float(step), name, f"user:u{entity:02d}")
+    for step, entity in enumerate(rng.integers(0, 16, size=48))
+    for name in patterns[int(entity) % len(patterns)].names[:2]
+]
+detectors = {"factor_graph": AttackTagger(patterns=patterns), "rules": RuleBasedDetector()}
+with TestbedPipeline(detectors=detectors, n_shards=2) as pipeline:
+    pipeline.ingest_alerts(sorted(stream, key=lambda alert: alert.timestamp))
+    assert pipeline.detections_by("rules"), "the rule engine must hold detected entities"
+    pipeline.checkpoint(sys.argv[1])
+"""
+
+
+class TestCheckpointBytesDoNotDependOnTheProcess:
+    def test_two_hash_seeds_write_the_same_bytes(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parent.parent
+        blobs = []
+        for seed in ("0", "4242"):
+            path = tmp_path / f"seed-{seed}.ckpt"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+            subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_DRIVE, str(path)], env=env, check=True, timeout=120
+            )
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestPoolRestoreMisuse:

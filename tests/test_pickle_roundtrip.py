@@ -34,8 +34,9 @@ from repro.core.rule_based import RuleBasedDetector
 from repro.core.sequences import AlertSequence
 from repro.core.training import LabeledSequence
 from repro.incidents import DEFAULT_CATALOGUE
+from repro.testbed.checkpoint import CheckpointError
 from repro.testbed.pipeline import TestbedPipeline
-from repro.testbed.sharding import DetectorTemplate, ShardedDetectorPool, ShardWorkerError
+from repro.testbed.sharding import DetectorTemplate, ShardedDetectorPool
 
 from test_window_arena import holds_no_decode_state
 
@@ -212,9 +213,13 @@ class TestRemovedEngineStateIsRejected:
 
     @classmethod
     def _old_pool_state(cls, engine):
-        # Byte-for-byte what a pre-removal build snapshotted: the same
-        # state dicts with the old engine name in them.
-        pool = ShardedDetectorPool.from_template(cls._tagger(), n_shards=2)
+        # A pool whose replicas were switched to the old engine: what
+        # its snapshot carries is their tracks, and nothing else.
+        pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=2)
+        pool.observe_batch(
+            Alert(float(i + 1), _ALL_NAMES[i % len(_ALL_NAMES)], f"user:{i % 3}")
+            for i in range(10)
+        )
         for shard in pool.shards:
             shard.engine = engine
         return pool.snapshot_state()
@@ -237,41 +242,46 @@ class TestRemovedEngineStateIsRejected:
         assert isinstance(constructed.value, UnknownEngineError)
 
     @pytest.mark.parametrize("engine", _REMOVED_ENGINES)
-    def test_serial_pool_refuses_old_shard_snapshot(self, engine):
-        # Typed like the process backend's refusal below; in-process the
-        # shard error still carries the exception itself.
+    def test_a_shard_snapshot_carries_no_engine(self, engine):
+        # A shard snapshot is tracks, never a replica: the engine cannot
+        # travel in it, so a restore runs the pool's own template.
         pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=2)
-        with pytest.raises(ShardWorkerError, match=f"unknown engine '{engine}'") as caught:
-            pool.restore_state(self._old_pool_state(engine))
-        assert isinstance(caught.value.__cause__, UnknownEngineError)
-        assert caught.value.__cause__.engine == engine
+        pool.restore_state(self._old_pool_state(engine))
+        assert [shard.engine for shard in pool.shards] == ["streaming", "streaming"]
+        assert sorted(e for shard in pool.shards for e in shard.entities()) == [
+            "user:0", "user:1", "user:2"
+        ]
 
-    def test_process_pool_refuses_old_shard_snapshot(self):
+    def test_a_process_shard_restores_into_its_own_engine(self):
         engine = _REMOVED_ENGINES[1]
         state = dict(self._old_pool_state(engine), backend="process")
+        reference = ShardedDetectorPool.from_template(AttackTagger(), n_shards=2)
+        reference.restore_state(self._old_pool_state(engine))
         pool = ShardedDetectorPool.from_template(
             AttackTagger(), n_shards=2, backend="process"
         )
+        extra = [Alert(11.0 + i, _ALL_NAMES[i], f"user:{i % 3}") for i in range(6)]
         try:
-            with pytest.raises(ShardWorkerError, match=f"unknown engine '{engine}'"):
-                pool.restore_state(state)
+            pool.restore_state(state)
+            assert pool.observe_batch(extra) == reference.observe_batch(extra)
         finally:
             pool.close()
 
     def test_pipeline_refuses_old_checkpoint(self, tmp_path):
+        # The engine is the template's, so a checkpoint written under
+        # another one differs in its model digest and is refused whole.
         path = tmp_path / "old.ckpt"
         with TestbedPipeline(
             detectors={"factor_graph": self._tagger()}, n_shards=2
         ) as old:
-            for shard in old.detector_pools["factor_graph"].shards:
-                shard.engine = _REMOVED_ENGINES[0]
+            old.detector_pools["factor_graph"].detector_factory.template.engine = _REMOVED_ENGINES[0]
             old.checkpoint(path)
         with TestbedPipeline(
             detectors={"factor_graph": self._tagger()}, n_shards=2
         ) as pipeline:
-            with pytest.raises(ShardWorkerError, match=_REMOVED_ENGINES[0]) as caught:
+            with pytest.raises(CheckpointError, match="does not match"):
                 pipeline.restore(path)
-            assert isinstance(caught.value.__cause__, UnknownEngineError)
+            assert pipeline.detections == [] and not pipeline._restored
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,7 @@ class TestDetectorTemplateRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Baseline detectors (checkpointed via the pipeline's detector map)
+# Baseline detectors (checkpointed as the base class's exported tracks)
 # ---------------------------------------------------------------------------
 def _fitted_naive_bayes() -> NaiveBayesDetector:
     attack = AlertSequence(
@@ -352,6 +362,11 @@ class TestBaselineDetectorRoundTrip:
         prefix, suffix = parts
         original = factory()
         original.observe_batch(prefix)
-        restored, blob = _round_trip(original)
-        assert pickle.dumps(restored) == blob
+        # What a checkpoint carries: the exported tracks, adopted by a
+        # fresh replica of the same model.
+        blob = pickle.dumps(original.export_entity_tracks())
+        restored = factory()
+        for entity, track in pickle.loads(blob).items():
+            restored.adopt_entity_track(entity, track)
+        assert pickle.dumps(restored.export_entity_tracks()) == blob
         assert restored.observe_batch(suffix) == original.observe_batch(suffix)

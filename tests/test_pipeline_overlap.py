@@ -157,9 +157,8 @@ class TestOverlapEquivalence:
             pipeline.ingest_alert_batches(mixed_batches)
             stats = pipeline.stats
         assert set(stats.stage_seconds) >= {"filter", "detect", "respond"}
-        assert stats.detection_seconds == stats.stage_seconds["detect"]
-        assert stats.detection_seconds > 0.0
-        assert stats.response_seconds == stats.stage_seconds["respond"]
+        assert stats.stage_seconds["detect"] > 0.0
+        assert pipeline.summary()["detection_seconds"] == stats.stage_seconds["detect"]
 
     @pytest.mark.parametrize("backend, depth", [("serial", 1), ("process", 2)])
     def test_default_depth_follows_the_backend(self, backend, depth):

@@ -85,8 +85,8 @@ def _detection_key(detections):
 
 
 class _Opaque(Detector):
-    """A detector without the migration extension (module-level: a
-    reshard snapshots every replica, so it must pickle)."""
+    """A detector that neither declares its per-entity state nor
+    overrides the migration pair (module-level, so it pickles)."""
 
     def observe(self, alert):
         return None
@@ -162,9 +162,14 @@ class TestPoolReshard:
         reference.close()
 
     def test_reshard_requires_migration_capable_detector(self):
+        # The shards' snapshot round refuses an undeclared detector, so
+        # a reshard (or a checkpoint) fails loudly and changes nothing.
         pool = ShardedDetectorPool.from_template(_Opaque(), n_shards=2)
-        with pytest.raises(TypeError):
-            pool.reshard(3)
+        for attempt in (lambda: pool.reshard(3), pool.snapshot_state):
+            with pytest.raises(ShardWorkerError, match="declares no entity_state") as caught:
+                attempt()
+            assert isinstance(caught.value.__cause__, TypeError)
+        assert pool.n_shards == 2 and not pool.reshard_log
         pool.close()
 
     @pytest.mark.parametrize("backend", ["serial", "process"])

@@ -225,7 +225,10 @@ class TestBHR:
         router = BlackHoleRouter()
         client = BHRClient(router, caller="attacktagger")
         client.block("9.9.9.9", reason="c2", now=0.0)
-        assert [entry["action"] for entry in client.audit_log] == ["block"]
+        # The router's history is the audit trail: each block names its caller.
+        assert [(entry.source_ip, entry.reason, entry.created_by) for entry in router.history] == [
+            ("9.9.9.9", "c2", "attacktagger")
+        ]
         assert router.is_blocked("9.9.9.9", now=1.0)
 
     def test_scan_storm_counts(self):
@@ -361,12 +364,12 @@ class TestResponderAndPipeline:
         stats = pipeline.stats
         # Responder time no longer inflates the detection timing.
         assert set(stats.stage_seconds) >= {"filter", "detect", "respond"}
-        assert stats.detection_seconds == stats.stage_seconds["detect"]
-        assert stats.response_seconds == stats.stage_seconds["respond"]
-        assert stats.response_seconds > 0.0
+        assert stats.stage_seconds["respond"] > 0.0
         summary = pipeline.summary()
         assert summary["stage_seconds"] == stats.stage_seconds
-        assert summary["response_seconds"] == stats.response_seconds
+        # The summary's two stage keys are read off stage_seconds.
+        assert summary["detection_seconds"] == stats.stage_seconds["detect"]
+        assert summary["response_seconds"] == stats.stage_seconds["respond"]
 
     def test_filter_reduction_distinguishes_total_drop(self):
         from repro.testbed.pipeline import PipelineStats
