@@ -269,6 +269,9 @@ class AlertNormalizer:
     around it are unaffected.
     """
 
+    #: Checkpointed stream state (``TestbedPipeline._stateful``).
+    stream_state = ("dropped", "malformed")
+
     def __init__(
         self,
         vocabulary: Optional[AlertVocabulary] = None,

@@ -59,6 +59,9 @@ class BlockEntry:
 class BlackHoleRouter:
     """Null-route table plus scan recorder."""
 
+    #: Checkpointed stream state (``TestbedPipeline._stateful``).
+    stream_state = ("_blocks", "_history", "scan_counter", "_scan_watches")
+
     def __init__(self, protected: AddressBlock = PRODUCTION_NETWORK) -> None:
         self.protected = protected
         self._blocks: dict[str, BlockEntry] = {}

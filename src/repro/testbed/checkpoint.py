@@ -43,8 +43,11 @@ CHECKPOINT_MAGIC = b"RPRCKPT1"
 #: of any other version is refused, not migrated.  Version 4: shards
 #: hold exported tracks, not pickled replicas; the config holds each
 #: pool's :func:`model_digest`; no wall clock, scan records, audit log
-#: or scan filter stats.
-CHECKPOINT_VERSION = 4
+#: or scan filter stats.  Version 5: the payload is grouped by declared
+#: component (``{component: {attribute: value}}``, see
+#: ``TestbedPipeline._stateful``), carries the normaliser's counters,
+#: and holds no honeypot.
+CHECKPOINT_VERSION = 5
 
 _HEADER = struct.Struct("<I")
 
@@ -64,7 +67,8 @@ class _CanonicalPickler(pickle._Pickler):
     byte-identity (checkpoint -> restore -> checkpoint) requires the
     bytes not to depend on such identity accidents, so equal ``str`` /
     ``bytes`` atoms are mapped to one representative before
-    memoisation: sharing becomes by value, deterministically.  (The
+    memoisation: sharing becomes by value, deterministically.  A set is
+    written in sorted order, never in the process's hash order.  (The
     pure-Python pickler is used because the C pickler's memoisation is
     not overridable; checkpoint I/O is not on the per-batch hot path.)
     """
@@ -77,6 +81,11 @@ class _CanonicalPickler(pickle._Pickler):
         if type(obj) in (str, bytes):
             obj = self._canonical.setdefault(obj, obj)
         return super().save(obj, save_persistent_id)
+
+    def save_set(self, obj: set) -> None:
+        self.save_reduce(set, (sorted(obj),), obj=obj)
+
+    dispatch = {**pickle._Pickler.dispatch, set: save_set}
 
 
 def _canonical_dumps(payload: object) -> bytes:

@@ -83,6 +83,17 @@ class PipelineStats:
     charging the live ledger.
     """
 
+    #: Checkpointed stream state (``TestbedPipeline._stateful``): the counters.
+    stream_state = (
+        "raw_records",
+        "normalized_alerts",
+        "filtered_alerts",
+        "detections",
+        "responses",
+        "dropped_raw",
+        "dropped_alerts",
+    )
+
     raw_records: int = 0
     normalized_alerts: int = 0
     filtered_alerts: int = 0
@@ -204,6 +215,8 @@ class TestbedPipeline:
 
     #: Not a pytest test class (the name merely starts with "Test").
     __test__ = False
+    #: Checkpointed stream state (:meth:`_stateful`): the detection log.
+    stream_state = ("detections",)
 
     def __init__(
         self,
@@ -276,7 +289,7 @@ class TestbedPipeline:
         )
         self.response_stage = ResponseStage(self.responder)
         # Set by restore(): a pipeline restores at most once, and only
-        # while pristine (see _require_pristine_for_restore).
+        # while pristine.
         self._restored = False
 
     def _build_pool(self, detector: Detector) -> ShardedDetectorPool:
@@ -705,34 +718,28 @@ class TestbedPipeline:
             "has_honeypot": self.honeypot is not None,
         }
 
-    def _checkpoint_payload(self) -> dict[str, object]:
-        """The stream state, each fact once, that a pristine equal-config
-        pipeline needs to continue: counters (no wall clock), detection
-        log, responder and router records, every pool's tracks.
+    def _stateful(self) -> dict[str, object]:
+        """Every checkpointed component by payload key.  Each declares its
+        stream state as a ``stream_state`` tuple of attribute names; what
+        it does not declare is wiring that an equal-config pipeline
+        rebuilds.  The honeypot is none: it is the caller's environment."""
+        return {
+            "stats": self.stats,
+            "normalizer": self.normalizer,
+            "pipeline": self,
+            "responder": self.responder,
+            "router": self.router,
+        }
 
-        Sets are serialised as *sorted lists* so the payload bytes are a
-        pure function of the pipeline state (checkpoint -> restore ->
-        checkpoint is byte-identical); they are rebuilt as sets on restore.
-        """
+    def _checkpoint_payload(self) -> dict[str, object]:
+        """``{component: {attribute: value}}`` over :meth:`_stateful`, and
+        every pool's tracks: what a pristine equal-config pipeline needs."""
         return {
             "config": self._checkpoint_config(),
-            "stats": {key: value for key, value in vars(self.stats).items() if key != "stage_seconds"},
-            "detections": list(self.detections),
-            "responder": {
-                "notifications": list(self.responder.notifications),
-                "actions": list(self.responder.actions),
-                "quarantined_entities": sorted(self.responder.quarantined_entities),
+            **{
+                name: {attribute: getattr(component, attribute) for attribute in component.stream_state}
+                for name, component in self._stateful().items()
             },
-            "router": {
-                "blocks": dict(self.router._blocks),
-                "history": list(self.router._history),
-                "scan_counter": dict(self.router.scan_counter),
-                "scan_watches": {
-                    threshold: sorted(pending)
-                    for threshold, pending in self.router._scan_watches.items()
-                },
-            },
-            "honeypot": self.honeypot,
             "pools": {
                 name: self.detector_pools[name].snapshot_state()
                 for name in sorted(self.detector_pools)
@@ -743,46 +750,17 @@ class TestbedPipeline:
         """Atomically persist the pipeline's full state to ``path``.
 
         Snapshots every detector pool's per-entity tracks (the
-        detectors' ``export_entity_tracks``), the response/BHR records
-        and the ``PipelineStats`` counters, such that a pristine
-        equal-config pipeline :meth:`restore`\\ d from the file replays
-        the remaining stream to bit-identical detections, logs, and
-        counters.
+        detectors' ``export_entity_tracks``) and every component's
+        declared stream state (see :meth:`_stateful`), such that a
+        pristine equal-config pipeline :meth:`restore`\\ d from the file
+        replays the remaining stream to bit-identical detections, logs,
+        and counters.
         Returns the checkpoint size in bytes.  Like every detector
         control it refuses to run with detection batches in flight (the
         snapshot would be neither before nor after them).
         """
         self._require_quiesced("checkpoint")
         return write_checkpoint(path, self._checkpoint_payload())
-
-    def _require_pristine_for_restore(self) -> None:
-        """A restore target must be freshly constructed (and equal-config).
-
-        Restoring over live state would silently merge two histories;
-        every divergence fails loudly with ``RuntimeError`` *before*
-        any state is touched, so a refused restore leaves the pipeline
-        exactly as it was.
-        """
-        if self._restored:
-            raise RuntimeError("pipeline was already restored once")
-        driven = (
-            self.stats.raw_records
-            or self.stats.normalized_alerts
-            or self.stats.filtered_alerts
-            or self.stats.detections
-            or self.stats.responses
-            or self.detections
-            or self.detection_stage.pending_batches
-            or self.responder.notifications
-            or self.responder.actions
-            or self.router.scan_counter
-            or self.router._history
-        )
-        if driven:
-            raise RuntimeError(
-                "cannot restore into a pipeline that has already processed "
-                "traffic; restore() requires a freshly constructed pipeline"
-            )
 
     def restore(self, path) -> None:
         """Load a :meth:`checkpoint` file into this (pristine) pipeline.
@@ -792,12 +770,25 @@ class TestbedPipeline:
         their models, primary, honeypot presence) as the one that
         checkpointed -- a mismatch raises
         :class:`~repro.testbed.checkpoint.CheckpointError`; a pipeline
-        that already processed traffic, recorded scans or blocks, or was
-        already restored raises ``RuntimeError``.  Both checks run
-        before any state is touched.
+        that was driven (any declared state of :meth:`_stateful` set, or
+        a batch in flight) or already restored raises ``RuntimeError``.
+        Both checks run before any state is touched: restoring over live
+        state would silently merge two histories.  The honeypot is the
+        caller's environment and is never rolled back: whatever it
+        holds, it keeps.
         """
         payload = read_checkpoint(path)
-        self._require_pristine_for_restore()
+        if self._restored:
+            raise RuntimeError("pipeline was already restored once")
+        if self.detection_stage.pending_batches or any(
+            getattr(component, attribute)
+            for component in self._stateful().values()
+            for attribute in component.stream_state
+        ):
+            raise RuntimeError(
+                "cannot restore into a pipeline that has already processed "
+                "traffic; restore() requires a freshly constructed pipeline"
+            )
         config = self._checkpoint_config()
         if payload["config"] != config:
             raise CheckpointError(
@@ -808,31 +799,17 @@ class TestbedPipeline:
         # identities the stages and external callers already hold (the
         # detections list is the detection stage's sink, the stats the
         # admission controller's drop ledger).
-        self.stats.__dict__.update(payload["stats"])
-        self.detections[:] = payload["detections"]
-        responder_state = payload["responder"]
-        self.responder.notifications[:] = responder_state["notifications"]
-        self.responder.actions[:] = responder_state["actions"]
-        self.responder.quarantined_entities.clear()
-        self.responder.quarantined_entities.update(
-            responder_state["quarantined_entities"]
-        )
-        router_state = payload["router"]
-        self.router._blocks.clear()
-        self.router._blocks.update(router_state["blocks"])
-        self.router._history[:] = router_state["history"]
-        self.router.scan_counter.clear()
-        self.router.scan_counter.update(router_state["scan_counter"])
-        self.router._scan_watches.clear()
-        self.router._scan_watches.update(
-            {
-                threshold: set(pending)
-                for threshold, pending in router_state["scan_watches"].items()
-            }
-        )
-        if self.honeypot is not None and payload["honeypot"] is not None:
-            self.honeypot.__dict__.clear()
-            self.honeypot.__dict__.update(payload["honeypot"].__dict__)
+        for name, component in self._stateful().items():
+            for attribute in component.stream_state:
+                value = payload[name][attribute]
+                current = getattr(component, attribute)
+                if isinstance(current, list):
+                    current[:] = value
+                elif isinstance(current, (dict, set)):
+                    current.clear()
+                    current.update(value)
+                else:
+                    setattr(component, attribute, value)
         for name, pool_state in payload["pools"].items():
             self.detector_pools[name].restore_state(pool_state)
         self._restored = True

@@ -68,6 +68,9 @@ class ResponsePolicy:
 class ResponseOrchestrator:
     """Turns detections into notifications, blocks and quarantines."""
 
+    #: Checkpointed stream state (``TestbedPipeline._stateful``).
+    stream_state = ("notifications", "actions", "quarantined_entities")
+
     def __init__(
         self,
         bhr_client: BHRClient,

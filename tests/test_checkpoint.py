@@ -19,6 +19,7 @@ here:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import pickle
@@ -34,15 +35,19 @@ from hypothesis import strategies as st
 import ingest_corpus
 from repro.core import AttackTagger
 from repro.core.alerts import Alert, AttackStage, DEFAULT_VOCABULARY
+from repro.core.attack_tagger import Detection
 from repro.core.factors import default_parameters
+from repro.core.states import HiddenState
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.telemetry import ZeekMonitor
+from repro.telemetry.logsource import MonitorKind, RawLogRecord
 from repro.testbed.bhr import ScanRecord
 from repro.testbed import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointStore,
+    Honeypot,
     TestbedPipeline,
     read_checkpoint,
     write_checkpoint,
@@ -133,14 +138,14 @@ class TestCheckpointFile:
         # but the pipeline's; there is no migration.
         path = tmp_path / "v1.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 1; this build reads version 4"):
+        with pytest.raises(CheckpointError, match="version 1; this build reads version 5"):
             read_checkpoint(path)
 
     def test_version_2_file_is_refused_before_unpickling(self, tmp_path):
         # Version 3 tracks carry no ``decoder`` key; there is no migration.
         path = tmp_path / "v2.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 2; this build reads version 4"):
+        with pytest.raises(CheckpointError, match="version 2; this build reads version 5"):
             read_checkpoint(path)
 
     def test_version_3_file_is_refused_before_unpickling(self, tmp_path):
@@ -148,7 +153,15 @@ class TestCheckpointFile:
         # (whose model a version-3 restore ran); there is no migration.
         path = tmp_path / "v3.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 3) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 3; this build reads version 4"):
+        with pytest.raises(CheckpointError, match="version 3; this build reads version 5"):
+            read_checkpoint(path)
+
+    def test_version_4_file_is_refused_before_unpickling(self, tmp_path):
+        # Version 5 groups the payload by declared component, carries the
+        # normaliser's counters and no honeypot; there is no migration.
+        path = tmp_path / "v4.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 4) + b"not a pickle")
+        with pytest.raises(CheckpointError, match="version 4; this build reads version 5"):
             read_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
@@ -317,7 +330,7 @@ class TestCheckpointHoldsStateNotTraffic:
             CHECKPOINT_MAGIC + struct.pack("<I", 1) + pickle.dumps(legacy)
         )
         with _build_pipeline() as restored:
-            with pytest.raises(CheckpointError, match="version 1; this build reads version 4"):
+            with pytest.raises(CheckpointError, match="version 1; this build reads version 5"):
                 restored.restore(tmp_path / "owing.ckpt")
             assert restored.stats.raw_records == 0
             # The refusal left the pipeline pristine.
@@ -390,8 +403,27 @@ class TestCheckpointBytesArePinned:
     #:    ``pickle.dumps(replica.export_entity_tracks(),
     #:    pickle.HIGHEST_PROTOCOL)``;
     #: 5. frame the canonical pickle of the payload as version 4.
-    DIGEST = "80154b3c4b5927666f44605f0c1237564b5914ea2530a62458c3dd4d3e72cec6"
-    SIZE = 32550
+    #:
+    #: Version 5 was re-derived from that drive's version-4 checkpoint
+    #: (80154b3c..., 32 550 bytes, written by the version-4 code of
+    #: commit 1104323) in four steps:
+    #:
+    #: 1. regroup the payload by component, in the order ``config``,
+    #:    ``stats`` (unchanged), ``normalizer``, ``pipeline``
+    #:    (``{"detections": payload["detections"]}``), ``responder``,
+    #:    ``router``, ``pools`` (unchanged): the responder's
+    #:    ``quarantined_entities`` list becomes a set, and the router's
+    #:    ``blocks``/``history``/``scan_counter``/``scan_watches`` become
+    #:    ``_blocks``/``_history``/``scan_counter`` (a ``Counter``)/
+    #:    ``_scan_watches`` (each pending list a set);
+    #: 2. delete ``payload["honeypot"]`` (``None``; ``config`` keeps
+    #:    ``has_honeypot``);
+    #: 3. set ``normalizer`` to ``{"dropped": 42, "malformed": 0}``, the
+    #:    counters that code's normaliser held at the end of the drive;
+    #: 4. frame the canonical pickle of the payload, its sets written
+    #:    sorted by ``save_set``, as version 5.
+    DIGEST = "6ae24a27aa205a4442cf8d76e79158d30ca1f4e8cb19f24c7893b589311d0b66"
+    SIZE = 32651
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path):
         background = [
@@ -485,6 +517,214 @@ class TestRestoreMisuse:
         with _build_pipeline(n_shards=2, backend="process") as pipeline:
             with pytest.raises(CheckpointError, match="backend"):
                 pipeline.restore(path)
+
+
+def _honeypot_pipeline() -> TestbedPipeline:
+    return TestbedPipeline(
+        detectors={"factor_graph": AttackTagger(patterns=_PATTERNS)}, honeypot=Honeypot()
+    )
+
+
+def _connections_seen(pipeline: TestbedPipeline) -> int:
+    return sum(entry.connections_seen for entry in pipeline.honeypot.entry_points.values())
+
+
+def _probe_five_times(pipeline: TestbedPipeline) -> None:
+    address = pipeline.honeypot.addresses()[0]
+    for step in range(5):
+        pipeline.honeypot.probe(float(step), "198.51.100.7", address)
+
+
+#: A record no rule matches (no known monitor), and one whose field
+#: makes the Zeek conn matcher raise.
+_UNPARSEABLE = RawLogRecord(1.0, None, "h", "", {})
+_MALFORMED = RawLogRecord(2.0, MonitorKind.ZEEK, "z", "", {"stream": "conn", "resp_p": "http"})
+
+#: case -> (expectation, drive, read).  ``drive`` leaves one kind of
+#: state in a pipeline, ``read`` reads it back.  "kept": restore into
+#: the driven pipeline succeeds and leaves the state as it was;
+#: "refused": restore into it raises and leaves the state as it was;
+#: "carried": a checkpoint of the driven pipeline restores it.
+_HELD_STATE = {
+    "honeypot_probes": ("kept", _probe_five_times, _connections_seen),
+    "dropped_raw": (
+        "refused",
+        lambda pipeline: setattr(pipeline.stats, "dropped_raw", 3),
+        lambda pipeline: pipeline.stats.dropped_raw,
+    ),
+    "quarantined_entity": (
+        "refused",
+        lambda pipeline: pipeline.responder.quarantined_entities.add("user:q"),
+        lambda pipeline: set(pipeline.responder.quarantined_entities),
+    ),
+    "pending_scan_watch": (
+        "refused",
+        lambda pipeline: pipeline.router.requeue_crossed_scanners(1000, ["198.51.100.7"]),
+        lambda pipeline: copy.deepcopy(pipeline.router._scan_watches),
+    ),
+    "normalizer_dropped": (
+        "carried",
+        lambda pipeline: pipeline.ingest_raw([_UNPARSEABLE] * 3),
+        lambda pipeline: pipeline.normalizer.dropped,
+    ),
+    "normalizer_malformed": (
+        "carried",
+        lambda pipeline: pipeline.ingest_raw([_MALFORMED] * 2),
+        lambda pipeline: pipeline.normalizer.malformed,
+    ),
+}
+
+
+class TestRestoreKeepsEveryKindOfState:
+    """Each kind of state a restore used to wipe without a word: held
+    in the target, it stays (the honeypot) or refuses the restore;
+    held in the source, it travels."""
+
+    @pytest.mark.parametrize("case", list(_HELD_STATE))
+    def test_state_is_kept_refused_or_carried(self, tmp_path, case):
+        expectation, drive, read = _HELD_STATE[case]
+        path = tmp_path / "state.ckpt"
+        if expectation == "carried":
+            with _honeypot_pipeline() as source:
+                drive(source)
+                held = read(source)
+                assert held
+                source.checkpoint(path)
+            with _honeypot_pipeline() as restored:
+                restored.restore(path)
+                assert read(restored) == held
+            return
+        with _honeypot_pipeline() as fresh:
+            fresh.checkpoint(path)
+        with _honeypot_pipeline() as target:
+            drive(target)
+            held = read(target)
+            assert held
+            if expectation == "refused":
+                with pytest.raises(RuntimeError, match="freshly constructed"):
+                    target.restore(path)
+            else:
+                target.restore(path)
+            assert read(target) == held
+
+
+#: Every attribute a checkpointed component holds besides its declared
+#: ``stream_state``: wiring and configuration that an equal-config
+#: pipeline rebuilds, the wall clock, and the restore-once flag.
+_UNDECLARED = {
+    "stats": {"stage_seconds"},
+    "normalizer": {"vocabulary", "sanitizer", "rules"},
+    "pipeline": {
+        "vocabulary", "honeypot", "router", "bhr_client", "normalizer", "scan_filter",
+        "n_shards", "shard_backend", "max_restarts", "max_inflight", "ring_capacity",
+        "primary_detector", "detector_pools", "responder", "stats", "normalizer_stage",
+        "filter_stage", "detection_stage", "response_stage", "_restored",
+    },
+    "responder": {"bhr", "honeypot", "policy"},
+    "router": {"protected"},
+}
+
+
+def _component_state(pipeline: TestbedPipeline) -> dict:
+    """Every component attribute: declared ones by deep value, the rest
+    by identity and (for containers) shallow value; no wall clock."""
+    state = {}
+    for name, component in pipeline._stateful().items():
+        for attribute, value in vars(component).items():
+            if attribute in component.stream_state:
+                state[name, attribute] = copy.deepcopy(value)
+            elif (name, attribute) != ("stats", "stage_seconds"):
+                shallow = copy.copy(value) if isinstance(value, (list, dict, set)) else value
+                state[name, attribute] = (id(value), shallow)
+    return state
+
+
+_IPS = st.sampled_from(["198.51.100.7", "203.0.113.9", "192.0.2.1"])
+_ALERTS = st.lists(
+    st.builds(
+        lambda step, name, entity: Alert(float(step), name, entity, source_ip="198.51.100.7"),
+        st.integers(0, 100),
+        st.sampled_from(_ALL_NAMES),
+        st.sampled_from(["user:a", "user:β", "host:c"]),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda alerts: sorted(alerts, key=lambda alert: alert.timestamp))
+_RECORDS = st.lists(st.sampled_from([_UNPARSEABLE, _MALFORMED]), min_size=1, max_size=4)
+_DETECTION = st.builds(
+    lambda entity, ip: Detection(
+        entity, 5.0, 0, Alert(5.0, _ATTACK_NAMES[0], entity, source_ip=ip), HiddenState.MALICIOUS, 0.9
+    ),
+    st.sampled_from(["user:a", "host:c"]),
+    _IPS,
+)
+_THRESHOLD = st.integers(1, 2000)
+
+#: Every public mutating operation of every checkpointed component, as
+#: ``(component, operation, argument strategy)``.
+_OPERATIONS = [
+    ("pipeline", lambda p, alerts: p.ingest_alerts(alerts), _ALERTS),
+    ("pipeline", lambda p, records: p.ingest_raw(records), _RECORDS),
+    ("pipeline", lambda p, alerts: p.submit_alerts(alerts), _ALERTS),
+    ("pipeline", lambda p, k: p.block_top_scanners(10.0, min_scans=k), _THRESHOLD),
+    # The service's admission controller charging what it shed.
+    ("stats", lambda p, k: setattr(p.stats, "dropped_raw", p.stats.dropped_raw + k), st.integers(1, 9)),
+    ("stats", lambda p, k: setattr(p.stats, "dropped_alerts", p.stats.dropped_alerts + k), st.integers(1, 9)),
+    ("normalizer", lambda p, records: p.normalizer.normalize_batch(records), _RECORDS),
+    ("normalizer", lambda p, record: p.normalizer.normalize_record(record), st.just(_MALFORMED)),
+    ("responder", lambda p, detection: p.responder.handle_detection(detection), _DETECTION),
+    ("responder", lambda p, ip: p.responder.handle_mass_scanner(5.0, ip, 1200), _IPS),
+    ("router", lambda p, ip: p.router.block(ip, reason="r", now=5.0), _IPS),
+    ("router", lambda p, ip: p.bhr_client.block(ip, reason="r", now=5.0), _IPS),
+    ("router", lambda p, ip: p.router.record_scan(ScanRecord(1.0, ip, "141.142.2.10", 22)), _IPS),
+    (
+        "router",
+        lambda p, ips: p.router.record_scans(ScanRecord(1.0, ip, "141.142.2.10", 22) for ip in ips),
+        st.lists(_IPS, min_size=1, max_size=4),
+    ),
+    ("router", lambda p, k: p.router.watch_scan_threshold(k), _THRESHOLD),
+    ("router", lambda p, k: p.router.drain_crossed_scanners(k), _THRESHOLD),
+    ("router", lambda p, ips: p.router.requeue_crossed_scanners(7, ips), st.lists(_IPS, max_size=3)),
+]
+
+
+class TestDeclaredStateIsComplete:
+    """What a checkpoint carries is exactly each component's declared
+    ``stream_state``: a new field is declared or listed above as wiring,
+    and no operation moves anything else."""
+
+    def test_every_attribute_is_declared_state_or_listed_wiring(self):
+        with _honeypot_pipeline() as pipeline:
+            components = pipeline._stateful()
+            assert set(components) == set(_UNDECLARED)
+            for name, component in components.items():
+                declared = set(component.stream_state)
+                assert len(declared) == len(component.stream_state), name
+                assert not declared & _UNDECLARED[name], name
+                assert set(vars(component)) == declared | _UNDECLARED[name], name
+                assert not any(getattr(component, attribute) for attribute in declared), name
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), index=st.integers(0, len(_OPERATIONS) - 1))
+    def test_an_operation_moves_only_declared_state_and_refuses_restore(self, data, index):
+        name, operation, arguments = _OPERATIONS[index]
+        with tempfile.TemporaryDirectory() as workdir, _honeypot_pipeline() as pipeline:
+            fresh = Path(workdir) / "fresh.ckpt"
+            pipeline.checkpoint(fresh)
+            before = _component_state(pipeline)
+            operation(pipeline, data.draw(arguments))
+            after = _component_state(pipeline)
+            assert set(after) == set(before), "an attribute appeared or vanished"
+            changed = {key for key in before if before[key] != after[key]}
+            assert changed, name
+            assert all(
+                attribute in pipeline._stateful()[component].stream_state
+                for component, attribute in changed
+            ), changed
+            with pytest.raises(RuntimeError, match="freshly constructed"):
+                pipeline.restore(fresh)
+            assert _component_state(pipeline) == after
+            pipeline.drain_inflight()
 
 
 def _tagger_pipeline(tagger: AttackTagger, **options) -> TestbedPipeline:
