@@ -34,8 +34,9 @@ import enum
 import itertools
 import json
 import math
+import operator
 import struct
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -488,6 +489,155 @@ def sort_alerts(alerts: list[Alert]) -> list[Alert]:
 AlertColumns = tuple
 
 
+def _picker(rows: Sequence[int]):
+    """``column -> tuple of column[row] for row in rows``, at C speed."""
+    if len(rows) > 1:
+        return operator.itemgetter(*rows)
+    if rows:
+        row = rows[0]
+        return lambda column: (column[row],)
+    return lambda column: ()
+
+
+class NormalizedBatch:
+    """One alert batch as parallel columns, from the normaliser to the wire.
+
+    Row ``i`` of :attr:`timestamps`, :attr:`names`, :attr:`entities`,
+    :attr:`source_ips`, :attr:`hosts`, :attr:`monitors` and
+    :attr:`attributes` holds the fields of the ``i``-th alert; ``len()``
+    is the row count.  This is the batch type that crosses the
+    pipeline: the normaliser fills one, the scan filter
+    (:meth:`select`) cuts it down to its survivors, the detection
+    stage hands that on to every pool, a pool splits it per shard, and
+    a process shard packs its part (:meth:`columns`) straight into the
+    wire -- no :class:`Alert` is built on the way.
+
+    :class:`Alert` objects are built lazily, once, by whatever iterates
+    the batch (``iter``, ``[i]``, :meth:`alerts`): an in-process
+    detector, or a caller.  The batch keeps them, so everything that
+    iterates it later -- another pool, a :meth:`select` of it -- gets
+    the very same objects.  A batch made by :meth:`of_alerts` wraps
+    alerts that already exist and is never rebuilt: iterating it (or a
+    selection of it) yields the caller's objects.
+    """
+
+    __slots__ = (
+        "timestamps",
+        "names",
+        "entities",
+        "source_ips",
+        "hosts",
+        "monitors",
+        "attributes",
+        "_alerts",
+    )
+
+    def __init__(self, *columns: Sequence, alerts: Optional[Sequence[Alert]] = None) -> None:
+        """Seven columns in :class:`Alert` field order (seven empty lists
+        when none are given), and the rows' alerts if they exist."""
+        (
+            self.timestamps,
+            self.names,
+            self.entities,
+            self.source_ips,
+            self.hosts,
+            self.monitors,
+            self.attributes,
+        ) = columns or ([], [], [], [], [], [], [])
+        self._alerts = alerts
+
+    @classmethod
+    def of_alerts(cls, alerts: Iterable[Alert]) -> "NormalizedBatch":
+        """The column view of existing alerts (they are not copied)."""
+        batch = cls(alerts=list(alerts))
+        timestamps, names, entities = batch.timestamps, batch.names, batch.entities
+        sources, hosts, monitors = batch.source_ips, batch.hosts, batch.monitors
+        attributes = batch.attributes
+        for alert in batch._alerts:
+            timestamps.append(alert.timestamp)
+            names.append(alert.name)
+            entities.append(alert.entity)
+            sources.append(alert.source_ip)
+            hosts.append(alert.host)
+            monitors.append(alert.monitor)
+            attributes.append(alert.attributes)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def _built(self) -> Sequence[Alert]:
+        """Every row's alert, built on first use and kept."""
+        alerts = self._alerts
+        if alerts is None:
+            alerts = self._alerts = list(
+                map(
+                    Alert,
+                    self.timestamps,
+                    self.names,
+                    self.entities,
+                    self.source_ips,
+                    self.hosts,
+                    self.monitors,
+                    self.attributes,
+                )
+            )
+        return alerts
+
+    def __iter__(self) -> Iterator[Alert]:
+        return iter(self._built())
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def alerts(self) -> list[Alert]:
+        """Every row's alert, in row order (a new list)."""
+        return list(self._built())
+
+    def select(self, rows: Sequence[int]) -> "NormalizedBatch":
+        """The batch of ``rows``, in that order, picked column by column.
+
+        Alerts already built for this batch are picked too, so the
+        selection yields the same objects.
+        """
+        pick = _picker(rows)
+        alerts = self._alerts
+        return NormalizedBatch(
+            pick(self.timestamps),
+            pick(self.names),
+            pick(self.entities),
+            pick(self.source_ips),
+            pick(self.hosts),
+            pick(self.monitors),
+            pick(self.attributes),
+            alerts=None if alerts is None else pick(alerts),
+        )
+
+    def columns(self) -> AlertColumns:
+        """The :data:`AlertColumns` of the batch.
+
+        An attribute mapping that is not a plain ``dict`` is copied into
+        one; plain dicts are shared, since the columns are encoded or
+        pickled at once.
+        """
+        attributes = self.attributes
+        if not any(attributes):
+            attributes = None
+        elif _DICTS.issuperset(map(type, attributes)):
+            attributes = tuple(attributes)
+        else:
+            attributes = tuple(map(dict, attributes))
+        return (
+            tuple(self.timestamps),
+            tuple(self.names),
+            tuple(self.entities),
+            tuple(self.source_ips),
+            tuple(self.hosts),
+            tuple(self.monitors),
+            attributes,
+        )
+
+
 def pack_alert_columns(alerts: Sequence[Alert]) -> AlertColumns:
     """Pack an alert batch into the columnar wire representation.
 
@@ -496,20 +646,12 @@ def pack_alert_columns(alerts: Sequence[Alert]) -> AlertColumns:
     both sides of a process boundary.  Parallel tuples of primitive
     fields pickle as flat buffers instead; the receiving side rebuilds
     the ``Alert`` objects with :func:`unpack_alert_columns`, moving
-    that reconstruction cost onto the (parallel) worker.
+    that reconstruction cost onto the (parallel) worker.  The values of
+    :meth:`NormalizedBatch.columns` of ``NormalizedBatch.of_alerts(alerts)``,
+    but every attribute dict is a copy, never the alert's own.
     """
-    attributes: Optional[tuple] = None
-    if any(a.attributes for a in alerts):
-        attributes = tuple(dict(a.attributes) for a in alerts)
-    return (
-        tuple(a.timestamp for a in alerts),
-        tuple(a.name for a in alerts),
-        tuple(a.entity for a in alerts),
-        tuple(a.source_ip for a in alerts),
-        tuple(a.host for a in alerts),
-        tuple(a.monitor for a in alerts),
-        attributes,
-    )
+    *fields, attributes = NormalizedBatch.of_alerts(alerts).columns()
+    return (*fields, None if attributes is None else tuple(map(dict, attributes)))
 
 
 def unpack_alert_columns(columns: AlertColumns) -> list[Alert]:
@@ -750,6 +892,7 @@ __all__ = [
     "DEFAULT_VOCABULARY",
     "sort_alerts",
     "AlertColumns",
+    "NormalizedBatch",
     "pack_alert_columns",
     "unpack_alert_columns",
     "AlertColumnsCodecError",

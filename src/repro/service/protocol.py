@@ -192,7 +192,8 @@ def parse_request(data: Mapping[str, Any]) -> Request:
             return Request(op=op, mode=mode)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: float() of an integer beyond float range.
         raise ProtocolError(f"malformed {op} request: {exc}") from exc
     return Request(op=op)
 

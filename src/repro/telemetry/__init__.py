@@ -14,6 +14,7 @@ from .normalizer import (
     AlertNormalizer,
     KNOWN_C2_PREFIXES,
     NormalizationRule,
+    NormalizedBatch,
     NormalizerStage,
     ZEEK_NOTICE_MAP,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "AlertNormalizer",
     "NormalizerStage",
     "NormalizationRule",
+    "NormalizedBatch",
     "ZEEK_NOTICE_MAP",
     "KNOWN_C2_PREFIXES",
     "Sanitizer",

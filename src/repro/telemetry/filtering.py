@@ -16,11 +16,13 @@ implements that filter as two stages over one time-ordered batch:
 
 The filter decides on columns, not objects: its one core,
 :meth:`ScanFilter.filter_batch`, reads a
-:class:`~repro.telemetry.normalizer.NormalizedBatch` and builds an
-:class:`~repro.core.alerts.Alert` only for the rows it keeps, so the
-mass-scanning majority of a raw stream is never materialised.
-:meth:`ScanFilter.filter` runs the same core over the column view of
-alerts the caller already has, and returns those objects.
+:class:`~repro.core.alerts.NormalizedBatch` and returns the rows it
+keeps as a batch of the same kind, so it builds no
+:class:`~repro.core.alerts.Alert` at all -- the survivors stay columns
+until something iterates them (an in-process detector), or all the way
+to a process shard's wire.  :meth:`ScanFilter.filter` runs the same
+core over the column view of alerts the caller already has, and
+returns those objects.
 
 The filter reports how many alerts each stage removed so the Table I
 reduction factor can be reproduced and audited.
@@ -32,9 +34,8 @@ import dataclasses
 from collections import defaultdict
 from typing import Iterable, Optional
 
-from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
+from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY, NormalizedBatch
 from ..core.states import AttackStage
-from .normalizer import NormalizedBatch
 
 #: Stages whose alerts alone make a source a scanner candidate.
 _SCAN_STAGES = (AttackStage.RECONNAISSANCE, AttackStage.BACKGROUND)
@@ -119,11 +120,15 @@ class ScanFilter:
         }
 
     # -- main entry points -----------------------------------------------------
-    def filter_batch(self, batch: NormalizedBatch) -> list[Alert]:
-        """Apply both stages; return the surviving rows' alerts in time order.
+    def filter_batch(self, batch: NormalizedBatch) -> NormalizedBatch:
+        """Apply both stages; return the surviving rows in time order.
 
         Rows are visited in stable timestamp order (equal timestamps
-        keep input order).
+        keep input order).  The survivors are ``batch.select(kept)``:
+        columns picked at C speed, no :class:`Alert` built (alerts
+        ``batch`` already holds are carried over, so the survivors of
+        an :meth:`~NormalizedBatch.of_alerts` batch are the caller's
+        objects).
         """
         timestamps, names = batch.timestamps, batch.names
         entities, sources, hosts = batch.entities, batch.source_ips, batch.hosts
@@ -153,11 +158,11 @@ class ScanFilter:
             scanner_suppressed=suppressed,
             output_alerts=len(kept),
         )
-        return batch.alerts(kept)
+        return batch.select(kept)
 
     def filter(self, alerts: Iterable[Alert]) -> list[Alert]:
         """:meth:`filter_batch` over existing alerts; returns those objects."""
-        return self.filter_batch(NormalizedBatch.of_alerts(alerts))
+        return self.filter_batch(NormalizedBatch.of_alerts(alerts)).alerts()
 
 
 class ScanFilterStage:
@@ -167,7 +172,7 @@ class ScanFilterStage:
     (:class:`repro.testbed.stages.PipelineStage`, matched structurally
     so the telemetry layer carries no testbed import): a batch in --
     the normaliser's :class:`NormalizedBatch`, or alerts -- and the
-    time-ordered survivors out, as alerts.
+    time-ordered survivors out, as a :class:`NormalizedBatch`.
     """
 
     name = "filter"
@@ -175,7 +180,7 @@ class ScanFilterStage:
     def __init__(self, scan_filter: ScanFilter) -> None:
         self.scan_filter = scan_filter
 
-    def process(self, batch: NormalizedBatch | Iterable[Alert]) -> list[Alert]:
+    def process(self, batch: NormalizedBatch | Iterable[Alert]) -> NormalizedBatch:
         """Filter one batch (scanner suppression + dedup)."""
         if not isinstance(batch, NormalizedBatch):
             batch = NormalizedBatch.of_alerts(batch)

@@ -15,23 +15,24 @@ inspects a :class:`RawLogRecord` and either produces a symbolic alert
 name plus metadata, or passes.  Records no rule matches are dropped
 (they remain in the raw archive but produce no alert).
 
-Its output is a :class:`NormalizedBatch`: the would-be alerts as
-parallel columns, one row per matched record, every row already
-sanitised.  No :class:`~repro.core.alerts.Alert` is built here.  Most
-of a raw stream is mass scanning that the scan filter
-(:mod:`repro.telemetry.filtering`) discards, so the filter decides on
-the columns and materialises only the rows it keeps;
-:meth:`AlertNormalizer.normalize_stream` is the same batch with every
-row materialised.
+Its output is a :class:`~repro.core.alerts.NormalizedBatch` (defined
+next to the wire columns in :mod:`repro.core.alerts`, re-exported
+here): the would-be alerts as parallel columns, one row per matched
+record, every row already sanitised.  No
+:class:`~repro.core.alerts.Alert` is built here.  Most of a raw stream
+is mass scanning that the scan filter (:mod:`repro.telemetry.filtering`)
+discards, so the filter decides on the columns and keeps its survivors
+as columns too; :meth:`AlertNormalizer.normalize_stream` is the same
+batch with every row materialised.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
+from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY, NormalizedBatch
 from .logsource import MonitorKind, RawLogRecord
 from .sanitizer import Sanitizer
 
@@ -96,83 +97,6 @@ _PROCESS_EVENT_ALERTS: tuple[tuple[re.Pattern[str], str], ...] = (
     (re.compile(r"ssh .*BatchMode=yes"), "alert_lateral_ssh_batch"),
     (re.compile(r"xmrig|minerd|stratum\+tcp"), "alert_cryptomining"),
 )
-
-
-class NormalizedBatch:
-    """One batch of normalised alerts as parallel columns.
-
-    Row ``i`` of :attr:`timestamps`, :attr:`names`, :attr:`entities`,
-    :attr:`source_ips`, :attr:`hosts`, :attr:`monitors` and
-    :attr:`attributes` holds the fields of the ``i``-th alert, in input
-    order; ``len()`` is the row count.  :meth:`alerts` builds the
-    :class:`~repro.core.alerts.Alert` objects of chosen rows.  A batch
-    made by :meth:`of_alerts` wraps alerts that already exist, and
-    :meth:`alerts` hands those very objects back.
-    """
-
-    __slots__ = (
-        "timestamps",
-        "names",
-        "entities",
-        "source_ips",
-        "hosts",
-        "monitors",
-        "attributes",
-        "_alerts",
-    )
-
-    def __init__(self) -> None:
-        self.timestamps: list[float] = []
-        self.names: list[str] = []
-        self.entities: list[str] = []
-        self.source_ips: list[str] = []
-        self.hosts: list[str] = []
-        self.monitors: list[str] = []
-        self.attributes: list[dict[str, Any]] = []
-        self._alerts: Optional[list[Alert]] = None
-
-    @classmethod
-    def of_alerts(cls, alerts: Iterable[Alert]) -> "NormalizedBatch":
-        """The column view of existing alerts (they are not copied)."""
-        batch = cls()
-        timestamps, names, entities = batch.timestamps, batch.names, batch.entities
-        sources, hosts, monitors = batch.source_ips, batch.hosts, batch.monitors
-        attributes = batch.attributes
-        alerts = batch._alerts = list(alerts)
-        for alert in alerts:
-            timestamps.append(alert.timestamp)
-            names.append(alert.name)
-            entities.append(alert.entity)
-            sources.append(alert.source_ip)
-            hosts.append(alert.host)
-            monitors.append(alert.monitor)
-            attributes.append(alert.attributes)
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def alerts(self, rows: Optional[Iterable[int]] = None) -> list[Alert]:
-        """The alerts of ``rows`` (every row when ``None``), in that order."""
-        if rows is None:
-            rows = range(len(self.timestamps))
-        if self._alerts is not None:
-            return [self._alerts[row] for row in rows]
-        timestamps, names, entities = self.timestamps, self.names, self.entities
-        sources, hosts, monitors = self.source_ips, self.hosts, self.monitors
-        attributes = self.attributes
-        return [
-            Alert(
-                timestamps[row],
-                names[row],
-                entities[row],
-                sources[row],
-                hosts[row],
-                monitors[row],
-                attributes[row],
-            )
-            for row in rows
-        ]
 
 
 def _sshd(body: str, meta: dict) -> Optional[tuple[str, dict]]:
@@ -453,7 +377,7 @@ class NormalizerStage:
     (:class:`repro.testbed.stages.PipelineStage`, matched structurally
     so the telemetry layer carries no testbed import): a batch of
     :class:`RawLogRecord` in, a :class:`NormalizedBatch` out -- columns,
-    not alerts; the filter stage materialises its survivors.
+    not alerts; the filter stage cuts it down to its survivors.
     """
 
     name = "normalize"

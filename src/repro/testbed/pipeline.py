@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Iterable, Optional, Sequence, Sized
+from typing import Callable, Iterable, Optional, Sized
 
-from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
+from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY, NormalizedBatch
 from ..core.attack_tagger import AttackTagger, Detection
 from ..core.detector import Detector
 from ..telemetry.filtering import ScanFilter, ScanFilterStage
@@ -334,11 +334,11 @@ class TestbedPipeline:
         """
         return self.ingest_alert_batches([alerts])
 
-    def _prep_raw(self, records: Iterable[RawLogRecord]) -> list[Alert]:
+    def _prep_raw(self, records: Iterable[RawLogRecord]) -> NormalizedBatch:
         """Count one raw batch, then normalise (counted) and filter it.
 
-        The normaliser hands the filter columns; only the survivors
-        become :class:`Alert` objects.
+        The normaliser hands the filter columns and the filter hands
+        its survivors on as columns: no :class:`Alert` is built here.
         """
         records = tuple(records)
         self.stats.raw_records += len(records)
@@ -346,14 +346,14 @@ class TestbedPipeline:
         self.stats.normalized_alerts += len(normalized)
         return self._prep_filtered(normalized)
 
-    def _prep_alerts(self, alerts: Iterable[Alert]) -> list[Alert]:
-        """Count one pre-normalised batch and filter it."""
-        alerts = list(alerts)
-        self.stats.raw_records += len(alerts)
-        self.stats.normalized_alerts += len(alerts)
-        return self._prep_filtered(alerts)
+    def _prep_alerts(self, alerts: Iterable[Alert]) -> NormalizedBatch:
+        """Count one pre-normalised batch and filter its column view."""
+        batch = NormalizedBatch.of_alerts(alerts)
+        self.stats.raw_records += len(batch)
+        self.stats.normalized_alerts += len(batch)
+        return self._prep_filtered(batch)
 
-    def _prep_filtered(self, alerts: Sized) -> list[Alert]:
+    def _prep_filtered(self, alerts: Sized) -> NormalizedBatch:
         """Filter one normalised batch (counted)."""
         filtered = self._run_stage(self.filter_stage, alerts)
         self.stats.filtered_alerts += len(filtered)
@@ -536,7 +536,7 @@ class TestbedPipeline:
         self._control("reshard", lambda pool: pool.reshard(count))
         self.n_shards = count
 
-    def _submit_detection(self, filtered: Sequence[Alert]) -> None:
+    def _submit_detection(self, filtered: NormalizedBatch) -> None:
         """Ship one filtered batch to the detection stage (timed)."""
         started = time.perf_counter()
         self.detection_stage.submit(filtered)

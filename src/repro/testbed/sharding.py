@@ -54,8 +54,11 @@ reshard all move it so, and the model a shard runs is always its
 factory's; a reshard regroups the tracks by ``shard_of(entity, M)``
 in the parent and builds no detector there.
 
-**One wire.**  How a sub-batch crosses the process boundary is private
-to :meth:`_ProcessShard.send`: the batch is packed into columns and
+**One wire.**  A batch reaches the pool as a
+:class:`~repro.core.alerts.NormalizedBatch` (a plain alert list is
+wrapped once) and is split per shard on its entity column, so a
+sub-batch is columns too.  How it crosses the process boundary is
+private to :meth:`_ProcessShard.send`: its columns are
 flat-encoded (:func:`repro.core.alerts.encode_alert_columns`: five
 UTF-8 string columns, each decoded once and sliced, and one JSON
 array for the attributes), the bytes go into the shard's shared-memory
@@ -129,9 +132,9 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tup
 from ..core.alerts import (
     Alert,
     AlertColumnsCodecError,
+    NormalizedBatch,
     decode_alert_columns,
     encode_alert_columns,
-    pack_alert_columns,
     unpack_alert_columns,
 )
 from ..core.attack_tagger import Detection
@@ -299,8 +302,10 @@ class _ShardHandler:
     nothing can revive such a shard.
 
     ``unwire`` turns an ``observe`` payload into the list of alerts;
-    ``None`` means the payload already is that list.  It runs inside
-    the timed region, so ``busy_seconds`` covers a carrier's decode.
+    ``None`` means the payload is observed as it is (the in-process
+    carrier's column batch, which builds its alerts as it is
+    iterated).  It runs inside the timed region, so ``busy_seconds``
+    covers a carrier's decode.
     """
 
     def __init__(self, factory, unwire=None) -> None:
@@ -377,8 +382,9 @@ class _LocalShard:
     The serial backend has nobody to overlap with, so the work happens
     at send time and the reply waits (FIFO) for ``receive`` -- the same
     two calls, in the same order, a process shard answers.  ``observe``
-    takes the ``Alert`` list as-is: nothing crosses a process boundary,
-    so nothing is packed, encoded, or counted as shipped.
+    takes the sub-batch as-is and the replica iterates it, which builds
+    its alerts (once: the batch keeps them): nothing crosses a process
+    boundary, so nothing is packed, encoded, or counted as shipped.
     """
 
     def __init__(self, index: int, factory) -> None:
@@ -542,14 +548,15 @@ class _ProcessShard:
         self.process.start()
         child_connection.close()
 
-    def _wire(self, alerts: Sequence[Alert]):
+    def _wire(self, batch: NormalizedBatch):
         """``(wire payload, ring region or None)`` for one sub-batch.
 
-        The flat encoding goes into the ring when it fits; the packed
-        columns go on the pipe when it does not, or when the batch is
-        outside the codec's type set.
+        The batch's columns are packed as they are (no :class:`Alert`
+        is read or built).  Their flat encoding goes into the ring when
+        it fits; the packed columns go on the pipe when it does not, or
+        when the batch is outside the codec's type set.
         """
-        packed = pack_alert_columns(alerts)
+        packed = batch.columns()
         try:
             encoded = encode_alert_columns(packed)
         except AlertColumnsCodecError:
@@ -1084,22 +1091,29 @@ class ShardedDetectorPool:
         return shard
 
     def _partition(
-        self, alerts: List[Alert]
-    ) -> Tuple[List[List[Alert]], List[Sequence[int]]]:
+        self, batch: NormalizedBatch
+    ) -> Tuple[List[NormalizedBatch], List[Sequence[int]]]:
         """Split one batch into per-shard sub-batches, remembering positions.
 
-        One shard takes the batch whole, at positions ``range(len(alerts))``.
+        The batch is split on its entity column -- :meth:`shard_of` once
+        per distinct entity -- and each shard's rows are picked with
+        :meth:`~repro.core.alerts.NormalizedBatch.select`; no alert is
+        read or built.  A serial pool's shards iterate their
+        sub-batches, so it builds the batch's alerts before picking:
+        the selections then share them with every other pool.
         """
-        if self.n_shards == 1:
-            return [alerts], [range(len(alerts))]
-        sub_batches: List[List[Alert]] = [[] for _ in range(self.n_shards)]
-        positions: List[Sequence[int]] = [[] for _ in range(self.n_shards)]
-        memo = self.shard_of
-        for position, alert in enumerate(alerts):
-            shard = memo(alert.entity)
-            sub_batches[shard].append(alert)
-            positions[shard].append(position)
-        return sub_batches, positions
+        count = self.n_shards
+        if count == 1:
+            return [batch], [range(len(batch))]
+        entities = batch.entities
+        route = {entity: self.shard_of(entity) for entity in dict.fromkeys(entities)}
+        if self.backend == "serial":
+            batch._built()
+        positions: List[List[int]] = [[] for _ in range(count)]
+        appends = [rows.append for rows in positions]
+        for position, entity in enumerate(entities):
+            appends[route[entity]](position)
+        return [batch.select(rows) for rows in positions], positions
 
     # -- the detector facade -------------------------------------------------
     def observe_batch(self, alerts: Iterable[Alert]) -> list[Detection]:
@@ -1133,9 +1147,15 @@ class ShardedDetectorPool:
         """Submitted batches not yet collected."""
         return len(self._pending)
 
-    def submit_batch(self, alerts: Iterable[Alert]) -> _PendingBatch:
+    def submit_batch(self, alerts: NormalizedBatch | Iterable[Alert]) -> _PendingBatch:
         """Ship one batch to the shards without waiting for the results.
 
+        ``alerts`` is the pipeline's :class:`~repro.core.alerts
+        .NormalizedBatch` of filter survivors; anything else is wrapped
+        once with :meth:`~repro.core.alerts.NormalizedBatch.of_alerts`.
+        A process shard packs its sub-batch's columns into the wire,
+        so a process pool builds no :class:`Alert` in this process;
+        in-process shards iterate theirs, which builds the alerts once.
         Returns a ticket for :meth:`collect`.  Process shards start
         computing as soon as their sub-batch lands, so the caller can
         overlap other work with them; the payload sits in a ring and
@@ -1148,7 +1168,9 @@ class ShardedDetectorPool:
         """
         if self._closed:
             raise RuntimeError("ShardedDetectorPool is closed")
-        sub_batches, positions = self._partition(list(alerts))
+        if not isinstance(alerts, NormalizedBatch):
+            alerts = NormalizedBatch.of_alerts(alerts)
+        sub_batches, positions = self._partition(alerts)
         active = [shard for shard, sub_batch in enumerate(sub_batches) if sub_batch]
         # Send everything first so all workers compute concurrently.
         # `alerts_routed` counts a shard only once its sub-batch is

@@ -2,7 +2,7 @@
 
 Fig. 4's workflow is a chain of transformations over batches::
 
-    raw records --normalize--> columns --filter--> survivors
+    raw records --normalize--> columns --filter--> survivors (columns)
                  --detect--> detections --respond--> actions
 
 :class:`PipelineStage` states that contract once: a stage has a
@@ -37,7 +37,7 @@ from __future__ import annotations
 import collections
 from typing import Deque, Dict, List, Protocol, Sequence, Sized, Tuple, runtime_checkable
 
-from ..core.alerts import Alert
+from ..core.alerts import Alert, NormalizedBatch
 from ..core.attack_tagger import Detection
 from .responder import ResponseOrchestrator, ResponseRecord
 from .sharding import ShardedDetectorPool
@@ -84,8 +84,15 @@ class DetectionStage:
         """Submitted batches not yet collected."""
         return len(self._inflight)
 
-    def submit(self, batch: Sequence[Alert]) -> None:
+    def submit(self, batch: NormalizedBatch | Sequence[Alert]) -> None:
         """Ship one filtered batch to every pool without waiting.
+
+        The batch is the scan filter's :class:`~repro.core.alerts
+        .NormalizedBatch` of survivors and goes to every pool as it is:
+        nothing here builds an :class:`Alert`.  A process-backed pool
+        packs its columns straight into the shard wire; an in-process
+        shard iterates it, which builds the alerts once, and every
+        other pool then sees those same objects.
 
         The process-backed pools' workers start computing immediately;
         the caller can overlap other work (normalising and filtering
@@ -105,7 +112,6 @@ class DetectionStage:
                 raise RuntimeError(
                     f"detector pool {name!r}: ShardedDetectorPool is closed"
                 )
-        batch = list(batch)
         tickets: Dict[str, object] = {}
         try:
             for name, pool in self.pools.items():

@@ -90,6 +90,14 @@ def no_leaked_ring_segments():
     )
 
 
+@pytest.fixture
+def ring_registrations() -> set:
+    """Every ring name this process registered so far (a live set, never
+    shrinking): a test diffs it to tell its own rings from another
+    process's, by the rule of ``ring_leaks.leaked_segments``."""
+    return _RING_REGISTRATIONS_SEEN
+
+
 @pytest.fixture(scope="session")
 def generator():
     """A seeded incident generator (session-wide)."""

@@ -121,6 +121,18 @@ _LONG_INT_BATCH_LINE = (
     b'{"op":"batch","alerts":[{"timestamp":1.0,"name":"a","entity":"e",'
     b'"attributes":{"k":1' + b"0" * 5000 + b"}}]}\n"
 )
+#: An integer timestamp under the conversion limit but beyond float
+#: range: ``float()`` raises ``OverflowError``, not ``ValueError``.
+_HUGE_TIMESTAMP = b"1" + b"0" * 400
+#: One ``batch`` and one ``raw`` line stamped with it.
+_HUGE_TIMESTAMP_LINES = {
+    "batch": b'{"op":"batch","alerts":[{"timestamp":'
+    + _HUGE_TIMESTAMP
+    + b',"name":"a","entity":"e"}]}\n',
+    "raw": b'{"op":"raw","records":[{"timestamp":'
+    + _HUGE_TIMESTAMP
+    + b',"monitor":"zeek","host":"h"}]}\n',
+}
 
 
 def _sample_detection() -> Detection:
@@ -193,6 +205,11 @@ class TestProtocol:
         line = ('{"op":"%s",%s}\n' % (op, body)).encode()
         with pytest.raises(ProtocolError, match="non-finite"):
             parse_request(decode_line(line))
+
+    @pytest.mark.parametrize("op", ["raw", "batch"])
+    def test_a_timestamp_beyond_float_range_is_a_protocol_error(self, op):
+        with pytest.raises(ProtocolError, match="malformed"):
+            parse_request(decode_line(_HUGE_TIMESTAMP_LINES[op]))
 
     @pytest.mark.parametrize("value", [[["stream", "conn"]], [], "conn", 3, None])
     def test_non_object_fields_and_attributes_are_rejected(self, value):
@@ -765,6 +782,25 @@ class TestServiceSocket:
                     assert reply["ok"] is False
                     assert reply["error"] == "protocol"
                 # The line was framed, so the same connection still serves.
+                sock.sendall(b'{"op":"ping"}\n')
+                assert json.loads(stream.readline())["pong"] is True
+            assert handle.service.dead_letter.count == 0
+
+    @pytest.mark.parametrize("op", ["raw", "batch"])
+    def test_a_timestamp_beyond_float_range_keeps_the_connection(self, op):
+        import socket
+
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+        with handle:
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=120.0
+            ) as sock:
+                stream = sock.makefile("rb")
+                sock.sendall(_HUGE_TIMESTAMP_LINES[op])
+                reply = json.loads(stream.readline())
+                assert reply["ok"] is False
+                assert reply["error"] == "protocol"
                 sock.sendall(b'{"op":"ping"}\n')
                 assert json.loads(stream.readline())["pong"] is True
             assert handle.service.dead_letter.count == 0

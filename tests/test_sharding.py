@@ -24,7 +24,7 @@ from repro.core import (
     NaiveBayesDetector,
     RuleBasedDetector,
 )
-from repro.core.alerts import Alert, DEFAULT_VOCABULARY
+from repro.core.alerts import Alert, DEFAULT_VOCABULARY, NormalizedBatch
 from repro.core.states import AttackStage
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed import (
@@ -36,6 +36,7 @@ from repro.testbed import (
     shard_of,
 )
 
+from ring_leaks import leaked_segments
 from test_shm_transport import _ring_segments_on_disk
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -532,6 +533,8 @@ class TestCarrierConformance:
         transcript = []
 
         def ask(carrier, verb, payload=None):
+            if verb == "observe":  # a carrier observes column batches
+                payload = NormalizedBatch.of_alerts(payload)
             assert carrier.send(verb, payload) is True
             status, result = carrier.receive()
             if status == "error":
@@ -628,7 +631,7 @@ class TestCarrierConformance:
         for carrier_class in (_LocalShard, _ProcessShard):
             carrier = carrier_class(0, _poisonable_tagger)
             try:
-                carrier.send("observe", poison)
+                carrier.send("observe", NormalizedBatch.of_alerts(poison))
                 status, detail = carrier.receive()
             finally:
                 carrier.close()
@@ -1103,10 +1106,18 @@ class TestCarrierOwnedRecovery:
             assert len(pool.recovery_log) == 1
 
     @pytest.mark.parametrize("call", DEAD_SHARD_CALLS)
-    def test_raise_surfaces_a_plain_worker_error_on_every_call(self, call, tmp_path):
+    def test_raise_surfaces_a_plain_worker_error_on_every_call(
+        self, call, tmp_path, ring_registrations
+    ):
         batches = self._batches()
         segments_before = _ring_segments_on_disk()
+        registered_before = set(ring_registrations)
         pipeline = self._pipeline("process", 0)
+        rings = {
+            worker.ring.name
+            for pool in pipeline.detector_pools.values()
+            for worker in pool._workers
+        }
         try:
             for batch in batches[:2]:
                 pipeline.ingest_alerts(batch)
@@ -1119,7 +1130,13 @@ class TestCarrierOwnedRecovery:
         finally:
             results = pipeline.close()
         assert all(result.clean for result in results.values()), results
-        assert _ring_segments_on_disk() == segments_before
+        # None of this pipeline's rings outlives close(); a ring another
+        # process made meanwhile is not its leak.
+        segments_after = _ring_segments_on_disk()
+        assert rings and not rings & segments_after
+        assert not leaked_segments(
+            segments_before, segments_after, ring_registrations - registered_before
+        )
 
     @pytest.mark.parametrize("shutdown", ["close", "reopen"])
     def test_draining_for_shutdown_never_respawns(self, shutdown):

@@ -27,6 +27,7 @@ from repro.telemetry import (
     ConnRecord,
     FilterStats,
     MonitorKind,
+    NormalizedBatch,
     NoticeRecord,
     OsqueryMonitor,
     Sanitizer,
@@ -555,7 +556,8 @@ class TestScanFilter:
         stage = ScanFilterStage(scan_filter)
         assert stage.name == "filter"
         survivors = stage.process(self._scan_alerts(50))
-        assert survivors == []
+        # The stage hands its survivors on as a column batch.
+        assert isinstance(survivors, NormalizedBatch) and list(survivors) == []
         assert scan_filter.stats.input_alerts == 50
 
     def test_a_name_outside_the_vocabulary_is_not_reconnaissance(self):
