@@ -389,7 +389,11 @@ def build_default_vocabulary() -> AlertVocabulary:
 DEFAULT_VOCABULARY: AlertVocabulary = build_default_vocabulary()
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+#: The default of :class:`Alert`'s ``attributes``: "a fresh ``{}``".
+_NO_ATTRIBUTES: Any = object()
+
+
+@dataclasses.dataclass(frozen=True, order=True, init=False)
 class Alert:
     """A single normalised, sanitised alert observation.
 
@@ -423,6 +427,31 @@ class Alert:
     monitor: str = ""
     attributes: Mapping[str, Any] = dataclasses.field(default_factory=dict, compare=False)
 
+    def __init__(
+        self,
+        timestamp: float,
+        name: str,
+        entity: str,
+        source_ip: str = "",
+        host: str = "",
+        monitor: str = "",
+        attributes: Mapping[str, Any] = _NO_ATTRIBUTES,
+    ) -> None:
+        """The generated frozen ``__init__``'s signature and result, by
+        one fill of the instance dict instead of seven
+        ``object.__setattr__`` calls (~3x faster; alerts are built by
+        the batch).  The fields go in in field order, so equality,
+        ordering, hash, repr and pickle bytes are the generated
+        class's; an omitted ``attributes`` is a fresh ``{}``."""
+        fields = self.__dict__
+        fields["timestamp"] = timestamp
+        fields["name"] = name
+        fields["entity"] = entity
+        fields["source_ip"] = source_ip
+        fields["host"] = host
+        fields["monitor"] = monitor
+        fields["attributes"] = {} if attributes is _NO_ATTRIBUTES else attributes
+
     def spec(self, vocabulary: Optional[AlertVocabulary] = None) -> AlertTypeSpec:
         """Resolve this alert's type spec against ``vocabulary``."""
         return (vocabulary or DEFAULT_VOCABULARY).get(self.name)
@@ -453,27 +482,9 @@ class Alert:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Alert":
-        """Inverse of :meth:`to_dict`.
-
-        Raises ``ValueError`` for a non-finite ``timestamp`` (JSON
-        decoders accept ``NaN``/``Infinity``; the scan filter sorts and
-        subtracts timestamps) and for ``attributes`` that is not a dict.
-        """
-        timestamp = float(data["timestamp"])
-        attributes = data.get("attributes", {})
-        if not math.isfinite(timestamp):
-            raise ValueError(f"non-finite alert timestamp {timestamp!r}")
-        if not isinstance(attributes, dict):
-            raise ValueError("alert 'attributes' must be a dict")
-        return cls(
-            timestamp,
-            str(data["name"]),
-            str(data["entity"]),
-            str(data.get("source_ip", "")),
-            str(data.get("host", "")),
-            str(data.get("monitor", "")),
-            dict(attributes),
-        )
+        """Inverse of :meth:`to_dict`: the one-row
+        :meth:`NormalizedBatch.from_dicts`, which says what it refuses."""
+        return NormalizedBatch.from_dicts((data,))[0]
 
 
 def sort_alerts(alerts: list[Alert]) -> list[Alert]:
@@ -562,6 +573,37 @@ class NormalizedBatch:
             monitors.append(alert.monitor)
             attributes.append(alert.attributes)
         return batch
+
+    @classmethod
+    def from_dicts(cls, rows: Sequence[Mapping[str, Any]]) -> "NormalizedBatch":
+        """The batch of :meth:`Alert.to_dict` rows, one column at a time.
+
+        Raises ``ValueError`` for a non-finite ``timestamp`` (JSON
+        decoders accept ``NaN``/``Infinity``; the scan filter sorts and
+        subtracts timestamps) and for ``attributes`` that is not a dict;
+        a missing field is a ``KeyError``, a row that is not a mapping
+        a ``TypeError``, and a ``timestamp`` past float range an
+        ``OverflowError``.  Text fields go through ``str()`` and every
+        attribute dict is copied.
+        """
+        timestamps = [float(row["timestamp"]) for row in rows]
+        attributes = [row.get("attributes", {}) for row in rows]
+        if not all(map(math.isfinite, timestamps)):
+            bad = next(stamp for stamp in timestamps if not math.isfinite(stamp))
+            raise ValueError(f"non-finite alert timestamp {bad!r}")
+        if not _DICTS.issuperset(map(type, attributes)) and not all(
+            isinstance(attrs, dict) for attrs in attributes
+        ):
+            raise ValueError("alert 'attributes' must be a dict")
+        return cls(
+            timestamps,
+            [str(row["name"]) for row in rows],
+            [str(row["entity"]) for row in rows],
+            [str(row.get("source_ip", "")) for row in rows],
+            [str(row.get("host", "")) for row in rows],
+            [str(row.get("monitor", "")) for row in rows],
+            [dict(attrs) for attrs in attributes],
+        )
 
     def __len__(self) -> int:
         return len(self.timestamps)

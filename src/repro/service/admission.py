@@ -47,9 +47,15 @@ import json
 import socket
 import time
 from pathlib import Path
-from typing import Any, Deque, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Mapping, Optional, Sequence
 
-from ..core.alerts import Alert, AlertVocabulary, AttackStage, DEFAULT_VOCABULARY
+from ..core.alerts import (
+    Alert,
+    AlertVocabulary,
+    AttackStage,
+    DEFAULT_VOCABULARY,
+    NormalizedBatch,
+)
 from ..telemetry.logsource import RawLogRecord
 from ..testbed.pipeline import PipelineStats
 from .protocol import (
@@ -107,8 +113,10 @@ class AdmissionOutcome:
 
     accepted: bool
     tier: str
-    #: What survives shedding and should be enqueued (possibly empty).
-    admitted: tuple
+    #: What survives shedding and should be enqueued (possibly empty):
+    #: a :class:`~repro.core.alerts.NormalizedBatch` of alerts, or a
+    #: tuple of raw records.
+    admitted: NormalizedBatch | tuple
     #: How many alerts/records were shed from this batch.
     shed: int
     retry_after: float = 0.0
@@ -217,26 +225,35 @@ class AdmissionController:
     # -- decisions -------------------------------------------------------
     def admit_alerts(
         self,
-        alerts: Sequence[Alert],
+        alerts: NormalizedBatch | Sequence[Alert],
         queue_depth: int,
         connection_depth: int,
     ) -> AdmissionOutcome:
-        """Decide one pre-normalised alert batch."""
+        """Decide one pre-normalised alert batch.
+
+        The batch is admitted as it is; ``shed-low`` admits the
+        :meth:`~repro.core.alerts.NormalizedBatch.select` of its other
+        rows and builds alerts only for the shed ones (their
+        dead letters).
+        """
         tier = self.tier(queue_depth, connection_depth)
         if tier == "reject":
             self.rejected_batches += 1
             return AdmissionOutcome(False, tier, (), 0, retry_after=RETRY_AFTER)
-        admitted: Tuple[Alert, ...] = tuple(alerts)
+        if not isinstance(alerts, NormalizedBatch):
+            alerts = NormalizedBatch.of_alerts(alerts)
+        admitted = alerts
         shed = 0
         if tier == "shed-low":
-            kept = []
-            for alert in alerts:
-                if alert.name in self.low_priority_names:
-                    shed += 1
+            low = self.low_priority_names
+            dropped = [row for row, name in enumerate(alerts.names) if name in low]
+            if dropped:
+                for alert in alerts.select(dropped):
                     self._shed_alert(alert)
-                else:
-                    kept.append(alert)
-            admitted = tuple(kept)
+                shed = len(dropped)
+                admitted = alerts.select(
+                    [row for row, name in enumerate(alerts.names) if name not in low]
+                )
         self.admitted_batches += 1
         self.admitted_alerts += len(admitted)
         return AdmissionOutcome(True, tier, admitted, shed)

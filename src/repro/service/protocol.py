@@ -54,7 +54,7 @@ import json
 import math
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
-from ..core.alerts import Alert
+from ..core.alerts import Alert, NormalizedBatch
 from ..core.attack_tagger import Detection, HiddenState
 from ..telemetry.logsource import MonitorKind, RawLogRecord
 from ..testbed.responder import OperatorNotification, ResponseAction, ResponseRecord
@@ -133,10 +133,15 @@ def decode_line(line: bytes) -> dict:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class Request:
-    """A parsed, validated client request."""
+    """A parsed, validated client request.
+
+    A ``batch`` request's :attr:`alerts` is one column batch
+    (:meth:`~repro.core.alerts.NormalizedBatch.from_dicts`), which
+    admission, the filter and the detection stage pass on as it is.
+    """
 
     op: str
-    alerts: Tuple[Alert, ...] = ()
+    alerts: NormalizedBatch | Tuple[()] = ()
     records: Tuple[RawLogRecord, ...] = ()
     verb: str = ""
     entity: str = ""
@@ -164,7 +169,7 @@ def parse_request(data: Mapping[str, Any]) -> Request:
             alerts = data.get("alerts")
             if not isinstance(alerts, list):
                 raise ProtocolError("batch needs an 'alerts' list")
-            return Request(op=op, alerts=tuple([Alert.from_dict(a) for a in alerts]))
+            return Request(op=op, alerts=NormalizedBatch.from_dicts(alerts))
         if op == "raw":
             records = data.get("records")
             if not isinstance(records, list):

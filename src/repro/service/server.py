@@ -59,7 +59,7 @@ import time
 import traceback
 from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..testbed.checkpoint import CheckpointStore
 from ..testbed.pipeline import DETERMINISTIC_COUNTERS, TestbedPipeline
@@ -112,7 +112,8 @@ class _WorkItem:
     """One FIFO entry: an ingest batch, a control, or a barrier marker."""
 
     kind: str  # alerts | raw | control | reshard | checkpoint | drain | detections | stop
-    alerts: tuple = ()
+    #: An ``alerts`` item's admitted :class:`~repro.core.alerts.NormalizedBatch`.
+    alerts: Sequence = ()
     records: tuple = ()
     verb: str = ""
     entity: str = ""
@@ -366,7 +367,7 @@ class DetectionService:
             item.stage_before = dict(self.pipeline.stats.stage_seconds)
             try:
                 if item.kind == "alerts":
-                    self.pipeline.submit_alerts(list(item.alerts))
+                    self.pipeline.submit_alerts(item.alerts)
                 else:
                     self.pipeline.submit_raw(item.records)
             except Exception as exc:

@@ -64,6 +64,10 @@ class SanitizationReport:
         """Total number of scrubbed items."""
         return self.emails + self.ssns + self.phones + self.ips_truncated + self.home_paths + self.secrets
 
+    def __bool__(self) -> bool:
+        """Whether anything was scrubbed: an all-zero report is empty."""
+        return self.total() != 0
+
 
 class Sanitizer:
     """Scrubs sensitive content from log text and alert metadata.
@@ -75,6 +79,10 @@ class Sanitizer:
     """
 
     __slots__ = ("_ip_octets_kept", "_truncate_ips", "report", "_clean")
+
+    #: Checkpointed stream state (``TestbedPipeline._stateful``): the
+    #: audit counts.  ``_clean`` is a memo that changes no output.
+    stream_state = ("report",)
 
     def __init__(self, *, ip_octets_kept: int = 2, truncate_ips: bool = True) -> None:
         self._ip_octets_kept = int(ip_octets_kept)

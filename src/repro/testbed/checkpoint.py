@@ -46,8 +46,9 @@ CHECKPOINT_MAGIC = b"RPRCKPT1"
 #: or scan filter stats.  Version 5: the payload is grouped by declared
 #: component (``{component: {attribute: value}}``, see
 #: ``TestbedPipeline._stateful``), carries the normaliser's counters,
-#: and holds no honeypot.
-CHECKPOINT_VERSION = 5
+#: and holds no honeypot.  Version 6: it carries the sanitiser's audit
+#: report.
+CHECKPOINT_VERSION = 6
 
 _HEADER = struct.Struct("<I")
 

@@ -346,9 +346,14 @@ class TestbedPipeline:
         self.stats.normalized_alerts += len(normalized)
         return self._prep_filtered(normalized)
 
-    def _prep_alerts(self, alerts: Iterable[Alert]) -> NormalizedBatch:
-        """Count one pre-normalised batch and filter its column view."""
-        batch = NormalizedBatch.of_alerts(alerts)
+    def _prep_alerts(self, alerts: NormalizedBatch | Iterable[Alert]) -> NormalizedBatch:
+        """Count one pre-normalised batch and filter it: a
+        :class:`NormalizedBatch` (the service's parsed ``batch``) as it
+        is, other alerts through their column view."""
+        if isinstance(alerts, NormalizedBatch):
+            batch = alerts
+        else:
+            batch = NormalizedBatch.of_alerts(alerts)
         self.stats.raw_records += len(batch)
         self.stats.normalized_alerts += len(batch)
         return self._prep_filtered(batch)
@@ -726,6 +731,7 @@ class TestbedPipeline:
         return {
             "stats": self.stats,
             "normalizer": self.normalizer,
+            "sanitizer": self.normalizer.sanitizer,
             "pipeline": self,
             "responder": self.responder,
             "router": self.router,

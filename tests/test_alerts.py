@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,3 +178,95 @@ class TestAlertColumnsRoundTrip:
         columns = pack_alert_columns([])
         assert columns[-1] is None
         assert unpack_alert_columns(columns) == []
+
+
+class TestAlertInitContract:
+    """``Alert``'s hand-written ``__init__`` fills the instance dict in
+    field order; everything the generated frozen dataclass promised
+    still holds."""
+
+    FIXED = Alert(
+        1234.5,
+        "alert_download_sensitive",
+        "user:alice",
+        "64.215.1.2",
+        "login00",
+        "syslog",
+        {"url": "http://64.215.1.2/abs.c"},
+    )
+    #: ``pickle.dumps(FIXED, protocol)`` sha256, recorded on the tree of
+    #: commit 391d185, whose ``Alert.__init__`` was dataclass-generated.
+    PICKLE_SHA256 = {
+        2: "c3a4143c191818c3c982ca67a418d812bdaa2548e92dd98c53da2f6f73f149c4",
+        4: "224ce4da5cc602e59abdb347be5b244147739a9cadb22a8bc789aff57fd691c0",
+        5: "3072fa5d00cdccbf82380c6bd1a687aae507e46350547c750f60f6d309e41578",
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(PICKLE_SHA256))
+    def test_pickle_bytes_match_the_generated_init(self, protocol):
+        blob = pickle.dumps(self.FIXED, protocol=protocol)
+        assert hashlib.sha256(blob).hexdigest() == self.PICKLE_SHA256[protocol]
+        restored = pickle.loads(blob)
+        assert restored == self.FIXED and restored.attributes == self.FIXED.attributes
+
+    def test_assignment_and_deletion_are_refused(self):
+        alert = Alert(1.0, "alert_login_normal", "user:a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alert.name = "alert_port_scan"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del alert.entity
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alert.extra = 1
+        assert (alert.name, alert.entity) == ("alert_login_normal", "user:a")
+
+    def test_replace_and_with_entity_build_through_init(self):
+        moved = dataclasses.replace(self.FIXED, entity="user:bob", host="login01")
+        assert (moved.entity, moved.host) == ("user:bob", "login01")
+        assert moved.attributes is self.FIXED.attributes  # replace shares fields
+        other = self.FIXED.with_entity("user:carol")
+        assert other.to_dict() == {**self.FIXED.to_dict(), "entity": "user:carol"}
+        assert self.FIXED.entity == "user:alice"
+
+    def test_equality_order_and_hash_ignore_attributes(self):
+        plain = Alert(1.0, "alert_login_normal", "user:a")
+        tagged = Alert(1.0, "alert_login_normal", "user:a", attributes={"k": 1})
+        assert plain == tagged and hash(plain) == hash(tagged)
+        assert not plain < tagged and not tagged < plain
+        later = Alert(2.0, "alert_login_normal", "user:a", attributes={"k": 0})
+        assert plain < later and sorted([later, tagged]) == [tagged, later]
+        assert Alert(1.0, "a", "e", "s") != Alert(1.0, "a", "e", "t")
+
+    def test_omitted_attributes_are_a_fresh_dict_and_given_ones_are_kept(self):
+        first = Alert(1.0, "alert_login_normal", "user:a")
+        second = Alert(1.0, "alert_login_normal", "user:a")
+        assert first.attributes == {} and second.attributes == {}
+        assert first.attributes is not second.attributes
+        given_attributes = {"k": 1}
+        assert Alert(1.0, "n", "e", attributes=given_attributes).attributes is given_attributes
+        assert Alert(1.0, "n", "e", "", "", "", given_attributes).attributes is given_attributes
+
+    def test_signature_fields_asdict_and_repr_are_the_dataclass_ones(self):
+        parameters = inspect.signature(Alert).parameters
+        assert list(parameters) == [
+            "timestamp", "name", "entity", "source_ip", "host", "monitor", "attributes"
+        ]
+        assert [parameters[name].default for name in ("source_ip", "host", "monitor")] == [
+            "", "", ""
+        ]
+        fields = dataclasses.fields(Alert)
+        assert [(f.name, f.compare) for f in fields] == [
+            ("timestamp", True),
+            ("name", True),
+            ("entity", True),
+            ("source_ip", True),
+            ("host", True),
+            ("monitor", True),
+            ("attributes", False),
+        ]
+        assert fields[-1].default_factory is dict
+        assert list(vars(self.FIXED)) == [f.name for f in fields]
+        assert dataclasses.asdict(self.FIXED) == self.FIXED.to_dict()
+        assert repr(Alert(1.0, "n", "e")) == (
+            "Alert(timestamp=1.0, name='n', entity='e', source_ip='', host='', "
+            "monitor='', attributes={})"
+        )

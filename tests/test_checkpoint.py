@@ -138,14 +138,14 @@ class TestCheckpointFile:
         # but the pipeline's; there is no migration.
         path = tmp_path / "v1.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 1; this build reads version 5"):
+        with pytest.raises(CheckpointError, match="version 1; this build reads version 6"):
             read_checkpoint(path)
 
     def test_version_2_file_is_refused_before_unpickling(self, tmp_path):
         # Version 3 tracks carry no ``decoder`` key; there is no migration.
         path = tmp_path / "v2.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 2; this build reads version 5"):
+        with pytest.raises(CheckpointError, match="version 2; this build reads version 6"):
             read_checkpoint(path)
 
     def test_version_3_file_is_refused_before_unpickling(self, tmp_path):
@@ -153,7 +153,7 @@ class TestCheckpointFile:
         # (whose model a version-3 restore ran); there is no migration.
         path = tmp_path / "v3.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 3) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 3; this build reads version 5"):
+        with pytest.raises(CheckpointError, match="version 3; this build reads version 6"):
             read_checkpoint(path)
 
     def test_version_4_file_is_refused_before_unpickling(self, tmp_path):
@@ -161,7 +161,15 @@ class TestCheckpointFile:
         # normaliser's counters and no honeypot; there is no migration.
         path = tmp_path / "v4.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 4) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 4; this build reads version 5"):
+        with pytest.raises(CheckpointError, match="version 4; this build reads version 6"):
+            read_checkpoint(path)
+
+    def test_version_5_file_is_refused_before_unpickling(self, tmp_path):
+        # Version 6 carries the sanitiser's audit report; there is no
+        # migration.
+        path = tmp_path / "v5.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"not a pickle")
+        with pytest.raises(CheckpointError, match="version 5; this build reads version 6"):
             read_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
@@ -330,7 +338,7 @@ class TestCheckpointHoldsStateNotTraffic:
             CHECKPOINT_MAGIC + struct.pack("<I", 1) + pickle.dumps(legacy)
         )
         with _build_pipeline() as restored:
-            with pytest.raises(CheckpointError, match="version 1; this build reads version 5"):
+            with pytest.raises(CheckpointError, match="version 1; this build reads version 6"):
                 restored.restore(tmp_path / "owing.ckpt")
             assert restored.stats.raw_records == 0
             # The refusal left the pipeline pristine.
@@ -422,8 +430,18 @@ class TestCheckpointBytesArePinned:
     #:    counters that code's normaliser held at the end of the drive;
     #: 4. frame the canonical pickle of the payload, its sets written
     #:    sorted by ``save_set``, as version 5.
-    DIGEST = "6ae24a27aa205a4442cf8d76e79158d30ca1f4e8cb19f24c7893b589311d0b66"
-    SIZE = 32651
+    #:
+    #: Version 6 was re-derived from that drive's version-5 checkpoint
+    #: (6ae24a27..., 32 651 bytes, written by the version-5 code of
+    #: commit 391d185) in two steps:
+    #:
+    #: 1. insert ``sanitizer`` right after ``normalizer``:
+    #:    ``{"report": SanitizationReport(emails=4, ssns=1, phones=3,
+    #:    ips_truncated=5, home_paths=5)}``, the report that code's
+    #:    sanitiser held at the end of the drive;
+    #: 2. frame the canonical pickle of the payload as version 6.
+    DIGEST = "311de31f78aa7141179b8a6f03e13336b6f7dc7cec47ae96baadb491fdca3570"
+    SIZE = 32810
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path):
         background = [
@@ -607,13 +625,29 @@ class TestRestoreKeepsEveryKindOfState:
                 target.restore(path)
             assert read(target) == held
 
+    def test_the_sanitizer_report_of_the_ingest_corpus_is_carried(self, tmp_path):
+        path = tmp_path / "report.ckpt"
+        expected = {"emails": 4, "ssns": 1, "phones": 3, "ips_truncated": 5, "home_paths": 5}
+        with _build_pipeline() as source:
+            source.ingest_raw(ingest_corpus.build_corpus())
+            held = dataclasses.asdict(source.normalizer.sanitizer.report)
+            assert held == {**expected, "secrets": 0}
+            source.checkpoint(path)
+        with _build_pipeline() as restored:
+            restored.restore(path)
+            assert dataclasses.asdict(restored.normalizer.sanitizer.report) == held
+        with _build_pipeline() as fresh:
+            assert not fresh.normalizer.sanitizer.report  # all zero: pristine
+
 
 #: Every attribute a checkpointed component holds besides its declared
 #: ``stream_state``: wiring and configuration that an equal-config
-#: pipeline rebuilds, the wall clock, and the restore-once flag.
+#: pipeline rebuilds, the wall clock, the sanitiser's memo of clean
+#: texts (it changes no output), and the restore-once flag.
 _UNDECLARED = {
     "stats": {"stage_seconds"},
     "normalizer": {"vocabulary", "sanitizer", "rules"},
+    "sanitizer": {"_ip_octets_kept", "_truncate_ips", "_clean"},
     "pipeline": {
         "vocabulary", "honeypot", "router", "bhr_client", "normalizer", "scan_filter",
         "n_shards", "shard_backend", "max_restarts", "max_inflight", "ring_capacity",
@@ -625,15 +659,27 @@ _UNDECLARED = {
 }
 
 
+#: Undeclared attributes an operation may move without moving state.
+_UNTRACKED = {("stats", "stage_seconds"), ("sanitizer", "_clean")}
+
+
+def _attributes(component) -> dict:
+    """``vars(component)``, or its slots' values for a slotted class."""
+    if hasattr(component, "__dict__"):
+        return vars(component)
+    return {slot: getattr(component, slot) for slot in type(component).__slots__}
+
+
 def _component_state(pipeline: TestbedPipeline) -> dict:
     """Every component attribute: declared ones by deep value, the rest
-    by identity and (for containers) shallow value; no wall clock."""
+    by identity and (for containers) shallow value; no wall clock and
+    no memo."""
     state = {}
     for name, component in pipeline._stateful().items():
-        for attribute, value in vars(component).items():
+        for attribute, value in _attributes(component).items():
             if attribute in component.stream_state:
                 state[name, attribute] = copy.deepcopy(value)
-            elif (name, attribute) != ("stats", "stage_seconds"):
+            elif (name, attribute) not in _UNTRACKED:
                 shallow = copy.copy(value) if isinstance(value, (list, dict, set)) else value
                 state[name, attribute] = (id(value), shallow)
     return state
@@ -672,6 +718,11 @@ _OPERATIONS = [
     ("stats", lambda p, k: setattr(p.stats, "dropped_alerts", p.stats.dropped_alerts + k), st.integers(1, 9)),
     ("normalizer", lambda p, records: p.normalizer.normalize_batch(records), _RECORDS),
     ("normalizer", lambda p, record: p.normalizer.normalize_record(record), st.just(_MALFORMED)),
+    (
+        "sanitizer",
+        lambda p, text: p.normalizer.sanitizer.sanitize_text(text),
+        st.sampled_from(["mail alice@example.org", "from 103.102.166.28", "read /home/alice/x"]),
+    ),
     ("responder", lambda p, detection: p.responder.handle_detection(detection), _DETECTION),
     ("responder", lambda p, ip: p.responder.handle_mass_scanner(5.0, ip, 1200), _IPS),
     ("router", lambda p, ip: p.router.block(ip, reason="r", now=5.0), _IPS),
@@ -701,7 +752,7 @@ class TestDeclaredStateIsComplete:
                 declared = set(component.stream_state)
                 assert len(declared) == len(component.stream_state), name
                 assert not declared & _UNDECLARED[name], name
-                assert set(vars(component)) == declared | _UNDECLARED[name], name
+                assert set(_attributes(component)) == declared | _UNDECLARED[name], name
                 assert not any(getattr(component, attribute) for attribute in declared), name
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from repro.core import AttackTagger
 from repro.core.alerts import Alert, NormalizedBatch, pack_alert_columns
 from repro.incidents import DEFAULT_CATALOGUE
-from repro.telemetry import SyslogMonitor
+from repro.service import ServiceConfig, start_service_in_thread
+from repro.telemetry import FilterStats, ScanFilter, SyslogMonitor
 from repro.testbed import ShardedDetectorPool, TestbedPipeline, shard_of
 
 from test_sharding import build_mixed_stream
@@ -106,6 +107,71 @@ class TestSelectionPacksLikeTheObjectReference:
         # An of_alerts batch yields the caller's own objects, selected or not.
         wrapped = NormalizedBatch.of_alerts(alerts)
         assert all(x is y for x, y in zip(wrapped.select(rows), reversed(alerts)))
+
+
+class TestTheFilterPassesAWholeBatchOn:
+    """A batch whose every row survives in input order comes back as it
+    is; any drop or reorder comes back as a selection."""
+
+    ALERTS = [Alert(float(i), "alert_login_normal", f"user:u{i}") for i in range(8)]
+
+    def test_a_no_drop_in_order_batch_is_returned_itself(self):
+        scan_filter = ScanFilter()
+        batch = _columns_only(self.ALERTS)
+        assert scan_filter.filter_batch(batch) is batch
+        assert scan_filter.stats == FilterStats(8, 0, 0, 8)
+        assert batch._alerts is None  # nothing built
+
+    @pytest.mark.parametrize("case", ["duplicate", "out_of_order"])
+    def test_a_drop_or_a_reorder_is_a_selection(self, case):
+        alerts = list(self.ALERTS)
+        if case == "duplicate":  # row 5 repeats row 4's key within the window
+            alerts[5] = Alert(5.0, "alert_login_normal", "user:u4")
+            expected_rows, stats = [0, 1, 2, 3, 4, 6, 7], FilterStats(8, 1, 0, 7)
+        else:  # row 6 is stamped before row 2
+            alerts[6] = Alert(1.5, "alert_login_normal", "user:u6")
+            expected_rows, stats = [0, 1, 6, 2, 3, 4, 5, 7], FilterStats(8, 0, 0, 8)
+        scan_filter = ScanFilter()
+        batch = _columns_only(alerts)
+        survivors = scan_filter.filter_batch(batch)
+        assert survivors is not batch
+        assert survivors.columns() == batch.select(expected_rows).columns()
+        assert scan_filter.stats == stats
+        # The survivors of an of_alerts batch are the caller's objects.
+        kept = list(scan_filter.filter_batch(NormalizedBatch.of_alerts(alerts)))
+        assert len(kept) == len(expected_rows)
+        assert all(a is alerts[row] for a, row in zip(kept, expected_rows))
+
+
+class TestABatchRequestStaysColumns:
+    def test_a_serial_service_batch_calls_neither_from_dict_nor_of_alerts(self, monkeypatch):
+        calls = {"from_dict": 0, "of_alerts": 0}
+        from_dict, of_alerts = Alert.from_dict.__func__, NormalizedBatch.of_alerts.__func__
+
+        def counting_from_dict(cls, data):
+            calls["from_dict"] += 1
+            return from_dict(cls, data)
+
+        def counting_of_alerts(cls, alerts):
+            calls["of_alerts"] += 1
+            return of_alerts(cls, alerts)
+
+        alerts = [
+            Alert(float(i), "alert_download_sensitive" if i % 5 else "alert_login_normal",
+                  f"user:u{i % 7}")
+            for i in range(40)
+        ]
+        handle = start_service_in_thread(lambda: _pipeline("serial", 1), ServiceConfig())
+        with handle, handle.client() as client:
+            monkeypatch.setattr(Alert, "from_dict", classmethod(counting_from_dict))
+            monkeypatch.setattr(NormalizedBatch, "of_alerts", classmethod(counting_of_alerts))
+            ack = client.send_alerts(alerts)
+            client.drain()
+            monkeypatch.undo()
+            stats = client.stats()
+        assert ack["admitted"] == len(alerts)
+        assert stats["alerts_processed"] == len(alerts)
+        assert calls == {"from_dict": 0, "of_alerts": 0}
 
 
 def _raw_batches(n_batches: int = 6) -> list:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -135,6 +135,54 @@ _HUGE_TIMESTAMP_LINES = {
 }
 
 
+#: JSON values an alert dict's fields and attributes may hold.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+_ALERT_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "timestamp": st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**9), 10**9)
+            ),
+            "name": st.one_of(st.sampled_from(BENIGN_NAMES + ["alert_port_scan"]), _JSON_SCALARS),
+            "entity": st.one_of(st.text(max_size=8), st.integers(-(10**6), 10**6)),
+        },
+        optional={
+            "source_ip": _JSON_SCALARS,
+            "host": _JSON_SCALARS,
+            "monitor": _JSON_SCALARS,
+            "attributes": st.dictionaries(
+                st.text(max_size=4),
+                st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2)),
+                max_size=3,
+            ),
+        },
+    ),
+    max_size=10,
+)
+
+
+def _row_reference(row: dict) -> Alert:
+    """One alert dict the way the service read it one row at a time."""
+    timestamp = float(row["timestamp"])
+    attributes = row.get("attributes", {})
+    assert math.isfinite(timestamp) and isinstance(attributes, dict)
+    return Alert(
+        timestamp,
+        str(row["name"]),
+        str(row["entity"]),
+        str(row.get("source_ip", "")),
+        str(row.get("host", "")),
+        str(row.get("monitor", "")),
+        dict(attributes),
+    )
+
+
 def _sample_detection() -> Detection:
     return Detection(
         entity="user:u001",
@@ -220,6 +268,44 @@ class TestProtocol:
         alert = {"timestamp": 1.0, "name": "login", "entity": "user:u1", "attributes": value}
         with pytest.raises(ProtocolError, match="attributes"):
             parse_request({"op": "batch", "alerts": [alert]})
+
+    @given(_ALERT_ROWS)
+    @settings(max_examples=150, deadline=None)
+    @example([])
+    @example([{"timestamp": 1, "name": 7, "entity": "e", "attributes": {"k": [1, None]}}])
+    def test_a_batch_parses_to_the_alerts_of_its_rows(self, rows):
+        batch = parse_request({"op": "batch", "alerts": rows}).alerts
+        expected = [Alert.from_dict(row) for row in rows]
+        got = list(batch)
+        assert got == expected == [_row_reference(row) for row in rows]
+        assert [a.to_dict() for a in got] == [a.to_dict() for a in expected]
+        assert all(type(a.timestamp) is float for a in got)
+        # Every attribute dict is the batch's own copy.
+        assert not any(a.attributes is row.get("attributes") for a, row in zip(got, rows))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"name": "alert_login_normal", "entity": "user:u1"},  # missing timestamp
+            {"timestamp": 2.0, "entity": "user:u1"},  # missing name
+            {"timestamp": 2.0, "name": "alert_login_normal"},  # missing entity
+            ["timestamp", 2.0],  # not an object
+            "row",
+            None,
+            {"timestamp": float("nan"), "name": "alert_login_normal", "entity": "user:u1"},
+            {"timestamp": float("inf"), "name": "alert_login_normal", "entity": "user:u1"},
+            {"timestamp": 10**400, "name": "alert_login_normal", "entity": "user:u1"},
+            {"timestamp": None, "name": "alert_login_normal", "entity": "user:u1"},
+            {"timestamp": 2.0, "name": "n", "entity": "e", "attributes": [["k", 1]]},
+            {"timestamp": 2.0, "name": "n", "entity": "e", "attributes": None},
+        ],
+    )
+    def test_every_malformed_row_class_is_a_protocol_error(self, bad):
+        good = {"timestamp": 1.0, "name": "alert_login_normal", "entity": "user:u1"}
+        with pytest.raises(ProtocolError, match="malformed batch"):
+            parse_request({"op": "batch", "alerts": [good, bad, good]})
+        with pytest.raises((KeyError, TypeError, ValueError, OverflowError)):
+            Alert.from_dict(bad)
 
     def test_unknown_monitor_and_non_object_record_stay_protocol_errors(self):
         record = {"timestamp": 1.0, "monitor": "netflow", "host": "h"}
@@ -606,6 +692,48 @@ class TestServiceSocket:
         entries = DeadLetterJournal.read(dead_letter)
         assert len(entries) == 6
         assert {e["reason"] for e in entries} == {"shed-low-priority"}
+
+    def test_shed_low_admits_exactly_the_other_rows_in_order(self, tmp_path):
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        dead_letter = tmp_path / "dead.jsonl"
+        submitted = []
+
+        def recording_factory():
+            pipeline = _service_pipeline(campaign)
+            submit = pipeline.submit_alerts
+
+            def recording(alerts):
+                submitted.append([a.to_dict() for a in alerts])
+                submit(alerts)
+
+            pipeline.submit_alerts = recording
+            return pipeline
+
+        # Low-priority rows interleaved with the rest, timestamps out of
+        # order: admission keeps request order, the filter sorts later.
+        names = ["alert_port_scan", BENIGN_NAMES[0], "alert_download_sensitive", BENIGN_NAMES[1],
+                 BENIGN_NAMES[2], "alert_outbound_c2", "alert_port_scan", BENIGN_NAMES[3]]
+        alerts = [
+            Alert(float(100 - 7 * i), name, f"user:u{i}", attributes={"i": i})
+            for i, name in enumerate(names)
+        ]
+        low = set(BENIGN_NAMES)
+        handle = start_service_in_thread(recording_factory, ServiceConfig(dead_letter_path=dead_letter))
+        with handle, handle.client() as client:
+            client.throttle("shed-low")
+            ack = client.send_alerts(alerts)
+            client.throttle("open")
+            client.drain()
+            stats = client.stats()
+        kept = [a.to_dict() for a in alerts if a.name not in low]
+        shed = [a.to_dict() for a in alerts if a.name in low]
+        assert (ack["tier"], ack["admitted"], ack["shed"]) == ("shed-low", len(kept), len(shed))
+        assert submitted == [kept]
+        assert stats["admission"]["shed_low_priority_alerts"] == len(shed)
+        assert stats["admission"]["admitted_alerts"] == len(kept)
+        assert stats["pipeline"]["dropped_alerts"] == float(len(shed))
+        assert stats["dead_letter_records"] == len(shed)
+        assert [e["payload"] for e in DeadLetterJournal.read(dead_letter)] == shed
 
     def test_stats_counts_dead_letters_the_service_no_longer_holds(self, tmp_path):
         campaign = CampaignComposer(1, target_alerts=40).compose(0)
