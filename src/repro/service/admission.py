@@ -225,7 +225,7 @@ class AdmissionController:
     # -- decisions -------------------------------------------------------
     def admit_alerts(
         self,
-        alerts: NormalizedBatch | Sequence[Alert],
+        alerts: NormalizedBatch,
         queue_depth: int,
         connection_depth: int,
     ) -> AdmissionOutcome:
@@ -240,8 +240,6 @@ class AdmissionController:
         if tier == "reject":
             self.rejected_batches += 1
             return AdmissionOutcome(False, tier, (), 0, retry_after=RETRY_AFTER)
-        if not isinstance(alerts, NormalizedBatch):
-            alerts = NormalizedBatch.of_alerts(alerts)
         admitted = alerts
         shed = 0
         if tier == "shed-low":

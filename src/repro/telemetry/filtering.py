@@ -124,8 +124,7 @@ class ScanFilter:
         """Apply both stages; return the surviving rows in time order.
 
         Rows are visited in stable timestamp order (equal timestamps
-        keep input order).  When every row survives in input order the
-        survivors are ``batch`` itself; otherwise ``batch.select(kept)``:
+        keep input order).  The survivors are ``batch.select(kept)``:
         columns picked at C speed, no :class:`Alert` built (alerts
         ``batch`` already holds are carried over, so the survivors of
         an :meth:`~NormalizedBatch.of_alerts` batch are the caller's
@@ -159,8 +158,6 @@ class ScanFilter:
             scanner_suppressed=suppressed,
             output_alerts=len(kept),
         )
-        if len(kept) == len(timestamps) and kept == list(range(len(kept))):
-            return batch
         return batch.select(kept)
 
     def filter(self, alerts: Iterable[Alert]) -> list[Alert]:

@@ -264,6 +264,12 @@ class TestAlertInitContract:
             ("attributes", False),
         ]
         assert fields[-1].default_factory is dict
+        assert list(parameters) == [f.name for f in fields]
+        assert all(
+            parameters[f.name].default == f.default
+            for f in fields
+            if f.default is not dataclasses.MISSING
+        )
         assert list(vars(self.FIXED)) == [f.name for f in fields]
         assert dataclasses.asdict(self.FIXED) == self.FIXED.to_dict()
         assert repr(Alert(1.0, "n", "e")) == (

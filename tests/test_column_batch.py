@@ -109,23 +109,19 @@ class TestSelectionPacksLikeTheObjectReference:
         assert all(x is y for x, y in zip(wrapped.select(rows), reversed(alerts)))
 
 
-class TestTheFilterPassesAWholeBatchOn:
-    """A batch whose every row survives in input order comes back as it
-    is; any drop or reorder comes back as a selection."""
+class TestTheFilterSelectsItsSurvivors:
+    """A batch whose every row survives, one with an in-batch duplicate
+    and one with an out-of-order timestamp each come back as the
+    selection of today's rows, with today's stats."""
 
     ALERTS = [Alert(float(i), "alert_login_normal", f"user:u{i}") for i in range(8)]
 
-    def test_a_no_drop_in_order_batch_is_returned_itself(self):
-        scan_filter = ScanFilter()
-        batch = _columns_only(self.ALERTS)
-        assert scan_filter.filter_batch(batch) is batch
-        assert scan_filter.stats == FilterStats(8, 0, 0, 8)
-        assert batch._alerts is None  # nothing built
-
-    @pytest.mark.parametrize("case", ["duplicate", "out_of_order"])
-    def test_a_drop_or_a_reorder_is_a_selection(self, case):
+    @pytest.mark.parametrize("case", ["no_drop", "duplicate", "out_of_order"])
+    def test_the_survivors_are_a_selection(self, case):
         alerts = list(self.ALERTS)
-        if case == "duplicate":  # row 5 repeats row 4's key within the window
+        if case == "no_drop":
+            expected_rows, stats = list(range(8)), FilterStats(8, 0, 0, 8)
+        elif case == "duplicate":  # row 5 repeats row 4's key within the window
             alerts[5] = Alert(5.0, "alert_login_normal", "user:u4")
             expected_rows, stats = [0, 1, 2, 3, 4, 6, 7], FilterStats(8, 1, 0, 7)
         else:  # row 6 is stamped before row 2
@@ -134,9 +130,9 @@ class TestTheFilterPassesAWholeBatchOn:
         scan_filter = ScanFilter()
         batch = _columns_only(alerts)
         survivors = scan_filter.filter_batch(batch)
-        assert survivors is not batch
         assert survivors.columns() == batch.select(expected_rows).columns()
         assert scan_filter.stats == stats
+        assert batch._alerts is None and survivors._alerts is None  # nothing built
         # The survivors of an of_alerts batch are the caller's objects.
         kept = list(scan_filter.filter_batch(NormalizedBatch.of_alerts(alerts)))
         assert len(kept) == len(expected_rows)

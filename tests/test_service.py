@@ -45,7 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import AttackTagger
-from repro.core.alerts import Alert, DEFAULT_VOCABULARY
+from repro.core.alerts import Alert, DEFAULT_VOCABULARY, NormalizedBatch
 from repro.core.attack_tagger import Detection
 from repro.core.states import AttackStage, HiddenState
 from repro.incidents import DEFAULT_CATALOGUE
@@ -379,10 +379,10 @@ class TestProtocol:
 
 class TestAdmission:
     def _alerts(self, names):
-        return [
+        return NormalizedBatch.of_alerts([
             Alert(timestamp=float(i), name=name, entity="user:u1")
             for i, name in enumerate(names)
-        ]
+        ])
 
     def test_limits_validation(self):
         with pytest.raises(ValueError):
