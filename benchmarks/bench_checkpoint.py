@@ -163,6 +163,10 @@ def check() -> int:
     if not measurement["recheckpoint_identical"]:
         print("FAIL: restore -> checkpoint is not byte-identical")
         return 1
+    print(
+        f"INFO: checkpoint_bytes {measurement['checkpoint_bytes']} "
+        f"(committed {committed[CHECK_SCALE]['checkpoint_bytes']})"
+    )
     status = 0
     for key in ("write_ms", "restore_ms"):
         bound = LATENCY_TOLERANCE * committed[CHECK_SCALE][key]

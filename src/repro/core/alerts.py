@@ -389,11 +389,7 @@ def build_default_vocabulary() -> AlertVocabulary:
 DEFAULT_VOCABULARY: AlertVocabulary = build_default_vocabulary()
 
 
-#: The default of :class:`Alert`'s ``attributes``: "a fresh ``{}``".
-_NO_ATTRIBUTES: Any = object()
-
-
-@dataclasses.dataclass(frozen=True, order=True, init=False)
+@dataclasses.dataclass(frozen=True, order=True)
 class Alert:
     """A single normalised, sanitised alert observation.
 
@@ -426,33 +422,6 @@ class Alert:
     host: str = ""
     monitor: str = ""
     attributes: Mapping[str, Any] = dataclasses.field(default_factory=dict, compare=False)
-
-    def __init__(
-        self,
-        timestamp: float,
-        name: str,
-        entity: str,
-        source_ip: str = "",
-        host: str = "",
-        monitor: str = "",
-        attributes: Mapping[str, Any] = _NO_ATTRIBUTES,
-    ) -> None:
-        """The generated frozen ``__init__``'s signature and result, by
-        one fill of the instance dict instead of seven
-        ``object.__setattr__`` calls (~0.45 against ~1.1 µs; alerts are
-        built by the batch).  Reads off the materialised dict cost
-        ~15 ns more each, which the build saving outweighs end to end.
-        The fields go in in field order, so equality, ordering, hash,
-        repr and pickle bytes are the generated class's; an omitted
-        ``attributes`` is a fresh ``{}``."""
-        fields = self.__dict__
-        fields["timestamp"] = timestamp
-        fields["name"] = name
-        fields["entity"] = entity
-        fields["source_ip"] = source_ip
-        fields["host"] = host
-        fields["monitor"] = monitor
-        fields["attributes"] = {} if attributes is _NO_ATTRIBUTES else attributes
 
     def spec(self, vocabulary: Optional[AlertVocabulary] = None) -> AlertTypeSpec:
         """Resolve this alert's type spec against ``vocabulary``."""
@@ -523,10 +492,13 @@ class NormalizedBatch:
     (:meth:`select`) cuts it down to its survivors, the detection
     stage hands that on to every pool, a pool splits it per shard, and
     a process shard packs its part (:meth:`columns`) straight into the
-    wire -- no :class:`Alert` is built on the way.
+    wire and its worker reads them back (:meth:`of_columns`) -- no
+    :class:`Alert` is built on the way.  The tagger's kernel reads the
+    entity and name columns and builds one row's alert (:meth:`alert`)
+    only as a detection's trigger.
 
     :class:`Alert` objects are built lazily, once, by whatever iterates
-    the batch (``iter``, ``[i]``, :meth:`alerts`): an in-process
+    the batch (``iter``, ``[i]``, :meth:`alerts`): a baseline
     detector, or a caller.  The batch keeps them, so everything that
     iterates it later -- another pool, a :meth:`select` of it -- gets
     the very same objects.  A batch made by :meth:`of_alerts` wraps
@@ -577,6 +549,13 @@ class NormalizedBatch:
         return batch
 
     @classmethod
+    def of_columns(cls, columns: AlertColumns) -> "NormalizedBatch":
+        """The batch of :data:`AlertColumns` (:meth:`columns`' inverse): an
+        elided attribute column becomes a fresh ``{}`` per row."""
+        *fields, attributes = columns
+        return cls(*fields, [{} for _ in fields[0]] if attributes is None else attributes)
+
+    @classmethod
     def from_dicts(cls, rows: Sequence[Mapping[str, Any]]) -> "NormalizedBatch":
         """The batch of :meth:`Alert.to_dict` rows, one column at a time.
 
@@ -625,6 +604,11 @@ class NormalizedBatch:
                 )
             )
         return alerts
+
+    def alert(self, index: int) -> Alert:
+        """Row ``index``'s alert, the others left unbuilt: the batch's own
+        once built (or wrapped), else a new one the batch does not keep."""
+        return self.select((index,))[0]
 
     def __iter__(self) -> Iterator[Alert]:
         return iter(self._built())
@@ -686,32 +670,13 @@ def pack_alert_columns(alerts: Sequence[Alert]) -> AlertColumns:
     Pickling a batch of :class:`Alert` dataclass instances pays a
     per-object reconstruction cost (class reference, field dict) on
     both sides of a process boundary.  Parallel tuples of primitive
-    fields pickle as flat buffers instead; the receiving side rebuilds
-    the ``Alert`` objects with :func:`unpack_alert_columns`, moving
-    that reconstruction cost onto the (parallel) worker.  The values of
+    fields pickle as flat buffers instead; the receiving side reads
+    them as a batch with :meth:`NormalizedBatch.of_columns`.  The values of
     :meth:`NormalizedBatch.columns` of ``NormalizedBatch.of_alerts(alerts)``,
     but every attribute dict is a copy, never the alert's own.
     """
     *fields, attributes = NormalizedBatch.of_alerts(alerts).columns()
     return (*fields, None if attributes is None else tuple(map(dict, attributes)))
-
-
-def unpack_alert_columns(columns: AlertColumns) -> list[Alert]:
-    """Rebuild the alert batch packed by :func:`pack_alert_columns`."""
-    timestamps, names, entities, source_ips, hosts, monitors, attributes = columns
-    if attributes is None:
-        return [
-            Alert(timestamp, name, entity, source_ip, host, monitor)
-            for timestamp, name, entity, source_ip, host, monitor in zip(
-                timestamps, names, entities, source_ips, hosts, monitors
-            )
-        ]
-    return [
-        Alert(timestamp, name, entity, source_ip, host, monitor, attrs)
-        for timestamp, name, entity, source_ip, host, monitor, attrs in zip(
-            timestamps, names, entities, source_ips, hosts, monitors, attributes
-        )
-    ]
 
 
 class AlertColumnsCodecError(ValueError):
@@ -855,8 +820,8 @@ def decode_alert_columns(buffer) -> AlertColumns:
     """Inverse of :func:`encode_alert_columns` (accepts any buffer view).
 
     Returns the exact :func:`pack_alert_columns` tuple shape, so
-    ``unpack_alert_columns(decode_alert_columns(encode_alert_columns(
-    pack_alert_columns(batch))))`` rebuilds ``batch`` field-for-field.
+    ``NormalizedBatch.of_columns(decode_alert_columns(encode_alert_columns(
+    pack_alert_columns(batch)))).alerts()`` rebuilds ``batch`` field-for-field.
     Each string column is decoded once and sliced (a column of one
     repeated value is not sliced at all); the attribute column is one
     ``json.loads``.
@@ -936,7 +901,6 @@ __all__ = [
     "AlertColumns",
     "NormalizedBatch",
     "pack_alert_columns",
-    "unpack_alert_columns",
     "AlertColumnsCodecError",
     "ALERT_COLUMNS_MAGIC",
     "encode_alert_columns",

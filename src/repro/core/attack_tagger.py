@@ -23,18 +23,18 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import streaming
-from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY
+from .alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY, NormalizedBatch
 from .detector import Detector
 from .factor_graph import chain_map_decode, chain_marginals
 from .factors import FactorParameters, default_parameters, observation_log_for_sequence
 from .sequences import matched_prefix_length
 from .sliding_window import WindowArena
-from .states import NUM_STATES, HiddenState
+from .states import HiddenState
 from .streaming import WeightedPattern
 
 #: The production engine and the executable spec, in that order.
@@ -93,11 +93,13 @@ class Detection:
 
 @dataclasses.dataclass
 class EntityTrack:
-    """Per-entity detector state: the observed alerts and the decode slot.
+    """Per-entity detector state: the observed alert names and the decode slot.
 
-    ``alerts`` holds the window-bounded alert history: the
+    ``names`` holds the window-bounded history, the names of the
+    entity's newest alerts, which is all a decision reads: the
     ``collections.deque(maxlen=max_window)`` the tagger creates, so
-    appending to a full window drops the oldest alert in O(1).  It is
+    appending to a full window drops the oldest name in O(1).  Each
+    name is the arena's interned string, shared by every track.  It is
     required, and migration and unpickling carry the deque (with its
     ``maxlen``) along, so no track ever holds an unbounded list.
     ``slot`` is the owning tagger's slot for the entity (see
@@ -107,7 +109,7 @@ class EntityTrack:
     """
 
     entity: str
-    alerts: Deque[Alert]
+    names: Deque[str]
     detected: Optional[Detection] = None
     slot: int = dataclasses.field(default=-1, init=False, repr=False, compare=False)
 
@@ -259,7 +261,7 @@ class AttackTagger(Detector):
 
     def _assign_slots(self, tracks: Sequence[EntityTrack]) -> None:
         """Slots for restored or adopted tracks: their decode state is
-        rebuilt from their alerts when first needed."""
+        rebuilt from their names when first needed."""
         slots = self._arena.slots
         taken = slots.allocate(len(tracks))
         detected = [track.detected is not None for track in tracks]
@@ -293,21 +295,21 @@ class AttackTagger(Detector):
         and match row back.
 
         The one way decode state leaves a live track: at detection.  It
-        is a pure function of the track's alerts, so :meth:`_sync`
+        is a pure function of the track's names, so :meth:`_sync`
         rebuilds it should :meth:`infer` want it again.
         """
         self._arena.drop(track.slot)
 
     # -- core inference -----------------------------------------------------
     def _sync(self, track: EntityTrack) -> None:
-        """Rebuild a track's decode state from its alerts if its slot is
+        """Rebuild a track's decode state from its names if its slot is
         stale (restored or adopted) or was dropped at detection."""
         arena, slot = self._arena, track.slot
         slots = arena.slots
         if slots.stale[slot] or (track.detected is not None and slots.row[slot] < 0 and not slots.length[slot]):
             slots.stale[slot] = False
-            for alert in track.alerts:
-                streaming.append(arena, slot, arena.intern(alert.name))
+            for name in track.names:
+                streaming.append(arena, slot, arena.intern(name))
 
     def _build_unary(self, names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         """Per-step log potentials including pattern-factor bonuses.
@@ -359,7 +361,7 @@ class AttackTagger(Detector):
         chain (seed behaviour).
         """
         track = self._tracks.get(entity)
-        if track is None or not track.alerts:
+        if track is None or not track.names:
             # A read-only query: an unknown entity is not tracked by asking.
             prior = np.exp(self.parameters.initial_log)
             return np.zeros(0, dtype=np.int64), prior / prior.sum(), []
@@ -370,8 +372,7 @@ class AttackTagger(Detector):
             if path is None:
                 path = streaming.fill_path(arena, slot)
             return path, final_marginal, streaming.matched_pattern_names(arena, slot)
-        names = [a.name for a in track.alerts]
-        unary, matched = self._build_unary(names)
+        unary, matched = self._build_unary(list(track.names))
         states = chain_map_decode(unary, self.parameters.transition_log)
         marginals = chain_marginals(unary, self.parameters.transition_log)
         return states, marginals[-1], matched
@@ -381,29 +382,31 @@ class AttackTagger(Detector):
         """Consume one alert; return a :class:`Detection` if one fires.
 
         A detection is emitted at most once per entity (the first time
-        the entity crosses the threshold); subsequent alerts for an
-        already-detected entity are still recorded so the response path
-        can keep building the incident timeline.
+        the entity crosses the threshold); the names of later alerts of
+        a detected entity are still recorded, so :meth:`infer` reads
+        its newest window.
         """
         track = self.track(alert.entity)
+        arena = self._arena
+        symbol = arena.intern(alert.name)
         if track.detected is not None:
-            # Already detected: record the alert for the incident
-            # timeline but skip all inference work.  The deque drops the
-            # evicted alert in O(1), so this fast path does no O(W)
-            # work at all.  Decode state `infer` re-synced since the
-            # detection is dropped rather than maintained.
-            track.alerts.append(alert)
-            slots = self._arena.slots
+            # Already detected: record the name but skip all inference
+            # work.  The deque drops the evicted name in O(1), so this
+            # fast path does no O(W) work at all.  Decode state `infer`
+            # re-synced since the detection is dropped rather than
+            # maintained.
+            track.names.append(arena.symbol_names[symbol])
+            slots = arena.slots
             if slots.length[track.slot] or slots.row[track.slot] >= 0:
                 self._release(track)
             return None
         if self.engine == "naive":
-            track.alerts.append(alert)
+            track.names.append(arena.symbol_names[symbol])
             return self._naive_decision(track, alert)
         self._sync(track)
-        sliding = len(track.alerts) >= self.max_window
-        track.alerts.append(alert)  # deque(maxlen) evicts the oldest in O(1)
-        return self._advance(track, alert, self._arena.intern(alert.name), sliding)
+        sliding = len(track.names) >= self.max_window
+        track.names.append(arena.symbol_names[symbol])  # deque(maxlen) evicts the oldest in O(1)
+        return self._advance(track, symbol, sliding, lambda: alert)
 
     def _naive_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
         """The seed decision: re-decode the whole window, then threshold it."""
@@ -418,7 +421,7 @@ class AttackTagger(Detector):
         detection = Detection(
             entity=alert.entity,
             timestamp=alert.timestamp,
-            alert_index=len(track.alerts) - 1,
+            alert_index=len(track.names) - 1,
             trigger=alert,
             state=final_state,
             confidence=malicious_probability,
@@ -432,12 +435,15 @@ class AttackTagger(Detector):
         track.detected = detection
         self._arena.slots.detected[track.slot] = True
 
-    def _advance(self, track: EntityTrack, alert: Alert, symbol: int, sliding: bool) -> Optional[Detection]:
+    def _advance(
+        self, track: EntityTrack, symbol: int, sliding: bool, trigger: Callable[[], Alert]
+    ) -> Optional[Detection]:
         """One alert (interned as ``symbol``) through a track's slot: the
         per-entity streaming step.
 
         Tail of the per-alert path, and what the stacked kernel runs
         for a step that opens a window or a segment too small to stack.
+        ``trigger`` returns the alert, called only if it fires.
         """
         arena, slot = self._arena, track.slot
         row = int(arena.slots.row[slot])
@@ -447,15 +453,15 @@ class AttackTagger(Detector):
         else:
             streaming.append(arena, slot, symbol)
             if not sliding:
-                return self._finalize_decision(track, alert)
+                return self._finalize_decision(track, trigger)
             row = streaming.open_window(arena, slot)
         if not streaming.may_fire(arena, row, self.detection_threshold):
             # The guard-banded aggregate decision is authoritative
             # for "cannot fire"; no exact decode is materialised.
             return None
-        return self._finalize_decision(track, alert)
+        return self._finalize_decision(track, trigger)
 
-    def _finalize_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
+    def _finalize_decision(self, track: EntityTrack, trigger: Callable[[], Alert]) -> Optional[Detection]:
         """Exact threshold decision + detection materialisation for a track's slot.
 
         Shared tail of the per-alert path and the stacked kernel: both
@@ -463,6 +469,7 @@ class AttackTagger(Detector):
         pre-filter could not rule the entity out, and the exact
         read-out (:func:`repro.core.streaming.decode`) decides — and
         materialises — the detection bit-identically to the naive path.
+        The triggering alert is built (``trigger()``) only for a detection.
         """
         arena, slot = self._arena, track.slot
         state, final_marginal, path = streaming.decode(arena, slot)
@@ -476,11 +483,12 @@ class AttackTagger(Detector):
         # Only a firing detection pays for a filling slot's O(T) backtrack.
         states = streaming.fill_path(arena, slot) if path is None else path
         matched = streaming.matched_pattern_names(arena, slot)
+        alert = trigger()
         detection = Detection(
             entity=alert.entity,
             timestamp=alert.timestamp,
-            # The slot holds the window-bounded timeline up to this
-            # alert; the stacked kernel records a whole run up front.
+            # The slot holds the window-bounded steps up to this alert;
+            # the stacked kernel records a whole run's names up front.
             alert_index=streaming.length(arena, slot) - 1,
             trigger=alert,
             state=final_state,
@@ -496,13 +504,16 @@ class AttackTagger(Detector):
         return detection
 
     def observe_batch_indexed(
-        self, alerts: Iterable[Alert]
+        self, alerts: NormalizedBatch | Iterable[Alert]
     ) -> list[tuple[int, Detection]]:
         """:meth:`Detector.observe_batch_indexed` through the stacked kernel.
 
         Under ``"streaming"`` the whole sub-batch is advanced by the
-        stacked cross-entity kernel; ``"naive"`` takes the per-alert
-        loop.  Both give the per-alert loop's results exactly.
+        stacked cross-entity kernel, which reads a
+        :class:`~repro.core.alerts.NormalizedBatch`'s entity and name
+        columns and builds an alert only for a detection's trigger;
+        ``"naive"`` takes the per-alert loop.  Both give the per-alert
+        loop's results exactly.
         """
         if self.engine == "naive":
             return super().observe_batch_indexed(alerts)
@@ -510,7 +521,9 @@ class AttackTagger(Detector):
             from .batch_kernel import BatchedDecodeKernel
 
             self._batch_kernel = BatchedDecodeKernel(self)
-        return self._batch_kernel.observe(list(alerts))
+        if not isinstance(alerts, NormalizedBatch):
+            alerts = list(alerts)
+        return self._batch_kernel.observe(alerts)
 
     @property
     def kernel_steps(self) -> tuple[int, int, int]:
@@ -543,7 +556,7 @@ class AttackTagger(Detector):
     def __getstate__(self) -> dict:
         """The tagger without its scratch: the stacked kernel (recreated
         on the next sub-batch) and the resolved model, whose arena holds
-        the decode state :meth:`_sync` rebuilds from the tracks' alerts."""
+        the decode state :meth:`_sync` rebuilds from the tracks' names."""
         state = self.__dict__.copy()
         state["_batch_kernel"] = None
         state.pop("_arena", None)
@@ -569,13 +582,13 @@ class AttackTagger(Detector):
 
         The returned tracks are safe to hand to another replica built
         from the same configuration: decode state is a pure function of
-        the track's window-bounded alert list, so the adopting tagger
+        the track's window-bounded names, so the adopting tagger
         rebuilds it lazily and bit-identically (same argument as
-        :meth:`__getstate__`).  Each carries its own copy of the alert
-        deque, so the adopter's alerts never reach this replica's tracks.
+        :meth:`__getstate__`).  Each carries its own copy of the name
+        deque, so the adopter's names never reach this replica's tracks.
         """
         return {
-            entity: dataclasses.replace(track, alerts=deque(track.alerts, maxlen=track.alerts.maxlen))
+            entity: dataclasses.replace(track, names=deque(track.names, maxlen=track.names.maxlen))
             for entity, track in self._tracks.items()
         }
 

@@ -18,9 +18,12 @@ row (or none), its fill length and pages, its match row (none while
 "pristine": no pattern matched), and whether it is detected.  The
 sub-batch is interned once -- one dict lookup per alert maps its entity
 to a slot (a batch's new entities are opened together) and its name to
-an arena symbol -- and grouped into per-entity *runs* (each entity's
-alerts, in stream order) by one stable argsort over slots; each run
-joins its entity's timeline there, whole.  A *pass* then takes every
+an arena symbol, read off a :class:`~repro.core.alerts.NormalizedBatch`'s
+entity and name columns -- and grouped into per-entity *runs* (each
+entity's alerts, in stream order) by one stable argsort over slots;
+each run's names join its entity's track there, whole.  No
+:class:`~repro.core.alerts.Alert` is built except a detection's
+trigger.  A *pass* then takes every
 run with alerts left through its next stacked segment -- a run of
 plain filling steps, or a *chunk* of plain windowed steps -- with
 masks over the slot columns: the detected check, the filling /
@@ -45,7 +48,7 @@ steps at depths ``0 .. D - 1``.  It ends at the first of four cuts:
 * a step that touches pattern state (``streaming.plain_depth``: an
   awaited or seeding symbol, or the eviction of a match's first step);
 * the end of the entity's run in the sub-batch;
-* a detection: the rest of the run is timeline only.
+* a detection: the rest of the run only adds its names to the track.
 
 A pass sorts its chunks deepest first, so the rows still active at
 depth ``d`` are a prefix, and lays every per-cell array out
@@ -105,7 +108,7 @@ state.  Match state lives in the arena's
 the matched length and the first and last matched steps, in a row
 taken when a slot leaves the seed.  Only a window opening takes the
 per-entity path, ``AttackTagger._advance``.  A stale slot (restored or
-adopted) is rebuilt from its track's alerts before its run starts
+adopted) is rebuilt from its track's names before its run starts
 (``AttackTagger._sync``).  **Filling entities**
 (window not yet saturated) keep
 their steps in the arena's fill storage, one cell per step.  A pass
@@ -149,13 +152,14 @@ the tagger's parameters).  Nothing here re-checks it.
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import streaming
+from .alerts import NormalizedBatch
 from .factor_graph import _logsumexp, maxplus_matmul_batch, maxplus_vecmat_batch
 from .sliding_window import FillPages, WindowArena, tree
 from .states import NUM_STATES
@@ -239,39 +243,48 @@ def _active(depth: np.ndarray) -> List[int]:
 class _SubBatch:
     """One sub-batch, interned and grouped into per-entity runs.
 
-    One dict lookup per alert numbers its entity in order of first
-    sight; each entity's track and slot are looked up once, and one
-    stable argsort over those numbers groups the alerts into runs (a
-    sub-batch of distinct entities needs none).  Sorted alert ``k`` is
-    ``alerts[order[k]]`` (:attr:`sorted`), with
-    interned symbol ``symbols[k]``; ``next_seed[k]`` is the first sorted
-    alert at or after ``k`` whose symbol starts a pattern.  Run ``r`` is
-    sorted alerts ``head[r] .. end[r] - 1`` of ``tracks[r]``, at slot
-    ``slot[r]``; a pass moves ``head`` past the steps it took.  Each
-    run joins its track's timeline here, whole: no decision reads the
-    timeline (a detection's alert index is its slot's length), and only
-    a stale slot is rebuilt from it, first.
+    The entity and name columns are read once: a
+    :class:`~repro.core.alerts.NormalizedBatch`'s own, a plain alert
+    list's by one attribute read per alert.  One dict lookup per alert
+    numbers its entity in order of first sight; each entity's track and
+    slot are looked up once, and one stable argsort over those numbers
+    groups the alerts into runs (a sub-batch of distinct entities needs
+    none).  Sorted alert ``k`` is row ``order[k]`` of the sub-batch,
+    with interned symbol ``symbols[k]``; ``next_seed[k]`` is the first
+    sorted alert at or after ``k`` whose symbol starts a pattern.  Run
+    ``r`` is sorted alerts ``head[r] .. end[r] - 1`` of ``tracks[r]``,
+    at slot ``slot[r]``; a pass moves ``head`` past the steps it took.
+    Each run's names join its track here, whole: no decision reads
+    them (a detection's alert index is its slot's length), and only a
+    stale slot is rebuilt from them, first.  An alert is built only as
+    a detection's trigger (:meth:`trigger`).
     """
 
-    __slots__ = ("order", "sorted", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
+    __slots__ = ("order", "alert_at", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
 
-    def __init__(self, kernel: "BatchedDecodeKernel", alerts: Sequence["Alert"]) -> None:
+    def __init__(self, kernel: "BatchedDecodeKernel", alerts: "NormalizedBatch | Sequence[Alert]") -> None:
         tagger = kernel._tagger
         arena = tagger._arena
+        if isinstance(alerts, NormalizedBatch):
+            entity_of, name_of, self.alert_at = alerts.entities, alerts.names, alerts.alert
+        else:
+            entity_of = [alert.entity for alert in alerts]
+            name_of = [alert.name for alert in alerts]
+            self.alert_at = alerts.__getitem__
         # One dict lookup per alert: its entity's index in order of first sight.
         entities: Dict[str, int] = {}
-        seen = [entities.setdefault(alert.entity, len(entities)) for alert in alerts]
+        seen = [entities.setdefault(entity, len(entities)) for entity in entity_of]
         tracks = tagger._tracks_for(entities)
         slots = np.array([track.slot for track in tracks], dtype=np.int64)
         get = arena.symbol_ids.get
-        symbols = [get(alert.name) for alert in alerts]
+        symbols = list(map(get, name_of))
         if None in symbols:
-            symbols = [arena.intern(alert.name) for alert in alerts]
-        n = len(alerts)
+            symbols = list(map(arena.intern, name_of))
+        n = len(symbols)
         if len(tracks) == n:
             # Every alert its own entity's run: no grouping to do.
             self.order = np.arange(n)
-            self.slot, self.tracks, self.sorted = slots, tracks, list(alerts)
+            self.slot, self.tracks = slots, tracks
             self.head, self.end = np.arange(n), np.arange(1, n + 1)
             self.symbols = np.array(symbols, dtype=np.int64)
         else:
@@ -282,7 +295,6 @@ class _SubBatch:
             self.end = np.add.accumulate(counts)
             self.head = self.end - counts
             self.slot, self.tracks = slots, tracks
-            self.sorted = [alerts[position] for position in order.tolist()]
             self.symbols = np.array(symbols, dtype=np.int64)[order]
         self.seeding = seeding_of = arena.matches.seeding(self.symbols)
         # The first seeding symbol at or after each sorted alert, if any.
@@ -294,9 +306,14 @@ class _SubBatch:
             # Restored or adopted entities rebuild their decode state first.
             for r in np.flatnonzero(table.stale[self.slot]).tolist():
                 tagger._sync(self.tracks[r])
-        appends = [track.alerts.append for track in tracks]
-        for alert, index in zip(alerts, seen):
-            appends[index](alert)
+        appends = [track.names.append for track in tracks]
+        interned = arena.symbol_names
+        for symbol, index in zip(symbols, seen):
+            appends[index](interned[symbol])
+
+    def trigger(self, k: int) -> Callable[[], "Alert"]:
+        """What builds sorted alert ``k``, called only if it fires."""
+        return partial(self.alert_at, int(self.order[k]))
 
 
 class BatchedDecodeKernel:
@@ -313,7 +330,7 @@ class BatchedDecodeKernel:
         self.rows_scalar = 0
 
     # -- entry point --------------------------------------------------------
-    def observe(self, alerts: Sequence["Alert"]) -> List[Hit]:
+    def observe(self, alerts: "NormalizedBatch | Sequence[Alert]") -> List[Hit]:
         """Advance the tagger through one sub-batch of alerts.
 
         Returns ``(position, detection)`` pairs sorted by sub-batch
@@ -323,7 +340,7 @@ class BatchedDecodeKernel:
         tagger = self._tagger
         started = time.perf_counter()
         hits: List[Hit] = []
-        if alerts:
+        if len(alerts):
             batch = _SubBatch(self, alerts)
             runs = np.arange(len(batch.tracks))
             while runs.size:
@@ -369,8 +386,8 @@ class BatchedDecodeKernel:
     def _classify(self, batch: _SubBatch, runs: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Split ``runs`` by their next segment: ``(fill, reach, chunk, depth, opening, patterned)``.
 
-        The rest of a detected entity's run is timeline only: it is
-        taken here, whole.
+        The rest of a detected entity's run only adds names to its
+        track (done up front): it is taken here, whole.
 
         A filling slot brings ``reach`` filling steps: its plain steps
         (the slot pristine, the symbols ones no pattern starts with) up
@@ -446,7 +463,7 @@ class BatchedDecodeKernel:
         tagger = self._tagger
         left = []
         for r, k in zip(runs.tolist(), batch.head[runs].tolist()):
-            detection = tagger._advance(batch.tracks[r], batch.sorted[k], int(batch.symbols[k]), True)
+            detection = tagger._advance(batch.tracks[r], int(batch.symbols[k]), True, batch.trigger(k))
             batch.head[r] = k + 1
             if detection is not None:
                 hits.append((batch.order[k].item(), detection))
@@ -512,7 +529,7 @@ class BatchedDecodeKernel:
             k = int(head[i] + q)
             track = batch.tracks[runs[i]]
             if forward_stage(arena, rows[i : i + 1], tagger.detection_threshold)[0]:
-                detection = tagger._finalize_decision(track, batch.sorted[k])
+                detection = tagger._finalize_decision(track, batch.trigger(k))
                 if detection is not None:
                     hits.append((int(batch.order[k]), detection))
                     taken[i], fired[i] = q + 1, True
@@ -535,7 +552,7 @@ class BatchedDecodeKernel:
             track = batch.tracks[r]
             low = int(batch.head[r])
             for k in range(low, low + count):
-                if (detection := advance(track, batch.sorted[k], int(symbols[k]), sliding)) is not None:
+                if (detection := advance(track, int(symbols[k]), sliding, batch.trigger(k))) is not None:
                     hits.append((int(batch.order[k]), detection))
                     break
         batch.head[runs] += steps
@@ -733,7 +750,7 @@ class BatchedDecodeKernel:
                 arena.truncate(int(batch.slot[runs[i]]), int(start[i]) + q + 1)
                 taken[i] = q + 1
             track, k = batch.tracks[runs[i]], int(head[i]) + q
-            detection = tagger._finalize_decision(track, batch.sorted[k])
+            detection = tagger._finalize_decision(track, batch.trigger(k))
             if detection is not None:
                 hits.append((int(batch.order[k]), detection))
 
@@ -787,7 +804,7 @@ class BatchedDecodeKernel:
             for i in decide:
                 k = int(head[i] + stop[i]) - 1
                 track = batch.tracks[runs[i]]
-                detection = tagger._finalize_decision(track, batch.sorted[k])
+                detection = tagger._finalize_decision(track, batch.trigger(k))
                 if detection is not None:
                     hits.append((int(batch.order[k]), detection))
                     if target is depth:

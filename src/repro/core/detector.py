@@ -154,17 +154,14 @@ class Detector:
 
         Offline evaluation helper: the sequence's alerts are re-keyed to
         ``entity`` (default: the first alert's entity), which is reset
-        first so separate evaluations do not interfere.  Returns the
-        first detection, if any.
+        first so separate evaluations do not interfere, and observed as
+        one batch (:meth:`observe_batch_indexed`, the production path).
+        Returns the first detection, if any.
         """
         entity = entity or (sequence[0].entity if len(sequence) else "entity:eval")
         self.reset_entity(entity)
-        first: Optional["Detection"] = None
-        for alert in sequence:
-            detection = self.observe(alert.with_entity(entity))
-            if first is None:
-                first = detection
-        return first
+        hits = self.observe_batch_indexed([alert.with_entity(entity) for alert in sequence])
+        return hits[0][1] if hits else None
 
 
 __all__ = ["Detector"]

@@ -47,8 +47,9 @@ CHECKPOINT_MAGIC = b"RPRCKPT1"
 #: component (``{component: {attribute: value}}``, see
 #: ``TestbedPipeline._stateful``), carries the normaliser's counters,
 #: and holds no honeypot.  Version 6: it carries the sanitiser's audit
-#: report.
-CHECKPOINT_VERSION = 6
+#: report.  Version 7: a tagger's track holds its alert names, not
+#: :class:`~repro.core.alerts.Alert` objects.
+CHECKPOINT_VERSION = 7
 
 _HEADER = struct.Struct("<I")
 

@@ -135,7 +135,6 @@ from ..core.alerts import (
     NormalizedBatch,
     decode_alert_columns,
     encode_alert_columns,
-    unpack_alert_columns,
 )
 from ..core.attack_tagger import Detection
 from ..core.detector import Detector
@@ -301,11 +300,10 @@ class _ShardHandler:
     reply to every verb: ``restore`` builds from the same factory, so
     nothing can revive such a shard.
 
-    ``unwire`` turns an ``observe`` payload into the list of alerts;
-    ``None`` means the payload is observed as it is (the in-process
-    carrier's column batch, which builds its alerts as it is
-    iterated).  It runs inside the timed region, so ``busy_seconds``
-    covers a carrier's decode.
+    ``unwire`` turns an ``observe`` payload into the column batch the
+    replica observes; ``None`` means the payload is observed as it is
+    (the in-process carrier's sub-batch).  It runs inside the timed
+    region, so ``busy_seconds`` covers a carrier's decode.
     """
 
     def __init__(self, factory, unwire=None) -> None:
@@ -382,9 +380,10 @@ class _LocalShard:
     The serial backend has nobody to overlap with, so the work happens
     at send time and the reply waits (FIFO) for ``receive`` -- the same
     two calls, in the same order, a process shard answers.  ``observe``
-    takes the sub-batch as-is and the replica iterates it, which builds
-    its alerts (once: the batch keeps them): nothing crosses a process
-    boundary, so nothing is packed, encoded, or counted as shipped.
+    hands the sub-batch to the replica as it is (the tagger reads its
+    columns; a per-alert detector iterates it, which builds its alerts
+    once): nothing crosses a process boundary, so nothing is packed,
+    encoded, or counted as shipped.
     """
 
     def __init__(self, index: int, factory) -> None:
@@ -426,7 +425,7 @@ def _shard_worker_main(factory, connection, ring_name: str) -> None:
     except Exception:
         ring_failure = ":\n" + traceback.format_exc()
 
-    def unwire(message) -> List[Alert]:
+    def unwire(message) -> NormalizedBatch:
         nonlocal last_seq
         form, body = message
         if form == "ring":
@@ -439,7 +438,7 @@ def _shard_worker_main(factory, connection, ring_name: str) -> None:
                 raise RuntimeError(f"ring descriptor seq {seq} not after {last_seq}")
             last_seq = seq
             body = decode_alert_columns(ring.view(offset, length))
-        return unpack_alert_columns(body)
+        return NormalizedBatch.of_columns(body)
 
     try:
         handler = _ShardHandler(factory, unwire)
@@ -1098,17 +1097,13 @@ class ShardedDetectorPool:
         The batch is split on its entity column -- :meth:`shard_of` once
         per distinct entity -- and each shard's rows are picked with
         :meth:`~repro.core.alerts.NormalizedBatch.select`; no alert is
-        read or built.  A serial pool's shards iterate their
-        sub-batches, so it builds the batch's alerts before picking:
-        the selections then share them with every other pool.
+        read or built.
         """
         count = self.n_shards
         if count == 1:
             return [batch], [range(len(batch))]
         entities = batch.entities
         route = {entity: self.shard_of(entity) for entity in dict.fromkeys(entities)}
-        if self.backend == "serial":
-            batch._built()
         positions: List[List[int]] = [[] for _ in range(count)]
         appends = [rows.append for rows in positions]
         for position, entity in enumerate(entities):
@@ -1154,8 +1149,8 @@ class ShardedDetectorPool:
         .NormalizedBatch` of filter survivors; anything else is wrapped
         once with :meth:`~repro.core.alerts.NormalizedBatch.of_alerts`.
         A process shard packs its sub-batch's columns into the wire,
-        so a process pool builds no :class:`Alert` in this process;
-        in-process shards iterate theirs, which builds the alerts once.
+        so a process pool builds no :class:`Alert` in this process; an
+        in-process shard hands its sub-batch to its replica as it is.
         Returns a ticket for :meth:`collect`.  Process shards start
         computing as soon as their sub-batch lands, so the caller can
         overlap other work with them; the payload sits in a ring and

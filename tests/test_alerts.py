@@ -16,11 +16,11 @@ from repro.core.alerts import (
     AlertTypeSpec,
     AlertVocabulary,
     DEFAULT_VOCABULARY,
+    NormalizedBatch,
     Severity,
     build_default_vocabulary,
     pack_alert_columns,
     sort_alerts,
-    unpack_alert_columns,
 )
 from repro.core.states import AttackStage
 
@@ -157,7 +157,7 @@ class TestAlertColumnsRoundTrip:
     @given(_batch_strategy)
     @settings(max_examples=120, deadline=None)
     def test_pack_unpack_reconstructs_alerts_exactly(self, batch):
-        rebuilt = unpack_alert_columns(pack_alert_columns(batch))
+        rebuilt = NormalizedBatch.of_columns(pack_alert_columns(batch)).alerts()
         assert rebuilt == batch
         # Alert equality excludes ``attributes`` (compare=False), so
         # exact reconstruction of the metadata is asserted separately.
@@ -172,18 +172,19 @@ class TestAlertColumnsRoundTrip:
             assert columns[-1] is not None
         else:
             assert columns[-1] is None
-        assert unpack_alert_columns(columns) == batch
+        assert NormalizedBatch.of_columns(columns).alerts() == batch
 
     def test_empty_batch_round_trips(self):
         columns = pack_alert_columns([])
         assert columns[-1] is None
-        assert unpack_alert_columns(columns) == []
+        assert NormalizedBatch.of_columns(columns).alerts() == []
 
 
 class TestAlertInitContract:
-    """``Alert``'s hand-written ``__init__`` fills the instance dict in
-    field order; everything the generated frozen dataclass promised
-    still holds."""
+    """``Alert`` is a frozen dataclass with the generated ``__init__``:
+    signature, defaults, equality, ordering, hash, repr, frozenness and
+    pickle bytes are pinned, so a hand-written replacement must keep
+    every one of them."""
 
     FIXED = Alert(
         1234.5,
@@ -195,7 +196,8 @@ class TestAlertInitContract:
         {"url": "http://64.215.1.2/abs.c"},
     )
     #: ``pickle.dumps(FIXED, protocol)`` sha256, recorded on the tree of
-    #: commit 391d185, whose ``Alert.__init__`` was dataclass-generated.
+    #: commit 391d185 (whose ``Alert.__init__`` was dataclass-generated,
+    #: as it is again).
     PICKLE_SHA256 = {
         2: "c3a4143c191818c3c982ca67a418d812bdaa2548e92dd98c53da2f6f73f149c4",
         4: "224ce4da5cc602e59abdb347be5b244147739a9cadb22a8bc789aff57fd691c0",

@@ -108,7 +108,7 @@ def _assert_same_logical_state(reference, batched, entities):
     """Slot state equal where bit-identity is promised."""
     for entity in entities:
         track_r, track_b = reference.track(entity), batched.track(entity)
-        assert [a.name for a in track_r.alerts] == [a.name for a in track_b.alerts]
+        assert list(track_r.names) == list(track_b.names)
         assert (track_r.detected is None) == (track_b.detected is None)
         if track_r.detected is not None:
             assert _detection_key(track_r.detected) == _detection_key(track_b.detected)
@@ -499,7 +499,7 @@ class TestBatchedEngineEquivalence:
         _assert_same_logical_state(scalar, batched, entities)
 
     def test_already_detected_entities_keep_recording(self):
-        """Detected entities ride along in stacked rounds, timeline only."""
+        """Detected entities ride along in stacked rounds, recording names only."""
         rng = np.random.default_rng(23)
         entities = [f"mix:{i}" for i in range(2 * _MIN_BATCH)]
         # Odd entities draw from the whole vocabulary and get detected;
@@ -516,9 +516,12 @@ class TestBatchedEngineEquivalence:
         assert last_hit < len(stream) - 48  # detected entities kept receiving
         for entity in detected:
             track = batched.track(entity)
-            assert list(track.alerts) == list(naive.track(entity).alerts)
-            assert list(track.alerts) == list(scalar.track(entity).alerts)
-            assert track.alerts[-1].timestamp > track.detected.timestamp
+            assert list(track.names) == list(naive.track(entity).names)
+            assert list(track.names) == list(scalar.track(entity).names)
+            # Window-bounded, and still appended after the detection.
+            sent = [alert for alert in stream if alert.entity == entity]
+            assert list(track.names) == [alert.name for alert in sent][-batched.max_window :]
+            assert sent[-1].timestamp > track.detected.timestamp
 
     def test_first_alerts_of_new_entities_are_stacked(self, monkeypatch):
         """Entity churn: a sub-batch of brand-new entities never goes scalar.
@@ -713,7 +716,9 @@ class TestDeepRuns:
             )
         attacker = batched.track(entities[0])
         assert attacker.detected is not None  # fired mid-run ...
-        assert attacker.alerts[-1].timestamp > attacker.detected.timestamp  # ... kept sending
+        sent = [alert for alert in stream if alert.entity == entities[0]]
+        assert sent[-1].timestamp > attacker.detected.timestamp  # ... kept sending
+        assert list(attacker.names) == [alert.name for alert in sent][-max_window:]
         return hits, batched, seen
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -138,14 +138,14 @@ class TestCheckpointFile:
         # but the pipeline's; there is no migration.
         path = tmp_path / "v1.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 1; this build reads version 6"):
+        with pytest.raises(CheckpointError, match="version 1; this build reads version 7"):
             read_checkpoint(path)
 
     def test_version_2_file_is_refused_before_unpickling(self, tmp_path):
         # Version 3 tracks carry no ``decoder`` key; there is no migration.
         path = tmp_path / "v2.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 2; this build reads version 6"):
+        with pytest.raises(CheckpointError, match="version 2; this build reads version 7"):
             read_checkpoint(path)
 
     def test_version_3_file_is_refused_before_unpickling(self, tmp_path):
@@ -153,7 +153,7 @@ class TestCheckpointFile:
         # (whose model a version-3 restore ran); there is no migration.
         path = tmp_path / "v3.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 3) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 3; this build reads version 6"):
+        with pytest.raises(CheckpointError, match="version 3; this build reads version 7"):
             read_checkpoint(path)
 
     def test_version_4_file_is_refused_before_unpickling(self, tmp_path):
@@ -161,7 +161,7 @@ class TestCheckpointFile:
         # normaliser's counters and no honeypot; there is no migration.
         path = tmp_path / "v4.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 4) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 4; this build reads version 6"):
+        with pytest.raises(CheckpointError, match="version 4; this build reads version 7"):
             read_checkpoint(path)
 
     def test_version_5_file_is_refused_before_unpickling(self, tmp_path):
@@ -169,7 +169,15 @@ class TestCheckpointFile:
         # migration.
         path = tmp_path / "v5.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"not a pickle")
-        with pytest.raises(CheckpointError, match="version 5; this build reads version 6"):
+        with pytest.raises(CheckpointError, match="version 5; this build reads version 7"):
+            read_checkpoint(path)
+
+    def test_version_6_file_is_refused_before_unpickling(self, tmp_path):
+        # Version 7 tracks hold alert names, not ``Alert`` objects; there
+        # is no migration.
+        path = tmp_path / "v6.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 6) + b"not a pickle")
+        with pytest.raises(CheckpointError, match="version 6; this build reads version 7"):
             read_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
@@ -338,7 +346,7 @@ class TestCheckpointHoldsStateNotTraffic:
             CHECKPOINT_MAGIC + struct.pack("<I", 1) + pickle.dumps(legacy)
         )
         with _build_pipeline() as restored:
-            with pytest.raises(CheckpointError, match="version 1; this build reads version 6"):
+            with pytest.raises(CheckpointError, match="version 1; this build reads version 7"):
                 restored.restore(tmp_path / "owing.ckpt")
             assert restored.stats.raw_records == 0
             # The refusal left the pipeline pristine.
@@ -440,8 +448,21 @@ class TestCheckpointBytesArePinned:
     #:    ips_truncated=5, home_paths=5)}``, the report that code's
     #:    sanitiser held at the end of the drive;
     #: 2. frame the canonical pickle of the payload as version 6.
-    DIGEST = "311de31f78aa7141179b8a6f03e13336b6f7dc7cec47ae96baadb491fdca3570"
-    SIZE = 32810
+    #:
+    #: Version 7 was re-derived from that drive's version-6 checkpoint
+    #: (311de31f..., 32 810 bytes, written by the version-6 code of
+    #: commit ca16e06) in three steps:
+    #:
+    #: 1. unpickle each shard's tracks blob and, in every track's
+    #:    ``__dict__``, replace ``alerts`` by ``names``, a deque of its
+    #:    alerts' names with the same ``maxlen`` (keys in the order
+    #:    ``entity``, ``names``, ``detected``);
+    #: 2. re-intern the detection triggers' ``attributes`` keys (as in
+    #:    version 2's step 3) and replace the blob by
+    #:    ``pickle.dumps(tracks, pickle.HIGHEST_PROTOCOL)``;
+    #: 3. frame the canonical pickle of the payload as version 7.
+    DIGEST = "ecee71a7d2e8b53978f925784d5c9bff13e9939c3497f1776d5b3423c27cee6a"
+    SIZE = 9615
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path):
         background = [

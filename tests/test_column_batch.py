@@ -19,6 +19,8 @@ columns straight into the flat codec.  These tests pin
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -256,7 +258,7 @@ class TestPartitionSplitsTheEntityColumn:
         assert batch._alerts is None  # nothing iterated it
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_a_split_batch_builds_alerts_only_for_in_process_shards(self, backend):
+    def test_a_split_batch_builds_no_alert_on_either_backend(self, backend):
         batch = _columns_only(self.ALERTS)
         with ShardedDetectorPool.from_template(
             AttackTagger(), n_shards=4, backend=backend
@@ -265,12 +267,9 @@ class TestPartitionSplitsTheEntityColumn:
         assert sorted(row for rows in positions for row in rows) == list(range(30))
         for sub_batch, rows in zip(sub_batches, positions):
             assert list(sub_batch.entities) == [self.ALERTS[row].entity for row in rows]
-        if backend == "process":  # packed from columns: no alert built
-            assert batch._alerts is None
-            assert all(sub._alerts is None for sub in sub_batches)
-        else:  # built once; every shard (and every other pool) shares them
-            for sub_batch, rows in zip(sub_batches, positions):
-                assert all(a is batch[row] for a, row in zip(sub_batch, rows))
+        # Packed from columns (process) or read as columns (serial).
+        assert batch._alerts is None
+        assert all(sub._alerts is None for sub in sub_batches)
 
 
 class TestColumnPathMatchesTheNaiveReference:
@@ -315,3 +314,76 @@ class TestColumnPathMatchesTheNaiveReference:
             (1, True, 4)
         ]
         assert any(expected) and got == expected
+
+
+def _with_attributes(alerts: list) -> list:
+    """Every other alert carries attributes, so the column is never elided."""
+    return [
+        dataclasses.replace(alert, attributes={"seq": index, "host": alert.entity})
+        if index % 2
+        else alert
+        for index, alert in enumerate(alerts)
+    ]
+
+
+class TestTheDetectionPathBuildsOnlyTriggers:
+    """The tagger reads a batch's entity and name columns: an
+    :class:`Alert` is built only as a detection's trigger."""
+
+    @staticmethod
+    def _count_builds_inside_the_kernel(monkeypatch) -> list:
+        inside, built = [False], [0]
+        init, observe = Alert.__init__, AttackTagger.observe_batch_indexed
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += inside[0]
+            init(self, *args, **kwargs)
+
+        def observing(self, alerts):
+            inside[0] = True
+            try:
+                return observe(self, alerts)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(Alert, "__init__", counting_init)
+        monkeypatch.setattr(AttackTagger, "observe_batch_indexed", observing)
+        return built
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_serial_pipeline_builds_one_alert_per_detection(self, monkeypatch, n_shards):
+        alerts = build_mixed_stream(seed=41, n_entities=32, length=900)
+        benign = [alert for alert in alerts if int(alert.entity[-3:]) % 4]
+        with _pipeline("serial", 1, "naive") as reference:
+            expected = reference.ingest_alerts(alerts)
+            assert not reference.ingest_alerts(benign)
+        assert expected, "the attack chains must fire"
+        batches = _column_batches(alerts, 6)
+        with _pipeline("serial", n_shards) as quiet, _pipeline("serial", n_shards) as pipeline:
+            built = self._count_builds_inside_the_kernel(monkeypatch)
+            assert not quiet.ingest_alerts(_columns_only(benign))
+            assert built == [0]
+            detections = [found for batch in batches for found in pipeline.ingest_alerts(batch)]
+            assert built == [len(detections)]
+            monkeypatch.undo()
+        assert detections == expected
+        assert [d.trigger.attributes for d in detections] == [d.trigger.attributes for d in expected]
+
+    @pytest.mark.parametrize("attributes", ["elided", "carried"])
+    def test_process_triggers_match_the_serial_naive_run(self, attributes):
+        alerts = build_mixed_stream(seed=42, n_entities=40, length=1_200)
+        if attributes == "carried":
+            alerts = _with_attributes(alerts)
+        batches = _column_batches(alerts, 5)
+        assert all((batch.columns()[-1] is None) == (attributes == "elided") for batch in batches)
+        with _pipeline("serial", 1, "naive") as reference:
+            expected = reference.ingest_alerts(alerts)
+        with _pipeline("process", 2) as pipeline:
+            detections = [found for batch in batches for found in pipeline.ingest_alerts(batch)]
+            assert pipeline.detector_pools["factor_graph"].shm_batches > 0
+        assert expected and detections == expected
+        triggers = [d.trigger for d in detections]
+        assert [t.attributes for t in triggers] == [d.trigger.attributes for d in expected]
+        assert [t.source_ip for t in triggers] == [d.trigger.source_ip for d in expected]
+        # Each trigger holds its own attribute dict, elided column or not.
+        assert len({id(t.attributes) for t in triggers}) == len(triggers)

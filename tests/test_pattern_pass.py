@@ -76,7 +76,7 @@ def _assert_same_state(stacked, per_alert, naive):
         assert windowed == (per_alert._arena.slots.row[track_p.slot] >= 0)
         if windowed:
             assert_same_window(window_of(stacked, entity), window_of(per_alert, entity))
-        window = [alert.name for alert in naive.track(entity).alerts]
+        window = list(naive.track(entity).names)
         unary, matched = naive._build_unary(window)
         assert np.array_equal(unary_table(stacked, entity), unary)
         assert matched_prefix_lengths(stacked, entity) == [

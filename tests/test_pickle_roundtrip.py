@@ -304,12 +304,12 @@ class TestTrackRoundTrip:
         import dataclasses
 
         track = self._live_track()
-        assert [field.name for field in dataclasses.fields(EntityTrack)] == ["entity", "alerts", "detected", "slot"]
+        assert [field.name for field in dataclasses.fields(EntityTrack)] == ["entity", "names", "detected", "slot"]
         restored, _ = _round_trip(track)
         assert restored.entity == track.entity
-        assert list(restored.alerts) == list(track.alerts)
-        assert restored.alerts.maxlen == track.alerts.maxlen
-        assert set(restored.__dict__) == {"entity", "alerts", "detected"}
+        assert list(restored.names) == list(track.names) == list(_ALL_NAMES[4:8])
+        assert restored.names.maxlen == track.names.maxlen
+        assert set(restored.__dict__) == {"entity", "names", "detected"}
         assert restored.slot == -1
         assert restored.detected == track.detected
 

@@ -7,7 +7,7 @@ contracts:
   :func:`~repro.core.alerts.decode_alert_columns` must round-trip any
   batch whose attributes the service's JSON wire could carry
   bit-exactly -- the decoded columns must rebuild (via
-  :func:`~repro.core.alerts.unpack_alert_columns`) exactly the alerts
+  :meth:`~repro.core.alerts.NormalizedBatch.of_columns`) exactly the alerts
   an in-process shard would have been handed, for arbitrary unicode
   field values and nested JSON attribute payloads -- must refuse
   everything else with :class:`~repro.core.alerts.AlertColumnsCodecError`
@@ -34,10 +34,10 @@ from repro.core.alerts import (
     ALERT_COLUMNS_MAGIC,
     Alert,
     AlertColumnsCodecError,
+    NormalizedBatch,
     decode_alert_columns,
     encode_alert_columns,
     pack_alert_columns,
-    unpack_alert_columns,
 )
 from repro.core.detector import Detector
 from repro.testbed.shm_ring import DEFAULT_RING_CAPACITY, SEGMENT_PREFIX, ShardRing
@@ -126,7 +126,7 @@ class TestCodecRoundTrip:
     @given(st.lists(_alerts, max_size=8))
     def test_round_trip_rebuilds_the_exact_batch(self, alerts):
         decoded = _round_trip(alerts)
-        assert _as_comparable(unpack_alert_columns(decoded)) == _as_comparable(alerts)
+        assert _as_comparable(NormalizedBatch.of_columns(decoded).alerts()) == _as_comparable(alerts)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_alerts, max_size=8))
@@ -139,7 +139,7 @@ class TestCodecRoundTrip:
         payload = encode_alert_columns(columns)
         decoded = decode_alert_columns(payload)
         assert tuple(decoded) == tuple(columns)
-        assert unpack_alert_columns(decoded) == []
+        assert NormalizedBatch.of_columns(decoded).alerts() == []
 
     def test_attributes_elision_is_preserved(self):
         alerts = [Alert(1.0, "alert_a", "user:alice"), Alert(2.0, "alert_b", "host:h")]
@@ -186,7 +186,7 @@ class TestCodecRoundTrip:
             )
         ]
         decoded = _round_trip(alerts)
-        assert _as_comparable(unpack_alert_columns(decoded)) == _as_comparable(alerts)
+        assert _as_comparable(NormalizedBatch.of_columns(decoded).alerts()) == _as_comparable(alerts)
 
     @pytest.mark.parametrize(
         "names",

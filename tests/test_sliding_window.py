@@ -402,7 +402,7 @@ class TestEvictionEquivalence:
             streaming.observe(alert)
             naive.observe(alert)
         arena, row = window_of(streaming, "entity:x")
-        names = [a.name for a in naive.track("entity:x").alerts]
+        names = list(naive.track("entity:x").names)
         unary, _ = naive._build_unary(names)
         np.testing.assert_array_equal(arena.unary[arena.window_cells(row)], unary)
 
@@ -535,13 +535,17 @@ class TestBonusOrderingWithoutSort:
 class TestSatelliteOptimisations:
     def test_track_window_trim_is_constant_time_deque(self):
         tagger = AttackTagger(max_window=4, detection_threshold=0.999)
+        cycle = ["alert_login_normal", "alert_job_submission", "alert_file_transfer"]
         for i in range(12):
-            tagger.observe(Alert(float(i), "alert_login_normal", "user:a"))
+            # A fresh string per alert: the track keeps the arena's one copy.
+            tagger.observe(Alert(float(i), "".join(cycle[i % 3]), "user:a"))
         track = tagger.track("user:a")
-        assert isinstance(track.alerts, deque)
-        assert track.alerts.maxlen == 4
-        assert len(track.alerts) == 4
-        assert [a.timestamp for a in track.alerts] == [8.0, 9.0, 10.0, 11.0]
+        assert isinstance(track.names, deque)
+        assert track.names.maxlen == 4
+        assert len(track.names) == 4
+        assert list(track.names) == [cycle[i % 3] for i in range(8, 12)]
+        arena = tagger._arena
+        assert all(name is arena.symbol_names[arena.symbol_ids[name]] for name in track.names)
 
     def test_detected_fast_path_keeps_trimming(self):
         tagger = AttackTagger(max_window=3)
@@ -549,7 +553,7 @@ class TestSatelliteOptimisations:
         track.detected = object()  # sentinel: fast path only records
         for i in range(9):
             tagger.observe(Alert(float(i), "alert_login_normal", "user:a"))
-        assert len(track.alerts) == 3
+        assert len(track.names) == 3
 
     def test_shard_routing_memo_matches_source_of_truth(self):
         pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=5)

@@ -116,7 +116,7 @@ class TestStreamingEngineEquivalence:
             naive.observe(alert)
         # Decode state is rebuilt lazily (observe drops it once the
         # entity is detected, to keep post-detection alerts cheap).
-        unary, _ = naive._build_unary([a.name for a in naive.track("entity:x").alerts])
+        unary, _ = naive._build_unary(list(naive.track("entity:x").names))
         np.testing.assert_array_equal(unary_table(streaming, "entity:x"), unary)
         states_s, marginal_s, _ = streaming.infer("entity:x")
         states_n, marginal_n, _ = naive.infer("entity:x")
@@ -130,7 +130,7 @@ class TestStreamingEngineEquivalence:
         for alert in _random_stream(rng, 40):
             streaming.observe(alert)
             naive.observe(alert)
-        names = [a.name for a in naive.track("entity:x").alerts]
+        names = list(naive.track("entity:x").names)
         unary, _ = naive._build_unary(names)
         np.testing.assert_array_equal(unary_table(streaming, "entity:x"), unary)
 
@@ -285,7 +285,7 @@ def _weighted_parameters(weights):
 
 def _assert_slot_is_the_spec(streaming, naive):
     """The entity's decode state equals what ``naive`` rebuilds from scratch."""
-    window = [alert.name for alert in naive.track(_ENTITY).alerts]
+    window = list(naive.track(_ENTITY).names)
     unary, matched = naive._build_unary(window)
     assert np.array_equal(unary_table(streaming, _ENTITY), unary)
     arena = streaming._arena
@@ -341,7 +341,7 @@ class TestLazyCursorsAreEagerCursors:
             if step == reset_at:
                 naive.reset_entity(_ENTITY)
                 track = streaming.track(_ENTITY)
-                track.alerts.clear()
+                track.names.clear()
                 track.detected = None
                 streaming._release(track)
             alert = Alert(float(step), name, _ENTITY)

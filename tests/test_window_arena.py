@@ -100,10 +100,10 @@ def _assert_rows_accounted(tagger) -> None:
         assert not pages or slots.row[slot] < 0
         if slots.detected[slot]:
             # Dropped at detection, or rebuilt (filling) by infer since.
-            assert slots.row[slot] < 0 and slots.length[slot] in (0, len(track.alerts))
+            assert slots.row[slot] < 0 and slots.length[slot] in (0, len(track.names))
         elif not slots.stale[slot] and slots.row[slot] < 0:
-            # A filling slot holds exactly its track's alerts.
-            assert slots.length[slot] == len(track.alerts)
+            # A filling slot holds exactly its track's names.
+            assert slots.length[slot] == len(track.names)
         held += pages
     assert len(held) == fill.live
     assert sorted(held + fill._free) == list(range(fill.capacity))
@@ -284,8 +284,8 @@ class TestFillPagesAreAccounted:
         tagger._release(tagger.track("host:1"))
         assert holds_no_decode_state(tagger, "host:1")
         # A live slot whose state is dropped mid-life is no longer its
-        # track's alerts: it counts as a fresh one from here on.
-        tagger.track("host:1").alerts.clear()
+        # track's names: it counts as a fresh one from here on.
+        tagger.track("host:1").names.clear()
         _assert_rows_accounted(tagger)
         tagger.reset()
         assert tagger._arena.fill.live == 0
