@@ -98,8 +98,9 @@ class EntityTrack:
     ``names`` holds the window-bounded history, the names of the
     entity's newest alerts, which is all a decision reads: the
     ``collections.deque(maxlen=max_window)`` the tagger creates, so
-    appending to a full window drops the oldest name in O(1).  Each
-    name is the arena's interned string, shared by every track.  It is
+    appending to a full window drops the oldest name in O(1).  Under
+    the streaming engine each name is the arena's interned string,
+    shared by every track; the naive engine keeps the alert's own.  It is
     required, and migration and unpickling carry the deque (with its
     ``maxlen``) along, so no track ever holds an unbounded list.
     ``slot`` is the owning tagger's slot for the entity (see
@@ -387,6 +388,11 @@ class AttackTagger(Detector):
         its newest window.
         """
         track = self.track(alert.entity)
+        if self.engine == "naive":
+            # The executable spec keeps the alert's own name: nothing of
+            # the streaming arena, its symbol table included, is used.
+            track.names.append(alert.name)
+            return None if track.detected is not None else self._naive_decision(track, alert)
         arena = self._arena
         symbol = arena.intern(alert.name)
         if track.detected is not None:
@@ -400,9 +406,6 @@ class AttackTagger(Detector):
             if slots.length[track.slot] or slots.row[track.slot] >= 0:
                 self._release(track)
             return None
-        if self.engine == "naive":
-            track.names.append(arena.symbol_names[symbol])
-            return self._naive_decision(track, alert)
         self._sync(track)
         sliding = len(track.names) >= self.max_window
         track.names.append(arena.symbol_names[symbol])  # deque(maxlen) evicts the oldest in O(1)
@@ -522,7 +525,7 @@ class AttackTagger(Detector):
 
             self._batch_kernel = BatchedDecodeKernel(self)
         if not isinstance(alerts, NormalizedBatch):
-            alerts = list(alerts)
+            alerts = NormalizedBatch.of_alerts(alerts)
         return self._batch_kernel.observe(alerts)
 
     @property

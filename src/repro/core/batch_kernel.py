@@ -243,11 +243,9 @@ def _active(depth: np.ndarray) -> List[int]:
 class _SubBatch:
     """One sub-batch, interned and grouped into per-entity runs.
 
-    The entity and name columns are read once: a
-    :class:`~repro.core.alerts.NormalizedBatch`'s own, a plain alert
-    list's by one attribute read per alert.  One dict lookup per alert
-    numbers its entity in order of first sight; each entity's track and
-    slot are looked up once, and one stable argsort over those numbers
+    The batch's entity and name columns are read once.  One dict lookup
+    per alert numbers its entity in order of first sight; each entity's
+    track and slot are looked up once, and one stable argsort over those numbers
     groups the alerts into runs (a sub-batch of distinct entities needs
     none).  Sorted alert ``k`` is row ``order[k]`` of the sub-batch,
     with interned symbol ``symbols[k]``; ``next_seed[k]`` is the first
@@ -260,26 +258,21 @@ class _SubBatch:
     a detection's trigger (:meth:`trigger`).
     """
 
-    __slots__ = ("order", "alert_at", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
+    __slots__ = ("alerts", "order", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
 
-    def __init__(self, kernel: "BatchedDecodeKernel", alerts: "NormalizedBatch | Sequence[Alert]") -> None:
+    def __init__(self, kernel: "BatchedDecodeKernel", alerts: NormalizedBatch) -> None:
         tagger = kernel._tagger
         arena = tagger._arena
-        if isinstance(alerts, NormalizedBatch):
-            entity_of, name_of, self.alert_at = alerts.entities, alerts.names, alerts.alert
-        else:
-            entity_of = [alert.entity for alert in alerts]
-            name_of = [alert.name for alert in alerts]
-            self.alert_at = alerts.__getitem__
+        self.alerts = alerts
         # One dict lookup per alert: its entity's index in order of first sight.
         entities: Dict[str, int] = {}
-        seen = [entities.setdefault(entity, len(entities)) for entity in entity_of]
+        seen = [entities.setdefault(entity, len(entities)) for entity in alerts.entities]
         tracks = tagger._tracks_for(entities)
         slots = np.array([track.slot for track in tracks], dtype=np.int64)
         get = arena.symbol_ids.get
-        symbols = list(map(get, name_of))
+        symbols = list(map(get, alerts.names))
         if None in symbols:
-            symbols = list(map(arena.intern, name_of))
+            symbols = list(map(arena.intern, alerts.names))
         n = len(symbols)
         if len(tracks) == n:
             # Every alert its own entity's run: no grouping to do.
@@ -313,7 +306,7 @@ class _SubBatch:
 
     def trigger(self, k: int) -> Callable[[], "Alert"]:
         """What builds sorted alert ``k``, called only if it fires."""
-        return partial(self.alert_at, int(self.order[k]))
+        return partial(self.alerts.alert, int(self.order[k]))
 
 
 class BatchedDecodeKernel:
@@ -330,7 +323,7 @@ class BatchedDecodeKernel:
         self.rows_scalar = 0
 
     # -- entry point --------------------------------------------------------
-    def observe(self, alerts: "NormalizedBatch | Sequence[Alert]") -> List[Hit]:
+    def observe(self, alerts: NormalizedBatch) -> List[Hit]:
         """Advance the tagger through one sub-batch of alerts.
 
         Returns ``(position, detection)`` pairs sorted by sub-batch

@@ -387,3 +387,22 @@ class TestTheDetectionPathBuildsOnlyTriggers:
         assert [t.source_ip for t in triggers] == [d.trigger.source_ip for d in expected]
         # Each trigger holds its own attribute dict, elided column or not.
         assert len({id(t.attributes) for t in triggers}) == len(triggers)
+
+    def test_an_alert_list_is_observed_as_its_column_view(self):
+        alerts = build_mixed_stream(seed=43, n_entities=16, length=400)
+        reference = AttackTagger(patterns=list(DEFAULT_CATALOGUE), engine="naive")
+        symbols = list(reference._arena.symbol_names)  # the catalogue's
+        tagger = AttackTagger(patterns=list(DEFAULT_CATALOGUE))
+        expected = reference.observe_batch_indexed(alerts)
+        hits = tagger.observe_batch_indexed(alerts)
+        assert expected and hits == expected
+        # A plain list is wrapped, not copied: each trigger is the caller's alert.
+        assert all(detection.trigger is alerts[position] for position, detection in hits)
+        # The naive reference keeps the alerts' own names and interns
+        # nothing into the streaming arena's symbol table.
+        assert reference._arena.symbol_names == symbols
+        assert len(tagger._arena.symbol_names) > len(symbols)
+        for entity in {alert.entity for alert in alerts}:
+            names = reference.track(entity).names
+            own = [alert.name for alert in alerts if alert.entity == entity][-len(names):]
+            assert all(name is alert_name for name, alert_name in zip(names, own))
