@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,24 +93,23 @@ class Detection:
 
 @dataclasses.dataclass
 class EntityTrack:
-    """Per-entity detector state: the observed alert names and the decode slot.
+    """Per-entity detector state: the decode slot, and the window's alert
+    names where the slot does not hold them.
 
-    ``names`` holds the window-bounded history, the names of the
-    entity's newest alerts, which is all a decision reads: the
-    ``collections.deque(maxlen=max_window)`` the tagger creates, so
-    appending to a full window drops the oldest name in O(1).  Under
-    the streaming engine each name is the arena's interned string,
-    shared by every track; the naive engine keeps the alert's own.  It is
-    required, and migration and unpickling carry the deque (with its
-    ``maxlen``) along, so no track ever holds an unbounded list.
     ``slot`` is the owning tagger's slot for the entity (see
     :class:`~repro.core.sliding_window.SlotTable`), which holds all of
     its decode state: scratch, never pickled, assigned again when a
-    tagger is restored or adopts the track.
+    tagger is restored or adopts the track.  ``names`` is empty on a
+    live streaming track, whose window is its slot's steps.  A detected
+    one holds the window it was detected on (a tuple, written once); a
+    restored or adopted one, the names it migrated with until its slot
+    is rebuilt from them; a naive-engine one, its own
+    ``deque(maxlen=max_window)``, which stops at detection.  An exported
+    track carries its window as a ``deque(maxlen=max_window)``.
     """
 
     entity: str
-    names: Deque[str]
+    names: Sequence[str]
     detected: Optional[Detection] = None
     slot: int = dataclasses.field(default=-1, init=False, repr=False, compare=False)
 
@@ -253,11 +252,12 @@ class AttackTagger(Detector):
     def _open_tracks(self, entities: Sequence[str]) -> None:
         """The one place tracks are created: an empty track and a fresh
         slot per entity."""
-        window = self.max_window
+        naive, window = self.engine == "naive", self.max_window
         tracks = self._tracks
         for entity, slot in zip(entities, self._arena.slots.allocate(len(entities))):
-            # deque(maxlen) keeps the per-alert window trim O(1).
-            track = tracks[entity] = EntityTrack(entity, deque(maxlen=window))
+            # The naive spec keeps its names (deque(maxlen) trims in O(1));
+            # a streaming track's window is its slot's.
+            track = tracks[entity] = EntityTrack(entity, deque(maxlen=window) if naive else ())
             track.slot = slot
 
     def _assign_slots(self, tracks: Sequence[EntityTrack]) -> None:
@@ -295,22 +295,36 @@ class AttackTagger(Detector):
         """Drop a track's decode state, handing its arena row, fill pages
         and match row back.
 
-        The one way decode state leaves a live track: at detection.  It
-        is a pure function of the track's names, so :meth:`_sync`
-        rebuilds it should :meth:`infer` want it again.
+        The one way decode state leaves a live track: at detection, when
+        the window's names move to the track.  It is a pure function of
+        them, so :meth:`infer` rebuilds it for a read (:meth:`_replay`)
+        and drops it again.
         """
         self._arena.drop(track.slot)
 
     # -- core inference -----------------------------------------------------
-    def _sync(self, track: EntityTrack) -> None:
-        """Rebuild a track's decode state from its names if its slot is
-        stale (restored or adopted) or was dropped at detection."""
+    def _replay(self, track: EntityTrack) -> None:
+        """Rebuild a track's decode state in its empty slot from its names."""
         arena, slot = self._arena, track.slot
-        slots = arena.slots
-        if slots.stale[slot] or (track.detected is not None and slots.row[slot] < 0 and not slots.length[slot]):
-            slots.stale[slot] = False
-            for name in track.names:
-                streaming.append(arena, slot, arena.intern(name))
+        for name in track.names:
+            streaming.append(arena, slot, arena.intern(name))
+
+    def _sync(self, track: EntityTrack) -> None:
+        """Rebuild a stale (restored or adopted) track's decode state from
+        its names, which its slot then holds instead."""
+        slots = self._arena.slots
+        if slots.stale[track.slot]:
+            slots.stale[track.slot] = False
+            self._replay(track)
+            track.names = ()
+
+    def _window(self, track: EntityTrack) -> Sequence[str]:
+        """A track's window of alert names: its own, or, when it holds
+        none, its slot's steps."""
+        if track.names:
+            return track.names
+        names = self._arena.symbol_names
+        return [names[symbol] for symbol in streaming.window_symbols(self._arena, track.slot).tolist()]
 
     def _build_unary(self, names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         """Per-step log potentials including pattern-factor bonuses.
@@ -358,58 +372,62 @@ class AttackTagger(Detector):
         where ``map_states`` is the Viterbi state per alert and
         ``final_marginal`` is the posterior over the entity's current
         state.  With the streaming engine this reads the incrementally
-        maintained decode state; the naive engine re-decodes the whole
-        chain (seed behaviour).
+        maintained decode state (a detected entity's is rebuilt from the
+        window it was detected on, read and dropped again); the naive
+        engine re-decodes the whole chain (seed behaviour).
         """
+        # A read-only query: an unknown entity is not tracked by asking.
         track = self._tracks.get(entity)
-        if track is None or not track.names:
-            # A read-only query: an unknown entity is not tracked by asking.
-            prior = np.exp(self.parameters.initial_log)
-            return np.zeros(0, dtype=np.int64), prior / prior.sum(), []
-        if self.engine != "naive":
+        if track is not None and self.engine != "naive":
+            read = self._read(track)
+            if read is not None:
+                return read
+        elif track is not None and track.names:
+            unary, matched = self._build_unary(list(track.names))
+            states = chain_map_decode(unary, self.parameters.transition_log)
+            marginals = chain_marginals(unary, self.parameters.transition_log)
+            return states, marginals[-1], matched
+        prior = np.exp(self.parameters.initial_log)
+        return np.zeros(0, dtype=np.int64), prior / prior.sum(), []
+
+    def _read(self, track: EntityTrack) -> Optional[tuple[np.ndarray, np.ndarray, list[str]]]:
+        """:meth:`infer` off a streaming track's slot (``None`` if it holds
+        no step); a detected track's is rebuilt for the read and dropped."""
+        arena, slot = self._arena, track.slot
+        detected = track.detected is not None
+        if detected:
+            self._replay(track)
+        else:
             self._sync(track)
-            arena, slot = self._arena, track.slot
-            _, final_marginal, path = streaming.decode(arena, slot)
-            if path is None:
-                path = streaming.fill_path(arena, slot)
-            return path, final_marginal, streaming.matched_pattern_names(arena, slot)
-        unary, matched = self._build_unary(list(track.names))
-        states = chain_map_decode(unary, self.parameters.transition_log)
-        marginals = chain_marginals(unary, self.parameters.transition_log)
-        return states, marginals[-1], matched
+        if not streaming.length(arena, slot):
+            return None
+        _, final_marginal, path = streaming.decode(arena, slot)
+        if path is None:
+            path = streaming.fill_path(arena, slot)
+        matched = streaming.matched_pattern_names(arena, slot)
+        if detected:
+            self._release(track)
+        return path, final_marginal, matched
 
     # -- streaming API ------------------------------------------------------
     def observe(self, alert: Alert) -> Optional[Detection]:
         """Consume one alert; return a :class:`Detection` if one fires.
 
         A detection is emitted at most once per entity (the first time
-        the entity crosses the threshold); the names of later alerts of
-        a detected entity are still recorded, so :meth:`infer` reads
-        its newest window.
+        the entity crosses the threshold), and it is final: a detected
+        entity records nothing more, so :meth:`infer` reads the window
+        it was detected on.
         """
         track = self.track(alert.entity)
+        if track.detected is not None:
+            return None
         if self.engine == "naive":
             # The executable spec keeps the alert's own name: nothing of
             # the streaming arena, its symbol table included, is used.
             track.names.append(alert.name)
-            return None if track.detected is not None else self._naive_decision(track, alert)
-        arena = self._arena
-        symbol = arena.intern(alert.name)
-        if track.detected is not None:
-            # Already detected: record the name but skip all inference
-            # work.  The deque drops the evicted name in O(1), so this
-            # fast path does no O(W) work at all.  Decode state `infer`
-            # re-synced since the detection is dropped rather than
-            # maintained.
-            track.names.append(arena.symbol_names[symbol])
-            slots = arena.slots
-            if slots.length[track.slot] or slots.row[track.slot] >= 0:
-                self._release(track)
-            return None
+            return self._naive_decision(track, alert)
         self._sync(track)
-        sliding = len(track.names) >= self.max_window
-        track.names.append(arena.symbol_names[symbol])  # deque(maxlen) evicts the oldest in O(1)
-        return self._advance(track, symbol, sliding, lambda: alert)
+        return self._advance(track, self._arena.intern(alert.name), lambda: alert)
 
     def _naive_decision(self, track: EntityTrack, alert: Alert) -> Optional[Detection]:
         """The seed decision: re-decode the whole window, then threshold it."""
@@ -438,15 +456,14 @@ class AttackTagger(Detector):
         track.detected = detection
         self._arena.slots.detected[track.slot] = True
 
-    def _advance(
-        self, track: EntityTrack, symbol: int, sliding: bool, trigger: Callable[[], Alert]
-    ) -> Optional[Detection]:
+    def _advance(self, track: EntityTrack, symbol: int, trigger: Callable[[], Alert]) -> Optional[Detection]:
         """One alert (interned as ``symbol``) through a track's slot: the
         per-entity streaming step.
 
         Tail of the per-alert path, and what the stacked kernel runs
         for a step that opens a window or a segment too small to stack.
-        ``trigger`` returns the alert, called only if it fires.
+        A filling slot that already holds ``max_window`` steps opens its
+        window.  ``trigger`` returns the alert, called only if it fires.
         """
         arena, slot = self._arena, track.slot
         row = int(arena.slots.row[slot])
@@ -454,8 +471,9 @@ class AttackTagger(Detector):
             # Amortised slide: O(K^3) two-stack eviction.
             streaming.slide(arena, slot, symbol)
         else:
+            opening = arena.slots.length[slot] >= self.max_window
             streaming.append(arena, slot, symbol)
-            if not sliding:
+            if not opening:
                 return self._finalize_decision(track, trigger)
             row = streaming.open_window(arena, slot)
         if not streaming.may_fire(arena, row, self.detection_threshold):
@@ -490,8 +508,7 @@ class AttackTagger(Detector):
         detection = Detection(
             entity=alert.entity,
             timestamp=alert.timestamp,
-            # The slot holds the window-bounded steps up to this alert;
-            # the stacked kernel records a whole run's names up front.
+            # The slot holds the window-bounded steps up to this alert.
             alert_index=streaming.length(arena, slot) - 1,
             trigger=alert,
             state=final_state,
@@ -500,9 +517,9 @@ class AttackTagger(Detector):
             state_trajectory=tuple(int(s) for s in states),
         )
         self._mark_detected(track, detection)
-        # A detected entity infers nothing more: its decode state
-        # (an arena row, once windowed) goes back now, not whenever
-        # its next alert happens to arrive.
+        # Detection is final: the window's names move to the track, once,
+        # and its decode state (an arena row, once windowed) goes back.
+        track.names = tuple(self._window(track))
         self._release(track)
         return detection
 
@@ -558,10 +575,12 @@ class AttackTagger(Detector):
     # -- pickling (a pool's template crossing into a worker) -----------------
     def __getstate__(self) -> dict:
         """The tagger without its scratch: the stacked kernel (recreated
-        on the next sub-batch) and the resolved model, whose arena holds
-        the decode state :meth:`_sync` rebuilds from the tracks' names."""
+        on the next sub-batch) and the resolved model.  Its tracks are
+        exported, so they carry the windows the arena holds, from which
+        :meth:`_sync` rebuilds the decode state."""
         state = self.__dict__.copy()
         state["_batch_kernel"] = None
+        state["_tracks"] = self.export_entity_tracks()
         state.pop("_arena", None)
         return state
 
@@ -584,14 +603,15 @@ class AttackTagger(Detector):
         """Every per-entity track, without its slot, in tracking order.
 
         The returned tracks are safe to hand to another replica built
-        from the same configuration: decode state is a pure function of
-        the track's window-bounded names, so the adopting tagger
-        rebuilds it lazily and bit-identically (same argument as
-        :meth:`__getstate__`).  Each carries its own copy of the name
-        deque, so the adopter's names never reach this replica's tracks.
+        from the same configuration: each carries its window's names (a
+        live track's read off its slot) in a ``deque(maxlen=max_window)``
+        of its own, and decode state is a pure function of them, so the
+        adopting tagger rebuilds it lazily and bit-identically (same
+        argument as :meth:`__getstate__`).
         """
+        window = self.max_window
         return {
-            entity: dataclasses.replace(track, names=deque(track.names, maxlen=track.names.maxlen))
+            entity: dataclasses.replace(track, names=deque(self._window(track), maxlen=window))
             for entity, track in self._tracks.items()
         }
 

@@ -20,9 +20,10 @@ sub-batch is interned once -- one dict lookup per alert maps its entity
 to a slot (a batch's new entities are opened together) and its name to
 an arena symbol, read off a :class:`~repro.core.alerts.NormalizedBatch`'s
 entity and name columns -- and grouped into per-entity *runs* (each
-entity's alerts, in stream order) by one stable argsort over slots;
-each run's names join its entity's track there, whole.  No
-:class:`~repro.core.alerts.Alert` is built except a detection's
+entity's alerts, in stream order) by one stable argsort over slots.
+The arena's steps are the only copy of a live entity's window: no
+track records a name, and a detected entity's run is skipped whole.
+No :class:`~repro.core.alerts.Alert` is built except a detection's
 trigger.  A *pass* then takes every
 run with alerts left through its next stacked segment -- a run of
 plain filling steps, or a *chunk* of plain windowed steps -- with
@@ -48,7 +49,7 @@ steps at depths ``0 .. D - 1``.  It ends at the first of four cuts:
 * a step that touches pattern state (``streaming.plain_depth``: an
   awaited or seeding symbol, or the eviction of a match's first step);
 * the end of the entity's run in the sub-batch;
-* a detection: the rest of the run only adds its names to the track.
+* a detection: the rest of the run is skipped (detection is final).
 
 A pass sorts its chunks deepest first, so the rows still active at
 depth ``d`` are a prefix, and lays every per-cell array out
@@ -109,7 +110,7 @@ the matched length and the first and last matched steps, in a row
 taken when a slot leaves the seed.  Only a window opening takes the
 per-entity path, ``AttackTagger._advance``.  A stale slot (restored or
 adopted) is rebuilt from its track's names before its run starts
-(``AttackTagger._sync``).  **Filling entities**
+(``AttackTagger._sync``), which then drops them.  **Filling entities**
 (window not yet saturated) keep
 their steps in the arena's fill storage, one cell per step.  A pass
 takes each filling run's plain steps up to the one that would open its
@@ -173,15 +174,13 @@ _K = NUM_STATES
 
 # A pass's filling steps, or its chunk cells (rows x depth), that
 # number fewer than this run through the tagger's per-alert path
-# instead (the one-row operations, on the same arena): each stacked path pays
-# its own fixed cost.
-# Measured at W = 32 on a 2-vCPU Xeon, as one-pass sub-batches (the
-# interning included; lower quartiles): stacked, ~85 us (filling) to
-# ~115 us (windowed), nearly flat in rows, plus ~25 us (filling) or ~10
-# us (windowed; ~60 us for the second) a further depth; per alert, ~30 us
-# plus ~27 us a step.  Stacking wins from 3 (filling) or 4 (windowed)
-# one-step rows and from about 6 steps of one row, and 4 splits the
-# difference.
+# instead (the one-row operations, on the same arena): each stacked path
+# pays its own fixed cost.  Kernel seconds of in-process replays of the
+# five e2e workloads' detection input (W = 32, 2-vCPU Xeon, medians of 5
+# alternating replays, detections identical), stacking every segment (1)
+# against 4: steady_alerts 179 -> 176 ms, raw_scan_flood 132 -> 115,
+# paced_latency 276 -> 244, entity_churn 146 -> 137, sharded_replay
+# 241 -> 226.  The per-alert fallback still pays for itself.
 _MIN_BATCH = 4
 
 # Steps the pattern pass looks ahead of each run: its windows cost
@@ -252,10 +251,11 @@ class _SubBatch:
     sorted alert at or after ``k`` whose symbol starts a pattern.  Run
     ``r`` is sorted alerts ``head[r] .. end[r] - 1`` of ``tracks[r]``,
     at slot ``slot[r]``; a pass moves ``head`` past the steps it took.
-    Each run's names join its track here, whole: no decision reads
-    them (a detection's alert index is its slot's length), and only a
-    stale slot is rebuilt from them, first.  An alert is built only as
-    a detection's trigger (:meth:`trigger`).
+    A stale slot (restored or adopted) is rebuilt from its track's
+    names here, first; no other track name is read or written (the
+    slot's steps are the window, and a detection's alert index is its
+    slot's length).  An alert is built only as a detection's trigger
+    (:meth:`trigger`).
     """
 
     __slots__ = ("alerts", "order", "symbols", "seeding", "next_seed", "tracks", "slot", "head", "end")
@@ -299,10 +299,6 @@ class _SubBatch:
             # Restored or adopted entities rebuild their decode state first.
             for r in np.flatnonzero(table.stale[self.slot]).tolist():
                 tagger._sync(self.tracks[r])
-        appends = [track.names.append for track in tracks]
-        interned = arena.symbol_names
-        for symbol, index in zip(symbols, seen):
-            appends[index](interned[symbol])
 
     def trigger(self, k: int) -> Callable[[], "Alert"]:
         """What builds sorted alert ``k``, called only if it fires."""
@@ -379,8 +375,8 @@ class BatchedDecodeKernel:
     def _classify(self, batch: _SubBatch, runs: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Split ``runs`` by their next segment: ``(fill, reach, chunk, depth, opening, patterned)``.
 
-        The rest of a detected entity's run only adds names to its
-        track (done up front): it is taken here, whole.
+        A detected entity records nothing: the rest of its run is
+        skipped here, whole.
 
         A filling slot brings ``reach`` filling steps: its plain steps
         (the slot pristine, the symbols ones no pattern starts with) up
@@ -401,10 +397,6 @@ class BatchedDecodeKernel:
         slot = batch.slot[runs]
         detected = table.detected[slot]
         if detected.any():
-            # Decode state ``infer`` rebuilt since the detection goes back.
-            held = slot[detected]
-            for s in held[(table.length[held] > 0) | (table.row[held] >= 0)].tolist():
-                arena.drop(s)
             batch.head[runs[detected]] = batch.end[runs[detected]]
             runs, slot = runs[~detected], slot[~detected]
         head, end = batch.head[runs], batch.end[runs]
@@ -456,7 +448,7 @@ class BatchedDecodeKernel:
         tagger = self._tagger
         left = []
         for r, k in zip(runs.tolist(), batch.head[runs].tolist()):
-            detection = tagger._advance(batch.tracks[r], int(batch.symbols[k]), True, batch.trigger(k))
+            detection = tagger._advance(batch.tracks[r], int(batch.symbols[k]), batch.trigger(k))
             batch.head[r] = k + 1
             if detection is not None:
                 hits.append((batch.order[k].item(), detection))
@@ -538,14 +530,15 @@ class BatchedDecodeKernel:
         self, batch: _SubBatch, runs: np.ndarray, steps: np.ndarray, sliding: bool, hits: List[Hit]
     ) -> None:
         """Segments too small to stack (filling runs, or windowed chunks
-        when ``sliding``): every step through the per-entity path."""
+        when ``sliding``, which the ``rows_scalar`` count takes): every
+        step through the per-entity path."""
         advance = self._tagger._advance
         symbols = batch.symbols
         for r, count in zip(runs.tolist(), steps.tolist()):
             track = batch.tracks[r]
             low = int(batch.head[r])
             for k in range(low, low + count):
-                if (detection := advance(track, int(symbols[k]), sliding, batch.trigger(k))) is not None:
+                if (detection := advance(track, int(symbols[k]), batch.trigger(k))) is not None:
                     hits.append((int(batch.order[k]), detection))
                     break
         batch.head[runs] += steps

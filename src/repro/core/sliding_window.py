@@ -215,8 +215,10 @@ class SlotTable:
     storage; ``match[s]``, its row of the arena's :class:`MatchRows`
     while a pattern is matched, else ``-1`` (the slot is *pristine*: it
     awaits only the patterns' first symbols and carries no bonus);
-    ``detected[s]``; and ``stale[s]``, true while its decode state must be rebuilt from the
-    entity's alerts (restored or adopted, and not seen since).
+    ``detected[s]``; and ``stale[s]``, true while its decode state must
+    be rebuilt from the names its track migrated with (restored or
+    adopted, and not seen since).  A detected slot holds no decode
+    state, save inside one ``AttackTagger.infer`` call.
     These arrays are the only copy of that state: the per-alert
     functions of :mod:`repro.core.streaming` advance one slot, and the
     stacked kernel tests and advances them by index arrays.

@@ -306,6 +306,15 @@ def length(arena: WindowArena, slot: int) -> int:
     return int(arena.end[row] - arena.start[row])
 
 
+def window_symbols(arena: WindowArena, slot: int) -> np.ndarray:
+    """The symbols of slot ``slot``'s steps, oldest first: its fill cells,
+    or its row's ring cells ``start .. end - 1``."""
+    row = int(arena.slots.row[slot])
+    if row < 0:
+        return arena.fill.symbols[arena.slots.cells_of(slot)]
+    return arena.symbols[arena.window_cells(row)]
+
+
 def _touches(arena: WindowArena, slot: int, symbol: int, evicted: Optional[int] = None) -> bool:
     """Whether appending ``symbol`` to ``slot`` (and, windowed, evicting
     step ``evicted``) moves a match: the one-step :func:`plain_depth`."""

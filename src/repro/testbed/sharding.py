@@ -950,11 +950,6 @@ class ShardedDetectorPool:
         #: Every live N→M reshard ever performed (same ops-log status).
         self.reshard_log: List[ReshardEvent] = []
         self.detector_factory = detector_factory
-        # entity -> shard memo; `shard_of()` stays the documented source
-        # of truth (the cache is populated from it and never diverges:
-        # routing is a pure function of the entity and the fixed shard
-        # count), it just spares hot entities a crc32 per alert.
-        self._shard_cache: Dict[str, int] = {}
         #: Alerts routed to each shard (routing balance introspection).
         self.alerts_routed: List[int] = [0] * self.n_shards
         #: Cumulative CPU seconds each shard spent observing, as
@@ -1060,41 +1055,13 @@ class ShardedDetectorPool:
         """Sub-batches sent on the pipe instead (codec miss or ring full)."""
         return self._wire_counts["shm_fallbacks"]
 
-    #: Entity->shard memo entries kept (LRU): bounds parent-process
-    #: memory on the unbounded-cardinality entity streams a long-lived
-    #: service sees.  Routing stays correct either way -- an evicted
-    #: entity just pays one crc32 again.
-    _SHARD_CACHE_LIMIT = 1 << 17
-
     # -- routing -----------------------------------------------------------
-    def shard_of(self, entity: str) -> int:
-        """The shard the entity's alerts are routed to (memoised, LRU).
-
-        The memo exploits dict insertion order as recency order: a hit
-        re-inserts the entry at the back, so eviction of the front
-        entry (``next(iter(...))``) is least-recently-used.  That keeps
-        the hot working set resident even when total entity cardinality
-        far exceeds the cap -- the clear-everything alternative would
-        periodically forget the hot entities too.  A one-shard pool
-        routes everything to shard 0 and keeps no memo.
-        """
-        if self.n_shards == 1:
-            return 0
-        cache = self._shard_cache
-        shard = cache.pop(entity, None)
-        if shard is None:
-            if len(cache) >= self._SHARD_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            shard = shard_of(entity, self.n_shards)
-        cache[entity] = shard
-        return shard
-
     def _partition(
         self, batch: NormalizedBatch
     ) -> Tuple[List[NormalizedBatch], List[Sequence[int]]]:
         """Split one batch into per-shard sub-batches, remembering positions.
 
-        The batch is split on its entity column -- :meth:`shard_of` once
+        The batch is split on its entity column -- :func:`shard_of` once
         per distinct entity -- and each shard's rows are picked with
         :meth:`~repro.core.alerts.NormalizedBatch.select`; no alert is
         read or built.
@@ -1103,7 +1070,7 @@ class ShardedDetectorPool:
         if count == 1:
             return [batch], [range(len(batch))]
         entities = batch.entities
-        route = {entity: self.shard_of(entity) for entity in dict.fromkeys(entities)}
+        route = {entity: shard_of(entity, count) for entity in dict.fromkeys(entities)}
         positions: List[List[int]] = [[] for _ in range(count)]
         appends = [rows.append for rows in positions]
         for position, entity in enumerate(entities):
@@ -1318,7 +1285,7 @@ class ShardedDetectorPool:
     def reset_entity(self, entity: str) -> None:
         """Forget one entity on the shard that owns it."""
         self._require_idle("reset_entity")
-        shard = self.shard_of(entity)
+        shard = shard_of(entity, self.n_shards)
         worker = self._workers[shard]
         worker.send("reset_entity", entity)
         status, result = worker.receive()
@@ -1397,8 +1364,6 @@ class ShardedDetectorPool:
         self.busy_seconds_retired += busy_before
         self.kernel_seconds_retired += kernel_before
         self.n_shards = new_n
-        # The memo maps entities to *old* shard indices: flush it.
-        self._shard_cache.clear()
         self.alerts_routed = [0] * new_n
         self.busy_seconds = [0.0] * new_n
         self.kernel_seconds = [0.0] * new_n

@@ -91,8 +91,10 @@ class DetectionStage:
         .NormalizedBatch` of survivors and goes to every pool as it is:
         nothing here builds an :class:`Alert`.  A process-backed pool
         packs its columns straight into the shard wire; an in-process
-        shard iterates it, which builds the alerts once, and every
-        other pool then sees those same objects.
+        shard hands it to its detector as it is.  The tagger's kernel
+        reads its columns and builds an alert only for a detection's
+        trigger; a detector that iterates the batch builds its alerts
+        once, which the batch keeps for every later reader.
 
         The process-backed pools' workers start computing immediately;
         the caller can overlap other work (normalising and filtering

@@ -12,7 +12,7 @@ size, three drives of the same stream must agree --
 
 on every detection (trigger position, state, confidence, matched
 patterns, trajectory), and the two ``streaming`` drives must leave every
-slot's logical state (unary tables, names, bonuses, window span)
+slot's logical state (unary tables, window names, bonuses, window span)
 bitwise identical.  The window *aggregates* are exempt from bitwise
 comparison with ``naive`` (it has none): the scans reassociate floating
 point relative to the sequential recursion -- by design, the aggregates
@@ -104,11 +104,25 @@ def _drive_scalar(tagger, stream):
     return hits
 
 
+def _window_names(tagger, entity):
+    """The entity's window of names as a migration carries it (empty if
+    it is not tracked)."""
+    track = tagger.export_entity_tracks().get(entity)
+    return [] if track is None else list(track.names)
+
+
+def _sent_until_detected(stream, track, max_window):
+    """The window a detected entity's track holds: the names it sent up
+    to and including its trigger, the newest ``max_window``."""
+    cut = track.detected.timestamp
+    return [a.name for a in stream if a.entity == track.entity and a.timestamp <= cut][-max_window:]
+
+
 def _assert_same_logical_state(reference, batched, entities):
     """Slot state equal where bit-identity is promised."""
     for entity in entities:
         track_r, track_b = reference.track(entity), batched.track(entity)
-        assert list(track_r.names) == list(track_b.names)
+        assert _window_names(reference, entity) == _window_names(batched, entity)
         assert (track_r.detected is None) == (track_b.detected is None)
         if track_r.detected is not None:
             assert _detection_key(track_r.detected) == _detection_key(track_b.detected)
@@ -160,6 +174,7 @@ def _match_state(tagger, track):
 def _assert_matches_spec(naive, tagger, entities):
     """Every read-out of a streaming tagger equals the naive re-decode."""
     for entity in entities:
+        assert _window_names(naive, entity) == _window_names(tagger, entity)
         states_n, marginal_n, matched_n = naive.infer(entity)
         states_t, marginal_t, matched_t = tagger.infer(entity)
         assert np.array_equal(states_n, states_t)
@@ -498,8 +513,9 @@ class TestBatchedEngineEquivalence:
         assert hits
         _assert_same_logical_state(scalar, batched, entities)
 
-    def test_already_detected_entities_keep_recording(self):
-        """Detected entities ride along in stacked rounds, recording names only."""
+    def test_already_detected_entities_record_nothing(self):
+        """Detected entities ride along in stacked rounds and record nothing:
+        each keeps the window it was detected on, and no decode state."""
         rng = np.random.default_rng(23)
         entities = [f"mix:{i}" for i in range(2 * _MIN_BATCH)]
         # Odd entities draw from the whole vocabulary and get detected;
@@ -514,14 +530,17 @@ class TestBatchedEngineEquivalence:
         assert detected == set(entities[1::2])
         last_hit = max(position for position, _ in hits)
         assert last_hit < len(stream) - 48  # detected entities kept receiving
+        slots = batched._arena.slots
         for entity in detected:
             track = batched.track(entity)
-            assert list(track.names) == list(naive.track(entity).names)
-            assert list(track.names) == list(scalar.track(entity).names)
-            # Window-bounded, and still appended after the detection.
+            window = _window_names(batched, entity)
+            assert window == _window_names(naive, entity) == _window_names(scalar, entity)
+            # Window-bounded, and nothing appended after the detection.
+            assert window == list(track.names)
+            assert window == _sent_until_detected(stream, track, batched.max_window)
             sent = [alert for alert in stream if alert.entity == entity]
-            assert list(track.names) == [alert.name for alert in sent][-batched.max_window :]
             assert sent[-1].timestamp > track.detected.timestamp
+            assert slots.row[track.slot] < 0 and not slots.length[track.slot]
 
     def test_first_alerts_of_new_entities_are_stacked(self, monkeypatch):
         """Entity churn: a sub-batch of brand-new entities never goes scalar.
@@ -718,7 +737,7 @@ class TestDeepRuns:
         assert attacker.detected is not None  # fired mid-run ...
         sent = [alert for alert in stream if alert.entity == entities[0]]
         assert sent[-1].timestamp > attacker.detected.timestamp  # ... kept sending
-        assert list(attacker.names) == [alert.name for alert in sent][-max_window:]
+        assert list(attacker.names) == _sent_until_detected(stream, attacker, max_window)
         return hits, batched, seen
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -987,6 +1006,110 @@ class TestSlotLifecycle:
         monkeypatch.setattr(streaming, "append_plan", counted_plan)
         self._drive(3, 5, ["reset", "adopt", "pickle", "none", "reset", "adopt"])
         assert all(seen.values()), seen
+
+
+class TestTheArenaIsTheOnlyWindow:
+    """A live streaming track holds no names: its window is its slot's
+    steps.  A detection is final: the track keeps the window it was
+    detected on, under both engines, and later alerts change nothing."""
+
+    MAX_WINDOW = 8
+
+    def _feed(self, taggers, stream, chunk=24):
+        """The same chunks to every tagger, alternately per alert through
+        ``observe`` and as one ``observe_batch_indexed``; the hits must agree."""
+        hits = [[] for _ in taggers]
+        for number, base in enumerate(range(0, len(stream), chunk)):
+            sub = stream[base : base + chunk]
+            for tagger, found in zip(taggers, hits):
+                if number % 2:
+                    pairs = tagger.observe_batch_indexed(sub)
+                else:
+                    pairs = [(k, d) for k, alert in enumerate(sub) if (d := tagger.observe(alert)) is not None]
+                found.extend((base + k, _detection_key(d)) for k, d in pairs)
+        assert all(found == hits[0] for found in hits)
+        return hits[0]
+
+    def _stream(self, rng, start, length, entities):
+        """Attackers (``atk:``) draw from the whole vocabulary, the others
+        from the benign names; a ``long:`` entity gets four alerts a turn."""
+        stream = []
+        while len(stream) < length:
+            entity = entities[rng.integers(len(entities))]
+            names = ALL_NAMES if entity.startswith("atk:") else BENIGN_NAMES
+            for _ in range(4 if entity.startswith("long:") else 1):
+                stream.append(Alert(start + len(stream), names[rng.integers(len(names))], entity))
+        return stream
+
+    def test_mixed_streams_export_the_naive_windows(self):
+        rng = np.random.default_rng(51)
+        first = ["atk:0", "atk:1", "atk:2", "long:0", "long:1", "short:0", "idle:0", "idle:1"]
+        stream = self._stream(rng, 0.0, 240, first)
+        streaming_, naive = _tagger(max_window=self.MAX_WINDOW), _tagger("naive", max_window=self.MAX_WINDOW)
+        self._feed((streaming_, naive), stream)
+        # Migrate every track into fresh replicas, then drive all but the
+        # ``idle:`` entities on: those stay adopted and not yet rebuilt.
+        adopters = _tagger(max_window=self.MAX_WINDOW), _tagger("naive", max_window=self.MAX_WINDOW)
+        for source, target in zip((streaming_, naive), adopters):
+            for entity, track in source.export_entity_tracks().items():
+                target.adopt_entity_track(entity, track)
+        second = ["atk:0", "atk:1", "atk:3", "atk:4", "long:0", "long:1", "short:1", "short:2"]
+        later = self._stream(rng, 1e4, 120, second)
+        later += [Alert(2e4 + i, BENIGN_NAMES[i], "fresh:0") for i in range(3)]  # still filling
+        self._feed(adopters, later)
+        streaming_, naive = adopters
+        exported, spec = streaming_.export_entity_tracks(), naive.export_entity_tracks()
+        assert list(exported) == list(spec)
+        for entity, track in exported.items():
+            assert list(track.names) == list(spec[entity].names), entity
+            assert track.detected == spec[entity].detected, entity
+            if track.detected is not None:
+                assert list(track.names) == _sent_until_detected(stream + later, track, self.MAX_WINDOW)
+        # Every kind of track took part.
+        slots = streaming_._arena.slots
+        kinds = set()
+        for track in streaming_._tracks.values():
+            s = track.slot
+            if track.detected is not None:
+                kinds.add("detected")
+            elif slots.stale[s]:
+                kinds.add("adopted")
+            else:
+                kinds.add("windowed" if slots.row[s] >= 0 else "filling")
+        assert kinds == {"detected", "adopted", "windowed", "filling"}
+        detected = [e for e, track in exported.items() if track.detected is not None]
+        assert any(a.entity in detected and a.timestamp > exported[a.entity].detected.timestamp for a in later)
+        _assert_rows_accounted(streaming_)
+
+    def test_a_detected_entity_s_later_alerts_change_nothing(self):
+        taggers = _tagger(max_window=4), _tagger("naive", max_window=4)
+        chain = ["alert_download_sensitive", "alert_privilege_escalation"]
+        fired = self._feed(taggers, [Alert(float(i), name, "user:x") for i, name in enumerate(chain)])
+        assert [position for position, _ in fired] == [1]
+        before = [(list(t.export_entity_tracks()["user:x"].names), t.infer("user:x")) for t in taggers]
+        assert before[0][0] == chain
+        later = [Alert(10.0 + i, ALL_NAMES[i % len(ALL_NAMES)], "user:x") for i in range(3 * 4 + 1)]
+        assert self._feed(taggers, later, chunk=5) == []
+        for tagger, (names, read) in zip(taggers, before):
+            assert list(tagger.export_entity_tracks()["user:x"].names) == names
+            for got, expected in zip(tagger.infer("user:x"), read):
+                assert np.array_equal(got, expected)
+        assert taggers[0]._arena.fill.live == 0  # no read left decode state behind
+
+    def test_no_live_streaming_track_holds_names(self):
+        rng = np.random.default_rng(7)
+        entities = ["atk:0", "long:0", "long:1", "short:0", "short:1"]
+        tagger = _tagger(max_window=self.MAX_WINDOW)
+        self._feed((tagger,), self._stream(rng, 0.0, 160, entities))
+        adopter = _tagger(max_window=self.MAX_WINDOW)
+        for entity, track in tagger.export_entity_tracks().items():
+            adopter.adopt_entity_track(entity, track)
+        self._feed((adopter,), self._stream(rng, 1e4, 80, entities))
+        for owner in (tagger, adopter):
+            stale = owner._arena.slots.stale
+            live = [t for t in owner._tracks.values() if t.detected is None and not stale[t.slot]]
+            assert live and all(t.names == () for t in live)
+            assert all(t.names for t in owner._tracks.values() if t.detected is not None)
 
 
 class TestObservationRowsResolveOncePerName:

@@ -461,8 +461,27 @@ class TestCheckpointBytesArePinned:
     #:    version 2's step 3) and replace the blob by
     #:    ``pickle.dumps(tracks, pickle.HIGHEST_PROTOCOL)``;
     #: 3. frame the canonical pickle of the payload as version 7.
-    DIGEST = "ecee71a7d2e8b53978f925784d5c9bff13e9939c3497f1776d5b3423c27cee6a"
-    SIZE = 9615
+    #:
+    #: Detection became final within version 7 (a detected entity stops
+    #: recording names), so the file moved through its detected tracks'
+    #: names only.  It was re-derived from that drive's earlier
+    #: version-7 checkpoint (ecee71a7..., 9 615 bytes, written by the
+    #: code of commit ba3a71d) in three steps:
+    #:
+    #: 1. unpickle each shard's tracks blob and, for every detected
+    #:    track, replace ``names`` by a deque with the same ``maxlen`` of
+    #:    the names of the entity's alerts the detector observed up to
+    #:    and including its detection's trigger, the newest
+    #:    ``alert_index + 1`` of them (the window it was detected on),
+    #:    each the string object of an equal name already in the blob --
+    #:    a track's name first, else a trigger's -- as the arena's
+    #:    interning shares them;
+    #: 2. re-intern the detection triggers' ``attributes`` keys (as in
+    #:    version 2's step 3) and replace the blob by
+    #:    ``pickle.dumps(tracks, pickle.HIGHEST_PROTOCOL)``;
+    #: 3. frame the canonical pickle of the payload as version 7.
+    DIGEST = "fc9dd61b861ef9c5cfec2dfced85b77ee3ff0bd68d63ebba5a184c28c36f5de7"
+    SIZE = 9437
 
     def test_pinned_drive_writes_the_recorded_bytes(self, tmp_path):
         background = [
@@ -486,6 +505,29 @@ class TestCheckpointBytesArePinned:
             pipeline.checkpoint(path)
         blob = path.read_bytes()
         assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (self.DIGEST, self.SIZE)
+
+
+class TestAnEarlierVersion7FileStillRestores:
+    """Version 7 kept its fields and types when detection became final."""
+
+    #: Written by the code of commit ba3a71d, whose detected tracks kept
+    #: recording names: ``_mixed_stream(length=160)``, then 20 alerts
+    #: each to ``user:steady-0`` .. ``-5`` (background names in turn, one
+    #: every 1 000 s), through ``_build_pipeline(n_shards=2,
+    #: max_window=8)``.  Its 12 detected tracks hold names that came
+    #: after their detections, and its 6 live ones hold windows.
+    FILE = Path(__file__).parent / "data" / "checkpoint-v7-e07a368f.ckpt"
+    DIGEST = "e07a368f180e276ffd5a50e39b17fadbf74f092a5b880b5ffe76da0048ac1ed0"
+
+    def test_it_restores_and_rewrites_byte_identically(self, tmp_path):
+        blob = self.FILE.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGEST
+        again = tmp_path / "again.ckpt"
+        with _build_pipeline(n_shards=2, max_window=8) as pipeline:
+            pipeline.restore(self.FILE)
+            assert len(pipeline.detections) == 12
+            pipeline.checkpoint(again)
+        assert again.read_bytes() == blob
 
 
 class TestRestoreMisuse:

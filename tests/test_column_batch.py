@@ -403,6 +403,11 @@ class TestTheDetectionPathBuildsOnlyTriggers:
         assert reference._arena.symbol_names == symbols
         assert len(tagger._arena.symbol_names) > len(symbols)
         for entity in {alert.entity for alert in alerts}:
-            names = reference.track(entity).names
-            own = [alert.name for alert in alerts if alert.entity == entity][-len(names):]
-            assert all(name is alert_name for name, alert_name in zip(names, own))
+            track = reference.track(entity)
+            sent = [alert for alert in alerts if alert.entity == entity]
+            if track.detected is not None:
+                # Detection is final: the window ends at the trigger.
+                sent = sent[: [alert is track.detected.trigger for alert in sent].index(True) + 1]
+            own = [alert.name for alert in sent][-len(track.names) :]
+            assert own == list(track.names)
+            assert all(name is alert_name for name, alert_name in zip(track.names, own))

@@ -83,7 +83,7 @@ class TestAttackTagger:
         tagger = AttackTagger(max_window=4)
         for i in range(10):
             tagger.observe(Alert(float(i), "alert_login_normal", "user:a"))
-        assert len(tagger.track("user:a").names) == 4
+        assert len(tagger.export_entity_tracks()["user:a"].names) == 4
 
     def test_trained_parameters_improve_or_match_prior(self, trained_parameters):
         prior = AttackTagger(patterns=list(DEFAULT_CATALOGUE))

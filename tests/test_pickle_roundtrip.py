@@ -289,16 +289,18 @@ class TestRemovedEngineStateIsRejected:
 # ---------------------------------------------------------------------------
 class TestTrackRoundTrip:
     def _live_track(self) -> EntityTrack:
+        """A live track as it migrates: exported, its window read off its slot."""
         # Threshold 1 - 1e-9: no detection fires, so the tagger keeps
-        # the incremental decode state alive in the track's slot.
+        # the incremental decode state alive in the track's slot, which
+        # is the only copy of its window.
         tagger = AttackTagger(
             patterns=_PATTERNS, max_window=4, detection_threshold=1 - 1e-9
         )
         for step, name in enumerate(_ALL_NAMES[:8]):
             tagger.observe(Alert(float(step + 1), name, "user:β"))
         (track,) = tagger._tracks.values()
-        assert not holds_no_decode_state(tagger, "user:β")
-        return track
+        assert not holds_no_decode_state(tagger, "user:β") and track.names == ()
+        return tagger.export_entity_tracks()["user:β"]
 
     def test_entity_track_round_trips_without_its_slot(self):
         import dataclasses
@@ -308,7 +310,7 @@ class TestTrackRoundTrip:
         restored, _ = _round_trip(track)
         assert restored.entity == track.entity
         assert list(restored.names) == list(track.names) == list(_ALL_NAMES[4:8])
-        assert restored.names.maxlen == track.names.maxlen
+        assert restored.names.maxlen == track.names.maxlen == 4
         assert set(restored.__dict__) == {"entity", "names", "detected"}
         assert restored.slot == -1
         assert restored.detected == track.detected

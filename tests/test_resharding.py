@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import AttackTagger, Detector
-from repro.core.alerts import Alert, DEFAULT_VOCABULARY
+from repro.core.alerts import Alert, DEFAULT_VOCABULARY, NormalizedBatch
 from repro.core.states import AttackStage
 from repro.incidents import DEFAULT_CATALOGUE
 from repro.testbed import (
@@ -413,57 +413,37 @@ class TestPipelineReshard:
                 assert summary[key] == 0.0
 
 
-class TestShardRoutingLRU:
-    """The entity->shard memo is bounded with cheap LRU eviction."""
+class TestShardRouting:
+    """The pool routes each entity to ``shard_of(entity, n_shards)``."""
 
-    def test_cache_is_bounded_and_evicts_least_recent(self, monkeypatch):
-        monkeypatch.setattr(ShardedDetectorPool, "_SHARD_CACHE_LIMIT", 4)
-        pool = ShardedDetectorPool.from_template(_tagger(), n_shards=4)
-        for index in range(4):
-            pool.shard_of(f"user:u{index}")
-        assert list(pool._shard_cache) == [f"user:u{i}" for i in range(4)]
-        # A hit refreshes recency: u0 moves to the back...
-        pool.shard_of("user:u0")
-        assert list(pool._shard_cache)[-1] == "user:u0"
-        # ...so the next miss evicts u1 (now least recent), not u0.
-        pool.shard_of("user:u9")
-        assert "user:u1" not in pool._shard_cache
-        assert "user:u0" in pool._shard_cache
-        assert len(pool._shard_cache) == 4
-        pool.close()
+    @staticmethod
+    def _routed(pool, entities):
+        """Entity -> the shard ``_partition`` sends its rows to."""
+        batch = NormalizedBatch.of_alerts([Alert(0.0, "alert_login_normal", e) for e in entities])
+        _, positions = pool._partition(batch)
+        return {entities[row]: shard for shard, rows in enumerate(positions) for row in rows}
 
-    def test_routing_stays_correct_across_eviction(self, monkeypatch):
-        monkeypatch.setattr(ShardedDetectorPool, "_SHARD_CACHE_LIMIT", 8)
+    def test_routing_is_shard_of(self):
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=8)
         entities = [f"host:h{index}" for index in range(64)]
         for _ in range(3):
-            for entity in entities:
-                assert pool.shard_of(entity) == shard_of(entity, 8)
-            assert len(pool._shard_cache) <= 8
+            assert self._routed(pool, entities) == {e: shard_of(e, 8) for e in entities}
         pool.close()
 
     def test_one_shard_routing_is_the_identity(self):
-        """One shard takes every batch whole and remembers no entity."""
+        """One shard takes every batch whole."""
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=1)
         alerts = [Alert(float(i), "alert_login_normal", f"user:u{i % 5}") for i in range(12)]
         sub_batches, positions = pool._partition(alerts)
         assert sub_batches[0] is alerts and len(sub_batches) == 1
         assert positions == [range(12)]
-        assert pool.shard_of("user:u3") == 0
         assert pool.observe_batch(alerts) == _tagger().observe_batch(alerts)
-        assert not pool._shard_cache
         pool.close()
 
-    def test_default_limit_is_large(self):
-        assert ShardedDetectorPool._SHARD_CACHE_LIMIT == 1 << 17
-
-    def test_reshard_invalidates_routing_memo(self):
+    def test_reshard_routes_by_the_new_count(self):
         pool = ShardedDetectorPool.from_template(_tagger(), n_shards=2)
         entities = [f"user:u{index}" for index in range(16)]
-        for entity in entities:
-            pool.shard_of(entity)
+        assert self._routed(pool, entities) == {e: shard_of(e, 2) for e in entities}
         pool.reshard(5)
-        assert not pool._shard_cache
-        for entity in entities:
-            assert pool.shard_of(entity) == shard_of(entity, 5)
+        assert self._routed(pool, entities) == {e: shard_of(e, 5) for e in entities}
         pool.close()

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AttackTagger, default_parameters, streaming as streaming_steps
-from repro.core.alerts import Alert, DEFAULT_VOCABULARY
+from repro.core.alerts import Alert, DEFAULT_VOCABULARY, NormalizedBatch
 from repro.core.attack_tagger import PatternSpec
 from repro.core.factor_graph import _logsumexp, chain_marginals, maxplus_vecmat
 from repro.core.sliding_window import _INITIAL_ROWS, _MIN_SCAN, WindowArena
@@ -224,14 +224,23 @@ def window_of(tagger, entity):
 
 def unary_table(tagger, entity):
     """The entity's effective unary rows, filling or windowed (its decode
-    state rebuilt first, if stale or dropped at detection)."""
+    state rebuilt first if stale, or, detected, for this read only, as
+    ``infer`` does)."""
     track = tagger.track(entity)
-    tagger._sync(track)
+    detected = track.detected is not None
+    if detected:
+        tagger._replay(track)
+    else:
+        tagger._sync(track)
     arena = tagger._arena
     row = arena.slots.row[track.slot]
     if row < 0:
-        return arena.fill.unary[arena.slots.cells_of(track.slot)]
-    return arena.unary[arena.window_cells(row)]
+        table = arena.fill.unary[arena.slots.cells_of(track.slot)]
+    else:
+        table = arena.unary[arena.window_cells(row)]
+    if detected:
+        tagger._release(track)
+    return table
 
 
 def matched_prefix_lengths(tagger, entity):
@@ -533,38 +542,39 @@ class TestBonusOrderingWithoutSort:
 
 
 class TestSatelliteOptimisations:
-    def test_track_window_trim_is_constant_time_deque(self):
+    def test_a_live_track_exports_its_window_off_the_arena(self):
         tagger = AttackTagger(max_window=4, detection_threshold=0.999)
         cycle = ["alert_login_normal", "alert_job_submission", "alert_file_transfer"]
         for i in range(12):
-            # A fresh string per alert: the track keeps the arena's one copy.
+            # A fresh string per alert: the export carries the arena's one copy.
             tagger.observe(Alert(float(i), "".join(cycle[i % 3]), "user:a"))
-        track = tagger.track("user:a")
-        assert isinstance(track.names, deque)
-        assert track.names.maxlen == 4
-        assert len(track.names) == 4
-        assert list(track.names) == [cycle[i % 3] for i in range(8, 12)]
+        assert tagger.track("user:a").names == ()  # the arena is the only copy
+        names = tagger.export_entity_tracks()["user:a"].names
+        assert isinstance(names, deque) and names.maxlen == 4
+        assert list(names) == [cycle[i % 3] for i in range(8, 12)]
         arena = tagger._arena
-        assert all(name is arena.symbol_names[arena.symbol_ids[name]] for name in track.names)
+        assert all(name is arena.symbol_names[arena.symbol_ids[name]] for name in names)
 
-    def test_detected_fast_path_keeps_trimming(self):
+    def test_a_detected_entity_records_nothing(self):
         tagger = AttackTagger(max_window=3)
         track = tagger.track("user:a")
-        track.detected = object()  # sentinel: fast path only records
+        track.detected = object()  # sentinel: observe returns at once
+        known = len(tagger._arena.symbol_names)
         for i in range(9):
-            tagger.observe(Alert(float(i), "alert_login_normal", "user:a"))
-        assert len(track.names) == 3
+            assert tagger.observe(Alert(float(i), f"alert_unseen_{i}", "user:a")) is None
+        assert track.names == () and len(tagger._arena.symbol_names) == known
+        assert tagger._arena.fill.live == 0
 
-    def test_shard_routing_memo_matches_source_of_truth(self):
+    def test_pool_routing_is_shard_of(self):
         pool = ShardedDetectorPool.from_template(AttackTagger(), n_shards=5)
         alerts = [
             Alert(float(i), "alert_login_normal", f"user:{i % 7}") for i in range(50)
         ]
+        _, positions = pool._partition(NormalizedBatch.of_alerts(alerts))
+        for shard, rows in enumerate(positions):
+            assert all(shard_of(alerts[row].entity, 5) == shard for row in rows)
         pool.observe_batch(alerts)
-        assert pool._shard_cache  # memo populated
-        for entity, shard in pool._shard_cache.items():
-            assert shard == shard_of(entity, pool.n_shards)
-        assert pool.shard_of("user:0") == shard_of("user:0", 5)
+        assert pool.alerts_routed == [len(rows) for rows in positions]
         pool.close()
 
     def test_hard_zero_observation_does_not_suppress_detections(self):

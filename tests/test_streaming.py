@@ -114,8 +114,7 @@ class TestStreamingEngineEquivalence:
         for alert in stream:
             streaming.observe(alert)
             naive.observe(alert)
-        # Decode state is rebuilt lazily (observe drops it once the
-        # entity is detected, to keep post-detection alerts cheap).
+        # A detected entity's decode state is rebuilt for the read.
         unary, _ = naive._build_unary(list(naive.track("entity:x").names))
         np.testing.assert_array_equal(unary_table(streaming, "entity:x"), unary)
         states_s, marginal_s, _ = streaming.infer("entity:x")
@@ -284,10 +283,15 @@ def _weighted_parameters(weights):
 
 
 def _assert_slot_is_the_spec(streaming, naive):
-    """The entity's decode state equals what ``naive`` rebuilds from scratch."""
+    """The entity's window and decode state equal what ``naive`` keeps
+    and rebuilds from scratch (a detected entity's, rebuilt for a read)."""
     window = list(naive.track(_ENTITY).names)
+    assert list(streaming.export_entity_tracks()[_ENTITY].names) == window
     unary, matched = naive._build_unary(window)
     assert np.array_equal(unary_table(streaming, _ENTITY), unary)
+    if streaming.track(_ENTITY).detected is not None:
+        assert streaming.infer(_ENTITY)[2] == matched
+        return unary
     arena = streaming._arena
     assert streaming_steps.matched_pattern_names(arena, streaming.track(_ENTITY).slot) == matched
     assert matched_prefix_lengths(streaming, _ENTITY) == [
@@ -340,10 +344,7 @@ class TestLazyCursorsAreEagerCursors:
         for step, name in enumerate(names):
             if step == reset_at:
                 naive.reset_entity(_ENTITY)
-                track = streaming.track(_ENTITY)
-                track.names.clear()
-                track.detected = None
-                streaming._release(track)
+                streaming.reset_entity(_ENTITY)
             alert = Alert(float(step), name, _ENTITY)
             assert _detection_fields(streaming.observe(alert)) == _detection_fields(
                 naive.observe(alert)

@@ -98,12 +98,13 @@ def _assert_rows_accounted(tagger) -> None:
         assert slots.detected[slot] == (track.detected is not None)
         pages = slots.pages_of(slot).tolist()
         assert not pages or slots.row[slot] < 0
-        if slots.detected[slot]:
-            # Dropped at detection, or rebuilt (filling) by infer since.
-            assert slots.row[slot] < 0 and slots.length[slot] in (0, len(track.names))
-        elif not slots.stale[slot] and slots.row[slot] < 0:
-            # A filling slot holds exactly its track's names.
-            assert slots.length[slot] == len(track.names)
+        if slots.detected[slot] or slots.stale[slot]:
+            # Dropped at detection (infer rebuilds it for one read only),
+            # or not rebuilt yet: the track holds the window's names.
+            assert slots.row[slot] < 0 and not slots.length[slot] and slots.match[slot] < 0
+        else:
+            # The slot holds a live window, and the track no names.
+            assert not track.names and slots.length[slot] <= tagger.max_window
         held += pages
     assert len(held) == fill.live
     assert sorted(held + fill._free) == list(range(fill.capacity))
@@ -140,14 +141,15 @@ class TestDetectionReleasesDecodeState:
         assert track.detected is not None and holds_no_decode_state(streaming, "user:a")
         assert streaming._arena.live == 1  # user:b keeps its row
         _assert_rows_accounted(streaming)
-        # infer() after detection rebuilds decode state and still equals the spec...
-        for got, expected in zip(streaming.infer("user:a"), naive.infer("user:a")):
-            assert np.array_equal(got, expected)
-        assert not holds_no_decode_state(streaming, "user:a")
-        # ... which the next alert of the detected entity drops again.
-        streaming.observe(Alert(next(clock), BACKGROUND[1], "user:a"))
-        assert holds_no_decode_state(streaming, "user:a")
-        _assert_rows_accounted(streaming)
+        # infer() after detection rebuilds decode state for the read, still
+        # equal to the spec, and drops it again; a later alert changes nothing.
+        for alert in (None, Alert(next(clock), BACKGROUND[1], "user:a")):
+            if alert is not None:
+                assert [tagger.observe(alert) for tagger in taggers] == [None, None]
+            for got, expected in zip(streaming.infer("user:a"), naive.infer("user:a")):
+                assert np.array_equal(got, expected)
+            assert holds_no_decode_state(streaming, "user:a")
+            _assert_rows_accounted(streaming)
 
     def test_firing_observe_batch_releases_the_rows(self):
         streaming, naive = self._pair()
@@ -283,9 +285,7 @@ class TestFillPagesAreAccounted:
             _assert_rows_accounted(tagger)
         tagger._release(tagger.track("host:1"))
         assert holds_no_decode_state(tagger, "host:1")
-        # A live slot whose state is dropped mid-life is no longer its
-        # track's names: it counts as a fresh one from here on.
-        tagger.track("host:1").names.clear()
+        # A live slot whose state is dropped mid-life counts as a fresh one.
         _assert_rows_accounted(tagger)
         tagger.reset()
         assert tagger._arena.fill.live == 0
@@ -297,15 +297,15 @@ class TestFillPagesAreAccounted:
             detection = tagger.observe(Alert(next(clock), name, "host:fresh"))
         assert detection is not None and holds_no_decode_state(tagger, "host:fresh")
         _assert_rows_accounted(tagger)
-        # infer() rebuilds decode state (pages again), once; the next alert drops it.
-        tagger.infer("host:fresh")
+        # infer() rebuilds decode state (pages again) for its read and gives
+        # it back; a later alert of the detected entity takes none.
         pages = tagger._arena.fill.live
-        assert tagger._arena.slots.pages_of(tagger.track("host:fresh").slot).size
-        tagger.infer("host:fresh")
-        assert tagger._arena.fill.live == pages
-        _assert_rows_accounted(tagger)
-        tagger.observe(Alert(next(clock), BACKGROUND[0], "host:fresh"))
-        assert holds_no_decode_state(tagger, "host:fresh")
+        for _ in range(2):
+            assert tagger.infer("host:fresh")[0].size == len(CHAIN)
+            assert tagger._arena.fill.live == pages and holds_no_decode_state(tagger, "host:fresh")
+            _assert_rows_accounted(tagger)
+        assert tagger.observe(Alert(next(clock), BACKGROUND[0], "host:fresh")) is None
+        assert tagger._arena.fill.live == pages and holds_no_decode_state(tagger, "host:fresh")
         _assert_rows_accounted(tagger)
         # Detections inside a stacked filling pass release their pages too.
         late = [f"host:late-{index}" for index in range(_MIN_BATCH)]
