@@ -639,6 +639,34 @@ class NormalizedBatch:
             alerts=None if alerts is None else pick(alerts),
         )
 
+    @classmethod
+    def concat(cls, batches: Sequence["NormalizedBatch"]) -> "NormalizedBatch":
+        """The rows of ``batches``, one batch after the other.
+
+        Empty batches add nothing; when one batch is left (or every
+        batch is empty) that batch itself is returned, not a copy.
+        Otherwise each column is copied once, and the parts' alerts are
+        carried only when every part holds them.
+        """
+        parts = [batch for batch in batches if len(batch)] or list(batches[:1])
+        if len(parts) == 1:
+            return parts[0]
+
+        def join(columns) -> list:
+            return list(itertools.chain.from_iterable(columns))
+
+        carried = [part._alerts for part in parts]
+        return cls(
+            join(part.timestamps for part in parts),
+            join(part.names for part in parts),
+            join(part.entities for part in parts),
+            join(part.source_ips for part in parts),
+            join(part.hosts for part in parts),
+            join(part.monitors for part in parts),
+            join(part.attributes for part in parts),
+            alerts=None if any(alerts is None for alerts in carried) else join(carried),
+        )
+
     def columns(self) -> AlertColumns:
         """The :data:`AlertColumns` of the batch.
 

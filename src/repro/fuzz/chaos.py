@@ -57,12 +57,15 @@ Smoke rows (:func:`smoke_legs`, three pinned legs that no composer
 draws; ``python -m repro.service --smoke`` runs them):
 
 ``smoke-alerts``
-    A fault-free alert stream over the socket.
+    A fault-free alert stream over the socket, each run of batches
+    pipelined: the service must submit at least one group of several
+    batches.
 ``smoke-reshard``
     A live N->M reshard requested over the socket mid-stream: one
     ``ReshardEvent``, the service serving at M shards.
 ``smoke-raw``
-    The stream sent as raw Zeek records through the ``raw`` op.
+    The stream sent as raw Zeek records through the ``raw`` op, also
+    pipelined.
 
 Every pipeline row must also leave no stale ticket in the detection
 stage or the pool and close cleanly; every socket row must read back a
@@ -799,6 +802,15 @@ def _healed_in_harvest(leg: _Leg) -> Iterator[str]:
         yield "dead worker was not healed during the reshard harvest"
 
 
+def _grouped(leg: _Leg) -> Iterator[str]:
+    """The pipelined stream reached detection in groups, not one by one."""
+    if leg.stats["group_size"]["max"] < 2:
+        yield (
+            f"no group formed: {leg.stats['batches_processed']} batch(es) in "
+            f"{leg.stats['detection_submissions']} detection submission(s)"
+        )
+
+
 def _shed_lossless(leg: _Leg) -> Iterator[str]:
     if leg.stats["admission"]["rejected_batches"] < 1:
         yield "no rejection recorded by admission control"
@@ -859,7 +871,12 @@ ROWS = {
         service=True,
         max_restarts=SERVICE_MAX_RESTARTS,
     ),
-    "smoke-alerts": _Row(service=True, max_restarts=SERVICE_MAX_RESTARTS),
+    "smoke-alerts": _Row(
+        expects=(_grouped,),
+        service=True,
+        driver="alert_stream",
+        max_restarts=SERVICE_MAX_RESTARTS,
+    ),
     "smoke-reshard": _Row(
         _reshard_before_event,
         (_resharded,),

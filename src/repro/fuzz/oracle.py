@@ -247,19 +247,22 @@ def drive(
     """Walk the campaign's events into ``sink``: the one campaign driver.
 
     ``sink`` is a :class:`TestbedPipeline` or a connected
-    :class:`~repro.service.admission.ServiceClient` (which takes every
-    batch as one acknowledged request, ``raw_stream`` only choosing the
-    ``raw`` op over ``batch``; its detections are read back with the
-    ``results`` op, so the return value is empty).  ``driver`` is how a
-    pipeline is fed:
+    :class:`~repro.service.admission.ServiceClient` (whose detections
+    are read back with the ``results`` op, so the return value is
+    empty).  ``driver`` is how the sink is fed:
 
     ``sync``
-        one blocking ``ingest_alerts`` per batch event.
+        one blocking ``ingest_alerts`` per batch event; a client sends
+        each batch as one request and waits for its ack.
     ``alert_stream`` / ``raw_stream``
         each run of consecutive batch events is the batch source of one
         ``ingest_alert_batches`` / ``ingest_raw_stream`` call (batches
         re-expressed as Zeek notices); the run ends at a control event,
-        so every control reaches a quiesced pipeline.
+        so every control reaches a quiesced pipeline.  A client sends
+        the run pipelined (``send_alert_batches`` /
+        ``send_raw_batches``), so the service submits queued batches as
+        groups; a sink a hook returns inside a run takes over at the
+        next run.
 
     ``hook(point, index)`` is called at three stream positions:
     ``"event"`` before event ``index`` is applied (it may return a
@@ -267,15 +270,15 @@ def drive(
     client), ``"before"`` / ``"after"`` around the hand-over of the
     ``index``-th *non-empty* batch.  ``"after"`` means collected under
     ``sync``, acknowledged for a client, and merely submitted under a
-    stream driver -- the one place a fault lands between a submit and
-    its collect.
+    stream driver (handed to the client's send window, for a client)
+    -- the one place a fault lands between a submit and its collect.
     """
     if driver not in DRIVERS:
         raise ValueError(f"unknown driver {driver!r}")
     fire = hook or (lambda point, index: None)
     remote = not isinstance(sink, TestbedPipeline)
     as_raw = driver == "raw_stream"
-    streamed = not remote and driver != "sync"
+    streamed = driver != "sync"
     detections: list[Detection] = []
     events = collections.deque(enumerate(campaign.events))
     batch_index = -1
@@ -299,6 +302,8 @@ def drive(
             index, event = events.popleft()
             sink = fire("event", index) or sink
             _apply_control(sink, event)
+        elif streamed and remote:
+            (sink.send_raw_batches if as_raw else sink.send_alert_batches)(batches())
         elif streamed:
             ingest = sink.ingest_raw_stream if as_raw else sink.ingest_alert_batches
             detections.extend(ingest(batches()))

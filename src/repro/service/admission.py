@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import json
 import socket
 import time
 from pathlib import Path
-from typing import Any, Deque, List, Mapping, Optional, Sequence
+from typing import Any, Deque, Iterable, List, Mapping, Optional, Sequence
 
 from ..core.alerts import (
     Alert,
@@ -81,6 +82,12 @@ RETRY_AFTER = 0.05
 MAX_RETRIES = 8
 RETRY_BASE_DELAY = 0.02
 RETRY_MAX_DELAY = 1.0
+
+#: Requests :meth:`ServiceClient.send_alert_batches` /
+#: :meth:`~ServiceClient.send_raw_batches` write before reading their
+#: acks: half the default per-connection bound, so one client's window
+#: is never rejected and never reaches a shed tier on its own.
+PIPELINE_DEPTH = 8
 
 #: Entries a memory-only :class:`DeadLetterJournal` keeps (the newest).
 DEAD_LETTER_TAIL = 1024
@@ -332,6 +339,12 @@ class ServiceClient:
     hint): the server sheds or rejects, the client persists, and the
     stream arrives complete and in order once pressure clears -- the
     replay half of the shed-then-replay contract.
+
+    ``send_alert_batches``/``send_raw_batches`` pipeline a stream
+    instead: :data:`PIPELINE_DEPTH` request lines in one send, then
+    their acks, so batches queue up behind each other at the server
+    and its consumer submits them as groups.  They do not retry: a
+    rejected line would be overtaken by the lines behind it.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 60.0) -> None:
@@ -342,20 +355,31 @@ class ServiceClient:
     # -- plumbing --------------------------------------------------------
     def request(self, payload: Mapping[str, Any]) -> dict:
         """Send one request and return its decoded success reply."""
-        self._seq += 1
+        return self._checked(self._exchange([payload])[0])
+
+    def _exchange(self, payloads: Sequence[Mapping[str, Any]]) -> List[dict]:
+        """Write the requests in one send, then read one reply each."""
+        self._seq += len(payloads)
         try:
-            self._sock.sendall(encode_message(payload))
-            line = self._file.readline()
+            self._sock.sendall(b"".join(map(encode_message, payloads)))
+            lines = [self._file.readline() for _ in payloads]
         except (ConnectionResetError, BrokenPipeError):
-            # A server that closes with this request unread resets the
+            # A server that closes with a request unread resets the
             # connection instead of ending it cleanly; same outcome.
-            line = b""
-        if not line:
-            raise ServiceError("disconnected", "server closed the connection")
-        try:
-            reply = decode_line(line)
-        except ProtocolError as exc:
-            raise ServiceError("protocol", str(exc)) from exc
+            lines = [b""]
+        replies = []
+        for line in lines:
+            if not line:
+                raise ServiceError("disconnected", "server closed the connection")
+            try:
+                replies.append(decode_line(line))
+            except ProtocolError as exc:
+                raise ServiceError("protocol", str(exc)) from exc
+        return replies
+
+    @staticmethod
+    def _checked(reply: dict) -> dict:
+        """``reply`` if it is a success, else its typed error."""
         if reply.get("ok"):
             return reply
         kind = str(reply.get("error", "unknown"))
@@ -395,6 +419,33 @@ class ServiceClient:
         return self._request_with_retry(
             {"op": "raw", "records": [raw_record_to_dict(r) for r in records]}
         )
+
+    def send_alert_batches(self, batches: Iterable[Sequence[Alert]]) -> List[dict]:
+        """Ingest alert batches pipelined; return their acks in order."""
+        return self._pipelined(
+            {"op": "batch", "alerts": [alert.to_dict() for alert in alerts]}
+            for alerts in batches
+        )
+
+    def send_raw_batches(self, batches: Iterable[Sequence[RawLogRecord]]) -> List[dict]:
+        """Ingest raw-record batches pipelined; return their acks in order."""
+        return self._pipelined(
+            {"op": "raw", "records": [raw_record_to_dict(r) for r in records]}
+            for records in batches
+        )
+
+    def _pipelined(self, payloads: Iterable[Mapping[str, Any]]) -> List[dict]:
+        """:data:`PIPELINE_DEPTH` requests a send, then their replies.
+
+        Every reply of a window is read before the first error is
+        raised, so the connection stays in step.
+        """
+        acks: List[dict] = []
+        payloads = iter(payloads)
+        while window := list(itertools.islice(payloads, PIPELINE_DEPTH)):
+            replies = self._exchange(window)
+            acks.extend(map(self._checked, replies))
+        return acks
 
     def control(self, verb: str, entity: str = "") -> dict:
         return self.request({"op": "control", "verb": verb, "entity": entity})

@@ -24,22 +24,39 @@ Architecture -- one event loop, one consumer::
 * A single consumer coroutine drains the FIFO and drives the
   pipeline through its two-phase API (``submit_alerts`` /
   ``submit_raw`` / ``collect_detections``), keeping at most one
-  detection batch in flight: when more work is queued the next
-  batch's normalise/filter prep overlaps the shard workers chewing
-  the previous one (the overlapped drivers' schedule, so outputs are
-  bit-identical to the batch-synchronous reference); when the queue
-  is empty the batch is collected immediately, so a lockstep client
-  observes true end-to-end latency.
+  detection submission in flight: when more work is queued the next
+  submission's normalise/filter prep overlaps the shard workers
+  chewing the previous one (the overlapped drivers' schedule, so
+  outputs are bit-identical to the batch-synchronous reference); when
+  the queue is empty the submission is collected immediately, so a
+  lockstep client observes true end-to-end latency.
+* A submission is a **group**: the ingest item the consumer takes off
+  the FIFO plus the run of same-kind ingest items (``alerts`` or
+  ``raw``) queued right behind it, up to the next control, barrier or
+  change of kind.  ``submit_alerts(*batches)`` / ``submit_raw(*batches)``
+  count, normalise and filter each batch as before and submit the
+  joined survivors once, so the detectors' per-call costs are paid per
+  group while outputs stay bit-identical.  There is no knob: a group
+  is whatever is queued (bounded by admission's ``global_capacity``),
+  and a client that waits for every ack gets groups of one.
+  ``batches_processed``, ``alerts_processed`` and the e2e latency
+  window count batches; ``stats`` also reports
+  ``detection_submissions`` and a ``group_size`` summary.  A large
+  group can outgrow a process shard's 1 MiB default ring and then
+  takes the worker pipe (counted in ``shm_fallbacks``).  The library
+  drivers (``ingest_*``) are unchanged: one submission per batch.
 * Because one consumer owns the pipeline, global FIFO order **is**
   stream order regardless of how many connections interleave -- the
   determinism of the offline drivers carries over to the socket.
 
-Fault domains: a shard-worker failure surfacing at collect time
-(``ShardWorkerError`` from a pool with no restart budget;
-``ShardRecoveryError`` once a budget is spent) is contained to the
-batch that hit it -- the batch is dead-lettered with the error detail
-and the service keeps serving.  Within its ``max_restarts`` budget the
-pool heals worker deaths underneath the service and no batch is lost.
+Fault domains: a failure of a group's submission, or a shard-worker
+failure surfacing at its collect (``ShardWorkerError`` from a pool with
+no restart budget; ``ShardRecoveryError`` once a budget is spent), is
+contained to the group that hit it -- the group is the failure unit:
+each of its batches is dead-lettered with its own payload and the error
+detail, and the service keeps serving.  Within its ``max_restarts``
+budget the pool heals worker deaths underneath the service and no batch
+is lost.
 
 SIGTERM/SIGINT trigger graceful shutdown: stop accepting connections,
 process everything already admitted (drain), take a final checkpoint
@@ -107,6 +124,10 @@ class ServiceConfig:
     dead_letter_path: Optional[Path] = None
 
 
+#: The work-item kinds that carry a batch; only they form groups.
+_INGEST_KINDS = ("alerts", "raw")
+
+
 @dataclasses.dataclass
 class _WorkItem:
     """One FIFO entry: an ingest batch, a control, or a barrier marker."""
@@ -121,12 +142,24 @@ class _WorkItem:
     since: int = 0
     conn_id: int = -1
     enqueued: float = 0.0
-    stage_before: dict = dataclasses.field(default_factory=dict)
     future: Optional[asyncio.Future] = None
 
 
+class _WorkQueue(asyncio.Queue):
+    """The service FIFO, which also hands over the run at its head."""
+
+    def take_run(self, kind: str) -> List[_WorkItem]:
+        """Remove and return the items of ``kind`` at the head, in order."""
+        run = []
+        # ``_queue`` is the deque asyncio.Queue keeps for its subclasses.
+        while self._queue and self._queue[0].kind == kind:
+            run.append(self.get_nowait())
+        return run
+
+
 def percentile_summary(samples: Deque[float]) -> dict:
-    """Nearest-rank percentiles over a latency window (seconds)."""
+    """Nearest-rank percentiles over a sample window (latency seconds,
+    group sizes)."""
     if not samples:
         return {"count": 0, "p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0, "mean": 0.0}
     ordered = sorted(samples)
@@ -167,11 +200,14 @@ class DetectionService:
                 self.config.checkpoint_dir, keep_last=self.config.keep_last
             )
         # Consumer state.
-        self._queue: "asyncio.Queue[_WorkItem]" = asyncio.Queue()
-        self._inflight: Optional[_WorkItem] = None
+        self._queue = _WorkQueue()
+        #: The submitted group and the stage seconds before its submit.
+        self._inflight: Optional[Tuple[List[_WorkItem], Dict[str, float]]] = None
         # Telemetry.
         self._e2e_latency: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._stage_latency: Dict[str, Deque[float]] = {}
+        self._group_sizes: Deque[int] = deque(maxlen=LATENCY_WINDOW)
+        self.detection_submissions = 0
         self.batches_processed = 0
         self.alerts_processed = 0
         self.records_processed = 0
@@ -326,8 +362,13 @@ class DetectionService:
     async def _consume(self) -> None:
         while True:
             item = await self._queue.get()
+            # An ingest item takes the same-kind items queued behind it
+            # along: the group is one detection submission.
+            group = [item]
+            if item.kind in _INGEST_KINDS:
+                group += self._queue.take_run(item.kind)
             try:
-                stop = self._process(item)
+                stop = self._process(group)
             except Exception as exc:
                 # _process contains the failures it expects; anything
                 # escaping is a bug.  A dead consumer would silently
@@ -337,7 +378,8 @@ class DetectionService:
                 # keep the loop alive.
                 stop = self._contain_consumer_error(item, exc)
             finally:
-                self._queue.task_done()
+                for _ in group:
+                    self._queue.task_done()
             if stop:
                 break
 
@@ -359,26 +401,31 @@ class DetectionService:
         # shutdown() is awaiting it.
         return item.kind == "stop"
 
-    def _process(self, item: _WorkItem) -> bool:
-        if item.conn_id in self._conn_depth:
-            self._conn_depth[item.conn_id] -= 1
-        if item.kind in ("alerts", "raw"):
+    def _process(self, group: List[_WorkItem]) -> bool:
+        """Apply one FIFO entry, or one group of same-kind ingest items."""
+        for member in group:
+            if member.conn_id in self._conn_depth:
+                self._conn_depth[member.conn_id] -= 1
+        item = group[0]
+        if item.kind in _INGEST_KINDS:
             self._finish_inflight()
-            item.stage_before = dict(self.pipeline.stats.stage_seconds)
+            stage_before = dict(self.pipeline.stats.stage_seconds)
             try:
                 if item.kind == "alerts":
-                    self.pipeline.submit_alerts(item.alerts)
+                    self.pipeline.submit_alerts(*(member.alerts for member in group))
                 else:
-                    self.pipeline.submit_raw(item.records)
+                    self.pipeline.submit_raw(*(member.records for member in group))
             except Exception as exc:
-                self._dead_letter_batch(item, exc)
+                self._dead_letter_group(group, exc)
                 self.pipeline.drain_inflight()
                 return False
-            self._inflight = item
+            self.detection_submissions += 1
+            self._group_sizes.append(len(group))
+            self._inflight = (group, stage_before)
             if self._queue.empty():
                 self._finish_inflight()
             return False
-        # Barrier ops quiesce the in-flight batch first.
+        # Barrier ops quiesce the in-flight group first.
         self._finish_inflight()
         if item.kind == "control":
             try:
@@ -443,37 +490,42 @@ class DetectionService:
         return False
 
     def _finish_inflight(self) -> None:
-        """Collect the in-flight detection batch, if any, and account it."""
-        item = self._inflight
-        if item is None:
+        """Collect the in-flight group, if any, and account each batch."""
+        if self._inflight is None:
             return
+        group, stage_before = self._inflight
         self._inflight = None
         try:
             detections = self.pipeline.collect_detections()
         except (ShardWorkerError, ShardRecoveryError) as exc:
-            self._dead_letter_batch(item, exc)
+            self._dead_letter_group(group, exc)
             self.pipeline.drain_inflight()
             return
-        self._e2e_latency.append(time.perf_counter() - item.enqueued)
+        finished = time.perf_counter()
+        for item in group:
+            self._e2e_latency.append(finished - item.enqueued)
+            self.alerts_processed += len(item.alerts)
+            self.records_processed += len(item.records)
+        self.batches_processed += len(group)
+        # Stage samples are per submission: the group shared its stages.
         for stage, total in self.pipeline.stats.stage_seconds.items():
-            delta = total - item.stage_before.get(stage, 0.0)
+            delta = total - stage_before.get(stage, 0.0)
             if delta > 0.0:
                 self._stage_latency.setdefault(stage, deque(maxlen=LATENCY_WINDOW)).append(delta)
-        self.batches_processed += 1
-        self.alerts_processed += len(item.alerts)
-        self.records_processed += len(item.records)
         self.detections_emitted += len(detections)
 
-    def _dead_letter_batch(self, item: _WorkItem, exc: BaseException) -> None:
-        """Contain a batch-level failure: journal it, keep serving."""
-        self.failed_batches += 1
-        payload = {
-            "kind": item.kind,
-            "alerts": [a.to_dict() for a in item.alerts],
-            "records": [raw_record_to_dict(r) for r in item.records],
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        self.dead_letter.record("detection-failure", "batch", payload)
+    def _dead_letter_group(self, group: List[_WorkItem], exc: BaseException) -> None:
+        """Contain a group's failure: journal each batch, keep serving."""
+        error = f"{type(exc).__name__}: {exc}"
+        for item in group:
+            self.failed_batches += 1
+            payload = {
+                "kind": item.kind,
+                "alerts": [a.to_dict() for a in item.alerts],
+                "records": [raw_record_to_dict(r) for r in item.records],
+                "error": error,
+            }
+            self.dead_letter.record("detection-failure", "batch", payload)
 
     def _take_checkpoint(self) -> Tuple[str, object]:
         if self.store is None:
@@ -719,6 +771,8 @@ class DetectionService:
         summary = self.pipeline.summary()
         return {
             "batches_processed": self.batches_processed,
+            "detection_submissions": self.detection_submissions,
+            "group_size": percentile_summary(self._group_sizes),
             "alerts_processed": self.alerts_processed,
             "records_processed": self.records_processed,
             "detections_emitted": self.detections_emitted,
@@ -727,7 +781,7 @@ class DetectionService:
             "consumer_errors": self.consumer_errors,
             "connections_total": self.connections_total,
             "queue_depth": self._queue.qsize(),
-            "inflight": 0 if self._inflight is None else 1,
+            "inflight": 0 if self._inflight is None else len(self._inflight[0]),
             "n_shards": self.pipeline.n_shards,
             "backend": self.pipeline.shard_backend,
             "checkpoints_written": self.checkpoints_written,

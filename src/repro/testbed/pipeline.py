@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Iterable, Optional, Sized
+from typing import Callable, Iterable, Optional, Sequence, Sized
 
 from ..core.alerts import Alert, AlertVocabulary, DEFAULT_VOCABULARY, NormalizedBatch
 from ..core.attack_tagger import AttackTagger, Detection
@@ -541,10 +541,11 @@ class TestbedPipeline:
         self._control("reshard", lambda pool: pool.reshard(count))
         self.n_shards = count
 
-    def _submit_detection(self, filtered: NormalizedBatch) -> None:
-        """Ship one filtered batch to the detection stage (timed)."""
+    def _submit_detection(self, filtered: NormalizedBatch, parts: Sequence[int] = ()) -> None:
+        """Ship one filtered batch, which joins ``parts`` (row counts,
+        :meth:`submit_alerts`), to the detection stage (timed)."""
         started = time.perf_counter()
-        self.detection_stage.submit(filtered)
+        self.detection_stage.submit(filtered, parts)
         self.stats.add_stage_seconds(
             self.detection_stage.name, time.perf_counter() - started
         )
@@ -569,23 +570,40 @@ class TestbedPipeline:
         """Submitted-but-uncollected detection batches."""
         return self.detection_stage.pending_batches
 
-    def submit_alerts(self, alerts: Iterable[Alert]) -> None:
-        """Phase 1: normalise-count, filter, and submit one alert batch.
+    def submit_alerts(
+        self, alerts: NormalizedBatch | Iterable[Alert], *more: NormalizedBatch | Iterable[Alert]
+    ) -> None:
+        """Phase 1: count, filter, and submit alert batches as one group.
 
         The public face of the overlapped schedule for callers that own
         the event loop themselves (the asyncio service in
-        :mod:`repro.service`): ``submit_alerts`` ships the batch to the
-        detection stage and returns; :meth:`collect_detections`
-        finishes it.  Interleaving exactly one in-flight batch with
-        other work reproduces the double-buffered driver's schedule, so
-        detections, responses, and counters are bit-identical to
-        :meth:`ingest_alerts` over the same batches.
+        :mod:`repro.service`): ``submit_alerts`` ships the batches to
+        the detection stage and returns; one
+        :meth:`collect_detections` finishes them.  Each batch is
+        counted and filtered on its own, exactly as :meth:`ingest_alerts`
+        would; the survivors are joined (:meth:`NormalizedBatch.concat`)
+        into one detection batch, so the detectors' per-call costs are
+        paid once per group.  Detectors keep strictly per-entity state
+        and see the rows in stream order, so detections, responses, the
+        detection log and counters are bit-identical to one
+        submit/collect pair per batch, and to :meth:`ingest_alerts` over
+        the same batches.  The group is the failure unit: a detection
+        failure loses every batch in it.
         """
-        self._submit_detection(self._prep_alerts(alerts))
+        self._submit_group([self._prep_alerts(batch) for batch in (alerts, *more)])
 
-    def submit_raw(self, records: Iterable[RawLogRecord]) -> None:
-        """Phase 1 for raw monitor records: count, normalise, filter, submit."""
-        self._submit_detection(self._prep_raw(records))
+    def submit_raw(
+        self, records: Iterable[RawLogRecord], *more: Iterable[RawLogRecord]
+    ) -> None:
+        """Phase 1 for raw monitor records: count, normalise and filter
+        each batch, then submit the group (see :meth:`submit_alerts`)."""
+        self._submit_group([self._prep_raw(batch) for batch in (records, *more)])
+
+    def _submit_group(self, filtered: list[NormalizedBatch]) -> None:
+        """Submit prepped batches as one detection batch (one batch: itself)."""
+        self._submit_detection(
+            NormalizedBatch.concat(filtered), [len(batch) for batch in filtered]
+        )
 
     def collect_detections(self) -> list[Detection]:
         """Phase 2: finish the oldest in-flight batch and respond.

@@ -827,14 +827,16 @@ class _PendingBatch:
 
     Remembers which shards were sent a sub-batch (``active``) and each
     routed alert's position in the original batch; the hits arrive at
-    collect time.
+    collect time, which leaves the batch position of each detection it
+    returns in ``found_at``.
     """
 
-    __slots__ = ("positions", "active")
+    __slots__ = ("positions", "active", "found_at")
 
     def __init__(self, positions: List[Sequence[int]], active: List[int]) -> None:
         self.positions = positions
         self.active = active
+        self.found_at: List[int] = []
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1197,6 +1199,7 @@ class ShardedDetectorPool:
         if error is not None:
             raise error
         hits.sort(key=lambda item: item[0])
+        ticket.found_at = [position for position, _ in hits]
         return [detection for _, detection in hits]
 
     def _shard_error(self, shard: int, status: str, detail) -> ShardWorkerError:

@@ -77,15 +77,23 @@ class DetectionStage:
         self.pools = pools
         self.primary = primary
         self.sink = sink
-        self._inflight: Deque[Dict[str, object]] = collections.deque()
+        #: Per submitted batch: the pools' tickets and its parts' row counts.
+        self._inflight: Deque[Tuple[Dict[str, object], Sequence[int]]] = collections.deque()
 
     @property
     def pending_batches(self) -> int:
         """Submitted batches not yet collected."""
         return len(self._inflight)
 
-    def submit(self, batch: NormalizedBatch | Sequence[Alert]) -> None:
+    def submit(
+        self, batch: NormalizedBatch | Sequence[Alert], parts: Sequence[int] = ()
+    ) -> None:
         """Ship one filtered batch to every pool without waiting.
+
+        ``parts`` are the row counts of the batches ``batch`` joins, in
+        order (none: it is one batch).  They change nothing the pools
+        compute; :meth:`collect` uses them to log the detections in the
+        order one submission per part would have logged them.
 
         The batch is the scan filter's :class:`~repro.core.alerts
         .NormalizedBatch` of survivors and goes to every pool as it is:
@@ -120,9 +128,9 @@ class DetectionStage:
                 tickets[name] = pool.submit_batch(batch)
         except Exception:
             if tickets:
-                self._inflight.append(tickets)
+                self._inflight.append((tickets, parts))
             raise
-        self._inflight.append(tickets)
+        self._inflight.append((tickets, parts))
 
     def collect(self) -> list[Detection]:
         """Wait for the oldest submitted batch; return primary detections.
@@ -134,9 +142,10 @@ class DetectionStage:
         """
         if not self._inflight:
             raise RuntimeError("no submitted batch to collect")
-        tickets = self._inflight.popleft()
+        tickets, parts = self._inflight.popleft()
         primary_detections: list[Detection] = []
         error: Exception | None = None
+        collected = []
         for name, pool in self.pools.items():
             ticket = tickets.get(name)
             if ticket is None:
@@ -147,12 +156,41 @@ class DetectionStage:
                 if error is None:
                     error = exc
                 continue
-            self.sink.extend((name, detection) for detection in found)
+            collected.append((name, found, ticket.found_at))
             if name == self.primary:
                 primary_detections = found
+        self.sink.extend(_log_order(collected, parts))
         if error is not None:
             raise error
         return primary_detections
+
+
+def _log_order(
+    collected: Sequence[Tuple[str, List[Detection], Sequence[int]]],
+    parts: Sequence[int],
+) -> List[Tuple[str, Detection]]:
+    """The ``(pool, detection)`` log entries of one collected batch.
+
+    ``collected`` holds each collected pool's detections with their
+    row positions.  Pool by pool, unless the batch joins several parts
+    and more than one pool was collected: then part by part, pool by
+    pool within a part -- what one submission per part would have
+    logged.
+    """
+    if len(parts) < 2 or len(collected) < 2:
+        return [(name, detection) for name, found, _ in collected for detection in found]
+    entries: List[Tuple[str, Detection]] = []
+    cursors = [0] * len(collected)
+    end = 0
+    for size in parts:
+        end += size
+        for index, (name, found, found_at) in enumerate(collected):
+            cursor = cursors[index]
+            while cursor < len(found) and found_at[cursor] < end:
+                entries.append((name, found[cursor]))
+                cursor += 1
+            cursors[index] = cursor
+    return entries
 
 
 class ResponseStage:

@@ -262,6 +262,16 @@ class TestServiceSmokeRows:
             assert verdict.legs_run == 1
             assert verdict.ok, [str(f) for f in verdict.failures]
 
+    def test_a_stream_sent_one_batch_per_ack_fails_the_alert_row(self, tmp_path, monkeypatch):
+        """The alert row checks a grouped stream: sent batch by batch,
+        no group forms and the row says so."""
+        campaign, plan = smoke_legs()[0]
+        monkeypatch.setitem(
+            ROWS, "smoke-alerts", dataclasses.replace(ROWS["smoke-alerts"], driver="sync")
+        )
+        verdict = ChaosOracle(workdir=tmp_path).run(campaign, [plan])
+        assert any("no group formed" in str(failure) for failure in verdict.failures)
+
     def test_a_reshard_that_never_happens_fails_its_row(self, tmp_path):
         campaign, plan = smoke_legs()[1]
         never = dataclasses.replace(plan, fault_event=len(campaign.events))

@@ -114,7 +114,8 @@ class TestSelectionPacksLikeTheObjectReference:
 class TestTheFilterSelectsItsSurvivors:
     """A batch whose every row survives, one with an in-batch duplicate
     and one with an out-of-order timestamp each come back as the
-    selection of today's rows, with today's stats."""
+    selection of today's rows, with today's stats; the first is the
+    input batch itself (every row survives in input order)."""
 
     ALERTS = [Alert(float(i), "alert_login_normal", f"user:u{i}") for i in range(8)]
 
@@ -133,6 +134,7 @@ class TestTheFilterSelectsItsSurvivors:
         batch = _columns_only(alerts)
         survivors = scan_filter.filter_batch(batch)
         assert survivors.columns() == batch.select(expected_rows).columns()
+        assert (survivors is batch) == (case == "no_drop")
         assert scan_filter.stats == stats
         assert batch._alerts is None and survivors._alerts is None  # nothing built
         # The survivors of an of_alerts batch are the caller's objects.

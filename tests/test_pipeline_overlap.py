@@ -187,9 +187,9 @@ class TestOverlapEquivalence:
             stage = pipeline.detection_stage
             submit = stage.submit
 
-            def counting_submit(batch):
+            def counting_submit(batch, parts=()):
                 at_submit.append(stage.pending_batches)
-                submit(batch)
+                submit(batch, parts)
 
             stage.submit = counting_submit
 

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -558,6 +559,15 @@ def _divergences(campaign, got: dict) -> list[str]:
     return [str(d) for d in divergences(reference, ReplayResult(OracleConfig(), got))]
 
 
+def _send_in_one_write(port: int, lines: list) -> list[dict]:
+    """Write ``lines`` on a new connection in one ``sendall``; read a
+    reply per line."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60.0) as sock:
+        with sock.makefile("rb") as replies:
+            sock.sendall(b"".join(lines))
+            return [decode_line(replies.readline()) for _ in lines]
+
+
 def _record_filtered(pipeline: TestbedPipeline, sink: list) -> None:
     """Append every alert the pipeline's scan filter keeps to ``sink``."""
     process = pipeline.filter_stage.process
@@ -1029,6 +1039,75 @@ class TestServiceSocket:
         assert entry["payload"]["alerts"] == [a.to_dict() for a in lost]
         assert entry["payload"]["records"] == []
         assert entry["payload"]["error"] == f"{type(error).__name__}: {error}"
+
+    def test_pipelined_lines_are_submitted_as_groups(self):
+        """Every event of a campaign written in one ``sendall``, the way
+        ``benchmarks/e2e`` writes a round: the batches queue up, the
+        consumer submits each run of them as one group, and ``results``
+        still equals the offline reference."""
+        campaign = CampaignComposer(1, target_alerts=120).compose(0)
+        lines = [
+            encode_message(
+                {"op": "batch", "alerts": [a.to_dict() for a in event.alerts]}
+                if event.kind == "batch"
+                else {"op": "control", "verb": event.kind, "entity": event.entity}
+            )
+            for event in campaign.events
+        ]
+        batches = sum(1 for e in campaign.events if e.kind == "batch" and e.alerts)
+        limits = AdmissionLimits(global_capacity=4096, per_connection=4096)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig(limits=limits))
+        with handle, handle.client() as client:
+            replies = _send_in_one_write(handle.port, lines + [encode_message({"op": "drain"})])
+            assert all(reply["ok"] for reply in replies)
+            got = client.results()
+            stats = client.stats()
+        assert _divergences(campaign, got) == []
+        assert stats["batches_processed"] == batches
+        assert stats["latency"]["e2e"]["count"] == batches
+        assert stats["group_size"]["count"] == stats["detection_submissions"] < batches
+        assert stats["group_size"]["max"] > 1 and stats["inflight"] == 0
+
+    @pytest.mark.parametrize(
+        "method, error",
+        [
+            ("submit_alerts", ValueError("refused by the detector tier")),
+            ("collect_detections", ShardWorkerError(0, "Traceback: shard 0 failed")),
+        ],
+    )
+    def test_a_failed_group_dead_letters_each_of_its_batches(self, method, error):
+        k = 4
+        campaign = CampaignComposer(1, target_alerts=40).compose(0)
+        handle = start_service_in_thread(_serial_factory(campaign), ServiceConfig())
+
+        def group(start: float) -> list:
+            return [[Alert(start + i, "alert_login_normal", f"user:u{i:03d}")] for i in range(k)]
+
+        def lines(batches) -> list:
+            payloads = [{"op": "batch", "alerts": [a.to_dict() for a in b]} for b in batches]
+            return [encode_message(p) for p in payloads + [{"op": "drain"}]]
+
+        lost = group(1.0)
+        with handle, handle.client() as client:
+            client.ping()
+            self._fail_once(handle.pipeline, method, error)
+            assert all(r["ok"] for r in _send_in_one_write(handle.port, lines(lost)))
+            failed = client.stats()
+            # The next group is served.
+            assert all(r["ok"] for r in _send_in_one_write(handle.port, lines(group(10.0))))
+            stats = client.stats()
+        assert failed["detection_submissions"] == (method == "collect_detections")
+        assert failed["failed_batches"] == k and failed["batches_processed"] == 0
+        assert stats["failed_batches"] == k and stats["consumer_errors"] == 0
+        assert stats["batches_processed"] == k and stats["dead_letter_records"] == k
+        assert stats["group_size"]["max"] == k
+        entries = list(handle.service.dead_letter.entries)
+        assert [(e["reason"], e["kind"]) for e in entries] == [("detection-failure", "batch")] * k
+        assert [e["payload"]["alerts"] for e in entries] == [
+            [a.to_dict() for a in batch] for batch in lost
+        ]
+        assert all(e["payload"]["records"] == [] for e in entries)
+        assert {e["payload"]["error"] for e in entries} == {f"{type(error).__name__}: {error}"}
 
     def test_periodic_checkpoints_ride_the_queue(self, tmp_path):
         campaign = CampaignComposer(1, target_alerts=80).compose(0)
