@@ -21,24 +21,31 @@ Pipeline rows (:meth:`ChaosComposer.compose`):
     *fresh* pipeline restored from the checkpoint carries on.  The
     stitched run must be bit-identical to an uninterrupted one.
 ``kill``
-    With no restart budget (``max_restarts=0``) a worker SIGKILLed
-    after a chosen batch surfaces as a typed
-    :class:`~repro.testbed.sharding.ShardWorkerError` naming the shard
-    and carrying the death detail.
+    With no restart budget (``max_restarts=0``) a worker dies inside the
+    ``observe`` of a chosen batch and that batch's own collect raises a
+    typed :class:`~repro.testbed.sharding.ShardWorkerError` naming the
+    shard and carrying the death detail.
 ``heal``
     With the service's budget
     (:data:`~repro.service.protocol.SERVICE_MAX_RESTARTS`) the same
-    SIGKILL is absorbed -- no error, bit-identical output, the recovery
-    in the pool's ``recovery_log``.
+    death, driven through ``alert_stream`` at depth 2 so the worker dies
+    holding that batch's ring descriptor, is absorbed -- no error,
+    bit-identical output, the recovery in the pool's ``recovery_log``,
+    the payloads replayed from the rings.
 ``poison``
     A detector raising mid-batch is not a death: both backends surface
     the same typed error with the worker-side traceback preserved, and
     the pipeline stays drivable.
-``shm-kill``
-    Driven through ``alert_stream`` at depth 2, the worker is frozen
-    (SIGSTOP) just before the kill batch is submitted and SIGKILLed
-    right after, so its shared-memory ring descriptor is genuinely
-    outstanding; the heal must replay the ring payloads FIFO.
+
+A worker death lands at one named point, inside the verb the worker
+answers: :class:`ChaosPoisonDetector` calls ``os._exit`` in the
+``observe`` of the sub-batch carrying the plan's chosen alert, once the
+row's hook has armed it (an ``armed`` file in the leg's workdir, which
+the dying worker consumes, so the respawned worker that replays the
+batch lives).  No signal races a reply, so every row replays the whole
+campaign, its detector controls included.  ``split`` and
+``reshard-kill`` still SIGKILL workers, but only idle ones: after a
+durable checkpoint, after a ``drain``.
 
 Service rows (:meth:`ChaosComposer.compose_service`, an independent
 plan stream):
@@ -70,8 +77,8 @@ draws; ``python -m repro.service --smoke`` runs them):
 Every pipeline row must also leave no stale ticket in the detection
 stage or the pool and close cleanly; every socket row must read back a
 ``results`` surface bit-identical to the offline reference replay
-(:data:`~repro.fuzz.oracle.REFERENCE_CONFIG`); no row may leave a
-``/dev/shm`` ring segment behind.
+(:data:`~repro.fuzz.oracle.REFERENCE_CONFIG`); no row may leave behind
+a ``/dev/shm`` ring segment this process created.
 
 Everything is deterministic in ``(seed, index)`` -- campaigns via
 :class:`~repro.fuzz.campaign.CampaignComposer`, fault plans via this
@@ -86,7 +93,6 @@ import dataclasses
 import functools
 import json
 import os
-import signal
 import tempfile
 import traceback
 from pathlib import Path
@@ -94,14 +100,14 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.alerts import Alert
+from ..core.alerts import Alert, NormalizedBatch
 from ..core.attack_tagger import Detection
 from ..core.detector import Detector
 from ..service.admission import ServiceOverloadedError
 from ..service.protocol import SERVICE_MAX_RESTARTS
 from ..service.server import ServiceConfig, start_service_in_thread
 from ..testbed.sharding import ShardRecoveryError, ShardWorkerError, shard_of
-from ..testbed.shm_ring import SEGMENT_PREFIX
+from ..testbed.shm_ring import owned_segment_prefix
 from .campaign import Campaign, CampaignComposer
 from .oracle import (
     REFERENCE_CONFIG,
@@ -115,9 +121,8 @@ from .oracle import (
 )
 
 #: Leg kinds a plan may request.  The first four target the pipeline
-#: directly; the service kinds drive the same faults through a live
-#: :mod:`repro.service` socket front-end; ``shm-kill`` targets the
-#: shared-memory rings' heal-replay path; the smoke kinds are the
+#: directly; the service kinds drive faults through a live
+#: :mod:`repro.service` socket front-end; the smoke kinds are the
 #: fault-free socket legs of the service smoke gate.
 FAULT_KINDS = (
     "split",
@@ -127,7 +132,6 @@ FAULT_KINDS = (
     "disconnect",
     "reshard-kill",
     "shed",
-    "shm-kill",
     "smoke-alerts",
     "smoke-reshard",
     "smoke-raw",
@@ -148,10 +152,6 @@ _PLAN_SALT = 0xC4A05
 #: perturb (or depend on) the pinned ``compose`` plan stream.
 _SERVICE_SALT = 0x5EC41
 
-#: Separate salt for the shm-kill leg's draws: appending the leg must
-#: not perturb the pinned plan streams above (same reasoning).
-_SHM_SALT = 0x54A11
-
 
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
@@ -160,7 +160,8 @@ class FaultPlan:
     kind: str
     n_shards: int = 2
     backend: str = "process"
-    #: ``kill``/``heal``: SIGKILL the worker after this batch collects.
+    #: ``kill``/``heal``: the worker dies inside this batch's ``observe``;
+    #: ``reshard-kill``: it is SIGKILLed after this batch is acknowledged.
     kill_batch: int = 0
     #: ``kill``/``heal``/``poison``: the shard the fault targets.
     shard: int = 0
@@ -193,32 +194,61 @@ class FaultPlan:
                 f"batch={self.kill_batch} shard={self.shard} ->{self.reshard_to}"
             ),
             "shed": f"batch={self.fault_event}",
-            "shm-kill": f"batch={self.kill_batch} shard={self.shard}",
             "smoke-reshard": f"event={self.fault_event} ->{self.reshard_to}",
         }.get(self.kind)
         shape = f"{self.n_shards}:{self.backend}"
         return f"{self.kind}[{shape} {detail}]" if detail else f"{self.kind}[{shape}]"
 
 
-class ChaosPoisonDetector(Detector):
-    """Detector wrapper that raises on a chosen alert name.
+#: Exit status of a worker the chaos crash ends.
+_CRASH_EXIT = 70
 
-    ``observe``-ing an alert named ``poison_name`` raises
+
+class ChaosPoisonDetector(Detector):
+    """The chaos table's fault wrapper: a poison or a crash, mid-batch.
+
+    With a ``poison_name``, ``observe``-ing an alert of that name raises
     ``RuntimeError`` *before* the alert reaches the wrapped detector
     (the poisoned alert is the first casualty, as with a real mid-batch
-    inference crash); every other alert is the wrapped detector's.
-    Module-level and built from picklable parts, so it crosses into
-    process-backend workers.
+    inference crash); the batch runs alert by alert.  Otherwise a batch
+    goes to the wrapped detector's ``observe_batch_indexed`` (the
+    production kernel path), except that a sub-batch holding the
+    ``crash_on`` alert (``(entity, name, timestamp)``) ends the process
+    with ``os._exit`` if the ``armed`` file can be unlinked first: the
+    crash fires once per arming, so a respawned worker replaying the
+    batch lives.  Module-level and built from picklable parts, so it
+    crosses into process-backend workers.
     """
 
-    def __init__(self, wrapped: Detector, poison_name: str) -> None:
+    def __init__(
+        self,
+        wrapped: Detector,
+        poison_name: str = "",
+        crash_on: Optional[Tuple[str, str, float]] = None,
+        armed: str = "",
+    ) -> None:
         self.wrapped = wrapped
         self.poison_name = poison_name
+        self.crash_on = crash_on
+        self.armed = armed
 
     def observe(self, alert: Alert) -> Optional[Detection]:
         if alert.name == self.poison_name:
             raise RuntimeError(f"chaos poison on {alert.name!r}")
         return self.wrapped.observe(alert)
+
+    def observe_batch_indexed(self, alerts: NormalizedBatch):
+        if self.poison_name:
+            return super().observe_batch_indexed(alerts)
+        rows = zip(alerts.entities, alerts.names, alerts.timestamps)
+        if self.crash_on is not None and self.crash_on in rows:
+            try:
+                os.unlink(self.armed)
+            except FileNotFoundError:
+                pass
+            else:
+                os._exit(_CRASH_EXIT)
+        return self.wrapped.observe_batch_indexed(alerts)
 
     def reset(self) -> None:
         self.wrapped.reset()
@@ -235,7 +265,7 @@ class ChaosPoisonDetector(Detector):
     def clone(self) -> "ChaosPoisonDetector":
         clone = getattr(self.wrapped, "clone", None)
         inner = clone() if callable(clone) else copy.deepcopy(self.wrapped)
-        return ChaosPoisonDetector(inner, self.poison_name)
+        return ChaosPoisonDetector(inner, self.poison_name, self.crash_on, self.armed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,57 +301,6 @@ def campaign_batches(campaign: Campaign) -> list[list[Alert]]:
         for event in campaign.events
         if event.kind == "batch" and event.alerts
     ]
-
-
-def _batches_only(campaign: Campaign) -> Campaign:
-    """The campaign with its detector-control events stripped.
-
-    The ``kill``/``heal`` legs target raw worker death: a mid-stream
-    ``reopen`` would resurrect the killed worker (making the fault
-    unobservable) and a ``reset`` would race it.  Stripping the
-    controls from *both* the faulted run and its reference keeps the
-    comparison apples-to-apples.
-    """
-    return dataclasses.replace(
-        campaign,
-        events=tuple(
-            event
-            for event in campaign.events
-            if event.kind == "batch" and event.alerts
-        ),
-    )
-
-
-def _kill_target(
-    campaign: Campaign, n_shards: int, rng: np.random.Generator
-) -> Optional[Tuple[int, int]]:
-    """Pick ``(kill_batch, shard)`` with a guaranteed later observation.
-
-    The worker is SIGKILLed *between* batches (after ``kill_batch``
-    collects), so the death only surfaces when a later batch routes an
-    alert to the dead shard.  Candidates are therefore restricted to
-    pairs where some batch after ``kill_batch`` touches the shard --
-    without this, a kill landing on a shard the rest of the stream
-    never uses would be silently unobservable and the leg vacuous.
-    """
-    batches = campaign_batches(campaign)
-    if len(batches) < 2:
-        return None
-    shard_sets = [
-        {shard_of(alert.entity, n_shards) for alert in batch} for batch in batches
-    ]
-    candidates: list[Tuple[int, int]] = []
-    suffix: set = set()
-    later: list[set] = [set()] * len(batches)
-    for index in range(len(batches) - 1, -1, -1):
-        later[index] = set(suffix)
-        suffix |= shard_sets[index]
-    for index in range(len(batches) - 1):
-        for shard in sorted(later[index]):
-            candidates.append((index, shard))
-    if not candidates:
-        return None
-    return candidates[int(rng.integers(0, len(candidates)))]
 
 
 class ChaosComposer:
@@ -360,11 +339,16 @@ class ChaosComposer:
             )
 
         # Kill + heal legs share a target so the two policies are
-        # compared on the same fault.
+        # compared on the same fault: any (batch, shard) pair the batch
+        # routes to, since the death lands inside that batch.
         n_shards = int(rng.choice([2, 4]))
-        target = _kill_target(campaign, n_shards, rng)
-        if target is not None:
-            kill_batch, shard = target
+        targets = [
+            (batch_index, shard)
+            for batch_index, batch in enumerate(campaign_batches(campaign))
+            for shard in sorted({shard_of(alert.entity, n_shards) for alert in batch})
+        ]
+        if targets:
+            kill_batch, shard = targets[int(rng.integers(0, len(targets)))]
             for kind in ("kill", "heal"):
                 plans.append(
                     FaultPlan(
@@ -390,38 +374,6 @@ class ChaosComposer:
                         shard=0,
                     )
                 )
-
-        # Shm-kill leg: SIGKILL a worker while shared-memory ring
-        # descriptors are genuinely in flight to it.  Targets are pairs
-        # where batch ``kill_batch`` itself routes an alert to the
-        # shard, so the descriptor for that batch is sitting in the
-        # ring (uncollected, depth-2 window) at the moment of death and
-        # the heal must replay the ring payload.  Drawn from an
-        # independent salt so the pinned plan streams above stay
-        # byte-identical.
-        shm_rng = np.random.default_rng((self.seed, int(index), _SHM_SALT))
-        batches = campaign_batches(campaign)
-        shm_shards = int(shm_rng.choice([2, 4]))
-        shm_candidates = [
-            (batch_index, shard)
-            for batch_index, batch in enumerate(batches)
-            for shard in sorted(
-                {shard_of(alert.entity, shm_shards) for alert in batch}
-            )
-        ]
-        if shm_candidates:
-            kill_batch, shard = shm_candidates[
-                int(shm_rng.integers(0, len(shm_candidates)))
-            ]
-            plans.append(
-                FaultPlan(
-                    kind="shm-kill",
-                    n_shards=shm_shards,
-                    backend="process",
-                    kill_batch=kill_batch,
-                    shard=shard,
-                )
-            )
         return campaign, plans
 
     def compose_service(self, index: int = 0) -> Tuple[Campaign, List[FaultPlan]]:
@@ -527,11 +479,14 @@ def smoke_legs() -> List[Tuple[Campaign, FaultPlan]]:
 
 
 def _ring_segments() -> Set[str]:
-    """Names of live ``/dev/shm`` ring segments (leak detection)."""
+    """Names of the live ``/dev/shm`` ring segments this process created.
+
+    Another process's rings (a concurrent test run, a service) are not
+    this oracle's to count as leaked.
+    """
+    prefix = owned_segment_prefix()
     try:
-        return {
-            name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
-        }
+        return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
     except OSError:  # pragma: no cover - non-POSIX /dev/shm layout
         return set()
 
@@ -544,6 +499,19 @@ def _sigkill(pipeline, shard: int) -> None:
     """SIGKILL one shard worker (a crash, not a shutdown)."""
     _carrier(pipeline, shard).process.kill()
     _carrier(pipeline, shard).process.join(timeout=5.0)
+
+
+def _crash_target(campaign: Campaign, plan: FaultPlan) -> Optional[Tuple[str, str, float]]:
+    """``(entity, name, timestamp)`` of the alert a ``kill``/``heal`` worker dies on.
+
+    The first alert of batch ``kill_batch`` that routes to the plan's
+    shard; ``None`` for a batch past the stream's end.
+    """
+    for batch in campaign_batches(campaign)[plan.kill_batch : plan.kill_batch + 1]:
+        for alert in batch:
+            if shard_of(alert.entity, plan.n_shards) == plan.shard:
+                return alert.entity, alert.name, alert.timestamp
+    return None
 
 
 @dataclasses.dataclass
@@ -575,18 +543,27 @@ class _Leg:
             n_shards=self.plan.n_shards, backend=self.plan.backend, driver=self.row.driver
         )
 
+    @property
+    def armed(self) -> Path:
+        """The file that arms a ``kill``/``heal`` crash (the dying worker unlinks it)."""
+        return self.workdir / "armed"
+
     def build(self):
         """A fresh pipeline of the plan's shape under the row's restart budget."""
         plan = self.plan
+        crash_on = None
+        if plan.kind in ("kill", "heal"):
+            crash_on = _crash_target(self.campaign, plan)
         wrap = None
-        if plan.poison_name:
-            wrap = functools.partial(ChaosPoisonDetector, poison_name=plan.poison_name)
+        if plan.poison_name or crash_on:
+            wrap = functools.partial(
+                ChaosPoisonDetector,
+                poison_name=plan.poison_name,
+                crash_on=crash_on,
+                armed=str(self.armed),
+            )
         return build_pipeline(
-            self.campaign,
-            self.config,
-            wrap=wrap,
-            max_restarts=self.row.max_restarts,
-            **self.row.options,
+            self.campaign, self.config, wrap=wrap, max_restarts=self.row.max_restarts
         )
 
     def hook(self, point: str, index: int):
@@ -601,34 +578,10 @@ class _Leg:
 
 
 # -- hooks: where each fault is injected ---------------------------------
-def _kill_after_batch(leg: _Leg, point: str, index: int) -> None:
-    """SIGKILL the target worker between batches (after one collects)."""
-    if (point, index) == ("after", leg.plan.kill_batch):
-        _sigkill(leg.sink, leg.plan.shard)
-
-
-def _freeze_then_kill(leg: _Leg, point: str, index: int) -> None:
-    """SIGSTOP before the kill batch is submitted, SIGKILL right after.
-
-    A merely-SIGKILLed worker can race the signal and answer the batch
-    first, and if no later batch routes to the shard the death would go
-    unobserved.  A frozen worker can never reply, so the batch's ring
-    descriptor is outstanding at the kill and its collect is guaranteed
-    to see the death.  SIGKILL terminates stopped processes, so no
-    resume is needed.
-
-    The stream driver prepares the kill batch before it collects the
-    oldest batch in flight, so that collect falls between the freeze
-    and the kill.  The carrier is folded first -- its owed replies are
-    read and kept for the collects that own them -- or that collect
-    would wait forever on a stopped process.
-    """
+def _arm_crash(leg: _Leg, point: str, index: int) -> None:
+    """Arm the worker's crash just before the target batch is handed over."""
     if (point, index) == ("before", leg.plan.kill_batch):
-        carrier = _carrier(leg.sink, leg.plan.shard)
-        carrier._fold()
-        os.kill(carrier.process.pid, signal.SIGSTOP)
-    elif (point, index) == ("after", leg.plan.kill_batch):
-        _sigkill(leg.sink, leg.plan.shard)
+        leg.armed.touch()
 
 
 def _checkpoint_kill_restore(leg: _Leg, point: str, index: int):
@@ -829,33 +782,21 @@ class _Row:
     driver: str = "sync"
     #: The pool's per-shard restart budget (0: a death surfaces).
     max_restarts: int = 0
-    #: Raw worker-death rows strip the campaign's detector controls: a
-    #: mid-stream ``reopen`` would resurrect the killed worker (making
-    #: the fault unobservable) and a ``reset`` would race it.
-    batches_only: bool = False
-    options: dict = dataclasses.field(default_factory=dict)
 
 
 #: The fault table: every :data:`FAULT_KINDS` member is one row.
 ROWS = {
     "split": _Row(_checkpoint_kill_restore, (_no_error, _bit_identical)),
-    "kill": _Row(_kill_after_batch, (_typed_death,), batches_only=True),
+    "kill": _Row(_arm_crash, (_typed_death,)),
+    # At the process backend's depth 2 the next batch of the run is
+    # submitted before this one is collected: the worker dies owing both.
     "heal": _Row(
-        _kill_after_batch,
-        (_no_error, _bit_identical, _healed),
-        max_restarts=SERVICE_MAX_RESTARTS,
-        batches_only=True,
-    ),
-    "poison": _Row(None, (_poison_surfaced,), batches_only=True),
-    "shm-kill": _Row(
-        _freeze_then_kill,
+        _arm_crash,
         (_no_error, _bit_identical, _healed, _rings_exercised),
         driver="alert_stream",
         max_restarts=SERVICE_MAX_RESTARTS,
-        batches_only=True,
-        # The kill needs a second batch in flight.
-        options={"max_inflight": 2},
     ),
+    "poison": _Row(None, (_poison_surfaced,)),
     "disconnect": _Row(
         _disconnect_mid_frame, service=True, max_restarts=SERVICE_MAX_RESTARTS
     ),
@@ -933,8 +874,6 @@ class ChaosOracle:
 
     def _run_leg(self, campaign: Campaign, plan: FaultPlan) -> List[str]:
         row = ROWS[plan.kind]
-        if row.batches_only:
-            campaign = _batches_only(campaign)
         leg = _Leg(campaign, plan, row, self.workdir)
         (self._drive_service if row.service else self._drive_pipeline)(leg)
         return leg.failures

@@ -23,13 +23,9 @@ Architecture -- one event loop, one consumer::
   reply only once the consumer reaches them.
 * A single consumer coroutine drains the FIFO and drives the
   pipeline through its two-phase API (``submit_alerts`` /
-  ``submit_raw`` / ``collect_detections``), keeping at most one
-  detection submission in flight: when more work is queued the next
-  submission's normalise/filter prep overlaps the shard workers
-  chewing the previous one (the overlapped drivers' schedule, so
-  outputs are bit-identical to the batch-synchronous reference); when
-  the queue is empty the submission is collected immediately, so a
-  lockstep client observes true end-to-end latency.
+  ``submit_raw`` / ``collect_detections``), collecting each submission
+  right after making it: the consumer never awaits between the two,
+  so nothing could overlap a deferred collect.
 * A submission is a **group**: the ingest item the consumer takes off
   the FIFO plus the run of same-kind ingest items (``alerts`` or
   ``raw``) queued right behind it, up to the next control, barrier or
@@ -201,8 +197,6 @@ class DetectionService:
             )
         # Consumer state.
         self._queue = _WorkQueue()
-        #: The submitted group and the stage seconds before its submit.
-        self._inflight: Optional[Tuple[List[_WorkItem], Dict[str, float]]] = None
         # Telemetry.
         self._e2e_latency: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._stage_latency: Dict[str, Deque[float]] = {}
@@ -394,7 +388,6 @@ class DetectionService:
             },
         )
         self._resolve(item, ("error", f"{type(exc).__name__}: {exc}"))
-        self._inflight = None
         with contextlib.suppress(Exception):
             self.pipeline.drain_inflight()
         # A stop marker still stops, even when its processing failed:
@@ -408,25 +401,8 @@ class DetectionService:
                 self._conn_depth[member.conn_id] -= 1
         item = group[0]
         if item.kind in _INGEST_KINDS:
-            self._finish_inflight()
-            stage_before = dict(self.pipeline.stats.stage_seconds)
-            try:
-                if item.kind == "alerts":
-                    self.pipeline.submit_alerts(*(member.alerts for member in group))
-                else:
-                    self.pipeline.submit_raw(*(member.records for member in group))
-            except Exception as exc:
-                self._dead_letter_group(group, exc)
-                self.pipeline.drain_inflight()
-                return False
-            self.detection_submissions += 1
-            self._group_sizes.append(len(group))
-            self._inflight = (group, stage_before)
-            if self._queue.empty():
-                self._finish_inflight()
+            self._detect(group)
             return False
-        # Barrier ops quiesce the in-flight group first.
-        self._finish_inflight()
         if item.kind == "control":
             try:
                 if item.verb == "reset_entity":
@@ -489,17 +465,23 @@ class DetectionService:
             return True
         return False
 
-    def _finish_inflight(self) -> None:
-        """Collect the in-flight group, if any, and account each batch."""
-        if self._inflight is None:
+    def _detect(self, group: List[_WorkItem]) -> None:
+        """Submit one group, collect it, and account each of its batches."""
+        stage_before = dict(self.pipeline.stats.stage_seconds)
+        try:
+            if group[0].kind == "alerts":
+                self.pipeline.submit_alerts(*(member.alerts for member in group))
+            else:
+                self.pipeline.submit_raw(*(member.records for member in group))
+        except Exception as exc:
+            self._dead_letter_group(group, exc)
             return
-        group, stage_before = self._inflight
-        self._inflight = None
+        self.detection_submissions += 1
+        self._group_sizes.append(len(group))
         try:
             detections = self.pipeline.collect_detections()
         except (ShardWorkerError, ShardRecoveryError) as exc:
             self._dead_letter_group(group, exc)
-            self.pipeline.drain_inflight()
             return
         finished = time.perf_counter()
         for item in group:
@@ -526,6 +508,7 @@ class DetectionService:
                 "error": error,
             }
             self.dead_letter.record("detection-failure", "batch", payload)
+        self.pipeline.drain_inflight()
 
     def _take_checkpoint(self) -> Tuple[str, object]:
         if self.store is None:
@@ -550,7 +533,6 @@ class DetectionService:
             "failed_batches": self.failed_batches,
             "detections": self.pipeline.stats.detections,
             "queue_depth": self._queue.qsize(),
-            "inflight": 0,
         }
 
     def _resolve(self, item: _WorkItem, result: Tuple[str, object]) -> None:
@@ -781,7 +763,6 @@ class DetectionService:
             "consumer_errors": self.consumer_errors,
             "connections_total": self.connections_total,
             "queue_depth": self._queue.qsize(),
-            "inflight": 0 if self._inflight is None else len(self._inflight[0]),
             "n_shards": self.pipeline.n_shards,
             "backend": self.pipeline.shard_backend,
             "checkpoints_written": self.checkpoints_written,

@@ -86,10 +86,11 @@ message the caller was waiting on -- an ``observe``, a checkpoint's
 ``snapshot``, a ``restore``, a ``reset`` or a ``reset_entity`` alike.
 A spent budget reads back as ``("unrecovered", detail)``, raised as
 :class:`ShardRecoveryError`.  The log is folded into a fresh snapshot
-only when it reaches :data:`REPLAY_LOG_LIMIT` messages (a checkpoint's
-``snapshot`` round resets it too), so a healthy stream pays for no
-snapshot between checkpoints.  Draining for shutdown (a
-``receive`` with a timeout: ``close``, ``reopen``) never heals.
+only before a send would take it and the unanswered messages past
+:data:`REPLAY_LOG_LIMIT` rows (a checkpoint's ``snapshot`` round resets
+it too), so a healthy stream takes one snapshot per that many rows
+between checkpoints.  Draining for shutdown (a ``receive`` with a
+timeout: ``close``, ``reopen``) never heals.
 
 **Non-blocking fan-out.**  ``observe_batch`` is sugar over the
 two-phase :meth:`ShardedDetectorPool.submit_batch` /
@@ -474,14 +475,19 @@ class _Recovery:
     log: List[RecoveryEvent]
 
 
-#: A supervised carrier folds its replay log into a fresh snapshot once
-#: log + unanswered messages reach this many.  Folding first finishes
-#: the replies the worker still owes, i.e. it blocks on the worker --
-#: so the limit sits well above what a 120-alert chaos campaign submits
-#: to one shard (13 batches and controls at most over the pinned
-#: seeds), and the SIGSTOP row of ``fuzz/chaos.py`` can never freeze
-#: inside that wait.
-REPLAY_LOG_LIMIT = 128
+#: A supervised carrier folds its replay log into a fresh snapshot
+#: before a send would take log + unanswered messages past this many
+#: rows: an ``observe`` counts its sub-batch's alerts, any other verb 1.
+#: Counting rows, not messages, bounds what the carrier retains (and a
+#: heal replays) however large the submitted groups grow.  A fold
+#: blocks on a snapshot whose cost grows with the replica's entities,
+#: so the limit is large enough to spread that over many groups.
+REPLAY_LOG_LIMIT = 8192
+
+
+def _rows(verb: str, payload) -> int:
+    """What one retained message counts against :data:`REPLAY_LOG_LIMIT`."""
+    return len(payload) if verb == "observe" else 1
 
 
 class _ProcessShard:
@@ -527,6 +533,7 @@ class _ProcessShard:
         #: state) plus the state-changing messages answered since.
         self._snapshot: Optional[bytes] = None
         self._log: List[tuple] = []
+        self._log_rows = 0
         #: Replies read early by :meth:`_fold`, for the receives that own them.
         self._ready: Deque[Tuple[str, object]] = collections.deque()
         self.ring = ShardRing.create(ring_capacity)
@@ -577,8 +584,10 @@ class _ProcessShard:
         send-all loop completes, and the matching :meth:`receive`
         reports the death as a ``("dead", ...)`` reply (or heals it).
         """
-        if self._log and len(self._log) + len(self._transit) >= REPLAY_LOG_LIMIT:
-            self._fold()
+        if self._log:
+            owed = sum(_rows(*message) for _region, message in self._transit)
+            if self._log_rows + owed + _rows(verb, payload) > REPLAY_LOG_LIMIT:
+                self._fold()
         return self._post(verb, payload)
 
     def _post(self, verb: str, payload=None) -> bool:
@@ -664,8 +673,10 @@ class _ProcessShard:
                 if reply[0] == "ok" and verb in ("snapshot", "restore"):
                     self._snapshot = reply[1] if verb == "snapshot" else payload
                     self._log.clear()
+                    self._log_rows = 0
                 elif verb != "snapshot":
                     self._log.append(message)
+                    self._log_rows += _rows(verb, payload)
         return reply
 
     def _release(self) -> Optional[tuple]:
@@ -732,6 +743,7 @@ class _ProcessShard:
             self.ring.reset()
             self._transit = collections.deque((None, message) for message in owed)
             self._log.clear()
+            self._log_rows = 0
             reply = ("unrecovered", death_detail)
         return reply
 

@@ -20,11 +20,14 @@ per-shard FIFO the descriptor protocol guarantees.
 Rings are transient runtime plumbing: they are excluded from snapshots
 and checkpoints, torn down and rebuilt across reshard, and unlinked by
 the owner on ``close()``.  Segment names carry :data:`SEGMENT_PREFIX`
-so leak hunters (tests/conftest.py) can scan ``/dev/shm`` for strays.
+so leak hunters (tests/conftest.py) can scan ``/dev/shm`` for strays,
+followed by the creating process's id (:func:`owned_segment_prefix`),
+so one process can tell its own rings from another's.
 """
 
 from __future__ import annotations
 
+import os
 import secrets
 from collections import deque
 from multiprocessing import shared_memory
@@ -37,6 +40,11 @@ SEGMENT_PREFIX = "repro-ring-"
 #: pipeline sub-batches (a few KiB encoded) fit tens of times over even
 #: at pipelining depth 4, while keeping /dev/shm usage per pool modest.
 DEFAULT_RING_CAPACITY = 1 << 20
+
+
+def owned_segment_prefix() -> str:
+    """The name prefix of every ring segment this process creates."""
+    return f"{SEGMENT_PREFIX}{os.getpid()}-"
 
 
 class ShardRing:
@@ -59,7 +67,7 @@ class ShardRing:
     @classmethod
     def create(cls, capacity: int = DEFAULT_RING_CAPACITY) -> "ShardRing":
         """Create and own a fresh segment (parent side)."""
-        name = SEGMENT_PREFIX + secrets.token_hex(8)
+        name = owned_segment_prefix() + secrets.token_hex(8)
         segment = shared_memory.SharedMemory(name=name, create=True, size=capacity)
         return cls(segment, owner=True)
 
@@ -176,4 +184,4 @@ class ShardRing:
             pass
 
 
-__all__ = ["ShardRing", "SEGMENT_PREFIX", "DEFAULT_RING_CAPACITY"]
+__all__ = ["ShardRing", "SEGMENT_PREFIX", "DEFAULT_RING_CAPACITY", "owned_segment_prefix"]

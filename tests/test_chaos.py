@@ -5,7 +5,8 @@ Two layers of coverage:
 * the :mod:`repro.fuzz.chaos` oracle itself -- the plan streams are
   pinned, pinned seeded campaigns must pass every fault row, and a
   sabotaged plan must make *its* row fail (the oracle is sensitive,
-  not vacuous);
+  not vacuous), the ``kill``/``heal`` worker dies inside the batch it
+  targets, and a leg answers only for the ring segments it made;
 * direct supervised-recovery semantics on :class:`ShardedDetectorPool`
   -- a SIGKILLed worker in a pool with a restart budget heals with
   bit-identical detections and an audit trail in the recovery log,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 
 import pytest
@@ -32,7 +34,7 @@ from repro.fuzz import (
     ChaosOracle,
     smoke_legs,
 )
-from repro.fuzz.chaos import ROWS
+from repro.fuzz.chaos import ROWS, ChaosPoisonDetector, campaign_batches
 from repro.testbed import (
     ShardRecoveryError,
     ShardWorkerError,
@@ -40,6 +42,7 @@ from repro.testbed import (
     TestbedPipeline,
     shard_of,
 )
+from repro.testbed.shm_ring import ShardRing
 
 _PATTERNS = list(DEFAULT_CATALOGUE)
 
@@ -108,6 +111,12 @@ def _name_never_sent(plan, **_):
     return dataclasses.replace(plan, poison_name="alert_never_sent")
 
 
+def _rings_bypassed(plan, *, monkeypatch, **_):
+    """Every sub-batch takes the pipe: the ring never holds a payload."""
+    monkeypatch.setattr(ShardRing, "write", lambda self, payload: None)
+    return plan
+
+
 def _restore_from_the_wrong_cut(plan, *, campaign, oracle, monkeypatch):
     """Leave an early cut's checkpoint behind, then stop writing new ones."""
     last = len(campaign.events) - 1
@@ -124,9 +133,8 @@ SABOTAGED_ROWS = [
     ("kill", _never_fires, "never surfaced"),
     ("heal", _no_restart_budget, "surfaced as an error"),
     ("heal", _never_fires, "no healed recovery"),
+    ("heal", _rings_bypassed, "never exercised"),
     ("poison", _name_never_sent, "never surfaced"),
-    ("shm-kill", _no_restart_budget, "surfaced as an error"),
-    ("shm-kill", _never_fires, "no healed recovery"),
 ]
 
 
@@ -137,24 +145,22 @@ class TestChaosOracleGate:
         """Both composer rng streams, every ``FaultPlan`` field, for the
         CI gate's indices, so the rows run the plans the legs ran.
 
-        Derived, not re-recorded, when ``FaultPlan`` lost its
-        ``max_restarts``/``backoff_base`` fields (every plan carried
-        ``(3, 0.001)``; the budget moved to the row): each digest is
-        the sha256 of the earlier ``repr(plans)`` -- pinned as
-        ``fc685fe7...5e7590`` (pipeline) and ``7137cc42...85f435b0``
-        (service) -- with ``", max_restarts=3, backoff_base=0.001"``
-        removed from each of its 150 and 15 plans.  The labels are
-        unchanged."""
+        The pipeline digest was re-recorded (from ``2b9c34c7...5c38``)
+        when the worker death moved inside the batch it targets: a
+        ``kill``/``heal`` target is now any (batch, shard) pair the
+        batch routes to, not one a later batch would notice, so the
+        same rng draw picks a different pair, and the ``shm-kill``
+        plans (the 25 at the end of each campaign's list) are gone.
+        The service digest is unchanged."""
         composer = ChaosComposer(0, target_alerts=120)
         pipeline = [composer.compose(index)[1] for index in range(25)]
         service = [composer.compose_service(index)[1] for index in range(5)]
         assert [plan.label for plan in pipeline[0]] == [
             "split[4:process cuts=[2, 3]]",
-            "kill[4:process batch=1 shard=1]",
-            "heal[4:process batch=1 shard=1]",
+            "kill[4:process batch=1 shard=3]",
+            "heal[4:process batch=1 shard=3]",
             "poison[2:serial name=alert_login_normal]",
             "poison[2:process name=alert_login_normal]",
-            "shm-kill[4:process batch=1 shard=1]",
         ]
         assert [plan.label for plan in service[0]] == [
             "disconnect[2:serial event=5]",
@@ -163,7 +169,7 @@ class TestChaosOracleGate:
         ]
         assert (
             hashlib.sha256(repr(pipeline).encode()).hexdigest()
-            == "2b9c34c7f9a943ae603c4478fd7b509e55236e11f540c1a7504d68b3683c5c38"
+            == "c4ecba3702b6e2f2fa54db506e458daaadd5e0bb349a41a51d7c9234c2b4827e"
         )
         assert (
             hashlib.sha256(repr(service).encode()).hexdigest()
@@ -241,6 +247,164 @@ class TestChaosOracleGate:
             assert oracle.run(campaign, split).ok
             assert list(workdir.glob("split-*.ckpt"))
         assert not workdir.exists()
+
+
+def _routed(batch, shard: int, n_shards: int) -> bool:
+    return any(shard_of(alert.entity, n_shards) == shard for alert in batch)
+
+
+class TestNamedPointDeath:
+    """A ``kill``/``heal`` worker dies inside the ``observe`` of its batch."""
+
+    def _plan(self, kind: str):
+        campaign, plans = ChaosComposer(0, target_alerts=100).compose(0)
+        return campaign, next(plan for plan in plans if plan.kind == kind)
+
+    def test_the_crash_fires_once_and_the_respawned_worker_answers(self, tmp_path):
+        stream = _attack_stream()
+        batches = [stream[start : start + 24] for start in range(0, 96, 24)]
+        target = batches[1][5]
+        armed = tmp_path / "armed"
+        wrapper = ChaosPoisonDetector(
+            AttackTagger(patterns=_PATTERNS),
+            crash_on=(target.entity, target.name, target.timestamp),
+            armed=str(armed),
+        )
+        reference = ShardedDetectorPool(_tagger_factory, n_shards=2)
+        pool = ShardedDetectorPool.from_template(
+            wrapper, n_shards=2, backend="process", max_restarts=1
+        )
+        try:
+            expected = [reference.observe_batch(batch) for batch in batches]
+            got = []
+            for index, batch in enumerate(batches):
+                if index == 1:
+                    armed.touch()
+                got.append(pool.observe_batch(batch))
+            log = list(pool.recovery_log)
+        finally:
+            result = pool.close()
+        assert result.clean, result
+        assert not armed.exists()
+        # One death, healed by the first respawn: the replayed batch was
+        # answered, and the batches after it too.
+        assert [(event.shard, event.attempt, event.healed) for event in log] == [
+            (shard_of(target.entity, 2), 1, True)
+        ]
+        assert got == expected and any(got)
+
+    def test_the_kill_row_raises_at_the_chosen_batchs_own_collect(
+        self, tmp_path, monkeypatch
+    ):
+        campaign, plan = self._plan("kill")
+        arm = ROWS["kill"].hook
+        points = []
+
+        def spy(leg, point, index):
+            points.append((point, index))
+            return arm(leg, point, index)
+
+        monkeypatch.setitem(ROWS, "kill", dataclasses.replace(ROWS["kill"], hook=spy))
+        verdict = ChaosOracle(workdir=tmp_path).run(campaign, [plan])
+        assert verdict.ok, [str(f) for f in verdict.failures]
+        # Under ``sync`` a batch's "after" is its collect: the drive
+        # stopped inside the chosen batch, and not before it.
+        assert ("after", plan.kill_batch - 1) in points
+        assert points[-1] == ("before", plan.kill_batch)
+        assert not (tmp_path / "armed").exists()
+
+    def test_the_heal_row_resubmits_the_chosen_batch(self, tmp_path, monkeypatch):
+        campaign, plan = self._plan("heal")
+        seen = []
+
+        def capture(leg):
+            seen.append(list(leg.sink.detector_pools["factor_graph"].recovery_log))
+            return iter(())
+
+        row = ROWS["heal"]
+        monkeypatch.setitem(
+            ROWS, "heal", dataclasses.replace(row, expects=row.expects + (capture,))
+        )
+        verdict = ChaosOracle(workdir=tmp_path).run(campaign, [plan])
+        assert verdict.ok, [str(f) for f in verdict.failures]
+        (log,) = seen
+        k, shard, n = plan.kill_batch, plan.shard, plan.n_shards
+        events = campaign.events
+        at = [i for i, event in enumerate(events) if event.kind == "batch" and event.alerts][k]
+        # The log replays every sub-batch the shard answered before the
+        # chosen one (no reopen or checkpoint reset it); the worker died
+        # owing the chosen batch and, at depth 2, the next one if it is
+        # in the same run of batches: submitted before the chosen one's
+        # collect.
+        assert not any(event.kind == "reopen" for event in events[:at])
+        answered = sum(_routed(batch, shard, n) for batch in campaign_batches(campaign)[:k])
+        follower = events[at + 1 : at + 2]
+        owed = 1 + any(e.kind == "batch" and _routed(e.alerts, shard, n) for e in follower)
+        assert [(event.shard, event.healed) for event in log] == [(shard, True)]
+        assert log[0].resubmitted_batches == answered + owed
+        assert not (tmp_path / "armed").exists()
+
+
+def _foreign_ring(ready, release) -> None:
+    """Another process's ring: made, announced, kept until released."""
+    ring = ShardRing.create(4096)
+    ready.send(ring.name)
+    release.recv()
+    ring.close()
+
+
+class TestRingLeakAccounting:
+    """A leg is charged only with the ring segments this process made."""
+
+    def _poison_leg(self):
+        campaign, plans = ChaosComposer(0, target_alerts=100).compose(0)
+        return campaign, next(plan for plan in plans if plan.backend == "serial")
+
+    def _with_hook(self, monkeypatch, hook) -> None:
+        monkeypatch.setitem(ROWS, "poison", dataclasses.replace(ROWS["poison"], hook=hook))
+
+    def test_another_process_ring_made_during_a_leg_is_not_a_leak(
+        self, tmp_path, monkeypatch
+    ):
+        campaign, plan = self._poison_leg()
+        context = multiprocessing.get_context()
+        ready, child_ready = context.Pipe()
+        release, child_release = context.Pipe()
+        other = context.Process(target=_foreign_ring, args=(child_ready, child_release))
+        names = []
+
+        def start_the_other(leg, point, index):
+            if not names:
+                other.start()
+                names.append(ready.recv())
+
+        self._with_hook(monkeypatch, start_the_other)
+        try:
+            verdict = ChaosOracle(workdir=tmp_path).run(campaign, [plan])
+            assert names and os.path.exists(f"/dev/shm/{names[0]}")
+        finally:
+            release.send(None)
+            other.join(timeout=5.0)
+        assert verdict.ok, [str(f) for f in verdict.failures]
+
+    def test_a_ring_the_leg_leaves_behind_is_still_a_leak(self, tmp_path, monkeypatch):
+        campaign, plan = self._poison_leg()
+        rings, names = [], []
+
+        def leave_a_ring(leg, point, index):
+            if not rings:
+                rings.append(ShardRing.create(4096))
+                names.append(rings[0].name)
+
+        self._with_hook(monkeypatch, leave_a_ring)
+        try:
+            verdict = ChaosOracle(workdir=tmp_path).run(campaign, [plan])
+        finally:
+            for ring in rings:
+                ring.close()
+        assert [str(f) for f in verdict.failures] == [
+            f"[{plan.label}] leaked /dev/shm ring segment(s): {names}"
+        ]
 
 
 class TestServiceSmokeRows:

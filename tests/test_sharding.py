@@ -1243,40 +1243,41 @@ class TestCarrierOwnedRecovery:
         assert got == expected
         assert any(got)
 
-    def test_replay_log_is_bounded_under_a_deep_window(self):
-        """At the process backend's default depth the worker always owes
-        a reply at collect time, and a healthy stream takes no snapshot
-        of its own; the limit is what trims the log."""
-        from repro.testbed.sharding import REPLAY_LOG_LIMIT  # new with the bound
+    def test_replay_log_is_bounded_in_rows_under_grouped_submissions(self):
+        """Batches submitted in groups, the service's way: every logged
+        ``observe`` carries a group's rows, and the limit counts rows, so
+        the log holds at most the limit however large the groups are; a
+        healthy stream takes no snapshot of its own, so the limit is
+        what trims the log, and a heal replaying it stays bit-identical."""
+        from repro.testbed.sharding import REPLAY_LOG_LIMIT, _rows
 
-        n_batches, kill_at = 200, 150
-        # 16 alerts over 12 entities: every batch reaches both shards.
-        stream = build_mixed_stream(seed=37, n_entities=12, length=n_batches * 16)
-        batches = [stream[start : start + 16] for start in range(0, len(stream), 16)]
-        assert n_batches > REPLAY_LOG_LIMIT
+        group, size, n_groups, kill_at = 8, 128, 24, 20
+        # 12 entities: every group reaches both shards, ~512 rows each.
+        stream = build_mixed_stream(seed=37, n_entities=12, length=n_groups * group * size)
+        batches = [stream[start : start + size] for start in range(0, len(stream), size)]
         with self._pipeline("serial") as reference:
             expected = reference.ingest_alert_batches(batches)
             expected_summary = reference.summary()
         assert expected
         samples: list[int] = []
+        detections = []
         with self._pipeline("process", 3) as pipeline:
-            assert pipeline.max_inflight == 2
             pool = pipeline.detector_pools["factor_graph"]
-
-            def source():
-                for index, batch in enumerate(batches):
-                    samples.append(max(len(worker._log) for worker in pool._workers))
-                    if index == kill_at:
-                        pool._workers[self.VICTIM].process.kill()
-                    yield batch
-
-            detections = pipeline.ingest_alert_batches(source())
+            for index in range(n_groups):
+                if index == kill_at:
+                    pool._workers[self.VICTIM].process.kill()
+                pipeline.submit_alerts(*batches[index * group : (index + 1) * group])
+                detections += pipeline.collect_detections()
+                samples.append(
+                    max(sum(_rows(*message) for message in w._log) for w in pool._workers)
+                )
             summary = pipeline.summary()
             healed = [event for event in pool.recovery_log if event.healed]
+        assert n_groups * group * size // 2 > REPLAY_LOG_LIMIT
         assert max(samples) <= REPLAY_LOG_LIMIT
         # The bound was what trimmed it: the log got most of the way
         # there and came back down.
-        assert max(samples) > REPLAY_LOG_LIMIT // 2 and samples[-1] < max(samples)
+        assert max(samples) > REPLAY_LOG_LIMIT // 2 and min(samples[10:]) < max(samples) // 2
         assert [event.shard for event in healed] == [self.VICTIM]
         assert detections == expected
         for key in COUNTER_KEYS:
